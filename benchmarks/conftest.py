@@ -76,7 +76,16 @@ def pytest_addoption(parser):
 
 
 def run_once(benchmark, function, *args, **kwargs):
-    """Run ``function`` exactly once under pytest-benchmark and return its result."""
+    """Run ``function`` exactly once under pytest-benchmark and return its result.
+
+    One round is enough to regenerate a table or figure and to emit the
+    deterministic byte and record fields of ``BENCH_fig9c.json`` /
+    ``BENCH_table5.json`` (CI asserts those exactly).  It is not enough to
+    carry a speed claim: the timing fields of those artifacts are
+    fractions of a millisecond on 80-sequence corpora, measured once, and are
+    superseded by ``benchmarks/e2e`` (``python3 -m benchmarks.e2e``) —
+    seconds-scale workloads, repeated, with medians and quartiles.
+    """
     return benchmark.pedantic(function, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 

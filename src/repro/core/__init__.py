@@ -46,6 +46,7 @@ from repro.core.pivot_search import (
     pivot_merge,
     pivots_by_run_enumeration,
     pivots_of_output_sets,
+    pivots_of_sorted_sets,
 )
 from repro.core.results import MiningResult
 from repro.core.rewriting import rewrite_for_pivot, rewrite_statistics
@@ -92,6 +93,7 @@ __all__ = [
     "pivot_merge",
     "pivots_by_run_enumeration",
     "pivots_of_output_sets",
+    "pivots_of_sorted_sets",
     "rewrite_for_pivot",
     "rewrite_statistics",
     "subsequence_key",

@@ -20,21 +20,21 @@ The two enhancements evaluated in Fig. 10b are switchable:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 
 from repro.core.nfa_mining import NfaLocalMiner
-from repro.core.pivot_search import pivots_of_output_sets
+from repro.core.pivot_search import pivots_of_sorted_sets
 from repro.core.prefix_batch import batched_accepting, normalize_map_batching
 from repro.core.results import MiningResult
-from repro.dictionary import EPSILON_FID, Dictionary
+from repro.dictionary import Dictionary
 from repro.fst import (
     DEFAULT_MAX_RUNS,
     Fst,
     MiningKernel,
-    accepting_runs,
+    accepting_output_sets,
     ensure_kernel,
     make_kernel,
-    run_output_sets,
 )
 from repro.mapreduce import (
     Cluster,
@@ -42,7 +42,7 @@ from repro.mapreduce import (
     MapReduceJob,
     resolve_cluster,
 )
-from repro.nfa import TrieBuilder, deserialize, serialize
+from repro.nfa import TrieBuilder, deserialize, serialize_trie
 from repro.patex import PatEx
 from repro.sequences import (
     SequenceDatabase,
@@ -89,24 +89,26 @@ class DCandJob(MapReduceJob):
         """
         sequence, weight = record_parts(record)
         builders: dict[int, TrieBuilder] = {}
-        for run in accepting_runs(self.kernel, sequence, max_runs=self.max_runs):
-            output_sets = run_output_sets(
-                run, sequence, self.kernel, self.max_frequent_fid
-            )
-            if any(not outputs for outputs in output_sets):
-                # Some captured output set lost all items to the frequency
-                # filter; no frequent candidate passes through this run.
-                continue
-            pivots = pivots_of_output_sets(output_sets)
-            for pivot in pivots:
-                restricted = self._restrict(output_sets, pivot)
-                if restricted is None:
-                    continue
-                builder = builders.setdefault(pivot, TrieBuilder())
-                builder.add_run(restricted)
-        for pivot, builder in builders.items():
-            nfa = builder.minimized() if self.minimize_nfas else builder.trie()
-            payload = serialize(nfa)
+        for output_sets in accepting_output_sets(
+            self.kernel, sequence, self.max_frequent_fid, self.max_runs
+        ):
+            for pivot in pivots_of_sorted_sets(output_sets):
+                builder = builders.get(pivot)
+                if builder is None:
+                    builder = builders[pivot] = TrieBuilder()
+                # Keep only items <= pivot (Sec. VI-A).  The sets ascend, so
+                # that is a prefix; it is never empty because the pivot is at
+                # least every set's minimum.
+                builder.add_run(
+                    [
+                        outputs
+                        if outputs[-1] <= pivot
+                        else outputs[: bisect_right(outputs, pivot)]
+                        for outputs in output_sets
+                    ]
+                )
+        for pivot in sorted(builders):
+            payload = serialize_trie(builders[pivot], self.minimize_nfas)
             yield pivot, payload if weight == 1 else (payload, weight)
 
     def map_records(self, records, counters: dict | None = None):
@@ -135,25 +137,6 @@ class DCandJob(MapReduceJob):
             if not accepting[sequence]:
                 continue
             yield from self.map(record)
-
-    @staticmethod
-    def _restrict(
-        output_sets: Sequence[tuple[int, ...]], pivot: int
-    ) -> list[tuple[int, ...]] | None:
-        """Keep only items ``<= pivot`` and drop ε sets (Sec. VI-A).
-
-        Returns None if a captured output set loses all items, which cannot
-        happen when ``pivot`` is a pivot of the run (defensive guard).
-        """
-        restricted: list[tuple[int, ...]] = []
-        for outputs in output_sets:
-            if outputs == (EPSILON_FID,):
-                continue
-            kept = tuple(item for item in outputs if item != EPSILON_FID and item <= pivot)
-            if not kept:
-                return None
-            restricted.append(kept)
-        return restricted
 
     # --------------------------------------------------------------- combine
     def combine(

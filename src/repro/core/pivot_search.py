@@ -14,12 +14,13 @@ module implements the paper's two ideas:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.dictionary import EPSILON_FID, Dictionary
 from repro.errors import CandidateExplosionError
-from repro.fst import Fst, MiningKernel, accepting_runs, ensure_kernel, run_output_sets
+from repro.fst import Fst, MiningKernel, accepting_output_sets, ensure_kernel
 from repro.fst.fst import Transition
 
 
@@ -77,6 +78,27 @@ def pivots_of_output_sets(output_sets: Iterable[Iterable[int]]) -> set[int]:
     return accumulator
 
 
+def pivots_of_sorted_sets(output_sets: Sequence[tuple[int, ...]]) -> list[int]:
+    """``K(r)`` in closed form, ascending, for ε-free ascending output sets.
+
+    Folding ⊕ (Theorem 1) over non-empty sets of items collapses to: every
+    candidate of the run contains one item of each set, so its maximum is at
+    least ``m = max(min(O_i))``; and every item ``ω ≥ m`` of any set is the
+    maximum of the candidate that takes ``ω`` there and each other set's
+    minimum.  The pivots are therefore exactly the items ``≥ m``.  This is
+    the shape :func:`~repro.fst.accepting_output_sets` yields; use
+    :func:`pivots_of_output_sets` for sets that may hold ε or be empty.
+    """
+    if not output_sets:
+        return []
+    floor = max(outputs[0] for outputs in output_sets)
+    pivots = {floor}
+    for outputs in output_sets:
+        if outputs[-1] > floor:
+            pivots.update(outputs[bisect_left(outputs, floor) :])
+    return sorted(pivots)
+
+
 def pivots_by_run_enumeration(
     fst: Fst | MiningKernel,
     sequence: Sequence[int],
@@ -92,9 +114,10 @@ def pivots_by_run_enumeration(
     """
     kernel = ensure_kernel(fst, dictionary)
     pivots: set[int] = set()
-    for run in accepting_runs(kernel, sequence, max_runs=max_runs):
-        output_sets = run_output_sets(run, sequence, kernel, max_frequent_fid)
-        pivots.update(pivots_of_output_sets(output_sets))
+    for output_sets in accepting_output_sets(
+        kernel, sequence, max_frequent_fid, max_runs
+    ):
+        pivots.update(pivots_of_sorted_sets(output_sets))
     return pivots
 
 

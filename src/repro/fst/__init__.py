@@ -26,6 +26,7 @@ from repro.fst.labels import EPSILON_OUTPUT, Label
 from repro.fst.simulation import (
     DEFAULT_MAX_CANDIDATES,
     DEFAULT_MAX_RUNS,
+    accepting_output_sets,
     accepting_runs,
     expand_output_sets,
     generate_candidates,
@@ -49,6 +50,7 @@ __all__ = [
     "MiningKernel",
     "NfaStatistics",
     "Transition",
+    "accepting_output_sets",
     "accepting_runs",
     "compile_ast",
     "compile_expression",

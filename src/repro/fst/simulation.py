@@ -6,6 +6,7 @@ semantics of the DESQ computational model:
 * :func:`matches` -- does any accepting run exist for an input sequence?
 * :func:`accepting_runs` -- enumerate accepting runs (Fig. 5a);
 * :func:`run_output_sets` -- the output sets produced by one run;
+* :func:`accepting_output_sets` -- both in one pass, ε sets dropped;
 * :func:`generate_candidates` -- the candidate set ``G_π(T)`` (or ``G^σ_π(T)``).
 
 All entry points accept either a raw :class:`~repro.fst.fst.Fst` (plus a
@@ -28,6 +29,7 @@ from repro.dictionary import EPSILON_FID, Dictionary
 from repro.errors import CandidateExplosionError
 from repro.fst.compiled import MiningKernel, ensure_kernel
 from repro.fst.fst import Fst, Transition
+from repro.fst.labels import EPSILON_OUTPUT
 
 #: Default safety cap for enumerated accepting runs per input sequence.
 DEFAULT_MAX_RUNS = 100_000
@@ -60,6 +62,48 @@ def matches(
     return kernel.reachability_table(sequence)[0][kernel.initial_state]
 
 
+def _walk_runs(kernel: MiningKernel, sequence, alive, max_runs: int, entry):
+    """Iterative depth-first enumeration shared by the two run iterators.
+
+    Yields the *live* per-position path once per accepting run;
+    ``entry(tid, item)`` chooses what a step leaves on the path.  An explicit
+    stack of matching-transition iterators replaces recursion, so sequence
+    length is not bounded by the interpreter's recursion limit.
+    """
+    n = len(sequence)
+    if alive is None:
+        alive = kernel.reachability_table(sequence)
+    if n == 0 or not alive[0][kernel.initial_state]:
+        return
+    matching = kernel.matching
+    target_of = kernel.target
+    produced = 0
+    path: list = []
+    frames = [iter(matching(kernel.initial_state, sequence[0]))]
+    while frames:
+        position = len(path)
+        item = sequence[position]
+        next_alive = alive[position + 1]
+        for tid in frames[-1]:
+            target = target_of(tid)
+            if not next_alive[target]:
+                continue
+            path.append(entry(tid, item))
+            if position + 1 < n:
+                frames.append(iter(matching(target, sequence[position + 1])))
+                break
+            # ``alive[n]`` holds exactly the final states: the run accepts.
+            produced += 1
+            if produced > max_runs:
+                raise CandidateExplosionError("accepting runs", max_runs)
+            yield path
+            path.pop()
+        else:
+            frames.pop()
+            if frames:
+                path.pop()
+
+
 def accepting_runs(
     fst: Fst | MiningKernel,
     sequence: Sequence[int],
@@ -75,39 +119,42 @@ def accepting_runs(
     ``max_runs`` runs are produced.
     """
     kernel = ensure_kernel(fst, dictionary)
-    n = len(sequence)
-    if alive is None:
-        alive = kernel.reachability_table(sequence)
-    if n == 0:
+    if len(sequence) == 0:
         if kernel.is_final(kernel.initial_state):
             yield ()
         return
-    if not alive[0][kernel.initial_state]:
-        return
-
-    produced = 0
-    stack: list[Transition] = []
     transitions = kernel.transitions
+    for path in _walk_runs(
+        kernel, sequence, alive, max_runs, lambda tid, _item: transitions[tid]
+    ):
+        yield tuple(path)
 
-    def walk(position: int, state: int) -> Iterator[tuple[Transition, ...]]:
-        nonlocal produced
-        if position == n:
-            if kernel.is_final(state):
-                produced += 1
-                if produced > max_runs:
-                    raise CandidateExplosionError("accepting runs", max_runs)
-                yield tuple(stack)
-            return
-        item = sequence[position]
-        next_alive = alive[position + 1]
-        for tid in kernel.matching(state, item):
-            target = kernel.target(tid)
-            if next_alive[target]:
-                stack.append(transitions[tid])
-                yield from walk(position + 1, target)
-                stack.pop()
 
-    yield from walk(0, kernel.initial_state)
+def accepting_output_sets(
+    kernel: MiningKernel,
+    sequence: Sequence[int],
+    max_frequent_fid: int | None = None,
+    max_runs: int = DEFAULT_MAX_RUNS,
+) -> Iterator[list[tuple[int, ...]]]:
+    """The non-ε output sets of every accepting run that can carry a candidate.
+
+    One pass instead of :func:`accepting_runs` + :func:`run_output_sets`: the
+    walk carries the (frequency-filtered) output sets themselves, so a set is
+    looked up once per shared run prefix, and ε sets are dropped once per run.
+    Every yielded set is a non-empty ascending tuple of fids.  Runs with a
+    captured set that lost all its items to the frequency filter carry no
+    frequent candidate: they count against ``max_runs`` but are not yielded.
+    """
+    filtered = kernel.filtered_outputs
+    for path in _walk_runs(
+        kernel,
+        sequence,
+        None,
+        max_runs,
+        lambda tid, item: filtered(tid, item, max_frequent_fid),
+    ):
+        if () not in path:
+            yield [outputs for outputs in path if outputs != EPSILON_OUTPUT]
 
 
 def run_output_sets(
@@ -187,10 +234,9 @@ def generate_candidates(
         kernel.dictionary.largest_frequent_fid(sigma) if sigma is not None else None
     )
     candidates: set[tuple[int, ...]] = set()
-    for run in accepting_runs(kernel, sequence, max_runs=max_runs):
-        output_sets = run_output_sets(run, sequence, kernel, max_frequent_fid)
-        if any(not outputs for outputs in output_sets):
-            continue
+    for output_sets in accepting_output_sets(
+        kernel, sequence, max_frequent_fid, max_runs
+    ):
         for candidate in expand_output_sets(output_sets, max_candidates=max_candidates):
             if candidate:
                 candidates.add(candidate)

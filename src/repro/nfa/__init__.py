@@ -1,7 +1,7 @@
 """Output NFAs for candidate representation (Sec. VI)."""
 
 from repro.nfa.nfa import OutputNfa, TrieBuilder, minimize_acyclic
-from repro.nfa.serializer import deserialize, serialize, serialized_size
+from repro.nfa.serializer import deserialize, serialize, serialize_trie, serialized_size
 
 __all__ = [
     "OutputNfa",
@@ -9,5 +9,6 @@ __all__ = [
     "deserialize",
     "minimize_acyclic",
     "serialize",
+    "serialize_trie",
     "serialized_size",
 ]

@@ -125,7 +125,12 @@ class OutputNfa:
 
 
 class TrieBuilder:
-    """Builds a trie of runs (Fig. 7b) and minimizes it into an NFA (Fig. 7c)."""
+    """Builds a trie of runs (Fig. 7b) and minimizes it into an NFA (Fig. 7c).
+
+    States are numbered in creation order, so a child always has a larger
+    index than its parent: walking the states backwards visits every subtree
+    before its root, which is all the bottom-up merge needs.
+    """
 
     def __init__(self) -> None:
         self._children: list[dict[tuple[int, ...], int]] = [{}]
@@ -135,35 +140,62 @@ class TrieBuilder:
     def num_states(self) -> int:
         return len(self._children)
 
+    @property
+    def final_states(self) -> set[int]:
+        return self._final
+
     def add_run(self, output_sets: Iterable[tuple[int, ...]]) -> None:
         """Insert one accepting run, given as its non-ε output sets.
 
         ε output sets must already have been removed by the caller; each
-        remaining output set becomes one trie edge.
+        remaining output set becomes one trie edge.  Labels are taken as
+        given: ascending tuples of fids (what the FST kernels produce).
         """
+        children = self._children
         state = 0
-        added_edge = False
         for label in output_sets:
-            label = tuple(sorted(label))
             if not label:
                 raise NfaError("cannot insert an empty output set into a trie")
-            nxt = self._children[state].get(label)
+            nxt = children[state].get(label)
             if nxt is None:
-                nxt = len(self._children)
-                self._children.append({})
-                self._children[state][label] = nxt
+                nxt = len(children)
+                children.append({})
+                children[state][label] = nxt
             state = nxt
-            added_edge = True
-        if added_edge:
+        if state:
             self._final.add(state)
+
+    def edge_lists(self, minimize: bool = False) -> list[list | None]:
+        """Label-sorted ``(label, target)`` edges per state, optionally merged.
+
+        With ``minimize``, states with identical right languages are merged
+        Revuz-style in one backwards sweep: targets are replaced by their
+        class representative and merged-away states get ``None``.  The root
+        keeps index 0 (no proper subtree spells the whole language).
+        """
+        if not minimize:
+            return [sorted(edges.items()) for edges in self._children]
+        children, final = self._children, self._final
+        count = len(children)
+        canonical = list(range(count))
+        edges: list[list | None] = [None] * count
+        registry: dict[tuple, int] = {}
+        for state in range(count - 1, -1, -1):
+            outgoing = sorted(
+                [(label, canonical[target]) for label, target in children[state].items()]
+            )
+            representative = registry.setdefault(
+                (state in final, tuple(outgoing)), state
+            )
+            if representative == state:
+                edges[state] = outgoing
+            else:
+                canonical[state] = representative
+        return edges
 
     def trie(self) -> OutputNfa:
         """The (un-minimized) trie as an NFA."""
-        transitions = [
-            [(label, target) for label, target in sorted(children.items())]
-            for children in self._children
-        ]
-        return OutputNfa(transitions, self._final)
+        return OutputNfa(self.edge_lists(), self._final)
 
     def minimized(self) -> OutputNfa:
         """Revuz-style minimization: merge states with identical right languages."""
@@ -182,7 +214,6 @@ def minimize_acyclic(nfa: OutputNfa) -> OutputNfa:
     order = _topological_order(nfa)
     canonical: dict[int, int] = {}
     registry: dict[tuple, int] = {}
-    signatures: dict[int, tuple] = {}
     for state in reversed(order):
         signature = (
             nfa.is_final(state),
@@ -190,49 +221,41 @@ def minimize_acyclic(nfa: OutputNfa) -> OutputNfa:
                 sorted((label, canonical[target]) for label, target in nfa.outgoing(state))
             ),
         )
-        representative = registry.get(signature)
-        if representative is None:
-            registry[signature] = state
-            representative = state
-            signatures[state] = signature
-        canonical[state] = representative
+        canonical[state] = registry.setdefault(signature, state)
 
-    kept = sorted({canonical[state] for state in order}, key=order.index)
+    # Kept states in topological order.  The initial state comes first in
+    # that order and is its own representative (equal signatures imply equal
+    # longest-path heights, and every other state is strictly lower), so it
+    # keeps index 0.
+    kept = [state for state in order if canonical[state] == state]
     renumber = {state: index for index, state in enumerate(kept)}
-    # Ensure the initial state keeps index 0.
-    root = canonical[0]
-    if renumber[root] != 0:
-        other = kept[0]
-        renumber[root], renumber[other] = 0, renumber[root]
-    transitions: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in kept]
-    finals: set[int] = set()
-    for state in kept:
-        index = renumber[state]
-        if nfa.is_final(state):
-            finals.add(index)
-        transitions[index] = [
-            (label, renumber[canonical[target]]) for label, target in nfa.outgoing(state)
-        ]
+    transitions = [
+        [(label, renumber[canonical[target]]) for label, target in nfa.outgoing(state)]
+        for state in kept
+    ]
+    finals = {renumber[state] for state in kept if nfa.is_final(state)}
     return OutputNfa(transitions, finals)
 
 
 def _topological_order(nfa: OutputNfa) -> list[int]:
     """States of an acyclic NFA in topological order starting from state 0."""
-    order: list[int] = []
+    postorder: list[int] = []
     seen: set[int] = set()
-    in_progress: set[int] = set()
-
-    def visit(state: int) -> None:
-        if state in seen:
-            return
-        if state in in_progress:
-            raise NfaError("output NFA contains a cycle")
-        in_progress.add(state)
-        for _label, target in nfa.outgoing(state):
-            visit(target)
-        in_progress.discard(state)
-        seen.add(state)
-        order.append(state)
-
-    visit(0)
-    return list(reversed(order))
+    in_progress = {0}
+    stack = [(0, iter(nfa.outgoing(0)))]
+    while stack:
+        state, pending = stack[-1]
+        for _label, target in pending:
+            if target in in_progress:
+                raise NfaError("output NFA contains a cycle")
+            if target not in seen:
+                in_progress.add(target)
+                stack.append((target, iter(nfa.outgoing(target))))
+                break
+        else:
+            stack.pop()
+            in_progress.discard(state)
+            seen.add(state)
+            postorder.append(state)
+    postorder.reverse()
+    return postorder

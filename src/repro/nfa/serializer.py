@@ -14,7 +14,7 @@ MapReduce combine-style aggregation of D-CAND effective.
 from __future__ import annotations
 
 from repro.errors import NfaError
-from repro.nfa.nfa import OutputNfa
+from repro.nfa.nfa import OutputNfa, TrieBuilder
 from repro.varint import read_varint, write_varint
 
 _FLAG_HAS_SOURCE = 1
@@ -24,7 +24,10 @@ _FLAG_TARGET_FINAL = 4
 
 # ------------------------------------------------------------------- varints
 def _write_varint(buffer: bytearray, value: int) -> None:
-    write_varint(buffer, value, error=NfaError)
+    if 0 <= value < 0x80:  # one byte: nearly every count and fid delta
+        buffer.append(value)
+    else:
+        write_varint(buffer, value, error=NfaError)
 
 
 def _read_varint(data: bytes, offset: int) -> tuple[int, int]:
@@ -34,22 +37,38 @@ def _read_varint(data: bytes, offset: int) -> tuple[int, int]:
 # --------------------------------------------------------------- serialization
 def serialize(nfa: OutputNfa) -> bytes:
     """Serialize an output NFA into a compact canonical byte string."""
-    buffer = bytearray()
-    buffer.append(1 if nfa.is_final(0) else 0)
+    return _write_dfs(nfa.transitions, nfa.final_states)
 
+
+def serialize_trie(builder: TrieBuilder, minimize: bool = True) -> bytes:
+    """``serialize(builder.minimized())`` (or ``.trie()``) without the NFAs.
+
+    The bytes are written straight from the builder's merged edge lists: the
+    format numbers states by DFS visit, so it does not depend on how the
+    minimized automaton would have numbered them.
+    """
+    return _write_dfs(builder.edge_lists(minimize), builder.final_states)
+
+
+def _write_dfs(edges, finals) -> bytes:
+    """The canonical bytes of the automaton rooted at state 0.
+
+    ``edges[state]`` is the state's ``(label, target)`` list in sorted order.
+    The traversal keeps an explicit stack, so automaton depth is not bounded
+    by the interpreter's recursion limit.
+    """
+    buffer = bytearray([1 if 0 in finals else 0])
     visit_number: dict[int, int] = {0: 0}
-    current = 0
-
-    def emit(source: int) -> None:
-        nonlocal current
-        for label, target in sorted(nfa.outgoing(source)):
-            flags = 0
-            if source != current:
-                flags |= _FLAG_HAS_SOURCE
-            target_known = target in visit_number
-            if target_known:
+    current = 0  # target of the previously written transition
+    stack = [(0, iter(edges[0]))]
+    while stack:
+        source, pending = stack[-1]
+        for label, target in pending:
+            known = visit_number.get(target)
+            flags = 0 if source == current else _FLAG_HAS_SOURCE
+            if known is not None:
                 flags |= _FLAG_HAS_TARGET
-            elif nfa.is_final(target):
+            elif target in finals:
                 flags |= _FLAG_TARGET_FINAL
             buffer.append(flags)
             if flags & _FLAG_HAS_SOURCE:
@@ -59,17 +78,15 @@ def serialize(nfa: OutputNfa) -> bytes:
             for fid in label:
                 _write_varint(buffer, fid - previous)  # delta-encode sorted fids
                 previous = fid
-            if target_known:
-                _write_varint(buffer, visit_number[target])
-                current = target
+            current = target
+            if known is not None:
+                _write_varint(buffer, known)
             else:
                 visit_number[target] = len(visit_number)
-                current = target
-                emit(target)
-                # After returning from the recursion we are conceptually back at
-                # ``target``'s last descendant; ``current`` already tracks it.
-
-    emit(0)
+                stack.append((target, iter(edges[target])))
+                break
+        else:
+            stack.pop()
     return bytes(buffer)
 
 

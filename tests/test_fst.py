@@ -373,3 +373,59 @@ def _is_subsequence(candidate, sequence, dictionary) -> bool:
             return False
         position += 1
     return True
+
+
+class TestLongSequences:
+    """Run enumeration keeps an explicit stack: a sequence longer than the
+    interpreter's recursion limit used to end in a bare ``RecursionError``."""
+
+    LENGTH = 1_500
+
+    @pytest.fixture(scope="class")
+    def long_input(self):
+        from repro.dictionary import Hierarchy
+        from repro.sequences import preprocess
+
+        dictionary, database = preprocess(
+            [("a",) * self.LENGTH, ("a", "b")], Hierarchy()
+        )
+        return dictionary, tuple(database[0])
+
+    def test_accepting_runs_of_a_long_sequence(self, long_input):
+        dictionary, sequence = long_input
+        fst = PatEx("(a)+").compile(dictionary)
+        (run,) = accepting_runs(fst, sequence, dictionary)
+        assert len(run) == self.LENGTH
+        a = dictionary.fid_of("a")
+        assert set(run_output_sets(run, sequence, dictionary)) == {(a,)}
+
+    def test_dcand_map_of_a_long_sequence(self, long_input):
+        from repro.core.dcand import DCandJob
+        from repro.nfa import deserialize
+
+        dictionary, sequence = long_input
+        job = DCandJob(PatEx("(a)+").compile(dictionary), dictionary, sigma=1)
+        ((pivot, payload),) = job.map(sequence)
+        a = dictionary.fid_of("a")
+        assert pivot == a
+        nfa = deserialize(payload)
+        assert nfa.num_states == self.LENGTH + 1
+        assert nfa.accepts((a,) * self.LENGTH)
+        assert not nfa.accepts((a,) * (self.LENGTH - 1))
+
+    def test_run_cap_fires_at_the_same_run_count(self, long_input):
+        """``.*(a).*`` has one accepting run per position: a cap of n passes,
+        a cap of n - 1 yields n - 1 runs and raises on the n-th."""
+        from repro.core.dcand import DCandJob
+
+        dictionary, sequence = long_input
+        sequence = sequence[:40]
+        fst = PatEx(".*(a).*").compile(dictionary)
+        assert len(list(accepting_runs(fst, sequence, dictionary, max_runs=40))) == 40
+        runs = accepting_runs(fst, sequence, dictionary, max_runs=39)
+        assert sum(1 for _run in zip(range(39), runs)) == 39
+        with pytest.raises(CandidateExplosionError):
+            next(runs)
+        assert len(list(DCandJob(fst, dictionary, max_runs=40).map(sequence))) == 1
+        with pytest.raises(CandidateExplosionError):
+            list(DCandJob(fst, dictionary, max_runs=39).map(sequence))

@@ -73,7 +73,7 @@ class TestReachability:
 class TestNfaExport:
     def make_nfa(self):
         builder = TrieBuilder()
-        builder.add_run([(4,), (4, 2), (1,)])  # a1 {a1,A} b (Fig. 8)
+        builder.add_run([(4,), (2, 4), (1,)])  # a1 {A,a1} b (Fig. 8)
         builder.add_run([(4,), (1,)])
         return builder.minimized()
 
