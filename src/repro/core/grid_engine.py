@@ -21,6 +21,11 @@ performance engine built on the same theory:
   ``(grid engine, kernel fingerprint, encoded sequence, frequency filter)``:
   repeated sequences across chunks — and the same rewritten sequence arriving
   in several reduce partitions — build their grid once per worker process.
+  On the reduce side a memoized grid also carries the sequence's local-mining
+  tables (``reduce_tables``: finishable table and step index, see
+  :class:`~repro.core.local_mining.MiningTables`).  They are filled lazily and
+  only by the local miner — the map side never pays for them — and live and
+  die with their memo entry.
   :class:`GridMemoWarmup` ships the sizing (and the mining kernel) through the
   persistent pool initializer.
 
@@ -165,6 +170,11 @@ class FlatPivotGrid:
     """
 
     kind = "flat"
+
+    #: Reduce-only slot: the sequence's local-mining tables, filled on first
+    #: request by :func:`repro.core.local_mining.tables_of` (one assignment of
+    #: a pure function of the memo key); the map side never touches it.
+    reduce_tables = None
 
     def __init__(
         self,
@@ -700,8 +710,12 @@ def cached_grid(
     The memo is keyed by ``(grid engine, kernel fingerprint, encoded sequence,
     frequency filter)``, so repeated input sequences across map chunks — and
     the same rewritten sequence landing in several reduce partitions — build
-    their grid once per worker process.  Grids are immutable after
-    construction, which is what makes sharing them safe.  Pass ``span_hash``
+    their grid once per worker process.  Grids are *observably* immutable
+    after construction, which is what makes sharing them safe: the one thing
+    that changes later is the lazily filled ``reduce_tables`` slot, whose
+    values are pure functions of the memo key published with one assignment
+    each — threads sharing the memo may duplicate a fill but can never see a
+    half-built or disagreeing one.  Pass ``span_hash``
     when the record already carries the dedup store's span hash to skip
     re-encoding the sequence for the key (see :class:`_SpanKey`).
     """

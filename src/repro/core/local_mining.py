@@ -10,15 +10,23 @@ item at a time, and each search-tree node keeps a projected database of
 With ``pivot=None`` the same code is the *sequential* DESQ-DFS baseline used
 in Table V: it mines all frequent patterns of the given sequences.
 
+The work is split by what it depends on.  *Per sequence* — a function of
+``(kernel, sequence, frequency filter)`` only — are the reachability and
+finishable tables and the step index of :class:`MiningTables`; under a pivot
+they ride on the sequence's memoized grid (:func:`tables_of`), so a rewritten
+sequence that lands in many partitions, and is met at every search-tree node
+of each, computes them once per worker.  *Per partition* are a weight, the
+last pivot-producing position and the search itself, which only filters the
+shared step pairs by the pivot and the early-stopping cut.
+
 All FST probes go through a :class:`~repro.fst.compiled.MiningKernel`; a raw
 ``(fst, dictionary)`` pair is wrapped in the default (compiled) kernel, whose
-memoized matching/output indexes are shared by every sequence and every
-search-tree node of a partition.
+memoized matching/output indexes are shared by every sequence of a worker.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.dictionary import Dictionary
 from repro.errors import MiningError
@@ -27,38 +35,123 @@ from repro.core.grid_engine import cached_grid, normalize_grid
 from repro.core.prefix_batch import batched_grids, normalize_map_batching
 
 
-class _SequenceState:
-    """Per-sequence simulation tables shared by all search-tree nodes."""
+class MiningTables:
+    """Everything local mining needs that depends on the sequence alone.
 
-    __slots__ = ("sequence", "weight", "alive", "finishable", "last_pivot_position")
+    A pure function of ``(kernel, sequence, max_frequent_fid)``: the
+    reachability table ``alive``, the ``finishable`` table (one flat ``bytes``
+    of ``(len(sequence) + 1) * num_states`` flags, built on first request) and
+    the *step index*.  A snapshot ``(position, state)`` is coded as the int
+    ``position * num_states + state``; :meth:`steps` maps a snapshot to the
+    ascending tuple of ``(output item, next snapshot)`` pairs reachable through
+    uncaptured live edges followed by one captured live edge, with outputs
+    filtered by ``max_frequent_fid`` only.  The pivot and the early-stopping
+    cut of a partition merely *filter* these pairs, so one instance serves
+    every partition and every search-tree node that meets the sequence.
+
+    Instances ride on the grid they were derived from (:func:`tables_of`) and
+    live and die with its memo entry.  Lazily filled values are published with
+    one assignment each: concurrent readers may duplicate a fill, but can
+    never observe a half-built or disagreeing one.
+    """
+
+    __slots__ = ("kernel", "sequence", "max_frequent_fid", "alive", "_finishable", "_steps")
 
     def __init__(
         self,
-        sequence: tuple[int, ...],
-        weight: int,
         kernel: MiningKernel,
-        pivot: int | None,
-        max_frequent_fid: int,
-        grid: str | None = None,
-        built_grid=None,
+        sequence: tuple[int, ...],
+        max_frequent_fid: int | None,
+        alive: list[list[bool]] | None = None,
     ) -> None:
+        self.kernel = kernel
         self.sequence = sequence
+        self.max_frequent_fid = max_frequent_fid
+        self.alive = kernel.reachability_table(sequence) if alive is None else alive
+        self._finishable: bytes | None = None
+        self._steps: dict[int, tuple[tuple[int, int], ...]] = {}
+
+    def finishes(self, snapshots: Iterable[int]) -> bool:
+        """True iff some snapshot reaches acceptance producing only ε outputs."""
+        table = self._finishable
+        if table is None:
+            table = b"".join(map(bytes, self.kernel.finishable_table(self.sequence)))
+            self._finishable = table
+        for snapshot in snapshots:
+            if table[snapshot]:
+                return True
+        return False
+
+    def steps(self, snapshot: int) -> tuple[tuple[int, int], ...]:
+        """The one-item expansions of ``snapshot``, ascending by output item."""
+        entries = self._steps.get(snapshot)
+        if entries is not None:
+            return entries
+        kernel = self.kernel
+        sequence = self.sequence
+        alive = self.alive
+        max_frequent_fid = self.max_frequent_fid
+        num_states = kernel.num_states
+        n = len(sequence)
+        found: set[tuple[int, int]] = set()
+        visited = {snapshot}
+        stack = [snapshot]
+        while stack:
+            position, fst_state = divmod(stack.pop(), num_states)
+            if position >= n:
+                continue
+            item = sequence[position]
+            next_alive = alive[position + 1]
+            base = (position + 1) * num_states
+            for tid in kernel.matching(fst_state, item):
+                target = kernel.target(tid)
+                if not next_alive[target]:
+                    continue
+                if kernel.is_captured(tid):
+                    for output in kernel.filtered_outputs(tid, item, max_frequent_fid):
+                        found.add((output, base + target))
+                elif base + target not in visited:
+                    visited.add(base + target)
+                    stack.append(base + target)
+        entries = tuple(sorted(found))
+        self._steps[snapshot] = entries
+        return entries
+
+
+def tables_of(grid) -> MiningTables:
+    """The :class:`MiningTables` riding on ``grid``, created on first request.
+
+    Reduce-only: the map side never asks, so grid construction stays as cheap
+    as before and the tables share the grid's ``alive`` table.
+    """
+    tables = grid.reduce_tables
+    if tables is None:
+        tables = MiningTables(grid.kernel, grid.sequence, grid.max_frequent_fid, grid.alive)
+        grid.reduce_tables = tables
+    return tables
+
+
+#: "No early-stopping cut": compares above every snapshot code.
+_NO_LIMIT = float("inf")
+
+
+class _SequenceState:
+    """One partition's view of a sequence: shared tables, weight and cut.
+
+    ``limit`` codes the early-stopping cut: while the pivot is missing from
+    the prefix, expansions into snapshots ``>= limit`` (positions beyond
+    ``last_pivot_position``, the last one able to produce the pivot) are
+    dropped.  This is the cut "stop walking at ``position >=
+    last_pivot_position``": every position walked on the way to a captured
+    edge is smaller than the edge's own.  ``len(sequence)`` means no cut.
+    """
+
+    __slots__ = ("tables", "weight", "limit")
+
+    def __init__(self, tables: MiningTables, weight: int, last_pivot_position: int) -> None:
+        self.tables = tables
         self.weight = weight
-        self.alive = kernel.reachability_table(sequence)
-        self.finishable = kernel.finishable_table(sequence)
-        if pivot is not None:
-            # The early-stopping oracle reads the position-state grid; going
-            # through the per-worker memo means a rewritten sequence that
-            # lands in several partitions builds its grid once per worker.
-            # A trie-batched caller hands the prebuilt grid in directly.
-            built = built_grid
-            if built is None:
-                built = cached_grid(
-                    kernel, sequence, max_frequent_fid=max_frequent_fid, grid=grid
-                )
-            self.last_pivot_position = built.last_pivot_producing_position(pivot)
-        else:
-            self.last_pivot_position = len(sequence)
+        self.limit = (last_pivot_position + 1) * tables.kernel.num_states
 
 
 class DesqDfsMiner:
@@ -134,154 +227,96 @@ class DesqDfsMiner:
             raise MiningError("weights must align with sequences")
 
         kernel = self.kernel
-        pivot = self.pivot if self.use_early_stopping else None
+        max_frequent_fid = self.max_frequent_fid
+        cutting = self.pivot is not None and self.use_early_stopping
         built_grids: dict[tuple[int, ...], object] = {}
-        if pivot is not None and self.map_batching == "trie" and self.grid == "flat":
+        if cutting and self.map_batching == "trie" and self.grid == "flat":
             # One trie-batched forward pass builds every early-stopping grid
             # of the partition; duplicates and shared prefixes are simulated
             # once (counters are map-side metrics, not threaded here).
             built_grids = batched_grids(
                 kernel,
                 (tuple(sequence) for sequence in sequences),
-                max_frequent_fid=self.max_frequent_fid,
+                max_frequent_fid=max_frequent_fid,
             )
         states: list[_SequenceState] = []
-        root_snapshots: list[set[tuple[int, int]]] = []
         for sequence, weight in zip(sequences, weights):
             sequence = tuple(sequence)
-            state = _SequenceState(
-                sequence,
-                weight,
-                kernel,
-                pivot,
-                self.max_frequent_fid,
-                grid=self.grid,
-                built_grid=built_grids.get(sequence),
-            )
-            if state.alive and state.alive[0][kernel.initial_state]:
-                states.append(state)
-                root_snapshots.append({(0, kernel.initial_state)})
-        patterns: dict[tuple[int, ...], int] = {}
-        if states:
-            projected = list(zip(range(len(states)), root_snapshots))
-            self._expand((), projected, states, patterns)
-        return patterns
+            if cutting:
+                # The early-stopping oracle reads the position-state grid, and
+                # the tables ride on it: through the per-worker memo a
+                # rewritten sequence that lands in several partitions builds
+                # both once per worker.  A trie-batched caller's prebuilt
+                # grids carry their tables for this partition only.
+                grid = built_grids.get(sequence)
+                if grid is None:
+                    grid = cached_grid(
+                        kernel, sequence, max_frequent_fid=max_frequent_fid, grid=self.grid
+                    )
+                tables = tables_of(grid)
+                last_pivot_position = grid.last_pivot_producing_position(self.pivot)
+            else:
+                tables = MiningTables(kernel, sequence, max_frequent_fid)
+                last_pivot_position = len(sequence)
+            if tables.alive[0][kernel.initial_state]:
+                states.append(_SequenceState(tables, weight, last_pivot_position))
+        return self._expand(states)
 
     # --------------------------------------------------------------- expansion
-    def _expand(
-        self,
-        prefix: tuple[int, ...],
-        projected: list[tuple[int, set[tuple[int, int]]]],
-        states: list[_SequenceState],
-        patterns: dict[tuple[int, ...], int],
-    ) -> None:
-        children: dict[int, dict[int, set[tuple[int, int]]]] = {}
-        pivot_missing = self.pivot is not None and self.pivot not in prefix
+    def _expand(self, states: list[_SequenceState]) -> dict[tuple[int, ...], int]:
+        """Depth-first pattern growth over the accepted sequences.
 
-        for sequence_index, snapshots in projected:
-            state = states[sequence_index]
-            if (
-                self.use_early_stopping
-                and pivot_missing
-                and state.last_pivot_position == 0
-            ):
-                continue
-            reachable = self._output_steps(state, snapshots, pivot_missing)
-            for item, next_snapshots in reachable.items():
-                bucket = children.setdefault(item, {})
-                bucket.setdefault(sequence_index, set()).update(next_snapshots)
-
-        for item in sorted(children):
-            child_projected = children[item]
-            prefix_support = sum(
-                states[sequence_index].weight for sequence_index in child_projected
-            )
-            if prefix_support < self.sigma:
-                continue
-            child_prefix = prefix + (item,)
-            support = self._support(child_prefix, child_projected, states)
-            if support >= self.sigma and self._should_output(child_prefix):
+        A projected database maps a sequence index to the snapshots that can
+        still produce the prefix; the root's holds ``(0, initial state)`` for
+        every sequence.  The search keeps an explicit stack (a pattern may be
+        as long as the longest input sequence) and visits children in
+        ascending item order, so ``patterns`` fills in the order of a
+        pre-order walk.
+        """
+        root = self.kernel.initial_state  # snapshot code of (0, initial state)
+        root_projected = {index: {root} for index in range(len(states))}
+        patterns: dict[tuple[int, ...], int] = {}
+        sigma = self.sigma
+        pivot = self.pivot
+        # Step pairs ascend by item, so the scan of a snapshot stops at the
+        # first item beyond the pivot; without a pivot nothing is beyond the
+        # frequency filter the index already applied.
+        bound = self.max_frequent_fid if pivot is None else pivot
+        # (prefix, projected database, support, prefix contains the pivot)
+        stack = [((), root_projected, 0, pivot is None)]
+        while stack:
+            prefix, projected, support, has_pivot = stack.pop()
+            if support >= sigma and has_pivot:
                 if len(patterns) >= self.max_patterns:
                     raise MiningError(
                         f"more than {self.max_patterns} patterns produced; "
                         "lower sigma or tighten the constraint"
                     )
-                patterns[child_prefix] = support
-            self._expand(
-                child_prefix,
-                [(index, snapshots) for index, snapshots in child_projected.items()],
-                states,
-                patterns,
-            )
-
-    def _output_steps(
-        self,
-        state: _SequenceState,
-        snapshots: set[tuple[int, int]],
-        pivot_missing: bool,
-    ) -> dict[int, set[tuple[int, int]]]:
-        """All one-item expansions reachable from the given snapshots.
-
-        Follows uncaptured (ε-output) transitions without emitting and stops
-        at the first captured transition, which emits each of its (filtered)
-        output items.
-        """
-        kernel = self.kernel
-        sequence = state.sequence
-        alive = state.alive
-        n = len(sequence)
-        expansions: dict[int, set[tuple[int, int]]] = {}
-        visited: set[tuple[int, int]] = set()
-        stack = list(snapshots)
-        while stack:
-            position, fst_state = stack.pop()
-            if (position, fst_state) in visited:
-                continue
-            visited.add((position, fst_state))
-            if position >= n:
-                continue
-            if (
-                self.use_early_stopping
-                and pivot_missing
-                and position >= state.last_pivot_position
-            ):
-                # This sequence can no longer produce the pivot item.
-                continue
-            item = sequence[position]
-            next_alive = alive[position + 1]
-            for tid in kernel.matching(fst_state, item):
-                target = kernel.target(tid)
-                if not next_alive[target]:
+                patterns[prefix] = support
+            children: dict[int, dict[int, set[int]]] = {}
+            for sequence_index, snapshots in projected.items():
+                state = states[sequence_index]
+                steps = state.tables.steps
+                # While the pivot is missing, a sequence contributes only
+                # through positions that can still produce it.
+                limit = _NO_LIMIT if has_pivot else state.limit
+                for snapshot in snapshots:
+                    for item, successor in steps(snapshot):
+                        if item > bound:
+                            break
+                        if successor >= limit:
+                            continue
+                        children.setdefault(item, {}).setdefault(sequence_index, set()).add(
+                            successor
+                        )
+            for item in sorted(children, reverse=True):
+                child = children[item]
+                if sum(states[index].weight for index in child) < sigma:
                     continue
-                if not kernel.is_captured(tid):
-                    stack.append((position + 1, target))
-                    continue
-                for output in kernel.outputs(tid, item):
-                    if output > self.max_frequent_fid:
-                        continue
-                    if self.pivot is not None and output > self.pivot:
-                        continue
-                    expansions.setdefault(output, set()).add((position + 1, target))
-        return expansions
-
-    def _support(
-        self,
-        prefix: tuple[int, ...],
-        projected: dict[int, set[tuple[int, int]]],
-        states: list[_SequenceState],
-    ) -> int:
-        """Weighted number of sequences for which ``prefix`` is a full candidate."""
-        support = 0
-        for sequence_index, snapshots in projected.items():
-            state = states[sequence_index]
-            if any(
-                state.finishable[position][fst_state]
-                for position, fst_state in snapshots
-            ):
-                support += state.weight
-        return support
-
-    def _should_output(self, prefix: tuple[int, ...]) -> bool:
-        if self.pivot is None:
-            return True
-        return self.pivot in prefix
+                support = sum(
+                    states[index].weight
+                    for index, snapshots in child.items()
+                    if states[index].tables.finishes(snapshots)
+                )
+                stack.append((prefix + (item,), child, support, has_pivot or item == pivot))
+        return patterns

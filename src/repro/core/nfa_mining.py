@@ -48,54 +48,42 @@ class NfaLocalMiner:
             weights = [1] * len(nfas)
         if len(weights) != len(nfas):
             raise MiningError("weights must align with NFAs")
+        sigma = self.sigma
         patterns: dict[tuple[int, ...], int] = {}
-        projected = [
-            (index, frozenset({0})) for index in range(len(nfas)) if weights[index] > 0
-        ]
-        self._expand((), projected, nfas, weights, patterns)
-        return patterns
-
-    # ----------------------------------------------------------------- search
-    def _expand(
-        self,
-        prefix: tuple[int, ...],
-        projected: list[tuple[int, frozenset[int]]],
-        nfas: Sequence[OutputNfa],
-        weights: Sequence[int],
-        patterns: dict[tuple[int, ...], int],
-    ) -> None:
-        children: dict[int, dict[int, set[int]]] = {}
-        for nfa_index, states in projected:
-            outgoing = nfas[nfa_index].outgoing
-            for state in states:
-                for label, target in outgoing(state):
-                    for item in label:
-                        children.setdefault(item, {}).setdefault(nfa_index, set()).add(
-                            target
-                        )
-
-        for item in sorted(children):
-            child = children[item]
-            prefix_support = sum(weights[nfa_index] for nfa_index in child)
-            if prefix_support < self.sigma:
-                continue
-            child_prefix = prefix + (item,)
-            child_projected = [
-                (nfa_index, frozenset(states)) for nfa_index, states in child.items()
-            ]
-            support = sum(
-                weights[nfa_index]
-                for nfa_index, states in child_projected
-                if any(nfas[nfa_index].is_final(state) for state in states)
-            )
-            if support >= self.sigma and self._should_output(child_prefix):
+        root = {index: {0} for index in range(len(nfas)) if weights[index] > 0}
+        # Explicit stack (a candidate may be as long as the deepest NFA);
+        # children are pushed in descending item order, so ``patterns`` fills
+        # in the order of a pre-order walk with ascending items.
+        stack: list[tuple[tuple[int, ...], dict[int, set[int]], int]] = [((), root, 0)]
+        while stack:
+            prefix, projected, support = stack.pop()
+            if support >= sigma and self._should_output(prefix):
                 if len(patterns) >= self.max_patterns:
                     raise MiningError(
                         f"more than {self.max_patterns} patterns produced; "
                         "lower sigma or tighten the constraint"
                     )
-                patterns[child_prefix] = support
-            self._expand(child_prefix, child_projected, nfas, weights, patterns)
+                patterns[prefix] = support
+            children: dict[int, dict[int, set[int]]] = {}
+            for nfa_index, states in projected.items():
+                outgoing = nfas[nfa_index].outgoing
+                for state in states:
+                    for label, target in outgoing(state):
+                        for item in label:
+                            children.setdefault(item, {}).setdefault(nfa_index, set()).add(
+                                target
+                            )
+            for item in sorted(children, reverse=True):
+                child = children[item]
+                if sum(weights[nfa_index] for nfa_index in child) < sigma:
+                    continue
+                support = sum(
+                    weights[nfa_index]
+                    for nfa_index, states in child.items()
+                    if any(nfas[nfa_index].is_final(state) for state in states)
+                )
+                stack.append((prefix + (item,), child, support))
+        return patterns
 
     def _should_output(self, prefix: tuple[int, ...]) -> bool:
         if self.pivot is None:

@@ -155,6 +155,10 @@ class PositionStateGrid:
     search, sequence rewriting and the early-stopping heuristic all read it.
     """
 
+    #: Reduce-only slot for the sequence's local-mining tables (see
+    #: :func:`repro.core.local_mining.tables_of`); the map side never fills it.
+    reduce_tables = None
+
     def __init__(
         self,
         fst: Fst | MiningKernel,

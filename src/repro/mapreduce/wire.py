@@ -102,6 +102,28 @@ def _unzigzag(value: int) -> int:
 
 
 # ------------------------------------------------------------- value encoding
+def _encode_items(buffer: bytearray, items) -> None:
+    """Append the elements of a tuple or list.
+
+    Fid tuples dominate the shuffle, so int elements are written here, with
+    the one- and two-byte varints of small non-negative ints inlined — the
+    very bytes :func:`encode_value` would write, which everything else takes.
+    """
+    append = buffer.append
+    for item in items:
+        if type(item) is not int:
+            encode_value(buffer, item)
+            continue
+        append(_T_INT)
+        if 0 <= item < 0x40:
+            append(item << 1)
+        elif 0 <= item < 0x2000:
+            append((item << 1) & 0x7F | 0x80)
+            append(item >> 6)
+        else:
+            write_varint(buffer, _zigzag(item))
+
+
 def encode_value(buffer: bytearray, value: Any) -> None:
     """Append one tagged value to ``buffer``."""
     kind = type(value)
@@ -120,13 +142,11 @@ def encode_value(buffer: bytearray, value: Any) -> None:
     elif kind is tuple:
         buffer.append(_T_TUPLE)
         write_varint(buffer, len(value))
-        for item in value:
-            encode_value(buffer, item)
+        _encode_items(buffer, value)
     elif kind is list:
         buffer.append(_T_LIST)
         write_varint(buffer, len(value))
-        for item in value:
-            encode_value(buffer, item)
+        _encode_items(buffer, value)
     elif value is None:
         buffer.append(_T_NONE)
     elif value is True:
@@ -178,18 +198,40 @@ def decode_value(data: bytes, offset: int) -> tuple[Any, int]:
         end = offset + length
         if end > len(data):
             raise MapReduceError("truncated string in wire payload")
-        return data[offset:end].decode("utf-8", "surrogatepass"), end
+        try:
+            return data[offset:end].decode("utf-8", "surrogatepass"), end
+        except UnicodeDecodeError as error:
+            raise MapReduceError("malformed string in wire payload") from error
     if tag in (_T_TUPLE, _T_LIST, _T_FROZENSET):
         length, offset = read_varint(data, offset)
         items = []
+        append = items.append
+        last = len(data) - 2
         for _ in range(length):
-            item, offset = decode_value(data, offset)
-            items.append(item)
+            # Int elements are read here (see _encode_items), one- and
+            # two-byte varints inline; an int cut short by the end of the
+            # data takes the general call, which names the truncation.
+            if offset < last and data[offset] == _T_INT:
+                raw = data[offset + 1]
+                if raw < 0x80:
+                    offset += 2
+                elif data[offset + 2] < 0x80:
+                    raw = raw & 0x7F | data[offset + 2] << 7
+                    offset += 3
+                else:
+                    raw, offset = read_varint(data, offset + 1)
+                append(raw >> 1 if not raw & 1 else -((raw + 1) >> 1))
+            else:
+                item, offset = decode_value(data, offset)
+                append(item)
         if tag == _T_TUPLE:
             return tuple(items), offset
         if tag == _T_LIST:
             return items, offset
-        return frozenset(items), offset
+        try:
+            return frozenset(items), offset
+        except TypeError as error:
+            raise MapReduceError("unhashable frozenset member in wire payload") from error
     if tag == _T_NONE:
         return None, offset
     if tag == _T_TRUE:
@@ -206,7 +248,10 @@ def decode_value(data: bytes, offset: int) -> tuple[Any, int]:
         end = offset + length
         if end > len(data):
             raise MapReduceError("truncated pickle in wire payload")
-        return pickle.loads(data[offset:end]), end
+        try:
+            return pickle.loads(data[offset:end]), end
+        except Exception as error:  # a hostile pickle can raise anything
+            raise MapReduceError("malformed pickle in wire payload") from error
     raise MapReduceError(f"unknown wire tag {tag}")
 
 
@@ -243,19 +288,29 @@ class CompactCodec:
         if not blob:
             raise MapReduceError("empty wire payload")
         if blob[0] == _COMPRESSED:
-            data = zlib.decompress(blob[1:])
+            try:
+                data = zlib.decompress(blob[1:])
+            except zlib.error as error:
+                raise MapReduceError("malformed zlib stream in wire payload") from error
         elif blob[0] == _RAW:
             data = blob[1:]
         else:
             raise MapReduceError(f"unknown wire header byte {blob[0]}")
         count, offset = read_varint(data, 0)
         for _ in range(count):
-            key, offset = decode_value(data, offset)
-            length, offset = read_varint(data, offset)
-            values = []
-            for _ in range(length):
-                value, offset = decode_value(data, offset)
-                values.append(value)
+            try:
+                key, offset = decode_value(data, offset)
+                length, offset = read_varint(data, offset)
+                values = []
+                for _ in range(length):
+                    value, offset = decode_value(data, offset)
+                    values.append(value)
+            except RecursionError as error:
+                raise MapReduceError("wire payload nests too deeply") from error
+            try:
+                hash(key)
+            except TypeError as error:
+                raise MapReduceError("unhashable key in wire payload") from error
             yield key, values
         if offset != len(data):
             raise MapReduceError(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import DCandMiner, DSeqMiner
 from repro.core.local_mining import DesqDfsMiner
 from repro.core.nfa_mining import NfaLocalMiner
 from repro.dictionary import build_dictionary
@@ -16,6 +17,7 @@ from repro.errors import MiningError
 from repro.fst import generate_candidates
 from repro.nfa import TrieBuilder
 from repro.patex import PatEx
+from repro.sequences import preprocess
 
 from tests.conftest import gids
 
@@ -174,3 +176,62 @@ class TestNfaLocalMiner:
 
     def test_empty_input(self):
         assert NfaLocalMiner(sigma=1).mine([]) == {}
+
+
+class TestDeepPatterns:
+    """Patterns as long as a 1,500-item input sequence.
+
+    Both local miners used to recurse once per pattern item, so all three
+    reducers died with a bare ``RecursionError`` here.  ``(a)+`` must consume
+    the whole input (one pattern, 1,500 items); ``(a)+ a*`` also yields every
+    shorter prefix, in ascending length — the order of the depth-first walk.
+    """
+
+    LENGTH = 1500
+    EXPRESSIONS = ("(a)+", "(a)+ a*")
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        return preprocess([("a",) * self.LENGTH])
+
+    def expected(self, expression):
+        lengths = range(1, self.LENGTH + 1) if expression == "(a)+ a*" else [self.LENGTH]
+        return [((1,) * length, 1) for length in lengths]
+
+    @pytest.mark.parametrize("expression", EXPRESSIONS)
+    def test_desq_dfs_miner(self, deep, expression):
+        dictionary, database = deep
+        fst = PatEx(expression).compile(dictionary)
+        mined = DesqDfsMiner(fst, dictionary, 1).mine(list(database))
+        assert list(mined.items()) == self.expected(expression)
+
+    @pytest.mark.parametrize("expression", EXPRESSIONS)
+    def test_dseq_miner(self, deep, expression):
+        dictionary, database = deep
+        result = DSeqMiner(expression, 1, dictionary, cluster="simulated").mine(database)
+        assert list(result.patterns().items()) == self.expected(expression)
+
+    @pytest.mark.parametrize("expression", EXPRESSIONS)
+    def test_dcand_miner(self, deep, expression):
+        dictionary, database = deep
+        result = DCandMiner(expression, 1, dictionary, cluster="simulated").mine(database)
+        assert list(result.patterns().items()) == self.expected(expression)
+
+    def test_max_patterns_still_raises_at_the_same_count(self, deep):
+        dictionary, database = deep
+        fst = PatEx("(a)+ a*").compile(dictionary)
+        builder = TrieBuilder()
+        for length in range(1, self.LENGTH + 1):
+            builder.add_run([(1,)] * length)
+        nfa = builder.minimized()
+        for cap, raises in ((self.LENGTH - 1, True), (self.LENGTH, False)):
+            miners = (
+                lambda: DesqDfsMiner(fst, dictionary, 1, max_patterns=cap).mine(list(database)),
+                lambda: NfaLocalMiner(1, max_patterns=cap).mine([nfa]),
+            )
+            for mine in miners:
+                if raises:
+                    with pytest.raises(MiningError, match=f"more than {cap} patterns"):
+                        mine()
+                else:
+                    assert len(mine()) == self.LENGTH

@@ -10,6 +10,7 @@ the end-to-end guarantee that miners produce identical patterns and identical
 from __future__ import annotations
 
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,14 @@ from repro.mapreduce import (
     run_map_task,
 )
 from repro.mapreduce.spill import WireFragment, remove_spill_files, store_payloads
-from repro.mapreduce.wire import decode_value, encode_value, read_varint, write_varint
+from repro.mapreduce.wire import (
+    _T_LIST,
+    _T_TUPLE,
+    decode_value,
+    encode_value,
+    read_varint,
+    write_varint,
+)
 
 from tests.conftest import RUNNING_EXAMPLE_PATEX
 
@@ -197,6 +205,122 @@ class TestCodecs:
         blob = codec.encode_bucket({1: [2]})
         with pytest.raises(MapReduceError, match="trailing bytes"):
             codec.decode_bucket(blob + b"\x00")
+
+
+class TestInlinedIntElements:
+    """Tuple/list elements take an inlined path for small non-negative ints;
+    it must write and read exactly what the general path does."""
+
+    @staticmethod
+    def general_encoding(value) -> bytes:
+        """Element by element through ``encode_value``: never the inlined path."""
+        buffer = bytearray()
+        if type(value) in (tuple, list):
+            buffer.append(_T_TUPLE if type(value) is tuple else _T_LIST)
+            write_varint(buffer, len(value))
+            for item in value:
+                buffer += TestInlinedIntElements.general_encoding(item)
+        else:
+            encode_value(buffer, value)
+        return bytes(buffer)
+
+    def check(self, value):
+        buffer = bytearray()
+        encode_value(buffer, value)
+        assert bytes(buffer) == self.general_encoding(value)
+        decoded, offset = decode_value(bytes(buffer), 0)
+        assert decoded == value
+        assert offset == len(buffer)
+
+    def test_boundaries(self):
+        edges = [0, 1, 63, 64, 127, 128, 8191, 8192, 8193, 16383, 16384, -1, -64, -8192]
+        self.check(tuple(edges))
+        self.check(list(edges))
+        self.check((True, 1, False, 0, (1, [2, (3,)]), b"\x00\x01", "1", None, 2.0))
+        for edge in edges:
+            self.check((edge,))
+
+    @settings(max_examples=200, deadline=None)
+    @given(numbers=st.lists(st.integers(min_value=-(2**70), max_value=2**70), max_size=12))
+    def test_every_int_width(self, numbers):
+        self.check(tuple(numbers))
+        self.check(numbers)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        items=st.lists(
+            st.one_of(st.integers(min_value=0, max_value=20_000), values()), max_size=8
+        )
+    )
+    def test_mixed_tuples(self, items):
+        self.check(tuple(items))
+        self.check((tuple(items), 3))
+
+    def test_non_canonical_varints_decode_like_the_general_path(self):
+        # A zero padded to two varint bytes, inside a tuple and on its own.
+        assert decode_value(b"\x03\x01\x00\x80\x00", 0) == ((0,), 5)
+        assert decode_value(b"\x00\x80\x00", 0) == (0, 3)
+
+    def test_truncated_elements_still_raise(self):
+        buffer = bytearray()
+        encode_value(buffer, (5, 300, 70_000))
+        for length in range(len(buffer)):
+            with pytest.raises(MapReduceError):
+                decode_value(bytes(buffer[:length]), 0)
+
+
+class TestHostilePayloads:
+    """``decode_bucket`` reads bytes another process wrote: whatever arrives,
+    it returns a payload or raises ``MapReduceError`` — nothing else."""
+
+    PAYLOAD = {
+        7: [((1, 2, 300, 70_000), 2), "héllo", b"\x00\x01", frozenset({1, 2}), 1.5],
+        "key": [(5, 9000, -1), None, True, [1, (2,)], {"pickled": 1}, -5],
+        (1, 2): [()],
+    }
+
+    @staticmethod
+    def read(codec, blob: bytes):
+        try:
+            decoded = codec.decode_bucket(blob)
+        except MapReduceError:
+            return None
+        assert isinstance(decoded, dict)
+        return decoded
+
+    @pytest.mark.parametrize("name", ("compact", "zlib"))
+    def test_every_truncation_bit_flip_and_random_bytes(self, name):
+        codec = make_codec(name)
+        blob = codec.encode_bucket(self.PAYLOAD)
+        assert self.read(codec, blob) == self.PAYLOAD
+        for length in range(len(blob)):
+            self.read(codec, blob[:length])
+        with pytest.raises(MapReduceError):
+            codec.decode_bucket(blob[:-1])
+        for position in range(len(blob)):
+            for bit in range(8):
+                flipped = bytearray(blob)
+                flipped[position] ^= 1 << bit
+                self.read(codec, bytes(flipped))
+        rng = random.Random(15)
+        for _ in range(3000):
+            body = bytes(rng.randrange(256) for _ in range(rng.randrange(1, len(blob))))
+            self.read(codec, bytes([rng.randrange(2)]) + body)
+
+    def test_named_hazards(self):
+        codec = make_codec("compact")
+        hazards = {
+            "malformed string": b"\x00\x01\x02\x01\xff\x00",
+            "malformed pickle": b"\x00\x01\x00\x02\x01\x0a\x01\x2e",
+            "malformed zlib": b"\x01not a zlib stream",
+            "unhashable key": b"\x00\x01\x04\x00\x00",
+            "unhashable frozenset member": b"\x00\x01\x00\x02\x01\x08\x01\x04\x00",
+            "nests too deeply": b"\x00\x01" + b"\x03\x01" * 5000,
+        }
+        for message, blob in hazards.items():
+            with pytest.raises(MapReduceError, match=message) as caught:
+                codec.decode_bucket(blob)
+            assert caught.value.__cause__ is not None, message
 
 
 # --------------------------------------------------------------------- spill
