@@ -1,9 +1,13 @@
 """Microbenchmark: flat vs legacy position–state grid, per input sequence.
 
-Measures the map-side hot path of D-SEQ in isolation — grid construction plus
+Runs the map-side hot path of D-SEQ in isolation — grid construction plus
 the per-pivot queries (``pivot_items``, ``rewrite_for_pivot`` bounds, and the
 early-stopping oracle) — for both grid engines over the same prepared
-dataset, without any cluster or shuffle machinery in the way.
+dataset, without any cluster or shuffle machinery in the way, and checks that
+they extract the same pivots.  The seconds are printed for orientation only:
+at these corpus sizes they are fractions of a millisecond per sequence and no
+ratio of them is reported.  Speed is judged by ``python3 -m benchmarks.e2e``
+(see ``benchmarks/evidence/pr16-grid-pass/``).
 """
 
 from __future__ import annotations
@@ -69,7 +73,6 @@ def measure(sizes):
                 "sequences": len(sequences),
                 "flat_s": round(timings["flat"], 4),
                 "legacy_s": round(timings["legacy"], 4),
-                "speedup": round(timings["legacy"] / max(timings["flat"], 1e-9), 2),
                 "pivots": pivot_counts["flat"] // REPEATS,
             }
         )
@@ -173,10 +176,8 @@ def test_grid_engine_microbenchmark(benchmark):
     print()
     print("Grid-engine microbenchmark: build + pivot extraction per sequence")
     print(format_table(rows))
-    # Shape check: both engines extracted pivots on every workload (the
-    # speed-up itself is asserted at meaningful scales by the perf-smoke CI
-    # step over the committed BENCH artifacts, not here, where tiny datasets
-    # make timings noisy).
+    # Shape check: both engines extracted (the same) pivots on every workload.
+    # No speed is asserted here: tiny datasets make the timings noise.
     for row in rows:
         assert row["pivots"] > 0
         assert row["flat_s"] > 0 and row["legacy_s"] > 0

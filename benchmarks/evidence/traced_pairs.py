@@ -9,7 +9,7 @@ first in odd ones) and appends one JSON line per run holding every metric of
 the last stdout line (per-layer seconds are raw, not judged).  ``summarize``
 prints one markdown row per metric: both sides' median [q1, q3], the delta of
 the medians and in how many pairs the change read lower.  The untraced
-end-to-end pairs are made by ``../pr12-dcand-map/pairs.py``.  Nothing here is
+end-to-end pairs are made by ``pairs.py`` beside this file.  Nothing here is
 imported by the benchmark or the tests.
 """
 

@@ -111,8 +111,9 @@ def add_grid_argument(parser: ArgumentParser) -> None:
         default=DEFAULT_GRID,
         help=(
             "position-state grid engine for pivot search, rewriting, and "
-            "early stopping: 'flat' runs on columnar edge arenas with "
-            "sorted-run pivot merges and per-worker grid memos, 'legacy' is "
+            "early stopping: 'flat' is one forward pass of sorted-run pivot "
+            "merges over bitmask reachability rows, with per-worker grid "
+            "memos, 'legacy' is "
             "the per-edge-object reference implementation (slower; for "
             f"debugging) (default: {DEFAULT_GRID})"
         ),

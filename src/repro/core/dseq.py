@@ -14,7 +14,7 @@ The three enhancements evaluated in Fig. 10a are individually switchable:
 
 Two performance layers sit underneath (both with debugging references):
 
-* ``grid`` selects the position–state grid engine — ``"flat"`` (the columnar
+* ``grid`` selects the position–state grid engine — ``"flat"`` (the one-pass
   :class:`~repro.core.grid_engine.FlatPivotGrid`, default) or ``"legacy"``
   (the interpreted :class:`~repro.core.pivot_search.PositionStateGrid`); grids
   are memoized per worker (:func:`~repro.core.grid_engine.cached_grid`), so a

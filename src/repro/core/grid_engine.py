@@ -1,4 +1,4 @@
-"""Flat pivot-grid engine: columnar position–state grid plus per-worker memos.
+"""Flat pivot-grid engine: one-pass position–state grid plus per-worker memos.
 
 The position–state grid (Sec. V-A/V-B) is the dominant map-side computation of
 D-SEQ and the early-stopping oracle of the pivot-aware local miner.  The
@@ -7,16 +7,17 @@ literal — one :class:`~repro.core.pivot_search.GridEdge` dataclass per live
 edge and a ``dict[state] -> set`` pivot table per position.  This module is the
 performance engine built on the same theory:
 
-* :class:`FlatPivotGrid` stores the live edges in an arena of parallel
-  ``array`` columns (source/target/tid plus a per-position offsets index and a
-  flat output-item column) instead of per-edge objects; pivot sets are carried
-  as **sorted runs** (tuples ordered ascending) and the ⊕ merge of Theorem 1 is
-  evaluated over the sorted runs directly, with an O(1) fast path for ε output
-  sets.  One fused backward pass over the columns precomputes everything
-  :func:`~repro.core.rewriting.rewrite_for_pivot` and
-  ``last_pivot_producing_position`` ask later, so the per-pivot queries of
-  D-SEQ's map loop are array scans and dict lookups instead of re-walks of the
-  edge lists.
+* :class:`FlatPivotGrid` is the kernel's backward reachability table (one
+  state bitmask per position) and, for accepted sequences only, **one forward
+  pass** that stores nothing per edge: pivot sets are carried as **sorted
+  runs** (tuples ordered ascending), the ⊕ merge of Theorem 1 is evaluated
+  over the sorted runs directly with an O(1) fast path for ε output sets, and
+  only the previous, the current and the final row exist.  Inside the same
+  loop the pass records what :func:`~repro.core.rewriting.rewrite_for_pivot`
+  and ``last_pivot_producing_position`` ask later — a relevance threshold per
+  position and the last producing position per output item — so the per-pivot
+  queries of D-SEQ's map loop are list scans and dict lookups.  A rejected
+  sequence costs its reachability table and nothing else.
 * :func:`cached_grid` is a bounded per-worker memo of built grids, keyed by
   ``(grid engine, kernel fingerprint, encoded sequence, frequency filter)``:
   repeated sequences across chunks — and the same rewritten sequence arriving
@@ -54,8 +55,9 @@ GRIDS = ("flat", "legacy")
 #: Grid engine used when none is requested explicitly.
 DEFAULT_GRID = "flat"
 
-#: Sentinel "no non-ε output at this position" (larger than any fid).
-_NO_OUTPUT = (1 << 64) - 1
+#: Relevance threshold of a position no pivot finds relevant: no live edge
+#: there changes state or produces an item (larger than any fid).
+_NEVER_RELEVANT = (1 << 64) - 1
 
 
 def normalize_grid(grid: str | None) -> str:
@@ -145,24 +147,33 @@ def union_sorted_runs(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[in
 
 # ------------------------------------------------------------------- the grid
 class FlatPivotGrid:
-    """Columnar position–state grid (the ``grid="flat"`` engine).
+    """One-pass position–state grid (the ``grid="flat"`` engine).
 
-    Construction runs the same forward dynamic program as
-    :class:`~repro.core.pivot_search.PositionStateGrid` — every recorded edge,
-    reachable coordinate, and pivot set is identical, which is what the
-    differential suite checks — but the representation is flat:
+    Construction is the kernel's reachability table (one state bitmask per
+    position) followed — only when the sequence has an accepting run — by one
+    forward pass running the same dynamic program as
+    :class:`~repro.core.pivot_search.PositionStateGrid`: every live edge,
+    reachable coordinate and pivot set it meets is identical, which is what
+    the differential suite checks.  The pass keeps what the mining path asks
+    for and nothing per edge:
 
-    * live edges live in parallel ``array('q')`` columns
-      (source/target/transition id) addressed by a per-position offsets index,
-      with their frequency-filtered output items in one flat column;
     * pivot sets ``K(i, q)`` are sorted tuples merged with
       :func:`merge_sorted_runs` (⊕) and :func:`union_sorted_runs`, with ε
-      output sets short-circuiting to the unchanged source run;
-    * one backward pass fuses the queries: per-position change-state flags and
-      minimum producible output item (which answer
-      :meth:`relevant_range` for *any* pivot with an array scan) and the
-      last producing position of every output item (which answers
-      :meth:`last_pivot_producing_position` with a dict lookup).
+      output sets short-circuiting to the unchanged source run; only the
+      previous and the current row are alive, and the final row is kept
+      (:meth:`pivot_items`);
+    * per position, the smallest pivot for which the position is relevant —
+      ``0`` when a live edge changes the FST state, else the minimum output
+      item of its live edges — which answers :meth:`relevant_range` for *any*
+      pivot with two early-exiting scans;
+    * the last producing position of every output item (walking forward, the
+      last write wins), which answers :meth:`last_pivot_producing_position`
+      with a dict lookup.
+
+    A sequence without an accepting run holds its reachability table and
+    nothing else.  :meth:`edges_at`, :meth:`live_edges` and :meth:`pivot_set`
+    are inspection API for the equivalence suites: each call re-runs the
+    forward pass with a recorder.
 
     The interface mirrors the legacy grid, so
     :func:`~repro.core.rewriting.rewrite_for_pivot` and the miners accept
@@ -183,77 +194,85 @@ class FlatPivotGrid:
         dictionary: Dictionary | None = None,
         max_frequent_fid: int | None = None,
     ) -> None:
-        kernel = ensure_kernel(fst, dictionary)
+        if self._reset(ensure_kernel(fst, dictionary), tuple(sequence), max_frequent_fid):
+            self._final_row, self._relevance, self._last_producing = self._forward()
+
+    def _reset(
+        self, kernel: MiningKernel, sequence: tuple[int, ...], max_frequent_fid: int | None
+    ) -> bool:
+        """Everything but the forward pass (shared with trie-batched snapshots).
+
+        Returns whether there is a forward pass to make: the sequence is
+        accepted and not empty.
+        """
         self.kernel = kernel
         self.fst = kernel.fst
-        self.sequence = tuple(sequence)
+        self.sequence = sequence
         self.dictionary = kernel.dictionary
         self.max_frequent_fid = max_frequent_fid
-        n = len(self.sequence)
-        self._alive = kernel.reachability_table(self.sequence)
-        self._has_accepting_run = (
-            self._alive[0][kernel.initial_state]
-            if self.sequence
-            else kernel.is_final(kernel.initial_state)
-        )
-        # Edge arena: parallel columns, addressed per position through
-        # ``_edge_bounds`` (edges consuming position p occupy
-        # ``[_edge_bounds[p - 1], _edge_bounds[p])``).
-        self._edge_source = array("q")
-        self._edge_target = array("q")
-        self._edge_tid = array("q")
-        self._edge_bounds = array("q", bytes(8 * (n + 1)))
-        self._out_items = array("Q")
-        self._out_start = array("q", (0,))
-        # K(i, q) as sorted runs, one dict per position.
-        self._pivots: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n + 1)]
-        # Fused backward summary (see _summarize).
-        self._pos_changes_state = bytearray(n + 1)
-        self._pos_min_output = array("Q", (_NO_OUTPUT,) * (n + 1))
-        self._last_producing: dict[int, int] = {}
-        if self._has_accepting_run and self.sequence:
-            self._build()
-            self._summarize()
+        self._alive = kernel.reachability_table(sequence)
+        # Also right for the empty sequence: its one row is the final states.
+        self._has_accepting_run = bool((self._alive[0] >> kernel.initial_state) & 1)
+        # K(n, q) as sorted runs; per-position relevance thresholds; last
+        # producing position per output item.  Filled by the forward pass.
+        self._final_row: dict[int, tuple[int, ...]] | None = None
+        self._relevance: list[int] | None = None
+        self._last_producing: dict[int, int] | None = None
+        return self._has_accepting_run and bool(sequence)
 
     # ------------------------------------------------------------ construction
-    def _build(self) -> None:
+    def _forward(self, trace: list | None = None):
+        """The forward pass: ``(final K row, relevance, last producing)``.
+
+        A pure function of the grid's kernel, sequence, reachability table and
+        frequency filter.  Output sets are ε or ε-free ascending runs (see
+        :meth:`~repro.fst.labels.Label.outputs`), so a set's minimum is its
+        first item.  With a ``trace`` list (inspection only), the K row and
+        the ``(source, target, tid, outputs)`` live edges of every position
+        from 1 on are appended to it.
+        """
         kernel = self.kernel
         sequence = self.sequence
         max_frequent_fid = self.max_frequent_fid
         alive = self._alive
-        edge_source = self._edge_source
-        edge_target = self._edge_target
-        edge_tid = self._edge_tid
-        bounds = self._edge_bounds
-        out_items = self._out_items
-        out_start = self._out_start
         matching = kernel.matching
         target_of = kernel.target
         filtered_outputs = kernel.filtered_outputs
-        previous: dict[int, tuple[int, ...]] = {kernel.initial_state: EPSILON_OUTPUT}
-        self._pivots[0] = previous
-        for position in range(1, len(sequence) + 1):
-            item = sequence[position - 1]
-            alive_row = alive[position]
+        relevance = [_NEVER_RELEVANT] * (len(sequence) + 1)
+        last_producing: dict[int, int] = {}
+        edges = None
+        row: dict[int, tuple[int, ...]] = {kernel.initial_state: EPSILON_OUTPUT}
+        position = 0
+        for item in sequence:
+            position += 1
+            mask = alive[position]
             current: dict[int, tuple[int, ...]] = {}
-            for source, source_pivots in previous.items():
+            threshold = _NEVER_RELEVANT
+            if trace is not None:
+                edges = []
+                trace.append((current, edges))
+            for source, source_pivots in row.items():
                 if not source_pivots:
                     continue
                 for tid in matching(source, item):
                     target = target_of(tid)
-                    if not alive_row[target]:
+                    if not (mask >> target) & 1:
                         continue
                     outputs = filtered_outputs(tid, item, max_frequent_fid)
-                    edge_source.append(source)
-                    edge_target.append(target)
-                    edge_tid.append(tid)
-                    out_items.extend(outputs)
-                    out_start.append(len(out_items))
+                    if edges is not None:
+                        edges.append((source, target, tid, outputs))
+                    if source != target:
+                        threshold = 0
                     if outputs == EPSILON_OUTPUT:
                         # U ⊕ {ε} = U: share the source run, no allocation.
                         contribution = source_pivots
                     else:
                         contribution = merge_sorted_runs(source_pivots, outputs)
+                        if outputs:
+                            if outputs[0] < threshold:
+                                threshold = outputs[0]
+                            for output in outputs:
+                                last_producing[output] = position
                     bucket = current.get(target)
                     if bucket is None:
                         # Record the coordinate even when no frequent candidate
@@ -261,41 +280,9 @@ class FlatPivotGrid:
                         current[target] = contribution
                     elif contribution and bucket is not contribution:
                         current[target] = union_sorted_runs(bucket, contribution)
-            bounds[position] = len(edge_source)
-            self._pivots[position] = current
-            previous = current
-
-    def _summarize(self) -> None:
-        """One backward pass fusing every per-pivot query the grid serves.
-
-        Fills the per-position change-state flags and minimum non-ε output
-        item (the :meth:`relevant_range` oracle) and the last position able to
-        produce each output item (the :meth:`last_pivot_producing_position`
-        oracle; walking backward means the first sighting of an item *is* its
-        last producing position).
-        """
-        bounds = self._edge_bounds
-        sources = self._edge_source
-        targets = self._edge_target
-        out_items = self._out_items
-        out_start = self._out_start
-        changes = self._pos_changes_state
-        minima = self._pos_min_output
-        last = self._last_producing
-        for position in range(len(self.sequence), 0, -1):
-            minimum = _NO_OUTPUT
-            for edge in range(bounds[position - 1], bounds[position]):
-                if sources[edge] != targets[edge]:
-                    changes[position] = 1
-                for index in range(out_start[edge], out_start[edge + 1]):
-                    item = out_items[index]
-                    if item == EPSILON_FID:
-                        continue
-                    if item not in last:
-                        last[item] = position
-                    if item < minimum:
-                        minimum = item
-            minima[position] = minimum
+            relevance[position] = threshold
+            row = current
+        return row, relevance, last_producing
 
     # ------------------------------------------------------------------ access
     @property
@@ -304,42 +291,44 @@ class FlatPivotGrid:
         return self._has_accepting_run
 
     @property
-    def alive(self) -> list[list[bool]]:
-        """The kernel's reachability table (shared, read-only by convention)."""
+    def alive(self) -> list[int]:
+        """The kernel's reachability table, one state bitmask per position
+        (shared, read-only by convention)."""
         return self._alive
 
+    def _replay(self) -> list:
+        """``(K row, live edges)`` per position 0..n, re-walked on demand."""
+        if self._final_row is None:  # no forward pass was made: nothing is live
+            return [({}, [])] * (len(self.sequence) + 1)
+        trace: list = [({self.kernel.initial_state: EPSILON_OUTPUT}, [])]
+        self._forward(trace)
+        return trace
+
     def edges_at(self, position: int) -> list[GridEdge]:
-        """Live edges consuming the item at 1-based ``position`` (materialized)."""
-        kernel = self.kernel
-        out_start = self._out_start
-        edges = []
-        for index in range(self._edge_bounds[position - 1], self._edge_bounds[position]):
-            tid = self._edge_tid[index]
-            edges.append(
-                GridEdge(
-                    position=position,
-                    source=self._edge_source[index],
-                    target=self._edge_target[index],
-                    transition=kernel.transition(tid),
-                    outputs=tuple(self._out_items[out_start[index] : out_start[index + 1]]),
-                )
-            )
-        return edges
+        """Live edges consuming the item at 1-based ``position`` (inspection)."""
+        transition = self.kernel.transition
+        return [
+            GridEdge(position, source, target, transition(tid), outputs)
+            for source, target, tid, outputs in self._replay()[position][1]
+        ]
 
     def live_edges(self):
-        """All live edges in position order (materialized for inspection)."""
-        for position in range(1, len(self.sequence) + 1):
-            yield from self.edges_at(position)
+        """All live edges in position order (inspection)."""
+        transition = self.kernel.transition
+        for position, (_row, edges) in enumerate(self._replay()):
+            for source, target, tid, outputs in edges:
+                yield GridEdge(position, source, target, transition(tid), outputs)
 
     def pivot_set(self, position: int, state: int) -> set[int]:
-        """``K(i, q)``: pivots of the partial runs ending at (position, state)."""
-        return set(self._pivots[position].get(state, ()))
+        """``K(i, q)``: pivots of the partial runs ending at (position, state)
+        (inspection; :meth:`pivot_items` reads the kept final row)."""
+        return set(self._replay()[position][0].get(state, ()))
 
     def pivot_items(self) -> set[int]:
         """``K(T)``: the pivot items of the whole input sequence."""
-        if not self._has_accepting_run:
+        row = self._final_row
+        if not row:
             return set()
-        row = self._pivots[len(self.sequence)]
         pivots: set[int] = set()
         for state in self.kernel.final_states:
             run = row.get(state)
@@ -353,27 +342,29 @@ class FlatPivotGrid:
         """First and last relevant 1-based positions for ``pivot`` (Sec. V-B).
 
         A position is relevant when a live edge there changes the FST state or
-        can produce a non-ε output item ``<= pivot`` — precomputed per
-        position, so each query is two early-exiting array scans.
+        can produce a non-ε output item ``<= pivot`` — one threshold per
+        position, so each query is two early-exiting scans.
         """
         n = len(self.sequence)
-        changes = self._pos_changes_state
-        minima = self._pos_min_output
+        relevance = self._relevance
+        if relevance is None:
+            return 1, n
         first = 0
         for position in range(1, n + 1):
-            if changes[position] or minima[position] <= pivot:
+            if relevance[position] <= pivot:
                 first = position
                 break
         if not first:
             return 1, n
         for position in range(n, first - 1, -1):
-            if changes[position] or minima[position] <= pivot:
+            if relevance[position] <= pivot:
                 return first, position
         return first, first  # pragma: no cover - first always qualifies
 
     def last_pivot_producing_position(self, pivot: int) -> int:
         """The last 1-based position whose live edges can output ``pivot``."""
-        return self._last_producing.get(pivot, 0)
+        last_producing = self._last_producing
+        return last_producing.get(pivot, 0) if last_producing else 0
 
 
 # ------------------------------------------------- incremental trie extension
@@ -382,9 +373,9 @@ class GrowableFlatGrid:
 
     The batch-map layer (:mod:`repro.core.prefix_batch`) walks a trie over the
     unique encoded sequences of a chunk and drives the kernel once per trie
-    *node*: :meth:`extend` appends one position's arena columns and pivot row,
-    :meth:`mark`/:meth:`rewind` make sibling branches share the prefix columns
-    without copying, and :meth:`snapshot` freezes the current path into a real
+    *node*: :meth:`extend` appends one position's pivot row and edge summary,
+    :meth:`mark`/:meth:`rewind` make sibling branches share the prefix without
+    copying, and :meth:`snapshot` freezes the current path into a real
     :class:`FlatPivotGrid`.
 
     The forward step here is *unfiltered*: it keeps the "skip empty pivot
@@ -392,25 +383,14 @@ class GrowableFlatGrid:
     reachability table depends on the whole sequence (it looks ahead to the
     suffix) and the suffix differs per trie branch.  :meth:`snapshot` restores
     exactly the filtered grid: it computes the leaf's reachability table and
-    keeps only the arena columns and row entries whose coordinates are alive.
+    summarises only the edges and row entries whose coordinates are alive.
     Dead sources can only produce dead targets (a source with a live edge into
     an alive target is itself alive one position earlier), so filtering the
-    unfiltered arena by target liveness reproduces the per-sequence build
+    unfiltered edges by target liveness reproduces the per-sequence pass
     edge for edge — which is what the equivalence suite checks.
     """
 
-    __slots__ = (
-        "kernel",
-        "max_frequent_fid",
-        "_sequence",
-        "_rows",
-        "_edge_source",
-        "_edge_target",
-        "_edge_tid",
-        "_out_items",
-        "_out_start",
-        "_bounds",
-    )
+    __slots__ = ("kernel", "max_frequent_fid", "_sequence", "_rows", "_edges")
 
     def __init__(
         self,
@@ -425,15 +405,8 @@ class GrowableFlatGrid:
         self._rows: list[dict[int, tuple[int, ...]]] = [
             {kernel.initial_state: EPSILON_OUTPUT}
         ]
-        # Plain lists, not arrays: the growable arena is append/truncate-heavy
-        # and list ops are cheaper; :meth:`snapshot` converts the kept columns
-        # to the arrays :class:`FlatPivotGrid` stores in one C pass.
-        self._edge_source: list[int] = []
-        self._edge_target: list[int] = []
-        self._edge_tid: list[int] = []
-        self._out_items: list[int] = []
-        self._out_start: list[int] = [0]
-        self._bounds = [0]
+        # Per position: the ``(target, changes state, outputs)`` of every edge.
+        self._edges: list[list[tuple[int, bool, tuple[int, ...]]]] = []
 
     def __len__(self) -> int:
         return len(self._sequence)
@@ -442,14 +415,10 @@ class GrowableFlatGrid:
         """Append one position: the forward DP step consuming ``item``."""
         kernel = self.kernel
         max_frequent_fid = self.max_frequent_fid
-        edge_source = self._edge_source
-        edge_target = self._edge_target
-        edge_tid = self._edge_tid
-        out_items = self._out_items
-        out_start = self._out_start
         matching = kernel.matching
         target_of = kernel.target
         filtered_outputs = kernel.filtered_outputs
+        edges: list[tuple[int, bool, tuple[int, ...]]] = []
         current: dict[int, tuple[int, ...]] = {}
         for source, source_pivots in self._rows[-1].items():
             if not source_pivots:
@@ -457,11 +426,7 @@ class GrowableFlatGrid:
             for tid in matching(source, item):
                 target = target_of(tid)
                 outputs = filtered_outputs(tid, item, max_frequent_fid)
-                edge_source.append(source)
-                edge_target.append(target)
-                edge_tid.append(tid)
-                out_items.extend(outputs)
-                out_start.append(len(out_items))
+                edges.append((target, source != target, outputs))
                 if outputs == EPSILON_OUTPUT:
                     contribution = source_pivots
                 else:
@@ -473,123 +438,49 @@ class GrowableFlatGrid:
                     current[target] = union_sorted_runs(bucket, contribution)
         self._sequence.append(item)
         self._rows.append(current)
-        self._bounds.append(len(edge_source))
+        self._edges.append(edges)
 
-    def mark(self) -> tuple[int, int, int]:
+    def mark(self) -> int:
         """Opaque restore point for :meth:`rewind` (taken before a branch)."""
-        return (len(self._sequence), len(self._edge_source), len(self._out_items))
+        return len(self._sequence)
 
-    def rewind(self, mark: tuple[int, int, int]) -> None:
+    def rewind(self, mark: int) -> None:
         """Truncate back to ``mark``, dropping every position added since."""
-        positions, edges, outputs = mark
-        del self._sequence[positions:]
-        del self._rows[positions + 1 :]
-        del self._bounds[positions + 1 :]
-        del self._edge_source[edges:]
-        del self._edge_target[edges:]
-        del self._edge_tid[edges:]
-        del self._out_start[edges + 1 :]
-        del self._out_items[outputs:]
+        del self._sequence[mark:]
+        del self._rows[mark + 1 :]
+        del self._edges[mark:]
 
     def snapshot(self) -> FlatPivotGrid:
         """Freeze the current path into a standalone :class:`FlatPivotGrid`.
 
-        Computes the leaf sequence's reachability table, copies the shared
-        arena columns and pivot rows restricted to alive coordinates, and runs
-        the stock fused backward pass — the result is indistinguishable from
+        Computes the leaf sequence's reachability table and summarises the
+        shared edges restricted to alive targets the way the forward pass
+        does — the result is indistinguishable from
         ``FlatPivotGrid(kernel, sequence)``.
         """
-        kernel = self.kernel
-        sequence = tuple(self._sequence)
-        n = len(sequence)
         grid = FlatPivotGrid.__new__(FlatPivotGrid)
-        grid.kernel = kernel
-        grid.fst = kernel.fst
-        grid.sequence = sequence
-        grid.dictionary = kernel.dictionary
-        grid.max_frequent_fid = self.max_frequent_fid
-        alive = kernel.reachability_table(sequence)
-        grid._alive = alive
-        grid._has_accepting_run = (
-            alive[0][kernel.initial_state]
-            if sequence
-            else kernel.is_final(kernel.initial_state)
-        )
-        grid._edge_source = array("q")
-        grid._edge_target = array("q")
-        grid._edge_tid = array("q")
-        grid._edge_bounds = array("q", bytes(8 * (n + 1)))
-        grid._out_items = array("Q")
-        grid._out_start = array("q", (0,))
-        grid._pivots = [{} for _ in range(n + 1)]
-        grid._pos_changes_state = bytearray(n + 1)
-        grid._pos_min_output = array("Q", (_NO_OUTPUT,) * (n + 1))
-        grid._last_producing = {}
-        if not (grid._has_accepting_run and sequence):
+        if not grid._reset(self.kernel, tuple(self._sequence), self.max_frequent_fid):
             return grid
-        sources = self._edge_source
-        targets = self._edge_target
-        tids = self._edge_tid
-        out_items = self._out_items
-        out_start = self._out_start
-        bounds = self._bounds
-        kept_source: list[int] = []
-        kept_target: list[int] = []
-        kept_tid: list[int] = []
-        kept_out: list[int] = []
-        kept_start: list[int] = [0]
-        grid._pivots[0] = dict(self._rows[0])
-        for position in range(1, n + 1):
-            alive_row = alive[position]
-            row = self._rows[position]
-            begin = bounds[position - 1]
-            end = bounds[position]
-            # Every edge target at this position is a key of ``row`` — when
-            # none of them is dead, the whole block survives the filter and
-            # copies as C-level array slices instead of edge by edge.
-            clean = True
-            for state in row:
-                if not alive_row[state]:
-                    clean = False
-                    break
-            if clean:
-                kept_source.extend(sources[begin:end])
-                kept_target.extend(targets[begin:end])
-                kept_tid.extend(tids[begin:end])
-                kept_out.extend(out_items[out_start[begin] : out_start[end]])
-                shift = out_start[begin] - kept_start[-1]
-                if shift:
-                    kept_start.extend(
-                        offset - shift for offset in out_start[begin + 1 : end + 1]
-                    )
-                else:
-                    kept_start.extend(out_start[begin + 1 : end + 1])
-                grid._pivots[position] = dict(row)
-            else:
-                for source, target, tid, out_lo, out_hi in zip(
-                    sources[begin:end],
-                    targets[begin:end],
-                    tids[begin:end],
-                    out_start[begin : end + 1],
-                    out_start[begin + 1 : end + 1],
-                ):
-                    if not alive_row[target]:
-                        continue
-                    kept_source.append(source)
-                    kept_target.append(target)
-                    kept_tid.append(tid)
-                    kept_out.extend(out_items[out_lo:out_hi])
-                    kept_start.append(len(kept_out))
-                grid._pivots[position] = {
-                    state: run for state, run in row.items() if alive_row[state]
-                }
-            grid._edge_bounds[position] = len(kept_source)
-        grid._edge_source = array("q", kept_source)
-        grid._edge_target = array("q", kept_target)
-        grid._edge_tid = array("q", kept_tid)
-        grid._out_items = array("Q", kept_out)
-        grid._out_start = array("q", kept_start)
-        grid._summarize()
+        alive = grid._alive
+        relevance = [_NEVER_RELEVANT] * len(alive)
+        last_producing: dict[int, int] = {}
+        for position, edges in enumerate(self._edges, start=1):
+            mask = alive[position]
+            for target, changes_state, outputs in edges:
+                if not (mask >> target) & 1:
+                    continue
+                if changes_state:
+                    relevance[position] = 0
+                if outputs and outputs != EPSILON_OUTPUT:
+                    if outputs[0] < relevance[position]:
+                        relevance[position] = outputs[0]
+                    for output in outputs:
+                        last_producing[output] = position
+        grid._final_row = {
+            state: run for state, run in self._rows[-1].items() if (alive[-1] >> state) & 1
+        }
+        grid._relevance = relevance
+        grid._last_producing = last_producing
         return grid
 
 

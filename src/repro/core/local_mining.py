@@ -39,8 +39,9 @@ class MiningTables:
     """Everything local mining needs that depends on the sequence alone.
 
     A pure function of ``(kernel, sequence, max_frequent_fid)``: the
-    reachability table ``alive``, the ``finishable`` table (one flat ``bytes``
-    of ``(len(sequence) + 1) * num_states`` flags, built on first request) and
+    reachability table ``alive`` (one state bitmask per position), the
+    ``finishable`` table (one flat ``bytes`` of ``(len(sequence) + 1) *
+    num_states`` flags, built on first request) and
     the *step index*.  A snapshot ``(position, state)`` is coded as the int
     ``position * num_states + state``; :meth:`steps` maps a snapshot to the
     ascending tuple of ``(output item, next snapshot)`` pairs reachable through
@@ -62,7 +63,7 @@ class MiningTables:
         kernel: MiningKernel,
         sequence: tuple[int, ...],
         max_frequent_fid: int | None,
-        alive: list[list[bool]] | None = None,
+        alive: list[int] | None = None,
     ) -> None:
         self.kernel = kernel
         self.sequence = sequence
@@ -105,7 +106,7 @@ class MiningTables:
             base = (position + 1) * num_states
             for tid in kernel.matching(fst_state, item):
                 target = kernel.target(tid)
-                if not next_alive[target]:
+                if not (next_alive >> target) & 1:
                     continue
                 if kernel.is_captured(tid):
                     for output in kernel.filtered_outputs(tid, item, max_frequent_fid):
@@ -258,7 +259,7 @@ class DesqDfsMiner:
             else:
                 tables = MiningTables(kernel, sequence, max_frequent_fid)
                 last_pivot_position = len(sequence)
-            if tables.alive[0][kernel.initial_state]:
+            if (tables.alive[0] >> kernel.initial_state) & 1:
                 states.append(_SequenceState(tables, weight, last_pivot_position))
         return self._expand(states)
 

@@ -177,11 +177,8 @@ class PositionStateGrid:
         self._pivot_sets: list[dict[int, set[int]]] = [
             {} for _ in range(len(self.sequence) + 1)
         ]
-        self._has_accepting_run = (
-            self._alive[0][kernel.initial_state]
-            if self.sequence
-            else kernel.is_final(kernel.initial_state)
-        )
+        # Also right for the empty sequence: its one row is the final states.
+        self._has_accepting_run = bool((self._alive[0] >> kernel.initial_state) & 1)
         if self._has_accepting_run and self.sequence:
             self._build()
 
@@ -204,7 +201,7 @@ class PositionStateGrid:
                     continue
                 for tid in kernel.matching(source, item):
                     target = kernel.target(tid)
-                    if not alive_row[target]:
+                    if not (alive_row >> target) & 1:
                         continue
                     outputs = kernel.filtered_outputs(tid, item, max_frequent_fid)
                     edge = GridEdge(
@@ -232,8 +229,9 @@ class PositionStateGrid:
         return self._has_accepting_run
 
     @property
-    def alive(self) -> list[list[bool]]:
-        """The kernel's reachability table (shared, read-only by convention)."""
+    def alive(self) -> list[int]:
+        """The kernel's reachability table, one state bitmask per position
+        (shared, read-only by convention)."""
         return self._alive
 
     def edges_at(self, position: int) -> list[GridEdge]:

@@ -118,28 +118,51 @@ class MiningKernel:
         return outputs
 
     # ------------------------------------------------------------- DP tables
-    def reachability_table(self, sequence: Sequence[int]) -> list[list[bool]]:
-        """``alive[i][q]``: an accepting run exists from position i, state q."""
-        n = len(sequence)
-        num_states = self.num_states
-        alive = [[False] * num_states for _ in range(n + 1)]
-        row = alive[n]
+    def final_mask(self) -> int:
+        """The final states as a bitmask (bit ``q`` set iff ``q`` is final)."""
+        mask = 0
         for state in self.final_states:
-            row[state] = True
+            mask |= 1 << state
+        return mask
+
+    def backward_step(self, item: int, mask: int) -> int:
+        """States with a transition matching ``item`` into a state of ``mask``.
+
+        One step of the reverse automaton over state sets: the row of the
+        reachability table before ``item`` from the row after it.
+        """
         targets = self._targets
-        for i in range(n - 1, -1, -1):
-            item = sequence[i]
-            row = alive[i]
-            next_row = alive[i + 1]
-            for state in range(num_states):
-                for tid in self.matching(state, item):
-                    if next_row[targets[tid]]:
-                        row[state] = True
-                        break
+        stepped = 0
+        for state in range(self.num_states):
+            for tid in self.matching(state, item):
+                if (mask >> targets[tid]) & 1:
+                    stepped |= 1 << state
+                    break
+        return stepped
+
+    def reachability_table(self, sequence: Sequence[int]) -> list[int]:
+        """One bitmask per position: bit ``q`` of ``alive[i]`` is set iff an
+        accepting run exists from position ``i`` (``i`` items consumed), state
+        ``q`` — test it with ``(alive[i] >> q) & 1``.
+
+        The table has ``len(sequence) + 1`` rows and ``alive[-1]`` is
+        :meth:`final_mask`.  Masks are plain Python ints, never fixed-width
+        words: an FST may have more than 64 states.
+        """
+        mask = self.final_mask()
+        alive = [mask] * (len(sequence) + 1)
+        for i in range(len(sequence) - 1, -1, -1):
+            alive[i] = mask = self.backward_step(sequence[i], mask)
         return alive
 
     def finishable_table(self, sequence: Sequence[int]) -> list[list[bool]]:
-        """``finishable[i][q]``: acceptance reachable producing only ε outputs."""
+        """``finishable[i][q]``: acceptance reachable producing only ε outputs.
+
+        Still one list of flags per position, unlike the bitmask rows of
+        :meth:`reachability_table`: its one consumer
+        (:class:`~repro.core.local_mining.MiningTables`) flattens it to bytes
+        indexed by snapshot code.
+        """
         n = len(sequence)
         num_states = self.num_states
         table = [[False] * num_states for _ in range(n + 1)]
@@ -194,7 +217,17 @@ _KERNEL_CACHE: dict[str, "CompiledFst"] = {}
 _KERNEL_CACHE_LIMIT = 16
 
 #: Warm per-kernel memo fields, rebuilt empty after an unpickle cache miss.
-_MEMO_FIELDS = ("_match_memo", "_uncaptured_memo", "_output_memo", "_filtered_memo")
+_MEMO_FIELDS = (
+    "_match_memo",
+    "_uncaptured_memo",
+    "_output_memo",
+    "_filtered_memo",
+    "_backward_memo",
+)
+
+#: Bound on a kernel's backward-step memo — items and item classes it knows,
+#: and state sets per step table; see :meth:`CompiledFst.reachability_table`.
+_BACKWARD_MEMO_LIMIT = 1 << 15
 
 
 def _intern_kernel(kernel: "CompiledFst") -> "CompiledFst":
@@ -290,6 +323,7 @@ class CompiledFst(MiningKernel):
         self._uncaptured_memo: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._output_memo: dict[tuple[int, int], tuple[int, ...]] = {}
         self._filtered_memo: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self._backward_memo: dict[int | tuple, dict[int, int]] = {}
 
     # ---------------------------------------------------------------- pickling
     def __reduce__(self):
@@ -366,24 +400,46 @@ class CompiledFst(MiningKernel):
         return cached
 
     # ------------------------------------------------------------- DP tables
-    def reachability_table(self, sequence: Sequence[int]) -> list[list[bool]]:
-        n = len(sequence)
-        num_states = self.num_states
-        alive = [[False] * num_states for _ in range(n + 1)]
-        row = alive[n]
-        for state in self.final_states:
-            row[state] = True
-        targets = self._targets
-        for i in range(n - 1, -1, -1):
-            rows = self._match_rows(sequence[i])
-            row = alive[i]
-            next_row = alive[i + 1]
-            for state in range(num_states):
-                for tid in rows[state]:
-                    if next_row[targets[tid]]:
-                        row[state] = True
-                        break
+    def reachability_table(self, sequence: Sequence[int]) -> list[int]:
+        """The base table through memoised backward steps.
+
+        ``_backward_memo`` maps an item to its step table ``{mask after: mask
+        before}`` — the reverse automaton determinised lazily, one entry per
+        (item class, state set) pair actually met — so a position costs two
+        dict probes and a sequence one list.  Warm state like ``_match_memo``:
+        never pickled, rebuilt empty on unpickle, and cleared wholesale when
+        it outgrows :data:`_BACKWARD_MEMO_LIMIT`.  Threads share it without a
+        lock: a value is a pure function of its key, so a duplicated fill — or
+        one lost to a concurrent clear — only costs the step again.
+        """
+        memo = self._backward_memo
+        mask = self.final_mask()
+        alive = [mask] * (len(sequence) + 1)
+        i = len(sequence)
+        for item in reversed(sequence):
+            table = memo.get(item)
+            if table is None:
+                table = self._step_table(item)
+            stepped = table.get(mask)
+            if stepped is None:
+                if len(table) >= _BACKWARD_MEMO_LIMIT:
+                    table.clear()
+                stepped = table[mask] = self.backward_step(item, mask)
+            i -= 1
+            alive[i] = mask = stepped
         return alive
+
+    def _step_table(self, item: int) -> dict[int, int]:
+        """The (shared) backward-step table of an item first met.
+
+        Items with equal match rows step alike, so they share one table: the
+        memo holds it under the rows and again under every such item.
+        """
+        memo = self._backward_memo
+        if len(memo) >= _BACKWARD_MEMO_LIMIT:
+            memo.clear()
+        table = memo[item] = memo.setdefault(self._match_rows(item), {})
+        return table
 
     def finishable_table(self, sequence: Sequence[int]) -> list[list[bool]]:
         n = len(sequence)

@@ -41,11 +41,12 @@ def reachability_table(
     fst: Fst | MiningKernel,
     sequence: Sequence[int],
     dictionary: Dictionary | None = None,
-) -> list[list[bool]]:
-    """``alive[i][q]`` is True iff an accepting run exists from position i, state q.
+) -> list[int]:
+    """Bit ``q`` of ``alive[i]`` is set iff an accepting run exists from position i, state q.
 
     Position ``i`` means "the first ``i`` items have been consumed"; the table
-    therefore has ``len(sequence) + 1`` rows.
+    therefore has ``len(sequence) + 1`` rows, each one int bitmask over the
+    FST states (see :meth:`~repro.fst.compiled.MiningKernel.reachability_table`).
     """
     return ensure_kernel(fst, dictionary).reachability_table(sequence)
 
@@ -57,9 +58,8 @@ def matches(
 ) -> bool:
     """True iff the FST has at least one accepting run for ``sequence``."""
     kernel = ensure_kernel(fst, dictionary)
-    if len(sequence) == 0:
-        return kernel.is_final(kernel.initial_state)
-    return kernel.reachability_table(sequence)[0][kernel.initial_state]
+    # The table of the empty sequence is its one row, the final states.
+    return bool((kernel.reachability_table(sequence)[0] >> kernel.initial_state) & 1)
 
 
 def _walk_runs(kernel: MiningKernel, sequence, alive, max_runs: int, entry):
@@ -73,7 +73,7 @@ def _walk_runs(kernel: MiningKernel, sequence, alive, max_runs: int, entry):
     n = len(sequence)
     if alive is None:
         alive = kernel.reachability_table(sequence)
-    if n == 0 or not alive[0][kernel.initial_state]:
+    if n == 0 or not (alive[0] >> kernel.initial_state) & 1:
         return
     matching = kernel.matching
     target_of = kernel.target
@@ -86,7 +86,7 @@ def _walk_runs(kernel: MiningKernel, sequence, alive, max_runs: int, entry):
         next_alive = alive[position + 1]
         for tid in frames[-1]:
             target = target_of(tid)
-            if not next_alive[target]:
+            if not (next_alive >> target) & 1:
                 continue
             path.append(entry(tid, item))
             if position + 1 < n:
@@ -109,7 +109,7 @@ def accepting_runs(
     sequence: Sequence[int],
     dictionary: Dictionary | None = None,
     max_runs: int = DEFAULT_MAX_RUNS,
-    alive: list[list[bool]] | None = None,
+    alive: list[int] | None = None,
 ) -> Iterator[tuple[Transition, ...]]:
     """Enumerate the accepting runs ``R(T)`` for an input sequence.
 

@@ -11,6 +11,9 @@ pickling/interning contract that lets workers reuse a warm kernel.
 from __future__ import annotations
 
 import pickle
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +34,7 @@ from repro.fst import (
     normalize_kernel,
     run_output_sets,
 )
+from repro.fst import compiled as compiled_module
 from repro.fst.compiled import _KERNEL_CACHE
 from repro.fst.fst import Fst
 from repro.errors import FstError
@@ -319,9 +323,103 @@ class TestKernelInterning:
         fst = PatEx(RUNNING_EXAMPLE_PATEX).compile(ex_dictionary)
         kernel = CompiledFst(fst, ex_dictionary)
         kernel.matching(0, ex_dictionary.fid_of("b"))
+        kernel.reachability_table((ex_dictionary.fid_of("b"),))
+        assert kernel._backward_memo
         _restore, (state,) = kernel.__reduce__()
         assert "_match_memo" not in state
         assert "_output_memo" not in state
+        assert "_backward_memo" not in state
+
+
+class TestBackwardStepMemo:
+    """The lazily determinised reverse automaton is warm state, nothing more."""
+
+    def random_sequences(self, dictionary, count, seed=16):
+        rng = random.Random(seed)
+        fids = sorted(dictionary.fids())
+        return [
+            tuple(rng.choice(fids) for _ in range(rng.randint(0, 12))) for _ in range(count)
+        ]
+
+    def test_a_warm_kernel_pickles_to_the_bytes_of_a_cold_one(self, ex_dictionary):
+        fst = PatEx(RUNNING_EXAMPLE_PATEX).compile(ex_dictionary)
+        cold = pickle.dumps(CompiledFst(fst, ex_dictionary))
+        kernel = CompiledFst(fst, ex_dictionary)
+        for sequence in self.random_sequences(ex_dictionary, 1_000):
+            kernel.reachability_table(sequence)
+        assert set(ex_dictionary.fids()) <= set(kernel._backward_memo)
+        assert all(kernel._backward_memo.values()), "every step table is warm"
+        assert pickle.dumps(kernel) == cold
+
+    def test_unpickling_rebuilds_the_memo_empty(self, ex_dictionary):
+        fst = PatEx(".*(a1)[.{0,2}(b)]{1,2}.*").compile(ex_dictionary)
+        kernel = make_kernel(fst, ex_dictionary, "compiled")
+        sequences = self.random_sequences(ex_dictionary, 50)
+        expected = [kernel.reachability_table(sequence) for sequence in sequences]
+        payload = pickle.dumps(kernel)
+        _KERNEL_CACHE.pop(kernel.fingerprint, None)
+        try:
+            restored = pickle.loads(payload)
+            assert restored is not kernel
+            assert restored._backward_memo == {}
+            assert [restored.reachability_table(s) for s in sequences] == expected
+        finally:
+            _KERNEL_CACHE.pop(kernel.fingerprint, None)
+
+    @pytest.mark.parametrize("expression", EXPRESSIONS)
+    def test_tables_past_the_bound_equal_the_interpreted_kernels(
+        self, expression, ex_dictionary, monkeypatch
+    ):
+        monkeypatch.setattr(compiled_module, "_BACKWARD_MEMO_LIMIT", 5)
+        fst = PatEx(expression).compile(ex_dictionary)
+        kernel = CompiledFst(fst, ex_dictionary)
+        interpreted = make_kernel(fst, ex_dictionary, "interpreted")
+        sizes = []
+        for sequence in self.random_sequences(ex_dictionary, 300):
+            assert kernel.reachability_table(sequence) == (
+                interpreted.reachability_table(sequence)
+            )
+            sizes.append(len(kernel._backward_memo))
+            assert all(len(table) <= 5 for table in kernel._backward_memo.values())
+        # Filled up to its bound (an item and its class enter together, so one
+        # beyond at most) and cleared wholesale on the way.
+        assert max(sizes) in (5, 6)
+        assert any(after < before for before, after in zip(sizes, sizes[1:]))
+        # An unbounded kernel meets more items and classes than the bound
+        # allows: the pair really was driven past it.
+        monkeypatch.undo()
+        unbounded = CompiledFst(fst, ex_dictionary)
+        for sequence in self.random_sequences(ex_dictionary, 300):
+            unbounded.reachability_table(sequence)
+        assert len(unbounded._backward_memo) > 6
+
+    def test_threads_sharing_an_overflowing_memo_agree(self, ex_dictionary, monkeypatch):
+        """Unsynchronised fills and wholesale clears never change a table."""
+        monkeypatch.setattr(compiled_module, "_BACKWARD_MEMO_LIMIT", 3)
+        fst = PatEx(RUNNING_EXAMPLE_PATEX).compile(ex_dictionary)
+        kernel = CompiledFst(fst, ex_dictionary)
+        interpreted = make_kernel(fst, ex_dictionary, "interpreted")
+        sequences = self.random_sequences(ex_dictionary, 400)
+        expected = [interpreted.reachability_table(sequence) for sequence in sequences]
+        results: dict[int, list] = {}
+        barrier = threading.Barrier(4, timeout=30)
+
+        def worker(index):
+            barrier.wait()
+            results[index] = [kernel.reachability_table(sequence) for sequence in sequences]
+
+        threads = [threading.Thread(target=worker, args=(index,)) for index in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [results.get(index) for index in range(4)] == [expected] * 4
 
 
 # ------------------------------------------------------------- entry points

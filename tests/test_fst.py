@@ -128,7 +128,11 @@ class TestMatching:
         T5 = ex_database[4]
         table = reachability_table(ex_fst, T5, ex_dictionary)
         assert len(table) == len(T5) + 1
-        assert all(len(row) == ex_fst.num_states for row in table)
+        # One state bitmask per position: no bit beyond the FST's states, the
+        # last row is exactly the final states, and T5 is accepted.
+        assert all(isinstance(row, int) and 0 <= row < 1 << ex_fst.num_states for row in table)
+        assert table[-1] == sum(1 << state for state in ex_fst.final_states)
+        assert (table[0] >> ex_fst.initial_state) & 1
 
     def test_exact_match_semantics(self, ex_dictionary):
         # (A) matches a1 but A= does not.

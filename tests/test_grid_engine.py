@@ -1,17 +1,19 @@
 """Equivalence and unit tests for the flat pivot-grid engine.
 
-The columnar :class:`~repro.core.grid_engine.FlatPivotGrid` must be
+The one-pass :class:`~repro.core.grid_engine.FlatPivotGrid` must be
 observationally identical to the reference
-:class:`~repro.core.pivot_search.PositionStateGrid` — same pivot sets, same
-rewrite bounds, same early-stopping oracle — on arbitrary pattern expressions,
-hierarchies, and input sequences.  These tests prove that with hypothesis,
-check the sorted-run ⊕ algebra against the set-based reference, and pin the
-behaviour of the per-worker grid memo.
+:class:`~repro.core.pivot_search.PositionStateGrid` — same alive sets, same
+pivot sets and live edges at every position (read through the flat grid's
+on-demand inspection methods), same rewrite bounds, same early-stopping oracle
+— on arbitrary pattern expressions, hierarchies, and input sequences.  These
+tests prove that with hypothesis, check the sorted-run ⊕ algebra against the
+set-based reference, and pin the behaviour of the per-worker grid memo.
 """
 
 from __future__ import annotations
 
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from repro.core.grid_engine import (
     GRIDS,
     FlatPivotGrid,
     GridMemoWarmup,
+    GrowableFlatGrid,
     cached_grid,
     clear_grid_memo,
     grid_memo_info,
@@ -38,12 +41,14 @@ from repro.core.pivot_search import (
     pivot_merge,
     pivots_of_output_sets,
 )
+from repro.core import DSeqMiner
 from repro.core.rewriting import rewrite_for_pivot
 from repro.dictionary import EPSILON_FID, Dictionary, Hierarchy
 from repro.errors import MiningError
 from repro.fst import make_kernel
 from repro.patex import PatEx
 from repro.sequences import preprocess
+from repro.sequential import SequentialDesqDfs
 
 #: Constraint shapes shared with the differential suite: captures, optional
 #: groups, generalization, repetition, alternation, and bounded gaps.
@@ -76,22 +81,41 @@ def build_consistent(sequences):
     return preprocess(raw, hierarchy)
 
 
-def assert_grids_equivalent(flat, legacy) -> None:
-    """Every observable of the two grid engines must match."""
+def edges_by_position(grid) -> dict:
+    edges: dict = {}
+    for edge in grid.live_edges():
+        edges.setdefault(edge.position, set()).add(
+            (edge.source, edge.target, edge.transition.tid, edge.outputs)
+        )
+    return edges
+
+
+def assert_grids_equivalent(flat, legacy, positions=None) -> None:
+    """Every observable of the two grid engines must match.
+
+    ``positions`` restricts the per-position probes (each one re-walks the
+    flat grid) on inputs too long to probe everywhere; whole-grid observables
+    are compared in full either way.
+    """
     assert flat.has_accepting_run == legacy.has_accepting_run
     assert flat.alive == legacy.alive
     pivots = flat.pivot_items()
     assert pivots == legacy.pivot_items()
     n = len(legacy.sequence)
-    num_states = len(legacy.alive[0]) if legacy.alive else 0
-    for position in range(n + 1):
+    num_states = legacy.kernel.num_states
+    if positions is None:
+        positions = range(n + 1)
+    for position in positions:
         for state in range(num_states):
             assert flat.pivot_set(position, state) == (
                 legacy.pivot_set(position, state)
             ), (position, state)
-    # Edge arenas: same live edges per position (order may legitimately
-    # differ — the legacy grid iterates a source *set*).
-    for position in range(1, n + 1):
+    # Same live edges per position (order may legitimately differ — the
+    # legacy grid iterates a source *set*).
+    assert edges_by_position(flat) == edges_by_position(legacy)
+    for position in positions:
+        if not position:
+            continue
         flat_edges = {
             (edge.source, edge.target, edge.outputs)
             for edge in flat.edges_at(position)
@@ -189,6 +213,114 @@ class TestFlatLegacyEquivalence:
         flat = pivot_items(fst, sequence, ex_dictionary, grid="flat")
         legacy = pivot_items(fst, sequence, ex_dictionary, grid="legacy")
         assert flat == legacy and flat
+
+
+class TestRejectedSequences:
+    """A sequence without an accepting run costs its reachability table only."""
+
+    def test_rejected_grid_holds_no_per_position_container(self, ex_dictionary):
+        fst = PatEx(".*(A)[(.^)|.]*(b).*").compile(ex_dictionary)
+        kernel = make_kernel(fst, ex_dictionary, "compiled")
+        sequence = ex_dictionary.encode(("c", "a1", "d", "e"))  # no b after the a1
+        grid = FlatPivotGrid(kernel, sequence, max_frequent_fid=3)
+        assert not grid.has_accepting_run
+        # The table itself, the identity fields and nothing else.
+        assert grid.alive == kernel.reachability_table(sequence)
+        containers = {
+            name: value
+            for name, value in vars(grid).items()
+            if isinstance(value, (list, dict, set, bytearray)) and name != "_alive"
+        }
+        assert containers == {}
+        assert grid._final_row is None
+        assert grid._relevance is None
+        assert grid._last_producing is None
+        assert grid.pivot_items() == set()
+        n = len(sequence)
+        for pivot in (1, 3, 10**9):
+            assert grid.relevant_range(pivot) == (1, n)
+            assert grid.last_pivot_producing_position(pivot) == 0
+            assert rewrite_for_pivot(grid, pivot) == sequence
+        assert list(grid.live_edges()) == []
+        assert grid.edges_at(2) == []
+        assert grid.pivot_set(0, kernel.initial_state) == set()
+        assert_grids_equivalent(grid, PositionStateGrid(kernel, sequence, max_frequent_fid=3))
+
+    def test_rejected_snapshot_equals_rejected_build(self, ex_dictionary):
+        fst = PatEx(".*(A)[(.^)|.]*(b).*").compile(ex_dictionary)
+        kernel = make_kernel(fst, ex_dictionary, "compiled")
+        sequence = ex_dictionary.encode(("c", "a1", "d"))
+        shared = GrowableFlatGrid(kernel)
+        for item in sequence:
+            shared.extend(item)
+        assert vars(shared.snapshot()) == vars(FlatPivotGrid(kernel, sequence))
+
+
+class TestWideAndLongInputs:
+    """Reachability rows are Python ints: no 64-state or length ceiling.
+
+    On an FST with more than 64 states (bits past a machine word) and on a
+    1,500-item input: compiled ≡ interpreted reachability table, flat ≡
+    legacy grid, and D-SEQ ≡ sequential DESQ-DFS.
+    """
+
+    def assert_everything_agrees(self, dictionary, database, expression, sigma, stride):
+        fst = PatEx(expression).compile(dictionary)
+        compiled = make_kernel(fst, dictionary, "compiled")
+        interpreted = make_kernel(fst, dictionary, "interpreted")
+        max_frequent_fid = dictionary.largest_frequent_fid(sigma)
+        accepted = 0
+        for sequence in database:
+            sequence = tuple(sequence)
+            table = compiled.reachability_table(sequence)
+            assert table == interpreted.reachability_table(sequence)
+            assert len(table) == len(sequence) + 1
+            flat = FlatPivotGrid(compiled, sequence, max_frequent_fid=max_frequent_fid)
+            legacy = PositionStateGrid(compiled, sequence, max_frequent_fid=max_frequent_fid)
+            n = len(sequence)
+            positions = sorted({0, 1, n - 1, n, *range(0, n + 1, stride)} & set(range(n + 1)))
+            assert_grids_equivalent(flat, legacy, positions)
+            assert flat.pivot_items() == FlatPivotGrid(
+                interpreted, sequence, max_frequent_fid=max_frequent_fid
+            ).pivot_items()
+            accepted += flat.has_accepting_run
+        assert accepted, "vacuous: nothing was accepted"
+        reference = SequentialDesqDfs(expression, sigma, dictionary).mine(database)
+        mined = DSeqMiner(expression, sigma, dictionary, cluster="simulated").mine(database)
+        assert mined.patterns() == reference.patterns()
+        assert reference.patterns(), "vacuous: nothing was mined"
+        return compiled
+
+    @pytest.mark.parametrize(
+        "expression",
+        [
+            ".*(A^)[.{0,35}(b)]{1,2}.*",  # 74 states, two final states below bit 64
+            ".*(a1).{70}(b).*",           # 73 states, the final state is bit 72
+        ],
+    )
+    def test_fst_wider_than_a_machine_word(self, expression):
+        rng = random.Random(16)
+        filler = ["c", "d", "e", "a2"]
+        raw = [
+            ("a1",) + tuple(rng.choice(filler) for _ in range(70)) + ("b",),
+            ("a1",) + tuple(rng.choice(filler) for _ in range(70)) + ("b", "c", "b"),
+            ("d", "a1") + tuple(rng.choice(filler + ["b"]) for _ in range(80)) + ("b",),
+            tuple(rng.choice(VOCABULARY) for _ in range(90)),
+            ("a1",) + ("c",) * 69 + ("b",),  # one item short of the fixed gap
+        ]
+        dictionary, database = build_consistent(raw)
+        kernel = self.assert_everything_agrees(dictionary, database, expression, 2, stride=20)
+        assert kernel.num_states >= 70
+        widest = max(
+            mask for sequence in database for mask in kernel.reachability_table(tuple(sequence))
+        )
+        assert widest >> 64, "vacuous: no alive state beyond bit 63"
+
+    @pytest.mark.parametrize("expression", ["(a)+", ".*(a).*(b)"])
+    def test_input_of_1500_items(self, expression):
+        raw = [("a",) * 1_499 + ("b",), ("a",) * 1_500, ("a", "b")]
+        dictionary, database = preprocess(raw, Hierarchy())
+        self.assert_everything_agrees(dictionary, database, expression, 1, stride=500)
 
 
 # ------------------------------------------------------------ sorted-run ⊕

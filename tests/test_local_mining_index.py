@@ -82,7 +82,7 @@ class OracleMiner:
             state = OracleState(
                 tuple(sequence), weight, kernel, pivot, self.max_frequent_fid, self.grid
             )
-            if state.alive and state.alive[0][kernel.initial_state]:
+            if (state.alive[0] >> kernel.initial_state) & 1:
                 self.states.append(state)
                 root_snapshots.append({(0, kernel.initial_state)})
         patterns: dict[tuple[int, ...], int] = {}
@@ -144,7 +144,7 @@ class OracleMiner:
             next_alive = state.alive[position + 1]
             for tid in kernel.matching(fst_state, item):
                 target = kernel.target(tid)
-                if not next_alive[target]:
+                if not (next_alive >> target) & 1:
                     continue
                 if not kernel.is_captured(tid):
                     stack.append((position + 1, target))
@@ -368,7 +368,9 @@ class TestTablesBuiltOncePerSequence:
     def test_tables_live_and_die_with_the_memo_entry(self, golden_job):
         job, database = golden_job
         root = job.kernel.initial_state
-        sequence = next(s for s in database if job.kernel.reachability_table(s)[0][root])
+        sequence = next(
+            s for s in database if (job.kernel.reachability_table(s)[0] >> root) & 1
+        )
         arguments = dict(max_frequent_fid=job.max_frequent_fid, grid=job.grid)
         grid = cached_grid(job.kernel, sequence, **arguments)
         assert grid.reduce_tables is None  # lazily filled, never by the constructor
