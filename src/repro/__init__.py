@@ -31,6 +31,7 @@ use a session (:class:`repro.api.LocalSession` in-process, or
         session.top_k("demo", "(A)[(.^)|.]*(b)", k=5)
 """
 
+from repro._lazy import lazy_exports
 from repro.core import (
     DCandMiner,
     DSeqMiner,
@@ -61,8 +62,11 @@ from repro.sequences import SequenceDatabase, preprocess
 
 # The blessed public facade (imported last: repro.api composes the above).
 from repro import api  # noqa: E402
-from repro.api import Corpus, LocalSession, ServiceSession, Session, connect
+from repro.api import Corpus, LocalSession, Session
 from repro.errors import CorpusNotAttachedError, QueryTimeoutError, ServiceError
+
+# The service client loads with the first connect(); see repro._lazy.
+__getattr__ = lazy_exports(__name__, {"repro.api.client": ("ServiceSession", "connect")})
 
 __version__ = "1.0.0"
 

@@ -22,7 +22,7 @@ mining-as-a-service::
         ...
 """
 
-from repro.api.client import ServiceSession, connect
+from repro._lazy import lazy_exports
 from repro.api.corpus import Corpus, as_corpus
 from repro.api.session import (
     ALGORITHMS,
@@ -32,6 +32,9 @@ from repro.api.session import (
     canonical_algorithm,
     mine,
 )
+
+# The service client loads with the first connect(); see repro._lazy.
+__getattr__ = lazy_exports(__name__, {"repro.api.client": ("ServiceSession", "connect")})
 
 __all__ = [
     "ALGORITHMS",

@@ -50,6 +50,12 @@ class Dictionary:
     running example in Fig. 2).
     """
 
+    #: ``gid -> fid`` for bulk encoders, filled by :meth:`fid_table`.  The
+    #: default lives on the class and pickling drops the instance's table, so
+    #: a pickled dictionary — part of every kernel and job pickle — carries
+    #: no byte for it.
+    _fid_table: dict[str, int] | None = None
+
     def __init__(self, items: Iterable[Item]) -> None:
         self._by_fid: dict[int, Item] = {}
         self._by_gid: dict[str, Item] = {}
@@ -131,6 +137,16 @@ class Dictionary:
     def gid_of(self, fid: int) -> str:
         """The gid of item ``fid``."""
         return self.item_by_fid(fid).gid
+
+    def fid_table(self) -> dict[str, int]:
+        """The whole ``gid -> fid`` mapping as one dict (cached; do not mutate).
+
+        Bulk encoders index it directly (``map(table.__getitem__, gids)``)
+        instead of paying a :meth:`fid_of` call per item.
+        """
+        if self._fid_table is None:
+            self._fid_table = {gid: item.fid for gid, item in self._by_gid.items()}
+        return self._fid_table
 
     def frequency(self, fid: int) -> int:
         """Document frequency ``f(w, D)`` of item ``fid``."""
@@ -228,7 +244,10 @@ class Dictionary:
     # ------------------------------------------------------------ conveniences
     def encode(self, gids: Iterable[str]) -> tuple[int, ...]:
         """Translate a sequence of gids into a tuple of fids."""
-        return tuple(self.fid_of(g) for g in gids)
+        try:
+            return tuple(map(self.fid_table().__getitem__, gids))
+        except KeyError as error:
+            raise UnknownItemError(error.args[0]) from None
 
     def decode(self, fids: Iterable[int]) -> tuple[str, ...]:
         """Translate a sequence of fids into a tuple of gids."""
@@ -257,9 +276,11 @@ class Dictionary:
     def __getstate__(self):
         # The descendant index is derived state: compiled kernels ship their
         # own interval matchers, so shipping the index with every pickled
-        # dictionary would only duplicate bytes on the wire.
+        # dictionary would only duplicate bytes on the wire.  The gid -> fid
+        # table is rebuilt from ``_by_gid`` by whoever encodes next.
         state = dict(self.__dict__)
         state["_descendant_index"] = None
+        state.pop("_fid_table", None)
         return state
 
     def __setstate__(self, state) -> None:

@@ -19,21 +19,8 @@ One job model (:class:`MapReduceJob`), one stage driver
 Use :func:`make_cluster` to pick a backend by name.
 """
 
+from repro._lazy import lazy_exports
 from repro.mapreduce.base import BatchOutcome, Cluster, JobResult, StageDriverCluster
-from repro.mapreduce.blobstore import (
-    BlobNotFoundError,
-    BlobRetryStats,
-    BlobStore,
-    BlobStoreError,
-    DirectoryBlobStore,
-    InMemoryBlobStore,
-    content_key,
-    gc_expired,
-    get_with_retry,
-    put_with_retry,
-    read_lease,
-    write_lease,
-)
 from repro.mapreduce.engine import SimulatedCluster, run_job
 from repro.mapreduce.faults import (
     DEFAULT_FAULT_POLICY,
@@ -52,7 +39,6 @@ from repro.mapreduce.factory import (
     make_cluster,
     resolve_cluster,
 )
-from repro.mapreduce.multihost import BlobShuffle, MultiHostCluster, run_blob_map_task
 from repro.mapreduce.job import (
     DEFAULT_PARTITIONER,
     PARTITIONERS,
@@ -76,6 +62,32 @@ from repro.mapreduce.tasks import (
     run_store_map_task,
 )
 from repro.mapreduce.wire import CODECS, Codec, CompactCodec, PickleCodec, make_codec
+
+# Only a multihost run needs these two modules; see repro._lazy.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.mapreduce.blobstore": (
+            "BlobNotFoundError",
+            "BlobRetryStats",
+            "BlobStore",
+            "BlobStoreError",
+            "DirectoryBlobStore",
+            "InMemoryBlobStore",
+            "content_key",
+            "gc_expired",
+            "get_with_retry",
+            "put_with_retry",
+            "read_lease",
+            "write_lease",
+        ),
+        "repro.mapreduce.multihost": (
+            "BlobShuffle",
+            "MultiHostCluster",
+            "run_blob_map_task",
+        ),
+    },
+)
 
 __all__ = [
     "BACKENDS",

@@ -3,17 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from importlib import import_module
 
 from repro.errors import MapReduceError
 from repro.mapreduce.base import Cluster
-from repro.mapreduce.engine import SimulatedCluster
 from repro.mapreduce.faults import DEFAULT_FAULT_POLICY, FaultInjector, FaultPolicy
-from repro.mapreduce.multihost import MultiHostCluster
-from repro.mapreduce.parallel import (
-    PersistentProcessPoolCluster,
-    ProcessPoolCluster,
-    ThreadPoolCluster,
-)
 from repro.mapreduce.wire import Codec
 
 #: Canonical backend names, in the order shown by ``--help``.
@@ -43,12 +37,14 @@ _ALIASES = {
     "blob-shuffle": "multihost",
 }
 
+#: Canonical backend name -> ``"module:Class"``, imported by the first
+#: :func:`make_cluster` that builds it: a run pays for the backend it uses.
 _CLUSTER_CLASSES = {
-    "simulated": SimulatedCluster,
-    "threads": ThreadPoolCluster,
-    "processes": ProcessPoolCluster,
-    "persistent-processes": PersistentProcessPoolCluster,
-    "multihost": MultiHostCluster,
+    "simulated": "repro.mapreduce.engine:SimulatedCluster",
+    "threads": "repro.mapreduce.parallel:ThreadPoolCluster",
+    "processes": "repro.mapreduce.parallel:ProcessPoolCluster",
+    "persistent-processes": "repro.mapreduce.parallel:PersistentProcessPoolCluster",
+    "multihost": "repro.mapreduce.multihost:MultiHostCluster",
 }
 
 
@@ -301,7 +297,8 @@ def make_cluster(
         raise MapReduceError(
             f"blob_dir applies only to the 'multihost' backend, not {key!r}"
         )
-    cluster_class = _CLUSTER_CLASSES[key]
+    module, _, class_name = _CLUSTER_CLASSES[key].partition(":")
+    cluster_class = getattr(import_module(module), class_name)
     extra = {"blob_dir": blob_dir} if key == "multihost" else {}
     return cluster_class(
         num_workers=num_workers,

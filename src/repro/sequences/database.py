@@ -7,12 +7,13 @@ through a :class:`~repro.dictionary.dictionary.Dictionary`.
 
 from __future__ import annotations
 
+import operator
 import random
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from repro.dictionary import Dictionary
-from repro.errors import ReproError
+from repro.errors import ReproError, UnknownItemError
 from repro.sequences.store import EncodedSequenceStore
 
 
@@ -54,13 +55,31 @@ class SequenceDatabase:
     def from_gid_sequences(
         cls, dictionary: Dictionary, sequences: Iterable[Sequence[str]]
     ) -> "SequenceDatabase":
-        """Encode raw gid sequences through ``dictionary`` into a database."""
-        return cls(dictionary.encode(sequence) for sequence in sequences)
+        """Encode raw gid sequences through ``dictionary`` into a database.
+
+        One lookup table serves the whole corpus, and its values are the
+        dictionary's fids — positive integers by construction — so the rows
+        skip :meth:`append`'s validation.
+        """
+        fid_of = dictionary.fid_table().__getitem__
+        database = cls()
+        rows = database._sequences
+        for gids in sequences:
+            try:
+                rows.append(tuple(map(fid_of, gids)))
+            except KeyError as error:
+                raise UnknownItemError(error.args[0]) from None
+        return database
 
     def append(self, sequence: Sequence[int]) -> None:
         """Add one fid-encoded sequence."""
-        encoded = tuple(int(fid) for fid in sequence)
-        if any(fid <= 0 for fid in encoded):
+        try:
+            # operator.index (unlike int) refuses floats and digit strings, as
+            # the encoded store does: what is mined is what was given.
+            encoded = tuple(map(operator.index, sequence))
+        except TypeError as error:
+            raise ReproError(f"sequence items must be integers (fids): {error}") from None
+        if encoded and min(encoded) <= 0:
             raise ReproError(f"sequence contains non-positive fid: {encoded}")
         self._sequences.append(encoded)
 

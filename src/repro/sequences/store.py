@@ -3,35 +3,41 @@
 The distributed miners target the regime where the sequence database dwarfs
 the dictionary (Sec. V–VI of the paper), yet a plain process-pool backend
 re-pickles every map task's input chunk.  :class:`EncodedSequenceStore` removes
-that tax: the whole database is packed once into a flat, immutable block —
-LEB128 varint item columns plus a fixed-width offsets index — which can be
-published to :mod:`multiprocessing.shared_memory` (or a temp file when no
-shared memory is available) and *attached* by worker processes.  Tasks then
-carry only a :class:`StoreChunk` descriptor (store handle + offset range)
-instead of materialized sequence lists, so per-task database pickle bytes drop
-to a few dozen bytes regardless of database size.
+that tax: the whole database is packed once into a flat, immutable block — one
+fixed-width item column plus an offsets index — which can be published to
+:mod:`multiprocessing.shared_memory` (or a temp file when no shared memory is
+available) and *attached* by worker processes.  Tasks then carry only a
+:class:`StoreChunk` descriptor (store handle + offset range) instead of
+materialized sequence lists, so per-task database pickle bytes drop to a few
+dozen bytes regardless of database size.
 
 Block layout (native byte order; an IPC format for one machine, not a
 persistence format — :mod:`repro.sequences.formats` covers durable files)::
 
-    magic    8 bytes   b"SEQSTOR1" (plain) or b"SEQSTOR2" (weighted)
+    magic    8 bytes   b"SEQSTOR3" (plain) or b"SEQSTOR4" (weighted)
     count    u64       number of sequences
-    size     u64       length of the varint data region in bytes
-    offsets  (count + 1) * u64   byte offset of each sequence into the data
-    weights  count * u64         only in weighted (SEQSTOR2) blocks
-    data     varint stream       items of all sequences, concatenated
+    width    u64       bytes per item: 1, 2, 4 or 8 (0: LEB128 varints)
+    size     u64       length of the data region in bytes
+    offsets  (count + 1) * u64   item offset of each sequence into the data
+    weights  count * u64         only in weighted (SEQSTOR4) blocks
+    data     size // width items of all sequences, concatenated
 
-Sequence ``i`` occupies ``data[offsets[i]:offsets[i + 1]]``; its items are
-unsigned LEB128 varints (:mod:`repro.varint`), so small fids cost one byte and
-fids beyond 2**63 still round-trip.  All reads — :meth:`EncodedSequenceStore.slice`,
-indexing, iteration — decode directly from a :class:`memoryview` of the block;
-nothing is copied until a sequence tuple is materialized.
+``width`` is the narrowest of 1/2/4/8 bytes that holds the store's largest
+item — a function of the records alone, which keeps the layout canonical —
+and sequence ``i`` is items ``offsets[i]:offsets[i + 1]`` of the data column.
+Packing is one ``array.extend`` per record and decoding one
+``tuple(column[a:b])`` on a :meth:`memoryview.cast` of the block: no Python
+call per item, and nothing is copied until a sequence tuple is materialized.
+Only a store holding an item of 2**64 or more falls back to ``width`` 0: its
+data region is a stream of unsigned LEB128 varints (:mod:`repro.varint`) and
+its offsets count bytes, so such fids still round-trip.  The packer picks the
+width from what it sees in its input; callers never choose it.
 
 A *weighted* block additionally carries one u64 multiplicity per sequence and
 yields :class:`WeightedSequence` records instead of bare tuples.  It is what
 :meth:`EncodedSequenceStore.unique_view` produces: the corpus-level dedup pass
 of the miners, grouping identical encoded spans (hashing the already-encoded
-varint bytes, so the pass is nearly free) into one ``(sequence, weight)``
+column bytes, so the pass is nearly free) into one ``(sequence, weight)``
 record each, in first-occurrence order.
 """
 
@@ -46,6 +52,7 @@ from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 from multiprocessing import shared_memory
 from typing import NamedTuple
 
@@ -68,7 +75,7 @@ class HashedWeightedSequence(WeightedSequence):
     """A :class:`WeightedSequence` carrying the hash of its encoded span.
 
     :meth:`EncodedSequenceStore.unique_view` already hashes every record's
-    varint span to group duplicates; records from the view carry that hash so
+    encoded span to group duplicates; records from the view carry that hash so
     downstream per-sequence memo lookups (the grid memo's
     :class:`~repro.core.grid_engine._SpanKey`) can reuse it instead of
     re-encoding and re-hashing the items.  The hash rides as an instance
@@ -84,7 +91,7 @@ class HashedWeightedSequence(WeightedSequence):
     """
 
     def __new__(cls, sequence, weight, span_hash):
-        self = super().__new__(cls, sequence, weight)
+        self = tuple.__new__(cls, (sequence, weight))
         self.span_hash = span_hash
         return self
 
@@ -131,34 +138,86 @@ def fold_weighted_values(values: Iterable) -> dict:
     return totals
 
 
-_MAGIC = b"SEQSTOR1"
-_MAGIC_WEIGHTED = b"SEQSTOR2"
-_HEADER = struct.Struct("=8sQQ")  # magic, sequence count, data-region size
+_MAGIC = b"SEQSTOR3"
+_MAGIC_WEIGHTED = b"SEQSTOR4"
+_HEADER = struct.Struct("=8sQQQ")  # magic, sequence count, item width, data size
+#: Item width in bytes -> typecode of the data column (``array`` while
+#: packing, ``memoryview.cast`` while reading).  Width 0 is the LEB128 layout.
+_TYPECODES = {0: "B", 1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def _decode_sequence(data: memoryview, start: int, stop: int) -> tuple[int, ...]:
-    """Decode one sequence's varint column into a tuple of fids."""
+def _decode_varints(span: memoryview) -> tuple[int, ...]:
+    """Decode one sequence's LEB128 span (the width-0 layout) into fids."""
     items = []
-    offset = start
-    while offset < stop:
-        value, offset = read_varint(data, offset, error=SequenceStoreError, what="item")
+    offset = 0
+    while offset < len(span):
+        value, offset = read_varint(span, offset, error=SequenceStoreError, what="item")
         items.append(value)
-    if offset != stop:
-        raise SequenceStoreError(
-            f"varint overran its sequence column ({offset} > {stop})"
-        )
     return tuple(items)
 
 
 def _pack_block(
-    magic: bytes, offsets: Sequence[int], weights: Sequence[int] | None, data
+    magic: bytes, width: int, offsets: array, weights: array | None, data
 ) -> bytes:
     """Assemble one store block from its regions (see the module docstring)."""
-    count = len(offsets) - 1
-    weights_bytes = b"" if weights is None else array("Q", weights).tobytes()
-    header = bytearray(_HEADER.size)
-    _HEADER.pack_into(header, 0, magic, count, len(data))
-    return bytes(header) + array("Q", offsets).tobytes() + weights_bytes + bytes(data)
+    header = _HEADER.pack(magic, len(offsets) - 1, width, memoryview(data).nbytes)
+    return b"".join((header, offsets, b"" if weights is None else weights, data))
+
+
+def _pack(magic: bytes, sequences: Iterable, weights: array | None) -> bytes:
+    """Pack ``sequences`` as one column, widened to fit the largest item seen.
+
+    ``weights`` may still be filling while ``sequences`` is consumed; it is
+    read only once the last record is packed.
+    """
+    column = array("B")
+    offsets = array("Q", [0])
+    pending = iter(sequences)
+    for sequence in pending:
+        items = tuple(sequence)
+        while True:
+            try:
+                column.extend(items)
+                break
+            except (TypeError, OverflowError):
+                del column[offsets[-1] :]  # extend() keeps what it took before raising
+                if column.itemsize == 8:
+                    return _pack_checked(
+                        magic, column, offsets, weights, chain([items], pending)
+                    )
+                column = array(_TYPECODES[2 * column.itemsize], column)
+        offsets.append(len(column))
+    return _pack_block(magic, column.itemsize, offsets, weights, column)
+
+
+def _pack_checked(
+    magic: bytes, column: array, offsets: array, weights: array | None, sequences
+) -> bytes:
+    """The checking loop :func:`_pack` drops to at a record no column takes.
+
+    Either the record holds something that is no fid — this raises, naming
+    item and record — or an item of 2**64 or more, and the store is packed in
+    the width-0 layout: LEB128 varints, offsets counting bytes.
+    """
+    data = bytearray()
+    byte_offsets = array("Q", [0])
+    packed = (column[start:stop] for start, stop in zip(offsets, offsets[1:]))
+    for sequence in chain(packed, sequences):
+        for item in sequence:
+            try:
+                # operator.index (unlike int) rejects floats and digit
+                # strings instead of silently coercing them, so records a
+                # generic backend would ship verbatim cannot round-trip
+                # through the store as different values.
+                value = operator.index(item)
+            except TypeError as error:
+                raise SequenceStoreError(
+                    f"store records must be sequences of non-negative integers "
+                    f"(fids); got item {item!r} in record {len(byte_offsets) - 1}"
+                ) from error
+            write_varint(data, value, error=SequenceStoreError)
+        byte_offsets.append(len(data))
+    return _pack_block(magic, 0, byte_offsets, weights, data)
 
 
 class EncodedSequenceStore(Sequence):
@@ -174,9 +233,17 @@ class EncodedSequenceStore(Sequence):
         view = memoryview(block)
         if len(view) < _HEADER.size:
             raise SequenceStoreError(f"store block too small ({len(view)} bytes)")
-        magic, count, data_size = _HEADER.unpack_from(view, 0)
+        magic, count, width, data_size = _HEADER.unpack_from(view, 0)
         if magic not in (_MAGIC, _MAGIC_WEIGHTED):
             raise SequenceStoreError(f"bad store magic {bytes(magic)!r}")
+        if width not in _TYPECODES:
+            raise SequenceStoreError(f"bad store item width {width}")
+        items, ragged = divmod(data_size, width or 1)
+        if ragged:
+            raise SequenceStoreError(
+                f"store data region of {data_size} bytes is not a whole number "
+                f"of {width}-byte items"
+            )
         weighted = magic == _MAGIC_WEIGHTED
         offsets_end = _HEADER.size + 8 * (count + 1)
         weights_end = offsets_end + (8 * count if weighted else 0)
@@ -188,7 +255,13 @@ class EncodedSequenceStore(Sequence):
         self._block = view
         self._offsets = view[_HEADER.size : offsets_end].cast("Q")
         self._weights = view[offsets_end:weights_end].cast("Q") if weighted else None
-        self._data = view[weights_end : weights_end + data_size]
+        self._column = view[weights_end : weights_end + data_size].cast(_TYPECODES[width])
+        if self._offsets[0] != 0 or self._offsets[count] != items:
+            raise SequenceStoreError(
+                f"store offsets span {self._offsets[0]}:{self._offsets[count]}, "
+                f"not the data region's {items} items"
+            )
+        self._width = width
         self._count = count
         self._owner = owner
         self._unique: "EncodedSequenceStore | None" = None
@@ -201,51 +274,24 @@ class EncodedSequenceStore(Sequence):
     @classmethod
     def from_sequences(cls, sequences: Iterable[Sequence[int]]) -> "EncodedSequenceStore":
         """Pack fid sequences into a new in-process store block."""
-        data = bytearray()
-        offsets = [0]
-        count = 0
-        for sequence in sequences:
-            for item in sequence:
-                try:
-                    # operator.index (unlike int) rejects floats and digit
-                    # strings instead of silently coercing them, so records a
-                    # generic backend would ship verbatim cannot round-trip
-                    # through the store as different values.
-                    value = operator.index(item)
-                except TypeError as error:
-                    raise SequenceStoreError(
-                        f"store records must be sequences of non-negative integers "
-                        f"(fids); got item {item!r} in record {count}"
-                    ) from error
-                write_varint(data, value, error=SequenceStoreError)
-            offsets.append(len(data))
-            count += 1
-        return cls(_pack_block(_MAGIC, offsets, None, data))
+        return cls(_pack(_MAGIC, sequences, None))
 
     @classmethod
     def from_weighted_sequences(
         cls, records: Iterable[tuple[Sequence[int], int]]
     ) -> "EncodedSequenceStore":
         """Pack ``(sequence, weight)`` pairs into a new weighted store block."""
-        data = bytearray()
-        offsets = [0]
-        weights = []
-        for sequence, weight in records:
-            weight = operator.index(weight)
-            if weight < 0:
-                raise SequenceStoreError(f"record weight must be >= 0, got {weight}")
-            for item in sequence:
-                try:
-                    value = operator.index(item)
-                except TypeError as error:
-                    raise SequenceStoreError(
-                        f"store records must be sequences of non-negative integers "
-                        f"(fids); got item {item!r} in record {len(weights)}"
-                    ) from error
-                write_varint(data, value, error=SequenceStoreError)
-            offsets.append(len(data))
-            weights.append(weight)
-        return cls(_pack_block(_MAGIC_WEIGHTED, offsets, weights, data))
+        weights = array("Q")
+
+        def sequences():
+            for sequence, weight in records:
+                weight = operator.index(weight)
+                if weight < 0:
+                    raise SequenceStoreError(f"record weight must be >= 0, got {weight}")
+                weights.append(weight)
+                yield sequence
+
+        return cls(_pack(_MAGIC_WEIGHTED, sequences(), weights))
 
     # ----------------------------------------------------------------- access
     @property
@@ -266,80 +312,76 @@ class EncodedSequenceStore(Sequence):
             index += self._count
         if not 0 <= index < self._count:
             raise IndexError(index)
-        sequence = _decode_sequence(
-            self._data, self._offsets[index], self._offsets[index + 1]
-        )
-        if self._weights is None:
-            return sequence
-        if self._span_hashes is not None:
-            return HashedWeightedSequence(
-                sequence, self._weights[index], self._span_hashes[index]
-            )
-        return WeightedSequence(sequence, self._weights[index])
+        return next(self.iter_range(index, index + 1))
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return self.iter_range(0, self._count)
 
+    def _spans(self, start: int, stop: int) -> Iterator[memoryview]:
+        """Each of records ``start:stop`` as its slice of the data column.
+
+        Slicing a column clamps silently, so the offsets are checked here: a
+        corrupt index must raise, not hand a worker a short sequence.
+        """
+        column, offsets, items = self._column, self._offsets, len(self._column)
+        first = offsets[start] if start < stop else 0
+        for index in range(start, stop):
+            last = offsets[index + 1]
+            if not first <= last <= items:
+                raise SequenceStoreError(
+                    f"corrupt store offsets: record {index} spans {first}:{last} "
+                    f"of {items} items"
+                )
+            yield column[first:last]
+            first = last
+
     def iter_range(self, start: int, stop: int) -> Iterator[tuple[int, ...]]:
         """Decode records ``start:stop`` straight from the block."""
-        data, offsets, weights = self._data, self._offsets, self._weights
-        span_hashes = self._span_hashes
-        if weights is None:
-            for index in range(start, stop):
-                yield _decode_sequence(data, offsets[index], offsets[index + 1])
-        elif span_hashes is not None:
-            for index in range(start, stop):
-                yield HashedWeightedSequence(
-                    _decode_sequence(data, offsets[index], offsets[index + 1]),
-                    weights[index],
-                    span_hashes[index],
-                )
-        else:
-            for index in range(start, stop):
-                yield WeightedSequence(
-                    _decode_sequence(data, offsets[index], offsets[index + 1]),
-                    weights[index],
-                )
+        decode = tuple if self._width else _decode_varints
+        sequences = map(decode, self._spans(start, stop))
+        if self._weights is None:
+            return sequences
+        weights = self._weights[start:stop].tolist()
+        if self._span_hashes is None:
+            # What WeightedSequence(sequence, weight) builds, minus the Python
+            # frame of the NamedTuple's generated __new__ for every record.
+            return map(tuple.__new__, repeat(WeightedSequence), zip(sequences, weights))
+        return map(
+            HashedWeightedSequence, sequences, weights, self._span_hashes[start:stop]
+        )
 
     def unique_view(self) -> "EncodedSequenceStore":
         """A weighted store grouping identical records: the corpus-level dedup.
 
         Identical encoded spans are grouped by hashing the already-encoded
-        varint bytes — no decode, no re-encode — into one
+        column bytes — no decode, no re-encode — into one
         :class:`WeightedSequence` record per distinct sequence, in
         first-occurrence order (which keeps map-task composition, and thus
         every shuffle metric, deterministic across backends).  Weighted input
-        stores fold their existing multiplicities.  The view is built once and
-        cached on the store instance.
+        stores fold their existing multiplicities.  The view holds every
+        distinct item of its parent, so it is packed at the parent's width.
+        It is built once and cached on the store instance.
         """
         if self._unique is not None:
             return self._unique
-        data, offsets, weights = self._data, self._offsets, self._weights
-        index_of: dict[bytes, int] = {}
-        spans: list[bytes] = []
-        totals: list[int] = []
-        for index in range(self._count):
-            span = bytes(data[offsets[index] : offsets[index + 1]])
-            weight = 1 if weights is None else weights[index]
-            position = index_of.get(span)
-            if position is None:
-                index_of[span] = len(spans)
-                spans.append(span)
-                totals.append(weight)
-            else:
-                totals[position] += weight
-        unique_data = bytearray().join(spans)
-        unique_offsets = [0]
-        cursor = 0
-        for span in spans:
-            cursor += len(span)
-            unique_offsets.append(cursor)
+        weights = self._weights
+        totals: dict[bytes, int] = {}  # span bytes -> total weight, first occurrence first
+        for index, span in enumerate(map(memoryview.tobytes, self._spans(0, self._count))):
+            totals[span] = totals.get(span, 0) + (1 if weights is None else weights[index])
+        itemsize = self._column.itemsize
+        offsets = accumulate((len(span) // itemsize for span in totals), initial=0)
         view = type(self)(
-            _pack_block(_MAGIC_WEIGHTED, unique_offsets, totals, unique_data)
+            _pack_block(
+                _MAGIC_WEIGHTED,
+                self._width,
+                array("Q", offsets),
+                array("Q", totals.values()),
+                b"".join(totals),
+            )
         )
         # The grouping pass hashed every span anyway; keep the hashes so the
         # view's records can carry them into downstream memo keys.
-        view._span_hashes = [hash(span) for span in spans]
+        view._span_hashes = list(map(hash, totals))
         self._unique = view
         return view
 
@@ -470,7 +512,7 @@ class EncodedSequenceStore(Sequence):
         self._offsets.release()
         if self._weights is not None:
             self._weights.release()
-        self._data.release()
+        self._column.release()
         self._block.release()
         owner, self._owner = self._owner, None
         if owner is not None:

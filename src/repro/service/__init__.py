@@ -22,17 +22,25 @@ query answered by the daemon is byte-identical to the same query answered by
 the in-process library path.
 """
 
+from repro._lazy import lazy_exports
 from repro.service.cache import CacheInfo, QueryCache
-from repro.service.protocol import (
-    DEFAULT_SERVICE_PORT,
-    PROTOCOL_VERSION,
-    decode_cache_info,
-    decode_result,
-    encode_result,
-    error_payload,
-    raise_error_payload,
+
+# An in-process session needs only the cache; see repro._lazy.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.service.protocol": (
+            "DEFAULT_SERVICE_PORT",
+            "PROTOCOL_VERSION",
+            "decode_cache_info",
+            "decode_result",
+            "encode_result",
+            "error_payload",
+            "raise_error_payload",
+        ),
+        "repro.service.server": ("MiningServer",),
+    },
 )
-from repro.service.server import MiningServer
 
 __all__ = [
     "CacheInfo",

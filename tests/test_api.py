@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -336,3 +341,74 @@ class TestConfigFingerprint:
         assert ClusterConfig(blob_dir="/tmp/blobs").fingerprint() != base
         assert ClusterConfig(plan_sample=0.5).fingerprint() != base
         assert ClusterConfig(map_batching="trie").fingerprint() != base
+
+
+#: What a query process imports (``benchmarks/e2e/run_query.py``, the CLI's
+#: stand-in), then one ``persistent-processes`` query; prints which of the
+#: deferred modules are loaded after each step.
+_STARTUP_PROBE = """
+import json, sys
+
+import repro.api
+from repro.datasets import constraint
+from repro.errors import ReproError
+from repro.mapreduce import ClusterConfig
+from repro.sequences import SequenceDatabase, load_sequences, read_dictionary
+
+deferred = DEFERRED
+after_import = [name for name in deferred if name in sys.modules]
+corpus = repro.api.Corpus.from_gid_sequences([["a", "b"], ["a", "c", "b"], ["b", "a"]])
+result = repro.api.mine(
+    corpus, "(a).*(b)", sigma=2, algorithm="dseq",
+    config=ClusterConfig(backend="persistent-processes", num_workers=2),
+)
+after_mine = [name for name in deferred if name in sys.modules]
+from repro import connect
+from repro.mapreduce import DirectoryBlobStore, write_lease
+print(json.dumps({
+    "after_import": after_import,
+    "after_mine": after_mine,
+    "patterns": len(result),
+    "connect": connect.__module__,
+    "blob_store": DirectoryBlobStore.__module__,
+}))
+"""
+
+
+class TestStartUp:
+    """ROADMAP 2(c), narrow form: a query does not import what it never runs."""
+
+    DEFERRED = (
+        "repro.mapreduce.multihost",
+        "repro.mapreduce.blobstore",
+        "repro.api.client",
+        "repro.service.server",
+        "repro.service.protocol",
+        "socketserver",
+    )
+
+    def test_query_process_loads_no_service_or_multihost_module(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        output = subprocess.run(
+            [sys.executable, "-c", _STARTUP_PROBE.replace("DEFERRED", repr(self.DEFERRED))],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        report = json.loads(output.stdout.strip().splitlines()[-1])
+        assert report["after_import"] == []
+        assert report["after_mine"] == []
+        assert report["patterns"] == 1
+        # The deferred names still import from where they always did.
+        assert report["connect"] == "repro.api.client"
+        assert report["blob_store"] == "repro.mapreduce.blobstore"
+
+    def test_lazy_names_stay_in_all_and_resolve(self):
+        import repro.mapreduce as mapreduce
+        import repro.service as service
+
+        for package in (repro, repro.api, mapreduce, service):
+            for name in package.__all__:
+                assert getattr(package, name) is not None
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            mapreduce.nope

@@ -45,6 +45,31 @@ class TestSequenceDatabase:
     def test_rejects_non_positive_fids(self):
         with pytest.raises(ReproError):
             SequenceDatabase([(0, 1)])
+        with pytest.raises(ReproError, match="non-positive"):
+            SequenceDatabase([(3, -2)])
+
+    def test_does_not_coerce_what_the_store_refuses(self):
+        """No ``int()``: a float is not truncated, a digit string not parsed.
+
+        The encoded store rejects both so records cannot round-trip as
+        different values; the database must not launder them on the way in.
+        """
+        for bad in ((1.9,), ("37",), (2, None), (1.0,)):
+            with pytest.raises(ReproError, match="integers"):
+                SequenceDatabase([bad])
+        database = SequenceDatabase([(1, 2)])
+        with pytest.raises(ReproError, match="integers"):
+            database.append([3, 4.5])
+        assert database.sequences() == [(1, 2)]  # nothing half-appended
+
+        class Fid:
+            def __index__(self):
+                return 7
+
+        # bool and any __index__ type still store as their integer value.
+        stored = SequenceDatabase([(True, Fid(), 3)]).sequences()
+        assert stored == [(1, 7, 3)]
+        assert all(type(fid) is int for fid in stored[0])
 
     def test_decode(self, ex_dictionary, ex_database):
         decoded = ex_database.decode(ex_dictionary)
