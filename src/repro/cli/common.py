@@ -275,7 +275,10 @@ def add_shuffle_arguments(parser: ArgumentParser) -> None:
         default="compact",
         help=(
             "shuffle wire format: 'compact' is a length-prefixed binary "
-            "codec, 'zlib' additionally compresses each bucket, 'pickle' is "
+            "codec that writes a key group of (fid tuple, weight) or (bytes, "
+            "weight) records as three columns (lengths, weights, payloads; "
+            "1-2 bytes per fid) and any other group value by value with type "
+            "tags, 'zlib' additionally compresses each bucket, 'pickle' is "
             "the generic-serializer baseline (default: compact)"
         ),
     )

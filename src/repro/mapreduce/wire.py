@@ -9,10 +9,13 @@ emitted by one map task for one reduce bucket) into bytes and back.
 
 Three codecs ship with the library:
 
-* ``compact`` — :class:`CompactCodec`, a length-prefixed tagged binary format.
-  Integers are zigzag LEB128 varints, so the fid tuples that dominate the
-  shuffle of D-SEQ/NAIVE cost roughly one byte per item; byte strings (the
-  serialized NFAs of D-CAND) are stored raw with a varint length prefix.
+* ``compact`` — :class:`CompactCodec`, a length-prefixed binary format with
+  two group layouts (grammar below).  A key group whose values are all
+  ``(fid tuple, weight)`` or all ``(bytes, weight)`` pairs — what D-SEQ, LASH
+  and D-CAND shuffle — is written as three *columns* (payload lengths,
+  weights, concatenated payloads) by the interpreter's own UTF-8 codec, with
+  no Python call per item; any other group is *tagged*, one type tag per value
+  and per tuple element (an int element costs a tag and a zigzag varint).
 * ``zlib`` — the same format compressed with :mod:`zlib` (deterministic, so
   measured byte counts stay identical across execution backends).
 * ``pickle`` — :class:`PickleCodec`, the generic serializer a naive
@@ -23,14 +26,37 @@ All encodings are deterministic functions of the payload, which is what makes
 the *measured* wire bytes comparable across the ``simulated``, ``threads``,
 and ``processes`` backends: the same map-task input always produces the same
 blob, no matter where the task ran.
+
+Grammar of a ``compact`` blob (``varint`` = unsigned LEB128)::
+
+    blob    = header body            header: 0 = raw body, 1 = zlib(body)
+    body    = varint(groups) group*
+    group   = key tagged | key columns
+    key     = value, with the group's layout in the high nibble of its tag byte
+    tagged  = varint(count) value*   layout 0: value = tag byte, tag's encoding
+    columns = column column column   layout 1 / 2: lengths, weights, payloads
+    column  = varint(size) size bytes
+
+Layout 1 holds ``(int tuple, weight)`` values, layout 2 ``(bytes, weight)``
+values; value ``i`` is the next ``lengths[i]`` entries of the payload column
+paired with ``weights[i]``.  Integer columns (all but the raw payload bytes of
+layout 2) are UTF-8 over code points with lone surrogates allowed: 1 / 2 / 3 /
+4 bytes below 128 / 2,048 / 65,536 / 0x110000, strict about overlong and
+truncated forms.  The encoder picks the layout from the group's values alone:
+a group that is empty or mixed, holds a bare payload, a ``bool`` or other
+``int`` subclass, a negative, or a length, weight or item above 0x10FFFF is
+tagged, which is total and keeps exact types.
 """
 
 from __future__ import annotations
 
 import pickle
 import struct
+import sys
 import zlib
-from collections.abc import Iterator
+from array import array
+from collections.abc import Iterable, Iterator
+from itertools import accumulate, chain
 from typing import Any, Protocol, runtime_checkable
 
 from repro.errors import MapReduceError
@@ -55,6 +81,16 @@ _T_PICKLE = 10
 # Header flags of a compact blob.
 _RAW = 0
 _COMPRESSED = 1
+
+# Group layouts, carried in the high nibble of the key's tag byte.
+_TAG_MASK = 0x0F
+_L_TAGGED = 0
+_L_TUPLES = 1
+_L_BYTES = 2
+
+# Columns pass between int arrays and ``str`` as UTF-32 in this machine's byte
+# order (4-byte ``array`` code "I"); what is written is UTF-8, endian-free.
+_UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
 
 
 @runtime_checkable
@@ -178,11 +214,12 @@ def encode_value(buffer: bytearray, value: Any) -> None:
         buffer.extend(blob)
 
 
-def decode_value(data: bytes, offset: int) -> tuple[Any, int]:
-    """Read one tagged value; returns ``(value, next offset)``."""
+def decode_value(data: bytes, offset: int, tag_mask: int = 0xFF) -> tuple[Any, int]:
+    """Read one tagged value; returns ``(value, next offset)``.  ``tag_mask``
+    selects the tag bits of its first byte (a key's also holds the layout)."""
     if offset >= len(data):
         raise MapReduceError("truncated value in wire payload")
-    tag = data[offset]
+    tag = data[offset] & tag_mask
     offset += 1
     if tag == _T_INT:
         raw, offset = read_varint(data, offset)
@@ -255,14 +292,78 @@ def decode_value(data: bytes, offset: int) -> tuple[Any, int]:
     raise MapReduceError(f"unknown wire tag {tag}")
 
 
+# ------------------------------------------------------------- column groups
+def _pack_column(numbers: Iterable[int]) -> bytes:
+    """Code points as UTF-8; raises for a number outside 0..0x10FFFF."""
+    text = array("I", numbers).tobytes().decode(_UTF32, "surrogatepass")
+    return text.encode("utf-8", "surrogatepass")
+
+
+def _encode_columns(buffer: bytearray, values: list[Any]) -> int:
+    """Append ``values`` as columns if they are uniform ``(payload, weight)``
+    pairs of one payload kind and return the layout written; otherwise append
+    nothing and return ``_L_TAGGED``.  Every check is one C-level pass."""
+    if set(map(type, values)) != {tuple} or set(map(len, values)) != {2}:
+        return _L_TAGGED
+    payloads, weights = zip(*values)
+    kinds = set(map(type, payloads))
+    if kinds == {tuple}:
+        layout, items = _L_TUPLES, tuple(chain.from_iterable(payloads))
+        numbers = chain(weights, items)
+    elif kinds == {bytes}:
+        layout, numbers = _L_BYTES, weights
+    else:
+        return _L_TAGGED
+    if set(map(type, numbers)) != {int}:  # no bool, no int subclass
+        return _L_TAGGED
+    try:
+        columns = (
+            _pack_column(map(len, payloads)),
+            _pack_column(weights),
+            _pack_column(items) if layout == _L_TUPLES else b"".join(payloads),
+        )
+    except (ValueError, OverflowError):  # a negative, or past the code's range
+        return _L_TAGGED
+    for column in columns:
+        write_varint(buffer, len(column))
+        buffer += column
+    return layout
+
+
+def _read_column(data: bytes, offset: int, what: str, packed: bool = True):
+    """Read one sized column; returns ``(ints or raw bytes, next offset)``."""
+    size, offset = read_varint(data, offset)
+    end = offset + size
+    if end > len(data):  # refused before anything of that size is allocated
+        raise MapReduceError(f"{what} column of {size} bytes runs past the end of the wire payload")
+    if not packed:
+        return data[offset:end], end
+    try:
+        text = data[offset:end].decode("utf-8", "surrogatepass")
+    except UnicodeDecodeError as error:
+        raise MapReduceError(f"malformed code in {what} column of wire payload") from error
+    return tuple(memoryview(text.encode(_UTF32, "surrogatepass")).cast("I")), end
+
+
+def _decode_columns(data: bytes, offset: int, layout: int) -> tuple[list[Any], int]:
+    """Read one column group; returns ``(values, next offset)``."""
+    lengths, offset = _read_column(data, offset, "lengths")
+    weights, offset = _read_column(data, offset, "weights")
+    items, offset = _read_column(data, offset, "payload", packed=layout == _L_TUPLES)
+    if len(weights) != len(lengths):
+        raise MapReduceError(f"{len(weights)} weights for {len(lengths)} lengths in column group")
+    if sum(lengths) != len(items):
+        raise MapReduceError(f"lengths sum to {sum(lengths)}, payload column holds {len(items)}")
+    ends = list(accumulate(lengths))
+    payloads = map(items.__getitem__, map(slice, [0] + ends, ends))
+    return list(zip(payloads, weights)), offset
+
+
 # -------------------------------------------------------------------- codecs
 class CompactCodec:
-    """Length-prefixed tagged binary codec, optionally zlib-compressed.
-
-    Blob layout: one header byte (0 raw, 1 zlib), then a varint key-group
-    count followed by ``count`` groups of ``key, value-count, values...``, all
-    encoded with :func:`encode_value`.
-    """
+    """Length-prefixed binary codec, optionally zlib-compressed; the module
+    docstring has the blob grammar.  Uniform ``(payload, weight)`` groups are
+    written as columns, everything else with :func:`encode_value`."""
 
     def __init__(self, compress: bool = False, compression_level: int = 6) -> None:
         self.compress = compress
@@ -276,7 +377,12 @@ class CompactCodec:
         buffer = bytearray()
         write_varint(buffer, len(payload))
         for key, values in payload.items():
+            head = len(buffer)
             encode_value(buffer, key)
+            layout = _encode_columns(buffer, values)
+            if layout:
+                buffer[head] |= layout << 4
+                continue
             write_varint(buffer, len(values))
             for value in values:
                 encode_value(buffer, value)
@@ -298,13 +404,20 @@ class CompactCodec:
             raise MapReduceError(f"unknown wire header byte {blob[0]}")
         count, offset = read_varint(data, 0)
         for _ in range(count):
+            head = offset
             try:
-                key, offset = decode_value(data, offset)
-                length, offset = read_varint(data, offset)
-                values = []
-                for _ in range(length):
-                    value, offset = decode_value(data, offset)
-                    values.append(value)
+                key, offset = decode_value(data, head, _TAG_MASK)
+                layout = data[head] >> 4
+                if layout == _L_TAGGED:
+                    length, offset = read_varint(data, offset)
+                    values = []
+                    for _ in range(length):
+                        value, offset = decode_value(data, offset)
+                        values.append(value)
+                elif layout in (_L_TUPLES, _L_BYTES):
+                    values, offset = _decode_columns(data, offset, layout)
+                else:
+                    raise MapReduceError(f"unknown group layout {layout} in wire payload")
             except RecursionError as error:
                 raise MapReduceError("wire payload nests too deeply") from error
             try:

@@ -1,7 +1,9 @@
 """Tests for the shuffle wire format and the disk-spilling bucket store.
 
 Covers three layers: value/bucket round-trips of every codec (including the
-empty-payload and huge-fid edge cases, plus hypothesis-generated payloads),
+empty-payload and huge-fid edge cases, plus hypothesis-generated payloads, and
+the column layout of uniform ``(payload, weight)`` groups against a test-side
+copy of the all-tagged encoder it replaced),
 the spill machinery itself (budget semantics, streamed merge, cleanup), and
 the end-to-end guarantee that miners produce identical patterns and identical
 *measured* wire bytes on every backend, for every codec, spilled or not.
@@ -9,6 +11,7 @@ the end-to-end guarantee that miners produce identical patterns and identical
 
 from __future__ import annotations
 
+import enum
 import os
 import random
 
@@ -32,6 +35,7 @@ from repro.mapreduce import (
     merge_fragments,
     run_map_task,
 )
+import repro.mapreduce.wire as wire_module
 from repro.mapreduce.spill import WireFragment, remove_spill_files, store_payloads
 from repro.mapreduce.wire import (
     _T_LIST,
@@ -269,6 +273,254 @@ class TestInlinedIntElements:
                 decode_value(bytes(buffer[:length]), 0)
 
 
+class Colour(enum.IntEnum):
+    """An ``int`` subclass that is not ``bool`` (pickled by the tagged layout)."""
+
+    RED = 3
+
+
+def tagged_blob(payload) -> bytes:
+    """The replaced layout as a test-side oracle: every group tagged, value by
+    value, the way ``CompactCodec.encode_bucket`` wrote all groups before
+    uniform ones became columns (raw header, no compression)."""
+    buffer = bytearray([0])
+    write_varint(buffer, len(payload))
+    for key, values in payload.items():
+        encode_value(buffer, key)
+        write_varint(buffer, len(values))
+        for value in values:
+            encode_value(buffer, value)
+    return bytes(buffer)
+
+
+def layouts(blob: bytes) -> list[int]:
+    """Layout of every key group of a raw blob, in order (0 = tagged)."""
+    found = []
+    count, offset = read_varint(blob, 1)
+    for _ in range(count):
+        found.append(blob[offset] >> 4)
+        _key, offset = decode_value(blob, offset, 0x0F)
+        if found[-1]:
+            for _column in range(3):
+                size, offset = read_varint(blob, offset)
+                offset += size
+        else:
+            length, offset = read_varint(blob, offset)
+            for _ in range(length):
+                _value, offset = decode_value(blob, offset)
+    assert offset == len(blob)
+    return found
+
+
+def same_types(left, right) -> bool:
+    """``type()`` equal element by element (``==`` alone lets ``True == 1``)."""
+    if type(left) is not type(right):
+        return False
+    if isinstance(left, dict):
+        return all(
+            same_types(a, b) and same_types(left[a], right[b])
+            for a, b in zip(left, right)
+        )
+    if isinstance(left, (tuple, list)):
+        return len(left) == len(right) and all(map(same_types, left, right))
+    return True
+
+
+def fid_tuples():
+    return st.lists(st.integers(min_value=0, max_value=0x10FFFF), max_size=12).map(tuple)
+
+
+def weights():
+    return st.one_of(st.integers(1, 3), st.integers(min_value=0, max_value=0x10FFFF))
+
+
+def uniform_groups():
+    """Value lists the encoder writes as columns: one payload kind, weighted."""
+    return st.one_of(
+        st.lists(st.tuples(fid_tuples(), weights()), min_size=1, max_size=6),
+        st.lists(st.tuples(st.binary(max_size=20), weights()), min_size=1, max_size=6),
+    )
+
+
+#: One value each that must send its whole group down the tagged layout.
+SPOILERS = (
+    (1, 2, 3),  # a bare payload
+    (5, 9),  # a bare fid pair: shaped like (payload, weight)
+    b"bare",
+    ((1, 2), True),  # a bool weight
+    ((1, True), 1),  # a bool item
+    ((1, 2), Colour.RED),  # an int subclass as weight ...
+    ((Colour.RED,), 1),  # ... and as item
+    ((1, -1), 1),
+    ((1, 2), -1),
+    (b"nfa", -1),
+    ((1, 0x110000), 1),  # one past the column code's range
+    ((1, 2), 0x110000),
+    ((2**64,), 1),
+    ((2**70,), 1),
+    ((1, 2), 2**70),
+    ((1, 2), 1, 0),  # a triple
+    ([1, 2], 1),  # a list payload
+)
+
+
+def expected_layout(values) -> int:
+    """The documented rule for the encoder's choice, spelled value by value."""
+
+    def number(value):
+        return type(value) is int and 0 <= value <= 0x10FFFF
+
+    kinds = set()
+    for value in values:
+        if type(value) is not tuple or len(value) != 2 or not number(value[1]):
+            return 0
+        payload = value[0]
+        if type(payload) is tuple and not all(map(number, payload)):
+            return 0
+        kinds.add(type(payload))
+    return {tuple: 1, bytes: 2}.get(kinds.pop(), 0) if len(kinds) == 1 else 0
+
+
+def spoiled_groups():
+    def spoil(drawn):
+        values, spoiler, position = drawn
+        if expected_layout(values + [spoiler]):
+            spoiler = spoiler[0]  # a record of the group's own kind: make it bare
+        position %= len(values) + 1
+        return values[:position] + [spoiler] + values[position:]
+
+    # A well-formed record of the other payload kind spoils a group as well.
+    spoilers = SPOILERS + ((b"nfa", 1), ((7,), 1))
+    return st.tuples(
+        uniform_groups(), st.sampled_from(spoilers), st.integers(min_value=0)
+    ).map(spoil)
+
+
+def column_payloads():
+    """Payloads drawn to hit both layouts in one blob."""
+    groups = st.one_of(uniform_groups(), spoiled_groups(), st.just([]))
+    return st.dictionaries(st.integers(min_value=0, max_value=5000), groups, max_size=6)
+
+
+class TestColumnGroups:
+    """Uniform ``(payload, weight)`` groups travel as columns; the blob decodes
+    to the very values the tagged layout carried."""
+
+    @pytest.mark.parametrize("name", CODECS)
+    @settings(max_examples=120, deadline=None)
+    @given(payload=column_payloads())
+    def test_round_trip_keeps_values_order_and_types(self, name, payload):
+        codec = make_codec(name)
+        decoded = codec.decode_bucket(codec.encode_bucket(payload))
+        assert decoded == payload
+        assert list(decoded) == list(payload)
+        assert same_types(decoded, payload)
+
+    @settings(max_examples=120, deadline=None)
+    @given(payload=column_payloads())
+    def test_layout_is_a_function_of_the_group_and_the_oracle_agrees(self, payload):
+        codec = make_codec("compact")
+        blob = codec.encode_bucket(payload)
+        expected = [expected_layout(values) for values in payload.values()]
+        assert layouts(blob) == expected
+        # A blob of the replaced layout still reads, to the same payload.
+        old = tagged_blob(payload)
+        assert layouts(old) == [0] * len(payload)
+        decoded = codec.decode_bucket(old)
+        assert decoded == payload and same_types(decoded, payload)
+        if not any(expected):
+            assert blob == old  # tagged groups are written as they always were
+
+    @settings(max_examples=120, deadline=None)
+    @given(groups=st.lists(uniform_groups(), min_size=1, max_size=5))
+    def test_the_tagged_oracle_is_never_smaller_on_drawn_uniform_groups(self, groups):
+        payload = dict(enumerate(groups))
+        blob = make_codec("compact").encode_bucket(payload)
+        assert all(layouts(blob))
+        assert len(blob) <= len(tagged_blob(payload))
+
+    @pytest.mark.parametrize("number", [0, 63, 64, 127, 128, 2047, 2048, 8191, 8192,
+                                        65_535, 65_536, 2**20 - 1, 2**20, 0x10FFFF])
+    def test_a_number_never_costs_more_than_tag_plus_zigzag(self, number):
+        tagged = bytearray()
+        encode_value(tagged, number)
+        assert len(chr(number).encode("utf-8", "surrogatepass")) <= len(tagged)
+
+    def test_the_one_group_shape_that_grows(self):
+        """Three sized columns against one count: a lone record whose item
+        column passes 16 KiB while every item sits where UTF-8 and tag +
+        zigzag tie (2,048-8,191 here) is a byte larger; a second record in the
+        group pays it back."""
+        codec = make_codec("compact")
+        lone = {1: [((2048,) * 6000, 1)]}
+        assert len(codec.encode_bucket(lone)) == len(tagged_blob(lone)) + 1
+        pair = {1: [((2048,) * 6000, 1)] * 2}
+        assert len(codec.encode_bucket(pair)) < len(tagged_blob(pair))
+
+    @pytest.mark.parametrize(
+        "below, above",
+        [(127, 128), (2047, 2048), (0xD7FF, 0xD800), (0xDFFF, 0xE000), (65_535, 65_536)],
+    )
+    def test_code_boundaries(self, below, above):
+        codec = make_codec("compact")
+        payload = {
+            1: [((below, above, 0), below), ((), above)],
+            2: [(bytes(5), above), (b"", below)],
+        }
+        blob = codec.encode_bucket(payload)
+        assert layouts(blob) == [1, 2]
+        decoded = codec.decode_bucket(blob)
+        assert decoded == payload and same_types(decoded, payload)
+
+    def test_range_end(self):
+        codec = make_codec("compact")
+        inside = {1: [((0x10FFFF,), 0x10FFFF)], 2: [(b"x", 0x10FFFF)]}
+        assert layouts(codec.encode_bucket(inside)) == [1, 2]
+        assert codec.decode_bucket(codec.encode_bucket(inside)) == inside
+        for outside in (
+            {1: [((0x110000,), 1)]},
+            {1: [((1,), 0x110000)]},
+            {1: [(b"x", 0x110000)]},
+        ):
+            blob = codec.encode_bucket(outside)
+            assert layouts(blob) == [0] and blob == tagged_blob(outside)
+            assert codec.decode_bucket(blob) == outside
+
+    @pytest.mark.parametrize("spoiler", SPOILERS, ids=repr)
+    def test_one_odd_value_keeps_the_group_tagged(self, spoiler):
+        codec = make_codec("compact")
+        for values in ([((1, 2), 1), spoiler, ((), 2)], [(b"a", 1), spoiler]):
+            blob = codec.encode_bucket({9: values})
+            assert layouts(blob) == [0]
+            decoded = codec.decode_bucket(blob)
+            assert decoded == {9: values} and same_types(decoded, {9: values})
+
+    def test_number_of_varint_calls_does_not_depend_on_the_item_count(self, monkeypatch):
+        calls = {"write": 0, "read": 0}
+        write, read = wire_module.write_varint, wire_module.read_varint
+
+        def counting_write(buffer, value):
+            calls["write"] += 1
+            write(buffer, value)
+
+        def counting_read(data, offset):
+            calls["read"] += 1
+            return read(data, offset)
+
+        monkeypatch.setattr(wire_module, "write_varint", counting_write)
+        monkeypatch.setattr(wire_module, "read_varint", counting_read)
+        codec = make_codec("compact")
+        counted = []
+        for records, items in ((2, 5), (100, 100)):
+            calls.update(write=0, read=0)
+            row = tuple(range(300, 300 + items))
+            payload = {7: [(row, 1 + index) for index in range(records)]}
+            assert codec.decode_bucket(codec.encode_bucket(payload)) == payload
+            counted.append(dict(calls))
+        assert counted[0] == counted[1]  # 10 items and 10,000 items
+        assert counted[0]["write"] <= 8 and counted[0]["read"] <= 8
+
+
 class TestHostilePayloads:
     """``decode_bucket`` reads bytes another process wrote: whatever arrives,
     it returns a payload or raises ``MapReduceError`` — nothing else."""
@@ -277,6 +529,9 @@ class TestHostilePayloads:
         7: [((1, 2, 300, 70_000), 2), "héllo", b"\x00\x01", frozenset({1, 2}), 1.5],
         "key": [(5, 9000, -1), None, True, [1, (2,)], {"pickled": 1}, -5],
         (1, 2): [()],
+        # Column groups: weights above 127, an empty tuple, a 0-byte payload.
+        11: [((1, 2, 300, 70_000), 200), ((), 1), ((0x10FFFF, 0xD800, 128), 3000)],
+        12: [(b"\x00nfa\xff", 130), (b"", 1), (b"\x80" * 5, 70_000)],
     }
 
     @staticmethod
@@ -307,7 +562,13 @@ class TestHostilePayloads:
             body = bytes(rng.randrange(256) for _ in range(rng.randrange(1, len(blob))))
             self.read(codec, bytes([rng.randrange(2)]) + body)
 
+    def test_the_payload_exercises_both_layouts(self):
+        assert layouts(make_codec("compact").encode_bucket(self.PAYLOAD)) == [0, 0, 0, 1, 2]
+
     def test_named_hazards(self):
+        # Tagged groups are written byte for byte as before the column layout
+        # (layout 0 in the key byte's high nibble *is* the old key byte), so
+        # these hand-written blobs are still what the encoder would produce.
         codec = make_codec("compact")
         hazards = {
             "malformed string": b"\x00\x01\x02\x01\xff\x00",
@@ -321,6 +582,68 @@ class TestHostilePayloads:
             with pytest.raises(MapReduceError, match=message) as caught:
                 codec.decode_bucket(blob)
             assert caught.value.__cause__ is not None, message
+
+    #: ``raw header, one group, int key 1 under layout 1 / 2`` — what every
+    #: hand-written column group below starts with.
+    TUPLES = b"\x00\x01\x10\x02"
+    BYTES = b"\x00\x01\x20\x02"
+
+    def test_well_formed_hand_written_column_groups(self):
+        codec = make_codec("compact")
+        lengths_weights = b"\x02\x02\x00" + b"\x03\x01\xc2\x82"  # (2, 0), (1, 130)
+        assert codec.decode_bucket(self.TUPLES + lengths_weights + b"\x03\x05\xc4\xac") == {
+            1: [((5, 300), 1), ((), 130)]
+        }
+        assert codec.decode_bucket(self.BYTES + lengths_weights + b"\x02\xff\x00") == {
+            1: [(b"\xff\x00", 1), (b"", 130)]
+        }
+
+    def test_named_column_hazards(self):
+        codec = make_codec("compact")
+        one = b"\x01\x01"  # a column holding the single number 1
+        huge = b"\xff\xff\xff\xff\xff\xff\xff\xff\x3f"  # varint 2**62 - 1
+        hazards = [
+            # (message, blob, kept cause)
+            ("lengths sum to 2, payload column holds 1", self.TUPLES + b"\x01\x02" + one + one, None),
+            ("lengths sum to 1, payload column holds 3", self.BYTES + one + one + b"\x03abc", None),
+            ("2 weights for 1 lengths", self.TUPLES + one + b"\x02\x01\x01" + one, None),
+            ("0 weights for 1 lengths", self.BYTES + one + b"\x00" + b"\x01a", None),
+            ("lengths column of 4611686018427387903 bytes runs past the end", self.TUPLES + huge, None),
+            ("weights column of 5 bytes runs past the end", self.TUPLES + one + b"\x05\x01", None),
+            ("payload column of 4611686018427387903 bytes runs past", self.BYTES + one + one + huge + b"a", None),
+            ("truncated varint", self.TUPLES + one + one, None),  # no payload column at all
+            # Overlong, truncated, out-of-range, stray continuation, 5-byte form.
+            ("malformed code in lengths column", self.TUPLES + b"\x02\xc0\x81" + one + one, UnicodeDecodeError),
+            ("malformed code in weights column", self.TUPLES + one + b"\x01\xe2" + one, UnicodeDecodeError),
+            ("malformed code in payload column", self.TUPLES + one + one + b"\x04\xf4\x90\x80\x80", UnicodeDecodeError),
+            ("malformed code in payload column", self.TUPLES + one + one + b"\x01\x80", UnicodeDecodeError),
+            ("malformed code in weights column", self.BYTES + one + b"\x05\xf8\x88\x80\x80\x80" + b"\x01a", UnicodeDecodeError),
+            ("unknown group layout 3", b"\x00\x01\x30\x02" + one + one + one, None),
+            ("unknown group layout 15", b"\x00\x01\xf0\x02\x00", None),
+            ("unknown wire tag 11", b"\x00\x01\x1b\x02" + one + one + one, None),  # key tag, layout masked off
+            ("trailing bytes", self.TUPLES + one + one + one + b"\x00", None),
+        ]
+        for message, blob, cause in hazards:
+            with pytest.raises(MapReduceError, match=message) as caught:
+                codec.decode_bucket(blob)
+            if cause is None:
+                assert caught.value.__cause__ is None, message
+            else:
+                assert isinstance(caught.value.__cause__, cause), message
+
+    def test_a_tagged_body_under_a_column_flag_is_refused(self):
+        """The layout lives in the key byte and a column group has no value
+        count, so "a layout flag on a group that also declares tagged values"
+        is not a state the grammar can spell; what can arrive is a tagged body
+        whose key byte claims columns, and the column checks refuse it."""
+        codec = make_codec("compact")
+        for values in ([5, 6], [((1, 2), 1)], [(b"nfa", 1)], [((1, 2), 1)] * 3, []):
+            blob = bytearray(tagged_blob({1: values}))
+            assert codec.decode_bucket(bytes(blob)) == {1: values}
+            for layout in (1, 2):
+                blob[2] = layout << 4
+                with pytest.raises(MapReduceError):
+                    codec.decode_bucket(bytes(blob))
 
 
 # --------------------------------------------------------------------- spill
