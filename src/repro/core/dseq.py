@@ -16,10 +16,12 @@ Two performance layers sit underneath (both with debugging references):
 
 * ``grid`` selects the position–state grid engine — ``"flat"`` (the one-pass
   :class:`~repro.core.grid_engine.FlatPivotGrid`, default) or ``"legacy"``
-  (the interpreted :class:`~repro.core.pivot_search.PositionStateGrid`); grids
-  are memoized per worker (:func:`~repro.core.grid_engine.cached_grid`), so a
-  sequence repeating across chunks, or a rewritten sequence landing in several
-  partitions, builds its grid once;
+  (the interpreted :class:`~repro.core.pivot_search.PositionStateGrid`) on the
+  map side; grids are memoized per worker
+  (:func:`~repro.core.grid_engine.cached_grid`), so a sequence repeating across
+  chunks builds its grid once.  The reduce side builds no grid: a rewritten
+  sequence landing in several partitions builds its
+  :class:`~repro.core.local_mining.MiningTables` once, in the same memo;
 * ``dedup`` mines the corpus's
   :meth:`~repro.sequences.store.EncodedSequenceStore.unique_view`: one
   weighted record per distinct input sequence, so map work drops
@@ -193,8 +195,7 @@ class DSeqJob(MapReduceJob):
             self.sigma,
             pivot=key,
             use_early_stopping=self.use_early_stopping,
-            grid=self.grid,
-            map_batching=self.map_batching,
+            max_frequent_fid=self.max_frequent_fid,
         )
         patterns = miner.mine(sequences, weights)
         yield from patterns.items()

@@ -1,11 +1,13 @@
-"""Flat pivot-grid engine: one-pass position–state grid plus per-worker memos.
+"""Flat pivot-grid engine: one-pass position–state grid plus the per-worker memo.
 
 The position–state grid (Sec. V-A/V-B) is the dominant map-side computation of
-D-SEQ and the early-stopping oracle of the pivot-aware local miner.  The
-reference implementation in :mod:`repro.core.pivot_search` is deliberately
-literal — one :class:`~repro.core.pivot_search.GridEdge` dataclass per live
-edge and a ``dict[state] -> set`` pivot table per position.  This module is the
-performance engine built on the same theory:
+D-SEQ.  The pivot-aware local miner reads no grid: its early-stopping oracle
+is :meth:`~repro.fst.compiled.MiningKernel.last_producing_table`, and a grid's
+``last_pivot_producing_position`` is the reference the tests hold that table
+against.  The reference implementation in :mod:`repro.core.pivot_search` is
+deliberately literal — one :class:`~repro.core.pivot_search.GridEdge`
+dataclass per live edge and a ``dict[state] -> set`` pivot table per position.
+This module is the performance engine built on the same theory:
 
 * :class:`FlatPivotGrid` is the kernel's backward reachability table (one
   state bitmask per position) and, for accepted sequences only, **one forward
@@ -18,15 +20,13 @@ performance engine built on the same theory:
   position and the last producing position per output item — so the per-pivot
   queries of D-SEQ's map loop are list scans and dict lookups.  A rejected
   sequence costs its reachability table and nothing else.
-* :func:`cached_grid` is a bounded per-worker memo of built grids, keyed by
-  ``(grid engine, kernel fingerprint, encoded sequence, frequency filter)``:
-  repeated sequences across chunks — and the same rewritten sequence arriving
-  in several reduce partitions — build their grid once per worker process.
-  On the reduce side a memoized grid also carries the sequence's local-mining
-  tables (``reduce_tables``: finishable table and step index, see
-  :class:`~repro.core.local_mining.MiningTables`).  They are filled lazily and
-  only by the local miner — the map side never pays for them — and live and
-  die with their memo entry.
+* :func:`memoized` is one bounded per-worker memo of per-sequence values,
+  keyed by ``(kind, kernel fingerprint, encoded sequence, frequency filter)``.
+  :func:`cached_grid` keeps the map side's grids in it — a sequence repeating
+  across chunks builds its grid once per worker process — and the reduce side
+  keeps its :class:`~repro.core.local_mining.MiningTables` there (kind
+  ``"tables"``; a reducer never builds a grid), so both compete for the same
+  limit and evict each other first-in, first-out.
   :class:`GridMemoWarmup` ships the sizing (and the mining kernel) through the
   persistent pool initializer.
 
@@ -168,7 +168,8 @@ class FlatPivotGrid:
       pivot with two early-exiting scans;
     * the last producing position of every output item (walking forward, the
       last write wins), which answers :meth:`last_pivot_producing_position`
-      with a dict lookup.
+      with a dict lookup (read by the equivalence suites only: reducers ask
+      :class:`~repro.core.local_mining.MiningTables`).
 
     A sequence without an accepting run holds its reachability table and
     nothing else.  :meth:`edges_at`, :meth:`live_edges` and :meth:`pivot_set`
@@ -181,11 +182,6 @@ class FlatPivotGrid:
     """
 
     kind = "flat"
-
-    #: Reduce-only slot: the sequence's local-mining tables, filled on first
-    #: request by :func:`repro.core.local_mining.tables_of` (one assignment of
-    #: a pure function of the memo key); the map side never touches it.
-    reduce_tables = None
 
     def __init__(
         self,
@@ -501,9 +497,9 @@ def make_grid(
 
 
 # ------------------------------------------------------------ per-worker memo
-#: Default bound on memoized grids per worker process.  Entries are small
-#: (columns of one input sequence), so the bound is about cycling gracefully
-#: on long jobs, not about tight memory pressure.  Pool workers die with
+#: Default bound on memoized grids and mining tables per worker process.
+#: Entries are small (tables of one sequence), so the bound is about cycling
+#: gracefully on long jobs, not about tight memory pressure.  Pool workers die with
 #: their job; on in-process backends the (bounded) memo deliberately
 #: outlives the job so repeated mining over the same corpus stays warm —
 #: call :func:`clear_grid_memo` or ``set_grid_memo_limit(0)`` to reclaim.
@@ -517,7 +513,7 @@ _memo_misses = 0
 
 
 def set_grid_memo_limit(limit: int) -> None:
-    """Resize (or, with 0, disable) this process's grid memo."""
+    """Resize (or, with 0, disable) this process's memo of grids and tables."""
     global _memo_limit
     if limit < 0:
         raise MiningError(f"grid memo limit must be >= 0, got {limit}")
@@ -528,7 +524,7 @@ def set_grid_memo_limit(limit: int) -> None:
 
 
 def clear_grid_memo() -> None:
-    """Drop every memoized grid and reset the hit/miss counters (tests)."""
+    """Drop every memoized grid and table and reset the hit/miss counters (tests)."""
     global _memo_hits, _memo_misses
     with _memo_lock:
         _GRID_MEMO.clear()
@@ -537,7 +533,7 @@ def clear_grid_memo() -> None:
 
 
 def grid_memo_info() -> dict[str, int]:
-    """Size, limit, and hit/miss counters of this process's grid memo."""
+    """Size, limit, and hit/miss counters of this process's memo (grids and tables)."""
     return {
         "size": len(_GRID_MEMO),
         "limit": _memo_limit,
@@ -574,8 +570,9 @@ class _SpanKey:
 
 
 def _memo_key(kernel: MiningKernel, sequence, max_frequent_fid, name, span_hash=None):
+    """The :func:`memoized` key of ``name``'s value for a sequence."""
     # Compiled kernels carry a content fingerprint; interpreted kernels fall
-    # back to object identity, which is safe because every memoized grid holds
+    # back to object identity, which is safe because every memoized value holds
     # a reference to its kernel (an id cannot be recycled while entries for it
     # remain alive).
     fingerprint = getattr(kernel, "fingerprint", None) or id(kernel)
@@ -588,6 +585,31 @@ def _memo_key(kernel: MiningKernel, sequence, max_frequent_fid, name, span_hash=
     return (name, fingerprint, encoded, max_frequent_fid)
 
 
+def memoized(key, build):
+    """The value under ``key`` in this worker's memo, built by ``build()``
+    (and kept, within the limit) on a miss.
+
+    Values are *observably* immutable after construction, which is what makes
+    sharing them safe: what a value fills in later is a pure function of its
+    key published with one assignment — threads sharing the memo may duplicate
+    a build or a fill but can never see a half-built or disagreeing one.
+    """
+    global _memo_hits, _memo_misses
+    with _memo_lock:
+        hit = _GRID_MEMO.get(key)
+        if hit is not None:
+            _memo_hits += 1
+            return hit
+        _memo_misses += 1
+    built = build()
+    if _memo_limit:
+        with _memo_lock:
+            while len(_GRID_MEMO) >= _memo_limit:
+                _GRID_MEMO.pop(next(iter(_GRID_MEMO)), None)
+            _GRID_MEMO[key] = built
+    return built
+
+
 def cached_grid(
     fst: Fst | MiningKernel,
     sequence: Sequence[int],
@@ -598,35 +620,18 @@ def cached_grid(
 ) -> FlatPivotGrid | PositionStateGrid:
     """A built grid from this worker's memo, building (and caching) on a miss.
 
-    The memo is keyed by ``(grid engine, kernel fingerprint, encoded sequence,
-    frequency filter)``, so repeated input sequences across map chunks — and
-    the same rewritten sequence landing in several reduce partitions — build
-    their grid once per worker process.  Grids are *observably* immutable
-    after construction, which is what makes sharing them safe: the one thing
-    that changes later is the lazily filled ``reduce_tables`` slot, whose
-    values are pure functions of the memo key published with one assignment
-    each — threads sharing the memo may duplicate a fill but can never see a
-    half-built or disagreeing one.  Pass ``span_hash``
-    when the record already carries the dedup store's span hash to skip
-    re-encoding the sequence for the key (see :class:`_SpanKey`).
+    Keyed by ``(grid engine, kernel fingerprint, encoded sequence, frequency
+    filter)``, so repeated input sequences across map chunks build their grid
+    once per worker process.  Pass ``span_hash`` when the record already
+    carries the dedup store's span hash to skip re-encoding the sequence for
+    the key (see :class:`_SpanKey`).
     """
-    global _memo_hits, _memo_misses
     kernel = ensure_kernel(fst, dictionary)
     name = normalize_grid(grid)
-    key = _memo_key(kernel, sequence, max_frequent_fid, name, span_hash)
-    with _memo_lock:
-        hit = _GRID_MEMO.get(key)
-        if hit is not None:
-            _memo_hits += 1
-            return hit
-        _memo_misses += 1
-    built = make_grid(kernel, sequence, max_frequent_fid=max_frequent_fid, grid=name)
-    if _memo_limit:
-        with _memo_lock:
-            while len(_GRID_MEMO) >= _memo_limit:
-                _GRID_MEMO.pop(next(iter(_GRID_MEMO)), None)
-            _GRID_MEMO[key] = built
-    return built
+    return memoized(
+        _memo_key(kernel, sequence, max_frequent_fid, name, span_hash),
+        lambda: make_grid(kernel, sequence, max_frequent_fid=max_frequent_fid, grid=name),
+    )
 
 
 class GridMemoWarmup:

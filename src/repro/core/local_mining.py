@@ -11,13 +11,16 @@ With ``pivot=None`` the same code is the *sequential* DESQ-DFS baseline used
 in Table V: it mines all frequent patterns of the given sequences.
 
 The work is split by what it depends on.  *Per sequence* — a function of
-``(kernel, sequence, frequency filter)`` only — are the reachability and
-finishable tables and the step index of :class:`MiningTables`; under a pivot
-they ride on the sequence's memoized grid (:func:`tables_of`), so a rewritten
-sequence that lands in many partitions, and is met at every search-tree node
-of each, computes them once per worker.  *Per partition* are a weight, the
-last pivot-producing position and the search itself, which only filters the
-shared step pairs by the pivot and the early-stopping cut.
+``(kernel, sequence, frequency filter)`` only — are the reachability,
+finishable and last-producing tables and the step index of
+:class:`MiningTables`, each a pass over state sets along the kernel's per-item
+edge list; no position–state grid is built.  Under a pivot they are kept in
+the per-worker memo the map side's grids use
+(:func:`~repro.core.grid_engine.memoized`), so a rewritten sequence that lands
+in many partitions, and is met at every search-tree node of each, computes
+them once per worker.  *Per partition* are a weight, one lookup of the last
+pivot-producing position and the search itself, which only filters the shared
+step pairs by the pivot and the early-stopping cut.
 
 All FST probes go through a :class:`~repro.fst.compiled.MiningKernel`; a raw
 ``(fst, dictionary)`` pair is wrapped in the default (compiled) kernel, whose
@@ -31,68 +34,85 @@ from collections.abc import Iterable, Sequence
 from repro.dictionary import Dictionary
 from repro.errors import MiningError
 from repro.fst import Fst, MiningKernel, ensure_kernel
-from repro.core.grid_engine import cached_grid, normalize_grid
-from repro.core.prefix_batch import batched_grids, normalize_map_batching
+from repro.core.grid_engine import _memo_key, memoized
+
+
+#: "No early-stopping cut" / "no frequency filter": compares above every
+#: snapshot code and every fid.
+_NO_LIMIT = float("inf")
 
 
 class MiningTables:
     """Everything local mining needs that depends on the sequence alone.
 
     A pure function of ``(kernel, sequence, max_frequent_fid)``: the
-    reachability table ``alive`` (one state bitmask per position), the
-    ``finishable`` table (one flat ``bytes`` of ``(len(sequence) + 1) *
-    num_states`` flags, built on first request) and
-    the *step index*.  A snapshot ``(position, state)`` is coded as the int
-    ``position * num_states + state``; :meth:`steps` maps a snapshot to the
+    reachability table ``alive`` (one state bitmask per position) and, each
+    built on first request, the ``finishable`` flags (one int, bit
+    ``position * num_states + state``), the last producing position of every
+    output item (the early-stopping oracle) and the *step index*.  A snapshot
+    ``(position, state)`` is coded as the int ``position * num_states +
+    state``; :meth:`steps` maps a snapshot to the
     ascending tuple of ``(output item, next snapshot)`` pairs reachable through
     uncaptured live edges followed by one captured live edge, with outputs
     filtered by ``max_frequent_fid`` only.  The pivot and the early-stopping
     cut of a partition merely *filter* these pairs, so one instance serves
     every partition and every search-tree node that meets the sequence.
 
-    Instances ride on the grid they were derived from (:func:`tables_of`) and
-    live and die with its memo entry.  Lazily filled values are published with
-    one assignment each: concurrent readers may duplicate a fill, but can
-    never observe a half-built or disagreeing one.
+    Lazily filled values are published with one assignment each: concurrent
+    readers may duplicate a fill, but can never observe a half-built or
+    disagreeing one.
     """
 
-    __slots__ = ("kernel", "sequence", "max_frequent_fid", "alive", "_finishable", "_steps")
+    __slots__ = (
+        "kernel", "sequence", "max_frequent_fid", "alive",
+        "_finishable", "_last_producing", "_steps",
+    )
 
     def __init__(
-        self,
-        kernel: MiningKernel,
-        sequence: tuple[int, ...],
-        max_frequent_fid: int | None,
-        alive: list[int] | None = None,
+        self, kernel: MiningKernel, sequence: tuple[int, ...], max_frequent_fid: int | None
     ) -> None:
         self.kernel = kernel
         self.sequence = sequence
         self.max_frequent_fid = max_frequent_fid
-        self.alive = kernel.reachability_table(sequence) if alive is None else alive
-        self._finishable: bytes | None = None
+        self.alive = kernel.reachability_table(sequence)
+        self._finishable: int | None = None
+        self._last_producing: dict[int, int] | None = None
         self._steps: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def finishes(self, snapshots: Iterable[int]) -> bool:
         """True iff some snapshot reaches acceptance producing only ε outputs."""
-        table = self._finishable
-        if table is None:
-            table = b"".join(map(bytes, self.kernel.finishable_table(self.sequence)))
-            self._finishable = table
+        flags = self._finishable
+        if flags is None:
+            flags = 0
+            num_states = self.kernel.num_states
+            for mask in reversed(self.kernel.finishable_table(self.sequence)):
+                flags = flags << num_states | mask
+            self._finishable = flags
         for snapshot in snapshots:
-            if table[snapshot]:
+            if (flags >> snapshot) & 1:
                 return True
         return False
+
+    def last_producing_position(self, pivot: int) -> int:
+        """The last 1-based position whose live edges can output ``pivot``
+        (0 when none can): where Sec. V-C's early stopping cuts."""
+        table = self._last_producing
+        if table is None:
+            table = self._last_producing = self.kernel.last_producing_table(
+                self.sequence, self.alive, self.max_frequent_fid
+            )
+        return table.get(pivot, 0)
 
     def steps(self, snapshot: int) -> tuple[tuple[int, int], ...]:
         """The one-item expansions of ``snapshot``, ascending by output item."""
         entries = self._steps.get(snapshot)
         if entries is not None:
             return entries
-        kernel = self.kernel
+        edge_rows = self.kernel.edge_rows
         sequence = self.sequence
         alive = self.alive
-        max_frequent_fid = self.max_frequent_fid
-        num_states = kernel.num_states
+        limit = _NO_LIMIT if self.max_frequent_fid is None else self.max_frequent_fid
+        num_states = self.kernel.num_states
         n = len(sequence)
         found: set[tuple[int, int]] = set()
         visited = {snapshot}
@@ -101,15 +121,15 @@ class MiningTables:
             position, fst_state = divmod(stack.pop(), num_states)
             if position >= n:
                 continue
-            item = sequence[position]
             next_alive = alive[position + 1]
             base = (position + 1) * num_states
-            for tid in kernel.matching(fst_state, item):
-                target = kernel.target(tid)
+            for target, outputs in edge_rows(sequence[position])[fst_state]:
                 if not (next_alive >> target) & 1:
                     continue
-                if kernel.is_captured(tid):
-                    for output in kernel.filtered_outputs(tid, item, max_frequent_fid):
+                if outputs is not None:
+                    for output in outputs:
+                        if output > limit:
+                            break
                         found.add((output, base + target))
                 elif base + target not in visited:
                     visited.add(base + target)
@@ -117,23 +137,6 @@ class MiningTables:
         entries = tuple(sorted(found))
         self._steps[snapshot] = entries
         return entries
-
-
-def tables_of(grid) -> MiningTables:
-    """The :class:`MiningTables` riding on ``grid``, created on first request.
-
-    Reduce-only: the map side never asks, so grid construction stays as cheap
-    as before and the tables share the grid's ``alive`` table.
-    """
-    tables = grid.reduce_tables
-    if tables is None:
-        tables = MiningTables(grid.kernel, grid.sequence, grid.max_frequent_fid, grid.alive)
-        grid.reduce_tables = tables
-    return tables
-
-
-#: "No early-stopping cut": compares above every snapshot code.
-_NO_LIMIT = float("inf")
 
 
 class _SequenceState:
@@ -173,17 +176,10 @@ class DesqDfsMiner:
         projected database once they can no longer contribute the pivot item.
     max_patterns:
         Safety cap on the number of emitted patterns.
-    grid:
-        The position–state grid engine serving the early-stopping oracle
-        (``"flat"``, the default, or ``"legacy"``; see
-        :mod:`repro.core.grid_engine`).
-    map_batching:
-        With ``"trie"`` (and the flat grid engine), the early-stopping grids
-        of a partition's sequences are built in one trie-batched pass
-        (:func:`~repro.core.prefix_batch.batched_grids`) instead of one
-        forward simulation per sequence — rewritten sequences of one pivot
-        share long prefixes, so this is where batching pays off twice.
-        ``"off"`` (the default) keeps the per-sequence memoized path.
+    max_frequent_fid:
+        The dictionary's largest frequent fid at ``sigma`` when the caller
+        already holds it (D-SEQ's job does, once for all its partitions);
+        scanned from the dictionary when omitted.
     """
 
     def __init__(
@@ -194,8 +190,7 @@ class DesqDfsMiner:
         pivot: int | None = None,
         use_early_stopping: bool = True,
         max_patterns: int = 10_000_000,
-        grid: str | None = None,
-        map_batching: str | None = None,
+        max_frequent_fid: int | None = None,
     ) -> None:
         if sigma < 1:
             raise MiningError(f"sigma must be >= 1, got {sigma}")
@@ -207,9 +202,9 @@ class DesqDfsMiner:
         self.pivot = pivot
         self.use_early_stopping = use_early_stopping
         self.max_patterns = max_patterns
-        self.grid = normalize_grid(grid)
-        self.map_batching = normalize_map_batching(map_batching)
-        self.max_frequent_fid = self.dictionary.largest_frequent_fid(sigma)
+        if max_frequent_fid is None:
+            max_frequent_fid = self.dictionary.largest_frequent_fid(sigma)
+        self.max_frequent_fid = max_frequent_fid
 
     # --------------------------------------------------------------------- API
     def mine(
@@ -230,32 +225,17 @@ class DesqDfsMiner:
         kernel = self.kernel
         max_frequent_fid = self.max_frequent_fid
         cutting = self.pivot is not None and self.use_early_stopping
-        built_grids: dict[tuple[int, ...], object] = {}
-        if cutting and self.map_batching == "trie" and self.grid == "flat":
-            # One trie-batched forward pass builds every early-stopping grid
-            # of the partition; duplicates and shared prefixes are simulated
-            # once (counters are map-side metrics, not threaded here).
-            built_grids = batched_grids(
-                kernel,
-                (tuple(sequence) for sequence in sequences),
-                max_frequent_fid=max_frequent_fid,
-            )
         states: list[_SequenceState] = []
         for sequence, weight in zip(sequences, weights):
             sequence = tuple(sequence)
             if cutting:
-                # The early-stopping oracle reads the position-state grid, and
-                # the tables ride on it: through the per-worker memo a
-                # rewritten sequence that lands in several partitions builds
-                # both once per worker.  A trie-batched caller's prebuilt
-                # grids carry their tables for this partition only.
-                grid = built_grids.get(sequence)
-                if grid is None:
-                    grid = cached_grid(
-                        kernel, sequence, max_frequent_fid=max_frequent_fid, grid=self.grid
-                    )
-                tables = tables_of(grid)
-                last_pivot_position = grid.last_pivot_producing_position(self.pivot)
+                # Through the per-worker memo a rewritten sequence that lands
+                # in several partitions builds its tables once per worker.
+                tables = memoized(
+                    _memo_key(kernel, sequence, max_frequent_fid, "tables"),
+                    lambda: MiningTables(kernel, sequence, max_frequent_fid),
+                )
+                last_pivot_position = tables.last_producing_position(self.pivot)
             else:
                 tables = MiningTables(kernel, sequence, max_frequent_fid)
                 last_pivot_position = len(sequence)

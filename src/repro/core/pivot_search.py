@@ -152,12 +152,8 @@ class PositionStateGrid:
     The grid records, for every (position, state) coordinate on an accepting
     run, the live incoming edges and the pivot set ``K(i, q)`` of the partial
     runs ending there.  It is the workhorse of D-SEQ's map phase: pivot
-    search, sequence rewriting and the early-stopping heuristic all read it.
+    search and sequence rewriting read it.
     """
-
-    #: Reduce-only slot for the sequence's local-mining tables (see
-    #: :func:`repro.core.local_mining.tables_of`); the map side never fills it.
-    reduce_tables = None
 
     def __init__(
         self,
@@ -292,10 +288,12 @@ class PositionStateGrid:
     def last_pivot_producing_position(self, pivot: int) -> int:
         """The last 1-based position whose live edges can output ``pivot``.
 
-        Used by the early-stopping heuristic of the pivot-aware local miner:
-        an input sequence cannot contribute ``pivot`` to a prefix any more
-        once mining has consumed items beyond this position.  Returns 0 when
-        no position can produce the pivot.
+        The early-stopping cut of the pivot-aware local miner: an input
+        sequence cannot contribute ``pivot`` to a prefix any more once mining
+        has consumed items beyond this position.  Returns 0 when no position
+        can produce the pivot.  The miner computes the same value without a
+        grid (:meth:`~repro.fst.compiled.MiningKernel.last_producing_table`);
+        this scan is the reference its tests compare against.
         """
         for position in range(len(self.sequence), 0, -1):
             for edge in self._edges[position]:

@@ -12,7 +12,7 @@ state with ``snapshot()``.
 
 Two batch drivers are exposed:
 
-* :func:`batched_grids` — D-SEQ and the pivot-aware local miner: one
+* :func:`batched_grids` — D-SEQ's map: one
   :class:`~repro.core.grid_engine.FlatPivotGrid` per unique sequence,
   byte-identical to the per-sequence build (the differential matrix holds
   ``map_batching={"off","trie"}`` equal in patterns *and* shuffle metrics).

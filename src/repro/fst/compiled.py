@@ -70,8 +70,9 @@ class MiningKernel:
     A kernel owns an :class:`~repro.fst.fst.Fst` and a
     :class:`~repro.dictionary.Dictionary` and answers the hot-loop queries of
     every consumer: matching transition ids per (state, item), transition
-    targets/capture flags, (filtered) output sets, and the two per-sequence
-    dynamic-programming tables.
+    targets/capture flags, (filtered) output sets, the per-item edge list
+    (:meth:`edge_rows`) and the three per-sequence tables derived from state
+    sets: reachability, finishable and last producing position.
     """
 
     kind = "abstract"
@@ -117,6 +118,23 @@ class MiningKernel:
             outputs = tuple(fid for fid in outputs if fid <= max_frequent_fid)
         return outputs
 
+    def edge_rows(self, item: int) -> tuple[tuple[tuple, ...], ...]:
+        """Per source state, the ``(target, outputs)`` edge of every
+        transition matching ``item`` (in :meth:`matching` order).
+
+        ``outputs`` is ``None`` for an uncaptured transition, else ``out_δ(item)``
+        ascending and *unfiltered*: a consumer applies its frequency filter by
+        stopping at the first output beyond it.
+        """
+        edge = self._edge
+        return tuple(
+            tuple(edge(tid, item) for tid in self.matching(state, item))
+            for state in range(self.num_states)
+        )
+
+    def _edge(self, tid: int, item: int) -> tuple:
+        return (self._targets[tid], self.outputs(tid, item) if self._captured[tid] else None)
+
     # ------------------------------------------------------------- DP tables
     def final_mask(self) -> int:
         """The final states as a bitmask (bit ``q`` set iff ``q`` is final)."""
@@ -155,32 +173,62 @@ class MiningKernel:
             alive[i] = mask = self.backward_step(sequence[i], mask)
         return alive
 
-    def finishable_table(self, sequence: Sequence[int]) -> list[list[bool]]:
-        """``finishable[i][q]``: acceptance reachable producing only ε outputs.
+    def finishable_step(self, item: int, mask: int) -> int:
+        """States with an *uncaptured* transition matching ``item`` into a
+        state of ``mask``: :meth:`backward_step` over ε-producing edges only."""
+        stepped = 0
+        for state, row in enumerate(self.edge_rows(item)):
+            for target, outputs in row:
+                if outputs is None and (mask >> target) & 1:
+                    stepped |= 1 << state
+                    break
+        return stepped
 
-        Still one list of flags per position, unlike the bitmask rows of
-        :meth:`reachability_table`: its one consumer
-        (:class:`~repro.core.local_mining.MiningTables`) flattens it to bytes
-        indexed by snapshot code.
-        """
-        n = len(sequence)
-        num_states = self.num_states
-        table = [[False] * num_states for _ in range(n + 1)]
-        row = table[n]
-        for state in self.final_states:
-            row[state] = True
-        targets = self._targets
-        captured = self._captured
-        for i in range(n - 1, -1, -1):
-            item = sequence[i]
-            row = table[i]
-            next_row = table[i + 1]
-            for state in range(num_states):
-                for tid in self.matching(state, item):
-                    if not captured[tid] and next_row[targets[tid]]:
-                        row[state] = True
-                        break
+    def finishable_table(self, sequence: Sequence[int]) -> list[int]:
+        """One bitmask per position, like :meth:`reachability_table`: bit ``q``
+        of ``finishable[i]`` is set iff acceptance is reachable from position
+        ``i``, state ``q`` producing only ε outputs."""
+        mask = self.final_mask()
+        table = [mask] * (len(sequence) + 1)
+        for i in range(len(sequence) - 1, -1, -1):
+            table[i] = mask = self.finishable_step(sequence[i], mask)
         return table
+
+    def last_producing_table(
+        self, sequence: Sequence[int], alive: list[int], max_frequent_fid: int | None
+    ) -> dict[int, int]:
+        """Per output item, the last 1-based position whose live edges can
+        output it (Sec. V-C's early-stopping cut; absent items never can).
+
+        One forward pass over state sets: from the initial state along edges
+        into ``alive`` states whose frequency-filtered output set is not
+        empty — exactly the coordinates to which the position–state grid
+        gives a non-empty ``K``, since ``U ⊕ Q`` is empty iff an operand is.
+        ``alive`` is the sequence's :meth:`reachability_table`.
+        """
+        limit = float("inf") if max_frequent_fid is None else max_frequent_fid
+        last: dict[int, int] = {}
+        states = {self.initial_state}
+        position = 0
+        for item in sequence:
+            position += 1
+            mask = alive[position]
+            rows = self.edge_rows(item)
+            reached = set()
+            for source in states:
+                for target, outputs in rows[source]:
+                    if not (mask >> target) & 1:
+                        continue
+                    if outputs is None:
+                        reached.add(target)
+                    elif outputs and outputs[0] <= limit:
+                        reached.add(target)
+                        for output in outputs:
+                            if output > limit:
+                                break
+                            last[output] = position
+            states = reached
+        return last
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -219,14 +267,17 @@ _KERNEL_CACHE_LIMIT = 16
 #: Warm per-kernel memo fields, rebuilt empty after an unpickle cache miss.
 _MEMO_FIELDS = (
     "_match_memo",
-    "_uncaptured_memo",
+    "_edge_memo",
+    "_uncaptured_edges",
+    "_finishable_memo",
     "_output_memo",
     "_filtered_memo",
     "_backward_memo",
 )
 
 #: Bound on a kernel's backward-step memo — items and item classes it knows,
-#: and state sets per step table; see :meth:`CompiledFst.reachability_table`.
+#: and state sets per step table; see :meth:`CompiledFst.reachability_table` —
+#: and on its edge-row and finishable-step memos.
 _BACKWARD_MEMO_LIMIT = 1 << 15
 
 
@@ -320,7 +371,9 @@ class CompiledFst(MiningKernel):
         self._labels = tuple(t.label for t in self.transitions)
         self.fingerprint = fingerprint or kernel_fingerprint(fst, dictionary)
         self._match_memo: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self._uncaptured_memo: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._edge_memo: dict[int, tuple[tuple[tuple, ...], ...]] = {}
+        self._uncaptured_edges: dict[int, tuple[int, None]] = {}
+        self._finishable_memo: dict[tuple[int, int], int] = {}
         self._output_memo: dict[tuple[int, int], tuple[int, ...]] = {}
         self._filtered_memo: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._backward_memo: dict[int | tuple, dict[int, int]] = {}
@@ -362,16 +415,24 @@ class CompiledFst(MiningKernel):
             self._match_memo[item] = rows
         return rows
 
-    def _uncaptured_rows(self, item: int) -> tuple[tuple[int, ...], ...]:
-        rows = self._uncaptured_memo.get(item)
+    def edge_rows(self, item: int) -> tuple[tuple[tuple, ...], ...]:
+        """The edge list of ``item``, memoised by the item alone.
+
+        Keyed without the frequency filter so that one kernel mined at many σ
+        holds one copy, and the ``(target, None)`` edge of an uncaptured
+        transition is one tuple shared by every item it matches.
+        """
+        rows = self._edge_memo.get(item)
         if rows is None:
-            captured = self._captured
-            rows = tuple(
-                tuple(tid for tid in row if not captured[tid])
-                for row in self._match_rows(item)
-            )
-            self._uncaptured_memo[item] = rows
+            if len(self._edge_memo) >= _BACKWARD_MEMO_LIMIT:
+                self._edge_memo.clear()
+            rows = self._edge_memo[item] = super().edge_rows(item)
         return rows
+
+    def _edge(self, tid: int, item: int) -> tuple:
+        if self._captured[tid]:
+            return (self._targets[tid], self.outputs(tid, item))
+        return self._uncaptured_edges.setdefault(tid, (self._targets[tid], None))
 
     def matching(self, state: int, item: int) -> tuple[int, ...]:
         return self._match_rows(item)[state]
@@ -441,24 +502,16 @@ class CompiledFst(MiningKernel):
         table = memo[item] = memo.setdefault(self._match_rows(item), {})
         return table
 
-    def finishable_table(self, sequence: Sequence[int]) -> list[list[bool]]:
-        n = len(sequence)
-        num_states = self.num_states
-        table = [[False] * num_states for _ in range(n + 1)]
-        row = table[n]
-        for state in self.final_states:
-            row[state] = True
-        targets = self._targets
-        for i in range(n - 1, -1, -1):
-            rows = self._uncaptured_rows(sequence[i])
-            row = table[i]
-            next_row = table[i + 1]
-            for state in range(num_states):
-                for tid in rows[state]:
-                    if next_row[targets[tid]]:
-                        row[state] = True
-                        break
-        return table
+    def finishable_step(self, item: int, mask: int) -> int:
+        """The base step, memoised per ``(item, state set)`` like the
+        reachability pass's (same bound, same lock-free sharing)."""
+        memo = self._finishable_memo
+        stepped = memo.get((item, mask))
+        if stepped is None:
+            if len(memo) >= _BACKWARD_MEMO_LIMIT:
+                memo.clear()
+            stepped = memo[item, mask] = super().finishable_step(item, mask)
+        return stepped
 
 
 def make_kernel(

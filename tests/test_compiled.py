@@ -223,6 +223,28 @@ class TestCompiledLabelEquivalence:
 
 
 # ----------------------------------------------------- kernel equivalence
+def finishable_lists(kernel, sequence):
+    """The replaced ``finishable_table``, kept as the reference of the mask
+    pass: ``table[i][q]`` is True iff acceptance is reachable from position
+    ``i``, state ``q`` through uncaptured transitions only."""
+    n = len(sequence)
+    table = [[False] * kernel.num_states for _ in range(n + 1)]
+    for state in kernel.final_states:
+        table[n][state] = True
+    for i in range(n - 1, -1, -1):
+        for state in range(kernel.num_states):
+            for tid in kernel.matching(state, sequence[i]):
+                if not kernel.is_captured(tid) and table[i + 1][kernel.target(tid)]:
+                    table[i][state] = True
+                    break
+    return table
+
+
+def mask_rows(table, num_states):
+    """A bitmask table read as one list of flags per position."""
+    return [[bool((mask >> state) & 1) for state in range(num_states)] for mask in table]
+
+
 EXPRESSIONS = [
     RUNNING_EXAMPLE_PATEX,
     ".*(a1)(b).*",
@@ -257,8 +279,10 @@ class TestKernelEquivalence:
             assert compiled.reachability_table(sequence) == (
                 interpreted.reachability_table(sequence)
             )
-            assert compiled.finishable_table(sequence) == (
-                interpreted.finishable_table(sequence)
+            finishable = compiled.finishable_table(sequence)
+            assert finishable == interpreted.finishable_table(sequence)
+            assert mask_rows(finishable, compiled.num_states) == (
+                finishable_lists(interpreted, sequence)
             )
             compiled_runs = list(accepting_runs(compiled, sequence))
             interpreted_runs = list(accepting_runs(interpreted, sequence))
@@ -284,6 +308,30 @@ class TestKernelEquivalence:
                     assert compiled_grid.pivot_set(position, state) == (
                         interpreted_grid.pivot_set(position, state)
                     )
+
+
+    @pytest.mark.parametrize("expression", EXPRESSIONS)
+    def test_finishable_masks_past_the_memo_bound(self, expression, ex_dictionary, monkeypatch):
+        """One mask per position, a subset of the reachability mask, equal to
+        the list-of-lists reference while the step memo fills and clears."""
+        monkeypatch.setattr(compiled_module, "_BACKWARD_MEMO_LIMIT", 4)
+        fst = PatEx(expression).compile(ex_dictionary)
+        kernel = CompiledFst(fst, ex_dictionary)
+        rng = random.Random(20)
+        fids = sorted(ex_dictionary.fids())
+        sizes = []
+        for _ in range(200):
+            sequence = tuple(rng.choice(fids) for _ in range(rng.randint(0, 10)))
+            finishable = kernel.finishable_table(sequence)
+            assert len(finishable) == len(sequence) + 1
+            assert finishable[-1] == kernel.final_mask()
+            alive = kernel.reachability_table(sequence)
+            assert all(mask & ~reach == 0 for mask, reach in zip(finishable, alive))
+            assert mask_rows(finishable, kernel.num_states) == finishable_lists(kernel, sequence)
+            sizes.append(len(kernel._finishable_memo))
+            assert len(kernel._edge_memo) <= 4
+        assert max(sizes) == 4
+        assert any(after < before for before, after in zip(sizes, sizes[1:]))
 
 
 # ----------------------------------------------------- pickling & interning

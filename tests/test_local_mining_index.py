@@ -1,17 +1,24 @@
 """Equivalence of the step-index local miner with the search it replaced.
 
 ``DesqDfsMiner`` computes everything that depends on ``(kernel, sequence,
-frequency filter)`` once per distinct sequence (:class:`MiningTables`, riding
-on the memoized grid) and lets a partition only *filter* it.  The oracle below
+frequency filter)`` once per distinct sequence (:class:`MiningTables`, kept in
+the per-worker memo) and lets a partition only *filter* it.  The oracle below
 is the previous algorithm, kept on the test side: per-partition
-``_SequenceState`` tables, the per-node ε-closure walk ``_output_steps`` and
-the recursive ``_expand``.  Both sides must produce the same ``patterns``
-dict, insertion order included, and the index must answer every snapshot the
-oracle's search reaches exactly as the walk did.
+``_SequenceState`` tables, the list-of-lists finishable table, a position–state
+grid (either engine) as the early-stopping oracle, the per-node ε-closure walk
+``_output_steps`` and the recursive ``_expand``.  Both sides must produce the
+same ``patterns`` dict, insertion order included, and the index must answer
+every snapshot the oracle's search reaches exactly as the walk did.
+
+The miner itself builds no grid: its three per-sequence tables are state-set
+passes over the kernel's per-item edge list, pinned here value for value
+against both grid engines and the kernel's per-transition calls, and by
+counting what a reducer constructs.
 """
 
 from __future__ import annotations
 
+import pickle
 import sys
 import threading
 
@@ -21,22 +28,26 @@ from hypothesis import strategies as st
 
 from repro.core.dseq import DSeqJob
 from repro.core.grid_engine import (
-    cached_grid,
+    FlatPivotGrid,
     clear_grid_memo,
     grid_memo_info,
     make_grid,
 )
-from repro.core.local_mining import DesqDfsMiner, MiningTables, tables_of
+from repro.core.local_mining import DesqDfsMiner, MiningTables
+from repro.core.pivot_search import PositionStateGrid
 from repro.datasets import constraint, nyt_like
-from repro.fst import make_kernel
+from repro.dictionary import Dictionary
+from repro.fst import CompiledFst, make_kernel
+from repro.fst import compiled as compiled_module
+from repro.fst.compiled import _MEMO_FIELDS
 from repro.patex import PatEx
 from repro.sequences import fold_weighted_values
+from tests.test_compiled import finishable_lists, mask_rows
 from tests.test_dcand_map import random_hierarchy_corpus
 from tests.test_differential import build_consistent, patex_strategy, sequences_strategy
 
 KERNELS = ("compiled", "interpreted")
 GRIDS = ("flat", "legacy")
-BATCHINGS = ("off", "trie")
 
 
 # ------------------------------------------------------------------ the oracle
@@ -47,7 +58,7 @@ class OracleState:
         self.sequence = sequence
         self.weight = weight
         self.alive = kernel.reachability_table(sequence)
-        self.finishable = kernel.finishable_table(sequence)
+        self.finishable = finishable_lists(kernel, sequence)
         if pivot is not None:
             built = make_grid(kernel, sequence, max_frequent_fid=max_frequent_fid, grid=grid)
             self.last_pivot_position = built.last_pivot_producing_position(pivot)
@@ -202,20 +213,16 @@ def assert_equivalent(dictionary, database, expression, sigma, weights):
         partitions.update(partitions_of(kernel, database, sigma, weights))
         for pivot, (sequences, partition_weights) in partitions.items():
             for early in (True, False):
+                miner = DesqDfsMiner(kernel, None, sigma, pivot=pivot, use_early_stopping=early)
+                mined, asked = mine_recording(miner, sequences, partition_weights)
                 for grid in GRIDS:
                     oracle = OracleMiner(kernel, sigma, pivot, early, grid)
                     expected = oracle.mine(sequences, partition_weights)
-                    for batching in BATCHINGS:
-                        miner = DesqDfsMiner(
-                            kernel, None, sigma, pivot=pivot, use_early_stopping=early,
-                            grid=grid, map_batching=batching,
-                        )
-                        mined, asked = mine_recording(miner, sequences, partition_weights)
-                        assert list(mined.items()) == list(expected.items()), (
-                            kernel_name, pivot, early, grid, batching,
-                        )
-                        assert_same_snapshots_expanded(oracle, asked)
-                    assert_index_answers_like_the_walk(oracle, grid)
+                    assert list(mined.items()) == list(expected.items()), (
+                        kernel_name, pivot, early, grid,
+                    )
+                    assert_same_snapshots_expanded(oracle, asked)
+                    assert_index_answers_like_the_walk(oracle)
 
 
 def mine_recording(miner, sequences, weights):
@@ -254,22 +261,17 @@ def assert_same_snapshots_expanded(oracle, asked):
     assert expected <= asked <= expected | hopeless
 
 
-def assert_index_answers_like_the_walk(oracle, grid):
-    kernel = oracle.kernel
+def assert_index_answers_like_the_walk(oracle):
     tables = {}
     for sequence_index, snapshot, pivot_missing in oracle.reached:
         state = oracle.states[sequence_index]
         if sequence_index not in tables:
-            built = make_grid(
-                kernel, state.sequence, max_frequent_fid=oracle.max_frequent_fid, grid=grid
-            )
-            tables[sequence_index] = (
-                tables_of(built),
-                MiningTables(kernel, state.sequence, oracle.max_frequent_fid),
+            tables[sequence_index] = MiningTables(
+                oracle.kernel, state.sequence, oracle.max_frequent_fid
             )
         expected = oracle.output_steps(state, {snapshot}, pivot_missing)
-        for candidate in tables[sequence_index]:
-            assert filtered_index(candidate, oracle, state, snapshot, pivot_missing) == expected
+        answer = filtered_index(tables[sequence_index], oracle, state, snapshot, pivot_missing)
+        assert answer == expected
 
 
 # ---------------------------------------------------------------- properties
@@ -318,6 +320,126 @@ class TestEquivalence:
         assert_equivalent(ex_dictionary, ex_database, ".*(A)[(.^)|.]*(b).*", 2, None)
 
 
+# ------------------------------------------- the three passes, value for value
+def fid_limits(dictionary):
+    """``max_frequent_fid`` values: no filter, nothing frequent, a mid fid, all."""
+    fids = sorted(dictionary.fids())
+    return (None, 0, fids[len(fids) // 2], fids[-1])
+
+
+def assert_passes_equal_their_references(dictionary, expression, sequences):
+    """Each per-sequence table against what it replaced, for both kernels.
+
+    Returns how many of ``sequences`` were accepted, so callers can show they
+    covered accepted and rejected ones.
+    """
+    fst = PatEx(expression).compile(dictionary)
+    fids = sorted(dictionary.fids())
+    pivots = fids + [fids[-1] + 1]  # every item, and one the dictionary lacks
+    accepted = 0
+    for kernel_name in KERNELS:
+        kernel = make_kernel(fst, dictionary, kernel_name)
+        assert_edge_rows_equal_the_kernel_calls(kernel, fids)
+        for sequence in sequences:
+            sequence = tuple(sequence)
+            assert mask_rows(kernel.finishable_table(sequence), kernel.num_states) == (
+                finishable_lists(kernel, sequence)
+            )
+            for limit in fid_limits(dictionary):
+                tables = MiningTables(kernel, sequence, limit)
+                for grid in GRIDS:
+                    built = make_grid(kernel, sequence, max_frequent_fid=limit, grid=grid)
+                    for pivot in pivots:
+                        assert tables.last_producing_position(pivot) == (
+                            built.last_pivot_producing_position(pivot)
+                        ), (kernel_name, sequence, limit, grid, pivot)
+            accepted += (tables.alive[0] >> kernel.initial_state) & 1
+    return accepted // len(KERNELS)
+
+
+def assert_edge_rows_equal_the_kernel_calls(kernel, items):
+    for item in items:
+        rows = kernel.edge_rows(item)
+        assert len(rows) == kernel.num_states
+        for state, row in enumerate(rows):
+            assert list(row) == [
+                (kernel.target(tid), kernel.outputs(tid, item) if kernel.is_captured(tid) else None)
+                for tid in kernel.matching(state, item)
+            ]
+
+
+class TestPassesAgainstTheirReferences:
+    @settings(max_examples=40, deadline=None)
+    @given(expression=patex_strategy(), sequences=sequences_strategy())
+    def test_last_producing_edge_rows_and_finishable_on_random_expressions(
+        self, expression, sequences
+    ):
+        dictionary, database = build_consistent(sequences)
+        assert_passes_equal_their_references(dictionary, expression, [()] + list(database))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_last_producing_edge_rows_and_finishable_on_random_hierarchies(self, data):
+        """Generalizing captures over DAG hierarchies: several outputs per
+        edge, so a frequency filter cuts output sets in the middle."""
+        names, (dictionary, database) = random_hierarchy_corpus(data)
+        anchor = data.draw(st.sampled_from(names))
+        expression = data.draw(
+            st.sampled_from(
+                [
+                    f".*({anchor}^)[(.^)|.]*(.).*",
+                    ".*(.^)[.{0,1}(.^)]{1,2}.*",
+                    f".*(.^)[.*({anchor}^=)]?.*",
+                    f"({anchor}^)(.^)",
+                ]
+            )
+        )
+        assert_passes_equal_their_references(dictionary, expression, [()] + list(database))
+
+    def test_last_producing_on_the_running_example(self, ex_dictionary, ex_database):
+        sequences = [(), *ex_database]
+        accepted = assert_passes_equal_their_references(
+            ex_dictionary, ".*(A)[(.^)|.]*(b).*", sequences
+        )
+        assert 0 < accepted < len(sequences)  # accepted, rejected and empty were all met
+
+    @pytest.mark.parametrize(
+        ("expression", "raw"),
+        [
+            # 74 states: masks and the finishable flags go past a machine word.
+            (
+                ".*(A^)[.{0,35}(b)]{1,2}.*",
+                [("a1",) + ("c", "d", "e", "a2") * 9 + ("b", "c", "b"), ("c",) * 40, ("a1", "b")],
+            ),
+            ("(a)+", [("a",) * 1_500, ("a",) * 1_499 + ("b",)]),
+        ],
+    )
+    def test_last_producing_edge_rows_and_finishable_on_wide_and_long_inputs(
+        self, expression, raw
+    ):
+        dictionary, database = build_consistent(raw)
+        kernel = make_kernel(PatEx(expression).compile(dictionary), dictionary)
+        assert kernel.num_states > 64 or max(map(len, database)) >= 1_500
+        accepted = assert_passes_equal_their_references(dictionary, expression, database)
+        assert 0 < accepted < len(database)
+        mined = DesqDfsMiner(kernel, None, 1, pivot=dictionary.fid_of("b")).mine(database)
+        oracle = OracleMiner(kernel, 1, dictionary.fid_of("b")).mine(database)
+        assert list(mined.items()) == list(oracle.items())
+
+    def test_edge_rows_share_one_uncaptured_edge_per_transition(self, ex_dictionary):
+        kernel = CompiledFst(PatEx(".*(A)[(.^)|.]*(b).*").compile(ex_dictionary), ex_dictionary)
+        identities = {
+            id(edge)
+            for item in ex_dictionary.fids()
+            for row in kernel.edge_rows(item)
+            for edge in row
+            if edge[1] is None
+        }
+        uncaptured = sum(not transition.label.captured for transition in kernel.transitions)
+        assert 0 < len(identities) <= uncaptured
+        assert identities == set(map(id, kernel._uncaptured_edges.values()))
+
+
 # ------------------------------------------------- once per distinct sequence
 @pytest.fixture()
 def golden_job():
@@ -338,47 +460,119 @@ def shuffle(job, database):
     }
 
 
+def count_calls(monkeypatch, owner, name, log):
+    """Append the first argument of every ``owner.name`` call to ``log``."""
+    original = getattr(owner, name)
+
+    def counted(self, subject, *args, **kwargs):
+        log.append(subject)
+        return original(self, subject, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 class TestTablesBuiltOncePerSequence:
-    def test_one_worker_builds_each_table_at_most_once(self, golden_job, monkeypatch):
+    TABLES = ("reachability_table", "finishable_table", "last_producing_table")
+
+    def test_zero_grids_and_each_table_at_most_once_per_sequence(self, golden_job, monkeypatch):
         job, database = golden_job
-        calls = {"reachability_table": [], "finishable_table": []}
-        for name, log in calls.items():
-            original = getattr(type(job.kernel), name)
-
-            def counted(self, sequence, _original=original, _log=log):
-                _log.append(tuple(sequence))
-                return _original(self, sequence)
-
-            monkeypatch.setattr(type(job.kernel), name, counted)
-
         partitions = shuffle(job, database)
-        assert not calls["finishable_table"], "the map side must not build finishable tables"
+        landed = [sequence for values in partitions.values() for sequence, _weight in values]
+        distinct = set(landed)
+        assert len(partitions) > 10 and len(landed) > 2 * len(distinct)  # not vacuous
+
+        grids: list = []
+        count_calls(monkeypatch, FlatPivotGrid, "__init__", grids)
+        count_calls(monkeypatch, PositionStateGrid, "__init__", grids)
+        calls = {name: [] for name in self.TABLES}
+        for name, log in calls.items():
+            count_calls(monkeypatch, type(job.kernel), name, log)
+        misses = grid_memo_info()["misses"]
         for pivot, values in partitions.items():
             list(job.reduce(pivot, values))
 
-        landed = [sequence for values in partitions.values() for sequence, _weight in values]
-        distinct = set(landed)
+        assert not grids, "a reducer must not construct a grid"
+        assert grid_memo_info()["misses"] - misses == len(distinct)
         assert grid_memo_info()["size"] < grid_memo_info()["limit"]  # nothing was evicted
-        assert len(partitions) > 10 and len(landed) > 2 * len(distinct)  # not vacuous
         for name, log in calls.items():
             assert len(log) == len(set(log)), f"{name} rebuilt for a sequence"
-        assert set(calls["finishable_table"]) <= distinct
-        assert set(calls["reachability_table"]) == distinct | set(database)
+            assert set(log) <= distinct
+        assert set(calls["reachability_table"]) == distinct
+        assert set(calls["last_producing_table"]) == distinct
 
-    def test_tables_live_and_die_with_the_memo_entry(self, golden_job):
+    def test_the_map_side_builds_grids_and_no_reduce_table(self, golden_job, monkeypatch):
         job, database = golden_job
-        root = job.kernel.initial_state
-        sequence = next(
-            s for s in database if (job.kernel.reachability_table(s)[0] >> root) & 1
-        )
-        arguments = dict(max_frequent_fid=job.max_frequent_fid, grid=job.grid)
-        grid = cached_grid(job.kernel, sequence, **arguments)
-        assert grid.reduce_tables is None  # lazily filled, never by the constructor
-        tables = tables_of(grid)
-        assert tables.alive is grid.alive
-        assert tables_of(cached_grid(job.kernel, sequence, **arguments)) is tables
+        calls = {name: [] for name in self.TABLES}
+        for name, log in calls.items():
+            count_calls(monkeypatch, type(job.kernel), name, log)
+        count_calls(monkeypatch, type(job.kernel), "edge_rows", calls.setdefault("edge_rows", []))
+        shuffle(job, database)
+        assert set(calls.pop("reachability_table")) == set(database)
+        assert not any(calls.values()), "the map side must build no reduce table or edge row"
+
+    def test_tables_live_and_die_with_the_memo_entry(self, golden_job, monkeypatch):
+        job, database = golden_job
+        built: list = []
+        count_calls(monkeypatch, MiningTables, "__init__", built)
+        pivot, values = next(iter(shuffle(job, database).items()))
+        list(job.reduce(pivot, values))
+        assert len(built) == len(values)
+        list(job.reduce(pivot, values))
+        assert len(built) == len(values)  # every sequence was a memo hit
         clear_grid_memo()
-        assert cached_grid(job.kernel, sequence, **arguments).reduce_tables is None
+        list(job.reduce(pivot, values))
+        assert len(built) == 2 * len(values)
+
+    def test_reduce_never_scans_the_f_list(self, golden_job, monkeypatch):
+        job, database = golden_job
+        partitions = list(shuffle(job, database).items())[:20]
+        assert len(partitions) == 20
+        asked: list = []
+        count_calls(monkeypatch, Dictionary, "frequency", asked)
+        for pivot, values in partitions:
+            list(job.reduce(pivot, values))
+        assert not asked, "the job already holds max_frequent_fid"
+
+
+class TestEdgeRowMemo:
+    def test_six_sigmas_keep_one_entry_per_distinct_item(self):
+        """Rows are keyed by the item alone and filtered at use: a σ-descent
+        over one corpus must not keep one copy of every row per σ."""
+        dictionary, database = nyt_like(120, seed=13).preprocess()
+        kernel = CompiledFst(constraint("N4", 3).patex().compile(dictionary), dictionary)
+        database = [tuple(sequence) for sequence in database]
+        items = {item for sequence in database for item in sequence}
+        mined = []
+        for sigma in (8, 6, 5, 4, 3, 2):
+            job = DSeqJob(kernel, sigma=sigma)
+            for pivot, values in shuffle(job, database).items():
+                mined.extend(job.reduce(pivot, values))
+        assert mined and kernel._edge_memo
+        assert set(kernel._edge_memo) <= items
+        clear_grid_memo()
+
+    def test_edge_rows_are_warm_state_never_pickled(self, ex_dictionary):
+        fst = PatEx(".*(A)[(.^)|.]*(b).*").compile(ex_dictionary)
+        cold = pickle.dumps(CompiledFst(fst, ex_dictionary))
+        kernel = CompiledFst(fst, ex_dictionary)
+        for item in ex_dictionary.fids():
+            kernel.edge_rows(item)
+            kernel.finishable_table((item, item))
+        assert kernel._edge_memo and kernel._uncaptured_edges and kernel._finishable_memo
+        assert {"_edge_memo", "_uncaptured_edges", "_finishable_memo"} <= set(_MEMO_FIELDS)
+        assert "_uncaptured_memo" not in _MEMO_FIELDS
+        assert len(pickle.dumps(kernel)) == len(cold)
+
+    def test_edge_rows_are_cleared_past_the_bound(self, ex_dictionary, monkeypatch):
+        monkeypatch.setattr(compiled_module, "_BACKWARD_MEMO_LIMIT", 3)
+        fst = PatEx(".*(A)[(.^)|.]*(b).*").compile(ex_dictionary)
+        kernel = CompiledFst(fst, ex_dictionary)
+        interpreted = make_kernel(fst, ex_dictionary, "interpreted")
+        fids = sorted(ex_dictionary.fids())
+        assert len(fids) > 3
+        for item in fids * 2:
+            assert kernel.edge_rows(item) == interpreted.edge_rows(item)
+            assert len(kernel._edge_memo) <= 3
 
 
 class TestSharedMemoAcrossThreads:
