@@ -20,7 +20,6 @@ The two enhancements evaluated in Fig. 10b are switchable:
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 
 from repro.core.nfa_mining import NfaLocalMiner
@@ -89,24 +88,24 @@ class DCandJob(MapReduceJob):
         """
         sequence, weight = record_parts(record)
         builders: dict[int, TrieBuilder] = {}
+        seen: set[tuple] = set()
         for output_sets in accepting_output_sets(
             self.kernel, sequence, self.max_frequent_fid, self.max_runs
         ):
+            # Runs that differ only in ε steps spell the same sets; inserting
+            # them again would change no trie.
+            key = tuple(output_sets)
+            if key in seen:
+                continue
+            seen.add(key)
             for pivot in pivots_of_sorted_sets(output_sets):
                 builder = builders.get(pivot)
                 if builder is None:
                     builder = builders[pivot] = TrieBuilder()
-                # Keep only items <= pivot (Sec. VI-A).  The sets ascend, so
-                # that is a prefix; it is never empty because the pivot is at
-                # least every set's minimum.
-                builder.add_run(
-                    [
-                        outputs
-                        if outputs[-1] <= pivot
-                        else outputs[: bisect_right(outputs, pivot)]
-                        for outputs in output_sets
-                    ]
-                )
+                # Keep only items <= pivot (Sec. VI-A): a prefix of each
+                # ascending set, never empty because the pivot is at least
+                # every set's minimum.
+                builder.add_run(output_sets, pivot)
         for pivot in sorted(builders):
             payload = serialize_trie(builders[pivot], self.minimize_nfas)
             yield pivot, payload if weight == 1 else (payload, weight)
@@ -181,11 +180,9 @@ class DCandMiner:
         result = miner.mine(database)
 
     The execution substrate is one :class:`~repro.mapreduce.ClusterConfig`
-    passed as ``cluster=``; the legacy ``backend=``/``codec=``/
-    ``spill_budget_bytes=`` keywords were removed after their deprecation
-    cycle (see the README's migration table).  ``dedup=False`` disables the
-    corpus-level unique-sequence pass (the debugging reference: results are
-    byte-identical either way).
+    passed as ``cluster=``.  ``dedup=False`` disables the corpus-level
+    unique-sequence pass (the debugging reference: results are byte-identical
+    either way).
     """
 
     algorithm_name = "D-CAND"

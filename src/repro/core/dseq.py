@@ -216,9 +216,7 @@ class DSeqMiner:
         result = miner.mine(database)
 
     The execution substrate is one :class:`~repro.mapreduce.ClusterConfig`
-    passed as ``cluster=`` (which then fully specifies the run); the legacy
-    ``backend=``/``codec=``/``spill_budget_bytes=`` keywords were removed
-    after their deprecation cycle (see the README's migration table).
+    passed as ``cluster=`` (which then fully specifies the run).
     ``dedup=False`` disables the corpus-level unique-sequence pass (the
     debugging reference: results are byte-identical either way).
     """

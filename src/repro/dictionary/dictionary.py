@@ -277,9 +277,13 @@ class Dictionary:
         # The descendant index is derived state: compiled kernels ship their
         # own interval matchers, so shipping the index with every pickled
         # dictionary would only duplicate bytes on the wire.  The gid -> fid
-        # table is rebuilt from ``_by_gid`` by whoever encodes next.
+        # table is rebuilt from ``_by_gid`` by whoever encodes next.  The
+        # closure caches are warm state too: a dictionary pickles to the same
+        # bytes however many ancestor sets it has been asked for.
         state = dict(self.__dict__)
         state["_descendant_index"] = None
+        state["_ancestor_cache"] = {}
+        state["_descendant_cache"] = {}
         state.pop("_fid_table", None)
         return state
 

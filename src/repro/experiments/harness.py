@@ -117,10 +117,8 @@ def build_miner(
     """Instantiate a miner by algorithm name for the given constraint.
 
     The execution substrate is one :class:`~repro.mapreduce.ClusterConfig`
-    passed as ``cluster`` (the legacy ``backend`` / ``codec`` /
-    ``spill_budget_bytes`` keywords were removed after their deprecation
-    cycle; see the README's migration table).  The sequential reference
-    miners ignore the cluster settings but honour the kernel choice.
+    passed as ``cluster``.  The sequential reference miners ignore the
+    cluster settings but honour the kernel choice.
     ``max_runs`` / ``max_candidates`` override the per-sequence safety caps;
     by default the harness applies the tighter :data:`OOM_MAX_RUNS` /
     :data:`OOM_MAX_CANDIDATES` to the candidate-enumerating algorithms to

@@ -40,7 +40,7 @@ from collections.abc import Sequence
 from repro.dictionary import Dictionary
 from repro.errors import FstError
 from repro.fst.fst import Fst, Transition
-from repro.fst.labels import EPSILON_OUTPUT
+from repro.fst.labels import EPSILON_OUTPUT, Label
 
 #: Kernel names accepted by miners, ``make_cluster``, and ``--kernel``.
 KERNELS = ("compiled", "interpreted")
@@ -374,7 +374,7 @@ class CompiledFst(MiningKernel):
         self._edge_memo: dict[int, tuple[tuple[tuple, ...], ...]] = {}
         self._uncaptured_edges: dict[int, tuple[int, None]] = {}
         self._finishable_memo: dict[tuple[int, int], int] = {}
-        self._output_memo: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._output_memo: dict[tuple[Label, int], tuple[int, ...]] = {}
         self._filtered_memo: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._backward_memo: dict[int | tuple, dict[int, int]] = {}
 
@@ -438,7 +438,9 @@ class CompiledFst(MiningKernel):
         return self._match_rows(item)[state]
 
     def outputs(self, tid: int, item: int) -> tuple[int, ...]:
-        key = (tid, item)
+        # Keyed by the label, not the transition: the repetitions of a pattern
+        # compile to many transitions with one label, which share one tuple.
+        key = (self._labels[tid], item)
         cached = self._output_memo.get(key)
         if cached is None:
             cached = self._labels[tid].outputs(item, self.dictionary)

@@ -23,13 +23,13 @@ constraints; both carry explicit caps that raise
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 
 from repro.dictionary import EPSILON_FID, Dictionary
 from repro.errors import CandidateExplosionError
 from repro.fst.compiled import MiningKernel, ensure_kernel
 from repro.fst.fst import Fst, Transition
-from repro.fst.labels import EPSILON_OUTPUT
 
 #: Default safety cap for enumerated accepting runs per input sequence.
 DEFAULT_MAX_RUNS = 100_000
@@ -62,35 +62,35 @@ def matches(
     return bool((kernel.reachability_table(sequence)[0] >> kernel.initial_state) & 1)
 
 
-def _walk_runs(kernel: MiningKernel, sequence, alive, max_runs: int, entry):
+def _walk_runs(kernel: MiningKernel, sequence, alive, max_runs: int, rows_of):
     """Iterative depth-first enumeration shared by the two run iterators.
 
-    Yields the *live* per-position path once per accepting run;
-    ``entry(tid, item)`` chooses what a step leaves on the path.  An explicit
-    stack of matching-transition iterators replaces recursion, so sequence
-    length is not bounded by the interpreter's recursion limit.
+    Yields the *live* per-position path once per accepting run.
+    ``rows_of(item)`` is read once per position and holds, per source state,
+    the ``(target, entry)`` pair of every transition matching ``item`` — the
+    shape of :meth:`~repro.fst.compiled.MiningKernel.edge_rows`; a step
+    leaves its ``entry`` on the path.  An explicit stack of row iterators
+    replaces recursion, so sequence length is not bounded by the
+    interpreter's recursion limit.
     """
     n = len(sequence)
     if alive is None:
         alive = kernel.reachability_table(sequence)
     if n == 0 or not (alive[0] >> kernel.initial_state) & 1:
         return
-    matching = kernel.matching
-    target_of = kernel.target
+    rows = [rows_of(item) for item in sequence]
     produced = 0
     path: list = []
-    frames = [iter(matching(kernel.initial_state, sequence[0]))]
+    frames = [iter(rows[0][kernel.initial_state])]
     while frames:
-        position = len(path)
-        item = sequence[position]
-        next_alive = alive[position + 1]
-        for tid in frames[-1]:
-            target = target_of(tid)
+        position = len(path) + 1
+        next_alive = alive[position]
+        for target, entry in frames[-1]:
             if not (next_alive >> target) & 1:
                 continue
-            path.append(entry(tid, item))
-            if position + 1 < n:
-                frames.append(iter(matching(target, sequence[position + 1])))
+            path.append(entry)
+            if position < n:
+                frames.append(iter(rows[position][target]))
                 break
             # ``alive[n]`` holds exactly the final states: the run accepts.
             produced += 1
@@ -124,9 +124,15 @@ def accepting_runs(
             yield ()
         return
     transitions = kernel.transitions
-    for path in _walk_runs(
-        kernel, sequence, alive, max_runs, lambda tid, _item: transitions[tid]
-    ):
+
+    def transition_rows(item: int) -> list:
+        # ``edge_rows`` with the transition itself as the entry, in the same order.
+        return [
+            [(transitions[tid].target, transitions[tid]) for tid in kernel.matching(state, item)]
+            for state in range(kernel.num_states)
+        ]
+
+    for path in _walk_runs(kernel, sequence, alive, max_runs, transition_rows):
         yield tuple(path)
 
 
@@ -139,22 +145,26 @@ def accepting_output_sets(
     """The non-ε output sets of every accepting run that can carry a candidate.
 
     One pass instead of :func:`accepting_runs` + :func:`run_output_sets`: the
-    walk carries the (frequency-filtered) output sets themselves, so a set is
-    looked up once per shared run prefix, and ε sets are dropped once per run.
-    Every yielded set is a non-empty ascending tuple of fids.  Runs with a
-    captured set that lost all its items to the frequency filter carry no
-    frequent candidate: they count against ``max_runs`` but are not yielded.
+    walk follows the kernel's per-item edge rows and carries their output
+    sets, uncaptured (ε) steps are dropped once per run, and the frequency
+    filter is applied at use, as a prefix of the ascending set.  Every
+    yielded set is a non-empty ascending tuple of fids.  Runs with a captured
+    set that lost all its items to the frequency filter carry no frequent
+    candidate: they count against ``max_runs`` but are not yielded.
     """
-    filtered = kernel.filtered_outputs
-    for path in _walk_runs(
-        kernel,
-        sequence,
-        None,
-        max_runs,
-        lambda tid, item: filtered(tid, item, max_frequent_fid),
-    ):
-        if () not in path:
-            yield [outputs for outputs in path if outputs != EPSILON_OUTPUT]
+    limit = float("inf") if max_frequent_fid is None else max_frequent_fid
+    for path in _walk_runs(kernel, sequence, None, max_runs, kernel.edge_rows):
+        output_sets = []
+        for outputs in path:
+            if outputs is None:
+                continue
+            if outputs[-1] > limit:
+                outputs = outputs[: bisect_right(outputs, limit)]
+                if not outputs:
+                    break
+            output_sets.append(outputs)
+        else:
+            yield output_sets
 
 
 def run_output_sets(

@@ -12,6 +12,7 @@ Revuz-style bottom-up merge of states with identical right languages.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 
 from repro.errors import NfaError
@@ -144,16 +145,20 @@ class TrieBuilder:
     def final_states(self) -> set[int]:
         return self._final
 
-    def add_run(self, output_sets: Iterable[tuple[int, ...]]) -> None:
+    def add_run(self, output_sets: Iterable[tuple[int, ...]], limit: int | None = None) -> None:
         """Insert one accepting run, given as its non-ε output sets.
 
         ε output sets must already have been removed by the caller; each
         remaining output set becomes one trie edge.  Labels are taken as
-        given: ascending tuples of fids (what the FST kernels produce).
+        given: ascending tuples of fids (what the FST kernels produce).  With
+        ``limit`` every label is cut to its items ``<= limit`` (a prefix, as
+        the labels ascend) — D-CAND's per-pivot restriction.
         """
         children = self._children
         state = 0
         for label in output_sets:
+            if limit is not None and label and label[-1] > limit:
+                label = label[: bisect_right(label, limit)]
             if not label:
                 raise NfaError("cannot insert an empty output set into a trie")
             nxt = children[state].get(label)
@@ -181,9 +186,9 @@ class TrieBuilder:
         edges: list[list | None] = [None] * count
         registry: dict[tuple, int] = {}
         for state in range(count - 1, -1, -1):
-            outgoing = sorted(
-                [(label, canonical[target]) for label, target in children[state].items()]
-            )
+            outgoing = [(label, canonical[target]) for label, target in children[state].items()]
+            if len(outgoing) > 1:
+                outgoing.sort()
             representative = registry.setdefault(
                 (state in final, tuple(outgoing)), state
             )

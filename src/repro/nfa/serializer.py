@@ -13,6 +13,8 @@ MapReduce combine-style aggregation of D-CAND effective.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.errors import NfaError
 from repro.nfa.nfa import OutputNfa, TrieBuilder
 from repro.varint import read_varint, write_varint
@@ -24,7 +26,7 @@ _FLAG_TARGET_FINAL = 4
 
 # ------------------------------------------------------------------- varints
 def _write_varint(buffer: bytearray, value: int) -> None:
-    if 0 <= value < 0x80:  # one byte: nearly every count and fid delta
+    if 0 <= value < 0x80:  # one byte: nearly every state number, count and fid delta
         buffer.append(value)
     else:
         write_varint(buffer, value, error=NfaError)
@@ -32,6 +34,22 @@ def _write_varint(buffer: bytearray, value: int) -> None:
 
 def _read_varint(data: bytes, offset: int) -> tuple[int, int]:
     return read_varint(data, offset, error=NfaError, what="varint in serialized NFA")
+
+
+@lru_cache(maxsize=1 << 16)
+def _label_bytes(label: tuple[int, ...]) -> bytes:
+    """A label's bytes: its length, then its delta-encoded sorted fids.
+
+    Memoised and bounded: a process writes the same few labels once per trie
+    edge, so the table turns a call per label item into a lookup per label.
+    """
+    buffer = bytearray()
+    _write_varint(buffer, len(label))
+    previous = 0
+    for fid in label:
+        _write_varint(buffer, fid - previous)
+        previous = fid
+    return bytes(buffer)
 
 
 # --------------------------------------------------------------- serialization
@@ -73,11 +91,7 @@ def _write_dfs(edges, finals) -> bytes:
             buffer.append(flags)
             if flags & _FLAG_HAS_SOURCE:
                 _write_varint(buffer, visit_number[source])
-            _write_varint(buffer, len(label))
-            previous = 0
-            for fid in label:
-                _write_varint(buffer, fid - previous)  # delta-encode sorted fids
-                previous = fid
+            buffer += _label_bytes(label)
             current = target
             if known is not None:
                 _write_varint(buffer, known)
@@ -96,6 +110,10 @@ def deserialize(data: bytes) -> OutputNfa:
         raise NfaError("empty NFA serialization")
     root_final = bool(data[0])
     offset = 1
+    # Labels (three reads in four) take one-byte varints inline, from a copy
+    # ending in a continuation byte: a read at the end of ``data`` goes down
+    # the slow path too, which reports the truncation.
+    padded = data + b"\x80"
 
     transitions: list[list[tuple[tuple[int, ...], int]]] = [[]]
     finals: set[int] = {0} if root_final else set()
@@ -110,13 +128,21 @@ def deserialize(data: bytes) -> OutputNfa:
                 raise NfaError(f"forward reference to unknown source state {source}")
         else:
             source = current
-        label_length, offset = _read_varint(data, offset)
+        label_length = padded[offset]
+        if label_length < 0x80:
+            offset += 1
+        else:
+            label_length, offset = _read_varint(data, offset)
         if label_length == 0:
             raise NfaError("empty edge label in serialization")
         label = []
         previous = 0
         for _ in range(label_length):
-            delta, offset = _read_varint(data, offset)
+            delta = padded[offset]
+            if delta < 0x80:
+                offset += 1
+            else:
+                delta, offset = _read_varint(data, offset)
             previous += delta
             label.append(previous)
         if flags & _FLAG_HAS_TARGET:

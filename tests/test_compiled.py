@@ -40,7 +40,7 @@ from repro.fst.fst import Fst
 from repro.errors import FstError
 from repro.patex import PatEx
 
-from tests.conftest import RUNNING_EXAMPLE_PATEX
+from tests.conftest import RUNNING_EXAMPLE_PATEX, make_running_example_dictionary
 
 
 # ------------------------------------------------------------- interval sets
@@ -398,6 +398,40 @@ class TestBackwardStepMemo:
         assert set(ex_dictionary.fids()) <= set(kernel._backward_memo)
         assert all(kernel._backward_memo.values()), "every step table is warm"
         assert pickle.dumps(kernel) == cold
+
+    def test_a_warm_kernel_over_a_warm_dictionary_pickles_to_the_cold_size(self):
+        """Generalizing captures fill the dictionary's ancestor cache through
+        ``edge_rows``; none of it rides along in the kernel's pickle."""
+        dictionary = make_running_example_dictionary()
+        fst = PatEx(".*(A^)[(.^)|.]*(b).*").compile(dictionary)
+        cold = len(pickle.dumps(CompiledFst(fst, dictionary)))
+        kernel = CompiledFst(fst, dictionary)
+        for sequence in self.random_sequences(dictionary, 200):
+            kernel.reachability_table(sequence)
+            for item in sequence:
+                kernel.edge_rows(item)
+        assert kernel._edge_memo and dictionary._ancestor_cache
+        assert len(pickle.dumps(kernel)) == cold
+
+    def test_transitions_with_one_label_share_one_output_tuple(self, ex_dictionary):
+        """A repetition compiles to many transitions with equal labels; the
+        output memo holds one tuple per (label, item), not one per transition."""
+        fst = PatEx(".*(A^)[.{0,2}(.^)]{1,3}.*").compile(ex_dictionary)
+        kernel = CompiledFst(fst, ex_dictionary)
+        captured = [t for t in kernel.transitions if t.label.captured]
+        labels = {t.label for t in captured}
+        assert len(captured) > len(labels) == 2
+        fids = sorted(ex_dictionary.fids())
+        for item in fids:
+            kernel.edge_rows(item)
+        assert 0 < len(kernel._output_memo) <= len(labels) * len(fids)
+        for item in fids:
+            for label in labels:
+                if label.matches(item, ex_dictionary):
+                    shared = {
+                        id(kernel.outputs(t.tid, item)) for t in captured if t.label == label
+                    }
+                    assert len(shared) == 1
 
     def test_unpickling_rebuilds_the_memo_empty(self, ex_dictionary):
         fst = PatEx(".*(a1)[.{0,2}(b)]{1,2}.*").compile(ex_dictionary)

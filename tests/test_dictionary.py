@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from repro.dictionary import (
     build_dictionary,
 )
 from repro.errors import DictionaryError, UnknownItemError
+from tests.conftest import make_running_example_dictionary
 
 
 # --------------------------------------------------------------------- hierarchy
@@ -122,6 +125,22 @@ class TestDictionary:
         a2 = ex_dictionary.fid_of("a2")
         assert ex_dictionary.ancestors(a1) == {a1, big_a}
         assert ex_dictionary.descendants(big_a) == {big_a, a1, a2}
+
+    def test_a_warm_dictionary_pickles_to_the_cold_bytes(self):
+        """The closure caches are warm state: asked for or not, a dictionary
+        ships the same bytes with every kernel and job pickle."""
+        dictionary = make_running_example_dictionary()
+        cold = pickle.dumps(dictionary)
+        for fid in dictionary.fids():
+            dictionary.ancestors(fid)
+            dictionary.descendants(fid)
+        dictionary.descendant_index()
+        assert dictionary._ancestor_cache and dictionary._descendant_cache
+        assert pickle.dumps(dictionary) == cold
+        restored = pickle.loads(cold)
+        assert restored._ancestor_cache == {} == restored._descendant_cache
+        a1, big_a = restored.fid_of("a1"), restored.fid_of("A")
+        assert restored.ancestors(a1) == {a1, big_a}
 
     def test_generalizes_to(self, ex_dictionary):
         a1 = ex_dictionary.fid_of("a1")
