@@ -32,80 +32,45 @@ use a session (:class:`repro.api.LocalSession` in-process, or
 """
 
 from repro._lazy import lazy_exports
-from repro.core import (
-    DCandMiner,
-    DSeqMiner,
-    DesqDfsMiner,
-    MiningResult,
-    NaiveMiner,
-    SemiNaiveMiner,
-    mine,
-)
-from repro.dictionary import Dictionary, DictionaryBuilder, Hierarchy, build_dictionary
-from repro.errors import (
-    CandidateExplosionError,
-    MiningError,
-    PatExSyntaxError,
-    ReproError,
-)
-from repro.fst import KERNELS, CompiledFst, make_kernel
-from repro.mapreduce import (
-    BACKENDS,
-    ClusterConfig,
-    ProcessPoolCluster,
-    SimulatedCluster,
-    ThreadPoolCluster,
-    make_cluster,
-)
-from repro.patex import PatEx
-from repro.sequences import SequenceDatabase, preprocess
-
-# The blessed public facade (imported last: repro.api composes the above).
-from repro import api  # noqa: E402
-from repro.api import Corpus, LocalSession, Session
-from repro.errors import CorpusNotAttachedError, QueryTimeoutError, ServiceError
-
-# The service client loads with the first connect(); see repro._lazy.
-__getattr__ = lazy_exports(__name__, {"repro.api.client": ("ServiceSession", "connect")})
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BACKENDS",
-    "CandidateExplosionError",
-    "CompiledFst",
-    "ClusterConfig",
-    "Corpus",
-    "CorpusNotAttachedError",
-    "DCandMiner",
-    "DSeqMiner",
-    "DesqDfsMiner",
-    "Dictionary",
-    "DictionaryBuilder",
-    "Hierarchy",
-    "KERNELS",
-    "LocalSession",
-    "MiningError",
-    "MiningResult",
-    "NaiveMiner",
-    "PatEx",
-    "PatExSyntaxError",
-    "ProcessPoolCluster",
-    "QueryTimeoutError",
-    "ReproError",
-    "SemiNaiveMiner",
-    "SequenceDatabase",
-    "ServiceError",
-    "ServiceSession",
-    "Session",
-    "SimulatedCluster",
-    "ThreadPoolCluster",
-    "__version__",
-    "api",
-    "build_dictionary",
-    "connect",
-    "make_cluster",
-    "make_kernel",
-    "mine",
-    "preprocess",
-]
+# ``repro.api`` is the blessed public facade; the other names are the
+# long-standing top-level shortcuts.  Nothing loads before it is asked for.
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.api": ("Corpus", "LocalSession", "Session", "ServiceSession", "connect"),
+        "repro.core": (
+            "DCandMiner",
+            "DSeqMiner",
+            "DesqDfsMiner",
+            "MiningResult",
+            "NaiveMiner",
+            "SemiNaiveMiner",
+            "mine",
+        ),
+        "repro.dictionary": ("Dictionary", "DictionaryBuilder", "Hierarchy", "build_dictionary"),
+        "repro.errors": (
+            "CandidateExplosionError",
+            "CorpusNotAttachedError",
+            "MiningError",
+            "PatExSyntaxError",
+            "QueryTimeoutError",
+            "ReproError",
+            "ServiceError",
+        ),
+        "repro.fst": ("KERNELS", "CompiledFst", "make_kernel"),
+        "repro.mapreduce": (
+            "BACKENDS",
+            "ClusterConfig",
+            "ProcessPoolCluster",
+            "SimulatedCluster",
+            "ThreadPoolCluster",
+            "make_cluster",
+        ),
+        "repro.patex": ("PatEx",),
+        "repro.sequences": ("SequenceDatabase", "preprocess"),
+    },
+)
+__all__ = sorted([*__all__, "__version__", "api"])

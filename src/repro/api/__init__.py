@@ -23,28 +23,22 @@ mining-as-a-service::
 """
 
 from repro._lazy import lazy_exports
-from repro.api.corpus import Corpus, as_corpus
-from repro.api.session import (
-    ALGORITHMS,
-    CorpusInfo,
-    LocalSession,
-    Session,
-    canonical_algorithm,
-    mine,
+
+# The service client loads with the first connect(), a miner with the first
+# query that runs it; see repro._lazy.
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.api.client": ("ServiceSession", "connect"),
+        "repro.api.corpus": ("Corpus", "as_corpus"),
+        "repro.api.session": (
+            "ALGORITHMS",
+            "CorpusInfo",
+            "LocalSession",
+            "Session",
+            "canonical_algorithm",
+            "mine",
+            "preload_miners",
+        ),
+    },
 )
-
-# The service client loads with the first connect(); see repro._lazy.
-__getattr__ = lazy_exports(__name__, {"repro.api.client": ("ServiceSession", "connect")})
-
-__all__ = [
-    "ALGORITHMS",
-    "Corpus",
-    "CorpusInfo",
-    "LocalSession",
-    "ServiceSession",
-    "Session",
-    "as_corpus",
-    "canonical_algorithm",
-    "connect",
-    "mine",
-]

@@ -27,18 +27,18 @@ from __future__ import annotations
 import abc
 import threading
 from dataclasses import dataclass
+from importlib import import_module
+from typing import TYPE_CHECKING
 
 from repro.api.corpus import Corpus, as_corpus
-from repro.core.dcand import DCandMiner
-from repro.core.dseq import DSeqMiner
-from repro.core.naive import NaiveMiner, SemiNaiveMiner
-from repro.core.results import MiningResult
 from repro.datasets.constraints import Constraint
 from repro.errors import CorpusNotAttachedError, MiningError
 from repro.mapreduce import ClusterConfig
 from repro.patex import PatEx
-from repro.sequential import GapConstrainedMiner, SequentialDesqCount, SequentialDesqDfs
-from repro.service.cache import CacheInfo, QueryCache
+
+if TYPE_CHECKING:
+    from repro.core.results import MiningResult
+    from repro.service.cache import CacheInfo
 
 #: Accepted algorithm spellings -> canonical name (also the cache-key name).
 ALGORITHM_ALIASES = {
@@ -61,17 +61,43 @@ ALGORITHMS = tuple(
     sorted(set(ALGORITHM_ALIASES.values()), key=list(ALGORITHM_ALIASES.values()).index)
 )
 
-_FST_CLUSTER_MINERS = {
-    "dseq": DSeqMiner,
-    "dcand": DCandMiner,
-    "naive": NaiveMiner,
-    "semi-naive": SemiNaiveMiner,
+#: Canonical algorithm name -> ``(module, class)`` of its miner, imported by
+#: the first query that runs it: a query pays for the algorithm it uses.
+_MINERS = {
+    "dseq": ("repro.core.dseq", "DSeqMiner"),
+    "dcand": ("repro.core.dcand", "DCandMiner"),
+    "naive": ("repro.core.naive", "NaiveMiner"),
+    "semi-naive": ("repro.core.naive", "SemiNaiveMiner"),
+    "lash": ("repro.sequential.lash", "GapConstrainedMiner"),
+    "mg-fsm": ("repro.sequential.lash", "GapConstrainedMiner"),
+    "desq-dfs": ("repro.sequential.desq_dfs", "SequentialDesqDfs"),
+    "desq-count": ("repro.sequential.desq_count", "SequentialDesqCount"),
 }
 
-_SEQUENTIAL_MINERS = {
-    "desq-dfs": SequentialDesqDfs,
-    "desq-count": SequentialDesqCount,
-}
+#: The miners that mine in-process and take a kernel name, not a cluster.
+_SEQUENTIAL = ("desq-dfs", "desq-count")
+
+
+def _miner_class(name: str) -> type:
+    module, class_name = _MINERS[name]
+    return getattr(import_module(module), class_name)
+
+
+def preload_miners() -> None:
+    """Import now what queries would import on first use: every algorithm of
+    the table above and everything :mod:`repro.core`, :mod:`repro.fst` and
+    :mod:`repro.mapreduce` export lazily (planner, compiler, every backend).
+
+    For long-lived processes (``repro serve`` calls this before it accepts a
+    connection): a deferred import is a saving only where a process runs one
+    query and exits; in a daemon it would land inside some cold request.
+    """
+    for name in _MINERS:
+        _miner_class(name)
+    for package in map(import_module, ("repro.core", "repro.fst", "repro.mapreduce")):
+        for name in package.__all__:
+            getattr(package, name)
+
 
 #: Gap/length parameters understood by the specialised miners, with the
 #: defaults the experiment harness has always applied.
@@ -191,7 +217,7 @@ def mine(
         for key in _GAP_PARAMETERS:
             if key in options:
                 parameters[key] = options.pop(key)
-        return GapConstrainedMiner(
+        return _miner_class(name)(
             sigma,
             corpus.dictionary,
             max_gap=parameters.get("max_gap", 1),
@@ -207,14 +233,8 @@ def mine(
             f"algorithm {name!r} requires a pattern-expression constraint"
         )
     patex = options.pop("_patex", None) or PatEx(expression)
-    if name in _SEQUENTIAL_MINERS:
-        miner = _SEQUENTIAL_MINERS[name](
-            patex, sigma, corpus.dictionary, kernel=config.kernel, **options
-        )
-        return miner.mine(corpus.database)
-    miner = _FST_CLUSTER_MINERS[name](
-        patex, sigma, corpus.dictionary, cluster=config, **options
-    )
+    substrate = {"kernel": config.kernel} if name in _SEQUENTIAL else {"cluster": config}
+    miner = _miner_class(name)(patex, sigma, corpus.dictionary, **substrate, **options)
     return miner.mine(corpus.database)
 
 
@@ -370,7 +390,7 @@ class LocalSession(Session):
     """
 
     def __init__(self, max_cache_entries: int | None = None) -> None:
-        from repro.service.cache import DEFAULT_MAX_ENTRIES
+        from repro.service.cache import DEFAULT_MAX_ENTRIES, QueryCache
 
         self._corpora: dict[str, Corpus] = {}
         self._hashes: dict[str, str] = {}

@@ -24,7 +24,6 @@ from collections.abc import Iterable, Sequence
 
 from repro.core.nfa_mining import NfaLocalMiner
 from repro.core.pivot_search import pivots_of_sorted_sets
-from repro.core.prefix_batch import batched_accepting, normalize_map_batching
 from repro.core.results import MiningResult
 from repro.dictionary import Dictionary
 from repro.fst import (
@@ -41,6 +40,7 @@ from repro.mapreduce import (
     MapReduceJob,
     resolve_cluster,
 )
+from repro.mapreduce.job import normalize_map_batching
 from repro.nfa import TrieBuilder, deserialize, serialize_trie
 from repro.patex import PatEx
 from repro.sequences import (
@@ -125,6 +125,8 @@ class DCandJob(MapReduceJob):
         if self.map_batching != "trie":
             yield from super().map_records(records, counters)
             return
+        from repro.core.prefix_batch import batched_accepting  # only a trie run loads it
+
         records = list(records)
         accepting = batched_accepting(
             self.kernel,
@@ -233,10 +235,11 @@ class DCandMiner:
         )
         records = as_mining_records(database, dedup=self.dedup)
         cluster = resolve_cluster(self.cluster)
-        # Deferred import: repro.core.balance imports this module's job.
-        from repro.core.balance import attach_partition_plan
+        if self.cluster.partitioner_name == "planned":
+            # Only a planned run loads the planner (which imports the core jobs).
+            from repro.core.balance import attach_partition_plan
 
-        attach_partition_plan(self, job, records, cluster)
+            attach_partition_plan(self, job, records, cluster)
         result = cluster.run(job, records)
         patterns = dict(result.outputs)
         return MiningResult(patterns, result.metrics, algorithm=self.algorithm_name)

@@ -33,10 +33,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from repro.core.grid_engine import GridMemoWarmup, cached_grid, normalize_grid
+from repro.core.grid_engine import cached_grid, normalize_grid
 from repro.core.local_mining import DesqDfsMiner
 from repro.core.pivot_search import pivots_by_run_enumeration
-from repro.core.prefix_batch import batched_grids, normalize_map_batching
 from repro.core.results import MiningResult
 from repro.core.rewriting import rewrite_for_pivot
 from repro.dictionary import Dictionary
@@ -48,6 +47,7 @@ from repro.mapreduce import (
     MapReduceJob,
     resolve_cluster,
 )
+from repro.mapreduce.job import normalize_map_batching
 from repro.patex import PatEx
 from repro.sequences import (
     SequenceDatabase,
@@ -87,10 +87,6 @@ class DSeqJob(MapReduceJob):
         self.map_batching = normalize_map_batching(map_batching)
         self.max_frequent_fid = self.dictionary.largest_frequent_fid(sigma)
 
-    def worker_warmup(self):
-        """Ship the kernel and the per-worker grid-memo sizing to the pool."""
-        return GridMemoWarmup(self.kernel)
-
     def _grid_for(self, sequence: tuple[int, ...], span_hash: int | None = None):
         return cached_grid(
             self.kernel,
@@ -126,6 +122,8 @@ class DSeqJob(MapReduceJob):
         ):
             yield from super().map_records(records, counters)
             return
+        from repro.core.prefix_batch import batched_grids  # only a trie run loads it
+
         records = list(records)
         grids = batched_grids(
             self.kernel,
@@ -273,10 +271,11 @@ class DSeqMiner:
         )
         records = as_mining_records(database, dedup=self.dedup)
         cluster = resolve_cluster(self.cluster)
-        # Deferred import: repro.core.balance imports this module's job.
-        from repro.core.balance import attach_partition_plan
+        if self.cluster.partitioner_name == "planned":
+            # Only a planned run loads the planner (which imports the core jobs).
+            from repro.core.balance import attach_partition_plan
 
-        attach_partition_plan(self, job, records, cluster)
+            attach_partition_plan(self, job, records, cluster)
         result = cluster.run(job, records)
         patterns = dict(result.outputs)
         return MiningResult(patterns, result.metrics, algorithm=self.algorithm_name)

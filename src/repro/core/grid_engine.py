@@ -26,9 +26,10 @@ This module is the performance engine built on the same theory:
   across chunks builds its grid once per worker process — and the reduce side
   keeps its :class:`~repro.core.local_mining.MiningTables` there (kind
   ``"tables"``; a reducer never builds a grid), so both compete for the same
-  limit and evict each other first-in, first-out.
-  :class:`GridMemoWarmup` ships the sizing (and the mining kernel) through the
-  persistent pool initializer.
+  limit and evict each other first-in, first-out.  A forked pool worker
+  starts with the memo its driver had (usually empty) and the driver's limit;
+  the job — and with it the kernel the keys fingerprint — reaches it once,
+  through the pool initializer, so the memo serves every task the worker runs.
 
 ``grid="legacy"`` selects the reference engine everywhere the knob is exposed
 (miners, :class:`~repro.mapreduce.ClusterConfig`, ``--grid``); the
@@ -632,27 +633,3 @@ def cached_grid(
         _memo_key(kernel, sequence, max_frequent_fid, name, span_hash),
         lambda: make_grid(kernel, sequence, max_frequent_fid=max_frequent_fid, grid=name),
     )
-
-
-class GridMemoWarmup:
-    """Worker-warmup payload: the mining kernel plus the grid-memo sizing.
-
-    Shipped once per worker through the persistent pool initializer
-    (:meth:`~repro.mapreduce.job.MapReduceJob.worker_warmup`): unpickling it
-    interns the compiled kernel by content fingerprint *and* sizes the
-    worker's grid memo, so later task unpickles find both caches warm.
-    """
-
-    __slots__ = ("kernel", "limit")
-
-    def __init__(self, kernel, limit: int = DEFAULT_GRID_MEMO_LIMIT) -> None:
-        self.kernel = kernel
-        self.limit = limit
-
-    def __reduce__(self):
-        return (_restore_warmup, (self.kernel, self.limit))
-
-
-def _restore_warmup(kernel, limit: int) -> GridMemoWarmup:
-    set_grid_memo_limit(limit)
-    return GridMemoWarmup(kernel, limit)

@@ -139,10 +139,11 @@ class _SubsequenceBaselineMiner:
         )
         records = as_mining_records(database, dedup=self.dedup)
         cluster = resolve_cluster(self.cluster)
-        # Deferred import: repro.core.balance sits atop the core jobs.
-        from repro.core.balance import attach_partition_plan
+        if self.cluster.partitioner_name == "planned":
+            # Only a planned run loads the planner (which imports the core jobs).
+            from repro.core.balance import attach_partition_plan
 
-        attach_partition_plan(self, job, records, cluster)
+            attach_partition_plan(self, job, records, cluster)
         result = cluster.run(job, records)
         return MiningResult(dict(result.outputs), result.metrics, self.algorithm_name)
 

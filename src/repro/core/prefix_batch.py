@@ -31,30 +31,18 @@ from collections.abc import Iterable, Sequence
 
 from repro.core.grid_engine import FlatPivotGrid, GrowableFlatGrid
 from repro.dictionary import Dictionary
-from repro.errors import MiningError
 from repro.fst import Fst, MiningKernel, ensure_kernel
+from repro.mapreduce.job import DEFAULT_MAP_BATCHING, MAP_BATCHINGS, normalize_map_batching
 
-#: Batch-map modes accepted by miners, ``ClusterConfig``, and ``--map-batching``.
-MAP_BATCHINGS = ("off", "trie")
-
-#: Batch-map mode used when none is requested explicitly.  ``off`` keeps the
-#: per-sequence path: on corpora with little prefix overlap the per-sequence
-#: accepting-run short-circuit (skip the whole build for rejected sequences)
-#: beats sharing, so batching stays opt-in per workload.
-DEFAULT_MAP_BATCHING = "off"
-
-
-def normalize_map_batching(map_batching: str | None) -> str:
-    """Map a user-provided batch-map mode to a canonical one (None → default)."""
-    if map_batching is None:
-        return DEFAULT_MAP_BATCHING
-    name = str(map_batching).strip().lower()
-    if name not in MAP_BATCHINGS:
-        raise MiningError(
-            f"unknown map batching {map_batching!r}; "
-            f"choose one of {', '.join(MAP_BATCHINGS)}"
-        )
-    return name
+#: The mode names live with the job interface (a query that never batches
+#: must not load this module to say so) and still import from here.
+__all__ = [
+    "DEFAULT_MAP_BATCHING",
+    "MAP_BATCHINGS",
+    "batched_accepting",
+    "batched_grids",
+    "normalize_map_batching",
+]
 
 
 class _TrieNode:

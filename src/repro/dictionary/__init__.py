@@ -1,17 +1,13 @@
 """Item dictionaries and hierarchies (Sec. II of the paper)."""
 
-from repro.dictionary.builder import DictionaryBuilder, build_dictionary
-from repro.dictionary.dictionary import EPSILON_FID, Dictionary, Item
-from repro.dictionary.hierarchy import Hierarchy
-from repro.dictionary.intervals import DescendantIndex, IntervalSet
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DescendantIndex",
-    "Dictionary",
-    "DictionaryBuilder",
-    "EPSILON_FID",
-    "Hierarchy",
-    "IntervalSet",
-    "Item",
-    "build_dictionary",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.dictionary.builder": ("DictionaryBuilder", "build_dictionary"),
+        "repro.dictionary.dictionary": ("EPSILON_FID", "Dictionary", "Item"),
+        "repro.dictionary.hierarchy": ("Hierarchy",),
+        "repro.dictionary.intervals": ("DescendantIndex", "IntervalSet"),
+    },
+)

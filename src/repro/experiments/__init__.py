@@ -1,66 +1,46 @@
 """Experiment harness: regenerates every table and figure of the paper."""
 
-from repro.experiments.configs import (
-    DEFAULT_SIZES,
-    DEFAULT_WORKERS,
-    SCALED_SIGMA,
-    PreparedDataset,
-    prepare_dataset,
-)
-from repro.experiments.figures import (
-    figure9a,
-    figure9b,
-    figure9c,
-    figure10a,
-    figure10b,
-    figure11_scalability,
-    figure12_lash_setting,
-    figure13_mllib_setting,
-)
-from repro.experiments.harness import RunRecord, build_miner, run_algorithm, run_comparison
-from repro.experiments.plotting import (
-    bar_chart,
-    grouped_bar_chart,
-    line_chart,
-    multi_line_chart,
-    sparkline,
-)
-from repro.experiments.reporting import format_series, format_table, human_bytes
-from repro.experiments.tables import (
-    candidate_statistics,
-    table2_dataset_characteristics,
-    table4_candidate_statistics,
-    table5_speedup,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_SIZES",
-    "DEFAULT_WORKERS",
-    "PreparedDataset",
-    "RunRecord",
-    "SCALED_SIGMA",
-    "bar_chart",
-    "build_miner",
-    "candidate_statistics",
-    "grouped_bar_chart",
-    "line_chart",
-    "multi_line_chart",
-    "sparkline",
-    "figure10a",
-    "figure10b",
-    "figure11_scalability",
-    "figure12_lash_setting",
-    "figure13_mllib_setting",
-    "figure9a",
-    "figure9b",
-    "figure9c",
-    "format_series",
-    "format_table",
-    "human_bytes",
-    "prepare_dataset",
-    "run_algorithm",
-    "run_comparison",
-    "table2_dataset_characteristics",
-    "table4_candidate_statistics",
-    "table5_speedup",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.configs": (
+            "DEFAULT_SIZES",
+            "DEFAULT_WORKERS",
+            "SCALED_SIGMA",
+            "PreparedDataset",
+            "prepare_dataset",
+        ),
+        "repro.experiments.figures": (
+            "figure9a",
+            "figure9b",
+            "figure9c",
+            "figure10a",
+            "figure10b",
+            "figure11_scalability",
+            "figure12_lash_setting",
+            "figure13_mllib_setting",
+        ),
+        "repro.experiments.harness": (
+            "RunRecord",
+            "build_miner",
+            "run_algorithm",
+            "run_comparison",
+        ),
+        "repro.experiments.plotting": (
+            "bar_chart",
+            "grouped_bar_chart",
+            "line_chart",
+            "multi_line_chart",
+            "sparkline",
+        ),
+        "repro.experiments.reporting": ("format_series", "format_table", "human_bytes"),
+        "repro.experiments.tables": (
+            "candidate_statistics",
+            "table2_dataset_characteristics",
+            "table4_candidate_statistics",
+            "table5_speedup",
+        ),
+    },
+)

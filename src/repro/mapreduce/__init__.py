@@ -20,53 +20,11 @@ Use :func:`make_cluster` to pick a backend by name.
 """
 
 from repro._lazy import lazy_exports
-from repro.mapreduce.base import BatchOutcome, Cluster, JobResult, StageDriverCluster
-from repro.mapreduce.engine import SimulatedCluster, run_job
-from repro.mapreduce.faults import (
-    DEFAULT_FAULT_POLICY,
-    FaultInjectingBlobStore,
-    FaultInjector,
-    FaultPolicy,
-    InjectedFault,
-    ScriptedInjector,
-    TaskContext,
-    TaskTimeoutError,
-    is_retryable,
-)
-from repro.mapreduce.factory import (
-    BACKENDS,
-    ClusterConfig,
-    make_cluster,
-    resolve_cluster,
-)
-from repro.mapreduce.job import (
-    DEFAULT_PARTITIONER,
-    PARTITIONERS,
-    MapReduceJob,
-    iter_map_output,
-    normalize_partitioner,
-    stable_hash,
-)
-from repro.mapreduce.metrics import JobMetrics, lpt_worker_loads
-from repro.mapreduce.parallel import (
-    PersistentProcessPoolCluster,
-    ProcessPoolCluster,
-    ThreadPoolCluster,
-)
-from repro.mapreduce.spill import FragmentReader, WireFragment, merge_fragments
-from repro.mapreduce.tasks import (
-    MapTaskResult,
-    ReduceTaskResult,
-    run_map_task,
-    run_reduce_task,
-    run_store_map_task,
-)
-from repro.mapreduce.wire import CODECS, Codec, CompactCodec, PickleCodec, make_codec
 
-# Only a multihost run needs these two modules; see repro._lazy.
-__getattr__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
+        "repro.mapreduce.base": ("BatchOutcome", "Cluster", "JobResult", "StageDriverCluster"),
         "repro.mapreduce.blobstore": (
             "BlobNotFoundError",
             "BlobRetryStats",
@@ -81,71 +39,44 @@ __getattr__ = lazy_exports(
             "read_lease",
             "write_lease",
         ),
-        "repro.mapreduce.multihost": (
-            "BlobShuffle",
-            "MultiHostCluster",
-            "run_blob_map_task",
+        "repro.mapreduce.engine": ("SimulatedCluster", "run_job"),
+        "repro.mapreduce.factory": ("BACKENDS", "ClusterConfig", "make_cluster", "resolve_cluster"),
+        "repro.mapreduce.faults": (
+            "DEFAULT_FAULT_POLICY",
+            "FaultInjectingBlobStore",
+            "FaultInjector",
+            "FaultPolicy",
+            "InjectedFault",
+            "JobNotDeliveredError",
+            "ScriptedInjector",
+            "TaskContext",
+            "TaskTimeoutError",
+            "is_retryable",
         ),
+        "repro.mapreduce.job": (
+            "DEFAULT_PARTITIONER",
+            "PARTITIONERS",
+            "MapReduceJob",
+            "iter_map_output",
+            "normalize_partitioner",
+            "stable_hash",
+        ),
+        "repro.mapreduce.metrics": ("JobMetrics", "lpt_worker_loads"),
+        "repro.mapreduce.multihost": ("BlobShuffle", "MultiHostCluster", "run_blob_map_task"),
+        "repro.mapreduce.parallel": (
+            "PersistentProcessPoolCluster",
+            "ProcessPoolCluster",
+            "ThreadPoolCluster",
+        ),
+        "repro.mapreduce.spill": ("FragmentReader", "WireFragment", "merge_fragments"),
+        "repro.mapreduce.tasks": (
+            "JobRef",
+            "MapTaskResult",
+            "ReduceTaskResult",
+            "run_map_task",
+            "run_reduce_task",
+            "run_store_map_task",
+        ),
+        "repro.mapreduce.wire": ("CODECS", "Codec", "CompactCodec", "PickleCodec", "make_codec"),
     },
 )
-
-__all__ = [
-    "BACKENDS",
-    "CODECS",
-    "BatchOutcome",
-    "BlobNotFoundError",
-    "BlobRetryStats",
-    "BlobShuffle",
-    "BlobStore",
-    "BlobStoreError",
-    "Cluster",
-    "ClusterConfig",
-    "Codec",
-    "CompactCodec",
-    "DEFAULT_FAULT_POLICY",
-    "DEFAULT_PARTITIONER",
-    "DirectoryBlobStore",
-    "FaultInjectingBlobStore",
-    "FaultInjector",
-    "FaultPolicy",
-    "FragmentReader",
-    "InMemoryBlobStore",
-    "InjectedFault",
-    "PARTITIONERS",
-    "JobMetrics",
-    "ScriptedInjector",
-    "TaskContext",
-    "TaskTimeoutError",
-    "JobResult",
-    "MapReduceJob",
-    "MapTaskResult",
-    "MultiHostCluster",
-    "PersistentProcessPoolCluster",
-    "PickleCodec",
-    "ProcessPoolCluster",
-    "ReduceTaskResult",
-    "SimulatedCluster",
-    "StageDriverCluster",
-    "ThreadPoolCluster",
-    "WireFragment",
-    "content_key",
-    "gc_expired",
-    "get_with_retry",
-    "is_retryable",
-    "iter_map_output",
-    "lpt_worker_loads",
-    "make_cluster",
-    "make_codec",
-    "merge_fragments",
-    "normalize_partitioner",
-    "put_with_retry",
-    "read_lease",
-    "resolve_cluster",
-    "write_lease",
-    "run_blob_map_task",
-    "run_job",
-    "run_map_task",
-    "run_reduce_task",
-    "run_store_map_task",
-    "stable_hash",
-]

@@ -27,8 +27,6 @@ per-worker time attribution (:meth:`StageDriverCluster._worker_times`).
 from __future__ import annotations
 
 import pickle
-import shutil
-import tempfile
 import time
 from collections.abc import Callable, Sequence
 from contextlib import contextmanager
@@ -44,7 +42,7 @@ from repro.mapreduce.faults import (
     TaskTimeoutError,
     is_retryable,
 )
-from repro.mapreduce.job import MapReduceJob, normalize_partitioner
+from repro.mapreduce.job import MapReduceJob, normalize_map_batching, normalize_partitioner
 from repro.mapreduce.metrics import JobMetrics
 from repro.mapreduce.spill import WireFragment
 from repro.mapreduce.tasks import (
@@ -219,9 +217,6 @@ class StageDriverCluster:
             partitioner = normalize_partitioner(partitioner)
         self.partitioner = partitioner
         if map_batching is not None:
-            # Same deferred fail-fast validation as kernel and grid.
-            from repro.core.prefix_batch import normalize_map_batching
-
             map_batching = normalize_map_batching(map_batching)
         self.map_batching = map_batching
         self.fault_policy = fault_policy or DEFAULT_FAULT_POLICY
@@ -252,6 +247,8 @@ class StageDriverCluster:
         # running worker task) before the directory is removed.
         job_spill_dir: str | None = None
         if self.spill_budget_bytes is not None:
+            import tempfile  # only a spilling run loads it (and shutil below)
+
             job_spill_dir = tempfile.mkdtemp(prefix="repro-shuffle-", dir=self.spill_dir)
         try:
             with self._input_scope(records) as chunks:
@@ -339,6 +336,8 @@ class StageDriverCluster:
                         )
         finally:
             if job_spill_dir is not None:
+                import shutil
+
                 shutil.rmtree(job_spill_dir, ignore_errors=True)
 
         outputs: list[Any] = []
@@ -488,6 +487,12 @@ class StageDriverCluster:
         """
         yield None
 
+    def _task_job(self, job: MapReduceJob) -> Any:
+        """What a task carries as its job: in-process backends pass the object
+        itself (nothing is pickled); pool backends, whose workers were handed
+        the job by the pool initializer, pass a few-byte reference."""
+        return job
+
     def _map_task(
         self,
         job: MapReduceJob,
@@ -500,7 +505,7 @@ class StageDriverCluster:
         return (
             run_map_task,
             (
-                job,
+                self._task_job(job),
                 chunk,
                 self.num_reduce_tasks,
                 self.measure_shuffle,
@@ -519,7 +524,10 @@ class StageDriverCluster:
         context: TaskContext | None = None,
     ) -> Task:
         """Build the reduce task for one non-empty bucket's fragments."""
-        return (run_reduce_task, (job, fragments, self.codec, None, context))
+        return (
+            run_reduce_task,
+            (self._task_job(job), fragments, self.codec, None, context),
+        )
 
     @contextmanager
     def _executor_scope(self, chunks: Sequence[Any], job: MapReduceJob):
@@ -527,12 +535,11 @@ class StageDriverCluster:
 
         ``chunks`` are the map inputs prepared by :meth:`_input_scope`
         (backends that initialize their workers per job batch read the store
-        handle from them) and ``job`` is the job about to run (backends that
-        warm their workers once per job batch ship
-        :meth:`~repro.mapreduce.job.MapReduceJob.worker_warmup` through the
-        pool initializer).  The callable reports per-task results and
-        failures in a :class:`BatchOutcome` — it never raises a task's
-        exception itself; the driver's retry loop decides a failure's fate.
+        handle from them) and ``job`` is the job about to run (pool backends
+        hand it to each worker once, through the pool initializer).  The
+        callable reports per-task results and failures in a
+        :class:`BatchOutcome` — it never raises a task's exception itself;
+        the driver's retry loop decides a failure's fate.
         With ``fail_fast`` it may stop scheduling after the first failure.
         The default runs tasks serially in the calling process; pool backends
         yield a closure over a freshly created executor, so one cluster

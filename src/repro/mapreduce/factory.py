@@ -178,7 +178,7 @@ class ClusterConfig:
     def map_batching_name(self) -> str:
         """The effective batch-map mode (falling back to the cluster's, then
         the ``"off"`` reference)."""
-        from repro.core.prefix_batch import DEFAULT_MAP_BATCHING, normalize_map_batching
+        from repro.mapreduce.job import DEFAULT_MAP_BATCHING, normalize_map_batching
 
         if self.map_batching is not None:
             return normalize_map_batching(self.map_batching)

@@ -54,6 +54,15 @@ class TaskTimeoutError(MapReduceError):
         self.timeout_s = timeout_s
 
 
+class JobNotDeliveredError(MapReduceError):
+    """Raised by a pooled task whose worker was never handed the job it names.
+
+    A pool delivers its job to every worker once, through the pool
+    initializer; a task reaching a worker that holds another job (or none)
+    is a broken pool set-up, which no retry on the same pool can repair.
+    """
+
+
 class InjectedFault(MapReduceError):
     """Raised by a :class:`FaultInjector` standing in for a real task failure."""
 
@@ -189,12 +198,13 @@ def is_retryable(error: BaseException) -> bool:
 
     Candidate/run explosions are deterministic properties of the data and the
     constraint — re-running the task reproduces them exactly — so they fail
-    the job immediately no matter the retry budget.  Everything else
+    the job immediately no matter the retry budget, and so does a worker
+    that does not hold the task's job.  Everything else
     (injected faults, dead hosts, blob-store errors, timeouts) is treated as
     potentially transient, matching how cluster schedulers retry task
     failures they cannot classify.
     """
-    return not isinstance(error, CandidateExplosionError)
+    return not isinstance(error, (CandidateExplosionError, JobNotDeliveredError))
 
 
 # ---------------------------------------------------------------- injection

@@ -5,6 +5,12 @@ A distributed FSM algorithm with one round of communication is expressed as a
 know about an input sequence and what representation to send, an optional
 ``combine`` function pre-aggregates map output per map task, and the ``reduce``
 function mines one partition locally.
+
+A job object is what Alg. 1 broadcasts: the constraint (FST + dictionary) and
+the thresholds.  In-process backends pass it to every task as it is; pool
+backends hand it to each worker once through the pool initializer and their
+tasks name it by a :class:`~repro.mapreduce.tasks.JobRef`, so a job is never
+pickled per task — and not at all where workers are forked.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import zlib
 from collections.abc import Iterable, Iterator
 from typing import Any
 
-from repro.errors import MapReduceError
+from repro.errors import MapReduceError, MiningError
 
 #: Reduce-partitioner choices: ``"hash"`` assigns keys by
 #: :func:`stable_hash` (the reference), ``"planned"`` consults a
@@ -36,6 +42,29 @@ def normalize_partitioner(name: str | None) -> str:
             f"unknown partitioner {name!r}; choose one of {', '.join(PARTITIONERS)}"
         )
     return key
+
+
+#: Batch-map modes accepted by miners, ``ClusterConfig``, and ``--map-batching``.
+MAP_BATCHINGS = ("off", "trie")
+
+#: Batch-map mode used when none is requested explicitly.  ``off`` keeps the
+#: per-sequence path: on corpora with little prefix overlap the per-sequence
+#: accepting-run short-circuit (skip the whole build for rejected sequences)
+#: beats sharing, so batching stays opt-in per workload.
+DEFAULT_MAP_BATCHING = "off"
+
+
+def normalize_map_batching(map_batching: str | None) -> str:
+    """Map a user-provided batch-map mode to a canonical one (None → default)."""
+    if map_batching is None:
+        return DEFAULT_MAP_BATCHING
+    name = str(map_batching).strip().lower()
+    if name not in MAP_BATCHINGS:
+        raise MiningError(
+            f"unknown map batching {map_batching!r}; "
+            f"choose one of {', '.join(MAP_BATCHINGS)}"
+        )
+    return name
 
 
 def stable_hash(key: Any) -> int:
@@ -131,18 +160,6 @@ class MapReduceJob:
         return len(pickle.dumps((key, value), protocol=pickle.HIGHEST_PROTOCOL))
 
     # -------------------------------------------------------------- utilities
-    def worker_warmup(self) -> Any:
-        """Picklable object shipped once per worker by persistent backends.
-
-        The persistent process pool passes this through its pool initializer
-        before the first task runs.  The default ships the job's mining
-        kernel when it has one: unpickling a compiled kernel interns it per
-        process by content fingerprint, so every later task unpickle of the
-        job returns the already-warm kernel instead of re-deriving its
-        tables and memoized indexes.
-        """
-        return getattr(self, "kernel", None)
-
     def partition(self, key: Any, num_reduce_tasks: int) -> int:
         """Assign a key to a reduce task (hash partitioning by default).
 

@@ -30,7 +30,6 @@ import os
 import shutil
 import tempfile
 import time
-import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
@@ -54,7 +53,7 @@ from repro.mapreduce.spill import (
     WireFragment,
     remove_spill_files,
 )
-from repro.mapreduce.tasks import MapTaskResult, run_reduce_task, run_store_map_task
+from repro.mapreduce.tasks import JobRef, MapTaskResult, run_reduce_task, run_store_map_task
 from repro.mapreduce.wire import Codec
 from repro.sequences.store import StoreChunk
 
@@ -75,7 +74,7 @@ class BlobShuffle:
 
 
 def run_blob_map_task(
-    job: MapReduceJob,
+    job: MapReduceJob | JobRef,
     chunk: StoreChunk,
     num_reduce_tasks: int,
     measure_shuffle: bool,
@@ -174,7 +173,7 @@ class MultiHostCluster(PersistentProcessPoolCluster):
                 gc_expired(store, self.fault_policy.blob_namespace_ttl_s)
             except Exception:
                 pass
-        prefix = f"job-{uuid.uuid4().hex[:16]}"
+        prefix = f"job-{os.urandom(8).hex()}"
         # The lease stamps the namespace's birth, so a later GC pass can
         # tell this job's leftovers (if we die before the cleanup below)
         # from live namespaces and from foreign files in the directory.
@@ -206,7 +205,7 @@ class MultiHostCluster(PersistentProcessPoolCluster):
         return (
             run_blob_map_task,
             (
-                job,
+                self._task_job(job),
                 chunk,
                 self.num_reduce_tasks,
                 self.measure_shuffle,
@@ -225,4 +224,7 @@ class MultiHostCluster(PersistentProcessPoolCluster):
         shuffle: Any = None,
         context: TaskContext | None = None,
     ) -> Task:
-        return (run_reduce_task, (job, fragments, self.codec, shuffle.store, context))
+        return (
+            run_reduce_task,
+            (self._task_job(job), fragments, self.codec, shuffle.store, context),
+        )

@@ -12,23 +12,35 @@ return per-reduce-bucket payloads, so the driver never re-buckets individual
 worker.  Stage times are measured inside the workers and attributed to the
 worker that actually ran each task.
 
-For the process-pool backends, jobs must be picklable (all jobs in this
-library are: they hold only plain data such as FSTs, dictionaries and
-thresholds).  :class:`ProcessPoolCluster` additionally pays a per-task cost
-for pickling the job *and its input chunk* — a tax that grows with the
-database and eats the speed-up in exactly the regime the paper targets
-(database ≫ dictionary).  :class:`PersistentProcessPoolCluster` removes the
-chunk part of that tax: the input database is packed once into a shared
+The job reaches each pool worker once, as in the paper's Alg. 1 (one round in
+which the constraint — FST + dictionary — is broadcast): every process-pool
+backend hands it over through the pool initializer and its map and reduce
+tasks carry a few-byte :class:`~repro.mapreduce.tasks.JobRef`.  Where workers
+are forked (the default on Linux) the initializer arguments ride the fork
+and the job is never pickled at all; under a spawn context it is pickled
+once per worker, so jobs should be picklable (all jobs in this library are:
+they hold only plain data such as FSTs, dictionaries and thresholds).  The
+initializer ends by freezing the heap the worker inherited
+(``gc.freeze()``): a worker only reads the driver's database, dictionary
+and modules, so its collections never traverse them or dirty their
+copy-on-write pages.  Workers are this library's own one-job processes; the
+calling process's collector is never touched.
+
+:class:`ProcessPoolCluster` still pickles each task's *input chunk* — a tax
+that grows with the database and eats the speed-up in exactly the regime the
+paper targets (database ≫ dictionary).  :class:`PersistentProcessPoolCluster`
+removes it: the input database is packed once into a shared
 :class:`~repro.sequences.store.EncodedSequenceStore`, every worker attaches
 it once when the pool is initialized, and tasks carry only
 :class:`~repro.sequences.store.StoreChunk` descriptors (store handle + offset
-range).  :class:`ThreadPoolCluster` has no pickling tax but shares the GIL,
-so it helps only I/O-bound or GIL-releasing jobs; it is mainly useful as a
-cheap sanity backend with real concurrent scheduling.
+range).  :class:`ThreadPoolCluster` pickles nothing but shares the GIL, so it
+helps only I/O-bound or GIL-releasing jobs; it is mainly useful as a cheap
+sanity backend with real concurrent scheduling.
 """
 
 from __future__ import annotations
 
+import gc
 from collections.abc import Sequence
 from concurrent.futures import (
     BrokenExecutor,
@@ -43,7 +55,7 @@ from typing import Any
 from repro.mapreduce.base import BatchOutcome, StageDriverCluster, Task, split_ranges
 from repro.mapreduce.faults import TaskContext
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.tasks import run_store_map_task
+from repro.mapreduce.tasks import JobRef, deliver_job, run_store_map_task
 from repro.sequences.store import StoreChunk, StoreHandle, as_encoded_store, attach_store
 
 __all__ = ["PersistentProcessPoolCluster", "ProcessPoolCluster", "ThreadPoolCluster"]
@@ -58,9 +70,9 @@ class ExecutorCluster(StageDriverCluster):
     exiting hard breaks the whole :class:`ProcessPoolExecutor`, surfacing as
     :class:`BrokenExecutor` on every in-flight future — the scope discards
     the broken pool, builds a fresh one from the same chunks/job (the shared
-    store stays published for the whole run, so new workers re-attach it),
-    and reports the casualties as per-task failures for the driver to retry
-    on the surviving pool.
+    store stays published for the whole run, so new workers re-attach it and
+    are handed the job by the same initializer), and reports the casualties
+    as per-task failures for the driver to retry on the surviving pool.
     """
 
     default_num_workers = 2
@@ -138,6 +150,20 @@ class ThreadPoolCluster(ExecutorCluster):
         return ThreadPoolExecutor(max_workers=self.num_workers)
 
 
+def _initialize_worker(ref: JobRef, job: MapReduceJob, handle: StoreHandle | None) -> None:
+    """Pool initializer: what a worker process is given once, before any task.
+
+    The job, held under the reference its tasks will carry; the job batch's
+    shared store, attached; and a frozen heap — everything alive at this
+    point was inherited from (or sent by) the driver and is only read from
+    here on, so the worker's collector is told never to walk it.
+    """
+    deliver_job(ref, job)
+    if handle is not None:
+        attach_store(handle)
+    gc.freeze()
+
+
 class ProcessPoolCluster(ExecutorCluster):
     """Executes MapReduce jobs on a local process pool.
 
@@ -152,23 +178,22 @@ class ProcessPoolCluster(ExecutorCluster):
 
     backend_name = "processes"
 
-    def _make_executor(self, chunks: Sequence[Any], job: MapReduceJob) -> Executor:
-        return ProcessPoolExecutor(max_workers=self.num_workers)
+    def _task_job(self, job: MapReduceJob) -> JobRef:
+        # Unique among the jobs alive in this process, which is all a worker
+        # of this run's own pool needs to tell its job from a stranger's.
+        return JobRef(id(job))
+
+    def _make_executor(
+        self, chunks: Sequence[Any], job: MapReduceJob, handle: StoreHandle | None = None
+    ) -> Executor:
+        return ProcessPoolExecutor(
+            max_workers=self.num_workers,
+            initializer=_initialize_worker,
+            initargs=(self._task_job(job), job, handle),
+        )
 
 
-def _initialize_worker(handle: StoreHandle, warmup: Any = None) -> None:
-    """Pool initializer: attach the job batch's shared store once per worker.
-
-    ``warmup`` is the job's :meth:`~repro.mapreduce.job.MapReduceJob.worker_warmup`
-    payload, shipped once per worker through the initializer arguments.  For
-    jobs with a compiled mining kernel, merely *unpickling* the payload here
-    interns the kernel by content fingerprint, so every per-task job unpickle
-    that follows reuses the warm kernel instead of re-deriving its tables.
-    """
-    attach_store(handle)
-
-
-class PersistentProcessPoolCluster(ExecutorCluster):
+class PersistentProcessPoolCluster(ProcessPoolCluster):
     """Process pool whose workers attach a shared sequence store once.
 
     Per :meth:`run` call, the input records are packed into an
@@ -215,7 +240,7 @@ class PersistentProcessPoolCluster(ExecutorCluster):
         return (
             run_store_map_task,
             (
-                job,
+                self._task_job(job),
                 chunk,
                 self.num_reduce_tasks,
                 self.measure_shuffle,
@@ -227,10 +252,4 @@ class PersistentProcessPoolCluster(ExecutorCluster):
         )
 
     def _make_executor(self, chunks: Sequence[StoreChunk], job: MapReduceJob) -> Executor:
-        if not chunks:
-            return ProcessPoolExecutor(max_workers=self.num_workers)
-        return ProcessPoolExecutor(
-            max_workers=self.num_workers,
-            initializer=_initialize_worker,
-            initargs=(chunks[0].handle, job.worker_warmup()),
-        )
+        return super()._make_executor(chunks, job, chunks[0].handle if chunks else None)

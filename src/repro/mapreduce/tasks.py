@@ -9,9 +9,13 @@ exceeded — never raw (key, value) pairs.  A reduce task receives the fragments
 addressed to one bucket, decodes and merges them key by key (the streamed
 shuffle read), and reduces every key group.
 
-Both functions are module-level so that the process-pool backend can pickle
-them for its workers.  Each task reports the worker that executed it (process
-id, thread id) so the driver can attribute per-worker stage times.
+Both functions are module-level so that the process-pool backends can pickle
+them for their workers.  What they cannot afford to pickle per task is the
+job (FST + dictionary, tens of KB): a pool hands it to each worker once
+through :func:`deliver_job` and its tasks carry a :class:`JobRef`, which
+both functions resolve before anything else.  Each task reports the worker
+that executed it (process id, thread id) so the driver can attribute
+per-worker stage times.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.mapreduce.faults import TaskContext
+from repro.mapreduce.faults import JobNotDeliveredError, TaskContext
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.spill import (
     FragmentReader,
@@ -42,6 +46,37 @@ BucketPayload = dict[Any, list[Any]]
 def worker_token() -> tuple[int, int]:
     """Identify the OS worker executing the current task."""
     return os.getpid(), threading.get_ident()
+
+
+@dataclass(frozen=True)
+class JobRef:
+    """What a pooled task carries in place of its job: the token under which
+    the pool's initializer delivered that job to every worker."""
+
+    token: int
+
+
+#: The jobs this worker process was handed by its pools' initializers.
+_DELIVERED: dict[int, MapReduceJob] = {}
+
+
+def deliver_job(ref: JobRef, job: MapReduceJob) -> None:
+    """Hold ``job`` in this process for every later task that names ``ref``."""
+    _DELIVERED[ref.token] = job
+
+
+def _held_job(job: MapReduceJob | JobRef, stage: str, context: TaskContext | None):
+    """The job a task runs: the object it was given, or the one a ref names."""
+    if not isinstance(job, JobRef):
+        return job
+    held = _DELIVERED.get(job.token)
+    if held is None:
+        index = "?" if context is None else context.index
+        raise JobNotDeliveredError(
+            f"{stage} task {index}: worker process {os.getpid()} was never "
+            f"handed a job under token {job.token}"
+        )
+    return held
 
 
 @dataclass
@@ -95,7 +130,7 @@ class ReduceTaskResult:
 
 
 def run_map_task(
-    job: MapReduceJob,
+    job: MapReduceJob | JobRef,
     records: Sequence[Any],
     num_reduce_tasks: int,
     measure_shuffle: bool,
@@ -111,6 +146,7 @@ def run_map_task(
     any work happens, so a retried attempt reruns the task from scratch.
     """
     started = time.perf_counter()
+    job = _held_job(job, "map", context)
     if context is not None:
         context.begin()
     codec = make_codec(codec)
@@ -177,7 +213,7 @@ def run_map_task(
 
 
 def run_store_map_task(
-    job: MapReduceJob,
+    job: MapReduceJob | JobRef,
     chunk: StoreChunk,
     num_reduce_tasks: int,
     measure_shuffle: bool,
@@ -207,7 +243,7 @@ def run_store_map_task(
 
 
 def run_reduce_task(
-    job: MapReduceJob,
+    job: MapReduceJob | JobRef,
     fragments: Sequence[WireFragment],
     codec: Codec | str = "compact",
     blob_store: Any = None,
@@ -224,6 +260,7 @@ def run_reduce_task(
     driver wrapped the store).
     """
     started = time.perf_counter()
+    job = _held_job(job, "reduce", context)
     if context is not None:
         context.begin()
     policy = context.policy if context is not None else None

@@ -1,14 +1,11 @@
 """Output NFAs for candidate representation (Sec. VI)."""
 
-from repro.nfa.nfa import OutputNfa, TrieBuilder, minimize_acyclic
-from repro.nfa.serializer import deserialize, serialize, serialize_trie, serialized_size
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OutputNfa",
-    "TrieBuilder",
-    "deserialize",
-    "minimize_acyclic",
-    "serialize",
-    "serialize_trie",
-    "serialized_size",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.nfa.nfa": ("OutputNfa", "TrieBuilder", "minimize_acyclic"),
+        "repro.nfa.serializer": ("deserialize", "serialize", "serialize_trie", "serialized_size"),
+    },
+)

@@ -1,29 +1,22 @@
 """DESQ pattern expression language (Sec. II and IV)."""
 
-from repro.patex.ast import (
-    Capture,
-    Concatenation,
-    ItemExpression,
-    PatExNode,
-    Repetition,
-    Union,
-    Wildcard,
-    iter_nodes,
-    referenced_items,
-)
-from repro.patex.parser import parse
-from repro.patex.patex import PatEx
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Capture",
-    "Concatenation",
-    "ItemExpression",
-    "PatEx",
-    "PatExNode",
-    "Repetition",
-    "Union",
-    "Wildcard",
-    "iter_nodes",
-    "parse",
-    "referenced_items",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.patex.ast": (
+            "Capture",
+            "Concatenation",
+            "ItemExpression",
+            "PatExNode",
+            "Repetition",
+            "Union",
+            "Wildcard",
+            "iter_nodes",
+            "referenced_items",
+        ),
+        "repro.patex.parser": ("parse",),
+        "repro.patex.patex": ("PatEx",),
+    },
+)

@@ -1,75 +1,48 @@
 """Sequence databases, the zero-copy encoded store, and I/O."""
 
-from repro.sequences.database import (
-    DatabaseStatistics,
-    SequenceDatabase,
-    as_mining_records,
-    as_records,
-)
-from repro.sequences.store import (
-    EncodedSequenceStore,
-    SequenceStoreError,
-    StoreChunk,
-    StoreHandle,
-    StoreSlice,
-    WeightedSequence,
-    as_encoded_store,
-    attach_store,
-    detach_store,
-    fold_weighted_values,
-    record_parts,
-    resolve_chunk,
-    weighted_value_parts,
-)
-from repro.sequences.formats import (
-    detect_format,
-    load_sequences,
-    read_binary_database,
-    read_jsonl_sequences,
-    save_sequences,
-    write_binary_database,
-    write_jsonl_sequences,
-)
-from repro.sequences.io import (
-    preprocess,
-    read_database,
-    read_dictionary,
-    read_gid_sequences,
-    write_database,
-    write_dictionary,
-    write_gid_sequences,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DatabaseStatistics",
-    "EncodedSequenceStore",
-    "SequenceDatabase",
-    "SequenceStoreError",
-    "StoreChunk",
-    "StoreHandle",
-    "StoreSlice",
-    "WeightedSequence",
-    "as_encoded_store",
-    "as_mining_records",
-    "as_records",
-    "attach_store",
-    "detach_store",
-    "detect_format",
-    "fold_weighted_values",
-    "record_parts",
-    "resolve_chunk",
-    "weighted_value_parts",
-    "load_sequences",
-    "preprocess",
-    "read_binary_database",
-    "read_database",
-    "read_dictionary",
-    "read_gid_sequences",
-    "read_jsonl_sequences",
-    "save_sequences",
-    "write_binary_database",
-    "write_database",
-    "write_dictionary",
-    "write_gid_sequences",
-    "write_jsonl_sequences",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.sequences.database": (
+            "DatabaseStatistics",
+            "SequenceDatabase",
+            "as_mining_records",
+            "as_records",
+        ),
+        "repro.sequences.store": (
+            "EncodedSequenceStore",
+            "SequenceStoreError",
+            "StoreChunk",
+            "StoreHandle",
+            "StoreSlice",
+            "WeightedSequence",
+            "as_encoded_store",
+            "attach_store",
+            "detach_store",
+            "fold_weighted_values",
+            "record_parts",
+            "resolve_chunk",
+            "weighted_value_parts",
+        ),
+        "repro.sequences.formats": (
+            "detect_format",
+            "load_sequences",
+            "read_binary_database",
+            "read_jsonl_sequences",
+            "save_sequences",
+            "write_binary_database",
+            "write_jsonl_sequences",
+        ),
+        "repro.sequences.io": (
+            "preprocess",
+            "read_database",
+            "read_dictionary",
+            "read_gid_sequences",
+            "write_database",
+            "write_dictionary",
+            "write_gid_sequences",
+        ),
+    },
+)

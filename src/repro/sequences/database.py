@@ -8,7 +8,6 @@ through a :class:`~repro.dictionary.dictionary.Dictionary`.
 from __future__ import annotations
 
 import operator
-import random
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -145,6 +144,8 @@ class SequenceDatabase:
             raise ReproError(f"fraction must be in (0, 1], got {fraction}")
         if fraction == 1.0:
             return SequenceDatabase(self._sequences)
+        import random  # only the sampling experiment loads it
+
         rng = random.Random(seed)
         count = max(1, round(len(self._sequences) * fraction))
         picked = rng.sample(range(len(self._sequences)), count)

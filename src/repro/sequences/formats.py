@@ -17,15 +17,17 @@ name carries an additional ``.gz`` suffix.
 
 from __future__ import annotations
 
-import gzip
 import json
+import os
 from collections.abc import Iterable, Sequence
-from pathlib import Path
-from typing import IO
+from typing import IO, TYPE_CHECKING
 
 from repro.errors import ReproError
 from repro.sequences.database import SequenceDatabase
 from repro.varint import read_varint, write_varint
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 #: Magic bytes identifying the binary database format.
 BINARY_MAGIC = b"RSDB"
@@ -37,18 +39,28 @@ KNOWN_FORMATS = ("text", "jsonl", "binary")
 
 
 # ----------------------------------------------------------------- file opening
+def _suffixes(path: str | Path) -> list[str]:
+    """The file name's suffixes, as ``pathlib.PurePath.suffixes`` lists them."""
+    name = os.path.basename(os.fspath(path))
+    if name.endswith("."):
+        return []
+    return ["." + suffix for suffix in name.lstrip(".").split(".")[1:]]
+
+
 def _open_text(path: str | Path, mode: str) -> IO[str]:
     """Open a text file, transparently using gzip for ``*.gz`` paths."""
-    path = Path(path)
-    if path.suffix == ".gz":
+    if _suffixes(path)[-1:] == [".gz"]:
+        import gzip  # only a compressed file loads it
+
         return gzip.open(path, mode + "t", encoding="utf-8")
     return open(path, mode, encoding="utf-8")
 
 
 def _open_binary(path: str | Path, mode: str) -> IO[bytes]:
     """Open a binary file, transparently using gzip for ``*.gz`` paths."""
-    path = Path(path)
-    if path.suffix == ".gz":
+    if _suffixes(path)[-1:] == [".gz"]:
+        import gzip  # only a compressed file loads it
+
         return gzip.open(path, mode + "b")
     return open(path, mode + "b")
 
@@ -60,8 +72,7 @@ def detect_format(path: str | Path) -> str:
     everything else to the plain text format.  A trailing ``.gz`` suffix is
     ignored for the purpose of detection.
     """
-    path = Path(path)
-    suffixes = [suffix.lower() for suffix in path.suffixes if suffix.lower() != ".gz"]
+    suffixes = [suffix.lower() for suffix in _suffixes(path) if suffix.lower() != ".gz"]
     last = suffixes[-1] if suffixes else ""
     if last == ".jsonl":
         return "jsonl"

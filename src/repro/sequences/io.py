@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Sequence
-from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.dictionary import Dictionary, DictionaryBuilder, Hierarchy, Item
 from repro.sequences.database import SequenceDatabase
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 
 # --------------------------------------------------------------------- sequences

@@ -1,23 +1,19 @@
 """Sequential and specialised reference miners used for comparison."""
 
-from repro.sequential.desq_count import SequentialDesqCount
-from repro.sequential.desq_dfs import SequentialDesqDfs
-from repro.sequential.gsp import GspMiner
-from repro.sequential.lash import (
-    GapConstrainedJob,
-    GapConstrainedMiner,
-    LashMiner,
-    MgFsmMiner,
-)
-from repro.sequential.prefixspan import PrefixSpanMiner
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GapConstrainedJob",
-    "GapConstrainedMiner",
-    "GspMiner",
-    "LashMiner",
-    "MgFsmMiner",
-    "PrefixSpanMiner",
-    "SequentialDesqCount",
-    "SequentialDesqDfs",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.sequential.desq_count": ("SequentialDesqCount",),
+        "repro.sequential.desq_dfs": ("SequentialDesqDfs",),
+        "repro.sequential.gsp": ("GspMiner",),
+        "repro.sequential.lash": (
+            "GapConstrainedJob",
+            "GapConstrainedMiner",
+            "LashMiner",
+            "MgFsmMiner",
+        ),
+        "repro.sequential.prefixspan": ("PrefixSpanMiner",),
+    },
+)

@@ -267,11 +267,11 @@ class GapConstrainedMiner:
         )
         records = as_mining_records(database, dedup=self.dedup)
         cluster = resolve_cluster(self.cluster)
-        # Deferred import: the planner lives in repro.core, which this
-        # sequential-package module must not import at module level.
-        from repro.core.balance import attach_partition_plan
+        if self.cluster.partitioner_name == "planned":
+            # Only a planned run loads the planner (which imports the core jobs).
+            from repro.core.balance import attach_partition_plan
 
-        attach_partition_plan(self, job, records, cluster)
+            attach_partition_plan(self, job, records, cluster)
         result = cluster.run(job, records)
         name = self.algorithm_name if self.use_hierarchy else "MG-FSM"
         return MiningResult(dict(result.outputs), result.metrics, algorithm=name)

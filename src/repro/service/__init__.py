@@ -23,12 +23,12 @@ the in-process library path.
 """
 
 from repro._lazy import lazy_exports
-from repro.service.cache import CacheInfo, QueryCache
 
 # An in-process session needs only the cache; see repro._lazy.
-__getattr__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
+        "repro.service.cache": ("CacheInfo", "QueryCache"),
         "repro.service.protocol": (
             "DEFAULT_SERVICE_PORT",
             "PROTOCOL_VERSION",
@@ -41,16 +41,3 @@ __getattr__ = lazy_exports(
         "repro.service.server": ("MiningServer",),
     },
 )
-
-__all__ = [
-    "CacheInfo",
-    "DEFAULT_SERVICE_PORT",
-    "MiningServer",
-    "PROTOCOL_VERSION",
-    "QueryCache",
-    "decode_cache_info",
-    "decode_result",
-    "encode_result",
-    "error_payload",
-    "raise_error_payload",
-]

@@ -66,8 +66,9 @@ class MiningServer(socketserver.ThreadingTCPServer):
         max_cache_entries: int | None = None,
         session=None,
     ) -> None:
-        from repro.api.session import LocalSession
+        from repro.api.session import LocalSession, preload_miners
 
+        preload_miners()  # before the socket listens: no request pays an import
         super().__init__((host, port), _ClientHandler)
         self.session = (
             session if session is not None else LocalSession(max_cache_entries)

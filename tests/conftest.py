@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,20 @@ hypothesis_settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 #: Directory holding the golden JSON snapshots of experiment outputs.
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def run_probe(script: str, *argv: str):
+    """Run ``script`` in a fresh interpreter on this checkout's ``src``; the
+    last line it prints, parsed as JSON (for what only a new process shows:
+    which modules a query loads, what a daemon imports before it listens)."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    output = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return json.loads(output.stdout.strip().splitlines()[-1])
 
 
 def pytest_addoption(parser):

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 import json
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import pytest
 
@@ -21,7 +18,7 @@ from repro.experiments.harness import build_miner, run_algorithm
 from repro.mapreduce import ClusterConfig
 from repro.sequential import GapConstrainedMiner
 
-from tests.conftest import RUNNING_EXAMPLE_PATEX
+from tests.conftest import RUNNING_EXAMPLE_PATEX, run_probe
 
 SIGMA = 2
 
@@ -344,8 +341,8 @@ class TestConfigFingerprint:
 
 
 #: What a query process imports (``benchmarks/e2e/run_query.py``, the CLI's
-#: stand-in), then one ``persistent-processes`` query; prints which of the
-#: deferred modules are loaded after each step.
+#: stand-in), then one query on the substrate ``sys.argv[1]`` describes;
+#: prints which modules are loaded after each step.
 _STARTUP_PROBE = """
 import json, sys
 
@@ -355,14 +352,14 @@ from repro.errors import ReproError
 from repro.mapreduce import ClusterConfig
 from repro.sequences import SequenceDatabase, load_sequences, read_dictionary
 
-deferred = DEFERRED
-after_import = [name for name in deferred if name in sys.modules]
+query = json.loads(sys.argv[1])
+after_import = sorted(sys.modules)
 corpus = repro.api.Corpus.from_gid_sequences([["a", "b"], ["a", "c", "b"], ["b", "a"]])
 result = repro.api.mine(
-    corpus, "(a).*(b)", sigma=2, algorithm="dseq",
-    config=ClusterConfig(backend="persistent-processes", num_workers=2),
+    corpus, "(a).*(b)", sigma=2, algorithm=query.pop("algorithm"),
+    config=ClusterConfig(num_workers=2, **query),
 )
-after_mine = [name for name in deferred if name in sys.modules]
+after_mine = sorted(sys.modules)
 from repro import connect
 from repro.mapreduce import DirectoryBlobStore, write_lease
 print(json.dumps({
@@ -375,8 +372,38 @@ print(json.dumps({
 """
 
 
+def _startup_probe(**query) -> dict:
+    return run_probe(_STARTUP_PROBE, json.dumps(query))
+
+
+def _loaded(modules: list[str], *prefixes: str) -> list[str]:
+    """The loaded modules that are, or live under, one of ``prefixes``."""
+    return [
+        name for name in modules
+        if any(name == prefix or name.startswith(prefix + ".") for prefix in prefixes)
+    ]
+
+
+#: Every package whose ``__init__`` exports through ``repro._lazy``.
+LAZY_PACKAGES = (
+    "repro",
+    "repro.api",
+    "repro.core",
+    "repro.datasets",
+    "repro.dictionary",
+    "repro.experiments",
+    "repro.fst",
+    "repro.mapreduce",
+    "repro.nfa",
+    "repro.patex",
+    "repro.sequences",
+    "repro.sequential",
+    "repro.service",
+)
+
+
 class TestStartUp:
-    """ROADMAP 2(c), narrow form: a query does not import what it never runs."""
+    """A query imports what its algorithm runs (counts, never clocks)."""
 
     DEFERRED = (
         "repro.mapreduce.multihost",
@@ -387,28 +414,91 @@ class TestStartUp:
         "socketserver",
     )
 
+    #: What a hash-partitioned D-SEQ query on a process pool never runs.
+    NOT_DSEQ = (
+        "repro.core.dcand",
+        "repro.core.nfa_mining",
+        "repro.nfa",
+        "repro.core.balance",
+        "repro.core.prefix_batch",
+        "repro.core.naive",
+        "repro.core.miner",
+        "repro.sequential",
+        "repro.service",
+        "repro.fst.export",
+        "repro.experiments",
+        "repro.cli",
+        "repro.datasets.amzn",
+        "repro.datasets.cw",
+        "repro.datasets.nyt",
+        "repro.datasets.proteins",
+        "repro.datasets.synthetic",
+    )
+
     def test_query_process_loads_no_service_or_multihost_module(self):
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        output = subprocess.run(
-            [sys.executable, "-c", _STARTUP_PROBE.replace("DEFERRED", repr(self.DEFERRED))],
-            env=env, capture_output=True, text=True, check=True, timeout=120,
-        )
-        report = json.loads(output.stdout.strip().splitlines()[-1])
-        assert report["after_import"] == []
-        assert report["after_mine"] == []
+        report = _startup_probe(algorithm="dseq", backend="persistent-processes")
+        assert _loaded(report["after_import"], *self.DEFERRED) == []
+        assert _loaded(report["after_mine"], *self.DEFERRED) == []
         assert report["patterns"] == 1
         # The deferred names still import from where they always did.
         assert report["connect"] == "repro.api.client"
         assert report["blob_store"] == "repro.mapreduce.blobstore"
 
-    def test_lazy_names_stay_in_all_and_resolve(self):
-        import repro.mapreduce as mapreduce
-        import repro.service as service
+    def test_dseq_query_loads_only_the_dseq_path(self):
+        report = _startup_probe(algorithm="dseq", backend="persistent-processes")
+        assert report["patterns"] == 1
+        assert _loaded(report["after_mine"], *self.NOT_DSEQ) == []
+        # 73 before the package __init__s went lazy; 48 when this was written.
+        assert len(_loaded(report["after_mine"], "repro")) <= 52
 
-        for package in (repro, repro.api, mapreduce, service):
-            for name in package.__all__:
-                assert getattr(package, name) is not None
+    def test_dcand_query_on_multihost_loads_only_its_path(self):
+        report = _startup_probe(algorithm="dcand", backend="multihost")
+        assert report["patterns"] == 1
+        assert _loaded(
+            report["after_mine"],
+            "repro.core.dseq", "repro.core.local_mining", "repro.core.grid_engine",
+            "repro.core.balance", "repro.core.naive", "repro.sequential",
+            "repro.service", "repro.experiments", "repro.cli",
+        ) == []
+        assert len(_loaded(report["after_mine"], "repro")) <= 60  # 73 before, 51 now
+
+    def test_planner_and_trie_batching_load_when_asked_for(self):
+        planned = _startup_probe(
+            algorithm="dseq", backend="persistent-processes", partitioner="planned"
+        )
+        assert planned["patterns"] == 1
+        assert "repro.core.balance" in planned["after_mine"]
+        assert "repro.core.balance" not in planned["after_import"]
+        # Map tasks run in the driver on ``simulated``, so the driver loads it.
+        trie = _startup_probe(algorithm="dseq", backend="simulated", map_batching="trie")
+        assert trie["patterns"] == 1
+        assert "repro.core.prefix_batch" in trie["after_mine"]
+        assert "repro.core.prefix_batch" not in trie["after_import"]
+        pooled = _startup_probe(
+            algorithm="dcand", backend="persistent-processes", map_batching="trie"
+        )
+        assert pooled["patterns"] == 1
+
+    def test_subpackages_resolve_as_attributes_of_a_bare_import(self):
+        # The README's quickstart: ``import repro`` and nothing else.
+        report = run_probe(
+            "import json, repro; print(json.dumps([repro.api.mine.__module__, "
+            "repro.mapreduce.make_cluster.__module__, hasattr(repro, 'nope')]))"
+        )
+        assert report == ["repro.api.session", "repro.mapreduce.factory", False]
+
+    @pytest.mark.parametrize("package_name", LAZY_PACKAGES)
+    def test_lazy_names_stay_in_all_and_resolve(self, package_name):
+        package = importlib.import_module(package_name)
+        assert len(set(package.__all__)) == len(package.__all__) > 0
+        listed = dir(package)
+        for name in package.__all__:
+            assert getattr(package, name) is not None
+            assert name in listed
+        namespace: dict = {}
+        exec(f"from {package_name} import *", namespace)
+        assert set(package.__all__) <= set(namespace)
         with pytest.raises(AttributeError, match="no attribute 'nope'"):
-            mapreduce.nope
+            package.nope
+        with pytest.raises(AttributeError, match="no attribute '_nope'"):
+            package._nope

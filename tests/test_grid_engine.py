@@ -12,7 +12,6 @@ set-based reference, and pin the behaviour of the per-worker grid memo.
 
 from __future__ import annotations
 
-import pickle
 import random
 
 import pytest
@@ -24,7 +23,6 @@ from repro.core.grid_engine import (
     DEFAULT_GRID_MEMO_LIMIT,
     GRIDS,
     FlatPivotGrid,
-    GridMemoWarmup,
     GrowableFlatGrid,
     cached_grid,
     clear_grid_memo,
@@ -422,15 +420,6 @@ class TestGridMemo:
     def test_negative_limit_is_rejected(self):
         with pytest.raises(MiningError):
             set_grid_memo_limit(-1)
-
-    def test_warmup_pickle_sizes_the_receiving_process(self, ex_dictionary, fresh_memo):
-        kernel = self._kernel(ex_dictionary)
-        set_grid_memo_limit(7)
-        warmup = GridMemoWarmup(kernel, limit=123)
-        restored = pickle.loads(pickle.dumps(warmup))
-        assert restored.limit == 123
-        assert grid_memo_info()["limit"] == 123
-        assert restored.kernel.fingerprint == kernel.fingerprint
 
 
 class TestKnob:

@@ -152,12 +152,6 @@ class TestJobMetrics:
         job = MapReduceJob()
         assert job.record_size(("k",), (1, 2, 3)) > 0
 
-    def test_worker_warmup_ships_the_kernel_when_present(self):
-        job = MapReduceJob()
-        assert job.worker_warmup() is None
-        job.kernel = object()
-        assert job.worker_warmup() is job.kernel
-
 
 class TestClusterConfig:
     """One value object configures the whole execution substrate."""

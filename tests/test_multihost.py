@@ -10,6 +10,7 @@ file — survives a finished job, successful or not.
 from __future__ import annotations
 
 import builtins
+import multiprocessing
 import os
 
 import pytest
@@ -18,10 +19,12 @@ from repro.core import DSeqMiner
 from repro.errors import MapReduceError
 from repro.mapreduce import (
     ClusterConfig,
+    FaultPolicy,
     FragmentReader,
     InMemoryBlobStore,
     MapReduceJob,
     MultiHostCluster,
+    ScriptedInjector,
     WireFragment,
     make_cluster,
     make_codec,
@@ -171,6 +174,39 @@ class TestBlobCleanup:
     def test_blob_dir_on_other_backends_is_rejected(self):
         with pytest.raises(MapReduceError, match="blob_dir"):
             make_cluster("threads", blob_dir="/tmp/blobs")
+
+
+# ------------------------------------------------- the job reaches a host once
+class NeverPickledJob(FidCountJob):
+    def __getstate__(self):
+        raise RuntimeError("hosts are handed the job by the pool initializer")
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="initializer arguments ride a fork only where pools fork",
+)
+class TestMultiHostJobDelivery:
+    def test_hosts_run_a_job_no_task_could_have_pickled(self, tmp_path):
+        baseline = make_cluster("simulated", num_workers=2).run(FidCountJob(), FID_RECORDS)
+        cluster = MultiHostCluster(num_workers=2, blob_dir=str(tmp_path / "store"))
+        result = cluster.run(NeverPickledJob(), FID_RECORDS)
+        assert sorted(result.outputs) == sorted(baseline.outputs)
+        assert result.metrics.wire_bytes == baseline.metrics.wire_bytes
+        assert result.metrics.blob_get_count > 0
+
+    def test_replacement_hosts_are_handed_the_job_again(self, tmp_path):
+        blob_dir = tmp_path / "store"
+        cluster = MultiHostCluster(
+            num_workers=2,
+            blob_dir=str(blob_dir),
+            fault_policy=FaultPolicy(task_backoff_base_s=0.0),
+            fault_injector=ScriptedInjector(kill_reduce_task=0, kill_mode="exit"),
+        )
+        result = cluster.run(NeverPickledJob(), FID_RECORDS)
+        assert len(result.outputs) == 7
+        assert result.metrics.recovered_host_count >= 1
+        assert list(blob_dir.iterdir()) == []
 
 
 # -------------------------------------------------- FragmentReader behaviour

@@ -2,12 +2,36 @@
 
 from __future__ import annotations
 
+import functools
+import gc
+import multiprocessing
+import os
+import pickle
+import threading
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.core import DSeqMiner
 from repro.core.dseq import DSeqJob
 from repro.errors import MapReduceError
-from repro.mapreduce import MapReduceJob, ProcessPoolCluster, SimulatedCluster
+from repro.mapreduce import (
+    DEFAULT_FAULT_POLICY,
+    FaultPolicy,
+    JobNotDeliveredError,
+    JobRef,
+    MapReduceJob,
+    PersistentProcessPoolCluster,
+    ProcessPoolCluster,
+    ScriptedInjector,
+    SimulatedCluster,
+    TaskContext,
+    is_retryable,
+    make_cluster,
+    parallel,
+    run_map_task,
+    run_reduce_task,
+)
 
 from tests.conftest import RUNNING_EXAMPLE_PATEX
 
@@ -89,3 +113,206 @@ class TestProcessPoolCluster:
         job = DSeqJob(fst, ex_dictionary, 2)
         result = ProcessPoolCluster(num_workers=2).run(job, list(ex_database))
         assert dict(result.outputs) == expected
+
+
+# ------------------------------------------------- the job reaches a worker once
+POOL_BACKENDS = ("processes", "persistent-processes", "multihost")
+IN_PROCESS_BACKENDS = ("simulated", "threads")
+
+
+class BulkyJob(WordCountJob):
+    """Pickles to ~64 KB, like a job holding an FST and a dictionary."""
+
+    def __init__(self) -> None:
+        self.ballast = os.urandom(64 * 1024)
+
+
+class UnpicklableJob(WordCountJob):
+    def __getstate__(self):
+        raise RuntimeError("this job must ride the fork, never a pickle")
+
+
+#: Appended to by :class:`PickleCountingJob` in the process that pickles it.
+PICKLES: list[int] = []
+
+
+class PickleCountingJob(WordCountJob):
+    def __getstate__(self):
+        PICKLES.append(os.getpid())
+        return {}
+
+
+class ScaledCountJob(WordCountJob):
+    """Counts times ``factor``: two of them can be told apart by their output."""
+
+    def __init__(self, factor: int) -> None:
+        self.factor = factor
+
+    def reduce(self, key, values):
+        yield key, self.factor * sum(values)
+
+
+class StrangerRefCluster(PersistentProcessPoolCluster):
+    """A pool whose tasks name a job no worker was ever handed."""
+
+    def _map_task(self, job, *args, **kwargs):
+        function, arguments = super()._map_task(job, *args, **kwargs)
+        return function, (JobRef(424242), *arguments[1:])
+
+
+def task_context(stage: str, index: int = 0) -> TaskContext:
+    return TaskContext(stage, index, 1, DEFAULT_FAULT_POLICY, None)
+
+
+forked_pools = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="initializer arguments ride a fork only where pools fork",
+)
+
+
+class TestJobDelivery:
+    @pytest.mark.parametrize("backend", POOL_BACKENDS)
+    def test_pool_tasks_carry_a_reference_not_the_job(self, backend):
+        cluster = make_cluster(backend, num_workers=2)
+        job = BulkyJob()
+        assert len(pickle.dumps(job)) > 64 * 1024
+        with cluster._input_scope(RECORDS) as chunks, cluster._shuffle_scope(job) as shuffle:
+            _function, map_args = cluster._map_task(
+                job, chunks[0], None, shuffle, task_context("map")
+            )
+            _function, reduce_args = cluster._reduce_task(
+                job, [], shuffle, task_context("reduce")
+            )
+        for arguments in (map_args, reduce_args):
+            assert isinstance(arguments[0], JobRef)
+            assert not any(argument is job for argument in arguments)
+            assert len(pickle.dumps(arguments, protocol=pickle.HIGHEST_PROTOCOL)) < 1024
+
+    @pytest.mark.parametrize("backend", IN_PROCESS_BACKENDS)
+    def test_in_process_tasks_keep_the_object(self, backend):
+        cluster = make_cluster(backend, num_workers=2)
+        job = UnpicklableJob()
+        with cluster._input_scope(RECORDS) as chunks:
+            _function, map_args = cluster._map_task(job, chunks[0], None, None, None)
+            _function, reduce_args = cluster._reduce_task(job, [], None, None)
+        assert map_args[0] is job and reduce_args[0] is job
+        assert dict(cluster.run(job, RECORDS).outputs) == EXPECTED
+
+    @forked_pools
+    @pytest.mark.parametrize("backend", POOL_BACKENDS)
+    def test_a_job_that_cannot_pickle_completes_on_forked_pools(self, backend):
+        result = make_cluster(backend, num_workers=2).run(UnpicklableJob(), RECORDS)
+        assert dict(result.outputs) == EXPECTED
+        assert result.metrics.tasks_failed == 0
+
+    @forked_pools
+    def test_a_pool_rebuilt_after_a_host_death_is_handed_the_job_again(self):
+        cluster = make_cluster(
+            "persistent-processes",
+            num_workers=2,
+            fault_policy=FaultPolicy(task_backoff_base_s=0.0),
+            fault_injector=ScriptedInjector(kill_map_task=0, kill_mode="exit"),
+        )
+        result = cluster.run(UnpicklableJob(), RECORDS)
+        assert dict(result.outputs) == EXPECTED
+        assert result.metrics.recovered_host_count >= 1
+
+    def test_spawned_workers_are_sent_the_job_once_each(self, monkeypatch):
+        monkeypatch.setattr(
+            parallel,
+            "ProcessPoolExecutor",
+            functools.partial(
+                ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
+            ),
+        )
+        PICKLES.clear()
+        cluster = make_cluster("persistent-processes", num_workers=2)
+        result = cluster.run(PickleCountingJob(), RECORDS)
+        assert dict(result.outputs) == EXPECTED
+        # Two map tasks and three reduce tasks ran; the job travelled per worker.
+        assert len(result.metrics.map_task_seconds) == 2
+        assert 1 <= len(PICKLES) <= cluster.num_workers
+        assert set(PICKLES) == {os.getpid()}
+
+    def test_a_stranger_reference_fails_loudly_and_is_not_retried(self):
+        with pytest.raises(JobNotDeliveredError) as caught:
+            run_map_task(JobRef(7), [], 4, True, context=task_context("map", 3))
+        assert "map task 3" in str(caught.value) and "token 7" in str(caught.value)
+        with pytest.raises(JobNotDeliveredError, match="reduce task 5.*token 7"):
+            run_reduce_task(JobRef(7), [], context=task_context("reduce", 5))
+        assert not is_retryable(caught.value)
+        # The same through a pool: the typed error crosses the process
+        # boundary and aborts on the first attempt of a two-attempt policy.
+        cluster = StrangerRefCluster(num_workers=2)
+        assert cluster.fault_policy.max_task_attempts == 2
+        with pytest.raises(JobNotDeliveredError, match="map task [01].*token 424242") as caught:
+            cluster.run(WordCountJob(), RECORDS)
+        if hasattr(caught.value, "__notes__"):
+            assert any("attempt 1/2" in note for note in caught.value.__notes__)
+
+    def test_two_threads_sharing_a_cluster_each_get_their_own_job(self):
+        cluster = make_cluster("persistent-processes", num_workers=2)
+        start = threading.Barrier(2)
+        outputs: dict[int, dict] = {}
+
+        def run(factor: int) -> None:
+            start.wait(timeout=30)
+            for _round in range(3):
+                result = cluster.run(ScaledCountJob(factor), RECORDS)
+                outputs.setdefault(factor, dict(result.outputs))
+                assert dict(result.outputs) == outputs[factor]
+
+        threads = [threading.Thread(target=run, args=(factor,)) for factor in (2, 5)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        for factor in (2, 5):
+            assert outputs[factor] == {key: factor * count for key, count in EXPECTED.items()}
+
+
+# --------------------------------------------- forked workers freeze their heap
+class HeapProbeJob(WordCountJob):
+    """Every reduce reports the collector state of the process that ran it."""
+
+    def reduce(self, key, values):
+        yield key, (gc.get_freeze_count(), len(gc.get_objects()))
+
+
+class FailingJob(WordCountJob):
+    def map(self, record):
+        raise MapReduceError("this run fails")
+
+
+def collector_state() -> tuple:
+    return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+
+
+class TestFrozenWorkerHeap:
+    @pytest.mark.parametrize("backend", POOL_BACKENDS)
+    def test_pool_workers_collect_only_what_they_allocate(self, backend):
+        tracked_by_driver = len(gc.get_objects())
+        result = make_cluster(backend, num_workers=2).run(HeapProbeJob(), RECORDS)
+        assert len(result.outputs) == len(EXPECTED)
+        for _key, (frozen, tracked) in result.outputs:
+            assert frozen > 0
+            assert tracked < tracked_by_driver // 4
+
+    @pytest.mark.parametrize("backend", IN_PROCESS_BACKENDS)
+    def test_in_process_backends_freeze_nothing(self, backend):
+        frozen_before = gc.get_freeze_count()
+        result = make_cluster(backend, num_workers=2).run(HeapProbeJob(), RECORDS)
+        assert {frozen for _key, (frozen, _tracked) in result.outputs} == {frozen_before}
+
+    @pytest.mark.parametrize("backend", IN_PROCESS_BACKENDS + POOL_BACKENDS)
+    def test_the_calling_process_keeps_its_collector_state(self, backend):
+        before = collector_state()
+        make_cluster(backend, num_workers=2).run(WordCountJob(), RECORDS)
+        assert collector_state() == before
+        failing = make_cluster(
+            backend, num_workers=2, fault_policy=FaultPolicy(max_task_attempts=1)
+        )
+        with pytest.raises(MapReduceError, match="this run fails"):
+            failing.run(FailingJob(), RECORDS)
+        assert collector_state() == before

@@ -13,7 +13,7 @@ from repro.mapreduce import ClusterConfig
 from repro.service import MiningServer, QueryCache, protocol
 from repro.service.cache import CacheInfo
 
-from tests.conftest import RUNNING_EXAMPLE_PATEX
+from tests.conftest import RUNNING_EXAMPLE_PATEX, run_probe
 
 SIGMA = 2
 
@@ -319,6 +319,64 @@ class TestServiceSession:
             # the accept loop winds down; new connections eventually fail
             running._thread.join(timeout=10)
             assert not running._thread.is_alive()
+
+
+# ------------------------------------------------ a daemon imports up front
+#: Starts a daemon in a fresh interpreter and reports the ``repro.*`` modules
+#: loaded once it listens and those its first cold requests added.
+_DAEMON_PROBE = """
+import json, sys
+
+import repro
+from repro.api.client import connect
+from repro.service import MiningServer
+
+def loaded():
+    return {name for name in sys.modules if name.startswith("repro")}
+
+corpus = repro.Corpus.from_gid_sequences([["a", "b"], ["a", "c", "b"], ["b", "a"]])
+with MiningServer() as server:
+    host, port = server.serve_background()
+    listening = loaded()
+    with connect(host, port) as session:
+        session.attach_corpus("demo", corpus)
+        patterns = [
+            len(session.mine("demo", "(a).*(b)", sigma=2, algorithm=algorithm))
+            for algorithm in ("dseq", "dcand", "naive", "desq-dfs")
+        ]
+        patterns.append(len(session.mine("demo", {"max_gap": 1}, sigma=2, algorithm="lash")))
+        session.top_k("demo", "(a).*(b)", k=1)
+print(json.dumps({
+    "listening": sorted(listening),
+    "imported_by_requests": sorted(loaded() - listening),
+    "patterns": patterns,
+}))
+"""
+
+
+class TestDaemonPreload:
+    def test_every_algorithm_is_loaded_before_the_first_request(self):
+        report = run_probe(_DAEMON_PROBE)
+        assert report["patterns"] == [1, 1, 1, 1, 1]
+        assert {
+            "repro.core.dseq",
+            "repro.core.dcand",
+            "repro.core.naive",
+            "repro.sequential.lash",
+            "repro.sequential.desq_dfs",
+            "repro.sequential.desq_count",
+            "repro.mapreduce.engine",
+            "repro.mapreduce.parallel",
+        } <= set(report["listening"])
+        assert report["imported_by_requests"] == []
+
+    def test_preload_is_one_call_for_any_long_lived_process(self):
+        loaded = run_probe(
+            "import json, sys, repro.api; repro.api.preload_miners(); "
+            "print(json.dumps(sorted(n for n in sys.modules if n.startswith('repro.'))))"
+        )
+        assert {"repro.core.dseq", "repro.core.dcand", "repro.core.balance"} <= set(loaded)
+        assert not any(name.startswith(("repro.cli", "repro.experiments")) for name in loaded)
 
 
 # ------------------------------------------------------------------- the CLI
