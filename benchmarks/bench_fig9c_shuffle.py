@@ -38,19 +38,10 @@ def test_figure9c_shuffle_sizes(benchmark, bench_json):
     legacy_grid = figure9c(
         size=BENCH_SIZES["AMZN"], num_workers=BENCH_WORKERS, grid="legacy"
     )
-    # Trie-batched map: same flat grids, built once per trie node over each
-    # chunk's unique sequences instead of once per sequence.
-    batched = figure9c(
-        size=BENCH_SIZES["AMZN"], num_workers=BENCH_WORKERS, map_batching="trie"
-    )
     kernels = _timing_rows(rows, "kernel", "compiled") + _timing_rows(
         interpreted, "kernel", "interpreted"
     )
-    grids = (
-        _timing_rows(rows, "grid", "flat")
-        + _timing_rows(legacy_grid, "grid", "legacy")
-        + _timing_rows(batched, "grid", "batched")
-    )
+    grids = _timing_rows(rows, "grid", "flat") + _timing_rows(legacy_grid, "grid", "legacy")
     artifact = bench_json(
         "fig9c",
         {
@@ -63,9 +54,8 @@ def test_figure9c_shuffle_sizes(benchmark, bench_json):
             "rows": rows,
             # Kernel-vs-interpreter makespans per algorithm and constraint.
             "kernels": kernels,
-            # Flat-vs-legacy-vs-trie-batched grid-engine makespans (map_s
-            # carries the grid-side win; only D-SEQ rows exercise the grid,
-            # and the "batched" rows also meter D-CAND's accepting pre-pass).
+            # Flat-vs-legacy grid-engine makespans (map_s carries the
+            # grid-side win; only D-SEQ rows exercise the grid).
             "grids": grids,
         },
     )
@@ -93,9 +83,6 @@ def test_figure9c_shuffle_sizes(benchmark, bench_json):
         )
         assert [r[key] for r in rows] == [r[key] for r in legacy_grid], (
             f"{key} must be grid-independent"
-        )
-        assert [r[key] for r in rows] == [r[key] for r in batched], (
-            f"{key} must be batching-independent"
         )
     print("Fig. 9c (reproduced): shuffle size per algorithm, AMZN-like dataset")
     print("  (modeled = record_size cost model; wire = measured encoded payloads)")

@@ -151,27 +151,6 @@ def add_partitioner_argument(parser: ArgumentParser) -> None:
     )
 
 
-def add_map_batching_argument(parser: ArgumentParser) -> None:
-    """``--map-batching``: per-sequence vs trie-batched map-side grid builds."""
-    from repro.core.prefix_batch import DEFAULT_MAP_BATCHING, MAP_BATCHINGS
-
-    parser.add_argument(
-        "--map-batching",
-        dest="map_batching",
-        choices=MAP_BATCHINGS,
-        default=DEFAULT_MAP_BATCHING,
-        help=(
-            "map-side grid construction: 'trie' loads each chunk's unique "
-            "sequences into a prefix trie and runs the forward simulation "
-            "once per trie node, so sequences sharing a prefix share its "
-            "grid columns (D-CAND prefilters accepting sequences the same "
-            "way); 'off' builds per sequence (the reference; patterns and "
-            "shuffle metrics are byte-identical either way) "
-            f"(default: {DEFAULT_MAP_BATCHING})"
-        ),
-    )
-
-
 def add_cap_arguments(parser: ArgumentParser) -> None:
     """``--max-runs`` / ``--max-candidates``: per-sequence safety caps."""
     parser.add_argument(
@@ -260,7 +239,6 @@ def cluster_config_from_args(args: Namespace, num_workers: int | None = None):
         grid=getattr(args, "grid", None),
         partitioner=getattr(args, "partitioner", None),
         plan_sample=getattr(args, "plan_sample", None),
-        map_batching=getattr(args, "map_batching", None),
         fault_policy=fault_policy_from_args(args),
     )
 
@@ -446,16 +424,6 @@ def print_metrics(metrics, stream=None) -> None:
         stream.write(
             "map input shipping {:,} pickled bytes\n".format(
                 int(summary["map_input_pickle_bytes"])
-            )
-        )
-    if summary.get("batch_trie_nodes") or summary.get("batch_shared_positions"):
-        stream.write(
-            "trie-batched map ({}): {:,} trie nodes, {:,} prefix-shared "
-            "positions ({:.0%} reuse)\n".format(
-                summary.get("map_batching", "trie"),
-                int(summary["batch_trie_nodes"]),
-                int(summary["batch_shared_positions"]),
-                summary.get("batch_reuse_ratio", 0.0),
             )
         )
     if summary.get("partition_max_bytes"):

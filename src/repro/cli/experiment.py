@@ -11,7 +11,6 @@ from repro.cli.common import (
     add_fault_arguments,
     add_grid_argument,
     add_kernel_argument,
-    add_map_batching_argument,
     add_partitioner_argument,
     add_shuffle_arguments,
     cluster_config_from_args,
@@ -94,7 +93,6 @@ def add_parser(subparsers) -> None:
     add_kernel_argument(parser)
     add_grid_argument(parser)
     add_partitioner_argument(parser)
-    add_map_batching_argument(parser)
     add_cap_arguments(parser)
     parser.add_argument("--chart", action="store_true", help="also print an ASCII chart")
     parser.set_defaults(run=run)
@@ -166,12 +164,6 @@ def run(args: Namespace, stream=None) -> int:
         if args.plan_sample is not None:
             raise CliError(
                 f"--plan-sample does not apply to {name} (it runs no mining jobs)"
-            )
-        from repro.core.prefix_batch import DEFAULT_MAP_BATCHING
-
-        if args.map_batching != DEFAULT_MAP_BATCHING:
-            raise CliError(
-                f"--map-batching does not apply to {name} (it runs no mining jobs)"
             )
         if args.max_runs is not None or args.max_candidates is not None:
             raise CliError(

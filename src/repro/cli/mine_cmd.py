@@ -12,7 +12,6 @@ from repro.cli.common import (
     add_grid_argument,
     add_input_arguments,
     add_kernel_argument,
-    add_map_batching_argument,
     add_partitioner_argument,
     add_shuffle_arguments,
     cluster_config_from_args,
@@ -91,7 +90,6 @@ def add_parser(subparsers) -> None:
     add_kernel_argument(parser)
     add_grid_argument(parser)
     add_partitioner_argument(parser)
-    add_map_batching_argument(parser)
     add_cap_arguments(parser)
     parser.add_argument(
         "--output",
@@ -175,13 +173,6 @@ def run(args: Namespace, stream=None) -> int:
             raise CliError(
                 f"--plan-sample does not apply to the sequential {args.algorithm} "
                 "miner (it never plans a shuffle)"
-            )
-        from repro.core.prefix_batch import DEFAULT_MAP_BATCHING
-
-        if args.map_batching != DEFAULT_MAP_BATCHING:
-            raise CliError(
-                f"--map-batching does not apply to the sequential {args.algorithm} "
-                "miner (it maps no chunks to batch)"
             )
     if args.max_runs is not None and args.algorithm not in _MAX_RUNS_ALGORITHMS:
         raise CliError(f"--max-runs does not apply to {args.algorithm}")

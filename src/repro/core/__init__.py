@@ -38,12 +38,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "pivot_items_of_candidates",
             "subsequence_key",
         ),
-        "repro.core.prefix_batch": ("batched_accepting", "batched_grids"),
-        "repro.mapreduce.job": (
-            "DEFAULT_MAP_BATCHING",
-            "MAP_BATCHINGS",
-            "normalize_map_batching",
-        ),
         "repro.core.pivot_search": (
             "PositionStateGrid",
             "pivot_items",

@@ -40,7 +40,6 @@ from repro.mapreduce import (
     MapReduceJob,
     resolve_cluster,
 )
-from repro.mapreduce.job import normalize_map_batching
 from repro.nfa import TrieBuilder, deserialize, serialize_trie
 from repro.patex import PatEx
 from repro.sequences import (
@@ -63,7 +62,6 @@ class DCandJob(MapReduceJob):
         minimize_nfas: bool = True,
         aggregate_nfas: bool = True,
         max_runs: int = DEFAULT_MAX_RUNS,
-        map_batching: str | None = None,
     ) -> None:
         kernel = ensure_kernel(fst, dictionary)
         self.kernel = kernel
@@ -73,7 +71,6 @@ class DCandJob(MapReduceJob):
         self.minimize_nfas = minimize_nfas
         self.aggregate_nfas = aggregate_nfas
         self.max_runs = max_runs
-        self.map_batching = normalize_map_batching(map_batching)
         self.max_frequent_fid = self.dictionary.largest_frequent_fid(sigma)
         self.use_combiner = aggregate_nfas
 
@@ -109,35 +106,6 @@ class DCandJob(MapReduceJob):
         for pivot in sorted(builders):
             payload = serialize_trie(builders[pivot], self.minimize_nfas)
             yield pivot, payload if weight == 1 else (payload, weight)
-
-    def map_records(self, records, counters: dict | None = None):
-        """Map a chunk, trie-batching the accepting prefilter when configured.
-
-        D-CAND's map cost is run enumeration, which starts by discovering
-        whether the sequence accepts at all.  With ``map_batching="trie"`` the
-        chunk's unique sequences are walked as one prefix trie with a shared
-        reachable-state-set simulation
-        (:func:`~repro.core.prefix_batch.batched_accepting`); records whose
-        sequence cannot accept are skipped before run enumeration.  A
-        non-accepting record emits nothing on the per-record path too, so the
-        shuffle is byte-identical either way.
-        """
-        if self.map_batching != "trie":
-            yield from super().map_records(records, counters)
-            return
-        from repro.core.prefix_batch import batched_accepting  # only a trie run loads it
-
-        records = list(records)
-        accepting = batched_accepting(
-            self.kernel,
-            (record_parts(record)[0] for record in records),
-            counters=counters,
-        )
-        for record in records:
-            sequence, _weight = record_parts(record)
-            if not accepting[sequence]:
-                continue
-            yield from self.map(record)
 
     # --------------------------------------------------------------- combine
     def combine(
@@ -201,7 +169,6 @@ class DCandMiner:
         kernel: str | None = None,
         grid: str | None = None,
         partitioner: str | None = None,
-        map_batching: str | None = None,
         dedup: bool = True,
         cluster: ClusterConfig | str | Cluster | None = None,
     ) -> None:
@@ -218,7 +185,6 @@ class DCandMiner:
             kernel=kernel,
             grid=grid,
             partitioner=partitioner,
-            map_batching=map_batching,
         )
 
     def mine(self, database: SequenceDatabase | Sequence[Sequence[int]]) -> MiningResult:
@@ -231,7 +197,6 @@ class DCandMiner:
             minimize_nfas=self.minimize_nfas,
             aggregate_nfas=self.aggregate_nfas,
             max_runs=self.max_runs,
-            map_batching=self.cluster.map_batching_name,
         )
         records = as_mining_records(database, dedup=self.dedup)
         cluster = resolve_cluster(self.cluster)

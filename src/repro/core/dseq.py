@@ -47,7 +47,6 @@ from repro.mapreduce import (
     MapReduceJob,
     resolve_cluster,
 )
-from repro.mapreduce.job import normalize_map_batching
 from repro.patex import PatEx
 from repro.sequences import (
     SequenceDatabase,
@@ -72,7 +71,6 @@ class DSeqJob(MapReduceJob):
         use_early_stopping: bool = True,
         max_runs: int = DEFAULT_MAX_RUNS,
         grid: str | None = None,
-        map_batching: str | None = None,
     ) -> None:
         kernel = ensure_kernel(fst, dictionary)
         self.kernel = kernel
@@ -84,7 +82,6 @@ class DSeqJob(MapReduceJob):
         self.use_early_stopping = use_early_stopping
         self.max_runs = max_runs
         self.grid = normalize_grid(grid)
-        self.map_batching = normalize_map_batching(map_batching)
         self.max_frequent_fid = self.dictionary.largest_frequent_fid(sigma)
 
     def _grid_for(self, sequence: tuple[int, ...], span_hash: int | None = None):
@@ -105,40 +102,9 @@ class DSeqJob(MapReduceJob):
         corpus-level dedup) carry their multiplicity along with the rewritten
         representation so the combiner and reducer count them correctly.
         """
-        yield from self._map_record(record)
-
-    def map_records(self, records, counters: dict | None = None):
-        """Map a chunk, trie-batching the grid builds when configured.
-
-        With ``map_batching="trie"`` (and the flat grid engine in use) the
-        chunk's unique sequences are loaded into one prefix trie and every
-        grid is snapshotted out of the shared forward state
-        (:func:`~repro.core.prefix_batch.batched_grids`); each record is then
-        mapped against its prebuilt grid.  Emission order and content are
-        exactly the per-record path's, so batching is invisible on the wire.
-        """
-        if self.map_batching != "trie" or self.grid != "flat" or not (
-            self.use_grid or self.use_rewriting
-        ):
-            yield from super().map_records(records, counters)
-            return
-        from repro.core.prefix_batch import batched_grids  # only a trie run loads it
-
-        records = list(records)
-        grids = batched_grids(
-            self.kernel,
-            (record_parts(record)[0] for record in records),
-            max_frequent_fid=self.max_frequent_fid,
-            counters=counters,
-        )
-        for record in records:
-            sequence, _weight = record_parts(record)
-            yield from self._map_record(record, built_grid=grids[sequence])
-
-    def _map_record(self, record, built_grid=None) -> Iterable[tuple[int, tuple]]:
         sequence, weight = record_parts(record)
-        grid = built_grid
-        if grid is None and (self.use_grid or self.use_rewriting):
+        grid = None
+        if self.use_grid or self.use_rewriting:
             grid = self._grid_for(sequence, getattr(record, "span_hash", None))
         if self.use_grid:
             pivots = grid.pivot_items()
@@ -234,7 +200,6 @@ class DSeqMiner:
         kernel: str | None = None,
         grid: str | None = None,
         partitioner: str | None = None,
-        map_batching: str | None = None,
         dedup: bool = True,
         cluster: ClusterConfig | str | Cluster | None = None,
     ) -> None:
@@ -252,7 +217,6 @@ class DSeqMiner:
             kernel=kernel,
             grid=grid,
             partitioner=partitioner,
-            map_batching=map_batching,
         )
 
     def mine(self, database: SequenceDatabase | Sequence[Sequence[int]]) -> MiningResult:
@@ -267,7 +231,6 @@ class DSeqMiner:
             use_early_stopping=self.use_early_stopping,
             max_runs=self.max_runs,
             grid=self.cluster.grid_name,
-            map_batching=self.cluster.map_batching_name,
         )
         records = as_mining_records(database, dedup=self.dedup)
         cluster = resolve_cluster(self.cluster)

@@ -191,17 +191,8 @@ class FlatPivotGrid:
         dictionary: Dictionary | None = None,
         max_frequent_fid: int | None = None,
     ) -> None:
-        if self._reset(ensure_kernel(fst, dictionary), tuple(sequence), max_frequent_fid):
-            self._final_row, self._relevance, self._last_producing = self._forward()
-
-    def _reset(
-        self, kernel: MiningKernel, sequence: tuple[int, ...], max_frequent_fid: int | None
-    ) -> bool:
-        """Everything but the forward pass (shared with trie-batched snapshots).
-
-        Returns whether there is a forward pass to make: the sequence is
-        accepted and not empty.
-        """
+        kernel = ensure_kernel(fst, dictionary)
+        sequence = tuple(sequence)
         self.kernel = kernel
         self.fst = kernel.fst
         self.sequence = sequence
@@ -215,7 +206,8 @@ class FlatPivotGrid:
         self._final_row: dict[int, tuple[int, ...]] | None = None
         self._relevance: list[int] | None = None
         self._last_producing: dict[int, int] | None = None
-        return self._has_accepting_run and bool(sequence)
+        if self._has_accepting_run and sequence:
+            self._final_row, self._relevance, self._last_producing = self._forward()
 
     # ------------------------------------------------------------ construction
     def _forward(self, trace: list | None = None):
@@ -362,123 +354,6 @@ class FlatPivotGrid:
         """The last 1-based position whose live edges can output ``pivot``."""
         last_producing = self._last_producing
         return last_producing.get(pivot, 0) if last_producing else 0
-
-
-# ------------------------------------------------- incremental trie extension
-class GrowableFlatGrid:
-    """Shared forward state for trie-batched :class:`FlatPivotGrid` builds.
-
-    The batch-map layer (:mod:`repro.core.prefix_batch`) walks a trie over the
-    unique encoded sequences of a chunk and drives the kernel once per trie
-    *node*: :meth:`extend` appends one position's pivot row and edge summary,
-    :meth:`mark`/:meth:`rewind` make sibling branches share the prefix without
-    copying, and :meth:`snapshot` freezes the current path into a real
-    :class:`FlatPivotGrid`.
-
-    The forward step here is *unfiltered*: it keeps the "skip empty pivot
-    runs" rule but drops the per-target reachability check, because the
-    reachability table depends on the whole sequence (it looks ahead to the
-    suffix) and the suffix differs per trie branch.  :meth:`snapshot` restores
-    exactly the filtered grid: it computes the leaf's reachability table and
-    summarises only the edges and row entries whose coordinates are alive.
-    Dead sources can only produce dead targets (a source with a live edge into
-    an alive target is itself alive one position earlier), so filtering the
-    unfiltered edges by target liveness reproduces the per-sequence pass
-    edge for edge — which is what the equivalence suite checks.
-    """
-
-    __slots__ = ("kernel", "max_frequent_fid", "_sequence", "_rows", "_edges")
-
-    def __init__(
-        self,
-        fst: Fst | MiningKernel,
-        dictionary: Dictionary | None = None,
-        max_frequent_fid: int | None = None,
-    ) -> None:
-        kernel = ensure_kernel(fst, dictionary)
-        self.kernel = kernel
-        self.max_frequent_fid = max_frequent_fid
-        self._sequence: list[int] = []
-        self._rows: list[dict[int, tuple[int, ...]]] = [
-            {kernel.initial_state: EPSILON_OUTPUT}
-        ]
-        # Per position: the ``(target, changes state, outputs)`` of every edge.
-        self._edges: list[list[tuple[int, bool, tuple[int, ...]]]] = []
-
-    def __len__(self) -> int:
-        return len(self._sequence)
-
-    def extend(self, item: int) -> None:
-        """Append one position: the forward DP step consuming ``item``."""
-        kernel = self.kernel
-        max_frequent_fid = self.max_frequent_fid
-        matching = kernel.matching
-        target_of = kernel.target
-        filtered_outputs = kernel.filtered_outputs
-        edges: list[tuple[int, bool, tuple[int, ...]]] = []
-        current: dict[int, tuple[int, ...]] = {}
-        for source, source_pivots in self._rows[-1].items():
-            if not source_pivots:
-                continue
-            for tid in matching(source, item):
-                target = target_of(tid)
-                outputs = filtered_outputs(tid, item, max_frequent_fid)
-                edges.append((target, source != target, outputs))
-                if outputs == EPSILON_OUTPUT:
-                    contribution = source_pivots
-                else:
-                    contribution = merge_sorted_runs(source_pivots, outputs)
-                bucket = current.get(target)
-                if bucket is None:
-                    current[target] = contribution
-                elif contribution and bucket is not contribution:
-                    current[target] = union_sorted_runs(bucket, contribution)
-        self._sequence.append(item)
-        self._rows.append(current)
-        self._edges.append(edges)
-
-    def mark(self) -> int:
-        """Opaque restore point for :meth:`rewind` (taken before a branch)."""
-        return len(self._sequence)
-
-    def rewind(self, mark: int) -> None:
-        """Truncate back to ``mark``, dropping every position added since."""
-        del self._sequence[mark:]
-        del self._rows[mark + 1 :]
-        del self._edges[mark:]
-
-    def snapshot(self) -> FlatPivotGrid:
-        """Freeze the current path into a standalone :class:`FlatPivotGrid`.
-
-        Computes the leaf sequence's reachability table and summarises the
-        shared edges restricted to alive targets the way the forward pass
-        does — the result is indistinguishable from
-        ``FlatPivotGrid(kernel, sequence)``.
-        """
-        grid = FlatPivotGrid.__new__(FlatPivotGrid)
-        if not grid._reset(self.kernel, tuple(self._sequence), self.max_frequent_fid):
-            return grid
-        alive = grid._alive
-        relevance = [_NEVER_RELEVANT] * len(alive)
-        last_producing: dict[int, int] = {}
-        for position, edges in enumerate(self._edges, start=1):
-            mask = alive[position]
-            for target, changes_state, outputs in edges:
-                if not (mask >> target) & 1:
-                    continue
-                if changes_state:
-                    relevance[position] = 0
-                if outputs and outputs != EPSILON_OUTPUT:
-                    if outputs[0] < relevance[position]:
-                        relevance[position] = outputs[0]
-                    for output in outputs:
-                        last_producing[output] = position
-        grid._final_row = {
-            state: run for state, run in self._rows[-1].items() if (alive[-1] >> state) & 1
-        }
-        grid._relevance = relevance
-        grid._last_producing = last_producing
-        return grid
 
 
 #: Engine name -> grid class.

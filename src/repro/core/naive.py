@@ -107,7 +107,6 @@ class _SubsequenceBaselineMiner:
         kernel: str | None = None,
         grid: str | None = None,
         partitioner: str | None = None,
-        map_batching: str | None = None,
         dedup: bool = True,
         cluster: ClusterConfig | str | Cluster | None = None,
     ) -> None:
@@ -123,7 +122,6 @@ class _SubsequenceBaselineMiner:
             kernel=kernel,
             grid=grid,
             partitioner=partitioner,
-            map_batching=map_batching,
         )
 
     def mine(self, database: SequenceDatabase | Sequence[Sequence[int]]) -> MiningResult:

@@ -26,15 +26,13 @@ def _config(
     spill_budget_bytes: int | None,
     kernel: str | None,
     grid: str | None = None,
-    map_batching: str | None = None,
 ) -> ClusterConfig:
     """One ClusterConfig from a figure function's substrate arguments.
 
-    Explicit ``kernel`` / ``grid`` / ``map_batching`` arguments win over the
-    config's (resolve semantics), so ``figure9c(cluster=cfg,
-    kernel="interpreted")``, ``figure9c(cluster=cfg, grid="legacy")``, and
-    ``figure9c(cluster=cfg, map_batching="trie")`` reliably compare the fast
-    and the reference implementations.
+    Explicit ``kernel`` / ``grid`` arguments win over the config's (resolve
+    semantics), so ``figure9c(cluster=cfg, kernel="interpreted")`` and
+    ``figure9c(cluster=cfg, grid="legacy")`` reliably compare the fast and
+    the reference implementations.
     """
     return ClusterConfig.resolve(
         cluster,
@@ -43,7 +41,6 @@ def _config(
         spill_budget_bytes=spill_budget_bytes,
         kernel=kernel,
         grid=grid,
-        map_batching=map_batching,
     )
 
 
@@ -56,14 +53,13 @@ def figure9a(
     spill_budget_bytes: int | None = None,
     kernel: str | None = None,
     grid: str | None = None,
-    map_batching: str | None = None,
     cluster: ClusterConfig | None = None,
     max_runs: int | None = None,
     max_candidates: int | None = None,
 ) -> list[dict]:
     """Fig. 9a: total time per algorithm for N1–N5 on the NYT-like dataset."""
     prepared = prepare_dataset("NYT", size)
-    config = _config(cluster, backend, codec, spill_budget_bytes, kernel, grid, map_batching)
+    config = _config(cluster, backend, codec, spill_budget_bytes, kernel, grid)
     rows = []
     for constraint in figure9a_constraints():
         for record in run_comparison(
@@ -83,14 +79,13 @@ def figure9b(
     spill_budget_bytes: int | None = None,
     kernel: str | None = None,
     grid: str | None = None,
-    map_batching: str | None = None,
     cluster: ClusterConfig | None = None,
     max_runs: int | None = None,
     max_candidates: int | None = None,
 ) -> list[dict]:
     """Fig. 9b: total time per algorithm for A1–A4 on the AMZN-like dataset."""
     prepared = prepare_dataset("AMZN", size)
-    config = _config(cluster, backend, codec, spill_budget_bytes, kernel, grid, map_batching)
+    config = _config(cluster, backend, codec, spill_budget_bytes, kernel, grid)
     rows = []
     for constraint in figure9b_constraints():
         for record in run_comparison(
@@ -110,14 +105,13 @@ def figure9c(
     spill_budget_bytes: int | None = None,
     kernel: str | None = None,
     grid: str | None = None,
-    map_batching: str | None = None,
     cluster: ClusterConfig | None = None,
     max_runs: int | None = None,
     max_candidates: int | None = None,
 ) -> list[dict]:
     """Fig. 9c: shuffle size per algorithm for A1 and A4 on the AMZN-like dataset."""
     prepared = prepare_dataset("AMZN", size)
-    config = _config(cluster, backend, codec, spill_budget_bytes, kernel, grid, map_batching)
+    config = _config(cluster, backend, codec, spill_budget_bytes, kernel, grid)
     rows = []
     for constraint in (
         make_constraint("A1", SCALED_SIGMA["A1"]),
@@ -172,7 +166,6 @@ def figure10a(
     spill_budget_bytes: int | None = None,
     kernel: str | None = None,
     grid: str | None = None,
-    map_batching: str | None = None,
     cluster: ClusterConfig | None = None,
     max_runs: int | None = None,
     max_candidates: int | None = None,
@@ -185,7 +178,7 @@ def figure10a(
             ("AMZN-F", make_constraint("T3", SCALED_SIGMA["T3"], 1, 6)),
             ("AMZN-F", make_constraint("T3", 10 * SCALED_SIGMA["T3"], 3, 5)),
         ]
-    config = _config(cluster, backend, codec, spill_budget_bytes, kernel, grid, map_batching)
+    config = _config(cluster, backend, codec, spill_budget_bytes, kernel, grid)
     if config.num_workers is None:
         config = config.merged(num_workers=num_workers)
     rows = []
@@ -222,7 +215,6 @@ def figure10b(
     spill_budget_bytes: int | None = None,
     kernel: str | None = None,
     grid: str | None = None,
-    map_batching: str | None = None,
     cluster: ClusterConfig | None = None,
     max_runs: int | None = None,
     max_candidates: int | None = None,
@@ -234,7 +226,7 @@ def figure10b(
             ("NYT", make_constraint("N4", SCALED_SIGMA["N4"])),
             ("AMZN-F", make_constraint("T3", SCALED_SIGMA["T3"], 1, 6)),
         ]
-    config = _config(cluster, backend, codec, spill_budget_bytes, kernel, grid, map_batching)
+    config = _config(cluster, backend, codec, spill_budget_bytes, kernel, grid)
     if config.num_workers is None:
         config = config.merged(num_workers=num_workers)
     rows = []
@@ -289,7 +281,6 @@ def figure11_scalability(
     spill_budget_bytes: int | None = None,
     kernel: str | None = None,
     grid: str | None = None,
-    map_batching: str | None = None,
     cluster: ClusterConfig | None = None,
     max_runs: int | None = None,
     max_candidates: int | None = None,
@@ -301,7 +292,7 @@ def figure11_scalability(
     """
     prepared = prepare_dataset("AMZN-F", base_size)
     base_sigma = base_sigma or SCALED_SIGMA["T3"]
-    config = _config(cluster, backend, codec, spill_budget_bytes, kernel, grid, map_batching)
+    config = _config(cluster, backend, codec, spill_budget_bytes, kernel, grid)
     samples = {
         fraction: prepared.database.sample(fraction, seed=7) if fraction < 1.0 else prepared.database
         for fraction in fractions
@@ -372,7 +363,6 @@ def figure12_lash_setting(
     spill_budget_bytes: int | None = None,
     kernel: str | None = None,
     grid: str | None = None,
-    map_batching: str | None = None,
     cluster: ClusterConfig | None = None,
     max_runs: int | None = None,
     max_candidates: int | None = None,
@@ -386,7 +376,7 @@ def figure12_lash_setting(
         ("CW", make_constraint("T2", SCALED_SIGMA["T2"], 0, 5)),
         ("CW", make_constraint("T2", 4 * SCALED_SIGMA["T2"], 0, 5)),
     ]
-    config = _config(cluster, backend, codec, spill_budget_bytes, kernel, grid, map_batching)
+    config = _config(cluster, backend, codec, spill_budget_bytes, kernel, grid)
     rows = []
     for dataset_name, constraint in entries:
         prepared = prepare_dataset(dataset_name, (sizes or {}).get(dataset_name))
@@ -412,14 +402,13 @@ def figure13_mllib_setting(
     spill_budget_bytes: int | None = None,
     kernel: str | None = None,
     grid: str | None = None,
-    map_batching: str | None = None,
     cluster: ClusterConfig | None = None,
     max_runs: int | None = None,
     max_candidates: int | None = None,
 ) -> list[dict]:
     """Fig. 13: MLlib (PrefixSpan) setting T1(σ, 5) with decreasing σ on AMZN."""
     prepared = prepare_dataset("AMZN", size)
-    config = _config(cluster, backend, codec, spill_budget_bytes, kernel, grid, map_batching)
+    config = _config(cluster, backend, codec, spill_budget_bytes, kernel, grid)
     rows = []
     for sigma in sigmas:
         constraint = make_constraint("T1", sigma, max_length)

@@ -52,11 +52,6 @@ class RunRecord:
     num_patterns: int = 0
     num_workers: int = 1
     partitioner: str = "hash"
-    # Trie-batched map stats; like the blob counters, kept out of as_row()
-    # so the committed BENCH goldens keep their exact shape.
-    map_batching: str = "off"
-    batch_trie_nodes: int = 0
-    batch_shared_positions: int = 0
     partition_max_bytes: int = 0
     partition_mean_bytes: float = 0.0
     partition_imbalance: float = 1.0
@@ -240,9 +235,6 @@ def run_algorithm(
     record.blob_retry_count = metrics.blob_retry_count
     record.recovered_host_count = metrics.recovered_host_count
     record.partitioner = metrics.partitioner
-    record.map_batching = metrics.map_batching
-    record.batch_trie_nodes = metrics.batch_trie_nodes
-    record.batch_shared_positions = metrics.batch_shared_positions
     record.partition_max_bytes = metrics.partition_max_bytes
     record.partition_mean_bytes = metrics.partition_mean_bytes
     record.partition_imbalance = metrics.partition_imbalance

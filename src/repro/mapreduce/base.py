@@ -42,7 +42,7 @@ from repro.mapreduce.faults import (
     TaskTimeoutError,
     is_retryable,
 )
-from repro.mapreduce.job import MapReduceJob, normalize_map_batching, normalize_partitioner
+from repro.mapreduce.job import MapReduceJob, normalize_partitioner
 from repro.mapreduce.metrics import JobMetrics
 from repro.mapreduce.spill import WireFragment
 from repro.mapreduce.tasks import (
@@ -140,11 +140,6 @@ class StageDriverCluster:
         but a miner handed a ready-made cluster instance inherits this
         setting and attaches a :class:`~repro.core.balance.PartitionPlan` to
         its job when ``"planned"`` is selected.
-    map_batching:
-        The batch-map mode (``"off"`` / ``"trie"``), carried for the miners
-        exactly like ``kernel``: jobs built for ``"trie"`` override
-        :meth:`~repro.mapreduce.job.MapReduceJob.map_records` with the
-        trie-batched grid construction of :mod:`repro.core.prefix_batch`.
     fault_policy:
         The run's :class:`~repro.mapreduce.faults.FaultPolicy`: how many
         attempts a failed or timed-out task gets, the jittered backoff
@@ -178,7 +173,6 @@ class StageDriverCluster:
         kernel: str | None = None,
         grid: str | None = None,
         partitioner: str | None = None,
-        map_batching: str | None = None,
         fault_policy: FaultPolicy | None = None,
         fault_injector: FaultInjector | None = None,
     ) -> None:
@@ -216,9 +210,6 @@ class StageDriverCluster:
             # Fail fast on typos, like kernel and grid above.
             partitioner = normalize_partitioner(partitioner)
         self.partitioner = partitioner
-        if map_batching is not None:
-            map_batching = normalize_map_batching(map_batching)
-        self.map_batching = map_batching
         self.fault_policy = fault_policy or DEFAULT_FAULT_POLICY
         self.fault_injector = fault_injector
 
@@ -238,7 +229,6 @@ class StageDriverCluster:
         metrics.partitioner = (
             "planned" if getattr(job, "partition_plan", None) is not None else "hash"
         )
-        metrics.map_batching = getattr(job, "map_batching", None) or "off"
 
         # All spill files of one run live in a per-job directory, removed
         # wholesale below — so a failing map or reduce task (e.g. a candidate
@@ -305,10 +295,6 @@ class StageDriverCluster:
                             metrics.blob_put_count += result.blob_put_count
                             metrics.blob_put_bytes += result.blob_put_bytes
                             metrics.blob_retry_count += result.blob_retry_count
-                            metrics.batch_trie_nodes += result.batch_trie_nodes
-                            metrics.batch_shared_positions += (
-                                result.batch_shared_positions
-                            )
                             for bucket_index, size in result.bucket_shuffle_bytes.items():
                                 metrics.reduce_bucket_bytes[bucket_index] = (
                                     metrics.reduce_bucket_bytes.get(bucket_index, 0) + size

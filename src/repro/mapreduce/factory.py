@@ -59,10 +59,9 @@ class ClusterConfig:
     :class:`~repro.mapreduce.base.Cluster` instance (which then wins over the
     worker/codec/spill fields, as before).  ``kernel`` selects the FST mining
     kernel (``"compiled"`` or ``"interpreted"``; None → the library default),
-    ``grid`` the pivot-grid engine (``"flat"`` or ``"legacy"``),
-    ``partitioner`` the reduce-bucket assignment (``"hash"`` or ``"planned"``),
-    and ``map_batching`` the batch-map mode (``"off"`` or ``"trie"``); all
-    four are consumed by the miners rather than the cluster itself.
+    ``grid`` the pivot-grid engine (``"flat"`` or ``"legacy"``), and
+    ``partitioner`` the reduce-bucket assignment (``"hash"`` or ``"planned"``);
+    all three are consumed by the miners rather than the cluster itself.
     """
 
     backend: str | Cluster = "simulated"
@@ -82,10 +81,6 @@ class ClusterConfig:
     #: load-estimation pass (``None`` estimates over every record); consumed
     #: by the miners when they build their partition plan.
     plan_sample: float | None = None
-    #: Batch-map mode: ``"trie"`` builds the map stage's pivot grids
-    #: trie-batched over each chunk (:mod:`repro.core.prefix_batch`);
-    #: ``"off"``/``None`` keeps the per-sequence reference path.
-    map_batching: str | None = None
     #: Task-retry / timeout / blob-retry knobs
     #: (:class:`~repro.mapreduce.faults.FaultPolicy`; ``None`` → the library
     #: default, which gives every task one retry).  Part of the fingerprint.
@@ -111,16 +106,7 @@ class ClusterConfig:
         ``miner(..., cluster=config, kernel="interpreted", grid="legacy")``
         reliably selects the debugging implementations.
         """
-        kernel = defaults.pop("kernel", None)
-        grid = defaults.pop("grid", None)
-        partitioner = defaults.pop("partitioner", None)
-        map_batching = defaults.pop("map_batching", None)
-        overrides = {
-            "kernel": kernel,
-            "grid": grid,
-            "partitioner": partitioner,
-            "map_batching": map_batching,
-        }
+        overrides = {name: defaults.pop(name, None) for name in ("kernel", "grid", "partitioner")}
         if value is None:
             config = cls(**defaults, **overrides)
         elif isinstance(value, ClusterConfig):
@@ -174,20 +160,6 @@ class ClusterConfig:
         )
         return attached or DEFAULT_PARTITIONER
 
-    @property
-    def map_batching_name(self) -> str:
-        """The effective batch-map mode (falling back to the cluster's, then
-        the ``"off"`` reference)."""
-        from repro.mapreduce.job import DEFAULT_MAP_BATCHING, normalize_map_batching
-
-        if self.map_batching is not None:
-            return normalize_map_batching(self.map_batching)
-        backend = self.backend
-        attached = (
-            None if isinstance(backend, str) else getattr(backend, "map_batching", None)
-        )
-        return attached or DEFAULT_MAP_BATCHING
-
     def build(self) -> Cluster:
         """Build (or pass through) the execution backend for this config."""
         return resolve_cluster(self)
@@ -219,7 +191,6 @@ class ClusterConfig:
             self.grid_name,
             self.partitioner_name,
             self.plan_sample,
-            self.map_batching_name,
             (self.fault_policy or DEFAULT_FAULT_POLICY).fingerprint(),
             repr(self.fault_injector),
         )
@@ -238,7 +209,6 @@ def make_cluster(
     kernel: str | None = None,
     grid: str | None = None,
     partitioner: str | None = None,
-    map_batching: str | None = None,
     fault_policy: FaultPolicy | None = None,
     fault_injector: FaultInjector | None = None,
 ) -> Cluster:
@@ -260,10 +230,9 @@ def make_cluster(
     picks the shuffle wire format (:data:`~repro.mapreduce.wire.CODECS`) and
     ``spill_budget_bytes`` caps the encoded payload bytes a map task keeps in
     memory before spilling to ``spill_dir``.  ``kernel`` records the FST
-    mining-kernel choice — ``grid`` the pivot-grid engine choice,
-    ``partitioner`` the reduce-partitioner choice, and ``map_batching`` the
-    batch-map mode — on the cluster so miners handed a ready-made instance
-    inherit them.
+    mining-kernel choice — ``grid`` the pivot-grid engine choice and
+    ``partitioner`` the reduce-partitioner choice — on the cluster so miners
+    handed a ready-made instance inherit them.
     """
     if isinstance(backend, ClusterConfig):
         config = backend
@@ -284,7 +253,6 @@ def make_cluster(
             kernel=config.kernel,
             grid=config.grid,
             partitioner=config.partitioner,
-            map_batching=config.map_batching,
             fault_policy=config.fault_policy,
             fault_injector=config.fault_injector,
         )
@@ -310,7 +278,6 @@ def make_cluster(
         kernel=kernel,
         grid=grid,
         partitioner=partitioner,
-        map_batching=map_batching,
         fault_policy=fault_policy,
         fault_injector=fault_injector,
         **extra,
@@ -329,7 +296,6 @@ def resolve_cluster(
     kernel: str | None = None,
     grid: str | None = None,
     partitioner: str | None = None,
-    map_batching: str | None = None,
     fault_policy: FaultPolicy | None = None,
     fault_injector: FaultInjector | None = None,
 ) -> Cluster:
@@ -361,7 +327,6 @@ def resolve_cluster(
         kernel=kernel,
         grid=grid,
         partitioner=partitioner,
-        map_batching=map_batching,
         fault_policy=fault_policy,
         fault_injector=fault_injector,
     )

@@ -20,7 +20,7 @@ import zlib
 from collections.abc import Iterable, Iterator
 from typing import Any
 
-from repro.errors import MapReduceError, MiningError
+from repro.errors import MapReduceError
 
 #: Reduce-partitioner choices: ``"hash"`` assigns keys by
 #: :func:`stable_hash` (the reference), ``"planned"`` consults a
@@ -42,29 +42,6 @@ def normalize_partitioner(name: str | None) -> str:
             f"unknown partitioner {name!r}; choose one of {', '.join(PARTITIONERS)}"
         )
     return key
-
-
-#: Batch-map modes accepted by miners, ``ClusterConfig``, and ``--map-batching``.
-MAP_BATCHINGS = ("off", "trie")
-
-#: Batch-map mode used when none is requested explicitly.  ``off`` keeps the
-#: per-sequence path: on corpora with little prefix overlap the per-sequence
-#: accepting-run short-circuit (skip the whole build for rejected sequences)
-#: beats sharing, so batching stays opt-in per workload.
-DEFAULT_MAP_BATCHING = "off"
-
-
-def normalize_map_batching(map_batching: str | None) -> str:
-    """Map a user-provided batch-map mode to a canonical one (None → default)."""
-    if map_batching is None:
-        return DEFAULT_MAP_BATCHING
-    name = str(map_batching).strip().lower()
-    if name not in MAP_BATCHINGS:
-        raise MiningError(
-            f"unknown map batching {map_batching!r}; "
-            f"choose one of {', '.join(MAP_BATCHINGS)}"
-        )
-    return name
 
 
 def stable_hash(key: Any) -> int:
@@ -121,22 +98,6 @@ class MapReduceJob:
     def map(self, record: Any) -> Iterable[tuple[Any, Any]]:
         """Process one input record into ``(partition key, value)`` pairs."""
         raise NotImplementedError
-
-    def map_records(
-        self, records: Iterable[Any], counters: dict | None = None
-    ) -> Iterable[tuple[Any, Any]]:
-        """Map a whole task chunk, with room for cross-record batching.
-
-        The default delegates to :meth:`map` record by record.  Jobs that can
-        amortize work across the records of a chunk (the trie-batched grid
-        construction of :mod:`repro.core.prefix_batch`) override this; the
-        override must emit exactly what the per-record path would, in the
-        same order, so batching stays byte-identical on the wire.  Extra
-        bookkeeping goes into ``counters`` (summed into
-        :class:`~repro.mapreduce.metrics.JobMetrics` by the driver).
-        """
-        for record in records:
-            yield from self.map(record)
 
     def combine(self, key: Any, values: list[Any]) -> Iterable[tuple[Any, Any]]:
         """Pre-aggregate values of one key within a single map task.

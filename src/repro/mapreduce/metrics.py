@@ -85,13 +85,6 @@ class JobMetrics:
     output_records: int = 0
     #: Which reduce partitioner the job used (``"hash"`` or ``"planned"``).
     partitioner: str = "hash"
-    #: Which map-batching mode the job used (``"off"`` or ``"trie"``).
-    map_batching: str = "off"
-    #: Trie-batched map accounting, summed over map tasks: trie nodes driven
-    #: through the kernel, and sequence positions served from a shared prefix
-    #: instead of recomputed.  Both zero with ``map_batching="off"``.
-    batch_trie_nodes: int = 0
-    batch_shared_positions: int = 0
     #: Modeled shuffle bytes per reduce bucket (``job.record_size`` summed per
     #: destination), collected when ``measure_shuffle`` is on.  The basis of
     #: the balance statistics below.
@@ -158,19 +151,6 @@ class JobMetrics:
         return max(loads) / MODELED_REDUCE_BYTES_PER_SECOND
 
     @property
-    def batch_reuse_ratio(self) -> float:
-        """Fraction of unique sequence positions served from a shared prefix.
-
-        ``shared / (nodes + shared)``: 0.0 with batching off (or no prefix
-        overlap at all), approaching 1.0 as the chunk's sequences collapse
-        onto a few trie paths.
-        """
-        total = self.batch_trie_nodes + self.batch_shared_positions
-        if total == 0:
-            return 0.0
-        return self.batch_shared_positions / total
-
-    @property
     def combine_ratio(self) -> float:
         """Fraction of map output records removed by the combiner."""
         if self.map_output_records == 0:
@@ -202,54 +182,8 @@ class JobMetrics:
             "input_records": self.input_records,
             "output_records": self.output_records,
             "partitioner": self.partitioner,
-            "map_batching": self.map_batching,
-            "batch_trie_nodes": self.batch_trie_nodes,
-            "batch_shared_positions": self.batch_shared_positions,
-            "batch_reuse_ratio": round(self.batch_reuse_ratio, 3),
             "partition_max_bytes": self.partition_max_bytes,
             "partition_mean_bytes": round(self.partition_mean_bytes, 1),
             "partition_imbalance": round(self.partition_imbalance, 3),
             "modeled_straggler_seconds": self.modeled_straggler_seconds,
         }
-
-    def merge(self, other: "JobMetrics") -> "JobMetrics":
-        """Combine metrics of two jobs executed back to back (rarely needed)."""
-        bucket_bytes = dict(self.reduce_bucket_bytes)
-        for bucket, size in other.reduce_bucket_bytes.items():
-            bucket_bytes[bucket] = bucket_bytes.get(bucket, 0) + size
-        return JobMetrics(
-            num_workers=max(self.num_workers, other.num_workers),
-            map_task_seconds=self.map_task_seconds + other.map_task_seconds,
-            reduce_task_seconds=self.reduce_task_seconds + other.reduce_task_seconds,
-            shuffle_bytes=self.shuffle_bytes + other.shuffle_bytes,
-            shuffle_records=self.shuffle_records + other.shuffle_records,
-            wire_bytes=self.wire_bytes + other.wire_bytes,
-            spilled_buckets=self.spilled_buckets + other.spilled_buckets,
-            spilled_bytes=self.spilled_bytes + other.spilled_bytes,
-            blob_put_count=self.blob_put_count + other.blob_put_count,
-            blob_put_bytes=self.blob_put_bytes + other.blob_put_bytes,
-            blob_get_count=self.blob_get_count + other.blob_get_count,
-            blob_get_bytes=self.blob_get_bytes + other.blob_get_bytes,
-            tasks_failed=self.tasks_failed + other.tasks_failed,
-            task_retry_count=self.task_retry_count + other.task_retry_count,
-            blob_retry_count=self.blob_retry_count + other.blob_retry_count,
-            recovered_host_count=(
-                self.recovered_host_count + other.recovered_host_count
-            ),
-            map_input_pickle_bytes=self.map_input_pickle_bytes + other.map_input_pickle_bytes,
-            map_output_records=self.map_output_records + other.map_output_records,
-            combined_records=self.combined_records + other.combined_records,
-            input_records=self.input_records + other.input_records,
-            output_records=self.output_records + other.output_records,
-            partitioner=(
-                self.partitioner if self.partitioner == other.partitioner else "mixed"
-            ),
-            map_batching=(
-                self.map_batching if self.map_batching == other.map_batching else "mixed"
-            ),
-            batch_trie_nodes=self.batch_trie_nodes + other.batch_trie_nodes,
-            batch_shared_positions=(
-                self.batch_shared_positions + other.batch_shared_positions
-            ),
-            reduce_bucket_bytes=bucket_bytes,
-        )

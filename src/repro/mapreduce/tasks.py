@@ -106,11 +106,6 @@ class MapTaskResult:
     blob_put_bytes: int = 0
     #: Transient blob-store failures absorbed by in-task retries.
     blob_retry_count: int = 0
-    #: Trie-batched map accounting (``map_batching="trie"``; zero otherwise):
-    #: trie nodes driven through the kernel, and sequence positions that rode
-    #: along on a shared prefix instead of being recomputed.
-    batch_trie_nodes: int = 0
-    batch_shared_positions: int = 0
     seconds: float = 0.0
     worker: tuple[int, int] = (0, 0)
 
@@ -152,10 +147,10 @@ def run_map_task(
     codec = make_codec(codec)
     task_output: dict[Any, list[Any]] = defaultdict(list)
     map_output_records = 0
-    counters: dict[str, int] = {}
-    for key, value in job.map_records(records, counters):
-        task_output[key].append(value)
-        map_output_records += 1
+    for record in records:
+        for key, value in job.map(record):
+            task_output[key].append(value)
+            map_output_records += 1
 
     if job.use_combiner:
         emitted: Any = (
@@ -198,8 +193,6 @@ def run_map_task(
         shuffle_bytes=shuffle_bytes,
         shuffle_records=shuffle_records,
         bucket_shuffle_bytes=bucket_shuffle_bytes,
-        batch_trie_nodes=counters.get("batch_trie_nodes", 0),
-        batch_shared_positions=counters.get("batch_shared_positions", 0),
         seconds=time.perf_counter() - started,
         worker=worker_token(),
         spill_path=spill_path,

@@ -59,6 +59,11 @@ from typing import NamedTuple
 from repro.errors import ReproError
 from repro.varint import read_varint, write_varint
 
+try:  # POSIX shared memory, the module SharedMemory itself opens segments with
+    import _posixshmem
+except ImportError:  # pragma: no cover - Windows
+    _posixshmem = None
+
 
 class SequenceStoreError(ReproError):
     """Raised for malformed store blocks or unusable store handles."""
@@ -494,8 +499,8 @@ class EncodedSequenceStore(Sequence):
     def attach(cls, handle: "StoreHandle") -> "EncodedSequenceStore":
         """Map a published block read-only (no copy of the data region)."""
         if handle.kind == "shm":
-            segment = _attach_shared_memory(handle.name)
-            return cls(memoryview(segment.buf)[: handle.nbytes], owner=segment)
+            view, owner = _attach_shared_memory(handle.name, handle.nbytes)
+            return cls(view, owner=owner)
         if handle.kind == "file":
             try:
                 with open(handle.name, "rb") as handle_file:
@@ -637,20 +642,27 @@ def as_encoded_store(records) -> EncodedSequenceStore:
     return EncodedSequenceStore.from_sequences(records)
 
 
-def _attach_shared_memory(name: str) -> shared_memory.SharedMemory:
-    """Attach a shared-memory segment, opting out of tracking where possible.
+def _attach_shared_memory(name: str, nbytes: int) -> tuple[memoryview, object]:
+    """Map a shared-memory segment read-only: the view and the owner to close.
 
-    From Python 3.13 on, ``track=False`` keeps the attach from registering a
-    segment the publisher already owns with the resource tracker
-    (bpo-39959).  On older versions the attach-side registration is benign:
-    pool workers inherit the publisher's tracker, whose name cache is a set,
-    so the duplicate registration is absorbed and the publisher's ``unlink``
-    clears the single entry.
+    On POSIX the segment is opened and mapped directly, not through
+    :class:`~multiprocessing.shared_memory.SharedMemory`, whose constructor
+    registers the segment with the resource tracker before Python 3.13
+    (bpo-39959).  That registration takes the tracker's lock, and a pool
+    worker forked while another driver thread held it — publishing or
+    releasing its own store — inherits the lock held and would wait on it
+    forever.  The publisher owns the segment, so an attach has nothing to
+    register.
     """
     try:
-        try:
-            return shared_memory.SharedMemory(name=name, track=False)
-        except TypeError:
-            return shared_memory.SharedMemory(name=name)
+        if _posixshmem is None:  # Windows: named mappings are never tracked
+            segment = shared_memory.SharedMemory(name=name)
+            return segment.buf[:nbytes], segment
+        descriptor = _posixshmem.shm_open("/" + name, os.O_RDONLY, mode=0o600)
     except FileNotFoundError as error:
         raise SequenceStoreError(f"cannot attach store segment {name}: {error}") from error
+    try:
+        mapped = mmap.mmap(descriptor, nbytes, access=mmap.ACCESS_READ)
+    finally:
+        os.close(descriptor)
+    return memoryview(mapped)[:nbytes], mapped

@@ -224,7 +224,6 @@ class GapConstrainedMiner:
         kernel: str | None = None,
         grid: str | None = None,
         partitioner: str | None = None,
-        map_batching: str | None = None,
         dedup: bool = True,
         cluster: ClusterConfig | str | Cluster | None = None,
     ) -> None:
@@ -239,11 +238,11 @@ class GapConstrainedMiner:
         self.min_length = min_length
         self.use_hierarchy = use_hierarchy
         self.dedup = dedup
-        # The specialist avoids FST machinery entirely, so the ``kernel``,
-        # ``grid``, and ``map_batching`` knobs are accepted (one ClusterConfig
-        # drives all five cluster miners) but have no effect on its mining
-        # semantics or timings — there are no grids to trie-batch.  ``dedup``
-        # applies: the windowing runs once per distinct input sequence.
+        # The specialist avoids FST machinery entirely, so the ``kernel`` and
+        # ``grid`` knobs are accepted (one ClusterConfig drives all five
+        # cluster miners) but have no effect on its mining semantics or
+        # timings.  ``dedup`` applies: the windowing runs once per distinct
+        # input sequence.
         # ``partitioner`` applies too: its shuffle is item-partitioned like
         # D-SEQ's, so the skew-aware plan helps here as well.
         self.cluster = ClusterConfig.resolve(
@@ -252,7 +251,6 @@ class GapConstrainedMiner:
             kernel=kernel,
             grid=grid,
             partitioner=partitioner,
-            map_batching=map_batching,
         )
 
     def mine(self, database: SequenceDatabase | Sequence[Sequence[int]]) -> MiningResult:

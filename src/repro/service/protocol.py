@@ -207,7 +207,12 @@ def encode_result(result: MiningResult) -> dict:
 
 
 def decode_result(payload: dict) -> MiningResult:
-    metrics = JobMetrics(**{name: payload["metrics"][name] for name in _METRIC_FIELDS})
+    """Rebuild a result, ignoring metric keys this version does not know."""
+    wire_metrics = payload["metrics"]
+    missing = [name for name in _METRIC_FIELDS if name not in wire_metrics]
+    if missing:
+        raise ServiceError(f"JobMetrics fields missing on the wire: {missing}")
+    metrics = JobMetrics(**{name: wire_metrics[name] for name in _METRIC_FIELDS})
     return MiningResult(
         {tuple(pattern): frequency for pattern, frequency in payload["patterns"]},
         metrics=metrics,

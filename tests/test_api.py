@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import json
 import warnings
@@ -14,8 +15,15 @@ from repro.api.session import canonical_algorithm, constraint_token, resolve_con
 from repro.core import DCandMiner, DSeqMiner, NaiveMiner, SemiNaiveMiner
 from repro.datasets import constraint as make_constraint
 from repro.errors import CorpusNotAttachedError, MiningError
-from repro.experiments.harness import build_miner, run_algorithm
-from repro.mapreduce import ClusterConfig
+from repro.experiments.harness import RunRecord, build_miner, run_algorithm
+from repro.mapreduce import (
+    BACKENDS,
+    ClusterConfig,
+    FaultPolicy,
+    ScriptedInjector,
+    make_cluster,
+    resolve_cluster,
+)
 from repro.sequential import GapConstrainedMiner
 
 from tests.conftest import RUNNING_EXAMPLE_PATEX, run_probe
@@ -328,16 +336,138 @@ class TestConfigFingerprint:
     def test_equal_configs_share_a_fingerprint(self):
         assert ClusterConfig().fingerprint() == ClusterConfig().fingerprint()
 
+    #: One non-default value per :class:`ClusterConfig` field.
+    NON_DEFAULT = {
+        "backend": "threads",
+        "num_workers": 3,
+        "num_reduce_tasks": 7,
+        "measure_shuffle": False,
+        "codec": "zlib",
+        "spill_budget_bytes": 4096,
+        "blob_dir": "/tmp/blobs",
+        "kernel": "interpreted",
+        "grid": "legacy",
+        "partitioner": "planned",
+        "plan_sample": 0.5,
+        "fault_policy": FaultPolicy(max_task_attempts=1),
+        "fault_injector": ScriptedInjector(kill_map_task=0),
+    }
+
+    #: A scratch location changes neither patterns nor metrics.
+    NOT_FINGERPRINTED = {"spill_dir"}
+
     def test_each_field_changes_the_fingerprint(self):
+        fields = {field.name for field in dataclasses.fields(ClusterConfig)}
+        assert set(self.NON_DEFAULT) | self.NOT_FINGERPRINTED == fields
+        assert not set(self.NON_DEFAULT) & self.NOT_FINGERPRINTED
         base = ClusterConfig().fingerprint()
-        assert ClusterConfig(backend="threads").fingerprint() != base
-        assert ClusterConfig(num_workers=3).fingerprint() != base
-        assert ClusterConfig(codec="zlib").fingerprint() != base
-        assert ClusterConfig(kernel="interpreted").fingerprint() != base
-        assert ClusterConfig(grid="legacy").fingerprint() != base
-        assert ClusterConfig(blob_dir="/tmp/blobs").fingerprint() != base
-        assert ClusterConfig(plan_sample=0.5).fingerprint() != base
-        assert ClusterConfig(map_batching="trie").fingerprint() != base
+        for name, value in self.NON_DEFAULT.items():
+            assert ClusterConfig(**{name: value}).fingerprint() != base, name
+        assert ClusterConfig(spill_dir="/tmp/spill").fingerprint() == base
+
+
+#: The knob of the deleted trie-batched map, spelled in parts so that a search
+#: of the tree for the removed name finds nothing but its absence.
+REMOVED_KNOB = "_".join(("map", "batching"))
+
+
+#: The five cluster miners, built with extra keyword arguments.
+CLUSTER_MINERS = {
+    "dseq": lambda dictionary, **kw: DSeqMiner(RUNNING_EXAMPLE_PATEX, SIGMA, dictionary, **kw),
+    "dcand": lambda dictionary, **kw: DCandMiner(RUNNING_EXAMPLE_PATEX, SIGMA, dictionary, **kw),
+    "naive": lambda dictionary, **kw: NaiveMiner(RUNNING_EXAMPLE_PATEX, SIGMA, dictionary, **kw),
+    "semi-naive": lambda dictionary, **kw: SemiNaiveMiner(
+        RUNNING_EXAMPLE_PATEX, SIGMA, dictionary, **kw
+    ),
+    "lash": lambda dictionary, **kw: GapConstrainedMiner(SIGMA, dictionary, **kw),
+}
+
+#: Every figure function of the evaluation (each took the knob before).
+FIGURE_FUNCTIONS = (
+    "figure9a",
+    "figure9b",
+    "figure9c",
+    "figure10a",
+    "figure10b",
+    "figure11_scalability",
+    "figure12_lash_setting",
+    "figure13_mllib_setting",
+)
+
+
+class TestRemovedKnobs:
+    """Naming the trie-batched map's knob fails like any unknown keyword, on
+    every surface that used to accept it."""
+
+    def test_cluster_config_rejects_it(self):
+        with pytest.raises(TypeError, match=REMOVED_KNOB):
+            ClusterConfig(**{REMOVED_KNOB: "trie"})
+
+    @pytest.mark.parametrize(
+        "factory",
+        [make_cluster, resolve_cluster, ClusterConfig.resolve],
+        ids=["make_cluster", "resolve_cluster", "ClusterConfig.resolve"],
+    )
+    def test_cluster_factories_reject_it(self, factory):
+        with pytest.raises(TypeError, match=REMOVED_KNOB):
+            factory("simulated", **{REMOVED_KNOB: "trie"})
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_cluster_classes_reject_it(self, backend):
+        cluster_class = type(make_cluster(backend))
+        with pytest.raises(TypeError, match=REMOVED_KNOB):
+            cluster_class(**{REMOVED_KNOB: "trie"})
+
+    @pytest.mark.parametrize("miner_name", sorted(CLUSTER_MINERS))
+    def test_miners_reject_it(self, miner_name, ex_dictionary):
+        with pytest.raises(TypeError, match=REMOVED_KNOB):
+            CLUSTER_MINERS[miner_name](ex_dictionary, **{REMOVED_KNOB: "trie"})
+
+    def test_core_mine_rejects_it(self, ex_database, ex_dictionary):
+        from repro.core.miner import mine
+
+        with pytest.raises(TypeError, match=REMOVED_KNOB):
+            mine(
+                ex_database, ex_dictionary, RUNNING_EXAMPLE_PATEX, SIGMA,
+                **{REMOVED_KNOB: "trie"},
+            )
+
+    @pytest.mark.parametrize("algorithm", ["dseq", "dcand"])
+    def test_harness_rejects_it(self, algorithm, ex_database, ex_dictionary):
+        spec = make_constraint("N5", sigma=SIGMA)
+        with pytest.raises(TypeError, match=REMOVED_KNOB):
+            run_algorithm(
+                algorithm, spec, ex_dictionary, ex_database,
+                num_workers=2, **{REMOVED_KNOB: "trie"},
+            )
+
+    def test_run_records_have_no_field_for_it(self):
+        with pytest.raises(TypeError, match=REMOVED_KNOB):
+            RunRecord(algorithm="dseq", constraint="N5", dataset="NYT", **{REMOVED_KNOB: "off"})
+        assert REMOVED_KNOB not in {field.name for field in dataclasses.fields(RunRecord)}
+
+    @pytest.mark.parametrize("name", FIGURE_FUNCTIONS)
+    def test_figure_functions_reject_it(self, name):
+        from repro.experiments import figures
+
+        with pytest.raises(TypeError, match=REMOVED_KNOB):
+            getattr(figures, name)(**{REMOVED_KNOB: "trie"})
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["mine", "--sequences", "unused.txt", "--pattern", "(a)", "--sigma", "2"],
+            ["experiment", "--name", "table5"],
+        ],
+        ids=["mine", "experiment"],
+    )
+    def test_cli_flag_is_a_usage_error(self, command, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--map-batching", "trie"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --map-batching trie" in capsys.readouterr().err
 
 
 #: What a query process imports (``benchmarks/e2e/run_query.py``, the CLI's
@@ -420,7 +550,6 @@ class TestStartUp:
         "repro.core.nfa_mining",
         "repro.nfa",
         "repro.core.balance",
-        "repro.core.prefix_batch",
         "repro.core.naive",
         "repro.core.miner",
         "repro.sequential",
@@ -462,22 +591,13 @@ class TestStartUp:
         ) == []
         assert len(_loaded(report["after_mine"], "repro")) <= 60  # 73 before, 51 now
 
-    def test_planner_and_trie_batching_load_when_asked_for(self):
+    def test_planner_loads_when_asked_for(self):
         planned = _startup_probe(
             algorithm="dseq", backend="persistent-processes", partitioner="planned"
         )
         assert planned["patterns"] == 1
         assert "repro.core.balance" in planned["after_mine"]
         assert "repro.core.balance" not in planned["after_import"]
-        # Map tasks run in the driver on ``simulated``, so the driver loads it.
-        trie = _startup_probe(algorithm="dseq", backend="simulated", map_batching="trie")
-        assert trie["patterns"] == 1
-        assert "repro.core.prefix_batch" in trie["after_mine"]
-        assert "repro.core.prefix_batch" not in trie["after_import"]
-        pooled = _startup_probe(
-            algorithm="dcand", backend="persistent-processes", map_batching="trie"
-        )
-        assert pooled["patterns"] == 1
 
     def test_subpackages_resolve_as_attributes_of_a_bare_import(self):
         # The README's quickstart: ``import repro`` and nothing else.

@@ -18,11 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DCandMiner, DSeqMiner, NaiveMiner, SemiNaiveMiner, mine
+from repro.core.dcand import DCandJob
+from repro.core.dseq import DSeqJob
+from repro.core.grid_engine import DEFAULT_GRID_MEMO_LIMIT, set_grid_memo_limit
 from repro.dictionary import Hierarchy
-from repro.mapreduce import ClusterConfig
+from repro.mapreduce import ClusterConfig, make_cluster
 from repro.fst import generate_candidates
 from repro.patex import PatEx
-from repro.sequences import SequenceDatabase, preprocess
+from repro.sequences import SequenceDatabase, as_mining_records, preprocess
 from repro.sequential import (
     GapConstrainedMiner,
     SequentialDesqCount,
@@ -345,91 +348,68 @@ class TestPartitionerMatrix:
         assert planned.modeled_straggler_seconds <= hashed.modeled_straggler_seconds
 
 
-class TestBatchMapMatrix:
-    """``map_batching=trie`` ≡ ``map_batching=off`` across miners × backends.
+class TestPerRecordMap:
+    """The map stage is the job's ``map`` applied to one record at a time.
 
-    Acceptance criteria of the prefix-sharing batch map: for all five cluster
-    miners and the reference backends, trie-batched grid construction produces
-    byte-identical mining results — same patterns and frequencies, same
-    modeled shuffle bytes, same measured wire bytes, same record counts — as
-    the per-sequence path.  The trie only changes *when* grids are computed,
-    never what they contain, so every shuffle metric must agree; only the
-    batching counters themselves (a map-side work meter) may differ.
+    Every backend's map task — pickled chunks, shared-store descriptors —
+    emits exactly the pairs the job's own ``map`` emits for each input
+    record, and a record maps to the same pairs whether it is mapped alone
+    or after the rest of its chunk: the grid memo carries nothing from one
+    record into the next.
     """
 
     BACKENDS = ("simulated", "threads", "processes", "persistent-processes")
 
     @pytest.fixture(scope="class")
-    def batching_data(self):
-        # Seeded short-alphabet sequences give the trie real prefix overlap.
+    def map_data(self):
+        # Seeded short-alphabet sequences: many records share prefixes.
         return make_differential_database(count=60, seed=41)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("miner_name", sorted(MATRIX_MINERS))
-    def test_patterns_and_shuffle_metrics_identical(
-        self, miner_name, backend, batching_data
-    ):
-        dictionary, database = batching_data
-        factory = MATRIX_MINERS[miner_name]
-        results = {
-            mode: factory(
-                dictionary, backend, "compact", map_batching=mode
-            ).mine(database)
-            for mode in ("off", "trie")
-        }
-        reference = results["off"]
-        batched = results["trie"]
-        assert batched.patterns() == reference.patterns()
-        for metric in (
-            "shuffle_bytes",
-            "shuffle_records",
-            "wire_bytes",
-            "spilled_buckets",
-            "spilled_bytes",
-            "map_output_records",
-            "combined_records",
-            "output_records",
-        ):
-            assert getattr(batched.metrics, metric) == (
-                getattr(reference.metrics, metric)
-            ), metric
-        assert reference.metrics.map_batching == "off"
-        # Metrics report the *effective* mode: D-SEQ and D-CAND jobs batch,
-        # the baselines and LASH have no grids to batch and stay "off".
-        expected_mode = "trie" if miner_name in ("dseq", "dcand") else "off"
-        assert batched.metrics.map_batching == expected_mode
-        # The per-sequence path never builds a trie.
-        assert reference.metrics.batch_trie_nodes == 0
-        assert reference.metrics.batch_shared_positions == 0
+    def test_map_stage_emits_what_job_map_emits(self, miner_name, backend, map_data):
+        dictionary, database = map_data
+        cluster = make_cluster(backend, num_workers=2, codec="compact")
+        runs = []
+        run = cluster.run
 
-    def test_trie_runs_meter_their_sharing(self, batching_data):
-        """D-SEQ and D-CAND actually exercise the batch drivers."""
-        dictionary, database = batching_data
-        for miner_name in ("dseq", "dcand"):
-            result = MATRIX_MINERS[miner_name](
-                dictionary, "simulated", "compact", map_batching="trie"
-            ).mine(database)
-            assert result.metrics.batch_trie_nodes > 0, miner_name
-            assert result.metrics.batch_shared_positions > 0, miner_name
-            assert 0.0 < result.metrics.batch_reuse_ratio < 1.0, miner_name
+        def recording_run(job, records, *args, **kwargs):
+            runs.append((job, records))
+            return run(job, records, *args, **kwargs)
+
+        cluster.run = recording_run
+        factory = MATRIX_MINERS[miner_name]
+        result = factory(dictionary, cluster, "compact").mine(database)
+        reference = factory(dictionary, "simulated", "compact").mine(database)
+        assert result.patterns() == reference.patterns()
+        [(job, records)] = runs
+        emitted = [pair for record in records for pair in job.map(record)]
+        assert result.metrics.input_records == len(records)
+        assert result.metrics.map_output_records == len(emitted) > 0
 
     @pytest.mark.parametrize("expression", EXPRESSIONS)
     @settings(max_examples=10, deadline=None)
     @given(sequences=sequences_strategy(), sigma=st.integers(min_value=1, max_value=3))
-    def test_batching_agrees_on_random_databases(self, expression, sequences, sigma):
+    def test_a_record_maps_alike_alone_and_after_its_chunk(
+        self, expression, sequences, sigma
+    ):
         dictionary, database = build_consistent(sequences)
-        for algorithm in ("dseq", "dcand"):
-            results = {
-                mode: mine(
-                    database, dictionary, expression, sigma=sigma,
-                    algorithm=algorithm, num_workers=2, map_batching=mode,
-                )
-                for mode in ("off", "trie")
-            }
-            assert results["trie"].patterns() == results["off"].patterns(), algorithm
-            assert results["trie"].metrics.wire_bytes == (
-                results["off"].metrics.wire_bytes
-            ), algorithm
+        fst = PatEx(expression).compile(dictionary)
+        records = [
+            record
+            for dedup in (False, True)
+            for record in as_mining_records(database, dedup=dedup)
+        ]
+        for job_class in (DSeqJob, DCandJob):
+            warmed = job_class(fst, dictionary, sigma)
+            in_chunk = [list(warmed.map(record)) for record in records]
+            set_grid_memo_limit(0)
+            try:
+                for record, emitted in zip(records, in_chunk):
+                    alone = list(job_class(fst, dictionary, sigma).map(record))
+                    assert alone == emitted, (job_class.__name__, record)
+            finally:
+                set_grid_memo_limit(DEFAULT_GRID_MEMO_LIMIT)
 
 
 #: Atoms of the random-expression grammar: plain items, wildcards, and the

@@ -23,7 +23,6 @@ from repro.core.grid_engine import (
     DEFAULT_GRID_MEMO_LIMIT,
     GRIDS,
     FlatPivotGrid,
-    GrowableFlatGrid,
     cached_grid,
     clear_grid_memo,
     grid_memo_info,
@@ -243,15 +242,6 @@ class TestRejectedSequences:
         assert grid.edges_at(2) == []
         assert grid.pivot_set(0, kernel.initial_state) == set()
         assert_grids_equivalent(grid, PositionStateGrid(kernel, sequence, max_frequent_fid=3))
-
-    def test_rejected_snapshot_equals_rejected_build(self, ex_dictionary):
-        fst = PatEx(".*(A)[(.^)|.]*(b).*").compile(ex_dictionary)
-        kernel = make_kernel(fst, ex_dictionary, "compiled")
-        sequence = ex_dictionary.encode(("c", "a1", "d"))
-        shared = GrowableFlatGrid(kernel)
-        for item in sequence:
-            shared.extend(item)
-        assert vars(shared.snapshot()) == vars(FlatPivotGrid(kernel, sequence))
 
 
 class TestWideAndLongInputs:

@@ -140,14 +140,6 @@ class TestJobMetrics:
         keys = set(JobMetrics().as_dict())
         assert {"total_seconds", "shuffle_bytes", "map_seconds", "reduce_seconds"} <= keys
 
-    def test_merge(self):
-        a = JobMetrics(map_task_seconds=[1.0], shuffle_bytes=10, input_records=5)
-        b = JobMetrics(map_task_seconds=[2.0], shuffle_bytes=20, input_records=7)
-        merged = a.merge(b)
-        assert merged.shuffle_bytes == 30
-        assert merged.input_records == 12
-        assert merged.map_task_seconds == [1.0, 2.0]
-
     def test_default_record_size_positive(self):
         job = MapReduceJob()
         assert job.record_size(("k",), (1, 2, 3)) > 0

@@ -251,25 +251,36 @@ class TestJobDelivery:
             assert any("attempt 1/2" in note for note in caught.value.__notes__)
 
     def test_two_threads_sharing_a_cluster_each_get_their_own_job(self):
-        cluster = make_cluster("persistent-processes", num_workers=2)
-        start = threading.Barrier(2)
-        outputs: dict[int, dict] = {}
+        run_two_jobs_at_once(make_cluster("persistent-processes", num_workers=2))
 
-        def run(factor: int) -> None:
-            start.wait(timeout=30)
-            for _round in range(3):
-                result = cluster.run(ScaledCountJob(factor), RECORDS)
-                outputs.setdefault(factor, dict(result.outputs))
-                assert dict(result.outputs) == outputs[factor]
+    @pytest.mark.parametrize("backend", ("simulated", "threads", "processes", "multihost"))
+    def test_every_backend_keeps_concurrent_jobs_apart(self, backend):
+        run_two_jobs_at_once(make_cluster(backend, num_workers=2))
 
-        threads = [threading.Thread(target=run, args=(factor,)) for factor in (2, 5)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-            assert not thread.is_alive()
-        for factor in (2, 5):
-            assert outputs[factor] == {key: factor * count for key, count in EXPECTED.items()}
+
+def run_two_jobs_at_once(cluster) -> None:
+    """Two threads run differently scaled jobs on one cluster, three rounds
+    each; every run must see its own job's output."""
+    start = threading.Barrier(2)
+    outputs: dict[int, dict] = {}
+
+    def run(factor: int) -> None:
+        start.wait(timeout=30)
+        for _round in range(3):
+            result = cluster.run(ScaledCountJob(factor), RECORDS)
+            outputs.setdefault(factor, dict(result.outputs))
+            assert dict(result.outputs) == outputs[factor]
+
+    threads = [
+        threading.Thread(target=run, args=(factor,), daemon=True) for factor in (2, 5)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    for factor in (2, 5):
+        assert outputs[factor] == {key: factor * count for key, count in EXPECTED.items()}
 
 
 # --------------------------------------------- forked workers freeze their heap

