@@ -8,7 +8,7 @@ from benchmarks.conftest import BENCH_SIZES, BENCH_WORKERS, run_once
 
 
 def _timing_rows(rows: list[dict], label_key: str, label: str) -> list[dict]:
-    """Per-algorithm makespans of one kernel/grid (timing only; bytes live in
+    """Per-algorithm makespans of one grid engine (timing only; bytes live in
     the main rows, which the differential suite proves knob-independent)."""
     return [
         {
@@ -28,18 +28,11 @@ def test_figure9c_shuffle_sizes(benchmark, bench_json):
     rows = run_once(
         benchmark, figure9c, size=BENCH_SIZES["AMZN"], num_workers=BENCH_WORKERS
     )
-    # Same experiment on the interpreted kernel and on the legacy grid
-    # engine: tracks the compiled kernel's and the flat grid's speed-ups per
-    # PR.  Byte counts are kernel- and grid-independent (the differential
-    # suite proves it); only the timings differ.
-    interpreted = figure9c(
-        size=BENCH_SIZES["AMZN"], num_workers=BENCH_WORKERS, kernel="interpreted"
-    )
+    # Same experiment on the legacy grid engine: tracks the flat grid's
+    # speed-up per PR.  Byte counts are grid-independent; only the timings
+    # differ.
     legacy_grid = figure9c(
         size=BENCH_SIZES["AMZN"], num_workers=BENCH_WORKERS, grid="legacy"
-    )
-    kernels = _timing_rows(rows, "kernel", "compiled") + _timing_rows(
-        interpreted, "kernel", "interpreted"
     )
     grids = _timing_rows(rows, "grid", "flat") + _timing_rows(legacy_grid, "grid", "legacy")
     artifact = bench_json(
@@ -52,8 +45,6 @@ def test_figure9c_shuffle_sizes(benchmark, bench_json):
             # shuffle_bytes, measured wire_bytes, and per-task input pickle
             # bytes.
             "rows": rows,
-            # Kernel-vs-interpreter makespans per algorithm and constraint.
-            "kernels": kernels,
             # Flat-vs-legacy grid-engine makespans (map_s carries the
             # grid-side win; only D-SEQ rows exercise the grid).
             "grids": grids,
@@ -62,12 +53,6 @@ def test_figure9c_shuffle_sizes(benchmark, bench_json):
     print()
     if artifact is not None:
         print(f"wrote {artifact}")
-    compiled_total = sum(r["total_s"] for r in rows if r["status"] == "ok")
-    interpreted_total = sum(r["total_s"] for r in interpreted if r["status"] == "ok")
-    print(
-        f"kernel makespan: compiled {compiled_total:.3f}s vs "
-        f"interpreted {interpreted_total:.3f}s"
-    )
     flat_dseq = sum(
         r["map_s"] for r in rows if r["algorithm"] == "dseq" and r["status"] == "ok"
     )
@@ -78,9 +63,6 @@ def test_figure9c_shuffle_sizes(benchmark, bench_json):
     )
     print(f"dseq map stage: flat grid {flat_dseq:.3f}s vs legacy {legacy_dseq:.3f}s")
     for key in ("shuffle_bytes", "wire_bytes"):
-        assert [r[key] for r in rows] == [r[key] for r in interpreted], (
-            f"{key} must be kernel-independent"
-        )
         assert [r[key] for r in rows] == [r[key] for r in legacy_grid], (
             f"{key} must be grid-independent"
         )

@@ -53,9 +53,7 @@ def measure(sizes):
     rows = []
     for dataset_name, task in WORKLOADS:
         prepared = prepare_dataset(dataset_name, (sizes or {}).get(dataset_name))
-        kernel = make_kernel(
-            task.patex().compile(prepared.dictionary), prepared.dictionary, "compiled"
-        )
+        kernel = make_kernel(task.patex().compile(prepared.dictionary), prepared.dictionary)
         max_frequent_fid = prepared.dictionary.largest_frequent_fid(task.sigma)
         sequences = prepared.database.sequences()
         timings = {}

@@ -10,7 +10,7 @@ from benchmarks.conftest import BENCH_SCALE, BENCH_SIZES, run_once
 
 def _timing_rows(label_key: str, labelled: list[tuple[str, list[dict]]]) -> list[dict]:
     """Sequential + distributed makespans (with the map/reduce split) per
-    kernel or grid engine."""
+    grid engine."""
     return [
         {
             label_key: label,
@@ -35,16 +35,10 @@ def test_table5_speedup_over_sequential(benchmark, bench_json):
     rows = run_once(
         benchmark, table5_speedup, num_workers=TABLE5_WORKERS, sizes=BENCH_SIZES
     )
-    # Same experiment on the interpreted kernel and the legacy grid engine:
-    # tracks the compiled kernel's and the flat grid's speed-ups per PR.
-    interpreted = table5_speedup(
-        num_workers=TABLE5_WORKERS, sizes=BENCH_SIZES, kernel="interpreted"
-    )
+    # Same experiment on the legacy grid engine: tracks the flat grid's
+    # speed-up per PR.
     legacy_grid = table5_speedup(
         num_workers=TABLE5_WORKERS, sizes=BENCH_SIZES, grid="legacy"
-    )
-    kernels = _timing_rows(
-        "kernel", [("compiled", rows), ("interpreted", interpreted)]
     )
     grids = _timing_rows("grid", [("flat", rows), ("legacy", legacy_grid)])
     artifact = bench_json(
@@ -56,8 +50,6 @@ def test_table5_speedup_over_sequential(benchmark, bench_json):
             # map_s/reduce_s split per algorithm) and speed-ups, measured
             # wire bytes, and per-task input pickle bytes.
             "rows": rows,
-            # Kernel-vs-interpreter makespans per constraint and dataset.
-            "kernels": kernels,
             # Flat-vs-legacy grid-engine makespans (D-SEQ's map stage is the
             # grid consumer; D-CAND and DESQ-DFS ride only the dedup pass).
             "grids": grids,
@@ -66,18 +58,9 @@ def test_table5_speedup_over_sequential(benchmark, bench_json):
     print()
     if artifact is not None:
         print(f"wrote {artifact}")
-    compiled_seq = sum(r["desq_dfs_s"] for r in rows)
-    interpreted_seq = sum(r["desq_dfs_s"] for r in interpreted)
-    print(
-        f"kernel sequential time: compiled {compiled_seq:.3f}s vs "
-        f"interpreted {interpreted_seq:.3f}s"
-    )
     flat_map = sum(r["dseq_map_s"] for r in rows)
     legacy_map = sum(r["dseq_map_s"] for r in legacy_grid)
     print(f"dseq map stage: flat grid {flat_map:.3f}s vs legacy {legacy_map:.3f}s")
-    assert [r["dseq_wire_bytes"] for r in rows] == [
-        r["dseq_wire_bytes"] for r in interpreted
-    ], "wire bytes must be kernel-independent"
     assert [r["dseq_wire_bytes"] for r in rows] == [
         r["dseq_wire_bytes"] for r in legacy_grid
     ], "wire bytes must be grid-independent"

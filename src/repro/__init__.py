@@ -60,7 +60,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "ReproError",
             "ServiceError",
         ),
-        "repro.fst": ("KERNELS", "CompiledFst", "make_kernel"),
+        "repro.fst": ("CompiledFst", "make_kernel"),
         "repro.mapreduce": (
             "BACKENDS",
             "ClusterConfig",

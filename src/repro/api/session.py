@@ -74,7 +74,7 @@ _MINERS = {
     "desq-count": ("repro.sequential.desq_count", "SequentialDesqCount"),
 }
 
-#: The miners that mine in-process and take a kernel name, not a cluster.
+#: The miners that mine in-process and take no cluster.
 _SEQUENTIAL = ("desq-dfs", "desq-count")
 
 
@@ -233,7 +233,7 @@ def mine(
             f"algorithm {name!r} requires a pattern-expression constraint"
         )
     patex = options.pop("_patex", None) or PatEx(expression)
-    substrate = {"kernel": config.kernel} if name in _SEQUENTIAL else {"cluster": config}
+    substrate = {} if name in _SEQUENTIAL else {"cluster": config}
     miner = _miner_class(name)(patex, sigma, corpus.dictionary, **substrate, **options)
     return miner.mine(corpus.database)
 

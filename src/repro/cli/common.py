@@ -83,24 +83,6 @@ def add_input_arguments(parser: ArgumentParser) -> None:
     )
 
 
-def add_kernel_argument(parser: ArgumentParser) -> None:
-    """``--kernel``: interpreted vs compiled FST mining kernel."""
-    from repro.fst import DEFAULT_KERNEL, KERNELS
-
-    parser.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default=DEFAULT_KERNEL,
-        help=(
-            "FST mining kernel: 'compiled' runs on flat transition tables "
-            "with interval-encoded dictionary matchers and memoized "
-            "item-to-transition indexes, 'interpreted' evaluates every label "
-            "per probe (slower; the debugging reference) "
-            f"(default: {DEFAULT_KERNEL})"
-        ),
-    )
-
-
 def add_grid_argument(parser: ArgumentParser) -> None:
     """``--grid``: flat vs legacy position–state grid engine."""
     from repro.core.grid_engine import DEFAULT_GRID, GRIDS
@@ -235,7 +217,6 @@ def cluster_config_from_args(args: Namespace, num_workers: int | None = None):
         codec=args.codec,
         spill_budget_bytes=parse_byte_size(args.spill_budget),
         blob_dir=getattr(args, "blob_dir", None),
-        kernel=getattr(args, "kernel", None),
         grid=getattr(args, "grid", None),
         partitioner=getattr(args, "partitioner", None),
         plan_sample=getattr(args, "plan_sample", None),

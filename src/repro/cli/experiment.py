@@ -10,7 +10,6 @@ from repro.cli.common import (
     add_cap_arguments,
     add_fault_arguments,
     add_grid_argument,
-    add_kernel_argument,
     add_partitioner_argument,
     add_shuffle_arguments,
     cluster_config_from_args,
@@ -90,7 +89,6 @@ def add_parser(subparsers) -> None:
     )
     add_shuffle_arguments(parser)
     add_fault_arguments(parser)
-    add_kernel_argument(parser)
     add_grid_argument(parser)
     add_partitioner_argument(parser)
     add_cap_arguments(parser)
@@ -149,10 +147,7 @@ def run(args: Namespace, stream=None) -> int:
         if args.blob_dir is not None:
             raise CliError(f"--blob-dir does not apply to {name} (it runs no mining jobs)")
         from repro.core.grid_engine import DEFAULT_GRID
-        from repro.fst import DEFAULT_KERNEL
 
-        if args.kernel != DEFAULT_KERNEL:
-            raise CliError(f"--kernel does not apply to {name} (it runs no mining jobs)")
         if args.grid != DEFAULT_GRID:
             raise CliError(f"--grid does not apply to {name} (it runs no mining jobs)")
         from repro.mapreduce import DEFAULT_PARTITIONER

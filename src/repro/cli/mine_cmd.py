@@ -11,7 +11,6 @@ from repro.cli.common import (
     add_fault_arguments,
     add_grid_argument,
     add_input_arguments,
-    add_kernel_argument,
     add_partitioner_argument,
     add_shuffle_arguments,
     cluster_config_from_args,
@@ -87,7 +86,6 @@ def add_parser(subparsers) -> None:
     )
     add_shuffle_arguments(parser)
     add_fault_arguments(parser)
-    add_kernel_argument(parser)
     add_grid_argument(parser)
     add_partitioner_argument(parser)
     add_cap_arguments(parser)
@@ -129,8 +127,7 @@ def run(args: Namespace, stream=None) -> int:
     if args.algorithm in _SEQUENTIAL_MINERS:
         # Sequential reference miners run in-process and never shuffle;
         # silently accepting the cluster flags would misrepresent the run.
-        # (--kernel does apply: they simulate the same FSTs.  --grid does
-        # not: without a pivot restriction they never build a grid.)
+        # (--grid too: without a pivot restriction they never build a grid.)
         for flag, default in (("backend", "simulated"), ("codec", "compact")):
             if getattr(args, flag) != default:
                 raise CliError(
@@ -193,7 +190,7 @@ def run(args: Namespace, stream=None) -> int:
     try:
         if args.algorithm in _SEQUENTIAL_MINERS:
             miner = _SEQUENTIAL_MINERS[args.algorithm](
-                expression, args.sigma, dictionary, kernel=args.kernel, **caps
+                expression, args.sigma, dictionary, **caps
             )
             result = miner.mine(database)
         else:

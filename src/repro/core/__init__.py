@@ -47,6 +47,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "pivots_of_sorted_sets",
         ),
         "repro.core.results": ("MiningResult",),
-        "repro.core.rewriting": ("rewrite_for_pivot", "rewrite_statistics"),
+        "repro.core.rewriting": ("rewrite_for_pivot",),
     },
 )

@@ -166,7 +166,6 @@ class DCandMiner:
         aggregate_nfas: bool = True,
         num_workers: int = 4,
         max_runs: int = DEFAULT_MAX_RUNS,
-        kernel: str | None = None,
         grid: str | None = None,
         partitioner: str | None = None,
         dedup: bool = True,
@@ -182,7 +181,6 @@ class DCandMiner:
         self.cluster = ClusterConfig.resolve(
             cluster,
             num_workers=num_workers,
-            kernel=kernel,
             grid=grid,
             partitioner=partitioner,
         )
@@ -190,7 +188,7 @@ class DCandMiner:
     def mine(self, database: SequenceDatabase | Sequence[Sequence[int]]) -> MiningResult:
         """Mine all frequent patterns of ``database`` under the constraint."""
         fst = self.patex.compile(self.dictionary)
-        kernel = make_kernel(fst, self.dictionary, self.cluster.kernel_name)
+        kernel = make_kernel(fst, self.dictionary)
         job = DCandJob(
             kernel,
             sigma=self.sigma,

@@ -16,7 +16,7 @@ Two performance layers sit underneath (both with debugging references):
 
 * ``grid`` selects the position–state grid engine — ``"flat"`` (the one-pass
   :class:`~repro.core.grid_engine.FlatPivotGrid`, default) or ``"legacy"``
-  (the interpreted :class:`~repro.core.pivot_search.PositionStateGrid`) on the
+  (the reference :class:`~repro.core.pivot_search.PositionStateGrid`) on the
   map side; grids are memoized per worker
   (:func:`~repro.core.grid_engine.cached_grid`), so a sequence repeating across
   chunks builds its grid once.  The reduce side builds no grid: a rewritten
@@ -197,7 +197,6 @@ class DSeqMiner:
         use_early_stopping: bool = True,
         num_workers: int = 4,
         max_runs: int = DEFAULT_MAX_RUNS,
-        kernel: str | None = None,
         grid: str | None = None,
         partitioner: str | None = None,
         dedup: bool = True,
@@ -214,7 +213,6 @@ class DSeqMiner:
         self.cluster = ClusterConfig.resolve(
             cluster,
             num_workers=num_workers,
-            kernel=kernel,
             grid=grid,
             partitioner=partitioner,
         )
@@ -222,7 +220,7 @@ class DSeqMiner:
     def mine(self, database: SequenceDatabase | Sequence[Sequence[int]]) -> MiningResult:
         """Mine all frequent patterns of ``database`` under the constraint."""
         fst = self.patex.compile(self.dictionary)
-        kernel = make_kernel(fst, self.dictionary, self.cluster.kernel_name)
+        kernel = make_kernel(fst, self.dictionary)
         job = DSeqJob(
             kernel,
             sigma=self.sigma,

@@ -33,8 +33,7 @@ This module is the performance engine built on the same theory:
 
 ``grid="legacy"`` selects the reference engine everywhere the knob is exposed
 (miners, :class:`~repro.mapreduce.ClusterConfig`, ``--grid``); the
-differential suite proves the two engines equivalent, mirroring the
-compiled/interpreted kernel pair.
+differential suite proves the two engines equivalent.
 """
 
 from __future__ import annotations
@@ -447,8 +446,8 @@ class _SpanKey:
 
 def _memo_key(kernel: MiningKernel, sequence, max_frequent_fid, name, span_hash=None):
     """The :func:`memoized` key of ``name``'s value for a sequence."""
-    # Compiled kernels carry a content fingerprint; interpreted kernels fall
-    # back to object identity, which is safe because every memoized value holds
+    # Compiled kernels carry a content fingerprint; other kernels fall back to
+    # object identity, which is safe because every memoized value holds
     # a reference to its kernel (an id cannot be recycled while entries for it
     # remain alive).
     fingerprint = getattr(kernel, "fingerprint", None) or id(kernel)

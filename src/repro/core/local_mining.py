@@ -23,7 +23,7 @@ pivot-producing position and the search itself, which only filters the shared
 step pairs by the pivot and the early-stopping cut.
 
 All FST probes go through a :class:`~repro.fst.compiled.MiningKernel`; a raw
-``(fst, dictionary)`` pair is wrapped in the default (compiled) kernel, whose
+``(fst, dictionary)`` pair is wrapped in a compiled kernel, whose
 memoized matching/output indexes are shared by every sequence of a worker.
 """
 

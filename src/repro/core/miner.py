@@ -55,9 +55,8 @@ def mine(
         One of ``"dseq"``, ``"dcand"``, ``"naive"``, ``"semi-naive"``.
     options:
         Forwarded to the chosen miner (e.g. ``num_workers``, ``use_rewriting``,
-        ``kernel`` — one of ``"compiled"``, ``"interpreted"`` — to pick the
-        FST mining kernel, ``grid`` / ``partitioner`` to pick the grid
-        engine and reduce partitioner,
+        ``grid`` / ``partitioner`` to pick the grid engine and reduce
+        partitioner,
         ``max_runs`` to tune the accepting-run safety cap, or ``cluster`` —
         a :class:`~repro.mapreduce.ClusterConfig` that specifies the whole
         execution substrate — backend, codec, spill budget, and the knobs

@@ -104,7 +104,6 @@ class _SubsequenceBaselineMiner:
         num_workers: int = 4,
         max_candidates_per_sequence: int = DEFAULT_MAX_CANDIDATES,
         max_runs: int = DEFAULT_MAX_RUNS,
-        kernel: str | None = None,
         grid: str | None = None,
         partitioner: str | None = None,
         dedup: bool = True,
@@ -119,7 +118,6 @@ class _SubsequenceBaselineMiner:
         self.cluster = ClusterConfig.resolve(
             cluster,
             num_workers=num_workers,
-            kernel=kernel,
             grid=grid,
             partitioner=partitioner,
         )
@@ -127,7 +125,7 @@ class _SubsequenceBaselineMiner:
     def mine(self, database: SequenceDatabase | Sequence[Sequence[int]]) -> MiningResult:
         """Mine all frequent patterns; may raise ``CandidateExplosionError``."""
         fst = self.patex.compile(self.dictionary)
-        kernel = make_kernel(fst, self.dictionary, self.cluster.kernel_name)
+        kernel = make_kernel(fst, self.dictionary)
         job = NaiveJob(
             kernel,
             sigma=self.sigma,

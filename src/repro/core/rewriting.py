@@ -28,16 +28,3 @@ def rewrite_for_pivot(grid: PositionStateGrid, pivot: int) -> tuple[int, ...]:
         return sequence
     return sequence[first - 1 : last]
 
-
-def rewrite_statistics(
-    grid: PositionStateGrid, pivots: set[int]
-) -> dict[int, tuple[int, int]]:
-    """For each pivot, the (original length, rewritten length) pair.
-
-    Used by the experiment harness to report how much communication the
-    rewriting step saves.
-    """
-    original = len(grid.sequence)
-    return {
-        pivot: (original, len(rewrite_for_pivot(grid, pivot))) for pivot in pivots
-    }

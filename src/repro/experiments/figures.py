@@ -24,22 +24,19 @@ def _config(
     backend: str,
     codec: str,
     spill_budget_bytes: int | None,
-    kernel: str | None,
     grid: str | None = None,
 ) -> ClusterConfig:
     """One ClusterConfig from a figure function's substrate arguments.
 
-    Explicit ``kernel`` / ``grid`` arguments win over the config's (resolve
-    semantics), so ``figure9c(cluster=cfg, kernel="interpreted")`` and
-    ``figure9c(cluster=cfg, grid="legacy")`` reliably compare the fast and
-    the reference implementations.
+    An explicit ``grid`` argument wins over the config's (resolve
+    semantics), so ``figure9c(cluster=cfg, grid="legacy")`` reliably
+    compares the fast and the reference grid engines.
     """
     return ClusterConfig.resolve(
         cluster,
         backend=backend,
         codec=codec,
         spill_budget_bytes=spill_budget_bytes,
-        kernel=kernel,
         grid=grid,
     )
 
@@ -51,7 +48,6 @@ def figure9a(
     backend: str = "simulated",
     codec: str = "compact",
     spill_budget_bytes: int | None = None,
-    kernel: str | None = None,
     grid: str | None = None,
     cluster: ClusterConfig | None = None,
     max_runs: int | None = None,
@@ -59,7 +55,7 @@ def figure9a(
 ) -> list[dict]:
     """Fig. 9a: total time per algorithm for N1–N5 on the NYT-like dataset."""
     prepared = prepare_dataset("NYT", size)
-    config = _config(cluster, backend, codec, spill_budget_bytes, kernel, grid)
+    config = _config(cluster, backend, codec, spill_budget_bytes, grid)
     rows = []
     for constraint in figure9a_constraints():
         for record in run_comparison(
@@ -77,7 +73,6 @@ def figure9b(
     backend: str = "simulated",
     codec: str = "compact",
     spill_budget_bytes: int | None = None,
-    kernel: str | None = None,
     grid: str | None = None,
     cluster: ClusterConfig | None = None,
     max_runs: int | None = None,
@@ -85,7 +80,7 @@ def figure9b(
 ) -> list[dict]:
     """Fig. 9b: total time per algorithm for A1–A4 on the AMZN-like dataset."""
     prepared = prepare_dataset("AMZN", size)
-    config = _config(cluster, backend, codec, spill_budget_bytes, kernel, grid)
+    config = _config(cluster, backend, codec, spill_budget_bytes, grid)
     rows = []
     for constraint in figure9b_constraints():
         for record in run_comparison(
@@ -103,7 +98,6 @@ def figure9c(
     backend: str = "simulated",
     codec: str = "compact",
     spill_budget_bytes: int | None = None,
-    kernel: str | None = None,
     grid: str | None = None,
     cluster: ClusterConfig | None = None,
     max_runs: int | None = None,
@@ -111,7 +105,7 @@ def figure9c(
 ) -> list[dict]:
     """Fig. 9c: shuffle size per algorithm for A1 and A4 on the AMZN-like dataset."""
     prepared = prepare_dataset("AMZN", size)
-    config = _config(cluster, backend, codec, spill_budget_bytes, kernel, grid)
+    config = _config(cluster, backend, codec, spill_budget_bytes, grid)
     rows = []
     for constraint in (
         make_constraint("A1", SCALED_SIGMA["A1"]),
@@ -164,7 +158,6 @@ def figure10a(
     backend: str = "simulated",
     codec: str = "compact",
     spill_budget_bytes: int | None = None,
-    kernel: str | None = None,
     grid: str | None = None,
     cluster: ClusterConfig | None = None,
     max_runs: int | None = None,
@@ -178,7 +171,7 @@ def figure10a(
             ("AMZN-F", make_constraint("T3", SCALED_SIGMA["T3"], 1, 6)),
             ("AMZN-F", make_constraint("T3", 10 * SCALED_SIGMA["T3"], 3, 5)),
         ]
-    config = _config(cluster, backend, codec, spill_budget_bytes, kernel, grid)
+    config = _config(cluster, backend, codec, spill_budget_bytes, grid)
     if config.num_workers is None:
         config = config.merged(num_workers=num_workers)
     rows = []
@@ -213,7 +206,6 @@ def figure10b(
     backend: str = "simulated",
     codec: str = "compact",
     spill_budget_bytes: int | None = None,
-    kernel: str | None = None,
     grid: str | None = None,
     cluster: ClusterConfig | None = None,
     max_runs: int | None = None,
@@ -226,7 +218,7 @@ def figure10b(
             ("NYT", make_constraint("N4", SCALED_SIGMA["N4"])),
             ("AMZN-F", make_constraint("T3", SCALED_SIGMA["T3"], 1, 6)),
         ]
-    config = _config(cluster, backend, codec, spill_budget_bytes, kernel, grid)
+    config = _config(cluster, backend, codec, spill_budget_bytes, grid)
     if config.num_workers is None:
         config = config.merged(num_workers=num_workers)
     rows = []
@@ -279,7 +271,6 @@ def figure11_scalability(
     backend: str = "simulated",
     codec: str = "compact",
     spill_budget_bytes: int | None = None,
-    kernel: str | None = None,
     grid: str | None = None,
     cluster: ClusterConfig | None = None,
     max_runs: int | None = None,
@@ -292,7 +283,7 @@ def figure11_scalability(
     """
     prepared = prepare_dataset("AMZN-F", base_size)
     base_sigma = base_sigma or SCALED_SIGMA["T3"]
-    config = _config(cluster, backend, codec, spill_budget_bytes, kernel, grid)
+    config = _config(cluster, backend, codec, spill_budget_bytes, grid)
     samples = {
         fraction: prepared.database.sample(fraction, seed=7) if fraction < 1.0 else prepared.database
         for fraction in fractions
@@ -361,7 +352,6 @@ def figure12_lash_setting(
     backend: str = "simulated",
     codec: str = "compact",
     spill_budget_bytes: int | None = None,
-    kernel: str | None = None,
     grid: str | None = None,
     cluster: ClusterConfig | None = None,
     max_runs: int | None = None,
@@ -376,7 +366,7 @@ def figure12_lash_setting(
         ("CW", make_constraint("T2", SCALED_SIGMA["T2"], 0, 5)),
         ("CW", make_constraint("T2", 4 * SCALED_SIGMA["T2"], 0, 5)),
     ]
-    config = _config(cluster, backend, codec, spill_budget_bytes, kernel, grid)
+    config = _config(cluster, backend, codec, spill_budget_bytes, grid)
     rows = []
     for dataset_name, constraint in entries:
         prepared = prepare_dataset(dataset_name, (sizes or {}).get(dataset_name))
@@ -400,7 +390,6 @@ def figure13_mllib_setting(
     backend: str = "simulated",
     codec: str = "compact",
     spill_budget_bytes: int | None = None,
-    kernel: str | None = None,
     grid: str | None = None,
     cluster: ClusterConfig | None = None,
     max_runs: int | None = None,
@@ -408,7 +397,7 @@ def figure13_mllib_setting(
 ) -> list[dict]:
     """Fig. 13: MLlib (PrefixSpan) setting T1(σ, 5) with decreasing σ on AMZN."""
     prepared = prepare_dataset("AMZN", size)
-    config = _config(cluster, backend, codec, spill_budget_bytes, kernel, grid)
+    config = _config(cluster, backend, codec, spill_budget_bytes, grid)
     rows = []
     for sigma in sigmas:
         constraint = make_constraint("T1", sigma, max_length)

@@ -112,8 +112,7 @@ def build_miner(
     """Instantiate a miner by algorithm name for the given constraint.
 
     The execution substrate is one :class:`~repro.mapreduce.ClusterConfig`
-    passed as ``cluster``.  The sequential reference miners ignore the
-    cluster settings but honour the kernel choice.
+    passed as ``cluster``; the sequential reference miners ignore it.
     ``max_runs`` / ``max_candidates`` override the per-sequence safety caps;
     by default the harness applies the tighter :data:`OOM_MAX_RUNS` /
     :data:`OOM_MAX_CANDIDATES` to the candidate-enumerating algorithms to
@@ -144,10 +143,10 @@ def build_miner(
             max_runs=max_runs if max_runs is not None else OOM_MAX_RUNS,
         )
     if name == "desq-dfs":
-        return SequentialDesqDfs(patex, sigma, dictionary, kernel=config.kernel)
+        return SequentialDesqDfs(patex, sigma, dictionary)
     if name == "desq-count":
         return SequentialDesqCount(
-            patex, sigma, dictionary, kernel=config.kernel,
+            patex, sigma, dictionary,
             **(
                 {"max_candidates_per_sequence": max_candidates}
                 if max_candidates is not None

@@ -108,7 +108,6 @@ def table5_speedup(
     backend: str = "simulated",
     codec: str = "compact",
     spill_budget_bytes: int | None = None,
-    kernel: str | None = None,
     grid: str | None = None,
     cluster: ClusterConfig | None = None,
     max_runs: int | None = None,
@@ -119,8 +118,7 @@ def table5_speedup(
     Speed-ups compare the sequential run time against the makespan of the
     distributed algorithms on ``num_workers`` workers of ``backend`` (the
     paper uses 65 cores for the distributed algorithms and 1 core for
-    DESQ-DFS; the default backend models that cluster in-process).  The
-    sequential baseline uses the same mining kernel as the distributed runs.
+    DESQ-DFS; the default backend models that cluster in-process).
     """
     from repro.datasets import constraint as make_constraint
     from repro.experiments.configs import SCALED_SIGMA
@@ -138,7 +136,6 @@ def table5_speedup(
         backend=backend,
         codec=codec,
         spill_budget_bytes=spill_budget_bytes,
-        kernel=kernel,
         grid=grid,
     )
     rows = []

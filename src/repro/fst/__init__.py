@@ -6,15 +6,11 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.fst.compiled": (
-            "DEFAULT_KERNEL",
-            "KERNELS",
             "CompiledFst",
-            "InterpretedKernel",
             "MiningKernel",
             "ensure_kernel",
             "kernel_fingerprint",
             "make_kernel",
-            "normalize_kernel",
         ),
         "repro.fst.compiler": ("compile_ast", "compile_expression"),
         "repro.fst.export": (

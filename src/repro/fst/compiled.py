@@ -4,10 +4,9 @@ Every miner in this library ultimately simulates an FST over input sequences:
 the reachability table, run enumeration, the position–state grid, and the
 pattern-growth local miner all ask the same two questions for every
 (position × state × transition) triple — *does this transition match the item
-at this position?* and *what does it output?*  The interpreted path answers
-them by calling :meth:`~repro.fst.labels.Label.matches` /
-:meth:`~repro.fst.labels.Label.outputs` per call, walking the dictionary's
-hierarchy closures.
+at this position?* and *what does it output?*  Asking the labels
+(:meth:`~repro.fst.labels.Label.matches` / :meth:`~repro.fst.labels.Label.outputs`)
+on every probe walks the dictionary's hierarchy closures each time.
 
 This module compiles an ``(Fst, Dictionary)`` pair into a
 :class:`CompiledFst`: per-state transition ids in a flat CSR layout
@@ -15,13 +14,9 @@ This module compiles an ``(Fst, Dictionary)`` pair into a
 (equality test, match-all, or an interval probe over the dictionary's
 DFS-interval descendant encoding — see :mod:`repro.dictionary.intervals`),
 and memoized item → matching-transitions / output-set indexes that are shared
-by every sequence a worker processes.  Both kernels expose the same API, so
-all consumers are written once against :class:`MiningKernel`:
-
-* ``kernel="compiled"`` (the default) for speed;
-* ``kernel="interpreted"`` for debugging — it calls the original per-label
-  methods on every probe and is the reference the differential suite compares
-  the compiled kernel against.
+by every sequence a worker processes.  All consumers are written against
+:class:`MiningKernel`, whose un-memoised table passes are the reference the
+test suite checks the compiled kernel's memoised ones against.
 
 A compiled kernel is cheaply picklable (the hot tables are ``array``/``bytes``
 columns) and *interns* itself per process by a content fingerprint: the
@@ -42,30 +37,12 @@ from repro.errors import FstError
 from repro.fst.fst import Fst, Transition
 from repro.fst.labels import EPSILON_OUTPUT, Label
 
-#: Kernel names accepted by miners, ``make_cluster``, and ``--kernel``.
-KERNELS = ("compiled", "interpreted")
-
-#: Kernel used when none is requested explicitly.
-DEFAULT_KERNEL = "compiled"
-
 #: Matcher opcodes of compiled labels.
 _MATCH_ALL, _MATCH_EQ, _MATCH_DESC = 0, 1, 2
 
 
-def normalize_kernel(kernel: str | None) -> str:
-    """Map a user-provided kernel name to a canonical one (None → default)."""
-    if kernel is None:
-        return DEFAULT_KERNEL
-    name = str(kernel).strip().lower()
-    if name not in KERNELS:
-        raise FstError(
-            f"unknown mining kernel {kernel!r}; choose one of {', '.join(KERNELS)}"
-        )
-    return name
-
-
 class MiningKernel:
-    """Common API of the interpreted and compiled FST kernels.
+    """Common API of FST kernels; :class:`CompiledFst` is the product's one.
 
     A kernel owns an :class:`~repro.fst.fst.Fst` and a
     :class:`~repro.dictionary.Dictionary` and answers the hot-loop queries of
@@ -74,8 +51,6 @@ class MiningKernel:
     (:meth:`edge_rows`) and the three per-sequence tables derived from state
     sets: reachability, finishable and last producing position.
     """
-
-    kind = "abstract"
 
     def __init__(self, fst: Fst, dictionary: Dictionary) -> None:
         self.fst = fst
@@ -237,27 +212,6 @@ class MiningKernel:
         )
 
 
-class InterpretedKernel(MiningKernel):
-    """Reference kernel: per-call :class:`~repro.fst.labels.Label` evaluation.
-
-    Every probe goes through the original label methods (and therefore the
-    dictionary's closure caches) exactly as the pre-kernel code did; use it
-    with ``--kernel interpreted`` to debug the compiled tables against the
-    executable specification.
-    """
-
-    kind = "interpreted"
-
-    def matching(self, state: int, item: int) -> tuple[int, ...]:
-        dictionary = self.dictionary
-        return tuple(
-            t.tid for t in self.fst.outgoing(state) if t.label.matches(item, dictionary)
-        )
-
-    def outputs(self, tid: int, item: int) -> tuple[int, ...]:
-        return self.transitions[tid].label.outputs(item, self.dictionary)
-
-
 #: Per-process intern cache of compiled kernels, keyed by content fingerprint.
 #: Bounded FIFO: mining sessions cycle through a handful of (pattern,
 #: dictionary) pairs, and eviction only costs a rebuild on the next unpickle.
@@ -331,8 +285,6 @@ class CompiledFst(MiningKernel):
     memoized — every later (position, state) probe on any sequence is a dict
     hit plus integer reads.
     """
-
-    kind = "compiled"
 
     def __init__(
         self, fst: Fst, dictionary: Dictionary, fingerprint: str | None = None
@@ -516,18 +468,13 @@ class CompiledFst(MiningKernel):
         return stepped
 
 
-def make_kernel(
-    fst: Fst, dictionary: Dictionary, kernel: str | None = None
-) -> MiningKernel:
-    """Build a mining kernel by name (``"compiled"`` or ``"interpreted"``).
+def make_kernel(fst: Fst, dictionary: Dictionary) -> CompiledFst:
+    """Compile a mining kernel for an ``(Fst, Dictionary)`` pair.
 
-    Compiled kernels are interned per process by content fingerprint, so
-    compiling the same (pattern, dictionary) pair twice returns the same
-    warm kernel object.
+    Kernels are interned per process by content fingerprint, so compiling
+    the same (pattern, dictionary) pair twice returns the same warm kernel
+    object.
     """
-    name = normalize_kernel(kernel)
-    if name == "interpreted":
-        return InterpretedKernel(fst, dictionary)
     fingerprint = kernel_fingerprint(fst, dictionary)
     cached = _KERNEL_CACHE.get(fingerprint)
     if cached is not None:
@@ -536,32 +483,27 @@ def make_kernel(
 
 
 def ensure_kernel(
-    subject: Fst | MiningKernel,
-    dictionary: Dictionary | None = None,
-    kernel: str | None = None,
+    subject: Fst | MiningKernel, dictionary: Dictionary | None = None
 ) -> MiningKernel:
     """Normalize an ``Fst`` or ready-made kernel to a :class:`MiningKernel`.
 
-    Raw FSTs are wrapped in the requested (default: compiled) kernel; the
-    result is cached on the FST instance per (kernel, dictionary), so legacy
-    call sites that pass ``(fst, dictionary)`` pairs repeatedly do not pay
-    repeated compilation.  Each cache entry stores the exact dictionary
-    object it was keyed on (an interned kernel may hold a content-equal but
-    different instance), which keeps that ``id`` from being reused by a new
-    dictionary for the entry's lifetime.
+    Raw FSTs are compiled by :func:`make_kernel`; the result is cached on the
+    FST instance per dictionary, so legacy call sites that pass
+    ``(fst, dictionary)`` pairs repeatedly do not pay repeated compilation.
+    Each cache entry stores the exact dictionary object it was keyed on (an
+    interned kernel may hold a content-equal but different instance), which
+    keeps that ``id`` from being reused by a new dictionary for the entry's
+    lifetime.
     """
     if isinstance(subject, MiningKernel):
         return subject
     if dictionary is None:
         raise FstError("a dictionary is required to build a kernel from a raw Fst")
-    name = normalize_kernel(kernel)
     cache = getattr(subject, "_kernel_cache", None)
     if cache is None:
         cache = {}
         subject._kernel_cache = cache
-    key = (name, id(dictionary))
-    entry = cache.get(key)
+    entry = cache.get(id(dictionary))
     if entry is None:
-        entry = (dictionary, make_kernel(subject, dictionary, name))
-        cache[key] = entry
+        entry = cache[id(dictionary)] = (dictionary, make_kernel(subject, dictionary))
     return entry[1]

@@ -11,10 +11,8 @@ semantics of the DESQ computational model:
 
 All entry points accept either a raw :class:`~repro.fst.fst.Fst` (plus a
 dictionary, as before) or a ready-made
-:class:`~repro.fst.compiled.MiningKernel`; raw FSTs are wrapped in the
-default (compiled) kernel on first use, so the interpreted per-label walk and
-the compiled flat-table kernel share one implementation of the simulation
-semantics.
+:class:`~repro.fst.compiled.MiningKernel`; raw FSTs are compiled on first
+use, so every kernel shares one implementation of the simulation semantics.
 
 Run enumeration and candidate expansion can be exponential for loose
 constraints; both carry explicit caps that raise

@@ -124,18 +124,15 @@ class StageDriverCluster:
         ``0`` spills everything).  Results are identical either way.
     spill_dir:
         Directory for spill files (defaults to the system temp directory).
-    kernel:
-        The FST mining-kernel choice (``"compiled"`` / ``"interpreted"``)
-        carried for the miners: a cluster never simulates FSTs itself, but a
-        miner handed a ready-made cluster instance inherits this setting
-        (like ``codec``), so one :class:`~repro.mapreduce.factory.ClusterConfig`
-        fully describes a run.
     grid:
-        The pivot-grid engine choice (``"flat"`` / ``"legacy"``), carried for
-        the miners exactly like ``kernel``.
+        The pivot-grid engine choice (``"flat"`` / ``"legacy"``) carried for
+        the miners: a cluster never builds grids itself, but a miner handed a
+        ready-made cluster instance inherits this setting (like ``codec``), so
+        one :class:`~repro.mapreduce.factory.ClusterConfig` fully describes a
+        run.
     partitioner:
         The reduce-partitioner choice (``"hash"`` / ``"planned"``), carried
-        for the miners exactly like ``kernel``: the cluster partitions with
+        for the miners exactly like ``grid``: the cluster partitions with
         whatever :meth:`~repro.mapreduce.job.MapReduceJob.partition` decides,
         but a miner handed a ready-made cluster instance inherits this
         setting and attaches a :class:`~repro.core.balance.PartitionPlan` to
@@ -170,7 +167,6 @@ class StageDriverCluster:
         codec: str | Codec = "compact",
         spill_budget_bytes: int | None = None,
         spill_dir: str | None = None,
-        kernel: str | None = None,
         grid: str | None = None,
         partitioner: str | None = None,
         fault_policy: FaultPolicy | None = None,
@@ -192,22 +188,16 @@ class StageDriverCluster:
             )
         self.spill_budget_bytes = spill_budget_bytes
         self.spill_dir = spill_dir
-        if kernel is not None:
+        if grid is not None:
             # Fail fast on typos, like make_codec does for codec names (the
             # import is deferred to keep repro.mapreduce importable without
-            # pulling in the FST stack).
-            from repro.fst.compiled import normalize_kernel
-
-            kernel = normalize_kernel(kernel)
-        self.kernel = kernel
-        if grid is not None:
-            # Same deferred fail-fast validation for the pivot-grid engine.
+            # pulling in the grid engine).
             from repro.core.grid_engine import normalize_grid
 
             grid = normalize_grid(grid)
         self.grid = grid
         if partitioner is not None:
-            # Fail fast on typos, like kernel and grid above.
+            # Fail fast on typos, like grid above.
             partitioner = normalize_partitioner(partitioner)
         self.partitioner = partitioner
         self.fault_policy = fault_policy or DEFAULT_FAULT_POLICY

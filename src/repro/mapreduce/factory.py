@@ -57,11 +57,10 @@ class ClusterConfig:
     both CLI commands build exactly one of these and hand it around.
     ``backend`` may be a backend name or a ready-made
     :class:`~repro.mapreduce.base.Cluster` instance (which then wins over the
-    worker/codec/spill fields, as before).  ``kernel`` selects the FST mining
-    kernel (``"compiled"`` or ``"interpreted"``; None → the library default),
-    ``grid`` the pivot-grid engine (``"flat"`` or ``"legacy"``), and
-    ``partitioner`` the reduce-bucket assignment (``"hash"`` or ``"planned"``);
-    all three are consumed by the miners rather than the cluster itself.
+    worker/codec/spill fields, as before).  ``grid`` selects the pivot-grid
+    engine (``"flat"`` or ``"legacy"``) and ``partitioner`` the reduce-bucket
+    assignment (``"hash"`` or ``"planned"``); both are consumed by the miners
+    rather than the cluster itself.
     """
 
     backend: str | Cluster = "simulated"
@@ -74,7 +73,6 @@ class ClusterConfig:
     #: Directory backing the ``multihost`` backend's blob store (``None``
     #: uses a private temp directory per run); other backends ignore it.
     blob_dir: str | None = None
-    kernel: str | None = None
     grid: str | None = None
     partitioner: str | None = None
     #: Stride-sampling fraction in (0, 1] for the ``"planned"`` partitioner's
@@ -101,12 +99,12 @@ class ClusterConfig:
         keyword arguments); a :class:`ClusterConfig` is used as-is (it
         specifies the run); a backend name or cluster instance becomes the
         ``backend`` of a config built from the remaining defaults.  One
-        exception to "the config wins": explicit non-None ``kernel`` / ``grid``
-        / ``partitioner`` defaults override the config's, so
-        ``miner(..., cluster=config, kernel="interpreted", grid="legacy")``
-        reliably selects the debugging implementations.
+        exception to "the config wins": explicit non-None ``grid`` /
+        ``partitioner`` defaults override the config's, so
+        ``miner(..., cluster=config, grid="legacy")`` reliably selects the
+        legacy grid.
         """
-        overrides = {name: defaults.pop(name, None) for name in ("kernel", "grid", "partitioner")}
+        overrides = {name: defaults.pop(name, None) for name in ("grid", "partitioner")}
         if value is None:
             config = cls(**defaults, **overrides)
         elif isinstance(value, ClusterConfig):
@@ -121,18 +119,6 @@ class ClusterConfig:
     def merged(self, **overrides) -> "ClusterConfig":
         """A copy with the given fields replaced."""
         return replace(self, **overrides)
-
-    @property
-    def kernel_name(self) -> str:
-        """The effective kernel name (falling back to the cluster's, then the
-        library default)."""
-        from repro.fst.compiled import DEFAULT_KERNEL
-
-        if self.kernel is not None:
-            return self.kernel
-        backend = self.backend
-        attached = None if isinstance(backend, str) else getattr(backend, "kernel", None)
-        return attached or DEFAULT_KERNEL
 
     @property
     def grid_name(self) -> str:
@@ -187,7 +173,6 @@ class ClusterConfig:
             codec,
             self.spill_budget_bytes,
             self.blob_dir,
-            self.kernel_name,
             self.grid_name,
             self.partitioner_name,
             self.plan_sample,
@@ -206,7 +191,6 @@ def make_cluster(
     spill_budget_bytes: int | None = None,
     spill_dir: str | None = None,
     blob_dir: str | None = None,
-    kernel: str | None = None,
     grid: str | None = None,
     partitioner: str | None = None,
     fault_policy: FaultPolicy | None = None,
@@ -229,10 +213,9 @@ def make_cluster(
     ``num_workers=None`` uses the backend's default worker count.  ``codec``
     picks the shuffle wire format (:data:`~repro.mapreduce.wire.CODECS`) and
     ``spill_budget_bytes`` caps the encoded payload bytes a map task keeps in
-    memory before spilling to ``spill_dir``.  ``kernel`` records the FST
-    mining-kernel choice — ``grid`` the pivot-grid engine choice and
-    ``partitioner`` the reduce-partitioner choice — on the cluster so miners
-    handed a ready-made instance inherit them.
+    memory before spilling to ``spill_dir``.  ``grid`` records the pivot-grid
+    engine choice and ``partitioner`` the reduce-partitioner choice on the
+    cluster so miners handed a ready-made instance inherit them.
     """
     if isinstance(backend, ClusterConfig):
         config = backend
@@ -250,7 +233,6 @@ def make_cluster(
             spill_budget_bytes=config.spill_budget_bytes,
             spill_dir=config.spill_dir,
             blob_dir=config.blob_dir,
-            kernel=config.kernel,
             grid=config.grid,
             partitioner=config.partitioner,
             fault_policy=config.fault_policy,
@@ -275,7 +257,6 @@ def make_cluster(
         codec=codec,
         spill_budget_bytes=spill_budget_bytes,
         spill_dir=spill_dir,
-        kernel=kernel,
         grid=grid,
         partitioner=partitioner,
         fault_policy=fault_policy,
@@ -293,7 +274,6 @@ def resolve_cluster(
     spill_budget_bytes: int | None = None,
     spill_dir: str | None = None,
     blob_dir: str | None = None,
-    kernel: str | None = None,
     grid: str | None = None,
     partitioner: str | None = None,
     fault_policy: FaultPolicy | None = None,
@@ -324,7 +304,6 @@ def resolve_cluster(
         spill_budget_bytes=spill_budget_bytes,
         spill_dir=spill_dir,
         blob_dir=blob_dir,
-        kernel=kernel,
         grid=grid,
         partitioner=partitioner,
         fault_policy=fault_policy,

@@ -27,8 +27,7 @@ from repro.sequences import SequenceDatabase, as_mining_records, record_parts
 class SequentialDesqCount:
     """Generate-and-count mining with flexible constraints (sequential).
 
-    ``kernel`` picks the FST mining kernel (``"compiled"`` by default,
-    ``"interpreted"`` for debugging).  ``dedup`` (default True) generates
+    ``dedup`` (default True) generates
     candidates once per *distinct* input sequence and counts them with the
     sequence's multiplicity — results are byte-identical either way.
     """
@@ -42,7 +41,6 @@ class SequentialDesqCount:
         dictionary: Dictionary,
         max_candidates_per_sequence: int = DEFAULT_MAX_CANDIDATES,
         max_runs: int = DEFAULT_MAX_RUNS,
-        kernel: str | None = None,
         dedup: bool = True,
     ) -> None:
         self.patex = PatEx(patex) if isinstance(patex, str) else patex
@@ -50,7 +48,6 @@ class SequentialDesqCount:
         self.dictionary = dictionary
         self.max_candidates_per_sequence = max_candidates_per_sequence
         self.max_runs = max_runs
-        self.kernel = kernel
         self.dedup = dedup
 
     def mine(self, database: SequenceDatabase | Sequence[Sequence[int]]) -> MiningResult:
@@ -60,7 +57,7 @@ class SequentialDesqCount:
         generates more candidates than the configured cap.
         """
         fst = self.patex.compile(self.dictionary)
-        kernel = make_kernel(fst, self.dictionary, self.kernel)
+        kernel = make_kernel(fst, self.dictionary)
         started = time.perf_counter()
         counts: Counter[tuple[int, ...]] = Counter()
         total = 0

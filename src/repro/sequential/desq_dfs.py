@@ -27,8 +27,7 @@ class SequentialDesqDfs:
         miner = SequentialDesqDfs(patex, sigma=100, dictionary=dictionary)
         result = miner.mine(database)
 
-    ``kernel`` picks the FST mining kernel (``"compiled"`` by default,
-    ``"interpreted"`` for debugging).  ``dedup`` (default True) mines one
+    ``dedup`` (default True) mines one
     weighted record per *distinct* input sequence — the projected databases
     shrink proportionally to duplication and supports are byte-identical.
     """
@@ -41,20 +40,18 @@ class SequentialDesqDfs:
         sigma: int,
         dictionary: Dictionary,
         max_patterns: int = 10_000_000,
-        kernel: str | None = None,
         dedup: bool = True,
     ) -> None:
         self.patex = PatEx(patex) if isinstance(patex, str) else patex
         self.sigma = sigma
         self.dictionary = dictionary
         self.max_patterns = max_patterns
-        self.kernel = kernel
         self.dedup = dedup
 
     def mine(self, database: SequenceDatabase | Sequence[Sequence[int]]) -> MiningResult:
         """Mine all frequent patterns sequentially."""
         fst = self.patex.compile(self.dictionary)
-        kernel = make_kernel(fst, self.dictionary, self.kernel)
+        kernel = make_kernel(fst, self.dictionary)
         miner = DesqDfsMiner(
             kernel,
             None,

@@ -221,7 +221,6 @@ class GapConstrainedMiner:
         min_length: int = 2,
         use_hierarchy: bool = True,
         num_workers: int = 4,
-        kernel: str | None = None,
         grid: str | None = None,
         partitioner: str | None = None,
         dedup: bool = True,
@@ -238,17 +237,15 @@ class GapConstrainedMiner:
         self.min_length = min_length
         self.use_hierarchy = use_hierarchy
         self.dedup = dedup
-        # The specialist avoids FST machinery entirely, so the ``kernel`` and
-        # ``grid`` knobs are accepted (one ClusterConfig drives all five
-        # cluster miners) but have no effect on its mining semantics or
-        # timings.  ``dedup`` applies: the windowing runs once per distinct
-        # input sequence.
+        # The specialist avoids FST machinery entirely, so the ``grid`` knob
+        # is accepted (one ClusterConfig drives all five cluster miners) but
+        # has no effect on its mining semantics or timings.  ``dedup`` applies:
+        # the windowing runs once per distinct input sequence.
         # ``partitioner`` applies too: its shuffle is item-partitioned like
         # D-SEQ's, so the skew-aware plan helps here as well.
         self.cluster = ClusterConfig.resolve(
             cluster,
             num_workers=num_workers,
-            kernel=kernel,
             grid=grid,
             partitioner=partitioner,
         )

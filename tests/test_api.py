@@ -24,7 +24,7 @@ from repro.mapreduce import (
     make_cluster,
     resolve_cluster,
 )
-from repro.sequential import GapConstrainedMiner
+from repro.sequential import GapConstrainedMiner, SequentialDesqCount, SequentialDesqDfs
 
 from tests.conftest import RUNNING_EXAMPLE_PATEX, run_probe
 
@@ -345,7 +345,6 @@ class TestConfigFingerprint:
         "codec": "zlib",
         "spill_budget_bytes": 4096,
         "blob_dir": "/tmp/blobs",
-        "kernel": "interpreted",
         "grid": "legacy",
         "partitioner": "planned",
         "plan_sample": 0.5,
@@ -366,13 +365,14 @@ class TestConfigFingerprint:
         assert ClusterConfig(spill_dir="/tmp/spill").fingerprint() == base
 
 
-#: The knob of the deleted trie-batched map, spelled in parts so that a search
-#: of the tree for the removed name finds nothing but its absence.
-REMOVED_KNOB = "_".join(("map", "batching"))
+#: Knobs of deleted implementation paths, each with a value it once took: the
+#: trie-batched map (spelled in parts so that a search of the tree for the
+#: removed name finds nothing but its absence) and the mining-kernel choice.
+REMOVED_KNOBS = {"_".join(("map", "batching")): "trie", "kernel": "interpreted"}
 
 
-#: The five cluster miners, built with extra keyword arguments.
-CLUSTER_MINERS = {
+#: Every miner constructor, built with extra keyword arguments.
+MINERS = {
     "dseq": lambda dictionary, **kw: DSeqMiner(RUNNING_EXAMPLE_PATEX, SIGMA, dictionary, **kw),
     "dcand": lambda dictionary, **kw: DCandMiner(RUNNING_EXAMPLE_PATEX, SIGMA, dictionary, **kw),
     "naive": lambda dictionary, **kw: NaiveMiner(RUNNING_EXAMPLE_PATEX, SIGMA, dictionary, **kw),
@@ -380,9 +380,15 @@ CLUSTER_MINERS = {
         RUNNING_EXAMPLE_PATEX, SIGMA, dictionary, **kw
     ),
     "lash": lambda dictionary, **kw: GapConstrainedMiner(SIGMA, dictionary, **kw),
+    "desq-dfs": lambda dictionary, **kw: SequentialDesqDfs(
+        RUNNING_EXAMPLE_PATEX, SIGMA, dictionary, **kw
+    ),
+    "desq-count": lambda dictionary, **kw: SequentialDesqCount(
+        RUNNING_EXAMPLE_PATEX, SIGMA, dictionary, **kw
+    ),
 }
 
-#: Every figure function of the evaluation (each took the knob before).
+#: Every figure function of the evaluation (each took the knobs before).
 FIGURE_FUNCTIONS = (
     "figure9a",
     "figure9b",
@@ -396,62 +402,77 @@ FIGURE_FUNCTIONS = (
 
 
 class TestRemovedKnobs:
-    """Naming the trie-batched map's knob fails like any unknown keyword, on
-    every surface that used to accept it."""
+    """Naming a removed knob fails like any unknown keyword, on every surface
+    that used to accept it."""
 
-    def test_cluster_config_rejects_it(self):
-        with pytest.raises(TypeError, match=REMOVED_KNOB):
-            ClusterConfig(**{REMOVED_KNOB: "trie"})
+    @pytest.fixture(params=sorted(REMOVED_KNOBS))
+    def knob(self, request):
+        return request.param, REMOVED_KNOBS[request.param]
+
+    def test_cluster_config_rejects_it(self, knob):
+        name, value = knob
+        with pytest.raises(TypeError, match=name):
+            ClusterConfig(**{name: value})
 
     @pytest.mark.parametrize(
         "factory",
         [make_cluster, resolve_cluster, ClusterConfig.resolve],
         ids=["make_cluster", "resolve_cluster", "ClusterConfig.resolve"],
     )
-    def test_cluster_factories_reject_it(self, factory):
-        with pytest.raises(TypeError, match=REMOVED_KNOB):
-            factory("simulated", **{REMOVED_KNOB: "trie"})
+    def test_cluster_factories_reject_it(self, factory, knob):
+        name, value = knob
+        with pytest.raises(TypeError, match=name):
+            factory("simulated", **{name: value})
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_cluster_classes_reject_it(self, backend):
+    def test_cluster_classes_reject_it(self, backend, knob):
+        name, value = knob
         cluster_class = type(make_cluster(backend))
-        with pytest.raises(TypeError, match=REMOVED_KNOB):
-            cluster_class(**{REMOVED_KNOB: "trie"})
+        with pytest.raises(TypeError, match=name):
+            cluster_class(**{name: value})
 
-    @pytest.mark.parametrize("miner_name", sorted(CLUSTER_MINERS))
-    def test_miners_reject_it(self, miner_name, ex_dictionary):
-        with pytest.raises(TypeError, match=REMOVED_KNOB):
-            CLUSTER_MINERS[miner_name](ex_dictionary, **{REMOVED_KNOB: "trie"})
+    @pytest.mark.parametrize("miner_name", sorted(MINERS))
+    def test_miners_reject_it(self, miner_name, knob, ex_dictionary):
+        name, value = knob
+        with pytest.raises(TypeError, match=name):
+            MINERS[miner_name](ex_dictionary, **{name: value})
 
-    def test_core_mine_rejects_it(self, ex_database, ex_dictionary):
+    def test_core_mine_rejects_it(self, knob, ex_database, ex_dictionary):
         from repro.core.miner import mine
 
-        with pytest.raises(TypeError, match=REMOVED_KNOB):
-            mine(
-                ex_database, ex_dictionary, RUNNING_EXAMPLE_PATEX, SIGMA,
-                **{REMOVED_KNOB: "trie"},
-            )
+        name, value = knob
+        with pytest.raises(TypeError, match=name):
+            mine(ex_database, ex_dictionary, RUNNING_EXAMPLE_PATEX, SIGMA, **{name: value})
 
     @pytest.mark.parametrize("algorithm", ["dseq", "dcand"])
-    def test_harness_rejects_it(self, algorithm, ex_database, ex_dictionary):
+    def test_harness_rejects_it(self, algorithm, knob, ex_database, ex_dictionary):
+        name, value = knob
         spec = make_constraint("N5", sigma=SIGMA)
-        with pytest.raises(TypeError, match=REMOVED_KNOB):
+        with pytest.raises(TypeError, match=name):
             run_algorithm(
-                algorithm, spec, ex_dictionary, ex_database,
-                num_workers=2, **{REMOVED_KNOB: "trie"},
+                algorithm, spec, ex_dictionary, ex_database, num_workers=2, **{name: value}
             )
 
-    def test_run_records_have_no_field_for_it(self):
-        with pytest.raises(TypeError, match=REMOVED_KNOB):
-            RunRecord(algorithm="dseq", constraint="N5", dataset="NYT", **{REMOVED_KNOB: "off"})
-        assert REMOVED_KNOB not in {field.name for field in dataclasses.fields(RunRecord)}
+    def test_run_records_have_no_field_for_it(self, knob):
+        name, value = knob
+        with pytest.raises(TypeError, match=name):
+            RunRecord(algorithm="dseq", constraint="N5", dataset="NYT", **{name: value})
+        assert name not in {field.name for field in dataclasses.fields(RunRecord)}
 
     @pytest.mark.parametrize("name", FIGURE_FUNCTIONS)
-    def test_figure_functions_reject_it(self, name):
+    def test_figure_functions_reject_it(self, name, knob):
         from repro.experiments import figures
 
-        with pytest.raises(TypeError, match=REMOVED_KNOB):
-            getattr(figures, name)(**{REMOVED_KNOB: "trie"})
+        knob_name, value = knob
+        with pytest.raises(TypeError, match=knob_name):
+            getattr(figures, name)(**{knob_name: value})
+
+    def test_table5_rejects_it(self, knob):
+        from repro.experiments.tables import table5_speedup
+
+        name, value = knob
+        with pytest.raises(TypeError, match=name):
+            table5_speedup(**{name: value})
 
     @pytest.mark.parametrize(
         "command",
@@ -461,13 +482,14 @@ class TestRemovedKnobs:
         ],
         ids=["mine", "experiment"],
     )
-    def test_cli_flag_is_a_usage_error(self, command, capsys):
+    def test_cli_flag_is_a_usage_error(self, command, knob, capsys):
         from repro.cli import main
 
+        flag = "--" + knob[0].replace("_", "-")
         with pytest.raises(SystemExit) as excinfo:
-            main([*command, "--map-batching", "trie"])
+            main([*command, flag, knob[1]])
         assert excinfo.value.code == 2
-        assert "unrecognized arguments: --map-batching trie" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {knob[1]}" in capsys.readouterr().err
 
 
 #: What a query process imports (``benchmarks/e2e/run_query.py``, the CLI's

@@ -234,25 +234,23 @@ class TestMine:
         )
         assert code == 2
 
-    def test_kernel_flag_selects_the_mining_kernel(self, tmp_path):
-        """Both kernels mine the same patterns (the CLI-level differential)."""
+    def test_distributed_and_sequential_miners_agree(self, tmp_path):
+        """D-SEQ and both sequential miners mine the same patterns."""
         sequences = tmp_path / "dex.txt"
         sequences.write_text("a c b\na b\nc b\na c c b\n")
         outputs = {}
-        for kernel in ("compiled", "interpreted"):
-            for algorithm in ("dseq", "desq-dfs", "desq-count"):
-                output = tmp_path / f"{kernel}-{algorithm}.tsv"
-                code, _ = run_cli(
-                    "mine",
-                    "--sequences", str(sequences),
-                    "--pattern", ".*(a)[.*(b)]?.*",
-                    "--sigma", "2",
-                    "--algorithm", algorithm,
-                    "--kernel", kernel,
-                    "--output", str(output),
-                )
-                assert code == 0
-                outputs[(kernel, algorithm)] = sorted(output.read_text().splitlines())
+        for algorithm in ("dseq", "desq-dfs", "desq-count"):
+            output = tmp_path / f"{algorithm}.tsv"
+            code, _ = run_cli(
+                "mine",
+                "--sequences", str(sequences),
+                "--pattern", ".*(a)[.*(b)]?.*",
+                "--sigma", "2",
+                "--algorithm", algorithm,
+                "--output", str(output),
+            )
+            assert code == 0
+            outputs[algorithm] = sorted(output.read_text().splitlines())
         assert len(set(map(tuple, outputs.values()))) == 1
 
     def test_grid_flag_selects_the_grid_engine(self, tmp_path):
@@ -438,10 +436,8 @@ class TestExperiment:
         assert code == 0
         assert "hierarchy_items" in output
 
-    def test_kernel_and_cap_flags_rejected_for_statistics_tables(self):
+    def test_grid_and_cap_flags_rejected_for_statistics_tables(self):
         base = ["experiment", "--name", "table2", "--sizes", "NYT=60,AMZN=60,AMZN-F=60,CW=60"]
-        code, _ = run_cli(*base, "--kernel", "interpreted")
-        assert code == 2
         code, _ = run_cli(*base, "--grid", "legacy")
         assert code == 2
         code, _ = run_cli(*base, "--max-runs", "10")
@@ -452,15 +448,6 @@ class TestExperiment:
             "--max-candidates", "10",
         )
         assert code == 2
-
-    def test_kernel_flag_reaches_the_experiment_runs(self):
-        code, output = run_cli(
-            "experiment", "--name", "fig9c",
-            "--sizes", "AMZN=80",
-            "--kernel", "interpreted",
-        )
-        assert code == 0
-        assert "shuffle size" in output
 
     def test_grid_flag_reaches_the_experiment_runs(self):
         code, output = run_cli(

@@ -1,10 +1,10 @@
 """The compiled mining kernel: interval matchers, flat tables, and interning.
 
 The compiled kernel must be an *exact* drop-in for the interpreted per-label
-walk: every matching decision, output set, DP table, accepting run, and pivot
-set has to be identical.  These tests pin that equivalence on the paper's
-running example, on random DAG hierarchies (hypothesis), and on adversarial
-dictionary shapes (multi-parent items, fids ≥ 2^63, ε handling), plus the
+walk of :class:`tests.oracles.InterpretedKernel`: every matching decision,
+output set, DP table, accepting run, and pivot set has to be identical.
+These tests pin that equivalence on the paper's running example, on random
+DAG hierarchies (hypothesis), and on adversarial dictionary shapes (multi-parent items, fids ≥ 2^63, ε handling), plus the
 pickling/interning contract that lets workers reuse a warm kernel.
 """
 
@@ -22,25 +22,22 @@ from hypothesis import strategies as st
 from repro.core.pivot_search import PositionStateGrid, pivot_items
 from repro.dictionary import Dictionary, EPSILON_FID, Hierarchy, IntervalSet, Item
 from repro.fst import (
-    DEFAULT_KERNEL,
-    KERNELS,
     CompiledFst,
-    InterpretedKernel,
     Label,
     accepting_runs,
     ensure_kernel,
     generate_candidates,
     make_kernel,
-    normalize_kernel,
     run_output_sets,
 )
 from repro.fst import compiled as compiled_module
 from repro.fst.compiled import _KERNEL_CACHE
 from repro.fst.fst import Fst
-from repro.errors import FstError
+from repro.errors import FstError, UnknownItemError
 from repro.patex import PatEx
 
 from tests.conftest import RUNNING_EXAMPLE_PATEX, make_running_example_dictionary
+from tests.oracles import InterpretedKernel
 
 
 # ------------------------------------------------------------- interval sets
@@ -135,7 +132,7 @@ class TestDescendantIndex:
         assert not index.is_descendant(base + 7, base + 11)
         label = Label(fid=base + 7, captured=True)
         fst = Fst(2, 0, [1], [(0, label, 1)])
-        compiled = make_kernel(fst, dictionary, "compiled")
+        compiled = make_kernel(fst, dictionary)
         interpreted = InterpretedKernel(fst, dictionary)
         for item in dictionary.fids():
             assert compiled.matching(0, item) == interpreted.matching(0, item)
@@ -245,12 +242,32 @@ def mask_rows(table, num_states):
     return [[bool((mask >> state) & 1) for state in range(num_states)] for mask in table]
 
 
+def expression_dictionaries():
+    """Random DAG dictionaries over the items :data:`EXPRESSIONS` name (and a
+    few more): any parents, any frequencies, so any fid order."""
+
+    @st.composite
+    def build(draw):
+        names = draw(st.permutations(["A", "B", "a1", "a2", "b", "c", "d", "e"]))
+        hierarchy = Hierarchy()
+        for index, name in enumerate(names):
+            hierarchy.add_item(name)
+            if index:
+                for parent in draw(st.sets(st.sampled_from(names[:index]), max_size=2)):
+                    hierarchy.add_edge(name, parent)
+        frequencies = {name: draw(st.integers(min_value=0, max_value=9)) for name in names}
+        return Dictionary.from_hierarchy(hierarchy, frequencies)
+
+    return build()
+
+
 EXPRESSIONS = [
     RUNNING_EXAMPLE_PATEX,
     ".*(a1)(b).*",
     ".*(A^)[.{0,2}(A^)]{1,2}.*",
     ".*(.)[.*(.)]?.*",
     "[.*(A^=)]+.*",
+    ".*(A^).{0,2}b.*",  # an uncaptured tail: finishable masks vary by state set
 ]
 
 
@@ -272,8 +289,8 @@ class TestKernelEquivalence:
         self, expression, sequences, sigma, ex_dictionary
     ):
         fst = PatEx(expression).compile(ex_dictionary)
-        compiled = make_kernel(fst, ex_dictionary, "compiled")
-        interpreted = make_kernel(fst, ex_dictionary, "interpreted")
+        compiled = make_kernel(fst, ex_dictionary)
+        interpreted = InterpretedKernel(fst, ex_dictionary)
         mff = ex_dictionary.largest_frequent_fid(sigma)
         for sequence in map(tuple, sequences):
             assert compiled.reachability_table(sequence) == (
@@ -311,6 +328,67 @@ class TestKernelEquivalence:
 
 
     @pytest.mark.parametrize("expression", EXPRESSIONS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_oracle_answers_every_probe_alike_over_random_hierarchies(
+        self, expression, data
+    ):
+        """The interpreted oracle ≡ CompiledFst on every kernel query, for
+        every fid of a random DAG over the expressions' items.  A fid the
+        dictionary does not know matches only wildcard labels in the compiled
+        kernel (the oracle raises on hierarchy labels instead); its outputs
+        and edge rows are the oracle's on those labels, or fail alike."""
+        dictionary = data.draw(expression_dictionaries())
+        fst = PatEx(expression).compile(dictionary)
+        compiled = CompiledFst(fst, dictionary)
+        oracle = InterpretedKernel(fst, dictionary)
+        fids = sorted(dictionary.fids())
+        for item in fids:
+            assert compiled.edge_rows(item) == oracle.edge_rows(item)
+            for state in range(compiled.num_states):
+                matching = oracle.matching(state, item)
+                assert compiled.matching(state, item) == matching
+                for tid in matching:
+                    assert compiled.outputs(tid, item) == oracle.outputs(tid, item)
+
+        unknown = fids[-1] + 1
+        wildcards = [
+            tuple(t.tid for t in fst.outgoing(state) if t.label.fid is None)
+            for state in range(compiled.num_states)
+        ]
+        assert [
+            compiled.matching(state, unknown) for state in range(compiled.num_states)
+        ] == wildcards
+        try:
+            expected = tuple(
+                tuple(
+                    (oracle.target(tid), oracle.outputs(tid, unknown))
+                    if oracle.is_captured(tid)
+                    else (oracle.target(tid), None)
+                    for tid in tids
+                )
+                for tids in wildcards
+            )
+        except UnknownItemError:
+            with pytest.raises(UnknownItemError):
+                compiled.edge_rows(unknown)
+        else:
+            assert compiled.edge_rows(unknown) == expected
+
+        sequences = data.draw(
+            st.lists(st.lists(st.sampled_from(fids), max_size=8), min_size=1, max_size=6)
+        )
+        mff = dictionary.largest_frequent_fid(data.draw(st.integers(1, 9)))
+        for sequence in map(tuple, sequences):
+            alive = oracle.reachability_table(sequence)
+            assert compiled.reachability_table(sequence) == alive
+            assert compiled.finishable_table(sequence) == oracle.finishable_table(sequence)
+            for limit in (None, mff):
+                assert compiled.last_producing_table(sequence, alive, limit) == (
+                    oracle.last_producing_table(sequence, alive, limit)
+                )
+
+    @pytest.mark.parametrize("expression", EXPRESSIONS)
     def test_finishable_masks_past_the_memo_bound(self, expression, ex_dictionary, monkeypatch):
         """One mask per position, a subset of the reachability mask, equal to
         the list-of-lists reference while the step memo fills and clears."""
@@ -338,12 +416,12 @@ class TestKernelEquivalence:
 class TestKernelInterning:
     def test_unpickling_returns_the_interned_kernel(self, ex_dictionary):
         fst = PatEx(RUNNING_EXAMPLE_PATEX).compile(ex_dictionary)
-        kernel = make_kernel(fst, ex_dictionary, "compiled")
+        kernel = make_kernel(fst, ex_dictionary)
         assert pickle.loads(pickle.dumps(kernel)) is kernel
 
     def test_unpickling_rebuilds_after_cache_eviction(self, ex_dictionary):
         fst = PatEx(".*(a1)(b).*").compile(ex_dictionary)
-        kernel = make_kernel(fst, ex_dictionary, "compiled")
+        kernel = make_kernel(fst, ex_dictionary)
         item = ex_dictionary.fid_of("a1")
         expected = kernel.matching(0, item)
         payload = pickle.dumps(kernel)
@@ -435,7 +513,7 @@ class TestBackwardStepMemo:
 
     def test_unpickling_rebuilds_the_memo_empty(self, ex_dictionary):
         fst = PatEx(".*(a1)[.{0,2}(b)]{1,2}.*").compile(ex_dictionary)
-        kernel = make_kernel(fst, ex_dictionary, "compiled")
+        kernel = make_kernel(fst, ex_dictionary)
         sequences = self.random_sequences(ex_dictionary, 50)
         expected = [kernel.reachability_table(sequence) for sequence in sequences]
         payload = pickle.dumps(kernel)
@@ -455,7 +533,7 @@ class TestBackwardStepMemo:
         monkeypatch.setattr(compiled_module, "_BACKWARD_MEMO_LIMIT", 5)
         fst = PatEx(expression).compile(ex_dictionary)
         kernel = CompiledFst(fst, ex_dictionary)
-        interpreted = make_kernel(fst, ex_dictionary, "interpreted")
+        interpreted = InterpretedKernel(fst, ex_dictionary)
         sizes = []
         for sequence in self.random_sequences(ex_dictionary, 300):
             assert kernel.reachability_table(sequence) == (
@@ -480,7 +558,7 @@ class TestBackwardStepMemo:
         monkeypatch.setattr(compiled_module, "_BACKWARD_MEMO_LIMIT", 3)
         fst = PatEx(RUNNING_EXAMPLE_PATEX).compile(ex_dictionary)
         kernel = CompiledFst(fst, ex_dictionary)
-        interpreted = make_kernel(fst, ex_dictionary, "interpreted")
+        interpreted = InterpretedKernel(fst, ex_dictionary)
         sequences = self.random_sequences(ex_dictionary, 400)
         expected = [interpreted.reachability_table(sequence) for sequence in sequences]
         results: dict[int, list] = {}
@@ -506,13 +584,12 @@ class TestBackwardStepMemo:
 
 # ------------------------------------------------------------- entry points
 class TestKernelSelection:
-    def test_kernel_names(self):
-        assert DEFAULT_KERNEL == "compiled"
-        assert set(KERNELS) == {"compiled", "interpreted"}
-        assert normalize_kernel(None) == DEFAULT_KERNEL
-        assert normalize_kernel(" Interpreted ") == "interpreted"
-        with pytest.raises(FstError, match="unknown mining kernel"):
-            normalize_kernel("jit")
+    def test_kernel_builders_take_no_kernel_name(self, ex_dictionary):
+        fst = PatEx(RUNNING_EXAMPLE_PATEX).compile(ex_dictionary)
+        with pytest.raises(TypeError):
+            make_kernel(fst, ex_dictionary, "interpreted")
+        with pytest.raises(TypeError):
+            ensure_kernel(fst, ex_dictionary, kernel="interpreted")
 
     def test_ensure_kernel_caches_on_the_fst(self, ex_dictionary):
         fst = PatEx(RUNNING_EXAMPLE_PATEX).compile(ex_dictionary)
@@ -520,9 +597,6 @@ class TestKernelSelection:
         second = ensure_kernel(fst, ex_dictionary)
         assert first is second
         assert isinstance(first, CompiledFst)
-        interpreted = ensure_kernel(fst, ex_dictionary, kernel="interpreted")
-        assert isinstance(interpreted, InterpretedKernel)
-        assert ensure_kernel(fst, ex_dictionary, kernel="interpreted") is interpreted
 
     def test_ensure_kernel_cache_pins_the_keyed_dictionary(self, ex_dictionary):
         # An interned kernel may hold a content-equal but *different*
@@ -535,13 +609,13 @@ class TestKernelSelection:
         ensure_kernel(fst, ex_dictionary)
         clone = make_running_example_dictionary()
         kernel = ensure_kernel(fst, clone)
-        entry = fst._kernel_cache[("compiled", id(clone))]
+        entry = fst._kernel_cache[id(clone)]
         assert entry[0] is clone
         assert entry[1] is kernel
 
     def test_ensure_kernel_passes_kernels_through(self, ex_dictionary):
         fst = PatEx(RUNNING_EXAMPLE_PATEX).compile(ex_dictionary)
-        kernel = make_kernel(fst, ex_dictionary, "interpreted")
+        kernel = InterpretedKernel(fst, ex_dictionary)
         assert ensure_kernel(kernel) is kernel
 
     def test_ensure_kernel_requires_a_dictionary_for_raw_fsts(self, ex_dictionary):

@@ -58,8 +58,10 @@ from repro.sequences import (
 from repro.sequences.store import WeightedSequence
 from tests.test_differential import build_consistent, patex_strategy, sequences_strategy
 from tests.test_pivot_search import brute_force_pivots
+from tests.oracles import InterpretedKernel
 
-KERNELS = ("compiled", "interpreted")
+#: The product kernel and the oracle it is checked against, by name.
+KERNELS = {"compiled": make_kernel, "interpreted": InterpretedKernel}
 
 
 def oracle_map(job: DCandJob, record) -> list:
@@ -90,7 +92,7 @@ def oracle_map(job: DCandJob, record) -> list:
 def assert_map_matches_oracle(dictionary, database, expression, sigma):
     fst = PatEx(expression).compile(dictionary)
     for kernel_name in KERNELS:
-        kernel = make_kernel(fst, dictionary, kernel_name)
+        kernel = KERNELS[kernel_name](fst, dictionary)
         for minimize in (True, False):
             job = DCandJob(kernel, sigma=sigma, minimize_nfas=minimize)
             for index, sequence in enumerate(database):
@@ -221,9 +223,7 @@ class TestOutputSetInvariant:
         )
         sigma = data.draw(st.integers(min_value=1, max_value=3))
         bound = dictionary.largest_frequent_fid(sigma)
-        kernel = make_kernel(
-            PatEx(expression).compile(dictionary), dictionary, kernel_name
-        )
+        kernel = KERNELS[kernel_name](PatEx(expression).compile(dictionary), dictionary)
         for sequence in database:
             sequence = tuple(sequence)
             one_pass = list(accepting_output_sets(kernel, sequence, bound))
@@ -252,7 +252,6 @@ class CountingKernel(MiningKernel):
     pass through this object and is not the map's protocol.
     """
 
-    kind = "counting"
     COUNTED = ("matching", "target", "is_captured", "outputs", "filtered_outputs", "edge_rows")
 
     def __init__(self, inner: MiningKernel) -> None:
@@ -303,7 +302,7 @@ class TestWalkerProtocol:
         self, kernel_name, golden_a3
     ):
         dictionary, fst, sigma, records = golden_a3
-        inner = make_kernel(fst, dictionary, kernel_name)
+        inner = KERNELS[kernel_name](fst, dictionary)
         kernel = CountingKernel(inner)
         job = DCandJob(kernel, sigma=sigma)
         reference = DCandJob(inner, sigma=sigma)
@@ -322,7 +321,7 @@ class TestWalkerProtocol:
         from tests.test_local_mining_index import count_calls
 
         dictionary, fst, _sigma, records = golden_a3
-        kernel = make_kernel(fst, dictionary, kernel_name)
+        kernel = KERNELS[kernel_name](fst, dictionary)
         sequence = next(s for s, _weight in map(record_parts, records) if matches(kernel, s))
         walked = []
         count_calls(monkeypatch, simulation_module, "_walk_runs", walked)
@@ -341,7 +340,7 @@ class TestWalkerProtocol:
         dictionary, database = build_consistent([("a1",) * 1_500, ("a1",) * 1_499 + ("b",)])
         long_run, rejected = (tuple(sequence) for sequence in list(database)[:2])
         for kernel_name in KERNELS:
-            kernel = make_kernel(PatEx("(a1)+").compile(dictionary), dictionary, kernel_name)
+            kernel = KERNELS[kernel_name](PatEx("(a1)+").compile(dictionary), dictionary)
             job = DCandJob(kernel, sigma=1)
             assert list(job.map(long_run)) == oracle_map(job, long_run) != []
             assert list(job.map(rejected)) == []
@@ -383,7 +382,7 @@ class TestDistinctRuns:
         raw = [("a1", "b", "a1", "c", "b"), ("c", "a1", "c", "c"), ("a2", "c", "a1", "b")]
         dictionary, database = build_consistent(raw)
         for kernel_name in KERNELS:
-            kernel = make_kernel(PatEx(expression).compile(dictionary), dictionary, kernel_name)
+            kernel = KERNELS[kernel_name](PatEx(expression).compile(dictionary), dictionary)
             repeated = 0
             for sequence in database:
                 runs = [tuple(sets) for sets in accepting_output_sets(kernel, tuple(sequence))]
@@ -402,7 +401,7 @@ class TestRunCap:
         raw = [("a1", "c", "a1", "b", "a1"), ("a1", "b"), ("b", "a1")]
         dictionary, database = preprocess(raw, Hierarchy())
         sequence = tuple(database[0])
-        kernel = make_kernel(PatEx(".*(.).*").compile(dictionary), dictionary, kernel_name)
+        kernel = KERNELS[kernel_name](PatEx(".*(.).*").compile(dictionary), dictionary)
         bound = dictionary.largest_frequent_fid(2)
         assert dictionary.fid_of("c") > bound
         total = len(list(accepting_runs(kernel, sequence)))

@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 from repro.core import DCandMiner, DSeqMiner, NaiveMiner, SemiNaiveMiner, mine
 from repro.core.dcand import DCandJob
 from repro.core.dseq import DSeqJob
+from repro.core.naive import NaiveJob
 from repro.core.grid_engine import DEFAULT_GRID_MEMO_LIMIT, set_grid_memo_limit
 from repro.dictionary import Hierarchy
 from repro.mapreduce import ClusterConfig, make_cluster
-from repro.fst import generate_candidates
+from repro.fst import generate_candidates, make_kernel
 from repro.patex import PatEx
 from repro.sequences import SequenceDatabase, as_mining_records, preprocess
 from repro.sequential import (
@@ -31,6 +32,7 @@ from repro.sequential import (
     SequentialDesqCount,
     SequentialDesqDfs,
 )
+from tests.oracles import InterpretedKernel
 
 #: Constraint shapes exercised by the differential tests: captures, optional
 #: groups, generalization, repetition, alternation, and bounded gaps.
@@ -205,46 +207,64 @@ class TestPersistentBackendMatrix:
         )
 
 
-class TestKernelMatrix:
-    """``kernel=interpreted`` ≡ ``kernel=compiled`` across miners × backends.
+#: The FST-simulating jobs of the cluster miners: name -> factory(kernel, sigma).
+ORACLE_JOBS = {
+    "dseq": lambda kernel, sigma: DSeqJob(kernel, sigma=sigma),
+    "dcand": lambda kernel, sigma: DCandJob(kernel, sigma=sigma),
+    "naive": lambda kernel, sigma: NaiveJob(kernel, sigma=sigma),
+    "semi-naive": lambda kernel, sigma: NaiveJob(
+        kernel, sigma=sigma, prune_infrequent_items=True
+    ),
+}
 
-    Acceptance criteria of the compiled mining kernel: for all five cluster
-    miners and all four execution backends, the compiled flat-table kernel
-    produces byte-identical results — same patterns and frequencies, same
-    modeled shuffle bytes, same measured wire bytes, same record counts — as
-    the interpreted per-label walk.
+
+def run_on_both_kernels(job_name, expression, dictionary, database, sigma, backend):
+    """One job run on the compiled kernel and one on the interpreted oracle."""
+    fst = PatEx(expression).compile(dictionary)
+    records = as_mining_records(database)
+    return {
+        name: make_cluster(backend, num_workers=2).run(
+            ORACLE_JOBS[job_name](build(fst, dictionary), sigma), records
+        )
+        for name, build in (("compiled", make_kernel), ("interpreted", InterpretedKernel))
+    }
+
+
+class TestKernelOracle:
+    """Jobs on the compiled kernel ≡ the same jobs on the interpreted oracle.
+
+    The miners only ever build the compiled kernel; the oracle
+    (:class:`tests.oracles.InterpretedKernel`) drives the same D-SEQ, D-CAND
+    and NAÏVE / SEMI-NAÏVE jobs through a cluster, in-process and on a
+    process pool.  Outputs — patterns, frequencies and their order — and every
+    shuffle, wire and record-count metric must be byte-identical.
     """
 
-    BACKENDS = ("simulated", "threads", "processes", "persistent-processes", "multihost")
+    BACKENDS = ("simulated", "persistent-processes")
+
+    METRICS = (
+        "shuffle_bytes",
+        "shuffle_records",
+        "wire_bytes",
+        "spilled_buckets",
+        "spilled_bytes",
+        "map_output_records",
+        "combined_records",
+        "output_records",
+    )
 
     @pytest.fixture(scope="class")
     def kernel_data(self):
         return make_differential_database(count=40, seed=17)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("miner_name", sorted(MATRIX_MINERS))
-    def test_patterns_and_shuffle_metrics_identical(
-        self, miner_name, backend, kernel_data
-    ):
+    @pytest.mark.parametrize("job_name", sorted(ORACLE_JOBS))
+    def test_outputs_and_shuffle_metrics_identical(self, job_name, backend, kernel_data):
         dictionary, database = kernel_data
-        factory = MATRIX_MINERS[miner_name]
-        results = {
-            kernel: factory(dictionary, backend, "compact", kernel=kernel).mine(database)
-            for kernel in ("interpreted", "compiled")
-        }
-        compiled = results["compiled"]
-        interpreted = results["interpreted"]
-        assert compiled.patterns() == interpreted.patterns()
-        for metric in (
-            "shuffle_bytes",
-            "shuffle_records",
-            "wire_bytes",
-            "spilled_buckets",
-            "spilled_bytes",
-            "map_output_records",
-            "combined_records",
-            "output_records",
-        ):
+        results = run_on_both_kernels(job_name, MATRIX_PATEX, dictionary, database, 2, backend)
+        compiled, interpreted = results["compiled"], results["interpreted"]
+        assert compiled.outputs and compiled.outputs == interpreted.outputs
+        for metric in self.METRICS:
             assert getattr(compiled.metrics, metric) == (
                 getattr(interpreted.metrics, metric)
             ), metric
@@ -254,16 +274,12 @@ class TestKernelMatrix:
     @given(sequences=sequences_strategy(), sigma=st.integers(min_value=1, max_value=3))
     def test_kernels_agree_on_random_databases(self, expression, sequences, sigma):
         dictionary, database = build_consistent(sequences)
-        for algorithm in ("dseq", "dcand", "naive", "semi-naive"):
-            compiled = mine(
-                database, dictionary, expression, sigma=sigma, algorithm=algorithm,
-                num_workers=2, kernel="compiled",
+        for job_name in ORACLE_JOBS:
+            results = run_on_both_kernels(
+                job_name, expression, dictionary, database, sigma, "simulated"
             )
-            interpreted = mine(
-                database, dictionary, expression, sigma=sigma, algorithm=algorithm,
-                num_workers=2, kernel="interpreted",
-            )
-            assert compiled.patterns() == interpreted.patterns(), algorithm
+            compiled, interpreted = results["compiled"], results["interpreted"]
+            assert compiled.outputs == interpreted.outputs, job_name
             assert compiled.metrics.wire_bytes == interpreted.metrics.wire_bytes
 
 
@@ -596,27 +612,22 @@ def make_duplicated_database(copies: int = 4, count: int = 12, seed: int = 23):
 
 
 class TestGridAndDedupMatrix:
-    """miners × backends × kernels × grid engines × dedup on/off.
+    """miners × backends × grid engines × dedup on/off.
 
     Acceptance criteria of the flat pivot grid and the corpus-level dedup
     pass: patterns and supports are byte-identical across *every* cell of the
-    matrix, and the shuffle/wire metrics are byte-identical across kernels,
-    grid engines, and backends (dedup legitimately changes the shuffle — that
+    matrix, and the shuffle/wire metrics are byte-identical across grid
+    engines and backends (dedup legitimately changes the shuffle — that
     is the point — so metrics are compared within each dedup setting).
     """
 
     #: Backends compared against the simulated baseline sweep.
     BACKENDS = ("threads", "processes", "persistent-processes", "multihost")
 
-    #: Every (kernel, grid, dedup) combination.
-    CONFIGS = tuple(
-        (kernel, grid, dedup)
-        for kernel in ("compiled", "interpreted")
-        for grid in ("flat", "legacy")
-        for dedup in (True, False)
-    )
+    #: Every (grid, dedup) combination.
+    CONFIGS = tuple((grid, dedup) for grid in ("flat", "legacy") for dedup in (True, False))
 
-    #: Metrics that must match across kernels, grids, and backends.
+    #: Metrics that must match across grids and backends.
     METRICS = (
         "shuffle_bytes",
         "shuffle_records",
@@ -638,8 +649,7 @@ class TestGridAndDedupMatrix:
         factory = MATRIX_MINERS[miner_name]
         return {
             config: factory(
-                dictionary, backend, "compact",
-                kernel=config[0], grid=config[1], dedup=config[2],
+                dictionary, backend, "compact", grid=config[0], dedup=config[1]
             ).mine(database)
             for config in self.CONFIGS
         }
@@ -658,25 +668,23 @@ class TestGridAndDedupMatrix:
     @pytest.mark.parametrize("miner_name", sorted(MATRIX_MINERS))
     def test_full_matrix_on_simulated(self, miner_name, simulated_sweeps):
         results = simulated_sweeps(miner_name)
-        reference = results[("compiled", "flat", True)]
+        reference = results[("flat", True)]
         for config, result in results.items():
             assert result.patterns() == reference.patterns(), config
-        # Kernels and grid engines never change what travels; dedup does
-        # (fewer map records, pre-aggregated weights), so metric equality is
-        # asserted within each dedup setting.
+        # Grid engines never change what travels; dedup does (fewer map
+        # records, pre-aggregated weights), so metric equality is asserted
+        # within each dedup setting.
         for dedup in (True, False):
-            base = results[("compiled", "flat", dedup)]
-            for kernel in ("compiled", "interpreted"):
-                for grid in ("flat", "legacy"):
-                    result = results[(kernel, grid, dedup)]
-                    for metric in self.METRICS:
-                        assert getattr(result.metrics, metric) == (
-                            getattr(base.metrics, metric)
-                        ), (kernel, grid, dedup, metric)
+            base = results[("flat", dedup)]
+            result = results[("legacy", dedup)]
+            for metric in self.METRICS:
+                assert getattr(result.metrics, metric) == (
+                    getattr(base.metrics, metric)
+                ), (dedup, metric)
         # The dedup pass must actually shrink the map input on this
         # duplication-heavy database (4 copies of every sequence).
-        deduped = results[("compiled", "flat", True)].metrics
-        raw = results[("compiled", "flat", False)].metrics
+        deduped = results[("flat", True)].metrics
+        raw = results[("flat", False)].metrics
         assert deduped.input_records < raw.input_records
         assert deduped.input_records <= raw.input_records // 3
 

@@ -46,6 +46,7 @@ from repro.fst import make_kernel
 from repro.patex import PatEx
 from repro.sequences import preprocess
 from repro.sequential import SequentialDesqDfs
+from tests.oracles import InterpretedKernel
 
 #: Constraint shapes shared with the differential suite: captures, optional
 #: groups, generalization, repetition, alternation, and bounded gaps.
@@ -142,7 +143,7 @@ class TestFlatLegacyEquivalence:
     def test_grids_agree_on_random_databases(self, expression, sequences, sigma):
         dictionary, database = build_consistent(sequences)
         kernel = make_kernel(
-            PatEx(expression).compile(dictionary), dictionary, "compiled"
+            PatEx(expression).compile(dictionary), dictionary
         )
         max_frequent_fid = dictionary.largest_frequent_fid(sigma)
         for sequence in database:
@@ -180,7 +181,7 @@ class TestFlatLegacyEquivalence:
         anchor = data.draw(st.sampled_from(names))
         expression = f".*({anchor}^)[(.^)|.]*(.).*"
         kernel = make_kernel(
-            PatEx(expression).compile(dictionary), dictionary, "compiled"
+            PatEx(expression).compile(dictionary), dictionary
         )
         sigma = data.draw(st.integers(min_value=1, max_value=3))
         max_frequent_fid = dictionary.largest_frequent_fid(sigma)
@@ -192,15 +193,13 @@ class TestFlatLegacyEquivalence:
             assert_grids_equivalent(flat, legacy)
 
     def test_interpreted_kernel_also_served(self, ex_dictionary):
-        """Both grid engines accept either mining kernel."""
+        """Both grid engines accept the compiled kernel and the oracle."""
         fst = PatEx(".*(A)[(.^)|.]*(b).*").compile(ex_dictionary)
         sequence = ex_dictionary.encode(("c", "a1", "b", "e"))
         results = {
-            (grid, kernel_name): make_grid(
-                make_kernel(fst, ex_dictionary, kernel_name), sequence, grid=grid
-            ).pivot_items()
+            (grid, build): make_grid(build(fst, ex_dictionary), sequence, grid=grid).pivot_items()
             for grid in GRIDS
-            for kernel_name in ("compiled", "interpreted")
+            for build in (make_kernel, InterpretedKernel)
         }
         assert len(set(map(frozenset, results.values()))) == 1
 
@@ -217,7 +216,7 @@ class TestRejectedSequences:
 
     def test_rejected_grid_holds_no_per_position_container(self, ex_dictionary):
         fst = PatEx(".*(A)[(.^)|.]*(b).*").compile(ex_dictionary)
-        kernel = make_kernel(fst, ex_dictionary, "compiled")
+        kernel = make_kernel(fst, ex_dictionary)
         sequence = ex_dictionary.encode(("c", "a1", "d", "e"))  # no b after the a1
         grid = FlatPivotGrid(kernel, sequence, max_frequent_fid=3)
         assert not grid.has_accepting_run
@@ -254,8 +253,8 @@ class TestWideAndLongInputs:
 
     def assert_everything_agrees(self, dictionary, database, expression, sigma, stride):
         fst = PatEx(expression).compile(dictionary)
-        compiled = make_kernel(fst, dictionary, "compiled")
-        interpreted = make_kernel(fst, dictionary, "interpreted")
+        compiled = make_kernel(fst, dictionary)
+        interpreted = InterpretedKernel(fst, dictionary)
         max_frequent_fid = dictionary.largest_frequent_fid(sigma)
         accepted = 0
         for sequence in database:
@@ -367,7 +366,7 @@ def fresh_memo():
 class TestGridMemo:
     def _kernel(self, ex_dictionary):
         fst = PatEx(".*(A)[(.^)|.]*(b).*").compile(ex_dictionary)
-        return make_kernel(fst, ex_dictionary, "compiled")
+        return make_kernel(fst, ex_dictionary)
 
     def test_repeated_sequences_hit_the_memo(self, ex_dictionary, fresh_memo):
         kernel = self._kernel(ex_dictionary)
@@ -433,7 +432,7 @@ class TestKnob:
     def test_empty_sequence_grids(self, ex_dictionary):
         """Degenerate input: both engines agree on the empty sequence."""
         fst = PatEx(".*(b).*").compile(ex_dictionary)
-        kernel = make_kernel(fst, ex_dictionary, "compiled")
+        kernel = make_kernel(fst, ex_dictionary)
         flat = FlatPivotGrid(kernel, ())
         legacy = PositionStateGrid(kernel, ())
         assert flat.has_accepting_run == legacy.has_accepting_run
@@ -455,7 +454,7 @@ class TestDictionaryGuard:
         from repro.core.grid_engine import _memo_key
 
         fst = PatEx(".*(x).*").compile(dictionary)
-        kernel = make_kernel(fst, dictionary, "compiled")
+        kernel = make_kernel(fst, dictionary)
         small = _memo_key(kernel, (1, 2), None, "flat")
         huge = _memo_key(kernel, (1, 2**63 + 5), None, "flat")
         assert isinstance(small[2], bytes)

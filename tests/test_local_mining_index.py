@@ -45,8 +45,10 @@ from repro.sequences import fold_weighted_values
 from tests.test_compiled import finishable_lists, mask_rows
 from tests.test_dcand_map import random_hierarchy_corpus
 from tests.test_differential import build_consistent, patex_strategy, sequences_strategy
+from tests.oracles import InterpretedKernel
 
-KERNELS = ("compiled", "interpreted")
+#: The product kernel and the oracle it is checked against, by name.
+KERNELS = {"compiled": make_kernel, "interpreted": InterpretedKernel}
 GRIDS = ("flat", "legacy")
 
 
@@ -208,7 +210,7 @@ def assert_equivalent(dictionary, database, expression, sigma, weights):
     fst = PatEx(expression).compile(dictionary)
     database = [tuple(sequence) for sequence in database]
     for kernel_name in KERNELS:
-        kernel = make_kernel(fst, dictionary, kernel_name)
+        kernel = KERNELS[kernel_name](fst, dictionary)
         partitions = {None: (database, weights)}
         partitions.update(partitions_of(kernel, database, sigma, weights))
         for pivot, (sequences, partition_weights) in partitions.items():
@@ -338,7 +340,7 @@ def assert_passes_equal_their_references(dictionary, expression, sequences):
     pivots = fids + [fids[-1] + 1]  # every item, and one the dictionary lacks
     accepted = 0
     for kernel_name in KERNELS:
-        kernel = make_kernel(fst, dictionary, kernel_name)
+        kernel = KERNELS[kernel_name](fst, dictionary)
         assert_edge_rows_equal_the_kernel_calls(kernel, fids)
         for sequence in sequences:
             sequence = tuple(sequence)
@@ -567,7 +569,7 @@ class TestEdgeRowMemo:
         monkeypatch.setattr(compiled_module, "_BACKWARD_MEMO_LIMIT", 3)
         fst = PatEx(".*(A)[(.^)|.]*(b).*").compile(ex_dictionary)
         kernel = CompiledFst(fst, ex_dictionary)
-        interpreted = make_kernel(fst, ex_dictionary, "interpreted")
+        interpreted = InterpretedKernel(fst, ex_dictionary)
         fids = sorted(ex_dictionary.fids())
         assert len(fids) > 3
         for item in fids * 2:

@@ -151,36 +151,34 @@ class TestClusterConfig:
     def test_resolve_from_legacy_keywords(self):
         config = ClusterConfig.resolve(
             None, backend="threads", num_workers=3, codec="zlib",
-            spill_budget_bytes=64, kernel="interpreted",
+            spill_budget_bytes=64, grid="legacy",
         )
         assert config.backend == "threads"
         assert config.num_workers == 3
         assert config.codec == "zlib"
         assert config.spill_budget_bytes == 64
-        assert config.kernel_name == "interpreted"
+        assert config.grid_name == "legacy"
 
     def test_resolve_passes_configs_through(self):
         config = ClusterConfig(backend="processes", num_workers=2)
         assert ClusterConfig.resolve(config, backend="threads") is config
 
-    def test_explicit_kernel_overrides_a_provided_config(self):
-        # miner(..., cluster=config, kernel="interpreted") must reliably pick
-        # the debugging kernel even though the config otherwise wins.
+    def test_explicit_grid_overrides_a_provided_config(self):
+        # miner(..., cluster=config, grid="legacy") must reliably pick the
+        # reference grid even though the config otherwise wins.
         config = ClusterConfig(backend="simulated")
-        resolved = ClusterConfig.resolve(config, kernel="interpreted")
-        assert resolved.kernel_name == "interpreted"
-        assert config.kernel is None  # the original is untouched
-        pinned = ClusterConfig(backend="simulated", kernel="compiled")
-        assert ClusterConfig.resolve(pinned, kernel="interpreted").kernel_name == (
-            "interpreted"
-        )
-        assert ClusterConfig.resolve(pinned).kernel_name == "compiled"
+        resolved = ClusterConfig.resolve(config, grid="legacy")
+        assert resolved.grid_name == "legacy"
+        assert config.grid is None  # the original is untouched
+        pinned = ClusterConfig(backend="simulated", grid="flat")
+        assert ClusterConfig.resolve(pinned, grid="legacy").grid_name == "legacy"
+        assert ClusterConfig.resolve(pinned).grid_name == "flat"
 
-    def test_cluster_construction_rejects_unknown_kernels(self):
-        from repro.errors import FstError
+    def test_cluster_construction_rejects_unknown_grids(self):
+        from repro.errors import MiningError
 
-        with pytest.raises(FstError, match="unknown mining kernel"):
-            make_cluster("threads", kernel="jit")
+        with pytest.raises(MiningError, match="unknown grid engine"):
+            make_cluster("threads", grid="jit")
 
     def test_resolve_wraps_backend_names_and_instances(self):
         named = ClusterConfig.resolve("threads", codec="zlib")
@@ -190,19 +188,19 @@ class TestClusterConfig:
         assert wrapped.backend is instance
         assert resolve_cluster(wrapped) is instance
 
-    def test_kernel_name_defaults_and_inherits_from_cluster_instances(self):
-        assert ClusterConfig().kernel_name == "compiled"
-        cluster = SimulatedCluster(num_workers=1, kernel="interpreted")
-        assert ClusterConfig(backend=cluster).kernel_name == "interpreted"
-        assert ClusterConfig(backend=cluster, kernel="compiled").kernel_name == "compiled"
+    def test_grid_name_defaults_and_inherits_from_cluster_instances(self):
+        assert ClusterConfig().grid_name == "flat"
+        cluster = SimulatedCluster(num_workers=1, grid="legacy")
+        assert ClusterConfig(backend=cluster).grid_name == "legacy"
+        assert ClusterConfig(backend=cluster, grid="flat").grid_name == "flat"
 
     def test_build_makes_a_matching_cluster(self):
         cluster = ClusterConfig(
-            backend="threads", num_workers=3, codec="zlib", kernel="interpreted"
+            backend="threads", num_workers=3, codec="zlib", grid="legacy"
         ).build()
         assert isinstance(cluster, ThreadPoolCluster)
         assert cluster.num_workers == 3
-        assert cluster.kernel == "interpreted"
+        assert cluster.grid == "legacy"
 
     def test_make_cluster_accepts_a_config(self):
         cluster = make_cluster(ClusterConfig(backend="simulated", num_workers=5))

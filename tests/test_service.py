@@ -129,7 +129,7 @@ class TestProtocol:
             protocol.decode_result(payload)
 
     def test_config_round_trip(self):
-        config = ClusterConfig(backend="threads", num_workers=3, kernel="compiled")
+        config = ClusterConfig(backend="threads", num_workers=3, grid="legacy")
         assert protocol.decode_config(protocol.encode_config(config)) == config
         assert protocol.encode_config(None) is None
 
@@ -280,6 +280,22 @@ class TestServiceSession:
         with pytest.raises(MiningError, match="unknown algorithm"):
             client.mine("ex", "(b)", sigma=1, algorithm="quantum")
         # the connection survives server-side errors
+        assert len(client.mine("ex", RUNNING_EXAMPLE_PATEX, sigma=SIGMA)) > 0
+
+    def test_a_removed_config_field_is_refused_and_the_daemon_keeps_serving(
+        self, client, ex_corpus
+    ):
+        client.attach_corpus("ex", ex_corpus)
+        with pytest.raises(ServiceError, match=r"unknown ClusterConfig fields.*'kernel'"):
+            client._call(
+                "mine",
+                corpus="ex",
+                constraint=protocol.encode_constraint(RUNNING_EXAMPLE_PATEX),
+                sigma=SIGMA,
+                algorithm="dseq",
+                config={"kernel": "interpreted"},
+                options={},
+            )
         assert len(client.mine("ex", RUNNING_EXAMPLE_PATEX, sigma=SIGMA)) > 0
 
     def test_clear_cache(self, client, ex_corpus):
