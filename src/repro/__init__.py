@@ -64,7 +64,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.mapreduce": (
             "BACKENDS",
             "ClusterConfig",
-            "ProcessPoolCluster",
             "SimulatedCluster",
             "ThreadPoolCluster",
             "make_cluster",

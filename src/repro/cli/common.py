@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
-from argparse import ArgumentParser, Namespace
+from argparse import ArgumentParser, ArgumentTypeError, Namespace
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -81,6 +81,17 @@ def add_input_arguments(parser: ArgumentParser) -> None:
         help="optional hierarchy file with one 'child parent' pair per line "
         "(used only when no dictionary is given)",
     )
+
+
+def backend_name(text: str) -> str:
+    """``--backend`` value: a backend name or documented spelling, made canonical."""
+    from repro.errors import MapReduceError
+    from repro.mapreduce import canonical_backend
+
+    try:
+        return canonical_backend(text)
+    except MapReduceError as error:
+        raise ArgumentTypeError(str(error)) from None
 
 
 def add_grid_argument(parser: ArgumentParser) -> None:

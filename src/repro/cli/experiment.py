@@ -12,6 +12,7 @@ from repro.cli.common import (
     add_grid_argument,
     add_partitioner_argument,
     add_shuffle_arguments,
+    backend_name,
     cluster_config_from_args,
 )
 from repro.experiments import (
@@ -31,7 +32,6 @@ from repro.experiments import (
     table4_candidate_statistics,
     table5_speedup,
 )
-from repro.mapreduce import BACKENDS
 
 #: Experiment name -> short description (shown by ``--list``).
 EXPERIMENTS = {
@@ -77,14 +77,16 @@ def add_parser(subparsers) -> None:
     )
     parser.add_argument(
         "--backend",
-        choices=BACKENDS,
+        type=backend_name,
         default="simulated",
+        metavar="NAME",
         help=(
             "execution backend: 'simulated' models the cluster makespan, "
-            "'threads'/'processes' execute on real local workers, "
-            "'persistent-processes' shares the encoded database with the "
-            "workers via shared memory, 'multihost' additionally stages "
-            "shuffle payloads through a shared blob store (default: simulated)"
+            "'threads' and 'persistent-processes' (also spelled 'processes') "
+            "execute on real local threads / processes, the processes sharing "
+            "the encoded database via shared memory, 'multihost' additionally "
+            "stages shuffle payloads through a shared blob store "
+            "(default: simulated)"
         ),
     )
     add_shuffle_arguments(parser)

@@ -13,6 +13,7 @@ from repro.cli.common import (
     add_input_arguments,
     add_partitioner_argument,
     add_shuffle_arguments,
+    backend_name,
     cluster_config_from_args,
     load_input,
     print_metrics,
@@ -21,7 +22,6 @@ from repro.cli.common import (
 from repro.core import mine
 from repro.datasets import CONSTRAINT_FACTORIES, constraint as make_constraint
 from repro.errors import CandidateExplosionError
-from repro.mapreduce import BACKENDS
 from repro.sequential import SequentialDesqCount, SequentialDesqDfs
 
 #: Algorithms selectable on the command line.
@@ -70,18 +70,19 @@ def add_parser(subparsers) -> None:
     parser.add_argument("--workers", type=int, default=8, help="number of workers")
     parser.add_argument(
         "--backend",
-        choices=BACKENDS,
+        type=backend_name,
         default="simulated",
+        metavar="NAME",
         help=(
             "execution backend for the distributed algorithms: 'simulated' "
             "models the cluster makespan in-process, 'threads' runs on a "
-            "local thread pool, 'processes' runs on a local process pool for "
-            "real wall-clock speed-ups, 'persistent-processes' additionally "
-            "shares the encoded database with the workers via shared memory "
-            "so tasks ship chunk descriptors instead of pickled sequences, "
-            "'multihost' runs the same persistent hosts but stages every "
-            "shuffle payload through a shared blob store (see --blob-dir) "
-            "(default: simulated)"
+            "local thread pool, 'persistent-processes' (also spelled "
+            "'processes') runs on a local process pool for real wall-clock "
+            "speed-ups and shares the encoded database with the workers via "
+            "shared memory, so tasks ship chunk descriptors instead of "
+            "pickled sequences, 'multihost' runs the same process pool but "
+            "stages every shuffle payload through a shared blob store (see "
+            "--blob-dir) (default: simulated)"
         ),
     )
     add_shuffle_arguments(parser)

@@ -28,13 +28,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "run_algorithm",
             "run_comparison",
         ),
-        "repro.experiments.plotting": (
-            "bar_chart",
-            "grouped_bar_chart",
-            "line_chart",
-            "multi_line_chart",
-            "sparkline",
-        ),
+        "repro.experiments.plotting": ("bar_chart", "grouped_bar_chart", "multi_line_chart"),
         "repro.experiments.reporting": ("format_series", "format_table", "human_bytes"),
         "repro.experiments.tables": (
             "candidate_statistics",

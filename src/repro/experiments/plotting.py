@@ -90,50 +90,6 @@ def grouped_bar_chart(
     return "\n".join(lines)
 
 
-def line_chart(
-    points: Sequence[tuple[float, float]],
-    title: str = "",
-    width: int = 60,
-    height: int = 12,
-    x_label: str = "x",
-    y_label: str = "y",
-) -> str:
-    """Render an (x, y) series as a character grid (Fig. 11 style).
-
-    Points are plotted with ``*``; the y-axis starts at zero so that linear
-    scaling is visible as a straight line through the origin.
-    """
-    lines = [title] if title else []
-    if not points:
-        lines.append("(no data)")
-        return "\n".join(lines)
-
-    xs = [float(x) for x, _ in points]
-    ys = [float(y) for _, y in points]
-    x_min, x_max = min(xs), max(xs)
-    y_max = max(ys) or 1.0
-    grid = [[" "] * width for _ in range(height)]
-
-    for x, y in zip(xs, ys):
-        if x_max == x_min:
-            column = 0
-        else:
-            column = round((x - x_min) / (x_max - x_min) * (width - 1))
-        row = round((1 - y / y_max) * (height - 1))
-        grid[min(max(row, 0), height - 1)][min(max(column, 0), width - 1)] = "*"
-
-    for index, row_cells in enumerate(grid):
-        axis_value = y_max * (1 - index / (height - 1)) if height > 1 else y_max
-        prefix = f"{axis_value:10.2f} |" if index % 3 == 0 or index == height - 1 else " " * 10 + " |"
-        lines.append(prefix + "".join(row_cells))
-    lines.append(" " * 11 + "-" * width)
-    lines.append(
-        " " * 11 + f"{x_min:g}".ljust(width - len(f"{x_max:g}")) + f"{x_max:g}"
-    )
-    lines.append(f"   x: {x_label}, y: {y_label}")
-    return "\n".join(lines)
-
-
 def multi_line_chart(
     series: Mapping[str, Sequence[tuple[float, float]]],
     title: str = "",
@@ -182,16 +138,3 @@ def multi_line_chart(
     )
     lines.append(f"   x: {x_label}, y: {y_label}   [{legend}]")
     return "\n".join(lines)
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """A one-line sparkline (used in compact experiment summaries)."""
-    blocks = " .:-=+*#%@"
-    numeric = [float(value) for value in values]
-    if not numeric:
-        return ""
-    low, high = min(numeric), max(numeric)
-    if high == low:
-        return blocks[len(blocks) // 2] * len(numeric)
-    scale = (len(blocks) - 1) / (high - low)
-    return "".join(blocks[round((value - low) * scale)] for value in numeric)

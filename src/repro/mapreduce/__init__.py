@@ -1,18 +1,19 @@
 """MapReduce / bulk-synchronous-parallel substrate with pluggable backends.
 
 One job model (:class:`MapReduceJob`), one stage driver
-(:class:`~repro.mapreduce.base.StageDriverCluster`), five execution backends:
+(:class:`~repro.mapreduce.base.StageDriverCluster`) composed of an executor
+and a shuffle transport, four execution backends:
 
 * ``simulated`` — in-process execution that models the makespan of
   ``num_workers`` workers (deterministic, no parallelism overhead);
 * ``threads`` — a local thread pool (real concurrent scheduling, no pickling);
-* ``processes`` — a local process pool (real wall-clock speed-ups);
-* ``persistent-processes`` — a local process pool whose workers attach the
-  input database once via a shared-memory
+* ``persistent-processes`` (also spelled ``processes``) — a local process
+  pool (real wall-clock speed-ups) whose workers attach the input database
+  once via a shared-memory
   :class:`~repro.sequences.store.EncodedSequenceStore`; tasks carry chunk
-  descriptors, so the per-task database pickling tax disappears;
-* ``multihost`` — subprocess hosts that attach the published store the same
-  way but exchange their encoded reduce buckets through a pluggable
+  descriptors, so there is no per-task database pickling tax;
+* ``multihost`` — the same process pool, but the hosts exchange their encoded
+  reduce buckets through a pluggable
   :class:`~repro.mapreduce.blobstore.BlobStore` (content-addressed blobs in
   a shared directory), the shape of a serverless/object-store deployment.
 
@@ -39,8 +40,14 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "read_lease",
             "write_lease",
         ),
-        "repro.mapreduce.engine": ("SimulatedCluster", "run_job"),
-        "repro.mapreduce.factory": ("BACKENDS", "ClusterConfig", "make_cluster", "resolve_cluster"),
+        "repro.mapreduce.engine": ("SimulatedCluster",),
+        "repro.mapreduce.factory": (
+            "BACKENDS",
+            "ClusterConfig",
+            "canonical_backend",
+            "make_cluster",
+            "resolve_cluster",
+        ),
         "repro.mapreduce.faults": (
             "DEFAULT_FAULT_POLICY",
             "FaultInjectingBlobStore",
@@ -65,7 +72,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.mapreduce.multihost": ("BlobShuffle", "MultiHostCluster", "run_blob_map_task"),
         "repro.mapreduce.parallel": (
             "PersistentProcessPoolCluster",
-            "ProcessPoolCluster",
+            "ProcessExecutor",
             "ThreadPoolCluster",
         ),
         "repro.mapreduce.spill": ("FragmentReader", "WireFragment", "merge_fragments"),
@@ -75,7 +82,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "ReduceTaskResult",
             "run_map_task",
             "run_reduce_task",
-            "run_store_map_task",
         ),
         "repro.mapreduce.wire": ("CODECS", "Codec", "CompactCodec", "PickleCodec", "make_codec"),
     },

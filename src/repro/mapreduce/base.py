@@ -1,27 +1,42 @@
-"""Execution-backend substrate: the :class:`Cluster` protocol and stage driver.
+"""Execution-backend substrate: the :class:`Cluster` protocol and the stage driver.
 
 Every backend runs a :class:`~repro.mapreduce.job.MapReduceJob` through the
 same four phases — map, combine, partition (worker-side shuffle write), and
-reduce — with identical metrics accounting.  Backends differ only in *where*
-tasks execute:
+reduce — with identical metrics accounting.  One class drives every run,
+:class:`StageDriverCluster`: it splits the input into map tasks, routes the
+per-bucket payloads returned by the map tasks to reduce tasks, retries failed
+attempts, and folds the task counters into one
+:class:`~repro.mapreduce.metrics.JobMetrics`.  A backend is that driver plus
+two components:
 
-* :class:`~repro.mapreduce.engine.SimulatedCluster` runs tasks in-process and
-  models the makespan of ``num_workers`` parallel workers;
-* :class:`~repro.mapreduce.parallel.ThreadPoolCluster` runs tasks on a thread
-  pool (no pickling tax; best for I/O-light or GIL-releasing jobs);
-* :class:`~repro.mapreduce.parallel.ProcessPoolCluster` runs tasks on a process
-  pool and demonstrates real wall-clock speed-ups on multi-core machines;
-* :class:`~repro.mapreduce.parallel.PersistentProcessPoolCluster` also runs on
-  a process pool, but publishes the input database once as a shared
-  :class:`~repro.sequences.store.EncodedSequenceStore` and ships only chunk
-  descriptors to its workers.
+* an **executor** decides where tasks run and how the input and the job reach
+  them.  :class:`InlineExecutor` runs tasks serially in the calling process
+  and models the makespan of ``num_workers`` workers;
+  :class:`~repro.mapreduce.parallel.ThreadExecutor` runs them on a thread
+  pool.  Both hand tasks record chunks and the job object itself.
+  :class:`~repro.mapreduce.parallel.ProcessExecutor` publishes the input once
+  as a shared :class:`~repro.sequences.store.EncodedSequenceStore`, hands
+  every worker the job once, and ships chunk descriptors and a job reference;
+* a **shuffle transport** decides how the encoded reduce buckets travel.
+  :class:`LocalShuffle` keeps them in driver memory or the job's spill files;
+  :class:`~repro.mapreduce.multihost.BlobTransport` stages them in a blob
+  store.
 
-The shared driver lives in :class:`StageDriverCluster`: it splits the input
-into map tasks, routes the per-bucket payloads returned by the map tasks to
-reduce tasks, and folds the task counters into one
-:class:`~repro.mapreduce.metrics.JobMetrics`.  Concrete backends implement
-only task execution (:meth:`StageDriverCluster._executor_scope`) and
-per-worker time attribution (:meth:`StageDriverCluster._worker_times`).
+Each backend is one row (``processes`` is a spelling of
+``persistent-processes``):
+
+==========================  ============  =======
+backend                     executor      shuffle
+==========================  ============  =======
+``simulated``               inline        local
+``threads``                 thread pool   local
+``persistent-processes``    process pool  local
+``multihost``               process pool  blob
+==========================  ============  =======
+
+Every row runs the same worker-side tasks (:mod:`repro.mapreduce.tasks`) over
+the same map-task boundaries (:func:`split_ranges`), so patterns and every
+shuffle, wire and spill metric are byte-identical across backends.
 """
 
 from __future__ import annotations
@@ -95,8 +110,96 @@ class Cluster(Protocol):
         ...  # pragma: no cover - protocol definition
 
 
+def record_chunks(records: Sequence[Any], parts: int) -> list[Sequence[Any]]:
+    """The map inputs of an in-process executor: non-empty record chunks."""
+    return [chunk for chunk in split_records(records, parts) if len(chunk)]
+
+
+def per_worker_times(results: Sequence[ReduceTaskResult], num_workers: int) -> list[float]:
+    """Reduce seconds per OS worker, attributed to the workers that ran them."""
+    totals: dict[tuple[int, int], float] = {}
+    for result in results:
+        totals[result.worker] = totals.get(result.worker, 0.0) + result.seconds
+    return list(totals.values())
+
+
+class InlineExecutor:
+    """Runs every task serially in the calling process (the ``simulated`` row).
+
+    Map tasks get record chunks and the job object itself, so nothing is
+    pickled.  All tasks ran here, so reduce times go to ``num_workers``
+    *modelled* workers by a greedy least-loaded (LPT) schedule, the way a real
+    scheduler balances over-partitioned buckets.
+
+    This is the executor contract.  :meth:`scope` spans both stages of one
+    run and yields ``(chunks, task_job, execute)``: the map inputs, what every
+    task carries as its job, and a ``(tasks, fail_fast) -> BatchOutcome``
+    callable that reports task failures instead of raising them (with
+    ``fail_fast`` it may stop scheduling after the first).  Executors keep no
+    per-run state, so one cluster can serve concurrent runs.
+    :meth:`worker_times` turns the reduce results into per-worker seconds.
+    """
+
+    @contextmanager
+    def scope(self, cluster: StageDriverCluster, records: Sequence[Any], job: MapReduceJob):
+        yield record_chunks(records, cluster.num_workers), job, self.execute
+
+    @staticmethod
+    def execute(tasks: list[Task], fail_fast: bool = True) -> BatchOutcome:
+        outcome = BatchOutcome()
+        for index, (function, args) in enumerate(tasks):
+            try:
+                outcome.results[index] = function(*args)
+            except Exception as error:
+                outcome.failures.append((index, error))
+                if fail_fast:
+                    break
+        return outcome
+
+    @staticmethod
+    def worker_times(results: Sequence[ReduceTaskResult], num_workers: int) -> list[float]:
+        worker_seconds = [0.0] * num_workers
+        for result in results:
+            index = min(range(num_workers), key=worker_seconds.__getitem__)
+            worker_seconds[index] += result.seconds
+        return worker_seconds
+
+
+class LocalShuffle:
+    """Fragments travel through driver memory, or through the job's spill
+    files past the spill budget (every row but ``multihost``).
+
+    This is the shuffle-transport contract.  :meth:`scope` spans one run and
+    yields the object the driver builds the run's tasks from, with its
+    :meth:`map_task` and :meth:`reduce_task`.  The driver enters it *outside*
+    the executor scope, so whatever it cleans up is cleaned up after the last
+    worker task that could write to it has been joined, even when a
+    mid-stage failure aborts the run.
+    """
+
+    @contextmanager
+    def scope(self, cluster: StageDriverCluster):
+        yield self
+
+    @staticmethod
+    def map_task(args: tuple, context: TaskContext) -> Task:
+        """``args`` are :func:`~repro.mapreduce.tasks.run_map_task`'s, up to
+        its ``spill_dir``."""
+        return run_map_task, (*args, context)
+
+    @staticmethod
+    def reduce_task(
+        job: Any, fragments: list[WireFragment], codec: Codec, context: TaskContext
+    ) -> Task:
+        return run_reduce_task, (job, fragments, codec, None, context)
+
+
 class StageDriverCluster:
-    """Shared map → combine → partition → reduce driver for all backends.
+    """The map → combine → partition → reduce driver of every backend.
+
+    ``executor`` and ``shuffle`` are the backend's components (see the module
+    docstring); the class attributes below are the ``simulated`` row, and each
+    backend class sets its own.
 
     Parameters
     ----------
@@ -158,6 +261,9 @@ class StageDriverCluster:
 
     #: Worker count used when ``num_workers`` is not given.
     default_num_workers = 4
+
+    executor: Any = InlineExecutor()
+    shuffle: Any = LocalShuffle()
 
     def __init__(
         self,
@@ -223,93 +329,98 @@ class StageDriverCluster:
         # All spill files of one run live in a per-job directory, removed
         # wholesale below — so a failing map or reduce task (e.g. a candidate
         # explosion) cannot strand the temp files of the tasks that already
-        # completed.  The executor scope exits (and thus joins every still
-        # running worker task) before the directory is removed.
+        # completed.
         job_spill_dir: str | None = None
         if self.spill_budget_bytes is not None:
             import tempfile  # only a spilling run loads it (and shutil below)
 
             job_spill_dir = tempfile.mkdtemp(prefix="repro-shuffle-", dir=self.spill_dir)
         try:
-            with self._input_scope(records) as chunks:
+            # The executor scope exits first: its shutdown joins every
+            # still-running worker task, then releases the published input.
+            # Only then does the shuffle scope clean up its transport (e.g.
+            # the multi-host blob namespace), and the spill directory go.
+            with self.shuffle.scope(self) as shuffle, self.executor.scope(
+                self, records, job
+            ) as (chunks, task_job, execute):
                 if self.measure_shuffle:
                     for chunk in chunks:
-                        # Modeled per-task input shipping cost.  In-process
-                        # backends never actually pickle their chunks, so
-                        # unpicklable records must not fail here; the metric
-                        # simply stays 0 for them.
+                        # Per-task input shipping cost.  In-process executors
+                        # never actually pickle their chunks, so unpicklable
+                        # records must not fail here; the metric simply
+                        # stays 0 for them.
                         try:
                             metrics.map_input_pickle_bytes += len(
                                 pickle.dumps(chunk, protocol=pickle.HIGHEST_PROTOCOL)
                             )
                         except Exception:
                             pass
-                # The shuffle scope wraps the executor scope: the executor's
-                # shutdown joins every still-running worker task first, so
-                # the shuffle transport (e.g. the multi-host blob namespace)
-                # is cleaned up only after the last task that could write to
-                # it has finished — even when a mid-stage failure aborts the
-                # run.
-                with self._shuffle_scope(job) as shuffle:
-                    with self._executor_scope(chunks, job) as execute:
-                        # Map stage: each task partitions, combines, and
-                        # encodes its reduce buckets locally (worker-side
-                        # shuffle write), spilling payloads to disk past the
-                        # in-memory budget.  Failed or timed-out attempts are
-                        # retried up to the fault policy's bound; only the
-                        # one successful attempt per task is folded into the
-                        # metrics below, so retries never double-count
-                        # shuffle or wire bytes.
-                        map_results: list[MapTaskResult] = self._run_stage(
-                            "map",
-                            [
-                                lambda context, chunk=chunk: self._map_task(
-                                    job, chunk, job_spill_dir, shuffle, context
-                                )
-                                for chunk in chunks
-                            ],
-                            execute,
-                            metrics,
+                # Map stage: each task partitions, combines, and encodes its
+                # reduce buckets locally (worker-side shuffle write), spilling
+                # payloads to disk past the in-memory budget.  Failed or
+                # timed-out attempts are retried up to the fault policy's
+                # bound; only the one successful attempt per task is folded
+                # into the metrics below, so retries never double-count
+                # shuffle or wire bytes.
+                map_results: list[MapTaskResult] = self._run_stage(
+                    "map",
+                    [
+                        lambda context, chunk=chunk: shuffle.map_task(
+                            (
+                                task_job,
+                                chunk,
+                                self.num_reduce_tasks,
+                                self.measure_shuffle,
+                                self.codec,
+                                self.spill_budget_bytes,
+                                job_spill_dir,
+                            ),
+                            context,
                         )
-                        fragments: list[list[WireFragment]] = [
-                            [] for _ in range(self.num_reduce_tasks)
-                        ]
-                        for result in map_results:
-                            metrics.map_output_records += result.map_output_records
-                            metrics.combined_records += result.combined_records
-                            metrics.shuffle_bytes += result.shuffle_bytes
-                            metrics.shuffle_records += result.shuffle_records
-                            metrics.wire_bytes += result.wire_bytes
-                            metrics.spilled_buckets += result.spilled_buckets
-                            metrics.spilled_bytes += result.spilled_bytes
-                            metrics.blob_put_count += result.blob_put_count
-                            metrics.blob_put_bytes += result.blob_put_bytes
-                            metrics.blob_retry_count += result.blob_retry_count
-                            for bucket_index, size in result.bucket_shuffle_bytes.items():
-                                metrics.reduce_bucket_bytes[bucket_index] = (
-                                    metrics.reduce_bucket_bytes.get(bucket_index, 0) + size
-                                )
-                            metrics.map_task_seconds.append(result.seconds)
-                            for bucket_index, fragment in result.buckets:
-                                fragments[bucket_index].append(fragment)
+                        for chunk in chunks
+                    ],
+                    execute,
+                    metrics,
+                )
+                fragments: list[list[WireFragment]] = [
+                    [] for _ in range(self.num_reduce_tasks)
+                ]
+                for result in map_results:
+                    metrics.map_output_records += result.map_output_records
+                    metrics.combined_records += result.combined_records
+                    metrics.shuffle_bytes += result.shuffle_bytes
+                    metrics.shuffle_records += result.shuffle_records
+                    metrics.wire_bytes += result.wire_bytes
+                    metrics.spilled_buckets += result.spilled_buckets
+                    metrics.spilled_bytes += result.spilled_bytes
+                    metrics.blob_put_count += result.blob_put_count
+                    metrics.blob_put_bytes += result.blob_put_bytes
+                    metrics.blob_retry_count += result.blob_retry_count
+                    for bucket_index, size in result.bucket_shuffle_bytes.items():
+                        metrics.reduce_bucket_bytes[bucket_index] = (
+                            metrics.reduce_bucket_bytes.get(bucket_index, 0) + size
+                        )
+                    metrics.map_task_seconds.append(result.seconds)
+                    for bucket_index, fragment in result.buckets:
+                        fragments[bucket_index].append(fragment)
 
-                        # Reduce stage: one task per non-empty bucket; the
-                        # streamed key-group merge (shuffle read) happens
-                        # inside the task, i.e. on the worker.
-                        reduce_results: list[ReduceTaskResult] = self._run_stage(
-                            "reduce",
-                            [
-                                lambda context, bucket_fragments=bucket_fragments: (
-                                    self._reduce_task(
-                                        job, bucket_fragments, shuffle, context
-                                    )
-                                )
-                                for bucket_fragments in fragments
-                                if bucket_fragments
-                            ],
-                            execute,
-                            metrics,
+                # Reduce stage: one task per non-empty bucket; the streamed
+                # key-group merge (shuffle read) happens inside the task,
+                # i.e. on the worker.
+                reduce_results: list[ReduceTaskResult] = self._run_stage(
+                    "reduce",
+                    [
+                        lambda context, bucket_fragments=bucket_fragments: (
+                            shuffle.reduce_task(
+                                task_job, bucket_fragments, self.codec, context
+                            )
                         )
+                        for bucket_fragments in fragments
+                        if bucket_fragments
+                    ],
+                    execute,
+                    metrics,
+                )
         finally:
             if job_spill_dir is not None:
                 import shutil
@@ -322,7 +433,9 @@ class StageDriverCluster:
             metrics.blob_get_count += result.blob_get_count
             metrics.blob_get_bytes += result.blob_get_bytes
             metrics.blob_retry_count += result.blob_retry_count
-        metrics.reduce_task_seconds.extend(self._worker_times(reduce_results))
+        metrics.reduce_task_seconds.extend(
+            self.executor.worker_times(reduce_results, self.num_workers)
+        )
         metrics.output_records = len(outputs)
         return JobResult(outputs=outputs, metrics=metrics)
 
@@ -437,120 +550,15 @@ class StageDriverCluster:
             raise error from first_cause
         raise error
 
-    # ------------------------------------------------------------- extensions
-    @contextmanager
-    def _input_scope(self, records: Sequence[Any]):
-        """Prepare the map inputs for one run; yields the non-empty chunks.
-
-        The default splits ``records`` into contiguous chunks that ship with
-        each task.  The persistent backend overrides this to publish the
-        records as a shared :class:`~repro.sequences.store.EncodedSequenceStore`
-        and yield :class:`~repro.sequences.store.StoreChunk` descriptors; the
-        scope outlives both stages, so the store stays attachable until every
-        task has finished.
-        """
-        yield [chunk for chunk in split_records(records, self.num_workers) if len(chunk)]
-
-    @contextmanager
-    def _shuffle_scope(self, job: MapReduceJob):
-        """Per-run shuffle-transport state handed to the task builders.
-
-        The default backends move fragments through driver memory and local
-        spill files, so they yield ``None``.  The multi-host backend yields
-        its per-job blob namespace here; the scope closes *after* the
-        executor scope (every worker task has finished), which is what
-        guarantees the transport's cleanup even on mid-stage failure.
-        """
-        yield None
-
-    def _task_job(self, job: MapReduceJob) -> Any:
-        """What a task carries as its job: in-process backends pass the object
-        itself (nothing is pickled); pool backends, whose workers were handed
-        the job by the pool initializer, pass a few-byte reference."""
-        return job
-
-    def _map_task(
-        self,
-        job: MapReduceJob,
-        chunk: Any,
-        job_spill_dir: str | None,
-        shuffle: Any = None,
-        context: TaskContext | None = None,
-    ) -> Task:
-        """Build the map task for one chunk produced by :meth:`_input_scope`."""
-        return (
-            run_map_task,
-            (
-                self._task_job(job),
-                chunk,
-                self.num_reduce_tasks,
-                self.measure_shuffle,
-                self.codec,
-                self.spill_budget_bytes,
-                job_spill_dir,
-                context,
-            ),
-        )
-
-    def _reduce_task(
-        self,
-        job: MapReduceJob,
-        fragments: list[WireFragment],
-        shuffle: Any = None,
-        context: TaskContext | None = None,
-    ) -> Task:
-        """Build the reduce task for one non-empty bucket's fragments."""
-        return (
-            run_reduce_task,
-            (self._task_job(job), fragments, self.codec, None, context),
-        )
-
-    @contextmanager
-    def _executor_scope(self, chunks: Sequence[Any], job: MapReduceJob):
-        """Yield a ``(tasks, fail_fast) -> BatchOutcome`` callable spanning both stages.
-
-        ``chunks`` are the map inputs prepared by :meth:`_input_scope`
-        (backends that initialize their workers per job batch read the store
-        handle from them) and ``job`` is the job about to run (pool backends
-        hand it to each worker once, through the pool initializer).  The
-        callable reports per-task results and failures in a
-        :class:`BatchOutcome` — it never raises a task's exception itself;
-        the driver's retry loop decides a failure's fate.
-        With ``fail_fast`` it may stop scheduling after the first failure.
-        The default runs tasks serially in the calling process; pool backends
-        yield a closure over a freshly created executor, so one cluster
-        instance can safely serve concurrent :meth:`run` calls.
-        """
-
-        def execute(tasks: list[Task], fail_fast: bool = True) -> BatchOutcome:
-            outcome = BatchOutcome()
-            for index, (function, args) in enumerate(tasks):
-                try:
-                    outcome.results[index] = function(*args)
-                except Exception as error:
-                    outcome.failures.append((index, error))
-                    if fail_fast:
-                        break
-            return outcome
-
-        yield execute
-
-    def _worker_times(self, results: Sequence[ReduceTaskResult]) -> list[float]:
-        """Per-worker reduce seconds, attributed to the workers that ran them."""
-        totals: dict[tuple[int, int], float] = {}
-        for result in results:
-            totals[result.worker] = totals.get(result.worker, 0.0) + result.seconds
-        return list(totals.values())
-
 
 def split_ranges(count: int, parts: int) -> list[tuple[int, int]]:
     """Non-empty ``(start, stop)`` ranges tiling ``[0, count)`` into ``parts``.
 
     The single source of truth for map-task boundaries: :func:`split_records`
-    slices materialized records with it and the persistent backend addresses
-    its store chunks with it, which is what makes map-task composition — and
-    therefore combiner output, shuffle metrics, and measured wire bytes —
-    byte-identical across backends.
+    slices materialized records with it and the process-pool executor
+    addresses its store chunks with it, which is what makes map-task
+    composition — and therefore combiner output, shuffle metrics, and
+    measured wire bytes — byte-identical across backends.
     """
     if count <= 0:
         return []

@@ -1,4 +1,4 @@
-"""Simulated bulk-synchronous-parallel cluster with one communication round.
+"""The simulated backend: one bulk-synchronous-parallel round, modelled in-process.
 
 The paper's experiments run on an 8-worker Spark/Hadoop cluster.  This module
 substitutes that substrate: a :class:`SimulatedCluster` executes the map,
@@ -15,42 +15,19 @@ in :mod:`repro.mapreduce.parallel`.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from repro.mapreduce.base import StageDriverCluster
 
-from repro.mapreduce.base import JobResult, StageDriverCluster
-from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.tasks import ReduceTaskResult
-
-__all__ = ["JobResult", "SimulatedCluster", "run_job"]
+__all__ = ["SimulatedCluster"]
 
 
 class SimulatedCluster(StageDriverCluster):
     """Executes MapReduce jobs and models a cluster of ``num_workers`` workers.
 
-    Tasks run sequentially in the calling process; the reported metrics model
-    the makespan of ``num_workers`` parallel workers.  Reduce buckets are
-    assigned to the least-loaded modeled worker (greedy LPT-style schedule),
-    matching how a real cluster's scheduler balances over-partitioned buckets.
+    The ``simulated`` row: the inline executor and the local shuffle, which
+    are the stage driver's own components.  Tasks run sequentially in the
+    calling process; reduce buckets are assigned to the least-loaded modelled
+    worker (greedy LPT-style schedule), matching how a real cluster's
+    scheduler balances over-partitioned buckets.
     """
 
     backend_name = "simulated"
-
-    def _worker_times(self, results: Sequence[ReduceTaskResult]) -> list[float]:
-        # All tasks ran in this process; attribute their times to modeled
-        # workers with a greedy least-loaded schedule (deterministic).
-        worker_seconds = [0.0] * self.num_workers
-        for result in results:
-            index = min(range(self.num_workers), key=worker_seconds.__getitem__)
-            worker_seconds[index] += result.seconds
-        return worker_seconds
-
-
-def run_job(
-    job: MapReduceJob,
-    records: Sequence[Any],
-    num_workers: int = 4,
-    num_reduce_tasks: int | None = None,
-) -> JobResult:
-    """Convenience wrapper: run a job on a fresh :class:`SimulatedCluster`."""
-    cluster = SimulatedCluster(num_workers=num_workers, num_reduce_tasks=num_reduce_tasks)
-    return cluster.run(job, records)

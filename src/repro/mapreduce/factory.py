@@ -11,30 +11,15 @@ from repro.mapreduce.faults import DEFAULT_FAULT_POLICY, FaultInjector, FaultPol
 from repro.mapreduce.wire import Codec
 
 #: Canonical backend names, in the order shown by ``--help``.
-BACKENDS = ("simulated", "threads", "processes", "persistent-processes", "multihost")
+BACKENDS = ("simulated", "threads", "persistent-processes", "multihost")
 
-#: Accepted spellings -> canonical backend name.
+#: Accepted spellings (matched case-insensitively) -> canonical backend name:
+#: the canonical names and the spellings README documents.
 _ALIASES = {
-    "simulated": "simulated",
-    "sim": "simulated",
-    "simulation": "simulated",
-    "threads": "threads",
-    "thread": "threads",
-    "threadpool": "threads",
-    "processes": "processes",
-    "process": "processes",
-    "processpool": "processes",
-    "multiprocessing": "processes",
-    "persistent-processes": "persistent-processes",
-    "persistent_processes": "persistent-processes",
-    "persistent": "persistent-processes",
-    "shared-memory": "persistent-processes",
-    "shm": "persistent-processes",
-    "multihost": "multihost",
+    **{name: name for name in BACKENDS},
+    "processes": "persistent-processes",
     "multi-host": "multihost",
-    "multi_host": "multihost",
     "blob": "multihost",
-    "blob-shuffle": "multihost",
 }
 
 #: Canonical backend name -> ``"module:Class"``, imported by the first
@@ -42,10 +27,20 @@ _ALIASES = {
 _CLUSTER_CLASSES = {
     "simulated": "repro.mapreduce.engine:SimulatedCluster",
     "threads": "repro.mapreduce.parallel:ThreadPoolCluster",
-    "processes": "repro.mapreduce.parallel:ProcessPoolCluster",
     "persistent-processes": "repro.mapreduce.parallel:PersistentProcessPoolCluster",
     "multihost": "repro.mapreduce.multihost:MultiHostCluster",
 }
+
+
+def canonical_backend(name: str) -> str:
+    """The canonical name of a backend spelling; unknown ones raise."""
+    key = _ALIASES.get(str(name).strip().lower())
+    if key is None:
+        raise MapReduceError(
+            f"unknown execution backend {name!r}; choose one of {', '.join(BACKENDS)}"
+            " ('processes' is a spelling of 'persistent-processes')"
+        )
+    return key
 
 
 @dataclass(frozen=True)
@@ -198,14 +193,15 @@ def make_cluster(
 ) -> Cluster:
     """Build an execution backend by name or from a :class:`ClusterConfig`.
 
-    ``backend`` is one of :data:`BACKENDS` (a few aliases such as ``"process"``
-    are accepted): ``"simulated"`` models the makespan of ``num_workers``
-    workers in-process, ``"threads"`` runs on a local thread pool,
-    ``"processes"`` runs on a local process pool for real wall-clock
-    speed-ups, ``"persistent-processes"`` also uses a process pool but
-    publishes the input database once as a shared
+    ``backend`` is one of :data:`BACKENDS` or a spelling
+    :func:`canonical_backend` accepts: ``"simulated"`` models the makespan of
+    ``num_workers`` workers in-process, ``"threads"`` runs on a local thread
+    pool, ``"persistent-processes"`` (also spelled ``"processes"``) runs on a
+    local process pool for real wall-clock speed-ups and publishes the input
+    database once as a shared
     :class:`~repro.sequences.store.EncodedSequenceStore` so tasks ship chunk
-    descriptors instead of pickled sequence lists, and ``"multihost"``
+    descriptors instead of pickled sequence lists (its records must be fid
+    sequences), and ``"multihost"`` runs the same process pool but
     additionally exchanges the encoded reduce buckets through a pluggable
     blob store (a local directory rooted at ``blob_dir``; a per-run temp
     directory when ``None``) so map and reduce hosts never share memory or a
@@ -238,11 +234,7 @@ def make_cluster(
             fault_policy=config.fault_policy,
             fault_injector=config.fault_injector,
         )
-    key = _ALIASES.get(str(backend).strip().lower())
-    if key is None:
-        raise MapReduceError(
-            f"unknown execution backend {backend!r}; choose one of {', '.join(BACKENDS)}"
-        )
+    key = canonical_backend(backend)
     if blob_dir is not None and key != "multihost":
         raise MapReduceError(
             f"blob_dir applies only to the 'multihost' backend, not {key!r}"

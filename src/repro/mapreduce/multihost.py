@@ -1,12 +1,14 @@
 """The multi-host backend: blob-staged shuffle between subprocess hosts.
 
 :class:`MultiHostCluster` executes jobs the way a fleet of stateless hosts
-would.  Input never travels with tasks: the records are published once as an
-:class:`~repro.sequences.store.EncodedSequenceStore` and each subprocess
-"host" worker attaches the published handle exactly like the
-persistent-processes backend.  The *shuffle* is where it departs from every
-other backend: map tasks encode their reduce buckets with the configured wire
-codec as usual (spilling past the in-memory budget), then upload every
+would.  Its executor is the ``persistent-processes`` process pool
+(:class:`~repro.mapreduce.parallel.ProcessExecutor`): input never travels with
+tasks, it is published once as an
+:class:`~repro.sequences.store.EncodedSequenceStore` that each subprocess
+"host" attaches.  Its shuffle transport, :class:`BlobTransport`, is where it
+departs from every other backend: map tasks encode their reduce buckets with
+the configured wire codec as usual (spilling past the in-memory budget), then
+upload every
 encoded bucket payload into a pluggable
 :class:`~repro.mapreduce.blobstore.BlobStore` under a per-job,
 content-addressed key — spilled payloads stream from the spill file straight
@@ -15,13 +17,14 @@ into the store — and hand the driver only blob-referencing
 their bucket's blobs by key (with retry-with-backoff, one get per distinct
 key) and run the same streamed ``merge_fragments`` read as everywhere else.
 The spill format *is* the shuffle transport, so patterns, supports, and all
-modeled/measured shuffle metrics stay byte-identical to the other four
-backends; only the new blob put/get counters are non-zero.
+modeled/measured shuffle metrics stay byte-identical to the other three
+backends; only the blob put/get counters are non-zero.
 
-The per-job blob namespace lives in a scope that closes strictly after the
-executor scope: a mid-stage worker failure first joins the surviving tasks,
-then every key under the job prefix is deleted (and a backend-owned temp
-store directory removed wholesale), so no blob outlives a failed job.
+The per-job blob namespace lives in the transport's scope, which the stage
+driver closes strictly after the executor scope: a mid-stage worker failure
+first joins the surviving tasks, then every key under the job prefix is
+deleted (and a backend-owned temp store directory removed wholesale), so no
+blob outlives a failed job.
 """
 
 from __future__ import annotations
@@ -30,11 +33,12 @@ import os
 import shutil
 import tempfile
 import time
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
 
-from repro.mapreduce.base import Task
+from repro.mapreduce.base import StageDriverCluster, Task
 from repro.mapreduce.blobstore import (
     BlobRetryStats,
     BlobStore,
@@ -47,35 +51,45 @@ from repro.mapreduce.blobstore import (
 )
 from repro.mapreduce.faults import FaultInjectingBlobStore, TaskContext
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.parallel import PersistentProcessPoolCluster
+from repro.mapreduce.parallel import ProcessExecutor
 from repro.mapreduce.spill import (
     FragmentReader,
     WireFragment,
     remove_spill_files,
 )
-from repro.mapreduce.tasks import JobRef, MapTaskResult, run_reduce_task, run_store_map_task
+from repro.mapreduce.tasks import JobRef, MapTaskResult, run_map_task, run_reduce_task
 from repro.mapreduce.wire import Codec
 from repro.sequences.store import StoreChunk
 
-__all__ = ["BlobShuffle", "MultiHostCluster", "run_blob_map_task"]
+__all__ = ["BlobShuffle", "BlobTransport", "MultiHostCluster", "run_blob_map_task"]
 
 
 @dataclass(frozen=True)
 class BlobShuffle:
     """One job's shuffle namespace: a blob store plus a unique key prefix.
 
-    Ships with every map and reduce task (the store implementations hold only
-    a root path, so this pickles at descriptor size, like a
+    The driver builds the run's tasks from it, and it ships with every map and
+    reduce task (the store implementations hold only a root path, so this
+    pickles at descriptor size, like a
     :class:`~repro.sequences.store.StoreChunk`).
     """
 
     store: BlobStore
     prefix: str
 
+    def map_task(self, args: tuple, context: TaskContext) -> Task:
+        """``args`` are :func:`run_blob_map_task`'s, up to its ``spill_dir``."""
+        return run_blob_map_task, (*args, self, context)
+
+    def reduce_task(
+        self, job: Any, fragments: list[WireFragment], codec: Codec, context: TaskContext
+    ) -> Task:
+        return run_reduce_task, (job, fragments, codec, self.store, context)
+
 
 def run_blob_map_task(
     job: MapReduceJob | JobRef,
-    chunk: StoreChunk,
+    chunk: Sequence[Any] | StoreChunk,
     num_reduce_tasks: int,
     measure_shuffle: bool,
     codec: Codec | str,
@@ -84,11 +98,11 @@ def run_blob_map_task(
     shuffle: BlobShuffle,
     context: TaskContext | None = None,
 ) -> MapTaskResult:
-    """Run a store-chunk map task, then stage every bucket in the blob store.
+    """Run a map task, then stage every bucket in the blob store.
 
     Everything up to and including the encoded fragments is byte-identical to
-    :func:`~repro.mapreduce.tasks.run_store_map_task` — same codec, same
-    spill budget, same accounting.  Each fragment's payload then goes into
+    :func:`~repro.mapreduce.tasks.run_map_task` — same codec, same spill
+    budget, same accounting.  Each fragment's payload then goes into
     the store under its content-addressed key: inline fragments upload from
     memory, spilled fragments stream from the task's spill file (one shared
     handle via :class:`~repro.mapreduce.spill.FragmentReader`).  Uploads
@@ -98,7 +112,7 @@ def run_blob_map_task(
     task's spill file is deleted right away — its contents live in the store
     now — and the returned fragments carry only blob keys.
     """
-    result = run_store_map_task(
+    result = run_map_task(
         job,
         chunk,
         num_reduce_tasks,
@@ -137,28 +151,25 @@ def run_blob_map_task(
     return result
 
 
-class MultiHostCluster(PersistentProcessPoolCluster):
-    """Subprocess hosts exchanging encoded reduce buckets through blob storage.
+class BlobTransport:
+    """The blob shuffle transport: one fresh namespace in a blob store per run.
 
     ``blob_dir`` selects the directory backing the
     :class:`~repro.mapreduce.blobstore.DirectoryBlobStore` (think: the mount
     point or bucket of a shared object store).  ``None`` — the default —
-    creates a private temp directory per :meth:`run` and removes it
-    wholesale; a caller-provided directory is shared, so only the job's own
-    key prefix is deleted and the directory itself is left exactly as found.
+    creates a private temp directory per run and removes it wholesale; a
+    caller-provided directory is shared, so only the job's own key prefix is
+    deleted and the directory itself is left exactly as found.
     """
 
-    backend_name = "multihost"
-
-    def __init__(self, *args, blob_dir: str | None = None, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, blob_dir: str | None = None) -> None:
         self.blob_dir = blob_dir
 
     @contextmanager
-    def _shuffle_scope(self, job: MapReduceJob):
+    def scope(self, cluster: StageDriverCluster):
         owned_root: str | None = None
         if self.blob_dir is None:
-            owned_root = tempfile.mkdtemp(prefix="repro-blobs-", dir=self.spill_dir)
+            owned_root = tempfile.mkdtemp(prefix="repro-blobs-", dir=cluster.spill_dir)
             root = owned_root
         else:
             os.makedirs(self.blob_dir, exist_ok=True)
@@ -170,7 +181,7 @@ class MultiHostCluster(PersistentProcessPoolCluster):
             # (``repro blob-gc`` is the explicit path).  Best effort: GC
             # trouble must never fail a healthy job.
             try:
-                gc_expired(store, self.fault_policy.blob_namespace_ttl_s)
+                gc_expired(store, cluster.fault_policy.blob_namespace_ttl_s)
             except Exception:
                 pass
         prefix = f"job-{os.urandom(8).hex()}"
@@ -179,8 +190,8 @@ class MultiHostCluster(PersistentProcessPoolCluster):
         # from live namespaces and from foreign files in the directory.
         write_lease(store, prefix)
         task_store: BlobStore = store
-        if self.fault_injector is not None:
-            task_store = FaultInjectingBlobStore(store, self.fault_injector)
+        if cluster.fault_injector is not None:
+            task_store = FaultInjectingBlobStore(store, cluster.fault_injector)
         try:
             yield BlobShuffle(store=task_store, prefix=prefix)
         finally:
@@ -194,37 +205,21 @@ class MultiHostCluster(PersistentProcessPoolCluster):
                 if owned_root is not None:
                     shutil.rmtree(owned_root, ignore_errors=True)
 
-    def _map_task(
-        self,
-        job: MapReduceJob,
-        chunk: StoreChunk,
-        job_spill_dir: str | None,
-        shuffle: Any = None,
-        context: TaskContext | None = None,
-    ) -> Task:
-        return (
-            run_blob_map_task,
-            (
-                self._task_job(job),
-                chunk,
-                self.num_reduce_tasks,
-                self.measure_shuffle,
-                self.codec,
-                self.spill_budget_bytes,
-                job_spill_dir,
-                shuffle,
-                context,
-            ),
-        )
 
-    def _reduce_task(
-        self,
-        job: MapReduceJob,
-        fragments: list[WireFragment],
-        shuffle: Any = None,
-        context: TaskContext | None = None,
-    ) -> Task:
-        return (
-            run_reduce_task,
-            (self._task_job(job), fragments, self.codec, shuffle.store, context),
-        )
+class MultiHostCluster(StageDriverCluster):
+    """The ``multihost`` backend: subprocess hosts exchanging encoded reduce
+    buckets through blob storage — the process pool and the blob transport.
+
+    ``blob_dir`` is the :class:`BlobTransport`'s and ``store_transport`` the
+    :class:`~repro.mapreduce.parallel.ProcessExecutor`'s.
+    """
+
+    backend_name = "multihost"
+    default_num_workers = 2
+
+    def __init__(
+        self, *args, blob_dir: str | None = None, store_transport: str = "auto", **kwargs
+    ) -> None:
+        super().__init__(*args, **kwargs)
+        self.executor = ProcessExecutor(store_transport)
+        self.shuffle = BlobTransport(blob_dir)

@@ -9,8 +9,8 @@ exceeded — never raw (key, value) pairs.  A reduce task receives the fragments
 addressed to one bucket, decodes and merges them key by key (the streamed
 shuffle read), and reduces every key group.
 
-Both functions are module-level so that the process-pool backends can pickle
-them for their workers.  What they cannot afford to pickle per task is the
+Both functions are module-level so that the process-pool executor can pickle
+them for its workers.  What it cannot afford to pickle per task is the
 job (FST + dictionary, tens of KB): a pool hands it to each worker once
 through :func:`deliver_job` and its tasks carry a :class:`JobRef`, which
 both functions resolve before anything else.  Each task reports the worker
@@ -126,7 +126,7 @@ class ReduceTaskResult:
 
 def run_map_task(
     job: MapReduceJob | JobRef,
-    records: Sequence[Any],
+    records: Sequence[Any] | StoreChunk,
     num_reduce_tasks: int,
     measure_shuffle: bool,
     codec: Codec | str = "compact",
@@ -136,10 +136,16 @@ def run_map_task(
 ) -> MapTaskResult:
     """Map ``records``, combine per key, partition, and encode reduce buckets.
 
+    ``records`` is a chunk of records or, from a process pool, a
+    :class:`~repro.sequences.store.StoreChunk` descriptor: the worker resolves
+    it against the store it attached once and decodes its slice zero-copy,
+    so the task's pickled input is the few dozen bytes of the descriptor.
     ``context`` identifies the attempt for fault tolerance: its injector (if
     any) observes the task start — and may kill this very attempt — before
     any work happens, so a retried attempt reruns the task from scratch.
     """
+    if isinstance(records, StoreChunk):
+        records = resolve_chunk(records)
     started = time.perf_counter()
     job = _held_job(job, "map", context)
     if context is not None:
@@ -203,36 +209,6 @@ def run_map_task(
             result.spilled_buckets += 1
             result.spilled_bytes += fragment.wire_bytes
     return result
-
-
-def run_store_map_task(
-    job: MapReduceJob | JobRef,
-    chunk: StoreChunk,
-    num_reduce_tasks: int,
-    measure_shuffle: bool,
-    codec: Codec | str = "compact",
-    spill_budget_bytes: int | None = None,
-    spill_dir: str | None = None,
-    context: TaskContext | None = None,
-) -> MapTaskResult:
-    """Run a map task over a chunk *descriptor* of a shared sequence store.
-
-    The worker attaches the published store once (cached per process) and
-    decodes its slice zero-copy, so the task's pickled input is the few dozen
-    bytes of the :class:`~repro.sequences.store.StoreChunk` — never the
-    sequences themselves.  Everything after resolution is byte-identical to
-    :func:`run_map_task` on the materialized chunk.
-    """
-    return run_map_task(
-        job,
-        resolve_chunk(chunk),
-        num_reduce_tasks,
-        measure_shuffle,
-        codec=codec,
-        spill_budget_bytes=spill_budget_bytes,
-        spill_dir=spill_dir,
-        context=context,
-    )
 
 
 def run_reduce_task(

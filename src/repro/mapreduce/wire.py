@@ -23,9 +23,8 @@ Three codecs ship with the library:
   wire sizes.
 
 All encodings are deterministic functions of the payload, which is what makes
-the *measured* wire bytes comparable across the ``simulated``, ``threads``,
-and ``processes`` backends: the same map-task input always produces the same
-blob, no matter where the task ran.
+the *measured* wire bytes comparable across backends: the same map-task
+input always produces the same blob, no matter where the task ran.
 
 Grammar of a ``compact`` blob (``varint`` = unsigned LEB128)::
 

@@ -1,23 +1,25 @@
 """Cross-backend tests: every execution backend must produce identical results.
 
-The three backends (simulated, threads, processes) share one stage driver and
-one set of worker-side tasks, so pattern sets and shuffle metrics must match
-exactly; only the timing figures may differ.
+The backends share one stage driver and one set of worker-side tasks, so
+pattern sets and shuffle metrics must match exactly; only the timing figures
+may differ.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cli import build_parser, main
 from repro.core import DCandMiner, DSeqMiner, NaiveMiner
 from repro.errors import MapReduceError
 from repro.mapreduce import (
     BACKENDS,
+    ClusterConfig,
     MapReduceJob,
     MultiHostCluster,
     PersistentProcessPoolCluster,
-    ProcessPoolCluster,
     SimulatedCluster,
+    StageDriverCluster,
     ThreadPoolCluster,
     make_cluster,
     make_codec,
@@ -30,12 +32,37 @@ from repro.sequential import GapConstrainedMiner
 
 from tests.conftest import RUNNING_EXAMPLE_PATEX
 
-REAL_BACKENDS = ("threads", "processes", "persistent-processes")
+REAL_BACKENDS = ("threads", "persistent-processes")
 
-#: Backends whose map tasks ship materialized records (any record type);
-#: the persistent backend ships store chunk descriptors instead, so its
-#: records must be fid sequences.
-GENERIC_BACKENDS = ("simulated", "threads", "processes")
+#: Backends whose map tasks get materialized records (any record type); the
+#: process pool ships store chunk descriptors instead, so its records must be
+#: fid sequences.
+GENERIC_BACKENDS = ("simulated", "threads")
+
+#: Spellings that select a backend, and the class each one builds.
+KEPT_SPELLINGS = {
+    "simulated": SimulatedCluster,
+    "Simulated": SimulatedCluster,
+    "threads": ThreadPoolCluster,
+    "persistent-processes": PersistentProcessPoolCluster,
+    "processes": PersistentProcessPoolCluster,
+    "multihost": MultiHostCluster,
+    "multi-host": MultiHostCluster,
+    "blob": MultiHostCluster,
+}
+
+#: Spellings that used to be accepted and now are not.
+DROPPED_SPELLINGS = (
+    "sim", "simulation", "thread", "threadpool", "process", "processpool",
+    "multiprocessing", "persistent_processes", "persistent", "shared-memory",
+    "shm", "multi_host", "blob-shuffle",
+)
+
+#: The smallest command lines that reach ``--backend`` parsing.
+BACKEND_COMMANDS = (
+    ("mine", "--sequences", "unused.txt", "--pattern", "(a)", "--sigma", "2"),
+    ("experiment", "--name", "fig9a"),
+)
 
 
 class WordCountJob(MapReduceJob):
@@ -81,28 +108,46 @@ FID_COUNTS = {1: 3, 2: 3, 3: 4}
 # ------------------------------------------------------------------- factory
 class TestMakeCluster:
     def test_backend_names(self):
-        assert BACKENDS == (
-            "simulated", "threads", "processes", "persistent-processes", "multihost"
-        )
+        assert BACKENDS == ("simulated", "threads", "persistent-processes", "multihost")
         assert isinstance(make_cluster("simulated"), SimulatedCluster)
         assert isinstance(make_cluster("threads"), ThreadPoolCluster)
-        assert isinstance(make_cluster("processes"), ProcessPoolCluster)
         assert isinstance(make_cluster("persistent-processes"), PersistentProcessPoolCluster)
         assert isinstance(make_cluster("multihost"), MultiHostCluster)
 
-    @pytest.mark.parametrize("alias,cls", [
-        ("process", ProcessPoolCluster),
-        ("multiprocessing", ProcessPoolCluster),
-        ("thread", ThreadPoolCluster),
-        ("sim", SimulatedCluster),
-        ("Simulated", SimulatedCluster),
-        ("persistent", PersistentProcessPoolCluster),
-        ("shm", PersistentProcessPoolCluster),
-        ("multi-host", MultiHostCluster),
-        ("blob", MultiHostCluster),
-    ])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_backend_is_one_row_of_the_stage_driver(self, backend):
+        """No backend inherits from another: each is the driver plus components."""
+        assert type(make_cluster(backend)).__bases__ == (StageDriverCluster,)
+
+    @pytest.mark.parametrize("alias,cls", sorted(KEPT_SPELLINGS.items()))
     def test_aliases(self, alias, cls):
         assert isinstance(make_cluster(alias), cls)
+        assert isinstance(ClusterConfig(backend=alias).build(), cls)
+
+    @pytest.mark.parametrize("alias", DROPPED_SPELLINGS)
+    def test_dropped_spellings_are_unknown(self, alias):
+        with pytest.raises(MapReduceError, match="unknown execution backend"):
+            make_cluster(alias)
+        with pytest.raises(MapReduceError, match="unknown execution backend"):
+            ClusterConfig(backend=alias).build()
+
+    @pytest.mark.parametrize("command", BACKEND_COMMANDS, ids=lambda argv: argv[0])
+    def test_cli_accepts_kept_spellings(self, command):
+        parser = build_parser()
+        for alias, cls in KEPT_SPELLINGS.items():
+            args = parser.parse_args([*command, "--backend", alias])
+            assert isinstance(make_cluster(args.backend), cls)
+        assert parser.parse_args([*command, "--backend", "processes"]).backend == (
+            "persistent-processes"
+        )
+
+    @pytest.mark.parametrize("command", BACKEND_COMMANDS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("alias", DROPPED_SPELLINGS)
+    def test_cli_rejects_dropped_spellings(self, command, alias, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main([*command, "--backend", alias])
+        assert caught.value.code == 2
+        assert "unknown execution backend" in capsys.readouterr().err
 
     def test_options_are_threaded_through(self):
         cluster = make_cluster("threads", num_workers=3, num_reduce_tasks=7)
@@ -116,7 +161,9 @@ class TestMakeCluster:
     def test_resolve_passes_instances_through(self):
         cluster = SimulatedCluster(num_workers=2)
         assert resolve_cluster(cluster) is cluster
-        assert isinstance(resolve_cluster("processes", num_workers=2), ProcessPoolCluster)
+        assert isinstance(
+            resolve_cluster("processes", num_workers=2), PersistentProcessPoolCluster
+        )
 
 
 # ------------------------------------------------------------ stage driver
@@ -173,6 +220,19 @@ class TestWorkerSideShuffle:
         with pytest.raises(SequenceStoreError, match="non-negative integers"):
             cluster.run(WordCountJob(), WORDS)
 
+    def test_processes_spelling_runs_the_shared_store_row(self, ex_dictionary, ex_database):
+        """``processes`` publishes a store: descriptor-sized task inputs, and
+        records that are not fid sequences have no process-pool path."""
+        cluster = make_cluster("processes", num_workers=2)
+        result = DSeqMiner(
+            RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, cluster=cluster
+        ).mine(ex_database)
+        reference = DSeqMiner(RUNNING_EXAMPLE_PATEX, 2, ex_dictionary).mine(ex_database)
+        assert result.patterns() == reference.patterns()
+        assert 0 < result.metrics.map_input_pickle_bytes < 1024
+        with pytest.raises(SequenceStoreError, match="non-negative integers"):
+            cluster.run(WordCountJob(), WORDS)
+
     @pytest.mark.parametrize("backend", ("simulated", "threads"))
     def test_in_process_backends_accept_unpicklable_records(self, backend):
         """The input-shipping metric must not crash backends that never pickle."""
@@ -207,7 +267,7 @@ class TestWorkerSideShuffle:
         assert result.patterns() == reference.patterns()
         assert result.metrics.wire_bytes == reference.metrics.wire_bytes
 
-    @pytest.mark.parametrize("backend", ("threads", "processes"))
+    @pytest.mark.parametrize("backend", ("threads",))
     def test_shuffle_metrics_match_simulated(self, backend):
         job = WordCountJob()
         simulated = SimulatedCluster(num_workers=2).run(job, WORDS)

@@ -180,32 +180,6 @@ class TestPersistentBackendMatrix:
         # map task instead of the serialized sequences themselves.
         assert persistent.metrics.map_input_pickle_bytes < 1024
 
-    def test_database_pickle_bytes_drop_to_descriptor_size(self, ex_dictionary):
-        """The bigger the database, the bigger the win: pickle bytes stay flat."""
-        rng = random.Random(29)
-        database = SequenceDatabase(
-            [
-                [rng.randint(1, 7) for _ in range(rng.randint(3, 9))]
-                for _ in range(500)
-            ]
-        )
-        shipped = DSeqMiner(
-            MATRIX_PATEX, 2, ex_dictionary, num_workers=2, cluster="processes"
-        ).mine(database)
-        descriptors = DSeqMiner(
-            MATRIX_PATEX, 2, ex_dictionary, num_workers=2,
-            cluster="persistent-processes",
-        ).mine(database)
-        assert descriptors.patterns() == shipped.patterns()
-        assert descriptors.metrics.wire_bytes == shipped.metrics.wire_bytes
-        # ~0: two descriptor-sized pickles versus the whole pickled database.
-        assert shipped.metrics.map_input_pickle_bytes > 5_000
-        assert descriptors.metrics.map_input_pickle_bytes < 500
-        assert (
-            descriptors.metrics.map_input_pickle_bytes
-            < shipped.metrics.map_input_pickle_bytes / 10
-        )
-
 
 #: The FST-simulating jobs of the cluster miners: name -> factory(kernel, sigma).
 ORACLE_JOBS = {
@@ -296,7 +270,7 @@ class TestPartitionerMatrix:
     different bucket compositions.)
     """
 
-    BACKENDS = ("simulated", "threads", "processes", "persistent-processes", "multihost")
+    BACKENDS = ("simulated", "threads", "persistent-processes", "multihost")
 
     @pytest.fixture(scope="class")
     def partitioner_data(self):
@@ -367,14 +341,14 @@ class TestPartitionerMatrix:
 class TestPerRecordMap:
     """The map stage is the job's ``map`` applied to one record at a time.
 
-    Every backend's map task — pickled chunks, shared-store descriptors —
+    Every backend's map task — record chunks, shared-store descriptors —
     emits exactly the pairs the job's own ``map`` emits for each input
     record, and a record maps to the same pairs whether it is mapped alone
     or after the rest of its chunk: the grid memo carries nothing from one
     record into the next.
     """
 
-    BACKENDS = ("simulated", "threads", "processes", "persistent-processes")
+    BACKENDS = ("simulated", "threads", "persistent-processes")
 
     @pytest.fixture(scope="class")
     def map_data(self):
@@ -622,7 +596,7 @@ class TestGridAndDedupMatrix:
     """
 
     #: Backends compared against the simulated baseline sweep.
-    BACKENDS = ("threads", "processes", "persistent-processes", "multihost")
+    BACKENDS = ("threads", "persistent-processes", "multihost")
 
     #: Every (grid, dedup) combination.
     CONFIGS = tuple((grid, dedup) for grid in ("flat", "legacy") for dedup in (True, False))

@@ -386,7 +386,7 @@ class TestDriverRetries:
         # The serial reference executor: failures are reported, not raised,
         # and fail_fast stops scheduling after the first one.
         cluster = make_cluster("simulated", num_workers=2)
-        with cluster._executor_scope([], None) as execute:
+        with cluster.executor.scope(cluster, [], None) as (_chunks, _job, execute):
             def boom():
                 raise MapReduceError("boom")
 

@@ -16,7 +16,6 @@ from repro.mapreduce import (
     iter_map_output,
     make_cluster,
     resolve_cluster,
-    run_job,
 )
 
 
@@ -44,33 +43,35 @@ class TestSimulatedCluster:
     RECORDS = ["a b a", "b c", "a", "c c c"]
 
     def test_word_count_output(self):
-        result = run_job(WordCountJob(), self.RECORDS, num_workers=2)
+        result = SimulatedCluster(num_workers=2).run(WordCountJob(), self.RECORDS)
         assert dict(result.outputs) == {"a": 3, "b": 2, "c": 4}
 
     def test_output_independent_of_worker_count(self):
-        expected = dict(run_job(WordCountJob(), self.RECORDS, num_workers=1).outputs)
+        def outputs(workers):
+            return dict(SimulatedCluster(num_workers=workers).run(WordCountJob(), self.RECORDS).outputs)
+
+        expected = outputs(1)
         for workers in (2, 3, 8):
-            observed = dict(run_job(WordCountJob(), self.RECORDS, num_workers=workers).outputs)
-            assert observed == expected
+            assert outputs(workers) == expected
 
     def test_combiner_reduces_shuffle_records(self):
-        with_combiner = run_job(WordCountJob(), self.RECORDS, num_workers=1)
-        without = run_job(NoCombinerJob(), self.RECORDS, num_workers=1)
+        with_combiner = SimulatedCluster(num_workers=1).run(WordCountJob(), self.RECORDS)
+        without = SimulatedCluster(num_workers=1).run(NoCombinerJob(), self.RECORDS)
         assert dict(with_combiner.outputs) == dict(without.outputs)
         assert with_combiner.metrics.shuffle_records < without.metrics.shuffle_records
         assert with_combiner.metrics.shuffle_bytes < without.metrics.shuffle_bytes
 
     def test_map_tasks_match_worker_count(self):
-        result = run_job(WordCountJob(), self.RECORDS, num_workers=2)
+        result = SimulatedCluster(num_workers=2).run(WordCountJob(), self.RECORDS)
         assert len(result.metrics.map_task_seconds) == 2
 
     def test_empty_input(self):
-        result = run_job(WordCountJob(), [], num_workers=4)
+        result = SimulatedCluster(num_workers=4).run(WordCountJob(), [])
         assert result.outputs == []
         assert result.metrics.input_records == 0
 
     def test_metrics_counts(self):
-        result = run_job(WordCountJob(), self.RECORDS, num_workers=2)
+        result = SimulatedCluster(num_workers=2).run(WordCountJob(), self.RECORDS)
         metrics = result.metrics
         assert metrics.input_records == 4
         assert metrics.output_records == 3
@@ -91,7 +92,7 @@ class TestSimulatedCluster:
             def record_size(self, key, value):
                 return 100
 
-        result = run_job(SizedJob(), ["a b"], num_workers=1)
+        result = SimulatedCluster(num_workers=1).run(SizedJob(), ["a b"])
         assert result.metrics.shuffle_bytes == 100 * result.metrics.shuffle_records
 
     def test_reduce_tasks_default_overpartitioning(self):
@@ -111,8 +112,8 @@ class TestSimulatedCluster:
         from collections import Counter
 
         expected = Counter(word for record in records for word in record.split())
-        observed = dict(run_job(WordCountJob(), records, num_workers=workers).outputs)
-        assert observed == dict(expected)
+        observed = SimulatedCluster(num_workers=workers).run(WordCountJob(), records)
+        assert dict(observed.outputs) == dict(expected)
 
 
 class TestJobMetrics:
@@ -160,7 +161,7 @@ class TestClusterConfig:
         assert config.grid_name == "legacy"
 
     def test_resolve_passes_configs_through(self):
-        config = ClusterConfig(backend="processes", num_workers=2)
+        config = ClusterConfig(backend="persistent-processes", num_workers=2)
         assert ClusterConfig.resolve(config, backend="threads") is config
 
     def test_explicit_grid_overrides_a_provided_config(self):

@@ -9,6 +9,7 @@ import os
 import pickle
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 import pytest
 
@@ -21,8 +22,7 @@ from repro.mapreduce import (
     JobNotDeliveredError,
     JobRef,
     MapReduceJob,
-    PersistentProcessPoolCluster,
-    ProcessPoolCluster,
+    ProcessExecutor,
     ScriptedInjector,
     SimulatedCluster,
     TaskContext,
@@ -65,9 +65,14 @@ RECORDS = [(1, 2, 2, 3), (2, 3), (3, 3, 3), (1,)]
 EXPECTED = {1: 2, 2: 3, 3: 5}
 
 
+def process_pool(num_workers: int, **options):
+    """The ``processes`` spelling: the shared-store process-pool backend."""
+    return make_cluster("processes", num_workers=num_workers, **options)
+
+
 class TestProcessPoolCluster:
     def test_word_count_matches_expected(self):
-        cluster = ProcessPoolCluster(num_workers=2)
+        cluster = process_pool(2)
         result = cluster.run(WordCountJob(), RECORDS)
         assert dict(result.outputs) == EXPECTED
         assert result.metrics.input_records == len(RECORDS)
@@ -77,32 +82,32 @@ class TestProcessPoolCluster:
 
     def test_matches_simulated_cluster_outputs(self):
         job = WordCountJob()
-        parallel = ProcessPoolCluster(num_workers=2).run(job, RECORDS)
+        parallel = process_pool(2).run(job, RECORDS)
         simulated = SimulatedCluster(num_workers=2).run(job, RECORDS)
         assert dict(parallel.outputs) == dict(simulated.outputs)
         assert parallel.metrics.shuffle_records == simulated.metrics.shuffle_records
         assert parallel.metrics.shuffle_bytes == simulated.metrics.shuffle_bytes
 
     def test_without_combiner(self):
-        result = ProcessPoolCluster(num_workers=2).run(PlainWordCountJob(), RECORDS)
+        result = process_pool(2).run(PlainWordCountJob(), RECORDS)
         assert dict(result.outputs) == EXPECTED
         # Without a combiner every map output record is shuffled.
         assert result.metrics.shuffle_records == sum(len(record) for record in RECORDS)
 
     def test_single_worker(self):
-        result = ProcessPoolCluster(num_workers=1).run(WordCountJob(), RECORDS)
+        result = process_pool(1).run(WordCountJob(), RECORDS)
         assert dict(result.outputs) == EXPECTED
 
     def test_empty_input(self):
-        result = ProcessPoolCluster(num_workers=2).run(WordCountJob(), [])
+        result = process_pool(2).run(WordCountJob(), [])
         assert result.outputs == []
         assert result.metrics.total_seconds == 0.0
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(MapReduceError):
-            ProcessPoolCluster(num_workers=0)
+            process_pool(0)
         with pytest.raises(MapReduceError):
-            ProcessPoolCluster(num_workers=2, num_reduce_tasks=-1)
+            process_pool(2, num_reduce_tasks=-1)
 
     def test_dseq_job_runs_on_process_pool(self, ex_dictionary, ex_database):
         """The real D-SEQ job is picklable and produces the paper's result."""
@@ -111,12 +116,12 @@ class TestProcessPoolCluster:
 
         fst = miner.patex.compile(ex_dictionary)
         job = DSeqJob(fst, ex_dictionary, 2)
-        result = ProcessPoolCluster(num_workers=2).run(job, list(ex_database))
+        result = process_pool(2).run(job, list(ex_database))
         assert dict(result.outputs) == expected
 
 
 # ------------------------------------------------- the job reaches a worker once
-POOL_BACKENDS = ("processes", "persistent-processes", "multihost")
+POOL_BACKENDS = ("persistent-processes", "multihost")
 IN_PROCESS_BACKENDS = ("simulated", "threads")
 
 
@@ -152,16 +157,33 @@ class ScaledCountJob(WordCountJob):
         yield key, self.factor * sum(values)
 
 
-class StrangerRefCluster(PersistentProcessPoolCluster):
-    """A pool whose tasks name a job no worker was ever handed."""
+class StrangerRefExecutor(ProcessExecutor):
+    """A process pool whose tasks name a job no worker was ever handed."""
 
-    def _map_task(self, job, *args, **kwargs):
-        function, arguments = super()._map_task(job, *args, **kwargs)
-        return function, (JobRef(424242), *arguments[1:])
+    @contextmanager
+    def scope(self, cluster, records, job):
+        with super().scope(cluster, records, job) as (chunks, _ref, execute):
+            yield chunks, JobRef(424242), execute
 
 
 def task_context(stage: str, index: int = 0) -> TaskContext:
     return TaskContext(stage, index, 1, DEFAULT_FAULT_POLICY, None)
+
+
+def first_tasks(cluster, job):
+    """The arguments of the first map task and of a reduce task, as built by
+    ``cluster``'s executor and shuffle transport for a run of ``job``."""
+    with cluster.shuffle.scope(cluster) as shuffle, cluster.executor.scope(
+        cluster, RECORDS, job
+    ) as (chunks, task_job, _execute):
+        _function, map_args = shuffle.map_task(
+            (task_job, chunks[0], cluster.num_reduce_tasks, True, cluster.codec, None, None),
+            task_context("map"),
+        )
+        _function, reduce_args = shuffle.reduce_task(
+            task_job, [], cluster.codec, task_context("reduce")
+        )
+    return map_args, reduce_args
 
 
 forked_pools = pytest.mark.skipif(
@@ -176,13 +198,7 @@ class TestJobDelivery:
         cluster = make_cluster(backend, num_workers=2)
         job = BulkyJob()
         assert len(pickle.dumps(job)) > 64 * 1024
-        with cluster._input_scope(RECORDS) as chunks, cluster._shuffle_scope(job) as shuffle:
-            _function, map_args = cluster._map_task(
-                job, chunks[0], None, shuffle, task_context("map")
-            )
-            _function, reduce_args = cluster._reduce_task(
-                job, [], shuffle, task_context("reduce")
-            )
+        map_args, reduce_args = first_tasks(cluster, job)
         for arguments in (map_args, reduce_args):
             assert isinstance(arguments[0], JobRef)
             assert not any(argument is job for argument in arguments)
@@ -192,9 +208,7 @@ class TestJobDelivery:
     def test_in_process_tasks_keep_the_object(self, backend):
         cluster = make_cluster(backend, num_workers=2)
         job = UnpicklableJob()
-        with cluster._input_scope(RECORDS) as chunks:
-            _function, map_args = cluster._map_task(job, chunks[0], None, None, None)
-            _function, reduce_args = cluster._reduce_task(job, [], None, None)
+        map_args, reduce_args = first_tasks(cluster, job)
         assert map_args[0] is job and reduce_args[0] is job
         assert dict(cluster.run(job, RECORDS).outputs) == EXPECTED
 
@@ -243,7 +257,8 @@ class TestJobDelivery:
         assert not is_retryable(caught.value)
         # The same through a pool: the typed error crosses the process
         # boundary and aborts on the first attempt of a two-attempt policy.
-        cluster = StrangerRefCluster(num_workers=2)
+        cluster = make_cluster("persistent-processes", num_workers=2)
+        cluster.executor = StrangerRefExecutor()
         assert cluster.fault_policy.max_task_attempts == 2
         with pytest.raises(JobNotDeliveredError, match="map task [01].*token 424242") as caught:
             cluster.run(WordCountJob(), RECORDS)
@@ -253,7 +268,7 @@ class TestJobDelivery:
     def test_two_threads_sharing_a_cluster_each_get_their_own_job(self):
         run_two_jobs_at_once(make_cluster("persistent-processes", num_workers=2))
 
-    @pytest.mark.parametrize("backend", ("simulated", "threads", "processes", "multihost"))
+    @pytest.mark.parametrize("backend", ("simulated", "threads", "multihost"))
     def test_every_backend_keeps_concurrent_jobs_apart(self, backend):
         run_two_jobs_at_once(make_cluster(backend, num_workers=2))
 

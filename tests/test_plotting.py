@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.plotting import (
-    bar_chart,
-    grouped_bar_chart,
-    line_chart,
-    multi_line_chart,
-    sparkline,
-)
+from repro.experiments.plotting import bar_chart, grouped_bar_chart, multi_line_chart
 
 
 class TestBarChart:
@@ -84,17 +78,10 @@ class TestGroupedBarChart:
 
 
 class TestLineCharts:
-    def test_line_chart_contains_points(self):
-        chart = line_chart([(1, 1), (2, 2), (3, 3)], title="scaling")
+    def test_multi_line_chart_single_point(self):
+        chart = multi_line_chart({"a": [(5, 10)]}, title="scaling")
         assert chart.splitlines()[0] == "scaling"
-        assert chart.count("*") == 3
-
-    def test_line_chart_empty(self):
-        assert "(no data)" in line_chart([])
-
-    def test_line_chart_single_point(self):
-        chart = line_chart([(5, 10)])
-        assert chart.count("*") == 1
+        assert chart.count("*") == 2  # the point and its legend entry
 
     def test_multi_line_chart_legend(self):
         chart = multi_line_chart(
@@ -109,16 +96,3 @@ class TestLineCharts:
     def test_multi_line_chart_empty(self):
         assert "(no data)" in multi_line_chart({})
         assert "(no data)" in multi_line_chart({"a": []})
-
-
-class TestSparkline:
-    def test_monotone_series(self):
-        line = sparkline([1, 2, 3, 4, 5])
-        assert len(line) == 5
-        assert line[0] == " " and line[-1] == "@"
-
-    def test_constant_series(self):
-        assert sparkline([3, 3, 3]) == "===" or len(set(sparkline([3, 3, 3]))) == 1
-
-    def test_empty(self):
-        assert sparkline([]) == ""
