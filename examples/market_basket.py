@@ -37,7 +37,7 @@ def main(num_users: int = 2500) -> None:
         ("A4", 5, "musical instrument purchase sequences"),
     ]:
         task = constraint(key, sigma)
-        result = mine(database, dictionary, task.expression, task.sigma, algorithm="dcand")
+        result = mine((database, dictionary), task.expression, task.sigma, algorithm="dcand")
         print(f"--- {key}: {description}")
         print(f"    {task.expression}")
         print(f"    {len(result)} frequent patterns; top 5:")
@@ -49,7 +49,7 @@ def main(num_users: int = 2500) -> None:
     # D-SEQ algorithm produce identical results; D-SEQ pays a generalization
     # overhead but supports all of the constraints above as well.
     task = constraint("T3", 10, 1, 5)
-    general = mine(database, dictionary, task.expression, task.sigma, algorithm="dseq")
+    general = mine((database, dictionary), task.expression, task.sigma, algorithm="dseq")
     specialist = LashMiner(task.sigma, dictionary, max_gap=1, max_length=5).mine(database)
     assert dict(general) == dict(specialist)
     print("--- T3(10,1,5): traditional max-gap/max-length constraint")

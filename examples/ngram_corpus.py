@@ -33,7 +33,7 @@ def plain_ngrams(num_sentences: int) -> None:
     rows = []
     results = {}
     for algorithm in ("dseq", "dcand"):
-        result = mine(database, dictionary, task.expression, sigma=sigma, algorithm=algorithm)
+        result = mine((database, dictionary), task.expression, sigma=sigma, algorithm=algorithm)
         results[algorithm] = result.patterns()
         rows.append(
             {
@@ -73,7 +73,7 @@ def generalized_ngrams(num_sentences: int) -> None:
     dictionary, database = nyt_like(num_sentences, seed=17).preprocess()
     sigma = max(10, num_sentences // 20)
     task = constraint("N4", sigma)
-    result = mine(database, dictionary, task.expression, sigma=sigma, algorithm="dcand")
+    result = mine((database, dictionary), task.expression, sigma=sigma, algorithm="dcand")
     print(f"constraint {task.name}: {len(result)} generalized 3-grams before a noun")
     for pattern, frequency in result.top(5, dictionary):
         print(f"  {' '.join(pattern):<40} {frequency}")

@@ -35,7 +35,7 @@ def main(num_sequences: int = 500) -> None:
     results = {}
     for algorithm in ("dseq", "dcand"):
         result = mine(
-            database, dictionary, constraint.expression, sigma=constraint.sigma,
+            (database, dictionary), constraint.expression, sigma=constraint.sigma,
             algorithm=algorithm,
         )
         results[algorithm] = result

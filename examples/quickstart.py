@@ -40,7 +40,7 @@ def main() -> None:
 
     print(f"\nConstraint: {PATTERN_EXPRESSION}   minimum support: 2\n")
     for algorithm in ("naive", "semi-naive", "dseq", "dcand"):
-        result = mine(database, dictionary, PATTERN_EXPRESSION, sigma=2, algorithm=algorithm)
+        result = mine((database, dictionary), PATTERN_EXPRESSION, sigma=2, algorithm=algorithm)
         patterns = sorted(
             ((" ".join(pattern), count) for pattern, count in result.decoded(dictionary).items()),
             key=lambda item: (-item[1], item[0]),

@@ -13,12 +13,14 @@ baselines, sequential and specialised reference miners, synthetic dataset
 generators, and an experiment harness that regenerates every table and figure
 of the paper's evaluation.
 
-Quickstart (the blessed surface lives in :mod:`repro.api`)::
+Quickstart (the blessed surface lives in :mod:`repro.api`; ``repro.mine`` is
+:func:`repro.api.mine`, which takes a corpus or a ``(database, dictionary)``
+pair and runs every algorithm of the evaluation)::
 
     import repro
 
     corpus = repro.Corpus.from_gid_sequences(raw_sequences)
-    result = repro.api.mine(corpus, "(A)[(.^)|.]*(b)", sigma=2, algorithm="dseq")
+    result = repro.mine(corpus, "(A)[(.^)|.]*(b)", sigma=2, algorithm="dseq")
     print(result.decoded(corpus.dictionary))
 
 For mining as a service — attach once, query many times, results cached —
@@ -40,7 +42,7 @@ __version__ = "1.0.0"
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "repro.api": ("Corpus", "LocalSession", "Session", "ServiceSession", "connect"),
+        "repro.api": ("Corpus", "LocalSession", "Session", "ServiceSession", "connect", "mine"),
         "repro.core": (
             "DCandMiner",
             "DSeqMiner",
@@ -48,7 +50,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "MiningResult",
             "NaiveMiner",
             "SemiNaiveMiner",
-            "mine",
         ),
         "repro.dictionary": ("Dictionary", "DictionaryBuilder", "Hierarchy", "build_dictionary"),
         "repro.errors": (

@@ -1,7 +1,7 @@
 """The blessed public API of the reproduction.
 
-One entry point for all seven miners, and one session facade for
-mining-as-a-service::
+One entry point for all eight algorithms (also reachable as ``repro.mine``),
+and one session facade for mining-as-a-service::
 
     import repro.api
 
@@ -33,6 +33,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.api.corpus": ("Corpus", "as_corpus"),
         "repro.api.session": (
             "ALGORITHMS",
+            "ALGORITHM_TABLE",
             "CorpusInfo",
             "LocalSession",
             "Session",

@@ -2,11 +2,12 @@
 
 Two layers:
 
-* :func:`mine` — the unified, sessionless entry point.  One signature for
-  all seven miners (``dseq``, ``dcand``, ``naive``, ``semi-naive``,
-  ``lash``/``mg-fsm``, ``desq-dfs``, ``desq-count``): a corpus, a
-  constraint, σ, an algorithm name, and a
-  :class:`~repro.mapreduce.ClusterConfig`.
+* :func:`mine` — the unified, sessionless entry point and the only place
+  that maps an algorithm name to a miner (:data:`ALGORITHM_TABLE`).  One
+  signature for all eight algorithms (``dseq``, ``dcand``, ``naive``,
+  ``semi-naive``, ``lash``/``mg-fsm``, ``desq-dfs``, ``desq-count``,
+  ``prefixspan``): a corpus, a constraint, σ, an algorithm name, and a
+  :class:`~repro.mapreduce.ClusterConfig`.  ``repro.mine`` is this function.
 * :class:`Session` — the mining-as-a-service facade: attach corpora once,
   query them many times, with compiled FSTs shared across constraint sweeps
   and finished results held in a bounded LRU
@@ -40,47 +41,77 @@ if TYPE_CHECKING:
     from repro.core.results import MiningResult
     from repro.service.cache import CacheInfo
 
-#: Accepted algorithm spellings -> canonical name (also the cache-key name).
-ALGORITHM_ALIASES = {
-    "dseq": "dseq",
-    "d-seq": "dseq",
-    "dcand": "dcand",
-    "d-cand": "dcand",
-    "naive": "naive",
-    "semi-naive": "semi-naive",
-    "seminaive": "semi-naive",
-    "lash": "lash",
-    "mg-fsm": "mg-fsm",
-    "mgfsm": "mg-fsm",
-    "desq-dfs": "desq-dfs",
-    "desq-count": "desq-count",
+#: Option names of the per-sequence safety caps a miner may honour.
+MAX_RUNS = "max_runs"
+MAX_CANDIDATES = "max_candidates_per_sequence"
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One row of :data:`ALGORITHM_TABLE`: how :func:`mine` runs an algorithm."""
+
+    #: ``"module:Class"`` of the miner, imported by the first query that runs
+    #: it: a query pays for the algorithm it uses.
+    miner: str
+    #: Whether the miner runs on the query's :class:`ClusterConfig` (the
+    #: sequential miners mine in-process and take none).
+    cluster: bool = True
+    #: The safety caps (:data:`MAX_RUNS`, :data:`MAX_CANDIDATES`) it honours.
+    caps: tuple[str, ...] = ()
+    #: ``None`` for a miner of pattern expressions; otherwise the gap/length
+    #: parameters it takes, with their defaults.
+    gap_parameters: dict | None = None
+
+    def miner_class(self) -> type:
+        module, _, class_name = self.miner.partition(":")
+        return getattr(import_module(module), class_name)
+
+
+_LASH_DEFAULTS = {"max_gap": 1, "max_length": 5, "min_length": 2}
+
+#: Canonical algorithm name (also the cache-key name) -> how it runs: the one
+#: place that maps a name to a miner.
+ALGORITHM_TABLE = {
+    "dseq": Algorithm("repro.core.dseq:DSeqMiner", caps=(MAX_RUNS,)),
+    "dcand": Algorithm("repro.core.dcand:DCandMiner", caps=(MAX_RUNS,)),
+    "naive": Algorithm("repro.core.naive:NaiveMiner", caps=(MAX_RUNS, MAX_CANDIDATES)),
+    "semi-naive": Algorithm(
+        "repro.core.naive:SemiNaiveMiner", caps=(MAX_RUNS, MAX_CANDIDATES)
+    ),
+    "lash": Algorithm(
+        "repro.sequential.lash:GapConstrainedMiner",
+        gap_parameters={**_LASH_DEFAULTS, "use_hierarchy": True},
+    ),
+    "mg-fsm": Algorithm(
+        "repro.sequential.lash:GapConstrainedMiner",
+        gap_parameters={**_LASH_DEFAULTS, "use_hierarchy": False},
+    ),
+    "desq-dfs": Algorithm("repro.sequential.desq_dfs:SequentialDesqDfs", cluster=False),
+    "desq-count": Algorithm(
+        "repro.sequential.desq_count:SequentialDesqCount",
+        cluster=False,
+        caps=(MAX_RUNS, MAX_CANDIDATES),
+    ),
+    # Fig. 13's MLlib setting: arbitrary gaps, no hierarchy, bounded length.
+    "prefixspan": Algorithm(
+        "repro.sequential.prefixspan:PrefixSpanMiner",
+        cluster=False,
+        gap_parameters={"max_length": 5},
+    ),
 }
 
 #: Canonical algorithm names of the unified entry point.
-ALGORITHMS = tuple(
-    sorted(set(ALGORITHM_ALIASES.values()), key=list(ALGORITHM_ALIASES.values()).index)
-)
+ALGORITHMS = tuple(ALGORITHM_TABLE)
 
-#: Canonical algorithm name -> ``(module, class)`` of its miner, imported by
-#: the first query that runs it: a query pays for the algorithm it uses.
-_MINERS = {
-    "dseq": ("repro.core.dseq", "DSeqMiner"),
-    "dcand": ("repro.core.dcand", "DCandMiner"),
-    "naive": ("repro.core.naive", "NaiveMiner"),
-    "semi-naive": ("repro.core.naive", "SemiNaiveMiner"),
-    "lash": ("repro.sequential.lash", "GapConstrainedMiner"),
-    "mg-fsm": ("repro.sequential.lash", "GapConstrainedMiner"),
-    "desq-dfs": ("repro.sequential.desq_dfs", "SequentialDesqDfs"),
-    "desq-count": ("repro.sequential.desq_count", "SequentialDesqCount"),
+#: Accepted algorithm spellings -> canonical name.
+ALGORITHM_ALIASES = {
+    **{name: name for name in ALGORITHMS},
+    "d-seq": "dseq",
+    "d-cand": "dcand",
+    "seminaive": "semi-naive",
+    "mgfsm": "mg-fsm",
+    "mllib": "prefixspan",
 }
-
-#: The miners that mine in-process and take no cluster.
-_SEQUENTIAL = ("desq-dfs", "desq-count")
-
-
-def _miner_class(name: str) -> type:
-    module, class_name = _MINERS[name]
-    return getattr(import_module(module), class_name)
 
 
 def preload_miners() -> None:
@@ -92,15 +123,14 @@ def preload_miners() -> None:
     connection): a deferred import is a saving only where a process runs one
     query and exits; in a daemon it would land inside some cold request.
     """
-    for name in _MINERS:
-        _miner_class(name)
+    for algorithm in ALGORITHM_TABLE.values():
+        algorithm.miner_class()
     for package in map(import_module, ("repro.core", "repro.fst", "repro.mapreduce")):
         for name in package.__all__:
             getattr(package, name)
 
 
-#: Gap/length parameters understood by the specialised miners, with the
-#: defaults the experiment harness has always applied.
+#: Every gap/length parameter a specialised constraint may carry.
 _GAP_PARAMETERS = ("max_gap", "max_length", "min_length", "use_hierarchy")
 
 
@@ -178,7 +208,8 @@ def mine(
         A pattern expression (``str`` / :class:`~repro.patex.PatEx`) for the
         FST-based algorithms, a gap/length parameter dict (``max_gap``,
         ``max_length``, ``min_length``, ``use_hierarchy``) for the
-        specialised ones, or a :class:`~repro.datasets.constraints.Constraint`
+        specialised ones (LASH / MG-FSM; PrefixSpan reads only
+        ``max_length``), or a :class:`~repro.datasets.constraints.Constraint`
         carrying both.
     sigma:
         Minimum support threshold; defaults to the constraint's σ when a
@@ -188,12 +219,10 @@ def mine(
     config:
         The execution substrate as one
         :class:`~repro.mapreduce.ClusterConfig` (default: the library
-        default substrate).  This replaces the per-miner
-        ``backend=``/``codec=``/``spill_budget_bytes=`` keywords, which
-        were removed after their deprecation cycle.
+        default substrate); the sequential miners take none.
     options:
         Forwarded to the selected miner (e.g. ``use_rewriting`` for D-SEQ,
-        ``max_runs``, ``dedup``).
+        ``dedup``, or the safety caps its table row lists).
 
     Returns
     -------
@@ -209,32 +238,29 @@ def mine(
         )
     if sigma < 1:
         raise MiningError(f"sigma must be >= 1, got {sigma}")
+    algorithm = ALGORITHM_TABLE[name]
     config = config if config is not None else ClusterConfig()
+    substrate = {"cluster": config} if algorithm.cluster else {}
+    patex = options.pop("_patex", None)
 
-    if name in ("lash", "mg-fsm"):
-        options.pop("_patex", None)
-        parameters = dict(specialized or {})
-        for key in _GAP_PARAMETERS:
-            if key in options:
-                parameters[key] = options.pop(key)
-        return _miner_class(name)(
-            sigma,
-            corpus.dictionary,
-            max_gap=parameters.get("max_gap", 1),
-            max_length=parameters.get("max_length", 5),
-            min_length=parameters.get("min_length", 2),
-            use_hierarchy=parameters.get("use_hierarchy", name == "lash"),
-            cluster=config,
-            **options,
-        ).mine(corpus.database)
+    if algorithm.gap_parameters is not None:
+        given = dict(specialized or {})
+        given.update((key, options.pop(key)) for key in _GAP_PARAMETERS if key in options)
+        parameters = {
+            key: given.get(key, default) for key, default in algorithm.gap_parameters.items()
+        }
+        miner = algorithm.miner_class()(
+            sigma, dictionary=corpus.dictionary, **parameters, **substrate, **options
+        )
+        return miner.mine(corpus.database)
 
     if expression is None:
         raise MiningError(
             f"algorithm {name!r} requires a pattern-expression constraint"
         )
-    patex = options.pop("_patex", None) or PatEx(expression)
-    substrate = {} if name in _SEQUENTIAL else {"cluster": config}
-    miner = _miner_class(name)(patex, sigma, corpus.dictionary, **substrate, **options)
+    miner = algorithm.miner_class()(
+        patex or PatEx(expression), sigma, corpus.dictionary, **substrate, **options
+    )
     return miner.mine(corpus.database)
 
 
@@ -477,7 +503,7 @@ class LocalSession(Session):
         if cached is not None:
             self.last_query_cached = True
             return cached, True
-        if expression is not None and name not in ("lash", "mg-fsm"):
+        if expression is not None and ALGORITHM_TABLE[name].gap_parameters is None:
             options = {**options, "_patex": self._patex(expression)}
             constraint_value = expression
         elif specialized is not None:

@@ -248,8 +248,7 @@ def add_shuffle_arguments(parser: ArgumentParser) -> None:
             "codec that writes a key group of (fid tuple, weight) or (bytes, "
             "weight) records as three columns (lengths, weights, payloads; "
             "1-2 bytes per fid) and any other group value by value with type "
-            "tags, 'zlib' additionally compresses each bucket, 'pickle' is "
-            "the generic-serializer baseline (default: compact)"
+            "tags, 'zlib' additionally compresses each bucket (default: compact)"
         ),
     )
     parser.add_argument(

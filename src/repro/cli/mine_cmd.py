@@ -19,22 +19,15 @@ from repro.cli.common import (
     print_metrics,
     write_patterns,
 )
-from repro.core import mine
+from repro.api.session import ALGORITHM_TABLE, MAX_CANDIDATES, MAX_RUNS, mine
 from repro.datasets import CONSTRAINT_FACTORIES, constraint as make_constraint
 from repro.errors import CandidateExplosionError
-from repro.sequential import SequentialDesqCount, SequentialDesqDfs
 
-#: Algorithms selectable on the command line.
-ALGORITHM_CHOICES = ("dseq", "dcand", "naive", "semi-naive", "desq-dfs", "desq-count")
-
-#: Sequential reference miners (single worker, no shuffle).
-_SEQUENTIAL_MINERS = {"desq-dfs": SequentialDesqDfs, "desq-count": SequentialDesqCount}
-
-#: Algorithms whose accepting-run enumeration honours ``--max-runs``.
-_MAX_RUNS_ALGORITHMS = {"dseq", "dcand", "naive", "semi-naive", "desq-count"}
-
-#: Algorithms that enumerate candidates and honour ``--max-candidates``.
-_MAX_CANDIDATES_ALGORITHMS = {"naive", "semi-naive", "desq-count"}
+#: Algorithms selectable on the command line: those that mine a pattern
+#: expression (the gap/length miners take no ``--pattern``).
+ALGORITHM_CHOICES = tuple(
+    name for name, algorithm in ALGORITHM_TABLE.items() if algorithm.gap_parameters is None
+)
 
 
 def add_parser(subparsers) -> None:
@@ -125,7 +118,8 @@ def run(args: Namespace, stream=None) -> int:
     dictionary, database, _raw = load_input(args)
     expression = _resolve_expression(args)
 
-    if args.algorithm in _SEQUENTIAL_MINERS:
+    algorithm = ALGORITHM_TABLE[args.algorithm]
+    if not algorithm.cluster:
         # Sequential reference miners run in-process and never shuffle;
         # silently accepting the cluster flags would misrepresent the run.
         # (--grid too: without a pivot restriction they never build a grid.)
@@ -172,9 +166,9 @@ def run(args: Namespace, stream=None) -> int:
                 f"--plan-sample does not apply to the sequential {args.algorithm} "
                 "miner (it never plans a shuffle)"
             )
-    if args.max_runs is not None and args.algorithm not in _MAX_RUNS_ALGORITHMS:
+    if args.max_runs is not None and MAX_RUNS not in algorithm.caps:
         raise CliError(f"--max-runs does not apply to {args.algorithm}")
-    if args.max_candidates is not None and args.algorithm not in _MAX_CANDIDATES_ALGORITHMS:
+    if args.max_candidates is not None and MAX_CANDIDATES not in algorithm.caps:
         raise CliError(
             f"--max-candidates does not apply to {args.algorithm} "
             "(it never enumerates candidate sets)"
@@ -185,25 +179,18 @@ def run(args: Namespace, stream=None) -> int:
 
     caps = {}
     if args.max_runs is not None:
-        caps["max_runs"] = args.max_runs
+        caps[MAX_RUNS] = args.max_runs
     if args.max_candidates is not None:
-        caps["max_candidates_per_sequence"] = args.max_candidates
+        caps[MAX_CANDIDATES] = args.max_candidates
     try:
-        if args.algorithm in _SEQUENTIAL_MINERS:
-            miner = _SEQUENTIAL_MINERS[args.algorithm](
-                expression, args.sigma, dictionary, **caps
-            )
-            result = miner.mine(database)
-        else:
-            result = mine(
-                database,
-                dictionary,
-                expression,
-                sigma=args.sigma,
-                algorithm=args.algorithm,
-                cluster=cluster_config_from_args(args, num_workers=args.workers),
-                **caps,
-            )
+        result = mine(
+            (database, dictionary),
+            expression,
+            sigma=args.sigma,
+            algorithm=args.algorithm,
+            config=cluster_config_from_args(args, num_workers=args.workers),
+            **caps,
+        )
     except CandidateExplosionError as error:
         raise CliError(
             f"the constraint produced too many candidates ({error}); "

@@ -28,19 +28,11 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "normalize_grid",
         ),
         "repro.core.local_mining": ("DesqDfsMiner",),
-        "repro.core.miner": ("ALGORITHMS", "mine"),
         "repro.core.naive": ("NaiveMiner", "SemiNaiveMiner"),
         "repro.core.nfa_mining": ("NfaLocalMiner",),
-        "repro.core.partitioning": (
-            "group_candidates_by_pivot",
-            "is_pivot_sequence",
-            "pivot_item",
-            "pivot_items_of_candidates",
-            "subsequence_key",
-        ),
+        "repro.core.partitioning": ("pivot_item",),
         "repro.core.pivot_search": (
             "PositionStateGrid",
-            "pivot_items",
             "pivot_merge",
             "pivots_by_run_enumeration",
             "pivots_of_output_sets",

@@ -34,12 +34,7 @@ from repro.fst import (
     ensure_kernel,
     make_kernel,
 )
-from repro.mapreduce import (
-    Cluster,
-    ClusterConfig,
-    MapReduceJob,
-    resolve_cluster,
-)
+from repro.mapreduce import Cluster, ClusterConfig, MapReduceJob
 from repro.nfa import TrieBuilder, deserialize, serialize_trie
 from repro.patex import PatEx
 from repro.sequences import (
@@ -197,7 +192,7 @@ class DCandMiner:
             max_runs=self.max_runs,
         )
         records = as_mining_records(database, dedup=self.dedup)
-        cluster = resolve_cluster(self.cluster)
+        cluster = self.cluster.build()
         if self.cluster.partitioner_name == "planned":
             # Only a planned run loads the planner (which imports the core jobs).
             from repro.core.balance import attach_partition_plan

@@ -41,12 +41,7 @@ from repro.core.rewriting import rewrite_for_pivot
 from repro.dictionary import Dictionary
 from repro.errors import CandidateExplosionError
 from repro.fst import DEFAULT_MAX_RUNS, Fst, MiningKernel, ensure_kernel, make_kernel
-from repro.mapreduce import (
-    Cluster,
-    ClusterConfig,
-    MapReduceJob,
-    resolve_cluster,
-)
+from repro.mapreduce import Cluster, ClusterConfig, MapReduceJob
 from repro.patex import PatEx
 from repro.sequences import (
     SequenceDatabase,
@@ -231,7 +226,7 @@ class DSeqMiner:
             grid=self.cluster.grid_name,
         )
         records = as_mining_records(database, dedup=self.dedup)
-        cluster = resolve_cluster(self.cluster)
+        cluster = self.cluster.build()
         if self.cluster.partitioner_name == "planned":
             # Only a planned run loads the planner (which imports the core jobs).
             from repro.core.balance import attach_partition_plan

@@ -26,12 +26,7 @@ from repro.fst import (
     generate_candidates,
     make_kernel,
 )
-from repro.mapreduce import (
-    Cluster,
-    ClusterConfig,
-    MapReduceJob,
-    resolve_cluster,
-)
+from repro.mapreduce import Cluster, ClusterConfig, MapReduceJob
 from repro.patex import PatEx
 from repro.sequences import SequenceDatabase, as_mining_records, record_parts
 
@@ -134,7 +129,7 @@ class _SubsequenceBaselineMiner:
             max_runs=self.max_runs,
         )
         records = as_mining_records(database, dedup=self.dedup)
-        cluster = resolve_cluster(self.cluster)
+        cluster = self.cluster.build()
         if self.cluster.partitioner_name == "planned":
             # Only a planned run loads the planner (which imports the core jobs).
             from repro.core.balance import attach_partition_plan

@@ -11,9 +11,7 @@ Two partitioning schemes are used by the paper's framework:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-
-from repro.dictionary import EPSILON_FID
+from collections.abc import Sequence
 
 
 def pivot_item(subsequence: Sequence[int]) -> int:
@@ -25,39 +23,3 @@ def pivot_item(subsequence: Sequence[int]) -> int:
     if not subsequence:
         raise ValueError("the empty subsequence has no pivot item")
     return max(subsequence)
-
-
-def subsequence_key(subsequence: Sequence[int]) -> tuple[int, ...]:
-    """The subsequence-based partition key κ_sp(S): the subsequence itself."""
-    return tuple(subsequence)
-
-
-def pivot_items_of_candidates(candidates: Iterable[Sequence[int]]) -> set[int]:
-    """The item-based partition keys K_ip(T) of a set of candidate subsequences."""
-    return {pivot_item(candidate) for candidate in candidates if len(candidate) > 0}
-
-
-def group_candidates_by_pivot(
-    candidates: Iterable[Sequence[int]],
-) -> dict[int, set[tuple[int, ...]]]:
-    """Split candidates into the per-pivot groups ρ_k(T) of candidate representation."""
-    groups: dict[int, set[tuple[int, ...]]] = {}
-    for candidate in candidates:
-        if not candidate:
-            continue
-        groups.setdefault(pivot_item(candidate), set()).add(tuple(candidate))
-    return groups
-
-
-def is_pivot_sequence(subsequence: Sequence[int], pivot: int) -> bool:
-    """True iff ``subsequence`` is a pivot sequence for ``pivot``.
-
-    A pivot sequence for item ``k`` contains ``k`` and no item larger than
-    ``k`` (equivalently, its maximum item is exactly ``k``).
-    """
-    return bool(subsequence) and max(subsequence) == pivot
-
-
-def strip_epsilon(items: Iterable[int]) -> tuple[int, ...]:
-    """Remove the ε marker (fid 0) from an item collection, keeping order."""
-    return tuple(item for item in items if item != EPSILON_FID)

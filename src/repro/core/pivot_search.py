@@ -19,7 +19,6 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.dictionary import EPSILON_FID, Dictionary
-from repro.errors import CandidateExplosionError
 from repro.fst import Fst, MiningKernel, accepting_output_sets, ensure_kernel
 from repro.fst.fst import Transition
 
@@ -301,39 +300,3 @@ class PositionStateGrid:
                     return position
         return 0
 
-
-def pivot_items(
-    fst: Fst | MiningKernel,
-    sequence: Sequence[int],
-    dictionary: Dictionary | None = None,
-    sigma: int | None = None,
-    use_grid: bool = True,
-    max_runs: int = 100_000,
-    grid: str | None = None,
-) -> set[int]:
-    """Compute ``K(T)`` with either the grid or run enumeration.
-
-    ``grid`` selects the grid engine (``"flat"``, the default, or
-    ``"legacy"`` for this module's reference implementation); see
-    :mod:`repro.core.grid_engine`.
-    """
-    # Imported here: grid_engine builds on this module.
-    from repro.core.grid_engine import make_grid
-
-    kernel = ensure_kernel(fst, dictionary)
-    max_frequent_fid = (
-        kernel.dictionary.largest_frequent_fid(sigma) if sigma is not None else None
-    )
-    if use_grid:
-        return make_grid(
-            kernel, sequence, max_frequent_fid=max_frequent_fid, grid=grid
-        ).pivot_items()
-    try:
-        return pivots_by_run_enumeration(
-            kernel, sequence, max_frequent_fid=max_frequent_fid, max_runs=max_runs
-        )
-    except CandidateExplosionError:
-        # Fall back to the grid, which never enumerates runs explicitly.
-        return make_grid(
-            kernel, sequence, max_frequent_fid=max_frequent_fid, grid=grid
-        ).pivot_items()

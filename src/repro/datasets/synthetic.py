@@ -84,15 +84,9 @@ def truncated_geometric(rng: random.Random, mean: float, minimum: int, maximum: 
     return length
 
 
-def take_database(dataset: SyntheticDataset) -> tuple:
-    """Convenience wrapper mirroring :meth:`SyntheticDataset.preprocess`."""
-    return dataset.preprocess()
-
-
 __all__ = [
     "SequenceDatabase",
     "SyntheticDataset",
     "ZipfSampler",
-    "take_database",
     "truncated_geometric",
 ]

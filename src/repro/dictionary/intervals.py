@@ -119,10 +119,6 @@ class DescendantIndex:
             if fid not in position_of:
                 position_of[fid] = len(position_of)
 
-    def position_of(self, fid: int) -> int | None:
-        """The DFS position of ``fid`` (None for unknown items)."""
-        return self._position_of.get(fid)
-
     @property
     def positions(self) -> dict[int, int]:
         """The full fid → position mapping (read-only use)."""

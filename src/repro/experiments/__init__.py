@@ -24,12 +24,11 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "repro.experiments.harness": (
             "RunRecord",
-            "build_miner",
             "run_algorithm",
             "run_comparison",
         ),
         "repro.experiments.plotting": ("bar_chart", "grouped_bar_chart", "multi_line_chart"),
-        "repro.experiments.reporting": ("format_series", "format_table", "human_bytes"),
+        "repro.experiments.reporting": ("format_table", "human_bytes"),
         "repro.experiments.tables": (
             "candidate_statistics",
             "table2_dataset_characteristics",

@@ -5,18 +5,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.core import DCandMiner, DSeqMiner, NaiveMiner, SemiNaiveMiner
+from repro.api.session import ALGORITHM_TABLE, MAX_CANDIDATES, MAX_RUNS, canonical_algorithm, mine
 from repro.datasets import Constraint
 from repro.dictionary import Dictionary
-from repro.errors import CandidateExplosionError, MiningError
+from repro.errors import CandidateExplosionError
 from repro.mapreduce import ClusterConfig
 from repro.sequences import SequenceDatabase
-from repro.sequential import (
-    GapConstrainedMiner,
-    PrefixSpanMiner,
-    SequentialDesqCount,
-    SequentialDesqDfs,
-)
 
 
 @dataclass
@@ -98,77 +92,13 @@ class RunRecord:
 OOM_MAX_RUNS = 20_000
 OOM_MAX_CANDIDATES = 50_000
 
-
-def build_miner(
-    algorithm: str,
-    constraint: Constraint,
-    dictionary: Dictionary,
-    num_workers: int,
-    cluster: ClusterConfig | None = None,
-    max_runs: int | None = None,
-    max_candidates: int | None = None,
-    **options,
-):
-    """Instantiate a miner by algorithm name for the given constraint.
-
-    The execution substrate is one :class:`~repro.mapreduce.ClusterConfig`
-    passed as ``cluster``; the sequential reference miners ignore it.
-    ``max_runs`` / ``max_candidates`` override the per-sequence safety caps;
-    by default the harness applies the tighter :data:`OOM_MAX_RUNS` /
-    :data:`OOM_MAX_CANDIDATES` to the candidate-enumerating algorithms to
-    emulate the paper's out-of-memory failures.
-    """
-    name = algorithm.lower()
-    patex = constraint.expression
-    sigma = constraint.sigma
-    config = ClusterConfig.resolve(cluster, num_workers=num_workers)
-    if config.num_workers is None:
-        config = config.merged(num_workers=num_workers)
-    if name in ("dseq", "d-seq"):
-        if max_runs is not None:
-            options.setdefault("max_runs", max_runs)
-        return DSeqMiner(patex, sigma, dictionary, cluster=config, **options)
-    if name in ("dcand", "d-cand"):
-        runs_cap = max_runs if max_runs is not None else options.pop("max_runs", OOM_MAX_RUNS)
-        return DCandMiner(
-            patex, sigma, dictionary, cluster=config, max_runs=runs_cap, **options,
-        )
-    if name in ("naive", "semi-naive", "seminaive"):
-        miner_class = NaiveMiner if name == "naive" else SemiNaiveMiner
-        return miner_class(
-            patex, sigma, dictionary, cluster=config,
-            max_candidates_per_sequence=(
-                max_candidates if max_candidates is not None else OOM_MAX_CANDIDATES
-            ),
-            max_runs=max_runs if max_runs is not None else OOM_MAX_RUNS,
-        )
-    if name == "desq-dfs":
-        return SequentialDesqDfs(patex, sigma, dictionary)
-    if name == "desq-count":
-        return SequentialDesqCount(
-            patex, sigma, dictionary,
-            **(
-                {"max_candidates_per_sequence": max_candidates}
-                if max_candidates is not None
-                else {}
-            ),
-            **({"max_runs": max_runs} if max_runs is not None else {}),
-        )
-    if name in ("lash", "mg-fsm", "mgfsm"):
-        spec = constraint.specialized or {}
-        return GapConstrainedMiner(
-            sigma,
-            dictionary,
-            max_gap=spec.get("max_gap", 1),
-            max_length=spec.get("max_length", 5),
-            min_length=spec.get("min_length", 2),
-            use_hierarchy=spec.get("use_hierarchy", name == "lash"),
-            cluster=config,
-        )
-    if name in ("prefixspan", "mllib"):
-        spec = constraint.specialized or {}
-        return PrefixSpanMiner(sigma, spec.get("max_length", 5), dictionary)
-    raise MiningError(f"unknown algorithm {algorithm!r}")
+#: The algorithms the paper saw run out of memory, with the caps that emulate
+#: it: D-CAND's run enumeration and the baselines' candidate sets.
+OOM_CAPS = {
+    "dcand": {MAX_RUNS: OOM_MAX_RUNS},
+    "naive": {MAX_RUNS: OOM_MAX_RUNS, MAX_CANDIDATES: OOM_MAX_CANDIDATES},
+    "semi-naive": {MAX_RUNS: OOM_MAX_RUNS, MAX_CANDIDATES: OOM_MAX_CANDIDATES},
+}
 
 
 def run_algorithm(
@@ -190,7 +120,10 @@ def run_algorithm(
     The execution substrate is one ``cluster=ClusterConfig(...)`` (the legacy
     ``backend`` / ``codec`` / ``spill_budget_bytes`` keywords were removed).
     """
+    name = canonical_algorithm(algorithm)
     config = ClusterConfig.resolve(cluster, num_workers=num_workers)
+    if config.num_workers is None:
+        config = config.merged(num_workers=num_workers)
     backend_label = (
         config.backend
         if isinstance(config.backend, str)
@@ -203,13 +136,20 @@ def run_algorithm(
         num_workers=num_workers,
         backend=backend_label,
     )
-    miner = build_miner(
-        algorithm, constraint, dictionary, num_workers, cluster=config,
-        max_runs=max_runs, max_candidates=max_candidates, **options,
-    )
+    # An explicit cap wins over the OOM policy; an algorithm is handed only
+    # the caps its table row says it honours.
+    policy = OOM_CAPS.get(name, {})
+    caps = {}
+    for option, value in ((MAX_RUNS, max_runs), (MAX_CANDIDATES, max_candidates)):
+        value = value if value is not None else policy.get(option)
+        if value is not None and option in ALGORITHM_TABLE[name].caps:
+            caps[option] = value
     started = time.perf_counter()
     try:
-        result = miner.mine(database)
+        result = mine(
+            (database, dictionary), constraint, algorithm=name, config=config,
+            **{**caps, **options},
+        )
     except CandidateExplosionError as error:
         record.status = "oom"
         record.wall_seconds = time.perf_counter() - started

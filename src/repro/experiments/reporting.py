@@ -1,8 +1,8 @@
-"""Plain-text reporting helpers for tables and figure series."""
+"""Plain-text reporting helpers for tables."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 
 def format_table(rows: Sequence[Mapping], headers: Sequence[str] | None = None) -> str:
@@ -23,14 +23,6 @@ def format_table(rows: Sequence[Mapping], headers: Sequence[str] | None = None) 
     ]
     for line in rendered:
         lines.append(" | ".join(value.ljust(width) for value, width in zip(line, widths)))
-    return "\n".join(lines)
-
-
-def format_series(title: str, points: Iterable[tuple], x_label: str, y_label: str) -> str:
-    """Render an (x, y) series — one line per point — for figure-style output."""
-    lines = [f"{title}  [{x_label} -> {y_label}]"]
-    for x_value, y_value in points:
-        lines.append(f"  {x_value!s:>12} : {_cell(y_value)}")
     return "\n".join(lines)
 
 

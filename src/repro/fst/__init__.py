@@ -15,12 +15,8 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.fst.compiler": ("compile_ast", "compile_expression"),
         "repro.fst.export": (
             "FstStatistics",
-            "NfaStatistics",
             "fst_statistics",
             "fst_to_dot",
-            "nfa_statistics",
-            "nfa_to_dot",
-            "reachable_states",
         ),
         "repro.fst.fst": ("Fst", "Transition"),
         "repro.fst.labels": ("EPSILON_OUTPUT", "Label"),
@@ -32,8 +28,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "expand_output_sets",
             "generate_candidates",
             "generates",
-            "matches",
-            "reachability_table",
             "run_output_sets",
         ),
     },

@@ -1,19 +1,16 @@
-"""Exports and structural statistics for FSTs and output NFAs.
+"""Export and structural statistics of a compiled FST.
 
-Rendering the compiled FST of a pattern expression (Fig. 4 of the paper) and
-the per-pivot output NFAs of D-CAND (Fig. 7/8) makes constraints much easier
-to debug.  This module produces Graphviz ``dot`` text for both, plus summary
-statistics used by the CLI's ``inspect`` command and by tests.
+Rendering the compiled FST of a pattern expression (Fig. 4 of the paper)
+makes constraints much easier to debug.  This module produces its Graphviz
+``dot`` text and the summary statistics of the CLI's ``inspect`` command.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from repro.dictionary import Dictionary
 from repro.fst.fst import Fst
-from repro.nfa.nfa import OutputNfa
 
 
 def _escape(text: str) -> str:
@@ -95,95 +92,4 @@ def fst_statistics(fst: Fst) -> FstStatistics:
         num_generalizing_transitions=generalizing,
         max_fanout=max(fanout.values(), default=0),
         is_deterministic_on_states=all(count <= 1 for count in fanout.values()),
-    )
-
-
-def reachable_states(fst: Fst) -> set[int]:
-    """States reachable from the initial state following any transition."""
-    seen = {fst.initial_state}
-    queue = deque([fst.initial_state])
-    outgoing: dict[int, list[int]] = {}
-    for transition in fst.transitions:
-        outgoing.setdefault(transition.source, []).append(transition.target)
-    while queue:
-        state = queue.popleft()
-        for target in outgoing.get(state, ()):
-            if target not in seen:
-                seen.add(target)
-                queue.append(target)
-    return seen
-
-
-# ------------------------------------------------------------------------ NFA
-def nfa_to_dot(
-    nfa: OutputNfa, dictionary: Dictionary | None = None, title: str = "nfa"
-) -> str:
-    """Render an output NFA (Fig. 7/8 of the paper) as Graphviz ``dot`` text.
-
-    Edge labels show the output sets; items are decoded to gids when a
-    dictionary is given.
-    """
-
-    def render_label(label: tuple[int, ...]) -> str:
-        if dictionary is None:
-            rendered = ",".join(str(fid) for fid in label)
-        else:
-            rendered = ",".join(
-                dictionary.gid_of(fid) if fid in dictionary else str(fid) for fid in label
-            )
-        return "{" + rendered + "}"
-
-    lines = [
-        f'digraph "{_escape(title)}" {{',
-        "  rankdir=LR;",
-        '  node [shape=circle, fontsize=11];',
-        '  __start [shape=point];',
-        "  __start -> s0;",
-    ]
-    for state in range(nfa.num_states):
-        shape = "doublecircle" if nfa.is_final(state) else "circle"
-        lines.append(f'  s{state} [label="s{state}", shape={shape}];')
-    for state in range(nfa.num_states):
-        for label, target in nfa.outgoing(state):
-            lines.append(
-                f'  s{state} -> s{target} [label="{_escape(render_label(label))}"];'
-            )
-    lines.append("}")
-    return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class NfaStatistics:
-    """Structural summary of an output NFA."""
-
-    num_states: int
-    num_final_states: int
-    num_transitions: int
-    num_candidates: int
-    max_label_size: int
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "states": self.num_states,
-            "final_states": self.num_final_states,
-            "transitions": self.num_transitions,
-            "candidates": self.num_candidates,
-            "max_label_size": self.max_label_size,
-        }
-
-
-def nfa_statistics(nfa: OutputNfa, candidate_limit: int = 100_000) -> NfaStatistics:
-    """Compute structural statistics of an output NFA."""
-    max_label = 0
-    transitions = 0
-    for state in range(nfa.num_states):
-        for label, _target in nfa.outgoing(state):
-            transitions += 1
-            max_label = max(max_label, len(label))
-    return NfaStatistics(
-        num_states=nfa.num_states,
-        num_final_states=sum(1 for state in range(nfa.num_states) if nfa.is_final(state)),
-        num_transitions=transitions,
-        num_candidates=len(nfa.candidates(limit=candidate_limit)),
-        max_label_size=max_label,
     )

@@ -8,7 +8,7 @@ Accepting runs generate the candidate subsequences ``G_π(T)``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.dictionary import Dictionary
@@ -100,11 +100,3 @@ class Fst:
             f"finals={sorted(self.final_states)})"
         )
 
-
-def iterate_matching(
-    fst: Fst, state: int, item_fid: int, dictionary: Dictionary
-) -> Iterator[Transition]:
-    """Yield the transitions leaving ``state`` that match ``item_fid``."""
-    for transition in fst.outgoing(state):
-        if transition.label.matches(item_fid, dictionary):
-            yield transition

@@ -3,7 +3,6 @@
 The functions in this module implement the reference (non-distributed)
 semantics of the DESQ computational model:
 
-* :func:`matches` -- does any accepting run exist for an input sequence?
 * :func:`accepting_runs` -- enumerate accepting runs (Fig. 5a);
 * :func:`run_output_sets` -- the output sets produced by one run;
 * :func:`accepting_output_sets` -- both in one pass, ε sets dropped;
@@ -33,31 +32,6 @@ from repro.fst.fst import Fst, Transition
 DEFAULT_MAX_RUNS = 100_000
 #: Default safety cap for generated candidate subsequences per input sequence.
 DEFAULT_MAX_CANDIDATES = 1_000_000
-
-
-def reachability_table(
-    fst: Fst | MiningKernel,
-    sequence: Sequence[int],
-    dictionary: Dictionary | None = None,
-) -> list[int]:
-    """Bit ``q`` of ``alive[i]`` is set iff an accepting run exists from position i, state q.
-
-    Position ``i`` means "the first ``i`` items have been consumed"; the table
-    therefore has ``len(sequence) + 1`` rows, each one int bitmask over the
-    FST states (see :meth:`~repro.fst.compiled.MiningKernel.reachability_table`).
-    """
-    return ensure_kernel(fst, dictionary).reachability_table(sequence)
-
-
-def matches(
-    fst: Fst | MiningKernel,
-    sequence: Sequence[int],
-    dictionary: Dictionary | None = None,
-) -> bool:
-    """True iff the FST has at least one accepting run for ``sequence``."""
-    kernel = ensure_kernel(fst, dictionary)
-    # The table of the empty sequence is its one row, the final states.
-    return bool((kernel.reachability_table(sequence)[0] >> kernel.initial_state) & 1)
 
 
 def _walk_runs(kernel: MiningKernel, sequence, alive, max_runs: int, rows_of):

@@ -17,7 +17,8 @@ and a shuffle transport, four execution backends:
   :class:`~repro.mapreduce.blobstore.BlobStore` (content-addressed blobs in
   a shared directory), the shape of a serverless/object-store deployment.
 
-Use :func:`make_cluster` to pick a backend by name.
+``ClusterConfig(backend=..., ...).build()`` picks a backend by name;
+:func:`make_cluster` is its one-line shortcut.
 """
 
 from repro._lazy import lazy_exports
@@ -46,7 +47,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "ClusterConfig",
             "canonical_backend",
             "make_cluster",
-            "resolve_cluster",
         ),
         "repro.mapreduce.faults": (
             "DEFAULT_FAULT_POLICY",
@@ -64,7 +64,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "DEFAULT_PARTITIONER",
             "PARTITIONERS",
             "MapReduceJob",
-            "iter_map_output",
             "normalize_partitioner",
             "stable_hash",
         ),
@@ -83,6 +82,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "run_map_task",
             "run_reduce_task",
         ),
-        "repro.mapreduce.wire": ("CODECS", "Codec", "CompactCodec", "PickleCodec", "make_codec"),
+        "repro.mapreduce.wire": ("CODECS", "Codec", "CompactCodec", "make_codec"),
     },
 )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import import_module
 
 from repro.errors import MapReduceError
@@ -23,7 +23,7 @@ _ALIASES = {
 }
 
 #: Canonical backend name -> ``"module:Class"``, imported by the first
-#: :func:`make_cluster` that builds it: a run pays for the backend it uses.
+#: :meth:`ClusterConfig.build` that builds it: a run pays for the backend it uses.
 _CLUSTER_CLASSES = {
     "simulated": "repro.mapreduce.engine:SimulatedCluster",
     "threads": "repro.mapreduce.parallel:ThreadPoolCluster",
@@ -47,15 +47,16 @@ def canonical_backend(name: str) -> str:
 class ClusterConfig:
     """One value object for everything that configures a mining run's substrate.
 
-    Collapses the previously copy-pasted ``backend=`` / ``codec=`` /
-    ``spill_budget_bytes=`` plumbing: the miners, the experiment harness, and
-    both CLI commands build exactly one of these and hand it around.
-    ``backend`` may be a backend name or a ready-made
-    :class:`~repro.mapreduce.base.Cluster` instance (which then wins over the
-    worker/codec/spill fields, as before).  ``grid`` selects the pivot-grid
-    engine (``"flat"`` or ``"legacy"``) and ``partitioner`` the reduce-bucket
-    assignment (``"hash"`` or ``"planned"``); both are consumed by the miners
-    rather than the cluster itself.
+    The fields are written out here and nowhere else: the miners, the
+    experiment harness and both CLI commands build exactly one of these and
+    hand it around, and :meth:`build` turns it into the backend
+    (:func:`make_cluster` is its one-line shortcut).  ``backend`` may be a
+    backend name or a ready-made :class:`~repro.mapreduce.base.Cluster`
+    instance (which then wins over the other fields).  ``grid`` selects the
+    pivot-grid engine (``"flat"`` or ``"legacy"``) and ``partitioner`` the
+    reduce-bucket assignment (``"hash"`` or ``"planned"``); the miners read
+    both, and a built cluster records them so that miners handed the
+    instance inherit them.
     """
 
     backend: str | Cluster = "simulated"
@@ -142,8 +143,35 @@ class ClusterConfig:
         return attached or DEFAULT_PARTITIONER
 
     def build(self) -> Cluster:
-        """Build (or pass through) the execution backend for this config."""
-        return resolve_cluster(self)
+        """Build the execution backend this config describes.
+
+        A ready-made :class:`~repro.mapreduce.base.Cluster` in ``backend``
+        is returned as-is (its own settings win).  A backend name is one of
+        :data:`BACKENDS` or a spelling :func:`canonical_backend` accepts:
+        ``"simulated"`` models the makespan of ``num_workers`` workers
+        in-process, ``"threads"`` runs on a local thread pool,
+        ``"persistent-processes"`` (also spelled ``"processes"``) runs on a
+        local process pool and publishes the input database once as a shared
+        :class:`~repro.sequences.store.EncodedSequenceStore` so tasks ship
+        chunk descriptors instead of pickled sequence lists (its records
+        must be fid sequences), and ``"multihost"`` runs the same process
+        pool but exchanges the encoded reduce buckets through a blob store
+        rooted at ``blob_dir`` (a per-run temp directory when ``None``), so
+        map and reduce hosts never share memory or a spill file system.
+        Every other field except ``plan_sample`` (which the miners read) is
+        handed to the backend's constructor under its own name.
+        """
+        if isinstance(self.backend, Cluster):
+            return self.backend
+        key = canonical_backend(self.backend)
+        settings = {field.name: getattr(self, field.name) for field in fields(self)}
+        del settings["backend"], settings["plan_sample"]
+        if key != "multihost" and settings.pop("blob_dir") is not None:
+            raise MapReduceError(
+                f"blob_dir applies only to the 'multihost' backend, not {key!r}"
+            )
+        module, _, class_name = _CLUSTER_CLASSES[key].partition(":")
+        return getattr(import_module(module), class_name)(**settings)
 
     def fingerprint(self) -> str:
         """A stable string identifying this execution substrate.
@@ -177,127 +205,7 @@ class ClusterConfig:
         return "|".join(str(part) for part in parts)
 
 
-def make_cluster(
-    backend: str | ClusterConfig = "simulated",
-    num_workers: int | None = None,
-    num_reduce_tasks: int | None = None,
-    measure_shuffle: bool = True,
-    codec: str | Codec = "compact",
-    spill_budget_bytes: int | None = None,
-    spill_dir: str | None = None,
-    blob_dir: str | None = None,
-    grid: str | None = None,
-    partitioner: str | None = None,
-    fault_policy: FaultPolicy | None = None,
-    fault_injector: FaultInjector | None = None,
-) -> Cluster:
-    """Build an execution backend by name or from a :class:`ClusterConfig`.
-
-    ``backend`` is one of :data:`BACKENDS` or a spelling
-    :func:`canonical_backend` accepts: ``"simulated"`` models the makespan of
-    ``num_workers`` workers in-process, ``"threads"`` runs on a local thread
-    pool, ``"persistent-processes"`` (also spelled ``"processes"``) runs on a
-    local process pool for real wall-clock speed-ups and publishes the input
-    database once as a shared
-    :class:`~repro.sequences.store.EncodedSequenceStore` so tasks ship chunk
-    descriptors instead of pickled sequence lists (its records must be fid
-    sequences), and ``"multihost"`` runs the same process pool but
-    additionally exchanges the encoded reduce buckets through a pluggable
-    blob store (a local directory rooted at ``blob_dir``; a per-run temp
-    directory when ``None``) so map and reduce hosts never share memory or a
-    spill file system.
-    ``num_workers=None`` uses the backend's default worker count.  ``codec``
-    picks the shuffle wire format (:data:`~repro.mapreduce.wire.CODECS`) and
-    ``spill_budget_bytes`` caps the encoded payload bytes a map task keeps in
-    memory before spilling to ``spill_dir``.  ``grid`` records the pivot-grid
-    engine choice and ``partitioner`` the reduce-partitioner choice on the
-    cluster so miners handed a ready-made instance inherit them.
-    """
-    if isinstance(backend, ClusterConfig):
-        config = backend
-        if not isinstance(config.backend, str):
-            raise MapReduceError(
-                "make_cluster() requires a backend name; the config already "
-                "holds a cluster instance"
-            )
-        return make_cluster(
-            config.backend,
-            num_workers=config.num_workers,
-            num_reduce_tasks=config.num_reduce_tasks,
-            measure_shuffle=config.measure_shuffle,
-            codec=config.codec,
-            spill_budget_bytes=config.spill_budget_bytes,
-            spill_dir=config.spill_dir,
-            blob_dir=config.blob_dir,
-            grid=config.grid,
-            partitioner=config.partitioner,
-            fault_policy=config.fault_policy,
-            fault_injector=config.fault_injector,
-        )
-    key = canonical_backend(backend)
-    if blob_dir is not None and key != "multihost":
-        raise MapReduceError(
-            f"blob_dir applies only to the 'multihost' backend, not {key!r}"
-        )
-    module, _, class_name = _CLUSTER_CLASSES[key].partition(":")
-    cluster_class = getattr(import_module(module), class_name)
-    extra = {"blob_dir": blob_dir} if key == "multihost" else {}
-    return cluster_class(
-        num_workers=num_workers,
-        num_reduce_tasks=num_reduce_tasks,
-        measure_shuffle=measure_shuffle,
-        codec=codec,
-        spill_budget_bytes=spill_budget_bytes,
-        spill_dir=spill_dir,
-        grid=grid,
-        partitioner=partitioner,
-        fault_policy=fault_policy,
-        fault_injector=fault_injector,
-        **extra,
-    )
-
-
-def resolve_cluster(
-    backend: str | Cluster | ClusterConfig,
-    num_workers: int | None = None,
-    num_reduce_tasks: int | None = None,
-    measure_shuffle: bool = True,
-    codec: str | Codec = "compact",
-    spill_budget_bytes: int | None = None,
-    spill_dir: str | None = None,
-    blob_dir: str | None = None,
-    grid: str | None = None,
-    partitioner: str | None = None,
-    fault_policy: FaultPolicy | None = None,
-    fault_injector: FaultInjector | None = None,
-) -> Cluster:
-    """Return ``backend`` itself if it already is a cluster, else build one.
-
-    Miners accept a backend name, a ready-made cluster instance, or a
-    :class:`ClusterConfig`; this helper normalizes all three to a
-    :class:`~repro.mapreduce.base.Cluster`.  When an instance is passed, its
-    own configuration wins and the remaining arguments are ignored (job
-    metrics always report the cluster's actual worker count, so timings stay
-    correctly attributed either way).
-    """
-    if isinstance(backend, ClusterConfig):
-        config = backend
-        if not isinstance(config.backend, str) and isinstance(config.backend, Cluster):
-            return config.backend
-        return make_cluster(config)
-    if not isinstance(backend, str) and isinstance(backend, Cluster):
-        return backend
-    return make_cluster(
-        backend,
-        num_workers=num_workers,
-        num_reduce_tasks=num_reduce_tasks,
-        measure_shuffle=measure_shuffle,
-        codec=codec,
-        spill_budget_bytes=spill_budget_bytes,
-        spill_dir=spill_dir,
-        blob_dir=blob_dir,
-        grid=grid,
-        partitioner=partitioner,
-        fault_policy=fault_policy,
-        fault_injector=fault_injector,
-    )
+def make_cluster(backend: str = "simulated", **fields) -> Cluster:
+    """Build an execution backend by name: the one-line shortcut for
+    ``ClusterConfig(backend=backend, **fields).build()``."""
+    return ClusterConfig(backend=backend, **fields).build()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pickle
 import zlib
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from typing import Any
 
 from repro.errors import MapReduceError
@@ -136,9 +136,3 @@ class MapReduceJob:
             if bucket is not None and 0 <= bucket < num_reduce_tasks:
                 return bucket
         return stable_hash(key) % num_reduce_tasks
-
-
-def iter_map_output(job: MapReduceJob, records: Iterable[Any]) -> Iterator[tuple[Any, Any]]:
-    """Flatten the map output of a job over some records (testing helper)."""
-    for record in records:
-        yield from job.map(record)

@@ -7,7 +7,7 @@ provides that serialization layer: a :class:`Codec` turns one
 :data:`~repro.mapreduce.tasks.BucketPayload` (a ``key -> values`` mapping
 emitted by one map task for one reduce bucket) into bytes and back.
 
-Three codecs ship with the library:
+Two codecs ship with the library:
 
 * ``compact`` — :class:`CompactCodec`, a length-prefixed binary format with
   two group layouts (grammar below).  A key group whose values are all
@@ -18,9 +18,9 @@ Three codecs ship with the library:
   and per tuple element (an int element costs a tag and a zigzag varint).
 * ``zlib`` — the same format compressed with :mod:`zlib` (deterministic, so
   measured byte counts stay identical across execution backends).
-* ``pickle`` — :class:`PickleCodec`, the generic serializer a naive
-  implementation would use.  Useful as a baseline when comparing measured
-  wire sizes.
+
+Nothing on the read side unpickles: a ``multihost`` reduce task reads blobs
+from a shared directory, and a pickle in one could run code in the worker.
 
 All encodings are deterministic functions of the payload, which is what makes
 the *measured* wire bytes comparable across backends: the same map-task
@@ -42,14 +42,14 @@ paired with ``weights[i]``.  Integer columns (all but the raw payload bytes of
 layout 2) are UTF-8 over code points with lone surrogates allowed: 1 / 2 / 3 /
 4 bytes below 128 / 2,048 / 65,536 / 0x110000, strict about overlong and
 truncated forms.  The encoder picks the layout from the group's values alone:
-a group that is empty or mixed, holds a bare payload, a ``bool`` or other
-``int`` subclass, a negative, or a length, weight or item above 0x10FFFF is
-tagged, which is total and keeps exact types.
+a group that is empty or mixed, holds a bare payload, a ``bool``, a
+negative, or a length, weight or item above 0x10FFFF is tagged, which keeps
+exact types.  A value of a type the tags do not name (an ``int`` subclass
+other than ``bool``, a user class) is refused with :class:`MapReduceError`.
 """
 
 from __future__ import annotations
 
-import pickle
 import struct
 import sys
 import zlib
@@ -62,7 +62,7 @@ from repro.errors import MapReduceError
 from repro.varint import read_varint as _read_varint, write_varint as _write_varint
 
 #: Codec names accepted by :func:`make_codec`, in the order shown by ``--help``.
-CODECS = ("compact", "zlib", "pickle")
+CODECS = ("compact", "zlib")
 
 # Type tags of the compact value encoding.
 _T_INT = 0
@@ -75,7 +75,6 @@ _T_TRUE = 6
 _T_FALSE = 7
 _T_FROZENSET = 8
 _T_FLOAT = 9
-_T_PICKLE = 10
 
 # Header flags of a compact blob.
 _RAW = 0
@@ -97,9 +96,8 @@ class Codec(Protocol):
     """Serializer for shuffle bucket payloads.
 
     Implementations must be deterministic (equal payloads encode to equal
-    bytes, regardless of the process that encodes them — see the
-    :class:`PickleCodec` caveat for the one sanctioned exception) and
-    picklable, so the process-pool backend can ship the codec to its workers.
+    bytes, regardless of the process that encodes them) and picklable, so
+    the process-pool backend can ship the codec to its workers.
     """
 
     name: str
@@ -205,12 +203,11 @@ def encode_value(buffer: bytearray, value: Any) -> None:
         buffer.append(_T_FLOAT)
         buffer.extend(struct.pack(">d", value))
     else:
-        # Fallback for exotic job-specific values (bool/int subclasses, user
-        # dataclasses, ...): tag-prefixed pickle keeps the codec total.
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        buffer.append(_T_PICKLE)
-        write_varint(buffer, len(blob))
-        buffer.extend(blob)
+        raise MapReduceError(
+            f"cannot encode a {kind.__qualname__} value in a wire payload; the "
+            "tagged layout holds int, bytes, str, tuple, list, None, bool, "
+            "frozenset and float"
+        )
 
 
 def decode_value(data: bytes, offset: int, tag_mask: int = 0xFF) -> tuple[Any, int]:
@@ -279,15 +276,6 @@ def decode_value(data: bytes, offset: int, tag_mask: int = 0xFF) -> tuple[Any, i
         if end > len(data):
             raise MapReduceError("truncated float in wire payload")
         return struct.unpack(">d", data[offset:end])[0], end
-    if tag == _T_PICKLE:
-        length, offset = read_varint(data, offset)
-        end = offset + length
-        if end > len(data):
-            raise MapReduceError("truncated pickle in wire payload")
-        try:
-            return pickle.loads(data[offset:end]), end
-        except Exception as error:  # a hostile pickle can raise anything
-            raise MapReduceError("malformed pickle in wire payload") from error
     raise MapReduceError(f"unknown wire tag {tag}")
 
 
@@ -433,32 +421,9 @@ class CompactCodec:
         return dict(self.iter_bucket(blob))
 
 
-class PickleCodec:
-    """Baseline codec: one pickle per bucket payload (what a generic shuffle
-    serializer would write).  Mainly useful for wire-size comparisons.
-
-    Caveat: pickling serializes containers in iteration order, which Python
-    salts per process for frozensets of strings — so unlike ``compact``/
-    ``zlib``, this codec's byte counts are only process-stable for payloads
-    without such containers (true for every job in this library; it is the
-    naive-serializer baseline, faithfully reproduced warts and all)."""
-
-    name = "pickle"
-
-    def encode_bucket(self, payload: dict[Any, list[Any]]) -> bytes:
-        return pickle.dumps(list(payload.items()), protocol=pickle.HIGHEST_PROTOCOL)
-
-    def iter_bucket(self, blob: bytes) -> Iterator[tuple[Any, list[Any]]]:
-        yield from pickle.loads(blob)
-
-    def decode_bucket(self, blob: bytes) -> dict[Any, list[Any]]:
-        return dict(self.iter_bucket(blob))
-
-
 _CODEC_FACTORIES = {
     "compact": CompactCodec,
     "zlib": lambda: CompactCodec(compress=True),
-    "pickle": PickleCodec,
 }
 
 

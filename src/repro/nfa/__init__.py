@@ -6,6 +6,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.nfa.nfa": ("OutputNfa", "TrieBuilder", "minimize_acyclic"),
-        "repro.nfa.serializer": ("deserialize", "serialize", "serialize_trie", "serialized_size"),
+        "repro.nfa.serializer": ("deserialize", "serialize", "serialize_trie"),
     },
 )

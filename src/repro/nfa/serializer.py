@@ -158,8 +158,3 @@ def deserialize(data: bytes) -> OutputNfa:
         current = target
 
     return OutputNfa(transitions, finals)
-
-
-def serialized_size(nfa: OutputNfa) -> int:
-    """Size in bytes of the canonical serialization (shuffle accounting)."""
-    return len(serialize(nfa))

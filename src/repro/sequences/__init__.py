@@ -37,10 +37,8 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "repro.sequences.io": (
             "preprocess",
-            "read_database",
             "read_dictionary",
             "read_gid_sequences",
-            "write_database",
             "write_dictionary",
             "write_gid_sequences",
         ),

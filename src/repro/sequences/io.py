@@ -46,18 +46,6 @@ def read_gid_sequences(path: str | Path) -> list[tuple[str, ...]]:
     return sequences
 
 
-def write_database(
-    path: str | Path, database: SequenceDatabase, dictionary: Dictionary
-) -> int:
-    """Write a fid-encoded database as gid text lines."""
-    return write_gid_sequences(path, database.decode(dictionary))
-
-
-def read_database(path: str | Path, dictionary: Dictionary) -> SequenceDatabase:
-    """Read gid text lines and encode them through ``dictionary``."""
-    return SequenceDatabase.from_gid_sequences(dictionary, read_gid_sequences(path))
-
-
 # -------------------------------------------------------------------- dictionary
 def write_dictionary(path: str | Path, dictionary: Dictionary) -> None:
     """Persist a dictionary (gids, frequencies, parent links) as JSON."""
@@ -111,10 +99,8 @@ def preprocess(
 __all__ = [
     "Item",
     "preprocess",
-    "read_database",
     "read_dictionary",
     "read_gid_sequences",
-    "write_database",
     "write_dictionary",
     "write_gid_sequences",
 ]

@@ -20,12 +20,7 @@ from collections.abc import Iterable, Sequence
 from repro.core.results import MiningResult
 from repro.dictionary import Dictionary
 from repro.errors import MiningError
-from repro.mapreduce import (
-    Cluster,
-    ClusterConfig,
-    MapReduceJob,
-    resolve_cluster,
-)
+from repro.mapreduce import Cluster, ClusterConfig, MapReduceJob
 from repro.sequences import (
     SequenceDatabase,
     as_mining_records,
@@ -261,7 +256,7 @@ class GapConstrainedMiner:
             use_hierarchy=self.use_hierarchy,
         )
         records = as_mining_records(database, dedup=self.dedup)
-        cluster = resolve_cluster(self.cluster)
+        cluster = self.cluster.build()
         if self.cluster.partitioner_name == "planned":
             # Only a planned run loads the planner (which imports the core jobs).
             from repro.core.balance import attach_partition_plan

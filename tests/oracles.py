@@ -12,7 +12,15 @@ end-to-end reference for the compiled kernel.
 
 from __future__ import annotations
 
-from repro.fst.compiled import MiningKernel
+from repro.fst.compiled import MiningKernel, ensure_kernel
+
+
+def accepts(fst, sequence, dictionary=None) -> bool:
+    """True iff ``fst`` (an FST with its dictionary, or a kernel) has an
+    accepting run for ``sequence``: row 0 of the kernel's reachability table
+    holds the initial state."""
+    kernel = ensure_kernel(fst, dictionary)
+    return bool((kernel.reachability_table(sequence)[0] >> kernel.initial_state) & 1)
 
 
 class InterpretedKernel(MiningKernel):

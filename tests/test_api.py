@@ -15,14 +15,13 @@ from repro.api.session import canonical_algorithm, constraint_token, resolve_con
 from repro.core import DCandMiner, DSeqMiner, NaiveMiner, SemiNaiveMiner
 from repro.datasets import constraint as make_constraint
 from repro.errors import CorpusNotAttachedError, MiningError
-from repro.experiments.harness import RunRecord, build_miner, run_algorithm
+from repro.experiments.harness import RunRecord, run_algorithm
 from repro.mapreduce import (
     BACKENDS,
     ClusterConfig,
     FaultPolicy,
     ScriptedInjector,
     make_cluster,
-    resolve_cluster,
 )
 from repro.sequential import GapConstrainedMiner, SequentialDesqCount, SequentialDesqDfs
 
@@ -319,7 +318,6 @@ class TestLegacyKwargRemoval:
                 RUNNING_EXAMPLE_PATEX, SIGMA, ex_dictionary,
                 cluster=ClusterConfig(backend="simulated"),
             )
-            build_miner("dseq", spec, ex_dictionary, 2, cluster=ClusterConfig())
             run_algorithm(
                 "dseq", spec, ex_dictionary, ex_database,
                 num_workers=2, cluster=ClusterConfig(),
@@ -416,8 +414,8 @@ class TestRemovedKnobs:
 
     @pytest.mark.parametrize(
         "factory",
-        [make_cluster, resolve_cluster, ClusterConfig.resolve],
-        ids=["make_cluster", "resolve_cluster", "ClusterConfig.resolve"],
+        [make_cluster, ClusterConfig.resolve],
+        ids=["make_cluster", "ClusterConfig.resolve"],
     )
     def test_cluster_factories_reject_it(self, factory, knob):
         name, value = knob
@@ -437,12 +435,12 @@ class TestRemovedKnobs:
         with pytest.raises(TypeError, match=name):
             MINERS[miner_name](ex_dictionary, **{name: value})
 
-    def test_core_mine_rejects_it(self, knob, ex_database, ex_dictionary):
-        from repro.core.miner import mine
-
+    def test_mine_rejects_it(self, knob, ex_database, ex_dictionary):
         name, value = knob
         with pytest.raises(TypeError, match=name):
-            mine(ex_database, ex_dictionary, RUNNING_EXAMPLE_PATEX, SIGMA, **{name: value})
+            repro.api.mine(
+                (ex_database, ex_dictionary), RUNNING_EXAMPLE_PATEX, SIGMA, **{name: value}
+            )
 
     @pytest.mark.parametrize("algorithm", ["dseq", "dcand"])
     def test_harness_rejects_it(self, algorithm, knob, ex_database, ex_dictionary):
@@ -490,6 +488,99 @@ class TestRemovedKnobs:
             main([*command, flag, knob[1]])
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {flag} {knob[1]}" in capsys.readouterr().err
+
+
+class TestOneTable:
+    """``repro.api``'s algorithm table is the only one: every surface that
+    names an algorithm resolves it there."""
+
+    def test_top_level_mine_is_the_api_mine(self):
+        assert repro.mine is repro.api.mine
+
+    def test_every_cli_choice_is_a_table_row(self):
+        from repro.cli.mine_cmd import ALGORITHM_CHOICES
+
+        assert ALGORITHM_CHOICES == (
+            "dseq", "dcand", "naive", "semi-naive", "desq-dfs", "desq-count",
+        )
+        for choice in ALGORITHM_CHOICES:
+            assert canonical_algorithm(choice) == choice
+            assert choice in repro.api.ALGORITHM_TABLE
+
+    def test_every_algorithm_the_figures_run_is_a_table_row(self, monkeypatch):
+        from repro.core.results import MiningResult
+        from repro.experiments import figures, harness, tables
+        from repro.mapreduce import JobMetrics
+
+        seen = []
+
+        def spy(corpus, constraint, sigma=None, algorithm="dseq", config=None, **options):
+            seen.append(algorithm)
+            return MiningResult({}, JobMetrics())
+
+        monkeypatch.setattr(harness, "mine", spy)
+        sizes = {"NYT": 40, "AMZN": 40, "AMZN-F": 40, "CW": 40}
+        figures.figure9a(size=40)
+        figures.figure12_lash_setting(sizes=sizes)
+        figures.figure13_mllib_setting(sigmas=(5,), size=40)
+        tables.table5_speedup(sizes=sizes)
+        assert set(seen) == {
+            "naive", "semi-naive", "dseq", "dcand", "lash", "mg-fsm", "prefixspan", "desq-dfs",
+        }
+        assert set(seen) <= set(repro.api.ALGORITHM_TABLE)
+
+    @pytest.mark.parametrize("spelling", ["prefixspan", "mllib", "PrefixSpan"])
+    def test_prefixspan_is_a_row(self, spelling, ex_corpus):
+        from repro.sequential import PrefixSpanMiner
+
+        assert canonical_algorithm(spelling) == "prefixspan"
+        result = repro.api.mine(ex_corpus, {"max_length": 2}, sigma=SIGMA, algorithm=spelling)
+        direct = PrefixSpanMiner(SIGMA, 2, ex_corpus.dictionary).mine(ex_corpus.database)
+        assert result.same_patterns_as(direct) and len(result) > 0
+
+    def test_prefixspan_reads_its_length_from_the_constraint(self, ex_corpus):
+        spec = make_constraint("T1", SIGMA, 2)
+        assert repro.api.mine(ex_corpus, spec, algorithm="mllib").same_patterns_as(
+            repro.api.mine(ex_corpus, {"max_length": 2}, sigma=SIGMA, algorithm="prefixspan")
+        )
+
+
+class TestRemovedNames:
+    """Names of the deleted duplicate paths fail like any missing name."""
+
+    @pytest.mark.parametrize("name", ["mine", "ALGORITHMS"])
+    def test_core_exports_are_gone(self, name):
+        import repro.core
+
+        with pytest.raises(AttributeError, match=name):
+            getattr(repro.core, name)
+
+    def test_core_miner_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.miner")
+
+    def test_resolve_cluster_is_gone(self):
+        import repro.mapreduce
+        import repro.mapreduce.factory
+
+        assert not hasattr(repro.mapreduce, "resolve_cluster")
+        assert not hasattr(repro.mapreduce.factory, "resolve_cluster")
+
+    def test_build_miner_is_gone(self):
+        import repro.experiments
+        import repro.experiments.harness
+
+        assert not hasattr(repro.experiments, "build_miner")
+        assert not hasattr(repro.experiments.harness, "build_miner")
+
+    def test_pickle_codec_is_a_usage_error(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["mine", "--sequences", "unused.txt", "--pattern", "(a)", "--sigma", "2",
+                  "--codec", "pickle"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'pickle'" in capsys.readouterr().err
 
 
 #: What a query process imports (``benchmarks/e2e/run_query.py``, the CLI's
@@ -573,7 +664,6 @@ class TestStartUp:
         "repro.nfa",
         "repro.core.balance",
         "repro.core.naive",
-        "repro.core.miner",
         "repro.sequential",
         "repro.service",
         "repro.fst.export",

@@ -15,6 +15,7 @@ from repro.errors import MapReduceError
 from repro.mapreduce import (
     BACKENDS,
     ClusterConfig,
+    FaultPolicy,
     MapReduceJob,
     MultiHostCluster,
     PersistentProcessPoolCluster,
@@ -23,7 +24,6 @@ from repro.mapreduce import (
     ThreadPoolCluster,
     make_cluster,
     make_codec,
-    resolve_cluster,
     run_map_task,
     stable_hash,
 )
@@ -158,11 +158,53 @@ class TestMakeCluster:
         with pytest.raises(MapReduceError, match="unknown execution backend"):
             make_cluster("spark")
 
-    def test_resolve_passes_instances_through(self):
+    def test_build_passes_instances_through(self):
         cluster = SimulatedCluster(num_workers=2)
-        assert resolve_cluster(cluster) is cluster
+        assert ClusterConfig(backend=cluster).build() is cluster
         assert isinstance(
-            resolve_cluster("processes", num_workers=2), PersistentProcessPoolCluster
+            ClusterConfig(backend="processes", num_workers=2).build(),
+            PersistentProcessPoolCluster,
+        )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_make_cluster_is_config_build(self, backend, tmp_path):
+        """``make_cluster(name, **fields)`` is ``ClusterConfig(...).build()``:
+        the same class, every field landing on the cluster alike."""
+        fields = {
+            "num_workers": 3,
+            "num_reduce_tasks": 7,
+            "measure_shuffle": False,
+            "codec": "zlib",
+            "spill_budget_bytes": 4096,
+            "spill_dir": str(tmp_path),
+            "grid": "legacy",
+            "partitioner": "planned",
+            "fault_policy": FaultPolicy(max_task_attempts=1),
+        }
+        if backend == "multihost":
+            fields["blob_dir"] = str(tmp_path / "blobs")
+
+        def settings(cluster):
+            return (
+                type(cluster),
+                cluster.num_workers,
+                cluster.num_reduce_tasks,
+                cluster.measure_shuffle,
+                cluster.codec.name,
+                cluster.spill_budget_bytes,
+                cluster.spill_dir,
+                cluster.grid,
+                cluster.partitioner,
+                cluster.fault_policy,
+                getattr(cluster.shuffle, "blob_dir", None),
+            )
+
+        built = ClusterConfig(backend=backend, **fields).build()
+        shortcut = make_cluster(backend, **fields)
+        assert settings(built) == settings(shortcut)
+        assert settings(built)[1:] == (
+            3, 7, False, "zlib", 4096, str(tmp_path), "legacy", "planned",
+            FaultPolicy(max_task_attempts=1), fields.get("blob_dir"),
         )
 
 

@@ -196,7 +196,7 @@ class TestMine:
         sequences = tmp_path / "dex.txt"
         sequences.write_text("a c b\na b\nc b\na c c b\n")
         outputs = {}
-        for codec in ("compact", "zlib", "pickle"):
+        for codec in ("compact", "zlib"):
             output = tmp_path / f"{codec}.tsv"
             code, text = run_cli(
                 "mine",

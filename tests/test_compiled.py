@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pivot_search import PositionStateGrid, pivot_items
+from repro.core.grid_engine import make_grid
+from repro.core.pivot_search import PositionStateGrid
 from repro.dictionary import Dictionary, EPSILON_FID, Hierarchy, IntervalSet, Item
 from repro.fst import (
     CompiledFst,
@@ -311,9 +312,9 @@ class TestKernelEquivalence:
             assert generate_candidates(compiled, sequence, sigma=sigma) == (
                 generate_candidates(interpreted, sequence, sigma=sigma)
             )
-            # K(T) through the grid and through run enumeration.
-            assert pivot_items(compiled, sequence, sigma=sigma) == (
-                pivot_items(interpreted, sequence, sigma=sigma)
+            # K(T) through the grid.
+            assert make_grid(compiled, sequence, max_frequent_fid=mff).pivot_items() == (
+                make_grid(interpreted, sequence, max_frequent_fid=mff).pivot_items()
             )
             compiled_grid = PositionStateGrid(compiled, sequence, max_frequent_fid=mff)
             interpreted_grid = PositionStateGrid(

@@ -42,7 +42,6 @@ from repro.fst import (
     accepting_output_sets,
     accepting_runs,
     make_kernel,
-    matches,
     run_output_sets,
 )
 from repro.nfa import TrieBuilder, deserialize, minimize_acyclic, serialize, serialize_trie
@@ -58,7 +57,7 @@ from repro.sequences import (
 from repro.sequences.store import WeightedSequence
 from tests.test_differential import build_consistent, patex_strategy, sequences_strategy
 from tests.test_pivot_search import brute_force_pivots
-from tests.oracles import InterpretedKernel
+from tests.oracles import InterpretedKernel, accepts
 
 #: The product kernel and the oracle it is checked against, by name.
 KERNELS = {"compiled": make_kernel, "interpreted": InterpretedKernel}
@@ -310,7 +309,7 @@ class TestWalkerProtocol:
         for record in records:
             assert list(job.map(record)) == list(reference.map(record))
             sequence, _weight = record_parts(record)
-            if matches(inner, sequence):  # a rejected sequence looks nothing up
+            if accepts(inner, sequence):  # a rejected sequence looks nothing up
                 positions += len(sequence)
         assert positions and kernel.calls == {"edge_rows": positions}
 
@@ -322,7 +321,7 @@ class TestWalkerProtocol:
 
         dictionary, fst, _sigma, records = golden_a3
         kernel = KERNELS[kernel_name](fst, dictionary)
-        sequence = next(s for s, _weight in map(record_parts, records) if matches(kernel, s))
+        sequence = next(s for s, _weight in map(record_parts, records) if accepts(kernel, s))
         walked = []
         count_calls(monkeypatch, simulation_module, "_walk_runs", walked)
         runs = list(accepting_runs(kernel, sequence))

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DCandMiner, DSeqMiner, NaiveMiner, SemiNaiveMiner, mine
+from repro.api import mine
+from repro.core import DCandMiner, DSeqMiner, NaiveMiner, SemiNaiveMiner
 from repro.core.dcand import DCandJob
 from repro.core.dseq import DSeqJob
 from repro.core.naive import NaiveJob
@@ -89,8 +90,8 @@ class TestAlgorithmsAgree:
         dictionary, database = build_consistent(sequences)
         results = {
             algorithm: mine(
-                database, dictionary, expression, sigma=sigma,
-                algorithm=algorithm, num_workers=3,
+                (database, dictionary), expression, sigma=sigma,
+                algorithm=algorithm, config=ClusterConfig(num_workers=3),
             ).patterns()
             for algorithm in ("dseq", "dcand", "naive", "semi-naive")
         }
@@ -104,8 +105,8 @@ class TestAlgorithmsAgree:
     def test_sequential_miners_agree_with_dseq(self, expression, sequences, sigma):
         dictionary, database = build_consistent(sequences)
         distributed = mine(
-            database, dictionary, expression, sigma=sigma, algorithm="dseq",
-            num_workers=2,
+            (database, dictionary), expression, sigma=sigma, algorithm="dseq",
+            config=ClusterConfig(num_workers=2),
         ).patterns()
         dfs = SequentialDesqDfs(expression, sigma, dictionary).mine(database).patterns()
         count = SequentialDesqCount(expression, sigma, dictionary).mine(database).patterns()
@@ -462,8 +463,8 @@ class TestRandomExpressions:
         dictionary, database = build_consistent(sequences)
         results = {
             algorithm: mine(
-                database, dictionary, expression, sigma=sigma,
-                algorithm=algorithm, num_workers=3,
+                (database, dictionary), expression, sigma=sigma,
+                algorithm=algorithm, config=ClusterConfig(num_workers=3),
             ).patterns()
             for algorithm in ("dseq", "dcand", "naive", "semi-naive")
         }
@@ -488,7 +489,7 @@ class TestRandomExpressions:
         dictionary, database = build_consistent(sequences)
         fst = PatEx(expression).compile(dictionary)
         result = mine(
-            database, dictionary, expression, sigma=sigma, algorithm="dcand",
+            (database, dictionary), expression, sigma=sigma, algorithm="dcand",
         )
         for pattern, frequency in result.patterns().items():
             support = sum(
@@ -541,7 +542,7 @@ class TestSemanticsOracle:
         expression = ".*(A)[(.^)|.]*(b).*"
         database = encode(ex_dictionary, sequences)
         fst = PatEx(expression).compile(ex_dictionary)
-        result = mine(database, ex_dictionary, expression, sigma=sigma, algorithm="dcand")
+        result = mine((database, ex_dictionary), expression, sigma=sigma, algorithm="dcand")
         for pattern, frequency in result.patterns().items():
             support = sum(
                 1
@@ -565,7 +566,7 @@ class TestSemanticsOracle:
         expected = {
             candidate: count for candidate, count in support.items() if count >= sigma
         }
-        mined = mine(database, ex_dictionary, expression, sigma=sigma, algorithm="dseq")
+        mined = mine((database, ex_dictionary), expression, sigma=sigma, algorithm="dseq")
         assert mined.patterns() == expected
 
 
@@ -690,12 +691,12 @@ class TestGridAndDedupMatrix:
         dictionary, database = build_consistent(duplicated)
         for algorithm in ("dseq", "dcand", "naive", "semi-naive"):
             deduped = mine(
-                database, dictionary, expression, sigma=sigma, algorithm=algorithm,
-                num_workers=2, dedup=True,
+                (database, dictionary), expression, sigma=sigma, algorithm=algorithm,
+                config=ClusterConfig(num_workers=2), dedup=True,
             )
             raw = mine(
-                database, dictionary, expression, sigma=sigma, algorithm=algorithm,
-                num_workers=2, dedup=False,
+                (database, dictionary), expression, sigma=sigma, algorithm=algorithm,
+                config=ClusterConfig(num_workers=2), dedup=False,
             )
             assert deduped.patterns() == raw.patterns(), algorithm
             assert deduped.metrics.input_records < raw.metrics.input_records
@@ -710,8 +711,8 @@ class TestGridAndDedupMatrix:
             for dedup in (True, False)
         }
         reference = mine(
-            database, dictionary, expression, sigma=sigma, algorithm="dseq",
-            num_workers=2,
+            (database, dictionary), expression, sigma=sigma, algorithm="dseq",
+            config=ClusterConfig(num_workers=2),
         ).patterns()
         assert dfs[True] == dfs[False] == reference
         assert count[True] == count[False] == reference

@@ -6,12 +6,10 @@ import pytest
 
 from repro.datasets import constraint
 from repro.experiments import (
-    build_miner,
     candidate_statistics,
     figure10a,
     figure10b,
     figure11_scalability,
-    format_series,
     format_table,
     human_bytes,
     prepare_dataset,
@@ -58,20 +56,22 @@ class TestHarness:
         counts = {record.num_patterns for record in records if record.status == "ok"}
         assert len(counts) == 1
 
-    def test_build_miner_rejects_unknown(self):
+    def test_run_algorithm_rejects_unknown(self):
         prepared = prepare_dataset("AMZN", TINY["AMZN"])
-        with pytest.raises(MiningError):
-            build_miner("nope", constraint("A2", 2), prepared.dictionary, 2)
+        with pytest.raises(MiningError, match="unknown algorithm"):
+            run_algorithm("nope", constraint("A2", 2), prepared.dictionary, prepared.database)
 
     @pytest.mark.parametrize(
         "algorithm",
         ["naive", "semi-naive", "dseq", "dcand", "desq-dfs", "desq-count", "lash", "prefixspan"],
     )
-    def test_build_miner_all_algorithms(self, algorithm):
+    def test_run_algorithm_all_algorithms(self, algorithm):
         prepared = prepare_dataset("AMZN", TINY["AMZN"])
         task = constraint("T3", 3, 1, 4) if algorithm == "lash" else constraint("T1", 3, 4)
-        miner = build_miner(algorithm, task, prepared.dictionary, 2)
-        assert hasattr(miner, "mine")
+        record = run_algorithm(
+            algorithm, task, prepared.dictionary, prepared.database, num_workers=2
+        )
+        assert record.status == "ok" and record.num_patterns > 0
 
     def test_oom_reporting(self):
         # An extremely loose constraint with a tiny cap reports "oom" rather
@@ -131,11 +131,6 @@ class TestReporting:
         rendered = format_table(rows)
         assert "a" in rendered and "22" in rendered
         assert format_table([]) == "(no rows)"
-
-    def test_format_series(self):
-        rendered = format_series("title", [(1, 2.0), (2, 3.5)], "x", "y")
-        assert "title" in rendered
-        assert "3.500" in rendered
 
     def test_human_bytes(self):
         assert human_bytes(512) == "512.0 B"

@@ -17,14 +17,14 @@ from repro.fst import (
     compile_expression,
     generate_candidates,
     generates,
-    matches,
-    reachability_table,
+    make_kernel,
     run_output_sets,
 )
 from repro.fst.labels import Label
 from repro.patex import PatEx
 
 from tests.conftest import gids
+from tests.oracles import accepts
 
 
 # ----------------------------------------------------------------------- labels
@@ -103,7 +103,7 @@ class TestCompilation:
     def test_empty_language_fst(self, ex_dictionary):
         # An expression over an impossible combination still compiles.
         fst = compile_expression("A= a2=", ex_dictionary)
-        assert not matches(fst, ex_dictionary.encode(["A"]), ex_dictionary)
+        assert not accepts(fst, ex_dictionary.encode(["A"]), ex_dictionary)
 
     def test_dump_contains_transitions(self, ex_fst, ex_dictionary):
         dump = ex_fst.dump(ex_dictionary)
@@ -115,18 +115,18 @@ class TestCompilation:
 class TestMatching:
     def test_running_example_matches(self, ex_fst, ex_dictionary, ex_database):
         expected = [True, True, False, True, True]
-        observed = [matches(ex_fst, T, ex_dictionary) for T in ex_database]
+        observed = [accepts(ex_fst, T, ex_dictionary) for T in ex_database]
         assert observed == expected
 
     def test_empty_sequence(self, ex_dictionary):
         fst = compile_expression(".*", ex_dictionary)
-        assert matches(fst, (), ex_dictionary)
+        assert accepts(fst, (), ex_dictionary)
         fst2 = compile_expression("(A)", ex_dictionary)
-        assert not matches(fst2, (), ex_dictionary)
+        assert not accepts(fst2, (), ex_dictionary)
 
     def test_reachability_table_dimensions(self, ex_fst, ex_dictionary, ex_database):
         T5 = ex_database[4]
-        table = reachability_table(ex_fst, T5, ex_dictionary)
+        table = make_kernel(ex_fst, ex_dictionary).reachability_table(T5)
         assert len(table) == len(T5) + 1
         # One state bitmask per position: no bit beyond the FST's states, the
         # last row is exactly the final states, and T5 is accepted.
@@ -137,10 +137,10 @@ class TestMatching:
     def test_exact_match_semantics(self, ex_dictionary):
         # (A) matches a1 but A= does not.
         fst = compile_expression(".*A=.*", ex_dictionary)
-        assert matches(fst, ex_dictionary.encode(["A"]), ex_dictionary)
-        assert not matches(fst, ex_dictionary.encode(["a1"]), ex_dictionary)
+        assert accepts(fst, ex_dictionary.encode(["A"]), ex_dictionary)
+        assert not accepts(fst, ex_dictionary.encode(["a1"]), ex_dictionary)
         fst_desc = compile_expression(".*A.*", ex_dictionary)
-        assert matches(fst_desc, ex_dictionary.encode(["a1"]), ex_dictionary)
+        assert accepts(fst_desc, ex_dictionary.encode(["a1"]), ex_dictionary)
 
 
 # --------------------------------------------------------------- accepting runs

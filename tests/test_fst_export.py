@@ -1,15 +1,8 @@
-"""Tests for FST/NFA dot export and structural statistics."""
+"""Tests for FST dot export and structural statistics."""
 
 from __future__ import annotations
 
-from repro.fst import (
-    fst_statistics,
-    fst_to_dot,
-    nfa_statistics,
-    nfa_to_dot,
-    reachable_states,
-)
-from repro.nfa import TrieBuilder
+from repro.fst import fst_statistics, fst_to_dot
 from repro.patex import PatEx
 
 
@@ -59,43 +52,3 @@ class TestFstStatistics:
         summary = fst_statistics(ex_fst).as_dict()
         assert summary["states"] == ex_fst.num_states
         assert isinstance(summary["deterministic_on_states"], bool)
-
-
-class TestReachability:
-    def test_all_states_reachable_after_compilation(self, ex_fst):
-        assert reachable_states(ex_fst) == set(ex_fst.states())
-
-    def test_initial_state_always_reachable(self, ex_dictionary):
-        fst = PatEx("(A)").compile(ex_dictionary)
-        assert fst.initial_state in reachable_states(fst)
-
-
-class TestNfaExport:
-    def make_nfa(self):
-        builder = TrieBuilder()
-        builder.add_run([(4,), (2, 4), (1,)])  # a1 {A,a1} b (Fig. 8)
-        builder.add_run([(4,), (1,)])
-        return builder.minimized()
-
-    def test_dot_contains_states_and_edges(self):
-        nfa = self.make_nfa()
-        dot = nfa_to_dot(nfa)
-        assert dot.startswith("digraph")
-        for state in range(nfa.num_states):
-            assert f"s{state}" in dot
-        assert dot.count("->") == nfa.num_transitions + 1
-
-    def test_dot_decodes_gids(self, ex_dictionary):
-        dot = nfa_to_dot(self.make_nfa(), ex_dictionary)
-        assert "{a1,A}" in dot or "{A,a1}" in dot
-        assert "{b}" in dot
-
-    def test_statistics(self):
-        nfa = self.make_nfa()
-        stats = nfa_statistics(nfa)
-        assert stats.num_states == nfa.num_states
-        assert stats.num_transitions == nfa.num_transitions
-        assert stats.num_final_states >= 1
-        assert stats.num_candidates == 3  # a1 a1 b, a1 A b, a1 b
-        assert stats.max_label_size == 2
-        assert stats.as_dict()["candidates"] == 3

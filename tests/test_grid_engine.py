@@ -34,7 +34,6 @@ from repro.core.grid_engine import (
 )
 from repro.core.pivot_search import (
     PositionStateGrid,
-    pivot_items,
     pivot_merge,
     pivots_of_output_sets,
 )
@@ -202,13 +201,6 @@ class TestFlatLegacyEquivalence:
             for build in (make_kernel, InterpretedKernel)
         }
         assert len(set(map(frozenset, results.values()))) == 1
-
-    def test_pivot_items_entry_point_honours_the_knob(self, ex_dictionary):
-        fst = PatEx(".*(A)[(.^)|.]*(b).*").compile(ex_dictionary)
-        sequence = ex_dictionary.encode(("c", "a1", "b", "e"))
-        flat = pivot_items(fst, sequence, ex_dictionary, grid="flat")
-        legacy = pivot_items(fst, sequence, ex_dictionary, grid="legacy")
-        assert flat == legacy and flat
 
 
 class TestRejectedSequences:

@@ -13,9 +13,7 @@ from repro.mapreduce import (
     MapReduceJob,
     SimulatedCluster,
     ThreadPoolCluster,
-    iter_map_output,
     make_cluster,
-    resolve_cluster,
 )
 
 
@@ -82,10 +80,6 @@ class TestSimulatedCluster:
     def test_invalid_worker_count(self):
         with pytest.raises(MapReduceError):
             SimulatedCluster(num_workers=0)
-
-    def test_iter_map_output(self):
-        pairs = list(iter_map_output(WordCountJob(), ["a b", "b"]))
-        assert pairs == [("a", 1), ("b", 1), ("b", 1)]
 
     def test_custom_record_size(self):
         class SizedJob(WordCountJob):
@@ -187,7 +181,7 @@ class TestClusterConfig:
         instance = ThreadPoolCluster(num_workers=2)
         wrapped = ClusterConfig.resolve(instance)
         assert wrapped.backend is instance
-        assert resolve_cluster(wrapped) is instance
+        assert wrapped.build() is instance
 
     def test_grid_name_defaults_and_inherits_from_cluster_instances(self):
         assert ClusterConfig().grid_name == "flat"
@@ -203,15 +197,9 @@ class TestClusterConfig:
         assert cluster.num_workers == 3
         assert cluster.grid == "legacy"
 
-    def test_make_cluster_accepts_a_config(self):
-        cluster = make_cluster(ClusterConfig(backend="simulated", num_workers=5))
-        assert isinstance(cluster, SimulatedCluster)
-        assert cluster.num_workers == 5
-
-    def test_make_cluster_rejects_configs_holding_instances(self):
-        instance = SimulatedCluster(num_workers=1)
-        with pytest.raises(MapReduceError, match="cluster instance"):
-            make_cluster(ClusterConfig(backend=instance))
+    def test_make_cluster_takes_no_config(self):
+        with pytest.raises(MapReduceError, match="unknown execution backend"):
+            make_cluster(ClusterConfig(backend="simulated"))
 
     def test_merged_replaces_fields(self):
         config = ClusterConfig(backend="threads").merged(num_workers=9)

@@ -8,19 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DCandJob, DCandMiner, DSeqJob, DSeqMiner, NaiveMiner, SemiNaiveMiner, mine
-from repro.core.partitioning import (
-    group_candidates_by_pivot,
-    is_pivot_sequence,
-    pivot_item,
-    pivot_items_of_candidates,
-)
+from repro.api import mine
+from repro.core import DCandJob, DCandMiner, DSeqJob, DSeqMiner, NaiveMiner, SemiNaiveMiner
+from repro.core.partitioning import pivot_item
 from repro.dictionary import build_dictionary
 from repro.dictionary.hierarchy import Hierarchy
 from repro.errors import MiningError
 from repro.fst import generate_candidates
-from repro.mapreduce import iter_map_output
 from repro.patex import PatEx
+from repro.sequences import SequenceDatabase
 
 from tests.conftest import RUNNING_EXAMPLE_PATEX
 
@@ -46,25 +42,13 @@ class TestPartitioning:
         with pytest.raises(ValueError):
             pivot_item(())
 
-    def test_is_pivot_sequence(self):
-        assert is_pivot_sequence((4, 1), 4)
-        assert not is_pivot_sequence((4, 1), 1)
-        assert not is_pivot_sequence((), 1)
-
-    def test_pivot_items_of_candidates(self):
-        assert pivot_items_of_candidates([(4, 1), (1,), ()]) == {4, 1}
-
-    def test_group_candidates_by_pivot(self):
-        groups = group_candidates_by_pivot([(4, 1), (1,), (4, 2)])
-        assert groups == {4: {(4, 1), (4, 2)}, 1: {(1,)}}
-
 
 # ------------------------------------------------------------- running example
 class TestRunningExample:
     @pytest.mark.parametrize("algorithm", ["naive", "semi-naive", "dseq", "dcand"])
     def test_paper_result(self, algorithm, ex_dictionary, ex_database):
         result = mine(
-            ex_database, ex_dictionary, RUNNING_EXAMPLE_PATEX, sigma=2, algorithm=algorithm
+            (ex_database, ex_dictionary), RUNNING_EXAMPLE_PATEX, sigma=2, algorithm=algorithm
         )
         assert decode_counts(ex_dictionary, result) == EXPECTED_RUNNING_EXAMPLE
 
@@ -73,7 +57,7 @@ class TestRunningExample:
         self, sigma, expected_count, ex_dictionary, ex_database
     ):
         results = [
-            mine(ex_database, ex_dictionary, RUNNING_EXAMPLE_PATEX, sigma=sigma, algorithm=a)
+            mine((ex_database, ex_dictionary), RUNNING_EXAMPLE_PATEX, sigma=sigma, algorithm=a)
             for a in ("naive", "semi-naive", "dseq", "dcand")
         ]
         reference = dict(results[0])
@@ -89,7 +73,7 @@ class TestRunningExample:
 
     def test_unknown_algorithm(self, ex_dictionary, ex_database):
         with pytest.raises(MiningError):
-            mine(ex_database, ex_dictionary, RUNNING_EXAMPLE_PATEX, 2, algorithm="bogus")
+            mine((ex_database, ex_dictionary), RUNNING_EXAMPLE_PATEX, 2, algorithm="bogus")
 
 
 # ----------------------------------------------------------------------- D-SEQ
@@ -155,7 +139,7 @@ class TestDCand:
         job = DCandJob(ex_fst, ex_dictionary, sigma=2)
         a1 = ex_dictionary.fid_of("a1")
         c = ex_dictionary.fid_of("c")
-        keys = [key for key, _payload in iter_map_output(job, [ex_database[0]])]
+        keys = [key for key, _payload in job.map(ex_database[0])]
         assert sorted(keys) == sorted([a1, c])
 
     def test_map_nfa_contains_pivot_candidates(self, ex_fst, ex_dictionary, ex_database):
@@ -262,5 +246,7 @@ class TestCrossAlgorithmConsistency:
         fst = PatEx(expression).compile(dictionary)
         reference = reference_counts(fst, dictionary, database, sigma)
         for algorithm in ("semi-naive", "dseq", "dcand"):
-            result = mine(database, dictionary, expression, sigma, algorithm=algorithm)
+            result = mine(
+                (SequenceDatabase(database), dictionary), expression, sigma, algorithm=algorithm
+            )
             assert dict(result) == reference, algorithm

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core.pivot_search import (
     PositionStateGrid,
-    pivot_items,
     pivot_merge,
     pivots_by_run_enumeration,
     pivots_of_output_sets,
@@ -202,13 +201,6 @@ class TestPositionStateGrid:
         assert grid.last_pivot_producing_position(a1) == 2
         b = ex_dictionary.fid_of("b")
         assert grid.last_pivot_producing_position(b) == 3
-
-    def test_pivot_items_helper_dispatch(self, ex_fst, ex_dictionary, ex_database):
-        with_grid = pivot_items(ex_fst, ex_database[0], ex_dictionary, sigma=2, use_grid=True)
-        without_grid = pivot_items(
-            ex_fst, ex_database[0], ex_dictionary, sigma=2, use_grid=False
-        )
-        assert with_grid == without_grid
 
     def test_edges_have_positions_and_outputs(self, ex_fst, ex_dictionary, ex_database):
         grid = PositionStateGrid(ex_fst, ex_database[4], ex_dictionary)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import mine
+from repro.api import mine
 from repro.datasets import (
     ProteinLikeGenerator,
     protein_hierarchy,
@@ -74,7 +74,7 @@ class TestMotifMining:
         dictionary, database = dataset.preprocess()
         constraint = protein_motif_constraint(sigma=10)
         result = mine(
-            database, dictionary, constraint.expression, sigma=constraint.sigma,
+            (database, dictionary), constraint.expression, sigma=constraint.sigma,
             algorithm="dcand",
         )
         decoded = result.decoded(dictionary)
@@ -91,8 +91,8 @@ class TestMotifMining:
         dataset = protein_like(150, motif_fraction=0.5, seed=21)
         dictionary, database = dataset.preprocess()
         constraint = protein_motif_constraint(sigma=5)
-        dseq = mine(database, dictionary, constraint.expression, sigma=5, algorithm="dseq")
-        dcand = mine(database, dictionary, constraint.expression, sigma=5, algorithm="dcand")
+        dseq = mine((database, dictionary), constraint.expression, sigma=5, algorithm="dseq")
+        dcand = mine((database, dictionary), constraint.expression, sigma=5, algorithm="dcand")
         assert dseq.patterns() == dcand.patterns()
 
     def test_generalized_motif_is_more_frequent_than_concrete_ones(self):
@@ -100,7 +100,7 @@ class TestMotifMining:
         dictionary, database = dataset.preprocess()
         constraint = protein_motif_constraint(sigma=5)
         decoded = mine(
-            database, dictionary, constraint.expression, sigma=5, algorithm="dseq"
+            (database, dictionary), constraint.expression, sigma=5, algorithm="dseq"
         ).decoded(dictionary)
         generalized = {
             pattern: frequency

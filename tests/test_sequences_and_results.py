@@ -13,10 +13,8 @@ from repro.mapreduce import JobMetrics
 from repro.sequences import (
     SequenceDatabase,
     preprocess,
-    read_database,
     read_dictionary,
     read_gid_sequences,
-    write_database,
     write_dictionary,
     write_gid_sequences,
 )
@@ -104,12 +102,6 @@ class TestIo:
         sequences = [("a", "b"), ("c",), ("a", "a", "a")]
         assert write_gid_sequences(path, sequences) == 3
         assert read_gid_sequences(path) == sequences
-
-    def test_database_round_trip(self, tmp_path, ex_dictionary, ex_database):
-        path = tmp_path / "database.txt"
-        write_database(path, ex_database, ex_dictionary)
-        restored = read_database(path, ex_dictionary)
-        assert restored.sequences() == ex_database.sequences()
 
     def test_dictionary_round_trip(self, tmp_path, ex_dictionary):
         path = tmp_path / "dictionary.json"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import os
+import pickle
 import random
 
 import pytest
@@ -28,7 +29,6 @@ from repro.mapreduce import (
     Codec,
     CompactCodec,
     MapReduceJob,
-    PickleCodec,
     SimulatedCluster,
     make_cluster,
     make_codec,
@@ -82,6 +82,12 @@ def payloads():
         st.binary(max_size=10),
     )
     return st.dictionaries(keys, st.lists(values(), max_size=5), max_size=8)
+
+
+class Colour(enum.IntEnum):
+    """An ``int`` subclass that is not ``bool``: no tag names it."""
+
+    RED = 3
 
 
 # ------------------------------------------------------------------- varints
@@ -143,6 +149,25 @@ class TestValueEncoding:
         encode_value(buffer, (1, 2, 3, 4, 5))
         assert len(buffer) <= 2 + 2 * 5
 
+    @pytest.mark.parametrize(
+        "value",
+        [Colour.RED, (1, Colour.RED), {"pickled": 1}, [object()], frozenset({Colour.RED})],
+        ids=repr,
+    )
+    def test_values_outside_the_tags_are_refused(self, value):
+        with pytest.raises(MapReduceError, match="cannot encode a"):
+            encode_value(bytearray(), value)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{1: [((1, 2), Colour.RED)]}, {1: [((Colour.RED,), 1)]}, {Colour.RED: [1]}],
+        ids=repr,
+    )
+    def test_buckets_holding_them_are_refused(self, payload):
+        for name in CODECS:
+            with pytest.raises(MapReduceError, match="cannot encode a Colour value"):
+                make_codec(name).encode_bucket(payload)
+
     def test_frozenset_encoding_is_order_independent(self):
         first, second = bytearray(), bytearray()
         encode_value(first, frozenset(["spill", "wire", "codec"]))
@@ -162,17 +187,17 @@ class TestValueEncoding:
 # -------------------------------------------------------------------- codecs
 class TestCodecs:
     def test_make_codec(self):
-        assert CODECS == ("compact", "zlib", "pickle")
+        assert CODECS == ("compact", "zlib")
         assert isinstance(make_codec("compact"), CompactCodec)
         assert make_codec("zlib").name == "zlib"
-        assert isinstance(make_codec("pickle"), PickleCodec)
         codec = CompactCodec()
         assert make_codec(codec) is codec
         assert isinstance(codec, Codec)
 
-    def test_unknown_codec(self):
+    @pytest.mark.parametrize("name", ["msgpack", "pickle"])
+    def test_unknown_codec(self, name):
         with pytest.raises(MapReduceError, match="unknown shuffle codec"):
-            make_codec("msgpack")
+            make_codec(name)
 
     @pytest.mark.parametrize("name", CODECS)
     def test_empty_payload_round_trip(self, name):
@@ -273,12 +298,6 @@ class TestInlinedIntElements:
                 decode_value(bytes(buffer[:length]), 0)
 
 
-class Colour(enum.IntEnum):
-    """An ``int`` subclass that is not ``bool`` (pickled by the tagged layout)."""
-
-    RED = 3
-
-
 def tagged_blob(payload) -> bytes:
     """The replaced layout as a test-side oracle: every group tagged, value by
     value, the way ``CompactCodec.encode_bucket`` wrote all groups before
@@ -349,8 +368,6 @@ SPOILERS = (
     b"bare",
     ((1, 2), True),  # a bool weight
     ((1, True), 1),  # a bool item
-    ((1, 2), Colour.RED),  # an int subclass as weight ...
-    ((Colour.RED,), 1),  # ... and as item
     ((1, -1), 1),
     ((1, 2), -1),
     (b"nfa", -1),
@@ -521,13 +538,30 @@ class TestColumnGroups:
         assert counted[0]["write"] <= 8 and counted[0]["read"] <= 8
 
 
+#: Where :func:`_sentinel` reports a call (a list of call logs).
+PICKLE_SENTINEL: list[list] = []
+
+
+def _sentinel() -> None:
+    for calls in PICKLE_SENTINEL:
+        calls.append(1)
+
+
+class CallsSentinel:
+    """Unpickling an instance calls :func:`_sentinel`: a stand-in for a pickle
+    that runs arbitrary code."""
+
+    def __reduce__(self):
+        return _sentinel, ()
+
+
 class TestHostilePayloads:
     """``decode_bucket`` reads bytes another process wrote: whatever arrives,
     it returns a payload or raises ``MapReduceError`` — nothing else."""
 
     PAYLOAD = {
         7: [((1, 2, 300, 70_000), 2), "héllo", b"\x00\x01", frozenset({1, 2}), 1.5],
-        "key": [(5, 9000, -1), None, True, [1, (2,)], {"pickled": 1}, -5],
+        "key": [(5, 9000, -1), None, True, [1, (2,)], -5],
         (1, 2): [()],
         # Column groups: weights above 127, an empty tuple, a 0-byte payload.
         11: [((1, 2, 300, 70_000), 200), ((), 1), ((0x10FFFF, 0xD800, 128), 3000)],
@@ -562,6 +596,23 @@ class TestHostilePayloads:
             body = bytes(rng.randrange(256) for _ in range(rng.randrange(1, len(blob))))
             self.read(codec, bytes([rng.randrange(2)]) + body)
 
+    def test_a_pickle_tag_is_never_unpickled(self):
+        """Tag 10 once carried a pickle; a blob planted in a shared blob
+        directory could run code in the reduce worker that read it."""
+        calls = []
+        PICKLE_SENTINEL.append(calls)
+        try:
+            planted = pickle.dumps(CallsSentinel())
+            body = bytearray([0, 1, 0, 2, 1, 10])  # raw, 1 group, key 1, 1 value, tag 10
+            write_varint(body, len(planted))
+            blob = bytes(body) + planted
+            with pytest.raises(MapReduceError, match="unknown wire tag 10"):
+                make_codec("compact").decode_bucket(blob)
+            pickle.loads(planted)  # the planted bytes do run the sentinel
+            assert calls == [1]
+        finally:
+            PICKLE_SENTINEL.clear()
+
     def test_the_payload_exercises_both_layouts(self):
         assert layouts(make_codec("compact").encode_bucket(self.PAYLOAD)) == [0, 0, 0, 1, 2]
 
@@ -572,7 +623,6 @@ class TestHostilePayloads:
         codec = make_codec("compact")
         hazards = {
             "malformed string": b"\x00\x01\x02\x01\xff\x00",
-            "malformed pickle": b"\x00\x01\x00\x02\x01\x0a\x01\x2e",
             "malformed zlib": b"\x01not a zlib stream",
             "unhashable key": b"\x00\x01\x04\x00\x00",
             "unhashable frozenset member": b"\x00\x01\x00\x02\x01\x08\x01\x04\x00",
@@ -621,6 +671,7 @@ class TestHostilePayloads:
             ("unknown group layout 3", b"\x00\x01\x30\x02" + one + one + one, None),
             ("unknown group layout 15", b"\x00\x01\xf0\x02\x00", None),
             ("unknown wire tag 11", b"\x00\x01\x1b\x02" + one + one + one, None),  # key tag, layout masked off
+            ("unknown wire tag 10", b"\x00\x01\x00\x02\x01\x0a\x01\x2e", None),  # the old pickle tag
             ("trailing bytes", self.TUPLES + one + one + one + b"\x00", None),
         ]
         for message, blob, cause in hazards:
@@ -877,13 +928,3 @@ class TestMinersAcrossCodecsAndBackends:
             assert result.metrics.spilled_buckets > 0, name
             assert list(tmp_path.iterdir()) == []  # all spill files cleaned up
 
-    def test_codec_sizes_are_ordered_sensibly(self, ex_dictionary, ex_database):
-        """The compact codec beats pickle on the fid tuples D-SEQ shuffles."""
-        sizes = {}
-        for codec in CODECS:
-            miner = DSeqMiner(
-                RUNNING_EXAMPLE_PATEX, 2, ex_dictionary,
-                cluster=ClusterConfig(codec=codec, num_workers=2),
-            )
-            sizes[codec] = miner.mine(ex_database).metrics.wire_bytes
-        assert sizes["compact"] < sizes["pickle"]
