@@ -38,7 +38,6 @@ def _run(fault_injector=None):
         task,
         prepared.dictionary,
         prepared.database,
-        num_workers=CHAOS_WORKERS,
         dataset_name="NYT",
         cluster=ClusterConfig(
             backend="multihost",

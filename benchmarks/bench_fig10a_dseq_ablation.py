@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.datasets import constraint as make_constraint
 from repro.experiments import SCALED_SIGMA, figure10a, format_table
 
-from benchmarks.conftest import BENCH_SIZES, BENCH_WORKERS, run_once
+from benchmarks.conftest import BENCH_CLUSTER, BENCH_SIZES, run_once
 
 
 def test_figure10a_dseq_ablation(benchmark):
@@ -19,7 +19,7 @@ def test_figure10a_dseq_ablation(benchmark):
         benchmark,
         figure10a,
         constraints=constraints,
-        num_workers=BENCH_WORKERS,
+        cluster=BENCH_CLUSTER,
         sizes=BENCH_SIZES,
     )
     print()

@@ -8,6 +8,7 @@ real wall-clock speed-ups on the local machine.
 from __future__ import annotations
 
 from repro.experiments import figure11_scalability, format_table
+from repro.mapreduce import ClusterConfig
 
 from benchmarks.conftest import BENCH_BACKEND, BENCH_SIZES, run_once
 
@@ -19,7 +20,7 @@ def test_figure11_scalability(benchmark):
         base_size=BENCH_SIZES["AMZN-F"],
         fractions=(0.25, 0.5, 0.75, 1.0),
         worker_counts=(2, 4, 8),
-        backend=BENCH_BACKEND,
+        cluster=ClusterConfig(backend=BENCH_BACKEND),
     )
     print()
     print(f"Fig. 11 backend: {BENCH_BACKEND}")

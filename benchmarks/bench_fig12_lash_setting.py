@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from repro.experiments import figure12_lash_setting, format_table
 
-from benchmarks.conftest import BENCH_SIZES, BENCH_WORKERS, run_once
+from benchmarks.conftest import BENCH_CLUSTER, BENCH_SIZES, run_once
 
 
 def test_figure12_lash_setting(benchmark):
     rows = run_once(
-        benchmark, figure12_lash_setting, num_workers=BENCH_WORKERS, sizes=BENCH_SIZES
+        benchmark, figure12_lash_setting, cluster=BENCH_CLUSTER, sizes=BENCH_SIZES
     )
     print()
     print("Fig. 12 (reproduced): LASH setting — specialist vs general algorithms")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.experiments import figure13_mllib_setting, format_table
 
-from benchmarks.conftest import BENCH_SIZES, BENCH_WORKERS, run_once
+from benchmarks.conftest import BENCH_CLUSTER, BENCH_SIZES, run_once
 
 
 def test_figure13_mllib_setting(benchmark):
@@ -13,7 +13,7 @@ def test_figure13_mllib_setting(benchmark):
         figure13_mllib_setting,
         sigmas=(100, 50, 25),
         max_length=5,
-        num_workers=BENCH_WORKERS,
+        cluster=BENCH_CLUSTER,
         size=BENCH_SIZES["AMZN"],
     )
     print()

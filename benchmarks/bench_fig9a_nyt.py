@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from repro.experiments import figure9a, format_table
 
-from benchmarks.conftest import BENCH_SIZES, BENCH_WORKERS, run_once
+from benchmarks.conftest import BENCH_CLUSTER, BENCH_SIZES, run_once
 
 
 def test_figure9a_flexible_constraints_nyt(benchmark):
     rows = run_once(
-        benchmark, figure9a, size=BENCH_SIZES["NYT"], num_workers=BENCH_WORKERS
+        benchmark, figure9a, size=BENCH_SIZES["NYT"], cluster=BENCH_CLUSTER
     )
     print()
     print("Fig. 9a (reproduced): total time per algorithm, NYT-like dataset")

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from repro.experiments import figure9b, format_table
 
-from benchmarks.conftest import BENCH_SIZES, BENCH_WORKERS, run_once
+from benchmarks.conftest import BENCH_CLUSTER, BENCH_SIZES, run_once
 
 
 def test_figure9b_flexible_constraints_amzn(benchmark):
     rows = run_once(
-        benchmark, figure9b, size=BENCH_SIZES["AMZN"], num_workers=BENCH_WORKERS
+        benchmark, figure9b, size=BENCH_SIZES["AMZN"], cluster=BENCH_CLUSTER
     )
     print()
     print("Fig. 9b (reproduced): total time per algorithm, AMZN-like dataset")

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.experiments import figure9c, format_table, human_bytes
 
-from benchmarks.conftest import BENCH_SIZES, BENCH_WORKERS, run_once
+from benchmarks.conftest import BENCH_CLUSTER, BENCH_SIZES, BENCH_WORKERS, run_once
 
 
 def _timing_rows(rows: list[dict], label_key: str, label: str) -> list[dict]:
@@ -25,14 +27,12 @@ def _timing_rows(rows: list[dict], label_key: str, label: str) -> list[dict]:
 
 
 def test_figure9c_shuffle_sizes(benchmark, bench_json):
-    rows = run_once(
-        benchmark, figure9c, size=BENCH_SIZES["AMZN"], num_workers=BENCH_WORKERS
-    )
+    rows = run_once(benchmark, figure9c, size=BENCH_SIZES["AMZN"], cluster=BENCH_CLUSTER)
     # Same experiment on the legacy grid engine: tracks the flat grid's
     # speed-up per PR.  Byte counts are grid-independent; only the timings
     # differ.
     legacy_grid = figure9c(
-        size=BENCH_SIZES["AMZN"], num_workers=BENCH_WORKERS, grid="legacy"
+        size=BENCH_SIZES["AMZN"], cluster=replace(BENCH_CLUSTER, grid="legacy")
     )
     grids = _timing_rows(rows, "grid", "flat") + _timing_rows(legacy_grid, "grid", "legacy")
     artifact = bench_json(

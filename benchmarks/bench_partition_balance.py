@@ -15,6 +15,8 @@ never models a worse reduce-stage straggler than the hash.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.core import dcand_partition_balance, dseq_partition_balance
 from repro.datasets import constraint as make_constraint
 from repro.experiments import (
@@ -23,9 +25,14 @@ from repro.experiments import (
     prepare_dataset,
     run_algorithm,
 )
-from repro.mapreduce import ClusterConfig
 
-from benchmarks.conftest import BENCH_SCALE, BENCH_SIZES, BENCH_WORKERS, run_once
+from benchmarks.conftest import (
+    BENCH_CLUSTER,
+    BENCH_SCALE,
+    BENCH_SIZES,
+    BENCH_WORKERS,
+    run_once,
+)
 
 
 def measure(sizes):
@@ -99,13 +106,8 @@ def measure_planning(sizes):
                     task,
                     prepared.dictionary,
                     prepared.database,
-                    num_workers=BENCH_WORKERS,
                     dataset_name=dataset_name,
-                    cluster=ClusterConfig(
-                        backend="simulated",
-                        num_workers=BENCH_WORKERS,
-                        partitioner=partitioner,
-                    ),
+                    cluster=replace(BENCH_CLUSTER, partitioner=partitioner),
                 )
                 records.append(record)
     return records

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.experiments import format_table, table5_speedup
-from repro.experiments.tables import TABLE5_WORKERS
+from repro.experiments.tables import TABLE5_CLUSTER, TABLE5_WORKERS
 
 from benchmarks.conftest import BENCH_SCALE, BENCH_SIZES, run_once
 
@@ -32,13 +34,11 @@ def _timing_rows(label_key: str, labelled: list[tuple[str, list[dict]]]) -> list
 def test_table5_speedup_over_sequential(benchmark, bench_json):
     # The paper's Table V compares DESQ-DFS on 1 core against the distributed
     # algorithms on 65 cores; we simulate the equivalent 64-worker makespan.
-    rows = run_once(
-        benchmark, table5_speedup, num_workers=TABLE5_WORKERS, sizes=BENCH_SIZES
-    )
+    rows = run_once(benchmark, table5_speedup, sizes=BENCH_SIZES)
     # Same experiment on the legacy grid engine: tracks the flat grid's
     # speed-up per PR.
     legacy_grid = table5_speedup(
-        num_workers=TABLE5_WORKERS, sizes=BENCH_SIZES, grid="legacy"
+        sizes=BENCH_SIZES, cluster=replace(TABLE5_CLUSTER, grid="legacy")
     )
     grids = _timing_rows("grid", [("flat", rows), ("legacy", legacy_grid)])
     artifact = bench_json(

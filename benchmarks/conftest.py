@@ -31,6 +31,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.mapreduce import ClusterConfig
+
 #: Named dataset scales accepted by ``REPRO_BENCH_SCALE``.
 NAMED_SCALES = {"tiny": 0.05, "small": 0.25, "full": 1.0}
 
@@ -57,6 +59,9 @@ BENCH_SIZES = {
 
 #: Simulated worker count (the paper's cluster has 8 workers).
 BENCH_WORKERS = 8
+
+#: The substrate of every figure benchmark: :data:`BENCH_WORKERS` modelled workers.
+BENCH_CLUSTER = ClusterConfig(num_workers=BENCH_WORKERS)
 
 #: Execution backend exercised by the scalability benchmark.
 BENCH_BACKEND = os.environ.get("REPRO_BACKEND", "simulated")

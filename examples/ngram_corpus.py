@@ -21,6 +21,7 @@ import sys
 from repro import mine
 from repro.datasets import constraint, cw_like, nyt_like
 from repro.experiments import format_table
+from repro.mapreduce import ClusterConfig
 from repro.sequential import MgFsmMiner
 
 
@@ -44,7 +45,9 @@ def plain_ngrams(num_sentences: int) -> None:
                 "shuffle_bytes": result.metrics.shuffle_bytes,
             }
         )
-    specialist = MgFsmMiner(sigma, dictionary, max_gap=0, max_length=4, num_workers=8)
+    specialist = MgFsmMiner(
+        sigma, dictionary, max_gap=0, max_length=4, cluster=ClusterConfig(num_workers=8)
+    )
     specialist_result = specialist.mine(database)
     rows.append(
         {

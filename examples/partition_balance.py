@@ -26,6 +26,7 @@ import sys
 from repro.core import DSeqMiner, dcand_partition_balance, dseq_partition_balance
 from repro.datasets import amzn_like, constraint
 from repro.experiments import format_table
+from repro.mapreduce import ClusterConfig
 
 
 def study(name, balance, dictionary, workers=8):
@@ -65,8 +66,8 @@ def main(num_users: int = 2500) -> None:
     print("--- hash vs planned reduce partitioner (D-SEQ, 8 workers) ---")
     results = {
         partitioner: DSeqMiner(
-            task.expression, task.sigma, dictionary, num_workers=8,
-            partitioner=partitioner,
+            task.expression, task.sigma, dictionary,
+            cluster=ClusterConfig(num_workers=8, partitioner=partitioner),
         ).mine(database)
         for partitioner in ("hash", "planned")
     }

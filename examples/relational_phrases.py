@@ -17,6 +17,9 @@ import sys
 
 from repro import DCandMiner, DSeqMiner
 from repro.datasets import constraint, nyt_like
+from repro.mapreduce import ClusterConfig
+
+EIGHT_WORKERS = ClusterConfig(num_workers=8)
 
 
 def main(num_sentences: int = 1500) -> None:
@@ -37,7 +40,7 @@ def main(num_sentences: int = 1500) -> None:
     for key, task, description in tasks:
         print(f"--- {key}: {description}")
         print(f"    pattern expression: {task.expression}")
-        dseq = DSeqMiner(task.expression, task.sigma, dictionary, num_workers=8)
+        dseq = DSeqMiner(task.expression, task.sigma, dictionary, cluster=EIGHT_WORKERS)
         result = dseq.mine(database)
         print(f"    D-SEQ found {len(result)} frequent phrases "
               f"(map {result.metrics.map_seconds:.2f}s, mine {result.metrics.reduce_seconds:.2f}s)")
@@ -45,7 +48,7 @@ def main(num_sentences: int = 1500) -> None:
             print(f"      {' '.join(pattern):<40} {frequency}")
 
         # Cross-check with D-CAND: identical results, different trade-off.
-        dcand = DCandMiner(task.expression, task.sigma, dictionary, num_workers=8)
+        dcand = DCandMiner(task.expression, task.sigma, dictionary, cluster=EIGHT_WORKERS)
         verification = dcand.mine(database)
         assert dict(verification) == dict(result), "D-SEQ and D-CAND disagree!"
         print(f"    D-CAND agrees ({len(verification)} phrases), "

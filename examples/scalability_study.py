@@ -17,12 +17,14 @@ import sys
 
 from repro import DCandMiner, DSeqMiner
 from repro.datasets import amzn_forest_like, constraint
+from repro.mapreduce import ClusterConfig
 
 BACKEND = "simulated"
 
 
 def run(miner_class, expression, sigma, dictionary, database, workers):
-    miner = miner_class(expression, sigma, dictionary, num_workers=workers, cluster=BACKEND)
+    cluster = ClusterConfig(backend=BACKEND, num_workers=workers)
+    miner = miner_class(expression, sigma, dictionary, cluster=cluster)
     result = miner.mine(database)
     return result.metrics.total_seconds, len(result)
 

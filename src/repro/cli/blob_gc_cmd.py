@@ -17,8 +17,8 @@ from argparse import Namespace
 from pathlib import Path
 
 from repro.cli.common import CliError
-from repro.mapreduce import DEFAULT_FAULT_POLICY, DirectoryBlobStore, read_lease
-from repro.mapreduce.blobstore import LEASE_NAME, gc_expired
+from repro.mapreduce import DEFAULT_FAULT_POLICY, DirectoryBlobStore
+from repro.mapreduce.blobstore import expired_namespaces, gc_expired
 
 
 def add_parser(subparsers) -> None:
@@ -65,20 +65,8 @@ def run(args: Namespace, stream=None) -> int:
         raise CliError(f"blob directory not found: {root}")
     store = DirectoryBlobStore(str(root))
     if args.dry_run:
-        import time
-
-        clock = time.time()
-        lease_suffix = f"/{LEASE_NAME}"
-        expired = []
-        for key in store.list(""):
-            if not key.endswith(lease_suffix):
-                continue
-            prefix = key[: -len(lease_suffix)]
-            stamp = read_lease(store, prefix)
-            created = (stamp or {}).get("created_at")
-            if isinstance(created, (int, float)) and clock - created > args.ttl:
-                expired.append(prefix)
-        for prefix in sorted(expired):
+        expired = expired_namespaces(store, args.ttl)
+        for prefix in expired:
             stream.write(f"would sweep {prefix}\n")
         stream.write(
             f"dry run: {len(expired)} expired namespace(s) in {root} (ttl {args.ttl:g}s)\n"

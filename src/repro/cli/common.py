@@ -96,7 +96,7 @@ def backend_name(text: str) -> str:
 
 def add_grid_argument(parser: ArgumentParser) -> None:
     """``--grid``: flat vs legacy position–state grid engine."""
-    from repro.core.grid_engine import DEFAULT_GRID, GRIDS
+    from repro.mapreduce import DEFAULT_GRID, GRIDS
 
     parser.add_argument(
         "--grid",
@@ -218,7 +218,7 @@ def fault_policy_from_args(args: Namespace):
     )
 
 
-def cluster_config_from_args(args: Namespace, num_workers: int | None = None):
+def cluster_config_from_args(args: Namespace, num_workers: int):
     """Build the one :class:`~repro.mapreduce.ClusterConfig` of a CLI run."""
     from repro.mapreduce import ClusterConfig
 
@@ -233,6 +233,34 @@ def cluster_config_from_args(args: Namespace, num_workers: int | None = None):
         plan_sample=getattr(args, "plan_sample", None),
         fault_policy=fault_policy_from_args(args),
     )
+
+
+#: Each :class:`~repro.mapreduce.ClusterConfig` flag of ``repro mine`` and
+#: ``repro experiment`` -> the field it sets (``--retries`` and
+#: ``--task-timeout`` both build the fault policy).  Every flag defaults to
+#: its field's default; ``--workers`` is left out, as both commands give it a
+#: value of their own.
+CLUSTER_FLAGS = {
+    "--backend": "backend",
+    "--codec": "codec",
+    "--spill-budget": "spill_budget_bytes",
+    "--blob-dir": "blob_dir",
+    "--grid": "grid",
+    "--partitioner": "partitioner",
+    "--plan-sample": "plan_sample",
+    "--retries": "fault_policy",
+    "--task-timeout": "fault_policy",
+}
+
+
+def reject_cluster_flags(args: Namespace, target: str) -> None:
+    """Refuse every cluster flag given to ``target``, a run that builds no cluster."""
+    from repro.mapreduce import ClusterConfig
+
+    default = ClusterConfig()
+    for flag, field in CLUSTER_FLAGS.items():
+        if getattr(args, flag[2:].replace("-", "_")) != getattr(default, field):
+            raise CliError(f"{flag} does not apply to {target} (it runs on no cluster)")
 
 
 def add_shuffle_arguments(parser: ArgumentParser) -> None:

@@ -14,6 +14,7 @@ from repro.cli.common import (
     add_shuffle_arguments,
     backend_name,
     cluster_config_from_args,
+    reject_cluster_flags,
 )
 from repro.experiments import (
     DEFAULT_WORKERS,
@@ -32,6 +33,7 @@ from repro.experiments import (
     table4_candidate_statistics,
     table5_speedup,
 )
+from repro.experiments.tables import TABLE5_WORKERS
 
 #: Experiment name -> short description (shown by ``--list``).
 EXPERIMENTS = {
@@ -73,7 +75,10 @@ def add_parser(subparsers) -> None:
         help="dataset sizes as 'NYT=500,AMZN=1200,AMZN-F=1200,CW=800'",
     )
     parser.add_argument(
-        "--workers", type=int, default=DEFAULT_WORKERS, help="number of workers"
+        "--workers",
+        type=int,
+        default=None,
+        help=f"number of workers (default: {DEFAULT_WORKERS}, {TABLE5_WORKERS} for table5)",
     )
     parser.add_argument(
         "--backend",
@@ -127,12 +132,12 @@ def run(args: Namespace, stream=None) -> int:
             return 0
 
     sizes = parse_sizes(args.sizes)
-    workers = args.workers
-    backend = args.backend
     name = args.name
-    cluster = cluster_config_from_args(args)
+    workers = args.workers
+    if workers is None:
+        workers = TABLE5_WORKERS if name == "table5" else DEFAULT_WORKERS
     options = {
-        "cluster": cluster,
+        "cluster": cluster_config_from_args(args, num_workers=workers),
         "max_runs": args.max_runs,
         "max_candidates": args.max_candidates,
     }
@@ -140,28 +145,7 @@ def run(args: Namespace, stream=None) -> int:
     if name in ("table2", "table4"):
         # These tables report dataset/candidate statistics; nothing is mined,
         # so silently accepting the cluster flags would misrepresent the numbers.
-        if backend != "simulated":
-            raise CliError(f"--backend does not apply to {name} (it runs no mining jobs)")
-        if args.codec != "compact" or args.spill_budget is not None:
-            raise CliError(
-                f"--codec/--spill-budget do not apply to {name} (it runs no mining jobs)"
-            )
-        if args.blob_dir is not None:
-            raise CliError(f"--blob-dir does not apply to {name} (it runs no mining jobs)")
-        from repro.core.grid_engine import DEFAULT_GRID
-
-        if args.grid != DEFAULT_GRID:
-            raise CliError(f"--grid does not apply to {name} (it runs no mining jobs)")
-        from repro.mapreduce import DEFAULT_PARTITIONER
-
-        if args.partitioner != DEFAULT_PARTITIONER:
-            raise CliError(
-                f"--partitioner does not apply to {name} (it runs no mining jobs)"
-            )
-        if args.plan_sample is not None:
-            raise CliError(
-                f"--plan-sample does not apply to {name} (it runs no mining jobs)"
-            )
+        reject_cluster_flags(args, name)
         if args.max_runs is not None or args.max_candidates is not None:
             raise CliError(
                 f"--max-runs/--max-candidates do not apply to {name} "
@@ -175,15 +159,15 @@ def run(args: Namespace, stream=None) -> int:
     elif name == "table5":
         rows = table5_speedup(sizes=sizes, **options)
     elif name == "fig9a":
-        rows = figure9a(size=(sizes or {}).get("NYT"), num_workers=workers, **options)
+        rows = figure9a(size=(sizes or {}).get("NYT"), **options)
     elif name == "fig9b":
-        rows = figure9b(size=(sizes or {}).get("AMZN"), num_workers=workers, **options)
+        rows = figure9b(size=(sizes or {}).get("AMZN"), **options)
     elif name == "fig9c":
-        rows = figure9c(size=(sizes or {}).get("AMZN"), num_workers=workers, **options)
+        rows = figure9c(size=(sizes or {}).get("AMZN"), **options)
     elif name == "fig10a":
-        rows = figure10a(num_workers=workers, sizes=sizes, **options)
+        rows = figure10a(sizes=sizes, **options)
     elif name == "fig10b":
-        rows = figure10b(num_workers=workers, sizes=sizes, **options)
+        rows = figure10b(sizes=sizes, **options)
     elif name == "fig11":
         results = figure11_scalability(base_size=(sizes or {}).get("AMZN-F"), **options)
         for kind, series_rows in results.items():
@@ -199,11 +183,9 @@ def run(args: Namespace, stream=None) -> int:
                 stream.write("\n")
         return 0
     elif name == "fig12":
-        rows = figure12_lash_setting(num_workers=workers, sizes=sizes, **options)
+        rows = figure12_lash_setting(sizes=sizes, **options)
     elif name == "fig13":
-        rows = figure13_mllib_setting(
-            num_workers=workers, size=(sizes or {}).get("AMZN"), **options
-        )
+        rows = figure13_mllib_setting(size=(sizes or {}).get("AMZN"), **options)
     else:  # pragma: no cover - argparse restricts the choices
         raise CliError(f"unknown experiment {name!r}")
 

@@ -17,6 +17,7 @@ from repro.cli.common import (
     cluster_config_from_args,
     load_input,
     print_metrics,
+    reject_cluster_flags,
     write_patterns,
 )
 from repro.api.session import ALGORITHM_TABLE, MAX_CANDIDATES, MAX_RUNS, mine
@@ -122,50 +123,7 @@ def run(args: Namespace, stream=None) -> int:
     if not algorithm.cluster:
         # Sequential reference miners run in-process and never shuffle;
         # silently accepting the cluster flags would misrepresent the run.
-        # (--grid too: without a pivot restriction they never build a grid.)
-        for flag, default in (("backend", "simulated"), ("codec", "compact")):
-            if getattr(args, flag) != default:
-                raise CliError(
-                    f"--{flag} does not apply to the sequential {args.algorithm} miner"
-                )
-        from repro.core.grid_engine import DEFAULT_GRID
-
-        if args.grid != DEFAULT_GRID:
-            raise CliError(
-                f"--grid does not apply to the sequential {args.algorithm} miner "
-                "(it never builds a position-state grid)"
-            )
-        if args.spill_budget is not None:
-            raise CliError(
-                f"--spill-budget does not apply to the sequential {args.algorithm} miner"
-            )
-        if args.blob_dir is not None:
-            raise CliError(
-                f"--blob-dir does not apply to the sequential {args.algorithm} "
-                "miner (it never shuffles through a blob store)"
-            )
-        if args.retries is not None:
-            raise CliError(
-                f"--retries does not apply to the sequential {args.algorithm} "
-                "miner (it schedules no cluster tasks to retry)"
-            )
-        if args.task_timeout is not None:
-            raise CliError(
-                f"--task-timeout does not apply to the sequential {args.algorithm} "
-                "miner (it schedules no cluster tasks to time out)"
-            )
-        from repro.mapreduce import DEFAULT_PARTITIONER
-
-        if args.partitioner != DEFAULT_PARTITIONER:
-            raise CliError(
-                f"--partitioner does not apply to the sequential {args.algorithm} "
-                "miner (it never shuffles)"
-            )
-        if args.plan_sample is not None:
-            raise CliError(
-                f"--plan-sample does not apply to the sequential {args.algorithm} "
-                "miner (it never plans a shuffle)"
-            )
+        reject_cluster_flags(args, f"the sequential {args.algorithm} miner")
     if args.max_runs is not None and MAX_RUNS not in algorithm.caps:
         raise CliError(f"--max-runs does not apply to {args.algorithm}")
     if args.max_candidates is not None and MAX_CANDIDATES not in algorithm.caps:

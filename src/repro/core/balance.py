@@ -21,7 +21,7 @@ patterns stay byte-identical across both partitioners.
 
 The measurement half is used by the ``examples/partition_balance.py`` study
 and the ``bench_partition_balance`` ablation benchmark; the planner runs
-whenever a miner is configured with ``partitioner="planned"``.
+whenever a miner's ``ClusterConfig`` selects ``partitioner="planned"``.
 """
 
 from __future__ import annotations
@@ -461,16 +461,14 @@ class JobPlanner:
 
 
 def attach_partition_plan(miner, job: MapReduceJob, records: Sequence, cluster) -> None:
-    """Attach the miner's (cached) skew-aware plan to ``job`` when planned.
+    """Attach the miner's (cached) skew-aware plan to ``job``.
 
-    The one planning block shared by every cluster miner: a no-op unless the
-    miner's config selects the ``"planned"`` partitioner; otherwise the plan
-    comes from a :class:`JobPlanner` lazily stored on the miner, so repeated
-    ``mine()`` calls over the same corpus estimate the per-pivot loads once.
+    The planning step of :meth:`~repro.core.cluster_miner.ClusterMiner.mine`,
+    run when the miner's config selects the ``"planned"`` partitioner.  The
+    plan comes from a :class:`JobPlanner` lazily stored on the miner, so
+    repeated ``mine()`` calls over the same corpus estimate the per-pivot
+    loads once.
     """
-    config = miner.cluster
-    if config.partitioner_name != "planned":
-        return
     planner = getattr(miner, "_job_planner", None)
     if planner is None:
         planner = JobPlanner()
@@ -480,5 +478,5 @@ def attach_partition_plan(miner, job: MapReduceJob, records: Sequence, cluster) 
         records,
         cluster.num_reduce_tasks,
         num_workers=cluster.num_workers,
-        sample=config.plan_sample,
+        sample=miner.cluster.plan_sample,
     )

@@ -20,11 +20,11 @@ The two enhancements evaluated in Fig. 10b are switchable:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
+from repro.core.cluster_miner import ClusterMiner
 from repro.core.nfa_mining import NfaLocalMiner
 from repro.core.pivot_search import pivots_of_sorted_sets
-from repro.core.results import MiningResult
 from repro.dictionary import Dictionary
 from repro.fst import (
     DEFAULT_MAX_RUNS,
@@ -34,16 +34,10 @@ from repro.fst import (
     ensure_kernel,
     make_kernel,
 )
-from repro.mapreduce import Cluster, ClusterConfig, MapReduceJob
+from repro.mapreduce import ClusterConfig, MapReduceJob
 from repro.nfa import TrieBuilder, deserialize, serialize_trie
 from repro.patex import PatEx
-from repro.sequences import (
-    SequenceDatabase,
-    as_mining_records,
-    fold_weighted_values,
-    record_parts,
-    weighted_value_parts,
-)
+from repro.sequences import fold_weighted_values, record_parts, weighted_value_parts
 
 
 class DCandJob(MapReduceJob):
@@ -136,7 +130,7 @@ class DCandJob(MapReduceJob):
         return 8 + len(value)
 
 
-class DCandMiner:
+class DCandMiner(ClusterMiner):
     """Public interface of the D-CAND algorithm.
 
     Example::
@@ -144,10 +138,9 @@ class DCandMiner:
         miner = DCandMiner(patex, sigma=2, dictionary=dictionary)
         result = miner.mine(database)
 
-    The execution substrate is one :class:`~repro.mapreduce.ClusterConfig`
-    passed as ``cluster=``.  ``dedup=False`` disables the corpus-level
-    unique-sequence pass (the debugging reference: results are byte-identical
-    either way).
+    The switches are Fig. 10b's ablation; the execution substrate is one
+    :class:`~repro.mapreduce.ClusterConfig` passed as ``cluster=`` (see
+    :class:`~repro.core.cluster_miner.ClusterMiner`).
     """
 
     algorithm_name = "D-CAND"
@@ -159,45 +152,21 @@ class DCandMiner:
         dictionary: Dictionary,
         minimize_nfas: bool = True,
         aggregate_nfas: bool = True,
-        num_workers: int = 4,
         max_runs: int = DEFAULT_MAX_RUNS,
-        grid: str | None = None,
-        partitioner: str | None = None,
         dedup: bool = True,
-        cluster: ClusterConfig | str | Cluster | None = None,
+        cluster: ClusterConfig | None = None,
     ) -> None:
+        super().__init__(sigma, dictionary, dedup=dedup, cluster=cluster)
         self.patex = PatEx(patex) if isinstance(patex, str) else patex
-        self.sigma = sigma
-        self.dictionary = dictionary
         self.minimize_nfas = minimize_nfas
         self.aggregate_nfas = aggregate_nfas
         self.max_runs = max_runs
-        self.dedup = dedup
-        self.cluster = ClusterConfig.resolve(
-            cluster,
-            num_workers=num_workers,
-            grid=grid,
-            partitioner=partitioner,
-        )
 
-    def mine(self, database: SequenceDatabase | Sequence[Sequence[int]]) -> MiningResult:
-        """Mine all frequent patterns of ``database`` under the constraint."""
-        fst = self.patex.compile(self.dictionary)
-        kernel = make_kernel(fst, self.dictionary)
-        job = DCandJob(
-            kernel,
+    def job(self) -> DCandJob:
+        return DCandJob(
+            make_kernel(self.patex.compile(self.dictionary), self.dictionary),
             sigma=self.sigma,
             minimize_nfas=self.minimize_nfas,
             aggregate_nfas=self.aggregate_nfas,
             max_runs=self.max_runs,
         )
-        records = as_mining_records(database, dedup=self.dedup)
-        cluster = self.cluster.build()
-        if self.cluster.partitioner_name == "planned":
-            # Only a planned run loads the planner (which imports the core jobs).
-            from repro.core.balance import attach_partition_plan
-
-            attach_partition_plan(self, job, records, cluster)
-        result = cluster.run(job, records)
-        patterns = dict(result.outputs)
-        return MiningResult(patterns, result.metrics, algorithm=self.algorithm_name)

@@ -14,7 +14,8 @@ The three enhancements evaluated in Fig. 10a are individually switchable:
 
 Two performance layers sit underneath (both with debugging references):
 
-* ``grid`` selects the position–state grid engine — ``"flat"`` (the one-pass
+* the :class:`~repro.mapreduce.ClusterConfig`'s ``grid`` selects the
+  position–state grid engine — ``"flat"`` (the one-pass
   :class:`~repro.core.grid_engine.FlatPivotGrid`, default) or ``"legacy"``
   (the reference :class:`~repro.core.pivot_search.PositionStateGrid`) on the
   map side; grids are memoized per worker
@@ -31,24 +32,19 @@ Two performance layers sit underneath (both with debugging references):
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
+from repro.core.cluster_miner import ClusterMiner
 from repro.core.grid_engine import cached_grid, normalize_grid
 from repro.core.local_mining import DesqDfsMiner
 from repro.core.pivot_search import pivots_by_run_enumeration
-from repro.core.results import MiningResult
 from repro.core.rewriting import rewrite_for_pivot
 from repro.dictionary import Dictionary
 from repro.errors import CandidateExplosionError
 from repro.fst import DEFAULT_MAX_RUNS, Fst, MiningKernel, ensure_kernel, make_kernel
-from repro.mapreduce import Cluster, ClusterConfig, MapReduceJob
+from repro.mapreduce import ClusterConfig, MapReduceJob
 from repro.patex import PatEx
-from repro.sequences import (
-    SequenceDatabase,
-    as_mining_records,
-    fold_weighted_values,
-    record_parts,
-)
+from repro.sequences import fold_weighted_values, record_parts
 
 
 class DSeqJob(MapReduceJob):
@@ -166,7 +162,7 @@ class DSeqJob(MapReduceJob):
         return 8 + 4 * len(sequence)
 
 
-class DSeqMiner:
+class DSeqMiner(ClusterMiner):
     """Public interface of the D-SEQ algorithm.
 
     Example::
@@ -174,10 +170,9 @@ class DSeqMiner:
         miner = DSeqMiner(patex, sigma=2, dictionary=dictionary)
         result = miner.mine(database)
 
-    The execution substrate is one :class:`~repro.mapreduce.ClusterConfig`
-    passed as ``cluster=`` (which then fully specifies the run).
-    ``dedup=False`` disables the corpus-level unique-sequence pass (the
-    debugging reference: results are byte-identical either way).
+    The switches are Fig. 10a's ablation; the execution substrate, grid
+    engine included, is one :class:`~repro.mapreduce.ClusterConfig` passed as
+    ``cluster=`` (see :class:`~repro.core.cluster_miner.ClusterMiner`).
     """
 
     algorithm_name = "D-SEQ"
@@ -190,48 +185,24 @@ class DSeqMiner:
         use_grid: bool = True,
         use_rewriting: bool = True,
         use_early_stopping: bool = True,
-        num_workers: int = 4,
         max_runs: int = DEFAULT_MAX_RUNS,
-        grid: str | None = None,
-        partitioner: str | None = None,
         dedup: bool = True,
-        cluster: ClusterConfig | str | Cluster | None = None,
+        cluster: ClusterConfig | None = None,
     ) -> None:
+        super().__init__(sigma, dictionary, dedup=dedup, cluster=cluster)
         self.patex = PatEx(patex) if isinstance(patex, str) else patex
-        self.sigma = sigma
-        self.dictionary = dictionary
         self.use_grid = use_grid
         self.use_rewriting = use_rewriting
         self.use_early_stopping = use_early_stopping
         self.max_runs = max_runs
-        self.dedup = dedup
-        self.cluster = ClusterConfig.resolve(
-            cluster,
-            num_workers=num_workers,
-            grid=grid,
-            partitioner=partitioner,
-        )
 
-    def mine(self, database: SequenceDatabase | Sequence[Sequence[int]]) -> MiningResult:
-        """Mine all frequent patterns of ``database`` under the constraint."""
-        fst = self.patex.compile(self.dictionary)
-        kernel = make_kernel(fst, self.dictionary)
-        job = DSeqJob(
-            kernel,
+    def job(self) -> DSeqJob:
+        return DSeqJob(
+            make_kernel(self.patex.compile(self.dictionary), self.dictionary),
             sigma=self.sigma,
             use_grid=self.use_grid,
             use_rewriting=self.use_rewriting,
             use_early_stopping=self.use_early_stopping,
             max_runs=self.max_runs,
-            grid=self.cluster.grid_name,
+            grid=self.cluster.grid,
         )
-        records = as_mining_records(database, dedup=self.dedup)
-        cluster = self.cluster.build()
-        if self.cluster.partitioner_name == "planned":
-            # Only a planned run loads the planner (which imports the core jobs).
-            from repro.core.balance import attach_partition_plan
-
-            attach_partition_plan(self, job, records, cluster)
-        result = cluster.run(job, records)
-        patterns = dict(result.outputs)
-        return MiningResult(patterns, result.metrics, algorithm=self.algorithm_name)

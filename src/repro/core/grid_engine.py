@@ -31,9 +31,9 @@ This module is the performance engine built on the same theory:
   the job — and with it the kernel the keys fingerprint — reaches it once,
   through the pool initializer, so the memo serves every task the worker runs.
 
-``grid="legacy"`` selects the reference engine everywhere the knob is exposed
-(miners, :class:`~repro.mapreduce.ClusterConfig`, ``--grid``); the
-differential suite proves the two engines equivalent.
+``grid="legacy"`` selects the reference engine wherever the knob is exposed
+(:class:`~repro.mapreduce.ClusterConfig`, ``--grid``, :class:`~repro.core.dseq.DSeqJob`);
+the differential suite proves the two engines equivalent.
 """
 
 from __future__ import annotations
@@ -48,28 +48,14 @@ from repro.dictionary import EPSILON_FID, Dictionary
 from repro.errors import MiningError
 from repro.fst import Fst, MiningKernel, ensure_kernel
 from repro.fst.labels import EPSILON_OUTPUT
-
-#: Grid-engine names accepted by miners, ``ClusterConfig``, and ``--grid``.
-GRIDS = ("flat", "legacy")
-
-#: Grid engine used when none is requested explicitly.
-DEFAULT_GRID = "flat"
+# The engine names live beside the partitioners, where ClusterConfig checks them.
+from repro.mapreduce.job import DEFAULT_GRID as DEFAULT_GRID
+from repro.mapreduce.job import GRIDS as GRIDS
+from repro.mapreduce.job import normalize_grid
 
 #: Relevance threshold of a position no pivot finds relevant: no live edge
 #: there changes state or produces an item (larger than any fid).
 _NEVER_RELEVANT = (1 << 64) - 1
-
-
-def normalize_grid(grid: str | None) -> str:
-    """Map a user-provided grid-engine name to a canonical one (None → default)."""
-    if grid is None:
-        return DEFAULT_GRID
-    name = str(grid).strip().lower()
-    if name not in GRIDS:
-        raise MiningError(
-            f"unknown grid engine {grid!r}; choose one of {', '.join(GRIDS)}"
-        )
-    return name
 
 
 # ------------------------------------------------------------ sorted-run merge

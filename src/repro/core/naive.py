@@ -13,9 +13,9 @@ outcome as :class:`~repro.errors.CandidateExplosionError`.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
-from repro.core.results import MiningResult
+from repro.core.cluster_miner import ClusterMiner
 from repro.dictionary import Dictionary
 from repro.fst import (
     DEFAULT_MAX_CANDIDATES,
@@ -26,9 +26,9 @@ from repro.fst import (
     generate_candidates,
     make_kernel,
 )
-from repro.mapreduce import Cluster, ClusterConfig, MapReduceJob
+from repro.mapreduce import ClusterConfig, MapReduceJob
 from repro.patex import PatEx
-from repro.sequences import SequenceDatabase, as_mining_records, record_parts
+from repro.sequences import record_parts
 
 
 class NaiveJob(MapReduceJob):
@@ -85,8 +85,13 @@ class NaiveJob(MapReduceJob):
         return 8 + 4 * len(key)
 
 
-class _SubsequenceBaselineMiner:
-    """Shared implementation of the NAÏVE and SEMI-NAÏVE miners."""
+class _SubsequenceBaselineMiner(ClusterMiner):
+    """Shared implementation of the NAÏVE and SEMI-NAÏVE miners.
+
+    :meth:`mine` may raise :class:`~repro.errors.CandidateExplosionError`;
+    the substrate is one :class:`~repro.mapreduce.ClusterConfig` passed as
+    ``cluster=`` (see :class:`~repro.core.cluster_miner.ClusterMiner`).
+    """
 
     algorithm_name = "baseline"
     prune_infrequent_items = False
@@ -96,47 +101,24 @@ class _SubsequenceBaselineMiner:
         patex: PatEx | str,
         sigma: int,
         dictionary: Dictionary,
-        num_workers: int = 4,
         max_candidates_per_sequence: int = DEFAULT_MAX_CANDIDATES,
         max_runs: int = DEFAULT_MAX_RUNS,
-        grid: str | None = None,
-        partitioner: str | None = None,
         dedup: bool = True,
-        cluster: ClusterConfig | str | Cluster | None = None,
+        cluster: ClusterConfig | None = None,
     ) -> None:
+        super().__init__(sigma, dictionary, dedup=dedup, cluster=cluster)
         self.patex = PatEx(patex) if isinstance(patex, str) else patex
-        self.sigma = sigma
-        self.dictionary = dictionary
         self.max_candidates_per_sequence = max_candidates_per_sequence
         self.max_runs = max_runs
-        self.dedup = dedup
-        self.cluster = ClusterConfig.resolve(
-            cluster,
-            num_workers=num_workers,
-            grid=grid,
-            partitioner=partitioner,
-        )
 
-    def mine(self, database: SequenceDatabase | Sequence[Sequence[int]]) -> MiningResult:
-        """Mine all frequent patterns; may raise ``CandidateExplosionError``."""
-        fst = self.patex.compile(self.dictionary)
-        kernel = make_kernel(fst, self.dictionary)
-        job = NaiveJob(
-            kernel,
+    def job(self) -> NaiveJob:
+        return NaiveJob(
+            make_kernel(self.patex.compile(self.dictionary), self.dictionary),
             sigma=self.sigma,
             prune_infrequent_items=self.prune_infrequent_items,
             max_candidates_per_sequence=self.max_candidates_per_sequence,
             max_runs=self.max_runs,
         )
-        records = as_mining_records(database, dedup=self.dedup)
-        cluster = self.cluster.build()
-        if self.cluster.partitioner_name == "planned":
-            # Only a planned run loads the planner (which imports the core jobs).
-            from repro.core.balance import attach_partition_plan
-
-            attach_partition_plan(self, job, records, cluster)
-        result = cluster.run(job, records)
-        return MiningResult(dict(result.outputs), result.metrics, self.algorithm_name)
 
 
 class NaiveMiner(_SubsequenceBaselineMiner):

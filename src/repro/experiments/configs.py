@@ -21,6 +21,7 @@ from repro.datasets import (
     nyt_like,
 )
 from repro.dictionary import Dictionary
+from repro.mapreduce import ClusterConfig
 from repro.sequences import SequenceDatabase
 
 #: Default sizes of the synthetic datasets used by benchmarks and experiments.
@@ -33,6 +34,10 @@ DEFAULT_SIZES = {
 
 #: Number of simulated workers (the paper uses 8 worker nodes).
 DEFAULT_WORKERS = 8
+
+#: The substrate every experiment runs on unless handed another one: the
+#: paper's eight workers, modelled in-process.
+DEFAULT_CLUSTER = ClusterConfig(num_workers=DEFAULT_WORKERS)
 
 
 @dataclass(frozen=True)

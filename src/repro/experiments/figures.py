@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.core import DCandMiner, DSeqMiner
 from repro.datasets import constraint as make_constraint
 from repro.errors import CandidateExplosionError
 from repro.experiments.configs import (
-    DEFAULT_WORKERS,
+    DEFAULT_CLUSTER,
     SCALED_SIGMA,
     figure9a_constraints,
     figure9b_constraints,
@@ -19,48 +21,20 @@ from repro.mapreduce import ClusterConfig
 FIGURE9_ALGORITHMS = ("naive", "semi-naive", "dseq", "dcand")
 
 
-def _config(
-    cluster: ClusterConfig | None,
-    backend: str,
-    codec: str,
-    spill_budget_bytes: int | None,
-    grid: str | None = None,
-) -> ClusterConfig:
-    """One ClusterConfig from a figure function's substrate arguments.
-
-    An explicit ``grid`` argument wins over the config's (resolve
-    semantics), so ``figure9c(cluster=cfg, grid="legacy")`` reliably
-    compares the fast and the reference grid engines.
-    """
-    return ClusterConfig.resolve(
-        cluster,
-        backend=backend,
-        codec=codec,
-        spill_budget_bytes=spill_budget_bytes,
-        grid=grid,
-    )
-
-
 # --------------------------------------------------------------------- Fig. 9
 def figure9a(
     size: int | None = None,
-    num_workers: int = DEFAULT_WORKERS,
-    backend: str = "simulated",
-    codec: str = "compact",
-    spill_budget_bytes: int | None = None,
-    grid: str | None = None,
-    cluster: ClusterConfig | None = None,
+    cluster: ClusterConfig = DEFAULT_CLUSTER,
     max_runs: int | None = None,
     max_candidates: int | None = None,
 ) -> list[dict]:
     """Fig. 9a: total time per algorithm for N1–N5 on the NYT-like dataset."""
     prepared = prepare_dataset("NYT", size)
-    config = _config(cluster, backend, codec, spill_budget_bytes, grid)
     rows = []
     for constraint in figure9a_constraints():
         for record in run_comparison(
             list(FIGURE9_ALGORITHMS), constraint, prepared.dictionary, prepared.database,
-            num_workers=num_workers, dataset_name="NYT", cluster=config,
+            dataset_name="NYT", cluster=cluster,
             max_runs=max_runs, max_candidates=max_candidates,
         ):
             rows.append(record.as_row())
@@ -69,23 +43,17 @@ def figure9a(
 
 def figure9b(
     size: int | None = None,
-    num_workers: int = DEFAULT_WORKERS,
-    backend: str = "simulated",
-    codec: str = "compact",
-    spill_budget_bytes: int | None = None,
-    grid: str | None = None,
-    cluster: ClusterConfig | None = None,
+    cluster: ClusterConfig = DEFAULT_CLUSTER,
     max_runs: int | None = None,
     max_candidates: int | None = None,
 ) -> list[dict]:
     """Fig. 9b: total time per algorithm for A1–A4 on the AMZN-like dataset."""
     prepared = prepare_dataset("AMZN", size)
-    config = _config(cluster, backend, codec, spill_budget_bytes, grid)
     rows = []
     for constraint in figure9b_constraints():
         for record in run_comparison(
             list(FIGURE9_ALGORITHMS), constraint, prepared.dictionary, prepared.database,
-            num_workers=num_workers, dataset_name="AMZN", cluster=config,
+            dataset_name="AMZN", cluster=cluster,
             max_runs=max_runs, max_candidates=max_candidates,
         ):
             rows.append(record.as_row())
@@ -94,18 +62,12 @@ def figure9b(
 
 def figure9c(
     size: int | None = None,
-    num_workers: int = DEFAULT_WORKERS,
-    backend: str = "simulated",
-    codec: str = "compact",
-    spill_budget_bytes: int | None = None,
-    grid: str | None = None,
-    cluster: ClusterConfig | None = None,
+    cluster: ClusterConfig = DEFAULT_CLUSTER,
     max_runs: int | None = None,
     max_candidates: int | None = None,
 ) -> list[dict]:
     """Fig. 9c: shuffle size per algorithm for A1 and A4 on the AMZN-like dataset."""
     prepared = prepare_dataset("AMZN", size)
-    config = _config(cluster, backend, codec, spill_budget_bytes, grid)
     rows = []
     for constraint in (
         make_constraint("A1", SCALED_SIGMA["A1"]),
@@ -113,7 +75,7 @@ def figure9c(
     ):
         for record in run_comparison(
             list(FIGURE9_ALGORITHMS), constraint, prepared.dictionary, prepared.database,
-            num_workers=num_workers, dataset_name="AMZN", cluster=config,
+            dataset_name="AMZN", cluster=cluster,
             max_runs=max_runs, max_candidates=max_candidates,
         ):
             row = record.as_row()
@@ -153,13 +115,8 @@ DCAND_ABLATION_VARIANTS = (
 
 def figure10a(
     constraints: list | None = None,
-    num_workers: int = DEFAULT_WORKERS,
     sizes: dict[str, int] | None = None,
-    backend: str = "simulated",
-    codec: str = "compact",
-    spill_budget_bytes: int | None = None,
-    grid: str | None = None,
-    cluster: ClusterConfig | None = None,
+    cluster: ClusterConfig = DEFAULT_CLUSTER,
     max_runs: int | None = None,
     max_candidates: int | None = None,
 ) -> list[dict]:
@@ -171,9 +128,6 @@ def figure10a(
             ("AMZN-F", make_constraint("T3", SCALED_SIGMA["T3"], 1, 6)),
             ("AMZN-F", make_constraint("T3", 10 * SCALED_SIGMA["T3"], 3, 5)),
         ]
-    config = _config(cluster, backend, codec, spill_budget_bytes, grid)
-    if config.num_workers is None:
-        config = config.merged(num_workers=num_workers)
     rows = []
     for dataset_name, constraint in constraints:
         prepared = prepare_dataset(dataset_name, (sizes or {}).get(dataset_name))
@@ -182,7 +136,7 @@ def figure10a(
                 options = {**options, "max_runs": max_runs}
             miner = DSeqMiner(
                 constraint.expression, constraint.sigma, prepared.dictionary,
-                cluster=config, **options,
+                cluster=cluster, **options,
             )
             result = miner.mine(prepared.database)
             rows.append(
@@ -201,13 +155,8 @@ def figure10a(
 
 def figure10b(
     constraints: list | None = None,
-    num_workers: int = DEFAULT_WORKERS,
     sizes: dict[str, int] | None = None,
-    backend: str = "simulated",
-    codec: str = "compact",
-    spill_budget_bytes: int | None = None,
-    grid: str | None = None,
-    cluster: ClusterConfig | None = None,
+    cluster: ClusterConfig = DEFAULT_CLUSTER,
     max_runs: int | None = None,
     max_candidates: int | None = None,
 ) -> list[dict]:
@@ -218,9 +167,6 @@ def figure10b(
             ("NYT", make_constraint("N4", SCALED_SIGMA["N4"])),
             ("AMZN-F", make_constraint("T3", SCALED_SIGMA["T3"], 1, 6)),
         ]
-    config = _config(cluster, backend, codec, spill_budget_bytes, grid)
-    if config.num_workers is None:
-        config = config.merged(num_workers=num_workers)
     rows = []
     for dataset_name, constraint in constraints:
         prepared = prepare_dataset(dataset_name, (sizes or {}).get(dataset_name))
@@ -229,7 +175,7 @@ def figure10b(
                 options = {**options, "max_runs": max_runs}
             miner = DCandMiner(
                 constraint.expression, constraint.sigma, prepared.dictionary,
-                cluster=config, **options,
+                cluster=cluster, **options,
             )
             try:
                 result = miner.mine(prepared.database)
@@ -268,11 +214,7 @@ def figure11_scalability(
     fractions: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0),
     worker_counts: tuple[int, ...] = (2, 4, 8),
     base_sigma: int | None = None,
-    backend: str = "simulated",
-    codec: str = "compact",
-    spill_budget_bytes: int | None = None,
-    grid: str | None = None,
-    cluster: ClusterConfig | None = None,
+    cluster: ClusterConfig = DEFAULT_CLUSTER,
     max_runs: int | None = None,
     max_candidates: int | None = None,
 ) -> dict[str, list[dict]]:
@@ -283,24 +225,22 @@ def figure11_scalability(
     """
     prepared = prepare_dataset("AMZN-F", base_size)
     base_sigma = base_sigma or SCALED_SIGMA["T3"]
-    config = _config(cluster, backend, codec, spill_budget_bytes, grid)
     samples = {
         fraction: prepared.database.sample(fraction, seed=7) if fraction < 1.0 else prepared.database
         for fraction in fractions
     }
 
-    def run(fraction: float, workers: int) -> RunRecord:
+    def run(fraction: float, workers: int) -> tuple[RunRecord, ...]:
         sigma = max(2, round(base_sigma * fraction))
         constraint = make_constraint("T3", sigma, 1, 5)
-        worker_config = config.merged(num_workers=workers)
-        return run_algorithm(
-            "dseq", constraint, prepared.dictionary, samples[fraction],
-            num_workers=workers, dataset_name="AMZN-F", cluster=worker_config,
-            max_runs=max_runs, max_candidates=max_candidates,
-        ), run_algorithm(
-            "dcand", constraint, prepared.dictionary, samples[fraction],
-            num_workers=workers, dataset_name="AMZN-F", cluster=worker_config,
-            max_runs=max_runs, max_candidates=max_candidates,
+        worker_cluster = replace(cluster, num_workers=workers)
+        return tuple(
+            run_algorithm(
+                algorithm, constraint, prepared.dictionary, samples[fraction],
+                dataset_name="AMZN-F", cluster=worker_cluster,
+                max_runs=max_runs, max_candidates=max_candidates,
+            )
+            for algorithm in ("dseq", "dcand")
         )
 
     results: dict[str, list[dict]] = {"data": [], "strong": [], "weak": []}
@@ -347,13 +287,8 @@ def figure11_scalability(
 
 # -------------------------------------------------------------------- Fig. 12
 def figure12_lash_setting(
-    num_workers: int = DEFAULT_WORKERS,
     sizes: dict[str, int] | None = None,
-    backend: str = "simulated",
-    codec: str = "compact",
-    spill_budget_bytes: int | None = None,
-    grid: str | None = None,
-    cluster: ClusterConfig | None = None,
+    cluster: ClusterConfig = DEFAULT_CLUSTER,
     max_runs: int | None = None,
     max_candidates: int | None = None,
 ) -> list[dict]:
@@ -366,7 +301,6 @@ def figure12_lash_setting(
         ("CW", make_constraint("T2", SCALED_SIGMA["T2"], 0, 5)),
         ("CW", make_constraint("T2", 4 * SCALED_SIGMA["T2"], 0, 5)),
     ]
-    config = _config(cluster, backend, codec, spill_budget_bytes, grid)
     rows = []
     for dataset_name, constraint in entries:
         prepared = prepare_dataset(dataset_name, (sizes or {}).get(dataset_name))
@@ -374,7 +308,7 @@ def figure12_lash_setting(
         for algorithm in (specialist, "dseq", "dcand"):
             record = run_algorithm(
                 algorithm, constraint, prepared.dictionary, prepared.database,
-                num_workers=num_workers, dataset_name=dataset_name, cluster=config,
+                dataset_name=dataset_name, cluster=cluster,
                 max_runs=max_runs, max_candidates=max_candidates,
             )
             rows.append(record.as_row())
@@ -385,26 +319,20 @@ def figure12_lash_setting(
 def figure13_mllib_setting(
     sigmas: tuple[int, ...] = (100, 50, 25, 10, 5),
     max_length: int = 5,
-    num_workers: int = DEFAULT_WORKERS,
     size: int | None = None,
-    backend: str = "simulated",
-    codec: str = "compact",
-    spill_budget_bytes: int | None = None,
-    grid: str | None = None,
-    cluster: ClusterConfig | None = None,
+    cluster: ClusterConfig = DEFAULT_CLUSTER,
     max_runs: int | None = None,
     max_candidates: int | None = None,
 ) -> list[dict]:
     """Fig. 13: MLlib (PrefixSpan) setting T1(σ, 5) with decreasing σ on AMZN."""
     prepared = prepare_dataset("AMZN", size)
-    config = _config(cluster, backend, codec, spill_budget_bytes, grid)
     rows = []
     for sigma in sigmas:
         constraint = make_constraint("T1", sigma, max_length)
         for algorithm in ("prefixspan", "lash", "dseq", "dcand"):
             record = run_algorithm(
                 algorithm, constraint, prepared.dictionary, prepared.database,
-                num_workers=num_workers, dataset_name="AMZN", cluster=config,
+                dataset_name="AMZN", cluster=cluster,
                 max_runs=max_runs, max_candidates=max_candidates,
             )
             row = record.as_row()

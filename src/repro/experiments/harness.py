@@ -9,48 +9,61 @@ from repro.api.session import ALGORITHM_TABLE, MAX_CANDIDATES, MAX_RUNS, canonic
 from repro.datasets import Constraint
 from repro.dictionary import Dictionary
 from repro.errors import CandidateExplosionError
-from repro.mapreduce import ClusterConfig
+from repro.experiments.configs import DEFAULT_CLUSTER
+from repro.mapreduce import ClusterConfig, JobMetrics
 from repro.sequences import SequenceDatabase
+
+
+def _metric(name: str) -> property:
+    """A read-only :class:`RunRecord` view of one field of its metrics."""
+    return property(lambda record: getattr(record.metrics, name))
 
 
 @dataclass
 class RunRecord:
-    """Measurements of one (algorithm, constraint, dataset) run."""
+    """Measurements of one (algorithm, constraint, dataset) run.
+
+    ``metrics`` is the run's :class:`~repro.mapreduce.JobMetrics`; the
+    timing, shuffle, blob, fault and balance figures below read it.  An
+    ``"oom"`` run (candidate/run explosion) finished no job, so its metrics
+    are empty apart from the worker count it was configured with.
+    """
 
     algorithm: str
     constraint: str
     dataset: str
     status: str = "ok"  # "ok" or "oom" (candidate/run explosion)
     backend: str = "simulated"
-    total_seconds: float = 0.0
-    map_seconds: float = 0.0
-    reduce_seconds: float = 0.0
     wall_seconds: float = 0.0
-    shuffle_bytes: int = 0
-    shuffle_records: int = 0
-    wire_bytes: int = 0
-    spilled_buckets: int = 0
-    input_pickle_bytes: int = 0
-    # Blob traffic of the multihost backend; zero everywhere else.  Kept out
-    # of as_row() so the committed BENCH goldens keep their exact shape.
-    blob_put_count: int = 0
-    blob_put_bytes: int = 0
-    blob_get_count: int = 0
-    blob_get_bytes: int = 0
-    # Fault-tolerance accounting (zero on fault-free runs); kept out of
-    # as_row() so the committed BENCH goldens keep their exact shape.
-    tasks_failed: int = 0
-    task_retry_count: int = 0
-    blob_retry_count: int = 0
-    recovered_host_count: int = 0
     num_patterns: int = 0
-    num_workers: int = 1
-    partitioner: str = "hash"
-    partition_max_bytes: int = 0
-    partition_mean_bytes: float = 0.0
-    partition_imbalance: float = 1.0
-    modeled_straggler_seconds: float = 0.0
+    metrics: JobMetrics = field(default_factory=JobMetrics)
     extra: dict = field(default_factory=dict)
+
+    num_workers = _metric("num_workers")
+    total_seconds = _metric("total_seconds")
+    map_seconds = _metric("map_seconds")
+    reduce_seconds = _metric("reduce_seconds")
+    shuffle_bytes = _metric("shuffle_bytes")
+    shuffle_records = _metric("shuffle_records")
+    wire_bytes = _metric("wire_bytes")
+    spilled_buckets = _metric("spilled_buckets")
+    input_pickle_bytes = _metric("map_input_pickle_bytes")
+    # Blob traffic (multihost only) and fault-tolerance accounting (zero on
+    # fault-free runs) stay out of as_row(), like the balance figures, so
+    # the committed BENCH goldens keep their exact shape.
+    blob_put_count = _metric("blob_put_count")
+    blob_put_bytes = _metric("blob_put_bytes")
+    blob_get_count = _metric("blob_get_count")
+    blob_get_bytes = _metric("blob_get_bytes")
+    tasks_failed = _metric("tasks_failed")
+    task_retry_count = _metric("task_retry_count")
+    blob_retry_count = _metric("blob_retry_count")
+    recovered_host_count = _metric("recovered_host_count")
+    partitioner = _metric("partitioner")
+    partition_max_bytes = _metric("partition_max_bytes")
+    partition_mean_bytes = _metric("partition_mean_bytes")
+    partition_imbalance = _metric("partition_imbalance")
+    modeled_straggler_seconds = _metric("modeled_straggler_seconds")
 
     def as_row(self) -> dict:
         # ``total_s`` is always the ``map_s``/``reduce_s`` sum: the split
@@ -106,35 +119,29 @@ def run_algorithm(
     constraint: Constraint,
     dictionary: Dictionary,
     database: SequenceDatabase,
-    num_workers: int = 8,
     dataset_name: str | None = None,
-    cluster: ClusterConfig | None = None,
+    cluster: ClusterConfig = DEFAULT_CLUSTER,
     max_runs: int | None = None,
     max_candidates: int | None = None,
     **options,
 ) -> RunRecord:
-    """Run one algorithm and collect a :class:`RunRecord`.
+    """Run one algorithm on the substrate ``cluster`` and collect a :class:`RunRecord`.
 
     Candidate or run explosions (the reproduction's analogue of the paper's
     out-of-memory failures) are caught and reported as ``status="oom"``.
-    The execution substrate is one ``cluster=ClusterConfig(...)`` (the legacy
-    ``backend`` / ``codec`` / ``spill_budget_bytes`` keywords were removed).
     """
     name = canonical_algorithm(algorithm)
-    config = ClusterConfig.resolve(cluster, num_workers=num_workers)
-    if config.num_workers is None:
-        config = config.merged(num_workers=num_workers)
-    backend_label = (
-        config.backend
-        if isinstance(config.backend, str)
-        else getattr(config.backend, "backend_name", "cluster")
-    )
+    # The labels come from the substrate that runs: a ready-made cluster
+    # instance in ``backend`` overrides the config's other fields.
+    backend, workers = cluster.backend, cluster.num_workers
+    if not isinstance(backend, str):
+        backend, workers = getattr(backend, "backend_name", "cluster"), backend.num_workers
     record = RunRecord(
         algorithm=algorithm,
         constraint=constraint.name,
         dataset=dataset_name or constraint.dataset,
-        num_workers=num_workers,
-        backend=backend_label,
+        backend=backend,
+        metrics=JobMetrics(num_workers=workers),
     )
     # An explicit cap wins over the OOM policy; an algorithm is handed only
     # the caps its table row says it honours.
@@ -147,38 +154,16 @@ def run_algorithm(
     started = time.perf_counter()
     try:
         result = mine(
-            (database, dictionary), constraint, algorithm=name, config=config,
+            (database, dictionary), constraint, algorithm=name, config=cluster,
             **{**caps, **options},
         )
     except CandidateExplosionError as error:
         record.status = "oom"
-        record.wall_seconds = time.perf_counter() - started
         record.extra["error"] = str(error)
-        return record
+    else:
+        record.metrics = result.metrics
+        record.num_patterns = len(result)
     record.wall_seconds = time.perf_counter() - started
-    metrics = result.metrics
-    record.total_seconds = metrics.total_seconds
-    record.map_seconds = metrics.map_seconds
-    record.reduce_seconds = metrics.reduce_seconds
-    record.shuffle_bytes = metrics.shuffle_bytes
-    record.shuffle_records = metrics.shuffle_records
-    record.wire_bytes = metrics.wire_bytes
-    record.spilled_buckets = metrics.spilled_buckets
-    record.input_pickle_bytes = metrics.map_input_pickle_bytes
-    record.blob_put_count = metrics.blob_put_count
-    record.blob_put_bytes = metrics.blob_put_bytes
-    record.blob_get_count = metrics.blob_get_count
-    record.blob_get_bytes = metrics.blob_get_bytes
-    record.tasks_failed = metrics.tasks_failed
-    record.task_retry_count = metrics.task_retry_count
-    record.blob_retry_count = metrics.blob_retry_count
-    record.recovered_host_count = metrics.recovered_host_count
-    record.partitioner = metrics.partitioner
-    record.partition_max_bytes = metrics.partition_max_bytes
-    record.partition_mean_bytes = metrics.partition_mean_bytes
-    record.partition_imbalance = metrics.partition_imbalance
-    record.modeled_straggler_seconds = metrics.modeled_straggler_seconds
-    record.num_patterns = len(result)
     return record
 
 
@@ -187,27 +172,20 @@ def run_comparison(
     constraint: Constraint,
     dictionary: Dictionary,
     database: SequenceDatabase,
-    num_workers: int = 8,
     dataset_name: str | None = None,
-    cluster: ClusterConfig | None = None,
+    cluster: ClusterConfig = DEFAULT_CLUSTER,
     max_runs: int | None = None,
     max_candidates: int | None = None,
 ) -> list[RunRecord]:
-    """Run several algorithms on the same constraint and dataset.
-
-    The execution substrate is one ``cluster=ClusterConfig(...)`` (the legacy
-    ``backend`` / ``codec`` / ``spill_budget_bytes`` keywords were removed).
-    """
-    config = ClusterConfig.resolve(cluster, num_workers=num_workers)
+    """Run several algorithms on the same constraint, dataset and substrate."""
     return [
         run_algorithm(
             algorithm,
             constraint,
             dictionary,
             database,
-            num_workers=num_workers,
             dataset_name=dataset_name,
-            cluster=config,
+            cluster=cluster,
             max_runs=max_runs,
             max_candidates=max_candidates,
         )

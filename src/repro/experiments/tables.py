@@ -100,25 +100,23 @@ def table4_candidate_statistics(sizes: dict[str, int] | None = None) -> list[dic
 #: simulated-cluster equivalent is 64 map/reduce workers.
 TABLE5_WORKERS = 64
 
+#: Table V's default substrate: :data:`TABLE5_WORKERS` modelled workers.
+TABLE5_CLUSTER = ClusterConfig(num_workers=TABLE5_WORKERS)
+
 
 def table5_speedup(
     entries: list[tuple[str, Constraint]] | None = None,
-    num_workers: int = TABLE5_WORKERS,
     sizes: dict[str, int] | None = None,
-    backend: str = "simulated",
-    codec: str = "compact",
-    spill_budget_bytes: int | None = None,
-    grid: str | None = None,
-    cluster: ClusterConfig | None = None,
+    cluster: ClusterConfig = TABLE5_CLUSTER,
     max_runs: int | None = None,
     max_candidates: int | None = None,
 ) -> list[dict]:
     """Table V: speed-up of D-SEQ and D-CAND over sequential DESQ-DFS.
 
     Speed-ups compare the sequential run time against the makespan of the
-    distributed algorithms on ``num_workers`` workers of ``backend`` (the
-    paper uses 65 cores for the distributed algorithms and 1 core for
-    DESQ-DFS; the default backend models that cluster in-process).
+    distributed algorithms on ``cluster`` (the paper uses 65 cores for the
+    distributed algorithms and 1 core for DESQ-DFS; the default,
+    :data:`TABLE5_CLUSTER`, models that cluster in-process).
     """
     from repro.datasets import constraint as make_constraint
     from repro.experiments.configs import SCALED_SIGMA
@@ -131,30 +129,21 @@ def table5_speedup(
             ("AMZN-F", make_constraint("T3", 4 * SCALED_SIGMA["T3"], 1, 5)),
             ("CW", make_constraint("T2", SCALED_SIGMA["T2"], 0, 5)),
         ]
-    config = ClusterConfig.resolve(
-        cluster,
-        backend=backend,
-        codec=codec,
-        spill_budget_bytes=spill_budget_bytes,
-        grid=grid,
-    )
     rows = []
     for dataset_name, constraint in entries:
         prepared = prepare_dataset(dataset_name, (sizes or {}).get(dataset_name))
+        # DESQ-DFS mines in-process on one core; it takes no substrate.
         sequential = run_algorithm(
             "desq-dfs", constraint, prepared.dictionary, prepared.database,
-            num_workers=1, dataset_name=dataset_name,
-            cluster=config.merged(backend="simulated", num_workers=1),
+            dataset_name=dataset_name,
         )
-        dseq = run_algorithm(
-            "dseq", constraint, prepared.dictionary, prepared.database,
-            num_workers=num_workers, dataset_name=dataset_name, cluster=config,
-            max_runs=max_runs, max_candidates=max_candidates,
-        )
-        dcand = run_algorithm(
-            "dcand", constraint, prepared.dictionary, prepared.database,
-            num_workers=num_workers, dataset_name=dataset_name, cluster=config,
-            max_runs=max_runs, max_candidates=max_candidates,
+        dseq, dcand = (
+            run_algorithm(
+                algorithm, constraint, prepared.dictionary, prepared.database,
+                dataset_name=dataset_name, cluster=cluster,
+                max_runs=max_runs, max_candidates=max_candidates,
+            )
+            for algorithm in ("dseq", "dcand")
         )
         row = {
             "constraint": constraint.name,

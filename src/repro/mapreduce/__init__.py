@@ -35,6 +35,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "DirectoryBlobStore",
             "InMemoryBlobStore",
             "content_key",
+            "expired_namespaces",
             "gc_expired",
             "get_with_retry",
             "put_with_retry",
@@ -61,7 +62,9 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "is_retryable",
         ),
         "repro.mapreduce.job": (
+            "DEFAULT_GRID",
             "DEFAULT_PARTITIONER",
+            "GRIDS",
             "PARTITIONERS",
             "MapReduceJob",
             "normalize_partitioner",

@@ -57,7 +57,7 @@ from repro.mapreduce.faults import (
     TaskTimeoutError,
     is_retryable,
 )
-from repro.mapreduce.job import MapReduceJob, normalize_partitioner
+from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.metrics import JobMetrics
 from repro.mapreduce.spill import WireFragment
 from repro.mapreduce.tasks import (
@@ -199,7 +199,10 @@ class StageDriverCluster:
 
     ``executor`` and ``shuffle`` are the backend's components (see the module
     docstring); the class attributes below are the ``simulated`` row, and each
-    backend class sets its own.
+    backend class sets its own.  A cluster knows only the substrate: the
+    mining choices of a :class:`~repro.mapreduce.factory.ClusterConfig`
+    (``grid``, ``partitioner``, ``plan_sample``) stay with the miners, and a
+    planned partition travels on the job itself.
 
     Parameters
     ----------
@@ -227,19 +230,6 @@ class StageDriverCluster:
         ``0`` spills everything).  Results are identical either way.
     spill_dir:
         Directory for spill files (defaults to the system temp directory).
-    grid:
-        The pivot-grid engine choice (``"flat"`` / ``"legacy"``) carried for
-        the miners: a cluster never builds grids itself, but a miner handed a
-        ready-made cluster instance inherits this setting (like ``codec``), so
-        one :class:`~repro.mapreduce.factory.ClusterConfig` fully describes a
-        run.
-    partitioner:
-        The reduce-partitioner choice (``"hash"`` / ``"planned"``), carried
-        for the miners exactly like ``grid``: the cluster partitions with
-        whatever :meth:`~repro.mapreduce.job.MapReduceJob.partition` decides,
-        but a miner handed a ready-made cluster instance inherits this
-        setting and attaches a :class:`~repro.core.balance.PartitionPlan` to
-        its job when ``"planned"`` is selected.
     fault_policy:
         The run's :class:`~repro.mapreduce.faults.FaultPolicy`: how many
         attempts a failed or timed-out task gets, the jittered backoff
@@ -273,8 +263,6 @@ class StageDriverCluster:
         codec: str | Codec = "compact",
         spill_budget_bytes: int | None = None,
         spill_dir: str | None = None,
-        grid: str | None = None,
-        partitioner: str | None = None,
         fault_policy: FaultPolicy | None = None,
         fault_injector: FaultInjector | None = None,
     ) -> None:
@@ -294,18 +282,6 @@ class StageDriverCluster:
             )
         self.spill_budget_bytes = spill_budget_bytes
         self.spill_dir = spill_dir
-        if grid is not None:
-            # Fail fast on typos, like make_codec does for codec names (the
-            # import is deferred to keep repro.mapreduce importable without
-            # pulling in the grid engine).
-            from repro.core.grid_engine import normalize_grid
-
-            grid = normalize_grid(grid)
-        self.grid = grid
-        if partitioner is not None:
-            # Fail fast on typos, like grid above.
-            partitioner = normalize_partitioner(partitioner)
-        self.partitioner = partitioner
         self.fault_policy = fault_policy or DEFAULT_FAULT_POLICY
         self.fault_injector = fault_injector
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import socket
 import tempfile
@@ -220,44 +221,65 @@ def write_lease(store: BlobStore, prefix: str, now: float | None = None) -> str:
 
 
 def read_lease(store: BlobStore, prefix: str) -> dict | None:
-    """The lease stamp of ``prefix``, or ``None`` if absent or unreadable."""
+    """The lease stamp of ``prefix``, or ``None`` if absent or unreadable.
+
+    A stamp is readable only as a JSON object whose ``created_at`` is a
+    finite number (not a bool): anything else — bytes that are not JSON,
+    nesting too deep to parse, ``NaN``, ``true`` — could not say when the
+    namespace was created, so no sweep may act on it.
+    """
     try:
-        raw = store.get(f"{prefix}/{LEASE_NAME}")
-        stamp = json.loads(raw.decode("utf-8"))
-    except (BlobStoreError, ValueError, UnicodeDecodeError):
+        stamp = json.loads(store.get(f"{prefix}/{LEASE_NAME}").decode("utf-8"))
+    except (BlobStoreError, ValueError, RecursionError):
         return None
-    return stamp if isinstance(stamp, dict) else None
+    created = stamp.get("created_at") if isinstance(stamp, dict) else None
+    if isinstance(created, bool) or not isinstance(created, (int, float)):
+        return None
+    try:
+        return stamp if math.isfinite(created) else None
+    except OverflowError:  # an int past the float range
+        return None
+
+
+def expired_namespaces(
+    store: BlobStore, ttl_s: float, now: float | None = None
+) -> list[str]:
+    """The leased prefixes whose lease is older than ``ttl_s`` seconds, sorted.
+
+    The one expiry rule: :func:`gc_expired` sweeps exactly these, and ``repro
+    blob-gc --dry-run`` lists them.  Only namespaces *with* a readable lease
+    are candidates — an unleased prefix is either a live pre-lease race,
+    foreign data, or an old-format job, and all three are left alone, as is
+    a lease :func:`read_lease` cannot read.  A lease younger than the TTL
+    marks a live (or recently live) job.
+    """
+    clock = time.time() if now is None else now
+    lease_suffix = f"/{LEASE_NAME}"
+    expired = []
+    for key in store.list(""):
+        if not key.endswith(lease_suffix):
+            continue
+        prefix = key[: -len(lease_suffix)]
+        stamp = read_lease(store, prefix)  # None too if another cleaner won the race
+        if stamp is not None and clock - stamp["created_at"] > ttl_s:
+            expired.append(prefix)
+    return sorted(expired)
 
 
 def gc_expired(
     store: BlobStore, ttl_s: float, now: float | None = None
 ) -> list[str]:
-    """Sweep job namespaces whose lease is older than ``ttl_s`` seconds.
+    """Sweep the :func:`expired_namespaces` of ``store``; returns them.
 
     A driver that is killed mid-run leaves its ``job-*`` namespace behind
-    forever; this is the reclaim path.  Only namespaces *with* a lease are
-    candidates — an unleased prefix is either a live pre-lease race, foreign
-    data, or an old-format job, and all three are left alone.  A lease
-    younger than the TTL marks a live (or recently live) job and survives.
-    Deletion races with other cleaners are tolerated.  Returns the prefixes
-    swept.
+    forever; this is the reclaim path.  Deletion races with other cleaners
+    are tolerated, and a sweep deletes under ``<prefix>/`` only, never a
+    neighbour whose name merely starts with the prefix.
     """
-    clock = time.time() if now is None else now
-    swept: list[str] = []
-    lease_suffix = f"/{LEASE_NAME}"
-    for key in store.list(""):
-        if not key.endswith(lease_suffix):
-            continue
-        prefix = key[: -len(lease_suffix)]
-        stamp = read_lease(store, prefix)
-        if stamp is None:
-            continue  # lease vanished under us: another cleaner won the race
-        created = stamp.get("created_at")
-        if not isinstance(created, (int, float)) or clock - created <= ttl_s:
-            continue
-        delete_prefix(store, prefix)
-        swept.append(prefix)
-    return sorted(swept)
+    expired = expired_namespaces(store, ttl_s, now)
+    for prefix in expired:
+        delete_prefix(store, f"{prefix}/")
+    return expired
 
 
 @dataclass(frozen=True)

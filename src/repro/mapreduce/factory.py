@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from importlib import import_module
 
 from repro.errors import MapReduceError
 from repro.mapreduce.base import Cluster
 from repro.mapreduce.faults import DEFAULT_FAULT_POLICY, FaultInjector, FaultPolicy
+from repro.mapreduce.job import (
+    DEFAULT_GRID,
+    DEFAULT_PARTITIONER,
+    normalize_grid,
+    normalize_partitioner,
+)
 from repro.mapreduce.wire import Codec
 
 #: Canonical backend names, in the order shown by ``--help``.
@@ -31,6 +37,10 @@ _CLUSTER_CLASSES = {
     "multihost": "repro.mapreduce.multihost:MultiHostCluster",
 }
 
+#: The :class:`ClusterConfig` fields :meth:`ClusterConfig.build` does not hand
+#: the backend: its selector, and the three the miners read.
+_NOT_FOR_BACKEND = ("backend", "grid", "partitioner", "plan_sample")
+
 
 def canonical_backend(name: str) -> str:
     """The canonical name of a backend spelling; unknown ones raise."""
@@ -47,16 +57,18 @@ def canonical_backend(name: str) -> str:
 class ClusterConfig:
     """One value object for everything that configures a mining run's substrate.
 
-    The fields are written out here and nowhere else: the miners, the
-    experiment harness and both CLI commands build exactly one of these and
-    hand it around, and :meth:`build` turns it into the backend
-    (:func:`make_cluster` is its one-line shortcut).  ``backend`` may be a
-    backend name or a ready-made :class:`~repro.mapreduce.base.Cluster`
-    instance (which then wins over the other fields).  ``grid`` selects the
-    pivot-grid engine (``"flat"`` or ``"legacy"``) and ``partitioner`` the
-    reduce-bucket assignment (``"hash"`` or ``"planned"``); the miners read
-    both, and a built cluster records them so that miners handed the
-    instance inherit them.
+    The fields are written out here and nowhere else: every cluster miner,
+    the experiment harness, the figure and table functions and both CLI
+    commands take exactly one of these as ``cluster=`` (or ``config=``), and
+    :meth:`build` turns it into the backend (:func:`make_cluster` is its
+    one-line shortcut).  ``backend`` may be a backend name or a ready-made
+    :class:`~repro.mapreduce.base.Cluster` instance, whose own settings then
+    win over the fields a backend reads.  ``grid`` selects the pivot-grid
+    engine (``"flat"`` or ``"legacy"``), ``partitioner`` the reduce-bucket
+    assignment (``"hash"`` or ``"planned"``) and ``plan_sample`` the planner's
+    sample: the miners read these three, the cluster never sees them.
+    ``grid`` and ``partitioner`` are validated (and made canonical) when the
+    config is built.
     """
 
     backend: str | Cluster = "simulated"
@@ -69,8 +81,8 @@ class ClusterConfig:
     #: Directory backing the ``multihost`` backend's blob store (``None``
     #: uses a private temp directory per run); other backends ignore it.
     blob_dir: str | None = None
-    grid: str | None = None
-    partitioner: str | None = None
+    grid: str = DEFAULT_GRID
+    partitioner: str = DEFAULT_PARTITIONER
     #: Stride-sampling fraction in (0, 1] for the ``"planned"`` partitioner's
     #: load-estimation pass (``None`` estimates over every record); consumed
     #: by the miners when they build their partition plan.
@@ -85,62 +97,9 @@ class ClusterConfig:
     #: from — or poison — a fault-free run's service-cache entry.
     fault_injector: FaultInjector | None = None
 
-    @classmethod
-    def resolve(
-        cls, value: "ClusterConfig | str | Cluster | None" = None, /, **defaults
-    ) -> "ClusterConfig":
-        """Normalize a config, backend name, or cluster instance to a config.
-
-        ``value=None`` builds a config from ``defaults`` (the caller's legacy
-        keyword arguments); a :class:`ClusterConfig` is used as-is (it
-        specifies the run); a backend name or cluster instance becomes the
-        ``backend`` of a config built from the remaining defaults.  One
-        exception to "the config wins": explicit non-None ``grid`` /
-        ``partitioner`` defaults override the config's, so
-        ``miner(..., cluster=config, grid="legacy")`` reliably selects the
-        legacy grid.
-        """
-        overrides = {name: defaults.pop(name, None) for name in ("grid", "partitioner")}
-        if value is None:
-            config = cls(**defaults, **overrides)
-        elif isinstance(value, ClusterConfig):
-            config = value
-        else:
-            config = cls(**{**defaults, "backend": value}, **overrides)
-        for field_name, override in overrides.items():
-            if override is not None and getattr(config, field_name) != override:
-                config = config.merged(**{field_name: override})
-        return config
-
-    def merged(self, **overrides) -> "ClusterConfig":
-        """A copy with the given fields replaced."""
-        return replace(self, **overrides)
-
-    @property
-    def grid_name(self) -> str:
-        """The effective grid-engine name (falling back to the cluster's, then
-        the library default)."""
-        from repro.core.grid_engine import DEFAULT_GRID
-
-        if self.grid is not None:
-            return self.grid
-        backend = self.backend
-        attached = None if isinstance(backend, str) else getattr(backend, "grid", None)
-        return attached or DEFAULT_GRID
-
-    @property
-    def partitioner_name(self) -> str:
-        """The effective reduce-partitioner name (falling back to the
-        cluster's, then the ``"hash"`` reference)."""
-        from repro.mapreduce.job import DEFAULT_PARTITIONER, normalize_partitioner
-
-        if self.partitioner is not None:
-            return normalize_partitioner(self.partitioner)
-        backend = self.backend
-        attached = (
-            None if isinstance(backend, str) else getattr(backend, "partitioner", None)
-        )
-        return attached or DEFAULT_PARTITIONER
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "grid", normalize_grid(self.grid))
+        object.__setattr__(self, "partitioner", normalize_partitioner(self.partitioner))
 
     def build(self) -> Cluster:
         """Build the execution backend this config describes.
@@ -158,14 +117,17 @@ class ClusterConfig:
         pool but exchanges the encoded reduce buckets through a blob store
         rooted at ``blob_dir`` (a per-run temp directory when ``None``), so
         map and reduce hosts never share memory or a spill file system.
-        Every other field except ``plan_sample`` (which the miners read) is
-        handed to the backend's constructor under its own name.
+        Every field not in :data:`_NOT_FOR_BACKEND` is handed to the
+        backend's constructor under its own name.
         """
         if isinstance(self.backend, Cluster):
             return self.backend
         key = canonical_backend(self.backend)
-        settings = {field.name: getattr(self, field.name) for field in fields(self)}
-        del settings["backend"], settings["plan_sample"]
+        settings = {
+            field.name: getattr(self, field.name)
+            for field in fields(self)
+            if field.name not in _NOT_FOR_BACKEND
+        }
         if key != "multihost" and settings.pop("blob_dir") is not None:
             raise MapReduceError(
                 f"blob_dir applies only to the 'multihost' backend, not {key!r}"
@@ -196,8 +158,8 @@ class ClusterConfig:
             codec,
             self.spill_budget_bytes,
             self.blob_dir,
-            self.grid_name,
-            self.partitioner_name,
+            self.grid,
+            self.partitioner,
             self.plan_sample,
             (self.fault_policy or DEFAULT_FAULT_POLICY).fingerprint(),
             repr(self.fault_injector),

@@ -20,7 +20,30 @@ import zlib
 from collections.abc import Iterable
 from typing import Any
 
-from repro.errors import MapReduceError
+from repro.errors import MapReduceError, MiningError
+
+#: Grid-engine choices of D-SEQ's map side (:mod:`repro.core.grid_engine`):
+#: ``"flat"`` is the one-pass engine, ``"legacy"`` the per-edge reference.
+#: Named here, beside the partitioners, so that
+#: :class:`~repro.mapreduce.ClusterConfig` validates both without importing
+#: the engine.
+GRIDS = ("flat", "legacy")
+
+#: Grid engine used when none is requested explicitly.
+DEFAULT_GRID = "flat"
+
+
+def normalize_grid(grid: str | None) -> str:
+    """Map a user-provided grid-engine name to a canonical one (None → default)."""
+    if grid is None:
+        return DEFAULT_GRID
+    name = str(grid).strip().lower()
+    if name not in GRIDS:
+        raise MiningError(
+            f"unknown grid engine {grid!r}; choose one of {', '.join(GRIDS)}"
+        )
+    return name
+
 
 #: Reduce-partitioner choices: ``"hash"`` assigns keys by
 #: :func:`stable_hash` (the reference), ``"planned"`` consults a

@@ -17,16 +17,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from repro.core.results import MiningResult
+from repro.core.cluster_miner import ClusterMiner
 from repro.dictionary import Dictionary
 from repro.errors import MiningError
-from repro.mapreduce import Cluster, ClusterConfig, MapReduceJob
-from repro.sequences import (
-    SequenceDatabase,
-    as_mining_records,
-    fold_weighted_values,
-    record_parts,
-)
+from repro.mapreduce import ClusterConfig, MapReduceJob
+from repro.sequences import fold_weighted_values, record_parts
 
 
 class GapConstrainedJob(MapReduceJob):
@@ -196,13 +191,18 @@ class _PivotGapMiner:
         return max(prefix) == self.pivot
 
 
-class GapConstrainedMiner:
+class GapConstrainedMiner(ClusterMiner):
     """Public interface of the specialised LASH/MG-FSM-style miner.
 
     Parameters mirror the traditional constraints of Table III: maximum gap γ
     (``None`` for unbounded gaps, the MLlib/PrefixSpan setting), maximum length
     λ, minimum length (2 for T2/T3, 1 for PrefixSpan-style T1), and whether
-    hierarchy generalizations are allowed (LASH yes, MG-FSM no).
+    hierarchy generalizations are allowed (LASH yes, MG-FSM no).  The
+    substrate is one :class:`~repro.mapreduce.ClusterConfig` passed as
+    ``cluster=`` (see :class:`~repro.core.cluster_miner.ClusterMiner`): the
+    specialist builds no FST and no grid, so the config's ``grid`` has no
+    effect, while ``dedup`` and the ``"planned"`` partitioner apply (its
+    shuffle is item-partitioned like D-SEQ's).
     """
 
     algorithm_name = "LASH"
@@ -215,39 +215,23 @@ class GapConstrainedMiner:
         max_length: int,
         min_length: int = 2,
         use_hierarchy: bool = True,
-        num_workers: int = 4,
-        grid: str | None = None,
-        partitioner: str | None = None,
         dedup: bool = True,
-        cluster: ClusterConfig | str | Cluster | None = None,
+        cluster: ClusterConfig | None = None,
     ) -> None:
         if sigma < 1:
             raise MiningError(f"sigma must be >= 1, got {sigma}")
         if max_length < min_length:
             raise MiningError("max_length must be >= min_length")
-        self.sigma = sigma
-        self.dictionary = dictionary
+        super().__init__(sigma, dictionary, dedup=dedup, cluster=cluster)
         self.max_gap = max_gap
         self.max_length = max_length
         self.min_length = min_length
         self.use_hierarchy = use_hierarchy
-        self.dedup = dedup
-        # The specialist avoids FST machinery entirely, so the ``grid`` knob
-        # is accepted (one ClusterConfig drives all five cluster miners) but
-        # has no effect on its mining semantics or timings.  ``dedup`` applies:
-        # the windowing runs once per distinct input sequence.
-        # ``partitioner`` applies too: its shuffle is item-partitioned like
-        # D-SEQ's, so the skew-aware plan helps here as well.
-        self.cluster = ClusterConfig.resolve(
-            cluster,
-            num_workers=num_workers,
-            grid=grid,
-            partitioner=partitioner,
-        )
+        if not use_hierarchy:
+            self.algorithm_name = "MG-FSM"
 
-    def mine(self, database: SequenceDatabase | Sequence[Sequence[int]]) -> MiningResult:
-        """Mine all frequent gap/length(/hierarchy) constrained patterns."""
-        job = GapConstrainedJob(
+    def job(self) -> GapConstrainedJob:
+        return GapConstrainedJob(
             self.dictionary,
             self.sigma,
             max_gap=self.max_gap,
@@ -255,16 +239,6 @@ class GapConstrainedMiner:
             min_length=self.min_length,
             use_hierarchy=self.use_hierarchy,
         )
-        records = as_mining_records(database, dedup=self.dedup)
-        cluster = self.cluster.build()
-        if self.cluster.partitioner_name == "planned":
-            # Only a planned run loads the planner (which imports the core jobs).
-            from repro.core.balance import attach_partition_plan
-
-            attach_partition_plan(self, job, records, cluster)
-        result = cluster.run(job, records)
-        name = self.algorithm_name if self.use_hierarchy else "MG-FSM"
-        return MiningResult(dict(result.outputs), result.metrics, algorithm=name)
 
 
 class LashMiner(GapConstrainedMiner):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import inspect
 import json
 import warnings
 
@@ -14,7 +15,7 @@ import repro.api
 from repro.api.session import canonical_algorithm, constraint_token, resolve_constraint
 from repro.core import DCandMiner, DSeqMiner, NaiveMiner, SemiNaiveMiner
 from repro.datasets import constraint as make_constraint
-from repro.errors import CorpusNotAttachedError, MiningError
+from repro.errors import CorpusNotAttachedError, MapReduceError, MiningError
 from repro.experiments.harness import RunRecord, run_algorithm
 from repro.mapreduce import (
     BACKENDS,
@@ -305,10 +306,7 @@ class TestLegacyKwargRemoval:
     def test_harness_rejects_legacy_kwargs(self, ex_database, ex_dictionary):
         spec = make_constraint("N5", sigma=SIGMA)
         with pytest.raises(TypeError, match="backend"):
-            run_algorithm(
-                "dseq", spec, ex_dictionary, ex_database,
-                num_workers=2, backend="simulated",
-            )
+            run_algorithm("dseq", spec, ex_dictionary, ex_database, backend="simulated")
 
     def test_cluster_config_path_is_warning_free(self, ex_database, ex_dictionary):
         spec = make_constraint("N5", sigma=SIGMA)
@@ -320,7 +318,7 @@ class TestLegacyKwargRemoval:
             )
             run_algorithm(
                 "dseq", spec, ex_dictionary, ex_database,
-                num_workers=2, cluster=ClusterConfig(),
+                cluster=ClusterConfig(num_workers=2),
             )
 
     def test_unset_sentinel_is_gone(self):
@@ -412,15 +410,10 @@ class TestRemovedKnobs:
         with pytest.raises(TypeError, match=name):
             ClusterConfig(**{name: value})
 
-    @pytest.mark.parametrize(
-        "factory",
-        [make_cluster, ClusterConfig.resolve],
-        ids=["make_cluster", "ClusterConfig.resolve"],
-    )
-    def test_cluster_factories_reject_it(self, factory, knob):
+    def test_make_cluster_rejects_it(self, knob):
         name, value = knob
         with pytest.raises(TypeError, match=name):
-            factory("simulated", **{name: value})
+            make_cluster("simulated", **{name: value})
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_cluster_classes_reject_it(self, backend, knob):
@@ -448,7 +441,8 @@ class TestRemovedKnobs:
         spec = make_constraint("N5", sigma=SIGMA)
         with pytest.raises(TypeError, match=name):
             run_algorithm(
-                algorithm, spec, ex_dictionary, ex_database, num_workers=2, **{name: value}
+                algorithm, spec, ex_dictionary, ex_database,
+                cluster=ClusterConfig(num_workers=2), **{name: value},
             )
 
     def test_run_records_have_no_field_for_it(self, knob):
@@ -488,6 +482,76 @@ class TestRemovedKnobs:
             main([*command, flag, knob[1]])
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {flag} {knob[1]}" in capsys.readouterr().err
+
+
+class TestSubstrateSaidOnce:
+    """``ClusterConfig`` is the only place a run's substrate is stated: no
+    miner, figure, table or harness function re-takes one of its fields, and
+    a built cluster knows only the fields its backend reads."""
+
+    FIELDS = {field.name for field in dataclasses.fields(ClusterConfig)}
+
+    @staticmethod
+    def _parameters(callable_) -> set[str]:
+        return set(inspect.signature(callable_).parameters)
+
+    def test_no_entry_point_restates_a_field(self):
+        import repro.experiments
+        from repro.experiments.harness import run_comparison
+
+        functions = [
+            getattr(repro.experiments, name)
+            for name in repro.experiments.__all__
+            if name.startswith(("figure", "table"))
+        ]
+        assert len(functions) == 11
+        miners = [algorithm.miner_class() for algorithm in repro.api.ALGORITHM_TABLE.values()]
+        for callable_ in (*miners, *functions, run_algorithm, run_comparison):
+            assert not self._parameters(callable_) & self.FIELDS - {"cluster"}, callable_
+
+    def test_a_cluster_takes_only_the_fields_its_backend_reads(self):
+        from repro.mapreduce import StageDriverCluster
+
+        parameters = self._parameters(StageDriverCluster) - {"self"}
+        assert parameters < self.FIELDS
+        assert not parameters & {"backend", "grid", "partitioner", "plan_sample"}
+
+    def test_removed_restatements_are_type_errors(self, ex_dictionary):
+        from repro.experiments import figure9c
+
+        with pytest.raises(TypeError, match="num_workers"):
+            DSeqMiner(RUNNING_EXAMPLE_PATEX, SIGMA, ex_dictionary, num_workers=2)
+        with pytest.raises(TypeError, match="backend"):
+            figure9c(backend="threads")
+        for name in ("resolve", "merged", "grid_name", "partitioner_name"):
+            assert not hasattr(ClusterConfig, name), name
+
+    @pytest.mark.parametrize("miner_name", ["dseq", "dcand", "naive", "semi-naive", "lash"])
+    @pytest.mark.parametrize("substrate", ["simulated", "instance"])
+    def test_miners_take_only_a_config(self, miner_name, substrate, ex_dictionary):
+        cluster = "simulated" if substrate == "simulated" else make_cluster("simulated")
+        extra = {"max_gap": 1, "max_length": 3} if miner_name == "lash" else {}
+        with pytest.raises(TypeError, match="ClusterConfig"):
+            MINERS[miner_name](ex_dictionary, cluster=cluster, **extra)
+
+    def test_mining_choices_are_checked_when_the_config_is_built(self):
+        with pytest.raises(MiningError, match="unknown grid engine"):
+            ClusterConfig(grid="bogus")
+        with pytest.raises(MapReduceError, match="unknown partitioner"):
+            ClusterConfig(partitioner="bogus")
+        config = ClusterConfig(grid=" Legacy ", partitioner="PLANNED")
+        assert (config.grid, config.partitioner) == ("legacy", "planned")
+        assert (ClusterConfig().grid, ClusterConfig().partitioner) == ("flat", "hash")
+
+    def test_run_record_reports_the_workers_that_ran(self, ex_database, ex_dictionary):
+        spec = make_constraint("N5", sigma=SIGMA)
+        record = run_algorithm(
+            "dseq", spec, ex_dictionary, ex_database, cluster=ClusterConfig(num_workers=2)
+        )
+        assert record.status == "ok"
+        assert record.num_workers == 2 and record.metrics.num_workers == 2
+        assert record.wire_bytes == record.metrics.wire_bytes > 0
+        assert record.input_pickle_bytes == record.metrics.map_input_pickle_bytes
 
 
 class TestOneTable:

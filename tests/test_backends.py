@@ -177,8 +177,6 @@ class TestMakeCluster:
             "codec": "zlib",
             "spill_budget_bytes": 4096,
             "spill_dir": str(tmp_path),
-            "grid": "legacy",
-            "partitioner": "planned",
             "fault_policy": FaultPolicy(max_task_attempts=1),
         }
         if backend == "multihost":
@@ -193,8 +191,6 @@ class TestMakeCluster:
                 cluster.codec.name,
                 cluster.spill_budget_bytes,
                 cluster.spill_dir,
-                cluster.grid,
-                cluster.partitioner,
                 cluster.fault_policy,
                 getattr(cluster.shuffle, "blob_dir", None),
             )
@@ -203,9 +199,12 @@ class TestMakeCluster:
         shortcut = make_cluster(backend, **fields)
         assert settings(built) == settings(shortcut)
         assert settings(built)[1:] == (
-            3, 7, False, "zlib", 4096, str(tmp_path), "legacy", "planned",
+            3, 7, False, "zlib", 4096, str(tmp_path),
             FaultPolicy(max_task_attempts=1), fields.get("blob_dir"),
         )
+        # The miners' fields stay on the config: a cluster knows only the substrate.
+        planned = ClusterConfig(backend=backend, grid="legacy", partitioner="planned").build()
+        assert not {"grid", "partitioner", "plan_sample"} & set(vars(planned))
 
 
 # ------------------------------------------------------------ stage driver
@@ -267,7 +266,7 @@ class TestWorkerSideShuffle:
         records that are not fid sequences have no process-pool path."""
         cluster = make_cluster("processes", num_workers=2)
         result = DSeqMiner(
-            RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, cluster=cluster
+            RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, cluster=ClusterConfig(backend=cluster)
         ).mine(ex_database)
         reference = DSeqMiner(RUNNING_EXAMPLE_PATEX, 2, ex_dictionary).mine(ex_database)
         assert result.patterns() == reference.patterns()
@@ -300,11 +299,11 @@ class TestWorkerSideShuffle:
     def test_persistent_backend_file_transport(self, ex_dictionary, ex_database):
         """Forcing the temp-file transport changes nothing about the results."""
         reference = DSeqMiner(
-            RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, num_workers=2
+            RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, cluster=ClusterConfig(num_workers=2)
         ).mine(ex_database)
         cluster = PersistentProcessPoolCluster(num_workers=2, store_transport="file")
         result = DSeqMiner(
-            RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, cluster=cluster
+            RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, cluster=ClusterConfig(backend=cluster)
         ).mine(ex_database)
         assert result.patterns() == reference.patterns()
         assert result.metrics.wire_bytes == reference.metrics.wire_bytes
@@ -361,8 +360,8 @@ class TestMinerEquivalence:
         self.backend = backend
 
     def assert_equivalent(self, make_miner, database):
-        base = make_miner("simulated").mine(database)
-        other = make_miner(self.backend).mine(database)
+        base = make_miner(ClusterConfig(num_workers=2)).mine(database)
+        other = make_miner(ClusterConfig(backend=self.backend, num_workers=2)).mine(database)
         assert other.patterns() == base.patterns()
         assert other.metrics.shuffle_records == base.metrics.shuffle_records
         assert other.metrics.shuffle_bytes == base.metrics.shuffle_bytes
@@ -371,38 +370,32 @@ class TestMinerEquivalence:
 
     def test_dseq(self, ex_dictionary, ex_database):
         self.assert_equivalent(
-            lambda backend: DSeqMiner(
-                RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, num_workers=2, cluster=backend
-            ),
+            lambda cluster: DSeqMiner(RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, cluster=cluster),
             ex_database,
         )
 
     def test_dcand(self, ex_dictionary, ex_database):
         self.assert_equivalent(
-            lambda backend: DCandMiner(
-                RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, num_workers=2, cluster=backend
-            ),
+            lambda cluster: DCandMiner(RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, cluster=cluster),
             ex_database,
         )
 
     def test_naive(self, ex_dictionary, ex_database):
         self.assert_equivalent(
-            lambda backend: NaiveMiner(
-                RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, num_workers=2, cluster=backend
-            ),
+            lambda cluster: NaiveMiner(RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, cluster=cluster),
             ex_database,
         )
 
     def test_lash(self, ex_dictionary, ex_database):
         self.assert_equivalent(
-            lambda backend: GapConstrainedMiner(
-                2, ex_dictionary, max_gap=1, max_length=3, num_workers=2, cluster=backend
+            lambda cluster: GapConstrainedMiner(
+                2, ex_dictionary, max_gap=1, max_length=3, cluster=cluster
             ),
             ex_database,
         )
 
     def test_cluster_instance_accepted(self, ex_dictionary, ex_database, backend):
-        cluster = make_cluster(backend, num_workers=2)
+        cluster = ClusterConfig(backend=make_cluster(backend, num_workers=2))
         miner = DSeqMiner(RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, cluster=cluster)
         reference = DSeqMiner(RUNNING_EXAMPLE_PATEX, 2, ex_dictionary).mine(ex_database)
         assert miner.mine(ex_database).patterns() == reference.patterns()

@@ -20,7 +20,7 @@ from repro.core import (
 )
 from repro.core.dseq import DSeqJob
 from repro.errors import MiningError
-from repro.mapreduce import MapReduceJob, lpt_worker_loads, stable_hash
+from repro.mapreduce import ClusterConfig, MapReduceJob, lpt_worker_loads, stable_hash
 from repro.sequences import SequenceDatabase, as_mining_records
 
 from tests.conftest import RUNNING_EXAMPLE_PATEX
@@ -178,7 +178,9 @@ class TestAlgorithmBalance:
 
     def test_balance_bytes_match_cluster_shuffle(self, ex_dictionary, ex_database):
         """The balance measurement agrees with the cluster's shuffle accounting."""
-        miner = DSeqMiner(RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, num_workers=1)
+        miner = DSeqMiner(
+            RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, cluster=ClusterConfig(num_workers=1)
+        )
         result = miner.mine(ex_database)
         balance = measure_partition_balance(
             DSeqJob(
@@ -197,7 +199,9 @@ class TestAlgorithmBalance:
         so the two record views genuinely diverge.
         """
         database = SequenceDatabase([list(sequence) for sequence in ex_database] * 3)
-        miner = DSeqMiner(RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, num_workers=1)
+        miner = DSeqMiner(
+            RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, cluster=ClusterConfig(num_workers=1)
+        )
         shuffle_bytes = miner.mine(database).metrics.shuffle_bytes
         deduped = dseq_partition_balance(
             RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, database
@@ -210,8 +214,8 @@ class TestAlgorithmBalance:
         """Same agreement for D-CAND with NFA aggregation (the combiner) off."""
         database = SequenceDatabase([list(sequence) for sequence in ex_database] * 3)
         miner = DCandMiner(
-            RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, num_workers=1,
-            aggregate_nfas=False,
+            RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, aggregate_nfas=False,
+            cluster=ClusterConfig(num_workers=1),
         )
         shuffle_bytes = miner.mine(database).metrics.shuffle_bytes
         balance = dcand_partition_balance(
@@ -347,8 +351,6 @@ class TestPartitionPlanning:
         self, ex_dictionary, ex_database
     ):
         """``ClusterConfig(plan_sample=...)`` may change the plan, never the mining."""
-        from repro.mapreduce import ClusterConfig
-
         results = {
             sample: DSeqMiner(
                 RUNNING_EXAMPLE_PATEX, 2, ex_dictionary,
@@ -365,7 +367,9 @@ class TestPartitionPlanning:
         assert sampled.metrics.partitioner == "planned"
 
     def test_plan_job_partitions_on_running_example(self, ex_dictionary, ex_database):
-        miner = DSeqMiner(RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, num_workers=1)
+        miner = DSeqMiner(
+            RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, cluster=ClusterConfig(num_workers=1)
+        )
         job = DSeqJob(miner.patex.compile(ex_dictionary), ex_dictionary, 2)
         records = as_mining_records(ex_database, dedup=True)
         plan = plan_job_partitions(job, records, 4)
@@ -394,8 +398,8 @@ class TestPartitionPlanning:
         )
         results = {
             partitioner: DSeqMiner(
-                RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, num_workers=4,
-                partitioner=partitioner,
+                RUNNING_EXAMPLE_PATEX, 2, ex_dictionary,
+                cluster=ClusterConfig(num_workers=4, partitioner=partitioner),
             ).mine(database)
             for partitioner in ("hash", "planned")
         }
@@ -431,7 +435,7 @@ class TestJobPlanner:
         monkeypatch.setattr(balance, "plan_job_partitions", spy)
         miner = DSeqMiner(
             RUNNING_EXAMPLE_PATEX, 2, ex_dictionary,
-            num_workers=2, partitioner="planned",
+            cluster=ClusterConfig(num_workers=2, partitioner="planned"),
         )
         first = miner.mine(ex_database)
         after_first = len(calls)
@@ -459,7 +463,7 @@ class TestJobPlanner:
         monkeypatch.setattr(balance, "plan_job_partitions", spy)
         miner = DSeqMiner(
             RUNNING_EXAMPLE_PATEX, 2, ex_dictionary,
-            num_workers=2, partitioner="planned",
+            cluster=ClusterConfig(num_workers=2, partitioner="planned"),
         )
         miner.mine(ex_database)
         other = SequenceDatabase([list(sequence) * 2 for sequence in ex_database])
@@ -477,7 +481,7 @@ class TestJobPlanner:
         monkeypatch.setattr(balance, "plan_job_partitions", boom)
         miner = DSeqMiner(
             RUNNING_EXAMPLE_PATEX, 2, ex_dictionary,
-            num_workers=2, partitioner="hash",
+            cluster=ClusterConfig(num_workers=2, partitioner="hash"),
         )
         result = miner.mine(ex_database)
         assert result.metrics.partitioner == "hash"

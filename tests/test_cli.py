@@ -597,6 +597,22 @@ class TestBlobGc:
         assert store.get("job-live/shard") == b"active"
         assert store.get("unleased/shard") == b"foreign"
 
+    def test_dry_run_lists_exactly_what_the_sweep_deletes(self, blob_root):
+        from repro.mapreduce import DirectoryBlobStore
+
+        store = DirectoryBlobStore(str(blob_root))
+        store.put("job-nan/.lease", b'{"created_at": NaN}')
+        store.put("job-deep/.lease", b"[" * 200_000)
+        argv = ("blob-gc", "--blob-dir", str(blob_root), "--ttl", "3600")
+        code, dry = run_cli(*argv, "--dry-run")
+        assert code == 0
+        code, real = run_cli(*argv)
+        assert code == 0
+        listed = [line.split()[-1] for line in dry.splitlines() if line.startswith("would")]
+        swept = [line.split()[-1] for line in real.splitlines() if line.startswith("swept job")]
+        assert listed == swept == ["job-dead"]
+        assert store.list("job-nan") == ["job-nan/.lease"]
+
     def test_missing_directory_rejected(self, tmp_path):
         code, _ = run_cli("blob-gc", "--blob-dir", str(tmp_path / "nope"))
         assert code == 2

@@ -126,27 +126,26 @@ def make_differential_database(count: int = 60, seed: int = 13):
 #: The constraint used by the backend matrix (the paper's running example).
 MATRIX_PATEX = ".*(A)[(.^)|.]*(b).*"
 
-def _matrix_cluster(backend, codec):
-    return ClusterConfig(backend=backend, codec=codec, num_workers=2)
+def _matrix_cluster(backend, codec, **fields):
+    return ClusterConfig(backend=backend, codec=codec, num_workers=2, **fields)
 
 
-#: All five cluster miners: name -> factory(dictionary, backend, codec, **kw).
+#: All five cluster miners: name -> factory(dictionary, cluster config, **kw).
 MATRIX_MINERS = {
-    "dseq": lambda dictionary, backend, codec, **kw: DSeqMiner(
-        MATRIX_PATEX, 2, dictionary, cluster=_matrix_cluster(backend, codec), **kw
+    "dseq": lambda dictionary, cluster, **kw: DSeqMiner(
+        MATRIX_PATEX, 2, dictionary, cluster=cluster, **kw
     ),
-    "dcand": lambda dictionary, backend, codec, **kw: DCandMiner(
-        MATRIX_PATEX, 2, dictionary, cluster=_matrix_cluster(backend, codec), **kw
+    "dcand": lambda dictionary, cluster, **kw: DCandMiner(
+        MATRIX_PATEX, 2, dictionary, cluster=cluster, **kw
     ),
-    "naive": lambda dictionary, backend, codec, **kw: NaiveMiner(
-        MATRIX_PATEX, 2, dictionary, cluster=_matrix_cluster(backend, codec), **kw
+    "naive": lambda dictionary, cluster, **kw: NaiveMiner(
+        MATRIX_PATEX, 2, dictionary, cluster=cluster, **kw
     ),
-    "semi-naive": lambda dictionary, backend, codec, **kw: SemiNaiveMiner(
-        MATRIX_PATEX, 2, dictionary, cluster=_matrix_cluster(backend, codec), **kw
+    "semi-naive": lambda dictionary, cluster, **kw: SemiNaiveMiner(
+        MATRIX_PATEX, 2, dictionary, cluster=cluster, **kw
     ),
-    "lash": lambda dictionary, backend, codec, **kw: GapConstrainedMiner(
-        2, dictionary, max_gap=1, max_length=3,
-        cluster=_matrix_cluster(backend, codec), **kw,
+    "lash": lambda dictionary, cluster, **kw: GapConstrainedMiner(
+        2, dictionary, max_gap=1, max_length=3, cluster=cluster, **kw
     ),
 }
 
@@ -170,8 +169,10 @@ class TestPersistentBackendMatrix:
     def test_patterns_and_wire_bytes_match_simulated(self, miner_name, codec, matrix_data):
         dictionary, database = matrix_data
         factory = MATRIX_MINERS[miner_name]
-        reference = factory(dictionary, "simulated", codec).mine(database)
-        persistent = factory(dictionary, "persistent-processes", codec).mine(database)
+        reference = factory(dictionary, _matrix_cluster("simulated", codec)).mine(database)
+        persistent = factory(
+            dictionary, _matrix_cluster("persistent-processes", codec)
+        ).mine(database)
         assert persistent.patterns() == reference.patterns()
         assert persistent.metrics.wire_bytes == reference.metrics.wire_bytes
         assert persistent.metrics.wire_bytes > 0
@@ -286,7 +287,7 @@ class TestPartitionerMatrix:
         factory = MATRIX_MINERS[miner_name]
         results = {
             partitioner: factory(
-                dictionary, backend, "compact", partitioner=partitioner
+                dictionary, _matrix_cluster(backend, "compact", partitioner=partitioner)
             ).mine(database)
             for partitioner in ("hash", "planned")
         }
@@ -328,7 +329,8 @@ class TestPartitionerMatrix:
         dictionary, database = build_consistent(sequences)
         results = {
             partitioner: DSeqMiner(
-                MATRIX_PATEX, 2, dictionary, num_workers=4, partitioner=partitioner
+                MATRIX_PATEX, 2, dictionary,
+                cluster=ClusterConfig(num_workers=4, partitioner=partitioner),
             ).mine(database)
             for partitioner in ("hash", "planned")
         }
@@ -370,8 +372,8 @@ class TestPerRecordMap:
 
         cluster.run = recording_run
         factory = MATRIX_MINERS[miner_name]
-        result = factory(dictionary, cluster, "compact").mine(database)
-        reference = factory(dictionary, "simulated", "compact").mine(database)
+        result = factory(dictionary, _matrix_cluster(cluster, "compact")).mine(database)
+        reference = factory(dictionary, _matrix_cluster("simulated", "compact")).mine(database)
         assert result.patterns() == reference.patterns()
         [(job, records)] = runs
         emitted = [pair for record in records for pair in job.map(record)]
@@ -624,7 +626,8 @@ class TestGridAndDedupMatrix:
         factory = MATRIX_MINERS[miner_name]
         return {
             config: factory(
-                dictionary, backend, "compact", grid=config[0], dedup=config[1]
+                dictionary, _matrix_cluster(backend, "compact", grid=config[0]),
+                dedup=config[1],
             ).mine(database)
             for config in self.CONFIGS
         }

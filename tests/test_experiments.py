@@ -18,9 +18,11 @@ from repro.experiments import (
     table2_dataset_characteristics,
 )
 from repro.errors import MiningError
+from repro.mapreduce import ClusterConfig
 
 #: Tiny dataset sizes so these tests stay fast.
 TINY = {"NYT": 120, "AMZN": 200, "AMZN-F": 200, "CW": 150}
+TWO_WORKERS = ClusterConfig(num_workers=2)
 
 
 class TestPrepareDataset:
@@ -40,7 +42,7 @@ class TestHarness:
         prepared = prepare_dataset("AMZN", TINY["AMZN"])
         record = run_algorithm(
             "dseq", constraint("A2", 2), prepared.dictionary, prepared.database,
-            num_workers=2, dataset_name="AMZN",
+            cluster=TWO_WORKERS, dataset_name="AMZN",
         )
         assert record.status == "ok"
         assert record.algorithm == "dseq"
@@ -51,7 +53,7 @@ class TestHarness:
         prepared = prepare_dataset("AMZN", TINY["AMZN"])
         records = run_comparison(
             ["semi-naive", "dseq", "dcand"], constraint("A2", 2),
-            prepared.dictionary, prepared.database, num_workers=2,
+            prepared.dictionary, prepared.database, cluster=TWO_WORKERS,
         )
         counts = {record.num_patterns for record in records if record.status == "ok"}
         assert len(counts) == 1
@@ -69,7 +71,7 @@ class TestHarness:
         prepared = prepare_dataset("AMZN", TINY["AMZN"])
         task = constraint("T3", 3, 1, 4) if algorithm == "lash" else constraint("T1", 3, 4)
         record = run_algorithm(
-            algorithm, task, prepared.dictionary, prepared.database, num_workers=2
+            algorithm, task, prepared.dictionary, prepared.database, cluster=TWO_WORKERS
         )
         assert record.status == "ok" and record.num_patterns > 0
 
@@ -79,7 +81,7 @@ class TestHarness:
         prepared = prepare_dataset("CW", TINY["CW"])
         record = run_algorithm(
             "dcand", constraint("T1", 2, 5), prepared.dictionary, prepared.database,
-            num_workers=2, dataset_name="CW", max_runs=50,
+            cluster=TWO_WORKERS, dataset_name="CW", max_runs=50,
         )
         assert record.status in ("ok", "oom")
 
@@ -101,14 +103,14 @@ class TestTables:
 class TestFigures:
     def test_figure10a_variants_consistent(self):
         rows = figure10a(
-            constraints=[("AMZN", constraint("A2", 2))], num_workers=2, sizes=TINY
+            constraints=[("AMZN", constraint("A2", 2))], cluster=TWO_WORKERS, sizes=TINY
         )
         assert len(rows) == 4
         assert len({row["patterns"] for row in rows}) == 1
 
     def test_figure10b_variants_consistent(self):
         rows = figure10b(
-            constraints=[("AMZN", constraint("A2", 2))], num_workers=2, sizes=TINY
+            constraints=[("AMZN", constraint("A2", 2))], cluster=TWO_WORKERS, sizes=TINY
         )
         assert len(rows) == 3
         completed = [row for row in rows if row["total_s"] != "oom"]

@@ -12,7 +12,9 @@ unleased ones.
 
 from __future__ import annotations
 
+import json
 import pickle
+import random
 import time
 
 import pytest
@@ -36,6 +38,7 @@ from repro.mapreduce import (
     ScriptedInjector,
     TaskContext,
     TaskTimeoutError,
+    expired_namespaces,
     gc_expired,
     get_with_retry,
     is_retryable,
@@ -614,6 +617,76 @@ class TestLeaseAndGc:
 
         # Every delete races and fails; the sweep still completes cleanly.
         assert gc_expired(VanishingStore(store), ttl_s=0.0) == ["job-gone"]
+
+
+class TestHostileLeases:
+    """A lease is foreign bytes: no stamp may crash a sweep or be swept
+    unless it states a finite creation time, and the dry run and the sweep
+    share one expiry rule."""
+
+    TTL = 3600.0
+
+    @staticmethod
+    def _store_with(lease: bytes) -> InMemoryBlobStore:
+        store = InMemoryBlobStore()
+        store.put("job-hostile/shard", b"x")
+        store.put(f"job-hostile/{LEASE_NAME}", lease)
+        store.put("job-hostile-live/shard", b"live")
+        write_lease(store, "job-hostile-live")
+        return store
+
+    def _sweep(self, lease: bytes) -> None:
+        store = self._store_with(lease)
+        stamp = read_lease(store, "job-hostile")
+        assert stamp is None or isinstance(stamp, dict)
+        expired = expired_namespaces(store, self.TTL)
+        assert gc_expired(store, self.TTL) == expired
+        assert set(expired) <= {"job-hostile"}
+        assert store.get("job-hostile-live/shard") == b"live"
+        assert read_lease(store, "job-hostile-live") is not None
+
+    @pytest.mark.parametrize(
+        "lease",
+        [
+            b"[" * 200_000,
+            b'{"created_at": NaN}',
+            b'{"created_at": Infinity}',
+            b'{"created_at": -Infinity}',
+            b'{"created_at": true}',
+            b'{"created_at": "1"}',
+            b'{"created_at": [1]}',
+            b'{"created_at": 1' + b"0" * 400 + b"}",
+            b'{"pid": 1}',
+            b"[1]",
+            b"1",
+        ],
+        ids=lambda lease: lease[:24].decode(),
+    )
+    def test_unreadable_stamps_are_never_swept(self, lease):
+        store = self._store_with(lease)
+        assert read_lease(store, "job-hostile") is None
+        assert gc_expired(store, self.TTL) == []
+        assert store.get("job-hostile/shard") == b"x"
+
+    def test_an_old_finite_stamp_is_swept(self):
+        store = self._store_with(b'{"created_at": 1}')
+        assert gc_expired(store, self.TTL) == ["job-hostile"]
+        assert store.get("job-hostile-live/shard") == b"live"
+
+    def test_every_truncation_and_bit_flip_of_a_lease(self):
+        lease = json.dumps({"created_at": 1.5, "pid": 7, "host": "h"}).encode()
+        for end in range(len(lease) + 1):
+            self._sweep(lease[:end])
+        for index in range(len(lease)):
+            for bit in range(8):
+                flipped = bytearray(lease)
+                flipped[index] ^= 1 << bit
+                self._sweep(bytes(flipped))
+
+    def test_random_byte_strings_as_leases(self):
+        rng = random.Random(30)
+        for _ in range(300):
+            self._sweep(bytes(rng.randrange(256) for _ in range(rng.randrange(64))))
 
 
 # -------------------------------------------------------------- property tests

@@ -18,10 +18,12 @@ from repro.experiments import (
     table2_dataset_characteristics,
     table4_candidate_statistics,
 )
+from repro.mapreduce import ClusterConfig
 
 #: Tiny dataset sizes so the golden runs stay fast (and independent of the
 #: defaults, which benchmarks may scale).
 SIZES = {"NYT": 120, "AMZN": 200, "AMZN-F": 200, "CW": 150}
+TWO_WORKERS = ClusterConfig(num_workers=2)
 
 #: Row keys that are deterministic (everything except timings).
 FIGURE10B_KEYS = ("constraint", "dataset", "variant", "shuffle_bytes", "patterns")
@@ -49,15 +51,15 @@ class TestGoldenTables:
 
 class TestGoldenFigures:
     def test_figure9c_shuffle_sizes(self, golden):
-        rows = figure9c(size=SIZES["AMZN"], num_workers=2)
+        rows = figure9c(size=SIZES["AMZN"], cluster=TWO_WORKERS)
         # Snapshot only the deterministic fields: the modeled and measured
         # byte counts are pure functions of the data, the makespan is not.
         golden("fig9c", pick(rows, FIGURE9C_KEYS))
 
     def test_figure9c_wire_bytes_depend_on_codec_only(self):
         """Same data, different codec: modeled bytes equal, wire bytes differ."""
-        compact = figure9c(size=SIZES["AMZN"], num_workers=2)
-        zlib_rows = figure9c(size=SIZES["AMZN"], num_workers=2, codec="zlib")
+        compact = figure9c(size=SIZES["AMZN"], cluster=TWO_WORKERS)
+        zlib_rows = figure9c(size=SIZES["AMZN"], cluster=ClusterConfig(num_workers=2, codec="zlib"))
         assert [row["shuffle_bytes"] for row in compact] == [
             row["shuffle_bytes"] for row in zlib_rows
         ]
@@ -69,6 +71,6 @@ class TestGoldenFigures:
         from repro.datasets import constraint
 
         rows = figure10b(
-            constraints=[("AMZN", constraint("A2", 2))], num_workers=2, sizes=SIZES
+            constraints=[("AMZN", constraint("A2", 2))], cluster=TWO_WORKERS, sizes=SIZES
         )
         golden("fig10b", pick(rows, FIGURE10B_KEYS))

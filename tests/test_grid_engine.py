@@ -42,6 +42,7 @@ from repro.core.rewriting import rewrite_for_pivot
 from repro.dictionary import EPSILON_FID, Dictionary, Hierarchy
 from repro.errors import MiningError
 from repro.fst import make_kernel
+from repro.mapreduce import ClusterConfig
 from repro.patex import PatEx
 from repro.sequences import preprocess
 from repro.sequential import SequentialDesqDfs
@@ -265,7 +266,7 @@ class TestWideAndLongInputs:
             accepted += flat.has_accepting_run
         assert accepted, "vacuous: nothing was accepted"
         reference = SequentialDesqDfs(expression, sigma, dictionary).mine(database)
-        mined = DSeqMiner(expression, sigma, dictionary, cluster="simulated").mine(database)
+        mined = DSeqMiner(expression, sigma, dictionary, cluster=ClusterConfig()).mine(database)
         assert mined.patterns() == reference.patterns()
         assert reference.patterns(), "vacuous: nothing was mined"
         return compiled

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MiningError
+from repro.mapreduce import ClusterConfig
 from repro.sequential import GapConstrainedMiner, GspMiner, PrefixSpanMiner
 from repro.sequences import SequenceDatabase
 
@@ -87,7 +88,7 @@ class TestGspAgainstSpecialist:
         )
         specialist = GapConstrainedMiner(
             2, ex_dictionary, max_gap=max_gap, max_length=max_length,
-            use_hierarchy=use_hierarchy, num_workers=2,
+            use_hierarchy=use_hierarchy, cluster=ClusterConfig(num_workers=2),
         )
         assert gsp.mine(ex_database).patterns() == specialist.mine(ex_database).patterns()
 
@@ -118,6 +119,6 @@ class TestGspAgainstSpecialist:
         )
         specialist = GapConstrainedMiner(
             sigma, ex_dictionary, max_gap=max_gap, max_length=3,
-            use_hierarchy=use_hierarchy, num_workers=2,
+            use_hierarchy=use_hierarchy, cluster=ClusterConfig(num_workers=2),
         )
         assert gsp.mine(database).patterns() == specialist.mine(database).patterns()

@@ -15,6 +15,7 @@ from repro.dictionary import build_dictionary
 from repro.dictionary.hierarchy import Hierarchy
 from repro.errors import MiningError
 from repro.fst import generate_candidates
+from repro.mapreduce import ClusterConfig
 from repro.nfa import TrieBuilder
 from repro.patex import PatEx
 from repro.sequences import preprocess
@@ -208,13 +209,13 @@ class TestDeepPatterns:
     @pytest.mark.parametrize("expression", EXPRESSIONS)
     def test_dseq_miner(self, deep, expression):
         dictionary, database = deep
-        result = DSeqMiner(expression, 1, dictionary, cluster="simulated").mine(database)
+        result = DSeqMiner(expression, 1, dictionary, cluster=ClusterConfig()).mine(database)
         assert list(result.patterns().items()) == self.expected(expression)
 
     @pytest.mark.parametrize("expression", EXPRESSIONS)
     def test_dcand_miner(self, deep, expression):
         dictionary, database = deep
-        result = DCandMiner(expression, 1, dictionary, cluster="simulated").mine(database)
+        result = DCandMiner(expression, 1, dictionary, cluster=ClusterConfig()).mine(database)
         assert list(result.patterns().items()) == self.expected(expression)
 
     def test_max_patterns_still_raises_at_the_same_count(self, deep):

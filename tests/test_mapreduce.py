@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,51 +145,22 @@ class TestJobMetrics:
 class TestClusterConfig:
     """One value object configures the whole execution substrate."""
 
-    def test_resolve_from_legacy_keywords(self):
-        config = ClusterConfig.resolve(
-            None, backend="threads", num_workers=3, codec="zlib",
-            spill_budget_bytes=64, grid="legacy",
-        )
-        assert config.backend == "threads"
-        assert config.num_workers == 3
-        assert config.codec == "zlib"
-        assert config.spill_budget_bytes == 64
-        assert config.grid_name == "legacy"
+    def test_replace_is_the_one_way_to_vary_a_config(self):
+        config = ClusterConfig(backend="threads", codec="zlib")
+        varied = replace(config, num_workers=9, grid="legacy")
+        assert (varied.backend, varied.codec, varied.num_workers) == ("threads", "zlib", 9)
+        assert varied.grid == "legacy"
+        assert config.num_workers is None and config.grid == "flat"  # untouched
 
-    def test_resolve_passes_configs_through(self):
-        config = ClusterConfig(backend="persistent-processes", num_workers=2)
-        assert ClusterConfig.resolve(config, backend="threads") is config
-
-    def test_explicit_grid_overrides_a_provided_config(self):
-        # miner(..., cluster=config, grid="legacy") must reliably pick the
-        # reference grid even though the config otherwise wins.
-        config = ClusterConfig(backend="simulated")
-        resolved = ClusterConfig.resolve(config, grid="legacy")
-        assert resolved.grid_name == "legacy"
-        assert config.grid is None  # the original is untouched
-        pinned = ClusterConfig(backend="simulated", grid="flat")
-        assert ClusterConfig.resolve(pinned, grid="legacy").grid_name == "legacy"
-        assert ClusterConfig.resolve(pinned).grid_name == "flat"
-
-    def test_cluster_construction_rejects_unknown_grids(self):
+    def test_config_construction_rejects_unknown_grids(self):
         from repro.errors import MiningError
 
         with pytest.raises(MiningError, match="unknown grid engine"):
             make_cluster("threads", grid="jit")
 
-    def test_resolve_wraps_backend_names_and_instances(self):
-        named = ClusterConfig.resolve("threads", codec="zlib")
-        assert named.backend == "threads" and named.codec == "zlib"
+    def test_backend_instances_pass_through_build(self):
         instance = ThreadPoolCluster(num_workers=2)
-        wrapped = ClusterConfig.resolve(instance)
-        assert wrapped.backend is instance
-        assert wrapped.build() is instance
-
-    def test_grid_name_defaults_and_inherits_from_cluster_instances(self):
-        assert ClusterConfig().grid_name == "flat"
-        cluster = SimulatedCluster(num_workers=1, grid="legacy")
-        assert ClusterConfig(backend=cluster).grid_name == "legacy"
-        assert ClusterConfig(backend=cluster, grid="flat").grid_name == "flat"
+        assert ClusterConfig(backend=instance).build() is instance
 
     def test_build_makes_a_matching_cluster(self):
         cluster = ClusterConfig(
@@ -195,13 +168,8 @@ class TestClusterConfig:
         ).build()
         assert isinstance(cluster, ThreadPoolCluster)
         assert cluster.num_workers == 3
-        assert cluster.grid == "legacy"
+        assert not hasattr(cluster, "grid")
 
     def test_make_cluster_takes_no_config(self):
         with pytest.raises(MapReduceError, match="unknown execution backend"):
             make_cluster(ClusterConfig(backend="simulated"))
-
-    def test_merged_replaces_fields(self):
-        config = ClusterConfig(backend="threads").merged(num_workers=9)
-        assert config.backend == "threads"
-        assert config.num_workers == 9

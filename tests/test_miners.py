@@ -15,6 +15,7 @@ from repro.dictionary import build_dictionary
 from repro.dictionary.hierarchy import Hierarchy
 from repro.errors import MiningError
 from repro.fst import generate_candidates
+from repro.mapreduce import ClusterConfig
 from repro.patex import PatEx
 from repro.sequences import SequenceDatabase
 
@@ -22,6 +23,9 @@ from tests.conftest import RUNNING_EXAMPLE_PATEX
 
 
 EXPECTED_RUNNING_EXAMPLE = {"a1a1b": 2, "a1Ab": 2, "a1b": 3}
+
+ONE_WORKER = ClusterConfig(num_workers=1)
+EIGHT_WORKERS = ClusterConfig(num_workers=8)
 
 
 def decode_counts(dictionary, result):
@@ -117,10 +121,10 @@ class TestDSeq:
         assert dict(variant) == dict(baseline)
 
     def test_worker_count_does_not_change_results(self, ex_dictionary, ex_database):
-        one = DSeqMiner(RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, num_workers=1).mine(
+        one = DSeqMiner(RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, cluster=ONE_WORKER).mine(
             ex_database
         )
-        eight = DSeqMiner(RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, num_workers=8).mine(
+        eight = DSeqMiner(RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, cluster=EIGHT_WORKERS).mine(
             ex_database
         )
         assert dict(one) == dict(eight)
@@ -180,10 +184,10 @@ class TestDCand:
         # pivot-a1 candidate set); with a single map task the combiner merges
         # them into one weighted record.
         aggregated = DCandMiner(
-            RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, num_workers=1
+            RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, cluster=ONE_WORKER
         ).mine(ex_database)
         plain = DCandMiner(
-            RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, aggregate_nfas=False, num_workers=1
+            RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, aggregate_nfas=False, cluster=ONE_WORKER
         ).mine(ex_database)
         assert aggregated.metrics.shuffle_records < plain.metrics.shuffle_records
 

@@ -32,7 +32,7 @@ from repro.mapreduce import (
 )
 from repro.mapreduce.spill import store_payloads
 
-from tests.test_differential import MATRIX_MINERS, make_differential_database
+from tests.test_differential import MATRIX_MINERS, _matrix_cluster, make_differential_database
 
 
 @pytest.fixture(scope="module")
@@ -75,8 +75,8 @@ class TestMultiHostEquivalence:
     def test_byte_identical_to_simulated(self, miner_name, codec, corpus):
         dictionary, database = corpus
         factory = MATRIX_MINERS[miner_name]
-        reference = factory(dictionary, "simulated", codec).mine(database)
-        multihost = factory(dictionary, "multihost", codec).mine(database)
+        reference = factory(dictionary, _matrix_cluster("simulated", codec)).mine(database)
+        multihost = factory(dictionary, _matrix_cluster("multihost", codec)).mine(database)
         assert multihost.patterns() == reference.patterns()
         for metric in (
             "shuffle_bytes",

@@ -18,6 +18,7 @@ from repro.core.dseq import DSeqJob
 from repro.errors import MapReduceError
 from repro.mapreduce import (
     DEFAULT_FAULT_POLICY,
+    ClusterConfig,
     FaultPolicy,
     JobNotDeliveredError,
     JobRef,
@@ -111,7 +112,9 @@ class TestProcessPoolCluster:
 
     def test_dseq_job_runs_on_process_pool(self, ex_dictionary, ex_database):
         """The real D-SEQ job is picklable and produces the paper's result."""
-        miner = DSeqMiner(RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, num_workers=2)
+        miner = DSeqMiner(
+            RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, cluster=ClusterConfig(num_workers=2)
+        )
         expected = miner.mine(ex_database).patterns()
 
         fst = miner.patex.compile(ex_dictionary)

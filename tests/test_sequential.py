@@ -10,6 +10,7 @@ from repro.core import DCandMiner, DSeqMiner
 from repro.dictionary import build_dictionary
 from repro.dictionary.hierarchy import Hierarchy
 from repro.errors import MiningError
+from repro.mapreduce import ClusterConfig
 from repro.sequential import (
     GapConstrainedMiner,
     LashMiner,
@@ -127,10 +128,14 @@ class TestGapConstrainedMiner:
         assert decoded.get(("a1", "b")) == 2
 
     def test_worker_count_invariance(self, ex_dictionary, ex_database):
-        one = LashMiner(2, ex_dictionary, max_gap=1, max_length=3, num_workers=1).mine(
+        one = LashMiner(
+            2, ex_dictionary, max_gap=1, max_length=3, cluster=ClusterConfig(num_workers=1)
+        ).mine(
             ex_database
         )
-        four = LashMiner(2, ex_dictionary, max_gap=1, max_length=3, num_workers=4).mine(
+        four = LashMiner(
+            2, ex_dictionary, max_gap=1, max_length=3, cluster=ClusterConfig(num_workers=4)
+        ).mine(
             ex_database
         )
         assert dict(one) == dict(four)

@@ -885,7 +885,9 @@ class TestMinersAcrossCodecsAndBackends:
     def reference(self, ex_dictionary, ex_database):
         results = {}
         for name, factory in MINER_FACTORIES.items():
-            miner = factory(RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, num_workers=2)
+            miner = factory(
+                RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, cluster=ClusterConfig(num_workers=2)
+            )
             results[name] = miner.mine(ex_database)
         return results
 
@@ -921,7 +923,7 @@ class TestMinersAcrossCodecsAndBackends:
                 backend, num_workers=2, spill_budget_bytes=16, spill_dir=str(tmp_path)
             )
             result = factory(
-                RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, num_workers=2, cluster=cluster
+                RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, cluster=ClusterConfig(backend=cluster)
             ).mine(ex_database)
             assert result.patterns() == reference[name].patterns(), name
             assert result.metrics.wire_bytes == reference[name].metrics.wire_bytes, name
