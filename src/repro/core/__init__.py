@@ -35,7 +35,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "PositionStateGrid",
             "pivot_merge",
             "pivots_by_run_enumeration",
-            "pivots_of_output_sets",
             "pivots_of_sorted_sets",
         ),
         "repro.core.results": ("MiningResult",),

@@ -44,39 +44,6 @@ def pivot_merge(left: set[int], right: Iterable[int]) -> set[int]:
     return merged
 
 
-def pivots_of_output_sets(output_sets: Iterable[Iterable[int]]) -> set[int]:
-    """Pivot items ``K(r)`` of one run, given its (filtered) output sets.
-
-    Implements Theorem 1 by folding ⊕ over the output sets; ε is stripped from
-    the final result.  Returns the empty set if any output set is empty.
-
-    The fold filters the accumulator *in place* instead of allocating a fresh
-    set per ⊕ step: the merge of two non-empty operands is never empty (it
-    always contains the larger of the two maxima), so the only early exit is
-    an empty output set.
-    """
-    accumulator: set[int] = {EPSILON_FID}
-    for outputs in output_sets:
-        outputs = (
-            outputs
-            if isinstance(outputs, (set, frozenset, tuple, list))
-            else tuple(outputs)
-        )
-        if not outputs:
-            return set()
-        min_left = min(accumulator)
-        min_right = min(outputs)
-        if min_left < min_right:
-            accumulator.difference_update(
-                [item for item in accumulator if item < min_right]
-            )
-        for item in outputs:
-            if item >= min_left:
-                accumulator.add(item)
-    accumulator.discard(EPSILON_FID)
-    return accumulator
-
-
 def pivots_of_sorted_sets(output_sets: Sequence[tuple[int, ...]]) -> list[int]:
     """``K(r)`` in closed form, ascending, for ε-free ascending output sets.
 
@@ -85,8 +52,8 @@ def pivots_of_sorted_sets(output_sets: Sequence[tuple[int, ...]]) -> list[int]:
     least ``m = max(min(O_i))``; and every item ``ω ≥ m`` of any set is the
     maximum of the candidate that takes ``ω`` there and each other set's
     minimum.  The pivots are therefore exactly the items ``≥ m``.  This is
-    the shape :func:`~repro.fst.accepting_output_sets` yields; use
-    :func:`pivots_of_output_sets` for sets that may hold ε or be empty.
+    the shape :func:`~repro.fst.accepting_output_sets` yields.  The tests
+    check it against the ⊕ fold itself, which also takes ε and empty sets.
     """
     if not output_sets:
         return []

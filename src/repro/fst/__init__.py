@@ -27,8 +27,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "accepting_runs",
             "expand_output_sets",
             "generate_candidates",
-            "generates",
-            "run_output_sets",
         ),
     },
 )

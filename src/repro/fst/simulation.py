@@ -1,12 +1,16 @@
 """FST simulation: accepting runs and candidate generation (Sec. IV).
 
-The functions in this module implement the reference (non-distributed)
-semantics of the DESQ computational model:
+The functions in this module implement the (non-distributed) semantics of
+the DESQ computational model:
 
 * :func:`accepting_runs` -- enumerate accepting runs (Fig. 5a);
-* :func:`run_output_sets` -- the output sets produced by one run;
-* :func:`accepting_output_sets` -- both in one pass, ε sets dropped;
+* :func:`accepting_output_sets` -- the non-ε output sets of every accepting
+  run, in one pass;
 * :func:`generate_candidates` -- the candidate set ``G_π(T)`` (or ``G^σ_π(T)``).
+
+The run-by-run output sets and the membership test ``S ∈ G_π(T)`` they are
+checked against live with the other reference implementations in
+``tests/reference/``.
 
 All entry points accept either a raw :class:`~repro.fst.fst.Fst` (plus a
 dictionary, as before) or a ready-made
@@ -116,9 +120,9 @@ def accepting_output_sets(
 ) -> Iterator[list[tuple[int, ...]]]:
     """The non-ε output sets of every accepting run that can carry a candidate.
 
-    One pass instead of :func:`accepting_runs` + :func:`run_output_sets`: the
-    walk follows the kernel's per-item edge rows and carries their output
-    sets, uncaptured (ε) steps are dropped once per run, and the frequency
+    One pass instead of :func:`accepting_runs` plus a label lookup per run
+    step: the walk follows the kernel's per-item edge rows and carries their
+    output sets, uncaptured (ε) steps are dropped once per run, and the frequency
     filter is applied at use, as a prefix of the ascending set.  Every
     yielded set is a non-empty ascending tuple of fids.  Runs with a captured
     set that lost all its items to the frequency filter carry no frequent
@@ -137,36 +141,6 @@ def accepting_output_sets(
             output_sets.append(outputs)
         else:
             yield output_sets
-
-
-def run_output_sets(
-    run: Sequence[Transition],
-    sequence: Sequence[int],
-    dictionary: Dictionary | MiningKernel,
-    max_frequent_fid: int | None = None,
-) -> list[tuple[int, ...]]:
-    """The output sets produced by ``run`` on ``sequence``.
-
-    Each element is a sorted tuple of fids; ``(0,)`` denotes an ε output.
-    If ``max_frequent_fid`` is given, items with a larger fid (i.e. infrequent
-    items, because fids are frequency ordered) are removed; a captured set may
-    then become empty, which callers treat as "no frequent candidate passes
-    through this run".  Passing a kernel instead of a dictionary reads the
-    kernel's memoized (filtered) output index.
-    """
-    if isinstance(dictionary, MiningKernel):
-        kernel = dictionary
-        return [
-            kernel.filtered_outputs(transition.tid, item, max_frequent_fid)
-            for transition, item in zip(run, sequence)
-        ]
-    sets: list[tuple[int, ...]] = []
-    for transition, item in zip(run, sequence):
-        outputs = transition.label.outputs(item, dictionary)
-        if max_frequent_fid is not None and outputs != (EPSILON_FID,):
-            outputs = tuple(fid for fid in outputs if fid <= max_frequent_fid)
-        sets.append(outputs)
-    return sets
 
 
 def expand_output_sets(
@@ -226,36 +200,3 @@ def generate_candidates(
             raise CandidateExplosionError("candidate subsequences", max_candidates)
     return candidates
 
-
-def generates(
-    fst: Fst | MiningKernel,
-    candidate: Sequence[int],
-    sequence: Sequence[int],
-    dictionary: Dictionary | None = None,
-) -> bool:
-    """True iff ``candidate`` is π-generated by ``sequence`` (``S ∈ G_π(T)``).
-
-    Decided by a joint dynamic program over (input position, FST state,
-    candidate position) without materializing ``G_π(T)``.
-    """
-    kernel = ensure_kernel(fst, dictionary)
-    candidate = tuple(candidate)
-    n = len(sequence)
-    m = len(candidate)
-    # states of the DP: frozenset of (fst state, matched prefix length)
-    current: set[tuple[int, int]] = {(kernel.initial_state, 0)}
-    for position in range(n):
-        item = sequence[position]
-        following: set[tuple[int, int]] = set()
-        for state, matched in current:
-            for tid in kernel.matching(state, item):
-                target = kernel.target(tid)
-                for output in kernel.outputs(tid, item):
-                    if output == EPSILON_FID:
-                        following.add((target, matched))
-                    elif matched < m and candidate[matched] == output:
-                        following.add((target, matched + 1))
-        current = following
-        if not current:
-            return False
-    return any(kernel.is_final(state) and matched == m for state, matched in current)

@@ -5,7 +5,7 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "repro.nfa.nfa": ("OutputNfa", "TrieBuilder", "minimize_acyclic"),
+        "repro.nfa.nfa": ("OutputNfa", "TrieBuilder"),
         "repro.nfa.serializer": ("deserialize", "serialize", "serialize_trie"),
     },
 )

@@ -63,37 +63,6 @@ class OutputNfa:
     def outgoing(self, state: int) -> list[tuple[tuple[int, ...], int]]:
         return self.transitions[state]
 
-    # ------------------------------------------------------------- semantics
-    def accepts(self, candidate: Sequence[int]) -> bool:
-        """True iff ``candidate`` is one of the encoded candidate subsequences."""
-        current = {0}
-        for item in candidate:
-            following: set[int] = set()
-            for state in current:
-                for label, target in self.transitions[state]:
-                    if item in label:
-                        following.add(target)
-            if not following:
-                return False
-            current = following
-        return any(self.is_final(state) for state in current)
-
-    def candidates(self, limit: int = 1_000_000) -> set[tuple[int, ...]]:
-        """Enumerate all encoded candidate subsequences (for tests/debugging)."""
-        results: set[tuple[int, ...]] = set()
-
-        def walk(state: int, prefix: tuple[int, ...]) -> None:
-            if len(results) > limit:
-                raise NfaError(f"more than {limit} candidates in NFA")
-            if self.is_final(state) and prefix:
-                results.add(prefix)
-            for label, target in self.transitions[state]:
-                for item in label:
-                    walk(target, prefix + (item,))
-
-        walk(0, ())
-        return results
-
     def items(self) -> set[int]:
         """All items appearing on any edge label."""
         found: set[int] = set()
@@ -126,7 +95,7 @@ class OutputNfa:
 
 
 class TrieBuilder:
-    """Builds a trie of runs (Fig. 7b) and minimizes it into an NFA (Fig. 7c).
+    """Builds a trie of runs (Fig. 7b) and the edges of its minimal NFA (Fig. 7c).
 
     States are numbered in creation order, so a child always has a larger
     index than its parent: walking the states backwards visits every subtree
@@ -198,69 +167,3 @@ class TrieBuilder:
                 canonical[state] = representative
         return edges
 
-    def trie(self) -> OutputNfa:
-        """The (un-minimized) trie as an NFA."""
-        return OutputNfa(self.edge_lists(), self._final)
-
-    def minimized(self) -> OutputNfa:
-        """Revuz-style minimization: merge states with identical right languages."""
-        return minimize_acyclic(self.trie())
-
-
-def minimize_acyclic(nfa: OutputNfa) -> OutputNfa:
-    """Minimize an acyclic output NFA by bottom-up signature merging.
-
-    Two states are merged when they agree on finality and have identical
-    outgoing edges (after their targets have been canonicalized).  For tries
-    this computes the minimal deterministic automaton of the encoded language
-    in linear time; for general acyclic NFAs it is a sound (possibly
-    non-minimal) reduction.
-    """
-    order = _topological_order(nfa)
-    canonical: dict[int, int] = {}
-    registry: dict[tuple, int] = {}
-    for state in reversed(order):
-        signature = (
-            nfa.is_final(state),
-            tuple(
-                sorted((label, canonical[target]) for label, target in nfa.outgoing(state))
-            ),
-        )
-        canonical[state] = registry.setdefault(signature, state)
-
-    # Kept states in topological order.  The initial state comes first in
-    # that order and is its own representative (equal signatures imply equal
-    # longest-path heights, and every other state is strictly lower), so it
-    # keeps index 0.
-    kept = [state for state in order if canonical[state] == state]
-    renumber = {state: index for index, state in enumerate(kept)}
-    transitions = [
-        [(label, renumber[canonical[target]]) for label, target in nfa.outgoing(state)]
-        for state in kept
-    ]
-    finals = {renumber[state] for state in kept if nfa.is_final(state)}
-    return OutputNfa(transitions, finals)
-
-
-def _topological_order(nfa: OutputNfa) -> list[int]:
-    """States of an acyclic NFA in topological order starting from state 0."""
-    postorder: list[int] = []
-    seen: set[int] = set()
-    in_progress = {0}
-    stack = [(0, iter(nfa.outgoing(0)))]
-    while stack:
-        state, pending = stack[-1]
-        for _label, target in pending:
-            if target in in_progress:
-                raise NfaError("output NFA contains a cycle")
-            if target not in seen:
-                in_progress.add(target)
-                stack.append((target, iter(nfa.outgoing(target))))
-                break
-        else:
-            stack.pop()
-            in_progress.discard(state)
-            seen.add(state)
-            postorder.append(state)
-    postorder.reverse()
-    return postorder

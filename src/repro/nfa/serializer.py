@@ -59,11 +59,13 @@ def serialize(nfa: OutputNfa) -> bytes:
 
 
 def serialize_trie(builder: TrieBuilder, minimize: bool = True) -> bytes:
-    """``serialize(builder.minimized())`` (or ``.trie()``) without the NFAs.
+    """The bytes of the builder's minimal NFA (or, unminimized, its trie).
 
-    The bytes are written straight from the builder's merged edge lists: the
-    format numbers states by DFS visit, so it does not depend on how the
-    minimized automaton would have numbered them.
+    The bytes are written straight from the builder's merged edge lists,
+    without building an :class:`OutputNfa`: the format numbers states by DFS
+    visit, so it does not depend on how a minimized automaton would have
+    numbered them.  The tests check them against ``serialize`` of the
+    automaton built the long way round (trie, then minimization).
     """
     return _write_dfs(builder.edge_lists(minimize), builder.final_states)
 

@@ -7,7 +7,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         "repro.sequential.desq_count": ("SequentialDesqCount",),
         "repro.sequential.desq_dfs": ("SequentialDesqDfs",),
-        "repro.sequential.gsp": ("GspMiner",),
         "repro.sequential.lash": (
             "GapConstrainedJob",
             "GapConstrainedMiner",

@@ -6,8 +6,8 @@ joining frequent level-k patterns and are then counted in one scan over the
 database.  The paper places GSP in the "sequential, gap/length constraints"
 corner of Fig. 1; this implementation supports the same constraint family as
 the specialised :class:`~repro.sequential.lash.GapConstrainedMiner` (maximum
-gap, maximum length, optional hierarchy generalizations) and is used as an
-independent reference implementation in the differential tests.
+gap, maximum length, optional hierarchy generalizations) and is the
+independent reference that miner and PrefixSpan are checked against.
 
 Pattern-growth miners (PrefixSpan, DESQ-DFS, the D-SEQ local miner) expand a
 projected database and never generate candidates that do not occur; GSP by

@@ -1,4 +1,4 @@
-"""Reference implementations the product's fast paths are checked against.
+"""The kernel's reference: per-probe label evaluation, and FST acceptance.
 
 :class:`InterpretedKernel` answers the kernel's two per-item questions — which
 transitions match, and what they output — by asking the FST's labels on every

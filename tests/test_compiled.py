@@ -1,7 +1,7 @@
 """The compiled mining kernel: interval matchers, flat tables, and interning.
 
 The compiled kernel must be an *exact* drop-in for the interpreted per-label
-walk of :class:`tests.oracles.InterpretedKernel`: every matching decision,
+walk of :class:`tests.reference.InterpretedKernel`: every matching decision,
 output set, DP table, accepting run, and pivot set has to be identical.
 These tests pin that equivalence on the paper's running example, on random
 DAG hierarchies (hypothesis), and on adversarial dictionary shapes (multi-parent items, fids ≥ 2^63, ε handling), plus the
@@ -29,7 +29,6 @@ from repro.fst import (
     ensure_kernel,
     generate_candidates,
     make_kernel,
-    run_output_sets,
 )
 from repro.fst import compiled as compiled_module
 from repro.fst.compiled import _KERNEL_CACHE
@@ -38,7 +37,7 @@ from repro.errors import FstError, UnknownItemError
 from repro.patex import PatEx
 
 from tests.conftest import RUNNING_EXAMPLE_PATEX, make_running_example_dictionary
-from tests.oracles import InterpretedKernel
+from tests.reference import InterpretedKernel, run_output_sets
 
 
 # ------------------------------------------------------------- interval sets

@@ -16,7 +16,7 @@ from repro.datasets.nyt import ENTITY_TYPES, POS_TAGS
 from repro.datasets.synthetic import ZipfSampler, truncated_geometric
 from repro.patex import PatEx
 
-from tests.oracles import accepts
+from tests.reference import accepts
 
 
 class TestZipfSampler:

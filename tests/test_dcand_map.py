@@ -4,11 +4,11 @@
 sets, inserts every *distinct* run once per pivot (closed form), lets the trie
 cut each label at the pivot and serializes every pivot's trie straight from
 the builder, labels from a memoised byte table.  The oracle below is the
-first algorithm, kept on the test side: accepting runs → output sets → ⊕-fold
-pivots → per-(run, pivot) item filter → ``TrieBuilder.add_run`` → ``trie()``
-→ ``minimize_acyclic`` → ``serialize``.  Both sides must produce the same
-payload bytes for the same pivots.  The second half of the file counts what
-the map does instead of timing it.
+first algorithm, rebuilt from ``tests/reference/``: accepting runs → output
+sets → ⊕-fold pivots → per-(run, pivot) item filter → ``TrieBuilder.add_run``
+→ ``trie`` → ``minimize_acyclic`` → ``serialize``.  Both sides must produce
+the same payload bytes for the same pivots.  The second half of the file
+counts what the map does instead of timing it.
 
 One deliberate difference is pinned here as well: the map emits a record's
 pivots in ascending order.  The previous code emitted them in the order a
@@ -31,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dcand import DCandJob
-from repro.core.pivot_search import pivots_of_output_sets, pivots_of_sorted_sets
+from repro.core.pivot_search import pivots_of_sorted_sets
 from repro.datasets.amzn import amzn_like
 from repro.datasets.constraints import constraint
 from repro.dictionary import Hierarchy
@@ -42,9 +42,8 @@ from repro.fst import (
     accepting_output_sets,
     accepting_runs,
     make_kernel,
-    run_output_sets,
 )
-from repro.nfa import TrieBuilder, deserialize, minimize_acyclic, serialize, serialize_trie
+from repro.nfa import TrieBuilder, deserialize, serialize, serialize_trie
 from repro.fst import simulation as simulation_module
 from repro.nfa import serializer as serializer_module
 from repro.patex import PatEx
@@ -57,7 +56,14 @@ from repro.sequences import (
 from repro.sequences.store import WeightedSequence
 from tests.test_differential import build_consistent, patex_strategy, sequences_strategy
 from tests.test_pivot_search import brute_force_pivots
-from tests.oracles import InterpretedKernel, accepts
+from tests.reference import (
+    InterpretedKernel,
+    accepts,
+    minimize_acyclic,
+    pivots_of_output_sets,
+    run_output_sets,
+    trie,
+)
 
 #: The product kernel and the oracle it is checked against, by name.
 KERNELS = {"compiled": make_kernel, "interpreted": InterpretedKernel}
@@ -80,7 +86,7 @@ def oracle_map(job: DCandJob, record) -> list:
             builders.setdefault(pivot, TrieBuilder()).add_run(restricted)
     emitted = []
     for pivot in sorted(builders):
-        nfa = builders[pivot].trie()
+        nfa = trie(builders[pivot])
         if job.minimize_nfas:
             nfa = minimize_acyclic(nfa)
         payload = serialize(nfa)

@@ -33,7 +33,7 @@ from repro.sequential import (
     SequentialDesqCount,
     SequentialDesqDfs,
 )
-from tests.oracles import InterpretedKernel
+from tests.reference import InterpretedKernel
 
 #: Constraint shapes exercised by the differential tests: captures, optional
 #: groups, generalization, repetition, alternation, and bounded gaps.
@@ -210,7 +210,7 @@ class TestKernelOracle:
     """Jobs on the compiled kernel ≡ the same jobs on the interpreted oracle.
 
     The miners only ever build the compiled kernel; the oracle
-    (:class:`tests.oracles.InterpretedKernel`) drives the same D-SEQ, D-CAND
+    (:class:`tests.reference.InterpretedKernel`) drives the same D-SEQ, D-CAND
     and NAÏVE / SEMI-NAÏVE jobs through a cluster, in-process and on a
     process pool.  Outputs — patterns, frequencies and their order — and every
     shuffle, wire and record-count metric must be byte-identical.

@@ -16,15 +16,13 @@ from repro.fst import (
     accepting_runs,
     compile_expression,
     generate_candidates,
-    generates,
     make_kernel,
-    run_output_sets,
 )
 from repro.fst.labels import Label
 from repro.patex import PatEx
 
 from tests.conftest import gids
-from tests.oracles import accepts
+from tests.reference import accepts, generates, nfa_accepts, run_output_sets
 
 
 # ----------------------------------------------------------------------- labels
@@ -269,10 +267,18 @@ class TestCandidateGeneration:
     def test_generates_agrees_with_generate_candidates(
         self, ex_fst, ex_dictionary, ex_database
     ):
+        # Both directions: every sequence of up to three items is generated
+        # exactly when it is one of the enumerated candidates.
+        fids = ex_dictionary.fids()
+        probes = [(f,) for f in fids]
+        probes += [p + (f,) for p in probes for f in fids]
+        probes += [p + (f,) for p in probes if len(p) == 2 for f in fids]
         for T in ex_database:
             candidates = generate_candidates(ex_fst, T, ex_dictionary)
             for candidate in candidates:
                 assert generates(ex_fst, candidate, T, ex_dictionary)
+            for probe in probes:
+                assert generates(ex_fst, probe, T, ex_dictionary) == (probe in candidates)
 
     def test_gap_constraint_candidates(self, ex_dictionary):
         # T2-style constraint: two captured items with gap at most 1 between.
@@ -414,8 +420,8 @@ class TestLongSequences:
         assert pivot == a
         nfa = deserialize(payload)
         assert nfa.num_states == self.LENGTH + 1
-        assert nfa.accepts((a,) * self.LENGTH)
-        assert not nfa.accepts((a,) * (self.LENGTH - 1))
+        assert nfa_accepts(nfa, (a,) * self.LENGTH)
+        assert not nfa_accepts(nfa, (a,) * (self.LENGTH - 1))
 
     def test_run_cap_fires_at_the_same_run_count(self, long_input):
         """``.*(a).*`` has one accepting run per position: a cap of n passes,

@@ -35,7 +35,6 @@ from repro.core.grid_engine import (
 from repro.core.pivot_search import (
     PositionStateGrid,
     pivot_merge,
-    pivots_of_output_sets,
 )
 from repro.core import DSeqMiner
 from repro.core.rewriting import rewrite_for_pivot
@@ -46,7 +45,7 @@ from repro.mapreduce import ClusterConfig
 from repro.patex import PatEx
 from repro.sequences import preprocess
 from repro.sequential import SequentialDesqDfs
-from tests.oracles import InterpretedKernel
+from tests.reference import InterpretedKernel, pivots_of_output_sets
 
 #: Constraint shapes shared with the differential suite: captures, optional
 #: groups, generalization, repetition, alternation, and bounded gaps.

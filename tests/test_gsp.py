@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from repro.errors import MiningError
 from repro.mapreduce import ClusterConfig
-from repro.sequential import GapConstrainedMiner, GspMiner, PrefixSpanMiner
+from repro.sequential import GapConstrainedMiner, PrefixSpanMiner
 from repro.sequences import SequenceDatabase
+from tests.reference import GspMiner
 
 
 class TestGspBasics:

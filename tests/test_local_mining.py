@@ -21,6 +21,7 @@ from repro.patex import PatEx
 from repro.sequences import preprocess
 
 from tests.conftest import gids
+from tests.reference import minimized, trie
 
 
 def reference_counts(fst, dictionary, database, sigma):
@@ -151,7 +152,7 @@ class TestNfaLocalMiner:
     def test_weights(self):
         builder = TrieBuilder()
         builder.add_run([(4,), (1,)])
-        nfa = builder.minimized()
+        nfa = minimized(builder)
         miner = NfaLocalMiner(sigma=3, pivot=4)
         assert miner.mine([nfa], weights=[3]) == {(4, 1): 3}
         assert miner.mine([nfa], weights=[2]) == {}
@@ -160,7 +161,7 @@ class TestNfaLocalMiner:
         builder = TrieBuilder()
         builder.add_run([(4,), (1,)])
         builder.add_run([(1,)])
-        nfa = builder.minimized()
+        nfa = minimized(builder)
         # Without a pivot, both candidates are counted; with pivot 4 only (4, 1).
         assert set(NfaLocalMiner(sigma=1).mine([nfa])) == {(4, 1), (1,)}
         assert set(NfaLocalMiner(sigma=1, pivot=4).mine([nfa])) == {(4, 1)}
@@ -173,7 +174,7 @@ class TestNfaLocalMiner:
         builder = TrieBuilder()
         builder.add_run([(1,)])
         with pytest.raises(MiningError):
-            NfaLocalMiner(sigma=1).mine([builder.trie()], weights=[1, 2])
+            NfaLocalMiner(sigma=1).mine([trie(builder)], weights=[1, 2])
 
     def test_empty_input(self):
         assert NfaLocalMiner(sigma=1).mine([]) == {}
@@ -224,7 +225,7 @@ class TestDeepPatterns:
         builder = TrieBuilder()
         for length in range(1, self.LENGTH + 1):
             builder.add_run([(1,)] * length)
-        nfa = builder.minimized()
+        nfa = minimized(builder)
         for cap, raises in ((self.LENGTH - 1, True), (self.LENGTH, False)):
             miners = (
                 lambda: DesqDfsMiner(fst, dictionary, 1, max_patterns=cap).mine(list(database)),

@@ -45,7 +45,7 @@ from repro.sequences import fold_weighted_values
 from tests.test_compiled import finishable_lists, mask_rows
 from tests.test_dcand_map import random_hierarchy_corpus
 from tests.test_differential import build_consistent, patex_strategy, sequences_strategy
-from tests.oracles import InterpretedKernel
+from tests.reference import InterpretedKernel
 
 #: The product kernel and the oracle it is checked against, by name.
 KERNELS = {"compiled": make_kernel, "interpreted": InterpretedKernel}

@@ -3,18 +3,13 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NfaError
-from repro.nfa import (
-    OutputNfa,
-    TrieBuilder,
-    deserialize,
-    minimize_acyclic,
-    serialize,
-    serialize_trie,
-)
+from repro.fst import expand_output_sets
+from repro.nfa import OutputNfa, TrieBuilder, deserialize, serialize, serialize_trie
+from tests.reference import minimize_acyclic, minimized, nfa_accepts, nfa_candidates, trie
 
 
 def build_trie(runs):
@@ -65,28 +60,49 @@ def reference_minimize_acyclic(nfa):
 class TestTrieBuilder:
     def test_single_run(self):
         builder = build_trie([[(4,), (1,)]])
-        nfa = builder.trie()
-        assert nfa.candidates() == {(4, 1)}
+        nfa = trie(builder)
+        assert nfa_candidates(nfa) == {(4, 1)}
 
     def test_multiple_runs_share_prefix(self):
         builder = build_trie([[(4,), (1,)], [(4,), (2,), (1,)]])
-        nfa = builder.trie()
-        assert nfa.candidates() == {(4, 1), (4, 2, 1)}
+        nfa = trie(builder)
+        assert nfa_candidates(nfa) == {(4, 1), (4, 2, 1)}
         # Shared prefix (4,) is stored once: root has a single child.
         assert len(nfa.outgoing(0)) == 1
 
     def test_output_sets_expand_to_multiple_candidates(self):
         # Label {a1, A} on one edge encodes two candidates.
         builder = build_trie([[(4,), (2, 4), (1,)]])
-        assert builder.trie().candidates() == {(4, 2, 1), (4, 4, 1)}
+        assert nfa_candidates(trie(builder)) == {(4, 2, 1), (4, 4, 1)}
 
     def test_duplicate_runs_are_idempotent(self):
         builder = build_trie([[(4,), (1,)], [(4,), (1,)]])
-        assert builder.trie().candidates() == {(4, 1)}
+        assert nfa_candidates(trie(builder)) == {(4, 1)}
 
     def test_empty_run_is_ignored(self):
         builder = build_trie([[]])
-        assert builder.trie().candidates() == set()
+        assert nfa_candidates(trie(builder)) == set()
+
+    @given(
+        st.lists(
+            st.lists(
+                st.lists(
+                    st.integers(min_value=1, max_value=6), min_size=1, max_size=3
+                ).map(lambda items: tuple(sorted(set(items)))),
+                min_size=1,
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_language_is_the_expansion_of_the_runs(self, runs):
+        expected = set().union(*(expand_output_sets(run) for run in runs))
+        for nfa in (trie(build_trie(runs)), minimized(build_trie(runs))):
+            assert nfa_candidates(nfa) == expected
+            assert all(nfa_accepts(nfa, candidate) for candidate in expected)
+            assert not nfa_accepts(nfa, ())
 
     def test_empty_label_rejected(self):
         builder = TrieBuilder()
@@ -104,14 +120,14 @@ class TestTrieBuilder:
             [(4,), (5,), (5,), (1,)],
         ]
         builder = build_trie(runs)
-        trie = builder.trie()
-        minimized = builder.minimized()
+        trie_nfa = trie(builder)
+        minimal = minimized(builder)
         # Paper: trie has 13 vertices / 12 edges, minimized NFA 7 vertices / 10 edges.
-        assert trie.num_states == 13
-        assert trie.num_transitions == 12
-        assert minimized.num_states == 7
-        assert minimized.num_transitions <= 10
-        assert minimized.candidates() == trie.candidates()
+        assert trie_nfa.num_states == 13
+        assert trie_nfa.num_transitions == 12
+        assert minimal.num_states == 7
+        assert minimal.num_transitions <= 10
+        assert nfa_candidates(minimal) == nfa_candidates(trie_nfa)
 
 
 class TestMinimization:
@@ -121,14 +137,14 @@ class TestMinimization:
             [(4,), (1,)],
         ]
         builder = build_trie(runs)
-        assert builder.minimized().candidates() == builder.trie().candidates()
+        assert nfa_candidates(minimized(builder)) == nfa_candidates(trie(builder))
 
     def test_minimization_never_increases_size(self):
         runs = [[(i % 3 + 1,), (1,)] for i in range(1, 6)]
         builder = build_trie(runs)
-        trie, minimized = builder.trie(), builder.minimized()
-        assert minimized.num_states <= trie.num_states
-        assert minimized.num_transitions <= trie.num_transitions
+        trie_nfa, minimal = trie(builder), minimized(builder)
+        assert minimal.num_states <= trie_nfa.num_states
+        assert minimal.num_transitions <= trie_nfa.num_transitions
 
     def test_suffix_sharing(self):
         # Two branches with identical suffixes collapse.
@@ -136,9 +152,9 @@ class TestMinimization:
             [(5,), (3,), (1,)],
             [(4,), (3,), (1,)],
         ]
-        minimized = build_trie(runs).minimized()
-        assert minimized.candidates() == {(5, 3, 1), (4, 3, 1)}
-        assert minimized.num_states < build_trie(runs).trie().num_states
+        minimal = minimized(build_trie(runs))
+        assert nfa_candidates(minimal) == {(5, 3, 1), (4, 3, 1)}
+        assert minimal.num_states < trie(build_trie(runs)).num_states
 
     def test_cycle_detection(self):
         nfa = OutputNfa([[((1,), 1)], [((1,), 0)]], final_states={1})
@@ -153,25 +169,25 @@ class TestMinimization:
         # swap left to exercise (see the property below): index 0 is the root.
         width = 8_000
         builder = build_trie([[(j,), (j,), (1,)] for j in range(1, width + 1)])
-        trie = builder.trie()
-        assert trie.num_states == 3 * width + 1
-        minimized = minimize_acyclic(trie)
-        assert minimized.num_states == width + 3
-        assert minimized.num_transitions == 2 * width + 1
-        assert [label for label, _target in minimized.outgoing(0)] == [
+        trie_nfa = trie(builder)
+        assert trie_nfa.num_states == 3 * width + 1
+        minimal = minimize_acyclic(trie_nfa)
+        assert minimal.num_states == width + 3
+        assert minimal.num_transitions == 2 * width + 1
+        assert [label for label, _target in minimal.outgoing(0)] == [
             (j,) for j in range(1, width + 1)
         ]
-        (final,) = minimized.final_states
-        assert minimized.outgoing(final) == []
+        (final,) = minimal.final_states
+        assert minimal.outgoing(final) == []
         (before_final,) = {
             target
-            for _label, middle in minimized.outgoing(0)
-            for _label, target in minimized.outgoing(middle)
+            for _label, middle in minimal.outgoing(0)
+            for _label, target in minimal.outgoing(middle)
         }
-        assert minimized.outgoing(before_final) == [((1,), final)]
-        assert minimized.accepts((width, width, 1))
-        assert not minimized.accepts((width, 1, 1))
-        assert serialize(minimized) == serialize_trie(builder)
+        assert minimal.outgoing(before_final) == [((1,), final)]
+        assert nfa_accepts(minimal, (width, width, 1))
+        assert not nfa_accepts(minimal, (width, 1, 1))
+        assert serialize(minimal) == serialize_trie(builder)
 
     @given(
         st.lists(
@@ -199,28 +215,28 @@ class TestMinimization:
             for state, edges in enumerate(raw)
         ]
         nfa = OutputNfa(transitions, {state for state in finals if state < count})
-        minimized = minimize_acyclic(nfa)
-        assert minimized.candidates() == nfa.candidates()
-        assert minimized == reference_minimize_acyclic(nfa)
+        minimal = minimize_acyclic(nfa)
+        assert nfa_candidates(minimal) == nfa_candidates(nfa)
+        assert minimal == reference_minimize_acyclic(nfa)
 
 
 class TestOutputNfa:
     def test_accepts(self):
-        nfa = build_trie([[(4,), (2, 4), (1,)], [(4,), (1,)]]).minimized()
-        assert nfa.accepts((4, 2, 1))
-        assert nfa.accepts((4, 4, 1))
-        assert nfa.accepts((4, 1))
-        assert not nfa.accepts((4, 2))
-        assert not nfa.accepts((1,))
-        assert not nfa.accepts(())
+        nfa = minimized(build_trie([[(4,), (2, 4), (1,)], [(4,), (1,)]]))
+        assert nfa_accepts(nfa, (4, 2, 1))
+        assert nfa_accepts(nfa, (4, 4, 1))
+        assert nfa_accepts(nfa, (4, 1))
+        assert not nfa_accepts(nfa, (4, 2))
+        assert not nfa_accepts(nfa, (1,))
+        assert not nfa_accepts(nfa, ())
 
     def test_items(self):
-        nfa = build_trie([[(4,), (2, 4), (1,)]]).trie()
+        nfa = trie(build_trie([[(4,), (2, 4), (1,)]]))
         assert nfa.items() == {1, 2, 4}
 
     def test_equality_and_hash(self):
-        a = build_trie([[(4,), (1,)]]).minimized()
-        b = build_trie([[(4,), (1,)]]).minimized()
+        a = minimized(build_trie([[(4,), (1,)]]))
+        b = minimized(build_trie([[(4,), (1,)]]))
         assert a == b
         assert hash(a) == hash(b)
 
@@ -235,19 +251,19 @@ class TestOutputNfa:
 
 class TestSerialization:
     def test_round_trip_simple(self):
-        nfa = build_trie([[(4,), (2, 4), (1,)], [(4,), (1,)]]).minimized()
-        assert deserialize(serialize(nfa)).candidates() == nfa.candidates()
+        nfa = minimized(build_trie([[(4,), (2, 4), (1,)], [(4,), (1,)]]))
+        assert nfa_candidates(deserialize(serialize(nfa))) == nfa_candidates(nfa)
 
     def test_round_trip_preserves_finals(self):
-        nfa = build_trie([[(4,)], [(4,), (1,)]]).minimized()
+        nfa = minimized(build_trie([[(4,)], [(4,), (1,)]]))
         restored = deserialize(serialize(nfa))
-        assert restored.candidates() == nfa.candidates()
+        assert nfa_candidates(restored) == nfa_candidates(nfa)
 
     def test_canonical_for_identical_nfas(self):
         # Identical candidate sets built in different insertion orders serialize
         # identically (this is what makes D-CAND's aggregation effective).
-        a = build_trie([[(4,), (1,)], [(4,), (2,), (1,)]]).minimized()
-        b = build_trie([[(4,), (2,), (1,)], [(4,), (1,)]]).minimized()
+        a = minimized(build_trie([[(4,), (1,)], [(4,), (2,), (1,)]]))
+        b = minimized(build_trie([[(4,), (2,), (1,)], [(4,), (1,)]]))
         assert serialize(a) == serialize(b)
 
     def test_minimized_is_smaller_or_equal(self):
@@ -259,11 +275,11 @@ class TestSerialization:
             [(4,), (5,), (5,), (1,)],
         ]
         builder = build_trie(runs)
-        assert len(serialize(builder.minimized())) <= len(serialize(builder.trie()))
+        assert len(serialize(minimized(builder))) <= len(serialize(trie(builder)))
 
     def test_large_fids_varint(self):
-        nfa = build_trie([[(1_000_000,), (70, 200, 300_000)]]).trie()
-        assert deserialize(serialize(nfa)).candidates() == nfa.candidates()
+        nfa = trie(build_trie([[(1_000_000,), (70, 200, 300_000)]]))
+        assert nfa_candidates(deserialize(serialize(nfa))) == nfa_candidates(nfa)
 
     def test_empty_serialization_rejected(self):
         with pytest.raises(NfaError):
@@ -285,9 +301,9 @@ class TestSerialization:
     @settings(max_examples=60, deadline=None)
     def test_round_trip_property(self, runs):
         builder = build_trie(runs)
-        for nfa in (builder.trie(), builder.minimized()):
+        for nfa in (trie(builder), minimized(builder)):
             restored = deserialize(serialize(nfa))
-            assert restored.candidates() == nfa.candidates()
+            assert nfa_candidates(restored) == nfa_candidates(nfa)
 
     @given(
         st.lists(
@@ -305,7 +321,7 @@ class TestSerialization:
     @settings(max_examples=60, deadline=None)
     def test_minimization_preserves_candidates_property(self, runs):
         builder = build_trie(runs)
-        assert builder.minimized().candidates() == builder.trie().candidates()
+        assert nfa_candidates(minimized(builder)) == nfa_candidates(trie(builder))
 
     @given(
         st.lists(
@@ -320,11 +336,14 @@ class TestSerialization:
             max_size=8,
         )
     )
+    # One run a prefix of another: two states with the same edges that differ
+    # only in finality, which the merge must keep apart.
+    @example([[(1,), (2,)], [(3,), (1,), (2,)], [(3,), (1,)]])
     @settings(max_examples=100, deadline=None)
     def test_trie_route_writes_the_same_bytes_as_the_nfa_route(self, runs):
         builder = build_trie(runs)
-        assert serialize_trie(builder) == serialize(builder.minimized())
-        assert serialize_trie(builder, minimize=False) == serialize(builder.trie())
+        assert serialize_trie(builder) == serialize(minimized(builder))
+        assert serialize_trie(builder, minimize=False) == serialize(trie(builder))
 
 
 class TestDeepAutomata:
@@ -337,15 +356,15 @@ class TestDeepAutomata:
         return build_trie([[(1,)] * self.DEPTH])
 
     def test_minimized_chain(self):
-        minimized = self.chain().minimized()
-        assert minimized.num_states == self.DEPTH + 1
-        assert minimized.final_states == {self.DEPTH}
+        minimal = minimized(self.chain())
+        assert minimal.num_states == self.DEPTH + 1
+        assert minimal.final_states == {self.DEPTH}
 
     def test_serialize_round_trip_of_a_chain(self):
         builder = self.chain()
-        trie = builder.trie()
-        payload = serialize(trie)
-        assert deserialize(payload) == trie
+        trie_nfa = trie(builder)
+        payload = serialize(trie_nfa)
+        assert deserialize(payload) == trie_nfa
         assert serialize_trie(builder) == serialize_trie(builder, minimize=False)
         assert serialize_trie(builder) == payload
 
@@ -355,7 +374,7 @@ class TestHostilePayloads:
     returns a validated ``OutputNfa`` or raises ``NfaError`` — nothing else."""
 
     PAYLOADS = [
-        serialize(build_trie(runs).minimized())
+        serialize(minimized(build_trie(runs)))
         for runs in (
             [[(4,), (2, 4), (1,)], [(4,), (1,)]],
             [[(1_000_000,), (70, 200, 300_000)], [(3,)]],

@@ -9,12 +9,12 @@ from repro.core.pivot_search import (
     PositionStateGrid,
     pivot_merge,
     pivots_by_run_enumeration,
-    pivots_of_output_sets,
 )
 from repro.dictionary import EPSILON_FID, build_dictionary
 from repro.dictionary.hierarchy import Hierarchy
-from repro.fst import generate_candidates
+from repro.fst import accepting_runs, generate_candidates
 from repro.patex import PatEx
+from tests.reference import pivots_of_output_sets, run_output_sets
 
 
 def brute_force_pivots(output_sets):
@@ -241,3 +241,10 @@ class TestGridAgainstRunEnumerationProperty:
                 fst, sequence, dictionary, max_frequent_fid=limit
             )
             assert grid.pivot_items() == enumerated
+            # Theorem 1 as written: the ⊕ fold of every run's output sets.
+            folded = set()
+            for run in accepting_runs(fst, sequence, dictionary):
+                folded |= pivots_of_output_sets(
+                    run_output_sets(run, sequence, dictionary, limit)
+                )
+            assert folded == enumerated
