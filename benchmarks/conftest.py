@@ -14,8 +14,8 @@ Two environment variables tune the suite without touching code:
   a float or one of the named scales ``tiny`` (0.05, the CI regression
   artifacts), ``small`` (0.25), ``full`` (1.0);
 * ``REPRO_BACKEND`` — execution backend for the scalability benchmark
-  (``simulated`` models the cluster; ``threads``/``processes``/
-  ``persistent-processes`` measure real wall-clock behaviour locally).
+  (``simulated`` models the cluster; ``processes``/``persistent-processes``/
+  ``multihost`` measure real wall-clock behaviour locally).
 
 Passing ``--json [DIR]`` additionally writes machine-readable regression
 artifacts (``BENCH_<name>.json``) for the benchmarks that support it —

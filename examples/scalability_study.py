@@ -7,8 +7,8 @@ scalability).
 
 Run with:  python examples/scalability_study.py [num_users] [backend]
 
-``backend`` is one of ``simulated`` (default, modeled makespans), ``threads``,
-or ``processes`` (real wall-clock on the local machine).
+``backend`` is one of ``simulated`` (default, modeled makespans),
+``processes`` or ``multihost`` (real wall-clock on the local machine).
 """
 
 from __future__ import annotations

@@ -66,7 +66,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "BACKENDS",
             "ClusterConfig",
             "SimulatedCluster",
-            "ThreadPoolCluster",
             "make_cluster",
         ),
         "repro.patex": ("PatEx",),

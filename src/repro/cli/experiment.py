@@ -87,9 +87,9 @@ def add_parser(subparsers) -> None:
         metavar="NAME",
         help=(
             "execution backend: 'simulated' models the cluster makespan, "
-            "'threads' and 'persistent-processes' (also spelled 'processes') "
-            "execute on real local threads / processes, the processes sharing "
-            "the encoded database via shared memory, 'multihost' additionally "
+            "'persistent-processes' (also spelled 'processes') executes on "
+            "real local processes that share the encoded database via shared "
+            "memory, 'multihost' additionally "
             "stages shuffle payloads through a shared blob store "
             "(default: simulated)"
         ),

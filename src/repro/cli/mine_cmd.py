@@ -69,9 +69,8 @@ def add_parser(subparsers) -> None:
         metavar="NAME",
         help=(
             "execution backend for the distributed algorithms: 'simulated' "
-            "models the cluster makespan in-process, 'threads' runs on a "
-            "local thread pool, 'persistent-processes' (also spelled "
-            "'processes') runs on a local process pool for real wall-clock "
+            "models the cluster makespan in-process, 'persistent-processes' "
+            "(also spelled 'processes') runs on a local process pool for real wall-clock "
             "speed-ups and shares the encoded database with the workers via "
             "shared memory, so tasks ship chunk descriptors instead of "
             "pickled sequences, 'multihost' runs the same process pool but "

@@ -2,11 +2,10 @@
 
 One job model (:class:`MapReduceJob`), one stage driver
 (:class:`~repro.mapreduce.base.StageDriverCluster`) composed of an executor
-and a shuffle transport, four execution backends:
+and a shuffle transport, three execution backends:
 
 * ``simulated`` — in-process execution that models the makespan of
   ``num_workers`` workers (deterministic, no parallelism overhead);
-* ``threads`` — a local thread pool (real concurrent scheduling, no pickling);
 * ``persistent-processes`` (also spelled ``processes``) — a local process
   pool (real wall-clock speed-ups) whose workers attach the input database
   once via a shared-memory
@@ -72,11 +71,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "repro.mapreduce.metrics": ("JobMetrics", "lpt_worker_loads"),
         "repro.mapreduce.multihost": ("BlobShuffle", "MultiHostCluster", "run_blob_map_task"),
-        "repro.mapreduce.parallel": (
-            "PersistentProcessPoolCluster",
-            "ProcessExecutor",
-            "ThreadPoolCluster",
-        ),
+        "repro.mapreduce.parallel": ("PersistentProcessPoolCluster", "ProcessExecutor"),
         "repro.mapreduce.spill": ("FragmentReader", "WireFragment", "merge_fragments"),
         "repro.mapreduce.tasks": (
             "JobRef",

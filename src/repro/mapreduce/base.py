@@ -11,9 +11,8 @@ two components:
 
 * an **executor** decides where tasks run and how the input and the job reach
   them.  :class:`InlineExecutor` runs tasks serially in the calling process
-  and models the makespan of ``num_workers`` workers;
-  :class:`~repro.mapreduce.parallel.ThreadExecutor` runs them on a thread
-  pool.  Both hand tasks record chunks and the job object itself.
+  and models the makespan of ``num_workers`` workers, handing tasks record
+  chunks and the job object itself;
   :class:`~repro.mapreduce.parallel.ProcessExecutor` publishes the input once
   as a shared :class:`~repro.sequences.store.EncodedSequenceStore`, hands
   every worker the job once, and ships chunk descriptors and a job reference;
@@ -29,7 +28,6 @@ Each backend is one row (``processes`` is a spelling of
 backend                     executor      shuffle
 ==========================  ============  =======
 ``simulated``               inline        local
-``threads``                 thread pool   local
 ``persistent-processes``    process pool  local
 ``multihost``               process pool  blob
 ==========================  ============  =======
@@ -110,19 +108,6 @@ class Cluster(Protocol):
         ...  # pragma: no cover - protocol definition
 
 
-def record_chunks(records: Sequence[Any], parts: int) -> list[Sequence[Any]]:
-    """The map inputs of an in-process executor: non-empty record chunks."""
-    return [chunk for chunk in split_records(records, parts) if len(chunk)]
-
-
-def per_worker_times(results: Sequence[ReduceTaskResult], num_workers: int) -> list[float]:
-    """Reduce seconds per OS worker, attributed to the workers that ran them."""
-    totals: dict[tuple[int, int], float] = {}
-    for result in results:
-        totals[result.worker] = totals.get(result.worker, 0.0) + result.seconds
-    return list(totals.values())
-
-
 class InlineExecutor:
     """Runs every task serially in the calling process (the ``simulated`` row).
 
@@ -142,7 +127,8 @@ class InlineExecutor:
 
     @contextmanager
     def scope(self, cluster: StageDriverCluster, records: Sequence[Any], job: MapReduceJob):
-        yield record_chunks(records, cluster.num_workers), job, self.execute
+        chunks = split_records(records, cluster.num_workers)
+        yield [chunk for chunk in chunks if len(chunk)], job, self.execute
 
     @staticmethod
     def execute(tasks: list[Task], fail_fast: bool = True) -> BatchOutcome:

@@ -9,8 +9,8 @@ the *makespan* that ``num_workers`` parallel workers would have achieved.
 The simulation is faithful for the algorithms studied here because they are
 compute-bound, perform exactly one shuffle, and have no inter-task
 dependencies within a stage (bulk-synchronous model).  For real parallel
-execution on a multi-core machine, see the thread- and process-pool backends
-in :mod:`repro.mapreduce.parallel`.
+execution on a multi-core machine, see the process-pool backend in
+:mod:`repro.mapreduce.parallel`.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from repro.mapreduce.job import (
 from repro.mapreduce.wire import Codec
 
 #: Canonical backend names, in the order shown by ``--help``.
-BACKENDS = ("simulated", "threads", "persistent-processes", "multihost")
+BACKENDS = ("simulated", "persistent-processes", "multihost")
 
 #: Accepted spellings (matched case-insensitively) -> canonical backend name:
 #: the canonical names and the spellings README documents.
@@ -32,7 +32,6 @@ _ALIASES = {
 #: :meth:`ClusterConfig.build` that builds it: a run pays for the backend it uses.
 _CLUSTER_CLASSES = {
     "simulated": "repro.mapreduce.engine:SimulatedCluster",
-    "threads": "repro.mapreduce.parallel:ThreadPoolCluster",
     "persistent-processes": "repro.mapreduce.parallel:PersistentProcessPoolCluster",
     "multihost": "repro.mapreduce.multihost:MultiHostCluster",
 }
@@ -108,8 +107,8 @@ class ClusterConfig:
         is returned as-is (its own settings win).  A backend name is one of
         :data:`BACKENDS` or a spelling :func:`canonical_backend` accepts:
         ``"simulated"`` models the makespan of ``num_workers`` workers
-        in-process, ``"threads"`` runs on a local thread pool,
-        ``"persistent-processes"`` (also spelled ``"processes"``) runs on a
+        in-process, ``"persistent-processes"`` (also spelled
+        ``"processes"``) runs on a
         local process pool and publishes the input database once as a shared
         :class:`~repro.sequences.store.EncodedSequenceStore` so tasks ship
         chunk descriptors instead of pickled sequence lists (its records

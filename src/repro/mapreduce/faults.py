@@ -282,7 +282,7 @@ class ScriptedInjector:
         if target == index and attempt <= self.kill_attempts:
             if self.kill_mode == "exit" and multiprocessing.parent_process() is not None:
                 # A real host death: only meaningful inside a pool worker —
-                # in the driver process (simulated/threads backends) it would
+                # in the driver process (the simulated backend) it would
                 # kill the job itself, so those degrade to a raised fault.
                 os._exit(86)
             raise InjectedFault(

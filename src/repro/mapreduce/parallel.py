@@ -1,16 +1,11 @@
-"""Thread- and process-pool executors, and the backends built on them.
+"""The process-pool executor, and the backend built on it.
 
 The :class:`~repro.mapreduce.base.InlineExecutor` runs tasks in the calling
 process and *models* the makespan of ``num_workers`` workers; the executors
-in this module run the same worker-side tasks (:mod:`repro.mapreduce.tasks`)
-on real local workers so that wall-clock speed-ups can be demonstrated on a
+in this module runs the same worker-side tasks (:mod:`repro.mapreduce.tasks`)
+on real local worker processes so that wall-clock speed-ups can be demonstrated on a
 multi-core machine.  Stage times are measured inside the workers and
 attributed to the worker that actually ran each task.
-
-:class:`ThreadExecutor` hands its tasks record chunks and the job object
-itself.  It pickles nothing but shares the GIL, so it helps only I/O-bound or
-GIL-releasing jobs; it is mainly useful as a cheap sanity backend with real
-concurrent scheduling.
 
 :class:`ProcessExecutor` never pickles the database per task — a tax that
 grows with the database and eats the speed-up in exactly the regime the paper
@@ -41,34 +36,16 @@ from __future__ import annotations
 
 import gc
 from collections.abc import Callable, Sequence
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import BrokenExecutor, Executor, ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from typing import Any
 
-from repro.mapreduce.base import (
-    BatchOutcome,
-    StageDriverCluster,
-    Task,
-    per_worker_times,
-    record_chunks,
-    split_ranges,
-)
+from repro.mapreduce.base import BatchOutcome, StageDriverCluster, Task, split_ranges
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.tasks import JobRef, deliver_job
+from repro.mapreduce.tasks import JobRef, ReduceTaskResult, deliver_job
 from repro.sequences.store import StoreChunk, StoreHandle, as_encoded_store, attach_store
 
-__all__ = [
-    "PersistentProcessPoolCluster",
-    "ProcessExecutor",
-    "ThreadExecutor",
-    "ThreadPoolCluster",
-]
+__all__ = ["PersistentProcessPoolCluster", "ProcessExecutor"]
 
 
 @contextmanager
@@ -142,18 +119,6 @@ def _pool_scope(make_pool: Callable[[], Executor]):
         pool.shutdown(wait=True)
 
 
-class ThreadExecutor:
-    """Tasks run on a local pool of ``num_workers`` threads; they get record
-    chunks and the job object itself (no pickling tax)."""
-
-    @contextmanager
-    def scope(self, cluster: StageDriverCluster, records: Sequence[Any], job: MapReduceJob):
-        with _pool_scope(lambda: ThreadPoolExecutor(max_workers=cluster.num_workers)) as execute:
-            yield record_chunks(records, cluster.num_workers), job, execute
-
-    worker_times = staticmethod(per_worker_times)
-
-
 def _initialize_worker(ref: JobRef, job: MapReduceJob, handle: StoreHandle | None) -> None:
     """Pool initializer: what a worker process is given once, before any task.
 
@@ -202,15 +167,13 @@ class ProcessExecutor:
             with _pool_scope(make_pool) as execute:
                 yield chunks, ref, execute
 
-    worker_times = staticmethod(per_worker_times)
-
-
-class ThreadPoolCluster(StageDriverCluster):
-    """The ``threads`` backend: a thread pool and the local shuffle."""
-
-    backend_name = "threads"
-    default_num_workers = 2
-    executor = ThreadExecutor()
+    @staticmethod
+    def worker_times(results: Sequence[ReduceTaskResult], num_workers: int) -> list[float]:
+        """Reduce seconds per OS worker, attributed to the workers that ran them."""
+        totals: dict[tuple[int, int], float] = {}
+        for result in results:
+            totals[result.worker] = totals.get(result.worker, 0.0) + result.seconds
+        return list(totals.values())
 
 
 class PersistentProcessPoolCluster(StageDriverCluster):

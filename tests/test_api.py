@@ -334,7 +334,7 @@ class TestConfigFingerprint:
 
     #: One non-default value per :class:`ClusterConfig` field.
     NON_DEFAULT = {
-        "backend": "threads",
+        "backend": "multihost",
         "num_workers": 3,
         "num_reduce_tasks": 7,
         "measure_shuffle": False,
@@ -522,7 +522,7 @@ class TestSubstrateSaidOnce:
         with pytest.raises(TypeError, match="num_workers"):
             DSeqMiner(RUNNING_EXAMPLE_PATEX, SIGMA, ex_dictionary, num_workers=2)
         with pytest.raises(TypeError, match="backend"):
-            figure9c(backend="threads")
+            figure9c(backend="multihost")
         for name in ("resolve", "merged", "grid_name", "partitioner_name"):
             assert not hasattr(ClusterConfig, name), name
 

@@ -21,7 +21,6 @@ from repro.mapreduce import (
     PersistentProcessPoolCluster,
     SimulatedCluster,
     StageDriverCluster,
-    ThreadPoolCluster,
     make_cluster,
     make_codec,
     run_map_task,
@@ -32,18 +31,17 @@ from repro.sequential import GapConstrainedMiner
 
 from tests.conftest import RUNNING_EXAMPLE_PATEX
 
-REAL_BACKENDS = ("threads", "persistent-processes")
+REAL_BACKENDS = ("persistent-processes",)
 
 #: Backends whose map tasks get materialized records (any record type); the
 #: process pool ships store chunk descriptors instead, so its records must be
 #: fid sequences.
-GENERIC_BACKENDS = ("simulated", "threads")
+GENERIC_BACKENDS = ("simulated",)
 
 #: Spellings that select a backend, and the class each one builds.
 KEPT_SPELLINGS = {
     "simulated": SimulatedCluster,
     "Simulated": SimulatedCluster,
-    "threads": ThreadPoolCluster,
     "persistent-processes": PersistentProcessPoolCluster,
     "processes": PersistentProcessPoolCluster,
     "multihost": MultiHostCluster,
@@ -108,9 +106,8 @@ FID_COUNTS = {1: 3, 2: 3, 3: 4}
 # ------------------------------------------------------------------- factory
 class TestMakeCluster:
     def test_backend_names(self):
-        assert BACKENDS == ("simulated", "threads", "persistent-processes", "multihost")
+        assert BACKENDS == ("simulated", "persistent-processes", "multihost")
         assert isinstance(make_cluster("simulated"), SimulatedCluster)
-        assert isinstance(make_cluster("threads"), ThreadPoolCluster)
         assert isinstance(make_cluster("persistent-processes"), PersistentProcessPoolCluster)
         assert isinstance(make_cluster("multihost"), MultiHostCluster)
 
@@ -149,8 +146,17 @@ class TestMakeCluster:
         assert caught.value.code == 2
         assert "unknown execution backend" in capsys.readouterr().err
 
+    def test_removed_threads_backend_names_the_survivors(self, capsys):
+        survivors = "choose one of simulated, persistent-processes, multihost"
+        with pytest.raises(MapReduceError, match=survivors):
+            make_cluster("threads")
+        with pytest.raises(SystemExit) as caught:
+            main([*BACKEND_COMMANDS[0], "--backend", "threads"])
+        assert caught.value.code == 2
+        assert survivors in capsys.readouterr().err
+
     def test_options_are_threaded_through(self):
-        cluster = make_cluster("threads", num_workers=3, num_reduce_tasks=7)
+        cluster = make_cluster("persistent-processes", num_workers=3, num_reduce_tasks=7)
         assert cluster.num_workers == 3
         assert cluster.num_reduce_tasks == 7
 
@@ -274,7 +280,7 @@ class TestWorkerSideShuffle:
         with pytest.raises(SequenceStoreError, match="non-negative integers"):
             cluster.run(WordCountJob(), WORDS)
 
-    @pytest.mark.parametrize("backend", ("simulated", "threads"))
+    @pytest.mark.parametrize("backend", GENERIC_BACKENDS)
     def test_in_process_backends_accept_unpicklable_records(self, backend):
         """The input-shipping metric must not crash backends that never pickle."""
         import threading
@@ -308,11 +314,11 @@ class TestWorkerSideShuffle:
         assert result.patterns() == reference.patterns()
         assert result.metrics.wire_bytes == reference.metrics.wire_bytes
 
-    @pytest.mark.parametrize("backend", ("threads",))
+    @pytest.mark.parametrize("backend", ("persistent-processes", "multihost"))
     def test_shuffle_metrics_match_simulated(self, backend):
-        job = WordCountJob()
-        simulated = SimulatedCluster(num_workers=2).run(job, WORDS)
-        real = make_cluster(backend, num_workers=2).run(job, WORDS)
+        job = FidCountJob()
+        simulated = SimulatedCluster(num_workers=2).run(job, FID_RECORDS)
+        real = make_cluster(backend, num_workers=2).run(job, FID_RECORDS)
         assert dict(real.outputs) == dict(simulated.outputs)
         assert real.metrics.shuffle_records == simulated.metrics.shuffle_records
         assert real.metrics.shuffle_bytes == simulated.metrics.shuffle_bytes
@@ -320,7 +326,7 @@ class TestWorkerSideShuffle:
         assert real.metrics.wire_bytes > 0
         assert real.metrics.map_output_records == simulated.metrics.map_output_records
         assert real.metrics.combined_records == simulated.metrics.combined_records
-        assert real.metrics.map_input_pickle_bytes == simulated.metrics.map_input_pickle_bytes
+        # The pools ship store descriptors, not the records themselves.
         assert real.metrics.map_input_pickle_bytes > 0
 
     def test_simulated_reduce_attribution_models_all_workers(self):
@@ -329,16 +335,17 @@ class TestWorkerSideShuffle:
         # buckets only, spread by the greedy least-loaded schedule.
         assert len(result.metrics.reduce_task_seconds) == 3
 
-    def test_shared_cluster_supports_concurrent_runs(self):
+    @pytest.mark.parametrize("cls", (SimulatedCluster, PersistentProcessPoolCluster))
+    def test_shared_cluster_supports_concurrent_runs(self, cls):
         """One cluster instance serves overlapping run() calls safely."""
         from concurrent.futures import ThreadPoolExecutor as Pool
 
-        cluster = ThreadPoolCluster(num_workers=2)
+        cluster = cls(num_workers=2)
         with Pool(max_workers=4) as pool:
-            futures = [pool.submit(cluster.run, WordCountJob(), WORDS) for _ in range(4)]
+            futures = [pool.submit(cluster.run, FidCountJob(), FID_RECORDS) for _ in range(4)]
             results = [future.result() for future in futures]
         for result in results:
-            assert dict(result.outputs) == WORD_COUNTS
+            assert dict(result.outputs) == FID_COUNTS
 
     @pytest.mark.parametrize("backend", REAL_BACKENDS)
     def test_real_reduce_attribution_is_per_worker(self, backend):

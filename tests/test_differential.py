@@ -263,7 +263,7 @@ class TestPartitionerMatrix:
     """``partitioner=planned`` ≡ ``partitioner=hash`` across miners × backends.
 
     Acceptance criteria of the skew-aware partition planner: for all five
-    cluster miners and all four execution backends, the planned partitioner
+    cluster miners and all three execution backends, the planned partitioner
     produces byte-identical mining results — same patterns and frequencies,
     same modeled shuffle bytes and record counts — as the reference stable
     hash.  The plan only moves records *between* reduce buckets, so every
@@ -272,7 +272,7 @@ class TestPartitionerMatrix:
     different bucket compositions.)
     """
 
-    BACKENDS = ("simulated", "threads", "persistent-processes", "multihost")
+    BACKENDS = ("simulated", "persistent-processes", "multihost")
 
     @pytest.fixture(scope="class")
     def partitioner_data(self):
@@ -351,7 +351,7 @@ class TestPerRecordMap:
     record into the next.
     """
 
-    BACKENDS = ("simulated", "threads", "persistent-processes")
+    BACKENDS = ("simulated", "persistent-processes")
 
     @pytest.fixture(scope="class")
     def map_data(self):
@@ -599,7 +599,7 @@ class TestGridAndDedupMatrix:
     """
 
     #: Backends compared against the simulated baseline sweep.
-    BACKENDS = ("threads", "persistent-processes", "multihost")
+    BACKENDS = ("persistent-processes", "multihost")
 
     #: Every (grid, dedup) combination.
     CONFIGS = tuple((grid, dedup) for grid in ("flat", "legacy") for dedup in (True, False))

@@ -249,13 +249,15 @@ class TestScriptedInjector:
 
 # ------------------------------------------------------- driver retry logic
 class PoisonJob(MapReduceJob):
-    """Word count whose map can sleep or fail on marker records."""
+    """Fid count whose map can sleep or fail on marker records."""
+
+    SLOW, FAST = (1,), (2,)
 
     def map(self, record):
-        if record == ("slow",):
+        if record == self.SLOW:
             time.sleep(0.3)
             raise MapReduceError("slow poison")
-        if record == ("fast",):
+        if record == self.FAST:
             raise MapReduceError("fast poison")
         yield record[0], 1
 
@@ -277,7 +279,7 @@ class ExplodingJob(FidCountJob):
 
 
 class TestDriverRetries:
-    @pytest.mark.parametrize("backend", ("simulated", "threads"))
+    @pytest.mark.parametrize("backend", ("simulated", "persistent-processes"))
     def test_transient_map_failure_is_retried_transparently(self, backend):
         baseline = make_cluster(backend, num_workers=3).run(FidCountJob(), FID_RECORDS)
         cluster = make_cluster(
@@ -339,15 +341,15 @@ class TestDriverRetries:
         assert any("map task 0 failed on attempt 2/2" in note for note in notes)
 
     def test_fail_fast_raises_first_observed_failure(self):
-        # Two failing map tasks on a 2-worker thread pool: the quick failure
+        # Two failing map tasks on a 2-worker process pool: the quick failure
         # is observed first even though the slow one was submitted first.
         cluster = make_cluster(
-            "threads",
+            "persistent-processes",
             num_workers=2,
             fault_policy=fast_policy(max_task_attempts=1),
         )
         with pytest.raises(MapReduceError, match="fast poison"):
-            cluster.run(PoisonJob(), [("slow",), ("fast",)])
+            cluster.run(PoisonJob(), [PoisonJob.SLOW, PoisonJob.FAST])
 
     def test_non_retryable_explosion_fails_immediately(self):
         job = ExplodingJob()

@@ -13,8 +13,8 @@ from repro.mapreduce import (
     ClusterConfig,
     JobMetrics,
     MapReduceJob,
+    PersistentProcessPoolCluster,
     SimulatedCluster,
-    ThreadPoolCluster,
     make_cluster,
 )
 
@@ -146,9 +146,9 @@ class TestClusterConfig:
     """One value object configures the whole execution substrate."""
 
     def test_replace_is_the_one_way_to_vary_a_config(self):
-        config = ClusterConfig(backend="threads", codec="zlib")
+        config = ClusterConfig(backend="multihost", codec="zlib")
         varied = replace(config, num_workers=9, grid="legacy")
-        assert (varied.backend, varied.codec, varied.num_workers) == ("threads", "zlib", 9)
+        assert (varied.backend, varied.codec, varied.num_workers) == ("multihost", "zlib", 9)
         assert varied.grid == "legacy"
         assert config.num_workers is None and config.grid == "flat"  # untouched
 
@@ -156,17 +156,17 @@ class TestClusterConfig:
         from repro.errors import MiningError
 
         with pytest.raises(MiningError, match="unknown grid engine"):
-            make_cluster("threads", grid="jit")
+            make_cluster("persistent-processes", grid="jit")
 
     def test_backend_instances_pass_through_build(self):
-        instance = ThreadPoolCluster(num_workers=2)
+        instance = PersistentProcessPoolCluster(num_workers=2)
         assert ClusterConfig(backend=instance).build() is instance
 
     def test_build_makes_a_matching_cluster(self):
         cluster = ClusterConfig(
-            backend="threads", num_workers=3, codec="zlib", grid="legacy"
+            backend="persistent-processes", num_workers=3, codec="zlib", grid="legacy"
         ).build()
-        assert isinstance(cluster, ThreadPoolCluster)
+        assert isinstance(cluster, PersistentProcessPoolCluster)
         assert cluster.num_workers == 3
         assert not hasattr(cluster, "grid")
 

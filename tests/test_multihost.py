@@ -173,7 +173,7 @@ class TestBlobCleanup:
 
     def test_blob_dir_on_other_backends_is_rejected(self):
         with pytest.raises(MapReduceError, match="blob_dir"):
-            make_cluster("threads", blob_dir="/tmp/blobs")
+            make_cluster("persistent-processes", blob_dir="/tmp/blobs")
 
 
 # ------------------------------------------------- the job reaches a host once

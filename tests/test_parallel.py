@@ -125,7 +125,7 @@ class TestProcessPoolCluster:
 
 # ------------------------------------------------- the job reaches a worker once
 POOL_BACKENDS = ("persistent-processes", "multihost")
-IN_PROCESS_BACKENDS = ("simulated", "threads")
+IN_PROCESS_BACKENDS = ("simulated",)
 
 
 class BulkyJob(WordCountJob):
@@ -271,7 +271,7 @@ class TestJobDelivery:
     def test_two_threads_sharing_a_cluster_each_get_their_own_job(self):
         run_two_jobs_at_once(make_cluster("persistent-processes", num_workers=2))
 
-    @pytest.mark.parametrize("backend", ("simulated", "threads", "multihost"))
+    @pytest.mark.parametrize("backend", ("simulated", "multihost"))
     def test_every_backend_keeps_concurrent_jobs_apart(self, backend):
         run_two_jobs_at_once(make_cluster(backend, num_workers=2))
 

@@ -129,7 +129,7 @@ class TestProtocol:
             protocol.decode_result(payload)
 
     def test_config_round_trip(self):
-        config = ClusterConfig(backend="threads", num_workers=3, grid="legacy")
+        config = ClusterConfig(backend="multihost", num_workers=3, grid="legacy")
         assert protocol.decode_config(protocol.encode_config(config)) == config
         assert protocol.encode_config(None) is None
 
