@@ -197,13 +197,6 @@ class StageDriverCluster:
     num_reduce_tasks:
         Number of reduce buckets (defaults to ``4 * num_workers``, mimicking
         the usual over-partitioning of Spark/Hadoop deployments).
-    measure_shuffle:
-        If False, skips the *modeled* accounting — the per-record shuffle
-        sizes and the per-chunk input pickling cost (the latter costs one
-        ``pickle.dumps`` per map chunk in the driver, even on backends that
-        never ship chunks) — which is slightly faster; the measured wire
-        bytes are always collected because the payloads are encoded either
-        way.
     codec:
         Shuffle serialization codec — a name from
         :data:`~repro.mapreduce.wire.CODECS` or a
@@ -245,7 +238,6 @@ class StageDriverCluster:
         self,
         num_workers: int | None = None,
         num_reduce_tasks: int | None = None,
-        measure_shuffle: bool = True,
         codec: str | Codec = "compact",
         spill_budget_bytes: int | None = None,
         spill_dir: str | None = None,
@@ -260,7 +252,6 @@ class StageDriverCluster:
         self.num_reduce_tasks = num_reduce_tasks or 4 * num_workers
         if self.num_reduce_tasks < 1:
             raise MapReduceError("num_reduce_tasks must be >= 1")
-        self.measure_shuffle = measure_shuffle
         self.codec = make_codec(codec)
         if spill_budget_bytes is not None and spill_budget_bytes < 0:
             raise MapReduceError(
@@ -305,18 +296,17 @@ class StageDriverCluster:
             with self.shuffle.scope(self) as shuffle, self.executor.scope(
                 self, records, job
             ) as (chunks, task_job, execute):
-                if self.measure_shuffle:
-                    for chunk in chunks:
-                        # Per-task input shipping cost.  In-process executors
-                        # never actually pickle their chunks, so unpicklable
-                        # records must not fail here; the metric simply
-                        # stays 0 for them.
-                        try:
-                            metrics.map_input_pickle_bytes += len(
-                                pickle.dumps(chunk, protocol=pickle.HIGHEST_PROTOCOL)
-                            )
-                        except Exception:
-                            pass
+                for chunk in chunks:
+                    # Per-task input shipping cost.  The inline executor
+                    # never actually pickles its chunks, so unpicklable
+                    # records must not fail here; the metric simply stays 0
+                    # for them.
+                    try:
+                        metrics.map_input_pickle_bytes += len(
+                            pickle.dumps(chunk, protocol=pickle.HIGHEST_PROTOCOL)
+                        )
+                    except Exception:
+                        pass
                 # Map stage: each task partitions, combines, and encodes its
                 # reduce buckets locally (worker-side shuffle write), spilling
                 # payloads to disk past the in-memory budget.  Failed or
@@ -332,7 +322,6 @@ class StageDriverCluster:
                                 task_job,
                                 chunk,
                                 self.num_reduce_tasks,
-                                self.measure_shuffle,
                                 self.codec,
                                 self.spill_budget_bytes,
                                 job_spill_dir,

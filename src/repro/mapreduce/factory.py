@@ -73,7 +73,6 @@ class ClusterConfig:
     backend: str | Cluster = "simulated"
     num_workers: int | None = None
     num_reduce_tasks: int | None = None
-    measure_shuffle: bool = True
     codec: str | Codec = "compact"
     spill_budget_bytes: int | None = None
     spill_dir: str | None = None
@@ -153,7 +152,6 @@ class ClusterConfig:
             backend,
             self.num_workers,
             self.num_reduce_tasks,
-            self.measure_shuffle,
             codec,
             self.spill_budget_bytes,
             self.blob_dir,

@@ -86,8 +86,7 @@ class JobMetrics:
     #: Which reduce partitioner the job used (``"hash"`` or ``"planned"``).
     partitioner: str = "hash"
     #: Modeled shuffle bytes per reduce bucket (``job.record_size`` summed per
-    #: destination), collected when ``measure_shuffle`` is on.  The basis of
-    #: the balance statistics below.
+    #: destination).  The basis of the balance statistics below.
     reduce_bucket_bytes: dict[int, int] = field(default_factory=dict)
 
     # ------------------------------------------------------------------ times

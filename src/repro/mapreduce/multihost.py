@@ -91,7 +91,6 @@ def run_blob_map_task(
     job: MapReduceJob | JobRef,
     chunk: Sequence[Any] | StoreChunk,
     num_reduce_tasks: int,
-    measure_shuffle: bool,
     codec: Codec | str,
     spill_budget_bytes: int | None,
     spill_dir: str | None,
@@ -116,7 +115,6 @@ def run_blob_map_task(
         job,
         chunk,
         num_reduce_tasks,
-        measure_shuffle,
         codec=codec,
         spill_budget_bytes=spill_budget_bytes,
         spill_dir=spill_dir,

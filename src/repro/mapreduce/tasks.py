@@ -95,7 +95,7 @@ class MapTaskResult:
     shuffle_bytes: int = 0
     shuffle_records: int = 0
     #: Modeled shuffle bytes per destination reduce bucket (the partition
-    #: write split; empty when ``measure_shuffle`` is off).
+    #: write split).
     bucket_shuffle_bytes: dict[int, int] = field(default_factory=dict)
     wire_bytes: int = 0
     spilled_buckets: int = 0
@@ -128,7 +128,6 @@ def run_map_task(
     job: MapReduceJob | JobRef,
     records: Sequence[Any] | StoreChunk,
     num_reduce_tasks: int,
-    measure_shuffle: bool,
     codec: Codec | str = "compact",
     spill_budget_bytes: int | None = None,
     spill_dir: str | None = None,
@@ -172,12 +171,9 @@ def run_map_task(
     for key, value in emitted:
         shuffle_records += 1
         bucket_index = job.partition(key, num_reduce_tasks)
-        if measure_shuffle:
-            size = job.record_size(key, value)
-            shuffle_bytes += size
-            bucket_shuffle_bytes[bucket_index] = (
-                bucket_shuffle_bytes.get(bucket_index, 0) + size
-            )
+        size = job.record_size(key, value)
+        shuffle_bytes += size
+        bucket_shuffle_bytes[bucket_index] = bucket_shuffle_bytes.get(bucket_index, 0) + size
         payload = buckets.setdefault(bucket_index, {})
         payload.setdefault(key, []).append(value)
 

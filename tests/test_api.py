@@ -337,7 +337,6 @@ class TestConfigFingerprint:
         "backend": "multihost",
         "num_workers": 3,
         "num_reduce_tasks": 7,
-        "measure_shuffle": False,
         "codec": "zlib",
         "spill_budget_bytes": 4096,
         "blob_dir": "/tmp/blobs",

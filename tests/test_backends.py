@@ -179,7 +179,6 @@ class TestMakeCluster:
         fields = {
             "num_workers": 3,
             "num_reduce_tasks": 7,
-            "measure_shuffle": False,
             "codec": "zlib",
             "spill_budget_bytes": 4096,
             "spill_dir": str(tmp_path),
@@ -193,7 +192,6 @@ class TestMakeCluster:
                 type(cluster),
                 cluster.num_workers,
                 cluster.num_reduce_tasks,
-                cluster.measure_shuffle,
                 cluster.codec.name,
                 cluster.spill_budget_bytes,
                 cluster.spill_dir,
@@ -205,7 +203,7 @@ class TestMakeCluster:
         shortcut = make_cluster(backend, **fields)
         assert settings(built) == settings(shortcut)
         assert settings(built)[1:] == (
-            3, 7, False, "zlib", 4096, str(tmp_path),
+            3, 7, "zlib", 4096, str(tmp_path),
             FaultPolicy(max_task_attempts=1), fields.get("blob_dir"),
         )
         # The miners' fields stay on the config: a cluster knows only the substrate.
@@ -219,7 +217,7 @@ class TestWorkerSideShuffle:
         """Map tasks partition and encode locally; the driver never re-buckets pairs."""
         job = WordCountJob()
         codec = make_codec("compact")
-        result = run_map_task(job, WORDS, num_reduce_tasks=8, measure_shuffle=True)
+        result = run_map_task(job, WORDS, num_reduce_tasks=8)
         assert result.buckets  # encoded per-bucket fragments, not (key, value) pairs
         for bucket_index, fragment in result.buckets:
             payload = codec.decode_bucket(fragment.read())

@@ -180,7 +180,7 @@ def first_tasks(cluster, job):
         cluster, RECORDS, job
     ) as (chunks, task_job, _execute):
         _function, map_args = shuffle.map_task(
-            (task_job, chunks[0], cluster.num_reduce_tasks, True, cluster.codec, None, None),
+            (task_job, chunks[0], cluster.num_reduce_tasks, cluster.codec, None, None),
             task_context("map"),
         )
         _function, reduce_args = shuffle.reduce_task(
@@ -253,7 +253,7 @@ class TestJobDelivery:
 
     def test_a_stranger_reference_fails_loudly_and_is_not_retried(self):
         with pytest.raises(JobNotDeliveredError) as caught:
-            run_map_task(JobRef(7), [], 4, True, context=task_context("map", 3))
+            run_map_task(JobRef(7), [], 4, context=task_context("map", 3))
         assert "map task 3" in str(caught.value) and "token 7" in str(caught.value)
         with pytest.raises(JobNotDeliveredError, match="reduce task 5.*token 7"):
             run_reduce_task(JobRef(7), [], context=task_context("reduce", 5))

@@ -754,8 +754,8 @@ class TestSpill:
                 yield record % 5, record
 
         result = run_map_task(
-            Pairs(), list(range(50)), num_reduce_tasks=5, measure_shuffle=True,
-            codec="compact", spill_budget_bytes=0, spill_dir=str(tmp_path),
+            Pairs(), list(range(50)), num_reduce_tasks=5, codec="compact",
+            spill_budget_bytes=0, spill_dir=str(tmp_path),
         )
         assert result.spilled_buckets == len(result.buckets) > 0
         assert result.spilled_bytes == result.wire_bytes > 0
