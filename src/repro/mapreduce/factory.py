@@ -141,25 +141,29 @@ class ClusterConfig:
         fingerprint run queries on an equivalent substrate.  Patterns are
         backend-independent (the differential matrix proves it), but the
         cached :class:`~repro.mapreduce.metrics.JobMetrics` are not — so each
-        distinct substrate caches its own entry.  Ready-made cluster
-        instances fingerprint by class name and their declared knobs.
+        distinct substrate caches its own entry.  A ready-made cluster
+        instance runs on its own settings, not the config's, so it
+        fingerprints by its class name and its own worker and bucket counts,
+        codec, spill budget, fault policy and fault injector.
         """
-        backend = self.backend
-        if not isinstance(backend, str):
-            backend = type(backend).__name__
-        codec = self.codec if isinstance(self.codec, str) else type(self.codec).__name__
+        if isinstance(self.backend, Cluster):
+            source, backend = self.backend, type(self.backend).__name__
+        else:
+            source, backend = self, self.backend
+        codec = getattr(source, "codec", None)
+        policy = getattr(source, "fault_policy", None) or DEFAULT_FAULT_POLICY
         parts = (
             backend,
-            self.num_workers,
-            self.num_reduce_tasks,
-            codec,
-            self.spill_budget_bytes,
+            source.num_workers,
+            source.num_reduce_tasks,
+            codec if codec is None or isinstance(codec, str) else codec.name,
+            getattr(source, "spill_budget_bytes", None),
             self.blob_dir,
             self.grid,
             self.partitioner,
             self.plan_sample,
-            (self.fault_policy or DEFAULT_FAULT_POLICY).fingerprint(),
-            repr(self.fault_injector),
+            policy.fingerprint(),
+            repr(getattr(source, "fault_injector", None)),
         )
         return "|".join(str(part) for part in parts)
 

@@ -22,6 +22,7 @@ from repro.mapreduce import (
     ClusterConfig,
     FaultPolicy,
     ScriptedInjector,
+    SimulatedCluster,
     make_cluster,
 )
 from repro.sequential import GapConstrainedMiner, SequentialDesqCount, SequentialDesqDfs
@@ -358,6 +359,33 @@ class TestConfigFingerprint:
         for name, value in self.NON_DEFAULT.items():
             assert ClusterConfig(**{name: value}).fingerprint() != base, name
         assert ClusterConfig(spill_dir="/tmp/spill").fingerprint() == base
+
+    #: One non-default setting per substrate knob a ready-made cluster carries.
+    INSTANCE_SETTINGS = {
+        "num_workers": 8,
+        "num_reduce_tasks": 7,
+        "codec": "zlib",
+        "spill_budget_bytes": 4096,
+        "fault_policy": FaultPolicy(max_task_attempts=1),
+        "fault_injector": ScriptedInjector(kill_map_task=0),
+    }
+
+    def test_a_cluster_instance_fingerprints_by_its_own_settings(self):
+        """A ready-made cluster runs on its own settings, so two instances
+        that differ in any of them must not share a service-cache entry."""
+
+        def fingerprint(num_workers=2, **settings):
+            instance = SimulatedCluster(num_workers=num_workers, **settings)
+            return ClusterConfig(backend=instance).fingerprint()
+
+        base = fingerprint()
+        assert fingerprint() == base
+        for name, value in self.INSTANCE_SETTINGS.items():
+            assert fingerprint(**{name: value}) != base, name
+        assert fingerprint(spill_dir="/tmp/spill") == base
+        # The config's own substrate fields never reach an instance.
+        instance = SimulatedCluster(num_workers=2)
+        assert ClusterConfig(backend=instance, num_workers=8).fingerprint() == base
 
 
 #: Knobs of deleted implementation paths, each with a value it once took: the
