@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.datasets import constraint as make_constraint
 from repro.experiments import SCALED_SIGMA, format_table, prepare_dataset, run_algorithm
-from repro.mapreduce import ClusterConfig, FaultPolicy, ScriptedInjector
+from repro.mapreduce import ClusterConfig, FaultPolicy, MultiHostCluster, ScriptedInjector
 
 from benchmarks.conftest import BENCH_SIZES, run_once
 
@@ -40,10 +40,11 @@ def _run(fault_injector=None):
         prepared.database,
         dataset_name="NYT",
         cluster=ClusterConfig(
-            backend="multihost",
-            num_workers=CHAOS_WORKERS,
-            fault_policy=CHAOS_POLICY,
-            fault_injector=fault_injector,
+            backend=MultiHostCluster(
+                num_workers=CHAOS_WORKERS,
+                fault_policy=CHAOS_POLICY,
+                fault_injector=fault_injector,
+            )
         ),
     )
 

@@ -222,7 +222,9 @@ class StageDriverCluster:
     fault_injector:
         Optional :class:`~repro.mapreduce.faults.FaultInjector` shipped into
         every task for deterministic chaos testing; ``None`` (the default)
-        injects nothing and costs nothing.
+        injects nothing and costs nothing.  Only this constructor takes it:
+        tests and the chaos benchmark build the cluster themselves and pass
+        it as ``ClusterConfig(backend=cluster)``.
     """
 
     #: Human-readable backend identifier (also used by :func:`repr`).

@@ -7,7 +7,7 @@ from importlib import import_module
 
 from repro.errors import MapReduceError
 from repro.mapreduce.base import Cluster
-from repro.mapreduce.faults import DEFAULT_FAULT_POLICY, FaultInjector, FaultPolicy
+from repro.mapreduce.faults import DEFAULT_FAULT_POLICY, FaultPolicy
 from repro.mapreduce.job import (
     DEFAULT_GRID,
     DEFAULT_PARTITIONER,
@@ -62,7 +62,9 @@ class ClusterConfig:
     :meth:`build` turns it into the backend (:func:`make_cluster` is its
     one-line shortcut).  ``backend`` may be a backend name or a ready-made
     :class:`~repro.mapreduce.base.Cluster` instance, whose own settings then
-    win over the fields a backend reads.  ``grid`` selects the pivot-grid
+    win over the fields a backend reads; a fault injector for chaos tests is
+    handed to a backend's constructor that way, never through a config.
+    ``grid`` selects the pivot-grid
     engine (``"flat"`` or ``"legacy"``), ``partitioner`` the reduce-bucket
     assignment (``"hash"`` or ``"planned"``) and ``plan_sample`` the planner's
     sample: the miners read these three, the cluster never sees them.
@@ -89,11 +91,6 @@ class ClusterConfig:
     #: (:class:`~repro.mapreduce.faults.FaultPolicy`; ``None`` → the library
     #: default, which gives every task one retry).  Part of the fingerprint.
     fault_policy: FaultPolicy | None = None
-    #: Deterministic chaos source shipped into every task
-    #: (:class:`~repro.mapreduce.faults.FaultInjector`); test/CI-only.  Part
-    #: of the fingerprint (by repr), so an injected run can never be served
-    #: from — or poison — a fault-free run's service-cache entry.
-    fault_injector: FaultInjector | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid", normalize_grid(self.grid))

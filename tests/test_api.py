@@ -345,7 +345,6 @@ class TestConfigFingerprint:
         "partitioner": "planned",
         "plan_sample": 0.5,
         "fault_policy": FaultPolicy(max_task_attempts=1),
-        "fault_injector": ScriptedInjector(kill_map_task=0),
     }
 
     #: A scratch location changes neither patterns nor metrics.
@@ -540,8 +539,17 @@ class TestSubstrateSaidOnce:
         from repro.mapreduce import StageDriverCluster
 
         parameters = self._parameters(StageDriverCluster) - {"self"}
-        assert parameters < self.FIELDS
+        # The fault injector is a constructor argument and never a config field.
+        assert parameters - {"fault_injector"} < self.FIELDS
         assert not parameters & {"backend", "grid", "partitioner", "plan_sample"}
+        assert (len(self.FIELDS), len(parameters)) == (11, 7)
+
+    @pytest.mark.parametrize("name", ["measure_shuffle", "fault_injector"])
+    def test_removed_substrate_fields_are_type_errors(self, name):
+        with pytest.raises(TypeError, match=name):
+            ClusterConfig(**{name: None})
+        with pytest.raises(TypeError, match=name):
+            make_cluster("simulated", **{name: None})
 
     def test_removed_restatements_are_type_errors(self, ex_dictionary):
         from repro.experiments import figure9c

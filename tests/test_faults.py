@@ -35,7 +35,10 @@ from repro.mapreduce import (
     InjectedFault,
     InMemoryBlobStore,
     MapReduceJob,
+    MultiHostCluster,
+    PersistentProcessPoolCluster,
     ScriptedInjector,
+    SimulatedCluster,
     TaskContext,
     TaskTimeoutError,
     expired_namespaces,
@@ -141,10 +144,13 @@ class TestFaultPolicy:
         retried = ClusterConfig(
             num_workers=2, fault_policy=FaultPolicy(max_task_attempts=3)
         ).fingerprint()
+        clean = ClusterConfig(backend=SimulatedCluster(num_workers=2)).fingerprint()
         injected = ClusterConfig(
-            num_workers=2, fault_injector=ScriptedInjector(kill_map_task=0)
+            backend=SimulatedCluster(
+                num_workers=2, fault_injector=ScriptedInjector(kill_map_task=0)
+            )
         ).fingerprint()
-        assert len({base, retried, injected}) == 3
+        assert len({base, retried, clean, injected}) == 4
 
 
 # -------------------------------------------------------- injector mechanics
@@ -279,11 +285,10 @@ class ExplodingJob(FidCountJob):
 
 
 class TestDriverRetries:
-    @pytest.mark.parametrize("backend", ("simulated", "persistent-processes"))
-    def test_transient_map_failure_is_retried_transparently(self, backend):
-        baseline = make_cluster(backend, num_workers=3).run(FidCountJob(), FID_RECORDS)
-        cluster = make_cluster(
-            backend,
+    @pytest.mark.parametrize("cls", (SimulatedCluster, PersistentProcessPoolCluster))
+    def test_transient_map_failure_is_retried_transparently(self, cls):
+        baseline = cls(num_workers=3).run(FidCountJob(), FID_RECORDS)
+        cluster = cls(
             num_workers=3,
             fault_policy=FAST,
             fault_injector=ScriptedInjector(kill_map_task=1, kill_attempts=1),
@@ -300,8 +305,7 @@ class TestDriverRetries:
 
     def test_transient_reduce_failure_is_retried(self):
         baseline = make_cluster("simulated", num_workers=3).run(FidCountJob(), FID_RECORDS)
-        cluster = make_cluster(
-            "simulated",
+        cluster = SimulatedCluster(
             num_workers=3,
             fault_policy=FAST,
             fault_injector=ScriptedInjector(kill_reduce_task=0, kill_attempts=1),
@@ -311,11 +315,10 @@ class TestDriverRetries:
         assert result.metrics.task_retry_count == 1
 
     def test_exit_kill_degrades_to_raise_in_driver_process(self):
-        # simulated/threads run tasks in the driver process, where an os._exit
+        # simulated runs tasks in the driver process, where an os._exit
         # would kill the test run itself; the injector degrades to a raised
         # fault there, and the retry still recovers the job.
-        cluster = make_cluster(
-            "simulated",
+        cluster = SimulatedCluster(
             num_workers=3,
             fault_policy=FAST,
             fault_injector=ScriptedInjector(kill_map_task=0, kill_mode="exit"),
@@ -324,8 +327,7 @@ class TestDriverRetries:
         assert result.metrics.task_retry_count == 1
 
     def test_exhausted_attempts_reraise_original_chained_to_first_cause(self):
-        cluster = make_cluster(
-            "simulated",
+        cluster = SimulatedCluster(
             num_workers=3,
             fault_policy=FAST,  # max_task_attempts=2
             fault_injector=ScriptedInjector(kill_map_task=0, kill_attempts=5),
@@ -362,8 +364,7 @@ class TestDriverRetries:
 
     def test_timeout_retry_recovers_a_stalled_task(self):
         baseline = make_cluster("simulated", num_workers=3).run(FidCountJob(), FID_RECORDS)
-        cluster = make_cluster(
-            "simulated",
+        cluster = SimulatedCluster(
             num_workers=3,
             fault_policy=fast_policy(task_timeout_s=0.05),
             fault_injector=ScriptedInjector(
@@ -376,8 +377,7 @@ class TestDriverRetries:
         assert result.metrics.task_retry_count == 1
 
     def test_timeout_exhaustion_raises_task_timeout_error(self):
-        cluster = make_cluster(
-            "simulated",
+        cluster = SimulatedCluster(
             num_workers=3,
             fault_policy=fast_policy(task_timeout_s=0.05),
             fault_injector=ScriptedInjector(
@@ -408,8 +408,7 @@ class TestHostFailover:
         baseline = make_cluster("persistent-processes", num_workers=2).run(
             FidCountJob(), FID_RECORDS
         )
-        cluster = make_cluster(
-            "persistent-processes",
+        cluster = PersistentProcessPoolCluster(
             num_workers=2,
             fault_policy=FAST,
             fault_injector=ScriptedInjector(kill_map_task=0, kill_mode="exit"),
@@ -454,11 +453,12 @@ class TestInjectedMultiHost:
             miner_name,
             dictionary,
             ClusterConfig(
-                backend="multihost",
-                num_workers=2,
-                fault_policy=FAST,
-                fault_injector=ScriptedInjector(
-                    kill_map_task=0, kill_mode="exit", blob_get_failure_rate=0.2
+                backend=MultiHostCluster(
+                    num_workers=2,
+                    fault_policy=FAST,
+                    fault_injector=ScriptedInjector(
+                        kill_map_task=0, kill_mode="exit", blob_get_failure_rate=0.2
+                    ),
                 ),
             ),
         ).mine(database)
@@ -481,10 +481,11 @@ class TestInjectedMultiHost:
         injected = DSeqMiner(
             MATRIX_PATEX, 2, dictionary,
             cluster=ClusterConfig(
-                backend="multihost",
-                num_workers=2,
-                fault_policy=FAST,
-                fault_injector=ScriptedInjector(kill_reduce_task=0, kill_mode="exit"),
+                backend=MultiHostCluster(
+                    num_workers=2,
+                    fault_policy=FAST,
+                    fault_injector=ScriptedInjector(kill_reduce_task=0, kill_mode="exit"),
+                ),
             ),
         ).mine(database)
         assert injected.patterns() == reference.patterns()
@@ -500,13 +501,14 @@ class TestInjectedMultiHost:
         injected = DSeqMiner(
             MATRIX_PATEX, 2, dictionary,
             cluster=ClusterConfig(
-                backend="multihost",
-                num_workers=2,
-                fault_policy=FAST,
-                fault_injector=ScriptedInjector(
-                    blob_get_failure_rate=1.0,
-                    blob_put_failure_rate=1.0,
-                    blob_failures_per_key=2,
+                backend=MultiHostCluster(
+                    num_workers=2,
+                    fault_policy=FAST,
+                    fault_injector=ScriptedInjector(
+                        blob_get_failure_rate=1.0,
+                        blob_put_failure_rate=1.0,
+                        blob_failures_per_key=2,
+                    ),
                 ),
             ),
         ).mine(database)
@@ -521,11 +523,12 @@ class TestInjectedMultiHost:
         miner = DSeqMiner(
             MATRIX_PATEX, 2, dictionary,
             cluster=ClusterConfig(
-                backend="multihost",
-                num_workers=2,
-                blob_dir=str(blob_dir),
-                fault_policy=fast_policy(max_task_attempts=1),
-                fault_injector=ScriptedInjector(kill_map_task=0),
+                backend=MultiHostCluster(
+                    num_workers=2,
+                    blob_dir=str(blob_dir),
+                    fault_policy=fast_policy(max_task_attempts=1),
+                    fault_injector=ScriptedInjector(kill_map_task=0),
+                ),
             ),
         )
         with pytest.raises(MapReduceError):
@@ -699,8 +702,7 @@ class TestRetryProperties:
         baseline = make_cluster("simulated", num_workers=3).run(
             FidCountJob(), FID_RECORDS
         )
-        cluster = make_cluster(
-            "simulated",
+        cluster = SimulatedCluster(
             num_workers=3,
             fault_policy=fast_policy(max_task_attempts=k + 1),
             fault_injector=ScriptedInjector(kill_map_task=0, kill_attempts=k),

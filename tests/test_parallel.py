@@ -23,6 +23,7 @@ from repro.mapreduce import (
     JobNotDeliveredError,
     JobRef,
     MapReduceJob,
+    PersistentProcessPoolCluster,
     ProcessExecutor,
     ScriptedInjector,
     SimulatedCluster,
@@ -224,8 +225,7 @@ class TestJobDelivery:
 
     @forked_pools
     def test_a_pool_rebuilt_after_a_host_death_is_handed_the_job_again(self):
-        cluster = make_cluster(
-            "persistent-processes",
+        cluster = PersistentProcessPoolCluster(
             num_workers=2,
             fault_policy=FaultPolicy(task_backoff_base_s=0.0),
             fault_injector=ScriptedInjector(kill_map_task=0, kill_mode="exit"),
