@@ -21,7 +21,7 @@ from repro.datasets.constraints import Constraint
 from repro.dictionary import Dictionary
 from repro.dictionary.dictionary import Item
 from repro.errors import ServiceError
-from repro.mapreduce import ClusterConfig
+from repro.mapreduce import ClusterConfig, FaultPolicy
 from repro.mapreduce.metrics import JobMetrics
 from repro.patex import PatEx
 from repro.sequences import SequenceDatabase
@@ -119,7 +119,8 @@ _CONFIG_FIELDS = tuple(field.name for field in dataclasses.fields(ClusterConfig)
 
 
 def encode_config(config: ClusterConfig | None) -> dict | None:
-    """A config as its field dict (names only — live objects cannot travel)."""
+    """A config as its field dict (names only — live objects cannot travel;
+    a fault policy travels as its own field dict)."""
     if config is None:
         return None
     if not isinstance(config.backend, str):
@@ -132,7 +133,10 @@ def encode_config(config: ClusterConfig | None) -> dict | None:
             "cannot send a live Codec instance to the service; "
             "pass a codec name in ClusterConfig(codec=...)"
         )
-    return {name: getattr(config, name) for name in _CONFIG_FIELDS}
+    payload = {name: getattr(config, name) for name in _CONFIG_FIELDS}
+    if config.fault_policy is not None:
+        payload["fault_policy"] = dataclasses.asdict(config.fault_policy)
+    return payload
 
 
 def decode_config(payload: dict | None) -> ClusterConfig | None:
@@ -141,6 +145,17 @@ def decode_config(payload: dict | None) -> ClusterConfig | None:
     unknown = set(payload) - set(_CONFIG_FIELDS)
     if unknown:
         raise ServiceError(f"unknown ClusterConfig fields on the wire: {sorted(unknown)}")
+    policy = payload.get("fault_policy")
+    if policy is not None:
+        if not isinstance(policy, dict):
+            raise ServiceError(
+                f"fault_policy on the wire must be an object, got {type(policy).__name__}"
+            )
+        try:
+            policy = FaultPolicy(**policy)
+        except TypeError as error:
+            raise ServiceError(f"bad fault_policy on the wire: {error}") from error
+        payload = {**payload, "fault_policy": policy}
     return ClusterConfig(**payload)
 
 

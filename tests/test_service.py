@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import repro
 import repro.api
 from repro.errors import CorpusNotAttachedError, MiningError, QueryTimeoutError, ServiceError
-from repro.mapreduce import ClusterConfig
+from repro.mapreduce import ClusterConfig, FaultPolicy
 from repro.service import MiningServer, QueryCache, protocol
 from repro.service.cache import CacheInfo
 
@@ -132,6 +133,23 @@ class TestProtocol:
         config = ClusterConfig(backend="multihost", num_workers=3, grid="legacy")
         assert protocol.decode_config(protocol.encode_config(config)) == config
         assert protocol.encode_config(None) is None
+
+    def test_fault_policy_travels_as_its_field_dict(self):
+        config = ClusterConfig(
+            num_workers=2, fault_policy=FaultPolicy(max_task_attempts=1, task_timeout_s=2.5)
+        )
+        payload = json.loads(json.dumps(protocol.encode_config(config)))
+        assert payload["fault_policy"]["max_task_attempts"] == 1
+        decoded = protocol.decode_config(payload)
+        assert decoded == config
+        assert decoded.fingerprint() == config.fingerprint()
+
+    @pytest.mark.parametrize(
+        "policy", [{"x": 1}, 3, "attempts=1", [1], {"max_task_attempts": "many"}]
+    )
+    def test_hostile_fault_policies_are_service_errors(self, policy):
+        with pytest.raises(ServiceError, match="fault_policy"):
+            protocol.decode_config({"fault_policy": policy})
 
     def test_live_cluster_objects_are_rejected(self):
         from repro.mapreduce import SimulatedCluster
@@ -297,6 +315,35 @@ class TestServiceSession:
                 options={},
             )
         assert len(client.mine("ex", RUNNING_EXAMPLE_PATEX, sigma=SIGMA)) > 0
+
+    def test_a_fault_policy_crosses_the_wire_and_hostile_configs_are_refused(
+        self, client, ex_corpus
+    ):
+        client.attach_corpus("ex", ex_corpus)
+        config = ClusterConfig(num_workers=2, fault_policy=FaultPolicy(max_task_attempts=1))
+        served = client.mine("ex", RUNNING_EXAMPLE_PATEX, sigma=SIGMA, config=config)
+        direct = repro.api.mine(ex_corpus, RUNNING_EXAMPLE_PATEX, sigma=SIGMA, config=config)
+        assert served.patterns() == direct.patterns()
+        assert client.mine("ex", RUNNING_EXAMPLE_PATEX, sigma=SIGMA, config=config)
+        assert client.last_query_cached is True
+
+        def refused(wire_config, message):
+            with pytest.raises(ServiceError, match=message):
+                client._call(
+                    "mine",
+                    corpus="ex",
+                    constraint=protocol.encode_constraint(RUNNING_EXAMPLE_PATEX),
+                    sigma=SIGMA,
+                    algorithm="dseq",
+                    config=wire_config,
+                    options={},
+                )
+
+        refused({"fault_policy": {"x": 1}}, "bad fault_policy.*'x'")
+        refused({"fault_policy": 5}, "fault_policy on the wire must be an object")
+        for removed in ("measure_shuffle", "fault_injector"):
+            refused({removed: None}, rf"unknown ClusterConfig fields.*'{removed}'")
+        assert client.ping()["protocol"] == protocol.PROTOCOL_VERSION
 
     def test_clear_cache(self, client, ex_corpus):
         client.attach_corpus("ex", ex_corpus)
