@@ -89,9 +89,8 @@ def add_parser(subparsers) -> None:
             "execution backend: 'simulated' models the cluster makespan, "
             "'persistent-processes' (also spelled 'processes') executes on "
             "real local processes that share the encoded database via shared "
-            "memory, 'multihost' additionally "
-            "stages shuffle payloads through a shared blob store "
-            "(default: simulated)"
+            "memory, 'multihost' additionally stages shuffle payloads through "
+            "a shared blob store (default: simulated)"
         ),
     )
     add_shuffle_arguments(parser)

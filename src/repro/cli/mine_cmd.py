@@ -70,8 +70,8 @@ def add_parser(subparsers) -> None:
         help=(
             "execution backend for the distributed algorithms: 'simulated' "
             "models the cluster makespan in-process, 'persistent-processes' "
-            "(also spelled 'processes') runs on a local process pool for real wall-clock "
-            "speed-ups and shares the encoded database with the workers via "
+            "(also spelled 'processes') runs on a local process pool for real "
+            "wall-clock speed-ups and shares the encoded database with the workers via "
             "shared memory, so tasks ship chunk descriptors instead of "
             "pickled sequences, 'multihost' runs the same process pool but "
             "stages every shuffle payload through a shared blob store (see "

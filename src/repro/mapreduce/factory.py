@@ -64,10 +64,10 @@ class ClusterConfig:
     :class:`~repro.mapreduce.base.Cluster` instance, whose own settings then
     win over the fields a backend reads; a fault injector for chaos tests is
     handed to a backend's constructor that way, never through a config.
-    ``grid`` selects the pivot-grid
-    engine (``"flat"`` or ``"legacy"``), ``partitioner`` the reduce-bucket
-    assignment (``"hash"`` or ``"planned"``) and ``plan_sample`` the planner's
-    sample: the miners read these three, the cluster never sees them.
+    ``grid`` selects the pivot-grid engine (``"flat"`` or ``"legacy"``),
+    ``partitioner`` the reduce-bucket assignment (``"hash"`` or
+    ``"planned"``) and ``plan_sample`` the planner's sample: the miners read
+    these three, the cluster never sees them.
     ``grid`` and ``partitioner`` are validated (and made canonical) when the
     config is built.
     """
@@ -104,8 +104,8 @@ class ClusterConfig:
         :data:`BACKENDS` or a spelling :func:`canonical_backend` accepts:
         ``"simulated"`` models the makespan of ``num_workers`` workers
         in-process, ``"persistent-processes"`` (also spelled
-        ``"processes"``) runs on a
-        local process pool and publishes the input database once as a shared
+        ``"processes"``) runs on a local process pool and publishes the input
+        database once as a shared
         :class:`~repro.sequences.store.EncodedSequenceStore` so tasks ship
         chunk descriptors instead of pickled sequence lists (its records
         must be fid sequences), and ``"multihost"`` runs the same process
@@ -147,13 +147,15 @@ class ClusterConfig:
             source, backend = self.backend, type(self.backend).__name__
         else:
             source, backend = self, self.backend
+        # A Cluster promises only its worker and bucket counts; every
+        # cluster this library builds also carries the other settings.
         codec = getattr(source, "codec", None)
         policy = getattr(source, "fault_policy", None) or DEFAULT_FAULT_POLICY
         parts = (
             backend,
             source.num_workers,
             source.num_reduce_tasks,
-            codec if codec is None or isinstance(codec, str) else codec.name,
+            getattr(codec, "name", codec),
             getattr(source, "spill_budget_bytes", None),
             self.blob_dir,
             self.grid,

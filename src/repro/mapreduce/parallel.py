@@ -1,10 +1,10 @@
 """The process-pool executor, and the backend built on it.
 
 The :class:`~repro.mapreduce.base.InlineExecutor` runs tasks in the calling
-process and *models* the makespan of ``num_workers`` workers; the executors
-in this module runs the same worker-side tasks (:mod:`repro.mapreduce.tasks`)
-on real local worker processes so that wall-clock speed-ups can be demonstrated on a
-multi-core machine.  Stage times are measured inside the workers and
+process and *models* the makespan of ``num_workers`` workers; the executor in
+this module runs the same worker-side tasks (:mod:`repro.mapreduce.tasks`) on
+real local worker processes so that wall-clock speed-ups can be demonstrated
+on a multi-core machine.  Stage times are measured inside the workers and
 attributed to the worker that actually ran each task.
 
 :class:`ProcessExecutor` never pickles the database per task — a tax that
