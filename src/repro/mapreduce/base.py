@@ -127,8 +127,7 @@ class InlineExecutor:
 
     @contextmanager
     def scope(self, cluster: StageDriverCluster, records: Sequence[Any], job: MapReduceJob):
-        chunks = split_records(records, cluster.num_workers)
-        yield [chunk for chunk in chunks if len(chunk)], job, self.execute
+        yield split_records(records, cluster.num_workers), job, self.execute
 
     @staticmethod
     def execute(tasks: list[Task], fail_fast: bool = True) -> BatchOutcome:
