@@ -6,7 +6,9 @@ import dataclasses
 import importlib
 import inspect
 import json
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -389,8 +391,13 @@ class TestConfigFingerprint:
 
 #: Knobs of deleted implementation paths, each with a value it once took: the
 #: trie-batched map (spelled in parts so that a search of the tree for the
-#: removed name finds nothing but its absence) and the mining-kernel choice.
-REMOVED_KNOBS = {"_".join(("map", "batching")): "trie", "kernel": "interpreted"}
+#: removed name finds nothing but its absence), the mining-kernel choice and
+#: the switch that turned the modeled shuffle accounting off.
+REMOVED_KNOBS = {
+    "_".join(("map", "batching")): "trie",
+    "kernel": "interpreted",
+    "measure_shuffle": False,
+}
 
 
 #: Every miner constructor, built with extra keyword arguments.
@@ -505,7 +512,7 @@ class TestRemovedKnobs:
 
         flag = "--" + knob[0].replace("_", "-")
         with pytest.raises(SystemExit) as excinfo:
-            main([*command, flag, knob[1]])
+            main([*command, flag, str(knob[1])])
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {flag} {knob[1]}" in capsys.readouterr().err
 
@@ -544,12 +551,21 @@ class TestSubstrateSaidOnce:
         assert not parameters & {"backend", "grid", "partitioner", "plan_sample"}
         assert (len(self.FIELDS), len(parameters)) == (11, 7)
 
-    @pytest.mark.parametrize("name", ["measure_shuffle", "fault_injector"])
-    def test_removed_substrate_fields_are_type_errors(self, name):
-        with pytest.raises(TypeError, match=name):
-            ClusterConfig(**{name: None})
-        with pytest.raises(TypeError, match=name):
-            make_cluster("simulated", **{name: None})
+    def test_the_readme_gives_each_kept_backend_and_field_a_reason(self):
+        """README's "kept / why" tables hold one row per backend and per field,
+        so no substrate choice lands without the reason it is kept."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Execution backends", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `([\w-]+)` \|", section, flags=re.MULTILINE)
+        assert sorted(rows) == sorted([*BACKENDS, *self.FIELDS])
+
+    def test_the_fault_injector_is_a_constructor_argument_only(self):
+        with pytest.raises(TypeError, match="fault_injector"):
+            ClusterConfig(fault_injector=None)
+        with pytest.raises(TypeError, match="fault_injector"):
+            make_cluster("simulated", fault_injector=None)
+        injector = ScriptedInjector(kill_map_task=0)
+        assert SimulatedCluster(fault_injector=injector).fault_injector is injector
 
     def test_removed_restatements_are_type_errors(self, ex_dictionary):
         from repro.experiments import figure9c

@@ -53,7 +53,7 @@ KEPT_SPELLINGS = {
 DROPPED_SPELLINGS = (
     "sim", "simulation", "thread", "threadpool", "process", "processpool",
     "multiprocessing", "persistent_processes", "persistent", "shared-memory",
-    "shm", "multi_host", "blob-shuffle",
+    "shm", "multi_host", "blob-shuffle", "threads",
 )
 
 #: The smallest command lines that reach ``--backend`` parsing.
