@@ -14,7 +14,7 @@ two components:
   and models the makespan of ``num_workers`` workers, handing tasks record
   chunks and the job object itself;
   :class:`~repro.mapreduce.parallel.ProcessExecutor` publishes the input once
-  as a shared :class:`~repro.sequences.store.EncodedSequenceStore`, hands
+  as an :class:`~repro.sequences.store.EncodedSequenceStore` file, hands
   every worker the job once, and ships chunk descriptors and a job reference;
 * a **shuffle transport** decides how the encoded reduce buckets travel.
   :class:`LocalShuffle` keeps them in driver memory or the job's spill files;
@@ -35,11 +35,19 @@ backend                     executor      shuffle
 Every row runs the same worker-side tasks (:mod:`repro.mapreduce.tasks`) over
 the same map-task boundaries (:func:`split_ranges`), so patterns and every
 shuffle, wire and spill metric are byte-identical across backends.
+
+Every run gets one scratch directory, a fresh ``mkdtemp`` child of
+``spill_dir``.  The published input store, the spill files and a private
+blob store all live in it, and the driver removes it whole once both
+components' scopes have closed — one cleanup exit, whether the run
+succeeded, a task failed, or a host died.
 """
 
 from __future__ import annotations
 
 import pickle
+import shutil
+import tempfile
 import time
 from collections.abc import Callable, Sequence
 from contextlib import contextmanager
@@ -117,7 +125,8 @@ class InlineExecutor:
     scheduler balances over-partitioned buckets.
 
     This is the executor contract.  :meth:`scope` spans both stages of one
-    run and yields ``(chunks, task_job, execute)``: the map inputs, what every
+    run, is handed the run directory for anything it must write, and yields
+    ``(chunks, task_job, execute)``: the map inputs, what every
     task carries as its job, and a ``(tasks, fail_fast) -> BatchOutcome``
     callable that reports task failures instead of raising them (with
     ``fail_fast`` it may stop scheduling after the first).  Executors keep no
@@ -126,7 +135,9 @@ class InlineExecutor:
     """
 
     @contextmanager
-    def scope(self, cluster: StageDriverCluster, records: Sequence[Any], job: MapReduceJob):
+    def scope(
+        self, cluster: StageDriverCluster, records: Sequence[Any], job: MapReduceJob, run_dir: str
+    ):
         yield split_records(records, cluster.num_workers), job, self.execute
 
     @staticmethod
@@ -154,16 +165,16 @@ class LocalShuffle:
     """Fragments travel through driver memory, or through the job's spill
     files past the spill budget (every row but ``multihost``).
 
-    This is the shuffle-transport contract.  :meth:`scope` spans one run and
-    yields the object the driver builds the run's tasks from, with its
-    :meth:`map_task` and :meth:`reduce_task`.  The driver enters it *outside*
-    the executor scope, so whatever it cleans up is cleaned up after the last
-    worker task that could write to it has been joined, even when a
-    mid-stage failure aborts the run.
+    This is the shuffle-transport contract.  :meth:`scope` spans one run, is
+    handed the run directory, and yields the object the driver builds the
+    run's tasks from, with its :meth:`map_task` and :meth:`reduce_task`.  The
+    driver enters it *outside* the executor scope, so whatever it cleans up is
+    cleaned up after the last worker task that could write to it has been
+    joined, even when a mid-stage failure aborts the run.
     """
 
     @contextmanager
-    def scope(self, cluster: StageDriverCluster):
+    def scope(self, cluster: StageDriverCluster, run_dir: str):
         yield self
 
     @staticmethod
@@ -207,7 +218,9 @@ class StageDriverCluster:
         past the budget spill to temp files (``None`` disables spilling,
         ``0`` spills everything).  Results are identical either way.
     spill_dir:
-        Directory for spill files (defaults to the system temp directory).
+        Parent of each run's scratch directory, which holds the published
+        input store, the spill files and a private blob store (defaults to
+        the system temp directory; it must exist).
     fault_policy:
         The run's :class:`~repro.mapreduce.faults.FaultPolicy`: how many
         attempts a failed or timed-out task gets, the jittered backoff
@@ -250,7 +263,7 @@ class StageDriverCluster:
         if num_workers < 1:
             raise MapReduceError(f"num_workers must be >= 1, got {num_workers}")
         self.num_workers = num_workers
-        self.num_reduce_tasks = num_reduce_tasks or 4 * num_workers
+        self.num_reduce_tasks = 4 * num_workers if num_reduce_tasks is None else num_reduce_tasks
         if self.num_reduce_tasks < 1:
             raise MapReduceError("num_reduce_tasks must be >= 1")
         self.codec = make_codec(codec)
@@ -280,22 +293,18 @@ class StageDriverCluster:
             "planned" if getattr(job, "partition_plan", None) is not None else "hash"
         )
 
-        # All spill files of one run live in a per-job directory, removed
-        # wholesale below — so a failing map or reduce task (e.g. a candidate
-        # explosion) cannot strand the temp files of the tasks that already
-        # completed.
-        job_spill_dir: str | None = None
-        if self.spill_budget_bytes is not None:
-            import tempfile  # only a spilling run loads it (and shutil below)
-
-            job_spill_dir = tempfile.mkdtemp(prefix="repro-shuffle-", dir=self.spill_dir)
+        # Everything the run writes — the published input, spill files, a
+        # private blob store — lives in this one directory, removed wholesale
+        # below, so a failing map or reduce task (e.g. a candidate explosion)
+        # or a dead host cannot strand the files of the tasks before it.
+        run_dir = tempfile.mkdtemp(prefix="repro-run-", dir=self.spill_dir)
         try:
             # The executor scope exits first: its shutdown joins every
-            # still-running worker task, then releases the published input.
-            # Only then does the shuffle scope clean up its transport (e.g.
-            # the multi-host blob namespace), and the spill directory go.
-            with self.shuffle.scope(self) as shuffle, self.executor.scope(
-                self, records, job
+            # still-running worker task.  Only then does the shuffle scope
+            # clean up its transport (a shared blob namespace), and the run
+            # directory go.
+            with self.shuffle.scope(self, run_dir) as shuffle, self.executor.scope(
+                self, records, job, run_dir
             ) as (chunks, task_job, execute):
                 for chunk in chunks:
                     # Per-task input shipping cost.  The inline executor
@@ -325,7 +334,7 @@ class StageDriverCluster:
                                 self.num_reduce_tasks,
                                 self.codec,
                                 self.spill_budget_bytes,
-                                job_spill_dir,
+                                run_dir,
                             ),
                             context,
                         )
@@ -374,10 +383,7 @@ class StageDriverCluster:
                     metrics,
                 )
         finally:
-            if job_spill_dir is not None:
-                import shutil
-
-                shutil.rmtree(job_spill_dir, ignore_errors=True)
+            shutil.rmtree(run_dir, ignore_errors=True)
 
         outputs: list[Any] = []
         for result in reduce_results:

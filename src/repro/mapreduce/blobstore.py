@@ -118,13 +118,7 @@ def delete_prefix(store: BlobStore, prefix: str) -> int:
 
 
 def _retry_loop(
-    operation,
-    kind: str,
-    key: str,
-    attempts: int,
-    policy: FaultPolicy,
-    backoff_s: float | None,
-    stats: BlobRetryStats | None,
+    operation, kind: str, key: str, attempts: int, policy: FaultPolicy, stats: BlobRetryStats | None
 ):
     """Shared bounded-retry core of :func:`get_with_retry` / :func:`put_with_retry`.
 
@@ -135,8 +129,6 @@ def _retry_loop(
     unchanged, so a genuinely missing blob still fails the job with
     :class:`BlobNotFoundError`.
     """
-    if attempts < 1:
-        raise BlobStoreError(f"attempts must be >= 1, got {attempts}")
     for attempt in range(1, attempts + 1):
         try:
             return operation()
@@ -145,19 +137,13 @@ def _retry_loop(
                 raise
             if stats is not None:
                 stats.retries += 1
-            if backoff_s is not None:
-                # Legacy explicit-backoff callers: plain doubling, no jitter.
-                time.sleep(backoff_s * 2 ** (attempt - 1))
-            else:
-                time.sleep(policy.blob_retry_delay(attempt, kind, key))
+            time.sleep(policy.blob_retry_delay(attempt, kind, key))
     raise AssertionError("unreachable")  # pragma: no cover
 
 
 def get_with_retry(
     store: BlobStore,
     key: str,
-    attempts: int | None = None,
-    backoff_s: float | None = None,
     policy: FaultPolicy | None = None,
     stats: BlobRetryStats | None = None,
 ) -> bytes:
@@ -166,14 +152,12 @@ def get_with_retry(
     Object stores serve freshly written keys with a small propagation delay
     and the odd transient error; a reduce task must not die on either.
     Attempt count and backoff come from ``policy`` (default
-    :data:`~repro.mapreduce.faults.DEFAULT_FAULT_POLICY`); explicit
-    ``attempts``/``backoff_s`` override it for callers that need a one-off
-    schedule.  ``stats`` counts the retries actually taken.
+    :data:`~repro.mapreduce.faults.DEFAULT_FAULT_POLICY`).  ``stats`` counts
+    the retries actually taken.
     """
     policy = policy or DEFAULT_FAULT_POLICY
-    resolved_attempts = attempts if attempts is not None else policy.blob_get_attempts
     return _retry_loop(
-        lambda: store.get(key), "get", key, resolved_attempts, policy, backoff_s, stats
+        lambda: store.get(key), "get", key, policy.blob_get_attempts, policy, stats
     )
 
 
@@ -181,8 +165,6 @@ def put_with_retry(
     store: BlobStore,
     key: str,
     data: bytes,
-    attempts: int | None = None,
-    backoff_s: float | None = None,
     policy: FaultPolicy | None = None,
     stats: BlobRetryStats | None = None,
 ) -> None:
@@ -194,10 +176,8 @@ def put_with_retry(
     idempotent by construction.
     """
     policy = policy or DEFAULT_FAULT_POLICY
-    resolved_attempts = attempts if attempts is not None else policy.blob_put_attempts
     _retry_loop(
-        lambda: store.put(key, data), "put", key, resolved_attempts, policy,
-        backoff_s, stats,
+        lambda: store.put(key, data), "put", key, policy.blob_put_attempts, policy, stats
     )
 
 

@@ -77,9 +77,12 @@ class ClusterConfig:
     num_reduce_tasks: int | None = None
     codec: str | Codec = "compact"
     spill_budget_bytes: int | None = None
+    #: Parent of each run's scratch directory, which holds the store file,
+    #: the spill files and a private blob store (``None``: the system temp
+    #: directory).
     spill_dir: str | None = None
     #: Directory backing the ``multihost`` backend's blob store (``None``
-    #: uses a private temp directory per run); other backends ignore it.
+    #: keeps a private store in the run directory); other backends ignore it.
     blob_dir: str | None = None
     grid: str = DEFAULT_GRID
     partitioner: str = DEFAULT_PARTITIONER

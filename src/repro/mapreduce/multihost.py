@@ -20,18 +20,17 @@ The spill format *is* the shuffle transport, so patterns, supports, and all
 modeled/measured shuffle metrics stay byte-identical to the other three
 backends; only the blob put/get counters are non-zero.
 
-The per-job blob namespace lives in the transport's scope, which the stage
-driver closes strictly after the executor scope: a mid-stage worker failure
-first joins the surviving tasks, then every key under the job prefix is
-deleted (and a backend-owned temp store directory removed wholesale), so no
-blob outlives a failed job.
+Without a ``blob_dir`` the blob store is private to the run: it lives in the
+stage driver's run directory and goes with it.  A shared ``blob_dir`` gets a
+per-job namespace in the transport's scope, which the stage driver closes
+strictly after the executor scope: a mid-stage worker failure first joins the
+surviving tasks, then every key under the job prefix is deleted, so no blob
+outlives a failed job.
 """
 
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 import time
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -155,25 +154,21 @@ class BlobTransport:
     ``blob_dir`` selects the directory backing the
     :class:`~repro.mapreduce.blobstore.DirectoryBlobStore` (think: the mount
     point or bucket of a shared object store).  ``None`` — the default —
-    creates a private temp directory per run and removes it wholesale; a
-    caller-provided directory is shared, so only the job's own key prefix is
-    deleted and the directory itself is left exactly as found.
+    keeps the store in the run directory, which the stage driver removes
+    whole; a caller-provided directory is shared, so only the job's own key
+    prefix is deleted and the directory itself is left exactly as found.
     """
 
     def __init__(self, blob_dir: str | None = None) -> None:
         self.blob_dir = blob_dir
 
     @contextmanager
-    def scope(self, cluster: StageDriverCluster):
-        owned_root: str | None = None
-        if self.blob_dir is None:
-            owned_root = tempfile.mkdtemp(prefix="repro-blobs-", dir=cluster.spill_dir)
-            root = owned_root
-        else:
+    def scope(self, cluster: StageDriverCluster, run_dir: str):
+        shared = self.blob_dir is not None
+        store = DirectoryBlobStore(self.blob_dir if shared else run_dir)
+        prefix = f"job-{os.urandom(8).hex()}"
+        if shared:
             os.makedirs(self.blob_dir, exist_ok=True)
-            root = self.blob_dir
-        store = DirectoryBlobStore(root)
-        if owned_root is None:
             # A shared --blob-dir accumulates namespaces orphaned by killed
             # drivers; sweep the expired ones opportunistically at job start
             # (``repro blob-gc`` is the explicit path).  Best effort: GC
@@ -182,11 +177,10 @@ class BlobTransport:
                 gc_expired(store, cluster.fault_policy.blob_namespace_ttl_s)
             except Exception:
                 pass
-        prefix = f"job-{os.urandom(8).hex()}"
-        # The lease stamps the namespace's birth, so a later GC pass can
-        # tell this job's leftovers (if we die before the cleanup below)
-        # from live namespaces and from foreign files in the directory.
-        write_lease(store, prefix)
+            # The lease stamps the namespace's birth, so a later GC pass can
+            # tell this job's leftovers (if we die before the cleanup below)
+            # from live namespaces and from foreign files in the directory.
+            write_lease(store, prefix)
         task_store: BlobStore = store
         if cluster.fault_injector is not None:
             task_store = FaultInjectingBlobStore(store, cluster.fault_injector)
@@ -196,28 +190,23 @@ class BlobTransport:
             # Runs after the executor scope has joined every worker task, so
             # no host can upload a blob once its job's namespace is gone.
             # Cleanup always goes through the raw store: injected faults
-            # must never leak a namespace.
-            try:
+            # must never leak a namespace.  A private store goes with the
+            # run directory.
+            if shared:
                 delete_prefix(store, prefix)
-            finally:
-                if owned_root is not None:
-                    shutil.rmtree(owned_root, ignore_errors=True)
 
 
 class MultiHostCluster(StageDriverCluster):
     """The ``multihost`` backend: subprocess hosts exchanging encoded reduce
     buckets through blob storage — the process pool and the blob transport.
 
-    ``blob_dir`` is the :class:`BlobTransport`'s and ``store_transport`` the
-    :class:`~repro.mapreduce.parallel.ProcessExecutor`'s.
+    ``blob_dir`` is the :class:`BlobTransport`'s.
     """
 
     backend_name = "multihost"
     default_num_workers = 2
+    executor = ProcessExecutor()
 
-    def __init__(
-        self, *args, blob_dir: str | None = None, store_transport: str = "auto", **kwargs
-    ) -> None:
+    def __init__(self, *args, blob_dir: str | None = None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.executor = ProcessExecutor(store_transport)
         self.shuffle = BlobTransport(blob_dir)

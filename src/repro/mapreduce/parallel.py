@@ -12,11 +12,11 @@ grows with the database and eats the speed-up in exactly the regime the paper
 targets (database ≫ dictionary).  Per run, it packs the input records into an
 :class:`~repro.sequences.store.EncodedSequenceStore` (reusing the cached store
 when the records *are* a :class:`~repro.sequences.database.SequenceDatabase`
-or a store already), so they must be fid sequences, and publishes it via
-``multiprocessing.shared_memory`` (with a mmap'd temp-file fallback on hosts
-without a usable ``/dev/shm``).  Every worker attaches it once, and map tasks
+or a store already), so they must be fid sequences, and publishes it as one
+file in the run directory.  Every worker maps that file once, and map tasks
 carry :class:`~repro.sequences.store.StoreChunk` descriptors (store handle +
-offset range) that they decode zero-copy inside the worker.
+offset range) that they decode zero-copy inside the worker.  The file goes
+when the stage driver removes the run directory.
 
 The job reaches each pool worker once, as in the paper's Alg. 1 (one round in
 which the constraint — FST + dictionary — is broadcast): the pool initializer
@@ -56,10 +56,10 @@ def _pool_scope(make_pool: Callable[[], Executor]):
     joins every still-running task.  When a *host* dies mid-round — a worker
     process exiting hard breaks the whole :class:`ProcessPoolExecutor`,
     surfacing as :class:`BrokenExecutor` on every in-flight future —
-    ``execute`` discards the broken pool, builds a fresh one (the shared store
-    stays published for the whole run, so new workers re-attach it and are
-    handed the job by the same initializer), and reports the casualties as
-    per-task failures for the driver to retry on the new pool.
+    ``execute`` discards the broken pool, builds a fresh one (the store file
+    stays in the run directory for the whole run, so new workers re-attach it
+    and are handed the job by the same initializer), and reports the
+    casualties as per-task failures for the driver to retry on the new pool.
     """
     pool = make_pool()
 
@@ -96,11 +96,11 @@ def _pool_scope(make_pool: Callable[[], Executor]):
             if fail_fast and not cancelled:
                 # Drop tasks that have not started yet — at the moment of
                 # failure, not after every earlier future drains — so the
-                # pool (and the driver's spill-directory cleanup that follows
+                # pool (and the driver's run-directory cleanup that follows
                 # it) is not held up by doomed work.  Tasks already running
                 # finish before the scope exits (the pool's shutdown joins
                 # them), which is what guarantees no spill file is written
-                # after the driver removes the per-job spill directory.
+                # after the driver removes the run directory.
                 cancelled = True
                 for other in futures:
                     other.cancel()
@@ -122,7 +122,7 @@ def _pool_scope(make_pool: Callable[[], Executor]):
 def _initialize_worker(ref: JobRef, job: MapReduceJob, handle: StoreHandle | None) -> None:
     """Pool initializer: what a worker process is given once, before any task.
 
-    The job, held under the reference its tasks will carry; the run's shared
+    The job, held under the reference its tasks will carry; the run's input
     store, attached; and a frozen heap — everything alive at this point was
     inherited from (or sent by) the driver and is only read from here on, so
     the worker's collector is told never to walk it.
@@ -134,38 +134,33 @@ def _initialize_worker(ref: JobRef, job: MapReduceJob, handle: StoreHandle | Non
 
 
 class ProcessExecutor:
-    """Tasks run on a local process pool whose workers attach a shared store once.
-
-    ``store_transport`` forwards to
-    :meth:`~repro.sequences.store.EncodedSequenceStore.publish`: ``"auto"``
-    (default), ``"shm"``, or ``"file"``.
-    """
-
-    def __init__(self, store_transport: str = "auto") -> None:
-        self.store_transport = store_transport
+    """Tasks run on a local process pool whose workers attach the input store once."""
 
     @contextmanager
-    def scope(self, cluster: StageDriverCluster, records: Sequence[Any], job: MapReduceJob):
+    def scope(
+        self, cluster: StageDriverCluster, records: Sequence[Any], job: MapReduceJob, run_dir: str
+    ):
         store = as_encoded_store(records)
         # Unique among the jobs alive in this process, which is all a worker
         # of this run's own pool needs to tell its job from a stranger's.
         ref = JobRef(id(job))
-        with store.published(cluster.spill_dir, self.store_transport) as handle:
-            chunks = [
-                StoreChunk(handle, start, stop)
-                for start, stop in split_ranges(len(store), cluster.num_workers)
-            ]
-            initargs = (ref, job, handle if chunks else None)
+        # No release: the file lives as long as the run directory.
+        handle, _release = store.publish(run_dir)
+        chunks = [
+            StoreChunk(handle, start, stop)
+            for start, stop in split_ranges(len(store), cluster.num_workers)
+        ]
+        initargs = (ref, job, handle if chunks else None)
 
-            def make_pool() -> Executor:
-                return ProcessPoolExecutor(
-                    max_workers=cluster.num_workers,
-                    initializer=_initialize_worker,
-                    initargs=initargs,
-                )
+        def make_pool() -> Executor:
+            return ProcessPoolExecutor(
+                max_workers=cluster.num_workers,
+                initializer=_initialize_worker,
+                initargs=initargs,
+            )
 
-            with _pool_scope(make_pool) as execute:
-                yield chunks, ref, execute
+        with _pool_scope(make_pool) as execute:
+            yield chunks, ref, execute
 
     @staticmethod
     def worker_times(results: Sequence[ReduceTaskResult], num_workers: int) -> list[float]:
@@ -183,12 +178,9 @@ class PersistentProcessPoolCluster(StageDriverCluster):
     Outputs, shuffle metrics, and measured wire bytes are byte-identical to
     every other backend, while the per-task input pickling cost
     (``map_input_pickle_bytes``) stays a few dozen bytes no matter how large
-    the database is.  ``store_transport`` is the :class:`ProcessExecutor`'s.
+    the database is.
     """
 
     backend_name = "persistent-processes"
     default_num_workers = 2
-
-    def __init__(self, *args, store_transport: str = "auto", **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.executor = ProcessExecutor(store_transport)
+    executor = ProcessExecutor()

@@ -4,12 +4,12 @@ The distributed miners target the regime where the sequence database dwarfs
 the dictionary (Sec. V–VI of the paper), yet a plain process-pool backend
 re-pickles every map task's input chunk.  :class:`EncodedSequenceStore` removes
 that tax: the whole database is packed once into a flat, immutable block — one
-fixed-width item column plus an offsets index — which can be published to
-:mod:`multiprocessing.shared_memory` (or a temp file when no shared memory is
-available) and *attached* by worker processes.  Tasks then carry only a
-:class:`StoreChunk` descriptor (store handle + offset range) instead of
-materialized sequence lists, so per-task database pickle bytes drop to a few
-dozen bytes regardless of database size.
+fixed-width item column plus an offsets index — which is published once as a
+file that worker processes *attach* by mapping it read-only (the OS page cache
+keeps one copy for all of them).  Tasks then carry only a :class:`StoreChunk`
+descriptor (store handle + offset range) instead of materialized sequence
+lists, so per-task database pickle bytes stay a few dozen bytes regardless of
+database size.
 
 Block layout (native byte order; an IPC format for one machine, not a
 persistence format — :mod:`repro.sequences.formats` covers durable files)::
@@ -53,16 +53,10 @@ from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
-from multiprocessing import shared_memory
 from typing import NamedTuple
 
 from repro.errors import ReproError
 from repro.varint import read_varint, write_varint
-
-try:  # POSIX shared memory, the module SharedMemory itself opens segments with
-    import _posixshmem
-except ImportError:  # pragma: no cover - Windows
-    _posixshmem = None
 
 
 class SequenceStoreError(ReproError):
@@ -427,56 +421,23 @@ class EncodedSequenceStore(Sequence):
         return f"EncodedSequenceStore(sequences={self._count}, nbytes={self.nbytes})"
 
     # ---------------------------------------------------------------- sharing
-    def publish(
-        self, spill_dir: str | None = None, transport: str = "auto"
-    ) -> tuple["StoreHandle", "callable"]:
-        """Copy the block where other processes can attach it.
+    def publish(self, directory: str | None = None) -> tuple["StoreHandle", "callable"]:
+        """Write the block to a new file in ``directory`` for other processes to attach.
 
-        ``transport`` is ``"shm"`` (POSIX shared memory), ``"file"`` (a temp
-        file the workers mmap; the OS page cache keeps it shared), or
-        ``"auto"`` (shared memory with a file fallback).  Returns the
-        picklable :class:`StoreHandle` plus a ``release()`` callable that
-        unlinks the segment/file; the publisher must call it after the
-        consumers are done (closing an attachment never unlinks).
+        ``directory`` defaults to the system temp directory; the stage driver
+        passes its run directory, which it removes whole after the run.
+        Returns the picklable :class:`StoreHandle` plus a ``release()``
+        callable that removes the file (closing an attachment never does).
         """
-        if transport not in ("auto", "shm", "file"):
-            raise SequenceStoreError(f"unknown store transport {transport!r}")
-        if transport in ("auto", "shm"):
-            try:
-                return self._publish_shared_memory()
-            except (OSError, ValueError):
-                if transport == "shm":
-                    raise
-        return self._publish_file(spill_dir)
-
-    def _publish_shared_memory(self) -> tuple["StoreHandle", "callable"]:
-        segment = shared_memory.SharedMemory(create=True, size=max(1, self.nbytes))
-        try:
-            segment.buf[: self.nbytes] = self._block
-        except BaseException:
-            segment.close()
-            segment.unlink()
-            raise
-        handle = StoreHandle(kind="shm", name=segment.name, nbytes=self.nbytes)
-
-        def release() -> None:
-            try:
-                segment.close()
-                segment.unlink()
-            except (OSError, FileNotFoundError):  # pragma: no cover - best effort
-                pass
-
-        return handle, release
-
-    def _publish_file(self, spill_dir: str | None) -> tuple["StoreHandle", "callable"]:
-        descriptor, path = tempfile.mkstemp(prefix="repro-store-", suffix=".seqstore", dir=spill_dir)
+        descriptor, path = tempfile.mkstemp(
+            prefix="repro-store-", suffix=".seqstore", dir=directory
+        )
         try:
             with os.fdopen(descriptor, "wb") as handle_file:
                 handle_file.write(self._block)
         except BaseException:
             os.remove(path)
             raise
-        handle = StoreHandle(kind="file", name=path, nbytes=self.nbytes)
 
         def release() -> None:
             try:
@@ -484,12 +445,12 @@ class EncodedSequenceStore(Sequence):
             except OSError:  # pragma: no cover - best effort
                 pass
 
-        return handle, release
+        return StoreHandle(name=path, nbytes=self.nbytes), release
 
     @contextmanager
-    def published(self, spill_dir: str | None = None, transport: str = "auto"):
+    def published(self, directory: str | None = None):
         """Context-managed :meth:`publish`: yields the handle, then releases."""
-        handle, release = self.publish(spill_dir, transport)
+        handle, release = self.publish(directory)
         try:
             yield handle
         finally:
@@ -498,19 +459,12 @@ class EncodedSequenceStore(Sequence):
     @classmethod
     def attach(cls, handle: "StoreHandle") -> "EncodedSequenceStore":
         """Map a published block read-only (no copy of the data region)."""
-        if handle.kind == "shm":
-            view, owner = _attach_shared_memory(handle.name, handle.nbytes)
-            return cls(view, owner=owner)
-        if handle.kind == "file":
-            try:
-                with open(handle.name, "rb") as handle_file:
-                    mapped = mmap.mmap(handle_file.fileno(), handle.nbytes, access=mmap.ACCESS_READ)
-            except (OSError, ValueError) as error:
-                raise SequenceStoreError(
-                    f"cannot attach store file {handle.name}: {error}"
-                ) from error
-            return cls(memoryview(mapped), owner=mapped)
-        raise SequenceStoreError(f"unknown store handle kind {handle.kind!r}")
+        try:
+            with open(handle.name, "rb") as handle_file:
+                mapped = mmap.mmap(handle_file.fileno(), handle.nbytes, access=mmap.ACCESS_READ)
+        except (OSError, ValueError) as error:
+            raise SequenceStoreError(f"cannot attach store file {handle.name}: {error}") from error
+        return cls(memoryview(mapped), owner=mapped)
 
     def close(self) -> None:
         """Release the block's buffers (and the mapping, for attached stores)."""
@@ -566,14 +520,9 @@ class StoreSlice(Sequence):
 
 @dataclass(frozen=True)
 class StoreHandle:
-    """Picklable pointer to a published store block.
+    """Picklable pointer to a published store block: ``name`` is the path of
+    the file workers map, ``nbytes`` the block's length."""
 
-    ``kind`` is ``"shm"`` (``name`` is a shared-memory segment name) or
-    ``"file"`` (``name`` is a path workers mmap).  ``nbytes`` bounds the
-    mapping, because shared-memory segments may be rounded up to a page.
-    """
-
-    kind: str
     name: str
     nbytes: int
 
@@ -598,7 +547,7 @@ class StoreChunk:
 #: Per-process cache of attached stores, keyed by handle name.  A worker
 #: attaches each published store once and serves every task of the job batch
 #: from the same mapping; the pool's processes exit with the job, so entries
-#: never outlive the segment they point to.
+#: never outlive the file they point to.
 _ATTACHED: dict[str, EncodedSequenceStore] = {}
 
 
@@ -641,28 +590,3 @@ def as_encoded_store(records) -> EncodedSequenceStore:
         return encoded()
     return EncodedSequenceStore.from_sequences(records)
 
-
-def _attach_shared_memory(name: str, nbytes: int) -> tuple[memoryview, object]:
-    """Map a shared-memory segment read-only: the view and the owner to close.
-
-    On POSIX the segment is opened and mapped directly, not through
-    :class:`~multiprocessing.shared_memory.SharedMemory`, whose constructor
-    registers the segment with the resource tracker before Python 3.13
-    (bpo-39959).  That registration takes the tracker's lock, and a pool
-    worker forked while another driver thread held it — publishing or
-    releasing its own store — inherits the lock held and would wait on it
-    forever.  The publisher owns the segment, so an attach has nothing to
-    register.
-    """
-    try:
-        if _posixshmem is None:  # Windows: named mappings are never tracked
-            segment = shared_memory.SharedMemory(name=name)
-            return segment.buf[:nbytes], segment
-        descriptor = _posixshmem.shm_open("/" + name, os.O_RDONLY, mode=0o600)
-    except FileNotFoundError as error:
-        raise SequenceStoreError(f"cannot attach store segment {name}: {error}") from error
-    try:
-        mapped = mmap.mmap(descriptor, nbytes, access=mmap.ACCESS_READ)
-    finally:
-        os.close(descriptor)
-    return memoryview(mapped)[:nbytes], mapped

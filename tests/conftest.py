@@ -78,6 +78,18 @@ def golden(request):
     return check
 
 
+@pytest.fixture()
+def no_new_shm_entries():
+    """Fail the test if it leaves a new entry in ``/dev/shm`` (where it exists)."""
+
+    def entries() -> set[str]:
+        return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+    before = entries()
+    yield
+    assert entries() - before == set()
+
+
 def make_running_example_dictionary() -> Dictionary:
     """The dictionary of Fig. 2 with the paper's exact item order.
 

@@ -26,7 +26,7 @@ from repro.mapreduce import (
     run_map_task,
     stable_hash,
 )
-from repro.sequences import SequenceStoreError
+from repro.sequences import EncodedSequenceStore, SequenceStoreError
 from repro.sequential import GapConstrainedMiner
 
 from tests.conftest import RUNNING_EXAMPLE_PATEX
@@ -301,16 +301,27 @@ class TestWorkerSideShuffle:
         assert result.metrics.input_records == 0
 
     def test_persistent_backend_file_transport(self, ex_dictionary, ex_database):
-        """Forcing the temp-file transport changes nothing about the results."""
+        """The store file the workers map changes nothing about the results."""
         reference = DSeqMiner(
             RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, cluster=ClusterConfig(num_workers=2)
         ).mine(ex_database)
-        cluster = PersistentProcessPoolCluster(num_workers=2, store_transport="file")
+        cluster = PersistentProcessPoolCluster(num_workers=2)
         result = DSeqMiner(
             RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, cluster=ClusterConfig(backend=cluster)
         ).mine(ex_database)
         assert result.patterns() == reference.patterns()
         assert result.metrics.wire_bytes == reference.metrics.wire_bytes
+
+    def test_removed_store_transport_arguments_are_type_errors(self):
+        """The store is always a file in the run directory; nothing selects it."""
+        for cluster_class in (PersistentProcessPoolCluster, MultiHostCluster):
+            with pytest.raises(TypeError, match="store_transport"):
+                cluster_class(num_workers=2, store_transport="file")
+        store = EncodedSequenceStore.from_sequences([[1]])
+        with pytest.raises(TypeError, match="transport"):
+            store.publish(transport="file")
+        with pytest.raises(TypeError, match="transport"):
+            store.published(transport="file")
 
     @pytest.mark.parametrize("backend", ("persistent-processes", "multihost"))
     def test_shuffle_metrics_match_simulated(self, backend):

@@ -138,6 +138,11 @@ class FlakyStore(InMemoryBlobStore):
         return super().get(key)
 
 
+def no_backoff(**attempts) -> FaultPolicy:
+    """A policy with the given blob attempt budgets and no sleep between tries."""
+    return FaultPolicy(blob_backoff_base_s=0.0, blob_backoff_cap_s=0.0, **attempts)
+
+
 class TestGetWithRetry:
     def test_returns_on_first_success(self):
         store = InMemoryBlobStore()
@@ -148,31 +153,30 @@ class TestGetWithRetry:
     def test_retries_through_transient_misses(self):
         store = FlakyStore(failures=2)
         store.put("k", b"v")
-        assert get_with_retry(store, "k", attempts=4, backoff_s=0.0001) == b"v"
+        assert get_with_retry(store, "k", policy=no_backoff(blob_get_attempts=4)) == b"v"
         assert store.gets == 3
 
     def test_exhausted_attempts_raise_the_final_error(self):
         store = FlakyStore(failures=100)
         store.put("k", b"v")
         with pytest.raises(BlobNotFoundError):
-            get_with_retry(store, "k", attempts=3, backoff_s=0.0001)
+            get_with_retry(store, "k", policy=no_backoff(blob_get_attempts=3))
         assert store.gets == 3  # bounded: exactly ``attempts`` tries
 
     def test_genuinely_missing_blob_still_fails(self):
         with pytest.raises(BlobNotFoundError):
-            get_with_retry(InMemoryBlobStore(), "absent", backoff_s=0.0001)
+            get_with_retry(InMemoryBlobStore(), "absent", policy=no_backoff())
 
     def test_rejects_non_positive_attempts(self):
-        with pytest.raises(BlobStoreError, match="attempts"):
-            get_with_retry(InMemoryBlobStore(), "k", attempts=0)
+        for name in ("blob_get_attempts", "blob_put_attempts"):
+            with pytest.raises(MapReduceError, match=f"{name} must be >= 1"):
+                no_backoff(**{name: 0})
 
     def test_policy_supplies_attempts_and_counts_retries(self):
         store = FlakyStore(failures=2)
         store.put("k", b"v")
         stats = BlobRetryStats()
-        policy = FaultPolicy(
-            blob_get_attempts=3, blob_backoff_base_s=0.0, blob_backoff_cap_s=0.0
-        )
+        policy = no_backoff(blob_get_attempts=3)
         assert get_with_retry(store, "k", policy=policy, stats=stats) == b"v"
         assert store.gets == 3
         assert stats.retries == 2
@@ -180,11 +184,8 @@ class TestGetWithRetry:
     def test_policy_attempt_budget_is_binding(self):
         store = FlakyStore(failures=100)
         store.put("k", b"v")
-        policy = FaultPolicy(
-            blob_get_attempts=2, blob_backoff_base_s=0.0, blob_backoff_cap_s=0.0
-        )
         with pytest.raises(BlobNotFoundError):
-            get_with_retry(store, "k", policy=policy)
+            get_with_retry(store, "k", policy=no_backoff(blob_get_attempts=2))
         assert store.gets == 2
 
 
@@ -208,9 +209,7 @@ class TestPutWithRetry:
     def test_retries_through_transient_write_failures(self):
         store = FlakyPutStore(failures=2)
         stats = BlobRetryStats()
-        policy = FaultPolicy(
-            blob_put_attempts=3, blob_backoff_base_s=0.0, blob_backoff_cap_s=0.0
-        )
+        policy = no_backoff(blob_put_attempts=3)
         put_with_retry(store, "k", b"payload", policy=policy, stats=stats)
         assert store.get("k") == b"payload"
         assert store.attempted_puts == 3
@@ -219,10 +218,10 @@ class TestPutWithRetry:
     def test_exhausted_attempts_raise_the_final_error(self):
         store = FlakyPutStore(failures=100)
         with pytest.raises(BlobStoreError, match="transient put failure"):
-            put_with_retry(store, "k", b"payload", attempts=3, backoff_s=0.0001)
+            put_with_retry(store, "k", b"payload", policy=no_backoff(blob_put_attempts=3))
         assert store.attempted_puts == 3
 
-    def test_legacy_explicit_arguments_still_work(self):
+    def test_one_retry_absorbs_one_failure(self):
         store = FlakyPutStore(failures=1)
-        put_with_retry(store, "k", b"payload", attempts=2, backoff_s=0.0001)
+        put_with_retry(store, "k", b"payload", policy=no_backoff(blob_put_attempts=2))
         assert store.get("k") == b"payload"

@@ -387,11 +387,13 @@ class TestDriverRetries:
         with pytest.raises(TaskTimeoutError, match="per-task timeout"):
             cluster.run(FidCountJob(), FID_RECORDS)
 
-    def test_default_executor_reports_batch_outcome(self):
+    def test_default_executor_reports_batch_outcome(self, tmp_path):
         # The serial reference executor: failures are reported, not raised,
         # and fail_fast stops scheduling after the first one.
         cluster = make_cluster("simulated", num_workers=2)
-        with cluster.executor.scope(cluster, [], None) as (_chunks, _job, execute):
+        with cluster.executor.scope(cluster, [], None, str(tmp_path)) as (
+            _chunks, _job, execute
+        ):
             def boom():
                 raise MapReduceError("boom")
 

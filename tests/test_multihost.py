@@ -122,6 +122,7 @@ class TestMultiHostEquivalence:
 
 
 # ------------------------------------------------------------- blob hygiene
+@pytest.mark.usefixtures("no_new_shm_entries")
 class TestBlobCleanup:
     def test_default_run_leaves_spill_dir_empty(self, tmp_path):
         cluster = MultiHostCluster(num_workers=2, spill_dir=str(tmp_path))

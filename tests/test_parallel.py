@@ -110,6 +110,8 @@ class TestProcessPoolCluster:
             process_pool(0)
         with pytest.raises(MapReduceError):
             process_pool(2, num_reduce_tasks=-1)
+        with pytest.raises(MapReduceError, match="num_reduce_tasks must be >= 1"):
+            process_pool(2, num_reduce_tasks=0)
 
     def test_dseq_job_runs_on_process_pool(self, ex_dictionary, ex_database):
         """The real D-SEQ job is picklable and produces the paper's result."""
@@ -165,8 +167,8 @@ class StrangerRefExecutor(ProcessExecutor):
     """A process pool whose tasks name a job no worker was ever handed."""
 
     @contextmanager
-    def scope(self, cluster, records, job):
-        with super().scope(cluster, records, job) as (chunks, _ref, execute):
+    def scope(self, cluster, records, job, run_dir):
+        with super().scope(cluster, records, job, run_dir) as (chunks, _ref, execute):
             yield chunks, JobRef(424242), execute
 
 
@@ -174,11 +176,11 @@ def task_context(stage: str, index: int = 0) -> TaskContext:
     return TaskContext(stage, index, 1, DEFAULT_FAULT_POLICY, None)
 
 
-def first_tasks(cluster, job):
+def first_tasks(cluster, job, run_dir):
     """The arguments of the first map task and of a reduce task, as built by
     ``cluster``'s executor and shuffle transport for a run of ``job``."""
-    with cluster.shuffle.scope(cluster) as shuffle, cluster.executor.scope(
-        cluster, RECORDS, job
+    with cluster.shuffle.scope(cluster, run_dir) as shuffle, cluster.executor.scope(
+        cluster, RECORDS, job, run_dir
     ) as (chunks, task_job, _execute):
         _function, map_args = shuffle.map_task(
             (task_job, chunks[0], cluster.num_reduce_tasks, cluster.codec, None, None),
@@ -198,21 +200,21 @@ forked_pools = pytest.mark.skipif(
 
 class TestJobDelivery:
     @pytest.mark.parametrize("backend", POOL_BACKENDS)
-    def test_pool_tasks_carry_a_reference_not_the_job(self, backend):
+    def test_pool_tasks_carry_a_reference_not_the_job(self, backend, tmp_path):
         cluster = make_cluster(backend, num_workers=2)
         job = BulkyJob()
         assert len(pickle.dumps(job)) > 64 * 1024
-        map_args, reduce_args = first_tasks(cluster, job)
+        map_args, reduce_args = first_tasks(cluster, job, str(tmp_path))
         for arguments in (map_args, reduce_args):
             assert isinstance(arguments[0], JobRef)
             assert not any(argument is job for argument in arguments)
             assert len(pickle.dumps(arguments, protocol=pickle.HIGHEST_PROTOCOL)) < 1024
 
     @pytest.mark.parametrize("backend", IN_PROCESS_BACKENDS)
-    def test_in_process_tasks_keep_the_object(self, backend):
+    def test_in_process_tasks_keep_the_object(self, backend, tmp_path):
         cluster = make_cluster(backend, num_workers=2)
         job = UnpicklableJob()
-        map_args, reduce_args = first_tasks(cluster, job)
+        map_args, reduce_args = first_tasks(cluster, job, str(tmp_path))
         assert map_args[0] is job and reduce_args[0] is job
         assert dict(cluster.run(job, RECORDS).outputs) == EXPECTED
 

@@ -2,8 +2,8 @@
 
 Round-trip and slicing over the block (including the edge cases that bite
 binary formats — empty databases, empty and single-item sequences, fids beyond
-2**63, chunk boundaries landing mid-block), the publish/attach lifecycle over
-both transports (shared memory and mmap'd temp file), the integration pieces
+2**63, chunk boundaries landing mid-block), the publish/attach lifecycle of
+the store file workers map, the integration pieces
 the persistent backend relies on (descriptor resolution, per-process attach
 cache, database store caching), and the representation itself, pinned without
 a clock: item-width boundaries, a canonical ``content_hash()``, hostile
@@ -194,20 +194,19 @@ class TestSlicing:
 
 
 class TestPublishAttach:
-    @pytest.mark.parametrize("transport", ("shm", "file", "auto"))
     @pytest.mark.parametrize(
         "sequences", [[], [[1, 2, 3], [2**63 + 9], []], [[7] * 40] * 11]
     )
-    def test_attach_round_trip(self, transport, sequences, tmp_path):
+    def test_attach_round_trip(self, sequences, tmp_path):
         store = EncodedSequenceStore.from_sequences(sequences)
-        with store.published(str(tmp_path), transport) as handle:
+        with store.published(str(tmp_path)) as handle:
             attached = EncodedSequenceStore.attach(handle)
             assert attached.sequences() == store.sequences()
             assert attached.nbytes == store.nbytes
             attached.close()
-        assert list(tmp_path.iterdir()) == []  # file transport cleaned up
+        assert list(tmp_path.iterdir()) == []  # the store file is gone
 
-    def test_release_removes_the_segment(self):
+    def test_release_removes_the_file(self):
         store = EncodedSequenceStore.from_sequences([[1, 2]])
         handle, release = store.publish()
         EncodedSequenceStore.attach(handle).close()
@@ -215,45 +214,13 @@ class TestPublishAttach:
         with pytest.raises(SequenceStoreError, match="cannot attach"):
             EncodedSequenceStore.attach(handle)
 
-    def test_file_transport_writes_then_removes(self, tmp_path):
+    def test_publish_writes_one_file_then_release_removes_it(self, tmp_path):
         store = EncodedSequenceStore.from_sequences([[5, 6], [7]])
-        handle, release = store.publish(str(tmp_path), transport="file")
-        assert handle.kind == "file"
-        assert os.path.exists(handle.name)
+        handle, release = store.publish(str(tmp_path))
+        assert os.path.dirname(handle.name) == str(tmp_path)
         assert os.path.getsize(handle.name) == store.nbytes
         release()
         assert not os.path.exists(handle.name)
-
-    def test_unknown_transport_and_handle_kind(self):
-        store = EncodedSequenceStore.from_sequences([[1]])
-        with pytest.raises(SequenceStoreError, match="unknown store transport"):
-            store.publish(transport="carrier-pigeon")
-        handle, release = store.publish()
-        try:
-            bogus = type(handle)(kind="socket", name=handle.name, nbytes=handle.nbytes)
-            with pytest.raises(SequenceStoreError, match="unknown store handle"):
-                EncodedSequenceStore.attach(bogus)
-        finally:
-            release()
-
-    def test_auto_transport_falls_back_to_file_without_shared_memory(
-        self, monkeypatch, tmp_path
-    ):
-        from repro.sequences import store as store_module
-
-        def unavailable(*args, **kwargs):
-            raise OSError("no /dev/shm on this host")
-
-        monkeypatch.setattr(store_module.shared_memory, "SharedMemory", unavailable)
-        store = EncodedSequenceStore.from_sequences([[1, 2], [3]])
-        with pytest.raises(OSError):
-            store.publish(transport="shm")
-        with store.published(str(tmp_path), "auto") as handle:
-            assert handle.kind == "file"
-            attached = EncodedSequenceStore.attach(handle)
-            assert attached.sequences() == store.sequences()
-            attached.close()
-        assert list(tmp_path.iterdir()) == []
 
     def test_attach_cache_is_per_handle(self):
         store = EncodedSequenceStore.from_sequences([[1], [2]])
@@ -272,29 +239,13 @@ class TestPublishAttach:
             detach_store(handle)
         detach_store(handle)  # idempotent after release
 
-    def test_attaching_registers_nothing_with_the_resource_tracker(self, monkeypatch):
-        """The publisher owns the segment; an attach leaves the tracker alone."""
-        store = EncodedSequenceStore.from_sequences([[1, 2], [3]])
-        registered = []
-        with store.published(transport="shm") as handle:
-            monkeypatch.setattr(
-                resource_tracker, "register", lambda name, kind: registered.append(name)
-            )
-            attached = EncodedSequenceStore.attach(handle)
-            assert attached.sequences() == store.sequences()
-            attached.close()
-        assert registered == []
-
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
     )
-    @pytest.mark.parametrize("transport", ("shm", "file", "auto"))
-    def test_a_child_forked_while_the_resource_tracker_is_busy_still_attaches(
-        self, transport
-    ):
+    def test_a_child_forked_while_the_resource_tracker_is_busy_still_attaches(self):
         """A worker forked while another thread holds the resource tracker's
-        lock (publishing or releasing its own store) inherits it held; an
-        attach that registered the segment would wait on it forever."""
+        lock inherits it held; an attach that registered anything with the
+        tracker would wait on it forever."""
         store = EncodedSequenceStore.from_sequences([[1, 2], [3]])
         context = multiprocessing.get_context("fork")
         receiver, sender = context.Pipe(duplex=False)
@@ -305,7 +256,7 @@ class TestPublishAttach:
                 held.set()
                 forked.wait(30)
 
-        with store.published(transport=transport) as handle:
+        with store.published() as handle:
             holder = threading.Thread(target=hold_the_tracker_lock)
             holder.start()
             try:
@@ -501,14 +452,13 @@ class TestItemWidth:
         assert list(store.slice(2, 4)) == sequences[2:4]
         assert store[-1] == (largest,)
         assert pickle.loads(pickle.dumps(store)).sequences() == sequences
-        for transport in ("shm", "file"):
-            with store.published(str(tmp_path), transport) as handle:
-                attached = EncodedSequenceStore.attach(handle)
-                try:
-                    assert attached.sequences() == sequences
-                    assert attached.content_hash() == store.content_hash()
-                finally:
-                    attached.close()
+        with store.published(str(tmp_path)) as handle:
+            attached = EncodedSequenceStore.attach(handle)
+            try:
+                assert attached.sequences() == sequences
+                assert attached.content_hash() == store.content_hash()
+            finally:
+                attached.close()
         unique = store.unique_view()
         assert header_of(unique)[2] == width  # the view keeps its parent's width
         assert [record.sequence for record in unique] == [

@@ -15,6 +15,7 @@ import enum
 import os
 import pickle
 import random
+from concurrent.futures import BrokenExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,11 @@ from repro.mapreduce import (
     ClusterConfig,
     Codec,
     CompactCodec,
+    FaultPolicy,
     MapReduceJob,
+    MultiHostCluster,
+    PersistentProcessPoolCluster,
+    ScriptedInjector,
     SimulatedCluster,
     make_cluster,
     make_codec,
@@ -830,42 +835,61 @@ class ExplodingReducerJob(MapReduceJob):
 FAILURE_RECORDS = [(index, index + 1) for index in range(1, 25)]
 
 
+@pytest.mark.usefixtures("no_new_shm_entries")
+@pytest.mark.parametrize("spill_budget", (None, 0))
 class TestSpillCleanupOnWorkerFailure:
-    """A worker task raising mid-stage must not strand per-job spill files.
+    """A run must leave nothing behind, whether it succeeds, a worker task
+    raises mid-stage, or a host dies.
 
-    All of a run's spill files live in one per-job directory that the driver
-    removes after the executor scope has joined every worker task — so even
-    tasks that were already running when another task failed cannot recreate
-    files behind the cleanup's back.
+    Everything a run writes — the published input store, spill files, a
+    private blob store — lives in one run directory that the driver removes
+    after the executor scope has joined every worker task, so even tasks that
+    were already running when another task failed cannot recreate files
+    behind the cleanup's back.  Nothing goes to ``/dev/shm``.
     """
 
-    def make_cluster(self, backend, tmp_path):
+    def make_cluster(self, backend, tmp_path, spill_budget):
         return make_cluster(
-            backend, num_workers=2, spill_budget_bytes=0, spill_dir=str(tmp_path)
+            backend, num_workers=2, spill_budget_bytes=spill_budget, spill_dir=str(tmp_path)
         )
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_failing_reducer_leaves_no_spill_files(self, backend, tmp_path):
-        cluster = self.make_cluster(backend, tmp_path)
+    def test_failing_reducer_leaves_no_spill_files(self, backend, tmp_path, spill_budget):
+        cluster = self.make_cluster(backend, tmp_path, spill_budget)
         with pytest.raises(ValueError, match="reducer boom"):
             cluster.run(ExplodingReducerJob(), FAILURE_RECORDS)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_failing_mapper_leaves_no_spill_files(self, backend, tmp_path):
-        cluster = self.make_cluster(backend, tmp_path)
+    def test_failing_mapper_leaves_no_spill_files(self, backend, tmp_path, spill_budget):
+        cluster = self.make_cluster(backend, tmp_path, spill_budget)
         with pytest.raises(ValueError, match="mapper boom"):
             cluster.run(ExplodingMapperJob(), FAILURE_RECORDS + [(0,)])
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_cluster_is_reusable_after_a_failed_run(self, backend, tmp_path):
+    def test_cluster_is_reusable_after_a_failed_run(self, backend, tmp_path, spill_budget):
         """The failure cleans up without corrupting the cluster instance."""
-        cluster = self.make_cluster(backend, tmp_path)
+        cluster = self.make_cluster(backend, tmp_path, spill_budget)
         with pytest.raises(ValueError, match="reducer boom"):
             cluster.run(ExplodingReducerJob(), FAILURE_RECORDS)
         result = cluster.run(ExplodingMapperJob(), FAILURE_RECORDS)
-        assert result.metrics.spilled_buckets > 0
+        assert (result.metrics.spilled_buckets > 0) == (spill_budget == 0)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cluster_class", (PersistentProcessPoolCluster, MultiHostCluster))
+    def test_host_death_leaves_no_files(self, cluster_class, tmp_path, spill_budget):
+        """A worker process exiting mid-map breaks the pool; with no retry
+        the run fails, and its run directory still goes."""
+        cluster = cluster_class(
+            num_workers=2,
+            spill_budget_bytes=spill_budget,
+            spill_dir=str(tmp_path),
+            fault_policy=FaultPolicy(max_task_attempts=1),
+            fault_injector=ScriptedInjector(kill_map_task=0, kill_mode="exit"),
+        )
+        with pytest.raises(BrokenExecutor):
+            cluster.run(ExplodingReducerJob(), FAILURE_RECORDS)
         assert list(tmp_path.iterdir()) == []
 
 
