@@ -7,8 +7,9 @@
 Both modes load the corpora of the three e2e mining workloads (seed 13,
 generated by the checkout's own ``benchmarks.e2e`` harness into a temporary
 directory) and work on each workload's mining store, the unique view the
-miners hand to ``Cluster.run``.  Every variant runs once per round, in turn,
-in this one process; one JSON line is appended per timed sample.
+miners hand to ``Cluster.run``.  Every variant runs once per round, in this
+one process, the first of them alternating between rounds; one JSON line is
+appended per timed sample.
 
 - ``queries``: one warm-up query per variant, then ``ROUNDS`` (default 10)
   rounds of ``repro.api.mine`` on the workload's own backend with 2 workers;
@@ -20,7 +21,8 @@ The variants are the store transports the checkout has: ``shm`` and
 ``file`` where the process backends still take ``store_transport=`` (a tree
 before the shared-memory path was removed), ``file`` alone otherwise.
 ``summarize`` prints median [q1, q3] per (checkout, mode, workload, variant)
-cell, and for ``queries`` how many rounds ``file`` won against ``shm``.
+cell, and for ``queries`` how many rounds ``file`` won against ``shm``.  Runs
+may append to one file, alternating checkouts; each cell pools its runs.
 Nothing here is imported by the benchmark or the tests.
 """
 
@@ -103,7 +105,8 @@ def run(mode: str, checkout: str, out: str, rounds: int) -> None:
                 for transport in variants:
                     sample(transport)  # warm-up
                 for index in range(rounds):
-                    for transport in variants:
+                    # Alternate which transport goes first, as pairs.py does.
+                    for transport in variants[:: 1 if index % 2 == 0 else -1]:
                         record = {
                             "mode": mode,
                             "checkout": root.name,
@@ -138,9 +141,11 @@ def summarize(path: str) -> None:
             )
             other = cells.get((checkout, mode, workload, "shm"))
             if variant == "file" and other:
-                shm = {r["round"]: r["wall_s"] for r in other}
-                wins = sum(r["wall_s"] < shm[r["round"]] for r in records if r["round"] in shm)
-                change = median / statistics.median(shm.values()) - 1
+                # Each round runs both: the n-th records of the two cells are
+                # one round, however many processes appended them.
+                shm = [record["wall_s"] for record in other]
+                wins = sum(file_s < shm_s for shm_s, file_s in zip(shm, values))
+                change = median / statistics.median(shm) - 1
                 detail += f"  file won {wins}/{len(shm)} rounds, median {change:+.1%} vs shm"
         else:
             detail = f"store {records[0]['nbytes']:,} bytes, {CYCLES} cycles a sample"

@@ -2,13 +2,13 @@
 
 Round-trip and slicing over the block (including the edge cases that bite
 binary formats — empty databases, empty and single-item sequences, fids beyond
-2**63, chunk boundaries landing mid-block), the publish/attach lifecycle of
-the store file workers map, the integration pieces
-the persistent backend relies on (descriptor resolution, per-process attach
-cache, database store caching), and the representation itself, pinned without
-a clock: item-width boundaries, a canonical ``content_hash()``, hostile
-blocks, and counters showing that no per-item Python call is left on the path
-of a store that fits 64 bits.
+2**63, chunk boundaries landing mid-block), the publish/attach lifecycle of the
+store file that workers map, the integration pieces the persistent backend
+relies on (descriptor resolution, per-process attach cache, database store
+caching), and the representation itself, pinned without a clock: item-width
+boundaries, a canonical ``content_hash()``, hostile blocks, and counters
+showing that no per-item Python call is left on the path of a store that fits
+64 bits.
 """
 
 from __future__ import annotations
