@@ -411,13 +411,13 @@ def print_metrics(metrics, stream=None) -> None:
     )
     if summary.get("spilled_buckets"):
         stream.write(
-            "spilled {:,} bucket payloads / {:,} bytes to disk\n".format(
+            "spilled {:,} bucket payloads / {:,} bytes past the budget\n".format(
                 int(summary["spilled_buckets"]), int(summary["spilled_bytes"])
             )
         )
     if summary.get("blob_put_count") or summary.get("blob_get_count"):
         stream.write(
-            "blob shuffle: {:,} puts / {:,} bytes up, {:,} gets / {:,} bytes down\n".format(
+            "fragment store: {:,} puts / {:,} bytes up, {:,} gets / {:,} bytes down\n".format(
                 int(summary["blob_put_count"]),
                 int(summary["blob_put_bytes"]),
                 int(summary["blob_get_count"]),

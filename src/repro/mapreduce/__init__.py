@@ -1,18 +1,18 @@
 """MapReduce / bulk-synchronous-parallel substrate with pluggable backends.
 
 One job model (:class:`MapReduceJob`), one stage driver
-(:class:`~repro.mapreduce.base.StageDriverCluster`) composed of an executor
-and a shuffle transport, three execution backends:
+(:class:`~repro.mapreduce.base.StageDriverCluster`) with an executor and one
+fragment store per run, three execution backends:
 
 * ``simulated`` — in-process execution that models the makespan of
   ``num_workers`` workers (deterministic, no parallelism overhead);
 * ``persistent-processes`` (also spelled ``processes``) — a local process
   pool (real wall-clock speed-ups) whose workers attach the input database
-  once via a shared-memory
-  :class:`~repro.sequences.store.EncodedSequenceStore`; tasks carry chunk
+  once as an :class:`~repro.sequences.store.EncodedSequenceStore` file;
+  tasks carry chunk
   descriptors, so there is no per-task database pickling tax;
-* ``multihost`` — the same process pool, but the hosts exchange their encoded
-  reduce buckets through a pluggable
+* ``multihost`` — the same process pool, but the hosts exchange every encoded
+  reduce bucket through a pluggable
   :class:`~repro.mapreduce.blobstore.BlobStore` (content-addressed blobs in
   a shared directory), the shape of a serverless/object-store deployment.
 
@@ -70,7 +70,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "stable_hash",
         ),
         "repro.mapreduce.metrics": ("JobMetrics", "lpt_worker_loads"),
-        "repro.mapreduce.multihost": ("BlobShuffle", "MultiHostCluster", "run_blob_map_task"),
+        "repro.mapreduce.multihost": ("MultiHostCluster",),
         "repro.mapreduce.parallel": ("PersistentProcessPoolCluster", "ProcessExecutor"),
         "repro.mapreduce.spill": ("FragmentReader", "WireFragment", "merge_fragments"),
         "repro.mapreduce.tasks": (

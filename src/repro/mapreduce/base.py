@@ -7,44 +7,44 @@ reduce — with identical metrics accounting.  One class drives every run,
 per-bucket payloads returned by the map tasks to reduce tasks, retries failed
 attempts, and folds the task counters into one
 :class:`~repro.mapreduce.metrics.JobMetrics`.  A backend is that driver plus
-two components:
+an **executor**, which decides where tasks run and how the input and the job
+reach them.  :class:`InlineExecutor` runs tasks serially in the calling
+process and models the makespan of ``num_workers`` workers, handing tasks
+record chunks and the job object itself;
+:class:`~repro.mapreduce.parallel.ProcessExecutor` publishes the input once as
+an :class:`~repro.sequences.store.EncodedSequenceStore` file, hands every
+worker the job once, and ships chunk descriptors and a job reference.
 
-* an **executor** decides where tasks run and how the input and the job reach
-  them.  :class:`InlineExecutor` runs tasks serially in the calling process
-  and models the makespan of ``num_workers`` workers, handing tasks record
-  chunks and the job object itself;
-  :class:`~repro.mapreduce.parallel.ProcessExecutor` publishes the input once
-  as an :class:`~repro.sequences.store.EncodedSequenceStore` file, hands
-  every worker the job once, and ships chunk descriptors and a job reference;
-* a **shuffle transport** decides how the encoded reduce buckets travel.
-  :class:`LocalShuffle` keeps them in driver memory or the job's spill files;
-  :class:`~repro.mapreduce.multihost.BlobTransport` stages them in a blob
-  store.
+Encoded reduce buckets travel inline through the driver, or as keys into the
+run's one :class:`~repro.mapreduce.spill.FragmentStore`: the payloads past the
+spill budget, or every payload on ``multihost``.  Each backend is one row
+(``processes`` is a spelling of ``persistent-processes``):
 
-Each backend is one row (``processes`` is a spelling of
-``persistent-processes``):
+==========================  ============  ================================
+backend                     executor      stored payloads
+==========================  ============  ================================
+``simulated``               inline        past budget
+``persistent-processes``    process pool  past budget
+``multihost``               process pool  all
+==========================  ============  ================================
 
-==========================  ============  =======
-backend                     executor      shuffle
-==========================  ============  =======
-``simulated``               inline        local
-``persistent-processes``    process pool  local
-``multihost``               process pool  blob
-==========================  ============  =======
-
-Every row runs the same worker-side tasks (:mod:`repro.mapreduce.tasks`) over
-the same map-task boundaries (:func:`split_ranges`), so patterns and every
-shuffle, wire and spill metric are byte-identical across backends.
+Every row schedules the same two worker-side tasks
+(:func:`~repro.mapreduce.tasks.run_map_task` and
+:func:`~repro.mapreduce.tasks.run_reduce_task`) over the same map-task
+boundaries (:func:`split_ranges`), so patterns and every shuffle, wire and
+spill metric are byte-identical across backends.
 
 Every run gets one scratch directory, a fresh ``mkdtemp`` child of
-``spill_dir``.  The published input store, the spill files and a private
-blob store all live in it, and the driver removes it whole once both
-components' scopes have closed — one cleanup exit, whether the run
-succeeded, a task failed, or a host died.
+``spill_dir``.  The published input store and a private fragment store live
+in it, and the driver removes it whole once the executor and fragment-store
+scopes have closed — one cleanup exit, whether the run succeeded, a task
+failed, or a host died.  A shared ``blob_dir`` namespace is deleted by its
+scope.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 import shutil
 import tempfile
@@ -57,6 +57,7 @@ from typing import Any, Protocol, runtime_checkable
 from repro.errors import MapReduceError
 from repro.mapreduce.faults import (
     DEFAULT_FAULT_POLICY,
+    FaultInjectingBlobStore,
     FaultInjector,
     FaultPolicy,
     TaskContext,
@@ -65,7 +66,7 @@ from repro.mapreduce.faults import (
 )
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.metrics import JobMetrics
-from repro.mapreduce.spill import WireFragment
+from repro.mapreduce.spill import FragmentStore, WireFragment
 from repro.mapreduce.tasks import (
     MapTaskResult,
     ReduceTaskResult,
@@ -161,44 +162,16 @@ class InlineExecutor:
         return worker_seconds
 
 
-class LocalShuffle:
-    """Fragments travel through driver memory, or through the job's spill
-    files past the spill budget (every row but ``multihost``).
-
-    This is the shuffle-transport contract.  :meth:`scope` spans one run, is
-    handed the run directory, and yields the object the driver builds the
-    run's tasks from, with its :meth:`map_task` and :meth:`reduce_task`.  The
-    driver enters it *outside* the executor scope, so whatever it cleans up is
-    cleaned up after the last worker task that could write to it has been
-    joined, even when a mid-stage failure aborts the run.
-    """
-
-    @contextmanager
-    def scope(self, cluster: StageDriverCluster, run_dir: str):
-        yield self
-
-    @staticmethod
-    def map_task(args: tuple, context: TaskContext) -> Task:
-        """``args`` are :func:`~repro.mapreduce.tasks.run_map_task`'s, up to
-        its ``spill_dir``."""
-        return run_map_task, (*args, context)
-
-    @staticmethod
-    def reduce_task(
-        job: Any, fragments: list[WireFragment], codec: Codec, context: TaskContext
-    ) -> Task:
-        return run_reduce_task, (job, fragments, codec, None, context)
-
-
 class StageDriverCluster:
     """The map → combine → partition → reduce driver of every backend.
 
-    ``executor`` and ``shuffle`` are the backend's components (see the module
-    docstring); the class attributes below are the ``simulated`` row, and each
-    backend class sets its own.  A cluster knows only the substrate: the
-    mining choices of a :class:`~repro.mapreduce.factory.ClusterConfig`
-    (``grid``, ``partitioner``, ``plan_sample``) stay with the miners, and a
-    planned partition travels on the job itself.
+    ``executor``, ``stores_every_payload`` and ``blob_dir`` make the backend's
+    row (see the module docstring); the class attributes below are the
+    ``simulated`` row, and each backend class sets its own.  A cluster knows
+    only the substrate: the mining choices of a
+    :class:`~repro.mapreduce.factory.ClusterConfig` (``grid``,
+    ``partitioner``, ``plan_sample``) stay with the miners, and a planned
+    partition travels on the job itself.
 
     Parameters
     ----------
@@ -215,12 +188,12 @@ class StageDriverCluster:
         backends.
     spill_budget_bytes:
         Per-map-task in-memory budget for encoded bucket payloads; payloads
-        past the budget spill to temp files (``None`` disables spilling,
-        ``0`` spills everything).  Results are identical either way.
+        past the budget go to the run's fragment store (``None`` disables the
+        budget, ``0`` stores everything).  Results are identical either way.
     spill_dir:
         Parent of each run's scratch directory, which holds the published
-        input store, the spill files and a private blob store (defaults to
-        the system temp directory; it must exist).
+        input store and a private fragment store (defaults to the system temp
+        directory; it must exist).
     fault_policy:
         The run's :class:`~repro.mapreduce.faults.FaultPolicy`: how many
         attempts a failed or timed-out task gets, the jittered backoff
@@ -246,7 +219,14 @@ class StageDriverCluster:
     default_num_workers = 4
 
     executor: Any = InlineExecutor()
-    shuffle: Any = LocalShuffle()
+
+    #: Whether every payload goes to the fragment store, not only those past
+    #: the spill budget.
+    stores_every_payload = False
+
+    #: Directory of a shared blob store holding the run's fragment store
+    #: (``None``: a private store in the run directory).
+    blob_dir: str | None = None
 
     def __init__(
         self,
@@ -293,19 +273,19 @@ class StageDriverCluster:
             "planned" if getattr(job, "partition_plan", None) is not None else "hash"
         )
 
-        # Everything the run writes — the published input, spill files, a
-        # private blob store — lives in this one directory, removed wholesale
+        # Everything the run writes — the published input, a private
+        # fragment store — lives in this one directory, removed wholesale
         # below, so a failing map or reduce task (e.g. a candidate explosion)
         # or a dead host cannot strand the files of the tasks before it.
         run_dir = tempfile.mkdtemp(prefix="repro-run-", dir=self.spill_dir)
         try:
             # The executor scope exits first: its shutdown joins every
-            # still-running worker task.  Only then does the shuffle scope
-            # clean up its transport (a shared blob namespace), and the run
-            # directory go.
-            with self.shuffle.scope(self, run_dir) as shuffle, self.executor.scope(
+            # still-running worker task.  Only then does the fragment-store
+            # scope delete a shared namespace, and the run directory go.
+            with self._fragment_store(run_dir) as fragment_store, self.executor.scope(
                 self, records, job, run_dir
             ) as (chunks, task_job, execute):
+                blob_store = fragment_store.blobs if fragment_store is not None else None
                 for chunk in chunks:
                     # Per-task input shipping cost.  The inline executor
                     # never actually pickles its chunks, so unpicklable
@@ -318,25 +298,26 @@ class StageDriverCluster:
                     except Exception:
                         pass
                 # Map stage: each task partitions, combines, and encodes its
-                # reduce buckets locally (worker-side shuffle write), spilling
-                # payloads to disk past the in-memory budget.  Failed or
-                # timed-out attempts are retried up to the fault policy's
-                # bound; only the one successful attempt per task is folded
-                # into the metrics below, so retries never double-count
-                # shuffle or wire bytes.
+                # reduce buckets locally (worker-side shuffle write), putting
+                # payloads past the in-memory budget into the fragment
+                # store.  Failed or timed-out attempts are retried up to the
+                # fault policy's bound; only the one successful attempt per
+                # task is folded into the metrics below, so retries never
+                # double-count shuffle or wire bytes.
                 map_results: list[MapTaskResult] = self._run_stage(
                     "map",
                     [
-                        lambda context, chunk=chunk: shuffle.map_task(
+                        lambda context, chunk=chunk: (
+                            run_map_task,
                             (
                                 task_job,
                                 chunk,
                                 self.num_reduce_tasks,
                                 self.codec,
                                 self.spill_budget_bytes,
-                                run_dir,
+                                fragment_store,
+                                context,
                             ),
-                            context,
                         )
                         for chunk in chunks
                     ],
@@ -372,9 +353,8 @@ class StageDriverCluster:
                     "reduce",
                     [
                         lambda context, bucket_fragments=bucket_fragments: (
-                            shuffle.reduce_task(
-                                task_job, bucket_fragments, self.codec, context
-                            )
+                            run_reduce_task,
+                            (task_job, bucket_fragments, self.codec, blob_store, context),
                         )
                         for bucket_fragments in fragments
                         if bucket_fragments
@@ -396,6 +376,58 @@ class StageDriverCluster:
         )
         metrics.output_records = len(outputs)
         return JobResult(outputs=outputs, metrics=metrics)
+
+    @contextmanager
+    def _fragment_store(self, run_dir: str):
+        """The run's one fragment store, or ``None`` when no payload can go there.
+
+        ``blob_dir`` selects the directory backing the
+        :class:`~repro.mapreduce.blobstore.DirectoryBlobStore` (think: the
+        mount point or bucket of a shared object store).  ``None`` keeps the
+        store in the run directory, which the driver removes whole; a shared
+        directory gets a fresh leased namespace, and only that key prefix is
+        deleted, so the directory is left exactly as found.  The driver
+        enters this scope *outside* the executor scope: the namespace goes
+        after the last worker task that could put into it has been joined.
+        """
+        if self.spill_budget_bytes is None and not self.stores_every_payload:
+            yield None
+            return
+        from repro.mapreduce.blobstore import (
+            DirectoryBlobStore,
+            delete_prefix,
+            gc_expired,
+            write_lease,
+        )
+
+        shared = self.blob_dir is not None
+        store = DirectoryBlobStore(self.blob_dir if shared else run_dir)
+        prefix = f"job-{os.urandom(8).hex()}"
+        if shared:
+            os.makedirs(self.blob_dir, exist_ok=True)
+            # A shared blob_dir accumulates namespaces orphaned by killed
+            # drivers; sweep the expired ones opportunistically at job start
+            # (``repro blob-gc`` is the explicit path).  Best effort: GC
+            # trouble must never fail a healthy job.
+            try:
+                gc_expired(store, self.fault_policy.blob_namespace_ttl_s)
+            except Exception:
+                pass
+            # The lease stamps the namespace's birth, so a later GC pass can
+            # tell this job's leftovers (if we die before the cleanup below)
+            # from live namespaces and from foreign files in the directory.
+            write_lease(store, prefix)
+        task_store = store
+        if self.fault_injector is not None:
+            task_store = FaultInjectingBlobStore(store, self.fault_injector)
+        try:
+            yield FragmentStore(task_store, prefix, self.stores_every_payload)
+        finally:
+            # Cleanup always goes through the raw store: injected faults must
+            # never leak a namespace.  A private store goes with the run
+            # directory.
+            if shared:
+                delete_prefix(store, f"{prefix}/")
 
     # ------------------------------------------------------------ fault logic
     def _run_stage(

@@ -1,4 +1,4 @@
-"""Pluggable blob storage: the shuffle transport of the multi-host backend.
+"""Pluggable blob storage: what every run's fragment store is kept in.
 
 A real multi-host deployment has no shared file system between its map and
 reduce workers; what it has is an object store (S3, GCS, a shuffle service).
@@ -341,7 +341,7 @@ class InMemoryBlobStore:
     """Dict-backed fake for unit tests, with operation counters.
 
     Single-process only (workers in other processes would see an empty
-    copy); the multi-host backend itself always uses a
+    copy); the stage driver itself always uses a
     :class:`DirectoryBlobStore`.
     """
 

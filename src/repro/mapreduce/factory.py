@@ -77,12 +77,12 @@ class ClusterConfig:
     num_reduce_tasks: int | None = None
     codec: str | Codec = "compact"
     spill_budget_bytes: int | None = None
-    #: Parent of each run's scratch directory, which holds the store file,
-    #: the spill files and a private blob store (``None``: the system temp
-    #: directory).
+    #: Parent of each run's scratch directory, which holds the store file
+    #: and a private fragment store (``None``: the system temp directory).
     spill_dir: str | None = None
-    #: Directory backing the ``multihost`` backend's blob store (``None``
-    #: keeps a private store in the run directory); other backends ignore it.
+    #: Directory of a shared blob store holding the ``multihost`` backend's
+    #: fragment store (``None`` keeps a private store in the run directory);
+    #: other backends reject it.
     blob_dir: str | None = None
     grid: str = DEFAULT_GRID
     partitioner: str = DEFAULT_PARTITIONER
@@ -108,13 +108,15 @@ class ClusterConfig:
         ``"simulated"`` models the makespan of ``num_workers`` workers
         in-process, ``"persistent-processes"`` (also spelled
         ``"processes"``) runs on a local process pool and publishes the input
-        database once as a shared
-        :class:`~repro.sequences.store.EncodedSequenceStore` so tasks ship
-        chunk descriptors instead of pickled sequence lists (its records
-        must be fid sequences), and ``"multihost"`` runs the same process
-        pool but exchanges the encoded reduce buckets through a blob store
-        rooted at ``blob_dir`` (a per-run temp directory when ``None``), so
-        map and reduce hosts never share memory or a spill file system.
+        database once as an
+        :class:`~repro.sequences.store.EncodedSequenceStore` file in the run
+        directory, which every worker maps, so tasks ship chunk descriptors
+        instead of pickled sequence lists (its records must be fid
+        sequences), and ``"multihost"`` runs the same process pool but puts
+        every encoded reduce bucket into the run's fragment store, a blob
+        store rooted at ``blob_dir`` (the run directory when ``None``), so
+        map and reduce hosts exchange nothing but blob keys through the
+        driver.
         Every field not in :data:`_NOT_FOR_BACKEND` is handed to the
         backend's constructor under its own name.
         """

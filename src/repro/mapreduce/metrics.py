@@ -52,13 +52,16 @@ class JobMetrics:
     #: Measured shuffle size: bytes of the encoded bucket payloads that
     #: actually travel from map to reduce tasks (codec-dependent).
     wire_bytes: int = 0
-    #: Number of bucket payloads spilled to temp files and their total size.
+    #: Number of bucket payloads past the spill budget and their total size
+    #: (the same on every backend, wherever those payloads went).
     spilled_buckets: int = 0
     spilled_bytes: int = 0
-    #: Blob-store traffic of the multi-host backend: every encoded reduce
-    #: bucket is uploaded once by its map task (puts) and fetched — once per
-    #: distinct content-addressed key per reduce task — by the reduce side
-    #: (gets).  All four stay zero on the in-memory/spill-file backends.
+    #: Fragment-store traffic: every payload that does not travel inline is
+    #: put once by its map task and fetched — once per distinct
+    #: content-addressed key per reduce task — by the reduce side (gets).
+    #: That is the payloads past the spill budget (so ``blob_put_count ==
+    #: spilled_buckets``), or every payload on ``multihost``; all four stay
+    #: zero on a default-budget ``simulated`` or ``persistent-processes`` run.
     blob_put_count: int = 0
     blob_put_bytes: int = 0
     blob_get_count: int = 0

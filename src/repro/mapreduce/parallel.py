@@ -99,8 +99,8 @@ def _pool_scope(make_pool: Callable[[], Executor]):
                 # pool (and the driver's run-directory cleanup that follows
                 # it) is not held up by doomed work.  Tasks already running
                 # finish before the scope exits (the pool's shutdown joins
-                # them), which is what guarantees no spill file is written
-                # after the driver removes the run directory.
+                # them), which is what guarantees no blob is written after
+                # the driver removes the run directory.
                 cancelled = True
                 for other in futures:
                     other.cancel()

@@ -1,222 +1,215 @@
-"""Disk-spilling bucket fragments and the reduce-side streamed merge.
+"""Bucket fragments, the run's fragment store, and the reduce-side streamed merge.
 
 Map tasks serialize every reduce bucket with a :class:`~repro.mapreduce.wire.Codec`
-before handing it to the driver.  When a task's encoded payloads exceed the
-configured in-memory budget, the surplus is written to a per-task temp file and
-only a small :class:`WireFragment` *reference* (path, offset, length) travels
-through the driver — so shuffles larger than memory never materialize in one
-process.  The reduce side merges its fragments with :func:`merge_fragments`,
-reading and decoding one fragment at a time (the streamed shuffle read).
+before handing it to the driver.  A payload travels inline while the task's
+encoded payloads fit the configured in-memory budget; past it, the payload
+goes into the run's :class:`FragmentStore` — one namespace in a
+content-addressed :class:`~repro.mapreduce.blobstore.BlobStore` — and only a
+small :class:`WireFragment` *reference* (blob key, length) travels through the
+driver, so shuffles larger than memory never materialize in one process.  On
+the ``multihost`` backend every payload goes to the store.  The reduce side
+merges its fragments with :func:`merge_fragments`, fetching and decoding one
+fragment at a time (the streamed shuffle read).
 
-Spill files are written by the worker that ran the map task and read by the
-worker that runs the reduce task; both run on the same machine for every
-backend, so plain temp files are a faithful stand-in for a cluster's shuffle
-service.  The driver removes all spill files after the job finishes.
+The store is the run directory's private
+:class:`~repro.mapreduce.blobstore.DirectoryBlobStore`, or the job's namespace
+in a shared ``blob_dir`` on ``multihost``; the stage driver opens it and
+cleans it up (see :mod:`repro.mapreduce.base`).
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import IO, Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import MapReduceError
 from repro.mapreduce.wire import Codec
 
+if TYPE_CHECKING:  # pragma: no cover - the blob store loads only when a run puts
+    from repro.mapreduce.blobstore import BlobStore
+    from repro.mapreduce.faults import FaultPolicy
+
 
 @dataclass
 class WireFragment:
-    """One encoded bucket payload: inline bytes, a slice of a spill file, or
-    a blob-store reference (the multi-host shuffle transport)."""
+    """One encoded bucket payload: inline bytes, or the key of a blob in the
+    run's :class:`FragmentStore`."""
 
     records: int
     wire_bytes: int
     data: bytes | None = None
-    path: str | None = None
-    offset: int = 0
     blob_key: str | None = None
 
-    @property
-    def spilled(self) -> bool:
-        return self.path is not None
-
     def read(self) -> bytes:
-        """Return the encoded payload, reading it back from disk if spilled.
+        """Return the inline payload.
 
-        One open-seek-read per call; reduce tasks read many fragments from the
-        same spill file through a :class:`FragmentReader` instead, which keeps
-        one handle per distinct path.  Blob-referencing fragments can only be
-        read through a reader that knows their store.
+        Stored fragments can only be read through a :class:`FragmentReader`
+        that knows their blob store.
         """
         if self.data is not None:
             return self.data
-        if self.blob_key is not None:
-            raise MapReduceError(
-                f"fragment references blob {self.blob_key!r}; read it through a "
-                "FragmentReader constructed with its blob store"
-            )
-        if self.path is None:
-            raise MapReduceError("fragment has neither inline data nor a spill file")
-        with open(self.path, "rb") as handle:
-            return _read_slice(handle, self)
-
-
-def _read_slice(handle: IO[bytes], fragment: WireFragment) -> bytes:
-    """Read one fragment's slice from an open spill-file handle."""
-    handle.seek(fragment.offset)
-    blob = handle.read(fragment.wire_bytes)
-    if len(blob) != fragment.wire_bytes:
         raise MapReduceError(
-            f"truncated spill file {fragment.path}: expected "
-            f"{fragment.wire_bytes} bytes at offset {fragment.offset}, "
-            f"got {len(blob)}"
+            f"fragment references blob {self.blob_key!r}; read it through a "
+            "FragmentReader constructed with its blob store"
         )
-    return blob
+
+
+@dataclass(frozen=True)
+class FragmentStore:
+    """One run's namespace in a content-addressed blob store.
+
+    Payloads that do not travel inline are put here under
+    :func:`~repro.mapreduce.blobstore.content_key` of ``prefix``: those past
+    the spill budget, or every payload when ``every_payload`` is set (the
+    ``multihost`` backend).  It ships with every map task; the store
+    implementations hold only a root path, so it pickles at descriptor size.
+    """
+
+    blobs: BlobStore
+    prefix: str
+    every_payload: bool = False
+
+
+@dataclass
+class StoreStats:
+    """One map task's shuffle-write accounting.
+
+    ``spilled_*`` count the payloads past the spill budget, wherever they
+    went; ``put_*`` count the fragment-store writes and ``retries`` the
+    transient store failures they absorbed (the puts' retry loops count into
+    it, as into a :class:`~repro.mapreduce.blobstore.BlobRetryStats`).
+    """
+
+    spilled_buckets: int = 0
+    spilled_bytes: int = 0
+    put_count: int = 0
+    put_bytes: int = 0
+    retries: int = 0
 
 
 class FragmentReader:
-    """Reads fragments while reusing one handle per distinct spill file.
+    """Reads fragments, fetching stored ones from ``blob_store``.
 
-    A reduce bucket typically holds one fragment per map task, and every
-    fragment a single map task spilled shares that task's spill file —
-    ``WireFragment.read()``'s open-seek-read per fragment therefore reopens
-    the same few files over and over.  The reader keeps one open handle per
-    distinct path for its lifetime instead.
-
-    With a ``blob_store``, blob-referencing fragments are fetched with
-    :func:`~repro.mapreduce.blobstore.get_with_retry` and cached per key, so
-    a key shared by several fragments (content-addressed dedup) costs one
-    ``get``; the fetch counters feed the job's blob metrics.  Use as a
-    context manager, or call :meth:`close` when done.
+    Fetches go through :func:`~repro.mapreduce.blobstore.get_with_retry`
+    (retries follow ``fault_policy``) and are metered by the ``blob_*``
+    counters, which feed the job's blob metrics.  Every fetched payload is
+    checked against its fragment's ``wire_bytes``.  A reader holds nothing
+    between calls, so it needs no closing; it still works as a context
+    manager for callers that span one with a ``with`` block.
     """
 
-    def __init__(self, blob_store=None, fault_policy=None) -> None:
+    def __init__(self, blob_store: BlobStore | None = None, fault_policy=None) -> None:
         self.blob_store = blob_store
         self.fault_policy = fault_policy
         self.blob_gets = 0
         self.blob_get_bytes = 0
         self.blob_retries = 0
-        self._handles: dict[str, IO[bytes]] = {}
-        self._blobs: dict[str, bytes] = {}
 
     def read(self, fragment: WireFragment) -> bytes:
-        """Return one fragment's encoded payload (see :class:`WireFragment`)."""
+        """Return one fragment's encoded payload; a stored one costs one get."""
         if fragment.data is not None:
             return fragment.data
-        if fragment.blob_key is not None:
-            return self._fetch_blob(fragment.blob_key)
-        if fragment.path is None:
-            raise MapReduceError("fragment has neither inline data nor a spill file")
-        handle = self._handles.get(fragment.path)
-        if handle is None:
-            handle = self._handles[fragment.path] = open(fragment.path, "rb")
-        return _read_slice(handle, fragment)
-
-    def read_many(self, fragments: Iterable[WireFragment]):
-        """Yield each fragment's payload, sharing handles and blob fetches."""
-        for fragment in fragments:
-            yield self.read(fragment)
-
-    def _fetch_blob(self, key: str) -> bytes:
-        blob = self._blobs.get(key)
-        if blob is None:
-            if self.blob_store is None:
-                raise MapReduceError(
-                    f"fragment references blob {key!r} but this reader has no "
-                    "blob store"
-                )
-            from repro.mapreduce.blobstore import BlobRetryStats, get_with_retry
-
-            stats = BlobRetryStats()
-            blob = self._blobs[key] = get_with_retry(
-                self.blob_store, key, policy=self.fault_policy, stats=stats
+        key = fragment.blob_key
+        if key is None:
+            raise MapReduceError("fragment has neither inline data nor a blob key")
+        if self.blob_store is None:
+            raise MapReduceError(
+                f"fragment references blob {key!r} but this reader has no blob store"
             )
-            self.blob_gets += 1
-            self.blob_get_bytes += len(blob)
-            self.blob_retries += stats.retries
+        from repro.mapreduce.blobstore import BlobRetryStats, get_with_retry
+
+        stats = BlobRetryStats()
+        blob = get_with_retry(self.blob_store, key, policy=self.fault_policy, stats=stats)
+        self.blob_gets += 1
+        self.blob_get_bytes += len(blob)
+        self.blob_retries += stats.retries
+        if len(blob) != fragment.wire_bytes:
+            raise MapReduceError(
+                f"stored fragment {key!r} is {len(blob)} bytes, expected "
+                f"{fragment.wire_bytes}"
+            )
         return blob
 
-    def close(self) -> None:
-        for handle in self._handles.values():
-            try:
-                handle.close()
-            except OSError:  # pragma: no cover - best-effort teardown
-                pass
-        self._handles.clear()
-        self._blobs.clear()
+    def read_many(self, fragments: Iterable[WireFragment]):
+        """Yield each fragment's payload, fetching each blob key once.
+
+        A fetched blob is held only until the last fragment that names its
+        key has been read, so fragments with distinct keys hold one blob at
+        a time while a key shared by several fragments (content-addressed
+        dedup) still costs one get.
+        """
+        fragments = list(fragments)
+        pending = Counter(f.blob_key for f in fragments if f.data is None)
+        held: dict[str | None, bytes] = {}
+        for fragment in fragments:
+            if fragment.data is not None:
+                yield fragment.data
+                continue
+            key = fragment.blob_key
+            blob = held.pop(key, None)
+            if blob is None:
+                blob = self.read(fragment)
+            pending[key] -= 1
+            if pending[key]:
+                held[key] = blob
+            yield blob
 
     def __enter__(self) -> "FragmentReader":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class SpillWriter:
-    """Appends encoded payloads to one lazily created temp file per map task."""
-
-    def __init__(self, spill_dir: str | None = None) -> None:
-        self.spill_dir = spill_dir
-        self._handle: IO[bytes] | None = None
-        self.path: str | None = None
-
-    def write(self, blob: bytes) -> int:
-        """Append ``blob`` and return the offset it was written at."""
-        if self._handle is None:
-            descriptor, self.path = tempfile.mkstemp(
-                prefix="repro-shuffle-", suffix=".spill", dir=self.spill_dir
-            )
-            self._handle = os.fdopen(descriptor, "wb")
-        offset = self._handle.tell()
-        self._handle.write(blob)
-        return offset
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        pass
 
 
 def store_payloads(
     encoded: Iterable[tuple[int, bytes, int]],
     spill_budget_bytes: int | None,
-    spill_dir: str | None = None,
-) -> tuple[list[tuple[int, WireFragment]], str | None]:
-    """Turn encoded bucket payloads into fragments, spilling past the budget.
+    fragment_store: FragmentStore | None = None,
+    policy: FaultPolicy | None = None,
+) -> tuple[list[tuple[int, WireFragment]], StoreStats]:
+    """Turn encoded bucket payloads into fragments, storing those past the budget.
 
     ``encoded`` yields ``(bucket_index, blob, record_count)`` triples in
     deterministic order.  Blobs are kept inline while the running inline total
     stays within ``spill_budget_bytes``; every blob that would exceed the
-    budget goes to the task's spill file instead (``None`` disables spilling,
-    ``0`` spills everything).  Returns the fragments and the spill file path,
-    if one was created.
+    budget is put into ``fragment_store`` instead (``None`` disables the
+    budget, ``0`` stores everything), as is every blob when the store takes
+    every payload.  Puts retry transient store failures with ``policy``'s
+    blob knobs — safe at any repetition, because a content-addressed re-put
+    is idempotent.  Returns the fragments and the task's
+    :class:`StoreStats`.
     """
-    writer = SpillWriter(spill_dir)
     fragments: list[tuple[int, WireFragment]] = []
+    stats = StoreStats()
+    every_payload = fragment_store is not None and fragment_store.every_payload
     inline_total = 0
-    try:
-        for bucket_index, blob, records in encoded:
-            fragment = WireFragment(records=records, wire_bytes=len(blob))
-            if spill_budget_bytes is not None and inline_total + len(blob) > spill_budget_bytes:
-                fragment.offset = writer.write(blob)
-                fragment.path = writer.path
-            else:
-                fragment.data = blob
-                inline_total += len(blob)
-            fragments.append((bucket_index, fragment))
-    except BaseException:
-        # The caller never sees ``writer.path`` when the ``encoded`` iterator
-        # raises mid-task (a codec failure, a poisoned combine), so a partial
-        # spill file would be orphaned until the driver's job-directory
-        # cleanup — or forever, for direct callers without one.  Remove it
-        # here before re-raising.
-        writer.close()
-        remove_spill_files([writer.path])
-        raise
-    writer.close()
-    return fragments, writer.path
+    for bucket_index, blob, records in encoded:
+        fragment = WireFragment(records=records, wire_bytes=len(blob))
+        past_budget = (
+            spill_budget_bytes is not None and inline_total + len(blob) > spill_budget_bytes
+        )
+        if past_budget:
+            stats.spilled_buckets += 1
+            stats.spilled_bytes += len(blob)
+        else:
+            inline_total += len(blob)
+        if past_budget or every_payload:
+            if fragment_store is None:
+                raise MapReduceError("a payload past the spill budget needs a fragment store")
+            from repro.mapreduce.blobstore import content_key, put_with_retry
+
+            fragment.blob_key = content_key(blob, fragment_store.prefix)
+            put_with_retry(
+                fragment_store.blobs, fragment.blob_key, blob, policy=policy, stats=stats
+            )
+            stats.put_count += 1
+            stats.put_bytes += len(blob)
+        else:
+            fragment.data = blob
+        fragments.append((bucket_index, fragment))
+    return fragments, stats
 
 
 def merge_fragments(
@@ -225,36 +218,21 @@ def merge_fragments(
     """Merge one bucket's fragments by key (the reduce-side shuffle read).
 
     Fragments are read and decoded one at a time — only the merged key groups
-    and a single fragment's blob are ever in memory, which is what lets spilled
-    shuffles stay larger than the in-memory budget.  Reads go through a
-    :class:`FragmentReader` (one open handle per distinct spill file, one blob
-    get per distinct key); pass one in to share its caches and collect its
-    fetch counters, otherwise a private reader spans this call.
+    and a single fragment's blob are ever in memory (a blob several fragments
+    share is held until the last of them), which is what lets stored
+    shuffles stay larger than the in-memory budget.  Pass a
+    :class:`FragmentReader` over the run's blob store to read stored
+    fragments and collect its fetch counters; without one, only inline
+    fragments can be merged.
     """
     grouped: dict[Any, list[Any]] = {}
-    owned = reader is None
-    if owned:
+    if reader is None:
         reader = FragmentReader()
-    try:
-        for blob in reader.read_many(fragments):
-            for key, values in codec.iter_bucket(blob):
-                existing = grouped.get(key)
-                if existing is None:
-                    grouped[key] = values
-                else:
-                    existing.extend(values)
-    finally:
-        if owned:
-            reader.close()
+    for blob in reader.read_many(fragments):
+        for key, values in codec.iter_bucket(blob):
+            existing = grouped.get(key)
+            if existing is None:
+                grouped[key] = values
+            else:
+                existing.extend(values)
     return grouped
-
-
-def remove_spill_files(paths: Iterable[str | None]) -> None:
-    """Best-effort cleanup of the spill files created by one job run."""
-    for path in paths:
-        if not path:
-            continue
-        try:
-            os.remove(path)
-        except OSError:
-            pass

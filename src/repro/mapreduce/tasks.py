@@ -4,13 +4,16 @@ A map task maps and combines its input chunk, *partitions the result locally*,
 and serializes every reduce bucket with the job's shuffle codec (the shuffle
 write of a real cluster).  What the driver routes from map to reduce tasks are
 therefore :class:`~repro.mapreduce.spill.WireFragment` objects — encoded
-payloads, inline or spilled to a temp file once the task's in-memory budget is
-exceeded — never raw (key, value) pairs.  A reduce task receives the fragments
-addressed to one bucket, decodes and merges them key by key (the streamed
-shuffle read), and reduces every key group.
+payloads, inline or put into the run's
+:class:`~repro.mapreduce.spill.FragmentStore` once the task's in-memory budget
+is exceeded (on ``multihost``, always) — never raw (key, value) pairs.  A
+reduce task receives the fragments addressed to one bucket, fetches the stored
+ones, decodes and merges them key by key (the streamed shuffle read), and
+reduces every key group.
 
-Both functions are module-level so that the process-pool executor can pickle
-them for its workers.  What it cannot afford to pickle per task is the
+These two functions are the only tasks any backend schedules.  Both are
+module-level so that the process-pool executor can pickle them for its
+workers.  What it cannot afford to pickle per task is the
 job (FST + dictionary, tens of KB): a pool hands it to each worker once
 through :func:`deliver_job` and its tasks carry a :class:`JobRef`, which
 both functions resolve before anything else.  Each task reports the worker
@@ -32,6 +35,7 @@ from repro.mapreduce.faults import JobNotDeliveredError, TaskContext
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.spill import (
     FragmentReader,
+    FragmentStore,
     WireFragment,
     merge_fragments,
     store_payloads,
@@ -98,10 +102,11 @@ class MapTaskResult:
     #: write split).
     bucket_shuffle_bytes: dict[int, int] = field(default_factory=dict)
     wire_bytes: int = 0
+    #: Payloads past the spill budget (the same on every backend).
     spilled_buckets: int = 0
     spilled_bytes: int = 0
-    spill_path: str | None = None
-    #: Blob-store shuffle writes (multi-host backend; zero elsewhere).
+    #: Fragment-store writes: the payloads past the budget, or every payload
+    #: on ``multihost``.
     blob_put_count: int = 0
     blob_put_bytes: int = 0
     #: Transient blob-store failures absorbed by in-task retries.
@@ -115,7 +120,7 @@ class ReduceTaskResult:
     """Output of one reduce task over a single bucket."""
 
     outputs: list[Any] = field(default_factory=list)
-    #: Blob-store shuffle reads (multi-host backend; zero elsewhere).
+    #: Fragment-store reads.
     blob_get_count: int = 0
     blob_get_bytes: int = 0
     #: Transient blob-store failures absorbed by in-task retries.
@@ -130,7 +135,7 @@ def run_map_task(
     num_reduce_tasks: int,
     codec: Codec | str = "compact",
     spill_budget_bytes: int | None = None,
-    spill_dir: str | None = None,
+    fragment_store: FragmentStore | None = None,
     context: TaskContext | None = None,
 ) -> MapTaskResult:
     """Map ``records``, combine per key, partition, and encode reduce buckets.
@@ -139,9 +144,11 @@ def run_map_task(
     :class:`~repro.sequences.store.StoreChunk` descriptor: the worker resolves
     it against the store it attached once and decodes its slice zero-copy,
     so the task's pickled input is the few dozen bytes of the descriptor.
-    ``context`` identifies the attempt for fault tolerance: its injector (if
-    any) observes the task start — and may kill this very attempt — before
-    any work happens, so a retried attempt reruns the task from scratch.
+    Payloads that do not travel inline are put into ``fragment_store``, with
+    the store retries metered on the result.  ``context`` identifies the
+    attempt for fault tolerance: its injector (if any) observes the task
+    start — and may kill this very attempt — before any work happens, so a
+    retried attempt reruns the task from scratch.
     """
     if isinstance(records, StoreChunk):
         records = resolve_chunk(records)
@@ -177,7 +184,7 @@ def run_map_task(
         payload = buckets.setdefault(bucket_index, {})
         payload.setdefault(key, []).append(value)
 
-    # Shuffle write: serialize each bucket, spilling once over the budget.
+    # Shuffle write: serialize each bucket, storing past the budget.
     encoded = (
         (
             bucket_index,
@@ -186,25 +193,25 @@ def run_map_task(
         )
         for bucket_index, payload in sorted(buckets.items())
     )
-    fragments, spill_path = store_payloads(encoded, spill_budget_bytes, spill_dir)
+    policy = context.policy if context is not None else None
+    fragments, stats = store_payloads(encoded, spill_budget_bytes, fragment_store, policy)
 
-    result = MapTaskResult(
+    return MapTaskResult(
         buckets=fragments,
         map_output_records=map_output_records,
         combined_records=shuffle_records,
         shuffle_bytes=shuffle_bytes,
         shuffle_records=shuffle_records,
         bucket_shuffle_bytes=bucket_shuffle_bytes,
+        wire_bytes=sum(fragment.wire_bytes for _bucket_index, fragment in fragments),
+        spilled_buckets=stats.spilled_buckets,
+        spilled_bytes=stats.spilled_bytes,
+        blob_put_count=stats.put_count,
+        blob_put_bytes=stats.put_bytes,
+        blob_retry_count=stats.retries,
         seconds=time.perf_counter() - started,
         worker=worker_token(),
-        spill_path=spill_path,
     )
-    for _bucket_index, fragment in fragments:
-        result.wire_bytes += fragment.wire_bytes
-        if fragment.spilled:
-            result.spilled_buckets += 1
-            result.spilled_bytes += fragment.wire_bytes
-    return result
 
 
 def run_reduce_task(
@@ -216,31 +223,29 @@ def run_reduce_task(
 ) -> ReduceTaskResult:
     """Merge the encoded fragments of one bucket and reduce every key group.
 
-    ``blob_store`` is the multi-host backend's fragment source: its fragments
-    carry blob keys instead of inline bytes or spill-file slices, and the
-    merge fetches them (with retry, one get per distinct key) through a
-    :class:`~repro.mapreduce.spill.FragmentReader` over the store.  With a
-    ``context``, blob-get retries follow its fault policy and the injector
-    observes the attempt start (and any injected blob-get failures, when the
-    driver wrapped the store).
+    ``blob_store`` is the store of the run's fragment store: fragments that
+    carry blob keys instead of inline bytes are fetched from it (with retry,
+    one get per distinct key) through a
+    :class:`~repro.mapreduce.spill.FragmentReader`.  With a ``context``,
+    blob-get retries follow its fault policy and the injector observes the
+    attempt start (and any injected blob-get failures, when the driver
+    wrapped the store).
     """
     started = time.perf_counter()
     job = _held_job(job, "reduce", context)
     if context is not None:
         context.begin()
     policy = context.policy if context is not None else None
-    with FragmentReader(blob_store, fault_policy=policy) as reader:
-        grouped = merge_fragments(fragments, make_codec(codec), reader=reader)
-        blob_get_count, blob_get_bytes = reader.blob_gets, reader.blob_get_bytes
-        blob_retry_count = reader.blob_retries
+    reader = FragmentReader(blob_store, fault_policy=policy)
+    grouped = merge_fragments(fragments, make_codec(codec), reader=reader)
     outputs: list[Any] = []
     for key, values in grouped.items():
         outputs.extend(job.reduce(key, values))
     return ReduceTaskResult(
         outputs=outputs,
-        blob_get_count=blob_get_count,
-        blob_get_bytes=blob_get_bytes,
-        blob_retry_count=blob_retry_count,
+        blob_get_count=reader.blob_gets,
+        blob_get_bytes=reader.blob_get_bytes,
+        blob_retry_count=reader.blob_retries,
         seconds=time.perf_counter() - started,
         worker=worker_token(),
     )

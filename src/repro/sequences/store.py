@@ -50,7 +50,6 @@ import struct
 import tempfile
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from typing import NamedTuple
@@ -446,15 +445,6 @@ class EncodedSequenceStore(Sequence):
                 pass
 
         return StoreHandle(name=path, nbytes=self.nbytes), release
-
-    @contextmanager
-    def published(self, directory: str | None = None):
-        """Context-managed :meth:`publish`: yields the handle, then releases."""
-        handle, release = self.publish(directory)
-        try:
-            yield handle
-        finally:
-            release()
 
     @classmethod
     def attach(cls, handle: "StoreHandle") -> "EncodedSequenceStore":

@@ -196,7 +196,7 @@ class TestMakeCluster:
                 cluster.spill_budget_bytes,
                 cluster.spill_dir,
                 cluster.fault_policy,
-                getattr(cluster.shuffle, "blob_dir", None),
+                cluster.blob_dir,
             )
 
         built = ClusterConfig(backend=backend, **fields).build()
@@ -231,7 +231,7 @@ class TestWorkerSideShuffle:
         )
         assert total == result.shuffle_records == result.combined_records
         assert result.wire_bytes == sum(f.wire_bytes for _, f in result.buckets)
-        assert result.spilled_buckets == 0 and result.spill_path is None
+        assert result.spilled_buckets == 0 and result.blob_put_count == 0
 
     def test_stable_hash_types(self):
         assert stable_hash(42) == 42
@@ -320,8 +320,6 @@ class TestWorkerSideShuffle:
         store = EncodedSequenceStore.from_sequences([[1]])
         with pytest.raises(TypeError, match="transport"):
             store.publish(transport="file")
-        with pytest.raises(TypeError, match="transport"):
-            store.published(transport="file")
 
     @pytest.mark.parametrize("backend", ("persistent-processes", "multihost"))
     def test_shuffle_metrics_match_simulated(self, backend):

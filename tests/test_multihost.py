@@ -2,9 +2,9 @@
 
 Acceptance criteria of the ``multihost`` backend: patterns, supports, and all
 modeled/measured shuffle metrics are byte-identical to every other backend
-(the blob store is a *transport*, not a semantics change), the new blob
-put/get counters account for the staged traffic, and no blob — or spill
-file — survives a finished job, successful or not.
+(every payload in the fragment store is a transport, not a semantics
+change), the blob put/get counters account for the store traffic, and no
+blob survives a finished job, successful or not.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import builtins
 import multiprocessing
 import os
+import tracemalloc
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.core import DSeqMiner
 from repro.errors import MapReduceError
 from repro.mapreduce import (
     ClusterConfig,
+    DirectoryBlobStore,
     FaultPolicy,
     FragmentReader,
     InMemoryBlobStore,
@@ -30,7 +32,7 @@ from repro.mapreduce import (
     make_codec,
     merge_fragments,
 )
-from repro.mapreduce.spill import store_payloads
+from repro.mapreduce.spill import FragmentStore, store_payloads
 
 from tests.test_differential import MATRIX_MINERS, _matrix_cluster, make_differential_database
 
@@ -102,7 +104,8 @@ class TestMultiHostEquivalence:
         assert multihost.metrics.blob_get_bytes <= multihost.metrics.blob_put_bytes
 
     def test_spilled_shuffle_stays_byte_identical(self, corpus):
-        """Past the spill budget, fragments stage from the spill file — same bytes."""
+        """Past the spill budget, the same payloads count as spilled on both
+        backends; multihost puts every payload, spilled or not."""
         dictionary, database = corpus
         results = {
             backend: DSeqMiner(
@@ -159,7 +162,7 @@ class TestBlobCleanup:
         with pytest.raises(MapReduceError, match="host down"):
             cluster.run(ExplodingMapJob(), records)
         assert list(blob_dir.iterdir()) == []  # job namespace fully deleted
-        assert list(spill_dir.iterdir()) == []  # no spill file leaked either
+        assert list(spill_dir.iterdir()) == []  # no run directory leaked either
         # The cluster stays usable for the next job.
         result = cluster.run(FidCountJob(), FID_RECORDS)
         assert result.metrics.blob_put_count > 0
@@ -211,33 +214,52 @@ class TestMultiHostJobDelivery:
 
 
 # -------------------------------------------------- FragmentReader behaviour
+class FirstByteCodec:
+    """Decodes a blob to one ``(first byte, [length])`` group, allocating nothing big."""
+
+    @staticmethod
+    def iter_bucket(blob):
+        yield blob[0], [len(blob)]
+
+
 class TestFragmentReader:
-    def _spilled_fragments(self, tmp_path, buckets):
+    def test_merge_holds_one_fetched_blob_at_a_time(self, tmp_path):
+        """A blob-backed merge streams: fragments with distinct keys never hold
+        more than one fetched blob (plus the next one being read), however
+        many fragments the bucket has."""
+        size, count = 1 << 20, 8
+        store = DirectoryBlobStore(str(tmp_path))
+        fragments = []
+        for index in range(count):
+            store.put(f"job/{index}", bytes([index]) * size)
+            fragments.append(
+                WireFragment(records=1, wire_bytes=size, blob_key=f"job/{index}")
+            )
+        tracemalloc.start()
+        try:
+            with FragmentReader(store) as reader:
+                merged = merge_fragments(fragments, FirstByteCodec(), reader=reader)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert merged == {index: [size] for index in range(count)}
+        assert reader.blob_gets == count
+        assert peak < 3 * size
+
+    def test_a_shared_key_is_held_until_its_last_fragment(self):
         codec = make_codec("compact")
-        encoded = (
-            (index, codec.encode_bucket(payload), sum(map(len, payload.values())))
-            for index, payload in enumerate(buckets)
-        )
-        fragments, path = store_payloads(encoded, 0, str(tmp_path))
-        return [fragment for _, fragment in fragments], path, codec
-
-    def test_merge_opens_each_spill_file_once(self, tmp_path, monkeypatch):
-        """The regression: per-fragment reopening of the same spill file."""
-        buckets = [{index: [1, 2]} for index in range(8)]
-        fragments, path, codec = self._spilled_fragments(tmp_path, buckets)
-        assert all(fragment.path == path for fragment in fragments)
-
-        opened = []
-        real_open = builtins.open
-
-        def counting_open(file, *args, **kwargs):
-            opened.append(str(file))
-            return real_open(file, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "open", counting_open)
-        merged = merge_fragments(fragments, codec)
-        assert merged == {index: [1, 2] for index in range(8)}
-        assert opened.count(path) == 1  # one handle for all eight fragments
+        store = InMemoryBlobStore()
+        fragments = []
+        for name in ("a", "b", "a", "c", "b"):
+            blob = codec.encode_bucket({name: [1]})
+            store.put(f"job/{name}", blob)
+            fragments.append(
+                WireFragment(records=1, wire_bytes=len(blob), blob_key=f"job/{name}")
+            )
+        with FragmentReader(store) as reader:
+            merged = merge_fragments(fragments, codec, reader=reader)
+        assert merged == {"a": [1, 1], "b": [1, 1], "c": [1]}
+        assert reader.blob_gets == store.gets == 3  # one get per distinct key
 
     def test_reader_fetches_each_blob_key_once(self):
         codec = make_codec("compact")
@@ -293,10 +315,11 @@ class ExplodingCodec:
 
 
 class TestStorePayloadsLeak:
-    def test_spill_file_removed_when_encoding_fails_mid_task(self, tmp_path):
-        """The regression: an iterator raising mid-``store_payloads`` used to
-        orphan the partially written spill file forever."""
+    def test_encoding_failure_mid_task_leaves_only_whole_blobs(self):
+        """A map task that fails mid-encode has put only complete payloads,
+        all under the job prefix the driver's namespace cleanup deletes."""
         codec = ExplodingCodec(fail_on=4)
+        namespace = FragmentStore(InMemoryBlobStore(), "job")
 
         def encoded():
             for index in range(8):
@@ -304,12 +327,28 @@ class TestStorePayloadsLeak:
                 yield index, blob, 3
 
         with pytest.raises(MapReduceError, match="codec boom"):
-            store_payloads(encoded(), 0, str(tmp_path))
-        assert list(tmp_path.iterdir()) == []  # the partial spill file is gone
+            store_payloads(encoded(), 0, namespace)
+        stored = namespace.blobs.blobs
+        assert len(stored) == 3 and all(key.startswith("job/") for key in stored)
+        reference = make_codec("compact")
+        decoded = [reference.decode_bucket(blob) for blob in stored.values()]
+        assert sorted(decoded, key=list) == [{index: [1, 2, 3]} for index in range(3)]
 
-    def test_successful_task_still_returns_its_spill_file(self, tmp_path):
+    def test_successful_task_returns_its_stored_fragments(self):
         codec = make_codec("compact")
-        encoded = [(0, codec.encode_bucket({0: [1]}), 1)]
-        fragments, path = store_payloads(iter(encoded), 0, str(tmp_path))
-        assert path is not None and os.path.exists(path)
-        assert [f.spilled for _, f in fragments] == [True]
+        namespace = FragmentStore(InMemoryBlobStore(), "job")
+        encoded = [(0, codec.encode_bucket({0: [1]}), 1), (1, codec.encode_bucket({1: [2]}), 1)]
+        fragments, stats = store_payloads(iter(encoded), len(encoded[0][1]), namespace)
+        assert [f.blob_key is not None for _, f in fragments] == [False, True]
+        assert [f.data is not None for _, f in fragments] == [True, False]
+        assert stats.put_count == stats.spilled_buckets == namespace.blobs.puts == 1
+
+    def test_a_store_for_every_payload_keeps_the_spill_accounting(self):
+        """multihost's store takes every payload; spilled still means past the budget."""
+        codec = make_codec("compact")
+        namespace = FragmentStore(InMemoryBlobStore(), "job", every_payload=True)
+        encoded = [(0, codec.encode_bucket({0: [1]}), 1), (1, codec.encode_bucket({1: [2]}), 1)]
+        fragments, stats = store_payloads(iter(encoded), len(encoded[0][1]), namespace)
+        assert all(f.data is None and f.blob_key is not None for _, f in fragments)
+        assert stats.put_count == namespace.blobs.puts == 2
+        assert (stats.spilled_buckets, stats.spilled_bytes) == (1, fragments[1][1].wire_bytes)

@@ -176,19 +176,31 @@ def task_context(stage: str, index: int = 0) -> TaskContext:
     return TaskContext(stage, index, 1, DEFAULT_FAULT_POLICY, None)
 
 
-def first_tasks(cluster, job, run_dir):
-    """The arguments of the first map task and of a reduce task, as built by
-    ``cluster``'s executor and shuffle transport for a run of ``job``."""
-    with cluster.shuffle.scope(cluster, run_dir) as shuffle, cluster.executor.scope(
-        cluster, RECORDS, job, run_dir
-    ) as (chunks, task_job, _execute):
-        _function, map_args = shuffle.map_task(
-            (task_job, chunks[0], cluster.num_reduce_tasks, cluster.codec, None, None),
-            task_context("map"),
-        )
-        _function, reduce_args = shuffle.reduce_task(
-            task_job, [], cluster.codec, task_context("reduce")
-        )
+def first_tasks(cluster, job):
+    """The arguments of the first map task and of the first reduce task that
+    ``cluster``'s driver schedules in a run of ``job`` over ``RECORDS``."""
+    executor = cluster.executor
+    scheduled = []
+
+    class RecordingExecutor(type(executor)):
+        @contextmanager
+        def scope(self, *args):
+            with executor.scope(*args) as (chunks, task_job, execute):
+
+                def record(tasks, fail_fast=True):
+                    scheduled.append(tasks[0])
+                    return execute(tasks, fail_fast)
+
+                yield chunks, task_job, record
+
+    cluster.executor = RecordingExecutor()
+    try:
+        cluster.run(job, RECORDS)
+    finally:
+        cluster.executor = executor
+    (map_function, map_args), (reduce_function, reduce_args) = scheduled
+    # The two tasks every backend schedules.
+    assert (map_function, reduce_function) == (run_map_task, run_reduce_task)
     return map_args, reduce_args
 
 
@@ -200,21 +212,21 @@ forked_pools = pytest.mark.skipif(
 
 class TestJobDelivery:
     @pytest.mark.parametrize("backend", POOL_BACKENDS)
-    def test_pool_tasks_carry_a_reference_not_the_job(self, backend, tmp_path):
+    def test_pool_tasks_carry_a_reference_not_the_job(self, backend):
         cluster = make_cluster(backend, num_workers=2)
         job = BulkyJob()
         assert len(pickle.dumps(job)) > 64 * 1024
-        map_args, reduce_args = first_tasks(cluster, job, str(tmp_path))
+        map_args, reduce_args = first_tasks(cluster, job)
         for arguments in (map_args, reduce_args):
             assert isinstance(arguments[0], JobRef)
             assert not any(argument is job for argument in arguments)
             assert len(pickle.dumps(arguments, protocol=pickle.HIGHEST_PROTOCOL)) < 1024
 
     @pytest.mark.parametrize("backend", IN_PROCESS_BACKENDS)
-    def test_in_process_tasks_keep_the_object(self, backend, tmp_path):
+    def test_in_process_tasks_keep_the_object(self, backend):
         cluster = make_cluster(backend, num_workers=2)
         job = UnpicklableJob()
-        map_args, reduce_args = first_tasks(cluster, job, str(tmp_path))
+        map_args, reduce_args = first_tasks(cluster, job)
         assert map_args[0] is job and reduce_args[0] is job
         assert dict(cluster.run(job, RECORDS).outputs) == EXPECTED
 

@@ -199,11 +199,14 @@ class TestPublishAttach:
     )
     def test_attach_round_trip(self, sequences, tmp_path):
         store = EncodedSequenceStore.from_sequences(sequences)
-        with store.published(str(tmp_path)) as handle:
+        handle, release = store.publish(str(tmp_path))
+        try:
             attached = EncodedSequenceStore.attach(handle)
             assert attached.sequences() == store.sequences()
             assert attached.nbytes == store.nbytes
             attached.close()
+        finally:
+            release()
         assert list(tmp_path.iterdir()) == []  # the store file is gone
 
     def test_release_removes_the_file(self):
@@ -224,7 +227,8 @@ class TestPublishAttach:
 
     def test_attach_cache_is_per_handle(self):
         store = EncodedSequenceStore.from_sequences([[1], [2]])
-        with store.published() as handle:
+        handle, release = store.publish()
+        try:
             first = attach_store(handle)
             second = attach_store(handle)
             assert first is second
@@ -237,6 +241,8 @@ class TestPublishAttach:
             third = attach_store(handle)
             assert third is not first
             detach_store(handle)
+        finally:
+            release()
         detach_store(handle)  # idempotent after release
 
     @pytest.mark.skipif(
@@ -256,7 +262,8 @@ class TestPublishAttach:
                 held.set()
                 forked.wait(30)
 
-        with store.published() as handle:
+        handle, release = store.publish()
+        try:
             holder = threading.Thread(target=hold_the_tracker_lock)
             holder.start()
             try:
@@ -272,6 +279,8 @@ class TestPublishAttach:
             finally:
                 child.kill()
                 child.join()
+        finally:
+            release()
 
 
 def report_attached(handle, connection) -> None:
@@ -366,13 +375,16 @@ class TestUniqueView:
         ).unique_view()
         clone = pickle.loads(pickle.dumps(unique))
         assert list(clone) == list(unique)
-        with unique.published() as handle:
+        handle, release = unique.publish()
+        try:
             attached = EncodedSequenceStore.attach(handle)
             try:
                 assert list(attached) == list(unique)
                 assert attached.weighted
             finally:
                 attached.close()
+        finally:
+            release()
 
     def test_weighted_slices_and_chunks_decode_weighted_records(self):
         unique = EncodedSequenceStore.from_sequences(
@@ -452,13 +464,16 @@ class TestItemWidth:
         assert list(store.slice(2, 4)) == sequences[2:4]
         assert store[-1] == (largest,)
         assert pickle.loads(pickle.dumps(store)).sequences() == sequences
-        with store.published(str(tmp_path)) as handle:
+        handle, release = store.publish(str(tmp_path))
+        try:
             attached = EncodedSequenceStore.attach(handle)
             try:
                 assert attached.sequences() == sequences
                 assert attached.content_hash() == store.content_hash()
             finally:
                 attached.close()
+        finally:
+            release()
         unique = store.unique_view()
         assert header_of(unique)[2] == width  # the view keeps its parent's width
         assert [record.sequence for record in unique] == [

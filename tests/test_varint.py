@@ -10,7 +10,9 @@ supported layout, so the values drawn here run well beyond it.
 from __future__ import annotations
 
 import os
+import random
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,34 @@ class TestReadVarint:
             assert not flipped[end - 1] & 0x80
             assert read == sum((byte & 0x7F) << (7 * i) for i, byte in enumerate(flipped[:end]))
             assert read_varint(encoded(read), 0) == (read, len(encoded(read)))
+
+    @pytest.mark.parametrize("length", (9, 10, 11, 12, 20, 100, 1000, 3000))
+    def test_round_trip_over_long_lengths(self, length):
+        """Both sides of the ten-byte switch to the long reader, and far past it."""
+        for value in (
+            2 ** (7 * (length - 1)),
+            2 ** (7 * length) - 1,
+            random.Random(length).getrandbits(7 * length) | 2 ** (7 * (length - 1)),
+        ):
+            data = encoded(value)
+            assert len(data) == length
+            assert read_varint(b"\x00" + data + b"\xff", 1) == (value, length + 1)
+            with pytest.raises(Hostile, match="truncated fid"):
+                read_varint(data[:-1], 0, error=Hostile, what="fid")
+        # A non-minimal spelling reads as the groups it spells.
+        padded = b"\x81" + b"\x80" * (length - 2) + b"\x00"
+        assert read_varint(padded, 0) == (1, length)
+
+    def test_a_long_varint_reads_in_linear_time(self):
+        """Reading used to OR every group into a growing int: quadratic in
+        the length, ≈ 14 s for this half-megabyte varint."""
+        length = 500_000
+        data = b"\xff" * (length - 1) + b"\x01"
+        started = time.perf_counter()
+        value, end = read_varint(data, 0)
+        assert time.perf_counter() - started < 3.0
+        assert end == length
+        assert value == 2 ** (7 * (length - 1) + 1) - 1
 
 
 class TestCallers:

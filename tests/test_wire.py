@@ -1,10 +1,11 @@
-"""Tests for the shuffle wire format and the disk-spilling bucket store.
+"""Tests for the shuffle wire format and the fragment store past the spill budget.
 
 Covers three layers: value/bucket round-trips of every codec (including the
 empty-payload and huge-fid edge cases, plus hypothesis-generated payloads, and
 the column layout of uniform ``(payload, weight)`` groups against a test-side
 copy of the all-tagged encoder it replaced),
-the spill machinery itself (budget semantics, streamed merge, cleanup), and
+the fragment store past the spill budget (budget semantics, streamed merge,
+cleanup), and
 the end-to-end guarantee that miners produce identical patterns and identical
 *measured* wire bytes on every backend, for every codec, spilled or not.
 """
@@ -12,7 +13,6 @@ the end-to-end guarantee that miners produce identical patterns and identical
 from __future__ import annotations
 
 import enum
-import os
 import pickle
 import random
 from concurrent.futures import BrokenExecutor
@@ -29,7 +29,9 @@ from repro.mapreduce import (
     ClusterConfig,
     Codec,
     CompactCodec,
+    DirectoryBlobStore,
     FaultPolicy,
+    InMemoryBlobStore,
     MapReduceJob,
     MultiHostCluster,
     PersistentProcessPoolCluster,
@@ -41,7 +43,13 @@ from repro.mapreduce import (
     run_map_task,
 )
 import repro.mapreduce.wire as wire_module
-from repro.mapreduce.spill import WireFragment, remove_spill_files, store_payloads
+from repro.mapreduce.spill import (
+    FragmentReader,
+    FragmentStore,
+    StoreStats,
+    WireFragment,
+    store_payloads,
+)
 from repro.mapreduce.wire import (
     _T_LIST,
     _T_TUPLE,
@@ -703,69 +711,101 @@ class TestHostilePayloads:
 
 
 # --------------------------------------------------------------------- spill
+def in_memory_fragment_store() -> FragmentStore:
+    return FragmentStore(InMemoryBlobStore(), "job")
+
+
 class TestSpill:
     def encoded(self, codec, payloads_by_bucket):
         for index, payload in sorted(payloads_by_bucket.items()):
             blob = codec.encode_bucket(payload)
             yield index, blob, sum(len(v) for v in payload.values())
 
-    def test_no_budget_keeps_everything_inline(self, tmp_path):
+    def test_no_budget_keeps_everything_inline(self):
         codec = make_codec("compact")
-        fragments, path = store_payloads(
-            self.encoded(codec, {0: {1: [2]}, 3: {4: [5]}}), None, str(tmp_path)
+        namespace = in_memory_fragment_store()
+        fragments, stats = store_payloads(
+            self.encoded(codec, {0: {1: [2]}, 3: {4: [5]}}), None, namespace
         )
-        assert path is None
-        assert all(not fragment.spilled for _, fragment in fragments)
+        assert all(f.data is not None and f.blob_key is None for _, f in fragments)
+        assert namespace.blobs.puts == 0
+        assert stats == StoreStats()
 
-    def test_zero_budget_spills_everything(self, tmp_path):
+    def test_zero_budget_spills_everything(self):
         codec = make_codec("compact")
-        fragments, path = store_payloads(
-            self.encoded(codec, {0: {1: [2]}, 3: {4: [5]}}), 0, str(tmp_path)
+        namespace = in_memory_fragment_store()
+        fragments, stats = store_payloads(
+            self.encoded(codec, {0: {1: [2]}, 3: {4: [5]}}), 0, namespace
         )
-        assert path is not None and os.path.exists(path)
-        assert all(fragment.spilled for _, fragment in fragments)
-        # Spilled fragments read back exactly what was encoded.
-        merged = merge_fragments([fragment for _, fragment in fragments], codec)
+        assert all(f.data is None and f.blob_key.startswith("job/") for _, f in fragments)
+        assert stats.spilled_buckets == stats.put_count == namespace.blobs.puts == 2
+        assert stats.spilled_bytes == stats.put_bytes == sum(
+            f.wire_bytes for _, f in fragments
+        )
+        # Stored fragments read back exactly what was encoded.
+        merged = merge_fragments(
+            [fragment for _, fragment in fragments], codec, FragmentReader(namespace.blobs)
+        )
         assert merged == {1: [2], 4: [5]}
-        remove_spill_files([path])
-        assert not os.path.exists(path)
 
-    def test_budget_splits_inline_and_spilled(self, tmp_path):
+    def test_budget_splits_inline_and_spilled(self):
         codec = make_codec("compact")
         payloads_by_bucket = {i: {i: [(i, i + 1)] * 10} for i in range(6)}
         blobs = [codec.encode_bucket(p) for p in payloads_by_bucket.values()]
         budget = len(blobs[0]) + len(blobs[1])  # room for exactly two payloads
-        fragments, path = store_payloads(
-            self.encoded(codec, payloads_by_bucket), budget, str(tmp_path)
+        namespace = in_memory_fragment_store()
+        fragments, stats = store_payloads(
+            self.encoded(codec, payloads_by_bucket), budget, namespace
         )
-        spilled = [fragment for _, fragment in fragments if fragment.spilled]
-        inline = [fragment for _, fragment in fragments if not fragment.spilled]
+        spilled = [fragment for _, fragment in fragments if fragment.blob_key is not None]
+        inline = [fragment for _, fragment in fragments if fragment.data is not None]
         assert len(inline) == 2 and len(spilled) == 4
+        assert stats.spilled_buckets == stats.put_count == 4
         assert sum(f.wire_bytes for f in inline) <= budget
-        merged = merge_fragments([f for _, f in fragments], codec)
+        merged = merge_fragments(
+            [f for _, f in fragments], codec, FragmentReader(namespace.blobs)
+        )
         assert merged == {i: [(i, i + 1)] * 10 for i in range(6)}
-        remove_spill_files([path])
 
-    def test_fragment_read_detects_truncation(self, tmp_path):
-        path = tmp_path / "bucket.spill"
-        path.write_bytes(b"abc")
-        fragment = WireFragment(records=1, wire_bytes=10, path=str(path))
-        with pytest.raises(MapReduceError, match="truncated spill file"):
-            fragment.read()
+    def test_past_budget_without_a_store_is_refused(self):
+        codec = make_codec("compact")
+        with pytest.raises(MapReduceError, match="needs a fragment store"):
+            store_payloads(self.encoded(codec, {0: {1: [2]}}), 0, None)
 
-    def test_map_task_reports_spill_accounting(self, tmp_path):
+    def test_fragment_read_detects_truncation(self):
+        """The reader checks every fetched payload against its fragment's length."""
+        store = InMemoryBlobStore()
+        store.put("job/k", b"abc")
+        fragment = WireFragment(records=1, wire_bytes=10, blob_key="job/k")
+        with pytest.raises(MapReduceError, match="'job/k' is 3 bytes, expected 10"):
+            FragmentReader(store).read(fragment)
+
+    def test_a_stored_payload_truncated_on_disk_is_refused(self, tmp_path):
+        codec = make_codec("compact")
+        namespace = FragmentStore(DirectoryBlobStore(str(tmp_path)), "job")
+        fragments, _stats = store_payloads(
+            self.encoded(codec, {0: {1: [2, 3, 4]}}), 0, namespace
+        )
+        (_index, fragment), = fragments
+        stored = tmp_path / fragment.blob_key
+        stored.write_bytes(stored.read_bytes()[:-1])
+        with pytest.raises(MapReduceError, match=fragment.blob_key):
+            merge_fragments([fragment], codec, FragmentReader(namespace.blobs))
+
+    def test_map_task_reports_spill_accounting(self):
         class Pairs(MapReduceJob):
             def map(self, record):
                 yield record % 5, record
 
+        namespace = in_memory_fragment_store()
         result = run_map_task(
             Pairs(), list(range(50)), num_reduce_tasks=5, codec="compact",
-            spill_budget_bytes=0, spill_dir=str(tmp_path),
+            spill_budget_bytes=0, fragment_store=namespace,
         )
         assert result.spilled_buckets == len(result.buckets) > 0
         assert result.spilled_bytes == result.wire_bytes > 0
-        assert result.spill_path is not None
-        remove_spill_files([result.spill_path])
+        assert result.blob_put_count == result.spilled_buckets == namespace.blobs.puts
+        assert result.blob_put_bytes == result.spilled_bytes
 
     def test_cluster_cleans_up_spill_files(self, tmp_path):
         class Pairs(MapReduceJob):
@@ -781,14 +821,14 @@ class TestSpill:
         result = cluster.run(Pairs(), list(range(50)))
         assert result.metrics.spilled_buckets > 0
         assert result.metrics.spilled_bytes == result.metrics.wire_bytes
-        assert list(tmp_path.iterdir()) == []  # spill files removed after the run
+        assert list(tmp_path.iterdir()) == []  # the run directory went with its blobs
 
     def test_rejects_negative_budget(self):
         with pytest.raises(MapReduceError, match="spill_budget_bytes"):
             SimulatedCluster(num_workers=1, spill_budget_bytes=-1)
 
     def test_spill_files_removed_when_a_map_task_fails(self, tmp_path):
-        """A failing map task must not strand completed tasks' spill files."""
+        """A failing map task must not strand completed tasks' stored payloads."""
 
         class Explodes(MapReduceJob):
             def map(self, record):
@@ -841,8 +881,8 @@ class TestSpillCleanupOnWorkerFailure:
     """A run must leave nothing behind, whether it succeeds, a worker task
     raises mid-stage, or a host dies.
 
-    Everything a run writes — the published input store, spill files, a
-    private blob store — lives in one run directory that the driver removes
+    Everything a run writes — the published input store and a private
+    fragment store — lives in one run directory that the driver removes
     after the executor scope has joined every worker task, so even tasks that
     were already running when another task failed cannot recreate files
     behind the cleanup's back.  Nothing goes to ``/dev/shm``.
@@ -891,6 +931,34 @@ class TestSpillCleanupOnWorkerFailure:
         with pytest.raises(BrokenExecutor):
             cluster.run(ExplodingReducerJob(), FAILURE_RECORDS)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestFragmentStoreCounters:
+    """Payloads past the budget are blobs in the run's fragment store on every
+    backend, so the blob counters account for exactly the spilled payloads."""
+
+    @pytest.mark.parametrize("backend", ("simulated", "persistent-processes"))
+    def test_spilling_runs_put_every_spilled_payload(self, backend, tmp_path):
+        cluster = make_cluster(
+            backend, num_workers=2, spill_budget_bytes=0, spill_dir=str(tmp_path)
+        )
+        metrics = cluster.run(ExplodingMapperJob(), FAILURE_RECORDS).metrics
+        assert metrics.blob_put_count == metrics.spilled_buckets > 0
+        assert metrics.blob_put_bytes == metrics.spilled_bytes == metrics.wire_bytes
+        assert 0 < metrics.blob_get_bytes <= metrics.blob_put_bytes
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("backend", ("simulated", "persistent-processes"))
+    def test_default_budget_runs_touch_no_store(self, backend, tmp_path):
+        cluster = make_cluster(backend, num_workers=2, spill_dir=str(tmp_path))
+        metrics = cluster.run(ExplodingMapperJob(), FAILURE_RECORDS).metrics
+        assert metrics.spilled_buckets == 0
+        assert (
+            metrics.blob_put_count,
+            metrics.blob_put_bytes,
+            metrics.blob_get_count,
+            metrics.blob_get_bytes,
+        ) == (0, 0, 0, 0)
 
 
 # ---------------------------------------------------------- miner equivalence
@@ -952,5 +1020,5 @@ class TestMinersAcrossCodecsAndBackends:
             assert result.patterns() == reference[name].patterns(), name
             assert result.metrics.wire_bytes == reference[name].metrics.wire_bytes, name
             assert result.metrics.spilled_buckets > 0, name
-            assert list(tmp_path.iterdir()) == []  # all spill files cleaned up
+            assert list(tmp_path.iterdir()) == []  # every run directory cleaned up
 
