@@ -56,11 +56,11 @@ def test_chaos_injected_faults_recover(benchmark):
     # The injected kill and flaky blobs must be fully absorbed by retries.
     assert chaos.status == "ok"
     assert chaos.num_patterns == baseline.num_patterns
-    assert chaos.shuffle_bytes == baseline.shuffle_bytes
-    assert chaos.wire_bytes == baseline.wire_bytes
-    assert chaos.task_retry_count > 0
-    assert chaos.recovered_host_count >= 1
-    assert baseline.task_retry_count == 0
+    assert chaos.metrics.shuffle_bytes == baseline.metrics.shuffle_bytes
+    assert chaos.metrics.wire_bytes == baseline.metrics.wire_bytes
+    assert chaos.metrics.task_retry_count > 0
+    assert chaos.metrics.recovered_host_count >= 1
+    assert baseline.metrics.task_retry_count == 0
 
     rows = [
         {
@@ -68,10 +68,10 @@ def test_chaos_injected_faults_recover(benchmark):
             "status": record.status,
             "total_s": round(record.wall_seconds, 4),
             "patterns": record.num_patterns,
-            "tasks_failed": record.tasks_failed,
-            "task_retries": record.task_retry_count,
-            "blob_retries": record.blob_retry_count,
-            "hosts_recovered": record.recovered_host_count,
+            "tasks_failed": record.metrics.tasks_failed,
+            "task_retries": record.metrics.task_retry_count,
+            "blob_retries": record.metrics.blob_retry_count,
+            "hosts_recovered": record.metrics.recovered_host_count,
         }
         for label, record in (("fault-free", baseline), ("chaos", chaos))
     ]

@@ -127,22 +127,23 @@ def test_partition_planning(benchmark, bench_json_section):
     paired = {}
     for record in records:
         key = (record.algorithm, record.constraint)
-        paired.setdefault(key, {})[record.partitioner] = record
+        paired.setdefault(key, {})[record.metrics.partitioner] = record
     for key, pair in paired.items():
         hashed, planned = pair["hash"], pair["planned"]
         # The plan moves records between buckets but never changes what is
         # mined or how much travels.
         assert planned.num_patterns == hashed.num_patterns, key
-        assert planned.shuffle_bytes == hashed.shuffle_bytes, key
+        assert planned.metrics.shuffle_bytes == hashed.metrics.shuffle_bytes, key
         assert planned.status == hashed.status == "ok", key
         # The point of the planner: the heaviest bucket never grows, and the
         # modeled reduce-stage straggler never regresses.  (The max/mean
         # imbalance *ratio* is not compared here: the plan also spreads load
         # over more non-empty buckets, which lowers the mean and can raise
         # the ratio even as the actual straggler shrinks.)
-        assert planned.partition_max_bytes <= hashed.partition_max_bytes, key
+        assert planned.metrics.partition_max_bytes <= hashed.metrics.partition_max_bytes, key
         assert (
-            planned.modeled_straggler_seconds <= hashed.modeled_straggler_seconds
+            planned.metrics.modeled_straggler_seconds
+            <= hashed.metrics.modeled_straggler_seconds
         ), key
 
     payload = {"workers": BENCH_WORKERS, "rows": rows}

@@ -253,8 +253,8 @@ def figure11_scalability(
             {
                 "fraction": fraction,
                 "workers": max_workers,
-                "dseq_s": round(dseq.total_seconds, 3),
-                "dcand_s": round(dcand.total_seconds, 3),
+                "dseq_s": round(dseq.metrics.total_seconds, 3),
+                "dcand_s": round(dcand.metrics.total_seconds, 3),
             }
         )
 
@@ -265,8 +265,8 @@ def figure11_scalability(
             {
                 "workers": workers,
                 "fraction": 1.0,
-                "dseq_s": round(dseq.total_seconds, 3),
-                "dcand_s": round(dcand.total_seconds, 3),
+                "dseq_s": round(dseq.metrics.total_seconds, 3),
+                "dcand_s": round(dcand.metrics.total_seconds, 3),
             }
         )
 
@@ -278,8 +278,8 @@ def figure11_scalability(
             {
                 "workers": workers,
                 "fraction": fraction,
-                "dseq_s": round(dseq.total_seconds, 3),
-                "dcand_s": round(dcand.total_seconds, 3),
+                "dseq_s": round(dseq.metrics.total_seconds, 3),
+                "dcand_s": round(dcand.metrics.total_seconds, 3),
             }
         )
     return results

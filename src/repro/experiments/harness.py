@@ -14,19 +14,16 @@ from repro.mapreduce import ClusterConfig, JobMetrics
 from repro.sequences import SequenceDatabase
 
 
-def _metric(name: str) -> property:
-    """A read-only :class:`RunRecord` view of one field of its metrics."""
-    return property(lambda record: getattr(record.metrics, name))
-
-
 @dataclass
 class RunRecord:
     """Measurements of one (algorithm, constraint, dataset) run.
 
-    ``metrics`` is the run's :class:`~repro.mapreduce.JobMetrics`; the
-    timing, shuffle, blob, fault and balance figures below read it.  An
-    ``"oom"`` run (candidate/run explosion) finished no job, so its metrics
-    are empty apart from the worker count it was configured with.
+    ``metrics`` is the run's :class:`~repro.mapreduce.JobMetrics`: read the
+    timing, shuffle, blob, fault and balance figures there.  An ``"oom"``
+    run (candidate/run explosion) finished no job, so its metrics are empty
+    apart from the worker count it was configured with.  Blob traffic,
+    fault-tolerance accounting and the balance figures stay out of
+    :meth:`as_row`, so the committed BENCH goldens keep their exact shape.
     """
 
     algorithm: str
@@ -39,48 +36,23 @@ class RunRecord:
     metrics: JobMetrics = field(default_factory=JobMetrics)
     extra: dict = field(default_factory=dict)
 
-    num_workers = _metric("num_workers")
-    total_seconds = _metric("total_seconds")
-    map_seconds = _metric("map_seconds")
-    reduce_seconds = _metric("reduce_seconds")
-    shuffle_bytes = _metric("shuffle_bytes")
-    shuffle_records = _metric("shuffle_records")
-    wire_bytes = _metric("wire_bytes")
-    spilled_buckets = _metric("spilled_buckets")
-    input_pickle_bytes = _metric("map_input_pickle_bytes")
-    # Blob traffic (multihost only) and fault-tolerance accounting (zero on
-    # fault-free runs) stay out of as_row(), like the balance figures, so
-    # the committed BENCH goldens keep their exact shape.
-    blob_put_count = _metric("blob_put_count")
-    blob_put_bytes = _metric("blob_put_bytes")
-    blob_get_count = _metric("blob_get_count")
-    blob_get_bytes = _metric("blob_get_bytes")
-    tasks_failed = _metric("tasks_failed")
-    task_retry_count = _metric("task_retry_count")
-    blob_retry_count = _metric("blob_retry_count")
-    recovered_host_count = _metric("recovered_host_count")
-    partitioner = _metric("partitioner")
-    partition_max_bytes = _metric("partition_max_bytes")
-    partition_mean_bytes = _metric("partition_mean_bytes")
-    partition_imbalance = _metric("partition_imbalance")
-    modeled_straggler_seconds = _metric("modeled_straggler_seconds")
-
     def as_row(self) -> dict:
         # ``total_s`` is always the ``map_s``/``reduce_s`` sum: the split
         # keeps map-side wins (grid engine, dedup) visible in every report.
         # Four decimals: tiny regression-scale runs finish in milliseconds,
         # and the committed BENCH artifacts must resolve the stage split.
+        metrics = self.metrics
         return {
             "algorithm": self.algorithm,
             "constraint": self.constraint,
             "dataset": self.dataset,
             "status": self.status,
-            "total_s": round(self.total_seconds, 4),
-            "map_s": round(self.map_seconds, 4),
-            "reduce_s": round(self.reduce_seconds, 4),
-            "shuffle_bytes": self.shuffle_bytes,
-            "wire_bytes": self.wire_bytes,
-            "input_pickle_bytes": self.input_pickle_bytes,
+            "total_s": round(metrics.total_seconds, 4),
+            "map_s": round(metrics.map_seconds, 4),
+            "reduce_s": round(metrics.reduce_seconds, 4),
+            "shuffle_bytes": metrics.shuffle_bytes,
+            "wire_bytes": metrics.wire_bytes,
+            "input_pickle_bytes": metrics.map_input_pickle_bytes,
             "patterns": self.num_patterns,
         }
 
@@ -88,16 +60,17 @@ class RunRecord:
         # Reduce-partition balance of the run, for the BENCH "balance"
         # sections; ``as_row`` stays untouched so the committed goldens and
         # the CI byte-count baselines keep their exact historical shape.
+        metrics = self.metrics
         return {
             "algorithm": self.algorithm,
             "constraint": self.constraint,
             "dataset": self.dataset,
-            "partitioner": self.partitioner,
-            "shuffle_bytes": self.shuffle_bytes,
-            "partition_max_bytes": self.partition_max_bytes,
-            "partition_mean_bytes": round(self.partition_mean_bytes, 1),
-            "partition_imbalance": round(self.partition_imbalance, 3),
-            "modeled_straggler_s": round(self.modeled_straggler_seconds, 6),
+            "partitioner": metrics.partitioner,
+            "shuffle_bytes": metrics.shuffle_bytes,
+            "partition_max_bytes": metrics.partition_max_bytes,
+            "partition_mean_bytes": round(metrics.partition_mean_bytes, 1),
+            "partition_imbalance": round(metrics.partition_imbalance, 3),
+            "modeled_straggler_s": round(metrics.modeled_straggler_seconds, 6),
         }
 
 

@@ -148,23 +148,24 @@ def table5_speedup(
         row = {
             "constraint": constraint.name,
             "dataset": dataset_name,
-            "desq_dfs_s": round(sequential.total_seconds, 3),
-            "dseq_s": round(dseq.total_seconds, 3),
-            "dcand_s": round(dcand.total_seconds, 3),
+            "desq_dfs_s": round(sequential.metrics.total_seconds, 3),
+            "dseq_s": round(dseq.metrics.total_seconds, 3),
+            "dcand_s": round(dcand.metrics.total_seconds, 3),
             # The map/reduce split of each distributed makespan: map-side
             # wins (grid engine, corpus dedup) stay visible per algorithm.
-            "dseq_map_s": round(dseq.map_seconds, 3),
-            "dseq_reduce_s": round(dseq.reduce_seconds, 3),
-            "dcand_map_s": round(dcand.map_seconds, 3),
-            "dcand_reduce_s": round(dcand.reduce_seconds, 3),
-            "dseq_wire_bytes": dseq.wire_bytes,
-            "dcand_wire_bytes": dcand.wire_bytes,
-            "dseq_input_pickle_bytes": dseq.input_pickle_bytes,
-            "dcand_input_pickle_bytes": dcand.input_pickle_bytes,
+            "dseq_map_s": round(dseq.metrics.map_seconds, 3),
+            "dseq_reduce_s": round(dseq.metrics.reduce_seconds, 3),
+            "dcand_map_s": round(dcand.metrics.map_seconds, 3),
+            "dcand_reduce_s": round(dcand.metrics.reduce_seconds, 3),
+            "dseq_wire_bytes": dseq.metrics.wire_bytes,
+            "dcand_wire_bytes": dcand.metrics.wire_bytes,
+            "dseq_input_pickle_bytes": dseq.metrics.map_input_pickle_bytes,
+            "dcand_input_pickle_bytes": dcand.metrics.map_input_pickle_bytes,
         }
         for record, key in ((dseq, "dseq_speedup"), (dcand, "dcand_speedup")):
-            if record.status == "ok" and record.total_seconds > 0:
-                row[key] = round(sequential.total_seconds / record.total_seconds, 1)
+            seconds = record.metrics.total_seconds
+            if record.status == "ok" and seconds > 0:
+                row[key] = round(sequential.metrics.total_seconds / seconds, 1)
             else:
                 row[key] = "n/a"
         rows.append(row)

@@ -28,7 +28,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.mapreduce.base": ("BatchOutcome", "Cluster", "JobResult", "StageDriverCluster"),
         "repro.mapreduce.blobstore": (
             "BlobNotFoundError",
-            "BlobRetryStats",
             "BlobStore",
             "BlobStoreError",
             "DirectoryBlobStore",
@@ -69,7 +68,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "normalize_partitioner",
             "stable_hash",
         ),
-        "repro.mapreduce.metrics": ("JobMetrics", "lpt_worker_loads"),
+        "repro.mapreduce.metrics": ("Counters", "JobMetrics", "lpt_worker_loads"),
         "repro.mapreduce.multihost": ("MultiHostCluster",),
         "repro.mapreduce.parallel": ("PersistentProcessPoolCluster", "ProcessExecutor"),
         "repro.mapreduce.spill": ("FragmentReader", "WireFragment", "merge_fragments"),

@@ -5,15 +5,16 @@ same four phases — map, combine, partition (worker-side shuffle write), and
 reduce — with identical metrics accounting.  One class drives every run,
 :class:`StageDriverCluster`: it splits the input into map tasks, routes the
 per-bucket payloads returned by the map tasks to reduce tasks, retries failed
-attempts, and folds the task counters into one
-:class:`~repro.mapreduce.metrics.JobMetrics`.  A backend is that driver plus
-an **executor**, which decides where tasks run and how the input and the job
-reach them.  :class:`InlineExecutor` runs tasks serially in the calling
-process and models the makespan of ``num_workers`` workers, handing tasks
-record chunks and the job object itself;
-:class:`~repro.mapreduce.parallel.ProcessExecutor` publishes the input once as
-an :class:`~repro.sequences.store.EncodedSequenceStore` file, hands every
-worker the job once, and ships chunk descriptors and a job reference.
+attempts, and folds every task's :class:`~repro.mapreduce.metrics.Counters`
+into one :class:`~repro.mapreduce.metrics.JobMetrics`, field by field.  A
+backend is that driver plus an **executor**, which decides where tasks run
+and how the input and the job reach them.  :class:`InlineExecutor` runs
+tasks serially in the calling process and models the makespan of
+``num_workers`` workers, handing tasks record chunks and the job object
+itself; :class:`~repro.mapreduce.parallel.ProcessExecutor` publishes the
+input once as an :class:`~repro.sequences.store.EncodedSequenceStore` file,
+hands every worker the job once, and ships chunk descriptors and a job
+reference.
 
 Encoded reduce buckets travel inline through the driver, or as keys into the
 run's one :class:`~repro.mapreduce.spill.FragmentStore`: the payloads past the
@@ -57,7 +58,6 @@ from typing import Any, Protocol, runtime_checkable
 from repro.errors import MapReduceError
 from repro.mapreduce.faults import (
     DEFAULT_FAULT_POLICY,
-    FaultInjectingBlobStore,
     FaultInjector,
     FaultPolicy,
     TaskContext,
@@ -65,7 +65,7 @@ from repro.mapreduce.faults import (
     is_retryable,
 )
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.metrics import JobMetrics
+from repro.mapreduce.metrics import JobMetrics, lpt_worker_loads
 from repro.mapreduce.spill import FragmentStore, WireFragment
 from repro.mapreduce.tasks import (
     MapTaskResult,
@@ -122,7 +122,8 @@ class InlineExecutor:
 
     Map tasks get record chunks and the job object itself, so nothing is
     pickled.  All tasks ran here, so reduce times go to ``num_workers``
-    *modelled* workers by a greedy least-loaded (LPT) schedule, the way a real
+    *modelled* workers by the longest-processing-time-first schedule of
+    :func:`~repro.mapreduce.metrics.lpt_worker_loads`, the way a real
     scheduler balances over-partitioned buckets.
 
     This is the executor contract.  :meth:`scope` spans both stages of one
@@ -155,11 +156,8 @@ class InlineExecutor:
 
     @staticmethod
     def worker_times(results: Sequence[ReduceTaskResult], num_workers: int) -> list[float]:
-        worker_seconds = [0.0] * num_workers
-        for result in results:
-            index = min(range(num_workers), key=worker_seconds.__getitem__)
-            worker_seconds[index] += result.seconds
-        return worker_seconds
+        loads = lpt_worker_loads((result.seconds for result in results), num_workers)
+        return [float(load) for load in loads]
 
 
 class StageDriverCluster:
@@ -266,7 +264,6 @@ class StageDriverCluster:
     def run(self, job: MapReduceJob, records: Sequence[Any]) -> JobResult:
         """Execute ``job`` over ``records`` and return outputs plus metrics."""
         metrics = JobMetrics(num_workers=self.num_workers)
-        metrics.input_records = len(records)
         # Report what the job actually does, not what the knob says: a plan
         # attached by the miner is authoritative for every backend.
         metrics.partitioner = (
@@ -286,17 +283,7 @@ class StageDriverCluster:
                 self, records, job, run_dir
             ) as (chunks, task_job, execute):
                 blob_store = fragment_store.blobs if fragment_store is not None else None
-                for chunk in chunks:
-                    # Per-task input shipping cost.  The inline executor
-                    # never actually pickles its chunks, so unpicklable
-                    # records must not fail here; the metric simply stays 0
-                    # for them.
-                    try:
-                        metrics.map_input_pickle_bytes += len(
-                            pickle.dumps(chunk, protocol=pickle.HIGHEST_PROTOCOL)
-                        )
-                    except Exception:
-                        pass
+                metrics.map_input_pickle_bytes = sum(map(pickled_size, chunks))
                 # Map stage: each task partitions, combines, and encodes its
                 # reduce buckets locally (worker-side shuffle write), putting
                 # payloads past the in-memory budget into the fragment
@@ -328,16 +315,7 @@ class StageDriverCluster:
                     [] for _ in range(self.num_reduce_tasks)
                 ]
                 for result in map_results:
-                    metrics.map_output_records += result.map_output_records
-                    metrics.combined_records += result.combined_records
-                    metrics.shuffle_bytes += result.shuffle_bytes
-                    metrics.shuffle_records += result.shuffle_records
-                    metrics.wire_bytes += result.wire_bytes
-                    metrics.spilled_buckets += result.spilled_buckets
-                    metrics.spilled_bytes += result.spilled_bytes
-                    metrics.blob_put_count += result.blob_put_count
-                    metrics.blob_put_bytes += result.blob_put_bytes
-                    metrics.blob_retry_count += result.blob_retry_count
+                    metrics.add(result.counters)
                     for bucket_index, size in result.bucket_shuffle_bytes.items():
                         metrics.reduce_bucket_bytes[bucket_index] = (
                             metrics.reduce_bucket_bytes.get(bucket_index, 0) + size
@@ -368,13 +346,10 @@ class StageDriverCluster:
         outputs: list[Any] = []
         for result in reduce_results:
             outputs.extend(result.outputs)
-            metrics.blob_get_count += result.blob_get_count
-            metrics.blob_get_bytes += result.blob_get_bytes
-            metrics.blob_retry_count += result.blob_retry_count
+            metrics.add(result.counters)
         metrics.reduce_task_seconds.extend(
             self.executor.worker_times(reduce_results, self.num_workers)
         )
-        metrics.output_records = len(outputs)
         return JobResult(outputs=outputs, metrics=metrics)
 
     @contextmanager
@@ -417,15 +392,12 @@ class StageDriverCluster:
             # tell this job's leftovers (if we die before the cleanup below)
             # from live namespaces and from foreign files in the directory.
             write_lease(store, prefix)
-        task_store = store
-        if self.fault_injector is not None:
-            task_store = FaultInjectingBlobStore(store, self.fault_injector)
         try:
-            yield FragmentStore(task_store, prefix, self.stores_every_payload)
+            # Tasks get the raw store; each attempt wraps it for the fault
+            # injector itself, so cleanup never meets an injected fault.
+            yield FragmentStore(store, prefix, self.stores_every_payload)
         finally:
-            # Cleanup always goes through the raw store: injected faults must
-            # never leak a namespace.  A private store goes with the run
-            # directory.
+            # A private store goes with the run directory.
             if shared:
                 delete_prefix(store, f"{prefix}/")
 
@@ -539,6 +511,15 @@ class StageDriverCluster:
         if first_cause is not None and first_cause is not error:
             raise error from first_cause
         raise error
+
+
+def pickled_size(value: Any) -> int:
+    """Pickled size of a map task's input (its shipping cost); 0 when it
+    cannot be pickled, which the inline executor never needs it to be."""
+    try:
+        return len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+    except Exception:
+        return 0
 
 
 def split_ranges(count: int, parts: int) -> list[tuple[int, int]]:

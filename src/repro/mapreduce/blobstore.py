@@ -42,10 +42,13 @@ import socket
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.errors import MapReduceError
 from repro.mapreduce.faults import DEFAULT_FAULT_POLICY, FaultPolicy
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.mapreduce.metrics import Counters
 
 
 class BlobStoreError(MapReduceError):
@@ -62,13 +65,6 @@ class BlobNotFoundError(BlobStoreError):
 
 #: Key of the per-namespace lease blob, relative to the job prefix.
 LEASE_NAME = ".lease"
-
-
-@dataclass
-class BlobRetryStats:
-    """Mutable counter a retry loop feeds; one per task, folded into metrics."""
-
-    retries: int = 0
 
 
 @runtime_checkable
@@ -118,7 +114,7 @@ def delete_prefix(store: BlobStore, prefix: str) -> int:
 
 
 def _retry_loop(
-    operation, kind: str, key: str, attempts: int, policy: FaultPolicy, stats: BlobRetryStats | None
+    operation, kind: str, key: str, attempts: int, policy: FaultPolicy, stats: Counters | None
 ):
     """Shared bounded-retry core of :func:`get_with_retry` / :func:`put_with_retry`.
 
@@ -136,7 +132,7 @@ def _retry_loop(
             if attempt == attempts:
                 raise
             if stats is not None:
-                stats.retries += 1
+                stats.blob_retry_count += 1
             time.sleep(policy.blob_retry_delay(attempt, kind, key))
     raise AssertionError("unreachable")  # pragma: no cover
 
@@ -145,15 +141,15 @@ def get_with_retry(
     store: BlobStore,
     key: str,
     policy: FaultPolicy | None = None,
-    stats: BlobRetryStats | None = None,
+    stats: Counters | None = None,
 ) -> bytes:
     """``store.get(key)`` with bounded, jittered backoff from the fault policy.
 
     Object stores serve freshly written keys with a small propagation delay
     and the odd transient error; a reduce task must not die on either.
     Attempt count and backoff come from ``policy`` (default
-    :data:`~repro.mapreduce.faults.DEFAULT_FAULT_POLICY`).  ``stats`` counts
-    the retries actually taken.
+    :data:`~repro.mapreduce.faults.DEFAULT_FAULT_POLICY`).  The retries
+    actually taken are counted into ``stats.blob_retry_count``.
     """
     policy = policy or DEFAULT_FAULT_POLICY
     return _retry_loop(
@@ -166,14 +162,15 @@ def put_with_retry(
     key: str,
     data: bytes,
     policy: FaultPolicy | None = None,
-    stats: BlobRetryStats | None = None,
+    stats: Counters | None = None,
 ) -> None:
     """``store.put(key, data)`` with the same bounded, jittered backoff.
 
     Safe to repeat because shuffle keys are content-addressed: re-uploading
     after a partial failure writes the identical bytes under the identical
     key, so a retried put (or a retried *task* re-staging its buckets) is
-    idempotent by construction.
+    idempotent by construction.  Retries count into ``stats`` as for
+    :func:`get_with_retry`.
     """
     policy = policy or DEFAULT_FAULT_POLICY
     _retry_loop(

@@ -320,11 +320,12 @@ class ScriptedInjector:
 class FaultInjectingBlobStore:
     """Wraps a blob store so an injector observes (and may fail) put/get calls.
 
-    Per-key call counters live on the wrapper instance: each task attempt
-    unpickles its own copy, so "the first N operations of a flaky key fail"
-    holds independently inside every attempt — which is exactly the shape of
-    an object store's transient, eventually-self-healing errors.  ``delete``
-    and ``list`` pass through uninjected: namespace cleanup must always win.
+    Per-key call counters live on the wrapper instance, and every task
+    attempt wraps the raw store itself (:meth:`TaskContext.wrap_store`), so
+    "the first N operations of a flaky key fail" holds inside every attempt
+    on every backend — the shape of an object store's transient errors.
+    ``delete`` and ``list`` pass through uninjected: namespace cleanup must
+    always win.
     """
 
     inner: Any
@@ -372,3 +373,10 @@ class TaskContext:
         """Observe the attempt's start (the injector may raise or kill here)."""
         if self.injector is not None:
             self.injector.on_task_start(self.stage, self.index, self.attempt)
+
+    def wrap_store(self, store: Any) -> Any:
+        """``store`` as this attempt sees it: with an injector, in a fresh
+        :class:`FaultInjectingBlobStore`, whose per-key call counts start at 0."""
+        if self.injector is None or store is None:
+            return store
+        return FaultInjectingBlobStore(store, self.injector)

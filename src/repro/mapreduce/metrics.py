@@ -3,14 +3,17 @@
 The paper reports end-to-end run time, the split between the map and the mine
 (reduce) stage, and the shuffle size written by the map stage
 (``shuffleWriteBytes``).  :class:`JobMetrics` captures the equivalents for the
-simulated cluster.
+simulated cluster.  Its additive counters are declared once, on
+:class:`Counters`: map and reduce tasks, the fragment store's puts, the
+reader's gets and the blob retry loops each count into one, and the stage
+driver folds them into the job's record field by field.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 #: Nominal reduce-side throughput used to express modeled partition loads as
 #: time.  The modeled straggler must be a pure function of the shuffled bytes
@@ -39,12 +42,10 @@ def lpt_worker_loads(sizes: Iterable[int], num_workers: int) -> list[int]:
 
 
 @dataclass
-class JobMetrics:
-    """Timing and communication measurements of one simulated job."""
+class Counters:
+    """The additive counters of a run, each declared once for every layer;
+    :meth:`add` folds one record into another field by field."""
 
-    num_workers: int = 1
-    map_task_seconds: list[float] = field(default_factory=list)
-    reduce_task_seconds: list[float] = field(default_factory=list)
     #: Modeled shuffle size: ``job.record_size`` summed over shuffled records
     #: (the paper's ``shuffleWriteBytes`` equivalent).
     shuffle_bytes: int = 0
@@ -82,10 +83,31 @@ class JobMetrics:
     #: descriptors against a shared store (``persistent-processes``) report a
     #: few dozen bytes per task here regardless of database size.
     map_input_pickle_bytes: int = 0
+    #: Records the map tasks emitted and what is left of them after the
+    #: combiner (what is shuffled); then the job's input and output records.
     map_output_records: int = 0
     combined_records: int = 0
     input_records: int = 0
     output_records: int = 0
+
+    def add(self, other: Counters) -> None:
+        """Add every counter of ``other`` into this record."""
+        for name in COUNTER_NAMES:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+
+#: The names of the :class:`Counters` fields, in declaration order.
+COUNTER_NAMES = tuple(counter.name for counter in fields(Counters))
+
+
+@dataclass
+class JobMetrics(Counters):
+    """Timing and communication measurements of one simulated job: every
+    :class:`Counters` field, the stage times and the partition balance."""
+
+    num_workers: int = 1
+    map_task_seconds: list[float] = field(default_factory=list)
+    reduce_task_seconds: list[float] = field(default_factory=list)
     #: Which reduce partitioner the job used (``"hash"`` or ``"planned"``).
     partitioner: str = "hash"
     #: Modeled shuffle bytes per reduce bucket (``job.record_size`` summed per
@@ -160,29 +182,15 @@ class JobMetrics:
         return 1.0 - self.combined_records / self.map_output_records
 
     def as_dict(self) -> dict[str, float]:
-        """Flat dictionary view used by the experiment reports."""
+        """Flat dictionary view used by the experiment reports: the worker
+        count, the stage times, every counter, then the partition balance."""
         return {
             "num_workers": self.num_workers,
             "map_seconds": self.map_seconds,
             "reduce_seconds": self.reduce_seconds,
             "total_seconds": self.total_seconds,
             "sequential_seconds": self.sequential_seconds,
-            "shuffle_bytes": self.shuffle_bytes,
-            "shuffle_records": self.shuffle_records,
-            "wire_bytes": self.wire_bytes,
-            "spilled_buckets": self.spilled_buckets,
-            "spilled_bytes": self.spilled_bytes,
-            "blob_put_count": self.blob_put_count,
-            "blob_put_bytes": self.blob_put_bytes,
-            "blob_get_count": self.blob_get_count,
-            "blob_get_bytes": self.blob_get_bytes,
-            "tasks_failed": self.tasks_failed,
-            "task_retry_count": self.task_retry_count,
-            "blob_retry_count": self.blob_retry_count,
-            "recovered_host_count": self.recovered_host_count,
-            "map_input_pickle_bytes": self.map_input_pickle_bytes,
-            "input_records": self.input_records,
-            "output_records": self.output_records,
+            **{name: getattr(self, name) for name in COUNTER_NAMES},
             "partitioner": self.partitioner,
             "partition_max_bytes": self.partition_max_bytes,
             "partition_mean_bytes": round(self.partition_mean_bytes, 1),

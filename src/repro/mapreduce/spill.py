@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import MapReduceError
+from repro.mapreduce.metrics import Counters
 from repro.mapreduce.wire import Codec
 
 if TYPE_CHECKING:  # pragma: no cover - the blob store loads only when a run puts
@@ -72,40 +73,26 @@ class FragmentStore:
     every_payload: bool = False
 
 
-@dataclass
-class StoreStats:
-    """One map task's shuffle-write accounting.
-
-    ``spilled_*`` count the payloads past the spill budget, wherever they
-    went; ``put_*`` count the fragment-store writes and ``retries`` the
-    transient store failures they absorbed (the puts' retry loops count into
-    it, as into a :class:`~repro.mapreduce.blobstore.BlobRetryStats`).
-    """
-
-    spilled_buckets: int = 0
-    spilled_bytes: int = 0
-    put_count: int = 0
-    put_bytes: int = 0
-    retries: int = 0
-
-
 class FragmentReader:
     """Reads fragments, fetching stored ones from ``blob_store``.
 
     Fetches go through :func:`~repro.mapreduce.blobstore.get_with_retry`
-    (retries follow ``fault_policy``) and are metered by the ``blob_*``
-    counters, which feed the job's blob metrics.  Every fetched payload is
-    checked against its fragment's ``wire_bytes``.  A reader holds nothing
-    between calls, so it needs no closing; it still works as a context
-    manager for callers that span one with a ``with`` block.
+    (retries follow ``fault_policy``) and count into the reader's
+    ``counters`` (``blob_get_*`` and ``blob_retry_count``).  Every fetched
+    payload is checked against its fragment's ``wire_bytes``.  A reader
+    holds nothing between calls, so it needs no closing; it still works as a
+    context manager for callers that span one with a ``with`` block.
     """
 
     def __init__(self, blob_store: BlobStore | None = None, fault_policy=None) -> None:
         self.blob_store = blob_store
         self.fault_policy = fault_policy
-        self.blob_gets = 0
-        self.blob_get_bytes = 0
-        self.blob_retries = 0
+        self.counters = Counters()
+
+    @property
+    def blob_gets(self) -> int:
+        """The gets this reader has made."""
+        return self.counters.blob_get_count
 
     def read(self, fragment: WireFragment) -> bytes:
         """Return one fragment's encoded payload; a stored one costs one get."""
@@ -118,13 +105,11 @@ class FragmentReader:
             raise MapReduceError(
                 f"fragment references blob {key!r} but this reader has no blob store"
             )
-        from repro.mapreduce.blobstore import BlobRetryStats, get_with_retry
+        from repro.mapreduce.blobstore import get_with_retry
 
-        stats = BlobRetryStats()
-        blob = get_with_retry(self.blob_store, key, policy=self.fault_policy, stats=stats)
-        self.blob_gets += 1
-        self.blob_get_bytes += len(blob)
-        self.blob_retries += stats.retries
+        blob = get_with_retry(self.blob_store, key, policy=self.fault_policy, stats=self.counters)
+        self.counters.blob_get_count += 1
+        self.counters.blob_get_bytes += len(blob)
         if len(blob) != fragment.wire_bytes:
             raise MapReduceError(
                 f"stored fragment {key!r} is {len(blob)} bytes, expected "
@@ -168,7 +153,7 @@ def store_payloads(
     spill_budget_bytes: int | None,
     fragment_store: FragmentStore | None = None,
     policy: FaultPolicy | None = None,
-) -> tuple[list[tuple[int, WireFragment]], StoreStats]:
+) -> tuple[list[tuple[int, WireFragment]], Counters]:
     """Turn encoded bucket payloads into fragments, storing those past the budget.
 
     ``encoded`` yields ``(bucket_index, blob, record_count)`` triples in
@@ -178,15 +163,17 @@ def store_payloads(
     budget, ``0`` stores everything), as is every blob when the store takes
     every payload.  Puts retry transient store failures with ``policy``'s
     blob knobs — safe at any repetition, because a content-addressed re-put
-    is idempotent.  Returns the fragments and the task's
-    :class:`StoreStats`.
+    is idempotent.  Returns the fragments and the shuffle write's
+    :class:`~repro.mapreduce.metrics.Counters`: ``wire_bytes``,
+    ``spilled_*``, ``blob_put_*`` and the puts' ``blob_retry_count``.
     """
     fragments: list[tuple[int, WireFragment]] = []
-    stats = StoreStats()
+    stats = Counters()
     every_payload = fragment_store is not None and fragment_store.every_payload
     inline_total = 0
     for bucket_index, blob, records in encoded:
         fragment = WireFragment(records=records, wire_bytes=len(blob))
+        stats.wire_bytes += len(blob)
         past_budget = (
             spill_budget_bytes is not None and inline_total + len(blob) > spill_budget_bytes
         )
@@ -204,8 +191,8 @@ def store_payloads(
             put_with_retry(
                 fragment_store.blobs, fragment.blob_key, blob, policy=policy, stats=stats
             )
-            stats.put_count += 1
-            stats.put_bytes += len(blob)
+            stats.blob_put_count += 1
+            stats.blob_put_bytes += len(blob)
         else:
             fragment.data = blob
         fragments.append((bucket_index, fragment))

@@ -28,11 +28,12 @@ import threading
 import time
 from collections import defaultdict
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.mapreduce.faults import JobNotDeliveredError, TaskContext
 from repro.mapreduce.job import MapReduceJob
+from repro.mapreduce.metrics import Counters
 from repro.mapreduce.spill import (
     FragmentReader,
     FragmentStore,
@@ -87,44 +88,28 @@ def _held_job(job: MapReduceJob | JobRef, stage: str, context: TaskContext | Non
 class MapTaskResult:
     """Output of one map task: per-bucket fragments plus shuffle accounting.
 
-    ``shuffle_bytes`` is the *modeled* cost (``job.record_size`` summed over
-    the shuffled records, as the paper reports it); ``wire_bytes`` is the
-    *measured* size of the encoded payloads that actually travel to the
-    reduce tasks.
+    ``counters`` holds the task's records in, mapped and combined, the
+    *modeled* ``shuffle_bytes`` and *measured* ``wire_bytes`` (see
+    :class:`~repro.mapreduce.metrics.Counters`), and its spill and
+    fragment-store writes.
     """
 
     buckets: list[tuple[int, WireFragment]] = field(default_factory=list)
-    map_output_records: int = 0
-    combined_records: int = 0
-    shuffle_bytes: int = 0
-    shuffle_records: int = 0
+    counters: Counters = field(default_factory=Counters)
     #: Modeled shuffle bytes per destination reduce bucket (the partition
     #: write split).
     bucket_shuffle_bytes: dict[int, int] = field(default_factory=dict)
-    wire_bytes: int = 0
-    #: Payloads past the spill budget (the same on every backend).
-    spilled_buckets: int = 0
-    spilled_bytes: int = 0
-    #: Fragment-store writes: the payloads past the budget, or every payload
-    #: on ``multihost``.
-    blob_put_count: int = 0
-    blob_put_bytes: int = 0
-    #: Transient blob-store failures absorbed by in-task retries.
-    blob_retry_count: int = 0
     seconds: float = 0.0
     worker: tuple[int, int] = (0, 0)
 
 
 @dataclass
 class ReduceTaskResult:
-    """Output of one reduce task over a single bucket."""
+    """Output of one reduce task over a single bucket; ``counters`` holds its
+    output records, its fragment-store reads and the retries they absorbed."""
 
     outputs: list[Any] = field(default_factory=list)
-    #: Fragment-store reads.
-    blob_get_count: int = 0
-    blob_get_bytes: int = 0
-    #: Transient blob-store failures absorbed by in-task retries.
-    blob_retry_count: int = 0
+    counters: Counters = field(default_factory=Counters)
     seconds: float = 0.0
     worker: tuple[int, int] = (0, 0)
 
@@ -145,17 +130,22 @@ def run_map_task(
     it against the store it attached once and decodes its slice zero-copy,
     so the task's pickled input is the few dozen bytes of the descriptor.
     Payloads that do not travel inline are put into ``fragment_store``, with
-    the store retries metered on the result.  ``context`` identifies the
+    the store retries counted on the result.  ``context`` identifies the
     attempt for fault tolerance: its injector (if any) observes the task
     start — and may kill this very attempt — before any work happens, so a
-    retried attempt reruns the task from scratch.
+    retried attempt reruns the task from scratch, and it observes the
+    attempt's own puts (:meth:`~repro.mapreduce.faults.TaskContext.wrap_store`).
     """
     if isinstance(records, StoreChunk):
         records = resolve_chunk(records)
     started = time.perf_counter()
     job = _held_job(job, "map", context)
+    policy = None
     if context is not None:
         context.begin()
+        policy = context.policy
+        if fragment_store is not None:
+            fragment_store = replace(fragment_store, blobs=context.wrap_store(fragment_store.blobs))
     codec = make_codec(codec)
     task_output: dict[Any, list[Any]] = defaultdict(list)
     map_output_records = 0
@@ -193,22 +183,15 @@ def run_map_task(
         )
         for bucket_index, payload in sorted(buckets.items())
     )
-    policy = context.policy if context is not None else None
-    fragments, stats = store_payloads(encoded, spill_budget_bytes, fragment_store, policy)
-
+    fragments, counters = store_payloads(encoded, spill_budget_bytes, fragment_store, policy)
+    counters.input_records = len(records)
+    counters.map_output_records = map_output_records
+    counters.combined_records = counters.shuffle_records = shuffle_records
+    counters.shuffle_bytes = shuffle_bytes
     return MapTaskResult(
         buckets=fragments,
-        map_output_records=map_output_records,
-        combined_records=shuffle_records,
-        shuffle_bytes=shuffle_bytes,
-        shuffle_records=shuffle_records,
+        counters=counters,
         bucket_shuffle_bytes=bucket_shuffle_bytes,
-        wire_bytes=sum(fragment.wire_bytes for _bucket_index, fragment in fragments),
-        spilled_buckets=stats.spilled_buckets,
-        spilled_bytes=stats.spilled_bytes,
-        blob_put_count=stats.put_count,
-        blob_put_bytes=stats.put_bytes,
-        blob_retry_count=stats.retries,
         seconds=time.perf_counter() - started,
         worker=worker_token(),
     )
@@ -228,24 +211,24 @@ def run_reduce_task(
     one get per distinct key) through a
     :class:`~repro.mapreduce.spill.FragmentReader`.  With a ``context``,
     blob-get retries follow its fault policy and the injector observes the
-    attempt start (and any injected blob-get failures, when the driver
-    wrapped the store).
+    attempt start and the attempt's own gets.
     """
     started = time.perf_counter()
     job = _held_job(job, "reduce", context)
+    policy = None
     if context is not None:
         context.begin()
-    policy = context.policy if context is not None else None
+        policy = context.policy
+        blob_store = context.wrap_store(blob_store)
     reader = FragmentReader(blob_store, fault_policy=policy)
     grouped = merge_fragments(fragments, make_codec(codec), reader=reader)
     outputs: list[Any] = []
     for key, values in grouped.items():
         outputs.extend(job.reduce(key, values))
+    reader.counters.output_records = len(outputs)
     return ReduceTaskResult(
         outputs=outputs,
-        blob_get_count=reader.blob_gets,
-        blob_get_bytes=reader.blob_get_bytes,
-        blob_retry_count=reader.blob_retries,
+        counters=reader.counters,
         seconds=time.perf_counter() - started,
         worker=worker_token(),
     )

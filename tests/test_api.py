@@ -600,9 +600,10 @@ class TestSubstrateSaidOnce:
             "dseq", spec, ex_dictionary, ex_database, cluster=ClusterConfig(num_workers=2)
         )
         assert record.status == "ok"
-        assert record.num_workers == 2 and record.metrics.num_workers == 2
-        assert record.wire_bytes == record.metrics.wire_bytes > 0
-        assert record.input_pickle_bytes == record.metrics.map_input_pickle_bytes
+        assert record.metrics.num_workers == 2
+        row = record.as_row()
+        assert row["wire_bytes"] == record.metrics.wire_bytes > 0
+        assert row["input_pickle_bytes"] == record.metrics.map_input_pickle_bytes
 
 
 class TestOneTable:

@@ -229,9 +229,10 @@ class TestWorkerSideShuffle:
             for _, fragment in result.buckets
             for values in codec.decode_bucket(fragment.read()).values()
         )
-        assert total == result.shuffle_records == result.combined_records
-        assert result.wire_bytes == sum(f.wire_bytes for _, f in result.buckets)
-        assert result.spilled_buckets == 0 and result.blob_put_count == 0
+        counters = result.counters
+        assert total == counters.shuffle_records == counters.combined_records
+        assert counters.wire_bytes == sum(f.wire_bytes for _, f in result.buckets)
+        assert counters.spilled_buckets == 0 and counters.blob_put_count == 0
 
     def test_stable_hash_types(self):
         assert stable_hash(42) == 42

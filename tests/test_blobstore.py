@@ -9,8 +9,8 @@ import pytest
 from repro.errors import MapReduceError
 from repro.mapreduce import (
     BlobNotFoundError,
-    BlobRetryStats,
     BlobStore,
+    Counters,
     DirectoryBlobStore,
     FaultPolicy,
     InMemoryBlobStore,
@@ -175,11 +175,11 @@ class TestGetWithRetry:
     def test_policy_supplies_attempts_and_counts_retries(self):
         store = FlakyStore(failures=2)
         store.put("k", b"v")
-        stats = BlobRetryStats()
+        stats = Counters()
         policy = no_backoff(blob_get_attempts=3)
         assert get_with_retry(store, "k", policy=policy, stats=stats) == b"v"
         assert store.gets == 3
-        assert stats.retries == 2
+        assert stats == Counters(blob_retry_count=2)
 
     def test_policy_attempt_budget_is_binding(self):
         store = FlakyStore(failures=100)
@@ -208,12 +208,12 @@ class FlakyPutStore(InMemoryBlobStore):
 class TestPutWithRetry:
     def test_retries_through_transient_write_failures(self):
         store = FlakyPutStore(failures=2)
-        stats = BlobRetryStats()
+        stats = Counters()
         policy = no_backoff(blob_put_attempts=3)
         put_with_retry(store, "k", b"payload", policy=policy, stats=stats)
         assert store.get("k") == b"payload"
         assert store.attempted_puts == 3
-        assert stats.retries == 2
+        assert stats == Counters(blob_retry_count=2)
 
     def test_exhausted_attempts_raise_the_final_error(self):
         store = FlakyPutStore(failures=100)

@@ -46,7 +46,7 @@ class TestHarness:
         )
         assert record.status == "ok"
         assert record.algorithm == "dseq"
-        assert record.total_seconds >= 0
+        assert record.metrics.total_seconds >= 0
         assert record.as_row()["patterns"] == record.num_patterns
 
     def test_run_comparison_alignment(self):

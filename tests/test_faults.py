@@ -25,8 +25,8 @@ from repro.core import DCandMiner, DSeqMiner, NaiveMiner, SemiNaiveMiner
 from repro.errors import CandidateExplosionError, MapReduceError
 from repro.mapreduce import (
     BatchOutcome,
-    BlobRetryStats,
     ClusterConfig,
+    Counters,
     DEFAULT_FAULT_POLICY,
     DirectoryBlobStore,
     FaultInjectingBlobStore,
@@ -237,12 +237,12 @@ class TestScriptedInjector:
                 blob_failures_per_key=2,
             ),
         )
-        put_stats = BlobRetryStats()
+        put_stats = Counters()
         put_with_retry(store, "k", b"payload", policy=FAST, stats=put_stats)
-        assert put_stats.retries == 2
-        get_stats = BlobRetryStats()
+        assert put_stats == Counters(blob_retry_count=2)
+        get_stats = Counters()
         assert get_with_retry(store, "k", policy=FAST, stats=get_stats) == b"payload"
-        assert get_stats.retries == 2
+        assert get_stats == Counters(blob_retry_count=2)
 
     def test_store_retries_exhaust_with_original_error(self):
         store = FaultInjectingBlobStore(
@@ -403,6 +403,38 @@ class TestDriverRetries:
             assert [index for index, _ in outcome.failures] == [0]
             fast = execute([(boom, ()), (lambda: "ok", ())], True)
             assert fast.results == {}  # fail-fast stopped before task 1
+
+
+class TestInjectedBlobCounts:
+    def test_blob_faults_are_counted_per_attempt_on_every_backend(self):
+        """Every task attempt wraps the store for the injector itself, so the
+        in-process and the process-pool backend meter the same schedule: a
+        timed-out map attempt, then every put and every get of a flaky key
+        failing once per attempt."""
+        injector = ScriptedInjector(
+            delay_stage="map",
+            delay_task=0,
+            delay_s=0.3,
+            blob_put_failure_rate=1.0,
+            blob_get_failure_rate=1.0,
+            blob_failures_per_key=1,
+        )
+        metrics = [
+            cls(
+                num_workers=2,
+                spill_budget_bytes=0,
+                fault_policy=fast_policy(task_timeout_s=0.1),
+                fault_injector=injector,
+            ).run(FidCountJob(), FID_RECORDS).metrics
+            for cls in (SimulatedCluster, PersistentProcessPoolCluster)
+        ]
+        simulated, pooled = metrics
+        assert simulated.tasks_failed == pooled.tasks_failed == 1
+        assert simulated.blob_retry_count == pooled.blob_retry_count
+        for run in metrics:
+            assert run.blob_put_count > 0 and run.blob_get_count > 0
+            # The successful attempts' puts and gets each absorbed one fault.
+            assert run.blob_retry_count == run.blob_put_count + run.blob_get_count
 
 
 class TestHostFailover:

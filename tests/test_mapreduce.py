@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +12,15 @@ from hypothesis import strategies as st
 from repro.errors import MapReduceError
 from repro.mapreduce import (
     ClusterConfig,
+    Counters,
     JobMetrics,
     MapReduceJob,
     PersistentProcessPoolCluster,
+    ReduceTaskResult,
     SimulatedCluster,
     make_cluster,
 )
+from repro.mapreduce.base import InlineExecutor
 
 
 class WordCountJob(MapReduceJob):
@@ -137,9 +141,69 @@ class TestJobMetrics:
         keys = set(JobMetrics().as_dict())
         assert {"total_seconds", "shuffle_bytes", "map_seconds", "reduce_seconds"} <= keys
 
+    def test_as_dict_shows_every_counter(self):
+        names = [counter.name for counter in fields(Counters)]
+        metrics = JobMetrics(**{name: 100 + index for index, name in enumerate(names)})
+        view = metrics.as_dict()
+        for index, name in enumerate(names):
+            assert view[name] == 100 + index, name
+
+    def test_inline_reduce_times_follow_the_lpt_schedule(self):
+        # Longest first: the 2 s task gets a worker of its own and the two
+        # 1 s tasks share the other, so the modelled stage takes 2 s, not 3.
+        results = [ReduceTaskResult(seconds=seconds) for seconds in (1.0, 1.0, 2.0)]
+        loads = InlineExecutor.worker_times(results, 2)
+        assert sorted(loads) == [2.0, 2.0]
+        assert JobMetrics(num_workers=2, reduce_task_seconds=loads).reduce_seconds == 2.0
+
     def test_default_record_size_positive(self):
         job = MapReduceJob()
         assert job.record_size(("k",), (1, 2, 3)) > 0
+
+
+class StampingExecutor(InlineExecutor):
+    """The inline executor, except that the n-th task result it reports
+    carries the counters ``stamp(n)`` instead of its own."""
+
+    def __init__(self, stamp) -> None:
+        self.stamp = stamp
+        self.stamped: list[Counters] = []
+
+    @contextmanager
+    def scope(self, cluster, records, job, run_dir):
+        with super().scope(cluster, records, job, run_dir) as (chunks, task_job, execute):
+
+            def stamping(tasks, fail_fast=True):
+                outcome = execute(tasks, fail_fast)
+                for result in outcome.results.values():
+                    result.counters = self.stamp(len(self.stamped))
+                    self.stamped.append(result.counters)
+                return outcome
+
+            yield chunks, task_job, stamping
+
+
+class TestCounterFold:
+    RECORDS = TestSimulatedCluster.RECORDS
+
+    def run(self, stamp) -> tuple[StampingExecutor, JobMetrics]:
+        cluster = SimulatedCluster(num_workers=2)
+        cluster.executor = executor = StampingExecutor(stamp)
+        return executor, cluster.run(WordCountJob(), self.RECORDS).metrics
+
+    def test_the_driver_folds_every_counter_by_field(self):
+        names = [counter.name for counter in fields(Counters)]
+        # What the driver counts itself (input shipping, retries), with
+        # every task reporting zeros ...
+        _executor, own = self.run(lambda _n: Counters())
+        # ... plus, field by field, the sum of what the tasks report.
+        executor, folded = self.run(
+            lambda n: Counters(**{name: 1000 * (n + 1) + i for i, name in enumerate(names)})
+        )
+        assert len(executor.stamped) > 2  # the map and the reduce results
+        for name in names:
+            total = sum(getattr(counters, name) for counters in executor.stamped)
+            assert getattr(folded, name) == getattr(own, name) + total, name
 
 
 class TestClusterConfig:

@@ -273,7 +273,7 @@ class TestFragmentReader:
         with FragmentReader(store) as reader:
             merged = merge_fragments(fragments, codec, reader=reader)
             assert reader.blob_gets == 1
-            assert reader.blob_get_bytes == len(blob)
+            assert reader.counters.blob_get_bytes == len(blob)
         assert store.gets == 1  # content-addressed dedup: one get per key
         assert merged == {7: [1, 1, 1, 1, 1]}
 
@@ -341,7 +341,7 @@ class TestStorePayloadsLeak:
         fragments, stats = store_payloads(iter(encoded), len(encoded[0][1]), namespace)
         assert [f.blob_key is not None for _, f in fragments] == [False, True]
         assert [f.data is not None for _, f in fragments] == [True, False]
-        assert stats.put_count == stats.spilled_buckets == namespace.blobs.puts == 1
+        assert stats.blob_put_count == stats.spilled_buckets == namespace.blobs.puts == 1
 
     def test_a_store_for_every_payload_keeps_the_spill_accounting(self):
         """multihost's store takes every payload; spilled still means past the budget."""
@@ -350,5 +350,5 @@ class TestStorePayloadsLeak:
         encoded = [(0, codec.encode_bucket({0: [1]}), 1), (1, codec.encode_bucket({1: [2]}), 1)]
         fragments, stats = store_payloads(iter(encoded), len(encoded[0][1]), namespace)
         assert all(f.data is None and f.blob_key is not None for _, f in fragments)
-        assert stats.put_count == namespace.blobs.puts == 2
+        assert stats.blob_put_count == namespace.blobs.puts == 2
         assert (stats.spilled_buckets, stats.spilled_bytes) == (1, fragments[1][1].wire_bytes)

@@ -29,6 +29,7 @@ from repro.mapreduce import (
     ClusterConfig,
     Codec,
     CompactCodec,
+    Counters,
     DirectoryBlobStore,
     FaultPolicy,
     InMemoryBlobStore,
@@ -46,7 +47,6 @@ import repro.mapreduce.wire as wire_module
 from repro.mapreduce.spill import (
     FragmentReader,
     FragmentStore,
-    StoreStats,
     WireFragment,
     store_payloads,
 )
@@ -729,7 +729,7 @@ class TestSpill:
         )
         assert all(f.data is not None and f.blob_key is None for _, f in fragments)
         assert namespace.blobs.puts == 0
-        assert stats == StoreStats()
+        assert stats == Counters(wire_bytes=sum(f.wire_bytes for _, f in fragments))
 
     def test_zero_budget_spills_everything(self):
         codec = make_codec("compact")
@@ -738,8 +738,8 @@ class TestSpill:
             self.encoded(codec, {0: {1: [2]}, 3: {4: [5]}}), 0, namespace
         )
         assert all(f.data is None and f.blob_key.startswith("job/") for _, f in fragments)
-        assert stats.spilled_buckets == stats.put_count == namespace.blobs.puts == 2
-        assert stats.spilled_bytes == stats.put_bytes == sum(
+        assert stats.spilled_buckets == stats.blob_put_count == namespace.blobs.puts == 2
+        assert stats.spilled_bytes == stats.blob_put_bytes == stats.wire_bytes == sum(
             f.wire_bytes for _, f in fragments
         )
         # Stored fragments read back exactly what was encoded.
@@ -760,7 +760,7 @@ class TestSpill:
         spilled = [fragment for _, fragment in fragments if fragment.blob_key is not None]
         inline = [fragment for _, fragment in fragments if fragment.data is not None]
         assert len(inline) == 2 and len(spilled) == 4
-        assert stats.spilled_buckets == stats.put_count == 4
+        assert stats.spilled_buckets == stats.blob_put_count == 4
         assert sum(f.wire_bytes for f in inline) <= budget
         merged = merge_fragments(
             [f for _, f in fragments], codec, FragmentReader(namespace.blobs)
@@ -802,10 +802,11 @@ class TestSpill:
             Pairs(), list(range(50)), num_reduce_tasks=5, codec="compact",
             spill_budget_bytes=0, fragment_store=namespace,
         )
-        assert result.spilled_buckets == len(result.buckets) > 0
-        assert result.spilled_bytes == result.wire_bytes > 0
-        assert result.blob_put_count == result.spilled_buckets == namespace.blobs.puts
-        assert result.blob_put_bytes == result.spilled_bytes
+        counters = result.counters
+        assert counters.spilled_buckets == len(result.buckets) > 0
+        assert counters.spilled_bytes == counters.wire_bytes > 0
+        assert counters.blob_put_count == counters.spilled_buckets == namespace.blobs.puts
+        assert counters.blob_put_bytes == counters.spilled_bytes
 
     def test_cluster_cleans_up_spill_files(self, tmp_path):
         class Pairs(MapReduceJob):
