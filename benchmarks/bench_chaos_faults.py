@@ -2,8 +2,8 @@
 
 A deterministic :class:`~repro.mapreduce.faults.ScriptedInjector` kills one
 host mid-map (``os._exit`` inside the pool worker) and makes 20% of blob keys
-fail their first get, while the default-shaped fault policy retries tasks and
-blob operations.  The smoke asserts the chaos run recovers — same patterns as
+fail their first get, while the default fault policy retries tasks and the
+blob store retries its operations.  The smoke asserts the chaos run recovers — same patterns as
 the fault-free run, retries and a rebuilt host visible in the metrics — and
 reports the fault-tolerance overhead (chaos vs fault-free makespan).
 """
@@ -12,16 +12,13 @@ from __future__ import annotations
 
 from repro.datasets import constraint as make_constraint
 from repro.experiments import SCALED_SIGMA, format_table, prepare_dataset, run_algorithm
-from repro.mapreduce import ClusterConfig, FaultPolicy, MultiHostCluster, ScriptedInjector
+from repro.mapreduce import ClusterConfig, MultiHostCluster, ScriptedInjector
 
 from benchmarks.conftest import BENCH_SIZES, run_once
 
 #: Modest worker count: each run spawns a real host pool (and the chaos run
 #: additionally rebuilds it once after the injected kill).
 CHAOS_WORKERS = 4
-
-#: Low backoff keeps the smoke's injected retries from dominating its timing.
-CHAOS_POLICY = FaultPolicy(task_backoff_base_s=0.01, task_backoff_cap_s=0.05)
 
 CHAOS_INJECTOR = ScriptedInjector(
     kill_map_task=0,
@@ -42,7 +39,6 @@ def _run(fault_injector=None):
         cluster=ClusterConfig(
             backend=MultiHostCluster(
                 num_workers=CHAOS_WORKERS,
-                fault_policy=CHAOS_POLICY,
                 fault_injector=fault_injector,
             )
         ),

@@ -12,13 +12,14 @@ is the explicit/cron-able path.
 
 from __future__ import annotations
 
+import math
 import sys
 from argparse import Namespace
 from pathlib import Path
 
 from repro.cli.common import CliError
-from repro.mapreduce import DEFAULT_FAULT_POLICY, DirectoryBlobStore
-from repro.mapreduce.blobstore import expired_namespaces, gc_expired
+from repro.mapreduce import DirectoryBlobStore
+from repro.mapreduce.blobstore import NAMESPACE_TTL_S, expired_namespaces, gc_expired
 
 
 def add_parser(subparsers) -> None:
@@ -41,11 +42,11 @@ def add_parser(subparsers) -> None:
     parser.add_argument(
         "--ttl",
         type=float,
-        default=DEFAULT_FAULT_POLICY.blob_namespace_ttl_s,
+        default=NAMESPACE_TTL_S,
         metavar="SECONDS",
         help=(
             "age a namespace's lease must exceed to be collected "
-            f"(default: {DEFAULT_FAULT_POLICY.blob_namespace_ttl_s:g}s)"
+            f"(default: {NAMESPACE_TTL_S:g}s)"
         ),
     )
     parser.add_argument(
@@ -58,8 +59,8 @@ def add_parser(subparsers) -> None:
 
 def run(args: Namespace, stream=None) -> int:
     stream = stream or sys.stdout
-    if args.ttl < 0:
-        raise CliError(f"--ttl must be >= 0 seconds, got {args.ttl}")
+    if not 0 <= args.ttl < math.inf:  # also refuses NaN
+        raise CliError(f"--ttl must be finite and >= 0 seconds, got {args.ttl}")
     root = Path(args.blob_dir)
     if not root.is_dir():
         raise CliError(f"blob directory not found: {root}")

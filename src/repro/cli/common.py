@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 from argparse import ArgumentParser, ArgumentTypeError, Namespace
 from collections.abc import Sequence
@@ -209,8 +210,8 @@ def fault_policy_from_args(args: Namespace):
         return None
     if retries is not None and retries < 0:
         raise CliError(f"--retries must be >= 0, got {retries}")
-    if task_timeout is not None and task_timeout <= 0:
-        raise CliError(f"--task-timeout must be > 0 seconds, got {task_timeout}")
+    if task_timeout is not None and not 0 < task_timeout < math.inf:
+        raise CliError(f"--task-timeout must be finite and > 0 seconds, got {task_timeout}")
     return replace(
         DEFAULT_FAULT_POLICY,
         **({"max_task_attempts": retries + 1} if retries is not None else {}),
@@ -285,8 +286,10 @@ def add_shuffle_arguments(parser: ArgumentParser) -> None:
         default=None,
         help=(
             "per-map-task in-memory budget for encoded shuffle payloads; "
-            "payloads past the budget spill to temp files.  Accepts k/M/G "
-            "suffixes, e.g. 64k or 16M (default: no spilling)"
+            "payloads past the budget become blobs in the run's fragment "
+            "store (the run directory, or the shared --blob-dir on "
+            "multihost).  Accepts k/M/G suffixes, e.g. 64k or 16M "
+            "(default: no budget)"
         ),
     )
     parser.add_argument(

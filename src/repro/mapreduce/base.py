@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 from typing import Any, Protocol, runtime_checkable
 
 from repro.errors import MapReduceError
+from repro.mapreduce import faults
 from repro.mapreduce.faults import (
     DEFAULT_FAULT_POLICY,
     FaultInjector,
@@ -194,14 +195,13 @@ class StageDriverCluster:
         directory; it must exist).
     fault_policy:
         The run's :class:`~repro.mapreduce.faults.FaultPolicy`: how many
-        attempts a failed or timed-out task gets, the jittered backoff
-        between them, and the blob-store retry knobs.  The default policy
-        gives every task one retry; ``max_task_attempts=1`` restores strict
-        fail-fast.  Whatever the policy, a non-retryable failure (a
-        candidate/run explosion — deterministic in the data) aborts the job
-        immediately, and when attempts are exhausted the *original* task
-        exception is re-raised, chained from the stage's first observed
-        failure.
+        attempts a failed or timed-out task gets, and the per-task timeout.
+        The default policy gives every task one retry; ``max_task_attempts=1``
+        restores strict fail-fast.  Whatever the policy, a non-retryable
+        failure (a candidate/run explosion — deterministic in the data)
+        aborts the job immediately, and when attempts are exhausted the
+        *original* task exception is re-raised, chained from the stage's
+        first observed failure.
     fault_injector:
         Optional :class:`~repro.mapreduce.faults.FaultInjector` shipped into
         every task for deterministic chaos testing; ``None`` (the default)
@@ -369,6 +369,7 @@ class StageDriverCluster:
             yield None
             return
         from repro.mapreduce.blobstore import (
+            NAMESPACE_TTL_S,
             DirectoryBlobStore,
             delete_prefix,
             gc_expired,
@@ -385,7 +386,7 @@ class StageDriverCluster:
             # (``repro blob-gc`` is the explicit path).  Best effort: GC
             # trouble must never fail a healthy job.
             try:
-                gc_expired(store, self.fault_policy.blob_namespace_ttl_s)
+                gc_expired(store, NAMESPACE_TTL_S)
             except Exception:
                 pass
             # The lease stamps the namespace's birth, so a later GC pass can
@@ -413,10 +414,9 @@ class StageDriverCluster:
 
         Each entry of ``builders`` constructs one task from a fresh
         :class:`~repro.mapreduce.faults.TaskContext` (the attempt number must
-        reach the worker: the fault injector keys on it, and blob retries
-        inside the task read the policy from it).  A round executes every
-        still-pending task; failures — including attempts over the policy's
-        per-task timeout — are retried in the next round after a
+        reach the worker: the fault injector keys on it).  A round executes
+        every still-pending task; failures — including attempts over the
+        policy's per-task timeout — are retried in the next round after a
         deterministic jittered backoff, until ``max_task_attempts`` is
         exhausted or the error is non-retryable, at which point the original
         exception is re-raised, chained from the stage's first observed
@@ -436,7 +436,6 @@ class StageDriverCluster:
                     stage=stage,
                     index=slot,
                     attempt=attempts[slot],
-                    policy=policy,
                     injector=self.fault_injector,
                 )
                 for slot in pending
@@ -476,7 +475,16 @@ class StageDriverCluster:
                     self._raise_stage_failure(stage, slot, attempt, error, first_cause)
                 retry_slots.append(slot)
                 attempts[slot] = attempt + 1
-                backoff = max(backoff, policy.task_retry_delay(attempt, stage, slot))
+                # The constants are read at call time, so tests can patch them.
+                delay = faults.full_jitter_delay(
+                    faults.TASK_BACKOFF_BASE_S,
+                    faults.TASK_BACKOFF_CAP_S,
+                    attempt,
+                    "task",
+                    stage,
+                    slot,
+                )
+                backoff = max(backoff, delay)
             metrics.task_retry_count += len(retry_slots)
             # Only failed slots go another round.  An executor that reported
             # neither a result nor a failure for some task can only have

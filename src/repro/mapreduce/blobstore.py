@@ -19,17 +19,17 @@ mid-stage worker failure aborts the run.
 
 Object stores are eventually consistent and briefly flaky in ways a local
 directory is not, so reads and writes go through :func:`get_with_retry` /
-:func:`put_with_retry` — bounded, deterministically jittered backoff loops
-whose knobs come from the run's
-:class:`~repro.mapreduce.faults.FaultPolicy` — mirroring how serverless
-shuffle implementations poll object storage for fragments that may not be
-visible yet.
+:func:`put_with_retry` — one bounded, deterministically jittered backoff
+loop of :data:`BLOB_ATTEMPTS` tries — mirroring how serverless shuffle
+implementations poll object storage for fragments that may not be visible
+yet.
 
 A job announces its namespace with a *lease* (:func:`write_lease`): one tiny
 JSON blob under ``<prefix>/.lease`` stamping when the namespace was created
 and by whom.  A driver that dies mid-run orphans its namespace; the lease is
 what lets :func:`gc_expired` later distinguish "abandoned job past its TTL"
-from "live job" or "foreign files somebody parked in the same directory".
+(:data:`NAMESPACE_TTL_S` by default) from "live job" or "foreign files
+somebody parked in the same directory".
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.errors import MapReduceError
-from repro.mapreduce.faults import DEFAULT_FAULT_POLICY, FaultPolicy
+from repro.mapreduce.faults import full_jitter_delay
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.mapreduce.metrics import Counters
@@ -65,6 +65,17 @@ class BlobNotFoundError(BlobStoreError):
 
 #: Key of the per-namespace lease blob, relative to the job prefix.
 LEASE_NAME = ".lease"
+
+#: Tries one blob get or put gets before its error propagates, and the
+#: window of the deterministic full-jitter backoff between them.  Module
+#: constants, not policy fields: only tests change them.
+BLOB_ATTEMPTS = 4
+BLOB_BACKOFF_BASE_S = 0.01
+BLOB_BACKOFF_CAP_S = 0.25
+
+#: Age past which a leased namespace counts as orphaned: the default of
+#: ``repro blob-gc --ttl`` and of the sweep a shared-store job runs at start.
+NAMESPACE_TTL_S = 24 * 3600.0
 
 
 @runtime_checkable
@@ -113,69 +124,53 @@ def delete_prefix(store: BlobStore, prefix: str) -> int:
     return dropped
 
 
-def _retry_loop(
-    operation, kind: str, key: str, attempts: int, policy: FaultPolicy, stats: Counters | None
-):
+def _retry_loop(operation, kind: str, key: str, stats: Counters | None):
     """Shared bounded-retry core of :func:`get_with_retry` / :func:`put_with_retry`.
 
-    Waits between attempts with the policy's deterministic full jitter
-    (uniform-by-hash in ``[0, min(cap, base·2ᵃ))``), so concurrent tasks
-    retrying the same hot store never form a synchronized convoy, yet a
-    replayed run backs off identically.  The final attempt's error propagates
-    unchanged, so a genuinely missing blob still fails the job with
-    :class:`BlobNotFoundError`.
+    Makes up to :data:`BLOB_ATTEMPTS` tries and waits between them with
+    deterministic full jitter (uniform-by-hash in ``[0, min(cap, base·2ᵃ⁻¹))``),
+    so concurrent tasks retrying the same hot store never form a
+    synchronized convoy, yet a replayed run backs off identically.  The
+    final attempt's error propagates unchanged, so a genuinely missing blob
+    still fails the job with :class:`BlobNotFoundError`.  The retries
+    actually taken are counted into ``stats.blob_retry_count``.
     """
-    for attempt in range(1, attempts + 1):
+    for attempt in range(1, BLOB_ATTEMPTS + 1):
         try:
             return operation()
         except BlobStoreError:
-            if attempt == attempts:
+            if attempt == BLOB_ATTEMPTS:
                 raise
             if stats is not None:
                 stats.blob_retry_count += 1
-            time.sleep(policy.blob_retry_delay(attempt, kind, key))
+            time.sleep(
+                full_jitter_delay(
+                    BLOB_BACKOFF_BASE_S, BLOB_BACKOFF_CAP_S, attempt, "blob", kind, key
+                )
+            )
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def get_with_retry(
-    store: BlobStore,
-    key: str,
-    policy: FaultPolicy | None = None,
-    stats: Counters | None = None,
-) -> bytes:
-    """``store.get(key)`` with bounded, jittered backoff from the fault policy.
+def get_with_retry(store: BlobStore, key: str, stats: Counters | None = None) -> bytes:
+    """``store.get(key)`` with bounded, jittered backoff (:func:`_retry_loop`).
 
     Object stores serve freshly written keys with a small propagation delay
     and the odd transient error; a reduce task must not die on either.
-    Attempt count and backoff come from ``policy`` (default
-    :data:`~repro.mapreduce.faults.DEFAULT_FAULT_POLICY`).  The retries
-    actually taken are counted into ``stats.blob_retry_count``.
     """
-    policy = policy or DEFAULT_FAULT_POLICY
-    return _retry_loop(
-        lambda: store.get(key), "get", key, policy.blob_get_attempts, policy, stats
-    )
+    return _retry_loop(lambda: store.get(key), "get", key, stats)
 
 
 def put_with_retry(
-    store: BlobStore,
-    key: str,
-    data: bytes,
-    policy: FaultPolicy | None = None,
-    stats: Counters | None = None,
+    store: BlobStore, key: str, data: bytes, stats: Counters | None = None
 ) -> None:
     """``store.put(key, data)`` with the same bounded, jittered backoff.
 
     Safe to repeat because shuffle keys are content-addressed: re-uploading
     after a partial failure writes the identical bytes under the identical
     key, so a retried put (or a retried *task* re-staging its buckets) is
-    idempotent by construction.  Retries count into ``stats`` as for
-    :func:`get_with_retry`.
+    idempotent by construction.
     """
-    policy = policy or DEFAULT_FAULT_POLICY
-    _retry_loop(
-        lambda: store.put(key, data), "put", key, policy.blob_put_attempts, policy, stats
-    )
+    _retry_loop(lambda: store.put(key, data), "put", key, stats)
 
 
 # ------------------------------------------------------------ leases and GC

@@ -90,7 +90,7 @@ class ClusterConfig:
     #: load-estimation pass (``None`` estimates over every record); consumed
     #: by the miners when they build their partition plan.
     plan_sample: float | None = None
-    #: Task-retry / timeout / blob-retry knobs
+    #: Task attempts and per-task timeout
     #: (:class:`~repro.mapreduce.faults.FaultPolicy`; ``None`` → the library
     #: default, which gives every task one retry).  Part of the fingerprint.
     fault_policy: FaultPolicy | None = None

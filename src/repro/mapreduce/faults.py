@@ -6,19 +6,20 @@ dead host's tasks are re-dispatched, and the shuffle data of a finished job is
 eventually garbage-collected.  This module supplies the equivalents for the
 reproduction's execution backends:
 
-* :class:`FaultPolicy` — one frozen value object holding every retry knob:
-  how many attempts a map/reduce task gets, the (deterministically jittered)
-  backoff between attempts, the per-task timeout, and the blob-store
-  put/get retry parameters used by the multi-host shuffle.  It is carried on
+* :class:`FaultPolicy` — the two knobs a deployment sets: how many attempts
+  a map/reduce task gets and the per-task timeout.  It is carried on
   :class:`~repro.mapreduce.factory.ClusterConfig` (and fingerprinted with
-  it), so one config fully describes a run's failure semantics.
+  it) and read only by the stage driver.  The backoff between task attempts
+  is :func:`full_jitter_delay` over :data:`TASK_BACKOFF_BASE_S` /
+  :data:`TASK_BACKOFF_CAP_S`; blob retries have constants of their own in
+  :mod:`repro.mapreduce.blobstore`.
 * :class:`FaultInjector` — the protocol a deterministic chaos source must
   offer, and :class:`ScriptedInjector`, the seedable implementation used by
   tests, CI, and the chaos-smoke benchmark: kill a specific task's host on
   its first N attempts, delay a worker, or fail a deterministic fraction of
   blob puts/gets.
 * :class:`TaskContext` — the per-attempt descriptor the stage driver ships
-  into every task (stage, task index, attempt number, policy, injector), so
+  into every task (stage, task index, attempt number, injector), so
   workers in other processes observe the same injection schedule as
   in-process backends.
 
@@ -31,6 +32,7 @@ byte-identical to a fault-free one and a CI chaos matrix be reproducible.
 from __future__ import annotations
 
 import hashlib
+import math
 import multiprocessing
 import os
 import time
@@ -98,95 +100,46 @@ def full_jitter_delay(
     return stable_fraction("jitter", attempt, *token) * window
 
 
+#: Backoff before re-running a failed task: deterministic full jitter in
+#: ``[0, min(cap, base·2ᵃ⁻¹))``, slept by the driver between retry rounds.
+#: Module constants, not policy fields: only tests change them (to zero).
+TASK_BACKOFF_BASE_S = 0.05
+TASK_BACKOFF_CAP_S = 2.0
+
+
 @dataclass(frozen=True)
 class FaultPolicy:
-    """Every retry/timeout knob of one run's execution substrate.
+    """The retry and timeout knobs of one run's stage driver.
 
     ``max_task_attempts`` bounds how many times a map or reduce task may run
     (1 = fail fast, the pre-fault-tolerance behaviour); the default gives
     every task one retry, which covers the transient failures a multi-host
     deployment actually sees (a recycled host, a flaky blob read) without
-    masking systematic ones.  Retries back off with deterministic full
-    jitter between ``task_backoff_base_s`` (doubled per attempt) and
-    ``task_backoff_cap_s``.  ``task_timeout_s`` bounds one attempt's measured
-    compute time; an attempt over the budget is treated as failed and
-    retried.  The ``blob_*`` knobs parameterize the multi-host shuffle's
-    :func:`~repro.mapreduce.blobstore.get_with_retry` /
-    :func:`~repro.mapreduce.blobstore.put_with_retry`, and
-    ``blob_namespace_ttl_s`` is the age past which an orphaned per-job blob
-    namespace may be garbage-collected (see
-    :func:`~repro.mapreduce.blobstore.gc_expired`).
+    masking systematic ones.  ``task_timeout_s`` bounds one attempt's
+    measured compute time; an attempt over the budget is treated as failed
+    and retried.
     """
 
     max_task_attempts: int = 2
-    task_backoff_base_s: float = 0.05
-    task_backoff_cap_s: float = 2.0
     task_timeout_s: float | None = None
-    blob_get_attempts: int = 4
-    blob_put_attempts: int = 3
-    blob_backoff_base_s: float = 0.01
-    blob_backoff_cap_s: float = 0.25
-    blob_namespace_ttl_s: float = 24 * 3600.0
-    jitter_seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, minimum in (
-            ("max_task_attempts", 1),
-            ("blob_get_attempts", 1),
-            ("blob_put_attempts", 1),
+        attempts = self.max_task_attempts
+        if isinstance(attempts, bool) or not isinstance(attempts, int) or attempts < 1:
+            raise MapReduceError(f"max_task_attempts must be an int >= 1, got {attempts!r}")
+        timeout = self.task_timeout_s
+        if timeout is not None and (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or not 0 < timeout < math.inf  # also refuses NaN
         ):
-            if getattr(self, name) < minimum:
-                raise MapReduceError(
-                    f"{name} must be >= {minimum}, got {getattr(self, name)}"
-                )
-        for name in (
-            "task_backoff_base_s",
-            "task_backoff_cap_s",
-            "blob_backoff_base_s",
-            "blob_backoff_cap_s",
-            "blob_namespace_ttl_s",
-        ):
-            if getattr(self, name) < 0:
-                raise MapReduceError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.task_timeout_s is not None and self.task_timeout_s <= 0:
             raise MapReduceError(
-                f"task_timeout_s must be > 0 or None, got {self.task_timeout_s}"
+                f"task_timeout_s must be a finite number > 0 or None, got {timeout!r}"
             )
-
-    # ----------------------------------------------------------------- delays
-    def task_retry_delay(self, attempt: int, *token: Any) -> float:
-        """Backoff before re-running a task that failed on ``attempt``."""
-        return full_jitter_delay(
-            self.task_backoff_base_s,
-            self.task_backoff_cap_s,
-            attempt,
-            self.jitter_seed,
-            "task",
-            *token,
-        )
-
-    def blob_retry_delay(self, attempt: int, *token: Any) -> float:
-        """Backoff before re-trying a blob operation that failed on ``attempt``."""
-        return full_jitter_delay(
-            self.blob_backoff_base_s,
-            self.blob_backoff_cap_s,
-            attempt,
-            self.jitter_seed,
-            "blob",
-            *token,
-        )
 
     def fingerprint(self) -> str:
         """Compact stable identifier, folded into the cluster fingerprint."""
-        return (
-            f"attempts={self.max_task_attempts}"
-            f",backoff={self.task_backoff_base_s:g}/{self.task_backoff_cap_s:g}"
-            f",timeout={self.task_timeout_s}"
-            f",blob={self.blob_get_attempts}/{self.blob_put_attempts}"
-            f"/{self.blob_backoff_base_s:g}/{self.blob_backoff_cap_s:g}"
-            f",ttl={self.blob_namespace_ttl_s:g}"
-            f",seed={self.jitter_seed}"
-        )
+        return f"attempts={self.max_task_attempts},timeout={self.task_timeout_s}"
 
 
 #: The library-default policy: one retry per task, no timeout.
@@ -249,8 +202,9 @@ class ScriptedInjector:
     is a pure hash of ``(seed, key)``, so every process agrees — and a flaky
     key's first ``blob_failures_per_key`` operations of each kind fail with
     :class:`~repro.mapreduce.blobstore.BlobStoreError`.  Keep
-    ``blob_failures_per_key`` below the policy's blob attempt budget and the
-    store-level retries absorb every injected failure.
+    ``blob_failures_per_key`` below
+    :data:`~repro.mapreduce.blobstore.BLOB_ATTEMPTS` and the store-level
+    retries absorb every injected failure.
     """
 
     seed: int = 0
@@ -357,16 +311,14 @@ class FaultInjectingBlobStore:
 class TaskContext:
     """Per-attempt execution context shipped into every map/reduce task.
 
-    Identifies the attempt (``stage``, ``index``, ``attempt``), carries the
-    run's :class:`FaultPolicy` (blob retries inside the task read their knobs
-    from it), and the optional :class:`FaultInjector`.  Pickles at descriptor
-    size, like a :class:`~repro.sequences.store.StoreChunk`.
+    Identifies the attempt (``stage``, ``index``, ``attempt``) and carries
+    the optional :class:`FaultInjector`.  Pickles at descriptor size, like a
+    :class:`~repro.sequences.store.StoreChunk`.
     """
 
     stage: str
     index: int
     attempt: int
-    policy: FaultPolicy = DEFAULT_FAULT_POLICY
     injector: FaultInjector | None = None
 
     def begin(self) -> None:

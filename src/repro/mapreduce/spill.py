@@ -30,7 +30,6 @@ from repro.mapreduce.wire import Codec
 
 if TYPE_CHECKING:  # pragma: no cover - the blob store loads only when a run puts
     from repro.mapreduce.blobstore import BlobStore
-    from repro.mapreduce.faults import FaultPolicy
 
 
 @dataclass
@@ -76,17 +75,16 @@ class FragmentStore:
 class FragmentReader:
     """Reads fragments, fetching stored ones from ``blob_store``.
 
-    Fetches go through :func:`~repro.mapreduce.blobstore.get_with_retry`
-    (retries follow ``fault_policy``) and count into the reader's
-    ``counters`` (``blob_get_*`` and ``blob_retry_count``).  Every fetched
-    payload is checked against its fragment's ``wire_bytes``.  A reader
-    holds nothing between calls, so it needs no closing; it still works as a
-    context manager for callers that span one with a ``with`` block.
+    Fetches go through :func:`~repro.mapreduce.blobstore.get_with_retry` and
+    count into the reader's ``counters`` (``blob_get_*`` and
+    ``blob_retry_count``).  Every fetched payload is checked against its
+    fragment's ``wire_bytes``.  A reader holds nothing between calls, so it
+    needs no closing; it still works as a context manager for callers that
+    span one with a ``with`` block.
     """
 
-    def __init__(self, blob_store: BlobStore | None = None, fault_policy=None) -> None:
+    def __init__(self, blob_store: BlobStore | None = None) -> None:
         self.blob_store = blob_store
-        self.fault_policy = fault_policy
         self.counters = Counters()
 
     @property
@@ -107,7 +105,7 @@ class FragmentReader:
             )
         from repro.mapreduce.blobstore import get_with_retry
 
-        blob = get_with_retry(self.blob_store, key, policy=self.fault_policy, stats=self.counters)
+        blob = get_with_retry(self.blob_store, key, stats=self.counters)
         self.counters.blob_get_count += 1
         self.counters.blob_get_bytes += len(blob)
         if len(blob) != fragment.wire_bytes:
@@ -152,7 +150,6 @@ def store_payloads(
     encoded: Iterable[tuple[int, bytes, int]],
     spill_budget_bytes: int | None,
     fragment_store: FragmentStore | None = None,
-    policy: FaultPolicy | None = None,
 ) -> tuple[list[tuple[int, WireFragment]], Counters]:
     """Turn encoded bucket payloads into fragments, storing those past the budget.
 
@@ -161,9 +158,10 @@ def store_payloads(
     stays within ``spill_budget_bytes``; every blob that would exceed the
     budget is put into ``fragment_store`` instead (``None`` disables the
     budget, ``0`` stores everything), as is every blob when the store takes
-    every payload.  Puts retry transient store failures with ``policy``'s
-    blob knobs — safe at any repetition, because a content-addressed re-put
-    is idempotent.  Returns the fragments and the shuffle write's
+    every payload.  Puts retry transient store failures
+    (:func:`~repro.mapreduce.blobstore.put_with_retry`) — safe at any
+    repetition, because a content-addressed re-put is idempotent.  Returns
+    the fragments and the shuffle write's
     :class:`~repro.mapreduce.metrics.Counters`: ``wire_bytes``,
     ``spilled_*``, ``blob_put_*`` and the puts' ``blob_retry_count``.
     """
@@ -188,9 +186,7 @@ def store_payloads(
             from repro.mapreduce.blobstore import content_key, put_with_retry
 
             fragment.blob_key = content_key(blob, fragment_store.prefix)
-            put_with_retry(
-                fragment_store.blobs, fragment.blob_key, blob, policy=policy, stats=stats
-            )
+            put_with_retry(fragment_store.blobs, fragment.blob_key, blob, stats=stats)
             stats.blob_put_count += 1
             stats.blob_put_bytes += len(blob)
         else:

@@ -140,10 +140,8 @@ def run_map_task(
         records = resolve_chunk(records)
     started = time.perf_counter()
     job = _held_job(job, "map", context)
-    policy = None
     if context is not None:
         context.begin()
-        policy = context.policy
         if fragment_store is not None:
             fragment_store = replace(fragment_store, blobs=context.wrap_store(fragment_store.blobs))
     codec = make_codec(codec)
@@ -183,7 +181,7 @@ def run_map_task(
         )
         for bucket_index, payload in sorted(buckets.items())
     )
-    fragments, counters = store_payloads(encoded, spill_budget_bytes, fragment_store, policy)
+    fragments, counters = store_payloads(encoded, spill_budget_bytes, fragment_store)
     counters.input_records = len(records)
     counters.map_output_records = map_output_records
     counters.combined_records = counters.shuffle_records = shuffle_records
@@ -209,18 +207,15 @@ def run_reduce_task(
     ``blob_store`` is the store of the run's fragment store: fragments that
     carry blob keys instead of inline bytes are fetched from it (with retry,
     one get per distinct key) through a
-    :class:`~repro.mapreduce.spill.FragmentReader`.  With a ``context``,
-    blob-get retries follow its fault policy and the injector observes the
-    attempt start and the attempt's own gets.
+    :class:`~repro.mapreduce.spill.FragmentReader`.  With a ``context``, the
+    injector observes the attempt start and the attempt's own gets.
     """
     started = time.perf_counter()
     job = _held_job(job, "reduce", context)
-    policy = None
     if context is not None:
         context.begin()
-        policy = context.policy
         blob_store = context.wrap_store(blob_store)
-    reader = FragmentReader(blob_store, fault_policy=policy)
+    reader = FragmentReader(blob_store)
     grouped = merge_fragments(fragments, make_codec(codec), reader=reader)
     outputs: list[Any] = []
     for key, values in grouped.items():

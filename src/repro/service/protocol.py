@@ -20,15 +20,16 @@ from repro.core.results import MiningResult
 from repro.datasets.constraints import Constraint
 from repro.dictionary import Dictionary
 from repro.dictionary.dictionary import Item
-from repro.errors import ServiceError
+from repro.errors import MapReduceError, ServiceError
 from repro.mapreduce import ClusterConfig, FaultPolicy
 from repro.mapreduce.metrics import JobMetrics
 from repro.patex import PatEx
 from repro.sequences import SequenceDatabase
 from repro.service.cache import CacheInfo
 
-#: Bumped whenever a payload shape changes incompatibly.
-PROTOCOL_VERSION = 1
+#: Bumped whenever a payload shape changes incompatibly (2: a fault policy
+#: travels as its two fields only).
+PROTOCOL_VERSION = 2
 
 #: The port ``repro serve`` binds — and :func:`repro.api.connect` dials — by
 #: default.  Shared here so the two sides cannot drift apart (the client used
@@ -153,7 +154,7 @@ def decode_config(payload: dict | None) -> ClusterConfig | None:
             )
         try:
             policy = FaultPolicy(**policy)
-        except TypeError as error:
+        except (TypeError, MapReduceError) as error:
             raise ServiceError(f"bad fault_policy on the wire: {error}") from error
         payload = {**payload, "fault_policy": policy}
     return ClusterConfig(**payload)

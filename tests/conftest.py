@@ -90,6 +90,25 @@ def no_new_shm_entries():
     assert entries() - before == set()
 
 
+@pytest.fixture()
+def no_backoff(monkeypatch):
+    """Zero the task and blob retry backoff, so retries never sleep.
+
+    The task backoff is slept by the driver, the blob backoff by each task;
+    process pools are built per run and fork from the driver, so their
+    workers inherit the patched constants too.
+    """
+    from repro.mapreduce import blobstore, faults
+
+    for module, name in (
+        (faults, "TASK_BACKOFF_BASE_S"),
+        (faults, "TASK_BACKOFF_CAP_S"),
+        (blobstore, "BLOB_BACKOFF_BASE_S"),
+        (blobstore, "BLOB_BACKOFF_CAP_S"),
+    ):
+        monkeypatch.setattr(module, name, 0.0)
+
+
 def make_running_example_dictionary() -> Dictionary:
     """The dictionary of Fig. 2 with the paper's exact item order.
 

@@ -12,13 +12,12 @@ from repro.mapreduce import (
     BlobStore,
     Counters,
     DirectoryBlobStore,
-    FaultPolicy,
     InMemoryBlobStore,
     content_key,
     get_with_retry,
     put_with_retry,
 )
-from repro.mapreduce.blobstore import BlobStoreError, delete_prefix
+from repro.mapreduce.blobstore import BLOB_ATTEMPTS, BlobStoreError, delete_prefix
 
 
 @pytest.fixture(params=["memory", "directory"])
@@ -138,11 +137,7 @@ class FlakyStore(InMemoryBlobStore):
         return super().get(key)
 
 
-def no_backoff(**attempts) -> FaultPolicy:
-    """A policy with the given blob attempt budgets and no sleep between tries."""
-    return FaultPolicy(blob_backoff_base_s=0.0, blob_backoff_cap_s=0.0, **attempts)
-
-
+@pytest.mark.usefixtures("no_backoff")
 class TestGetWithRetry:
     def test_returns_on_first_success(self):
         store = InMemoryBlobStore()
@@ -153,40 +148,34 @@ class TestGetWithRetry:
     def test_retries_through_transient_misses(self):
         store = FlakyStore(failures=2)
         store.put("k", b"v")
-        assert get_with_retry(store, "k", policy=no_backoff(blob_get_attempts=4)) == b"v"
+        assert get_with_retry(store, "k") == b"v"
         assert store.gets == 3
 
     def test_exhausted_attempts_raise_the_final_error(self):
         store = FlakyStore(failures=100)
         store.put("k", b"v")
         with pytest.raises(BlobNotFoundError):
-            get_with_retry(store, "k", policy=no_backoff(blob_get_attempts=3))
-        assert store.gets == 3  # bounded: exactly ``attempts`` tries
+            get_with_retry(store, "k")
+        assert store.gets == BLOB_ATTEMPTS
 
     def test_genuinely_missing_blob_still_fails(self):
         with pytest.raises(BlobNotFoundError):
-            get_with_retry(InMemoryBlobStore(), "absent", policy=no_backoff())
+            get_with_retry(InMemoryBlobStore(), "absent")
 
-    def test_rejects_non_positive_attempts(self):
-        for name in ("blob_get_attempts", "blob_put_attempts"):
-            with pytest.raises(MapReduceError, match=f"{name} must be >= 1"):
-                no_backoff(**{name: 0})
-
-    def test_policy_supplies_attempts_and_counts_retries(self):
-        store = FlakyStore(failures=2)
+    def test_last_attempt_succeeds_and_retries_are_counted(self):
+        store = FlakyStore(failures=BLOB_ATTEMPTS - 1)
         store.put("k", b"v")
         stats = Counters()
-        policy = no_backoff(blob_get_attempts=3)
-        assert get_with_retry(store, "k", policy=policy, stats=stats) == b"v"
-        assert store.gets == 3
-        assert stats == Counters(blob_retry_count=2)
+        assert get_with_retry(store, "k", stats=stats) == b"v"
+        assert store.gets == BLOB_ATTEMPTS
+        assert stats == Counters(blob_retry_count=BLOB_ATTEMPTS - 1)
 
-    def test_policy_attempt_budget_is_binding(self):
-        store = FlakyStore(failures=100)
+    def test_attempt_budget_is_binding(self):
+        store = FlakyStore(failures=BLOB_ATTEMPTS)
         store.put("k", b"v")
         with pytest.raises(BlobNotFoundError):
-            get_with_retry(store, "k", policy=no_backoff(blob_get_attempts=2))
-        assert store.gets == 2
+            get_with_retry(store, "k")
+        assert store.gets == BLOB_ATTEMPTS
 
 
 class FlakyPutStore(InMemoryBlobStore):
@@ -205,12 +194,12 @@ class FlakyPutStore(InMemoryBlobStore):
         super().put(key, data)
 
 
+@pytest.mark.usefixtures("no_backoff")
 class TestPutWithRetry:
     def test_retries_through_transient_write_failures(self):
         store = FlakyPutStore(failures=2)
         stats = Counters()
-        policy = no_backoff(blob_put_attempts=3)
-        put_with_retry(store, "k", b"payload", policy=policy, stats=stats)
+        put_with_retry(store, "k", b"payload", stats=stats)
         assert store.get("k") == b"payload"
         assert store.attempted_puts == 3
         assert stats == Counters(blob_retry_count=2)
@@ -218,10 +207,10 @@ class TestPutWithRetry:
     def test_exhausted_attempts_raise_the_final_error(self):
         store = FlakyPutStore(failures=100)
         with pytest.raises(BlobStoreError, match="transient put failure"):
-            put_with_retry(store, "k", b"payload", policy=no_backoff(blob_put_attempts=3))
-        assert store.attempted_puts == 3
+            put_with_retry(store, "k", b"payload")
+        assert store.attempted_puts == BLOB_ATTEMPTS
 
     def test_one_retry_absorbs_one_failure(self):
         store = FlakyPutStore(failures=1)
-        put_with_retry(store, "k", b"payload", policy=no_backoff(blob_put_attempts=2))
+        put_with_retry(store, "k", b"payload")
         assert store.get("k") == b"payload"

@@ -526,8 +526,9 @@ class TestMineFaultFlags:
         code, _ = self._mine(tiny_corpus, "--retries", "-1")
         assert code == 2
 
-    def test_non_positive_timeout_rejected(self, tiny_corpus):
-        code, _ = self._mine(tiny_corpus, "--task-timeout", "0")
+    @pytest.mark.parametrize("timeout", ["0", "nan", "inf"])
+    def test_non_positive_timeout_rejected(self, tiny_corpus, timeout):
+        code, _ = self._mine(tiny_corpus, "--task-timeout", timeout)
         assert code == 2
 
     def test_retries_rejected_for_sequential_miner(self, tiny_corpus):
@@ -617,6 +618,7 @@ class TestBlobGc:
         code, _ = run_cli("blob-gc", "--blob-dir", str(tmp_path / "nope"))
         assert code == 2
 
-    def test_negative_ttl_rejected(self, blob_root):
-        code, _ = run_cli("blob-gc", "--blob-dir", str(blob_root), "--ttl", "-1")
+    @pytest.mark.parametrize("ttl", ["-1", "nan", "inf"])
+    def test_negative_ttl_rejected(self, blob_root, ttl):
+        code, _ = run_cli("blob-gc", "--blob-dir", str(blob_root), "--ttl", ttl)
         assert code == 2

@@ -50,6 +50,7 @@ from repro.mapreduce import (
     read_lease,
     write_lease,
 )
+from repro.mapreduce import blobstore, faults
 from repro.mapreduce.blobstore import LEASE_NAME, BlobStoreError, delete_prefix
 from repro.mapreduce.faults import full_jitter_delay, stable_fraction
 from repro.sequential import GapConstrainedMiner
@@ -57,24 +58,10 @@ from repro.sequential import GapConstrainedMiner
 from tests.test_differential import MATRIX_PATEX, make_differential_database
 from tests.test_multihost import FID_RECORDS, FidCountJob
 
-#: Zero-backoff variant of the default policy: tests retry without sleeping.
-FAST = FaultPolicy(
-    task_backoff_base_s=0.0,
-    task_backoff_cap_s=0.0,
-    blob_backoff_base_s=0.0,
-    blob_backoff_cap_s=0.0,
-)
-
 
 @pytest.fixture(scope="module")
 def corpus():
     return make_differential_database(count=40, seed=31)
-
-
-def fast_policy(**overrides) -> FaultPolicy:
-    import dataclasses
-
-    return dataclasses.replace(FAST, **overrides)
 
 
 # ----------------------------------------------------------- policy & jitter
@@ -87,12 +74,15 @@ class TestFaultPolicy:
         "kwargs",
         (
             {"max_task_attempts": 0},
-            {"blob_get_attempts": 0},
-            {"blob_put_attempts": -1},
-            {"task_backoff_base_s": -0.1},
-            {"blob_namespace_ttl_s": -1.0},
+            {"max_task_attempts": 2.5},
+            {"max_task_attempts": True},
+            {"max_task_attempts": "2"},
             {"task_timeout_s": 0.0},
             {"task_timeout_s": -2.0},
+            {"task_timeout_s": float("nan")},
+            {"task_timeout_s": float("inf")},
+            {"task_timeout_s": True},
+            {"task_timeout_s": "1"},
         ),
     )
     def test_validation(self, kwargs):
@@ -115,22 +105,28 @@ class TestFaultPolicy:
         with pytest.raises(MapReduceError):
             full_jitter_delay(0.05, 0.2, 0)
 
-    def test_policy_delays_vary_with_seed_and_token(self):
-        a = FaultPolicy(jitter_seed=1)
-        b = FaultPolicy(jitter_seed=2)
-        assert a.task_retry_delay(1, "map", 0) == a.task_retry_delay(1, "map", 0)
-        assert a.task_retry_delay(1, "map", 0) != b.task_retry_delay(1, "map", 0)
-        assert a.blob_retry_delay(1, "get", "k") != a.blob_retry_delay(1, "get", "j")
+    def test_backoff_delays_vary_with_token(self):
+        def task_delay(*token):
+            return full_jitter_delay(
+                faults.TASK_BACKOFF_BASE_S, faults.TASK_BACKOFF_CAP_S, 1, "task", *token
+            )
+
+        def blob_delay(*token):
+            return full_jitter_delay(
+                blobstore.BLOB_BACKOFF_BASE_S, blobstore.BLOB_BACKOFF_CAP_S, 1, "blob", *token
+            )
+
+        assert task_delay("map", 0) == task_delay("map", 0)
+        assert task_delay("map", 0) != task_delay("map", 1)
+        assert blob_delay("get", "k") != blob_delay("get", "j")
 
     def test_fingerprint_distinguishes_policies(self):
         prints = {
             FaultPolicy().fingerprint(),
             FaultPolicy(max_task_attempts=3).fingerprint(),
             FaultPolicy(task_timeout_s=1.5).fingerprint(),
-            FaultPolicy(blob_get_attempts=2).fingerprint(),
-            FaultPolicy(jitter_seed=7).fingerprint(),
         }
-        assert len(prints) == 5
+        assert len(prints) == 3
 
     def test_is_retryable_classification(self):
         assert is_retryable(MapReduceError("host down"))
@@ -227,6 +223,7 @@ class TestScriptedInjector:
         store.delete("k")  # delete is never injected
         assert inner.list("") == []
 
+    @pytest.mark.usefixtures("no_backoff")
     def test_store_retries_absorb_injected_failures(self):
         inner = InMemoryBlobStore()
         store = FaultInjectingBlobStore(
@@ -238,19 +235,21 @@ class TestScriptedInjector:
             ),
         )
         put_stats = Counters()
-        put_with_retry(store, "k", b"payload", policy=FAST, stats=put_stats)
+        put_with_retry(store, "k", b"payload", stats=put_stats)
         assert put_stats == Counters(blob_retry_count=2)
         get_stats = Counters()
-        assert get_with_retry(store, "k", policy=FAST, stats=get_stats) == b"payload"
+        assert get_with_retry(store, "k", stats=get_stats) == b"payload"
         assert get_stats == Counters(blob_retry_count=2)
 
+    @pytest.mark.usefixtures("no_backoff")
     def test_store_retries_exhaust_with_original_error(self):
         store = FaultInjectingBlobStore(
             InMemoryBlobStore(),
             ScriptedInjector(blob_get_failure_rate=1.0, blob_failures_per_key=99),
         )
         with pytest.raises(BlobStoreError, match="injected blob get failure"):
-            get_with_retry(store, "k", policy=fast_policy(blob_get_attempts=2))
+            get_with_retry(store, "k")
+        assert store._get_calls == {"k": blobstore.BLOB_ATTEMPTS}
 
 
 # ------------------------------------------------------- driver retry logic
@@ -284,13 +283,13 @@ class ExplodingJob(FidCountJob):
         yield from super().map(record)
 
 
+@pytest.mark.usefixtures("no_backoff")
 class TestDriverRetries:
     @pytest.mark.parametrize("cls", (SimulatedCluster, PersistentProcessPoolCluster))
     def test_transient_map_failure_is_retried_transparently(self, cls):
         baseline = cls(num_workers=3).run(FidCountJob(), FID_RECORDS)
         cluster = cls(
             num_workers=3,
-            fault_policy=FAST,
             fault_injector=ScriptedInjector(kill_map_task=1, kill_attempts=1),
         )
         result = cluster.run(FidCountJob(), FID_RECORDS)
@@ -307,7 +306,6 @@ class TestDriverRetries:
         baseline = make_cluster("simulated", num_workers=3).run(FidCountJob(), FID_RECORDS)
         cluster = SimulatedCluster(
             num_workers=3,
-            fault_policy=FAST,
             fault_injector=ScriptedInjector(kill_reduce_task=0, kill_attempts=1),
         )
         result = cluster.run(FidCountJob(), FID_RECORDS)
@@ -320,16 +318,14 @@ class TestDriverRetries:
         # fault there, and the retry still recovers the job.
         cluster = SimulatedCluster(
             num_workers=3,
-            fault_policy=FAST,
             fault_injector=ScriptedInjector(kill_map_task=0, kill_mode="exit"),
         )
         result = cluster.run(FidCountJob(), FID_RECORDS)
         assert result.metrics.task_retry_count == 1
 
     def test_exhausted_attempts_reraise_original_chained_to_first_cause(self):
-        cluster = SimulatedCluster(
+        cluster = SimulatedCluster(  # the default policy: max_task_attempts=2
             num_workers=3,
-            fault_policy=FAST,  # max_task_attempts=2
             fault_injector=ScriptedInjector(kill_map_task=0, kill_attempts=5),
         )
         with pytest.raises(InjectedFault, match="attempt 2") as excinfo:
@@ -348,7 +344,7 @@ class TestDriverRetries:
         cluster = make_cluster(
             "persistent-processes",
             num_workers=2,
-            fault_policy=fast_policy(max_task_attempts=1),
+            fault_policy=FaultPolicy(max_task_attempts=1),
         )
         with pytest.raises(MapReduceError, match="fast poison"):
             cluster.run(PoisonJob(), [PoisonJob.SLOW, PoisonJob.FAST])
@@ -356,7 +352,7 @@ class TestDriverRetries:
     def test_non_retryable_explosion_fails_immediately(self):
         job = ExplodingJob()
         cluster = make_cluster(
-            "simulated", num_workers=3, fault_policy=fast_policy(max_task_attempts=4)
+            "simulated", num_workers=3, fault_policy=FaultPolicy(max_task_attempts=4)
         )
         with pytest.raises(CandidateExplosionError):
             cluster.run(job, FID_RECORDS + [(99,)])
@@ -366,7 +362,7 @@ class TestDriverRetries:
         baseline = make_cluster("simulated", num_workers=3).run(FidCountJob(), FID_RECORDS)
         cluster = SimulatedCluster(
             num_workers=3,
-            fault_policy=fast_policy(task_timeout_s=0.05),
+            fault_policy=FaultPolicy(task_timeout_s=0.05),
             fault_injector=ScriptedInjector(
                 delay_stage="map", delay_task=0, delay_s=0.25, delay_attempts=1
             ),
@@ -379,7 +375,7 @@ class TestDriverRetries:
     def test_timeout_exhaustion_raises_task_timeout_error(self):
         cluster = SimulatedCluster(
             num_workers=3,
-            fault_policy=fast_policy(task_timeout_s=0.05),
+            fault_policy=FaultPolicy(task_timeout_s=0.05),
             fault_injector=ScriptedInjector(
                 delay_stage="map", delay_task=0, delay_s=0.25, delay_attempts=99
             ),
@@ -405,6 +401,7 @@ class TestDriverRetries:
             assert fast.results == {}  # fail-fast stopped before task 1
 
 
+@pytest.mark.usefixtures("no_backoff")
 class TestInjectedBlobCounts:
     def test_blob_faults_are_counted_per_attempt_on_every_backend(self):
         """Every task attempt wraps the store for the injector itself, so the
@@ -423,7 +420,7 @@ class TestInjectedBlobCounts:
             cls(
                 num_workers=2,
                 spill_budget_bytes=0,
-                fault_policy=fast_policy(task_timeout_s=0.1),
+                fault_policy=FaultPolicy(task_timeout_s=0.1),
                 fault_injector=injector,
             ).run(FidCountJob(), FID_RECORDS).metrics
             for cls in (SimulatedCluster, PersistentProcessPoolCluster)
@@ -437,6 +434,7 @@ class TestInjectedBlobCounts:
             assert run.blob_retry_count == run.blob_put_count + run.blob_get_count
 
 
+@pytest.mark.usefixtures("no_backoff")
 class TestHostFailover:
     def test_dead_host_tasks_are_redispatched(self):
         baseline = make_cluster("persistent-processes", num_workers=2).run(
@@ -444,7 +442,6 @@ class TestHostFailover:
         )
         cluster = PersistentProcessPoolCluster(
             num_workers=2,
-            fault_policy=FAST,
             fault_injector=ScriptedInjector(kill_map_task=0, kill_mode="exit"),
         )
         result = cluster.run(FidCountJob(), FID_RECORDS)
@@ -475,6 +472,7 @@ def _acceptance_miner(name, dictionary, cluster):
 MINER_NAMES = ("dseq", "dcand", "naive", "semi-naive", "lash")
 
 
+@pytest.mark.usefixtures("no_backoff")
 class TestInjectedMultiHost:
     @pytest.mark.parametrize("miner_name", MINER_NAMES)
     def test_host_kill_and_flaky_blobs_stay_byte_identical(self, miner_name, corpus):
@@ -489,8 +487,7 @@ class TestInjectedMultiHost:
             ClusterConfig(
                 backend=MultiHostCluster(
                     num_workers=2,
-                    fault_policy=FAST,
-                    fault_injector=ScriptedInjector(
+                            fault_injector=ScriptedInjector(
                         kill_map_task=0, kill_mode="exit", blob_get_failure_rate=0.2
                     ),
                 ),
@@ -517,8 +514,7 @@ class TestInjectedMultiHost:
             cluster=ClusterConfig(
                 backend=MultiHostCluster(
                     num_workers=2,
-                    fault_policy=FAST,
-                    fault_injector=ScriptedInjector(kill_reduce_task=0, kill_mode="exit"),
+                            fault_injector=ScriptedInjector(kill_reduce_task=0, kill_mode="exit"),
                 ),
             ),
         ).mine(database)
@@ -537,8 +533,7 @@ class TestInjectedMultiHost:
             cluster=ClusterConfig(
                 backend=MultiHostCluster(
                     num_workers=2,
-                    fault_policy=FAST,
-                    fault_injector=ScriptedInjector(
+                            fault_injector=ScriptedInjector(
                         blob_get_failure_rate=1.0,
                         blob_put_failure_rate=1.0,
                         blob_failures_per_key=2,
@@ -560,7 +555,7 @@ class TestInjectedMultiHost:
                 backend=MultiHostCluster(
                     num_workers=2,
                     blob_dir=str(blob_dir),
-                    fault_policy=fast_policy(max_task_attempts=1),
+                    fault_policy=FaultPolicy(max_task_attempts=1),
                     fault_injector=ScriptedInjector(kill_map_task=0),
                 ),
             ),
@@ -730,6 +725,7 @@ class TestHostileLeases:
 
 # -------------------------------------------------------------- property tests
 class TestRetryProperties:
+    @pytest.mark.usefixtures("no_backoff")
     @given(k=st.integers(min_value=1, max_value=3))
     @settings(max_examples=6, deadline=None)
     def test_k_retries_stay_byte_identical_without_double_counting(self, k):
@@ -738,7 +734,7 @@ class TestRetryProperties:
         )
         cluster = SimulatedCluster(
             num_workers=3,
-            fault_policy=fast_policy(max_task_attempts=k + 1),
+            fault_policy=FaultPolicy(max_task_attempts=k + 1),
             fault_injector=ScriptedInjector(kill_map_task=0, kill_attempts=k),
         )
         result = cluster.run(FidCountJob(), FID_RECORDS)
@@ -755,18 +751,14 @@ class TestRetryProperties:
 
     @given(
         attempt=st.integers(min_value=1, max_value=6),
-        seed=st.integers(min_value=0, max_value=10_000),
+        slot=st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=50, deadline=None)
-    def test_jitter_is_replayable_and_within_window(self, attempt, seed):
-        policy = FaultPolicy(jitter_seed=seed)
-        delay = policy.task_retry_delay(attempt, "map", 5)
-        assert delay == policy.task_retry_delay(attempt, "map", 5)
-        window = min(
-            policy.task_backoff_cap_s,
-            policy.task_backoff_base_s * 2 ** (attempt - 1),
-        )
-        assert 0.0 <= delay < window
+    def test_jitter_is_replayable_and_within_window(self, attempt, slot):
+        base, cap = faults.TASK_BACKOFF_BASE_S, faults.TASK_BACKOFF_CAP_S
+        delay = full_jitter_delay(base, cap, attempt, "task", "map", slot)
+        assert delay == full_jitter_delay(base, cap, attempt, "task", "map", slot)
+        assert 0.0 <= delay < min(cap, base * 2 ** (attempt - 1))
 
 
 # --------------------------------------------------------------- task context
@@ -774,7 +766,7 @@ class TestTaskContext:
     def test_pickles_and_begins(self):
         context = TaskContext(
             stage="map", index=3, attempt=2,
-            policy=FAST, injector=ScriptedInjector(kill_map_task=3, kill_attempts=2),
+            injector=ScriptedInjector(kill_map_task=3, kill_attempts=2),
         )
         clone = pickle.loads(pickle.dumps(context))
         with pytest.raises(InjectedFault):

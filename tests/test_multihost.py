@@ -21,7 +21,6 @@ from repro.errors import MapReduceError
 from repro.mapreduce import (
     ClusterConfig,
     DirectoryBlobStore,
-    FaultPolicy,
     FragmentReader,
     InMemoryBlobStore,
     MapReduceJob,
@@ -199,12 +198,12 @@ class TestMultiHostJobDelivery:
         assert result.metrics.wire_bytes == baseline.metrics.wire_bytes
         assert result.metrics.blob_get_count > 0
 
+    @pytest.mark.usefixtures("no_backoff")
     def test_replacement_hosts_are_handed_the_job_again(self, tmp_path):
         blob_dir = tmp_path / "store"
         cluster = MultiHostCluster(
             num_workers=2,
             blob_dir=str(blob_dir),
-            fault_policy=FaultPolicy(task_backoff_base_s=0.0),
             fault_injector=ScriptedInjector(kill_reduce_task=0, kill_mode="exit"),
         )
         result = cluster.run(NeverPickledJob(), FID_RECORDS)

@@ -17,7 +17,6 @@ from repro.core import DSeqMiner
 from repro.core.dseq import DSeqJob
 from repro.errors import MapReduceError
 from repro.mapreduce import (
-    DEFAULT_FAULT_POLICY,
     ClusterConfig,
     FaultPolicy,
     JobNotDeliveredError,
@@ -173,7 +172,7 @@ class StrangerRefExecutor(ProcessExecutor):
 
 
 def task_context(stage: str, index: int = 0) -> TaskContext:
-    return TaskContext(stage, index, 1, DEFAULT_FAULT_POLICY, None)
+    return TaskContext(stage, index, 1, None)
 
 
 def first_tasks(cluster, job):
@@ -238,10 +237,10 @@ class TestJobDelivery:
         assert result.metrics.tasks_failed == 0
 
     @forked_pools
+    @pytest.mark.usefixtures("no_backoff")
     def test_a_pool_rebuilt_after_a_host_death_is_handed_the_job_again(self):
         cluster = PersistentProcessPoolCluster(
             num_workers=2,
-            fault_policy=FaultPolicy(task_backoff_base_s=0.0),
             fault_injector=ScriptedInjector(kill_map_task=0, kill_mode="exit"),
         )
         result = cluster.run(UnpicklableJob(), RECORDS)

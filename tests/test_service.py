@@ -341,6 +341,22 @@ class TestServiceSession:
 
         refused({"fault_policy": {"x": 1}}, "bad fault_policy.*'x'")
         refused({"fault_policy": 5}, "fault_policy on the wire must be an object")
+        # NaN travels as JSON's NaN; none of these may disable or bend a check.
+        for hostile in (
+            {"task_timeout_s": float("nan")},
+            {"task_timeout_s": True},
+            {"max_task_attempts": 2.5},
+            {"max_task_attempts": True},
+        ):
+            refused({"fault_policy": hostile}, "bad fault_policy")
+        # A protocol-1 client's ten-field policy.
+        old_policy = {
+            "max_task_attempts": 2, "task_backoff_base_s": 0.05, "task_backoff_cap_s": 2.0,
+            "task_timeout_s": None, "blob_get_attempts": 4, "blob_put_attempts": 3,
+            "blob_backoff_base_s": 0.01, "blob_backoff_cap_s": 0.25,
+            "blob_namespace_ttl_s": 86400.0, "jitter_seed": 0,
+        }
+        refused({"fault_policy": old_policy}, "bad fault_policy.*task_backoff_base_s")
         for removed in ("measure_shuffle", "fault_injector"):
             refused({removed: None}, rf"unknown ClusterConfig fields.*'{removed}'")
         assert client.ping()["protocol"] == protocol.PROTOCOL_VERSION
