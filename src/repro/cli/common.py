@@ -228,7 +228,7 @@ def cluster_config_from_args(args: Namespace, num_workers: int):
         num_workers=num_workers,
         codec=args.codec,
         spill_budget_bytes=parse_byte_size(args.spill_budget),
-        blob_dir=getattr(args, "blob_dir", None),
+        spill_dir=getattr(args, "spill_dir", None),
         grid=getattr(args, "grid", None),
         partitioner=getattr(args, "partitioner", None),
         plan_sample=getattr(args, "plan_sample", None),
@@ -245,7 +245,7 @@ CLUSTER_FLAGS = {
     "--backend": "backend",
     "--codec": "codec",
     "--spill-budget": "spill_budget_bytes",
-    "--blob-dir": "blob_dir",
+    "--spill-dir": "spill_dir",
     "--grid": "grid",
     "--partitioner": "partitioner",
     "--plan-sample": "plan_sample",
@@ -287,20 +287,21 @@ def add_shuffle_arguments(parser: ArgumentParser) -> None:
         help=(
             "per-map-task in-memory budget for encoded shuffle payloads; "
             "payloads past the budget become blobs in the run's fragment "
-            "store (the run directory, or the shared --blob-dir on "
-            "multihost).  Accepts k/M/G suffixes, e.g. 64k or 16M "
-            "(default: no budget)"
+            "store, in its run directory under --spill-dir.  Accepts k/M/G "
+            "suffixes, e.g. 64k or 16M (default: no budget)"
         ),
     )
     parser.add_argument(
-        "--blob-dir",
+        "--spill-dir",
         metavar="DIR",
         default=None,
         help=(
-            "with --backend multihost: directory backing the shared blob "
-            "store the hosts shuffle through (created if missing; job blobs "
-            "are deleted when the job finishes).  Default: a temporary "
-            "directory owned by the job"
+            "parent of each run's scratch directory, which holds everything "
+            "the run writes (the multihost fragment store included; a shared "
+            "mount on a multi-host deployment).  Created if missing; each run "
+            "directory goes when its run ends, and one a killed run left is "
+            "removed by a later run or by 'repro gc' after 24 h "
+            "(default: the system temp dir)"
         ),
     )
 

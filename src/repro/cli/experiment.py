@@ -90,7 +90,7 @@ def add_parser(subparsers) -> None:
             "'persistent-processes' (also spelled 'processes') executes on "
             "real local processes that share the encoded database via shared "
             "memory, 'multihost' additionally stages shuffle payloads through "
-            "a shared blob store (default: simulated)"
+            "a blob store (default: simulated)"
         ),
     )
     add_shuffle_arguments(parser)

@@ -8,10 +8,10 @@ from collections.abc import Sequence
 
 from repro import __version__
 from repro.cli import (
-    blob_gc_cmd,
     constraints_cmd,
     convert,
     experiment,
+    gc_cmd,
     generate,
     inspect_cmd,
     mine_cmd,
@@ -24,7 +24,7 @@ from repro.errors import ReproError
 #: Modules providing one subcommand each (ordered as shown in --help).
 _SUBCOMMANDS = (
     generate, stats, mine_cmd, inspect_cmd, constraints_cmd, convert, experiment,
-    serve_cmd, blob_gc_cmd,
+    serve_cmd, gc_cmd,
 )
 
 

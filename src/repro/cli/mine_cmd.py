@@ -74,8 +74,8 @@ def add_parser(subparsers) -> None:
             "wall-clock speed-ups and shares the encoded database with the workers via "
             "shared memory, so tasks ship chunk descriptors instead of "
             "pickled sequences, 'multihost' runs the same process pool but "
-            "stages every shuffle payload through a shared blob store (see "
-            "--blob-dir) (default: simulated)"
+            "stages every shuffle payload through a blob store in the run "
+            "directory (see --spill-dir) (default: simulated)"
         ),
     )
     add_shuffle_arguments(parser)

@@ -14,7 +14,8 @@ fragment store per run, three execution backends:
 * ``multihost`` — the same process pool, but the hosts exchange every encoded
   reduce bucket through a pluggable
   :class:`~repro.mapreduce.blobstore.BlobStore` (content-addressed blobs in
-  a shared directory), the shape of a serverless/object-store deployment.
+  the run directory under ``spill_dir``), the shape of a
+  serverless/object-store deployment.
 
 ``ClusterConfig(backend=..., ...).build()`` picks a backend by name;
 :func:`make_cluster` is its one-line shortcut.
@@ -33,11 +34,8 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "DirectoryBlobStore",
             "InMemoryBlobStore",
             "content_key",
-            "expired_namespaces",
-            "gc_expired",
             "get_with_retry",
             "put_with_retry",
-            "read_lease",
             "write_lease",
         ),
         "repro.mapreduce.engine": ("SimulatedCluster",),
@@ -69,8 +67,11 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "stable_hash",
         ),
         "repro.mapreduce.metrics": ("Counters", "JobMetrics", "lpt_worker_loads"),
-        "repro.mapreduce.multihost": ("MultiHostCluster",),
-        "repro.mapreduce.parallel": ("PersistentProcessPoolCluster", "ProcessExecutor"),
+        "repro.mapreduce.parallel": (
+            "MultiHostCluster",
+            "PersistentProcessPoolCluster",
+            "ProcessExecutor",
+        ),
         "repro.mapreduce.spill": ("FragmentReader", "WireFragment", "merge_fragments"),
         "repro.mapreduce.tasks": (
             "JobRef",

@@ -35,18 +35,22 @@ Every row schedules the same two worker-side tasks
 boundaries (:func:`split_ranges`), so patterns and every shuffle, wire and
 spill metric are byte-identical across backends.
 
-Every run gets one scratch directory, a fresh ``mkdtemp`` child of
-``spill_dir``.  The published input store and a private fragment store live
-in it, and the driver removes it whole once the executor and fragment-store
-scopes have closed — one cleanup exit, whether the run succeeded, a task
-failed, or a host died.  A shared ``blob_dir`` namespace is deleted by its
-scope.
+Every run gets one scratch directory under ``spill_dir`` (the system temp
+directory by default; a shared mount on a multi-host deployment), and
+everything the run writes lives in it: the published input store and the
+fragment store.  The driver removes it whole once the executor scope has
+joined every worker task — one cleanup exit, whether the run succeeded, a
+task failed, or a host died.  A driver killed mid-run cannot do that, so the
+directory's name is its lease: ``repro-run-<unix seconds>-<random>``.  At
+run start the driver sweeps the siblings older than :data:`RUN_TTL_S`
+(:func:`sweep_run_dirs`), and ``repro gc`` runs the same sweep by hand.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import re
 import shutil
 import tempfile
 import time
@@ -164,9 +168,9 @@ class InlineExecutor:
 class StageDriverCluster:
     """The map → combine → partition → reduce driver of every backend.
 
-    ``executor``, ``stores_every_payload`` and ``blob_dir`` make the backend's
-    row (see the module docstring); the class attributes below are the
-    ``simulated`` row, and each backend class sets its own.  A cluster knows
+    ``executor`` and ``stores_every_payload`` make the backend's row (see
+    the module docstring); the class attributes below are the ``simulated``
+    row, and each backend class sets its own.  A cluster knows
     only the substrate: the mining choices of a
     :class:`~repro.mapreduce.factory.ClusterConfig` (``grid``,
     ``partitioner``, ``plan_sample``) stay with the miners, and a planned
@@ -190,9 +194,9 @@ class StageDriverCluster:
         past the budget go to the run's fragment store (``None`` disables the
         budget, ``0`` stores everything).  Results are identical either way.
     spill_dir:
-        Parent of each run's scratch directory, which holds the published
-        input store and a private fragment store (defaults to the system temp
-        directory; it must exist).
+        Parent of each run's scratch directory, which holds everything the
+        run writes (defaults to the system temp directory; created if
+        missing).  A multi-host deployment points it at a shared mount.
     fault_policy:
         The run's :class:`~repro.mapreduce.faults.FaultPolicy`: how many
         attempts a failed or timed-out task gets, and the per-task timeout.
@@ -222,10 +226,6 @@ class StageDriverCluster:
     #: the spill budget.
     stores_every_payload = False
 
-    #: Directory of a shared blob store holding the run's fragment store
-    #: (``None``: a private store in the run directory).
-    blob_dir: str | None = None
-
     def __init__(
         self,
         num_workers: int | None = None,
@@ -250,6 +250,10 @@ class StageDriverCluster:
                 f"spill_budget_bytes must be >= 0 or None, got {spill_budget_bytes}"
             )
         self.spill_budget_bytes = spill_budget_bytes
+        if spill_dir is not None and not isinstance(spill_dir, (str, os.PathLike)):
+            raise MapReduceError(
+                f"spill_dir must be a path or None, got {type(spill_dir).__name__}"
+            )
         self.spill_dir = spill_dir
         self.fault_policy = fault_policy or DEFAULT_FAULT_POLICY
         self.fault_injector = fault_injector
@@ -270,19 +274,27 @@ class StageDriverCluster:
             "planned" if getattr(job, "partition_plan", None) is not None else "hash"
         )
 
-        # Everything the run writes — the published input, a private
-        # fragment store — lives in this one directory, removed wholesale
-        # below, so a failing map or reduce task (e.g. a candidate explosion)
-        # or a dead host cannot strand the files of the tasks before it.
-        run_dir = tempfile.mkdtemp(prefix="repro-run-", dir=self.spill_dir)
+        # Everything the run writes — the published input, the fragment
+        # store — lives in this one directory, removed wholesale below, so a
+        # failing map or reduce task (e.g. a candidate explosion) or a dead
+        # host cannot strand the files of the tasks before it.
+        run_dir = make_run_dir(self.spill_dir)
         try:
-            # The executor scope exits first: its shutdown joins every
-            # still-running worker task.  Only then does the fragment-store
-            # scope delete a shared namespace, and the run directory go.
-            with self._fragment_store(run_dir) as fragment_store, self.executor.scope(
-                self, records, job, run_dir
-            ) as (chunks, task_job, execute):
-                blob_store = fragment_store.blobs if fragment_store is not None else None
+            fragment_store = blob_store = None
+            if self.spill_budget_bytes is not None or self.stores_every_payload:
+                from repro.mapreduce.blobstore import DirectoryBlobStore
+
+                # Tasks get the raw store; each attempt wraps it for the
+                # fault injector itself.  The key prefix is a constant, so
+                # keys are a pure function of the payloads and a seeded
+                # blob-fault schedule replays exactly.
+                blob_store = DirectoryBlobStore(run_dir)
+                fragment_store = FragmentStore(blob_store, "blobs", self.stores_every_payload)
+            # The executor scope's shutdown joins every still-running worker
+            # task, so nothing writes into the run directory once it goes.
+            with self.executor.scope(self, records, job, run_dir) as (
+                chunks, task_job, execute
+            ):
                 metrics.map_input_pickle_bytes = sum(map(pickled_size, chunks))
                 # Map stage: each task partitions, combines, and encodes its
                 # reduce buckets locally (worker-side shuffle write), putting
@@ -351,56 +363,6 @@ class StageDriverCluster:
             self.executor.worker_times(reduce_results, self.num_workers)
         )
         return JobResult(outputs=outputs, metrics=metrics)
-
-    @contextmanager
-    def _fragment_store(self, run_dir: str):
-        """The run's one fragment store, or ``None`` when no payload can go there.
-
-        ``blob_dir`` selects the directory backing the
-        :class:`~repro.mapreduce.blobstore.DirectoryBlobStore` (think: the
-        mount point or bucket of a shared object store).  ``None`` keeps the
-        store in the run directory, which the driver removes whole; a shared
-        directory gets a fresh leased namespace, and only that key prefix is
-        deleted, so the directory is left exactly as found.  The driver
-        enters this scope *outside* the executor scope: the namespace goes
-        after the last worker task that could put into it has been joined.
-        """
-        if self.spill_budget_bytes is None and not self.stores_every_payload:
-            yield None
-            return
-        from repro.mapreduce.blobstore import (
-            NAMESPACE_TTL_S,
-            DirectoryBlobStore,
-            delete_prefix,
-            gc_expired,
-            write_lease,
-        )
-
-        shared = self.blob_dir is not None
-        store = DirectoryBlobStore(self.blob_dir if shared else run_dir)
-        prefix = f"job-{os.urandom(8).hex()}"
-        if shared:
-            os.makedirs(self.blob_dir, exist_ok=True)
-            # A shared blob_dir accumulates namespaces orphaned by killed
-            # drivers; sweep the expired ones opportunistically at job start
-            # (``repro blob-gc`` is the explicit path).  Best effort: GC
-            # trouble must never fail a healthy job.
-            try:
-                gc_expired(store, NAMESPACE_TTL_S)
-            except Exception:
-                pass
-            # The lease stamps the namespace's birth, so a later GC pass can
-            # tell this job's leftovers (if we die before the cleanup below)
-            # from live namespaces and from foreign files in the directory.
-            write_lease(store, prefix)
-        try:
-            # Tasks get the raw store; each attempt wraps it for the fault
-            # injector itself, so cleanup never meets an injected fault.
-            yield FragmentStore(store, prefix, self.stores_every_payload)
-        finally:
-            # A private store goes with the run directory.
-            if shared:
-                delete_prefix(store, f"{prefix}/")
 
     # ------------------------------------------------------------ fault logic
     def _run_stage(
@@ -519,6 +481,64 @@ class StageDriverCluster:
         if first_cause is not None and first_cause is not error:
             raise error from first_cause
         raise error
+
+
+#: Age past which a run directory counts as orphaned by a killed driver: the
+#: sweep every run makes of its ``spill_dir`` at start, and ``repro gc``'s
+#: default ``--ttl``.
+RUN_TTL_S = 24 * 3600
+
+#: A run directory's name, ``repro-run-<unix seconds>-<random>``: its birth.
+_RUN_DIR = re.compile(r"repro-run-([0-9]{1,20})-.+", re.ASCII)
+
+
+def make_run_dir(spill_dir: str | os.PathLike | None) -> str:
+    """Make a run's scratch directory under ``spill_dir``, named for its
+    birth, after a best-effort sweep of the expired siblings there."""
+    parent = tempfile.gettempdir() if spill_dir is None else os.fspath(spill_dir)
+    try:
+        os.makedirs(parent, exist_ok=True)
+    except OSError as error:
+        raise MapReduceError(
+            f"spill_dir {parent!r} is not a usable directory: {error}"
+        ) from error
+    try:
+        sweep_run_dirs(parent, RUN_TTL_S)
+    except OSError:
+        pass
+    return tempfile.mkdtemp(prefix=f"repro-run-{int(time.time())}-", dir=parent)
+
+
+def run_dir_birth(name: str) -> int | None:
+    """The unix second a run directory named ``name`` was made, or ``None``
+    when the name is not one :func:`make_run_dir` gives."""
+    match = _RUN_DIR.fullmatch(name)
+    return int(match.group(1)) if match else None
+
+
+def expired_run_dirs(parent: str, ttl_s: float, now: float | None = None) -> list[str]:
+    """The run directories in ``parent`` born more than ``ttl_s`` seconds
+    before ``now``, sorted: what :func:`sweep_run_dirs` removes and ``repro gc
+    --dry-run`` lists.  A symlink, a file or a name stating no birth never is."""
+    clock = time.time() if now is None else now
+    expired = []
+    with os.scandir(parent) as entries:
+        for entry in entries:
+            birth = run_dir_birth(entry.name)
+            if birth is not None and clock - birth > ttl_s and entry.is_dir(
+                follow_symlinks=False
+            ):
+                expired.append(entry.path)
+    return sorted(expired)
+
+
+def sweep_run_dirs(parent: str, ttl_s: float, now: float | None = None) -> list[str]:
+    """Remove the :func:`expired_run_dirs` of ``parent``; returns them.  A
+    directory another sweep removes first is no error."""
+    expired = expired_run_dirs(parent, ttl_s, now)
+    for path in expired:
+        shutil.rmtree(path, ignore_errors=True)
+    return expired
 
 
 def pickled_size(value: Any) -> int:

@@ -11,11 +11,12 @@ its operations so tests can assert on access patterns (e.g. one ``get`` per
 distinct key on the reduce side).
 
 Keys are *content-addressed*: :func:`content_key` derives the key from a
-SHA-1 of the payload under a caller-chosen prefix (the per-job namespace).
-Two identical payloads share a key — a harmless dedup, since a blob's bytes
-fully determine what any reader decodes — and a whole job's blobs can be
-dropped by deleting its prefix, which is what guarantees cleanup even when a
-mid-stage worker failure aborts the run.
+SHA-1 of the payload under a caller-chosen prefix.  Two identical payloads
+share a key — a harmless dedup, since a blob's bytes fully determine what any
+reader decodes — and a run's keys are a pure function of its payloads.  The
+stage driver keeps the store in the run directory, which goes whole when the
+run ends (see :mod:`repro.mapreduce.base`), so no store needs a cleanup or
+an orphan rule of its own.
 
 Object stores are eventually consistent and briefly flaky in ways a local
 directory is not, so reads and writes go through :func:`get_with_retry` /
@@ -23,20 +24,12 @@ directory is not, so reads and writes go through :func:`get_with_retry` /
 loop of :data:`BLOB_ATTEMPTS` tries — mirroring how serverless shuffle
 implementations poll object storage for fragments that may not be visible
 yet.
-
-A job announces its namespace with a *lease* (:func:`write_lease`): one tiny
-JSON blob under ``<prefix>/.lease`` stamping when the namespace was created
-and by whom.  A driver that dies mid-run orphans its namespace; the lease is
-what lets :func:`gc_expired` later distinguish "abandoned job past its TTL"
-(:data:`NAMESPACE_TTL_S` by default) from "live job" or "foreign files
-somebody parked in the same directory".
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import socket
 import tempfile
@@ -63,19 +56,12 @@ class BlobNotFoundError(BlobStoreError):
         self.key = key
 
 
-#: Key of the per-namespace lease blob, relative to the job prefix.
-LEASE_NAME = ".lease"
-
 #: Tries one blob get or put gets before its error propagates, and the
 #: window of the deterministic full-jitter backoff between them.  Module
 #: constants, not policy fields: only tests change them.
 BLOB_ATTEMPTS = 4
 BLOB_BACKOFF_BASE_S = 0.01
 BLOB_BACKOFF_CAP_S = 0.25
-
-#: Age past which a leased namespace counts as orphaned: the default of
-#: ``repro blob-gc --ttl`` and of the sweep a shared-store job runs at start.
-NAMESPACE_TTL_S = 24 * 3600.0
 
 
 @runtime_checkable
@@ -108,10 +94,9 @@ def content_key(data: bytes, prefix: str = "") -> str:
 def delete_prefix(store: BlobStore, prefix: str) -> int:
     """Delete every key under ``prefix``; returns the number of keys dropped.
 
-    Tolerates a concurrent cleaner racing over the same namespace (two
-    drivers sweeping one shared ``--blob-dir``): a key that vanishes between
-    ``list`` and ``delete`` is somebody else's successful delete, not an
-    error.
+    Tolerates a concurrent cleaner racing over the same prefix: a key that
+    vanishes between ``list`` and ``delete`` is somebody else's successful
+    delete, not an error.
     """
     keys = store.list(prefix)
     dropped = 0
@@ -173,16 +158,16 @@ def put_with_retry(
     _retry_loop(lambda: store.put(key, data), "put", key, stats)
 
 
-# ------------------------------------------------------------ leases and GC
 def write_lease(store: BlobStore, prefix: str, now: float | None = None) -> str:
-    """Stamp ``prefix`` as a live job namespace; returns the lease key.
+    """Put a JSON stamp of ``prefix``'s birth (time, pid, host) under
+    ``<prefix>/.lease``; returns its key.
 
-    The lease records the namespace's creation time plus the owning driver's
-    pid/host (purely diagnostic).  It is the *manifest* that marks a prefix
-    as ours to garbage-collect: :func:`gc_expired` only ever touches leased
-    namespaces, so foreign files sharing the directory are never at risk.
+    No product code calls it: a run's directory name is its lease (see
+    :mod:`repro.mapreduce.base`).  It stays only because the frozen
+    ``benchmarks/e2e/replay.py`` times it, and goes when the replay reads
+    the product's own phase timings.
     """
-    key = f"{prefix}/{LEASE_NAME}"
+    key = f"{prefix}/.lease"
     stamp = {
         "created_at": time.time() if now is None else now,
         "pid": os.getpid(),
@@ -190,68 +175,6 @@ def write_lease(store: BlobStore, prefix: str, now: float | None = None) -> str:
     }
     store.put(key, json.dumps(stamp).encode("utf-8"))
     return key
-
-
-def read_lease(store: BlobStore, prefix: str) -> dict | None:
-    """The lease stamp of ``prefix``, or ``None`` if absent or unreadable.
-
-    A stamp is readable only as a JSON object whose ``created_at`` is a
-    finite number (not a bool): anything else — bytes that are not JSON,
-    nesting too deep to parse, ``NaN``, ``true`` — could not say when the
-    namespace was created, so no sweep may act on it.
-    """
-    try:
-        stamp = json.loads(store.get(f"{prefix}/{LEASE_NAME}").decode("utf-8"))
-    except (BlobStoreError, ValueError, RecursionError):
-        return None
-    created = stamp.get("created_at") if isinstance(stamp, dict) else None
-    if isinstance(created, bool) or not isinstance(created, (int, float)):
-        return None
-    try:
-        return stamp if math.isfinite(created) else None
-    except OverflowError:  # an int past the float range
-        return None
-
-
-def expired_namespaces(
-    store: BlobStore, ttl_s: float, now: float | None = None
-) -> list[str]:
-    """The leased prefixes whose lease is older than ``ttl_s`` seconds, sorted.
-
-    The one expiry rule: :func:`gc_expired` sweeps exactly these, and ``repro
-    blob-gc --dry-run`` lists them.  Only namespaces *with* a readable lease
-    are candidates — an unleased prefix is either a live pre-lease race,
-    foreign data, or an old-format job, and all three are left alone, as is
-    a lease :func:`read_lease` cannot read.  A lease younger than the TTL
-    marks a live (or recently live) job.
-    """
-    clock = time.time() if now is None else now
-    lease_suffix = f"/{LEASE_NAME}"
-    expired = []
-    for key in store.list(""):
-        if not key.endswith(lease_suffix):
-            continue
-        prefix = key[: -len(lease_suffix)]
-        stamp = read_lease(store, prefix)  # None too if another cleaner won the race
-        if stamp is not None and clock - stamp["created_at"] > ttl_s:
-            expired.append(prefix)
-    return sorted(expired)
-
-
-def gc_expired(
-    store: BlobStore, ttl_s: float, now: float | None = None
-) -> list[str]:
-    """Sweep the :func:`expired_namespaces` of ``store``; returns them.
-
-    A driver that is killed mid-run leaves its ``job-*`` namespace behind
-    forever; this is the reclaim path.  Deletion races with other cleaners
-    are tolerated, and a sweep deletes under ``<prefix>/`` only, never a
-    neighbour whose name merely starts with the prefix.
-    """
-    expired = expired_namespaces(store, ttl_s, now)
-    for prefix in expired:
-        delete_prefix(store, f"{prefix}/")
-    return expired
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ _ALIASES = {
 _CLUSTER_CLASSES = {
     "simulated": "repro.mapreduce.engine:SimulatedCluster",
     "persistent-processes": "repro.mapreduce.parallel:PersistentProcessPoolCluster",
-    "multihost": "repro.mapreduce.multihost:MultiHostCluster",
+    "multihost": "repro.mapreduce.parallel:MultiHostCluster",
 }
 
 #: The :class:`ClusterConfig` fields :meth:`ClusterConfig.build` does not hand
@@ -77,13 +77,10 @@ class ClusterConfig:
     num_reduce_tasks: int | None = None
     codec: str | Codec = "compact"
     spill_budget_bytes: int | None = None
-    #: Parent of each run's scratch directory, which holds the store file
-    #: and a private fragment store (``None``: the system temp directory).
+    #: Parent of each run's scratch directory, which holds everything the
+    #: run writes, the ``multihost`` fragment store included (``None``: the
+    #: system temp directory); a multi-host deployment sets a shared mount.
     spill_dir: str | None = None
-    #: Directory of a shared blob store holding the ``multihost`` backend's
-    #: fragment store (``None`` keeps a private store in the run directory);
-    #: other backends reject it.
-    blob_dir: str | None = None
     grid: str = DEFAULT_GRID
     partitioner: str = DEFAULT_PARTITIONER
     #: Stride-sampling fraction in (0, 1] for the ``"planned"`` partitioner's
@@ -114,9 +111,8 @@ class ClusterConfig:
         instead of pickled sequence lists (its records must be fid
         sequences), and ``"multihost"`` runs the same process pool but puts
         every encoded reduce bucket into the run's fragment store, a blob
-        store rooted at ``blob_dir`` (the run directory when ``None``), so
-        map and reduce hosts exchange nothing but blob keys through the
-        driver.
+        store in the run directory under ``spill_dir``, so map and reduce
+        hosts exchange nothing but blob keys through the driver.
         Every field not in :data:`_NOT_FOR_BACKEND` is handed to the
         backend's constructor under its own name.
         """
@@ -128,10 +124,6 @@ class ClusterConfig:
             for field in fields(self)
             if field.name not in _NOT_FOR_BACKEND
         }
-        if key != "multihost" and settings.pop("blob_dir") is not None:
-            raise MapReduceError(
-                f"blob_dir applies only to the 'multihost' backend, not {key!r}"
-            )
         module, _, class_name = _CLUSTER_CLASSES[key].partition(":")
         return getattr(import_module(module), class_name)(**settings)
 
@@ -162,7 +154,6 @@ class ClusterConfig:
             source.num_reduce_tasks,
             getattr(codec, "name", codec),
             getattr(source, "spill_budget_bytes", None),
-            self.blob_dir,
             self.grid,
             self.partitioner,
             self.plan_sample,

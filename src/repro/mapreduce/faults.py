@@ -278,7 +278,7 @@ class FaultInjectingBlobStore:
     attempt wraps the raw store itself (:meth:`TaskContext.wrap_store`), so
     "the first N operations of a flaky key fail" holds inside every attempt
     on every backend — the shape of an object store's transient errors.
-    ``delete`` and ``list`` pass through uninjected: namespace cleanup must
+    ``delete`` and ``list`` pass through uninjected: cleanup must
     always win.
     """
 

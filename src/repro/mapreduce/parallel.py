@@ -1,4 +1,4 @@
-"""The process-pool executor, and the backend built on it.
+"""The process-pool executor, and the two backends built on it.
 
 The :class:`~repro.mapreduce.base.InlineExecutor` runs tasks in the calling
 process and *models* the makespan of ``num_workers`` workers; the executor in
@@ -30,6 +30,13 @@ freezing the heap the worker inherited (``gc.freeze()``): a worker only reads
 the driver's database, dictionary and modules, so its collections never
 traverse them or dirty their copy-on-write pages.  Workers are this library's
 own one-job processes; the calling process's collector is never touched.
+
+Both pool backends are a row of the stage driver (see
+:mod:`repro.mapreduce.base`).  :class:`MultiHostCluster` differs from
+:class:`PersistentProcessPoolCluster` only in putting every encoded payload
+into the run's fragment store, so map and reduce hosts exchange nothing but
+blob keys through the driver — the shape of a fleet of stateless hosts
+shuffling through an object store.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.tasks import JobRef, ReduceTaskResult, deliver_job
 from repro.sequences.store import StoreChunk, StoreHandle, as_encoded_store, attach_store
 
-__all__ = ["PersistentProcessPoolCluster", "ProcessExecutor"]
+__all__ = ["MultiHostCluster", "PersistentProcessPoolCluster", "ProcessExecutor"]
 
 
 @contextmanager
@@ -184,3 +191,21 @@ class PersistentProcessPoolCluster(StageDriverCluster):
     backend_name = "persistent-processes"
     default_num_workers = 2
     executor = ProcessExecutor()
+
+
+class MultiHostCluster(StageDriverCluster):
+    """The ``multihost`` backend: the process pool, and every payload in the
+    fragment store.
+
+    Reduce tasks fetch their bucket's blobs by key (with retry-with-backoff,
+    one get per distinct key) and run the same streamed merge as everywhere
+    else, so patterns and every shuffle and spill metric are byte-identical
+    to the other backends; only the blob put/get counters differ.  The store
+    lives in the run directory under ``spill_dir``, which a deployment
+    without a shared file system between hosts points at a shared mount.
+    """
+
+    backend_name = "multihost"
+    default_num_workers = 2
+    executor = ProcessExecutor()
+    stores_every_payload = True

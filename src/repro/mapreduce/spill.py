@@ -3,7 +3,7 @@
 Map tasks serialize every reduce bucket with a :class:`~repro.mapreduce.wire.Codec`
 before handing it to the driver.  A payload travels inline while the task's
 encoded payloads fit the configured in-memory budget; past it, the payload
-goes into the run's :class:`FragmentStore` — one namespace in a
+goes into the run's :class:`FragmentStore` — one key prefix in a
 content-addressed :class:`~repro.mapreduce.blobstore.BlobStore` — and only a
 small :class:`WireFragment` *reference* (blob key, length) travels through the
 driver, so shuffles larger than memory never materialize in one process.  On
@@ -11,10 +11,9 @@ the ``multihost`` backend every payload goes to the store.  The reduce side
 merges its fragments with :func:`merge_fragments`, fetching and decoding one
 fragment at a time (the streamed shuffle read).
 
-The store is the run directory's private
-:class:`~repro.mapreduce.blobstore.DirectoryBlobStore`, or the job's namespace
-in a shared ``blob_dir`` on ``multihost``; the stage driver opens it and
-cleans it up (see :mod:`repro.mapreduce.base`).
+The store is a :class:`~repro.mapreduce.blobstore.DirectoryBlobStore` in
+the run directory under ``spill_dir``; the stage driver opens it, and it goes
+with the run directory (see :mod:`repro.mapreduce.base`).
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ class WireFragment:
 
 @dataclass(frozen=True)
 class FragmentStore:
-    """One run's namespace in a content-addressed blob store.
+    """One run's key prefix in a content-addressed blob store.
 
     Payloads that do not travel inline are put here under
     :func:`~repro.mapreduce.blobstore.content_key` of ``prefix``: those past

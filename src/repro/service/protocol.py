@@ -28,8 +28,9 @@ from repro.sequences import SequenceDatabase
 from repro.service.cache import CacheInfo
 
 #: Bumped whenever a payload shape changes incompatibly (2: a fault policy
-#: travels as its two fields only).
-PROTOCOL_VERSION = 2
+#: travels as its two fields only; 3: a config has no ``blob_dir``, and its
+#: ``spill_dir`` must be null).
+PROTOCOL_VERSION = 3
 
 #: The port ``repro serve`` binds — and :func:`repro.api.connect` dials — by
 #: default.  Shared here so the two sides cannot drift apart (the client used
@@ -146,6 +147,10 @@ def decode_config(payload: dict | None) -> ClusterConfig | None:
     unknown = set(payload) - set(_CONFIG_FIELDS)
     if unknown:
         raise ServiceError(f"unknown ClusterConfig fields on the wire: {sorted(unknown)}")
+    # Where the daemon writes and sweeps is its operator's choice (its own
+    # TMPDIR), never a client's.
+    if payload.get("spill_dir") is not None:
+        raise ServiceError("spill_dir cannot be set on the wire; the daemon uses its own")
     policy = payload.get("fault_policy")
     if policy is not None:
         if not isinstance(policy, dict):

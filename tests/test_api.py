@@ -342,7 +342,6 @@ class TestConfigFingerprint:
         "num_reduce_tasks": 7,
         "codec": "zlib",
         "spill_budget_bytes": 4096,
-        "blob_dir": "/tmp/blobs",
         "grid": "legacy",
         "partitioner": "planned",
         "plan_sample": 0.5,
@@ -391,12 +390,14 @@ class TestConfigFingerprint:
 
 #: Knobs of deleted implementation paths, each with a value it once took: the
 #: trie-batched map (spelled in parts so that a search of the tree for the
-#: removed name finds nothing but its absence), the mining-kernel choice and
-#: the switch that turned the modeled shuffle accounting off.
+#: removed name finds nothing but its absence), the mining-kernel choice,
+#: the switch that turned the modeled shuffle accounting off, and the shared
+#: blob directory (a run's blobs now live in its run directory).
 REMOVED_KNOBS = {
     "_".join(("map", "batching")): "trie",
     "kernel": "interpreted",
     "measure_shuffle": False,
+    "blob_dir": "/tmp/blobs",
 }
 
 
@@ -549,7 +550,7 @@ class TestSubstrateSaidOnce:
         # The fault injector is a constructor argument and never a config field.
         assert parameters - {"fault_injector"} < self.FIELDS
         assert not parameters & {"backend", "grid", "partitioner", "plan_sample"}
-        assert (len(self.FIELDS), len(parameters)) == (11, 7)
+        assert (len(self.FIELDS), len(parameters)) == (10, 7)
 
     def test_the_readme_gives_each_kept_backend_and_field_a_reason(self):
         """README's "kept / why" tables hold one row per backend and per field,
@@ -765,7 +766,6 @@ class TestStartUp:
     """A query imports what its algorithm runs (counts, never clocks)."""
 
     DEFERRED = (
-        "repro.mapreduce.multihost",
         "repro.mapreduce.blobstore",
         "repro.api.client",
         "repro.service.server",

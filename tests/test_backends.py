@@ -184,8 +184,6 @@ class TestMakeCluster:
             "spill_dir": str(tmp_path),
             "fault_policy": FaultPolicy(max_task_attempts=1),
         }
-        if backend == "multihost":
-            fields["blob_dir"] = str(tmp_path / "blobs")
 
         def settings(cluster):
             return (
@@ -196,19 +194,39 @@ class TestMakeCluster:
                 cluster.spill_budget_bytes,
                 cluster.spill_dir,
                 cluster.fault_policy,
-                cluster.blob_dir,
             )
 
         built = ClusterConfig(backend=backend, **fields).build()
         shortcut = make_cluster(backend, **fields)
         assert settings(built) == settings(shortcut)
         assert settings(built)[1:] == (
-            3, 7, "zlib", 4096, str(tmp_path),
-            FaultPolicy(max_task_attempts=1), fields.get("blob_dir"),
+            3, 7, "zlib", 4096, str(tmp_path), FaultPolicy(max_task_attempts=1),
         )
         # The miners' fields stay on the config: a cluster knows only the substrate.
         planned = ClusterConfig(backend=backend, grid="legacy", partitioner="planned").build()
         assert not {"grid", "partitioner", "plan_sample"} & set(vars(planned))
+
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("case", ["int", "bytes", "a file", "missing"])
+    def test_a_bad_spill_dir_is_a_typed_error_and_a_missing_one_is_made(
+        self, backend, case, tmp_path
+    ):
+        a_file = tmp_path / "a-file"
+        a_file.write_bytes(b"")
+        missing = tmp_path / "missing" / "deeper"
+        spill_dir = {"int": 5, "bytes": b"/tmp", "a file": str(a_file), "missing": missing}[case]
+        if case in ("int", "bytes"):  # refused when the cluster is built
+            with pytest.raises(MapReduceError, match="spill_dir must be a path"):
+                ClusterConfig(backend=backend, spill_dir=spill_dir).build()
+            return
+        cluster = make_cluster(backend, num_workers=2, spill_dir=spill_dir)
+        if case == "a file":
+            with pytest.raises(MapReduceError, match="not a usable directory"):
+                cluster.run(FidCountJob(), FID_RECORDS)
+            return
+        assert dict(cluster.run(FidCountJob(), FID_RECORDS).outputs) == FID_COUNTS
+        assert list(missing.iterdir()) == []
 
 
 # ------------------------------------------------------------ stage driver

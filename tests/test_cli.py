@@ -560,65 +560,61 @@ class TestMineFaultFlags:
         assert "1 hosts recovered" in text
 
 
-class TestBlobGc:
+class TestRunGc:
     @pytest.fixture()
-    def blob_root(self, tmp_path):
+    def spill_root(self, tmp_path):
         import time
 
-        from repro.mapreduce import DirectoryBlobStore, write_lease
-
-        root = tmp_path / "blobs"
-        store = DirectoryBlobStore(str(root))
-        store.put("job-dead/shard", b"orphaned")
-        write_lease(store, "job-dead", now=time.time() - 10_000)
-        store.put("job-live/shard", b"active")
-        write_lease(store, "job-live")
-        store.put("unleased/shard", b"foreign")
+        root = tmp_path / "spill"
+        now = int(time.time())
+        for name in (f"repro-run-{now - 10_000}-dead", f"repro-run-{now}-live", "foreign"):
+            (root / name).mkdir(parents=True)
+            (root / name / "blob").write_bytes(name.encode())
         return root
 
-    def test_dry_run_reports_without_deleting(self, blob_root):
-        from repro.mapreduce import DirectoryBlobStore
-
+    def test_dry_run_reports_without_deleting(self, spill_root):
         code, text = run_cli(
-            "blob-gc", "--blob-dir", str(blob_root), "--ttl", "3600", "--dry-run"
+            "gc", "--spill-dir", str(spill_root), "--ttl", "3600", "--dry-run"
         )
         assert code == 0
-        assert "would sweep job-dead" in text
-        assert "1 expired namespace(s)" in text
-        assert DirectoryBlobStore(str(blob_root)).get("job-dead/shard") == b"orphaned"
+        (dead,) = spill_root.glob("repro-run-*-dead")
+        assert f"would remove {dead.name}" in text
+        assert "1 expired run dir(s)" in text
+        assert (dead / "blob").is_file()
 
-    def test_sweeps_only_expired_leased_namespaces(self, blob_root):
-        from repro.mapreduce import DirectoryBlobStore
-
-        code, text = run_cli("blob-gc", "--blob-dir", str(blob_root), "--ttl", "3600")
+    def test_sweeps_only_expired_run_dirs(self, spill_root):
+        (dead,) = spill_root.glob("repro-run-*-dead")
+        code, text = run_cli("gc", "--spill-dir", str(spill_root), "--ttl", "3600")
         assert code == 0
-        assert "swept job-dead" in text
-        store = DirectoryBlobStore(str(blob_root))
-        assert store.list("job-dead") == []
-        assert store.get("job-live/shard") == b"active"
-        assert store.get("unleased/shard") == b"foreign"
+        assert f"removed {dead.name}" in text
+        assert not dead.exists()
+        (live,) = spill_root.glob("repro-run-*-live")
+        assert (live / "blob").is_file()
+        assert (spill_root / "foreign" / "blob").read_bytes() == b"foreign"
 
-    def test_dry_run_lists_exactly_what_the_sweep_deletes(self, blob_root):
-        from repro.mapreduce import DirectoryBlobStore
-
-        store = DirectoryBlobStore(str(blob_root))
-        store.put("job-nan/.lease", b'{"created_at": NaN}')
-        store.put("job-deep/.lease", b"[" * 200_000)
-        argv = ("blob-gc", "--blob-dir", str(blob_root), "--ttl", "3600")
+    def test_dry_run_lists_exactly_what_the_sweep_deletes(self, spill_root):
+        (dead,) = spill_root.glob("repro-run-*-dead")
+        for name in ("repro-run-nan-x", "repro-run--1-x"):
+            (spill_root / name).mkdir()
+        (spill_root / "repro-run-1-x").symlink_to(
+            spill_root / "foreign", target_is_directory=True
+        )
+        argv = ("gc", "--spill-dir", str(spill_root), "--ttl", "3600")
         code, dry = run_cli(*argv, "--dry-run")
         assert code == 0
         code, real = run_cli(*argv)
         assert code == 0
         listed = [line.split()[-1] for line in dry.splitlines() if line.startswith("would")]
-        swept = [line.split()[-1] for line in real.splitlines() if line.startswith("swept job")]
-        assert listed == swept == ["job-dead"]
-        assert store.list("job-nan") == ["job-nan/.lease"]
+        swept = [line.split()[-1] for line in real.splitlines() if line.startswith("removed")]
+        assert listed == swept == [dead.name]
+        assert (spill_root / "repro-run-nan-x").is_dir()
+        assert (spill_root / "foreign" / "blob").read_bytes() == b"foreign"
 
     def test_missing_directory_rejected(self, tmp_path):
-        code, _ = run_cli("blob-gc", "--blob-dir", str(tmp_path / "nope"))
+        code, _ = run_cli("gc", "--spill-dir", str(tmp_path / "nope"))
         assert code == 2
 
     @pytest.mark.parametrize("ttl", ["-1", "nan", "inf"])
-    def test_negative_ttl_rejected(self, blob_root, ttl):
-        code, _ = run_cli("blob-gc", "--blob-dir", str(blob_root), "--ttl", ttl)
+    def test_negative_ttl_rejected(self, spill_root, ttl):
+        code, _ = run_cli("gc", "--spill-dir", str(spill_root), "--ttl", ttl)
         assert code == 2

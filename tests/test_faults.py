@@ -5,9 +5,9 @@ injector killing one host mid-stage and failing a fraction of blob gets, all
 five cluster miners on the multihost backend complete with patterns and
 modeled metrics byte-identical to the fault-free run, with the retries visible
 in the job metrics; with ``max_task_attempts=1`` the same injection raises
-``MapReduceError`` and leaves the per-job blob namespace cleaned; and
-``gc_expired`` reclaims orphaned, expired namespaces without touching live or
-unleased ones.
+``MapReduceError`` and leaves the spill directory empty; and the run-directory
+sweep reclaims expired run directories without touching young ones, foreign
+files, symlinks or names that state no birth.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import pickle
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,17 +42,15 @@ from repro.mapreduce import (
     SimulatedCluster,
     TaskContext,
     TaskTimeoutError,
-    expired_namespaces,
-    gc_expired,
     get_with_retry,
     is_retryable,
     make_cluster,
     put_with_retry,
-    read_lease,
     write_lease,
 )
-from repro.mapreduce import blobstore, faults
-from repro.mapreduce.blobstore import LEASE_NAME, BlobStoreError, delete_prefix
+from repro.mapreduce import base, blobstore, faults
+from repro.mapreduce.base import expired_run_dirs, run_dir_birth, sweep_run_dirs
+from repro.mapreduce.blobstore import BlobStoreError, delete_prefix
 from repro.mapreduce.faults import full_jitter_delay, stable_fraction
 from repro.sequential import GapConstrainedMiner
 
@@ -433,6 +432,39 @@ class TestInjectedBlobCounts:
             # The successful attempts' puts and gets each absorbed one fault.
             assert run.blob_retry_count == run.blob_put_count + run.blob_get_count
 
+    @pytest.mark.usefixtures("no_backoff")
+    @pytest.mark.parametrize("cluster_class", [SimulatedCluster, MultiHostCluster])
+    def test_a_seeded_blob_schedule_replays_exactly(
+        self, cluster_class, corpus, tmp_path, monkeypatch
+    ):
+        """Blob keys are a pure function of the payloads, so one seeded
+        schedule puts the same keys, fails the same ones and meters the same
+        retries on every run."""
+        dictionary, database = corpus
+        log = tmp_path / "puts.log"
+        real_put = DirectoryBlobStore.put
+
+        def logged_put(store, key, data):  # forked hosts inherit it
+            with open(log, "a") as handle:
+                handle.write(key + "\n")
+            real_put(store, key, data)
+
+        monkeypatch.setattr(DirectoryBlobStore, "put", logged_put)
+        runs = []
+        for _ in range(2):
+            cluster = cluster_class(
+                num_workers=2,
+                spill_budget_bytes=0,
+                fault_injector=ScriptedInjector(blob_get_failure_rate=0.2, seed=3),
+            )
+            result = DSeqMiner(
+                MATRIX_PATEX, 2, dictionary, cluster=ClusterConfig(backend=cluster)
+            ).mine(database)
+            runs.append((sorted(log.read_text().split()), result.metrics.blob_retry_count))
+            log.unlink()
+        assert runs[0][0] and runs[0][1] > 0  # this seed fails a key
+        assert runs[0] == runs[1]
+
 
 @pytest.mark.usefixtures("no_backoff")
 class TestHostFailover:
@@ -545,16 +577,16 @@ class TestInjectedMultiHost:
         assert injected.metrics.blob_retry_count > 0
         assert injected.metrics.task_retry_count == 0  # absorbed below task level
 
-    def test_exhausted_attempts_raise_and_leave_namespace_clean(self, corpus, tmp_path):
+    def test_exhausted_attempts_raise_and_leave_spill_dir_clean(self, corpus, tmp_path):
         dictionary, database = corpus
-        blob_dir = tmp_path / "blobs"
-        blob_dir.mkdir()
+        spill_dir = tmp_path / "spill"
+        spill_dir.mkdir()
         miner = DSeqMiner(
             MATRIX_PATEX, 2, dictionary,
             cluster=ClusterConfig(
                 backend=MultiHostCluster(
                     num_workers=2,
-                    blob_dir=str(blob_dir),
+                    spill_dir=str(spill_dir),
                     fault_policy=FaultPolicy(max_task_attempts=1),
                     fault_injector=ScriptedInjector(kill_map_task=0),
                 ),
@@ -562,48 +594,49 @@ class TestInjectedMultiHost:
         )
         with pytest.raises(MapReduceError):
             miner.mine(database)
-        # The per-job namespace (blobs and lease alike) is swept on failure.
-        assert DirectoryBlobStore(str(blob_dir)).list("") == []
+        # The run directory (blobs and store file alike) goes on failure.
+        assert DirectoryBlobStore(str(spill_dir)).list("") == []
 
 
-# ----------------------------------------------------------- lease & blob GC
-class TestLeaseAndGc:
+# ------------------------------------------------------ run-directory GC
+def make_run_dirs(parent, *names):
+    for name in names:
+        (parent / name).mkdir()
+        (parent / name / "blob").write_bytes(name.encode())
+
+
+class TestRunDirGc:
     def test_lease_round_trip(self):
         store = InMemoryBlobStore()
         key = write_lease(store, "job-a", now=123.0)
-        assert key == f"job-a/{LEASE_NAME}"
-        stamp = read_lease(store, "job-a")
+        assert key == "job-a/.lease"
+        stamp = json.loads(store.get(key))
         assert stamp["created_at"] == 123.0
         assert stamp["pid"] and stamp["host"]
-        assert read_lease(store, "job-missing") is None
 
-    def test_unreadable_lease_is_ignored(self):
-        store = InMemoryBlobStore()
-        store.put(f"job-bad/{LEASE_NAME}", b"\xff not json")
-        store.put("job-bad/data", b"x")
-        assert read_lease(store, "job-bad") is None
-        assert gc_expired(store, ttl_s=0.0) == []
-        assert store.get("job-bad/data") == b"x"
+    def test_a_run_directory_name_states_its_birth(self, tmp_path):
+        before = int(time.time())
+        path = Path(base.make_run_dir(tmp_path))
+        assert path.parent == tmp_path
+        assert before <= run_dir_birth(path.name) <= time.time()
 
-    def test_gc_sweeps_only_expired_leased_namespaces(self):
-        store = InMemoryBlobStore()
-        store.put("job-dead/blob", b"old")
-        write_lease(store, "job-dead", now=time.time() - 10_000)
-        store.put("job-live/blob", b"new")
-        write_lease(store, "job-live")
-        store.put("unleased/blob", b"foreign")
-        swept = gc_expired(store, ttl_s=3600)
-        assert swept == ["job-dead"]
-        assert store.list("job-dead") == []
-        assert store.get("job-live/blob") == b"new"
-        assert read_lease(store, "job-live") is not None
-        assert store.get("unleased/blob") == b"foreign"
+    def test_gc_sweeps_only_expired_run_dirs(self, tmp_path):
+        now = 1_000_000
+        make_run_dirs(tmp_path, f"repro-run-{now - 10_000}-dead", f"repro-run-{now - 10}-live")
+        (tmp_path / "unstamped").mkdir()
+        (tmp_path / "repro-run-abc12345").mkdir()  # made before the stamp
+        swept = sweep_run_dirs(tmp_path, 3600, now=now)
+        assert swept == [str(tmp_path / f"repro-run-{now - 10_000}-dead")]
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            f"repro-run-{now - 10}-live", "repro-run-abc12345", "unstamped",
+        ]
 
-    def test_gc_zero_ttl_sweeps_everything_leased(self):
-        store = InMemoryBlobStore()
-        store.put("job-a/blob", b"a")
-        write_lease(store, "job-a", now=time.time() - 1)
-        assert gc_expired(store, ttl_s=0.0) == ["job-a"]
+    def test_gc_zero_ttl_sweeps_every_past_run_dir(self, tmp_path):
+        make_run_dirs(tmp_path, "repro-run-5-a", "repro-run-6-b")
+        assert sweep_run_dirs(tmp_path, 0.0, now=7) == [
+            str(tmp_path / "repro-run-5-a"), str(tmp_path / "repro-run-6-b"),
+        ]
+        assert list(tmp_path.iterdir()) == []
 
     def test_delete_prefix_tolerates_concurrent_deletion(self, tmp_path):
         store = DirectoryBlobStore(str(tmp_path))
@@ -631,96 +664,113 @@ class TestLeaseAndGc:
         assert dropped >= 1
         assert store.list("job-x") == []
 
-    def test_gc_tolerates_vanishing_namespace(self):
-        store = InMemoryBlobStore()
-        store.put("job-gone/blob", b"x")
-        write_lease(store, "job-gone", now=1.0)
+    def test_gc_tolerates_a_vanishing_run_dir(self, tmp_path, monkeypatch):
+        make_run_dirs(tmp_path, "repro-run-1-gone", "repro-run-2-kept")
+        real = base.expired_run_dirs
 
-        class VanishingStore:
-            def __init__(self, inner):
-                self.inner = inner
+        def racing(*args, **kwargs):
+            expired = real(*args, **kwargs)
+            base.shutil.rmtree(expired[0])  # a racing sweep got there first
+            return expired
 
-            def list(self, prefix=""):
-                return self.inner.list(prefix)
+        monkeypatch.setattr(base, "expired_run_dirs", racing)
+        assert len(sweep_run_dirs(tmp_path, 0.0, now=10)) == 2
+        assert list(tmp_path.iterdir()) == []
 
-            def get(self, key):
-                return self.inner.get(key)
+    def test_a_failing_sweep_never_fails_the_run(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise PermissionError("cannot list the spill dir")
 
-            def delete(self, key):
-                raise BlobStoreError("already deleted by a racing sweep")
+        monkeypatch.setattr(base, "sweep_run_dirs", broken)
+        result = SimulatedCluster(num_workers=2, spill_dir=str(tmp_path)).run(
+            FidCountJob(), FID_RECORDS
+        )
+        assert len(result.outputs) == 7
 
-        # Every delete races and fails; the sweep still completes cleanly.
-        assert gc_expired(VanishingStore(store), ttl_s=0.0) == ["job-gone"]
 
-
-class TestHostileLeases:
-    """A lease is foreign bytes: no stamp may crash a sweep or be swept
-    unless it states a finite creation time, and the dry run and the sweep
-    share one expiry rule."""
+class TestHostileRunDirNames:
+    """A spill directory holds foreign names: none may crash a sweep or be
+    swept unless it states a birth, and the dry run and the sweep share one
+    expiry rule."""
 
     TTL = 3600.0
+    NOW = 1_000_000.0
 
-    @staticmethod
-    def _store_with(lease: bytes) -> InMemoryBlobStore:
-        store = InMemoryBlobStore()
-        store.put("job-hostile/shard", b"x")
-        store.put(f"job-hostile/{LEASE_NAME}", lease)
-        store.put("job-hostile-live/shard", b"live")
-        write_lease(store, "job-hostile-live")
-        return store
-
-    def _sweep(self, lease: bytes) -> None:
-        store = self._store_with(lease)
-        stamp = read_lease(store, "job-hostile")
-        assert stamp is None or isinstance(stamp, dict)
-        expired = expired_namespaces(store, self.TTL)
-        assert gc_expired(store, self.TTL) == expired
-        assert set(expired) <= {"job-hostile"}
-        assert store.get("job-hostile-live/shard") == b"live"
-        assert read_lease(store, "job-hostile-live") is not None
+    def _sweep(self, tmp_path, name: str) -> None:
+        live = tmp_path / f"repro-run-{int(self.NOW)}-live"
+        live.mkdir(exist_ok=True)
+        birth = run_dir_birth(name)
+        assert birth is None or isinstance(birth, int)
+        if not name or "/" in name or "\x00" in name or name in (".", ".."):
+            return  # not a directory entry's name
+        (tmp_path / name).mkdir(exist_ok=True)
+        expired = expired_run_dirs(tmp_path, self.TTL, now=self.NOW)
+        assert sweep_run_dirs(tmp_path, self.TTL, now=self.NOW) == expired
+        assert set(expired) <= {str(tmp_path / name)}
+        assert live.is_dir()
+        if (tmp_path / name).exists():
+            (tmp_path / name).rmdir()
 
     @pytest.mark.parametrize(
-        "lease",
+        "name",
         [
-            b"[" * 200_000,
-            b'{"created_at": NaN}',
-            b'{"created_at": Infinity}',
-            b'{"created_at": -Infinity}',
-            b'{"created_at": true}',
-            b'{"created_at": "1"}',
-            b'{"created_at": [1]}',
-            b'{"created_at": 1' + b"0" * 400 + b"}",
-            b'{"pid": 1}',
-            b"[1]",
-            b"1",
+            "repro-run-nan-x",
+            "repro-run--1-x",
+            "repro-run-" + "9" * 5000 + "-x",
+            "repro-run-" + "9" * 21 + "-x",
+            "repro-run-inf-x",
+            "repro-run-1e3-x",
+            "repro-run-+1-x",
+            "repro-run- 1-x",
+            "repro-run-1_0-x",
+            "repro-run-0x1-x",
+            "repro-run-\uff11-x",  # a fullwidth digit one
+            "repro-run-\u0661-x",  # an Arabic-Indic digit one
+            "repro-run-1",
+            "repro-run-1-",
+            "repro-run-",
+            "repro-run",
+            "Repro-run-1-x",
         ],
-        ids=lambda lease: lease[:24].decode(),
+        ids=lambda name: name[:24],
     )
-    def test_unreadable_stamps_are_never_swept(self, lease):
-        store = self._store_with(lease)
-        assert read_lease(store, "job-hostile") is None
-        assert gc_expired(store, self.TTL) == []
-        assert store.get("job-hostile/shard") == b"x"
+    def test_names_stating_no_birth_are_never_swept(self, tmp_path, name):
+        assert run_dir_birth(name) is None
+        if len(name.encode()) > 255:  # no file system stores it; parsed above
+            return
+        (tmp_path / name).mkdir()
+        assert sweep_run_dirs(tmp_path, 0.0, now=self.NOW) == []
+        assert (tmp_path / name).is_dir()
 
-    def test_an_old_finite_stamp_is_swept(self):
-        store = self._store_with(b'{"created_at": 1}')
-        assert gc_expired(store, self.TTL) == ["job-hostile"]
-        assert store.get("job-hostile-live/shard") == b"live"
+    def test_an_old_stamp_is_swept(self, tmp_path):
+        make_run_dirs(tmp_path, "repro-run-1-x")
+        assert sweep_run_dirs(tmp_path, self.TTL, now=self.NOW) == [
+            str(tmp_path / "repro-run-1-x")
+        ]
 
-    def test_every_truncation_and_bit_flip_of_a_lease(self):
-        lease = json.dumps({"created_at": 1.5, "pid": 7, "host": "h"}).encode()
-        for end in range(len(lease) + 1):
-            self._sweep(lease[:end])
-        for index in range(len(lease)):
-            for bit in range(8):
-                flipped = bytearray(lease)
-                flipped[index] ^= 1 << bit
-                self._sweep(bytes(flipped))
+    def test_a_symlink_with_a_run_dir_name_is_never_followed(self, tmp_path):
+        spill_dir, target = tmp_path / "spill", tmp_path / "target"
+        spill_dir.mkdir()
+        make_run_dirs(tmp_path, "target")
+        (spill_dir / "repro-run-1-x").symlink_to(target, target_is_directory=True)
+        (spill_dir / "repro-run-2-x").write_bytes(b"a file, not a directory")
+        assert sweep_run_dirs(spill_dir, 0.0, now=self.NOW) == []
+        assert (target / "blob").read_bytes() == b"target"
 
-    def test_random_byte_strings_as_leases(self):
+    def test_every_truncation_and_character_change_of_a_name(self, tmp_path):
+        name = "repro-run-900000-ab_9x"
+        for end in range(len(name) + 1):
+            self._sweep(tmp_path, name[:end])
+        for index in range(len(name)):
+            for replacement in "0-9a_.\x00/ \u0663":
+                self._sweep(tmp_path, name[:index] + replacement + name[index + 1:])
+
+    def test_random_strings_as_names(self, tmp_path):
         rng = random.Random(30)
+        alphabet = "repro-un0123456789x_ .\u0661"
         for _ in range(300):
-            self._sweep(bytes(rng.randrange(256) for _ in range(rng.randrange(64))))
+            length = rng.randrange(40)
+            self._sweep(tmp_path, "".join(rng.choice(alphabet) for _ in range(length)))
 
 
 # -------------------------------------------------------------- property tests

@@ -10,9 +10,15 @@ blob survives a finished job, successful or not.
 from __future__ import annotations
 
 import builtins
+import io
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +37,8 @@ from repro.mapreduce import (
     make_codec,
     merge_fragments,
 )
+from repro.cli import main
+from repro.mapreduce import base
 from repro.mapreduce.spill import FragmentStore, store_payloads
 
 from tests.test_differential import MATRIX_MINERS, _matrix_cluster, make_differential_database
@@ -132,26 +140,24 @@ class TestBlobCleanup:
         assert result.metrics.blob_put_count > 0
         assert list(tmp_path.iterdir()) == []
 
-    def test_shared_blob_dir_left_exactly_as_found(self, tmp_path):
-        blob_dir = tmp_path / "store"
-        blob_dir.mkdir()
-        unrelated = blob_dir / "someone-elses-blob"
+    def test_shared_spill_dir_left_exactly_as_found(self, tmp_path):
+        spill_dir = tmp_path / "store"
+        spill_dir.mkdir()
+        unrelated = spill_dir / "someone-elses-blob"
         unrelated.write_bytes(b"keep me")
-        cluster = MultiHostCluster(num_workers=2, blob_dir=str(blob_dir))
+        cluster = MultiHostCluster(num_workers=2, spill_dir=str(spill_dir))
         cluster.run(FidCountJob(), FID_RECORDS)
-        assert sorted(path.name for path in blob_dir.iterdir()) == [
+        assert sorted(path.name for path in spill_dir.iterdir()) == [
             "someone-elses-blob"
         ]
         assert unrelated.read_bytes() == b"keep me"
 
     def test_mid_stage_host_failure_cleans_blobs_and_raises(self, tmp_path):
         """Kill one host mid-map: the job fails loudly and no blob survives."""
-        blob_dir = tmp_path / "store"
         spill_dir = tmp_path / "spill"
         spill_dir.mkdir()
         cluster = MultiHostCluster(
             num_workers=2,
-            blob_dir=str(blob_dir),
             spill_dir=str(spill_dir),
             spill_budget_bytes=0,
         )
@@ -160,23 +166,133 @@ class TestBlobCleanup:
         records = FID_RECORDS[:15] + [(99,)] + FID_RECORDS[15:]
         with pytest.raises(MapReduceError, match="host down"):
             cluster.run(ExplodingMapJob(), records)
-        assert list(blob_dir.iterdir()) == []  # job namespace fully deleted
-        assert list(spill_dir.iterdir()) == []  # no run directory leaked either
+        # No blob, and no run directory, leaked.
+        assert list(spill_dir.iterdir()) == []
         # The cluster stays usable for the next job.
         result = cluster.run(FidCountJob(), FID_RECORDS)
         assert result.metrics.blob_put_count > 0
-        assert list(blob_dir.iterdir()) == []
+        assert list(spill_dir.iterdir()) == []
 
-    def test_two_jobs_sharing_a_blob_dir_do_not_collide(self, tmp_path):
-        blob_dir = str(tmp_path / "store")
+    def test_two_jobs_sharing_a_spill_dir_do_not_collide(self, tmp_path):
+        spill_dir = str(tmp_path / "store")
         for _ in range(2):
-            cluster = MultiHostCluster(num_workers=2, blob_dir=blob_dir)
+            cluster = MultiHostCluster(num_workers=2, spill_dir=spill_dir)
             cluster.run(FidCountJob(), FID_RECORDS)
-        assert os.listdir(blob_dir) == []
+        assert os.listdir(spill_dir) == []
 
-    def test_blob_dir_on_other_backends_is_rejected(self):
-        with pytest.raises(MapReduceError, match="blob_dir"):
-            make_cluster("persistent-processes", blob_dir="/tmp/blobs")
+
+# ------------------------------------------------- a killed driver's orphan
+#: A multihost driver whose map task 0 sleeps, so it can be killed mid-run.
+KILLED_DRIVER = """
+import sys
+from repro.mapreduce import MapReduceJob, MultiHostCluster, ScriptedInjector
+
+class CountJob(MapReduceJob):
+    def map(self, record):
+        for fid in record:
+            yield fid, 1
+
+    def reduce(self, key, values):
+        yield key, sum(values)
+
+injector = ScriptedInjector(delay_stage="map", delay_task=0, delay_s=120.0)
+cluster = MultiHostCluster(num_workers=2, spill_dir=sys.argv[1], fault_injector=injector)
+cluster.run(CountJob(), [(1, 2), (2, 3)] * 10)
+"""
+
+#: Names a sweep must never act on: no birth parses out of them.
+HOSTILE_RUN_DIR_NAMES = ("repro-run-nan-x", "repro-run--1-x")
+
+
+def kill_driver_mid_run(spill_dir: Path) -> Path:
+    """Start a multihost driver in its own session, SIGKILL it once its run
+    directory exists, then kill its process group so no host outlives it;
+    returns the orphaned run directory."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    driver = subprocess.Popen(
+        [sys.executable, "-c", KILLED_DRIVER, str(spill_dir)],
+        env=env, start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not list(spill_dir.glob("repro-run-*/blobs")):
+            assert driver.poll() is None, "the driver exited before it was killed"
+            assert time.monotonic() < deadline, "no run directory appeared"
+            time.sleep(0.02)
+        driver.send_signal(signal.SIGKILL)
+        driver.wait(timeout=30)
+    finally:
+        try:
+            os.killpg(driver.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        driver.wait(timeout=30)
+    (orphan,) = spill_dir.glob("repro-run-*")
+    return orphan
+
+
+class TestKilledDriver:
+    """A killed driver's run directory is the one orphan; its name is its
+    lease, and the sweep every run makes at start (or ``repro gc``) reclaims
+    it once it is past the TTL, touching nothing else."""
+
+    def test_the_orphan_is_swept_and_nothing_else(self, tmp_path, monkeypatch):
+        spill_dir = tmp_path / "spill"
+        spill_dir.mkdir()
+        orphan = kill_driver_mid_run(spill_dir)
+        birth = base.run_dir_birth(orphan.name)
+        assert birth is not None and abs(birth - time.time()) < 120
+        assert list(orphan.iterdir())  # it holds what the run wrote
+
+        # What the sweep must leave alone.
+        (spill_dir / "foreign.txt").write_bytes(b"keep me")
+        younger = spill_dir / f"repro-run-{birth + 100}-young"
+        younger.mkdir()
+        target = tmp_path / "target"
+        target.mkdir()
+        (target / "data").write_bytes(b"keep me too")
+        (spill_dir / "repro-run-1-x").symlink_to(target, target_is_directory=True)
+        for name in HOSTILE_RUN_DIR_NAMES:
+            (spill_dir / name).mkdir()
+        # Past int's 4,300-digit limit, and past any file system's name
+        # length, so only the parser the sweep runs on every name sees it.
+        assert base.run_dir_birth("repro-run-" + "9" * 5000 + "-x") is None
+        kept = sorted(path.name for path in spill_dir.iterdir() if path != orphan)
+
+        # Not past the TTL yet: nothing is listed.
+        stream = io.StringIO()
+        assert main(["gc", "--spill-dir", str(spill_dir), "--dry-run"], stream=stream) == 0
+        assert not [line for line in stream.getvalue().splitlines() if line.startswith("would")]
+        # Past it: the dry run lists exactly the orphan, and the sweep removes
+        # exactly what the dry run lists.
+        while time.time() < birth + 1:
+            time.sleep(0.05)
+        stream = io.StringIO()
+        argv = ["gc", "--spill-dir", str(spill_dir), "--ttl", "0", "--dry-run"]
+        assert main(argv, stream=stream) == 0
+        listed = [line.split()[-1] for line in stream.getvalue().splitlines()
+                  if line.startswith("would remove")]
+        assert listed == [orphan.name]
+        now = birth + base.RUN_TTL_S + 50
+        assert base.expired_run_dirs(spill_dir, base.RUN_TTL_S, now=now) == [str(orphan)]
+        assert base.sweep_run_dirs(spill_dir, base.RUN_TTL_S, now=now) == [str(orphan)]
+        assert sorted(path.name for path in spill_dir.iterdir()) == kept
+        assert (target / "data").read_bytes() == b"keep me too"
+        assert (spill_dir / "foreign.txt").read_bytes() == b"keep me"
+
+        # The next run sweeps an expired orphan at start.
+        stale = spill_dir / f"repro-run-{int(time.time()) - 5}-stale"
+        stale.mkdir()
+        (stale / "blob").write_bytes(b"orphaned")
+        monkeypatch.setattr(base, "RUN_TTL_S", 0)
+        result = MultiHostCluster(num_workers=2, spill_dir=str(spill_dir)).run(
+            FidCountJob(), FID_RECORDS
+        )
+        assert result.metrics.blob_put_count > 0
+        assert sorted(path.name for path in spill_dir.iterdir()) == kept
 
 
 # ------------------------------------------------- the job reaches a host once
@@ -192,7 +308,7 @@ class NeverPickledJob(FidCountJob):
 class TestMultiHostJobDelivery:
     def test_hosts_run_a_job_no_task_could_have_pickled(self, tmp_path):
         baseline = make_cluster("simulated", num_workers=2).run(FidCountJob(), FID_RECORDS)
-        cluster = MultiHostCluster(num_workers=2, blob_dir=str(tmp_path / "store"))
+        cluster = MultiHostCluster(num_workers=2, spill_dir=str(tmp_path / "store"))
         result = cluster.run(NeverPickledJob(), FID_RECORDS)
         assert sorted(result.outputs) == sorted(baseline.outputs)
         assert result.metrics.wire_bytes == baseline.metrics.wire_bytes
@@ -200,16 +316,16 @@ class TestMultiHostJobDelivery:
 
     @pytest.mark.usefixtures("no_backoff")
     def test_replacement_hosts_are_handed_the_job_again(self, tmp_path):
-        blob_dir = tmp_path / "store"
+        spill_dir = tmp_path / "store"
         cluster = MultiHostCluster(
             num_workers=2,
-            blob_dir=str(blob_dir),
+            spill_dir=str(spill_dir),
             fault_injector=ScriptedInjector(kill_reduce_task=0, kill_mode="exit"),
         )
         result = cluster.run(NeverPickledJob(), FID_RECORDS)
         assert len(result.outputs) == 7
         assert result.metrics.recovered_host_count >= 1
-        assert list(blob_dir.iterdir()) == []
+        assert list(spill_dir.iterdir()) == []
 
 
 # -------------------------------------------------- FragmentReader behaviour

@@ -359,6 +359,9 @@ class TestServiceSession:
         refused({"fault_policy": old_policy}, "bad fault_policy.*task_backoff_base_s")
         for removed in ("measure_shuffle", "fault_injector"):
             refused({removed: None}, rf"unknown ClusterConfig fields.*'{removed}'")
+        # Where the daemon writes and sweeps is its operator's choice.
+        refused({"blob_dir": "/tmp/blobs"}, r"unknown ClusterConfig fields.*'blob_dir'")
+        refused({"spill_dir": "/tmp/elsewhere"}, "spill_dir cannot be set on the wire")
         assert client.ping()["protocol"] == protocol.PROTOCOL_VERSION
 
     def test_clear_cache(self, client, ex_corpus):
