@@ -9,13 +9,6 @@ the largest partitions, an imbalance factor (largest / mean partition), the
 Gini coefficient of partition sizes, and the share of shuffle data landing on
 the most loaded of 8 workers.
 
-Balanced *partitions* still leave the reduce-bucket layout to
-``stable_hash(pivot)``, which can stack several heavy pivots into one bucket.
-The second half of the study mines the same workload under both reduce
-partitioners — the reference hash and the skew-aware plan
-(``partitioner="planned"``) — and compares the heaviest bucket and the
-modeled straggler time; the patterns are byte-identical either way.
-
 Run with:  python examples/partition_balance.py [num_users]
 """
 
@@ -23,10 +16,9 @@ from __future__ import annotations
 
 import sys
 
-from repro.core import DSeqMiner, dcand_partition_balance, dseq_partition_balance
+from repro.core import dcand_partition_balance, dseq_partition_balance
 from repro.datasets import amzn_like, constraint
 from repro.experiments import format_table
-from repro.mapreduce import ClusterConfig
 
 
 def study(name, balance, dictionary, workers=8):
@@ -61,36 +53,6 @@ def main(num_users: int = 2500) -> None:
         "Both representations keep the imbalance factor small: no single pivot "
         "partition dominates the shuffle, so adding workers keeps reducing the "
         "makespan (the near-linear scaling of Fig. 11).\n"
-    )
-
-    print("--- hash vs planned reduce partitioner (D-SEQ, 8 workers) ---")
-    results = {
-        partitioner: DSeqMiner(
-            task.expression, task.sigma, dictionary,
-            cluster=ClusterConfig(num_workers=8, partitioner=partitioner),
-        ).mine(database)
-        for partitioner in ("hash", "planned")
-    }
-    rows = []
-    for partitioner, result in results.items():
-        summary = result.metrics.as_dict()
-        rows.append(
-            {
-                "partitioner": partitioner,
-                "patterns": len(result),
-                "shuffle_bytes": summary["shuffle_bytes"],
-                "bucket_max_bytes": summary["partition_max_bytes"],
-                "bucket_mean_bytes": summary["partition_mean_bytes"],
-                "modeled_straggler_s": round(summary["modeled_straggler_seconds"], 6),
-            }
-        )
-    print(format_table(rows))
-    assert results["planned"].patterns() == results["hash"].patterns()
-    print(
-        "\nSame patterns, same shuffled bytes — the plan only moves pivots "
-        "between reduce buckets.  The planner estimates per-pivot loads from "
-        "a map pass and packs them largest-first (LPT), so no hash collision "
-        "can stack heavy pivots into one straggler bucket."
     )
 
 

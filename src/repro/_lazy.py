@@ -1,8 +1,8 @@
 """Re-exports a package hands out on first access (PEP 562).
 
 ``import repro`` is a fixed cost of every query, and a query runs one
-algorithm on one backend: a ``hash``-partitioned D-SEQ run never touches
-D-CAND, the NFA layer, the planner, the sequential miners, a dataset
+algorithm on one backend: a D-SEQ run never touches
+D-CAND, the NFA layer, the sequential miners, a dataset
 generator or the service.  Every package ``__init__`` therefore lists what it
 exports here instead of importing the defining modules: each name is written
 once, stays in ``__all__`` and ``dir()`` and imports exactly as before

@@ -117,7 +117,7 @@ ALGORITHM_ALIASES = {
 def preload_miners() -> None:
     """Import now what queries would import on first use: every algorithm of
     the table above and everything :mod:`repro.core`, :mod:`repro.fst` and
-    :mod:`repro.mapreduce` export lazily (planner, compiler, every backend).
+    :mod:`repro.mapreduce` export lazily (balance measurement, compiler, every backend).
 
     For long-lived processes (``repro serve`` calls this before it accepts a
     connection): a deferred import is a saving only where a process runs one

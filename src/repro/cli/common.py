@@ -114,37 +114,6 @@ def add_grid_argument(parser: ArgumentParser) -> None:
     )
 
 
-def add_partitioner_argument(parser: ArgumentParser) -> None:
-    """``--partitioner``: hash vs skew-aware planned reduce partitioning."""
-    from repro.mapreduce import DEFAULT_PARTITIONER, PARTITIONERS
-
-    parser.add_argument(
-        "--partitioner",
-        choices=PARTITIONERS,
-        default=DEFAULT_PARTITIONER,
-        help=(
-            "reduce-bucket assignment: 'hash' routes each pivot by a stable "
-            "hash (the reference), 'planned' estimates per-pivot shuffle "
-            "loads from a map pass and bin-packs pivots onto buckets "
-            "largest-first so no hash collision stacks heavy pivots into one "
-            "straggler bucket; patterns are byte-identical either way "
-            f"(default: {DEFAULT_PARTITIONER})"
-        ),
-    )
-    parser.add_argument(
-        "--plan-sample",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help=(
-            "with --partitioner planned: estimate per-pivot loads from this "
-            "fraction of the input sequences (0 < FRACTION <= 1) instead of "
-            "a full planning pass; the plan may differ but mined patterns "
-            "stay byte-identical (default: plan from every sequence)"
-        ),
-    )
-
-
 def add_cap_arguments(parser: ArgumentParser) -> None:
     """``--max-runs`` / ``--max-candidates``: per-sequence safety caps."""
     parser.add_argument(
@@ -230,8 +199,6 @@ def cluster_config_from_args(args: Namespace, num_workers: int):
         spill_budget_bytes=parse_byte_size(args.spill_budget),
         spill_dir=getattr(args, "spill_dir", None),
         grid=getattr(args, "grid", None),
-        partitioner=getattr(args, "partitioner", None),
-        plan_sample=getattr(args, "plan_sample", None),
         fault_policy=fault_policy_from_args(args),
     )
 
@@ -247,8 +214,6 @@ CLUSTER_FLAGS = {
     "--spill-budget": "spill_budget_bytes",
     "--spill-dir": "spill_dir",
     "--grid": "grid",
-    "--partitioner": "partitioner",
-    "--plan-sample": "plan_sample",
     "--retries": "fault_policy",
     "--task-timeout": "fault_policy",
 }
@@ -451,9 +416,8 @@ def print_metrics(metrics, stream=None) -> None:
         )
     if summary.get("partition_max_bytes"):
         stream.write(
-            "partition balance ({} partitioner): max {:,} / mean {:,.0f} bytes, "
+            "partition balance: max {:,} / mean {:,.0f} bytes, "
             "imbalance {:.2f}, modeled straggler {:.4f}s\n".format(
-                summary.get("partitioner", "hash"),
                 int(summary["partition_max_bytes"]),
                 summary["partition_mean_bytes"],
                 summary["partition_imbalance"],

@@ -10,7 +10,6 @@ from repro.cli.common import (
     add_cap_arguments,
     add_fault_arguments,
     add_grid_argument,
-    add_partitioner_argument,
     add_shuffle_arguments,
     backend_name,
     cluster_config_from_args,
@@ -96,7 +95,6 @@ def add_parser(subparsers) -> None:
     add_shuffle_arguments(parser)
     add_fault_arguments(parser)
     add_grid_argument(parser)
-    add_partitioner_argument(parser)
     add_cap_arguments(parser)
     parser.add_argument("--chart", action="store_true", help="also print an ASCII chart")
     parser.set_defaults(run=run)

@@ -11,7 +11,6 @@ from repro.cli.common import (
     add_fault_arguments,
     add_grid_argument,
     add_input_arguments,
-    add_partitioner_argument,
     add_shuffle_arguments,
     backend_name,
     cluster_config_from_args,
@@ -81,7 +80,6 @@ def add_parser(subparsers) -> None:
     add_shuffle_arguments(parser)
     add_fault_arguments(parser)
     add_grid_argument(parser)
-    add_partitioner_argument(parser)
     add_cap_arguments(parser)
     parser.add_argument(
         "--output",

@@ -6,16 +6,10 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.core.balance": (
-            "JobPlanner",
             "PartitionBalance",
-            "PartitionPlan",
-            "attach_partition_plan",
             "dcand_partition_balance",
             "dseq_partition_balance",
-            "estimate_partition_loads",
             "measure_partition_balance",
-            "plan_job_partitions",
-            "plan_partitions",
         ),
         "repro.core.dcand": ("DCandJob", "DCandMiner"),
         "repro.core.dseq": ("DSeqJob", "DSeqMiner"),

@@ -3,9 +3,8 @@
 D-SEQ, D-CAND, NAÏVE, SEMI-NAÏVE and LASH / MG-FSM differ only in the
 MapReduce job they run (:meth:`ClusterMiner.job`).  Everything else is shared
 here: the corpus-level dedup of the input, building the backend from the
-miner's :class:`~repro.mapreduce.ClusterConfig`, attaching a skew-aware
-partition plan when the config selects the ``"planned"`` partitioner, running
-the job, and wrapping its outputs as a :class:`~repro.core.results.MiningResult`.
+miner's :class:`~repro.mapreduce.ClusterConfig`, running the job, and
+wrapping its outputs as a :class:`~repro.core.results.MiningResult`.
 """
 
 from __future__ import annotations
@@ -61,11 +60,5 @@ class ClusterMiner:
         """
         job = self.job()
         records = as_mining_records(database, dedup=self.dedup)
-        cluster = self.cluster.build()
-        if self.cluster.partitioner == "planned":
-            # Only a planned run loads the planner (which imports the core jobs).
-            from repro.core.balance import attach_partition_plan
-
-            attach_partition_plan(self, job, records, cluster)
-        result = cluster.run(job, records)
+        result = self.cluster.build().run(job, records)
         return MiningResult(dict(result.outputs), result.metrics, self.algorithm_name)

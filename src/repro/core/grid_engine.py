@@ -48,7 +48,7 @@ from repro.dictionary import EPSILON_FID, Dictionary
 from repro.errors import MiningError
 from repro.fst import Fst, MiningKernel, ensure_kernel
 from repro.fst.labels import EPSILON_OUTPUT
-# The engine names live beside the partitioners, where ClusterConfig checks them.
+# The engine names live beside the job model, where ClusterConfig checks them.
 from repro.mapreduce.job import DEFAULT_GRID as DEFAULT_GRID
 from repro.mapreduce.job import GRIDS as GRIDS
 from repro.mapreduce.job import normalize_grid

@@ -56,23 +56,6 @@ class RunRecord:
             "patterns": self.num_patterns,
         }
 
-    def balance_row(self) -> dict:
-        # Reduce-partition balance of the run, for the BENCH "balance"
-        # sections; ``as_row`` stays untouched so the committed goldens and
-        # the CI byte-count baselines keep their exact historical shape.
-        metrics = self.metrics
-        return {
-            "algorithm": self.algorithm,
-            "constraint": self.constraint,
-            "dataset": self.dataset,
-            "partitioner": metrics.partitioner,
-            "shuffle_bytes": metrics.shuffle_bytes,
-            "partition_max_bytes": metrics.partition_max_bytes,
-            "partition_mean_bytes": round(metrics.partition_mean_bytes, 1),
-            "partition_imbalance": round(metrics.partition_imbalance, 3),
-            "modeled_straggler_s": round(metrics.modeled_straggler_seconds, 6),
-        }
-
 
 #: Caps used to emulate the paper's out-of-memory failures on loose constraints.
 OOM_MAX_RUNS = 20_000

@@ -26,7 +26,13 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "repro.mapreduce.base": ("BatchOutcome", "Cluster", "JobResult", "StageDriverCluster"),
+        "repro.mapreduce.base": (
+            "BatchOutcome",
+            "Cluster",
+            "JobResult",
+            "SimulatedCluster",
+            "StageDriverCluster",
+        ),
         "repro.mapreduce.blobstore": (
             "BlobNotFoundError",
             "BlobStore",
@@ -38,7 +44,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "put_with_retry",
             "write_lease",
         ),
-        "repro.mapreduce.engine": ("SimulatedCluster",),
         "repro.mapreduce.factory": (
             "BACKENDS",
             "ClusterConfig",
@@ -59,11 +64,8 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "repro.mapreduce.job": (
             "DEFAULT_GRID",
-            "DEFAULT_PARTITIONER",
             "GRIDS",
-            "PARTITIONERS",
             "MapReduceJob",
-            "normalize_partitioner",
             "stable_hash",
         ),
         "repro.mapreduce.metrics": ("Counters", "JobMetrics", "lpt_worker_loads"),

@@ -29,6 +29,14 @@ backend                     executor      stored payloads
 ``multihost``               process pool  all
 ==========================  ============  ================================
 
+The paper's experiments run on an 8-worker Spark/Hadoop cluster; the
+``simulated`` row (:class:`SimulatedCluster`) substitutes that substrate.  It
+runs every phase in-process, measures per-task compute time and communicated
+bytes, and reports the *makespan* that ``num_workers`` parallel workers would
+have achieved.  The simulation is faithful for the algorithms studied here
+because they are compute-bound, perform exactly one shuffle, and have no
+inter-task dependencies within a stage (bulk-synchronous model).
+
 Every row schedules the same two worker-side tasks
 (:func:`~repro.mapreduce.tasks.run_map_task` and
 :func:`~repro.mapreduce.tasks.run_reduce_task`) over the same map-task
@@ -165,24 +173,43 @@ class InlineExecutor:
         return [float(load) for load in loads]
 
 
+def check_sizes(
+    num_workers: int | None, num_reduce_tasks: int | None, spill_budget_bytes: int | None
+) -> None:
+    """Refuse a worker or bucket count that is not an int >= 1, and a spill
+    budget that is not an int >= 0 (``None`` is each one's default; a bool is
+    no int here)."""
+    for name, value, least in (
+        ("num_workers", num_workers, 1),
+        ("num_reduce_tasks", num_reduce_tasks, 1),
+        ("spill_budget_bytes", spill_budget_bytes, 0),
+    ):
+        if value is not None and (
+            isinstance(value, bool) or not isinstance(value, int) or value < least
+        ):
+            raise MapReduceError(f"{name} must be >= {least}, an int or None, got {value!r}")
+
+
 class StageDriverCluster:
     """The map → combine → partition → reduce driver of every backend.
 
     ``executor`` and ``stores_every_payload`` make the backend's row (see
     the module docstring); the class attributes below are the ``simulated``
     row, and each backend class sets its own.  A cluster knows
-    only the substrate: the mining choices of a
-    :class:`~repro.mapreduce.factory.ClusterConfig` (``grid``,
-    ``partitioner``, ``plan_sample``) stay with the miners, and a planned
-    partition travels on the job itself.
+    only the substrate: the mining choice of a
+    :class:`~repro.mapreduce.factory.ClusterConfig` (``grid``) stays with
+    the miners.  Every key goes to bucket ``job.partition(key, ...)``, the
+    stable hash on every backend.
 
     Parameters
     ----------
     num_workers:
-        Number of workers; map input is split into at most this many map tasks.
+        Number of workers, an int >= 1; map input is split into at most this
+        many map tasks.
     num_reduce_tasks:
-        Number of reduce buckets (defaults to ``4 * num_workers``, mimicking
-        the usual over-partitioning of Spark/Hadoop deployments).
+        Number of reduce buckets, an int >= 1 (defaults to
+        ``4 * num_workers``, mimicking the usual over-partitioning of
+        Spark/Hadoop deployments).  Only the non-empty buckets cost anything.
     codec:
         Shuffle serialization codec — a name from
         :data:`~repro.mapreduce.wire.CODECS` or a
@@ -190,9 +217,10 @@ class StageDriverCluster:
         deterministic, so the measured wire bytes are identical across
         backends.
     spill_budget_bytes:
-        Per-map-task in-memory budget for encoded bucket payloads; payloads
-        past the budget go to the run's fragment store (``None`` disables the
-        budget, ``0`` stores everything).  Results are identical either way.
+        Per-map-task in-memory budget for encoded bucket payloads, an int
+        >= 0; payloads past the budget go to the run's fragment store
+        (``None`` disables the budget, ``0`` stores everything).  Results are
+        identical either way.
     spill_dir:
         Parent of each run's scratch directory, which holds everything the
         run writes (defaults to the system temp directory; created if
@@ -236,19 +264,12 @@ class StageDriverCluster:
         fault_policy: FaultPolicy | None = None,
         fault_injector: FaultInjector | None = None,
     ) -> None:
+        check_sizes(num_workers, num_reduce_tasks, spill_budget_bytes)
         if num_workers is None:
             num_workers = self.default_num_workers
-        if num_workers < 1:
-            raise MapReduceError(f"num_workers must be >= 1, got {num_workers}")
         self.num_workers = num_workers
         self.num_reduce_tasks = 4 * num_workers if num_reduce_tasks is None else num_reduce_tasks
-        if self.num_reduce_tasks < 1:
-            raise MapReduceError("num_reduce_tasks must be >= 1")
         self.codec = make_codec(codec)
-        if spill_budget_bytes is not None and spill_budget_bytes < 0:
-            raise MapReduceError(
-                f"spill_budget_bytes must be >= 0 or None, got {spill_budget_bytes}"
-            )
         self.spill_budget_bytes = spill_budget_bytes
         if spill_dir is not None and not isinstance(spill_dir, (str, os.PathLike)):
             raise MapReduceError(
@@ -268,11 +289,6 @@ class StageDriverCluster:
     def run(self, job: MapReduceJob, records: Sequence[Any]) -> JobResult:
         """Execute ``job`` over ``records`` and return outputs plus metrics."""
         metrics = JobMetrics(num_workers=self.num_workers)
-        # Report what the job actually does, not what the knob says: a plan
-        # attached by the miner is authoritative for every backend.
-        metrics.partitioner = (
-            "planned" if getattr(job, "partition_plan", None) is not None else "hash"
-        )
 
         # Everything the run writes — the published input, the fragment
         # store — lives in this one directory, removed wholesale below, so a
@@ -323,9 +339,9 @@ class StageDriverCluster:
                     execute,
                     metrics,
                 )
-                fragments: list[list[WireFragment]] = [
-                    [] for _ in range(self.num_reduce_tasks)
-                ]
+                # Only the non-empty buckets get a list: the bucket count
+                # may be far larger than the map output.
+                fragments: dict[int, list[WireFragment]] = {}
                 for result in map_results:
                     metrics.add(result.counters)
                     for bucket_index, size in result.bucket_shuffle_bytes.items():
@@ -334,11 +350,11 @@ class StageDriverCluster:
                         )
                     metrics.map_task_seconds.append(result.seconds)
                     for bucket_index, fragment in result.buckets:
-                        fragments[bucket_index].append(fragment)
+                        fragments.setdefault(bucket_index, []).append(fragment)
 
-                # Reduce stage: one task per non-empty bucket; the streamed
-                # key-group merge (shuffle read) happens inside the task,
-                # i.e. on the worker.
+                # Reduce stage: one task per non-empty bucket, in bucket
+                # order; the streamed key-group merge (shuffle read) happens
+                # inside the task, i.e. on the worker.
                 reduce_results: list[ReduceTaskResult] = self._run_stage(
                     "reduce",
                     [
@@ -346,8 +362,7 @@ class StageDriverCluster:
                             run_reduce_task,
                             (task_job, bucket_fragments, self.codec, blob_store, context),
                         )
-                        for bucket_fragments in fragments
-                        if bucket_fragments
+                        for _, bucket_fragments in sorted(fragments.items())
                     ],
                     execute,
                     metrics,
@@ -481,6 +496,19 @@ class StageDriverCluster:
         if first_cause is not None and first_cause is not error:
             raise error from first_cause
         raise error
+
+
+class SimulatedCluster(StageDriverCluster):
+    """Executes MapReduce jobs and models a cluster of ``num_workers`` workers.
+
+    The ``simulated`` row: the inline executor and the local shuffle, which
+    are the stage driver's own components.  Tasks run sequentially in the
+    calling process; reduce buckets are assigned to the least-loaded modelled
+    worker (greedy LPT-style schedule), matching how a real cluster's
+    scheduler balances over-partitioned buckets.
+    """
+
+    backend_name = "simulated"
 
 
 #: Age past which a run directory counts as orphaned by a killed driver: the

@@ -6,14 +6,9 @@ from dataclasses import dataclass, fields
 from importlib import import_module
 
 from repro.errors import MapReduceError
-from repro.mapreduce.base import Cluster
+from repro.mapreduce.base import Cluster, check_sizes
 from repro.mapreduce.faults import DEFAULT_FAULT_POLICY, FaultPolicy
-from repro.mapreduce.job import (
-    DEFAULT_GRID,
-    DEFAULT_PARTITIONER,
-    normalize_grid,
-    normalize_partitioner,
-)
+from repro.mapreduce.job import DEFAULT_GRID, normalize_grid
 from repro.mapreduce.wire import Codec
 
 #: Canonical backend names, in the order shown by ``--help``.
@@ -31,14 +26,14 @@ _ALIASES = {
 #: Canonical backend name -> ``"module:Class"``, imported by the first
 #: :meth:`ClusterConfig.build` that builds it: a run pays for the backend it uses.
 _CLUSTER_CLASSES = {
-    "simulated": "repro.mapreduce.engine:SimulatedCluster",
+    "simulated": "repro.mapreduce.base:SimulatedCluster",
     "persistent-processes": "repro.mapreduce.parallel:PersistentProcessPoolCluster",
     "multihost": "repro.mapreduce.parallel:MultiHostCluster",
 }
 
 #: The :class:`ClusterConfig` fields :meth:`ClusterConfig.build` does not hand
-#: the backend: its selector, and the three the miners read.
-_NOT_FOR_BACKEND = ("backend", "grid", "partitioner", "plan_sample")
+#: the backend: its selector, and the one the miners read.
+_NOT_FOR_BACKEND = ("backend", "grid")
 
 
 def canonical_backend(name: str) -> str:
@@ -64,12 +59,10 @@ class ClusterConfig:
     :class:`~repro.mapreduce.base.Cluster` instance, whose own settings then
     win over the fields a backend reads; a fault injector for chaos tests is
     handed to a backend's constructor that way, never through a config.
-    ``grid`` selects the pivot-grid engine (``"flat"`` or ``"legacy"``),
-    ``partitioner`` the reduce-bucket assignment (``"hash"`` or
-    ``"planned"``) and ``plan_sample`` the planner's sample: the miners read
-    these three, the cluster never sees them.
-    ``grid`` and ``partitioner`` are validated (and made canonical) when the
-    config is built.
+    ``grid`` selects the pivot-grid engine (``"flat"`` or ``"legacy"``): the
+    miners read it, the cluster never sees it.  ``grid`` is validated (and
+    made canonical) when the config is built, and so are the worker and
+    bucket counts and the spill budget, which must be ints.
     """
 
     backend: str | Cluster = "simulated"
@@ -82,11 +75,6 @@ class ClusterConfig:
     #: system temp directory); a multi-host deployment sets a shared mount.
     spill_dir: str | None = None
     grid: str = DEFAULT_GRID
-    partitioner: str = DEFAULT_PARTITIONER
-    #: Stride-sampling fraction in (0, 1] for the ``"planned"`` partitioner's
-    #: load-estimation pass (``None`` estimates over every record); consumed
-    #: by the miners when they build their partition plan.
-    plan_sample: float | None = None
     #: Task attempts and per-task timeout
     #: (:class:`~repro.mapreduce.faults.FaultPolicy`; ``None`` → the library
     #: default, which gives every task one retry).  Part of the fingerprint.
@@ -94,7 +82,7 @@ class ClusterConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid", normalize_grid(self.grid))
-        object.__setattr__(self, "partitioner", normalize_partitioner(self.partitioner))
+        check_sizes(self.num_workers, self.num_reduce_tasks, self.spill_budget_bytes)
 
     def build(self) -> Cluster:
         """Build the execution backend this config describes.
@@ -155,8 +143,6 @@ class ClusterConfig:
             getattr(codec, "name", codec),
             getattr(source, "spill_budget_bytes", None),
             self.grid,
-            self.partitioner,
-            self.plan_sample,
             policy.fingerprint(),
             repr(getattr(source, "fault_injector", None)),
         )

@@ -20,12 +20,12 @@ import zlib
 from collections.abc import Iterable
 from typing import Any
 
-from repro.errors import MapReduceError, MiningError
+from repro.errors import MiningError
 
 #: Grid-engine choices of D-SEQ's map side (:mod:`repro.core.grid_engine`):
 #: ``"flat"`` is the one-pass engine, ``"legacy"`` the per-edge reference.
-#: Named here, beside the partitioners, so that
-#: :class:`~repro.mapreduce.ClusterConfig` validates both without importing
+#: Named here, beside the job model, so that
+#: :class:`~repro.mapreduce.ClusterConfig` validates it without importing
 #: the engine.
 GRIDS = ("flat", "legacy")
 
@@ -43,28 +43,6 @@ def normalize_grid(grid: str | None) -> str:
             f"unknown grid engine {grid!r}; choose one of {', '.join(GRIDS)}"
         )
     return name
-
-
-#: Reduce-partitioner choices: ``"hash"`` assigns keys by
-#: :func:`stable_hash` (the reference), ``"planned"`` consults a
-#: skew-aware :class:`~repro.core.balance.PartitionPlan` shipped with the
-#: job (falling back to the hash for unplanned keys).
-PARTITIONERS = ("hash", "planned")
-
-#: The partitioner used when none is configured.
-DEFAULT_PARTITIONER = "hash"
-
-
-def normalize_partitioner(name: str | None) -> str:
-    """Normalize a partitioner name, failing fast on typos."""
-    if name is None:
-        return DEFAULT_PARTITIONER
-    key = str(name).strip().lower()
-    if key not in PARTITIONERS:
-        raise MapReduceError(
-            f"unknown partitioner {name!r}; choose one of {', '.join(PARTITIONERS)}"
-        )
-    return key
 
 
 def stable_hash(key: Any) -> int:
@@ -110,13 +88,6 @@ class MapReduceJob:
     #: Enable the per-map-task combiner.
     use_combiner: bool = False
 
-    #: Optional skew-aware reduce-bucket assignment consulted by
-    #: :meth:`partition` (any object with a ``lookup(key) -> int | None``
-    #: method, e.g. :class:`~repro.core.balance.PartitionPlan`).  Set by the
-    #: miners when the ``"planned"`` partitioner is selected; pickles with
-    #: the job, so worker-side shuffle writes see the same table.
-    partition_plan: Any = None
-
     # ------------------------------------------------------------------ hooks
     def map(self, record: Any) -> Iterable[tuple[Any, Any]]:
         """Process one input record into ``(partition key, value)`` pairs."""
@@ -145,17 +116,9 @@ class MapReduceJob:
 
     # -------------------------------------------------------------- utilities
     def partition(self, key: Any, num_reduce_tasks: int) -> int:
-        """Assign a key to a reduce task (hash partitioning by default).
+        """Assign a key to a reduce task by hash partitioning.
 
         Runs inside map tasks (worker-side shuffle), so the hash must be
-        process-independent; see :func:`stable_hash`.  When a
-        :attr:`partition_plan` is attached, its table wins for planned keys;
-        keys the planner never saw (or a plan built for a different bucket
-        count) fall back to the stable hash.
+        process-independent; see :func:`stable_hash`.
         """
-        plan = self.partition_plan
-        if plan is not None:
-            bucket = plan.lookup(key)
-            if bucket is not None and 0 <= bucket < num_reduce_tasks:
-                return bucket
         return stable_hash(key) % num_reduce_tasks

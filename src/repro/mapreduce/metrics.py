@@ -29,8 +29,8 @@ def lpt_worker_loads(sizes: Iterable[int], num_workers: int) -> list[int]:
 
     Returns the per-worker load totals.  Sizes are placed largest-first onto
     the least-loaded worker (ties broken by lowest worker index, matching the
-    historical ``loads.index(min(loads))`` scan) via a heap, so planner-time
-    calls stay ``O(n log w)`` at realistic pivot counts.
+    historical ``loads.index(min(loads))`` scan) via a heap, so calls stay
+    ``O(n log w)`` at realistic pivot counts.
     """
     loads = [0] * num_workers
     heap = [(0, index) for index in range(num_workers)]
@@ -108,8 +108,6 @@ class JobMetrics(Counters):
     num_workers: int = 1
     map_task_seconds: list[float] = field(default_factory=list)
     reduce_task_seconds: list[float] = field(default_factory=list)
-    #: Which reduce partitioner the job used (``"hash"`` or ``"planned"``).
-    partitioner: str = "hash"
     #: Modeled shuffle bytes per reduce bucket (``job.record_size`` summed per
     #: destination).  The basis of the balance statistics below.
     reduce_bucket_bytes: dict[int, int] = field(default_factory=dict)
@@ -161,9 +159,8 @@ class JobMetrics(Counters):
         """Deterministic reduce-stage straggler time modeled from the shuffle.
 
         Buckets are attributed to workers by the static round-robin
-        assignment ``bucket % num_workers`` — the layout the skew-aware
-        planner packs against — and the heaviest worker's bytes are divided
-        by :data:`MODELED_REDUCE_BYTES_PER_SECOND`.  A pure function of the
+        assignment ``bucket % num_workers``, and the heaviest worker's bytes
+        are divided by :data:`MODELED_REDUCE_BYTES_PER_SECOND`.  A pure function of the
         shuffled bytes, so it is comparable across runs and committed BENCH
         baselines, unlike the measured task timings.
         """
@@ -191,7 +188,6 @@ class JobMetrics(Counters):
             "total_seconds": self.total_seconds,
             "sequential_seconds": self.sequential_seconds,
             **{name: getattr(self, name) for name in COUNTER_NAMES},
-            "partitioner": self.partitioner,
             "partition_max_bytes": self.partition_max_bytes,
             "partition_mean_bytes": round(self.partition_mean_bytes, 1),
             "partition_imbalance": round(self.partition_imbalance, 3),

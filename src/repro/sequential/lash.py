@@ -201,8 +201,8 @@ class GapConstrainedMiner(ClusterMiner):
     substrate is one :class:`~repro.mapreduce.ClusterConfig` passed as
     ``cluster=`` (see :class:`~repro.core.cluster_miner.ClusterMiner`): the
     specialist builds no FST and no grid, so the config's ``grid`` has no
-    effect, while ``dedup`` and the ``"planned"`` partitioner apply (its
-    shuffle is item-partitioned like D-SEQ's).
+    effect, while ``dedup`` applies (its shuffle is item-partitioned like
+    D-SEQ's).
     """
 
     algorithm_name = "LASH"

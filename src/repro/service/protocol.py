@@ -29,8 +29,9 @@ from repro.service.cache import CacheInfo
 
 #: Bumped whenever a payload shape changes incompatibly (2: a fault policy
 #: travels as its two fields only; 3: a config has no ``blob_dir``, and its
-#: ``spill_dir`` must be null).
-PROTOCOL_VERSION = 3
+#: ``spill_dir`` must be null; 4: neither a config nor job metrics name a
+#: reduce partitioner).
+PROTOCOL_VERSION = 4
 
 #: The port ``repro serve`` binds — and :func:`repro.api.connect` dials — by
 #: default.  Shared here so the two sides cannot drift apart (the client used
@@ -162,7 +163,10 @@ def decode_config(payload: dict | None) -> ClusterConfig | None:
         except (TypeError, MapReduceError) as error:
             raise ServiceError(f"bad fault_policy on the wire: {error}") from error
         payload = {**payload, "fault_policy": policy}
-    return ClusterConfig(**payload)
+    try:
+        return ClusterConfig(**payload)
+    except MapReduceError as error:
+        raise ServiceError(f"bad ClusterConfig on the wire: {error}") from error
 
 
 # ---------------------------------------------------------------- constraints

@@ -17,7 +17,7 @@ import repro.api
 from repro.api.session import canonical_algorithm, constraint_token, resolve_constraint
 from repro.core import DCandMiner, DSeqMiner, NaiveMiner, SemiNaiveMiner
 from repro.datasets import constraint as make_constraint
-from repro.errors import CorpusNotAttachedError, MapReduceError, MiningError
+from repro.errors import CorpusNotAttachedError, MiningError
 from repro.experiments.harness import RunRecord, run_algorithm
 from repro.mapreduce import (
     BACKENDS,
@@ -343,8 +343,6 @@ class TestConfigFingerprint:
         "codec": "zlib",
         "spill_budget_bytes": 4096,
         "grid": "legacy",
-        "partitioner": "planned",
-        "plan_sample": 0.5,
         "fault_policy": FaultPolicy(max_task_attempts=1),
     }
 
@@ -391,13 +389,17 @@ class TestConfigFingerprint:
 #: Knobs of deleted implementation paths, each with a value it once took: the
 #: trie-batched map (spelled in parts so that a search of the tree for the
 #: removed name finds nothing but its absence), the mining-kernel choice,
-#: the switch that turned the modeled shuffle accounting off, and the shared
-#: blob directory (a run's blobs now live in its run directory).
+#: the switch that turned the modeled shuffle accounting off, the shared
+#: blob directory (a run's blobs now live in its run directory), and the
+#: skew-aware reduce planner with its sampling fraction (the stable hash is
+#: the only partitioner; the fraction is spelled in parts like the first).
 REMOVED_KNOBS = {
     "_".join(("map", "batching")): "trie",
     "kernel": "interpreted",
     "measure_shuffle": False,
     "blob_dir": "/tmp/blobs",
+    "partitioner": "planned",
+    "_".join(("plan", "sample")): 0.5,
 }
 
 
@@ -549,8 +551,8 @@ class TestSubstrateSaidOnce:
         parameters = self._parameters(StageDriverCluster) - {"self"}
         # The fault injector is a constructor argument and never a config field.
         assert parameters - {"fault_injector"} < self.FIELDS
-        assert not parameters & {"backend", "grid", "partitioner", "plan_sample"}
-        assert (len(self.FIELDS), len(parameters)) == (10, 7)
+        assert not parameters & {"backend", "grid"}
+        assert (len(self.FIELDS), len(parameters)) == (8, 7)
 
     def test_the_readme_gives_each_kept_backend_and_field_a_reason(self):
         """README's "kept / why" tables hold one row per backend and per field,
@@ -589,11 +591,8 @@ class TestSubstrateSaidOnce:
     def test_mining_choices_are_checked_when_the_config_is_built(self):
         with pytest.raises(MiningError, match="unknown grid engine"):
             ClusterConfig(grid="bogus")
-        with pytest.raises(MapReduceError, match="unknown partitioner"):
-            ClusterConfig(partitioner="bogus")
-        config = ClusterConfig(grid=" Legacy ", partitioner="PLANNED")
-        assert (config.grid, config.partitioner) == ("legacy", "planned")
-        assert (ClusterConfig().grid, ClusterConfig().partitioner) == ("flat", "hash")
+        assert ClusterConfig(grid=" Legacy ").grid == "legacy"
+        assert ClusterConfig().grid == "flat"
 
     def test_run_record_reports_the_workers_that_ran(self, ex_database, ex_dictionary):
         spec = make_constraint("N5", sigma=SIGMA)
@@ -818,14 +817,6 @@ class TestStartUp:
             "repro.service", "repro.experiments", "repro.cli",
         ) == []
         assert len(_loaded(report["after_mine"], "repro")) <= 60  # 73 before, 51 now
-
-    def test_planner_loads_when_asked_for(self):
-        planned = _startup_probe(
-            algorithm="dseq", backend="persistent-processes", partitioner="planned"
-        )
-        assert planned["patterns"] == 1
-        assert "repro.core.balance" in planned["after_mine"]
-        assert "repro.core.balance" not in planned["after_import"]
 
     def test_subpackages_resolve_as_attributes_of_a_bare_import(self):
         # The README's quickstart: ``import repro`` and nothing else.

@@ -202,9 +202,9 @@ class TestMakeCluster:
         assert settings(built)[1:] == (
             3, 7, "zlib", 4096, str(tmp_path), FaultPolicy(max_task_attempts=1),
         )
-        # The miners' fields stay on the config: a cluster knows only the substrate.
-        planned = ClusterConfig(backend=backend, grid="legacy", partitioner="planned").build()
-        assert not {"grid", "partitioner", "plan_sample"} & set(vars(planned))
+        # The miners' field stays on the config: a cluster knows only the substrate.
+        legacy = ClusterConfig(backend=backend, grid="legacy").build()
+        assert "grid" not in vars(legacy)
 
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -227,6 +227,31 @@ class TestMakeCluster:
             return
         assert dict(cluster.run(FidCountJob(), FID_RECORDS).outputs) == FID_COUNTS
         assert list(missing.iterdir()) == []
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("num_workers", 2.5),
+            ("num_workers", True),
+            ("num_workers", 0),
+            ("num_workers", "2"),
+            ("num_reduce_tasks", 2.5),
+            ("num_reduce_tasks", True),
+            ("num_reduce_tasks", 0),
+            ("spill_budget_bytes", 1.5),
+            ("spill_budget_bytes", True),
+            ("spill_budget_bytes", -1),
+        ],
+    )
+    def test_a_size_that_is_not_an_int_in_range_is_a_typed_error(self, backend, name, value):
+        """A float count would fail mid-run and ``True`` would run as one
+        worker, so the config and the cluster class both refuse them."""
+        with pytest.raises(MapReduceError, match=f"{name} must be"):
+            ClusterConfig(backend=backend, **{name: value})
+        cluster_class = type(make_cluster(backend))
+        with pytest.raises(MapReduceError, match=f"{name} must be"):
+            cluster_class(**{name: value})
 
 
 # ------------------------------------------------------------ stage driver
@@ -354,6 +379,31 @@ class TestWorkerSideShuffle:
         assert real.metrics.combined_records == simulated.metrics.combined_records
         # The pools ship store descriptors, not the records themselves.
         assert real.metrics.map_input_pickle_bytes > 0
+
+    def test_empty_buckets_cost_nothing(self):
+        """A million buckets for four records allocate only the three that
+        receive data; reduce order, outputs and every counter are those of
+        the 8-bucket run."""
+        import tracemalloc
+
+        from repro.mapreduce.metrics import COUNTER_NAMES
+
+        small = SimulatedCluster(num_workers=2, num_reduce_tasks=8).run(
+            FidCountJob(), FID_RECORDS
+        )
+        tracemalloc.start()
+        try:
+            huge = SimulatedCluster(num_workers=2, num_reduce_tasks=10**6).run(
+                FidCountJob(), FID_RECORDS
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
+        assert huge.outputs == small.outputs
+        assert huge.metrics.reduce_bucket_bytes == small.metrics.reduce_bucket_bytes
+        for name in COUNTER_NAMES:
+            assert getattr(huge.metrics, name) == getattr(small.metrics, name), name
 
     def test_simulated_reduce_attribution_models_all_workers(self):
         result = SimulatedCluster(num_workers=3).run(WordCountJob(), WORDS)

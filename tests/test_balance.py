@@ -10,17 +10,13 @@ from repro.core import (
     DCandMiner,
     DSeqMiner,
     PartitionBalance,
-    PartitionPlan,
     dcand_partition_balance,
     dseq_partition_balance,
-    estimate_partition_loads,
     measure_partition_balance,
-    plan_job_partitions,
-    plan_partitions,
 )
 from repro.core.dseq import DSeqJob
 from repro.errors import MiningError
-from repro.mapreduce import ClusterConfig, MapReduceJob, lpt_worker_loads, stable_hash
+from repro.mapreduce import ClusterConfig, MapReduceJob, lpt_worker_loads
 from repro.sequences import SequenceDatabase, as_mining_records
 
 from tests.conftest import RUNNING_EXAMPLE_PATEX
@@ -241,248 +237,3 @@ class TestAlgorithmBalance:
         pivot_b = ex_dictionary.fid_of("b")
         if pivot_b in sizes:
             assert sizes[pivot_b] <= max(sizes.values())
-
-
-# -------------------------------------------------------------------- planning
-def hash_bucket_loads(loads_by_key: dict, num_reduce_tasks: int) -> list[int]:
-    """Per-bucket bytes under the reference ``stable_hash`` assignment."""
-    loads = [0] * num_reduce_tasks
-    for key, size in loads_by_key.items():
-        loads[stable_hash(key) % num_reduce_tasks] += size
-    return loads
-
-
-class TestPartitionPlanning:
-    def test_plan_partitions_packs_largest_first(self):
-        plan = plan_partitions({1: 100, 2: 50, 3: 50}, 2)
-        assert plan.table == {1: 0, 2: 1, 3: 1}
-        assert plan.loads == (100, 100)
-        assert plan.num_planned_keys == 3
-        assert plan.estimated_total_bytes == 200
-        assert plan.estimated_max_bytes == 100
-        assert plan.estimated_imbalance == pytest.approx(1.0)
-
-    def test_plan_partitions_rejects_bad_bucket_count(self):
-        with pytest.raises(MiningError):
-            plan_partitions({1: 10}, 0)
-
-    def test_lookup_returns_none_for_unplanned_keys(self):
-        plan = plan_partitions({1: 10}, 4)
-        assert plan.lookup(1) == 0
-        assert plan.lookup(99) is None
-
-    def test_job_partition_consults_plan_and_falls_back(self):
-        job = _WordCountJob()
-        plan = plan_partitions({"heavy": 100, "light": 1}, 8)
-        job.partition_plan = plan
-        assert job.partition("heavy", 8) == plan.table["heavy"]
-        assert job.partition("light", 8) == plan.table["light"]
-        # Unplanned keys fall back to the stable hash, so a sampled (partial)
-        # plan still routes every record somewhere deterministic.
-        assert job.partition("unseen", 8) == stable_hash("unseen") % 8
-        # A plan that routes a key out of the job's actual bucket range is
-        # ignored for that key (the stable hash takes over).
-        job.partition_plan = PartitionPlan(num_reduce_tasks=16, table={"heavy": 12})
-        assert job.partition("heavy", 8) == stable_hash("heavy") % 8
-
-    def test_planned_beats_hash_on_skewed_loads(self):
-        # A zipf-ish pivot distribution: a few heavy pivots, a long tail.
-        loads = {key: 36_000 // key for key in range(1, 60)}
-        plan = plan_partitions(loads, 8)
-        hash_max = max(hash_bucket_loads(loads, 8))
-        assert plan.estimated_max_bytes <= hash_max
-        assert plan.estimated_total_bytes == sum(loads.values())
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        loads=st.dictionaries(st.integers(0, 1000), st.integers(0, 100_000), min_size=1),
-        num_reduce_tasks=st.integers(1, 16),
-    )
-    def test_planned_max_is_never_far_from_hash(self, loads, num_reduce_tasks):
-        """LPT is a 4/3-approximation of the optimal makespan.
-
-        ``planned <= hash`` is *not* a theorem (a lucky hash layout can beat
-        the greedy plan on adversarial loads), but LPT's worst case is within
-        4/3 of the optimum, and the hash assignment can only be worse than
-        optimal — so the planned maximum is always within 4/3 of the hash
-        maximum, and always at least the largest single key.
-        """
-        plan = plan_partitions(loads, num_reduce_tasks)
-        hash_max = max(hash_bucket_loads(loads, num_reduce_tasks))
-        assert plan.estimated_max_bytes <= (4 / 3) * hash_max + 1
-        assert plan.estimated_max_bytes >= max(loads.values(), default=0)
-        assert plan.estimated_total_bytes == sum(loads.values())
-        assert set(plan.table) == set(loads)
-        assert all(0 <= bucket < num_reduce_tasks for bucket in plan.table.values())
-
-    def test_estimate_partition_loads_matches_measurement(self):
-        job = _WordCountJob()
-        records = [(1, 1, 2), (2, 3)]
-        loads = estimate_partition_loads(job, records)
-        assert loads == measure_partition_balance(job, records).bytes_by_partition
-
-    def test_estimate_partition_loads_sampling(self):
-        job = _WordCountJob()
-        records = [(1,), (2,), (1,), (2,)]
-        assert estimate_partition_loads(job, records) == {1: 10, 2: 10}
-        # sample=0.5 -> stride 2: only records 0 and 2 (both key 1) are mapped.
-        assert estimate_partition_loads(job, records, sample=0.5) == {1: 10}
-        with pytest.raises(MiningError):
-            estimate_partition_loads(job, records, sample=0.0)
-        with pytest.raises(MiningError):
-            estimate_partition_loads(job, records, sample=1.5)
-
-    def test_sampling_works_over_store_backed_records(self):
-        """The estimation pass must accept record views that reject strided
-        slicing (the persistent backends' store slices)."""
-        from repro.sequences.store import EncodedSequenceStore
-
-        job = _WordCountJob()
-        store = EncodedSequenceStore.from_sequences([(1,), (2,), (1,), (2,)])
-        try:
-            assert estimate_partition_loads(job, store, sample=0.5) == {1: 10}
-            assert estimate_partition_loads(
-                job, store.slice(0, len(store)), sample=0.5
-            ) == {1: 10}
-        finally:
-            store.close()
-
-    def test_plan_sample_knob_keeps_patterns_byte_identical(
-        self, ex_dictionary, ex_database
-    ):
-        """``ClusterConfig(plan_sample=...)`` may change the plan, never the mining."""
-        results = {
-            sample: DSeqMiner(
-                RUNNING_EXAMPLE_PATEX, 2, ex_dictionary,
-                cluster=ClusterConfig(
-                    num_workers=2, partitioner="planned", plan_sample=sample
-                ),
-            ).mine(ex_database)
-            for sample in (None, 0.5)
-        }
-        full, sampled = results[None], results[0.5]
-        assert sampled.patterns() == full.patterns()
-        assert sampled.metrics.shuffle_bytes == full.metrics.shuffle_bytes
-        assert sampled.metrics.shuffle_records == full.metrics.shuffle_records
-        assert sampled.metrics.partitioner == "planned"
-
-    def test_plan_job_partitions_on_running_example(self, ex_dictionary, ex_database):
-        miner = DSeqMiner(
-            RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, cluster=ClusterConfig(num_workers=1)
-        )
-        job = DSeqJob(miner.patex.compile(ex_dictionary), ex_dictionary, 2)
-        records = as_mining_records(ex_database, dedup=True)
-        plan = plan_job_partitions(job, records, 4)
-        # With σ=2 the pivots are exactly a1 and c (Fig. 3); both get a bucket.
-        expected_keys = {ex_dictionary.fid_of("a1"), ex_dictionary.fid_of("c")}
-        assert set(plan.table) == expected_keys
-        assert plan.num_reduce_tasks == 4
-        assert plan.estimated_total_bytes == sum(
-            estimate_partition_loads(job, records).values()
-        )
-
-    def test_planned_mining_reduces_modeled_imbalance(self, ex_dictionary):
-        """On a skewed corpus the planner's modeled imbalance <= the hash's."""
-        import random
-
-        rng = random.Random(7)
-        # Zipf-ish item weights over the Fig. 2 leaves: the heavy items
-        # dominate a few pivot partitions, the regime the planner targets.
-        vocabulary = ["a1", "a1", "a1", "a2", "a2", "b", "b", "c", "d", "e"]
-        sequences = [
-            [rng.choice(vocabulary) for _ in range(rng.randint(2, 8))]
-            for _ in range(120)
-        ]
-        database = SequenceDatabase(
-            [ex_dictionary.encode(sequence) for sequence in sequences]
-        )
-        results = {
-            partitioner: DSeqMiner(
-                RUNNING_EXAMPLE_PATEX, 2, ex_dictionary,
-                cluster=ClusterConfig(num_workers=4, partitioner=partitioner),
-            ).mine(database)
-            for partitioner in ("hash", "planned")
-        }
-        hash_metrics = results["hash"].metrics
-        planned_metrics = results["planned"].metrics
-        assert results["planned"].patterns() == results["hash"].patterns()
-        assert planned_metrics.partitioner == "planned"
-        assert hash_metrics.partitioner == "hash"
-        assert planned_metrics.shuffle_bytes == hash_metrics.shuffle_bytes
-        assert planned_metrics.partition_imbalance <= hash_metrics.partition_imbalance
-        assert (
-            planned_metrics.modeled_straggler_seconds
-            <= hash_metrics.modeled_straggler_seconds
-        )
-
-
-class TestJobPlanner:
-    """The per-miner plan cache: estimate once, replay everywhere."""
-
-    def test_repeated_mine_calls_estimate_once(
-        self, ex_dictionary, ex_database, monkeypatch
-    ):
-        """Two mine() calls over one corpus share a single estimation pass."""
-        import repro.core.balance as balance
-
-        calls: list[str] = []
-        real = balance.plan_job_partitions
-
-        def spy(job, records, num_reduce_tasks, **kwargs):
-            calls.append(type(job).__name__)
-            return real(job, records, num_reduce_tasks, **kwargs)
-
-        monkeypatch.setattr(balance, "plan_job_partitions", spy)
-        miner = DSeqMiner(
-            RUNNING_EXAMPLE_PATEX, 2, ex_dictionary,
-            cluster=ClusterConfig(num_workers=2, partitioner="planned"),
-        )
-        first = miner.mine(ex_database)
-        after_first = len(calls)
-        assert after_first == 1  # one job, one estimation
-        second = miner.mine(ex_database)
-        assert len(calls) == after_first  # cache hit: the plan is replayed
-        assert second.patterns() == first.patterns()
-        assert second.metrics.partitioner == "planned"
-        # The cached plan is literally the same object across calls.
-        planner = miner._job_planner
-        assert len(planner._plans) == 1
-
-    def test_distinct_corpora_get_their_own_plans(
-        self, ex_dictionary, ex_database, monkeypatch
-    ):
-        import repro.core.balance as balance
-
-        calls: list[str] = []
-        real = balance.plan_job_partitions
-
-        def spy(job, records, num_reduce_tasks, **kwargs):
-            calls.append(type(job).__name__)
-            return real(job, records, num_reduce_tasks, **kwargs)
-
-        monkeypatch.setattr(balance, "plan_job_partitions", spy)
-        miner = DSeqMiner(
-            RUNNING_EXAMPLE_PATEX, 2, ex_dictionary,
-            cluster=ClusterConfig(num_workers=2, partitioner="planned"),
-        )
-        miner.mine(ex_database)
-        other = SequenceDatabase([list(sequence) * 2 for sequence in ex_database])
-        miner.mine(other)
-        assert len(calls) == 2  # a different corpus is a different cache key
-
-    def test_hash_partitioner_never_estimates(
-        self, ex_dictionary, ex_database, monkeypatch
-    ):
-        import repro.core.balance as balance
-
-        def boom(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("hash-partitioned mining must not plan")
-
-        monkeypatch.setattr(balance, "plan_job_partitions", boom)
-        miner = DSeqMiner(
-            RUNNING_EXAMPLE_PATEX, 2, ex_dictionary,
-            cluster=ClusterConfig(num_workers=2, partitioner="hash"),
-        )
-        result = miner.mine(ex_database)
-        assert result.metrics.partitioner == "hash"
-        assert not hasattr(miner, "_job_planner")

