@@ -104,12 +104,11 @@ def add_grid_argument(parser: ArgumentParser) -> None:
         choices=GRIDS,
         default=DEFAULT_GRID,
         help=(
-            "position-state grid engine for pivot search, rewriting, and "
-            "early stopping: 'flat' is one forward pass of sorted-run pivot "
-            "merges over bitmask reachability rows, with per-worker grid "
-            "memos, 'legacy' is "
-            "the per-edge-object reference implementation (slower; for "
-            f"debugging) (default: {DEFAULT_GRID})"
+            "position-state grid engine of D-SEQ's map (pivot search and "
+            "rewriting): 'flat' is two kernel passes per record, bitmask "
+            "reachability rows and one forward pass of sorted-run pivot "
+            "merges; 'legacy' is the per-edge-object reference "
+            f"implementation (slower; for debugging) (default: {DEFAULT_GRID})"
         ),
     )
 

@@ -12,37 +12,40 @@ The three enhancements evaluated in Fig. 10a are individually switchable:
 * ``use_early_stopping`` -- drop sequences from projected databases once they
                         can no longer produce the pivot item.
 
-Two performance layers sit underneath (both with debugging references):
+The grid is computed, not built: per record the map asks the kernel for its
+:meth:`~repro.fst.compiled.MiningKernel.reachability_table` and, for an
+accepted sequence only, one forward
+:meth:`~repro.fst.compiled.MiningKernel.pivot_table` pass that returns the
+pivot set and one relevance threshold per position; each pivot's
+representation is then a slice (:func:`~repro.core.rewriting.rewrite`).  No
+grid object and no per-record memo entry exist on the map path: records of
+the corpus's unique view never repeat within a job.  The
+:class:`~repro.mapreduce.ClusterConfig`'s ``grid="legacy"`` swaps in the
+reference :class:`~repro.core.pivot_search.PositionStateGrid`.  The reduce
+side builds no grid: a rewritten sequence landing in several partitions builds
+its :class:`~repro.core.local_mining.MiningTables` once per worker, in the
+memo of :mod:`repro.core.grid_engine`.
 
-* the :class:`~repro.mapreduce.ClusterConfig`'s ``grid`` selects the
-  position–state grid engine — ``"flat"`` (the one-pass
-  :class:`~repro.core.grid_engine.FlatPivotGrid`, default) or ``"legacy"``
-  (the reference :class:`~repro.core.pivot_search.PositionStateGrid`) on the
-  map side; grids are memoized per worker
-  (:func:`~repro.core.grid_engine.cached_grid`), so a sequence repeating across
-  chunks builds its grid once.  The reduce side builds no grid: a rewritten
-  sequence landing in several partitions builds its
-  :class:`~repro.core.local_mining.MiningTables` once, in the same memo;
-* ``dedup`` mines the corpus's
-  :meth:`~repro.sequences.store.EncodedSequenceStore.unique_view`: one
-  weighted record per distinct input sequence, so map work drops
-  proportionally to duplication instead of only deduplicating post-shuffle in
-  the combiner.
+``dedup`` mines the corpus's
+:meth:`~repro.sequences.store.EncodedSequenceStore.unique_view`: one weighted
+record per distinct input sequence, so map work drops proportionally to
+duplication instead of only deduplicating post-shuffle in the combiner.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import partial
 
 from repro.core.cluster_miner import ClusterMiner
-from repro.core.grid_engine import cached_grid, normalize_grid
 from repro.core.local_mining import DesqDfsMiner
-from repro.core.pivot_search import pivots_by_run_enumeration
-from repro.core.rewriting import rewrite_for_pivot
+from repro.core.pivot_search import PositionStateGrid, pivots_by_run_enumeration
+from repro.core.rewriting import rewrite, rewrite_for_pivot
 from repro.dictionary import Dictionary
 from repro.errors import CandidateExplosionError
 from repro.fst import DEFAULT_MAX_RUNS, Fst, MiningKernel, ensure_kernel, make_kernel
 from repro.mapreduce import ClusterConfig, MapReduceJob
+from repro.mapreduce.job import normalize_grid
 from repro.patex import PatEx
 from repro.sequences import fold_weighted_values, record_parts
 
@@ -75,14 +78,20 @@ class DSeqJob(MapReduceJob):
         self.grid = normalize_grid(grid)
         self.max_frequent_fid = self.dictionary.largest_frequent_fid(sigma)
 
-    def _grid_for(self, sequence: tuple[int, ...], span_hash: int | None = None):
-        return cached_grid(
-            self.kernel,
-            sequence,
-            max_frequent_fid=self.max_frequent_fid,
-            grid=self.grid,
-            span_hash=span_hash,
-        )
+    def _grid_answers(self, sequence: tuple[int, ...]):
+        """``(K(T), rewrite)`` of the position–state grid's dynamic program,
+        where ``rewrite(pivot)`` is ρ_pivot(T)."""
+        if self.grid == "legacy":
+            grid = PositionStateGrid(
+                self.kernel, sequence, max_frequent_fid=self.max_frequent_fid
+            )
+            return grid.pivot_items(), partial(rewrite_for_pivot, grid)
+        kernel = self.kernel
+        alive = kernel.reachability_table(sequence)
+        if not (alive[0] >> kernel.initial_state) & 1:
+            return set(), None  # rejected: no pivot, nothing to rewrite
+        pivots, relevance = kernel.pivot_table(sequence, alive, self.max_frequent_fid)
+        return pivots, partial(rewrite, sequence, relevance)
 
     # ------------------------------------------------------------------- map
     def map(self, record) -> Iterable[tuple[int, tuple]]:
@@ -92,13 +101,15 @@ class DSeqJob(MapReduceJob):
         :class:`~repro.sequences.store.WeightedSequence` records (the
         corpus-level dedup) carry their multiplicity along with the rewritten
         representation so the combiner and reducer count them correctly.
+        Pivots are emitted in the pivot set's iteration order: the combiner's
+        first-occurrence order, and with it the wire layout, follows it.
         """
         sequence, weight = record_parts(record)
-        grid = None
+        answers = None
         if self.use_grid or self.use_rewriting:
-            grid = self._grid_for(sequence, getattr(record, "span_hash", None))
+            answers = self._grid_answers(sequence)
         if self.use_grid:
-            pivots = grid.pivot_items()
+            pivots = answers[0]
         else:
             try:
                 pivots = pivots_by_run_enumeration(
@@ -111,14 +122,10 @@ class DSeqJob(MapReduceJob):
                 # Without the grid, run enumeration can explode; D-SEQ then
                 # falls back to the grid for this sequence (the ablation in
                 # Fig. 10a measures the cost of reaching this point).
-                if grid is None:
-                    grid = self._grid_for(sequence, getattr(record, "span_hash", None))
-                pivots = grid.pivot_items()
+                pivots = (answers or self._grid_answers(sequence))[0]
+        rewriter = answers[1] if self.use_rewriting else None
         for pivot in pivots:
-            if self.use_rewriting:
-                representation = rewrite_for_pivot(grid, pivot)
-            else:
-                representation = sequence
+            representation = sequence if rewriter is None else rewriter(pivot)
             if weight == 1:
                 yield pivot, representation
             else:

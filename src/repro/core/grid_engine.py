@@ -1,35 +1,26 @@
-"""Flat pivot-grid engine: one-pass position–state grid plus the per-worker memo.
+"""The flat pivot grid (kept for the replay and the tests) plus the per-worker memo.
 
-The position–state grid (Sec. V-A/V-B) is the dominant map-side computation of
-D-SEQ.  The pivot-aware local miner reads no grid: its early-stopping oracle
-is :meth:`~repro.fst.compiled.MiningKernel.last_producing_table`, and a grid's
-``last_pivot_producing_position`` is the reference the tests hold that table
-against.  The reference implementation in :mod:`repro.core.pivot_search` is
-deliberately literal — one :class:`~repro.core.pivot_search.GridEdge`
-dataclass per live edge and a ``dict[state] -> set`` pivot table per position.
-This module is the performance engine built on the same theory:
+The position–state grid (Sec. V-A/V-B) is what D-SEQ's map computes, but the
+product builds no grid object for it: :class:`~repro.core.dseq.DSeqJob`
+asks the kernel two passes per record —
+:meth:`~repro.fst.compiled.MiningKernel.reachability_table` and, for an accepted
+sequence only, :meth:`~repro.fst.compiled.MiningKernel.pivot_table` — and
+rewrites with :func:`~repro.core.rewriting.rewrite`.  The reduce side builds no
+grid either (its early-stopping oracle is
+:meth:`~repro.fst.compiled.MiningKernel.last_producing_table`).
 
-* :class:`FlatPivotGrid` is the kernel's backward reachability table (one
-  state bitmask per position) and, for accepted sequences only, **one forward
-  pass** that stores nothing per edge: pivot sets are carried as **sorted
-  runs** (tuples ordered ascending), the ⊕ merge of Theorem 1 is evaluated
-  over the sorted runs directly with an O(1) fast path for ε output sets, and
-  only the previous, the current and the final row exist.  Inside the same
-  loop the pass records what :func:`~repro.core.rewriting.rewrite_for_pivot`
-  and ``last_pivot_producing_position`` ask later — a relevance threshold per
-  position and the last producing position per output item — so the per-pivot
-  queries of D-SEQ's map loop are list scans and dict lookups.  A rejected
-  sequence costs its reachability table and nothing else.
+* :class:`FlatPivotGrid` wraps the same two passes in the grid interface of the
+  reference :class:`~repro.core.pivot_search.PositionStateGrid`
+  (``pivot_items``, ``relevant_range``, ``last_pivot_producing_position``),
+  which the equivalence suites hold against each other and the end-to-end
+  replay (``benchmarks/e2e/replay.py``) calls through :func:`cached_grid`.
 * :func:`memoized` is one bounded per-worker memo of per-sequence values,
   keyed by ``(kind, kernel fingerprint, encoded sequence, frequency filter)``.
-  :func:`cached_grid` keeps the map side's grids in it — a sequence repeating
-  across chunks builds its grid once per worker process — and the reduce side
-  keeps its :class:`~repro.core.local_mining.MiningTables` there (kind
-  ``"tables"``; a reducer never builds a grid), so both compete for the same
-  limit and evict each other first-in, first-out.  A forked pool worker
-  starts with the memo its driver had (usually empty) and the driver's limit;
-  the job — and with it the kernel the keys fingerprint — reaches it once,
-  through the pool initializer, so the memo serves every task the worker runs.
+  The reduce side keeps its :class:`~repro.core.local_mining.MiningTables`
+  there (kind ``"tables"``): a rewritten sequence landing in several
+  partitions builds its tables once per worker.  :func:`cached_grid` keeps
+  grids in the same memo.  A forked pool worker starts with the memo its
+  driver had (usually empty) and the driver's limit.
 
 ``grid="legacy"`` selects the reference engine wherever the knob is exposed
 (:class:`~repro.mapreduce.ClusterConfig`, ``--grid``, :class:`~repro.core.dseq.DSeqJob`);
@@ -40,131 +31,33 @@ from __future__ import annotations
 
 import threading
 from array import array
-from bisect import bisect_left
 from collections.abc import Sequence
 
-from repro.core.pivot_search import GridEdge, PositionStateGrid
-from repro.dictionary import EPSILON_FID, Dictionary
+from repro.core.pivot_search import PositionStateGrid
+from repro.core.rewriting import relevant_range
+from repro.dictionary import Dictionary
 from repro.errors import MiningError
 from repro.fst import Fst, MiningKernel, ensure_kernel
-from repro.fst.labels import EPSILON_OUTPUT
 # The engine names live beside the job model, where ClusterConfig checks them.
 from repro.mapreduce.job import DEFAULT_GRID as DEFAULT_GRID
 from repro.mapreduce.job import GRIDS as GRIDS
 from repro.mapreduce.job import normalize_grid
 
-#: Relevance threshold of a position no pivot finds relevant: no live edge
-#: there changes state or produces an item (larger than any fid).
-_NEVER_RELEVANT = (1 << 64) - 1
-
-
-# ------------------------------------------------------------ sorted-run merge
-def merge_sorted_runs(
-    left: Sequence[int], right: Sequence[int]
-) -> tuple[int, ...]:
-    """The ⊕ operator of Theorem 1 over two *sorted* runs of distinct items.
-
-    ``U ⊕ Q = {ω ∈ U | ω ≥ min(Q)} ∪ {ω ∈ Q | ω ≥ min(U)}`` — with sorted
-    runs both operand restrictions are suffixes found by one bisect each, and
-    the union is a linear merge.  Returns a sorted tuple; an empty operand
-    annihilates the merge, exactly like :func:`~repro.core.pivot_search.pivot_merge`.
-    """
-    if not left or not right:
-        return ()
-    min_left = left[0]
-    min_right = right[0]
-    i = 0 if min_left >= min_right else bisect_left(left, min_right)
-    j = 0 if min_right >= min_left else bisect_left(right, min_left)
-    left_size = len(left)
-    right_size = len(right)
-    merged: list[int] = []
-    append = merged.append
-    while i < left_size and j < right_size:
-        a = left[i]
-        b = right[j]
-        if a < b:
-            append(a)
-            i += 1
-        elif b < a:
-            append(b)
-            j += 1
-        else:
-            append(a)
-            i += 1
-            j += 1
-    if i < left_size:
-        merged.extend(left[i:])
-    elif j < right_size:
-        merged.extend(right[j:])
-    return tuple(merged)
-
-
-def union_sorted_runs(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
-    """Union of two sorted runs of distinct items, as a sorted run."""
-    if not left:
-        return right
-    if not right:
-        return left
-    if left[-1] < right[0]:
-        return left + right
-    if right[-1] < left[0]:
-        return right + left
-    merged: list[int] = []
-    append = merged.append
-    i = j = 0
-    left_size = len(left)
-    right_size = len(right)
-    while i < left_size and j < right_size:
-        a = left[i]
-        b = right[j]
-        if a < b:
-            append(a)
-            i += 1
-        elif b < a:
-            append(b)
-            j += 1
-        else:
-            append(a)
-            i += 1
-            j += 1
-    merged.extend(left[i:] if i < left_size else right[j:])
-    return tuple(merged)
-
 
 # ------------------------------------------------------------------- the grid
 class FlatPivotGrid:
-    """One-pass position–state grid (the ``grid="flat"`` engine).
+    """The ``grid="flat"`` engine: the kernel's two passes behind the grid
+    interface.
 
-    Construction is the kernel's reachability table (one state bitmask per
-    position) followed — only when the sequence has an accepting run — by one
-    forward pass running the same dynamic program as
-    :class:`~repro.core.pivot_search.PositionStateGrid`: every live edge,
-    reachable coordinate and pivot set it meets is identical, which is what
-    the differential suite checks.  The pass keeps what the mining path asks
-    for and nothing per edge:
-
-    * pivot sets ``K(i, q)`` are sorted tuples merged with
-      :func:`merge_sorted_runs` (⊕) and :func:`union_sorted_runs`, with ε
-      output sets short-circuiting to the unchanged source run; only the
-      previous and the current row are alive, and the final row is kept
-      (:meth:`pivot_items`);
-    * per position, the smallest pivot for which the position is relevant —
-      ``0`` when a live edge changes the FST state, else the minimum output
-      item of its live edges — which answers :meth:`relevant_range` for *any*
-      pivot with two early-exiting scans;
-    * the last producing position of every output item (walking forward, the
-      last write wins), which answers :meth:`last_pivot_producing_position`
-      with a dict lookup (read by the equivalence suites only: reducers ask
-      :class:`~repro.core.local_mining.MiningTables`).
-
-    A sequence without an accepting run holds its reachability table and
-    nothing else.  :meth:`edges_at`, :meth:`live_edges` and :meth:`pivot_set`
-    are inspection API for the equivalence suites: each call re-runs the
-    forward pass with a recorder.
-
-    The interface mirrors the legacy grid, so
-    :func:`~repro.core.rewriting.rewrite_for_pivot` and the miners accept
-    either engine.
+    Construction is :meth:`~repro.fst.compiled.MiningKernel.reachability_table`
+    and — only when the sequence is non-empty and has an accepting run —
+    :meth:`~repro.fst.compiled.MiningKernel.pivot_table`, which runs the
+    dynamic program of :class:`~repro.core.pivot_search.PositionStateGrid`
+    and keeps its answers: the pivot set and one relevance threshold per
+    position.  :meth:`last_pivot_producing_position` reads
+    :meth:`~repro.fst.compiled.MiningKernel.last_producing_table` on first
+    use.  A sequence without an accepting run holds its reachability table
+    and nothing else.
     """
 
     kind = "flat"
@@ -186,77 +79,13 @@ class FlatPivotGrid:
         self._alive = kernel.reachability_table(sequence)
         # Also right for the empty sequence: its one row is the final states.
         self._has_accepting_run = bool((self._alive[0] >> kernel.initial_state) & 1)
-        # K(n, q) as sorted runs; per-position relevance thresholds; last
-        # producing position per output item.  Filled by the forward pass.
-        self._final_row: dict[int, tuple[int, ...]] | None = None
+        self._pivots: set[int] | None = None
         self._relevance: list[int] | None = None
         self._last_producing: dict[int, int] | None = None
         if self._has_accepting_run and sequence:
-            self._final_row, self._relevance, self._last_producing = self._forward()
-
-    # ------------------------------------------------------------ construction
-    def _forward(self, trace: list | None = None):
-        """The forward pass: ``(final K row, relevance, last producing)``.
-
-        A pure function of the grid's kernel, sequence, reachability table and
-        frequency filter.  Output sets are ε or ε-free ascending runs (see
-        :meth:`~repro.fst.labels.Label.outputs`), so a set's minimum is its
-        first item.  With a ``trace`` list (inspection only), the K row and
-        the ``(source, target, tid, outputs)`` live edges of every position
-        from 1 on are appended to it.
-        """
-        kernel = self.kernel
-        sequence = self.sequence
-        max_frequent_fid = self.max_frequent_fid
-        alive = self._alive
-        matching = kernel.matching
-        target_of = kernel.target
-        filtered_outputs = kernel.filtered_outputs
-        relevance = [_NEVER_RELEVANT] * (len(sequence) + 1)
-        last_producing: dict[int, int] = {}
-        edges = None
-        row: dict[int, tuple[int, ...]] = {kernel.initial_state: EPSILON_OUTPUT}
-        position = 0
-        for item in sequence:
-            position += 1
-            mask = alive[position]
-            current: dict[int, tuple[int, ...]] = {}
-            threshold = _NEVER_RELEVANT
-            if trace is not None:
-                edges = []
-                trace.append((current, edges))
-            for source, source_pivots in row.items():
-                if not source_pivots:
-                    continue
-                for tid in matching(source, item):
-                    target = target_of(tid)
-                    if not (mask >> target) & 1:
-                        continue
-                    outputs = filtered_outputs(tid, item, max_frequent_fid)
-                    if edges is not None:
-                        edges.append((source, target, tid, outputs))
-                    if source != target:
-                        threshold = 0
-                    if outputs == EPSILON_OUTPUT:
-                        # U ⊕ {ε} = U: share the source run, no allocation.
-                        contribution = source_pivots
-                    else:
-                        contribution = merge_sorted_runs(source_pivots, outputs)
-                        if outputs:
-                            if outputs[0] < threshold:
-                                threshold = outputs[0]
-                            for output in outputs:
-                                last_producing[output] = position
-                    bucket = current.get(target)
-                    if bucket is None:
-                        # Record the coordinate even when no frequent candidate
-                        # passes through this particular edge (empty run).
-                        current[target] = contribution
-                    elif contribution and bucket is not contribution:
-                        current[target] = union_sorted_runs(bucket, contribution)
-            relevance[position] = threshold
-            row = current
-        return row, relevance, last_producing
+            self._pivots, self._relevance = kernel.pivot_table(
+                sequence, self._alive, max_frequent_fid
+            )
 
     # ------------------------------------------------------------------ access
     @property
@@ -270,75 +99,30 @@ class FlatPivotGrid:
         (shared, read-only by convention)."""
         return self._alive
 
-    def _replay(self) -> list:
-        """``(K row, live edges)`` per position 0..n, re-walked on demand."""
-        if self._final_row is None:  # no forward pass was made: nothing is live
-            return [({}, [])] * (len(self.sequence) + 1)
-        trace: list = [({self.kernel.initial_state: EPSILON_OUTPUT}, [])]
-        self._forward(trace)
-        return trace
-
-    def edges_at(self, position: int) -> list[GridEdge]:
-        """Live edges consuming the item at 1-based ``position`` (inspection)."""
-        transition = self.kernel.transition
-        return [
-            GridEdge(position, source, target, transition(tid), outputs)
-            for source, target, tid, outputs in self._replay()[position][1]
-        ]
-
-    def live_edges(self):
-        """All live edges in position order (inspection)."""
-        transition = self.kernel.transition
-        for position, (_row, edges) in enumerate(self._replay()):
-            for source, target, tid, outputs in edges:
-                yield GridEdge(position, source, target, transition(tid), outputs)
-
-    def pivot_set(self, position: int, state: int) -> set[int]:
-        """``K(i, q)``: pivots of the partial runs ending at (position, state)
-        (inspection; :meth:`pivot_items` reads the kept final row)."""
-        return set(self._replay()[position][0].get(state, ()))
-
     def pivot_items(self) -> set[int]:
-        """``K(T)``: the pivot items of the whole input sequence."""
-        row = self._final_row
-        if not row:
-            return set()
-        pivots: set[int] = set()
-        for state in self.kernel.final_states:
-            run = row.get(state)
-            if run:
-                pivots.update(run)
-        pivots.discard(EPSILON_FID)
-        return pivots
+        """``K(T)``: the pivot items of the whole input sequence (shared,
+        read-only by convention: its iteration order is D-SEQ's emission
+        order)."""
+        return set() if self._pivots is None else self._pivots
 
     # ------------------------------------------------ rewriting & early stopping
     def relevant_range(self, pivot: int) -> tuple[int, int]:
-        """First and last relevant 1-based positions for ``pivot`` (Sec. V-B).
-
-        A position is relevant when a live edge there changes the FST state or
-        can produce a non-ε output item ``<= pivot`` — one threshold per
-        position, so each query is two early-exiting scans.
-        """
-        n = len(self.sequence)
-        relevance = self._relevance
-        if relevance is None:
-            return 1, n
-        first = 0
-        for position in range(1, n + 1):
-            if relevance[position] <= pivot:
-                first = position
-                break
-        if not first:
-            return 1, n
-        for position in range(n, first - 1, -1):
-            if relevance[position] <= pivot:
-                return first, position
-        return first, first  # pragma: no cover - first always qualifies
+        """First and last relevant 1-based positions for ``pivot`` (Sec. V-B;
+        see :func:`~repro.core.rewriting.relevant_range`)."""
+        if self._relevance is None:
+            return 1, len(self.sequence)
+        return relevant_range(self._relevance, pivot)
 
     def last_pivot_producing_position(self, pivot: int) -> int:
         """The last 1-based position whose live edges can output ``pivot``."""
+        if self._pivots is None:
+            return 0
         last_producing = self._last_producing
-        return last_producing.get(pivot, 0) if last_producing else 0
+        if last_producing is None:
+            last_producing = self._last_producing = self.kernel.last_producing_table(
+                self.sequence, self._alive, self.max_frequent_fid
+            )
+        return last_producing.get(pivot, 0)
 
 
 #: Engine name -> grid class.
@@ -403,42 +187,13 @@ def grid_memo_info() -> dict[str, int]:
     }
 
 
-class _SpanKey:
-    """Memo-key component that reuses a precomputed span hash.
-
-    Records produced by the dedup store's ``unique_view()`` carry the hash of
-    their already-encoded span; wrapping the item tuple with that hash skips
-    re-encoding and re-hashing the sequence bytes on every memo lookup.
-    Equality still compares the items themselves, so a hash collision can only
-    cost a probe, never return the wrong grid.  A ``_SpanKey`` never compares
-    equal to the plain ``bytes`` encoding, so mixing hashed and raw records
-    can at worst duplicate a memo entry.
-    """
-
-    __slots__ = ("_items", "_hash")
-
-    def __init__(self, items: tuple, span_hash: int) -> None:
-        self._items = items
-        self._hash = span_hash
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _SpanKey):
-            return self._items == other._items
-        return NotImplemented
-
-
-def _memo_key(kernel: MiningKernel, sequence, max_frequent_fid, name, span_hash=None):
+def _memo_key(kernel: MiningKernel, sequence, max_frequent_fid, name):
     """The :func:`memoized` key of ``name``'s value for a sequence."""
     # Compiled kernels carry a content fingerprint; other kernels fall back to
     # object identity, which is safe because every memoized value holds
     # a reference to its kernel (an id cannot be recycled while entries for it
     # remain alive).
     fingerprint = getattr(kernel, "fingerprint", None) or id(kernel)
-    if span_hash is not None:
-        return (name, fingerprint, _SpanKey(tuple(sequence), span_hash), max_frequent_fid)
     try:
         encoded = array("q", sequence).tobytes()
     except OverflowError:  # fids beyond 2**63 fall back to the tuple itself
@@ -482,14 +237,12 @@ def cached_grid(
     """A built grid from this worker's memo, building (and caching) on a miss.
 
     Keyed by ``(grid engine, kernel fingerprint, encoded sequence, frequency
-    filter)``, so repeated input sequences across map chunks build their grid
-    once per worker process.  Pass ``span_hash`` when the record already
-    carries the dedup store's span hash to skip re-encoding the sequence for
-    the key (see :class:`_SpanKey`).
+    filter)``.  ``span_hash`` is accepted and ignored (an older caller passes
+    one).
     """
     kernel = ensure_kernel(fst, dictionary)
     name = normalize_grid(grid)
     return memoized(
-        _memo_key(kernel, sequence, max_frequent_fid, name, span_hash),
+        _memo_key(kernel, sequence, max_frequent_fid, name),
         lambda: make_grid(kernel, sequence, max_frequent_fid=max_frequent_fid, grid=name),
     )

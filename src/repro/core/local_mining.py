@@ -15,10 +15,9 @@ The work is split by what it depends on.  *Per sequence* — a function of
 finishable and last-producing tables and the step index of
 :class:`MiningTables`, each a pass over state sets along the kernel's per-item
 edge list; no position–state grid is built.  Under a pivot they are kept in
-the per-worker memo the map side's grids use
-(:func:`~repro.core.grid_engine.memoized`), so a rewritten sequence that lands
-in many partitions, and is met at every search-tree node of each, computes
-them once per worker.  *Per partition* are a weight, one lookup of the last
+the per-worker memo (:func:`~repro.core.grid_engine.memoized`), so a
+rewritten sequence that lands in many partitions, and is met at every
+search-tree node of each, computes them once per worker.  *Per partition* are a weight, one lookup of the last
 pivot-producing position and the search itself, which only filters the shared
 step pairs by the pivot and the early-stopping cut.
 

@@ -30,15 +30,93 @@ from __future__ import annotations
 import hashlib
 import pickle
 from array import array
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 
-from repro.dictionary import Dictionary
+from repro.dictionary import EPSILON_FID, Dictionary
 from repro.errors import FstError
 from repro.fst.fst import Fst, Transition
 from repro.fst.labels import EPSILON_OUTPUT, Label
 
 #: Matcher opcodes of compiled labels.
 _MATCH_ALL, _MATCH_EQ, _MATCH_DESC = 0, 1, 2
+
+#: Relevance threshold of a position no pivot finds relevant: no live edge
+#: there changes state or produces an item (larger than any fid).
+_NEVER_RELEVANT = (1 << 64) - 1
+
+
+# ------------------------------------------------------------ sorted-run merge
+def merge_sorted_runs(
+    left: Sequence[int], right: Sequence[int]
+) -> tuple[int, ...]:
+    """The ⊕ operator of Theorem 1 over two *sorted* runs of distinct items.
+
+    ``U ⊕ Q = {ω ∈ U | ω ≥ min(Q)} ∪ {ω ∈ Q | ω ≥ min(U)}`` — with sorted
+    runs both operand restrictions are suffixes found by one bisect each, and
+    the union is a linear merge.  Returns a sorted tuple; an empty operand
+    annihilates the merge, exactly like :func:`~repro.core.pivot_search.pivot_merge`.
+    """
+    if not left or not right:
+        return ()
+    min_left = left[0]
+    min_right = right[0]
+    i = 0 if min_left >= min_right else bisect_left(left, min_right)
+    j = 0 if min_right >= min_left else bisect_left(right, min_left)
+    left_size = len(left)
+    right_size = len(right)
+    merged: list[int] = []
+    append = merged.append
+    while i < left_size and j < right_size:
+        a = left[i]
+        b = right[j]
+        if a < b:
+            append(a)
+            i += 1
+        elif b < a:
+            append(b)
+            j += 1
+        else:
+            append(a)
+            i += 1
+            j += 1
+    if i < left_size:
+        merged.extend(left[i:])
+    elif j < right_size:
+        merged.extend(right[j:])
+    return tuple(merged)
+
+
+def union_sorted_runs(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
+    """Union of two sorted runs of distinct items, as a sorted run."""
+    if not left:
+        return right
+    if not right:
+        return left
+    if left[-1] < right[0]:
+        return left + right
+    if right[-1] < left[0]:
+        return right + left
+    merged: list[int] = []
+    append = merged.append
+    i = j = 0
+    left_size = len(left)
+    right_size = len(right)
+    while i < left_size and j < right_size:
+        a = left[i]
+        b = right[j]
+        if a < b:
+            append(a)
+            i += 1
+        elif b < a:
+            append(b)
+            j += 1
+        else:
+            append(a)
+            i += 1
+            j += 1
+    merged.extend(left[i:] if i < left_size else right[j:])
+    return tuple(merged)
 
 
 class MiningKernel:
@@ -48,8 +126,9 @@ class MiningKernel:
     :class:`~repro.dictionary.Dictionary` and answers the hot-loop queries of
     every consumer: matching transition ids per (state, item), transition
     targets/capture flags, (filtered) output sets, the per-item edge list
-    (:meth:`edge_rows`) and the three per-sequence tables derived from state
-    sets: reachability, finishable and last producing position.
+    (:meth:`edge_rows`), the three per-sequence tables derived from state
+    sets — reachability, finishable and last producing position — and the
+    forward pivot pass of D-SEQ's map (:meth:`pivot_table`).
     """
 
     def __init__(self, fst: Fst, dictionary: Dictionary) -> None:
@@ -205,6 +284,70 @@ class MiningKernel:
             states = reached
         return last
 
+    def pivot_table(
+        self, sequence: Sequence[int], alive: list[int], max_frequent_fid: int | None
+    ) -> tuple[set[int], list[int]]:
+        """``K(T)`` and per-position relevance thresholds (Sec. V-A/V-B).
+
+        The position–state grid's dynamic program as one forward pass over
+        :meth:`edge_rows` that stores nothing per edge.  Pivot sets ``K(i, q)``
+        are sorted runs merged with :func:`merge_sorted_runs` (⊕) and
+        :func:`union_sorted_runs`; an ε output shares the source run; a
+        coordinate is kept even when its run is empty, and a source with an
+        empty run is skipped.  Only the previous and the current row exist.
+        The frequency filter takes the prefix of each ascending output set.
+
+        ``relevance[i]`` is the smallest pivot for which position ``i`` is
+        relevant — ``0`` when a live edge there changes state, else the
+        smallest output item of its live edges, else a sentinel above every fid
+        (``relevance[0]`` is unused).  ``alive`` is the sequence's
+        :meth:`reachability_table`, which must accept it.  The pivot set is
+        built over :attr:`final_states` in their iteration order, so its own
+        iteration order is a function of the final row alone.
+        """
+        limit = float("inf") if max_frequent_fid is None else max_frequent_fid
+        edge_rows = self.edge_rows
+        relevance = [_NEVER_RELEVANT] * (len(sequence) + 1)
+        row: dict[int, tuple[int, ...]] = {self.initial_state: EPSILON_OUTPUT}
+        position = 0
+        for item in sequence:
+            position += 1
+            rows = edge_rows(item)
+            mask = alive[position]
+            current: dict[int, tuple[int, ...]] = {}
+            threshold = _NEVER_RELEVANT
+            for source, source_pivots in row.items():
+                if not source_pivots:
+                    continue
+                for target, outputs in rows[source]:
+                    if not (mask >> target) & 1:
+                        continue
+                    if source != target:
+                        threshold = 0
+                    if outputs is None:
+                        # U ⊕ {ε} = U: share the source run, no allocation.
+                        contribution = source_pivots
+                    else:
+                        if outputs[-1] > limit:
+                            outputs = outputs[: bisect_right(outputs, limit)]
+                        contribution = merge_sorted_runs(source_pivots, outputs)
+                        if outputs and outputs[0] < threshold:
+                            threshold = outputs[0]
+                    bucket = current.get(target)
+                    if bucket is None:
+                        current[target] = contribution
+                    elif contribution and bucket is not contribution:
+                        current[target] = union_sorted_runs(bucket, contribution)
+            relevance[position] = threshold
+            row = current
+        pivots: set[int] = set()
+        for state in self.final_states:
+            run = row.get(state)
+            if run:
+                pivots.update(run)
+        pivots.discard(EPSILON_FID)
+        return pivots, relevance
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"{type(self).__name__}(states={self.num_states}, "
@@ -225,7 +368,6 @@ _MEMO_FIELDS = (
     "_uncaptured_edges",
     "_finishable_memo",
     "_output_memo",
-    "_filtered_memo",
     "_backward_memo",
 )
 
@@ -327,7 +469,6 @@ class CompiledFst(MiningKernel):
         self._uncaptured_edges: dict[int, tuple[int, None]] = {}
         self._finishable_memo: dict[tuple[int, int], int] = {}
         self._output_memo: dict[tuple[Label, int], tuple[int, ...]] = {}
-        self._filtered_memo: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._backward_memo: dict[int | tuple, dict[int, int]] = {}
 
     # ---------------------------------------------------------------- pickling
@@ -397,21 +538,6 @@ class CompiledFst(MiningKernel):
         if cached is None:
             cached = self._labels[tid].outputs(item, self.dictionary)
             self._output_memo[key] = cached
-        return cached
-
-    def filtered_outputs(
-        self, tid: int, item: int, max_frequent_fid: int | None
-    ) -> tuple[int, ...]:
-        if max_frequent_fid is None:
-            return self.outputs(tid, item)
-        key = (tid, item, max_frequent_fid)
-        cached = self._filtered_memo.get(key)
-        if cached is None:
-            outputs = self.outputs(tid, item)
-            if outputs != EPSILON_OUTPUT:
-                outputs = tuple(fid for fid in outputs if fid <= max_frequent_fid)
-            cached = outputs
-            self._filtered_memo[key] = cached
         return cached
 
     # ------------------------------------------------------------- DP tables

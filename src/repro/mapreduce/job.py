@@ -23,7 +23,7 @@ from typing import Any
 from repro.errors import MiningError
 
 #: Grid-engine choices of D-SEQ's map side (:mod:`repro.core.grid_engine`):
-#: ``"flat"`` is the one-pass engine, ``"legacy"`` the per-edge reference.
+#: ``"flat"`` is the kernel's two passes, ``"legacy"`` the per-edge reference.
 #: Named here, beside the job model, so that
 #: :class:`~repro.mapreduce.ClusterConfig` validates it without importing
 #: the engine.

@@ -69,34 +69,6 @@ class WeightedSequence(NamedTuple):
     weight: int
 
 
-class HashedWeightedSequence(WeightedSequence):
-    """A :class:`WeightedSequence` carrying the hash of its encoded span.
-
-    :meth:`EncodedSequenceStore.unique_view` already hashes every record's
-    encoded span to group duplicates; records from the view carry that hash so
-    downstream per-sequence memo lookups (the grid memo's
-    :class:`~repro.core.grid_engine._SpanKey`) can reuse it instead of
-    re-encoding and re-hashing the items.  The hash rides as an instance
-    attribute, not a tuple field, so equality with plain 2-field
-    ``WeightedSequence`` records — and every existing tuple comparison — is
-    unchanged.
-
-    Pickling deliberately drops the hash and yields a plain 2-field
-    ``WeightedSequence``: ``hash()`` of a bytes span is salted per process, so
-    a hash shipped to a pool worker would never match the hashes that worker
-    computes locally — it would only inflate the per-task input pickles
-    (``map_input_pickle_bytes``) for a memo key the receiver cannot use.
-    """
-
-    def __new__(cls, sequence, weight, span_hash):
-        self = tuple.__new__(cls, (sequence, weight))
-        self.span_hash = span_hash
-        return self
-
-    def __reduce__(self):
-        return (WeightedSequence, (self.sequence, self.weight))
-
-
 def record_parts(record) -> tuple[tuple[int, ...], int]:
     """Normalize a map-input record to ``(sequence, weight)``.
 
@@ -264,9 +236,6 @@ class EncodedSequenceStore(Sequence):
         self._owner = owner
         self._unique: "EncodedSequenceStore | None" = None
         self._content_hash: str | None = None
-        # Per-record span hashes, set only on unique_view() products (the
-        # hashes fall out of the dedup grouping); None on every other store.
-        self._span_hashes: list[int] | None = None
 
     # ----------------------------------------------------------- construction
     @classmethod
@@ -340,13 +309,9 @@ class EncodedSequenceStore(Sequence):
         if self._weights is None:
             return sequences
         weights = self._weights[start:stop].tolist()
-        if self._span_hashes is None:
-            # What WeightedSequence(sequence, weight) builds, minus the Python
-            # frame of the NamedTuple's generated __new__ for every record.
-            return map(tuple.__new__, repeat(WeightedSequence), zip(sequences, weights))
-        return map(
-            HashedWeightedSequence, sequences, weights, self._span_hashes[start:stop]
-        )
+        # What WeightedSequence(sequence, weight) builds, minus the Python
+        # frame of the NamedTuple's generated __new__ for every record.
+        return map(tuple.__new__, repeat(WeightedSequence), zip(sequences, weights))
 
     def unique_view(self) -> "EncodedSequenceStore":
         """A weighted store grouping identical records: the corpus-level dedup.
@@ -377,9 +342,6 @@ class EncodedSequenceStore(Sequence):
                 b"".join(totals),
             )
         )
-        # The grouping pass hashed every span anyway; keep the hashes so the
-        # view's records can carry them into downstream memo keys.
-        view._span_hashes = list(map(hash, totals))
         self._unique = view
         return view
 

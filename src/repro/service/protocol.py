@@ -120,6 +120,10 @@ def decode_corpus(payload: dict):
 # -------------------------------------------------------------------- configs
 _CONFIG_FIELDS = tuple(field.name for field in dataclasses.fields(ClusterConfig))
 
+#: Largest wire ``num_workers``: 4× the 64 of the largest experiment (``table5``),
+#: well short of a pool or a simulated schedule that could exhaust the daemon.
+MAX_WIRE_WORKERS = 256
+
 
 def encode_config(config: ClusterConfig | None) -> dict | None:
     """A config as its field dict (names only — live objects cannot travel;
@@ -164,9 +168,15 @@ def decode_config(payload: dict | None) -> ClusterConfig | None:
             raise ServiceError(f"bad fault_policy on the wire: {error}") from error
         payload = {**payload, "fault_policy": policy}
     try:
-        return ClusterConfig(**payload)
+        config = ClusterConfig(**payload)
     except MapReduceError as error:
         raise ServiceError(f"bad ClusterConfig on the wire: {error}") from error
+    if config.num_workers is not None and config.num_workers > MAX_WIRE_WORKERS:
+        raise ServiceError(
+            f"num_workers on the wire must be at most {MAX_WIRE_WORKERS}, "
+            f"got {config.num_workers}"
+        )
+    return config
 
 
 # ---------------------------------------------------------------- constraints

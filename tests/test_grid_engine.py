@@ -1,13 +1,12 @@
 """Equivalence and unit tests for the flat pivot-grid engine.
 
-The one-pass :class:`~repro.core.grid_engine.FlatPivotGrid` must be
-observationally identical to the reference
-:class:`~repro.core.pivot_search.PositionStateGrid` — same alive sets, same
-pivot sets and live edges at every position (read through the flat grid's
-on-demand inspection methods), same rewrite bounds, same early-stopping oracle
-— on arbitrary pattern expressions, hierarchies, and input sequences.  These
-tests prove that with hypothesis, check the sorted-run ⊕ algebra against the
-set-based reference, and pin the behaviour of the per-worker grid memo.
+The :class:`~repro.core.grid_engine.FlatPivotGrid` — the kernel's
+reachability and pivot passes behind the grid interface — must answer like
+the reference :class:`~repro.core.pivot_search.PositionStateGrid`: same alive
+sets, same pivots, same rewrite bounds for every pivot, same early-stopping
+oracle — on arbitrary pattern expressions, hierarchies, and input sequences.
+These tests prove that with hypothesis, check the sorted-run ⊕ algebra against
+the set-based reference, and pin the behaviour of the per-worker grid memo.
 """
 
 from __future__ import annotations
@@ -27,25 +26,27 @@ from repro.core.grid_engine import (
     clear_grid_memo,
     grid_memo_info,
     make_grid,
-    merge_sorted_runs,
     normalize_grid,
     set_grid_memo_limit,
-    union_sorted_runs,
 )
 from repro.core.pivot_search import (
     PositionStateGrid,
     pivot_merge,
 )
 from repro.core import DSeqMiner
+from repro.core.dseq import DSeqJob
 from repro.core.rewriting import rewrite_for_pivot
 from repro.dictionary import EPSILON_FID, Dictionary, Hierarchy
 from repro.errors import MiningError
 from repro.fst import make_kernel
+from repro.fst.compiled import merge_sorted_runs, union_sorted_runs
 from repro.mapreduce import ClusterConfig
 from repro.patex import PatEx
-from repro.sequences import preprocess
+from repro.sequences import SequenceDatabase, WeightedSequence, as_mining_records, preprocess
 from repro.sequential import SequentialDesqDfs
 from tests.reference import InterpretedKernel, pivots_of_output_sets
+from tests.test_dcand_map import random_hierarchy_corpus
+from tests.test_differential import patex_strategy
 
 #: Constraint shapes shared with the differential suite: captures, optional
 #: groups, generalization, repetition, alternation, and bounded gaps.
@@ -78,50 +79,12 @@ def build_consistent(sequences):
     return preprocess(raw, hierarchy)
 
 
-def edges_by_position(grid) -> dict:
-    edges: dict = {}
-    for edge in grid.live_edges():
-        edges.setdefault(edge.position, set()).add(
-            (edge.source, edge.target, edge.transition.tid, edge.outputs)
-        )
-    return edges
-
-
-def assert_grids_equivalent(flat, legacy, positions=None) -> None:
-    """Every observable of the two grid engines must match.
-
-    ``positions`` restricts the per-position probes (each one re-walks the
-    flat grid) on inputs too long to probe everywhere; whole-grid observables
-    are compared in full either way.
-    """
+def assert_grids_equivalent(flat, legacy) -> None:
+    """Every answer the flat engine gives must be the legacy grid's."""
     assert flat.has_accepting_run == legacy.has_accepting_run
     assert flat.alive == legacy.alive
     pivots = flat.pivot_items()
     assert pivots == legacy.pivot_items()
-    n = len(legacy.sequence)
-    num_states = legacy.kernel.num_states
-    if positions is None:
-        positions = range(n + 1)
-    for position in positions:
-        for state in range(num_states):
-            assert flat.pivot_set(position, state) == (
-                legacy.pivot_set(position, state)
-            ), (position, state)
-    # Same live edges per position (order may legitimately differ — the
-    # legacy grid iterates a source *set*).
-    assert edges_by_position(flat) == edges_by_position(legacy)
-    for position in positions:
-        if not position:
-            continue
-        flat_edges = {
-            (edge.source, edge.target, edge.outputs)
-            for edge in flat.edges_at(position)
-        }
-        legacy_edges = {
-            (edge.source, edge.target, edge.outputs)
-            for edge in legacy.edges_at(position)
-        }
-        assert flat_edges == legacy_edges, position
     # Per-pivot queries: rewrite bounds and the early-stopping oracle, probed
     # for every actual pivot plus items that are not pivots at all.
     probes = sorted(pivots) + [1, 7, 10**9]
@@ -203,6 +166,72 @@ class TestFlatLegacyEquivalence:
         assert len(set(map(frozenset, results.values()))) == 1
 
 
+def assert_maps_agree(dictionary, database, expression, sigma) -> DSeqJob:
+    """``DSeqJob.map`` emits the same pairs in the same order on both grid
+    engines, for every record with dedup on (weighted records) and off."""
+    kernel = make_kernel(PatEx(expression).compile(dictionary), dictionary)
+    jobs = {grid: DSeqJob(kernel, sigma=sigma, grid=grid) for grid in GRIDS}
+    sequences = SequenceDatabase([(), *map(tuple, database)])
+    for dedup in (True, False):
+        records = list(as_mining_records(sequences, dedup=dedup))
+        assert any(isinstance(record, WeightedSequence) for record in records) == dedup
+        for record in records:
+            assert list(jobs["flat"].map(record)) == list(jobs["legacy"].map(record)), record
+    return jobs["flat"]
+
+
+class TestMapEnginesAgree:
+    """D-SEQ's map — two kernel passes at ``grid="flat"`` — against the map
+    over the reference grid, pair for pair and in emission order.
+
+    The fids here are small, so both engines' pivot sets iterate in ascending
+    order; the insertion-order-dependent order of a large corpus is compared
+    against the previous implementation by the emission-equality script under
+    ``benchmarks/evidence/``.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_hierarchies_expressions_and_sigmas(self, data):
+        names, (dictionary, database) = random_hierarchy_corpus(data)
+        anchor = data.draw(st.sampled_from(names))
+        expression = data.draw(
+            st.sampled_from(
+                [
+                    f".*({anchor}^)[(.^)|.]*(.).*",
+                    ".*(.^)[.{0,1}(.^)]{1,2}.*",
+                    f".*(.^)[.*({anchor}^=)]?.*",
+                    f"({anchor}^)(.^)",
+                ]
+            )
+        )
+        assert_maps_agree(dictionary, database, expression, data.draw(st.integers(1, 8)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        expression=patex_strategy(),
+        sequences=sequences_strategy(),
+        sigma=st.integers(min_value=1, max_value=8),
+    )
+    def test_random_expressions(self, expression, sequences, sigma):
+        dictionary, database = build_consistent(sequences)
+        assert_maps_agree(dictionary, database, expression, sigma)
+
+    def test_empty_rejected_and_nothing_frequent(self, ex_dictionary, ex_database):
+        expression = ".*(A)[(.^)|.]*(b).*"
+        kernel = make_kernel(PatEx(expression).compile(ex_dictionary), ex_dictionary)
+        accepted = [
+            bool(kernel.reachability_table(tuple(sequence))[0] >> kernel.initial_state & 1)
+            for sequence in ex_database
+        ]
+        assert any(accepted) and not all(accepted)  # rejected records are mapped
+        job = assert_maps_agree(ex_dictionary, ex_database, expression, 2)
+        assert any(list(job.map(tuple(sequence))) for sequence in ex_database)
+        job = assert_maps_agree(ex_dictionary, ex_database, expression, 10**6)
+        assert job.max_frequent_fid == 0
+        assert not any(list(job.map(tuple(sequence))) for sequence in ex_database)
+
+
 class TestRejectedSequences:
     """A sequence without an accepting run costs its reachability table only."""
 
@@ -220,7 +249,7 @@ class TestRejectedSequences:
             if isinstance(value, (list, dict, set, bytearray)) and name != "_alive"
         }
         assert containers == {}
-        assert grid._final_row is None
+        assert grid._pivots is None
         assert grid._relevance is None
         assert grid._last_producing is None
         assert grid.pivot_items() == set()
@@ -229,9 +258,6 @@ class TestRejectedSequences:
             assert grid.relevant_range(pivot) == (1, n)
             assert grid.last_pivot_producing_position(pivot) == 0
             assert rewrite_for_pivot(grid, pivot) == sequence
-        assert list(grid.live_edges()) == []
-        assert grid.edges_at(2) == []
-        assert grid.pivot_set(0, kernel.initial_state) == set()
         assert_grids_equivalent(grid, PositionStateGrid(kernel, sequence, max_frequent_fid=3))
 
 
@@ -243,7 +269,7 @@ class TestWideAndLongInputs:
     legacy grid, and D-SEQ ≡ sequential DESQ-DFS.
     """
 
-    def assert_everything_agrees(self, dictionary, database, expression, sigma, stride):
+    def assert_everything_agrees(self, dictionary, database, expression, sigma):
         fst = PatEx(expression).compile(dictionary)
         compiled = make_kernel(fst, dictionary)
         interpreted = InterpretedKernel(fst, dictionary)
@@ -256,9 +282,7 @@ class TestWideAndLongInputs:
             assert len(table) == len(sequence) + 1
             flat = FlatPivotGrid(compiled, sequence, max_frequent_fid=max_frequent_fid)
             legacy = PositionStateGrid(compiled, sequence, max_frequent_fid=max_frequent_fid)
-            n = len(sequence)
-            positions = sorted({0, 1, n - 1, n, *range(0, n + 1, stride)} & set(range(n + 1)))
-            assert_grids_equivalent(flat, legacy, positions)
+            assert_grids_equivalent(flat, legacy)
             assert flat.pivot_items() == FlatPivotGrid(
                 interpreted, sequence, max_frequent_fid=max_frequent_fid
             ).pivot_items()
@@ -288,7 +312,7 @@ class TestWideAndLongInputs:
             ("a1",) + ("c",) * 69 + ("b",),  # one item short of the fixed gap
         ]
         dictionary, database = build_consistent(raw)
-        kernel = self.assert_everything_agrees(dictionary, database, expression, 2, stride=20)
+        kernel = self.assert_everything_agrees(dictionary, database, expression, 2)
         assert kernel.num_states >= 70
         widest = max(
             mask for sequence in database for mask in kernel.reachability_table(tuple(sequence))
@@ -299,7 +323,7 @@ class TestWideAndLongInputs:
     def test_input_of_1500_items(self, expression):
         raw = [("a",) * 1_499 + ("b",), ("a",) * 1_500, ("a", "b")]
         dictionary, database = preprocess(raw, Hierarchy())
-        self.assert_everything_agrees(dictionary, database, expression, 1, stride=500)
+        self.assert_everything_agrees(dictionary, database, expression, 1)
 
 
 # ------------------------------------------------------------ sorted-run ⊕

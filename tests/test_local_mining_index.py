@@ -21,6 +21,7 @@ from __future__ import annotations
 import pickle
 import sys
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -502,15 +503,32 @@ class TestTablesBuiltOncePerSequence:
         assert set(calls["reachability_table"]) == distinct
         assert set(calls["last_producing_table"]) == distinct
 
-    def test_the_map_side_builds_grids_and_no_reduce_table(self, golden_job, monkeypatch):
+    def test_the_map_side_builds_no_grid_object_and_no_reduce_table(
+        self, golden_job, monkeypatch
+    ):
         job, database = golden_job
-        calls = {name: [] for name in self.TABLES}
+        grids: list = []
+        count_calls(monkeypatch, FlatPivotGrid, "__init__", grids)
+        count_calls(monkeypatch, PositionStateGrid, "__init__", grids)
+        calls = {name: [] for name in (*self.TABLES, "edge_rows")}
         for name, log in calls.items():
             count_calls(monkeypatch, type(job.kernel), name, log)
-        count_calls(monkeypatch, type(job.kernel), "edge_rows", calls.setdefault("edge_rows", []))
+        memo = grid_memo_info()
         shuffle(job, database)
-        assert set(calls.pop("reachability_table")) == set(database)
-        assert not any(calls.values()), "the map side must build no reduce table or edge row"
+        assert not grids, "the map side must build no grid object"
+        assert grid_memo_info() == memo, "the map side must not touch the memo"
+        assert Counter(calls.pop("reachability_table")) == Counter(database)  # once a record
+        assert not calls.pop("finishable_table") and not calls.pop("last_producing_table")
+        initial = job.kernel.initial_state
+        accepted = [
+            sequence
+            for sequence in database
+            if job.kernel.reachability_table(sequence)[0] >> initial & 1
+        ]
+        assert 0 < len(accepted) < len(database)
+        # Rows only for the items of accepted records: a rejected one costs
+        # its reachability table alone.
+        assert set(calls["edge_rows"]) == {item for sequence in accepted for item in sequence}
 
     def test_tables_live_and_die_with_the_memo_entry(self, golden_job, monkeypatch):
         job, database = golden_job
@@ -564,6 +582,21 @@ class TestEdgeRowMemo:
         assert {"_edge_memo", "_uncaptured_edges", "_finishable_memo"} <= set(_MEMO_FIELDS)
         assert "_uncaptured_memo" not in _MEMO_FIELDS
         assert len(pickle.dumps(kernel)) == len(cold)
+
+    def test_mapping_leaves_the_job_pickle_alone_and_rows_bounded(
+        self, golden_job, monkeypatch
+    ):
+        job, database = golden_job
+        cold = len(pickle.dumps(job))
+        emitted = [list(job.map(sequence)) for sequence in database]
+        assert any(emitted) and job.kernel._edge_memo
+        assert len(pickle.dumps(job)) == cold
+        monkeypatch.setattr(compiled_module, "_BACKWARD_MEMO_LIMIT", 3)
+        kernel = CompiledFst(job.fst, job.dictionary)  # a cold kernel, not the interned one
+        bounded = DSeqJob(kernel, sigma=job.sigma)
+        for sequence, expected in zip(database, emitted):
+            assert list(bounded.map(sequence)) == expected
+            assert len(kernel._edge_memo) <= 3
 
     def test_edge_rows_are_cleared_past_the_bound(self, ex_dictionary, monkeypatch):
         monkeypatch.setattr(compiled_module, "_BACKWARD_MEMO_LIMIT", 3)

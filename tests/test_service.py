@@ -366,6 +366,17 @@ class TestServiceSession:
             ("spill_budget_bytes", 1.5),
         ):
             refused({name: value}, f"bad ClusterConfig.*{name} must be")
+        # A pool size is the daemon's memory and process table: bounded before
+        # any cluster is built (simulated: nothing would fork at any size).
+        bound = protocol.MAX_WIRE_WORKERS
+        refused(
+            {"backend": "simulated", "num_workers": 10**6},
+            f"num_workers on the wire must be at most {bound}, got 1000000",
+        )
+        for backend in ("persistent-processes", "multihost"):
+            with pytest.raises(ServiceError, match=f"at most {bound}, got {bound + 1}"):
+                protocol.decode_config({"backend": backend, "num_workers": bound + 1})
+            assert protocol.decode_config({"backend": backend, "num_workers": bound})
         # The planner's sampling fraction is spelled in parts, so a search of
         # the tree for the removed name finds nothing but its absence.
         removed_fields = ("measure_shuffle", "fault_injector", "partitioner", "plan" + "_sample")
