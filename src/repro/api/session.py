@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 from repro.api.corpus import Corpus, as_corpus
 from repro.datasets.constraints import Constraint
-from repro.errors import CorpusNotAttachedError, MiningError
+from repro.errors import CorpusNotAttachedError, MiningError, check_sigma
 from repro.mapreduce import ClusterConfig
 from repro.patex import PatEx
 
@@ -236,8 +236,7 @@ def mine(
         raise MiningError(
             "sigma is required (pass sigma=... or a Constraint that carries it)"
         )
-    if sigma < 1:
-        raise MiningError(f"sigma must be >= 1, got {sigma}")
+    check_sigma(sigma)
     algorithm = ALGORITHM_TABLE[name]
     config = config if config is not None else ClusterConfig()
     substrate = {"cluster": config} if algorithm.cluster else {}
@@ -490,6 +489,8 @@ class LocalSession(Session):
         attached, content = self._resolve_corpus(corpus)
         name = canonical_algorithm(algorithm)
         expression, specialized, sigma = resolve_constraint(constraint, sigma)
+        if sigma is not None:  # ``True`` must not hit σ = 1's cache entry
+            check_sigma(sigma)
         effective = config if config is not None else ClusterConfig()
         key = (
             content,
@@ -549,8 +550,7 @@ class LocalSession(Session):
     ) -> list[tuple[tuple[int, ...], int]]:
         if k < 1:
             raise MiningError(f"k must be >= 1, got {k}")
-        if sigma < 1:
-            raise MiningError(f"sigma must be >= 1, got {sigma}")
+        check_sigma(sigma)
         attached, _ = self._resolve_corpus(corpus)
         # Support never exceeds the number of input sequences, so the descent
         # starts one doubling below it and halves toward the σ floor.

@@ -70,9 +70,10 @@ def add_parser(subparsers) -> None:
             "execution backend for the distributed algorithms: 'simulated' "
             "models the cluster makespan in-process, 'persistent-processes' "
             "(also spelled 'processes') runs on a local process pool for real "
-            "wall-clock speed-ups and shares the encoded database with the workers via "
-            "shared memory, so tasks ship chunk descriptors instead of "
-            "pickled sequences, 'multihost' runs the same process pool but "
+            "wall-clock speed-ups and publishes the encoded database as a file "
+            "in the run directory that the workers map, so tasks ship chunk "
+            "descriptors instead of pickled sequences, 'multihost' runs the "
+            "same process pool but "
             "stages every shuffle payload through a blob store in the run "
             "directory (see --spill-dir) (default: simulated)"
         ),

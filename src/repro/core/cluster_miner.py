@@ -13,6 +13,7 @@ from collections.abc import Sequence
 
 from repro.core.results import MiningResult
 from repro.dictionary import Dictionary
+from repro.errors import check_sigma
 from repro.mapreduce import ClusterConfig, MapReduceJob
 from repro.sequences import SequenceDatabase, as_mining_records
 
@@ -44,7 +45,7 @@ class ClusterMiner:
                 f"cluster= takes a ClusterConfig, not {type(cluster).__name__}; "
                 "wrap a backend name or cluster instance as ClusterConfig(backend=...)"
             )
-        self.sigma = sigma
+        self.sigma = check_sigma(sigma)
         self.dictionary = dictionary
         self.dedup = dedup
         self.cluster = cluster

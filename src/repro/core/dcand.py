@@ -35,9 +35,9 @@ from repro.fst import (
     make_kernel,
 )
 from repro.mapreduce import ClusterConfig, MapReduceJob
-from repro.nfa import TrieBuilder, deserialize, serialize_trie
+from repro.nfa import TrieBuilder, decode_tables, serialize_pivot_tries
 from repro.patex import PatEx
-from repro.sequences import fold_weighted_values, record_parts, weighted_value_parts
+from repro.sequences import fold_weighted_values, record_parts
 
 
 class DCandJob(MapReduceJob):
@@ -73,27 +73,22 @@ class DCandJob(MapReduceJob):
         every duplicate of the sequence.
         """
         sequence, weight = record_parts(record)
-        builders: dict[int, TrieBuilder] = {}
+        tries = TrieBuilder()
         seen: set[tuple] = set()
         for output_sets in accepting_output_sets(
             self.kernel, sequence, self.max_frequent_fid, self.max_runs
         ):
             # Runs that differ only in ε steps spell the same sets; inserting
             # them again would change no trie.
-            key = tuple(output_sets)
-            if key in seen:
-                continue
-            seen.add(key)
-            for pivot in pivots_of_sorted_sets(output_sets):
-                builder = builders.get(pivot)
-                if builder is None:
-                    builder = builders[pivot] = TrieBuilder()
-                # Keep only items <= pivot (Sec. VI-A): a prefix of each
-                # ascending set, never empty because the pivot is at least
-                # every set's minimum.
-                builder.add_run(output_sets, pivot)
-        for pivot in sorted(builders):
-            payload = serialize_trie(builders[pivot], self.minimize_nfas)
+            run = tuple(output_sets)
+            if run not in seen:
+                seen.add(run)
+                # One call puts the run into every one of its pivots' tries;
+                # each keeps only items <= its pivot (Sec. VI-A): a prefix of
+                # each ascending set, never empty because the pivot is at
+                # least every set's minimum.
+                tries.add_run(run, pivots_of_sorted_sets(run))
+        for pivot, payload in serialize_pivot_tries(tries, self.minimize_nfas):
             yield pivot, payload if weight == 1 else (payload, weight)
 
     # --------------------------------------------------------------- combine
@@ -111,15 +106,15 @@ class DCandJob(MapReduceJob):
 
     # ---------------------------------------------------------------- reduce
     def reduce(self, key: int, values: list) -> Iterable[tuple[tuple[int, ...], int]]:
-        """Count candidate occurrences directly on the received NFAs."""
-        nfas = []
-        weights = []
-        for value in values:
-            payload, weight = weighted_value_parts(value)
-            nfas.append(deserialize(payload))
-            weights.append(weight)
+        """Count candidate occurrences directly on the received NFAs.
+
+        Identical payloads are folded first, and each distinct one is read
+        once, straight into the tables the search counts on.
+        """
+        folded = fold_weighted_values(values)
         miner = NfaLocalMiner(self.sigma, pivot=key)
-        yield from miner.mine(nfas, weights).items()
+        tables = [decode_tables(payload) for payload in folded]
+        yield from miner.mine_tables(tables, list(folded.values())).items()
 
     # ------------------------------------------------------------ accounting
     def record_size(self, key: int, value) -> int:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from repro.dictionary import Dictionary
-from repro.errors import MiningError
+from repro.errors import MiningError, check_sigma
 from repro.fst import Fst, MiningKernel, ensure_kernel
 from repro.core.grid_engine import _memo_key, memoized
 
@@ -191,8 +191,7 @@ class DesqDfsMiner:
         max_patterns: int = 10_000_000,
         max_frequent_fid: int | None = None,
     ) -> None:
-        if sigma < 1:
-            raise MiningError(f"sigma must be >= 1, got {sigma}")
+        check_sigma(sigma)
         kernel = ensure_kernel(fst, dictionary)
         self.kernel = kernel
         self.fst = kernel.fst

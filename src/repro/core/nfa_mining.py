@@ -5,14 +5,19 @@ phase only has to count, for every candidate subsequence, the total weight of
 the NFAs that accept it.  The counting uses pattern growth directly on the
 compressed NFAs: a prefix is associated with, per NFA, the set of states
 reachable by reading the prefix.
+
+The search runs on per-state tables (``{item: targets}``, a final flag and
+the largest readable item; see :meth:`~repro.nfa.nfa.OutputNfa.tables`),
+which the reduce decodes straight from the payload bytes
+(:func:`~repro.nfa.serializer.decode_tables`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.errors import MiningError
-from repro.nfa import OutputNfa
+from repro.errors import MiningError, check_sigma
+from repro.nfa.nfa import OutputNfa, Tables
 
 
 class NfaLocalMiner:
@@ -32,8 +37,7 @@ class NfaLocalMiner:
     def __init__(
         self, sigma: int, pivot: int | None = None, max_patterns: int = 10_000_000
     ) -> None:
-        if sigma < 1:
-            raise MiningError(f"sigma must be >= 1, got {sigma}")
+        check_sigma(sigma)
         self.sigma = sigma
         self.pivot = pivot
         self.max_patterns = max_patterns
@@ -44,20 +48,47 @@ class NfaLocalMiner:
         weights: Sequence[int] | None = None,
     ) -> dict[tuple[int, ...], int]:
         """Count the frequent candidate subsequences of the weighted NFAs."""
+        return self.mine_tables([nfa.tables() for nfa in nfas], weights)
+
+    def mine_tables(
+        self,
+        tables: Sequence[Tables],
+        weights: Sequence[int] | None = None,
+    ) -> dict[tuple[int, ...], int]:
+        """:meth:`mine` on NFAs given as their ``(rows, finals, tops)`` tables.
+
+        A prefix that does not yet hold the pivot keeps, per NFA, only the
+        states from which an item as large as the pivot can still be read:
+        every emitted pattern holds the pivot, so the other states count
+        towards nothing.  Items above the pivot are never read (no
+        pattern that holds one has the pivot as its maximum).  Patterns come
+        out in the order of a pre-order walk with ascending items.
+        """
         if weights is None:
-            weights = [1] * len(nfas)
-        if len(weights) != len(nfas):
+            weights = [1] * len(tables)
+        if len(weights) != len(tables):
             raise MiningError("weights must align with NFAs")
-        sigma = self.sigma
+        sigma, pivot = self.sigma, self.pivot
+        rows = [table[0] for table in tables]
+        finals = [table[1] for table in tables]
+        tops = [table[2] for table in tables]
+        holds = pivot is None
+        if holds:
+            pivot = float("inf")  # every item is read, and nothing is pruned
+        root = {
+            index: {0}
+            for index, weight in enumerate(weights)
+            if weight > 0 and (holds or tops[index][0] >= pivot)
+        }
         patterns: dict[tuple[int, ...], int] = {}
-        root = {index: {0} for index in range(len(nfas)) if weights[index] > 0}
         # Explicit stack (a candidate may be as long as the deepest NFA);
-        # children are pushed in descending item order, so ``patterns`` fills
-        # in the order of a pre-order walk with ascending items.
-        stack: list[tuple[tuple[int, ...], dict[int, set[int]], int]] = [((), root, 0)]
+        # children are pushed in descending item order.
+        stack: list[tuple[tuple[int, ...], dict[int, set[int]], int, bool]] = [
+            ((), root, 0, holds)
+        ]
         while stack:
-            prefix, projected, support = stack.pop()
-            if support >= sigma and self._should_output(prefix):
+            prefix, projected, support, holds = stack.pop()
+            if holds and support >= sigma:
                 if len(patterns) >= self.max_patterns:
                     raise MiningError(
                         f"more than {self.max_patterns} patterns produced; "
@@ -65,27 +96,38 @@ class NfaLocalMiner:
                     )
                 patterns[prefix] = support
             children: dict[int, dict[int, set[int]]] = {}
-            for nfa_index, states in projected.items():
-                outgoing = nfas[nfa_index].outgoing
+            for index, states in projected.items():
+                table = rows[index]
+                top = None if holds else tops[index]
                 for state in states:
-                    for label, target in outgoing(state):
-                        for item in label:
-                            children.setdefault(item, {}).setdefault(nfa_index, set()).add(
-                                target
-                            )
+                    for item, targets in table[state].items():
+                        if item > pivot:
+                            continue
+                        if top is not None and item != pivot:
+                            targets = [target for target in targets if top[target] >= pivot]
+                            if not targets:
+                                continue
+                        child = children.get(item)
+                        if child is None:
+                            children[item] = {index: set(targets)}
+                        else:
+                            reached = child.get(index)
+                            if reached is None:
+                                child[index] = set(targets)
+                            else:
+                                reached.update(targets)
             for item in sorted(children, reverse=True):
                 child = children[item]
-                if sum(weights[nfa_index] for nfa_index in child) < sigma:
+                if sum([weights[index] for index in child]) < sigma:
                     continue
-                support = sum(
-                    weights[nfa_index]
-                    for nfa_index, states in child.items()
-                    if any(nfas[nfa_index].is_final(state) for state in states)
+                final_weight = 0
+                for index, states in child.items():
+                    final = finals[index]
+                    for state in states:
+                        if final[state]:
+                            final_weight += weights[index]
+                            break
+                stack.append(
+                    (prefix + (item,), child, final_weight, holds or item == pivot)
                 )
-                stack.append((prefix + (item,), child, support))
         return patterns
-
-    def _should_output(self, prefix: tuple[int, ...]) -> bool:
-        if self.pivot is None:
-            return True
-        return max(prefix) == self.pivot

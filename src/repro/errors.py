@@ -40,6 +40,14 @@ class MiningError(ReproError):
     """Raised when a mining run cannot be completed."""
 
 
+def check_sigma(sigma) -> int:
+    """Return ``sigma`` if it is a minimum support: an int (a bool is none
+    here) of at least 1.  Every entry point asks this before any work."""
+    if isinstance(sigma, bool) or not isinstance(sigma, int) or sigma < 1:
+        raise MiningError(f"sigma must be >= 1 and an int, got {sigma!r}")
+    return sigma
+
+
 class CandidateExplosionError(MiningError):
     """Raised when candidate or run enumeration exceeds a configured safety cap.
 

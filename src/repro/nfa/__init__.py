@@ -6,6 +6,12 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.nfa.nfa": ("OutputNfa", "TrieBuilder"),
-        "repro.nfa.serializer": ("deserialize", "serialize", "serialize_trie"),
+        "repro.nfa.serializer": (
+            "decode_tables",
+            "deserialize",
+            "serialize",
+            "serialize_pivot_tries",
+            "serialize_trie",
+        ),
     },
 )

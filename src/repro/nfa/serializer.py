@@ -13,10 +13,11 @@ MapReduce combine-style aggregation of D-CAND effective.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 
 from repro.errors import NfaError
-from repro.nfa.nfa import OutputNfa, TrieBuilder
+from repro.nfa.nfa import OutputNfa, Tables, TrieBuilder, readable_tops
 from repro.varint import read_varint, write_varint
 
 _FLAG_HAS_SOURCE = 1
@@ -55,7 +56,7 @@ def _label_bytes(label: tuple[int, ...]) -> bytes:
 # --------------------------------------------------------------- serialization
 def serialize(nfa: OutputNfa) -> bytes:
     """Serialize an output NFA into a compact canonical byte string."""
-    return _write_dfs(nfa.transitions, nfa.final_states)
+    return _write_dfs(nfa.transitions, nfa.final_states, 0)
 
 
 def serialize_trie(builder: TrieBuilder, minimize: bool = True) -> bytes:
@@ -67,20 +68,35 @@ def serialize_trie(builder: TrieBuilder, minimize: bool = True) -> bytes:
     numbered them.  The tests check them against ``serialize`` of the
     automaton built the long way round (trie, then minimization).
     """
-    return _write_dfs(builder.edge_lists(minimize), builder.final_states)
+    return _write_dfs(builder.edge_lists(minimize), builder.final_states, 0)
 
 
-def _write_dfs(edges, finals) -> bytes:
-    """The canonical bytes of the automaton rooted at state 0.
+def serialize_pivot_tries(builder: TrieBuilder, minimize: bool = True) -> Iterator[tuple[int, bytes]]:
+    """``(pivot, bytes)`` for every pivot trie of the builder, ascending.
+
+    The forest is minimized once and every pivot's bytes are written from
+    the same edge lists.  Each pivot's bytes equal :func:`serialize_trie` of
+    a builder that holds that pivot's trie alone: the format numbers states
+    by DFS visit from the start state, and a merged root's representative
+    spells the same language.
+    """
+    edges, starts = builder.pivot_edge_lists(minimize)
+    finals = builder.final_states
+    for pivot, start in starts.items():
+        yield pivot, _write_dfs(edges, finals, start)
+
+
+def _write_dfs(edges, finals, root: int) -> bytes:
+    """The canonical bytes of the automaton rooted at ``root``.
 
     ``edges[state]`` is the state's ``(label, target)`` list in sorted order.
     The traversal keeps an explicit stack, so automaton depth is not bounded
     by the interpreter's recursion limit.
     """
-    buffer = bytearray([1 if 0 in finals else 0])
-    visit_number: dict[int, int] = {0: 0}
-    current = 0  # target of the previously written transition
-    stack = [(0, iter(edges[0]))]
+    buffer = bytearray([1 if root in finals else 0])
+    visit_number: dict[int, int] = {root: 0}
+    current = root  # target of the previously written transition
+    stack = [(root, iter(edges[root]))]
     while stack:
         source, pending = stack[-1]
         for label, target in pending:
@@ -104,6 +120,114 @@ def _write_dfs(edges, finals) -> bytes:
         else:
             stack.pop()
     return bytes(buffer)
+
+
+def decode_tables(data: bytes) -> Tables:
+    """Read :func:`serialize` output straight into the tables the reduce
+    counts on (see :meth:`OutputNfa.tables`).
+
+    One pass, no :class:`OutputNfa`: nothing is sorted or validated twice.
+    It refuses every input :func:`deserialize` refuses, and a cycle, and
+    what it accepts equals ``deserialize(data).tables()``.  The bytes are a
+    depth-first walk, so each state's ``tops`` entry is settled when the walk
+    leaves it; bytes that spell no such walk get the tables' own pass.
+    """
+    if not data:
+        raise NfaError("empty NFA serialization")
+    # Varints of one and two bytes (every count, nearly every fid delta and
+    # state number) are read inline, from a copy ending in two continuation
+    # bytes: a read at the end of ``data`` goes down the slow path, which
+    # reports the truncation.
+    padded = data + b"\x80\x80"
+    end = len(data)
+    rows: list[dict[int, set[int]]] = [{}]
+    finals = [bool(data[0])]
+    tops = [0]
+    path = [0]  # the walk's stack of states
+    on_path = bytearray(b"\x01")
+    walk = True  # so far the bytes are a depth-first walk of an acyclic automaton
+    offset = 1
+    current = 0  # the implied source: target of the previously read transition
+    while offset < end:
+        flags = padded[offset]
+        offset += 1
+        if flags & _FLAG_HAS_SOURCE:
+            source = padded[offset]
+            if source < 0x80:
+                offset += 1
+            else:
+                source, offset = _read_varint(data, offset)
+            if source >= len(rows):
+                raise NfaError(f"forward reference to unknown source state {source}")
+            if walk and source != path[-1]:
+                if on_path[source]:  # the walk went back up to ``source``
+                    while path[-1] != source:
+                        left = path.pop()
+                        on_path[left] = 0
+                        if tops[left] > tops[path[-1]]:
+                            tops[path[-1]] = tops[left]
+                else:
+                    walk = False
+        else:
+            source = current
+            if walk and source != path[-1]:
+                walk = False
+        count = padded[offset]
+        if count < 0x80:
+            offset += 1
+        else:
+            count, offset = _read_varint(data, offset)
+        if count == 0:
+            raise NfaError("empty edge label in serialization")
+        items = []
+        item = 0
+        for _ in range(count):
+            delta = padded[offset]
+            if delta < 0x80:
+                offset += 1
+            elif padded[offset + 1] < 0x80:
+                delta = (delta & 0x7F) | padded[offset + 1] << 7
+                offset += 2
+            else:
+                delta, offset = _read_varint(data, offset)
+            item += delta
+            items.append(item)
+        if item > tops[source]:  # the last item is the label's largest
+            tops[source] = item
+        if flags & _FLAG_HAS_TARGET:
+            target = padded[offset]
+            if target < 0x80:
+                offset += 1
+            else:
+                target, offset = _read_varint(data, offset)
+            if target >= len(rows):
+                raise NfaError(f"forward reference to unknown target state {target}")
+            if on_path[target]:
+                walk = False
+            elif tops[target] > tops[source]:
+                tops[source] = tops[target]
+        else:
+            target = len(rows)
+            rows.append({})
+            finals.append(bool(flags & _FLAG_TARGET_FINAL))
+            tops.append(0)
+            on_path.append(1)
+            path.append(target)
+        row = rows[source]
+        for item in items:
+            targets = row.get(item)
+            if targets is None:
+                row[item] = {target}
+            else:
+                targets.add(target)
+        current = target
+    if not walk:
+        return rows, finals, readable_tops(rows)
+    while len(path) > 1:
+        left = path.pop()
+        if tops[left] > tops[path[-1]]:
+            tops[path[-1]] = tops[left]
+    return rows, finals, tops
 
 
 def deserialize(data: bytes) -> OutputNfa:

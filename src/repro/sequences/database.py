@@ -106,8 +106,9 @@ class SequenceDatabase:
         return [dictionary.decode(sequence) for sequence in self._sequences]
 
     def __getstate__(self) -> dict:
-        # The cached store holds memoryviews (and possibly a shared-memory
-        # mapping); it is a per-process derivative, not part of the database.
+        # The cached store holds memoryviews over its packed buffer; it is a
+        # per-process derivative, not part of the database (workers map the
+        # copy a run publishes as a file in its run directory).
         state = self.__dict__.copy()
         state["_store"] = None
         return state

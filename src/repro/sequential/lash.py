@@ -218,8 +218,6 @@ class GapConstrainedMiner(ClusterMiner):
         dedup: bool = True,
         cluster: ClusterConfig | None = None,
     ) -> None:
-        if sigma < 1:
-            raise MiningError(f"sigma must be >= 1, got {sigma}")
         if max_length < min_length:
             raise MiningError("max_length must be >= min_length")
         super().__init__(sigma, dictionary, dedup=dedup, cluster=cluster)

@@ -20,7 +20,7 @@ from repro.core.results import MiningResult
 from repro.datasets.constraints import Constraint
 from repro.dictionary import Dictionary
 from repro.dictionary.dictionary import Item
-from repro.errors import MapReduceError, ServiceError
+from repro.errors import MapReduceError, MiningError, ServiceError, check_sigma
 from repro.mapreduce import ClusterConfig, FaultPolicy
 from repro.mapreduce.metrics import JobMetrics
 from repro.patex import PatEx
@@ -144,6 +144,17 @@ def encode_config(config: ClusterConfig | None) -> dict | None:
     if config.fault_policy is not None:
         payload["fault_policy"] = dataclasses.asdict(config.fault_policy)
     return payload
+
+
+def decode_sigma(value):
+    """A wire σ: ``null`` (the constraint's or the operation's default) or
+    an int >= 1 — never ``true``, a float or a string."""
+    if value is None:
+        return None
+    try:
+        return check_sigma(value)
+    except MiningError as error:
+        raise ServiceError(f"bad sigma on the wire: {error}") from error
 
 
 def decode_config(payload: dict | None) -> ClusterConfig | None:

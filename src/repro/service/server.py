@@ -158,7 +158,7 @@ class MiningServer(socketserver.ThreadingTCPServer):
 
     def _query_arguments(self, request: dict) -> dict:
         return {
-            "sigma": request.get("sigma"),
+            "sigma": protocol.decode_sigma(request.get("sigma")),
             "algorithm": request.get("algorithm", "dseq"),
             "config": protocol.decode_config(request.get("config")),
             **(request.get("options") or {}),

@@ -9,7 +9,8 @@ no table, memo or shortcut with the product code it checks:
   (``S ∈ G_π(T)``, Sec. IV);
 * :mod:`.pivots` -- :func:`pivots_of_output_sets` (Theorem 1's ⊕ fold);
 * :mod:`.nfa` -- :func:`trie`, :func:`minimized`, :func:`minimize_acyclic`,
-  :func:`nfa_accepts`, :func:`nfa_candidates` (Fig. 7's trie → minimal NFA);
+  :func:`nfa_accepts`, :func:`nfa_candidates` (Fig. 7's trie → minimal NFA)
+  and :func:`mine_by_labels` (Sec. VI-B's counting on labelled edges);
 * :mod:`.gsp` -- :class:`GspMiner`, a generate-and-count miner for gap /
   length constraints.
 
@@ -20,6 +21,7 @@ distribution does not ship it.
 from tests.reference.gsp import GspMiner
 from tests.reference.kernel import InterpretedKernel, accepts
 from tests.reference.nfa import (
+    mine_by_labels,
     minimize_acyclic,
     minimized,
     nfa_accepts,
@@ -34,6 +36,7 @@ __all__ = [
     "InterpretedKernel",
     "accepts",
     "generates",
+    "mine_by_labels",
     "minimize_acyclic",
     "minimized",
     "nfa_accepts",

@@ -7,7 +7,9 @@ the automata that route skips — :func:`trie`, then :func:`minimize_acyclic`
 over any acyclic :class:`~repro.nfa.nfa.OutputNfa` — and read an automaton's
 language back (:func:`nfa_accepts`, :func:`nfa_candidates`), so the bytes
 can be checked against ``serialize(minimized(builder))`` and the language
-against the candidates it was built from.
+against the candidates it was built from.  :func:`mine_by_labels` counts
+weighted NFAs on their labelled edges, the oracle of the reduce's table
+search.
 """
 
 from __future__ import annotations
@@ -58,6 +60,42 @@ def nfa_candidates(nfa: OutputNfa, limit: int = 1_000_000) -> set[tuple[int, ...
 
     walk(0, ())
     return results
+
+
+def mine_by_labels(
+    nfas: Sequence[OutputNfa],
+    weights: Sequence[int],
+    sigma: int,
+    pivot: int | None = None,
+) -> dict[tuple[int, ...], int]:
+    """Sec. VI-B's counting the plain way: pattern growth over the labelled
+    edges of the NFAs, no pruning, and ``max(prefix) == pivot`` decides what
+    is emitted.  Patterns come in the order of a pre-order walk with
+    ascending items (what the product's table search must reproduce)."""
+    patterns: dict[tuple[int, ...], int] = {}
+    root = {index: {0} for index in range(len(nfas)) if weights[index] > 0}
+    stack: list[tuple[tuple[int, ...], dict[int, set[int]], int]] = [((), root, 0)]
+    while stack:
+        prefix, projected, support = stack.pop()
+        if support >= sigma and (pivot is None or max(prefix) == pivot):
+            patterns[prefix] = support
+        children: dict[int, dict[int, set[int]]] = {}
+        for index, states in projected.items():
+            for state in states:
+                for label, target in nfas[index].outgoing(state):
+                    for item in label:
+                        children.setdefault(item, {}).setdefault(index, set()).add(target)
+        for item in sorted(children, reverse=True):
+            child = children[item]
+            if sum(weights[index] for index in child) < sigma:
+                continue
+            support = sum(
+                weights[index]
+                for index, states in child.items()
+                if any(nfas[index].is_final(state) for state in states)
+            )
+            stack.append((prefix + (item,), child, support))
+    return patterns
 
 
 def minimize_acyclic(nfa: OutputNfa) -> OutputNfa:

@@ -278,6 +278,48 @@ class TestTopK:
                 session.top_k("ex", "(b)", k=1, sigma=0)
 
 
+# ------------------------------------------------------------- sigma values
+#: Not a minimum support: ``True`` used to mine at σ = 1 (and hit σ = 1's
+#: cache entry), 7.5 was accepted, "8" died in an untyped ``TypeError``.
+NOT_A_SIGMA = (True, 7.5, "8", 0)
+
+
+class TestSigmaIsRefusedBeforeAnyWork:
+    @pytest.mark.parametrize("sigma", NOT_A_SIGMA)
+    @pytest.mark.parametrize("algorithm", ["dseq", "dcand", "desq-dfs"])
+    def test_unified_mine(self, ex_corpus, sigma, algorithm):
+        with pytest.raises(MiningError, match="sigma must be >= 1 and an int"):
+            repro.api.mine(ex_corpus, RUNNING_EXAMPLE_PATEX, sigma=sigma, algorithm=algorithm)
+
+    @pytest.mark.parametrize("sigma", NOT_A_SIGMA)
+    def test_session_query_and_top_k(self, ex_corpus, sigma):
+        with repro.LocalSession() as session:
+            session.attach_corpus("ex", ex_corpus)
+            session.mine("ex", RUNNING_EXAMPLE_PATEX, sigma=1)
+            with pytest.raises(MiningError, match="sigma must be >= 1 and an int"):
+                session.query("ex", RUNNING_EXAMPLE_PATEX, sigma=sigma)
+            with pytest.raises(MiningError, match="sigma must be >= 1 and an int"):
+                session.top_k("ex", RUNNING_EXAMPLE_PATEX, k=1, sigma=sigma)
+            assert session.cache_info().hits == 0
+
+    @pytest.mark.parametrize("sigma", NOT_A_SIGMA)
+    def test_cluster_miners_refuse_it_when_built(self, ex_dictionary, sigma, monkeypatch):
+        from repro.core.dcand import DCandJob
+
+        def no_map(*_args):
+            raise AssertionError("the map ran")
+
+        monkeypatch.setattr(DCandJob, "map", no_map)
+        for miner_class in (DSeqMiner, DCandMiner, NaiveMiner, SemiNaiveMiner):
+            with pytest.raises(MiningError, match="sigma must be >= 1 and an int"):
+                miner_class(RUNNING_EXAMPLE_PATEX, sigma, ex_dictionary)
+        with pytest.raises(MiningError, match="sigma must be >= 1 and an int"):
+            GapConstrainedMiner(sigma, ex_dictionary, max_gap=1, max_length=3)
+
+    def test_a_plain_int_still_mines(self, ex_corpus):
+        assert repro.api.mine(ex_corpus, RUNNING_EXAMPLE_PATEX, sigma=2, algorithm="dcand")
+
+
 # ---------------------------------------------------- legacy kwarg removal
 class TestLegacyKwargRemoval:
     """The deprecated ``backend=``/``codec=``/``spill_budget_bytes=`` miner

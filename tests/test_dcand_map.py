@@ -43,7 +43,13 @@ from repro.fst import (
     accepting_runs,
     make_kernel,
 )
-from repro.nfa import TrieBuilder, deserialize, serialize, serialize_trie
+from repro.nfa import (
+    TrieBuilder,
+    deserialize,
+    serialize,
+    serialize_pivot_tries,
+    serialize_trie,
+)
 from repro.fst import simulation as simulation_module
 from repro.nfa import serializer as serializer_module
 from repro.patex import PatEx
@@ -352,19 +358,27 @@ class TestWalkerProtocol:
 
 
 class TestDistinctRuns:
-    def test_add_run_is_called_once_per_distinct_run_and_pivot(self, golden_a3, monkeypatch):
+    def test_each_distinct_run_is_inserted_once_into_each_pivot_trie(
+        self, golden_a3, monkeypatch
+    ):
+        """One ``add_run`` call per distinct run carries all its pivots; the
+        (run, pivot) insertions it makes are counted one by one."""
         dictionary, fst, sigma, records = golden_a3
         job = DCandJob(make_kernel(fst, dictionary), sigma=sigma)
+        calls = []
         inserted = []
         original = TrieBuilder.add_run
 
-        def counted(self, output_sets, limit=None):
-            inserted.append((tuple(output_sets), limit))
-            return original(self, output_sets, limit)
+        def counted(self, output_sets, pivots=None):
+            pivots = list(pivots)
+            calls.append(tuple(output_sets))
+            inserted.extend((tuple(output_sets), pivot) for pivot in pivots)
+            return original(self, output_sets, pivots)
 
         monkeypatch.setattr(TrieBuilder, "add_run", counted)
         runs_times_pivots = expected = 0
         for record in records:
+            calls.clear()
             inserted.clear()
             list(job.map(record))
             runs = [
@@ -373,6 +387,7 @@ class TestDistinctRuns:
                     job.kernel, record_parts(record)[0], job.max_frequent_fid
                 )
             ]
+            assert sorted(calls) == sorted(set(runs))
             per_pivot = Counter(inserted)
             assert set(per_pivot.values()) <= {1}
             assert set(per_pivot) == {
@@ -381,6 +396,7 @@ class TestDistinctRuns:
             expected += len(per_pivot)
             runs_times_pivots += sum(len(pivots_of_sorted_sets(run)) for run in runs)
         assert 0 < expected < runs_times_pivots
+        assert expected == 2_047  # 82,791 on the 2,500-user benchmark corpus
 
     @pytest.mark.parametrize("expression", [".*(a1).*.*", ".*(a1)[.*|.*b]", ".*(A^)[.*|c.*].*"])
     def test_epsilon_ambiguity_repeats_runs_and_keeps_the_bytes(self, expression):
@@ -430,7 +446,7 @@ class TestRunCap:
             next(capped)
 
 
-class TestInTrieCut:
+class TestPivotForest:
     @settings(max_examples=200, deadline=None)
     @given(
         runs=st.lists(sorted_sets_strategy().filter(bool), min_size=1, max_size=6),
@@ -441,21 +457,64 @@ class TestInTrieCut:
         for output_sets in runs:
             sliced = [outputs[: bisect_right(outputs, limit)] for outputs in output_sets]
             if all(sliced):
-                inside.add_run(output_sets, limit)
+                inside.add_run(output_sets, [limit])
                 outside.add_run(sliced)
             else:
                 with pytest.raises(NfaError):
-                    TrieBuilder().add_run(output_sets, limit)
-        assert inside.edge_lists() == outside.edge_lists()
-        assert inside.final_states == outside.final_states
+                    TrieBuilder().add_run(output_sets, [limit])
         for minimize in (True, False):
-            assert serialize_trie(inside, minimize) == serialize_trie(outside, minimize)
+            cut = dict(serialize_pivot_tries(inside, minimize))
+            if outside.num_states == 1:
+                assert cut == {}
+            else:
+                assert cut == {limit: serialize_trie(outside, minimize)}
 
-    def test_no_limit_takes_the_labels_as_given(self):
+    @settings(max_examples=200, deadline=None)
+    @given(runs=st.lists(sorted_sets_strategy().filter(bool), min_size=1, max_size=8))
+    def test_one_forest_writes_each_pivot_trie_alone(self, runs):
+        """Minimizing all pivots' tries in one sweep may merge states across
+        tries (a pivot's root included); every pivot's bytes stay those of a
+        builder that holds its trie alone."""
+        forest = TrieBuilder()
+        alone: dict[int, TrieBuilder] = {}
+        for output_sets in runs:
+            pivots = pivots_of_sorted_sets(output_sets)
+            forest.add_run(output_sets, pivots)
+            for pivot in pivots:
+                cut = [outputs[: bisect_right(outputs, pivot)] for outputs in output_sets]
+                alone.setdefault(pivot, TrieBuilder()).add_run(cut)
+        for minimize in (True, False):
+            assert list(serialize_pivot_tries(forest, minimize)) == [
+                (pivot, serialize_trie(alone[pivot], minimize)) for pivot in sorted(alone)
+            ]
+
+    def test_a_root_merged_into_another_trie(self):
+        """Pivot 5's trie spells ``{(5,)}``; so does the state after ``(2,)``
+        in pivot 6's trie: the sweep keeps one of the two."""
+        forest = TrieBuilder()
+        forest.add_run([(5,)], [5])
+        forest.add_run([(2,), (5,), (6,)], [6])
+        forest.add_run([(6,), (5,)], [6])
+        edges, starts = forest.pivot_edge_lists(minimize=True)
+        assert starts[5] != forest.roots[5]
+        assert dict(serialize_pivot_tries(forest)) == {
+            5: serialize_trie(self.single([[(5,)]])),
+            6: serialize_trie(self.single([[(2,), (5,), (6,)], [(6,), (5,)]])),
+        }
+
+    @staticmethod
+    def single(runs):
+        builder = TrieBuilder()
+        for run in runs:
+            builder.add_run(run)
+        return builder
+
+    def test_no_pivots_take_the_labels_as_given(self):
         builder = TrieBuilder()
         builder.add_run([(1, 5), (7,)])
         builder.add_run([(1, 5), (7,)], None)
         assert builder.edge_lists() == [[((1, 5), 1)], [((7,), 2)], []]
+        assert builder.roots == {}
 
 
 def reference_bytes(nfa) -> bytes:

@@ -16,12 +16,19 @@ from repro.dictionary.hierarchy import Hierarchy
 from repro.errors import MiningError
 from repro.fst import generate_candidates
 from repro.mapreduce import ClusterConfig
-from repro.nfa import TrieBuilder
+from repro.core.pivot_search import pivots_of_sorted_sets
+from repro.nfa import (
+    TrieBuilder,
+    decode_tables,
+    deserialize,
+    serialize_pivot_tries,
+    serialize_trie,
+)
 from repro.patex import PatEx
 from repro.sequences import preprocess
 
 from tests.conftest import gids
-from tests.reference import minimized, trie
+from tests.reference import mine_by_labels, minimized, trie
 
 
 def reference_counts(fst, dictionary, database, sigma):
@@ -178,6 +185,99 @@ class TestNfaLocalMiner:
 
     def test_empty_input(self):
         assert NfaLocalMiner(sigma=1).mine([]) == {}
+
+
+def runs_strategy(max_item=7):
+    """Accepting runs as the map inserts them: ε-free ascending output sets."""
+    return st.lists(
+        st.lists(st.integers(min_value=1, max_value=max_item), min_size=1, max_size=3).map(
+            lambda items: tuple(sorted(set(items)))
+        ),
+        min_size=1,
+        max_size=4,
+    )
+
+
+def mine_three_ways(payloads, weights, sigma, pivot):
+    """The decoded-table search, the ``OutputNfa`` route to the same search,
+    and the labelled-edge oracle, each as an ordered list of patterns."""
+    miner = NfaLocalMiner(sigma, pivot=pivot)
+    nfas = [deserialize(payload) for payload in payloads]
+    decoded = miner.mine_tables([decode_tables(payload) for payload in payloads], weights)
+    return (
+        list(decoded.items()),
+        list(miner.mine(nfas, weights).items()),
+        list(mine_by_labels(nfas, weights, sigma, pivot).items()),
+    )
+
+
+class TestTableSearch:
+    """The reduce counts on tables decoded from the bytes, pruning a prefix
+    without the pivot to the states that can still read it; the labelled-edge
+    walk (``tests.reference.mine_by_labels``) is the oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        records=st.lists(st.lists(runs_strategy(), min_size=1, max_size=4), min_size=1, max_size=6),
+        weights=st.lists(st.integers(min_value=0, max_value=3), min_size=6, max_size=6),
+        sigma=st.integers(min_value=1, max_value=4),
+        minimize=st.booleans(),
+        data=st.data(),
+    )
+    def test_pivot_partitions_equal_the_oracle(self, records, weights, sigma, minimize, data):
+        """Per-pivot NFAs the way D-CAND's map writes them, one partition."""
+        partitions: dict[int, list[bytes]] = {}
+        for runs in records:
+            forest = TrieBuilder()
+            for run in runs:
+                forest.add_run(run, pivots_of_sorted_sets(run))
+            for pivot, payload in serialize_pivot_tries(forest, minimize):
+                partitions.setdefault(pivot, []).append(payload)
+        pivot = data.draw(st.sampled_from(sorted(partitions)))
+        payloads = partitions[pivot]
+        decoded, from_nfas, oracle = mine_three_ways(
+            payloads, weights[: len(payloads)], sigma, pivot
+        )
+        assert decoded == from_nfas == oracle
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        tries=st.lists(st.lists(runs_strategy(9), min_size=1, max_size=5), min_size=1, max_size=4),
+        weights=st.lists(st.integers(min_value=0, max_value=3), min_size=4, max_size=4),
+        sigma=st.integers(min_value=1, max_value=4),
+        pivot=st.one_of(st.none(), st.integers(min_value=1, max_value=9)),
+    )
+    def test_any_tries_and_pivots_equal_the_oracle(self, tries, weights, sigma, pivot):
+        """Items above the pivot, pivots no label holds, and no pivot at all."""
+        payloads = []
+        for runs in tries:
+            builder = TrieBuilder()
+            for run in runs:
+                builder.add_run(run)
+            payloads.append(serialize_trie(builder))
+        decoded, from_nfas, oracle = mine_three_ways(
+            payloads, weights[: len(payloads)], sigma, pivot
+        )
+        assert decoded == from_nfas == oracle
+
+    def test_a_shared_state_numbered_below_its_source(self):
+        """``(2)(4)`` leads to the state ``(1)`` reached first: the bytes name
+        it by its smaller number.  A sweep from the highest state number down
+        would settle state 4 before state 1 knows it can still read 5."""
+        builder = TrieBuilder()
+        builder.add_run([(1,), (3,), (5,)])
+        builder.add_run([(2,), (4,), (3,), (5,)])
+        payload = serialize_trie(builder)
+        nfa = deserialize(payload)
+        assert nfa.transitions == [
+            [((1,), 1), ((2,), 4)], [((3,), 2)], [((5,), 3)], [], [((4,), 1)]
+        ]
+        rows, finals, tops = decode_tables(payload)
+        assert tops == [5, 5, 5, 0, 5]
+        for weight in (1, 2):
+            decoded, from_nfas, oracle = mine_three_ways([payload], [weight], 1, 5)
+            assert decoded == from_nfas == oracle
+            assert dict(decoded) == {(1, 3, 5): weight, (2, 4, 3, 5): weight}
 
 
 class TestDeepPatterns:

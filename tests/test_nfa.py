@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from repro.errors import NfaError
 from repro.fst import expand_output_sets
-from repro.nfa import OutputNfa, TrieBuilder, deserialize, serialize, serialize_trie
+from repro.nfa import (
+    OutputNfa,
+    TrieBuilder,
+    decode_tables,
+    deserialize,
+    serialize,
+    serialize_trie,
+)
 from tests.reference import minimize_acyclic, minimized, nfa_accepts, nfa_candidates, trie
 
 
@@ -371,7 +378,10 @@ class TestDeepAutomata:
 
 class TestHostilePayloads:
     """``deserialize`` reads bytes another process wrote: whatever arrives, it
-    returns a validated ``OutputNfa`` or raises ``NfaError`` — nothing else."""
+    returns a validated ``OutputNfa`` or raises ``NfaError`` — nothing else.
+    The reduce's ``decode_tables`` reads the same bytes into tables: it
+    refuses what ``deserialize`` refuses (and a cycle) and otherwise returns
+    exactly ``deserialize(data).tables()``."""
 
     PAYLOADS = [
         serialize(minimized(build_trie(runs)))
@@ -413,6 +423,57 @@ class TestHostilePayloads:
     def test_random_bytes(self, data):
         self.read(data)
 
+    @staticmethod
+    def both_readers(data: bytes):
+        """``decode_tables`` and ``deserialize(...).tables()`` agree: both
+        refuse with ``NfaError``, or both give the same tables."""
+        try:
+            expected = deserialize(data).tables()
+        except NfaError:
+            expected = None
+        try:
+            decoded = decode_tables(data)
+        except NfaError:
+            decoded = None
+        assert decoded == expected
+        return decoded
+
+    @pytest.mark.parametrize("payload", PAYLOADS)
+    def test_the_table_decoder_on_every_truncation_and_bit_flip(self, payload):
+        assert self.both_readers(payload) is not None
+        for length in range(len(payload)):
+            self.both_readers(payload[:length])
+        for position in range(len(payload)):
+            for bit in range(8):
+                flipped = bytearray(payload)
+                flipped[position] ^= 1 << bit
+                self.both_readers(bytes(flipped))
+
+    @given(st.binary(max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_the_table_decoder_on_random_bytes(self, data):
+        self.both_readers(data)
+
+    def test_bytes_that_are_no_depth_first_walk(self):
+        # 0 -(1)-> 1 and 0 -(2)-> 2, then an edge 1 -(3)-> 3 after the walk
+        # left state 1: the tops come from the tables' own pass.
+        data = b"\x00\x00\x01\x01\x01\x00\x01\x02\x01\x01\x01\x03"
+        assert deserialize(data).transitions == [
+            [((1,), 1), ((2,), 2)], [((3,), 3)], [], []
+        ]
+        rows, finals, tops = decode_tables(data)
+        assert (rows, finals, tops) == deserialize(data).tables()
+        assert tops == [3, 3, 0, 0]
+
+    def test_a_cycle_is_refused_by_the_table_decoder_only(self):
+        # 0 -(1)-> 1, then 1 -(1)-> 1 (explicit source 1, known target 1).
+        data = b"\x00\x00\x01\x01\x03\x01\x01\x01\x01"
+        assert deserialize(data).transitions == [[((1,), 1)], [((1,), 1)]]
+        with pytest.raises(NfaError, match="cycle"):
+            decode_tables(data)
+        with pytest.raises(NfaError, match="cycle"):
+            deserialize(data).tables()
+
     def test_forward_references_and_runaway_lengths(self):
         for data in (
             b"\x00\x01\x05\x01\x01",  # source state 5 does not exist
@@ -423,3 +484,5 @@ class TestHostilePayloads:
         ):
             with pytest.raises(NfaError):
                 deserialize(data)
+            with pytest.raises(NfaError):
+                decode_tables(data)

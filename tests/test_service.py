@@ -230,6 +230,26 @@ class TestServiceSession:
     def test_ping(self, client):
         assert client.ping()["protocol"] == protocol.PROTOCOL_VERSION
 
+    @pytest.mark.parametrize("sigma", [True, 7.5, "8"])
+    @pytest.mark.parametrize("operation", ["mine", "sweep", "top_k"])
+    def test_a_wire_sigma_that_is_no_int_is_refused(self, client, ex_corpus, sigma, operation):
+        client.attach_corpus("ex", ex_corpus)
+        encoded = protocol.encode_constraint(RUNNING_EXAMPLE_PATEX)
+        request = {"corpus": "ex", "sigma": sigma, "algorithm": "dcand", "options": {}}
+        if operation == "sweep":
+            request["constraints"] = [encoded]
+        else:
+            request["constraint"] = encoded
+        if operation == "top_k":
+            request["k"] = 1
+        with pytest.raises(ServiceError, match="bad sigma on the wire"):
+            client._call(operation, **request)
+        # The daemon keeps serving, and nothing was mined or cached.
+        assert client.ping()["protocol"] == protocol.PROTOCOL_VERSION
+        assert client.cache_info().misses == 0
+        served = client.mine("ex", RUNNING_EXAMPLE_PATEX, sigma=SIGMA, algorithm="dcand")
+        assert served.patterns()
+
     @pytest.mark.parametrize("algorithm", CLUSTER_ALGORITHMS)
     def test_results_byte_identical_to_direct_path(self, client, ex_corpus, algorithm):
         spec = constraint_for(algorithm)
