@@ -51,7 +51,8 @@ def test_table5_speedup_over_sequential(benchmark, bench_json):
             # wire bytes, and per-task input pickle bytes.
             "rows": rows,
             # Flat-vs-legacy grid-engine makespans (D-SEQ's map stage is the
-            # grid consumer; D-CAND and DESQ-DFS ride only the dedup pass).
+            # grid consumer; D-CAND and DESQ-DFS read no grid, so their rows
+            # move only with the rest of the run).
             "grids": grids,
         },
     )

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 from repro.api.corpus import Corpus, as_corpus
 from repro.datasets.constraints import Constraint
-from repro.errors import CorpusNotAttachedError, MiningError, check_sigma
+from repro.errors import CorpusNotAttachedError, MiningError, check_int
 from repro.mapreduce import ClusterConfig
 from repro.patex import PatEx
 
@@ -222,7 +222,7 @@ def mine(
         default substrate); the sequential miners take none.
     options:
         Forwarded to the selected miner (e.g. ``use_rewriting`` for D-SEQ,
-        ``dedup``, or the safety caps its table row lists).
+        or the safety caps its table row lists).
 
     Returns
     -------
@@ -236,7 +236,7 @@ def mine(
         raise MiningError(
             "sigma is required (pass sigma=... or a Constraint that carries it)"
         )
-    check_sigma(sigma)
+    check_int(sigma, "sigma")
     algorithm = ALGORITHM_TABLE[name]
     config = config if config is not None else ClusterConfig()
     substrate = {"cluster": config} if algorithm.cluster else {}
@@ -490,7 +490,7 @@ class LocalSession(Session):
         name = canonical_algorithm(algorithm)
         expression, specialized, sigma = resolve_constraint(constraint, sigma)
         if sigma is not None:  # ``True`` must not hit σ = 1's cache entry
-            check_sigma(sigma)
+            check_int(sigma, "sigma")
         effective = config if config is not None else ClusterConfig()
         key = (
             content,
@@ -548,9 +548,8 @@ class LocalSession(Session):
         config: ClusterConfig | None = None,
         **options,
     ) -> list[tuple[tuple[int, ...], int]]:
-        if k < 1:
-            raise MiningError(f"k must be >= 1, got {k}")
-        check_sigma(sigma)
+        check_int(k, "k")
+        check_int(sigma, "sigma")
         attached, _ = self._resolve_corpus(corpus)
         # Support never exceeds the number of input sequences, so the descent
         # starts one doubling below it and halves toward the σ floor.

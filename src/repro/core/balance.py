@@ -202,20 +202,18 @@ def dseq_partition_balance(
     sigma: int,
     dictionary: Dictionary,
     database: SequenceDatabase | Sequence[Sequence[int]],
-    dedup: bool = True,
     **options,
 ) -> PartitionBalance:
     """Partition balance of D-SEQ's map output for one constraint.
 
-    The job maps the same records a live miner would: with ``dedup`` (the
-    default since the corpus-level dedup landed) that is the weighted
+    The job maps the same records a live miner would, the weighted
     ``unique_view()`` of the database, so the measured per-pivot bytes agree
     with the cluster's ``shuffle_bytes`` accounting even on duplication-heavy
     corpora.
     """
     patex = PatEx(patex) if isinstance(patex, str) else patex
     job = DSeqJob(patex.compile(dictionary), dictionary, sigma, **options)
-    return measure_partition_balance(job, as_mining_records(database, dedup=dedup))
+    return measure_partition_balance(job, as_mining_records(database))
 
 
 def dcand_partition_balance(
@@ -223,15 +221,14 @@ def dcand_partition_balance(
     sigma: int,
     dictionary: Dictionary,
     database: SequenceDatabase | Sequence[Sequence[int]],
-    dedup: bool = True,
     **options,
 ) -> PartitionBalance:
     """Partition balance of D-CAND's map output for one constraint.
 
-    Maps the weighted ``unique_view()`` records by default, exactly like a
+    Maps the weighted ``unique_view()`` records, exactly like a
     live :class:`~repro.core.dcand.DCandMiner`; see
     :func:`dseq_partition_balance`.
     """
     patex = PatEx(patex) if isinstance(patex, str) else patex
     job = DCandJob(patex.compile(dictionary), dictionary, sigma, **options)
-    return measure_partition_balance(job, as_mining_records(database, dedup=dedup))
+    return measure_partition_balance(job, as_mining_records(database))

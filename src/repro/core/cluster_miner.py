@@ -13,7 +13,7 @@ from collections.abc import Sequence
 
 from repro.core.results import MiningResult
 from repro.dictionary import Dictionary
-from repro.errors import check_sigma
+from repro.errors import check_int
 from repro.mapreduce import ClusterConfig, MapReduceJob
 from repro.sequences import SequenceDatabase, as_mining_records
 
@@ -24,9 +24,10 @@ class ClusterMiner:
     ``cluster`` is the run's whole substrate as one
     :class:`~repro.mapreduce.ClusterConfig` (``None`` is the library default,
     ``ClusterConfig()``); a backend name or a ready-made cluster instance is
-    refused — wrap it as ``ClusterConfig(backend=...)``.  ``dedup=False``
-    disables the corpus-level unique-sequence pass (the debugging reference:
-    results are byte-identical either way).
+    refused — wrap it as ``ClusterConfig(backend=...)``.  The job maps the
+    corpus-level dedup of the input
+    (:func:`~repro.sequences.database.as_mining_records`): one
+    :class:`~repro.sequences.store.WeightedSequence` per distinct sequence.
     """
 
     algorithm_name = "cluster"
@@ -35,7 +36,6 @@ class ClusterMiner:
         self,
         sigma: int,
         dictionary: Dictionary,
-        dedup: bool = True,
         cluster: ClusterConfig | None = None,
     ) -> None:
         if cluster is None:
@@ -45,9 +45,8 @@ class ClusterMiner:
                 f"cluster= takes a ClusterConfig, not {type(cluster).__name__}; "
                 "wrap a backend name or cluster instance as ClusterConfig(backend=...)"
             )
-        self.sigma = check_sigma(sigma)
+        self.sigma = check_int(sigma, "sigma")
         self.dictionary = dictionary
-        self.dedup = dedup
         self.cluster = cluster
 
     def job(self) -> MapReduceJob:
@@ -60,6 +59,6 @@ class ClusterMiner:
         The baselines may raise :class:`~repro.errors.CandidateExplosionError`.
         """
         job = self.job()
-        records = as_mining_records(database, dedup=self.dedup)
+        records = as_mining_records(database)
         result = self.cluster.build().run(job, records)
         return MiningResult(dict(result.outputs), result.metrics, self.algorithm_name)

@@ -6,9 +6,8 @@ per-pivot candidate sets into minimized NFAs, and ships the serialized NFAs to
 the partitions.  Identical NFAs are aggregated into weighted NFAs by a
 combiner.  Local mining simply counts on the weighted NFAs.
 
-With corpus-level dedup (``dedup=True``, the default) the run enumeration —
-the dominant map cost — executes once per *distinct* input sequence: the map
-input is the database's
+With corpus-level dedup the run enumeration — the dominant map cost — executes
+once per *distinct* input sequence: the map input is the database's
 :meth:`~repro.sequences.store.EncodedSequenceStore.unique_view` and each
 record's multiplicity rides along with its serialized NFAs.
 
@@ -37,7 +36,7 @@ from repro.fst import (
 from repro.mapreduce import ClusterConfig, MapReduceJob
 from repro.nfa import TrieBuilder, decode_tables, serialize_pivot_tries
 from repro.patex import PatEx
-from repro.sequences import fold_weighted_values, record_parts
+from repro.sequences import fold_weighted_values
 
 
 class DCandJob(MapReduceJob):
@@ -67,12 +66,12 @@ class DCandJob(MapReduceJob):
     def map(self, record) -> Iterable[tuple[int, bytes | tuple[bytes, int]]]:
         """Build one NFA per pivot item of ``record`` and emit it serialized.
 
-        Plain records ship their NFAs bare (weight 1);
-        :class:`~repro.sequences.store.WeightedSequence` records (corpus-level
-        dedup) ship ``(payload, weight)`` pairs, so one run enumeration serves
-        every duplicate of the sequence.
+        ``record`` is a :class:`~repro.sequences.store.WeightedSequence`
+        (corpus-level dedup): weight 1 ships its NFAs bare, a larger weight
+        ships ``(payload, weight)`` pairs, so one run enumeration serves every
+        duplicate of the sequence.
         """
-        sequence, weight = record_parts(record)
+        sequence, weight = record
         tries = TrieBuilder()
         seen: set[tuple] = set()
         for output_sets in accepting_output_sets(
@@ -148,10 +147,9 @@ class DCandMiner(ClusterMiner):
         minimize_nfas: bool = True,
         aggregate_nfas: bool = True,
         max_runs: int = DEFAULT_MAX_RUNS,
-        dedup: bool = True,
         cluster: ClusterConfig | None = None,
     ) -> None:
-        super().__init__(sigma, dictionary, dedup=dedup, cluster=cluster)
+        super().__init__(sigma, dictionary, cluster=cluster)
         self.patex = PatEx(patex) if isinstance(patex, str) else patex
         self.minimize_nfas = minimize_nfas
         self.aggregate_nfas = aggregate_nfas

@@ -26,7 +26,7 @@ side builds no grid: a rewritten sequence landing in several partitions builds
 its :class:`~repro.core.local_mining.MiningTables` once per worker, in the
 memo of :mod:`repro.core.grid_engine`.
 
-``dedup`` mines the corpus's
+The map input is the corpus's
 :meth:`~repro.sequences.store.EncodedSequenceStore.unique_view`: one weighted
 record per distinct input sequence, so map work drops proportionally to
 duplication instead of only deduplicating post-shuffle in the combiner.
@@ -47,7 +47,7 @@ from repro.fst import DEFAULT_MAX_RUNS, Fst, MiningKernel, ensure_kernel, make_k
 from repro.mapreduce import ClusterConfig, MapReduceJob
 from repro.mapreduce.job import normalize_grid
 from repro.patex import PatEx
-from repro.sequences import fold_weighted_values, record_parts
+from repro.sequences import fold_weighted_values
 
 
 class DSeqJob(MapReduceJob):
@@ -97,14 +97,13 @@ class DSeqJob(MapReduceJob):
     def map(self, record) -> Iterable[tuple[int, tuple]]:
         """Send (rewritten) ``record`` to the partitions of its pivot items.
 
-        Plain records are mined with weight 1;
-        :class:`~repro.sequences.store.WeightedSequence` records (the
-        corpus-level dedup) carry their multiplicity along with the rewritten
-        representation so the combiner and reducer count them correctly.
+        ``record`` is a :class:`~repro.sequences.store.WeightedSequence` (the
+        corpus-level dedup); a weight above 1 rides along with the rewritten
+        representation so the combiner and reducer count it correctly.
         Pivots are emitted in the pivot set's iteration order: the combiner's
         first-occurrence order, and with it the wire layout, follows it.
         """
-        sequence, weight = record_parts(record)
+        sequence, weight = record
         answers = None
         if self.use_grid or self.use_rewriting:
             answers = self._grid_answers(sequence)
@@ -193,10 +192,9 @@ class DSeqMiner(ClusterMiner):
         use_rewriting: bool = True,
         use_early_stopping: bool = True,
         max_runs: int = DEFAULT_MAX_RUNS,
-        dedup: bool = True,
         cluster: ClusterConfig | None = None,
     ) -> None:
-        super().__init__(sigma, dictionary, dedup=dedup, cluster=cluster)
+        super().__init__(sigma, dictionary, cluster=cluster)
         self.patex = PatEx(patex) if isinstance(patex, str) else patex
         self.use_grid = use_grid
         self.use_rewriting = use_rewriting

@@ -28,7 +28,6 @@ from repro.fst import (
 )
 from repro.mapreduce import ClusterConfig, MapReduceJob
 from repro.patex import PatEx
-from repro.sequences import record_parts
 
 
 class NaiveJob(MapReduceJob):
@@ -57,8 +56,8 @@ class NaiveJob(MapReduceJob):
     def map(self, record) -> Iterable[tuple[tuple[int, ...], int]]:
         # With corpus-level dedup, one candidate enumeration serves every
         # duplicate of the sequence: the record's multiplicity becomes the
-        # emitted count (plain records carry an implicit weight of 1).
-        sequence, weight = record_parts(record)
+        # emitted count.
+        sequence, weight = record
         candidates = generate_candidates(
             self.kernel,
             sequence,
@@ -103,10 +102,9 @@ class _SubsequenceBaselineMiner(ClusterMiner):
         dictionary: Dictionary,
         max_candidates_per_sequence: int = DEFAULT_MAX_CANDIDATES,
         max_runs: int = DEFAULT_MAX_RUNS,
-        dedup: bool = True,
         cluster: ClusterConfig | None = None,
     ) -> None:
-        super().__init__(sigma, dictionary, dedup=dedup, cluster=cluster)
+        super().__init__(sigma, dictionary, cluster=cluster)
         self.patex = PatEx(patex) if isinstance(patex, str) else patex
         self.max_candidates_per_sequence = max_candidates_per_sequence
         self.max_runs = max_runs

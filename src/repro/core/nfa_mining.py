@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.errors import MiningError, check_sigma
+from repro.errors import MiningError, check_int
 from repro.nfa.nfa import OutputNfa, Tables
 
 
@@ -37,7 +37,7 @@ class NfaLocalMiner:
     def __init__(
         self, sigma: int, pivot: int | None = None, max_patterns: int = 10_000_000
     ) -> None:
-        check_sigma(sigma)
+        check_int(sigma, "sigma")
         self.sigma = sigma
         self.pivot = pivot
         self.max_patterns = max_patterns

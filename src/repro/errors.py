@@ -40,12 +40,13 @@ class MiningError(ReproError):
     """Raised when a mining run cannot be completed."""
 
 
-def check_sigma(sigma) -> int:
-    """Return ``sigma`` if it is a minimum support: an int (a bool is none
-    here) of at least 1.  Every entry point asks this before any work."""
-    if isinstance(sigma, bool) or not isinstance(sigma, int) or sigma < 1:
-        raise MiningError(f"sigma must be >= 1 and an int, got {sigma!r}")
-    return sigma
+def check_int(value, name: str, least: int = 1, error: type[ReproError] = MiningError) -> int:
+    """Return ``value`` if it is an int (a bool is none here) of at least
+    ``least``; raise ``error`` otherwise.  The one check of σ, ``k``, worker
+    counts, spill budgets and task attempts, asked before any work."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise error(f"{name} must be >= {least} and an int, got {value!r}")
+    return value
 
 
 class CandidateExplosionError(MiningError):

@@ -38,7 +38,8 @@ class RunRecord:
 
     def as_row(self) -> dict:
         # ``total_s`` is always the ``map_s``/``reduce_s`` sum: the split
-        # keeps map-side wins (grid engine, dedup) visible in every report.
+        # keeps map-side costs (the grid engine, the dedup pass that every
+        # miner runs) visible in every report.
         # Four decimals: tiny regression-scale runs finish in milliseconds,
         # and the committed BENCH artifacts must resolve the stage split.
         metrics = self.metrics

@@ -152,7 +152,7 @@ def table5_speedup(
             "dseq_s": round(dseq.metrics.total_seconds, 3),
             "dcand_s": round(dcand.metrics.total_seconds, 3),
             # The map/reduce split of each distributed makespan: map-side
-            # wins (grid engine, corpus dedup) stay visible per algorithm.
+            # costs (grid engine, corpus dedup pass) stay visible per algorithm.
             "dseq_map_s": round(dseq.metrics.map_seconds, 3),
             "dseq_reduce_s": round(dseq.metrics.reduce_seconds, 3),
             "dcand_map_s": round(dcand.metrics.map_seconds, 3),

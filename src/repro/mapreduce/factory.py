@@ -61,13 +61,14 @@ class ClusterConfig:
     handed to a backend's constructor that way, never through a config.
     ``grid`` selects the pivot-grid engine (``"flat"`` or ``"legacy"``): the
     miners read it, the cluster never sees it.  ``grid`` is validated (and
-    made canonical) when the config is built, and so are the worker and
-    bucket counts and the spill budget, which must be ints.
+    made canonical) when the config is built, and so are the worker count
+    and the spill budget, which must be ints.  The reduce-bucket count is no
+    field: every backend runs
+    :data:`~repro.mapreduce.base.REDUCE_TASKS_PER_WORKER` buckets per worker.
     """
 
     backend: str | Cluster = "simulated"
     num_workers: int | None = None
-    num_reduce_tasks: int | None = None
     codec: str | Codec = "compact"
     spill_budget_bytes: int | None = None
     #: Parent of each run's scratch directory, which holds everything the
@@ -82,7 +83,7 @@ class ClusterConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid", normalize_grid(self.grid))
-        check_sizes(self.num_workers, self.num_reduce_tasks, self.spill_budget_bytes)
+        check_sizes(self.num_workers, self.spill_budget_bytes)
 
     def build(self) -> Cluster:
         """Build the execution backend this config describes.
@@ -125,21 +126,21 @@ class ClusterConfig:
         cached :class:`~repro.mapreduce.metrics.JobMetrics` are not — so each
         distinct substrate caches its own entry.  A ready-made cluster
         instance runs on its own settings, not the config's, so it
-        fingerprints by its class name and its own worker and bucket counts,
-        codec, spill budget, fault policy and fault injector.
+        fingerprints by its class name and its own worker count, codec, spill
+        budget, fault policy and fault injector.
         """
         if isinstance(self.backend, Cluster):
             source, backend = self.backend, type(self.backend).__name__
         else:
             source, backend = self, self.backend
-        # A Cluster promises only its worker and bucket counts; every
-        # cluster this library builds also carries the other settings.
+        # A Cluster promises only its worker and bucket counts (the bucket
+        # count follows from the worker count); every cluster this library
+        # builds also carries the other settings.
         codec = getattr(source, "codec", None)
         policy = getattr(source, "fault_policy", None) or DEFAULT_FAULT_POLICY
         parts = (
             backend,
             source.num_workers,
-            source.num_reduce_tasks,
             getattr(codec, "name", codec),
             getattr(source, "spill_budget_bytes", None),
             self.grid,

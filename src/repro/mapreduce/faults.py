@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Protocol, runtime_checkable
 
-from repro.errors import CandidateExplosionError, MapReduceError
+from repro.errors import CandidateExplosionError, MapReduceError, check_int
 
 
 class TaskTimeoutError(MapReduceError):
@@ -124,9 +124,7 @@ class FaultPolicy:
     task_timeout_s: float | None = None
 
     def __post_init__(self) -> None:
-        attempts = self.max_task_attempts
-        if isinstance(attempts, bool) or not isinstance(attempts, int) or attempts < 1:
-            raise MapReduceError(f"max_task_attempts must be an int >= 1, got {attempts!r}")
+        check_int(self.max_task_attempts, "max_task_attempts", 1, MapReduceError)
         timeout = self.task_timeout_s
         if timeout is not None and (
             isinstance(timeout, bool)

@@ -9,7 +9,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "DatabaseStatistics",
             "SequenceDatabase",
             "as_mining_records",
-            "as_records",
         ),
         "repro.sequences.store": (
             "EncodedSequenceStore",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.dictionary import Dictionary
 from repro.errors import ReproError, UnknownItemError
-from repro.sequences.store import EncodedSequenceStore
+from repro.sequences.store import EncodedSequenceStore, as_encoded_store
 
 
 @dataclass(frozen=True)
@@ -171,34 +171,16 @@ class SequenceDatabase:
         return f"SequenceDatabase(sequences={len(self._sequences)})"
 
 
-def as_records(database) -> "Sequence[Sequence[int]]":
-    """Normalize a miner's ``database`` argument for ``Cluster.run``.
+def as_mining_records(database) -> EncodedSequenceStore:
+    """The record sequence a miner hands to ``Cluster.run``: the corpus-level dedup.
 
-    Databases and encoded stores already support length and contiguous
-    slicing, so they pass through uncopied — which is what lets the
-    ``persistent-processes`` backend reuse the database's cached
-    :meth:`SequenceDatabase.encoded_store` instead of re-packing the
-    sequences on every run.  Any other iterable is materialized once.
-    """
-    if isinstance(database, (SequenceDatabase, EncodedSequenceStore)):
-        return database
-    return list(database)
-
-
-def as_mining_records(database, dedup: bool = True) -> "Sequence":
-    """The record sequence a miner hands to ``Cluster.run``.
-
-    With ``dedup`` (the default), the database is packed into an
+    The database is packed into an
     :class:`~repro.sequences.store.EncodedSequenceStore` (reusing the
     database's cached store when there is one) and collapsed to its
     :meth:`~repro.sequences.store.EncodedSequenceStore.unique_view`: one
     :class:`~repro.sequences.store.WeightedSequence` per distinct input
     sequence.  Map-side work then drops proportionally to duplication,
-    instead of only deduplicating post-shuffle in the combiners.
+    instead of only deduplicating post-shuffle in the combiners, and every
+    job reads one record shape.
     """
-    records = as_records(database)
-    if not dedup:
-        return records
-    from repro.sequences.store import as_encoded_store
-
-    return as_encoded_store(records).unique_view()
+    return as_encoded_store(database).unique_view()

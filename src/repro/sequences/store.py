@@ -72,9 +72,10 @@ class WeightedSequence(NamedTuple):
 def record_parts(record) -> tuple[tuple[int, ...], int]:
     """Normalize a map-input record to ``(sequence, weight)``.
 
-    Plain records (what every backend shipped before corpus-level dedup) carry
-    an implicit weight of 1; :class:`WeightedSequence` records carry their
-    multiplicity from :meth:`EncodedSequenceStore.unique_view`.
+    :class:`WeightedSequence` records carry their multiplicity from
+    :meth:`EncodedSequenceStore.unique_view`; plain records carry an implicit
+    weight of 1.  The miners map only weighted records and unpack them
+    directly; ``benchmarks/e2e/replay.py`` still calls this.
     """
     if isinstance(record, WeightedSequence):
         return record.sequence, record.weight

@@ -21,15 +21,14 @@ from repro.fst import (
 )
 from repro.mapreduce.metrics import JobMetrics
 from repro.patex import PatEx
-from repro.sequences import SequenceDatabase, as_mining_records, record_parts
+from repro.sequences import SequenceDatabase, as_mining_records
 
 
 class SequentialDesqCount:
     """Generate-and-count mining with flexible constraints (sequential).
 
-    ``dedup`` (default True) generates
-    candidates once per *distinct* input sequence and counts them with the
-    sequence's multiplicity — results are byte-identical either way.
+    It generates candidates once per *distinct* input sequence (the
+    corpus-level dedup) and counts them with the sequence's multiplicity.
     """
 
     algorithm_name = "DESQ-COUNT"
@@ -41,14 +40,12 @@ class SequentialDesqCount:
         dictionary: Dictionary,
         max_candidates_per_sequence: int = DEFAULT_MAX_CANDIDATES,
         max_runs: int = DEFAULT_MAX_RUNS,
-        dedup: bool = True,
     ) -> None:
         self.patex = PatEx(patex) if isinstance(patex, str) else patex
         self.sigma = sigma
         self.dictionary = dictionary
         self.max_candidates_per_sequence = max_candidates_per_sequence
         self.max_runs = max_runs
-        self.dedup = dedup
 
     def mine(self, database: SequenceDatabase | Sequence[Sequence[int]]) -> MiningResult:
         """Mine all frequent patterns by candidate counting.
@@ -61,8 +58,7 @@ class SequentialDesqCount:
         started = time.perf_counter()
         counts: Counter[tuple[int, ...]] = Counter()
         total = 0
-        for record in as_mining_records(database, dedup=self.dedup):
-            sequence, weight = record_parts(record)
+        for sequence, weight in as_mining_records(database):
             candidates = generate_candidates(
                 kernel,
                 sequence,

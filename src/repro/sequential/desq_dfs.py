@@ -16,7 +16,7 @@ from repro.dictionary import Dictionary
 from repro.fst import make_kernel
 from repro.mapreduce.metrics import JobMetrics
 from repro.patex import PatEx
-from repro.sequences import SequenceDatabase, as_mining_records, record_parts
+from repro.sequences import SequenceDatabase, as_mining_records
 
 
 class SequentialDesqDfs:
@@ -27,9 +27,9 @@ class SequentialDesqDfs:
         miner = SequentialDesqDfs(patex, sigma=100, dictionary=dictionary)
         result = miner.mine(database)
 
-    ``dedup`` (default True) mines one
-    weighted record per *distinct* input sequence — the projected databases
-    shrink proportionally to duplication and supports are byte-identical.
+    It mines one weighted record per *distinct* input sequence (the
+    corpus-level dedup), so the projected databases shrink proportionally to
+    duplication.
     """
 
     algorithm_name = "DESQ-DFS"
@@ -40,13 +40,11 @@ class SequentialDesqDfs:
         sigma: int,
         dictionary: Dictionary,
         max_patterns: int = 10_000_000,
-        dedup: bool = True,
     ) -> None:
         self.patex = PatEx(patex) if isinstance(patex, str) else patex
         self.sigma = sigma
         self.dictionary = dictionary
         self.max_patterns = max_patterns
-        self.dedup = dedup
 
     def mine(self, database: SequenceDatabase | Sequence[Sequence[int]]) -> MiningResult:
         """Mine all frequent patterns sequentially."""
@@ -62,8 +60,7 @@ class SequentialDesqDfs:
         started = time.perf_counter()
         sequences = []
         weights = []
-        for record in as_mining_records(database, dedup=self.dedup):
-            sequence, weight = record_parts(record)
+        for sequence, weight in as_mining_records(database):
             sequences.append(sequence)
             weights.append(weight)
         patterns = miner.mine(sequences, weights)

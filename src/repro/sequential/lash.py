@@ -21,7 +21,7 @@ from repro.core.cluster_miner import ClusterMiner
 from repro.dictionary import Dictionary
 from repro.errors import MiningError
 from repro.mapreduce import ClusterConfig, MapReduceJob
-from repro.sequences import fold_weighted_values, record_parts
+from repro.sequences import fold_weighted_values
 
 
 class GapConstrainedJob(MapReduceJob):
@@ -57,9 +57,9 @@ class GapConstrainedJob(MapReduceJob):
 
     # ------------------------------------------------------------------- map
     def map(self, record) -> Iterable[tuple[int, tuple]]:
-        # Weighted records (corpus-level dedup) carry their multiplicity
-        # along with the windowed representation; plain records ship bare.
-        sequence, weight = record_parts(record)
+        # Weighted records (corpus-level dedup) carry a multiplicity above 1
+        # along with the windowed representation; weight 1 ships bare.
+        sequence, weight = record
         if len(sequence) < self.min_length:
             return
         producible: list[tuple[int, ...]] = [self._outputs_for(item) for item in sequence]
@@ -201,8 +201,8 @@ class GapConstrainedMiner(ClusterMiner):
     substrate is one :class:`~repro.mapreduce.ClusterConfig` passed as
     ``cluster=`` (see :class:`~repro.core.cluster_miner.ClusterMiner`): the
     specialist builds no FST and no grid, so the config's ``grid`` has no
-    effect, while ``dedup`` applies (its shuffle is item-partitioned like
-    D-SEQ's).
+    effect, while it maps the corpus-level dedup like every cluster miner
+    (its shuffle is item-partitioned like D-SEQ's).
     """
 
     algorithm_name = "LASH"
@@ -215,12 +215,11 @@ class GapConstrainedMiner(ClusterMiner):
         max_length: int,
         min_length: int = 2,
         use_hierarchy: bool = True,
-        dedup: bool = True,
         cluster: ClusterConfig | None = None,
     ) -> None:
         if max_length < min_length:
             raise MiningError("max_length must be >= min_length")
-        super().__init__(sigma, dictionary, dedup=dedup, cluster=cluster)
+        super().__init__(sigma, dictionary, cluster=cluster)
         self.max_gap = max_gap
         self.max_length = max_length
         self.min_length = min_length

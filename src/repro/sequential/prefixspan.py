@@ -14,7 +14,7 @@ from collections.abc import Sequence
 
 from repro.core.results import MiningResult
 from repro.dictionary import Dictionary
-from repro.errors import MiningError, check_sigma
+from repro.errors import MiningError, check_int
 from repro.mapreduce.metrics import JobMetrics
 from repro.sequences import SequenceDatabase
 
@@ -41,7 +41,7 @@ class PrefixSpanMiner:
         dictionary: Dictionary | None = None,
         max_patterns: int = 10_000_000,
     ) -> None:
-        check_sigma(sigma)
+        check_int(sigma, "sigma")
         if max_length < 1:
             raise MiningError(f"max_length must be >= 1, got {max_length}")
         self.sigma = sigma

@@ -20,7 +20,7 @@ from repro.core.results import MiningResult
 from repro.datasets.constraints import Constraint
 from repro.dictionary import Dictionary
 from repro.dictionary.dictionary import Item
-from repro.errors import MapReduceError, MiningError, ServiceError, check_sigma
+from repro.errors import MapReduceError, MiningError, ServiceError, check_int
 from repro.mapreduce import ClusterConfig, FaultPolicy
 from repro.mapreduce.metrics import JobMetrics
 from repro.patex import PatEx
@@ -30,8 +30,8 @@ from repro.service.cache import CacheInfo
 #: Bumped whenever a payload shape changes incompatibly (2: a fault policy
 #: travels as its two fields only; 3: a config has no ``blob_dir``, and its
 #: ``spill_dir`` must be null; 4: neither a config nor job metrics name a
-#: reduce partitioner).
-PROTOCOL_VERSION = 4
+#: reduce partitioner; 5: a config names no ``num_reduce_tasks``).
+PROTOCOL_VERSION = 5
 
 #: The port ``repro serve`` binds — and :func:`repro.api.connect` dials — by
 #: default.  Shared here so the two sides cannot drift apart (the client used
@@ -146,15 +146,13 @@ def encode_config(config: ClusterConfig | None) -> dict | None:
     return payload
 
 
-def decode_sigma(value):
-    """A wire σ: ``null`` (the constraint's or the operation's default) or
-    an int >= 1 — never ``true``, a float or a string."""
-    if value is None:
-        return None
+def decode_count(value, name: str) -> int:
+    """A wire σ or ``top_k``'s ``k``: an int >= 1 — never ``true``, a float,
+    a string or ``null``."""
     try:
-        return check_sigma(value)
+        return check_int(value, name)
     except MiningError as error:
-        raise ServiceError(f"bad sigma on the wire: {error}") from error
+        raise ServiceError(f"bad {name} on the wire: {error}") from error
 
 
 def decode_config(payload: dict | None) -> ClusterConfig | None:

@@ -157,8 +157,9 @@ class MiningServer(socketserver.ThreadingTCPServer):
         }
 
     def _query_arguments(self, request: dict) -> dict:
+        sigma = request.get("sigma")  # ``null``: the constraint's or the operation's default
         return {
-            "sigma": protocol.decode_sigma(request.get("sigma")),
+            "sigma": None if sigma is None else protocol.decode_count(sigma, "sigma"),
             "algorithm": request.get("algorithm", "dseq"),
             "config": protocol.decode_config(request.get("config")),
             **(request.get("options") or {}),
@@ -185,12 +186,13 @@ class MiningServer(socketserver.ThreadingTCPServer):
         return {"results": answers}
 
     def _op_top_k(self, request: dict) -> dict:
+        k = protocol.decode_count(request.get("k"), "k")
         arguments = self._query_arguments(request)
         arguments["sigma"] = arguments["sigma"] if arguments["sigma"] is not None else 1
         ranked = self.session.top_k(
             request["corpus"],
             constraint=protocol.decode_constraint(request["constraint"]),
-            k=request["k"],
+            k=k,
             **arguments,
         )
         return {

@@ -13,7 +13,7 @@ from hypothesis import settings as hypothesis_settings
 
 from repro.dictionary import Dictionary, Item
 from repro.patex import PatEx
-from repro.sequences import SequenceDatabase
+from repro.sequences import SequenceDatabase, WeightedSequence
 
 # Hypothesis profiles: "ci" derandomizes so the property-based suites are
 # reproducible in CI (select with HYPOTHESIS_PROFILE=ci); "dev" keeps the
@@ -109,6 +109,18 @@ def no_backoff(monkeypatch):
         monkeypatch.setattr(module, name, 0.0)
 
 
+@pytest.fixture()
+def reduce_tasks_per_worker(monkeypatch):
+    """``set(ratio)`` makes clusters built afterwards in this test run
+    ``ratio`` reduce buckets per worker (the bucket count is no setting)."""
+    from repro.mapreduce import base
+
+    def set_ratio(ratio: int) -> None:
+        monkeypatch.setattr(base, "REDUCE_TASKS_PER_WORKER", ratio)
+
+    return set_ratio
+
+
 def make_running_example_dictionary() -> Dictionary:
     """The dictionary of Fig. 2 with the paper's exact item order.
 
@@ -143,16 +155,19 @@ def make_running_example_dictionary() -> Dictionary:
     return Dictionary(items)
 
 
+#: The sequence database Dex of Fig. 2a, as gid sequences.
+RUNNING_EXAMPLE_SEQUENCES = (
+    ("a1", "c", "d", "c", "b"),
+    ("e", "e", "a1", "e", "a1", "e", "b"),
+    ("c", "d", "c", "b"),
+    ("a2", "d", "b"),
+    ("a1", "a1", "b"),
+)
+
+
 def make_running_example_database(dictionary: Dictionary) -> SequenceDatabase:
     """The sequence database Dex of Fig. 2a."""
-    raw = [
-        ["a1", "c", "d", "c", "b"],
-        ["e", "e", "a1", "e", "a1", "e", "b"],
-        ["c", "d", "c", "b"],
-        ["a2", "d", "b"],
-        ["a1", "a1", "b"],
-    ]
-    return SequenceDatabase.from_gid_sequences(dictionary, raw)
+    return SequenceDatabase.from_gid_sequences(dictionary, RUNNING_EXAMPLE_SEQUENCES)
 
 
 #: The example subsequence constraint π_ex of Sec. II.
@@ -183,6 +198,11 @@ def ex_patex() -> PatEx:
 @pytest.fixture(scope="session")
 def ex_fst(ex_patex, ex_dictionary):
     return ex_patex.compile(ex_dictionary)
+
+
+def weighted(sequence, weight: int = 1) -> WeightedSequence:
+    """``sequence`` as a job's map input: one record of a corpus's unique view."""
+    return WeightedSequence(tuple(sequence), weight)
 
 
 def gids(dictionary: Dictionary, candidates) -> set[str]:

@@ -277,6 +277,16 @@ class TestTopK:
             with pytest.raises(MiningError):
                 session.top_k("ex", "(b)", k=1, sigma=0)
 
+    @pytest.mark.parametrize("k", [2.5, True, "3", None])
+    def test_a_k_that_is_no_int_is_refused_before_any_mine(self, ex_corpus, k):
+        """2.5 used to run the whole σ descent and then die in an untyped
+        ``TypeError``, and ``True`` ran as k = 1."""
+        with repro.LocalSession() as session:
+            session.attach_corpus("ex", ex_corpus)
+            with pytest.raises(MiningError, match="k must be >= 1 and an int"):
+                session.top_k("ex", RUNNING_EXAMPLE_PATEX, k=k)
+            assert session.cache_info().misses == 0
+
 
 # ------------------------------------------------------------- sigma values
 #: Not a minimum support: ``True`` used to mine at σ = 1 (and hit σ = 1's
@@ -381,7 +391,6 @@ class TestConfigFingerprint:
     NON_DEFAULT = {
         "backend": "multihost",
         "num_workers": 3,
-        "num_reduce_tasks": 7,
         "codec": "zlib",
         "spill_budget_bytes": 4096,
         "grid": "legacy",
@@ -403,7 +412,6 @@ class TestConfigFingerprint:
     #: One non-default setting per substrate knob a ready-made cluster carries.
     INSTANCE_SETTINGS = {
         "num_workers": 8,
-        "num_reduce_tasks": 7,
         "codec": "zlib",
         "spill_budget_bytes": 4096,
         "fault_policy": FaultPolicy(max_task_attempts=1),
@@ -442,6 +450,8 @@ REMOVED_KNOBS = {
     "blob_dir": "/tmp/blobs",
     "partitioner": "planned",
     "_".join(("plan", "sample")): 0.5,
+    "dedup": False,
+    "num_reduce_tasks": 8,
 }
 
 
@@ -594,7 +604,7 @@ class TestSubstrateSaidOnce:
         # The fault injector is a constructor argument and never a config field.
         assert parameters - {"fault_injector"} < self.FIELDS
         assert not parameters & {"backend", "grid"}
-        assert (len(self.FIELDS), len(parameters)) == (8, 7)
+        assert (len(self.FIELDS), len(parameters)) == (7, 6)
 
     def test_the_readme_gives_each_kept_backend_and_field_a_reason(self):
         """README's "kept / why" tables hold one row per backend and per field,

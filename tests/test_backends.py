@@ -7,6 +7,8 @@ may differ.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -26,6 +28,7 @@ from repro.mapreduce import (
     run_map_task,
     stable_hash,
 )
+from repro.mapreduce.base import REDUCE_TASKS_PER_WORKER
 from repro.sequences import EncodedSequenceStore, SequenceStoreError
 from repro.sequential import GapConstrainedMiner
 
@@ -155,10 +158,23 @@ class TestMakeCluster:
         assert caught.value.code == 2
         assert survivors in capsys.readouterr().err
 
-    def test_options_are_threaded_through(self):
-        cluster = make_cluster("persistent-processes", num_workers=3, num_reduce_tasks=7)
+    def test_options_are_threaded_through(self, reduce_tasks_per_worker):
+        reduce_tasks_per_worker(3)
+        cluster = make_cluster("persistent-processes", num_workers=3)
         assert cluster.num_workers == 3
-        assert cluster.num_reduce_tasks == 7
+        assert cluster.num_reduce_tasks == 9
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_the_bucket_count_is_no_setting(self, backend):
+        """Reduce buckets are ``REDUCE_TASKS_PER_WORKER`` per worker on every
+        backend; neither the config nor a cluster class takes a count."""
+        assert len(dataclasses.fields(ClusterConfig)) == 7
+        with pytest.raises(TypeError, match="num_reduce_tasks"):
+            ClusterConfig(backend=backend, num_reduce_tasks=8)
+        cluster_class = type(make_cluster(backend))
+        with pytest.raises(TypeError, match="num_reduce_tasks"):
+            cluster_class(num_workers=2, num_reduce_tasks=8)
+        assert cluster_class(num_workers=3).num_reduce_tasks == 3 * REDUCE_TASKS_PER_WORKER == 12
 
     def test_unknown_backend(self):
         with pytest.raises(MapReduceError, match="unknown execution backend"):
@@ -178,7 +194,6 @@ class TestMakeCluster:
         the same class, every field landing on the cluster alike."""
         fields = {
             "num_workers": 3,
-            "num_reduce_tasks": 7,
             "codec": "zlib",
             "spill_budget_bytes": 4096,
             "spill_dir": str(tmp_path),
@@ -200,7 +215,7 @@ class TestMakeCluster:
         shortcut = make_cluster(backend, **fields)
         assert settings(built) == settings(shortcut)
         assert settings(built)[1:] == (
-            3, 7, "zlib", 4096, str(tmp_path), FaultPolicy(max_task_attempts=1),
+            3, 12, "zlib", 4096, str(tmp_path), FaultPolicy(max_task_attempts=1),
         )
         # The miners' field stays on the config: a cluster knows only the substrate.
         legacy = ClusterConfig(backend=backend, grid="legacy").build()
@@ -236,9 +251,6 @@ class TestMakeCluster:
             ("num_workers", True),
             ("num_workers", 0),
             ("num_workers", "2"),
-            ("num_reduce_tasks", 2.5),
-            ("num_reduce_tasks", True),
-            ("num_reduce_tasks", 0),
             ("spill_budget_bytes", 1.5),
             ("spill_budget_bytes", True),
             ("spill_budget_bytes", -1),
@@ -380,7 +392,7 @@ class TestWorkerSideShuffle:
         # The pools ship store descriptors, not the records themselves.
         assert real.metrics.map_input_pickle_bytes > 0
 
-    def test_empty_buckets_cost_nothing(self):
+    def test_empty_buckets_cost_nothing(self, reduce_tasks_per_worker):
         """A million buckets for four records allocate only the three that
         receive data; reduce order, outputs and every counter are those of
         the 8-bucket run."""
@@ -388,14 +400,11 @@ class TestWorkerSideShuffle:
 
         from repro.mapreduce.metrics import COUNTER_NAMES
 
-        small = SimulatedCluster(num_workers=2, num_reduce_tasks=8).run(
-            FidCountJob(), FID_RECORDS
-        )
+        small = SimulatedCluster(num_workers=2).run(FidCountJob(), FID_RECORDS)
+        reduce_tasks_per_worker(10**6 // 2)
         tracemalloc.start()
         try:
-            huge = SimulatedCluster(num_workers=2, num_reduce_tasks=10**6).run(
-                FidCountJob(), FID_RECORDS
-            )
+            huge = SimulatedCluster(num_workers=2).run(FidCountJob(), FID_RECORDS)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -14,12 +14,14 @@ from repro.core import (
     dseq_partition_balance,
     measure_partition_balance,
 )
+from repro.core.dcand import DCandJob
 from repro.core.dseq import DSeqJob
 from repro.errors import MiningError
 from repro.mapreduce import ClusterConfig, MapReduceJob, lpt_worker_loads
+from repro.patex import PatEx
 from repro.sequences import SequenceDatabase, as_mining_records
 
-from tests.conftest import RUNNING_EXAMPLE_PATEX
+from tests.conftest import RUNNING_EXAMPLE_PATEX, weighted
 
 
 class _WordCountJob(MapReduceJob):
@@ -182,7 +184,7 @@ class TestAlgorithmBalance:
             DSeqJob(
                 miner.patex.compile(ex_dictionary), ex_dictionary, 2
             ),
-            as_mining_records(ex_database, dedup=True),
+            as_mining_records(ex_database),
         )
         assert balance.total_bytes == result.metrics.shuffle_bytes
 
@@ -219,11 +221,15 @@ class TestAlgorithmBalance:
         )
         assert balance.total_bytes == shuffle_bytes
         # Without a combiner nothing re-collapses replayed duplicates, so
-        # measuring the *raw* records (the pre-dedup behaviour) overstates
-        # the shuffle — the regression this fixture pins down.
-        raw = dcand_partition_balance(
-            RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, database,
-            aggregate_nfas=False, dedup=False,
+        # measuring the *raw* records (the pre-dedup behaviour: every input
+        # sequence mapped as a weight-1 record) overstates the shuffle — the
+        # regression this fixture pins down.
+        raw = measure_partition_balance(
+            DCandJob(
+                PatEx(RUNNING_EXAMPLE_PATEX).compile(ex_dictionary), ex_dictionary, 2,
+                aggregate_nfas=False,
+            ),
+            [weighted(sequence) for sequence in database],
         )
         assert raw.total_bytes > shuffle_bytes
         assert raw.total_records == 3 * balance.total_records

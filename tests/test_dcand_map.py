@@ -59,7 +59,7 @@ from repro.sequences import (
     record_parts,
     weighted_value_parts,
 )
-from repro.sequences.store import WeightedSequence
+from tests.conftest import weighted
 from tests.test_differential import build_consistent, patex_strategy, sequences_strategy
 from tests.test_pivot_search import brute_force_pivots
 from tests.reference import (
@@ -108,7 +108,7 @@ def assert_map_matches_oracle(dictionary, database, expression, sigma):
             job = DCandJob(kernel, sigma=sigma, minimize_nfas=minimize)
             for index, sequence in enumerate(database):
                 plain = tuple(sequence)
-                for record in (plain, WeightedSequence(plain, index + 2)):
+                for record in (weighted(plain), weighted(plain, index + 2)):
                     mapped = list(job.map(record))
                     assert mapped == oracle_map(job, record), (kernel_name, minimize)
                     pivots = [pivot for pivot, _value in mapped]
@@ -353,8 +353,8 @@ class TestWalkerProtocol:
         for kernel_name in KERNELS:
             kernel = KERNELS[kernel_name](PatEx("(a1)+").compile(dictionary), dictionary)
             job = DCandJob(kernel, sigma=1)
-            assert list(job.map(long_run)) == oracle_map(job, long_run) != []
-            assert list(job.map(rejected)) == []
+            assert list(job.map(weighted(long_run))) == oracle_map(job, long_run) != []
+            assert list(job.map(weighted(rejected))) == []
 
 
 class TestDistinctRuns:
@@ -429,11 +429,11 @@ class TestRunCap:
         yielded = list(accepting_output_sets(kernel, sequence, bound))
         assert total == 5 and len(yielded) == 4 and len({tuple(s) for s in yielded}) == 2
         job = DCandJob(kernel, sigma=2, max_runs=total)
-        assert list(job.map(sequence)) == oracle_map(job, sequence) != []
+        assert list(job.map(weighted(sequence))) == oracle_map(job, sequence) != []
         for reader in (
             lambda cap: accepting_runs(kernel, sequence, max_runs=cap),
             lambda cap: accepting_output_sets(kernel, sequence, bound, cap),
-            lambda cap: DCandJob(kernel, sigma=2, max_runs=cap).map(sequence),
+            lambda cap: DCandJob(kernel, sigma=2, max_runs=cap).map(weighted(sequence)),
         ):
             list(reader(total))
             with pytest.raises(CandidateExplosionError):

@@ -33,7 +33,8 @@ from repro.sequential import (
     SequentialDesqCount,
     SequentialDesqDfs,
 )
-from tests.reference import InterpretedKernel
+from tests.conftest import RUNNING_EXAMPLE_SEQUENCES, weighted
+from tests.reference import GspMiner, InterpretedKernel, generates
 
 #: Constraint shapes exercised by the differential tests: captures, optional
 #: groups, generalization, repetition, alternation, and bounded gaps.
@@ -306,11 +307,7 @@ class TestPerRecordMap:
     ):
         dictionary, database = build_consistent(sequences)
         fst = PatEx(expression).compile(dictionary)
-        records = [
-            record
-            for dedup in (False, True)
-            for record in as_mining_records(database, dedup=dedup)
-        ]
+        records = [*map(weighted, database), *as_mining_records(database)]
         for job_class in (DSeqJob, DCandJob):
             warmed = job_class(fst, dictionary, sigma)
             in_chunk = [list(warmed.map(record)) for record in records]
@@ -495,9 +492,11 @@ def make_duplicated_database(copies: int = 4, count: int = 12, seed: int = 23):
 
     Heavy duplication is the regime the corpus-level dedup pass targets; the
     copies are interleaved so that duplicates cross map-chunk boundaries.
+    The base is Fig. 2a's five sequences, which give ``MATRIX_PATEX``
+    patterns at σ = 2, and ``count`` random ones.
     """
     rng = random.Random(seed)
-    base = [
+    base = [*RUNNING_EXAMPLE_SEQUENCES] + [
         [rng.choice(VOCABULARY) for _ in range(rng.randint(1, 6))]
         for _ in range(count)
     ]
@@ -506,21 +505,44 @@ def make_duplicated_database(copies: int = 4, count: int = 12, seed: int = 23):
     return build_consistent(sequences)
 
 
-class TestGridAndDedupMatrix:
-    """miners × backends × grid engines × dedup on/off.
+def plain_record_supports(dictionary, database, patterns, expression=MATRIX_PATEX) -> dict:
+    """Each pattern's support counted over the plain, duplicated input records
+    by the reference :func:`~tests.reference.generates` — no unique view, no
+    weights, no candidate generation of the product."""
+    fst = PatEx(expression).compile(dictionary)
+    records = [tuple(sequence) for sequence in database]
+    return {
+        pattern: sum(generates(fst, pattern, record, dictionary) for record in records)
+        for pattern in patterns
+    }
 
-    Acceptance criteria of the flat pivot grid and the corpus-level dedup
-    pass: patterns and supports are byte-identical across *every* cell of the
-    matrix, and the shuffle/wire metrics are byte-identical across grid
-    engines and backends (dedup legitimately changes the shuffle — that
-    is the point — so metrics are compared within each dedup setting).
+
+def plain_record_patterns(dictionary, database, sigma, expression=MATRIX_PATEX) -> dict:
+    """Every candidate generated by at least ``sigma`` plain input records."""
+    fst = PatEx(expression).compile(dictionary)
+    support: dict[tuple[int, ...], int] = {}
+    for sequence in database:
+        for candidate in generate_candidates(fst, tuple(sequence), dictionary):
+            support[candidate] = support.get(candidate, 0) + 1
+    return {candidate: count for candidate, count in support.items() if count >= sigma}
+
+
+class TestUniqueViewMatrix:
+    """miners × backends × grid engines, on a duplication-heavy corpus.
+
+    Every miner maps the corpus's unique view (one weighted record per
+    distinct sequence).  Acceptance criteria: patterns and supports equal
+    what the plain, duplicated records give — each support counted by the
+    reference :func:`~tests.reference.generates` (GSP for LASH's gap
+    constraint) — in *every* cell of the matrix, and the shuffle / wire
+    metrics are byte-identical across grid engines and backends.
     """
 
     #: Backends compared against the simulated baseline sweep.
     BACKENDS = ("persistent-processes", "multihost")
 
-    #: Every (grid, dedup) combination.
-    CONFIGS = tuple((grid, dedup) for grid in ("flat", "legacy") for dedup in (True, False))
+    #: Every grid engine.
+    GRIDS = ("flat", "legacy")
 
     #: Metrics that must match across grids and backends.
     METRICS = (
@@ -543,11 +565,8 @@ class TestGridAndDedupMatrix:
         dictionary, database = matrix_data
         factory = MATRIX_MINERS[miner_name]
         return {
-            config: factory(
-                dictionary, _matrix_cluster(backend, "compact", grid=config[0]),
-                dedup=config[1],
-            ).mine(database)
-            for config in self.CONFIGS
+            grid: factory(dictionary, _matrix_cluster(backend, "compact", grid=grid)).mine(database)
+            for grid in self.GRIDS
         }
 
     @pytest.fixture(scope="class")
@@ -562,78 +581,87 @@ class TestGridAndDedupMatrix:
         return get
 
     @pytest.mark.parametrize("miner_name", sorted(MATRIX_MINERS))
-    def test_full_matrix_on_simulated(self, miner_name, simulated_sweeps):
+    def test_unique_view_matches_the_plain_record_oracle(
+        self, miner_name, simulated_sweeps, matrix_data
+    ):
+        dictionary, database = matrix_data
         results = simulated_sweeps(miner_name)
-        reference = results[("flat", True)]
-        for config, result in results.items():
-            assert result.patterns() == reference.patterns(), config
-        # Grid engines never change what travels; dedup does (fewer map
-        # records, pre-aggregated weights), so metric equality is asserted
-        # within each dedup setting.
-        for dedup in (True, False):
-            base = results[("flat", dedup)]
-            result = results[("legacy", dedup)]
-            for metric in self.METRICS:
-                assert getattr(result.metrics, metric) == (
-                    getattr(base.metrics, metric)
-                ), (dedup, metric)
+        patterns = results["flat"].patterns()
+        if miner_name == "lash":
+            expected = GspMiner(2, dictionary, max_gap=1, max_length=3).mine(
+                [tuple(sequence) for sequence in database]
+            ).patterns()
+        else:
+            expected = plain_record_patterns(dictionary, database, 2)
+            assert plain_record_supports(dictionary, database, patterns) == patterns
+        assert patterns == expected != {}
+        for grid, result in results.items():
+            assert result.patterns() == patterns, grid
+        # Grid engines never change what travels.
+        for metric in self.METRICS:
+            assert getattr(results["legacy"].metrics, metric) == (
+                getattr(results["flat"].metrics, metric)
+            ), metric
         # The dedup pass must actually shrink the map input on this
         # duplication-heavy database (4 copies of every sequence).
-        deduped = results[("flat", True)].metrics
-        raw = results[("flat", False)].metrics
-        assert deduped.input_records < raw.input_records
-        assert deduped.input_records <= raw.input_records // 3
+        distinct = len({tuple(sequence) for sequence in database})
+        assert results["flat"].metrics.input_records == distinct <= len(database) // 3
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("miner_name", sorted(MATRIX_MINERS))
-    def test_matrix_identical_across_backends(
+    def test_unique_view_identical_across_backends(
         self, miner_name, backend, matrix_data, simulated_sweeps
     ):
         baseline = simulated_sweeps(miner_name)
         results = self._sweep(miner_name, backend, matrix_data)
-        for config, result in results.items():
-            reference = baseline[config]
-            assert result.patterns() == reference.patterns(), config
+        for grid, result in results.items():
+            reference = baseline[grid]
+            assert result.patterns() == reference.patterns(), grid
             for metric in self.METRICS:
                 assert getattr(result.metrics, metric) == (
                     getattr(reference.metrics, metric)
-                ), (config, metric)
+                ), (grid, metric)
 
     @pytest.mark.parametrize("expression", EXPRESSIONS)
     @settings(max_examples=10, deadline=None)
     @given(sequences=sequences_strategy(), sigma=st.integers(min_value=1, max_value=3))
-    def test_dedup_preserves_weights_on_random_databases(
+    def test_unique_view_supports_match_the_plain_record_oracle(
         self, expression, sequences, sigma
     ):
-        """Unique-view mining ≡ raw mining, supports included, everywhere."""
-        # Duplicate every sequence a few times so the unique view collapses
-        # records and the weights genuinely carry the counts.
-        duplicated = [list(sequence) for sequence in sequences for _ in range(3)]
-        dictionary, database = build_consistent(duplicated)
+        """Unique-view mining ≡ counting over the plain records, supports
+        included, and a corpus written three times over mines at 3σ to the
+        same patterns with three times the support, everywhere."""
+        # Every sequence three times, the anchor included, so the unique
+        # view collapses records and the weights genuinely carry the counts.
+        once = [tuple(sequence) for sequence in sequences]
+        dictionary, database = build_consistent(once)
+        tripled_dictionary, tripled = build_consistent(once * 3 + [ANCHOR_SEQUENCE] * 2)
+
+        def decoded(patterns, dictionary) -> dict:
+            return {tuple(dictionary.decode(p)): frequency for p, frequency in patterns.items()}
+
+        expected = plain_record_patterns(tripled_dictionary, tripled, 3 * sigma, expression)
         for algorithm in ("dseq", "dcand", "naive", "semi-naive"):
-            deduped = mine(
-                (database, dictionary), expression, sigma=sigma, algorithm=algorithm,
-                config=ClusterConfig(num_workers=2), dedup=True,
+            config = ClusterConfig(num_workers=2)
+            mined = mine(
+                (tripled, tripled_dictionary), expression, sigma=3 * sigma,
+                algorithm=algorithm, config=config,
             )
-            raw = mine(
-                (database, dictionary), expression, sigma=sigma, algorithm=algorithm,
-                config=ClusterConfig(num_workers=2), dedup=False,
-            )
-            assert deduped.patterns() == raw.patterns(), algorithm
-            assert deduped.metrics.input_records < raw.metrics.input_records
-        dfs = {
-            dedup: SequentialDesqDfs(expression, sigma, dictionary, dedup=dedup)
-            .mine(database).patterns()
-            for dedup in (True, False)
-        }
-        count = {
-            dedup: SequentialDesqCount(expression, sigma, dictionary, dedup=dedup)
-            .mine(database).patterns()
-            for dedup in (True, False)
-        }
-        reference = mine(
-            (database, dictionary), expression, sigma=sigma, algorithm="dseq",
-            config=ClusterConfig(num_workers=2),
-        ).patterns()
-        assert dfs[True] == dfs[False] == reference
-        assert count[True] == count[False] == reference
+            patterns = mined.patterns()
+            assert patterns == expected, algorithm
+            assert plain_record_supports(
+                tripled_dictionary, tripled, patterns, expression
+            ) == patterns, algorithm
+            assert mined.metrics.input_records <= len(tripled) // 3
+            single = mine(
+                (database, dictionary), expression, sigma=sigma,
+                algorithm=algorithm, config=config,
+            ).patterns()
+            assert decoded(patterns, tripled_dictionary) == {
+                pattern: 3 * frequency
+                for pattern, frequency in decoded(single, dictionary).items()
+            }, algorithm
+        for miner in (SequentialDesqDfs, SequentialDesqCount):
+            assert miner(expression, 3 * sigma, tripled_dictionary).mine(
+                tripled
+            ).patterns() == expected, miner.__name__

@@ -21,7 +21,7 @@ from repro.fst import (
 from repro.fst.labels import Label
 from repro.patex import PatEx
 
-from tests.conftest import gids
+from tests.conftest import gids, weighted
 from tests.reference import accepts, generates, nfa_accepts, run_output_sets
 
 
@@ -415,7 +415,7 @@ class TestLongSequences:
 
         dictionary, sequence = long_input
         job = DCandJob(PatEx("(a)+").compile(dictionary), dictionary, sigma=1)
-        ((pivot, payload),) = job.map(sequence)
+        ((pivot, payload),) = job.map(weighted(sequence))
         a = dictionary.fid_of("a")
         assert pivot == a
         nfa = deserialize(payload)
@@ -436,6 +436,6 @@ class TestLongSequences:
         assert sum(1 for _run in zip(range(39), runs)) == 39
         with pytest.raises(CandidateExplosionError):
             next(runs)
-        assert len(list(DCandJob(fst, dictionary, max_runs=40).map(sequence))) == 1
+        assert len(list(DCandJob(fst, dictionary, max_runs=40).map(weighted(sequence)))) == 1
         with pytest.raises(CandidateExplosionError):
-            list(DCandJob(fst, dictionary, max_runs=39).map(sequence))
+            list(DCandJob(fst, dictionary, max_runs=39).map(weighted(sequence)))

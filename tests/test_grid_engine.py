@@ -44,6 +44,7 @@ from repro.mapreduce import ClusterConfig
 from repro.patex import PatEx
 from repro.sequences import SequenceDatabase, WeightedSequence, as_mining_records, preprocess
 from repro.sequential import SequentialDesqDfs
+from tests.conftest import weighted
 from tests.reference import InterpretedKernel, pivots_of_output_sets
 from tests.test_dcand_map import random_hierarchy_corpus
 from tests.test_differential import patex_strategy
@@ -168,15 +169,15 @@ class TestFlatLegacyEquivalence:
 
 def assert_maps_agree(dictionary, database, expression, sigma) -> DSeqJob:
     """``DSeqJob.map`` emits the same pairs in the same order on both grid
-    engines, for every record with dedup on (weighted records) and off."""
+    engines, for every record of the unique view (weights above 1 included)
+    and for every input sequence as a weight-1 record."""
     kernel = make_kernel(PatEx(expression).compile(dictionary), dictionary)
     jobs = {grid: DSeqJob(kernel, sigma=sigma, grid=grid) for grid in GRIDS}
     sequences = SequenceDatabase([(), *map(tuple, database)])
-    for dedup in (True, False):
-        records = list(as_mining_records(sequences, dedup=dedup))
-        assert any(isinstance(record, WeightedSequence) for record in records) == dedup
-        for record in records:
-            assert list(jobs["flat"].map(record)) == list(jobs["legacy"].map(record)), record
+    records = [*as_mining_records(sequences), *map(weighted, sequences)]
+    assert all(isinstance(record, WeightedSequence) for record in records)
+    for record in records:
+        assert list(jobs["flat"].map(record)) == list(jobs["legacy"].map(record)), record
     return jobs["flat"]
 
 
@@ -226,10 +227,10 @@ class TestMapEnginesAgree:
         ]
         assert any(accepted) and not all(accepted)  # rejected records are mapped
         job = assert_maps_agree(ex_dictionary, ex_database, expression, 2)
-        assert any(list(job.map(tuple(sequence))) for sequence in ex_database)
+        assert any(list(job.map(weighted(sequence))) for sequence in ex_database)
         job = assert_maps_agree(ex_dictionary, ex_database, expression, 10**6)
         assert job.max_frequent_fid == 0
-        assert not any(list(job.map(tuple(sequence))) for sequence in ex_database)
+        assert not any(list(job.map(weighted(sequence))) for sequence in ex_database)
 
 
 class TestRejectedSequences:

@@ -27,7 +27,7 @@ from repro.nfa import (
 from repro.patex import PatEx
 from repro.sequences import preprocess
 
-from tests.conftest import gids
+from tests.conftest import gids, weighted
 from tests.reference import mine_by_labels, minimized, trie
 
 
@@ -141,7 +141,7 @@ class TestNfaLocalMiner:
         job = DCandJob(fst, dictionary, sigma)
         nfas = []
         for sequence in sequences:
-            for key, payload in job.map(sequence):
+            for key, payload in job.map(weighted(sequence)):
                 if key == pivot:
                     from repro.nfa import deserialize
 

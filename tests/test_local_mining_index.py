@@ -43,6 +43,7 @@ from repro.fst import compiled as compiled_module
 from repro.fst.compiled import _MEMO_FIELDS
 from repro.patex import PatEx
 from repro.sequences import fold_weighted_values
+from tests.conftest import weighted
 from tests.test_compiled import finishable_lists, mask_rows
 from tests.test_dcand_map import random_hierarchy_corpus
 from tests.test_differential import build_consistent, patex_strategy, sequences_strategy
@@ -180,7 +181,7 @@ def partitions_of(kernel, database, sigma, weights=None):
     for index, sequence in enumerate(database):
         sequence = tuple(sequence)
         weight = 1 if weights is None else weights[index]
-        for pivot, value in job.map(sequence):
+        for pivot, value in job.map(weighted(sequence)):
             shuffled.setdefault(pivot, []).append(value if weight == 1 else (value, weight))
     partitions = {}
     for pivot in sorted(shuffled):
@@ -588,14 +589,14 @@ class TestEdgeRowMemo:
     ):
         job, database = golden_job
         cold = len(pickle.dumps(job))
-        emitted = [list(job.map(sequence)) for sequence in database]
+        emitted = [list(job.map(weighted(sequence))) for sequence in database]
         assert any(emitted) and job.kernel._edge_memo
         assert len(pickle.dumps(job)) == cold
         monkeypatch.setattr(compiled_module, "_BACKWARD_MEMO_LIMIT", 3)
         kernel = CompiledFst(job.fst, job.dictionary)  # a cold kernel, not the interned one
         bounded = DSeqJob(kernel, sigma=job.sigma)
         for sequence, expected in zip(database, emitted):
-            assert list(bounded.map(sequence)) == expected
+            assert list(bounded.map(weighted(sequence))) == expected
             assert len(kernel._edge_memo) <= 3
 
     def test_edge_rows_are_cleared_past_the_bound(self, ex_dictionary, monkeypatch):

@@ -19,7 +19,7 @@ from repro.mapreduce import ClusterConfig
 from repro.patex import PatEx
 from repro.sequences import SequenceDatabase
 
-from tests.conftest import RUNNING_EXAMPLE_PATEX
+from tests.conftest import RUNNING_EXAMPLE_PATEX, weighted
 from tests.reference import nfa_candidates
 
 
@@ -88,19 +88,19 @@ class TestDSeq:
         a1 = ex_dictionary.fid_of("a1")
         c = ex_dictionary.fid_of("c")
         destinations = [
-            {key for key, _value in job.map(sequence)} for sequence in ex_database
+            {key for key, _value in job.map(weighted(sequence))} for sequence in ex_database
         ]
         assert destinations == [{a1, c}, {a1}, set(), set(), {a1}]
 
     def test_map_rewrites_t2(self, ex_fst, ex_dictionary, ex_database):
         job = DSeqJob(ex_fst, ex_dictionary, sigma=2)
-        [(key, value)] = list(job.map(ex_database[1]))
+        [(key, value)] = list(job.map(weighted(ex_database[1])))
         assert key == ex_dictionary.fid_of("a1")
         assert ex_dictionary.decode(value) == ("a1", "e", "a1", "e", "b")
 
     def test_no_rewriting_option_sends_original(self, ex_fst, ex_dictionary, ex_database):
         job = DSeqJob(ex_fst, ex_dictionary, sigma=2, use_rewriting=False)
-        [(_key, value)] = list(job.map(ex_database[1]))
+        [(_key, value)] = list(job.map(weighted(ex_database[1])))
         assert value == ex_database[1]
 
     @pytest.mark.parametrize(
@@ -144,14 +144,14 @@ class TestDCand:
         job = DCandJob(ex_fst, ex_dictionary, sigma=2)
         a1 = ex_dictionary.fid_of("a1")
         c = ex_dictionary.fid_of("c")
-        keys = [key for key, _payload in job.map(ex_database[0])]
+        keys = [key for key, _payload in job.map(weighted(ex_database[0]))]
         assert sorted(keys) == sorted([a1, c])
 
     def test_map_nfa_contains_pivot_candidates(self, ex_fst, ex_dictionary, ex_database):
         from repro.nfa import deserialize
 
         job = DCandJob(ex_fst, ex_dictionary, sigma=2)
-        payloads = dict(job.map(ex_database[0]))
+        payloads = dict(job.map(weighted(ex_database[0])))
         c = ex_dictionary.fid_of("c")
         nfa = deserialize(payloads[c])
         expected = {
@@ -198,8 +198,8 @@ class TestDCand:
         c = ex_dictionary.fid_of("c")
         minimized_job = DCandJob(ex_fst, ex_dictionary, sigma=2, minimize_nfas=True)
         trie_job = DCandJob(ex_fst, ex_dictionary, sigma=2, minimize_nfas=False)
-        minimized_nfa = deserialize(dict(minimized_job.map(ex_database[0]))[c])
-        trie_nfa = deserialize(dict(trie_job.map(ex_database[0]))[c])
+        minimized_nfa = deserialize(dict(minimized_job.map(weighted(ex_database[0])))[c])
+        trie_nfa = deserialize(dict(trie_job.map(weighted(ex_database[0])))[c])
         assert nfa_candidates(minimized_nfa) == nfa_candidates(trie_nfa)
         assert minimized_nfa.num_states < trie_nfa.num_states
 

@@ -33,6 +33,7 @@ from repro.mapreduce import (
     run_map_task,
     run_reduce_task,
 )
+from repro.sequences import as_mining_records
 
 from tests.conftest import RUNNING_EXAMPLE_PATEX
 
@@ -107,9 +108,10 @@ class TestProcessPoolCluster:
     def test_rejects_bad_worker_count(self):
         with pytest.raises(MapReduceError):
             process_pool(0)
-        with pytest.raises(MapReduceError):
-            process_pool(2, num_reduce_tasks=-1)
-        with pytest.raises(MapReduceError, match="num_reduce_tasks must be >= 1"):
+        with pytest.raises(MapReduceError, match="num_workers must be >= 1"):
+            process_pool(-1)
+        # The bucket count is REDUCE_TASKS_PER_WORKER per worker, no setting.
+        with pytest.raises(TypeError, match="num_reduce_tasks"):
             process_pool(2, num_reduce_tasks=0)
 
     def test_dseq_job_runs_on_process_pool(self, ex_dictionary, ex_database):
@@ -121,7 +123,7 @@ class TestProcessPoolCluster:
 
         fst = miner.patex.compile(ex_dictionary)
         job = DSeqJob(fst, ex_dictionary, 2)
-        result = process_pool(2).run(job, list(ex_database))
+        result = process_pool(2).run(job, as_mining_records(ex_database))
         assert dict(result.outputs) == expected
 
 

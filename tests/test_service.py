@@ -296,6 +296,16 @@ class TestServiceSession:
         assert results[0].same_patterns_as(results[2])
         assert client.last_query_cached is True  # the repeated expression hit
 
+    @pytest.mark.parametrize("k", [2.5, True, "3", None])
+    def test_a_wire_k_that_is_no_int_is_refused(self, client, ex_corpus, k):
+        client.attach_corpus("ex", ex_corpus)
+        with pytest.raises(ServiceError, match="bad k on the wire: k must be >= 1 and an int"):
+            client.top_k("ex", RUNNING_EXAMPLE_PATEX, k=k)
+        # The daemon keeps serving, and nothing was mined or cached.
+        assert client.ping()["protocol"] == protocol.PROTOCOL_VERSION
+        assert client.cache_info().misses == 0
+        assert client.top_k("ex", RUNNING_EXAMPLE_PATEX, k=1)
+
     def test_top_k_matches_local_session(self, client, ex_corpus):
         with repro.LocalSession() as local:
             local.attach_corpus("ex", ex_corpus)
@@ -381,7 +391,6 @@ class TestServiceSession:
         # run as one worker and a fractional budget would run.
         for name, value in (
             ("num_workers", 2.5),
-            ("num_reduce_tasks", 2.5),
             ("num_workers", True),
             ("spill_budget_bytes", 1.5),
         ):
@@ -399,7 +408,10 @@ class TestServiceSession:
             assert protocol.decode_config({"backend": backend, "num_workers": bound})
         # The planner's sampling fraction is spelled in parts, so a search of
         # the tree for the removed name finds nothing but its absence.
-        removed_fields = ("measure_shuffle", "fault_injector", "partitioner", "plan" + "_sample")
+        removed_fields = (
+            "measure_shuffle", "fault_injector", "partitioner", "plan" + "_sample",
+            "num_reduce_tasks",
+        )
         for removed in removed_fields:
             refused({removed: None}, rf"unknown ClusterConfig fields.*'{removed}'")
         # Where the daemon writes and sweeps is its operator's choice.

@@ -39,7 +39,6 @@ from repro.sequences import (
     WeightedSequence,
     as_encoded_store,
     as_mining_records,
-    as_records,
     attach_store,
     detach_store,
     fold_weighted_values,
@@ -315,12 +314,6 @@ class TestDatabaseIntegration:
         packed = as_encoded_store([(4, 5), (6,)])
         assert packed.sequences() == [(4, 5), (6,)]
 
-    def test_as_records_passes_databases_and_stores_through(self):
-        database = SequenceDatabase([(1,)])
-        assert as_records(database) is database
-        store = database.encoded_store()
-        assert as_records(store) is store
-        assert as_records(iter([(1, 2)])) == [(1, 2)]
 
 
 class TestUniqueView:
@@ -417,10 +410,10 @@ class TestUniqueView:
         with pytest.raises(SequenceStoreError, match="weight"):
             EncodedSequenceStore.from_weighted_sequences([((1,), -2)])
 
-    def test_as_mining_records_modes(self):
+    def test_as_mining_records_is_the_unique_view(self):
         database = SequenceDatabase([[1, 2], [1, 2], [5]])
-        raw = as_mining_records(database, dedup=False)
-        assert raw is as_records(database)
+        with pytest.raises(TypeError):
+            as_mining_records(database, dedup=False)
         deduped = as_mining_records(database)
         assert isinstance(deduped, EncodedSequenceStore)
         assert list(deduped) == [
