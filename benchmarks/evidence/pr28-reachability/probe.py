@@ -85,7 +85,10 @@ API_DRIVER = textwrap.dedent('''
             repro.api.mine(corpus, {"max_gap": 1, "max_length": 3}, sigma=2, algorithm=algorithm)
         except repro.MiningError as error:
             print(error)
-    repro.api.mine(corpus, "(a).*(b)", sigma=2, config=ClusterConfig(backend="threads"))
+    repro.api.mine(
+        corpus, "(a).*(b)", sigma=2,
+        config=ClusterConfig(backend="persistent-processes", num_workers=2),
+    )
     with repro.LocalSession() as session:
         session.attach_corpus("demo", corpus)
         session.mine("demo", "(a).*(b)", sigma=2)
@@ -173,7 +176,7 @@ def drivers(data: Path) -> list[tuple[str, list[str]]]:
         ]),
     ]
     algorithms = ("dseq", "dcand", "naive", "semi-naive", "desq-dfs", "desq-count")
-    backends = ("simulated", "threads", "persistent-processes", "multihost")
+    backends = ("simulated", "persistent-processes", "multihost")
     for algorithm in algorithms:
         for backend in backends:
             runs.append((f"mine {algorithm} {backend}", [
@@ -183,10 +186,9 @@ def drivers(data: Path) -> list[tuple[str, list[str]]]:
             ]))
     flags = [
         ["--codec", "zlib"], ["--spill-budget", "0"], ["--retries", "2"],
-        ["--task-timeout", "60"], ["--grid", "legacy"], ["--partitioner", "planned"],
-        ["--partitioner", "planned", "--plan-sample", "0.5"], ["--max-runs", "1000"],
+        ["--grid", "legacy"], ["--max-runs", "1000"],
         ["--output-format", "jsonl"], ["--top", "3"],
-        ["--backend", "multihost", "--blob-dir", str(data / "blobs")],
+        ["--backend", "multihost", "--spill-dir", str(data / "spill")],
     ]
     for extra in flags:
         runs.append((f"mine {' '.join(extra)}".replace(str(data), "DATA"), [
@@ -206,9 +208,9 @@ def drivers(data: Path) -> list[tuple[str, list[str]]]:
             *cli, "mine", *nyt_input, "--constraint", "N1", "--sigma", "2",
             "--algorithm", "desq-dfs", "--retries", "1",
         ]),
-        ("blob-gc", [*cli, "blob-gc", "--blob-dir", str(data / "blobs"), "--ttl", "0"]),
-        ("blob-gc dry", [
-            *cli, "blob-gc", "--blob-dir", str(data / "blobs"), "--ttl", "0", "--dry-run",
+        ("gc", [*cli, "gc", "--spill-dir", str(data / "spill"), "--ttl", "0"]),
+        ("gc dry", [
+            *cli, "gc", "--spill-dir", str(data / "spill"), "--ttl", "0", "--dry-run",
         ]),
         ("experiment list", [*cli, "experiment", "--list"]),
     ]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 import sys
 from argparse import ArgumentParser, ArgumentTypeError, Namespace
 from collections.abc import Sequence
@@ -140,50 +139,18 @@ def add_cap_arguments(parser: ArgumentParser) -> None:
 
 
 def add_fault_arguments(parser: ArgumentParser) -> None:
-    """``--retries`` / ``--task-timeout``: the run's fault-tolerance knobs."""
+    """``--retries``: the run's task-attempt budget."""
     parser.add_argument(
         "--retries",
         type=int,
         default=None,
         metavar="N",
         help=(
-            "re-run a failed or timed-out map/reduce task up to N times "
+            "re-run a failed map/reduce task up to N times "
             "before failing the job (0 = fail fast on the first error; "
             "default: 1 retry).  On the multihost backend a dead host's "
             "tasks are re-dispatched to the surviving hosts"
         ),
-    )
-    parser.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "treat a map/reduce task attempt whose compute time exceeds "
-            "SECONDS as failed and retry it under the --retries budget "
-            "(default: no timeout)"
-        ),
-    )
-
-
-def fault_policy_from_args(args: Namespace):
-    """The run's :class:`~repro.mapreduce.FaultPolicy`, or None for the default."""
-    from dataclasses import replace
-
-    from repro.mapreduce import DEFAULT_FAULT_POLICY
-
-    retries = getattr(args, "retries", None)
-    task_timeout = getattr(args, "task_timeout", None)
-    if retries is None and task_timeout is None:
-        return None
-    if retries is not None and retries < 0:
-        raise CliError(f"--retries must be >= 0, got {retries}")
-    if task_timeout is not None and not 0 < task_timeout < math.inf:
-        raise CliError(f"--task-timeout must be finite and > 0 seconds, got {task_timeout}")
-    return replace(
-        DEFAULT_FAULT_POLICY,
-        **({"max_task_attempts": retries + 1} if retries is not None else {}),
-        **({"task_timeout_s": task_timeout} if task_timeout is not None else {}),
     )
 
 
@@ -191,6 +158,9 @@ def cluster_config_from_args(args: Namespace, num_workers: int):
     """Build the one :class:`~repro.mapreduce.ClusterConfig` of a CLI run."""
     from repro.mapreduce import ClusterConfig
 
+    retries = getattr(args, "retries", None)
+    if retries is not None and retries < 0:
+        raise CliError(f"--retries must be >= 0, got {retries}")
     return ClusterConfig(
         backend=args.backend,
         num_workers=num_workers,
@@ -198,23 +168,22 @@ def cluster_config_from_args(args: Namespace, num_workers: int):
         spill_budget_bytes=parse_byte_size(args.spill_budget),
         spill_dir=getattr(args, "spill_dir", None),
         grid=getattr(args, "grid", None),
-        fault_policy=fault_policy_from_args(args),
+        **({"max_task_attempts": retries + 1} if retries is not None else {}),
     )
 
 
 #: Each :class:`~repro.mapreduce.ClusterConfig` flag of ``repro mine`` and
-#: ``repro experiment`` -> the field it sets (``--retries`` and
-#: ``--task-timeout`` both build the fault policy).  Every flag defaults to
-#: its field's default; ``--workers`` is left out, as both commands give it a
-#: value of their own.
+#: ``repro experiment`` -> the field it sets (``--retries N`` sets ``N + 1``
+#: attempts).  Every flag but ``--retries`` defaults to its field's default;
+#: ``--retries`` defaults to None.  ``--workers`` is left out, as both
+#: commands give it a value of their own.
 CLUSTER_FLAGS = {
     "--backend": "backend",
     "--codec": "codec",
     "--spill-budget": "spill_budget_bytes",
     "--spill-dir": "spill_dir",
     "--grid": "grid",
-    "--retries": "fault_policy",
-    "--task-timeout": "fault_policy",
+    "--retries": "max_task_attempts",
 }
 
 
@@ -224,7 +193,8 @@ def reject_cluster_flags(args: Namespace, target: str) -> None:
 
     default = ClusterConfig()
     for flag, field in CLUSTER_FLAGS.items():
-        if getattr(args, flag[2:].replace("-", "_")) != getattr(default, field):
+        unset = None if flag == "--retries" else getattr(default, field)
+        if getattr(args, flag[2:].replace("-", "_")) != unset:
             raise CliError(f"{flag} does not apply to {target} (it runs on no cluster)")
 
 

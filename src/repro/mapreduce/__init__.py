@@ -51,15 +51,12 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "make_cluster",
         ),
         "repro.mapreduce.faults": (
-            "DEFAULT_FAULT_POLICY",
             "FaultInjectingBlobStore",
             "FaultInjector",
-            "FaultPolicy",
             "InjectedFault",
             "JobNotDeliveredError",
             "ScriptedInjector",
             "TaskContext",
-            "TaskTimeoutError",
             "is_retryable",
         ),
         "repro.mapreduce.job": (

@@ -69,14 +69,7 @@ from typing import Any, Protocol, runtime_checkable
 
 from repro.errors import MapReduceError, check_int
 from repro.mapreduce import faults
-from repro.mapreduce.faults import (
-    DEFAULT_FAULT_POLICY,
-    FaultInjector,
-    FaultPolicy,
-    TaskContext,
-    TaskTimeoutError,
-    is_retryable,
-)
+from repro.mapreduce.faults import FaultInjector, TaskContext, is_retryable
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.metrics import JobMetrics, lpt_worker_loads
 from repro.mapreduce.spill import FragmentStore, WireFragment
@@ -218,11 +211,10 @@ class StageDriverCluster:
         Parent of each run's scratch directory, which holds everything the
         run writes (defaults to the system temp directory; created if
         missing).  A multi-host deployment points it at a shared mount.
-    fault_policy:
-        The run's :class:`~repro.mapreduce.faults.FaultPolicy`: how many
-        attempts a failed or timed-out task gets, and the per-task timeout.
-        The default policy gives every task one retry; ``max_task_attempts=1``
-        restores strict fail-fast.  Whatever the policy, a non-retryable
+    max_task_attempts:
+        How many times a failed map or reduce task may run, an int >= 1.
+        The default gives every task one retry; ``1`` restores strict
+        fail-fast.  Whatever the budget, a non-retryable
         failure (a candidate/run explosion — deterministic in the data)
         aborts the job immediately, and when attempts are exhausted the
         *original* task exception is re-raised, chained from the stage's
@@ -253,10 +245,11 @@ class StageDriverCluster:
         codec: str | Codec = "compact",
         spill_budget_bytes: int | None = None,
         spill_dir: str | None = None,
-        fault_policy: FaultPolicy | None = None,
+        max_task_attempts: int = 2,
         fault_injector: FaultInjector | None = None,
     ) -> None:
         check_sizes(num_workers, spill_budget_bytes)
+        check_int(max_task_attempts, "max_task_attempts", 1, MapReduceError)
         if num_workers is None:
             num_workers = self.default_num_workers
         self.num_workers = num_workers
@@ -268,7 +261,7 @@ class StageDriverCluster:
                 f"spill_dir must be a path or None, got {type(spill_dir).__name__}"
             )
         self.spill_dir = spill_dir
-        self.fault_policy = fault_policy or DEFAULT_FAULT_POLICY
+        self.max_task_attempts = max_task_attempts
         self.fault_injector = fault_injector
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -307,8 +300,8 @@ class StageDriverCluster:
                 # Map stage: each task partitions, combines, and encodes its
                 # reduce buckets locally (worker-side shuffle write), putting
                 # payloads past the in-memory budget into the fragment
-                # store.  Failed or timed-out attempts are retried up to the
-                # fault policy's bound; only the one successful attempt per
+                # store.  Failed attempts are retried up to
+                # ``max_task_attempts``; only the one successful attempt per
                 # task is folded into the metrics below, so retries never
                 # double-count shuffle or wire bytes.
                 map_results: list[MapTaskResult] = self._run_stage(
@@ -384,17 +377,15 @@ class StageDriverCluster:
         Each entry of ``builders`` constructs one task from a fresh
         :class:`~repro.mapreduce.faults.TaskContext` (the attempt number must
         reach the worker: the fault injector keys on it).  A round executes
-        every still-pending task; failures — including attempts over the
-        policy's per-task timeout — are retried in the next round after a
-        deterministic jittered backoff, until ``max_task_attempts`` is
+        every still-pending task; failures are retried in the next round
+        after a deterministic jittered backoff, until ``max_task_attempts`` is
         exhausted or the error is non-retryable, at which point the original
         exception is re-raised, chained from the stage's first observed
         failure (``raise error from first_cause``).  Exactly one successful
         result per task is ever returned, so a retried task's earlier
         attempts can never be double-counted downstream.
         """
-        policy = self.fault_policy
-        fail_fast = policy.max_task_attempts <= 1
+        fail_fast = self.max_task_attempts <= 1
         pending = list(range(len(builders)))
         attempts = dict.fromkeys(pending, 1)
         results: dict[int, Any] = {}
@@ -414,33 +405,17 @@ class StageDriverCluster:
                 fail_fast,
             )
             metrics.recovered_host_count += outcome.recovered_hosts
-            failures = list(outcome.failures)
             for batch_index, result in outcome.results.items():
-                slot = pending[batch_index]
-                seconds = getattr(result, "seconds", 0.0)
-                if policy.task_timeout_s is not None and seconds > policy.task_timeout_s:
-                    # Post-hoc timeout: the attempt finished but blew its
-                    # compute budget (e.g. a stalled worker); treat it as
-                    # failed and rerun it, discarding this attempt's result.
-                    failures.append(
-                        (
-                            batch_index,
-                            TaskTimeoutError(
-                                stage, slot, seconds, policy.task_timeout_s
-                            ),
-                        )
-                    )
-                    continue
-                results[slot] = result
+                results[pending[batch_index]] = result
             retry_slots: list[int] = []
             backoff = 0.0
-            for batch_index, error in failures:
+            for batch_index, error in outcome.failures:
                 slot = pending[batch_index]
                 attempt = attempts[slot]
                 metrics.tasks_failed += 1
                 if first_cause is None:
                     first_cause = error
-                if not is_retryable(error) or attempt >= policy.max_task_attempts:
+                if not is_retryable(error) or attempt >= self.max_task_attempts:
                     self._raise_stage_failure(stage, slot, attempt, error, first_cause)
                 retry_slots.append(slot)
                 attempts[slot] = attempt + 1
@@ -483,7 +458,7 @@ class StageDriverCluster:
         if hasattr(error, "add_note"):  # pragma: no branch - py3.11+
             error.add_note(
                 f"{stage} task {index} failed on attempt {attempt}"
-                f"/{self.fault_policy.max_task_attempts}"
+                f"/{self.max_task_attempts}"
             )
         if first_cause is not None and first_cause is not error:
             raise error from first_cause

@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from importlib import import_module
 
-from repro.errors import MapReduceError
+from repro.errors import MapReduceError, check_int
 from repro.mapreduce.base import Cluster, check_sizes
-from repro.mapreduce.faults import DEFAULT_FAULT_POLICY, FaultPolicy
 from repro.mapreduce.job import DEFAULT_GRID, normalize_grid
 from repro.mapreduce.wire import Codec
 
@@ -61,9 +60,9 @@ class ClusterConfig:
     handed to a backend's constructor that way, never through a config.
     ``grid`` selects the pivot-grid engine (``"flat"`` or ``"legacy"``): the
     miners read it, the cluster never sees it.  ``grid`` is validated (and
-    made canonical) when the config is built, and so are the worker count
-    and the spill budget, which must be ints.  The reduce-bucket count is no
-    field: every backend runs
+    made canonical) when the config is built, and so are the worker count,
+    the spill budget and the task-attempt budget, which must be ints.  The
+    reduce-bucket count is no field: every backend runs
     :data:`~repro.mapreduce.base.REDUCE_TASKS_PER_WORKER` buckets per worker.
     """
 
@@ -76,14 +75,14 @@ class ClusterConfig:
     #: system temp directory); a multi-host deployment sets a shared mount.
     spill_dir: str | None = None
     grid: str = DEFAULT_GRID
-    #: Task attempts and per-task timeout
-    #: (:class:`~repro.mapreduce.faults.FaultPolicy`; ``None`` → the library
-    #: default, which gives every task one retry).  Part of the fingerprint.
-    fault_policy: FaultPolicy | None = None
+    #: How many times a failed map or reduce task may run, an int >= 1 (the
+    #: default gives every task one retry).  Part of the fingerprint.
+    max_task_attempts: int = 2
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid", normalize_grid(self.grid))
         check_sizes(self.num_workers, self.spill_budget_bytes)
+        check_int(self.max_task_attempts, "max_task_attempts", 1, MapReduceError)
 
     def build(self) -> Cluster:
         """Build the execution backend this config describes.
@@ -127,7 +126,7 @@ class ClusterConfig:
         distinct substrate caches its own entry.  A ready-made cluster
         instance runs on its own settings, not the config's, so it
         fingerprints by its class name and its own worker count, codec, spill
-        budget, fault policy and fault injector.
+        budget, task-attempt budget and fault injector.
         """
         if isinstance(self.backend, Cluster):
             source, backend = self.backend, type(self.backend).__name__
@@ -137,14 +136,13 @@ class ClusterConfig:
         # count follows from the worker count); every cluster this library
         # builds also carries the other settings.
         codec = getattr(source, "codec", None)
-        policy = getattr(source, "fault_policy", None) or DEFAULT_FAULT_POLICY
         parts = (
             backend,
             source.num_workers,
             getattr(codec, "name", codec),
             getattr(source, "spill_budget_bytes", None),
             self.grid,
-            policy.fingerprint(),
+            f"attempts={getattr(source, 'max_task_attempts', None)}",
             repr(getattr(source, "fault_injector", None)),
         )
         return "|".join(str(part) for part in parts)

@@ -1,23 +1,21 @@
 """Fault-tolerance policy and deterministic fault injection for the substrate.
 
 The paper's distributed miners inherit fault tolerance from the MapReduce
-framework they run on: a failed or slow task is retried on another worker, a
+framework they run on: a failed task is retried on another worker, a
 dead host's tasks are re-dispatched, and the shuffle data of a finished job is
 eventually garbage-collected.  This module supplies the equivalents for the
 reproduction's execution backends:
 
-* :class:`FaultPolicy` — the two knobs a deployment sets: how many attempts
-  a map/reduce task gets and the per-task timeout.  It is carried on
-  :class:`~repro.mapreduce.factory.ClusterConfig` (and fingerprinted with
-  it) and read only by the stage driver.  The backoff between task attempts
-  is :func:`full_jitter_delay` over :data:`TASK_BACKOFF_BASE_S` /
-  :data:`TASK_BACKOFF_CAP_S`; blob retries have constants of their own in
-  :mod:`repro.mapreduce.blobstore`.
+* :func:`is_retryable` and the backoff between task attempts
+  (:func:`full_jitter_delay` over :data:`TASK_BACKOFF_BASE_S` /
+  :data:`TASK_BACKOFF_CAP_S`), read by the stage driver.  The one knob a
+  deployment sets, how many attempts a map/reduce task gets, is
+  :attr:`~repro.mapreduce.factory.ClusterConfig.max_task_attempts`; blob
+  retries have constants of their own in :mod:`repro.mapreduce.blobstore`.
 * :class:`FaultInjector` — the protocol a deterministic chaos source must
   offer, and :class:`ScriptedInjector`, the seedable implementation used by
   tests, CI, and the chaos-smoke benchmark: kill a specific task's host on
-  its first N attempts, delay a worker, or fail a deterministic fraction of
-  blob puts/gets.
+  its first N attempts, or fail a deterministic fraction of blob puts/gets.
 * :class:`TaskContext` — the per-attempt descriptor the stage driver ships
   into every task (stage, task index, attempt number, injector), so
   workers in other processes observe the same injection schedule as
@@ -32,28 +30,12 @@ byte-identical to a fault-free one and a CI chaos matrix be reproducible.
 from __future__ import annotations
 
 import hashlib
-import math
 import multiprocessing
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Any, Protocol, runtime_checkable
 
-from repro.errors import CandidateExplosionError, MapReduceError, check_int
-
-
-class TaskTimeoutError(MapReduceError):
-    """Raised when a map/reduce task exceeds the policy's per-task timeout."""
-
-    def __init__(self, stage: str, index: int, seconds: float, timeout_s: float) -> None:
-        super().__init__(
-            f"{stage} task {index} ran {seconds:.3f}s, over the "
-            f"{timeout_s:g}s per-task timeout"
-        )
-        self.stage = stage
-        self.index = index
-        self.seconds = seconds
-        self.timeout_s = timeout_s
+from repro.errors import CandidateExplosionError, MapReduceError
 
 
 class JobNotDeliveredError(MapReduceError):
@@ -107,51 +89,14 @@ TASK_BACKOFF_BASE_S = 0.05
 TASK_BACKOFF_CAP_S = 2.0
 
 
-@dataclass(frozen=True)
-class FaultPolicy:
-    """The retry and timeout knobs of one run's stage driver.
-
-    ``max_task_attempts`` bounds how many times a map or reduce task may run
-    (1 = fail fast, the pre-fault-tolerance behaviour); the default gives
-    every task one retry, which covers the transient failures a multi-host
-    deployment actually sees (a recycled host, a flaky blob read) without
-    masking systematic ones.  ``task_timeout_s`` bounds one attempt's
-    measured compute time; an attempt over the budget is treated as failed
-    and retried.
-    """
-
-    max_task_attempts: int = 2
-    task_timeout_s: float | None = None
-
-    def __post_init__(self) -> None:
-        check_int(self.max_task_attempts, "max_task_attempts", 1, MapReduceError)
-        timeout = self.task_timeout_s
-        if timeout is not None and (
-            isinstance(timeout, bool)
-            or not isinstance(timeout, (int, float))
-            or not 0 < timeout < math.inf  # also refuses NaN
-        ):
-            raise MapReduceError(
-                f"task_timeout_s must be a finite number > 0 or None, got {timeout!r}"
-            )
-
-    def fingerprint(self) -> str:
-        """Compact stable identifier, folded into the cluster fingerprint."""
-        return f"attempts={self.max_task_attempts},timeout={self.task_timeout_s}"
-
-
-#: The library-default policy: one retry per task, no timeout.
-DEFAULT_FAULT_POLICY = FaultPolicy()
-
-
 def is_retryable(error: BaseException) -> bool:
-    """Whether a failed task attempt may be re-run under the fault policy.
+    """Whether a failed task attempt may be re-run within its attempt budget.
 
     Candidate/run explosions are deterministic properties of the data and the
     constraint — re-running the task reproduces them exactly — so they fail
     the job immediately no matter the retry budget, and so does a worker
     that does not hold the task's job.  Everything else
-    (injected faults, dead hosts, blob-store errors, timeouts) is treated as
+    (injected faults, dead hosts, blob-store errors) is treated as
     potentially transient, matching how cluster schedulers retry task
     failures they cannot classify.
     """
@@ -191,9 +136,7 @@ class ScriptedInjector:
     :class:`InjectedFault` inside the task (a clean task failure), while
     ``"exit"`` terminates the worker process outright (``os._exit``), which a
     process-pool backend observes as a dead host taking every in-flight task
-    with it.  ``delay_stage``/``delay_task`` make the first
-    ``delay_attempts`` attempts of one task sleep ``delay_s`` seconds (pair
-    with ``FaultPolicy.task_timeout_s`` to exercise timeout retries).
+    with it.
 
     ``blob_get_failure_rate`` / ``blob_put_failure_rate`` mark a
     deterministic fraction of blob keys as flaky — whether a *key* is flaky
@@ -210,10 +153,6 @@ class ScriptedInjector:
     kill_reduce_task: int | None = None
     kill_attempts: int = 1
     kill_mode: str = "raise"
-    delay_stage: str | None = None
-    delay_task: int | None = None
-    delay_s: float = 0.0
-    delay_attempts: int = 1
     blob_get_failure_rate: float = 0.0
     blob_put_failure_rate: float = 0.0
     blob_failures_per_key: int = 1
@@ -240,13 +179,6 @@ class ScriptedInjector:
             raise InjectedFault(
                 f"injected {stage}-task {index} host failure (attempt {attempt})"
             )
-        if (
-            self.delay_stage == stage
-            and self.delay_task == index
-            and attempt <= self.delay_attempts
-            and self.delay_s > 0
-        ):
-            time.sleep(self.delay_s)
 
     def _flaky(self, kind: str, key: str, rate: float) -> bool:
         return rate > 0 and stable_fraction(self.seed, kind, key) < rate

@@ -67,8 +67,8 @@ class Counters:
     blob_put_bytes: int = 0
     blob_get_count: int = 0
     blob_get_bytes: int = 0
-    #: Fault-tolerance accounting.  ``tasks_failed`` counts every failed (or
-    #: timed-out) task *attempt*; ``task_retry_count`` counts the re-runs the
+    #: Fault-tolerance accounting.  ``tasks_failed`` counts every failed
+    #: task *attempt*; ``task_retry_count`` counts the re-runs the
     #: driver scheduled for them (a job that recovered shows equal non-zero
     #: values, a job that failed shows more failures than retries);
     #: ``blob_retry_count`` counts transient blob-store errors absorbed by

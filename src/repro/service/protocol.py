@@ -21,7 +21,7 @@ from repro.datasets.constraints import Constraint
 from repro.dictionary import Dictionary
 from repro.dictionary.dictionary import Item
 from repro.errors import MapReduceError, MiningError, ServiceError, check_int
-from repro.mapreduce import ClusterConfig, FaultPolicy
+from repro.mapreduce import ClusterConfig
 from repro.mapreduce.metrics import JobMetrics
 from repro.patex import PatEx
 from repro.sequences import SequenceDatabase
@@ -30,8 +30,9 @@ from repro.service.cache import CacheInfo
 #: Bumped whenever a payload shape changes incompatibly (2: a fault policy
 #: travels as its two fields only; 3: a config has no ``blob_dir``, and its
 #: ``spill_dir`` must be null; 4: neither a config nor job metrics name a
-#: reduce partitioner; 5: a config names no ``num_reduce_tasks``).
-PROTOCOL_VERSION = 5
+#: reduce partitioner; 5: a config names no ``num_reduce_tasks``; 6: a config
+#: carries ``max_task_attempts`` as a plain int and no ``fault_policy``).
+PROTOCOL_VERSION = 6
 
 #: The port ``repro serve`` binds — and :func:`repro.api.connect` dials — by
 #: default.  Shared here so the two sides cannot drift apart (the client used
@@ -126,8 +127,7 @@ MAX_WIRE_WORKERS = 256
 
 
 def encode_config(config: ClusterConfig | None) -> dict | None:
-    """A config as its field dict (names only — live objects cannot travel;
-    a fault policy travels as its own field dict)."""
+    """A config as its field dict (names only — live objects cannot travel)."""
     if config is None:
         return None
     if not isinstance(config.backend, str):
@@ -140,10 +140,7 @@ def encode_config(config: ClusterConfig | None) -> dict | None:
             "cannot send a live Codec instance to the service; "
             "pass a codec name in ClusterConfig(codec=...)"
         )
-    payload = {name: getattr(config, name) for name in _CONFIG_FIELDS}
-    if config.fault_policy is not None:
-        payload["fault_policy"] = dataclasses.asdict(config.fault_policy)
-    return payload
+    return {name: getattr(config, name) for name in _CONFIG_FIELDS}
 
 
 def decode_count(value, name: str) -> int:
@@ -165,17 +162,6 @@ def decode_config(payload: dict | None) -> ClusterConfig | None:
     # TMPDIR), never a client's.
     if payload.get("spill_dir") is not None:
         raise ServiceError("spill_dir cannot be set on the wire; the daemon uses its own")
-    policy = payload.get("fault_policy")
-    if policy is not None:
-        if not isinstance(policy, dict):
-            raise ServiceError(
-                f"fault_policy on the wire must be an object, got {type(policy).__name__}"
-            )
-        try:
-            policy = FaultPolicy(**policy)
-        except (TypeError, MapReduceError) as error:
-            raise ServiceError(f"bad fault_policy on the wire: {error}") from error
-        payload = {**payload, "fault_policy": policy}
     try:
         config = ClusterConfig(**payload)
     except MapReduceError as error:

@@ -22,7 +22,6 @@ from repro.experiments.harness import RunRecord, run_algorithm
 from repro.mapreduce import (
     BACKENDS,
     ClusterConfig,
-    FaultPolicy,
     ScriptedInjector,
     SimulatedCluster,
     make_cluster,
@@ -394,7 +393,7 @@ class TestConfigFingerprint:
         "codec": "zlib",
         "spill_budget_bytes": 4096,
         "grid": "legacy",
-        "fault_policy": FaultPolicy(max_task_attempts=1),
+        "max_task_attempts": 1,
     }
 
     #: A scratch location changes neither patterns nor metrics.
@@ -414,7 +413,7 @@ class TestConfigFingerprint:
         "num_workers": 8,
         "codec": "zlib",
         "spill_budget_bytes": 4096,
-        "fault_policy": FaultPolicy(max_task_attempts=1),
+        "max_task_attempts": 1,
         "fault_injector": ScriptedInjector(kill_map_task=0),
     }
 
@@ -442,7 +441,9 @@ class TestConfigFingerprint:
 #: the switch that turned the modeled shuffle accounting off, the shared
 #: blob directory (a run's blobs now live in its run directory), and the
 #: skew-aware reduce planner with its sampling fraction (the stable hash is
-#: the only partitioner; the fraction is spelled in parts like the first).
+#: the only partitioner; the fraction is spelled in parts like the first),
+#: and the fault-policy wrapper with its post-hoc per-task timeout (the
+#: attempt budget is ``max_task_attempts``).
 REMOVED_KNOBS = {
     "_".join(("map", "batching")): "trie",
     "kernel": "interpreted",
@@ -452,6 +453,8 @@ REMOVED_KNOBS = {
     "_".join(("plan", "sample")): 0.5,
     "dedup": False,
     "num_reduce_tasks": 8,
+    "fault_policy": {"max_task_attempts": 1},
+    "task_timeout_s": 30.0,
 }
 
 

@@ -17,7 +17,6 @@ from repro.errors import MapReduceError
 from repro.mapreduce import (
     BACKENDS,
     ClusterConfig,
-    FaultPolicy,
     MapReduceJob,
     MultiHostCluster,
     PersistentProcessPoolCluster,
@@ -197,7 +196,7 @@ class TestMakeCluster:
             "codec": "zlib",
             "spill_budget_bytes": 4096,
             "spill_dir": str(tmp_path),
-            "fault_policy": FaultPolicy(max_task_attempts=1),
+            "max_task_attempts": 1,
         }
 
         def settings(cluster):
@@ -208,14 +207,14 @@ class TestMakeCluster:
                 cluster.codec.name,
                 cluster.spill_budget_bytes,
                 cluster.spill_dir,
-                cluster.fault_policy,
+                cluster.max_task_attempts,
             )
 
         built = ClusterConfig(backend=backend, **fields).build()
         shortcut = make_cluster(backend, **fields)
         assert settings(built) == settings(shortcut)
         assert settings(built)[1:] == (
-            3, 12, "zlib", 4096, str(tmp_path), FaultPolicy(max_task_attempts=1),
+            3, 12, "zlib", 4096, str(tmp_path), 1,
         )
         # The miners' field stays on the config: a cluster knows only the substrate.
         legacy = ClusterConfig(backend=backend, grid="legacy").build()

@@ -7,11 +7,15 @@ the CI runner (pytest exits 4 on an unknown node id); this test finds every
 and comments alike — and checks the class and method are defined.  A step
 that selects with ``-k`` breaks the same way when the tests it matched are
 renamed (pytest exits 5 on an empty selection), so every ``-k`` command is
-collected and must select at least one test.
+collected and must select at least one test.  And every ``--flag`` of a
+documented CLI command — a ``repro <command>`` line in a README shell block,
+a ``python -m repro.cli.main <command>`` line in the workflow — must be an
+option of that subcommand's parser, so a removed flag leaves no dead recipe.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import json
 import re
@@ -22,6 +26,8 @@ from tests.conftest import run_probe
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
+README = ROOT / "README.md"
+SHELL_BLOCK = re.compile(r"^```(?:bash|sh|shell|console)\n(.*?)^```", re.MULTILINE | re.DOTALL)
 NODE_ID = re.compile(r"(tests/[\w/]+\.py)((?:::\w+)+)")
 RUN_KEY = re.compile(r"(\s*)(?:- )?run:\s*(.*)$")
 
@@ -150,4 +156,78 @@ def test_run_blocks_are_read_as_the_shell_sees_them():
     assert selections(text) == [
         ["tests/test_a.py", "-k", "one or two"],
         ["tests/test_b.py", "-k", "three"],
+    ]
+
+
+def joined_lines(lines: list[str]) -> list[str]:
+    """Shell lines with each backslash continuation joined onto its line."""
+    return "\n".join(lines).replace("\\\n", " ").splitlines()
+
+
+def cli_invocations(lines: list[str], program: str) -> list[tuple[str, list[str]]]:
+    """``(subcommand, --flags)`` of every line that runs ``program``."""
+    pattern = re.compile(rf"(?:^|\s){re.escape(program)}\s+([a-z][\w-]*)(.*)")
+    found = []
+    for line in lines:
+        match = pattern.search(line)
+        if match:
+            words = shlex.split(match.group(2), comments=True)
+            flags = [word.split("=", 1)[0] for word in words if word.startswith("--")]
+            found.append((match.group(1), flags))
+    return found
+
+
+def documented_invocations() -> tuple[list, list]:
+    """The CLI commands README's shell blocks and the workflow's runs name."""
+    readme = [
+        line
+        for block in SHELL_BLOCK.findall(README.read_text(encoding="utf-8"))
+        for line in joined_lines(block.splitlines())
+    ]
+    workflow = joined_lines(run_commands(WORKFLOW.read_text(encoding="utf-8")))
+    return (
+        cli_invocations(readme, "repro"),
+        cli_invocations(workflow, "python -m repro.cli.main"),
+    )
+
+
+def dead_flags(invocations: list[tuple[str, list[str]]]) -> list[str]:
+    """Each ``command --flag`` whose subcommand has no such option."""
+    from repro.cli.main import build_parser
+
+    (subcommands,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    dead = []
+    for command, flags in invocations:
+        parser = subcommands.choices.get(command)
+        options = parser._option_string_actions if parser is not None else {}
+        dead.extend(f"{command} {flag}" for flag in flags if flag not in options)
+        if parser is None:
+            dead.append(command)
+    return dead
+
+
+def test_every_documented_command_names_live_flags():
+    readme, workflow = documented_invocations()
+    assert len(readme) >= 8 and len(workflow) >= 2, "vacuous: almost no commands found"
+    assert sum(len(flags) for _command, flags in readme + workflow) >= 25
+    assert not dead_flags(readme), f"README names flags no parser has: {dead_flags(readme)}"
+    assert not dead_flags(workflow), f"ci.yml names flags no parser has: {dead_flags(workflow)}"
+
+
+def test_a_dead_flag_is_caught():
+    lines = joined_lines([
+        "repro mine ... --backend multihost --retries 2 --no-such-flag 30 --metrics",
+        "python -m repro.cli.main generate --dataset NYT \\",
+        "  --size=100 --output-dir out   # --not-a-flag",
+        "repro frobnicate --x",
+    ])
+    assert cli_invocations(lines, "python -m repro.cli.main") == [
+        ("generate", ["--dataset", "--size", "--output-dir"])
+    ]
+    assert dead_flags(cli_invocations(lines, "repro")) == [
+        "mine --no-such-flag", "frobnicate --x", "frobnicate",
     ]

@@ -509,10 +509,8 @@ class TestMineFaultFlags:
             "--pattern", ".*(a).*(b).*", "--sigma", "2", *extra,
         )
 
-    def test_retries_and_timeout_accepted_on_cluster_miner(self, tiny_corpus):
-        code, text = self._mine(
-            tiny_corpus, "--retries", "2", "--task-timeout", "30", "--metrics"
-        )
+    def test_retries_accepted_on_cluster_miner(self, tiny_corpus):
+        code, text = self._mine(tiny_corpus, "--retries", "2", "--metrics")
         assert code == 0
         assert "frequent patterns" in text
         # Fault-free run: the fault-tolerance metrics line stays silent.
@@ -526,20 +524,28 @@ class TestMineFaultFlags:
         code, _ = self._mine(tiny_corpus, "--retries", "-1")
         assert code == 2
 
-    @pytest.mark.parametrize("timeout", ["0", "nan", "inf"])
-    def test_non_positive_timeout_rejected(self, tiny_corpus, timeout):
-        code, _ = self._mine(tiny_corpus, "--task-timeout", timeout)
-        assert code == 2
+    @pytest.mark.parametrize(
+        "argv, attempts", [((), 2), (("--retries", "0"), 1), (("--retries", "3"), 4)]
+    )
+    def test_retries_n_sets_n_plus_one_attempts(self, tiny_corpus, argv, attempts):
+        from repro.cli.common import cluster_config_from_args
+
+        args = build_parser().parse_args(
+            ["mine", "--sequences", str(tiny_corpus), "--pattern", "(a)", "--sigma", "2", *argv]
+        )
+        assert cluster_config_from_args(args, num_workers=2).max_task_attempts == attempts
+
+    def test_task_timeout_is_a_usage_error(self, tiny_corpus, capsys):
+        # The post-hoc per-task timeout is gone; the client's
+        # ``repro.api.connect(timeout=)`` is the deadline that fires.
+        with pytest.raises(SystemExit) as excinfo:
+            self._mine(tiny_corpus, "--task-timeout", "5")
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --task-timeout 5" in capsys.readouterr().err
 
     def test_retries_rejected_for_sequential_miner(self, tiny_corpus):
         code, _ = self._mine(
             tiny_corpus, "--algorithm", "desq-dfs", "--retries", "1"
-        )
-        assert code == 2
-
-    def test_timeout_rejected_for_sequential_miner(self, tiny_corpus):
-        code, _ = self._mine(
-            tiny_corpus, "--algorithm", "desq-count", "--task-timeout", "5"
         )
         assert code == 2
 

@@ -13,6 +13,7 @@ files, symlinks or names that state no birth.
 from __future__ import annotations
 
 import json
+import os
 import pickle
 import random
 import time
@@ -28,11 +29,9 @@ from repro.mapreduce import (
     BatchOutcome,
     ClusterConfig,
     Counters,
-    DEFAULT_FAULT_POLICY,
     DirectoryBlobStore,
     FaultInjectingBlobStore,
     FaultInjector,
-    FaultPolicy,
     InjectedFault,
     InMemoryBlobStore,
     MapReduceJob,
@@ -41,7 +40,6 @@ from repro.mapreduce import (
     ScriptedInjector,
     SimulatedCluster,
     TaskContext,
-    TaskTimeoutError,
     get_with_retry,
     is_retryable,
     make_cluster,
@@ -66,8 +64,8 @@ def corpus():
 # ----------------------------------------------------------- policy & jitter
 class TestFaultPolicy:
     def test_defaults_give_one_retry(self):
-        assert DEFAULT_FAULT_POLICY.max_task_attempts == 2
-        assert DEFAULT_FAULT_POLICY.task_timeout_s is None
+        assert ClusterConfig().max_task_attempts == 2
+        assert SimulatedCluster().max_task_attempts == 2
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -76,17 +74,15 @@ class TestFaultPolicy:
             {"max_task_attempts": 2.5},
             {"max_task_attempts": True},
             {"max_task_attempts": "2"},
-            {"task_timeout_s": 0.0},
-            {"task_timeout_s": -2.0},
-            {"task_timeout_s": float("nan")},
-            {"task_timeout_s": float("inf")},
-            {"task_timeout_s": True},
-            {"task_timeout_s": "1"},
         ),
     )
     def test_validation(self, kwargs):
-        with pytest.raises(MapReduceError):
-            FaultPolicy(**kwargs)
+        # Refused when the config is built and by the backend constructors.
+        with pytest.raises(MapReduceError, match="max_task_attempts"):
+            ClusterConfig(**kwargs)
+        for cls in (SimulatedCluster, PersistentProcessPoolCluster, MultiHostCluster):
+            with pytest.raises(MapReduceError, match="max_task_attempts"):
+                cls(num_workers=2, **kwargs)
 
     def test_stable_fraction_is_deterministic_and_bounded(self):
         values = {stable_fraction("a", 1, 2.5) for _ in range(10)}
@@ -119,33 +115,25 @@ class TestFaultPolicy:
         assert task_delay("map", 0) != task_delay("map", 1)
         assert blob_delay("get", "k") != blob_delay("get", "j")
 
-    def test_fingerprint_distinguishes_policies(self):
-        prints = {
-            FaultPolicy().fingerprint(),
-            FaultPolicy(max_task_attempts=3).fingerprint(),
-            FaultPolicy(task_timeout_s=1.5).fingerprint(),
-        }
-        assert len(prints) == 3
-
     def test_is_retryable_classification(self):
         assert is_retryable(MapReduceError("host down"))
-        assert is_retryable(TaskTimeoutError("map", 0, 2.0, 1.0))
         assert is_retryable(InjectedFault("boom"))
         assert is_retryable(OSError("connection reset"))
         assert not is_retryable(CandidateExplosionError("accepting runs", 100))
 
     def test_cluster_fingerprint_covers_fault_knobs(self):
         base = ClusterConfig(num_workers=2).fingerprint()
-        retried = ClusterConfig(
-            num_workers=2, fault_policy=FaultPolicy(max_task_attempts=3)
-        ).fingerprint()
+        retried = ClusterConfig(num_workers=2, max_task_attempts=3).fingerprint()
         clean = ClusterConfig(backend=SimulatedCluster(num_workers=2)).fingerprint()
+        fail_fast = ClusterConfig(
+            backend=SimulatedCluster(num_workers=2, max_task_attempts=1)
+        ).fingerprint()
         injected = ClusterConfig(
             backend=SimulatedCluster(
                 num_workers=2, fault_injector=ScriptedInjector(kill_map_task=0)
             )
         ).fingerprint()
-        assert len({base, retried, clean, injected}) == 4
+        assert len({base, retried, clean, fail_fast, injected}) == 5
 
 
 # -------------------------------------------------------- injector mechanics
@@ -157,6 +145,14 @@ class TestScriptedInjector:
             ScriptedInjector(blob_get_failure_rate=1.5)
         with pytest.raises(MapReduceError):
             ScriptedInjector(blob_put_failure_rate=-0.1)
+
+    @pytest.mark.parametrize(
+        "knob", ("delay_stage", "delay_task", "delay_s", "delay_attempts")
+    )
+    def test_has_no_delay_knobs(self, knob):
+        # Delays existed only to trip the post-hoc task timeout, now gone.
+        with pytest.raises(TypeError):
+            ScriptedInjector(**{knob: 1})
 
     def test_satisfies_protocol_and_pickles(self):
         injector = ScriptedInjector(kill_map_task=1, blob_get_failure_rate=0.2)
@@ -269,6 +265,22 @@ class PoisonJob(MapReduceJob):
         yield key, sum(values)
 
 
+class ReduceFailsOnceJob(FidCountJob):
+    """Fid count whose first reduce call of the run fails, after its task's
+    blob gets: that caller creates ``marker`` (``O_EXCL``), later ones find it."""
+
+    def __init__(self, marker):
+        self.marker = str(marker)
+
+    def reduce(self, key, values):
+        try:
+            os.close(os.open(self.marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            yield from super().reduce(key, values)
+            return
+        raise InjectedFault("first reduce call fails")
+
+
 class ExplodingJob(FidCountJob):
     """Raises the non-retryable explosion error, counting its invocations."""
 
@@ -340,47 +352,16 @@ class TestDriverRetries:
     def test_fail_fast_raises_first_observed_failure(self):
         # Two failing map tasks on a 2-worker process pool: the quick failure
         # is observed first even though the slow one was submitted first.
-        cluster = make_cluster(
-            "persistent-processes",
-            num_workers=2,
-            fault_policy=FaultPolicy(max_task_attempts=1),
-        )
+        cluster = make_cluster("persistent-processes", num_workers=2, max_task_attempts=1)
         with pytest.raises(MapReduceError, match="fast poison"):
             cluster.run(PoisonJob(), [PoisonJob.SLOW, PoisonJob.FAST])
 
     def test_non_retryable_explosion_fails_immediately(self):
         job = ExplodingJob()
-        cluster = make_cluster(
-            "simulated", num_workers=3, fault_policy=FaultPolicy(max_task_attempts=4)
-        )
+        cluster = make_cluster("simulated", num_workers=3, max_task_attempts=4)
         with pytest.raises(CandidateExplosionError):
             cluster.run(job, FID_RECORDS + [(99,)])
         assert job.explosions == 1  # never retried, whatever the budget
-
-    def test_timeout_retry_recovers_a_stalled_task(self):
-        baseline = make_cluster("simulated", num_workers=3).run(FidCountJob(), FID_RECORDS)
-        cluster = SimulatedCluster(
-            num_workers=3,
-            fault_policy=FaultPolicy(task_timeout_s=0.05),
-            fault_injector=ScriptedInjector(
-                delay_stage="map", delay_task=0, delay_s=0.25, delay_attempts=1
-            ),
-        )
-        result = cluster.run(FidCountJob(), FID_RECORDS)
-        assert sorted(result.outputs) == sorted(baseline.outputs)
-        assert result.metrics.tasks_failed == 1
-        assert result.metrics.task_retry_count == 1
-
-    def test_timeout_exhaustion_raises_task_timeout_error(self):
-        cluster = SimulatedCluster(
-            num_workers=3,
-            fault_policy=FaultPolicy(task_timeout_s=0.05),
-            fault_injector=ScriptedInjector(
-                delay_stage="map", delay_task=0, delay_s=0.25, delay_attempts=99
-            ),
-        )
-        with pytest.raises(TaskTimeoutError, match="per-task timeout"):
-            cluster.run(FidCountJob(), FID_RECORDS)
 
     def test_default_executor_reports_batch_outcome(self, tmp_path):
         # The serial reference executor: failures are reported, not raised,
@@ -402,26 +383,20 @@ class TestDriverRetries:
 
 @pytest.mark.usefixtures("no_backoff")
 class TestInjectedBlobCounts:
-    def test_blob_faults_are_counted_per_attempt_on_every_backend(self):
+    def test_blob_faults_are_counted_per_attempt_on_every_backend(self, tmp_path):
         """Every task attempt wraps the store for the injector itself, so the
         in-process and the process-pool backend meter the same schedule: a
-        timed-out map attempt, then every put and every get of a flaky key
-        failing once per attempt."""
+        reduce attempt that fails after its gets, then every put and every
+        get of a flaky key failing once per attempt, the retried one's too."""
         injector = ScriptedInjector(
-            delay_stage="map",
-            delay_task=0,
-            delay_s=0.3,
             blob_put_failure_rate=1.0,
             blob_get_failure_rate=1.0,
             blob_failures_per_key=1,
         )
         metrics = [
             cls(
-                num_workers=2,
-                spill_budget_bytes=0,
-                fault_policy=FaultPolicy(task_timeout_s=0.1),
-                fault_injector=injector,
-            ).run(FidCountJob(), FID_RECORDS).metrics
+                num_workers=2, spill_budget_bytes=0, fault_injector=injector
+            ).run(ReduceFailsOnceJob(tmp_path / cls.__name__), FID_RECORDS).metrics
             for cls in (SimulatedCluster, PersistentProcessPoolCluster)
         ]
         simulated, pooled = metrics
@@ -587,7 +562,7 @@ class TestInjectedMultiHost:
                 backend=MultiHostCluster(
                     num_workers=2,
                     spill_dir=str(spill_dir),
-                    fault_policy=FaultPolicy(max_task_attempts=1),
+                    max_task_attempts=1,
                     fault_injector=ScriptedInjector(kill_map_task=0),
                 ),
             ),
@@ -784,7 +759,7 @@ class TestRetryProperties:
         )
         cluster = SimulatedCluster(
             num_workers=3,
-            fault_policy=FaultPolicy(max_task_attempts=k + 1),
+            max_task_attempts=k + 1,
             fault_injector=ScriptedInjector(kill_map_task=0, kill_attempts=k),
         )
         result = cluster.run(FidCountJob(), FID_RECORDS)

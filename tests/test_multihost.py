@@ -182,22 +182,25 @@ class TestBlobCleanup:
 
 
 # ------------------------------------------------- a killed driver's orphan
-#: A multihost driver whose map task 0 sleeps, so it can be killed mid-run.
+#: A multihost driver whose map task 0 sleeps on its first record, so it
+#: can be killed mid-run.
 KILLED_DRIVER = """
 import sys
-from repro.mapreduce import MapReduceJob, MultiHostCluster, ScriptedInjector
+import time
+from repro.mapreduce import MapReduceJob, MultiHostCluster
 
 class CountJob(MapReduceJob):
     def map(self, record):
+        if record == (0,):
+            time.sleep(120.0)
         for fid in record:
             yield fid, 1
 
     def reduce(self, key, values):
         yield key, sum(values)
 
-injector = ScriptedInjector(delay_stage="map", delay_task=0, delay_s=120.0)
-cluster = MultiHostCluster(num_workers=2, spill_dir=sys.argv[1], fault_injector=injector)
-cluster.run(CountJob(), [(1, 2), (2, 3)] * 10)
+cluster = MultiHostCluster(num_workers=2, spill_dir=sys.argv[1])
+cluster.run(CountJob(), [(0,)] + [(1, 2), (2, 3)] * 10)
 """
 
 #: Names a sweep must never act on: no birth parses out of them.

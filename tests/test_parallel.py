@@ -18,7 +18,6 @@ from repro.core.dseq import DSeqJob
 from repro.errors import MapReduceError
 from repro.mapreduce import (
     ClusterConfig,
-    FaultPolicy,
     JobNotDeliveredError,
     JobRef,
     MapReduceJob,
@@ -277,7 +276,7 @@ class TestJobDelivery:
         # boundary and aborts on the first attempt of a two-attempt policy.
         cluster = make_cluster("persistent-processes", num_workers=2)
         cluster.executor = StrangerRefExecutor()
-        assert cluster.fault_policy.max_task_attempts == 2
+        assert cluster.max_task_attempts == 2
         with pytest.raises(JobNotDeliveredError, match="map task [01].*token 424242") as caught:
             cluster.run(WordCountJob(), RECORDS)
         if hasattr(caught.value, "__notes__"):
@@ -354,9 +353,7 @@ class TestFrozenWorkerHeap:
         before = collector_state()
         make_cluster(backend, num_workers=2).run(WordCountJob(), RECORDS)
         assert collector_state() == before
-        failing = make_cluster(
-            backend, num_workers=2, fault_policy=FaultPolicy(max_task_attempts=1)
-        )
+        failing = make_cluster(backend, num_workers=2, max_task_attempts=1)
         with pytest.raises(MapReduceError, match="this run fails"):
             failing.run(FailingJob(), RECORDS)
         assert collector_state() == before

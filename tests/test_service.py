@@ -10,13 +10,33 @@ import pytest
 import repro
 import repro.api
 from repro.errors import CorpusNotAttachedError, MiningError, QueryTimeoutError, ServiceError
-from repro.mapreduce import ClusterConfig, FaultPolicy
+from repro.mapreduce import ClusterConfig
 from repro.service import MiningServer, QueryCache, protocol
 from repro.service.cache import CacheInfo
 
 from tests.conftest import RUNNING_EXAMPLE_PATEX, run_probe
 
 SIGMA = 2
+
+#: What each message of the current ``PROTOCOL_VERSION`` carries: the keys of
+#: an encoded ``ClusterConfig`` and the ``JobMetrics`` fields of an encoded
+#: result.  A change to either set bumps the version and replaces this row.
+WIRE_SHAPE = (
+    6,
+    {
+        "backend", "num_workers", "codec", "spill_budget_bytes", "spill_dir", "grid",
+        "max_task_attempts",
+    },
+    {
+        "blob_get_bytes", "blob_get_count", "blob_put_bytes", "blob_put_count",
+        "blob_retry_count", "combined_records", "input_records",
+        "map_input_pickle_bytes", "map_output_records", "map_task_seconds",
+        "num_workers", "output_records", "recovered_host_count",
+        "reduce_bucket_bytes", "reduce_task_seconds", "shuffle_bytes",
+        "shuffle_records", "spilled_buckets", "spilled_bytes", "task_retry_count",
+        "tasks_failed", "wire_bytes",
+    },
+)
 
 #: The five cluster miners whose service-path results must be byte-identical.
 CLUSTER_ALGORITHMS = ("dseq", "dcand", "naive", "semi-naive", "lash")
@@ -134,21 +154,27 @@ class TestProtocol:
         assert protocol.decode_config(protocol.encode_config(config)) == config
         assert protocol.encode_config(None) is None
 
-    def test_fault_policy_travels_as_its_field_dict(self):
-        config = ClusterConfig(
-            num_workers=2, fault_policy=FaultPolicy(max_task_attempts=1, task_timeout_s=2.5)
-        )
+    def test_the_wire_shape_is_pinned_to_the_protocol_version(self, ex_corpus):
+        version, config_keys, metric_fields = WIRE_SHAPE
+        assert protocol.PROTOCOL_VERSION == version
+        assert set(protocol.encode_config(ClusterConfig())) == config_keys
+        result = repro.api.mine(ex_corpus, RUNNING_EXAMPLE_PATEX, sigma=SIGMA)
+        assert set(protocol.encode_result(result)["metrics"]) == metric_fields
+
+    def test_max_task_attempts_travels_as_a_plain_field(self):
+        config = ClusterConfig(num_workers=2, max_task_attempts=1)
         payload = json.loads(json.dumps(protocol.encode_config(config)))
-        assert payload["fault_policy"]["max_task_attempts"] == 1
+        assert payload["max_task_attempts"] == 1
         decoded = protocol.decode_config(payload)
         assert decoded == config
         assert decoded.fingerprint() == config.fingerprint()
 
     @pytest.mark.parametrize(
-        "policy", [{"x": 1}, 3, "attempts=1", [1], {"max_task_attempts": "many"}]
+        "policy",
+        [{"max_task_attempts": 1}, {"x": 1}, 3, "attempts=1", [1], {"max_task_attempts": "many"}],
     )
-    def test_hostile_fault_policies_are_service_errors(self, policy):
-        with pytest.raises(ServiceError, match="fault_policy"):
+    def test_a_fault_policy_is_an_unknown_field(self, policy):
+        with pytest.raises(ServiceError, match=r"unknown ClusterConfig fields.*'fault_policy'"):
             protocol.decode_config({"fault_policy": policy})
 
     def test_live_cluster_objects_are_rejected(self):
@@ -346,11 +372,11 @@ class TestServiceSession:
             )
         assert len(client.mine("ex", RUNNING_EXAMPLE_PATEX, sigma=SIGMA)) > 0
 
-    def test_a_fault_policy_crosses_the_wire_and_hostile_configs_are_refused(
+    def test_an_attempt_budget_crosses_the_wire_and_hostile_configs_are_refused(
         self, client, ex_corpus
     ):
         client.attach_corpus("ex", ex_corpus)
-        config = ClusterConfig(num_workers=2, fault_policy=FaultPolicy(max_task_attempts=1))
+        config = ClusterConfig(num_workers=2, max_task_attempts=1)
         served = client.mine("ex", RUNNING_EXAMPLE_PATEX, sigma=SIGMA, config=config)
         direct = repro.api.mine(ex_corpus, RUNNING_EXAMPLE_PATEX, sigma=SIGMA, config=config)
         assert served.patterns() == direct.patterns()
@@ -369,16 +395,16 @@ class TestServiceSession:
                     options={},
                 )
 
-        refused({"fault_policy": {"x": 1}}, "bad fault_policy.*'x'")
-        refused({"fault_policy": 5}, "fault_policy on the wire must be an object")
-        # NaN travels as JSON's NaN; none of these may disable or bend a check.
-        for hostile in (
-            {"task_timeout_s": float("nan")},
-            {"task_timeout_s": True},
-            {"max_task_attempts": 2.5},
-            {"max_task_attempts": True},
-        ):
-            refused({"fault_policy": hostile}, "bad fault_policy")
+        # A protocol-5 client's nested policy and a bare timeout are
+        # unknown fields.
+        refused({"fault_policy": {"max_task_attempts": 1}}, "unknown.*'fault_policy'")
+        refused({"task_timeout_s": 30.0}, "unknown.*'task_timeout_s'")
+        # None of these may bend the attempt check.
+        for hostile in (0, 2.5, True, "2"):
+            refused(
+                {"max_task_attempts": hostile},
+                "bad ClusterConfig.*max_task_attempts must be",
+            )
         # A protocol-1 client's ten-field policy.
         old_policy = {
             "max_task_attempts": 2, "task_backoff_base_s": 0.05, "task_backoff_cap_s": 2.0,
@@ -386,7 +412,7 @@ class TestServiceSession:
             "blob_backoff_base_s": 0.01, "blob_backoff_cap_s": 0.25,
             "blob_namespace_ttl_s": 86400.0, "jitter_seed": 0,
         }
-        refused({"fault_policy": old_policy}, "bad fault_policy.*task_backoff_base_s")
+        refused({"fault_policy": old_policy}, "unknown.*'fault_policy'")
         # Sizes are ints in range: a float would die mid-run, ``true`` would
         # run as one worker and a fractional budget would run.
         for name, value in (

@@ -31,7 +31,6 @@ from repro.mapreduce import (
     CompactCodec,
     Counters,
     DirectoryBlobStore,
-    FaultPolicy,
     InMemoryBlobStore,
     MapReduceJob,
     MultiHostCluster,
@@ -926,7 +925,7 @@ class TestSpillCleanupOnWorkerFailure:
             num_workers=2,
             spill_budget_bytes=spill_budget,
             spill_dir=str(tmp_path),
-            fault_policy=FaultPolicy(max_task_attempts=1),
+            max_task_attempts=1,
             fault_injector=ScriptedInjector(kill_map_task=0, kill_mode="exit"),
         )
         with pytest.raises(BrokenExecutor):
