@@ -234,7 +234,7 @@ def drivers(data: Path) -> list[tuple[str, list[str]]]:
     ]))
     runs.append(("pytest benchmarks tiny", [
         sys.executable, "-m", "pytest", "benchmarks", "-q", "-p", "no:cacheprovider",
-        "--benchmark-disable",
+        "--benchmark-disable", "--tb=line",  # one line per failure: the log's tail names it
     ]))
     return runs
 
@@ -310,7 +310,10 @@ def main(checkout: str = ".", out: str = "zero-calls.txt") -> None:
                 seconds = time.perf_counter() - started
                 log.write(f"{label}: exit {done.returncode} ({seconds:.1f} s)\n")
                 if done.returncode:
-                    log.write(textwrap.indent(done.stderr[-1500:], "    ") + "\n")
+                    # pytest reports its failures on stdout, everything else on stderr.
+                    for tail in (done.stdout[-1500:], done.stderr[-1500:]):
+                        if tail.strip():
+                            log.write(textwrap.indent(tail, "    ") + "\n")
                 log.flush()
             run_service(copy, env, data, log)
         seen = set()

@@ -111,6 +111,8 @@ class DCandJob(MapReduceJob):
         once, straight into the tables the search counts on.
         """
         folded = fold_weighted_values(values)
+        if sum(folded.values()) < self.sigma:
+            return  # fewer than sigma sequences support no pattern
         miner = NfaLocalMiner(self.sigma, pivot=key)
         tables = [decode_tables(payload) for payload in folded]
         yield from miner.mine_tables(tables, list(folded.values())).items()

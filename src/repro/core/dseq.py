@@ -148,8 +148,10 @@ class DSeqJob(MapReduceJob):
         self, key: int, values: list[tuple[tuple[int, ...], int]]
     ) -> Iterable[tuple[tuple[int, ...], int]]:
         """Mine partition ``key`` with the pivot-aware DESQ-DFS miner."""
-        sequences = [sequence for sequence, _weight in values]
         weights = [weight for _sequence, weight in values]
+        if sum(weights) < self.sigma:
+            return  # fewer than sigma sequences support no pattern
+        sequences = [sequence for sequence, _weight in values]
         miner = DesqDfsMiner(
             self.kernel,
             None,

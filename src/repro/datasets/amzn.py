@@ -14,6 +14,7 @@ review sequences with a skewed length distribution (mean ≈ 4, long tail).
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 from repro.datasets.synthetic import SyntheticDataset, ZipfSampler, truncated_geometric
 from repro.dictionary import Hierarchy
@@ -28,6 +29,9 @@ DEPARTMENTS = (
     "Clothing",
     "Toys",
 )
+
+#: Running sums of the departments' shares of reviews, as ``random.choices`` makes them.
+DEPARTMENT_CUM_WEIGHTS = tuple(accumulate((0.3, 0.22, 0.1, 0.1, 0.12, 0.09, 0.07)))
 
 #: Sub-categories per department (products attach to sub-categories).
 SUBCATEGORIES = {
@@ -69,7 +73,6 @@ class AmznLikeGenerator:
         hierarchy = Hierarchy()
         products_by_department = self._build_hierarchy(hierarchy, rng)
 
-        department_weights = [0.3, 0.22, 0.1, 0.1, 0.12, 0.09, 0.07]
         samplers = {
             department: ZipfSampler(products, exponent=1.1, rng=rng)
             for department, products in products_by_department.items()
@@ -82,13 +85,13 @@ class AmznLikeGenerator:
             )
             # Users shop mostly within a couple of favourite departments, which
             # creates the co-occurrence patterns the A1–A4 constraints look for.
-            favourites = rng.choices(DEPARTMENTS, department_weights, k=2)
+            favourites = rng.choices(DEPARTMENTS, cum_weights=DEPARTMENT_CUM_WEIGHTS, k=2)
             basket: list[str] = []
             for _ in range(length):
                 if rng.random() < 0.75:
                     department = rng.choice(favourites)
                 else:
-                    department = rng.choices(DEPARTMENTS, department_weights, k=1)[0]
+                    department = rng.choices(DEPARTMENTS, cum_weights=DEPARTMENT_CUM_WEIGHTS)[0]
                 basket.append(samplers[department].sample())
             sequences.append(tuple(basket))
         name = "AMZN-F" if self.forest else "AMZN"

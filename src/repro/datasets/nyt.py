@@ -15,6 +15,7 @@ scaled-down corpus with the same hierarchy shape:
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 from repro.datasets.synthetic import SyntheticDataset, ZipfSampler, truncated_geometric
 from repro.dictionary import Hierarchy
@@ -22,6 +23,10 @@ from repro.dictionary import Hierarchy
 #: Part-of-speech tags used by the generator (and by the N1–N5 constraints).
 POS_TAGS = ("VERB", "NOUN", "PREP", "DET", "ADJ", "ADV", "PRON")
 ENTITY_TYPES = ("PER", "ORG", "LOC")
+
+#: Filler words' part-of-speech mix, as running sums the way ``random.choices`` makes them.
+NOISE_TAGS = ("NOUN", "VERB", "DET", "PREP", "ADJ", "ADV", "PRON")
+NOISE_CUM_WEIGHTS = tuple(accumulate((0.3, 0.16, 0.14, 0.12, 0.12, 0.08, 0.08)))
 
 
 class NytLikeGenerator:
@@ -171,18 +176,7 @@ class NytLikeGenerator:
     def _noise(
         rng: random.Random, samplers: dict[str, ZipfSampler], count: int
     ) -> list[str]:
-        weights = {
-            "NOUN": 0.3,
-            "VERB": 0.16,
-            "DET": 0.14,
-            "PREP": 0.12,
-            "ADJ": 0.12,
-            "ADV": 0.08,
-            "PRON": 0.08,
-        }
-        tags = list(weights)
-        probabilities = [weights[t] for t in tags]
-        picks = rng.choices(tags, probabilities, k=count)
+        picks = rng.choices(NOISE_TAGS, cum_weights=NOISE_CUM_WEIGHTS, k=count)
         return [samplers[tag].sample() for tag in picks]
 
 

@@ -12,7 +12,9 @@ scale.  See DESIGN.md for the substitution rationale.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections.abc import Sequence
+from itertools import accumulate
 
 from repro.dictionary import Hierarchy
 from repro.sequences import SequenceDatabase, preprocess
@@ -25,26 +27,16 @@ class ZipfSampler:
         if not population:
             raise ValueError("population must not be empty")
         self._population = list(population)
+        self._last = len(self._population) - 1
         self._rng = rng
         weights = [1.0 / (rank**exponent) for rank in range(1, len(self._population) + 1)]
         total = sum(weights)
-        self._cumulative: list[float] = []
-        running = 0.0
-        for weight in weights:
-            running += weight / total
-            self._cumulative.append(running)
+        self._cumulative = list(accumulate(weight / total for weight in weights))
 
     def sample(self) -> str:
-        """Draw one item."""
-        value = self._rng.random()
-        lo, hi = 0, len(self._cumulative) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cumulative[mid] < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self._population[lo]
+        """Draw one item: the first whose cumulative share reaches the draw (or the last)."""
+        index = bisect_left(self._cumulative, self._rng.random(), 0, self._last)
+        return self._population[index]
 
     def sample_many(self, count: int) -> list[str]:
         """Draw ``count`` items independently."""

@@ -3,7 +3,9 @@
 The builder performs the "preprocessing" step of the paper: it scans the raw
 sequence database once, computes the document frequency ``f(w, D)`` of every
 item (counting a sequence for an item if the sequence contains the item *or any
-of its descendants*), and assigns fids by decreasing frequency.
+of its descendants*), and assigns fids by decreasing frequency.  The ancestor
+closure of an item is walked once, the first time the item is met, and a
+sequence adds the union of its distinct items' closures to the counts.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ class DictionaryBuilder:
         self._hierarchy = hierarchy.copy() if hierarchy is not None else Hierarchy()
         self._document_frequency: Counter[str] = Counter()
         self._sequence_count = 0
+        #: gid -> its reflexive ancestor closure, filled on first sight.
+        self._closures: dict[str, frozenset[str]] = {}
 
     @property
     def sequence_count(self) -> int:
@@ -41,8 +45,9 @@ class DictionaryBuilder:
         self._hierarchy.add_item(gid)
 
     def add_generalization(self, child: str, parent: str) -> None:
-        """Register a generalization edge ``child => parent``."""
+        """Register a generalization edge ``child => parent`` (drops every cached closure)."""
         self._hierarchy.add_edge(child, parent)
+        self._closures.clear()
 
     def add_sequence(self, gids: Sequence[str]) -> None:
         """Count one input sequence.
@@ -54,10 +59,13 @@ class DictionaryBuilder:
         """
         self._sequence_count += 1
         seen: set[str] = set()
-        for gid in gids:
-            if gid not in self._hierarchy:
-                self._hierarchy.add_item(gid)
-            seen.update(self._hierarchy.ancestors(gid))
+        for gid in dict.fromkeys(gids):
+            closure = self._closures.get(gid)
+            if closure is None:
+                if gid not in self._hierarchy:
+                    self._hierarchy.add_item(gid)
+                closure = self._closures[gid] = self._hierarchy.ancestors(gid)
+            seen |= closure
         self._document_frequency.update(seen)
 
     def add_sequences(self, sequences: Iterable[Sequence[str]]) -> None:

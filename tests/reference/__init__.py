@@ -3,6 +3,8 @@
 Each one encodes a piece of the paper's semantics the simple way and shares
 no table, memo or shortcut with the product code it checks:
 
+* :mod:`.dictionary` -- :class:`OccurrenceBuilder` (the f-list's document
+  frequencies with a hierarchy walk per item occurrence, Fig. 2c);
 * :mod:`.kernel` -- :class:`InterpretedKernel` (labels asked on every probe)
   and :func:`accepts` (``R(T)`` non-empty);
 * :mod:`.simulation` -- :func:`run_output_sets` and :func:`generates`
@@ -18,6 +20,7 @@ Product code under ``src/`` never imports this package, and the installed
 distribution does not ship it.
 """
 
+from tests.reference.dictionary import OccurrenceBuilder
 from tests.reference.gsp import GspMiner
 from tests.reference.kernel import InterpretedKernel, accepts
 from tests.reference.nfa import (
@@ -34,6 +37,7 @@ from tests.reference.simulation import generates, run_output_sets
 __all__ = [
     "GspMiner",
     "InterpretedKernel",
+    "OccurrenceBuilder",
     "accepts",
     "generates",
     "mine_by_labels",

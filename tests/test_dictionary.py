@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pickle
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,9 @@ from repro.dictionary import (
     build_dictionary,
 )
 from repro.errors import DictionaryError, UnknownItemError
+from repro.sequences import write_dictionary
 from tests.conftest import make_running_example_dictionary
+from tests.reference import OccurrenceBuilder
 
 
 # --------------------------------------------------------------------- hierarchy
@@ -304,3 +308,96 @@ class TestDictionaryBuilder:
         assert fids == list(range(1, len(fids) + 1))
         frequencies = [dictionary.frequency(fid) for fid in fids]
         assert frequencies == sorted(frequencies, reverse=True)
+
+
+# ------------------------------------------- builder against the per-occurrence oracle
+GIDS = [f"g{index}" for index in range(8)]
+
+#: Edges from a higher to a lower index: always a DAG, items with several parents.
+dag_edges = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 7))
+    .filter(lambda edge: edge[0] > edge[1])
+    .map(lambda edge: (GIDS[edge[0]], GIDS[edge[1]])),
+    max_size=12,
+)
+
+#: Sequences over gids the hierarchy may not hold yet, generalizations in any
+#: direction (a cycle or a self-loop is refused by both builders alike) and
+#: items registered on their own.
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("sequence"), st.lists(st.sampled_from(GIDS), max_size=6)),
+        st.tuples(st.just("generalization"), st.sampled_from(GIDS), st.sampled_from(GIDS)),
+        st.tuples(st.just("item"), st.sampled_from(GIDS)),
+    ),
+    max_size=25,
+)
+
+
+def apply(builder, operation) -> str | None:
+    """Run one operation; the name of the error it raised, if any."""
+    kind, *arguments = operation
+    method = {
+        "sequence": builder.add_sequence,
+        "generalization": builder.add_generalization,
+        "item": builder.add_item,
+    }[kind]
+    try:
+        method(*arguments)
+    except DictionaryError as error:
+        return type(error).__name__
+    return None
+
+
+def dictionary_rows(dictionary: Dictionary) -> list[tuple]:
+    return [
+        (item.gid, item.fid, item.document_frequency, item.parent_fids, item.children_fids)
+        for item in dictionary
+    ]
+
+
+def dictionary_bytes(dictionary: Dictionary) -> bytes:
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "dictionary.json"
+        write_dictionary(path, dictionary)
+        return path.read_bytes()
+
+
+class TestBuilderAgainstOccurrenceOracle:
+    """``DictionaryBuilder`` walks each distinct item's ancestors once and
+    reuses the closure until an edge is added; the oracle walks them for every
+    occurrence.  Both must build the same dictionary after every step."""
+
+    @given(initial=st.one_of(st.none(), dag_edges), steps=operations)
+    @settings(max_examples=200, deadline=None)
+    def test_same_dictionary_after_every_step(self, initial, steps):
+        hierarchy = None
+        if initial is not None:
+            hierarchy = Hierarchy()
+            hierarchy.update(GIDS[:5], initial)
+        builder, oracle = DictionaryBuilder(hierarchy), OccurrenceBuilder(hierarchy)
+        for step in steps:
+            assert apply(builder, step) == apply(oracle, step)
+            assert builder.sequence_count == oracle.sequence_count
+            assert dictionary_rows(builder.build()) == dictionary_rows(oracle.build())
+        built, expected = builder.build(), oracle.build()
+        assert built.flist() == expected.flist()
+        assert dictionary_bytes(built) == dictionary_bytes(expected)
+
+    def test_an_edge_after_a_sequence_reaches_later_sequences_only(self):
+        builder = DictionaryBuilder()
+        builder.add_sequence(["x", "y"])
+        builder.add_generalization("x", "X")
+        builder.add_sequence(["x", "x"])
+        builder.add_generalization("X", "TOP")
+        builder.add_sequence(["y", "x"])
+        dictionary = builder.build()
+        frequency = {item.gid: item.document_frequency for item in dictionary}
+        assert frequency == {"x": 3, "y": 2, "X": 2, "TOP": 1}
+
+    def test_an_invalid_gid_is_refused_like_the_oracle(self):
+        for builder in (DictionaryBuilder(), OccurrenceBuilder()):
+            builder.add_sequence(["x"])
+            with pytest.raises(DictionaryError):
+                builder.add_sequence(["x", "new", ""])
+            assert "new" in builder.build()

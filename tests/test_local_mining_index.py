@@ -535,7 +535,12 @@ class TestTablesBuiltOncePerSequence:
         job, database = golden_job
         built: list = []
         count_calls(monkeypatch, MiningTables, "__init__", built)
-        pivot, values = next(iter(shuffle(job, database).items()))
+        # The first partition the reduce mines: one below sigma builds nothing.
+        pivot, values = next(
+            (pivot, values)
+            for pivot, values in shuffle(job, database).items()
+            if sum(weight for _sequence, weight in values) >= job.sigma
+        )
         list(job.reduce(pivot, values))
         assert len(built) == len(values)
         list(job.reduce(pivot, values))

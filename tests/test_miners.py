@@ -204,6 +204,72 @@ class TestDCand:
         assert minimized_nfa.num_states < trie_nfa.num_states
 
 
+# ------------------------------------------------ reduce partitions below sigma
+def combined_partitions(job, database, weight=1):
+    """Every reduce partition of ``job`` over ``database``: pivot -> values."""
+    emitted: dict[int, list] = {}
+    for sequence in database:
+        for key, value in job.map(weighted(sequence, weight)):
+            emitted.setdefault(key, []).append(value)
+    return {
+        key: [value for _key, value in job.combine(key, values)]
+        for key, values in emitted.items()
+    }
+
+
+def counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that logs each call; return the log."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestPartitionsBelowSigma:
+    """No pattern can be supported by more sequences than its partition holds.
+
+    In the running example at σ = 2, partition ``c`` holds T1 alone, so the
+    reduce returns before building a local miner or decoding an NFA; at
+    weight 2 the same partition reaches σ and is mined.
+    """
+
+    def test_dseq_builds_no_miner(self, ex_fst, ex_dictionary, ex_database, monkeypatch):
+        from repro.core import dseq
+
+        job = DSeqJob(ex_fst, ex_dictionary, sigma=2)
+        a1, c = ex_dictionary.fid_of("a1"), ex_dictionary.fid_of("c")
+        partitions = combined_partitions(job, ex_database)
+        built = counting(monkeypatch, dseq, "DesqDfsMiner")
+        assert list(job.reduce(c, partitions[c])) == []
+        assert built == []
+        assert len(list(job.reduce(a1, partitions[a1]))) == 3
+        heavier = combined_partitions(job, ex_database, weight=2)
+        list(job.reduce(c, heavier[c]))
+        assert len(built) == 2
+
+    def test_dcand_builds_no_miner_and_decodes_nothing(
+        self, ex_fst, ex_dictionary, ex_database, monkeypatch
+    ):
+        from repro.core import dcand
+
+        job = DCandJob(ex_fst, ex_dictionary, sigma=2)
+        a1, c = ex_dictionary.fid_of("a1"), ex_dictionary.fid_of("c")
+        partitions = combined_partitions(job, ex_database)
+        built = counting(monkeypatch, dcand, "NfaLocalMiner")
+        decoded = counting(monkeypatch, dcand, "decode_tables")
+        assert list(job.reduce(c, partitions[c])) == []
+        assert built == [] and decoded == []
+        assert len(list(job.reduce(a1, partitions[a1]))) == 3
+        heavier = combined_partitions(job, ex_database, weight=2)
+        list(job.reduce(c, heavier[c]))
+        assert len(built) == 2 and decoded
+
+
 # ------------------------------------------------------------------- baselines
 class TestBaselines:
     def test_naive_equals_semi_naive_on_example(self, ex_dictionary, ex_database):
