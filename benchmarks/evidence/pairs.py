@@ -3,10 +3,14 @@
     python pairs.py run PARENT_DIR CHANGE_DIR WORKLOAD SEED PAIRS OUT.jsonl
     python pairs.py summarize OUT.jsonl
 
-``run`` starts ``python3 -m benchmarks.e2e --workload W --seed N --seconds 30
---trace 0`` in the two checkouts in turn (parent first in even pairs, change
-first in odd ones) and appends one JSON line per run: the judged medians of
-the last stdout line and the medians of the raw samples on stderr.
+``run`` first byte-compiles ``src`` and ``benchmarks`` in both checkouts
+(``python3 -m compileall -q``, which writes bytecode even under
+``PYTHONDONTWRITEBYTECODE=1``), so neither side recompiles stale modules in
+every run.  It then starts ``python3 -m benchmarks.e2e --workload W --seed N
+--seconds 30 --trace 0`` in the two checkouts in turn (parent first in even
+pairs, change first in odd ones) and appends one JSON line per run: the
+judged medians of the last stdout line and the medians of the raw samples on
+stderr.
 ``summarize`` prints, per metric, both sides' median [q1, q3], n, the delta of
 the medians, the parent's interquartile distance and how many pairs the change
 won.  Nothing here is imported by the benchmark or the tests.
@@ -54,6 +58,10 @@ def run_once(directory: str, side: str, workload: str, seed: str) -> dict:
 
 def run(parent: str, change: str, workload: str, seed: str, pairs: int, out: str) -> None:
     sides = {"parent": parent, "change": change}
+    for directory in sides.values():
+        subprocess.run(
+            ["python3", "-m", "compileall", "-q", "src", "benchmarks"], cwd=directory, check=True
+        )
     for index in range(pairs):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
         for side in order:

@@ -99,10 +99,11 @@ def write_jsonl_sequences(
 def read_jsonl_sequences(path: str | Path) -> list[tuple[str, ...]]:
     """Read gid sequences written by :func:`write_jsonl_sequences`.
 
-    Lines that are empty or contain an empty ``items`` array are skipped, as
-    in the text reader.
+    Lines that are empty or contain an empty ``items`` array are skipped, and
+    equal gids come back as one ``str`` object, as in the text reader.
     """
     sequences: list[tuple[str, ...]] = []
+    interned = {}.setdefault
     with _open_text(path, "r") as handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.strip()
@@ -116,7 +117,8 @@ def read_jsonl_sequences(path: str | Path) -> list[tuple[str, ...]]:
             if items is None:
                 raise ReproError(f"{path}:{line_number}: missing 'items' field")
             if items:
-                sequences.append(tuple(str(item) for item in items))
+                gids = list(map(str, items))
+                sequences.append(tuple(map(interned, gids, gids)))
     return sequences
 
 

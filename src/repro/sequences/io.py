@@ -2,7 +2,8 @@
 
 The on-disk formats are intentionally minimal:
 
-* sequence text format: one sequence per line, items separated by whitespace;
+* sequence text format: one sequence per line, items separated by whitespace
+  (gzip-compressed when the file name ends in ``.gz``);
 * dictionary JSON format: a list of item records with gid, frequency and
   parent gids.
 
@@ -18,6 +19,7 @@ from typing import TYPE_CHECKING
 
 from repro.dictionary import Dictionary, DictionaryBuilder, Hierarchy, Item
 from repro.sequences.database import SequenceDatabase
+from repro.sequences.formats import _open_text
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -27,7 +29,7 @@ if TYPE_CHECKING:
 def write_gid_sequences(path: str | Path, sequences: Iterable[Sequence[str]]) -> int:
     """Write raw gid sequences, one per line.  Returns the number written."""
     count = 0
-    with open(path, "w", encoding="utf-8") as handle:
+    with _open_text(path, "w") as handle:
         for sequence in sequences:
             handle.write(" ".join(sequence))
             handle.write("\n")
@@ -36,13 +38,14 @@ def write_gid_sequences(path: str | Path, sequences: Iterable[Sequence[str]]) ->
 
 
 def read_gid_sequences(path: str | Path) -> list[tuple[str, ...]]:
-    """Read raw gid sequences written by :func:`write_gid_sequences`."""
+    """Read gid sequences written by :func:`write_gid_sequences`, one ``str`` per distinct gid."""
     sequences: list[tuple[str, ...]] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    interned = {}.setdefault
+    with _open_text(path, "r") as handle:
         for line in handle:
-            tokens = tuple(line.split())
+            tokens = line.split()
             if tokens:
-                sequences.append(tokens)
+                sequences.append(tuple(map(interned, tokens, tokens)))
     return sequences
 
 

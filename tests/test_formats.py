@@ -172,6 +172,10 @@ GIDS = st.text(
 )
 
 
+#: A few multi-character gids that random token lists repeat.
+GID_POOL = ("gid1", "gid22", "gid333", "x.y")
+
+
 class TestRoundTripEdgeCases:
     """Encode→decode identity for every format, including the edge cases the
     line-oriented formats cannot express (empty sequences, huge fids)."""
@@ -226,11 +230,85 @@ class TestRoundTripEdgeCases:
         for suffix in ("txt.gz", "jsonl.gz"):
             path = tmp_path / f"data.{suffix}"
             save_sequences(path, RAW)
+            assert path.read_bytes()[:2] == b"\x1f\x8b", suffix
             assert load_sequences(path) == list(RAW)
         database = SequenceDatabase([(), (1, 2**40)])
         path = tmp_path / "data.rsdb.gz"
         write_binary_database(path, database)
         assert read_binary_database(path).sequences() == database.sequences()
+
+    def test_stdlib_gzip_files_load(self, tmp_path):
+        text = tmp_path / "data.txt.gz"
+        text.write_bytes(gzip.compress(b"a1 c d c b\n\ne e a1 e a1 e b\na2 d b\n"))
+        jsonl = tmp_path / "data.jsonl.gz"
+        jsonl.write_bytes(
+            gzip.compress(
+                "".join(json.dumps({"items": list(s)}) + "\n" for s in RAW).encode()
+            )
+        )
+        assert load_sequences(text) == list(RAW)
+        assert load_sequences(jsonl) == list(RAW)
+
+
+# ------------------------------------------------------------ gid interning
+def distinct_objects(sequences: list[tuple[str, ...]]) -> int:
+    return len({id(token) for sequence in sequences for token in sequence})
+
+
+def distinct_gids(sequences: list[tuple[str, ...]]) -> int:
+    return len({token for sequence in sequences for token in sequence})
+
+
+class TestReadersInternGids:
+    """A reader keeps one ``str`` per distinct gid, so a corpus costs memory
+    in proportion to its vocabulary, not to its tokens."""
+
+    #: Multi-character gids: CPython shares one-character strings anyway.
+    CORPUS = [("gid10", "gid20", "gid10"), ("gid20", "gid30"), ("gid30", "gid10", "gid20")]
+
+    @pytest.mark.parametrize("name", ("data.txt", "data.txt.gz", "data.jsonl", "data.jsonl.gz"))
+    def test_equal_gids_are_one_object(self, tmp_path, name):
+        path = tmp_path / name
+        save_sequences(path, self.CORPUS)
+        loaded = load_sequences(path)
+        assert loaded == self.CORPUS
+        assert distinct_objects(loaded) == distinct_gids(loaded) == 3
+
+    def test_text_reader_retains_under_16_bytes_per_token(self, tmp_path):
+        import random
+        import tracemalloc
+
+        rng = random.Random(7)
+        vocabulary = [f"gid{index:04d}" for index in range(50)]
+        path = tmp_path / "data.txt"
+        save_sequences(path, [rng.choices(vocabulary, k=20) for _ in range(2000)])
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            loaded = load_sequences(path)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert distinct_objects(loaded) == 50
+        assert (after - before) / (2000 * 20) < 16
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(st.sampled_from(("", " ", "\t", "  ")), st.sampled_from(GID_POOL) | GIDS),
+                max_size=8,
+            ),
+            max_size=12,
+        )
+    )
+    def test_text_reader_property(self, tmp_path_factory, rows):
+        lines = ["".join(space + gid for space, gid in row) + " " for row in rows]
+        path = tmp_path_factory.mktemp("interned") / "data.txt"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        loaded = load_sequences(path)
+        assert loaded == [tuple(line.split()) for line in lines if line.split()]
+        assert distinct_objects(loaded) == distinct_gids(loaded)
 
 
 # ------------------------------------------------------------------- dispatch
