@@ -2,45 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.experiments import format_table, table5_speedup
-from repro.experiments.tables import TABLE5_CLUSTER, TABLE5_WORKERS
+from repro.experiments.tables import TABLE5_WORKERS
 
 from benchmarks.conftest import BENCH_SCALE, BENCH_SIZES, run_once
-
-
-def _timing_rows(label_key: str, labelled: list[tuple[str, list[dict]]]) -> list[dict]:
-    """Sequential + distributed makespans (with the map/reduce split) per
-    grid engine."""
-    return [
-        {
-            label_key: label,
-            "constraint": row["constraint"],
-            "dataset": row["dataset"],
-            "desq_dfs_s": row["desq_dfs_s"],
-            "dseq_s": row["dseq_s"],
-            "dcand_s": row["dcand_s"],
-            "dseq_map_s": row["dseq_map_s"],
-            "dseq_reduce_s": row["dseq_reduce_s"],
-            "dcand_map_s": row["dcand_map_s"],
-            "dcand_reduce_s": row["dcand_reduce_s"],
-        }
-        for label, rows in labelled
-        for row in rows
-    ]
 
 
 def test_table5_speedup_over_sequential(benchmark, bench_json):
     # The paper's Table V compares DESQ-DFS on 1 core against the distributed
     # algorithms on 65 cores; we simulate the equivalent 64-worker makespan.
     rows = run_once(benchmark, table5_speedup, sizes=BENCH_SIZES)
-    # Same experiment on the legacy grid engine: tracks the flat grid's
-    # speed-up per PR.
-    legacy_grid = table5_speedup(
-        sizes=BENCH_SIZES, cluster=replace(TABLE5_CLUSTER, grid="legacy")
-    )
-    grids = _timing_rows("grid", [("flat", rows), ("legacy", legacy_grid)])
     artifact = bench_json(
         "table5",
         {
@@ -50,21 +21,11 @@ def test_table5_speedup_over_sequential(benchmark, bench_json):
             # map_s/reduce_s split per algorithm) and speed-ups, measured
             # wire bytes, and per-task input pickle bytes.
             "rows": rows,
-            # Flat-vs-legacy grid-engine makespans (D-SEQ's map stage is the
-            # grid consumer; D-CAND and DESQ-DFS read no grid, so their rows
-            # move only with the rest of the run).
-            "grids": grids,
         },
     )
     print()
     if artifact is not None:
         print(f"wrote {artifact}")
-    flat_map = sum(r["dseq_map_s"] for r in rows)
-    legacy_map = sum(r["dseq_map_s"] for r in legacy_grid)
-    print(f"dseq map stage: flat grid {flat_map:.3f}s vs legacy {legacy_map:.3f}s")
-    assert [r["dseq_wire_bytes"] for r in rows] == [
-        r["dseq_wire_bytes"] for r in legacy_grid
-    ], "wire bytes must be grid-independent"
     print("Table V (reproduced): speed-up over sequential DESQ-DFS "
           f"({TABLE5_WORKERS} simulated workers)")
     print(format_table(rows))

@@ -147,7 +147,7 @@ def drivers(data: Path) -> list[tuple[str, list[str]]]:
     for dataset, size in (("NYT", 60), ("AMZN", 80), ("AMZN-F", 80), ("CW", 60), ("PROT", 40)):
         runs.append((f"generate {dataset}", [
             *cli, "generate", "--dataset", dataset, "--size", str(size), "--seed", "7",
-            "--output-dir", str(data / dataset), "--binary",
+            "--output-dir", str(data / dataset),
         ]))
     runs.append(("generate jsonl", [
         *cli, "generate", "--dataset", "CW", "--size", "30", "--format", "jsonl",
@@ -165,14 +165,9 @@ def drivers(data: Path) -> list[tuple[str, list[str]]]:
             *cli, "convert", "--input", f"{nyt}/sequences.txt",
             "--output", str(data / "nyt.jsonl"),
         ]),
-        ("convert jsonl->binary", [
+        ("convert jsonl->text", [
             *cli, "convert", "--input", str(data / "nyt.jsonl"), "--output",
-            str(data / "nyt.bin"), "--output-format", "binary",
-            "--dictionary", f"{nyt}/dictionary.json",
-        ]),
-        ("convert binary->text", [
-            *cli, "convert", "--input", str(data / "nyt.bin"), "--input-format", "binary",
-            "--output", str(data / "nyt.txt"), "--dictionary", f"{nyt}/dictionary.json",
+            str(data / "nyt.txt"),
         ]),
     ]
     algorithms = ("dseq", "dcand", "naive", "semi-naive", "desq-dfs", "desq-count")
@@ -186,7 +181,7 @@ def drivers(data: Path) -> list[tuple[str, list[str]]]:
             ]))
     flags = [
         ["--codec", "zlib"], ["--spill-budget", "0"], ["--retries", "2"],
-        ["--grid", "legacy"], ["--max-runs", "1000"],
+        ["--max-runs", "1000"],
         ["--output-format", "jsonl"], ["--top", "3"],
         ["--backend", "multihost", "--spill-dir", str(data / "spill")],
     ]

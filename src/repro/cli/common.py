@@ -94,24 +94,6 @@ def backend_name(text: str) -> str:
         raise ArgumentTypeError(str(error)) from None
 
 
-def add_grid_argument(parser: ArgumentParser) -> None:
-    """``--grid``: flat vs legacy position–state grid engine."""
-    from repro.mapreduce import DEFAULT_GRID, GRIDS
-
-    parser.add_argument(
-        "--grid",
-        choices=GRIDS,
-        default=DEFAULT_GRID,
-        help=(
-            "position-state grid engine of D-SEQ's map (pivot search and "
-            "rewriting): 'flat' is two kernel passes per record, bitmask "
-            "reachability rows and one forward pass of sorted-run pivot "
-            "merges; 'legacy' is the per-edge-object reference "
-            f"implementation (slower; for debugging) (default: {DEFAULT_GRID})"
-        ),
-    )
-
-
 def add_cap_arguments(parser: ArgumentParser) -> None:
     """``--max-runs`` / ``--max-candidates``: per-sequence safety caps."""
     parser.add_argument(
@@ -167,7 +149,6 @@ def cluster_config_from_args(args: Namespace, num_workers: int):
         codec=args.codec,
         spill_budget_bytes=parse_byte_size(args.spill_budget),
         spill_dir=getattr(args, "spill_dir", None),
-        grid=getattr(args, "grid", None),
         **({"max_task_attempts": retries + 1} if retries is not None else {}),
     )
 
@@ -182,7 +163,6 @@ CLUSTER_FLAGS = {
     "--codec": "codec",
     "--spill-budget": "spill_budget_bytes",
     "--spill-dir": "spill_dir",
-    "--grid": "grid",
     "--retries": "max_task_attempts",
 }
 

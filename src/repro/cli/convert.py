@@ -7,46 +7,29 @@ from argparse import Namespace
 from pathlib import Path
 
 from repro.cli.common import CliError
-from repro.sequences import (
-    SequenceDatabase,
-    detect_format,
-    load_sequences,
-    read_binary_database,
-    read_dictionary,
-    save_sequences,
-    write_binary_database,
-)
+from repro.sequences import detect_format, load_sequences, save_sequences
+from repro.sequences.formats import KNOWN_FORMATS
 
 
 def add_parser(subparsers) -> None:
     parser = subparsers.add_parser(
         "convert",
-        help="convert sequence files between text, jsonl, and binary formats",
-        description=(
-            "Convert a sequence file between the text, JSON-lines and binary "
-            "formats.  Converting to or from the binary format requires a "
-            "dictionary, because the binary format stores fids."
-        ),
+        help="convert sequence files between the text and jsonl formats",
+        description="Convert a sequence file between the text and JSON-lines formats.",
     )
     parser.add_argument("--input", required=True, metavar="FILE", help="input file")
     parser.add_argument("--output", required=True, metavar="FILE", help="output file")
     parser.add_argument(
         "--input-format",
-        choices=("text", "jsonl", "binary"),
+        choices=KNOWN_FORMATS,
         default=None,
         help="input format (default: detect from the file name)",
     )
     parser.add_argument(
         "--output-format",
-        choices=("text", "jsonl", "binary"),
+        choices=KNOWN_FORMATS,
         default=None,
         help="output format (default: detect from the file name)",
-    )
-    parser.add_argument(
-        "--dictionary",
-        metavar="FILE",
-        default=None,
-        help="dictionary JSON (required when converting to or from binary)",
     )
     parser.set_defaults(run=run)
 
@@ -59,36 +42,10 @@ def run(args: Namespace, stream=None) -> int:
     input_format = args.input_format or detect_format(input_path)
     output_format = args.output_format or detect_format(args.output)
 
-    dictionary = None
-    if "binary" in (input_format, output_format):
-        if not args.dictionary:
-            raise CliError("converting to or from the binary format requires --dictionary")
-        dictionary_path = Path(args.dictionary)
-        if not dictionary_path.exists():
-            raise CliError(f"dictionary file not found: {dictionary_path}")
-        dictionary = read_dictionary(dictionary_path)
-
-    # Read into gid sequences (decoding binary input through the dictionary).
-    if input_format == "binary":
-        database = read_binary_database(input_path)
-        sequences = [dictionary.decode(sequence) for sequence in database]
-    else:
-        sequences = load_sequences(input_path, input_format)
+    sequences = load_sequences(input_path, input_format)
     if not sequences:
         raise CliError(f"no sequences found in {input_path}")
-
-    # Write in the requested output format.
-    if output_format == "binary":
-        missing = {gid for sequence in sequences for gid in sequence if gid not in dictionary}
-        if missing:
-            examples = ", ".join(sorted(missing)[:5])
-            raise CliError(
-                f"{len(missing)} items are missing from the dictionary (e.g. {examples})"
-            )
-        database = SequenceDatabase.from_gid_sequences(dictionary, sequences)
-        write_binary_database(args.output, database)
-    else:
-        save_sequences(args.output, sequences, output_format)
+    save_sequences(args.output, sequences, output_format)
 
     stream.write(
         f"converted {len(sequences)} sequences: {input_path} ({input_format}) "

@@ -14,11 +14,7 @@ from repro.datasets import (
     nyt_like,
     protein_like,
 )
-from repro.sequences import (
-    save_sequences,
-    write_binary_database,
-    write_dictionary,
-)
+from repro.sequences import save_sequences, write_dictionary
 
 #: Dataset name -> generator function (size, seed) -> SyntheticDataset.
 DATASET_GENERATORS = {
@@ -37,8 +33,7 @@ def add_parser(subparsers) -> None:
         description=(
             "Generate one of the synthetic stand-ins for the paper's datasets "
             "(NYT, AMZN, AMZN-F, CW) or the protein-motif dataset (PROT), and "
-            "write the sequences, the dictionary, and optionally a binary "
-            "fid-encoded copy to an output directory."
+            "write the sequences and the dictionary to an output directory."
         ),
     )
     parser.add_argument(
@@ -59,11 +54,6 @@ def add_parser(subparsers) -> None:
         default="text",
         help="sequence file format (default: text)",
     )
-    parser.add_argument(
-        "--binary",
-        action="store_true",
-        help="additionally write a fid-encoded binary copy (sequences.rsdb)",
-    )
     parser.set_defaults(run=run)
 
 
@@ -83,10 +73,6 @@ def run(args: Namespace, stream=None) -> int:
 
     written = save_sequences(sequences_path, dataset.raw_sequences, args.sequence_format)
     write_dictionary(dictionary_path, dictionary)
-    if args.binary:
-        binary_path = output_dir / "sequences.rsdb"
-        write_binary_database(binary_path, database)
-        stream.write(f"wrote {binary_path}\n")
 
     stats = database.statistics()
     stream.write(f"wrote {sequences_path} ({written} sequences)\n")

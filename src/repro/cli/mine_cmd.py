@@ -9,7 +9,6 @@ from repro.cli.common import (
     CliError,
     add_cap_arguments,
     add_fault_arguments,
-    add_grid_argument,
     add_input_arguments,
     add_shuffle_arguments,
     backend_name,
@@ -80,7 +79,6 @@ def add_parser(subparsers) -> None:
     )
     add_shuffle_arguments(parser)
     add_fault_arguments(parser)
-    add_grid_argument(parser)
     add_cap_arguments(parser)
     parser.add_argument(
         "--output",

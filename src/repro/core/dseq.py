@@ -19,9 +19,10 @@ accepted sequence only, one forward
 pivot set and one relevance threshold per position; each pivot's
 representation is then a slice (:func:`~repro.core.rewriting.rewrite`).  No
 grid object and no per-record memo entry exist on the map path: records of
-the corpus's unique view never repeat within a job.  The
-:class:`~repro.mapreduce.ClusterConfig`'s ``grid="legacy"`` swaps in the
-reference :class:`~repro.core.pivot_search.PositionStateGrid`.  The reduce
+the corpus's unique view never repeat within a job.  ``DSeqJob(...,
+grid="legacy")`` swaps in the reference
+:class:`~repro.core.pivot_search.PositionStateGrid`; only the equivalence
+tests and the end-to-end replay pass it.  The reduce
 side builds no grid: a rewritten sequence landing in several partitions builds
 its :class:`~repro.core.local_mining.MiningTables` once per worker, in the
 memo of :mod:`repro.core.grid_engine`.
@@ -38,6 +39,7 @@ from collections.abc import Iterable
 from functools import partial
 
 from repro.core.cluster_miner import ClusterMiner
+from repro.core.grid_engine import normalize_grid
 from repro.core.local_mining import DesqDfsMiner
 from repro.core.pivot_search import PositionStateGrid, pivots_by_run_enumeration
 from repro.core.rewriting import rewrite, rewrite_for_pivot
@@ -45,7 +47,6 @@ from repro.dictionary import Dictionary
 from repro.errors import CandidateExplosionError
 from repro.fst import DEFAULT_MAX_RUNS, Fst, MiningKernel, ensure_kernel, make_kernel
 from repro.mapreduce import ClusterConfig, MapReduceJob
-from repro.mapreduce.job import normalize_grid
 from repro.patex import PatEx
 from repro.sequences import fold_weighted_values
 
@@ -178,9 +179,9 @@ class DSeqMiner(ClusterMiner):
         miner = DSeqMiner(patex, sigma=2, dictionary=dictionary)
         result = miner.mine(database)
 
-    The switches are Fig. 10a's ablation; the execution substrate, grid
-    engine included, is one :class:`~repro.mapreduce.ClusterConfig` passed as
-    ``cluster=`` (see :class:`~repro.core.cluster_miner.ClusterMiner`).
+    The switches are Fig. 10a's ablation; the execution substrate is one
+    :class:`~repro.mapreduce.ClusterConfig` passed as ``cluster=`` (see
+    :class:`~repro.core.cluster_miner.ClusterMiner`).
     """
 
     algorithm_name = "D-SEQ"
@@ -211,5 +212,4 @@ class DSeqMiner(ClusterMiner):
             use_rewriting=self.use_rewriting,
             use_early_stopping=self.use_early_stopping,
             max_runs=self.max_runs,
-            grid=self.cluster.grid,
         )

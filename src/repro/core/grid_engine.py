@@ -22,9 +22,10 @@ grid either (its early-stopping oracle is
   grids in the same memo.  A forked pool worker starts with the memo its
   driver had (usually empty) and the driver's limit.
 
-``grid="legacy"`` selects the reference engine wherever the knob is exposed
-(:class:`~repro.mapreduce.ClusterConfig`, ``--grid``, :class:`~repro.core.dseq.DSeqJob`);
-the differential suite proves the two engines equivalent.
+``grid="legacy"`` selects the reference engine; it is no run setting, only an
+argument of :class:`~repro.core.dseq.DSeqJob` and of the functions here, which
+the equivalence suites and the replay pass.  The differential suite proves
+the two engines equivalent.
 """
 
 from __future__ import annotations
@@ -38,10 +39,25 @@ from repro.core.rewriting import relevant_range
 from repro.dictionary import Dictionary
 from repro.errors import MiningError
 from repro.fst import Fst, MiningKernel, ensure_kernel
-# The engine names live beside the job model, where ClusterConfig checks them.
-from repro.mapreduce.job import DEFAULT_GRID as DEFAULT_GRID
-from repro.mapreduce.job import GRIDS as GRIDS
-from repro.mapreduce.job import normalize_grid
+
+#: Engines of the position–state grid: ``"flat"`` is the kernel's two passes,
+#: ``"legacy"`` the per-edge reference.
+GRIDS = ("flat", "legacy")
+
+#: Grid engine used when none is requested explicitly.
+DEFAULT_GRID = "flat"
+
+
+def normalize_grid(grid: str | None) -> str:
+    """Map a grid-engine name to a canonical one (None → default)."""
+    if grid is None:
+        return DEFAULT_GRID
+    name = str(grid).strip().lower()
+    if name not in GRIDS:
+        raise MiningError(
+            f"unknown grid engine {grid!r}; choose one of {', '.join(GRIDS)}"
+        )
+    return name
 
 
 # ------------------------------------------------------------------- the grid

@@ -60,8 +60,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "is_retryable",
         ),
         "repro.mapreduce.job": (
-            "DEFAULT_GRID",
-            "GRIDS",
             "MapReduceJob",
             "stable_hash",
         ),

@@ -185,11 +185,8 @@ class StageDriverCluster:
 
     ``executor`` and ``stores_every_payload`` make the backend's row (see
     the module docstring); the class attributes below are the ``simulated``
-    row, and each backend class sets its own.  A cluster knows
-    only the substrate: the mining choice of a
-    :class:`~repro.mapreduce.factory.ClusterConfig` (``grid``) stays with
-    the miners.  Every key goes to bucket ``job.partition(key, ...)``, the
-    stable hash on every backend.
+    row, and each backend class sets its own.  Every key goes to bucket
+    ``job.partition(key, ...)``, the stable hash on every backend.
 
     Parameters
     ----------

@@ -7,7 +7,6 @@ from importlib import import_module
 
 from repro.errors import MapReduceError, check_int
 from repro.mapreduce.base import Cluster, check_sizes
-from repro.mapreduce.job import DEFAULT_GRID, normalize_grid
 from repro.mapreduce.wire import Codec
 
 #: Canonical backend names, in the order shown by ``--help``.
@@ -31,8 +30,8 @@ _CLUSTER_CLASSES = {
 }
 
 #: The :class:`ClusterConfig` fields :meth:`ClusterConfig.build` does not hand
-#: the backend: its selector, and the one the miners read.
-_NOT_FOR_BACKEND = ("backend", "grid")
+#: the backend: its selector.
+_NOT_FOR_BACKEND = ("backend",)
 
 
 def canonical_backend(name: str) -> str:
@@ -58,10 +57,8 @@ class ClusterConfig:
     :class:`~repro.mapreduce.base.Cluster` instance, whose own settings then
     win over the fields a backend reads; a fault injector for chaos tests is
     handed to a backend's constructor that way, never through a config.
-    ``grid`` selects the pivot-grid engine (``"flat"`` or ``"legacy"``): the
-    miners read it, the cluster never sees it.  ``grid`` is validated (and
-    made canonical) when the config is built, and so are the worker count,
-    the spill budget and the task-attempt budget, which must be ints.  The
+    The worker count, the spill budget and the task-attempt budget are
+    validated when the config is built; each must be an int.  The
     reduce-bucket count is no field: every backend runs
     :data:`~repro.mapreduce.base.REDUCE_TASKS_PER_WORKER` buckets per worker.
     """
@@ -74,13 +71,11 @@ class ClusterConfig:
     #: run writes, the ``multihost`` fragment store included (``None``: the
     #: system temp directory); a multi-host deployment sets a shared mount.
     spill_dir: str | None = None
-    grid: str = DEFAULT_GRID
     #: How many times a failed map or reduce task may run, an int >= 1 (the
     #: default gives every task one retry).  Part of the fingerprint.
     max_task_attempts: int = 2
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "grid", normalize_grid(self.grid))
         check_sizes(self.num_workers, self.spill_budget_bytes)
         check_int(self.max_task_attempts, "max_task_attempts", 1, MapReduceError)
 
@@ -141,7 +136,6 @@ class ClusterConfig:
             source.num_workers,
             getattr(codec, "name", codec),
             getattr(source, "spill_budget_bytes", None),
-            self.grid,
             f"attempts={getattr(source, 'max_task_attempts', None)}",
             repr(getattr(source, "fault_injector", None)),
         )

@@ -20,30 +20,6 @@ import zlib
 from collections.abc import Iterable
 from typing import Any
 
-from repro.errors import MiningError
-
-#: Grid-engine choices of D-SEQ's map side (:mod:`repro.core.grid_engine`):
-#: ``"flat"`` is the kernel's two passes, ``"legacy"`` the per-edge reference.
-#: Named here, beside the job model, so that
-#: :class:`~repro.mapreduce.ClusterConfig` validates it without importing
-#: the engine.
-GRIDS = ("flat", "legacy")
-
-#: Grid engine used when none is requested explicitly.
-DEFAULT_GRID = "flat"
-
-
-def normalize_grid(grid: str | None) -> str:
-    """Map a user-provided grid-engine name to a canonical one (None → default)."""
-    if grid is None:
-        return DEFAULT_GRID
-    name = str(grid).strip().lower()
-    if name not in GRIDS:
-        raise MiningError(
-            f"unknown grid engine {grid!r}; choose one of {', '.join(GRIDS)}"
-        )
-    return name
-
 
 def stable_hash(key: Any) -> int:
     """A hash that is identical across worker processes.

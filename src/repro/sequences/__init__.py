@@ -28,10 +28,8 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.sequences.formats": (
             "detect_format",
             "load_sequences",
-            "read_binary_database",
             "read_jsonl_sequences",
             "save_sequences",
-            "write_binary_database",
             "write_jsonl_sequences",
         ),
         "repro.sequences.io": (

@@ -1,15 +1,10 @@
 """Additional on-disk formats for sequence databases.
 
 Besides the whitespace-separated text format of :mod:`repro.sequences.io`,
-the library supports two more interchange formats:
-
-* **JSON lines** (``.jsonl``): one JSON object per line with an ``items``
-  array of gids and an optional ``id``.  Convenient for exchanging data with
-  external tools and for inspecting datasets by hand.
-* **binary** (``.rsdb``): a compact binary format for fid-encoded databases.
-  Sequences are stored as LEB128 varints with per-sequence length prefixes,
-  which keeps the file size close to the shuffle-size accounting used by the
-  simulated cluster.
+the library reads and writes **JSON lines** (``.jsonl``): one JSON object
+per line with an ``items`` array of gids (strings, or ints, which read back
+as their decimal strings) and an optional ``id``.  Convenient for exchanging
+data with external tools and for inspecting datasets by hand.
 
 All readers and writers transparently handle gzip compression when the file
 name carries an additional ``.gz`` suffix.
@@ -23,19 +18,12 @@ from collections.abc import Iterable, Sequence
 from typing import IO, TYPE_CHECKING
 
 from repro.errors import ReproError
-from repro.sequences.database import SequenceDatabase
-from repro.varint import read_varint, write_varint
 
 if TYPE_CHECKING:
     from pathlib import Path
 
-#: Magic bytes identifying the binary database format.
-BINARY_MAGIC = b"RSDB"
-#: Version of the binary database format written by this module.
-BINARY_VERSION = 1
-
 #: Formats understood by :func:`save_sequences` / :func:`load_sequences`.
-KNOWN_FORMATS = ("text", "jsonl", "binary")
+KNOWN_FORMATS = ("text", "jsonl")
 
 
 # ----------------------------------------------------------------- file opening
@@ -56,29 +44,14 @@ def _open_text(path: str | Path, mode: str) -> IO[str]:
     return open(path, mode, encoding="utf-8")
 
 
-def _open_binary(path: str | Path, mode: str) -> IO[bytes]:
-    """Open a binary file, transparently using gzip for ``*.gz`` paths."""
-    if _suffixes(path)[-1:] == [".gz"]:
-        import gzip  # only a compressed file loads it
-
-        return gzip.open(path, mode + "b")
-    return open(path, mode + "b")
-
-
 def detect_format(path: str | Path) -> str:
     """Guess the sequence format from a file name.
 
-    ``.jsonl`` maps to JSON lines, ``.rsdb``/``.bin`` to the binary format,
-    everything else to the plain text format.  A trailing ``.gz`` suffix is
-    ignored for the purpose of detection.
+    ``.jsonl`` maps to JSON lines, everything else to the plain text format.
+    A trailing ``.gz`` suffix is ignored for the purpose of detection.
     """
     suffixes = [suffix.lower() for suffix in _suffixes(path) if suffix.lower() != ".gz"]
-    last = suffixes[-1] if suffixes else ""
-    if last == ".jsonl":
-        return "jsonl"
-    if last in (".rsdb", ".bin"):
-        return "binary"
-    return "text"
+    return "jsonl" if suffixes[-1:] == [".jsonl"] else "text"
 
 
 # ------------------------------------------------------------------- JSON lines
@@ -99,8 +72,11 @@ def write_jsonl_sequences(
 def read_jsonl_sequences(path: str | Path) -> list[tuple[str, ...]]:
     """Read gid sequences written by :func:`write_jsonl_sequences`.
 
-    Lines that are empty or contain an empty ``items`` array are skipped, and
-    equal gids come back as one ``str`` object, as in the text reader.
+    Each line is an object whose ``items`` is a list of strings and ints (an
+    int reads as its decimal string); any other line raises
+    :class:`~repro.errors.ReproError` at ``path:line``.  Lines that are empty
+    or contain an empty ``items`` array are skipped, and equal gids come back
+    as one ``str`` object, as in the text reader.
     """
     sequences: list[tuple[str, ...]] = []
     interned = {}.setdefault
@@ -113,64 +89,30 @@ def read_jsonl_sequences(path: str | Path) -> list[tuple[str, ...]]:
                 record = json.loads(line)
             except json.JSONDecodeError as error:
                 raise ReproError(f"{path}:{line_number}: invalid JSON: {error}") from error
+            if not isinstance(record, dict):
+                raise ReproError(f"{path}:{line_number}: a record must be a JSON object")
             items = record.get("items")
             if items is None:
                 raise ReproError(f"{path}:{line_number}: missing 'items' field")
-            if items:
-                gids = list(map(str, items))
-                sequences.append(tuple(map(interned, gids, gids)))
+            if not isinstance(items, list):
+                raise ReproError(f"{path}:{line_number}: 'items' must be a list of gids")
+            gids = []
+            for item in items:
+                # json gives str, int, bool, float, None, list or dict; a gid
+                # is a str or a (non-bool) int.
+                if type(item) is str:
+                    gids.append(interned(item, item))
+                elif type(item) is int:
+                    gid = str(item)
+                    gids.append(interned(gid, gid))
+                else:
+                    raise ReproError(
+                        f"{path}:{line_number}: item {item!r} is not a gid "
+                        "(a string or an int)"
+                    )
+            if gids:
+                sequences.append(tuple(gids))
     return sequences
-
-
-# ----------------------------------------------------------------------- binary
-def _write_varint(buffer: bytearray, value: int) -> None:
-    write_varint(buffer, value, error=ReproError)
-
-
-def _read_varint(data: bytes, offset: int) -> tuple[int, int]:
-    return read_varint(data, offset, error=ReproError, what="varint in binary database")
-
-
-def write_binary_database(path: str | Path, database: SequenceDatabase) -> int:
-    """Write a fid-encoded database in the compact binary format.
-
-    Returns the number of bytes written (before any gzip compression).
-    """
-    buffer = bytearray()
-    buffer.extend(BINARY_MAGIC)
-    buffer.append(BINARY_VERSION)
-    _write_varint(buffer, len(database))
-    for sequence in database:
-        _write_varint(buffer, len(sequence))
-        for fid in sequence:
-            _write_varint(buffer, fid)
-    with _open_binary(path, "w") as handle:
-        handle.write(bytes(buffer))
-    return len(buffer)
-
-
-def read_binary_database(path: str | Path) -> SequenceDatabase:
-    """Read a database written by :func:`write_binary_database`."""
-    with _open_binary(path, "r") as handle:
-        data = handle.read()
-    if len(data) < len(BINARY_MAGIC) + 1 or data[: len(BINARY_MAGIC)] != BINARY_MAGIC:
-        raise ReproError(f"{path}: not a binary sequence database (bad magic)")
-    version = data[len(BINARY_MAGIC)]
-    if version != BINARY_VERSION:
-        raise ReproError(f"{path}: unsupported binary format version {version}")
-    offset = len(BINARY_MAGIC) + 1
-    count, offset = _read_varint(data, offset)
-    sequences: list[tuple[int, ...]] = []
-    for _ in range(count):
-        length, offset = _read_varint(data, offset)
-        sequence = []
-        for _ in range(length):
-            fid, offset = _read_varint(data, offset)
-            sequence.append(fid)
-        sequences.append(tuple(sequence))
-    if offset != len(data):
-        raise ReproError(f"{path}: {len(data) - offset} trailing bytes after last sequence")
-    return SequenceDatabase(sequences)
 
 
 # -------------------------------------------------------------------- dispatch
@@ -179,11 +121,7 @@ def save_sequences(
     sequences: Iterable[Sequence[str]],
     file_format: str | None = None,
 ) -> int:
-    """Write gid sequences in the requested (or auto-detected) format.
-
-    The binary format stores fids, not gids, so it is not available here; use
-    :func:`write_binary_database` with an encoded database instead.
-    """
+    """Write gid sequences in the requested (or auto-detected) format."""
     file_format = file_format or detect_format(path)
     if file_format == "text":
         from repro.sequences.io import write_gid_sequences
@@ -191,20 +129,21 @@ def save_sequences(
         return write_gid_sequences(path, sequences)
     if file_format == "jsonl":
         return write_jsonl_sequences(path, sequences)
-    if file_format == "binary":
-        raise ReproError("binary format stores fids; use write_binary_database instead")
     raise ReproError(f"unknown sequence format {file_format!r}; choose from {KNOWN_FORMATS}")
 
 
 def load_sequences(path: str | Path, file_format: str | None = None) -> list[tuple[str, ...]]:
     """Read gid sequences in the requested (or auto-detected) format."""
     file_format = file_format or detect_format(path)
-    if file_format == "text":
-        from repro.sequences.io import read_gid_sequences
+    try:
+        if file_format == "text":
+            from repro.sequences.io import read_gid_sequences
 
-        return read_gid_sequences(path)
-    if file_format == "jsonl":
-        return read_jsonl_sequences(path)
-    if file_format == "binary":
-        raise ReproError("binary format stores fids; use read_binary_database instead")
+            return read_gid_sequences(path)
+        if file_format == "jsonl":
+            return read_jsonl_sequences(path)
+    except UnicodeDecodeError as error:
+        # A file that is no text at all, such as a corpus in the retired
+        # binary format.
+        raise ReproError(f"{path}: not a UTF-8 text file: {error}") from None
     raise ReproError(f"unknown sequence format {file_format!r}; choose from {KNOWN_FORMATS}")

@@ -18,6 +18,7 @@ from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
 from repro.dictionary import Dictionary, DictionaryBuilder, Hierarchy, Item
+from repro.errors import DictionaryError
 from repro.sequences.database import SequenceDatabase
 from repro.sequences.formats import _open_text
 
@@ -50,6 +51,10 @@ def read_gid_sequences(path: str | Path) -> list[tuple[str, ...]]:
 
 
 # -------------------------------------------------------------------- dictionary
+#: The keys of one record of a dictionary file.
+_RECORD_KEYS = frozenset(("gid", "document_frequency", "parents"))
+
+
 def write_dictionary(path: str | Path, dictionary: Dictionary) -> None:
     """Persist a dictionary (gids, frequencies, parent links) as JSON."""
     records = [
@@ -69,17 +74,47 @@ def read_dictionary(path: str | Path) -> Dictionary:
 
     fids are re-assigned from the stored frequencies, so round-tripping
     preserves gids, frequencies and hierarchy, and produces the same fid order.
+    The file must be a list of ``{"gid", "document_frequency", "parents"}``
+    objects: a non-empty string gid that no other record has, an int
+    frequency >= 0 (a bool is none), and a list of parent gids that the file
+    lists; anything else raises :class:`~repro.errors.DictionaryError` naming
+    the path and the record's index.
     """
     with open(path, "r", encoding="utf-8") as handle:
         records = json.load(handle)
+    if not isinstance(records, list):
+        raise DictionaryError(f"{path}: a dictionary file is a JSON list of item records")
     hierarchy = Hierarchy()
     frequencies: dict[str, int] = {}
-    for record in records:
-        hierarchy.add_item(record["gid"])
-        frequencies[record["gid"]] = int(record["document_frequency"])
-    for record in records:
+    for index, record in enumerate(records):
+        if not isinstance(record, dict) or not _RECORD_KEYS <= record.keys():
+            raise DictionaryError(
+                f"{path}: record {index} is not an object with the keys "
+                f"{', '.join(sorted(_RECORD_KEYS))}"
+            )
+        gid, frequency = record["gid"], record["document_frequency"]
+        if not isinstance(gid, str) or not gid:
+            raise DictionaryError(f"{path}: record {index}: gid {gid!r} is not a non-empty string")
+        if type(frequency) is not int or frequency < 0:
+            raise DictionaryError(
+                f"{path}: record {index}: document_frequency {frequency!r} is not an int >= 0"
+            )
+        if not isinstance(record["parents"], list):
+            raise DictionaryError(f"{path}: record {index}: parents must be a list of gids")
+        if gid in frequencies:
+            raise DictionaryError(f"{path}: record {index}: gid {gid!r} is listed twice")
+        hierarchy.add_item(gid)
+        frequencies[gid] = frequency
+    for index, record in enumerate(records):
         for parent in record["parents"]:
-            hierarchy.add_edge(record["gid"], parent)
+            if not isinstance(parent, str) or parent not in frequencies:
+                raise DictionaryError(
+                    f"{path}: record {index}: parent {parent!r} is no gid the file lists"
+                )
+            try:
+                hierarchy.add_edge(record["gid"], parent)
+            except DictionaryError as error:
+                raise DictionaryError(f"{path}: record {index}: {error}") from None
     return Dictionary.from_hierarchy(hierarchy, frequencies)
 
 

@@ -200,9 +200,9 @@ class GapConstrainedMiner(ClusterMiner):
     hierarchy generalizations are allowed (LASH yes, MG-FSM no).  The
     substrate is one :class:`~repro.mapreduce.ClusterConfig` passed as
     ``cluster=`` (see :class:`~repro.core.cluster_miner.ClusterMiner`): the
-    specialist builds no FST and no grid, so the config's ``grid`` has no
-    effect, while it maps the corpus-level dedup like every cluster miner
-    (its shuffle is item-partitioned like D-SEQ's).
+    specialist builds no FST and no grid, while it maps the corpus-level
+    dedup like every cluster miner (its shuffle is item-partitioned like
+    D-SEQ's).
     """
 
     algorithm_name = "LASH"

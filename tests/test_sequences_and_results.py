@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.results import MiningResult
 from repro.dictionary import Hierarchy
-from repro.errors import ReproError
+from repro.errors import DictionaryError, ReproError
 from repro.mapreduce import JobMetrics
 from repro.sequences import (
     SequenceDatabase,
@@ -116,6 +119,66 @@ class TestIo:
             restored.fid_of("a1"),
             restored.fid_of("A"),
         }
+        # Every record loads unchanged.
+        again = tmp_path / "again.json"
+        write_dictionary(again, restored)
+
+        def by_gid(file):
+            return {record["gid"]: record for record in json.loads(file.read_text())}
+
+        assert by_gid(again) == by_gid(path)
+
+    #: One good record per gid, edited per case below.
+    RECORDS = [
+        {"gid": "a", "document_frequency": 1, "parents": ["B"]},
+        {"gid": "b", "document_frequency": 1, "parents": ["B"]},
+        {"gid": "B", "document_frequency": 2, "parents": []},
+    ]
+
+    #: case -> (an edit of RECORDS, the index of the record refused).
+    MALFORMED = {
+        "a negative frequency": ({0: {"document_frequency": -5}}, 0),
+        "a float frequency": ({1: {"document_frequency": 2.7}}, 1),
+        "a bool frequency": ({1: {"document_frequency": True}}, 1),
+        "a string frequency": ({0: {"document_frequency": "x"}}, 0),
+        "a numeric string frequency": ({0: {"document_frequency": "3"}}, 0),
+        "a null frequency": ({2: {"document_frequency": None}}, 2),
+        "parents as a string": ({0: {"parents": "B"}}, 0),
+        "null parents": ({1: {"parents": None}}, 1),
+        "an unlisted parent": ({1: {"parents": ["C"]}}, 1),
+        "an int parent": ({0: {"parents": [7]}}, 0),
+        "a list parent": ({0: {"parents": [["B"]]}}, 0),
+        "a self parent": ({2: {"parents": ["B"]}}, 2),
+        "a cycle": ({2: {"parents": ["a"]}}, 2),
+        "an empty gid": ({1: {"gid": ""}}, 1),
+        "an int gid": ({1: {"gid": 5}}, 1),
+        "a duplicate gid": ({1: {"gid": "a"}}, 1),
+        "a missing key": ({2: {"parents": ...}}, 2),
+        "a list record": ({1: ...}, 1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_a_malformed_record_is_refused_by_index(self, tmp_path, case):
+        edits, index = self.MALFORMED[case]
+        records = []
+        for position, record in enumerate(self.RECORDS):
+            edit = edits.get(position, {})
+            if edit is ...:
+                records.append(["a", 1, []])
+                continue
+            record = {**record, **edit}
+            records.append({key: value for key, value in record.items() if value is not ...})
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(records), encoding="utf-8")
+        with pytest.raises(DictionaryError, match=re.escape(f"{path}: record {index}")):
+            read_dictionary(path)
+
+    @pytest.mark.parametrize("document", [{"gid": "a"}, "a", None])
+    def test_a_file_that_is_no_list_is_refused(self, tmp_path, document):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(DictionaryError, match=re.escape(f"{path}: a dictionary file is")):
+            read_dictionary(path)
 
     def test_preprocess(self):
         hierarchy = Hierarchy()

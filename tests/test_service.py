@@ -22,9 +22,9 @@ SIGMA = 2
 #: an encoded ``ClusterConfig`` and the ``JobMetrics`` fields of an encoded
 #: result.  A change to either set bumps the version and replaces this row.
 WIRE_SHAPE = (
-    6,
+    7,
     {
-        "backend", "num_workers", "codec", "spill_budget_bytes", "spill_dir", "grid",
+        "backend", "num_workers", "codec", "spill_budget_bytes", "spill_dir",
         "max_task_attempts",
     },
     {
@@ -150,7 +150,7 @@ class TestProtocol:
             protocol.decode_result(payload)
 
     def test_config_round_trip(self):
-        config = ClusterConfig(backend="multihost", num_workers=3, grid="legacy")
+        config = ClusterConfig(backend="multihost", num_workers=3, codec="zlib")
         assert protocol.decode_config(protocol.encode_config(config)) == config
         assert protocol.encode_config(None) is None
 
@@ -399,6 +399,9 @@ class TestServiceSession:
         # unknown fields.
         refused({"fault_policy": {"max_task_attempts": 1}}, "unknown.*'fault_policy'")
         refused({"task_timeout_s": 30.0}, "unknown.*'task_timeout_s'")
+        # A protocol-6 client's grid engine, whichever it names.
+        for grid in ("flat", "legacy"):
+            refused({"grid": grid}, "unknown ClusterConfig fields.*'grid'")
         # None of these may bend the attempt check.
         for hostile in (0, 2.5, True, "2"):
             refused(

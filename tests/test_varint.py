@@ -1,4 +1,4 @@
-"""Hostile bytes through the LEB128 varint and the three formats that read it.
+"""Hostile bytes through the LEB128 varint and the two payloads that read it.
 
 Every truncation and every single-bit flip of an encoded value must come back
 as the reader's :class:`~repro.errors.ReproError` subclass or as a value the
@@ -9,9 +9,7 @@ supported layout, so the values drawn here run well beyond it.
 
 from __future__ import annotations
 
-import os
 import random
-import tempfile
 import time
 
 import pytest
@@ -21,8 +19,6 @@ from hypothesis import strategies as st
 from repro.errors import MapReduceError, NfaError, ReproError
 from repro.mapreduce.wire import make_codec
 from repro.nfa import OutputNfa, TrieBuilder, deserialize, serialize, serialize_trie
-from repro.sequences import SequenceDatabase
-from repro.sequences.formats import read_binary_database, write_binary_database
 from repro.varint import read_varint, write_varint
 
 #: Fids and counts: one-byte, multi-byte, and past every machine word.
@@ -118,7 +114,7 @@ class TestReadVarint:
 
 
 class TestCallers:
-    """The NFA payload, the shuffle wire blob and the binary sequence file."""
+    """The NFA payload and the shuffle wire blob."""
 
     @given(
         st.lists(
@@ -172,22 +168,4 @@ class TestCallers:
             except MapReduceError:
                 continue
             assert codec.decode_bucket(codec.encode_bucket(decoded)) == decoded
-
-    @given(st.lists(st.lists(FIDS, max_size=3), min_size=1, max_size=3))
-    @settings(max_examples=10, deadline=None)
-    def test_binary_database(self, sequences):
-        with tempfile.TemporaryDirectory() as directory:
-            path = os.path.join(directory, "data.rsdb")
-            write_binary_database(path, SequenceDatabase(sequences))
-            with open(path, "rb") as handle:
-                payload = handle.read()
-            assert list(read_binary_database(path)) == [tuple(s) for s in sequences]
-            for data in damaged(payload):
-                with open(path, "wb") as handle:
-                    handle.write(data)
-                try:
-                    database = read_binary_database(path)
-                except ReproError:
-                    continue
-                assert all(fid > 0 for sequence in database for fid in sequence)
 
