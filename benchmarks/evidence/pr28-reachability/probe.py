@@ -180,7 +180,7 @@ def drivers(data: Path) -> list[tuple[str, list[str]]]:
                 "--metrics", "--output", str(data / f"{algorithm}-{backend}.tsv"),
             ]))
     flags = [
-        ["--codec", "zlib"], ["--spill-budget", "0"], ["--retries", "2"],
+        ["--codec", "zlib"], ["--retries", "2"],
         ["--max-runs", "1000"],
         ["--output-format", "jsonl"], ["--top", "3"],
         ["--backend", "multihost", "--spill-dir", str(data / "spill")],

@@ -22,36 +22,6 @@ class CliError(ReproError):
     """Raised for user-facing CLI errors (bad arguments, missing files)."""
 
 
-#: Multipliers accepted by :func:`parse_byte_size` (binary units).
-_BYTE_SUFFIXES = {"k": 1024, "m": 1024**2, "g": 1024**3}
-
-
-def parse_byte_size(text: str | None) -> int | None:
-    """Parse a byte count such as ``65536``, ``64k``, ``16M``, or ``1g``.
-
-    Returns None for None (no limit).  Suffixes are binary (k = 1024).
-    """
-    if text is None:
-        return None
-    raw = str(text).strip().lower()
-    if raw.endswith("b"):
-        raw = raw[:-1]
-    multiplier = 1
-    if raw and raw[-1] in _BYTE_SUFFIXES:
-        multiplier = _BYTE_SUFFIXES[raw[-1]]
-        raw = raw[:-1]
-    try:
-        value = int(raw)
-    except ValueError as error:
-        raise CliError(
-            f"invalid byte size {text!r}; expected an integer with an "
-            "optional k/M/G suffix (e.g. 64k, 16M)"
-        ) from error
-    if value < 0:
-        raise CliError(f"byte size must be >= 0, got {text!r}")
-    return value * multiplier
-
-
 # ------------------------------------------------------------------ arguments
 def add_input_arguments(parser: ArgumentParser) -> None:
     """Arguments shared by all subcommands that read a sequence database."""
@@ -147,7 +117,6 @@ def cluster_config_from_args(args: Namespace, num_workers: int):
         backend=args.backend,
         num_workers=num_workers,
         codec=args.codec,
-        spill_budget_bytes=parse_byte_size(args.spill_budget),
         spill_dir=getattr(args, "spill_dir", None),
         **({"max_task_attempts": retries + 1} if retries is not None else {}),
     )
@@ -161,7 +130,6 @@ def cluster_config_from_args(args: Namespace, num_workers: int):
 CLUSTER_FLAGS = {
     "--backend": "backend",
     "--codec": "codec",
-    "--spill-budget": "spill_budget_bytes",
     "--spill-dir": "spill_dir",
     "--retries": "max_task_attempts",
 }
@@ -179,7 +147,7 @@ def reject_cluster_flags(args: Namespace, target: str) -> None:
 
 
 def add_shuffle_arguments(parser: ArgumentParser) -> None:
-    """``--codec`` / ``--spill-budget``: shuffle wire format and spill knobs."""
+    """``--codec`` / ``--spill-dir``: the shuffle wire format and where a run writes."""
     from repro.mapreduce import CODECS
 
     parser.add_argument(
@@ -192,17 +160,6 @@ def add_shuffle_arguments(parser: ArgumentParser) -> None:
             "weight) records as three columns (lengths, weights, payloads; "
             "1-2 bytes per fid) and any other group value by value with type "
             "tags, 'zlib' additionally compresses each bucket (default: compact)"
-        ),
-    )
-    parser.add_argument(
-        "--spill-budget",
-        metavar="BYTES",
-        default=None,
-        help=(
-            "per-map-task in-memory budget for encoded shuffle payloads; "
-            "payloads past the budget become blobs in the run's fragment "
-            "store, in its run directory under --spill-dir.  Accepts k/M/G "
-            "suffixes, e.g. 64k or 16M (default: no budget)"
         ),
     )
     parser.add_argument(
@@ -327,12 +284,6 @@ def print_metrics(metrics, stream=None) -> None:
             int(summary["shuffle_records"]),
         )
     )
-    if summary.get("spilled_buckets"):
-        stream.write(
-            "spilled {:,} bucket payloads / {:,} bytes past the budget\n".format(
-                int(summary["spilled_buckets"]), int(summary["spilled_bytes"])
-            )
-        )
     if summary.get("blob_put_count") or summary.get("blob_get_count"):
         stream.write(
             "fragment store: {:,} puts / {:,} bytes up, {:,} gets / {:,} bytes down\n".format(

@@ -86,19 +86,25 @@ class Dictionary:
         assignment deterministic.
         """
         gids = sorted(hierarchy.items(), key=lambda g: (-frequencies.get(g, 0), g))
+        return cls.from_ranking(hierarchy, gids, frequencies)
+
+    @classmethod
+    def from_ranking(
+        cls, hierarchy: Hierarchy, gids: list[str], frequencies: dict[str, int]
+    ) -> "Dictionary":
+        """Build a dictionary whose fids number ``gids``, every item of
+        ``hierarchy``, in the given order (fid ``1`` first)."""
         fid_of = {gid: fid for fid, gid in enumerate(gids, start=1)}
-        items = []
-        for gid in gids:
-            items.append(
-                Item(
-                    gid=gid,
-                    fid=fid_of[gid],
-                    document_frequency=frequencies.get(gid, 0),
-                    parent_fids=frozenset(fid_of[p] for p in hierarchy.parents(gid)),
-                    children_fids=frozenset(fid_of[c] for c in hierarchy.children(gid)),
-                )
+        return cls(
+            Item(
+                gid=gid,
+                fid=fid_of[gid],
+                document_frequency=frequencies.get(gid, 0),
+                parent_fids=frozenset(fid_of[p] for p in hierarchy.parents(gid)),
+                children_fids=frozenset(fid_of[c] for c in hierarchy.children(gid)),
             )
-        return cls(items)
+            for gid in gids
+        )
 
     # ----------------------------------------------------------------- lookups
     def __len__(self) -> int:

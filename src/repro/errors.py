@@ -43,7 +43,7 @@ class MiningError(ReproError):
 def check_int(value, name: str, least: int = 1, error: type[ReproError] = MiningError) -> int:
     """Return ``value`` if it is an int (a bool is none here) of at least
     ``least``; raise ``error`` otherwise.  The one check of σ, ``k``, worker
-    counts, spill budgets and task attempts, asked before any work."""
+    counts and task attempts, asked before any work."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise error(f"{name} must be >= {least} and an int, got {value!r}")
     return value

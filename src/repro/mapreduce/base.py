@@ -16,16 +16,16 @@ input once as an :class:`~repro.sequences.store.EncodedSequenceStore` file,
 hands every worker the job once, and ships chunk descriptors and a job
 reference.
 
-Encoded reduce buckets travel inline through the driver, or as keys into the
-run's one :class:`~repro.mapreduce.spill.FragmentStore`: the payloads past the
-spill budget, or every payload on ``multihost``.  Each backend is one row
+Encoded reduce buckets travel inline through the driver, or, on
+``multihost``, all of them as keys into the run's one
+:class:`~repro.mapreduce.spill.FragmentStore`.  Each backend is one row
 (``processes`` is a spelling of ``persistent-processes``):
 
 ==========================  ============  ================================
 backend                     executor      stored payloads
 ==========================  ============  ================================
-``simulated``               inline        past budget
-``persistent-processes``    process pool  past budget
+``simulated``               inline        none
+``persistent-processes``    process pool  none
 ``multihost``               process pool  all
 ==========================  ============  ================================
 
@@ -40,8 +40,8 @@ inter-task dependencies within a stage (bulk-synchronous model).
 Every row schedules the same two worker-side tasks
 (:func:`~repro.mapreduce.tasks.run_map_task` and
 :func:`~repro.mapreduce.tasks.run_reduce_task`) over the same map-task
-boundaries (:func:`split_ranges`), so patterns and every shuffle, wire and
-spill metric are byte-identical across backends.
+boundaries (:func:`split_ranges`), so patterns and every shuffle and wire
+metric are byte-identical across backends.
 
 Every run gets one scratch directory under ``spill_dir`` (the system temp
 directory by default; a shared mount on a multi-host deployment), and
@@ -79,7 +79,7 @@ from repro.mapreduce.tasks import (
     run_map_task,
     run_reduce_task,
 )
-from repro.mapreduce.wire import Codec, make_codec
+from repro.mapreduce.wire import make_codec
 
 #: A task scheduled by the driver: (function, positional arguments).
 Task = tuple[Callable[..., Any], tuple[Any, ...]]
@@ -171,15 +171,6 @@ class InlineExecutor:
         return [float(load) for load in loads]
 
 
-def check_sizes(num_workers: int | None, spill_budget_bytes: int | None) -> None:
-    """Refuse a worker count that is not an int >= 1 and a spill budget that
-    is not an int >= 0 (``None`` is each one's default)."""
-    if num_workers is not None:
-        check_int(num_workers, "num_workers", 1, MapReduceError)
-    if spill_budget_bytes is not None:
-        check_int(spill_budget_bytes, "spill_budget_bytes", 0, MapReduceError)
-
-
 class StageDriverCluster:
     """The map → combine → partition → reduce driver of every backend.
 
@@ -194,16 +185,11 @@ class StageDriverCluster:
         Number of workers, an int >= 1; map input is split into at most this
         many map tasks.
     codec:
-        Shuffle serialization codec — a name from
-        :data:`~repro.mapreduce.wire.CODECS` or a
-        :class:`~repro.mapreduce.wire.Codec` instance.  Encoding is
-        deterministic, so the measured wire bytes are identical across
+        Shuffle serialization codec, a name from
+        :data:`~repro.mapreduce.wire.CODECS`.  The cluster builds the codec
+        once (``self.codec``) and hands that object to its tasks.  Encoding
+        is deterministic, so the measured wire bytes are identical across
         backends.
-    spill_budget_bytes:
-        Per-map-task in-memory budget for encoded bucket payloads, an int
-        >= 0; payloads past the budget go to the run's fragment store
-        (``None`` disables the budget, ``0`` stores everything).  Results are
-        identical either way.
     spill_dir:
         Parent of each run's scratch directory, which holds everything the
         run writes (defaults to the system temp directory; created if
@@ -232,27 +218,25 @@ class StageDriverCluster:
 
     executor: Any = InlineExecutor()
 
-    #: Whether every payload goes to the fragment store, not only those past
-    #: the spill budget.
+    #: Whether every payload goes to the run's fragment store; otherwise every
+    #: payload travels inline and the run opens no store.
     stores_every_payload = False
 
     def __init__(
         self,
         num_workers: int | None = None,
-        codec: str | Codec = "compact",
-        spill_budget_bytes: int | None = None,
+        codec: str = "compact",
         spill_dir: str | None = None,
         max_task_attempts: int = 2,
         fault_injector: FaultInjector | None = None,
     ) -> None:
-        check_sizes(num_workers, spill_budget_bytes)
-        check_int(max_task_attempts, "max_task_attempts", 1, MapReduceError)
         if num_workers is None:
             num_workers = self.default_num_workers
+        check_int(num_workers, "num_workers", 1, MapReduceError)
+        check_int(max_task_attempts, "max_task_attempts", 1, MapReduceError)
         self.num_workers = num_workers
         self.num_reduce_tasks = REDUCE_TASKS_PER_WORKER * num_workers
         self.codec = make_codec(codec)
-        self.spill_budget_bytes = spill_budget_bytes
         if spill_dir is not None and not isinstance(spill_dir, (str, os.PathLike)):
             raise MapReduceError(
                 f"spill_dir must be a path or None, got {type(spill_dir).__name__}"
@@ -279,7 +263,7 @@ class StageDriverCluster:
         run_dir = make_run_dir(self.spill_dir)
         try:
             fragment_store = blob_store = None
-            if self.spill_budget_bytes is not None or self.stores_every_payload:
+            if self.stores_every_payload:
                 from repro.mapreduce.blobstore import DirectoryBlobStore
 
                 # Tasks get the raw store; each attempt wraps it for the
@@ -287,7 +271,7 @@ class StageDriverCluster:
                 # keys are a pure function of the payloads and a seeded
                 # blob-fault schedule replays exactly.
                 blob_store = DirectoryBlobStore(run_dir)
-                fragment_store = FragmentStore(blob_store, "blobs", self.stores_every_payload)
+                fragment_store = FragmentStore(blob_store, "blobs")
             # The executor scope's shutdown joins every still-running worker
             # task, so nothing writes into the run directory once it goes.
             with self.executor.scope(self, records, job, run_dir) as (
@@ -296,8 +280,8 @@ class StageDriverCluster:
                 metrics.map_input_pickle_bytes = sum(map(pickled_size, chunks))
                 # Map stage: each task partitions, combines, and encodes its
                 # reduce buckets locally (worker-side shuffle write), putting
-                # payloads past the in-memory budget into the fragment
-                # store.  Failed attempts are retried up to
+                # every payload into the fragment store when the run has
+                # one.  Failed attempts are retried up to
                 # ``max_task_attempts``; only the one successful attempt per
                 # task is folded into the metrics below, so retries never
                 # double-count shuffle or wire bytes.
@@ -311,7 +295,6 @@ class StageDriverCluster:
                                 chunk,
                                 self.num_reduce_tasks,
                                 self.codec,
-                                self.spill_budget_bytes,
                                 fragment_store,
                                 context,
                             ),

@@ -6,8 +6,8 @@ from dataclasses import dataclass, fields
 from importlib import import_module
 
 from repro.errors import MapReduceError, check_int
-from repro.mapreduce.base import Cluster, check_sizes
-from repro.mapreduce.wire import Codec
+from repro.mapreduce.base import Cluster
+from repro.mapreduce.wire import make_codec
 
 #: Canonical backend names, in the order shown by ``--help``.
 BACKENDS = ("simulated", "persistent-processes", "multihost")
@@ -57,16 +57,16 @@ class ClusterConfig:
     :class:`~repro.mapreduce.base.Cluster` instance, whose own settings then
     win over the fields a backend reads; a fault injector for chaos tests is
     handed to a backend's constructor that way, never through a config.
-    The worker count, the spill budget and the task-attempt budget are
-    validated when the config is built; each must be an int.  The
-    reduce-bucket count is no field: every backend runs
+    The worker count, the codec and the task-attempt budget are validated
+    when the config is built: the counts must be ints, the codec a name from
+    :data:`~repro.mapreduce.wire.CODECS`.  The reduce-bucket count is no
+    field: every backend runs
     :data:`~repro.mapreduce.base.REDUCE_TASKS_PER_WORKER` buckets per worker.
     """
 
     backend: str | Cluster = "simulated"
     num_workers: int | None = None
-    codec: str | Codec = "compact"
-    spill_budget_bytes: int | None = None
+    codec: str = "compact"
     #: Parent of each run's scratch directory, which holds everything the
     #: run writes, the ``multihost`` fragment store included (``None``: the
     #: system temp directory); a multi-host deployment sets a shared mount.
@@ -76,7 +76,9 @@ class ClusterConfig:
     max_task_attempts: int = 2
 
     def __post_init__(self) -> None:
-        check_sizes(self.num_workers, self.spill_budget_bytes)
+        if self.num_workers is not None:
+            check_int(self.num_workers, "num_workers", 1, MapReduceError)
+        make_codec(self.codec)  # a name from CODECS, or MapReduceError
         check_int(self.max_task_attempts, "max_task_attempts", 1, MapReduceError)
 
     def build(self) -> Cluster:
@@ -120,22 +122,23 @@ class ClusterConfig:
         cached :class:`~repro.mapreduce.metrics.JobMetrics` are not — so each
         distinct substrate caches its own entry.  A ready-made cluster
         instance runs on its own settings, not the config's, so it
-        fingerprints by its class name and its own worker count, codec, spill
-        budget, task-attempt budget and fault injector.
+        fingerprints by its class name and its own worker count, codec,
+        task-attempt budget and fault injector.
         """
         if isinstance(self.backend, Cluster):
             source, backend = self.backend, type(self.backend).__name__
+            # A Cluster promises only its worker and bucket counts (the
+            # bucket count follows from the worker count); every cluster this
+            # library builds also carries the other settings, its codec as
+            # the object it built from the name.
+            codec = getattr(source, "codec", None)
+            codec = None if codec is None else codec.name
         else:
-            source, backend = self, self.backend
-        # A Cluster promises only its worker and bucket counts (the bucket
-        # count follows from the worker count); every cluster this library
-        # builds also carries the other settings.
-        codec = getattr(source, "codec", None)
+            source, backend, codec = self, self.backend, self.codec
         parts = (
             backend,
             source.num_workers,
-            getattr(codec, "name", codec),
-            getattr(source, "spill_budget_bytes", None),
+            codec,
             f"attempts={getattr(source, 'max_task_attempts', None)}",
             repr(getattr(source, "fault_injector", None)),
         )

@@ -53,16 +53,11 @@ class Counters:
     #: Measured shuffle size: bytes of the encoded bucket payloads that
     #: actually travel from map to reduce tasks (codec-dependent).
     wire_bytes: int = 0
-    #: Number of bucket payloads past the spill budget and their total size
-    #: (the same on every backend, wherever those payloads went).
-    spilled_buckets: int = 0
-    spilled_bytes: int = 0
-    #: Fragment-store traffic: every payload that does not travel inline is
-    #: put once by its map task and fetched — once per distinct
-    #: content-addressed key per reduce task — by the reduce side (gets).
-    #: That is the payloads past the spill budget (so ``blob_put_count ==
-    #: spilled_buckets``), or every payload on ``multihost``; all four stay
-    #: zero on a default-budget ``simulated`` or ``persistent-processes`` run.
+    #: Fragment-store traffic on ``multihost``: every payload is put once by
+    #: its map task and fetched — once per distinct content-addressed key per
+    #: reduce task — by the reduce side (gets).  All four stay zero on
+    #: ``simulated`` and ``persistent-processes``, whose payloads travel
+    #: inline.
     blob_put_count: int = 0
     blob_put_bytes: int = 0
     blob_get_count: int = 0

@@ -199,7 +199,7 @@ class MultiHostCluster(StageDriverCluster):
 
     Reduce tasks fetch their bucket's blobs by key (with retry-with-backoff,
     one get per distinct key) and run the same streamed merge as everywhere
-    else, so patterns and every shuffle and spill metric are byte-identical
+    else, so patterns and every shuffle and wire metric are byte-identical
     to the other backends; only the blob put/get counters differ.  The store
     lives in the run directory under ``spill_dir``, which a deployment
     without a shared file system between hosts points at a shared mount.

@@ -1,15 +1,14 @@
 """Bucket fragments, the run's fragment store, and the reduce-side streamed merge.
 
 Map tasks serialize every reduce bucket with a :class:`~repro.mapreduce.wire.Codec`
-before handing it to the driver.  A payload travels inline while the task's
-encoded payloads fit the configured in-memory budget; past it, the payload
-goes into the run's :class:`FragmentStore` — one key prefix in a
-content-addressed :class:`~repro.mapreduce.blobstore.BlobStore` — and only a
-small :class:`WireFragment` *reference* (blob key, length) travels through the
-driver, so shuffles larger than memory never materialize in one process.  On
-the ``multihost`` backend every payload goes to the store.  The reduce side
-merges its fragments with :func:`merge_fragments`, fetching and decoding one
-fragment at a time (the streamed shuffle read).
+before handing it to the driver.  On ``simulated`` and
+``persistent-processes`` every payload travels inline.  On ``multihost``
+every payload goes into the run's :class:`FragmentStore` — one key prefix in
+a content-addressed :class:`~repro.mapreduce.blobstore.BlobStore` — and only
+a small :class:`WireFragment` *reference* (blob key, length) travels through
+the driver, so map and reduce hosts exchange no payload bytes through it.
+The reduce side merges its fragments with :func:`merge_fragments`, fetching
+and decoding one fragment at a time (the streamed shuffle read).
 
 The store is a :class:`~repro.mapreduce.blobstore.DirectoryBlobStore` in
 the run directory under ``spill_dir``; the stage driver opens it, and it goes
@@ -59,16 +58,14 @@ class WireFragment:
 class FragmentStore:
     """One run's key prefix in a content-addressed blob store.
 
-    Payloads that do not travel inline are put here under
-    :func:`~repro.mapreduce.blobstore.content_key` of ``prefix``: those past
-    the spill budget, or every payload when ``every_payload`` is set (the
-    ``multihost`` backend).  It ships with every map task; the store
-    implementations hold only a root path, so it pickles at descriptor size.
+    A run that has one (the ``multihost`` backend) puts every payload here
+    under :func:`~repro.mapreduce.blobstore.content_key` of ``prefix``.  It
+    ships with every map task; the store implementations hold only a root
+    path, so it pickles at descriptor size.
     """
 
     blobs: BlobStore
     prefix: str
-    every_payload: bool = False
 
 
 class FragmentReader:
@@ -147,49 +144,37 @@ class FragmentReader:
 
 def store_payloads(
     encoded: Iterable[tuple[int, bytes, int]],
-    spill_budget_bytes: int | None,
+    unused: None = None,
     fragment_store: FragmentStore | None = None,
 ) -> tuple[list[tuple[int, WireFragment]], Counters]:
-    """Turn encoded bucket payloads into fragments, storing those past the budget.
+    """Turn encoded bucket payloads into fragments: all inline, or all stored.
 
     ``encoded`` yields ``(bucket_index, blob, record_count)`` triples in
-    deterministic order.  Blobs are kept inline while the running inline total
-    stays within ``spill_budget_bytes``; every blob that would exceed the
-    budget is put into ``fragment_store`` instead (``None`` disables the
-    budget, ``0`` stores everything), as is every blob when the store takes
-    every payload.  Puts retry transient store failures
-    (:func:`~repro.mapreduce.blobstore.put_with_retry`) — safe at any
-    repetition, because a content-addressed re-put is idempotent.  Returns
-    the fragments and the shuffle write's
+    deterministic order.  Without a ``fragment_store`` every blob travels
+    inline; with one, every blob is put into it.  Puts retry transient store
+    failures (:func:`~repro.mapreduce.blobstore.put_with_retry`) — safe at
+    any repetition, because a content-addressed re-put is idempotent.
+    Returns the fragments and the shuffle write's
     :class:`~repro.mapreduce.metrics.Counters`: ``wire_bytes``,
-    ``spilled_*``, ``blob_put_*`` and the puts' ``blob_retry_count``.
+    ``blob_put_*`` and the puts' ``blob_retry_count``.  ``unused`` must be
+    ``None`` (``benchmarks/e2e/replay.py`` still passes one positionally).
     """
+    if unused is not None:
+        raise TypeError(f"store_payloads() takes no in-memory budget, got {unused!r}")
     fragments: list[tuple[int, WireFragment]] = []
     stats = Counters()
-    every_payload = fragment_store is not None and fragment_store.every_payload
-    inline_total = 0
     for bucket_index, blob, records in encoded:
         fragment = WireFragment(records=records, wire_bytes=len(blob))
         stats.wire_bytes += len(blob)
-        past_budget = (
-            spill_budget_bytes is not None and inline_total + len(blob) > spill_budget_bytes
-        )
-        if past_budget:
-            stats.spilled_buckets += 1
-            stats.spilled_bytes += len(blob)
+        if fragment_store is None:
+            fragment.data = blob
         else:
-            inline_total += len(blob)
-        if past_budget or every_payload:
-            if fragment_store is None:
-                raise MapReduceError("a payload past the spill budget needs a fragment store")
             from repro.mapreduce.blobstore import content_key, put_with_retry
 
             fragment.blob_key = content_key(blob, fragment_store.prefix)
             put_with_retry(fragment_store.blobs, fragment.blob_key, blob, stats=stats)
             stats.blob_put_count += 1
             stats.blob_put_bytes += len(blob)
-        else:
-            fragment.data = blob
         fragments.append((bucket_index, fragment))
     return fragments, stats
 
@@ -201,8 +186,7 @@ def merge_fragments(
 
     Fragments are read and decoded one at a time — only the merged key groups
     and a single fragment's blob are ever in memory (a blob several fragments
-    share is held until the last of them), which is what lets stored
-    shuffles stay larger than the in-memory budget.  Pass a
+    share is held until the last of them).  Pass a
     :class:`FragmentReader` over the run's blob store to read stored
     fragments and collect its fetch counters; without one, only inline
     fragments can be merged.

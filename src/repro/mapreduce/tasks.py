@@ -4,9 +4,8 @@ A map task maps and combines its input chunk, *partitions the result locally*,
 and serializes every reduce bucket with the job's shuffle codec (the shuffle
 write of a real cluster).  What the driver routes from map to reduce tasks are
 therefore :class:`~repro.mapreduce.spill.WireFragment` objects — encoded
-payloads, inline or put into the run's
-:class:`~repro.mapreduce.spill.FragmentStore` once the task's in-memory budget
-is exceeded (on ``multihost``, always) — never raw (key, value) pairs.  A
+payloads, inline or, on ``multihost``, put into the run's
+:class:`~repro.mapreduce.spill.FragmentStore` — never raw (key, value) pairs.  A
 reduce task receives the fragments addressed to one bucket, fetches the stored
 ones, decodes and merges them key by key (the streamed shuffle read), and
 reduces every key group.
@@ -41,7 +40,7 @@ from repro.mapreduce.spill import (
     merge_fragments,
     store_payloads,
 )
-from repro.mapreduce.wire import Codec, make_codec
+from repro.mapreduce.wire import Codec, CompactCodec
 from repro.sequences.store import StoreChunk, resolve_chunk
 
 #: A payload addressed to one reduce bucket: key -> values emitted by one map task.
@@ -90,8 +89,8 @@ class MapTaskResult:
 
     ``counters`` holds the task's records in, mapped and combined, the
     *modeled* ``shuffle_bytes`` and *measured* ``wire_bytes`` (see
-    :class:`~repro.mapreduce.metrics.Counters`), and its spill and
-    fragment-store writes.
+    :class:`~repro.mapreduce.metrics.Counters`), and its fragment-store
+    writes.
     """
 
     buckets: list[tuple[int, WireFragment]] = field(default_factory=list)
@@ -118,8 +117,7 @@ def run_map_task(
     job: MapReduceJob | JobRef,
     records: Sequence[Any] | StoreChunk,
     num_reduce_tasks: int,
-    codec: Codec | str = "compact",
-    spill_budget_bytes: int | None = None,
+    codec: Codec = CompactCodec(),
     fragment_store: FragmentStore | None = None,
     context: TaskContext | None = None,
 ) -> MapTaskResult:
@@ -129,12 +127,14 @@ def run_map_task(
     :class:`~repro.sequences.store.StoreChunk` descriptor: the worker resolves
     it against the store it attached once and decodes its slice zero-copy,
     so the task's pickled input is the few dozen bytes of the descriptor.
-    Payloads that do not travel inline are put into ``fragment_store``, with
-    the store retries counted on the result.  ``context`` identifies the
-    attempt for fault tolerance: its injector (if any) observes the task
-    start — and may kill this very attempt — before any work happens, so a
-    retried attempt reruns the task from scratch, and it observes the
-    attempt's own puts (:meth:`~repro.mapreduce.faults.TaskContext.wrap_store`).
+    ``codec`` is the cluster's codec object.  With a ``fragment_store``
+    every payload is put into it, with the store retries counted on the
+    result; without one every payload travels inline.  ``context``
+    identifies the attempt for fault tolerance: its injector (if any)
+    observes the task start — and may kill this very attempt — before any
+    work happens, so a retried attempt reruns the task from scratch, and it
+    observes the attempt's own puts
+    (:meth:`~repro.mapreduce.faults.TaskContext.wrap_store`).
     """
     if isinstance(records, StoreChunk):
         records = resolve_chunk(records)
@@ -144,7 +144,6 @@ def run_map_task(
         context.begin()
         if fragment_store is not None:
             fragment_store = replace(fragment_store, blobs=context.wrap_store(fragment_store.blobs))
-    codec = make_codec(codec)
     task_output: dict[Any, list[Any]] = defaultdict(list)
     map_output_records = 0
     for record in records:
@@ -172,7 +171,7 @@ def run_map_task(
         payload = buckets.setdefault(bucket_index, {})
         payload.setdefault(key, []).append(value)
 
-    # Shuffle write: serialize each bucket, storing past the budget.
+    # Shuffle write: serialize each bucket, storing it if the run has a store.
     encoded = (
         (
             bucket_index,
@@ -181,7 +180,7 @@ def run_map_task(
         )
         for bucket_index, payload in sorted(buckets.items())
     )
-    fragments, counters = store_payloads(encoded, spill_budget_bytes, fragment_store)
+    fragments, counters = store_payloads(encoded, fragment_store=fragment_store)
     counters.input_records = len(records)
     counters.map_output_records = map_output_records
     counters.combined_records = counters.shuffle_records = shuffle_records
@@ -198,7 +197,7 @@ def run_map_task(
 def run_reduce_task(
     job: MapReduceJob | JobRef,
     fragments: Sequence[WireFragment],
-    codec: Codec | str = "compact",
+    codec: Codec = CompactCodec(),
     blob_store: Any = None,
     context: TaskContext | None = None,
 ) -> ReduceTaskResult:
@@ -216,7 +215,7 @@ def run_reduce_task(
         context.begin()
         blob_store = context.wrap_store(blob_store)
     reader = FragmentReader(blob_store)
-    grouped = merge_fragments(fragments, make_codec(codec), reader=reader)
+    grouped = merge_fragments(fragments, codec, reader=reader)
     outputs: list[Any] = []
     for key, values in grouped.items():
         outputs.extend(job.reduce(key, values))

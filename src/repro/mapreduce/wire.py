@@ -427,11 +427,9 @@ _CODEC_FACTORIES = {
 }
 
 
-def make_codec(codec: str | Codec = "compact") -> Codec:
-    """Return ``codec`` itself if it already is a codec, else build one by name."""
-    if not isinstance(codec, str) and isinstance(codec, Codec):
-        return codec
-    factory = _CODEC_FACTORIES.get(str(codec).strip().lower())
+def make_codec(codec: str = "compact") -> Codec:
+    """Build the codec named ``codec``, one of :data:`CODECS`."""
+    factory = _CODEC_FACTORIES.get(codec.strip().lower()) if isinstance(codec, str) else None
     if factory is None:
         raise MapReduceError(
             f"unknown shuffle codec {codec!r}; choose one of {', '.join(CODECS)}"

@@ -72,8 +72,9 @@ def write_dictionary(path: str | Path, dictionary: Dictionary) -> None:
 def read_dictionary(path: str | Path) -> Dictionary:
     """Load a dictionary written by :func:`write_dictionary`.
 
-    fids are re-assigned from the stored frequencies, so round-tripping
-    preserves gids, frequencies and hierarchy, and produces the same fid order.
+    fids number the records by decreasing frequency, tied records in file
+    order, so round-tripping preserves gids, frequencies, hierarchy and every
+    fid.
     The file must be a list of ``{"gid", "document_frequency", "parents"}``
     objects: a non-empty string gid that no other record has, an int
     frequency >= 0 (a bool is none), and a list of parent gids that the file
@@ -115,7 +116,9 @@ def read_dictionary(path: str | Path) -> Dictionary:
                 hierarchy.add_edge(record["gid"], parent)
             except DictionaryError as error:
                 raise DictionaryError(f"{path}: record {index}: {error}") from None
-    return Dictionary.from_hierarchy(hierarchy, frequencies)
+    # sorted() is stable: tied records keep the order write_dictionary gave them.
+    ranking = sorted(frequencies, key=lambda gid: -frequencies[gid])
+    return Dictionary.from_ranking(hierarchy, ranking, frequencies)
 
 
 # ------------------------------------------------------------------- preprocess

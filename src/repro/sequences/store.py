@@ -16,7 +16,7 @@ persistence format — :mod:`repro.sequences.formats` covers durable files)::
 
     magic    8 bytes   b"SEQSTOR3" (plain) or b"SEQSTOR4" (weighted)
     count    u64       number of sequences
-    width    u64       bytes per item: 1, 2, 4 or 8 (0: LEB128 varints)
+    width    u64       bytes per item: 1, 2, 4 or 8
     size     u64       length of the data region in bytes
     offsets  (count + 1) * u64   item offset of each sequence into the data
     weights  count * u64         only in weighted (SEQSTOR4) blocks
@@ -28,10 +28,9 @@ and sequence ``i`` is items ``offsets[i]:offsets[i + 1]`` of the data column.
 Packing is one ``array.extend`` per record and decoding one
 ``tuple(column[a:b])`` on a :meth:`memoryview.cast` of the block: no Python
 call per item, and nothing is copied until a sequence tuple is materialized.
-Only a store holding an item of 2**64 or more falls back to ``width`` 0: its
-data region is a stream of unsigned LEB128 varints (:mod:`repro.varint`) and
-its offsets count bytes, so such fids still round-trip.  The packer picks the
-width from what it sees in its input; callers never choose it.
+Fids are dense dictionary ranks, so 8 bytes always suffice: the packer
+refuses an item of 2**64 or more.  It picks the width from what it sees in
+its input; callers never choose it.
 
 A *weighted* block additionally carries one u64 multiplicity per sequence and
 yields :class:`WeightedSequence` records instead of bare tuples.  It is what
@@ -51,11 +50,10 @@ import tempfile
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 from repro.errors import ReproError
-from repro.varint import read_varint, write_varint
 
 
 class SequenceStoreError(ReproError):
@@ -113,18 +111,8 @@ _MAGIC = b"SEQSTOR3"
 _MAGIC_WEIGHTED = b"SEQSTOR4"
 _HEADER = struct.Struct("=8sQQQ")  # magic, sequence count, item width, data size
 #: Item width in bytes -> typecode of the data column (``array`` while
-#: packing, ``memoryview.cast`` while reading).  Width 0 is the LEB128 layout.
-_TYPECODES = {0: "B", 1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
-def _decode_varints(span: memoryview) -> tuple[int, ...]:
-    """Decode one sequence's LEB128 span (the width-0 layout) into fids."""
-    items = []
-    offset = 0
-    while offset < len(span):
-        value, offset = read_varint(span, offset, error=SequenceStoreError, what="item")
-        items.append(value)
-    return tuple(items)
+#: packing, ``memoryview.cast`` while reading).
+_TYPECODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _pack_block(
@@ -143,8 +131,7 @@ def _pack(magic: bytes, sequences: Iterable, weights: array | None) -> bytes:
     """
     column = array("B")
     offsets = array("Q", [0])
-    pending = iter(sequences)
-    for sequence in pending:
+    for sequence in sequences:
         items = tuple(sequence)
         while True:
             try:
@@ -153,42 +140,33 @@ def _pack(magic: bytes, sequences: Iterable, weights: array | None) -> bytes:
             except (TypeError, OverflowError):
                 del column[offsets[-1] :]  # extend() keeps what it took before raising
                 if column.itemsize == 8:
-                    return _pack_checked(
-                        magic, column, offsets, weights, chain([items], pending)
-                    )
+                    _refuse(items, len(offsets) - 1)
                 column = array(_TYPECODES[2 * column.itemsize], column)
         offsets.append(len(column))
     return _pack_block(magic, column.itemsize, offsets, weights, column)
 
 
-def _pack_checked(
-    magic: bytes, column: array, offsets: array, weights: array | None, sequences
-) -> bytes:
-    """The checking loop :func:`_pack` drops to at a record no column takes.
-
-    Either the record holds something that is no fid — this raises, naming
-    item and record — or an item of 2**64 or more, and the store is packed in
-    the width-0 layout: LEB128 varints, offsets counting bytes.
-    """
-    data = bytearray()
-    byte_offsets = array("Q", [0])
-    packed = (column[start:stop] for start, stop in zip(offsets, offsets[1:]))
-    for sequence in chain(packed, sequences):
-        for item in sequence:
-            try:
-                # operator.index (unlike int) rejects floats and digit
-                # strings instead of silently coercing them, so records a
-                # generic backend would ship verbatim cannot round-trip
-                # through the store as different values.
-                value = operator.index(item)
-            except TypeError as error:
-                raise SequenceStoreError(
-                    f"store records must be sequences of non-negative integers "
-                    f"(fids); got item {item!r} in record {len(byte_offsets) - 1}"
-                ) from error
-            write_varint(data, value, error=SequenceStoreError)
-        byte_offsets.append(len(data))
-    return _pack_block(magic, 0, byte_offsets, weights, data)
+def _refuse(items: tuple, record: int) -> None:
+    """Raise for the record no column takes, naming its first bad item."""
+    for item in items:
+        try:
+            # operator.index (unlike int) rejects floats and digit strings
+            # instead of silently coercing them, so records a generic backend
+            # would ship verbatim cannot round-trip through the store as
+            # different values.
+            value = operator.index(item)
+        except TypeError as error:
+            raise SequenceStoreError(
+                f"store records must be sequences of non-negative integers "
+                f"(fids); got item {item!r} in record {record}"
+            ) from error
+        if value < 0:
+            raise SequenceStoreError(f"negative item {value} in record {record}")
+        if value >= 2**64:
+            raise SequenceStoreError(
+                f"store items are fids below 2**64; got item {value} in record {record}"
+            )
+    raise SequenceStoreError(f"record {record} does not pack into a store column")
 
 
 class EncodedSequenceStore(Sequence):
@@ -209,7 +187,7 @@ class EncodedSequenceStore(Sequence):
             raise SequenceStoreError(f"bad store magic {bytes(magic)!r}")
         if width not in _TYPECODES:
             raise SequenceStoreError(f"bad store item width {width}")
-        items, ragged = divmod(data_size, width or 1)
+        items, ragged = divmod(data_size, width)
         if ragged:
             raise SequenceStoreError(
                 f"store data region of {data_size} bytes is not a whole number "
@@ -305,8 +283,7 @@ class EncodedSequenceStore(Sequence):
 
     def iter_range(self, start: int, stop: int) -> Iterator[tuple[int, ...]]:
         """Decode records ``start:stop`` straight from the block."""
-        decode = tuple if self._width else _decode_varints
-        sequences = map(decode, self._spans(start, stop))
+        sequences = map(tuple, self._spans(start, stop))
         if self._weights is None:
             return sequences
         weights = self._weights[start:stop].tolist()

@@ -32,8 +32,9 @@ from repro.service.cache import CacheInfo
 #: ``spill_dir`` must be null; 4: neither a config nor job metrics name a
 #: reduce partitioner; 5: a config names no ``num_reduce_tasks``; 6: a config
 #: carries ``max_task_attempts`` as a plain int and no ``fault_policy``; 7: a
-#: config names no ``grid``).
-PROTOCOL_VERSION = 7
+#: config names no ``grid``; 8: neither a config nor job metrics name a spill
+#: budget).
+PROTOCOL_VERSION = 8
 
 #: The port ``repro serve`` binds — and :func:`repro.api.connect` dials — by
 #: default.  Shared here so the two sides cannot drift apart (the client used
@@ -135,11 +136,6 @@ def encode_config(config: ClusterConfig | None) -> dict | None:
         raise ServiceError(
             "cannot send a live Cluster instance to the service; "
             "pass a backend name in ClusterConfig(backend=...)"
-        )
-    if not isinstance(config.codec, str):
-        raise ServiceError(
-            "cannot send a live Codec instance to the service; "
-            "pass a codec name in ClusterConfig(codec=...)"
         )
     return {name: getattr(config, name) for name in _CONFIG_FIELDS}
 

@@ -1,8 +1,7 @@
 """Unsigned LEB128 varint primitives shared by every binary format.
 
-Three subsystems serialize integers as LEB128 varints — the width-0 layout
-of the encoded sequence store (:mod:`repro.sequences.store`), the NFA
-serializer (:mod:`repro.nfa.serializer`), and the shuffle wire codec
+Two formats serialize integers as LEB128 varints — the NFA serializer
+(:mod:`repro.nfa.serializer`) and the shuffle wire codec
 (:mod:`repro.mapreduce.wire`).  They share this one implementation and
 differ only in the :class:`~repro.errors.ReproError` subclass they raise and
 the context named in truncation messages.
@@ -64,7 +63,7 @@ def _read_long_varint(
     OR-ing each group into a growing ``int`` copies that int once per byte,
     which is quadratic in the length; instead, find the last byte, spell the
     7-bit groups most significant first as one binary string and parse it
-    once.  There is no length cap: fids past 2**64 are a supported layout.
+    once.  There is no length cap: the wire codec's tagged ints are unbounded.
     """
     while offset < len(data) and data[offset] & 0x80:
         offset += 1

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import settings as hypothesis_settings
 
 from repro.dictionary import Dictionary, Item
+from repro.mapreduce import SimulatedCluster
 from repro.patex import PatEx
 from repro.sequences import SequenceDatabase, WeightedSequence
 
@@ -119,6 +120,15 @@ def reduce_tasks_per_worker(monkeypatch):
         monkeypatch.setattr(base, "REDUCE_TASKS_PER_WORKER", ratio)
 
     return set_ratio
+
+
+class StoringSimulatedCluster(SimulatedCluster):
+    """``simulated`` with every payload in the run's fragment store, as on
+    ``multihost``, but with its tasks run in this process: the way a test
+    reaches the store (its blobs, counters and injected blob faults) without
+    forking a pool.  Pass an instance as ``ClusterConfig(backend=cluster)``."""
+
+    stores_every_payload = True
 
 
 def make_running_example_dictionary() -> Dictionary:

@@ -389,7 +389,6 @@ class TestConfigFingerprint:
         "backend": "multihost",
         "num_workers": 3,
         "codec": "zlib",
-        "spill_budget_bytes": 4096,
         "max_task_attempts": 1,
     }
 
@@ -409,7 +408,6 @@ class TestConfigFingerprint:
     INSTANCE_SETTINGS = {
         "num_workers": 8,
         "codec": "zlib",
-        "spill_budget_bytes": 4096,
         "max_task_attempts": 1,
         "fault_injector": ScriptedInjector(kill_map_task=0),
     }
@@ -440,8 +438,10 @@ class TestConfigFingerprint:
 #: skew-aware reduce planner with its sampling fraction (the stable hash is
 #: the only partitioner; the fraction is spelled in parts like the first),
 #: the fault-policy wrapper with its post-hoc per-task timeout (the
-#: attempt budget is ``max_task_attempts``), and the grid-engine choice (the
-#: legacy engine is reached only through ``DSeqJob(grid=...)``).
+#: attempt budget is ``max_task_attempts``), the grid-engine choice (the
+#: legacy engine is reached only through ``DSeqJob(grid=...)``), and the
+#: per-map-task spill budget (payloads travel inline, or all go to the
+#: fragment store on ``multihost``).
 REMOVED_KNOBS = {
     "_".join(("map", "batching")): "trie",
     "kernel": "interpreted",
@@ -454,6 +454,7 @@ REMOVED_KNOBS = {
     "fault_policy": {"max_task_attempts": 1},
     "task_timeout_s": 30.0,
     "grid": "legacy",
+    "spill_budget_bytes": 0,
 }
 
 
@@ -606,7 +607,7 @@ class TestSubstrateSaidOnce:
         # The fault injector is a constructor argument and never a config field.
         assert parameters - {"fault_injector"} < self.FIELDS
         assert "backend" not in parameters
-        assert (len(self.FIELDS), len(parameters)) == (6, 6)
+        assert (len(self.FIELDS), len(parameters)) == (5, 5)
 
     def test_the_fault_injector_is_a_constructor_argument_only(self):
         with pytest.raises(TypeError, match="fault_injector"):

@@ -167,7 +167,7 @@ class TestMakeCluster:
     def test_the_bucket_count_is_no_setting(self, backend):
         """Reduce buckets are ``REDUCE_TASKS_PER_WORKER`` per worker on every
         backend; neither the config nor a cluster class takes a count."""
-        assert len(dataclasses.fields(ClusterConfig)) == 6
+        assert len(dataclasses.fields(ClusterConfig)) == 5
         with pytest.raises(TypeError, match="num_reduce_tasks"):
             ClusterConfig(backend=backend, num_reduce_tasks=8)
         cluster_class = type(make_cluster(backend))
@@ -194,7 +194,6 @@ class TestMakeCluster:
         fields = {
             "num_workers": 3,
             "codec": "zlib",
-            "spill_budget_bytes": 4096,
             "spill_dir": str(tmp_path),
             "max_task_attempts": 1,
         }
@@ -205,7 +204,6 @@ class TestMakeCluster:
                 cluster.num_workers,
                 cluster.num_reduce_tasks,
                 cluster.codec.name,
-                cluster.spill_budget_bytes,
                 cluster.spill_dir,
                 cluster.max_task_attempts,
             )
@@ -214,7 +212,7 @@ class TestMakeCluster:
         shortcut = make_cluster(backend, **fields)
         assert settings(built) == settings(shortcut)
         assert settings(built)[1:] == (
-            3, 12, "zlib", 4096, str(tmp_path), 1,
+            3, 12, "zlib", str(tmp_path), 1,
         )
 
 
@@ -247,9 +245,6 @@ class TestMakeCluster:
             ("num_workers", True),
             ("num_workers", 0),
             ("num_workers", "2"),
-            ("spill_budget_bytes", 1.5),
-            ("spill_budget_bytes", True),
-            ("spill_budget_bytes", -1),
         ],
     )
     def test_a_size_that_is_not_an_int_in_range_is_a_typed_error(self, backend, name, value):
@@ -283,7 +278,7 @@ class TestWorkerSideShuffle:
         counters = result.counters
         assert total == counters.shuffle_records == counters.combined_records
         assert counters.wire_bytes == sum(f.wire_bytes for _, f in result.buckets)
-        assert counters.spilled_buckets == 0 and counters.blob_put_count == 0
+        assert counters.blob_put_count == 0
 
     def test_stable_hash_types(self):
         assert stable_hash(42) == 42

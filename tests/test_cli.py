@@ -190,8 +190,8 @@ class TestMine:
         )
         assert code == 2
 
-    def test_codec_and_spill_budget_flags(self, tmp_path):
-        """Every codec mines the same patterns; a tiny budget spills to disk."""
+    def test_codec_flag(self, tmp_path):
+        """Every codec mines the same patterns."""
         sequences = tmp_path / "dex.txt"
         sequences.write_text("a c b\na b\nc b\na c c b\n")
         outputs = {}
@@ -203,35 +203,13 @@ class TestMine:
                 "--pattern", ".*(a)[.*(b)]?.*",
                 "--sigma", "2",
                 "--codec", codec,
-                "--spill-budget", "0",
                 "--output", str(output),
                 "--metrics",
             )
             assert code == 0
             assert "bytes wire" in text
-            assert "spilled" in text
             outputs[codec] = sorted(output.read_text().splitlines())
         assert len(set(map(tuple, outputs.values()))) == 1
-
-    def test_spill_budget_accepts_suffixes(self, tmp_path):
-        sequences = tmp_path / "dex.txt"
-        sequences.write_text("a b\na b\n")
-        code, _ = run_cli(
-            "mine",
-            "--sequences", str(sequences),
-            "--pattern", ".*(a)(b).*",
-            "--sigma", "1",
-            "--spill-budget", "64k",
-        )
-        assert code == 0
-        code, _ = run_cli(
-            "mine",
-            "--sequences", str(sequences),
-            "--pattern", ".*(a)(b).*",
-            "--sigma", "1",
-            "--spill-budget", "lots",
-        )
-        assert code == 2
 
     def test_distributed_and_sequential_miners_agree(self, tmp_path):
         """D-SEQ and both sequential miners mine the same patterns."""
@@ -298,7 +276,7 @@ class TestMine:
     def test_shuffle_flags_rejected_for_sequential_miners(self, tmp_path):
         sequences = tmp_path / "dex.txt"
         sequences.write_text("a b\n")
-        for flags in (["--codec", "zlib"], ["--spill-budget", "0"]):
+        for flags in (["--codec", "zlib"], ["--spill-dir", str(tmp_path)]):
             code, _ = run_cli(
                 "mine",
                 "--sequences", str(sequences),

@@ -223,8 +223,6 @@ class TestKernelOracle:
         "shuffle_bytes",
         "shuffle_records",
         "wire_bytes",
-        "spilled_buckets",
-        "spilled_bytes",
         "map_output_records",
         "combined_records",
         "output_records",
@@ -548,8 +546,6 @@ class TestUniqueViewMatrix:
         "shuffle_bytes",
         "shuffle_records",
         "wire_bytes",
-        "spilled_buckets",
-        "spilled_bytes",
         "map_output_records",
         "combined_records",
         "input_records",

@@ -52,6 +52,7 @@ from repro.mapreduce.blobstore import BlobStoreError, delete_prefix
 from repro.mapreduce.faults import full_jitter_delay, stable_fraction
 from repro.sequential import GapConstrainedMiner
 
+from tests.conftest import StoringSimulatedCluster
 from tests.test_differential import MATRIX_PATEX, make_differential_database
 from tests.test_multihost import FID_RECORDS, FidCountJob
 
@@ -381,6 +382,11 @@ class TestDriverRetries:
             assert fast.results == {}  # fail-fast stopped before task 1
 
 
+#: The clusters that put every payload into the run's fragment store: in this
+#: process, and on a process pool.
+STORING_CLUSTERS = {"simulated-stored": StoringSimulatedCluster, "multihost": MultiHostCluster}
+
+
 @pytest.mark.usefixtures("no_backoff")
 class TestInjectedBlobCounts:
     def test_blob_faults_are_counted_per_attempt_on_every_backend(self, tmp_path):
@@ -394,10 +400,10 @@ class TestInjectedBlobCounts:
             blob_failures_per_key=1,
         )
         metrics = [
-            cls(
-                num_workers=2, spill_budget_bytes=0, fault_injector=injector
-            ).run(ReduceFailsOnceJob(tmp_path / cls.__name__), FID_RECORDS).metrics
-            for cls in (SimulatedCluster, PersistentProcessPoolCluster)
+            build(num_workers=2, fault_injector=injector)
+            .run(ReduceFailsOnceJob(tmp_path / name), FID_RECORDS)
+            .metrics
+            for name, build in STORING_CLUSTERS.items()
         ]
         simulated, pooled = metrics
         assert simulated.tasks_failed == pooled.tasks_failed == 1
@@ -408,9 +414,9 @@ class TestInjectedBlobCounts:
             assert run.blob_retry_count == run.blob_put_count + run.blob_get_count
 
     @pytest.mark.usefixtures("no_backoff")
-    @pytest.mark.parametrize("cluster_class", [SimulatedCluster, MultiHostCluster])
+    @pytest.mark.parametrize("backend", STORING_CLUSTERS)
     def test_a_seeded_blob_schedule_replays_exactly(
-        self, cluster_class, corpus, tmp_path, monkeypatch
+        self, backend, corpus, tmp_path, monkeypatch
     ):
         """Blob keys are a pure function of the payloads, so one seeded
         schedule puts the same keys, fails the same ones and meters the same
@@ -427,9 +433,8 @@ class TestInjectedBlobCounts:
         monkeypatch.setattr(DirectoryBlobStore, "put", logged_put)
         runs = []
         for _ in range(2):
-            cluster = cluster_class(
+            cluster = STORING_CLUSTERS[backend](
                 num_workers=2,
-                spill_budget_bytes=0,
                 fault_injector=ScriptedInjector(blob_get_failure_rate=0.2, seed=3),
             )
             result = DSeqMiner(

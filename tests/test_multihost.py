@@ -41,6 +41,7 @@ from repro.cli import main
 from repro.mapreduce import base
 from repro.mapreduce.spill import FragmentStore, store_payloads
 
+from tests.conftest import StoringSimulatedCluster
 from tests.test_differential import MATRIX_MINERS, _matrix_cluster, make_differential_database
 
 
@@ -91,8 +92,6 @@ class TestMultiHostEquivalence:
             "shuffle_bytes",
             "shuffle_records",
             "wire_bytes",
-            "spilled_buckets",
-            "spilled_bytes",
             "map_output_records",
             "combined_records",
             "output_records",
@@ -110,25 +109,26 @@ class TestMultiHostEquivalence:
         assert multihost.metrics.blob_get_count <= multihost.metrics.blob_put_count
         assert multihost.metrics.blob_get_bytes <= multihost.metrics.blob_put_bytes
 
-    def test_spilled_shuffle_stays_byte_identical(self, corpus):
-        """Past the spill budget, the same payloads count as spilled on both
-        backends; multihost puts every payload, spilled or not."""
+    def test_an_in_process_stored_shuffle_meters_like_multihost(self, corpus):
+        """``simulated`` with every payload in the store puts and gets exactly
+        what ``multihost`` does: the blob counters are the store's, not the
+        executor's."""
         dictionary, database = corpus
+        clusters = {
+            "simulated": StoringSimulatedCluster(num_workers=2),
+            "multihost": MultiHostCluster(num_workers=2),
+        }
         results = {
-            backend: DSeqMiner(
-                ".*(A)[(.^)|.]*(b).*", 2, dictionary,
-                cluster=ClusterConfig(
-                    backend=backend, num_workers=2, spill_budget_bytes=0
-                ),
+            name: DSeqMiner(
+                ".*(A)[(.^)|.]*(b).*", 2, dictionary, cluster=ClusterConfig(backend=cluster)
             ).mine(database)
-            for backend in ("simulated", "multihost")
+            for name, cluster in clusters.items()
         }
         reference, multihost = results["simulated"], results["multihost"]
         assert multihost.patterns() == reference.patterns()
-        assert multihost.metrics.spilled_buckets == reference.metrics.spilled_buckets
-        assert multihost.metrics.spilled_bytes == reference.metrics.spilled_bytes
-        assert multihost.metrics.spilled_buckets > 0
-        assert multihost.metrics.blob_put_bytes == multihost.metrics.wire_bytes
+        for metric in ("blob_put_count", "blob_put_bytes", "blob_get_count", "blob_get_bytes"):
+            assert getattr(multihost.metrics, metric) == getattr(reference.metrics, metric)
+        assert multihost.metrics.blob_put_bytes == multihost.metrics.wire_bytes > 0
 
 
 # ------------------------------------------------------------- blob hygiene
@@ -156,11 +156,7 @@ class TestBlobCleanup:
         """Kill one host mid-map: the job fails loudly and no blob survives."""
         spill_dir = tmp_path / "spill"
         spill_dir.mkdir()
-        cluster = MultiHostCluster(
-            num_workers=2,
-            spill_dir=str(spill_dir),
-            spill_budget_bytes=0,
-        )
+        cluster = MultiHostCluster(num_workers=2, spill_dir=str(spill_dir))
         # Enough healthy records that other hosts finish (and upload) before
         # and after the poisoned one dies.
         records = FID_RECORDS[:15] + [(99,)] + FID_RECORDS[15:]
@@ -445,7 +441,7 @@ class TestStorePayloadsLeak:
                 yield index, blob, 3
 
         with pytest.raises(MapReduceError, match="codec boom"):
-            store_payloads(encoded(), 0, namespace)
+            store_payloads(encoded(), fragment_store=namespace)
         stored = namespace.blobs.blobs
         assert len(stored) == 3 and all(key.startswith("job/") for key in stored)
         reference = make_codec("compact")
@@ -456,17 +452,7 @@ class TestStorePayloadsLeak:
         codec = make_codec("compact")
         namespace = FragmentStore(InMemoryBlobStore(), "job")
         encoded = [(0, codec.encode_bucket({0: [1]}), 1), (1, codec.encode_bucket({1: [2]}), 1)]
-        fragments, stats = store_payloads(iter(encoded), len(encoded[0][1]), namespace)
-        assert [f.blob_key is not None for _, f in fragments] == [False, True]
-        assert [f.data is not None for _, f in fragments] == [True, False]
-        assert stats.blob_put_count == stats.spilled_buckets == namespace.blobs.puts == 1
-
-    def test_a_store_for_every_payload_keeps_the_spill_accounting(self):
-        """multihost's store takes every payload; spilled still means past the budget."""
-        codec = make_codec("compact")
-        namespace = FragmentStore(InMemoryBlobStore(), "job", every_payload=True)
-        encoded = [(0, codec.encode_bucket({0: [1]}), 1), (1, codec.encode_bucket({1: [2]}), 1)]
-        fragments, stats = store_payloads(iter(encoded), len(encoded[0][1]), namespace)
+        fragments, stats = store_payloads(iter(encoded), fragment_store=namespace)
         assert all(f.data is None and f.blob_key is not None for _, f in fragments)
         assert stats.blob_put_count == namespace.blobs.puts == 2
-        assert (stats.spilled_buckets, stats.spilled_bytes) == (1, fragments[1][1].wire_bytes)
+        assert stats.blob_put_bytes == stats.wire_bytes == sum(len(e[1]) for e in encoded)

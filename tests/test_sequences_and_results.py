@@ -128,6 +128,35 @@ class TestIo:
 
         assert by_gid(again) == by_gid(path)
 
+    def test_dictionary_round_trip_keeps_every_fid(self, tmp_path, ex_dictionary):
+        """Tied items keep their fids: the running example's ``d`` (fid 3)
+        and ``a1`` (fid 4) share frequency 3 and come back unchanged, not
+        re-ranked by gid."""
+        path = tmp_path / "dictionary.json"
+        write_dictionary(path, ex_dictionary)
+        restored = read_dictionary(path)
+
+        def rows(dictionary):
+            return [
+                (item.gid, item.fid, item.document_frequency, item.parent_fids, item.children_fids)
+                for item in dictionary
+            ]
+
+        assert rows(restored) == rows(ex_dictionary)
+        assert (restored.fid_of("d"), restored.fid_of("a1")) == (3, 4)
+
+    def test_tied_records_are_numbered_in_file_order(self, tmp_path):
+        path = tmp_path / "d.json"
+        records = [
+            {"gid": "z", "document_frequency": 2, "parents": []},
+            {"gid": "y", "document_frequency": 5, "parents": []},
+            {"gid": "a", "document_frequency": 2, "parents": ["z"]},
+        ]
+        path.write_text(json.dumps(records), encoding="utf-8")
+        restored = read_dictionary(path)
+        assert [(item.gid, item.fid) for item in restored] == [("y", 1), ("z", 2), ("a", 3)]
+        assert restored.item_by_gid("a").parent_fids == {2}
+
     #: One good record per gid, edited per case below.
     RECORDS = [
         {"gid": "a", "document_frequency": 1, "parents": ["B"]},

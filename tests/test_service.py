@@ -22,19 +22,15 @@ SIGMA = 2
 #: an encoded ``ClusterConfig`` and the ``JobMetrics`` fields of an encoded
 #: result.  A change to either set bumps the version and replaces this row.
 WIRE_SHAPE = (
-    7,
-    {
-        "backend", "num_workers", "codec", "spill_budget_bytes", "spill_dir",
-        "max_task_attempts",
-    },
+    8,
+    {"backend", "num_workers", "codec", "spill_dir", "max_task_attempts"},
     {
         "blob_get_bytes", "blob_get_count", "blob_put_bytes", "blob_put_count",
         "blob_retry_count", "combined_records", "input_records",
         "map_input_pickle_bytes", "map_output_records", "map_task_seconds",
         "num_workers", "output_records", "recovered_host_count",
         "reduce_bucket_bytes", "reduce_task_seconds", "shuffle_bytes",
-        "shuffle_records", "spilled_buckets", "spilled_bytes", "task_retry_count",
-        "tasks_failed", "wire_bytes",
+        "shuffle_records", "task_retry_count", "tasks_failed", "wire_bytes",
     },
 )
 
@@ -416,14 +412,15 @@ class TestServiceSession:
             "blob_namespace_ttl_s": 86400.0, "jitter_seed": 0,
         }
         refused({"fault_policy": old_policy}, "unknown.*'fault_policy'")
-        # Sizes are ints in range: a float would die mid-run, ``true`` would
-        # run as one worker and a fractional budget would run.
-        for name, value in (
-            ("num_workers", 2.5),
-            ("num_workers", True),
-            ("spill_budget_bytes", 1.5),
-        ):
+        # Sizes are ints in range: a float would die mid-run and ``true``
+        # would run as one worker.
+        for name, value in (("num_workers", 2.5), ("num_workers", True)):
             refused({name: value}, f"bad ClusterConfig.*{name} must be")
+        # A protocol-7 client's spill budget is an unknown field, and a codec
+        # is one of the names.
+        refused({"spill_budget_bytes": 0}, "unknown ClusterConfig fields.*'spill_budget_bytes'")
+        for codec in ("pickle", 5, None):
+            refused({"codec": codec}, "bad ClusterConfig.*unknown shuffle codec")
         # A pool size is the daemon's memory and process table: bounded before
         # any cluster is built (simulated: nothing would fork at any size).
         bound = protocol.MAX_WIRE_WORKERS

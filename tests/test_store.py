@@ -6,9 +6,8 @@ binary formats — empty databases, empty and single-item sequences, fids beyond
 store file that workers map, the integration pieces the persistent backend
 relies on (descriptor resolution, per-process attach cache, database store
 caching), and the representation itself, pinned without a clock: item-width
-boundaries, a canonical ``content_hash()``, hostile blocks, and counters
-showing that no per-item Python call is left on the path of a store that fits
-64 bits.
+boundaries, the refusal of items of 2**64 or more, a canonical
+``content_hash()``, hostile blocks, and the absence of a per-item codec.
 """
 
 from __future__ import annotations
@@ -55,16 +54,16 @@ EDGE_CASE_DATABASES = [
     [[1]],  # single single-item sequence
     [[1], [2], [3]],  # single-item sequences
     [[0]],  # fid 0 (ε) round-trips even though databases never store it
-    [[2**63], [2**63 - 1, 2**63 + 1], [2**70 + 7]],  # fids ≥ 2**63
+    [[2**63], [2**63 - 1, 2**63 + 1], [2**64 - 1]],  # fids ≥ 2**63, up to the bound
     [[1, 2, 3], [], [4], [5, 6], []],  # empties interleaved mid-block
-    [list(range(1, 130))],  # multi-byte varints (fids ≥ 128)
+    [list(range(1, 130))],  # fids ≥ 128
 ]
 
 
 def sequences_strategy():
     return st.lists(
         st.lists(
-            st.integers(min_value=0, max_value=2**70),
+            st.integers(min_value=0, max_value=2**64 - 1),
             max_size=12,
         ),
         max_size=25,
@@ -120,7 +119,7 @@ class TestRoundTrip:
             EncodedSequenceStore(bytes(block)[:-1])
 
     def test_pickle_ships_the_flat_block(self):
-        store = EncodedSequenceStore.from_sequences([[1, 2], [2**64]])
+        store = EncodedSequenceStore.from_sequences([[1, 2], [2**64 - 1]])
         clone = pickle.loads(pickle.dumps(store))
         assert clone.sequences() == store.sequences()
         assert clone.nbytes == store.nbytes
@@ -424,7 +423,7 @@ class TestUniqueView:
         assert as_mining_records(database) is deduped
 
 
-#: Largest item of a store -> the item width its block must have (0: LEB128).
+#: Largest item of a store -> the item width its block must have.
 WIDTH_BOUNDARIES = [
     (255, 1),
     (256, 2),
@@ -433,7 +432,6 @@ WIDTH_BOUNDARIES = [
     (2**32 - 1, 4),
     (2**32, 8),
     (2**64 - 1, 8),
-    (2**64, 0),
 ]
 
 
@@ -451,8 +449,7 @@ class TestItemWidth:
         store = EncodedSequenceStore.from_sequences(sequences)
         _magic, count, stored_width, data_size = header_of(store)
         assert (count, stored_width) == (5, width)
-        if width:
-            assert data_size == 6 * width
+        assert data_size == 6 * width
         assert store.sequences() == sequences
         assert list(store.slice(2, 4)) == sequences[2:4]
         assert store[-1] == (largest,)
@@ -481,14 +478,19 @@ class TestItemWidth:
         assert header_of(EncodedSequenceStore.from_sequences([]))[2] == 1
         assert header_of(EncodedSequenceStore.from_sequences([[], []]))[2] == 1
 
-    def test_wide_layout_survives_later_narrow_records_and_still_checks(self):
-        store = EncodedSequenceStore.from_sequences([[5], [2**64, 1], [9, 300]])
-        assert header_of(store)[2] == 0
-        assert store.sequences() == [(5,), (2**64, 1), (9, 300)]
-        with pytest.raises(SequenceStoreError, match=r"item 1\.5 in record 2"):
-            EncodedSequenceStore.from_sequences([[5], [2**64], [1.5]])
-        with pytest.raises(SequenceStoreError, match="negative"):
-            EncodedSequenceStore.from_sequences([[2**64], [-3]])
+    @pytest.mark.parametrize("item", [2**64, 2**64 + 1, 2**70])
+    def test_an_item_past_64_bits_is_refused_naming_item_and_record(self, item):
+        with pytest.raises(
+            SequenceStoreError, match=rf"fids below 2\*\*64; got item {item} in record 1"
+        ):
+            EncodedSequenceStore.from_sequences([[5], [9, item, 1], [9, 300]])
+        with pytest.raises(SequenceStoreError, match=rf"got item {item} in record 0"):
+            EncodedSequenceStore.from_weighted_sequences([((item,), 2)])
+        # The first bad item of the record is the one named.
+        with pytest.raises(SequenceStoreError, match=r"item 1\.5 in record 0"):
+            EncodedSequenceStore.from_sequences([[1.5, item]])
+        with pytest.raises(SequenceStoreError, match="negative item -3 in record 0"):
+            EncodedSequenceStore.from_sequences([[-3, item]])
 
     def test_errors_name_item_and_record(self):
         with pytest.raises(SequenceStoreError, match=r"item 1\.9 in record 2"):
@@ -524,7 +526,7 @@ class TestCanonicalBlock:
             == EncodedSequenceStore.from_sequences([tuple(r) for r in ranges]).content_hash()
         )
 
-    @pytest.mark.parametrize("largest", [9, 300, 70_000, 2**40, 2**64 + 1])
+    @pytest.mark.parametrize("largest", [9, 300, 70_000, 2**40, 2**64 - 1])
     def test_unique_view_equals_the_weighted_store_of_its_records(self, largest):
         duplicated = [(1, largest), (2,), (1, largest), (), (2,), (1, largest)]
         view = EncodedSequenceStore.from_sequences(duplicated).unique_view()
@@ -592,7 +594,7 @@ class TestAgainstVarintOracle:
             st.lists(
                 st.one_of(
                     st.integers(min_value=0, max_value=300),
-                    st.integers(min_value=0, max_value=2**70),
+                    st.integers(min_value=0, max_value=2**64 - 1),
                 ),
                 max_size=6,
             ),
@@ -606,16 +608,12 @@ class TestAgainstVarintOracle:
         unique = store.unique_view()
         assert list(unique) == oracle.unique_records()
         assert list(EncodedSequenceStore(bytes(unique._block))) == oracle.unique_records()
-        # Width 0 *is* the old data region: same bytes, same byte offsets.
-        if any(item >= 2**64 for sequence in sequences for item in sequence):
-            assert bytes(store._column) == bytes(oracle.data)
-            assert store._offsets.tolist() == oracle.offsets
 
 
 def hostile_seed_blocks() -> list[bytes]:
-    """Small plain and weighted blocks at every item width (and width 0)."""
+    """Small plain and weighted blocks at every item width."""
     blocks = []
-    for largest, _width in WIDTH_BOUNDARIES[::2] + WIDTH_BOUNDARIES[-1:]:
+    for largest, _width in WIDTH_BOUNDARIES[::2]:
         sequences = [(1, largest), (), (3, 4, 200)]
         plain = EncodedSequenceStore.from_sequences(sequences)
         weighted = EncodedSequenceStore.from_weighted_sequences(
@@ -651,7 +649,7 @@ class TestHostileBlocks:
 
     def test_seed_blocks_cover_every_width(self):
         widths = [header_of(block)[2] for block in hostile_seed_blocks()]
-        assert sorted(set(widths)) == [0, 1, 2, 4, 8]
+        assert sorted(set(widths)) == [1, 2, 4, 8]
 
     @pytest.mark.parametrize("block", hostile_seed_blocks())
     def test_every_truncation(self, block):
@@ -695,8 +693,9 @@ class TestHostileBlocks:
         def with_offsets(*offsets):
             return block[:32] + struct.pack(f"={count + 1}Q", *offsets) + block[32 + 8 * (count + 1):]
 
-        with pytest.raises(SequenceStoreError, match="item width 3"):
-            EncodedSequenceStore(with_header(width=3))
+        for bad_width in (0, 3, 16):
+            with pytest.raises(SequenceStoreError, match=f"bad store item width {bad_width}"):
+                EncodedSequenceStore(with_header(width=bad_width))
         with pytest.raises(SequenceStoreError, match="whole number"):
             EncodedSequenceStore(with_header(size=size - 1))
         with pytest.raises(SequenceStoreError, match="truncated store block"):
@@ -727,26 +726,13 @@ class TestHostileBlocks:
 class TestNoPerItemPythonCalls:
     """Counters, not clocks: the input path makes no Python call per item."""
 
-    @pytest.fixture()
-    def varint_calls(self, monkeypatch):
+    def test_the_store_has_no_per_item_codec(self):
+        """Packing is ``array.extend`` and reading ``tuple`` over a cast
+        column, at every width up to 2**64 - 1; the store imports no varint
+        reader or writer that could run per item."""
         from repro.sequences import store as store_module
 
-        calls = {"write": 0, "read": 0}
-        real_write, real_read = store_module.write_varint, store_module.read_varint
-
-        def counting_write(*args, **kwargs):
-            calls["write"] += 1
-            return real_write(*args, **kwargs)
-
-        def counting_read(*args, **kwargs):
-            calls["read"] += 1
-            return real_read(*args, **kwargs)
-
-        monkeypatch.setattr(store_module, "write_varint", counting_write)
-        monkeypatch.setattr(store_module, "read_varint", counting_read)
-        return calls
-
-    def test_a_store_that_fits_64_bits_never_touches_varints(self, varint_calls):
+        assert not {"read_varint", "write_varint"} & set(vars(store_module))
         rng = random.Random(5)
         sequences = [
             tuple(rng.choice((7, 300, 70_000, 2**40, 2**64 - 1)) for _ in range(10))
@@ -758,13 +744,6 @@ class TestNoPerItemPythonCalls:
         assert sum(weight for _sequence, weight in unique) == len(sequences)
         weighted = EncodedSequenceStore.from_weighted_sequences(list(unique))
         assert list(weighted) == list(unique)
-        assert varint_calls == {"write": 0, "read": 0}
-
-    def test_the_counters_see_the_wide_layout(self, varint_calls):
-        """The control: the same probe does count when an item needs 2**64."""
-        store = EncodedSequenceStore.from_sequences([[1, 2], [2**64]])
-        assert store.sequences() == [(1, 2), (2**64,)]
-        assert varint_calls == {"write": 3, "read": 3}
 
     def test_bulk_encode_makes_no_item_lookup_call(self, monkeypatch):
         gids = [f"g{number}" for number in range(50)]

@@ -3,8 +3,8 @@
 Every truncation and every single-bit flip of an encoded value must come back
 as the reader's :class:`~repro.errors.ReproError` subclass or as a value the
 format itself would accept again — never as an ``IndexError``, a
-``ValueError`` or any other untyped exception.  Fids past 2**64 are a
-supported layout, so the values drawn here run well beyond it.
+``ValueError`` or any other untyped exception.  Both payloads take ints past
+2**64, so the values drawn here run well beyond it.
 """
 
 from __future__ import annotations

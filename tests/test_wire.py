@@ -1,13 +1,13 @@
-"""Tests for the shuffle wire format and the fragment store past the spill budget.
+"""Tests for the shuffle wire format and the run's fragment store.
 
 Covers three layers: value/bucket round-trips of every codec (including the
 empty-payload and huge-fid edge cases, plus hypothesis-generated payloads, and
 the column layout of uniform ``(payload, weight)`` groups against a test-side
 copy of the all-tagged encoder it replaced),
-the fragment store past the spill budget (budget semantics, streamed merge,
-cleanup), and
+the fragment store (every payload inline or every payload stored, streamed
+merge, cleanup), and
 the end-to-end guarantee that miners produce identical patterns and identical
-*measured* wire bytes on every backend, for every codec, spilled or not.
+*measured* wire bytes on every backend, for every codec, stored or not.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import enum
 import pickle
 import random
 from concurrent.futures import BrokenExecutor
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -58,7 +59,7 @@ from repro.mapreduce.wire import (
     write_varint,
 )
 
-from tests.conftest import RUNNING_EXAMPLE_PATEX
+from tests.conftest import RUNNING_EXAMPLE_PATEX, StoringSimulatedCluster
 
 
 # A value strategy matching what jobs actually shuffle: ints (including
@@ -202,9 +203,19 @@ class TestCodecs:
         assert CODECS == ("compact", "zlib")
         assert isinstance(make_codec("compact"), CompactCodec)
         assert make_codec("zlib").name == "zlib"
+        assert isinstance(make_codec("compact"), Codec)
+
+    def test_a_codec_is_named_never_handed_over(self):
+        """A config and a cluster take a name from CODECS; the cluster builds
+        the codec object itself."""
         codec = CompactCodec()
-        assert make_codec(codec) is codec
-        assert isinstance(codec, Codec)
+        with pytest.raises(MapReduceError, match="unknown shuffle codec"):
+            make_codec(codec)
+        with pytest.raises(MapReduceError, match="unknown shuffle codec"):
+            ClusterConfig(codec=codec)
+        with pytest.raises(MapReduceError, match="unknown shuffle codec"):
+            SimulatedCluster(codec=codec)
+        assert SimulatedCluster(codec="zlib").codec.name == "zlib"
 
     @pytest.mark.parametrize("name", ["msgpack", "pickle"])
     def test_unknown_codec(self, name):
@@ -720,25 +731,21 @@ class TestSpill:
             blob = codec.encode_bucket(payload)
             yield index, blob, sum(len(v) for v in payload.values())
 
-    def test_no_budget_keeps_everything_inline(self):
+    def test_without_a_store_every_payload_is_inline(self):
         codec = make_codec("compact")
-        namespace = in_memory_fragment_store()
-        fragments, stats = store_payloads(
-            self.encoded(codec, {0: {1: [2]}, 3: {4: [5]}}), None, namespace
-        )
+        fragments, stats = store_payloads(self.encoded(codec, {0: {1: [2]}, 3: {4: [5]}}))
         assert all(f.data is not None and f.blob_key is None for _, f in fragments)
-        assert namespace.blobs.puts == 0
         assert stats == Counters(wire_bytes=sum(f.wire_bytes for _, f in fragments))
 
-    def test_zero_budget_spills_everything(self):
+    def test_a_store_takes_every_payload(self):
         codec = make_codec("compact")
         namespace = in_memory_fragment_store()
         fragments, stats = store_payloads(
-            self.encoded(codec, {0: {1: [2]}, 3: {4: [5]}}), 0, namespace
+            self.encoded(codec, {0: {1: [2]}, 3: {4: [5]}}), fragment_store=namespace
         )
         assert all(f.data is None and f.blob_key.startswith("job/") for _, f in fragments)
-        assert stats.spilled_buckets == stats.blob_put_count == namespace.blobs.puts == 2
-        assert stats.spilled_bytes == stats.blob_put_bytes == stats.wire_bytes == sum(
+        assert stats.blob_put_count == namespace.blobs.puts == 2
+        assert stats.blob_put_bytes == stats.wire_bytes == sum(
             f.wire_bytes for _, f in fragments
         )
         # Stored fragments read back exactly what was encoded.
@@ -747,29 +754,15 @@ class TestSpill:
         )
         assert merged == {1: [2], 4: [5]}
 
-    def test_budget_splits_inline_and_spilled(self):
+    def test_the_positional_slot_takes_only_none(self):
+        """The benchmark replay calls ``store_payloads(encoded, None, None)``;
+        any in-memory budget in that slot is refused."""
         codec = make_codec("compact")
-        payloads_by_bucket = {i: {i: [(i, i + 1)] * 10} for i in range(6)}
-        blobs = [codec.encode_bucket(p) for p in payloads_by_bucket.values()]
-        budget = len(blobs[0]) + len(blobs[1])  # room for exactly two payloads
-        namespace = in_memory_fragment_store()
-        fragments, stats = store_payloads(
-            self.encoded(codec, payloads_by_bucket), budget, namespace
-        )
-        spilled = [fragment for _, fragment in fragments if fragment.blob_key is not None]
-        inline = [fragment for _, fragment in fragments if fragment.data is not None]
-        assert len(inline) == 2 and len(spilled) == 4
-        assert stats.spilled_buckets == stats.blob_put_count == 4
-        assert sum(f.wire_bytes for f in inline) <= budget
-        merged = merge_fragments(
-            [f for _, f in fragments], codec, FragmentReader(namespace.blobs)
-        )
-        assert merged == {i: [(i, i + 1)] * 10 for i in range(6)}
-
-    def test_past_budget_without_a_store_is_refused(self):
-        codec = make_codec("compact")
-        with pytest.raises(MapReduceError, match="needs a fragment store"):
-            store_payloads(self.encoded(codec, {0: {1: [2]}}), 0, None)
+        fragments, _stats = store_payloads(self.encoded(codec, {0: {1: [2]}}), None, None)
+        assert fragments[0][1].data is not None
+        for budget in (0, 1 << 20):
+            with pytest.raises(TypeError, match="no in-memory budget"):
+                store_payloads(self.encoded(codec, {0: {1: [2]}}), budget)
 
     def test_fragment_read_detects_truncation(self):
         """The reader checks every fetched payload against its fragment's length."""
@@ -783,7 +776,7 @@ class TestSpill:
         codec = make_codec("compact")
         namespace = FragmentStore(DirectoryBlobStore(str(tmp_path)), "job")
         fragments, _stats = store_payloads(
-            self.encoded(codec, {0: {1: [2, 3, 4]}}), 0, namespace
+            self.encoded(codec, {0: {1: [2, 3, 4]}}), fragment_store=namespace
         )
         (_index, fragment), = fragments
         stored = tmp_path / fragment.blob_key
@@ -791,21 +784,19 @@ class TestSpill:
         with pytest.raises(MapReduceError, match=fragment.blob_key):
             merge_fragments([fragment], codec, FragmentReader(namespace.blobs))
 
-    def test_map_task_reports_spill_accounting(self):
+    def test_map_task_reports_store_accounting(self):
         class Pairs(MapReduceJob):
             def map(self, record):
                 yield record % 5, record
 
         namespace = in_memory_fragment_store()
         result = run_map_task(
-            Pairs(), list(range(50)), num_reduce_tasks=5, codec="compact",
-            spill_budget_bytes=0, fragment_store=namespace,
+            Pairs(), list(range(50)), num_reduce_tasks=5, codec=make_codec("zlib"),
+            fragment_store=namespace,
         )
         counters = result.counters
-        assert counters.spilled_buckets == len(result.buckets) > 0
-        assert counters.spilled_bytes == counters.wire_bytes > 0
-        assert counters.blob_put_count == counters.spilled_buckets == namespace.blobs.puts
-        assert counters.blob_put_bytes == counters.spilled_bytes
+        assert counters.blob_put_count == len(result.buckets) == namespace.blobs.puts > 0
+        assert counters.blob_put_bytes == counters.wire_bytes > 0
 
     def test_cluster_cleans_up_spill_files(self, tmp_path):
         class Pairs(MapReduceJob):
@@ -815,17 +806,11 @@ class TestSpill:
             def reduce(self, key, values):
                 yield key, sorted(values)
 
-        cluster = SimulatedCluster(
-            num_workers=2, spill_budget_bytes=0, spill_dir=str(tmp_path)
-        )
+        cluster = StoringSimulatedCluster(num_workers=2, spill_dir=str(tmp_path))
         result = cluster.run(Pairs(), list(range(50)))
-        assert result.metrics.spilled_buckets > 0
-        assert result.metrics.spilled_bytes == result.metrics.wire_bytes
+        assert result.metrics.blob_put_count > 0
+        assert result.metrics.blob_put_bytes == result.metrics.wire_bytes
         assert list(tmp_path.iterdir()) == []  # the run directory went with its blobs
-
-    def test_rejects_negative_budget(self):
-        with pytest.raises(MapReduceError, match="spill_budget_bytes"):
-            SimulatedCluster(num_workers=1, spill_budget_bytes=-1)
 
     def test_spill_files_removed_when_a_map_task_fails(self, tmp_path):
         """A failing map task must not strand completed tasks' stored payloads."""
@@ -839,10 +824,8 @@ class TestSpill:
             def reduce(self, key, values):
                 yield key, sum(values)
 
-        cluster = SimulatedCluster(
-            num_workers=2, spill_budget_bytes=0, spill_dir=str(tmp_path)
-        )
-        # Two chunks: the first spills its buckets, the second raises.
+        cluster = StoringSimulatedCluster(num_workers=2, spill_dir=str(tmp_path))
+        # Two chunks: the first stores its buckets, the second raises.
         with pytest.raises(ValueError, match="boom"):
             cluster.run(Explodes(), ["a", "b", "boom", "boom"])
         assert list(tmp_path.iterdir()) == []
@@ -850,7 +833,7 @@ class TestSpill:
 
 # Module-level (picklable) jobs for the worker-failure cleanup tests.
 class ExplodingMapperJob(MapReduceJob):
-    """Spills per-bucket payloads, then blows up on a marker record."""
+    """Shuffles per-bucket payloads, then blows up on a marker record."""
 
     def map(self, record):
         if record == (0,):
@@ -862,7 +845,7 @@ class ExplodingMapperJob(MapReduceJob):
 
 
 class ExplodingReducerJob(MapReduceJob):
-    """Map spills normally; every reduce task raises mid-stage."""
+    """Map shuffles normally; every reduce task raises mid-stage."""
 
     def map(self, record):
         yield record[0] % 3, record
@@ -875,8 +858,14 @@ class ExplodingReducerJob(MapReduceJob):
 FAILURE_RECORDS = [(index, index + 1) for index in range(1, 25)]
 
 
+#: Every backend, and ``simulated`` with every payload in the fragment store.
+CLEANUP_CLUSTERS = {
+    **{name: partial(make_cluster, name) for name in BACKENDS},
+    "simulated-stored": StoringSimulatedCluster,
+}
+
+
 @pytest.mark.usefixtures("no_new_shm_entries")
-@pytest.mark.parametrize("spill_budget", (None, 0))
 class TestSpillCleanupOnWorkerFailure:
     """A run must leave nothing behind, whether it succeeds, a worker task
     raises mid-stage, or a host dies.
@@ -888,42 +877,39 @@ class TestSpillCleanupOnWorkerFailure:
     behind the cleanup's back.  Nothing goes to ``/dev/shm``.
     """
 
-    def make_cluster(self, backend, tmp_path, spill_budget):
-        return make_cluster(
-            backend, num_workers=2, spill_budget_bytes=spill_budget, spill_dir=str(tmp_path)
-        )
+    def make_cluster(self, backend, tmp_path):
+        return CLEANUP_CLUSTERS[backend](num_workers=2, spill_dir=str(tmp_path))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_failing_reducer_leaves_no_spill_files(self, backend, tmp_path, spill_budget):
-        cluster = self.make_cluster(backend, tmp_path, spill_budget)
+    @pytest.mark.parametrize("backend", CLEANUP_CLUSTERS)
+    def test_failing_reducer_leaves_no_spill_files(self, backend, tmp_path):
+        cluster = self.make_cluster(backend, tmp_path)
         with pytest.raises(ValueError, match="reducer boom"):
             cluster.run(ExplodingReducerJob(), FAILURE_RECORDS)
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_failing_mapper_leaves_no_spill_files(self, backend, tmp_path, spill_budget):
-        cluster = self.make_cluster(backend, tmp_path, spill_budget)
+    @pytest.mark.parametrize("backend", CLEANUP_CLUSTERS)
+    def test_failing_mapper_leaves_no_spill_files(self, backend, tmp_path):
+        cluster = self.make_cluster(backend, tmp_path)
         with pytest.raises(ValueError, match="mapper boom"):
             cluster.run(ExplodingMapperJob(), FAILURE_RECORDS + [(0,)])
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_cluster_is_reusable_after_a_failed_run(self, backend, tmp_path, spill_budget):
+    @pytest.mark.parametrize("backend", CLEANUP_CLUSTERS)
+    def test_cluster_is_reusable_after_a_failed_run(self, backend, tmp_path):
         """The failure cleans up without corrupting the cluster instance."""
-        cluster = self.make_cluster(backend, tmp_path, spill_budget)
+        cluster = self.make_cluster(backend, tmp_path)
         with pytest.raises(ValueError, match="reducer boom"):
             cluster.run(ExplodingReducerJob(), FAILURE_RECORDS)
         result = cluster.run(ExplodingMapperJob(), FAILURE_RECORDS)
-        assert (result.metrics.spilled_buckets > 0) == (spill_budget == 0)
+        assert (result.metrics.blob_put_count > 0) == cluster.stores_every_payload
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("cluster_class", (PersistentProcessPoolCluster, MultiHostCluster))
-    def test_host_death_leaves_no_files(self, cluster_class, tmp_path, spill_budget):
+    def test_host_death_leaves_no_files(self, cluster_class, tmp_path):
         """A worker process exiting mid-map breaks the pool; with no retry
         the run fails, and its run directory still goes."""
         cluster = cluster_class(
             num_workers=2,
-            spill_budget_bytes=spill_budget,
             spill_dir=str(tmp_path),
             max_task_attempts=1,
             fault_injector=ScriptedInjector(kill_map_task=0, kill_mode="exit"),
@@ -934,25 +920,22 @@ class TestSpillCleanupOnWorkerFailure:
 
 
 class TestFragmentStoreCounters:
-    """Payloads past the budget are blobs in the run's fragment store on every
-    backend, so the blob counters account for exactly the spilled payloads."""
+    """A cluster with a fragment store puts every payload into it, so the blob
+    counters account for the whole wire; the inline backends touch none."""
 
-    @pytest.mark.parametrize("backend", ("simulated", "persistent-processes"))
-    def test_spilling_runs_put_every_spilled_payload(self, backend, tmp_path):
-        cluster = make_cluster(
-            backend, num_workers=2, spill_budget_bytes=0, spill_dir=str(tmp_path)
-        )
+    @pytest.mark.parametrize("backend", ("simulated-stored", "multihost"))
+    def test_stored_runs_put_every_payload(self, backend, tmp_path):
+        cluster = CLEANUP_CLUSTERS[backend](num_workers=2, spill_dir=str(tmp_path))
         metrics = cluster.run(ExplodingMapperJob(), FAILURE_RECORDS).metrics
-        assert metrics.blob_put_count == metrics.spilled_buckets > 0
-        assert metrics.blob_put_bytes == metrics.spilled_bytes == metrics.wire_bytes
+        assert metrics.blob_put_count > 0
+        assert metrics.blob_put_bytes == metrics.wire_bytes
         assert 0 < metrics.blob_get_bytes <= metrics.blob_put_bytes
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("backend", ("simulated", "persistent-processes"))
-    def test_default_budget_runs_touch_no_store(self, backend, tmp_path):
+    def test_inline_runs_touch_no_store(self, backend, tmp_path):
         cluster = make_cluster(backend, num_workers=2, spill_dir=str(tmp_path))
         metrics = cluster.run(ExplodingMapperJob(), FAILURE_RECORDS).metrics
-        assert metrics.spilled_buckets == 0
         assert (
             metrics.blob_put_count,
             metrics.blob_put_bytes,
@@ -971,7 +954,7 @@ MINER_FACTORIES = {
 
 class TestMinersAcrossCodecsAndBackends:
     """Acceptance: identical patterns and identical measured wire bytes on
-    every backend for the same codec, with and without disk spilling."""
+    every backend for the same codec, with and without the fragment store."""
 
     @pytest.fixture(scope="class")
     def reference(self, ex_dictionary, ex_database):
@@ -1005,20 +988,17 @@ class TestMinersAcrossCodecsAndBackends:
             assert result.metrics.wire_bytes == expected[name].metrics.wire_bytes, name
             assert result.metrics.wire_bytes > 0, name
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_spilling_does_not_change_results(
-        self, backend, reference, ex_dictionary, ex_database, tmp_path
+    def test_storing_every_payload_does_not_change_results(
+        self, reference, ex_dictionary, ex_database, tmp_path
     ):
-        """A tiny budget forces every bucket to disk; results are unchanged."""
+        """Every bucket goes to disk in process; results are unchanged."""
         for name, factory in MINER_FACTORIES.items():
-            cluster = make_cluster(
-                backend, num_workers=2, spill_budget_bytes=16, spill_dir=str(tmp_path)
-            )
+            cluster = StoringSimulatedCluster(num_workers=2, spill_dir=str(tmp_path))
             result = factory(
                 RUNNING_EXAMPLE_PATEX, 2, ex_dictionary, cluster=ClusterConfig(backend=cluster)
             ).mine(ex_database)
             assert result.patterns() == reference[name].patterns(), name
             assert result.metrics.wire_bytes == reference[name].metrics.wire_bytes, name
-            assert result.metrics.spilled_buckets > 0, name
+            assert result.metrics.blob_put_bytes == result.metrics.wire_bytes > 0, name
             assert list(tmp_path.iterdir()) == []  # every run directory cleaned up
 
