@@ -65,9 +65,7 @@ class ServiceSession(Session):
 
     # --------------------------------------------------------------- corpora
     def attach_corpus(self, name: str, corpus, dictionary=None) -> CorpusInfo:
-        if dictionary is not None:
-            corpus = (corpus, dictionary)
-        attached = as_corpus(corpus)
+        attached = as_corpus(corpus if dictionary is None else (corpus, dictionary))
         payload = self._call(
             "attach_corpus", name=str(name), corpus=protocol.encode_corpus(attached)
         )
@@ -111,8 +109,8 @@ class ServiceSession(Session):
         config: ClusterConfig | None = None,
         **options,
     ):
-        # One round trip for the whole sweep; the daemon shares the compiled
-        # FSTs across the constraints exactly as LocalSession.sweep does.
+        # One round trip for the whole sweep; the daemon runs it as
+        # LocalSession.sweep does.
         payload = self._call(
             "sweep",
             corpus=corpus,

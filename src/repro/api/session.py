@@ -9,10 +9,10 @@ Two layers:
   ``prefixspan``): a corpus, a constraint, σ, an algorithm name, and a
   :class:`~repro.mapreduce.ClusterConfig`.  ``repro.mine`` is this function.
 * :class:`Session` — the mining-as-a-service facade: attach corpora once,
-  query them many times, with compiled FSTs shared across constraint sweeps
-  and finished results held in a bounded LRU
-  :class:`~repro.service.cache.QueryCache`.  :class:`LocalSession` answers
-  in-process; :class:`repro.api.client.ServiceSession` (via
+  query them many times, with finished results held in a bounded LRU
+  :class:`~repro.service.cache.QueryCache` (compiled kernels stay warm in
+  :func:`~repro.fst.compiled.make_kernel`'s intern).  :class:`LocalSession`
+  answers in-process; :class:`repro.api.client.ServiceSession` (via
   :func:`repro.api.connect`) answers from a warm ``repro serve`` daemon.
   Both implement this facade identically — a query is byte-identical
   whether served locally or remotely.
@@ -240,7 +240,6 @@ def mine(
     algorithm = ALGORITHM_TABLE[name]
     config = config if config is not None else ClusterConfig()
     substrate = {"cluster": config} if algorithm.cluster else {}
-    patex = options.pop("_patex", None)
 
     if algorithm.gap_parameters is not None:
         given = dict(specialized or {})
@@ -258,7 +257,7 @@ def mine(
             f"algorithm {name!r} requires a pattern-expression constraint"
         )
     miner = algorithm.miner_class()(
-        patex or PatEx(expression), sigma, corpus.dictionary, **substrate, **options
+        PatEx(expression), sigma, corpus.dictionary, **substrate, **options
     )
     return miner.mine(corpus.database)
 
@@ -340,9 +339,8 @@ class Session(abc.ABC):
     ) -> list[MiningResult]:
         """Run one query per constraint against the same warm corpus.
 
-        Compiled FSTs (and their compiled kernels) are shared across the
-        sweep: each distinct expression compiles once per session and is
-        reused by every later query that names it.
+        A cold query compiles its expression's FST; the compiled kernel of a
+        repeated expression comes warm from the process's kernel intern.
         """
         return [
             self.mine(
@@ -395,23 +393,15 @@ class Session(abc.ABC):
         self.close()
 
 
-def _coerce_attachment(corpus, dictionary) -> Corpus:
-    """Normalize the ``attach_corpus`` arguments to a :class:`Corpus`."""
-    if dictionary is not None:
-        return Corpus(corpus, dictionary)
-    return as_corpus(corpus)
-
-
 class LocalSession(Session):
     """The in-process :class:`Session`: the library path behind the facade.
 
-    Holds attached corpora (plus their content hashes), a per-session
-    :class:`~repro.patex.PatEx` cache (so constraint sweeps share compiled
-    FSTs), and the bounded LRU result cache.  Thread-safe: the ``repro
-    serve`` daemon shares one instance across client connections.  Cache
-    lookups are serialized; cache *misses* mine outside the lock, so
-    concurrent distinct queries overlap (two clients racing the same cold
-    query may both compute it — the result is identical either way).
+    Holds attached corpora (plus their content hashes) and the bounded LRU
+    result cache.  Thread-safe: the ``repro serve`` daemon shares one
+    instance across client connections.  Cache lookups are serialized; cache
+    *misses* mine outside the lock, so concurrent distinct queries overlap
+    (two clients racing the same cold query may both compute it — the result
+    is identical either way).
     """
 
     def __init__(self, max_cache_entries: int | None = None) -> None:
@@ -419,7 +409,6 @@ class LocalSession(Session):
 
         self._corpora: dict[str, Corpus] = {}
         self._hashes: dict[str, str] = {}
-        self._patexes: dict[str, PatEx] = {}
         self._cache = QueryCache(
             DEFAULT_MAX_ENTRIES if max_cache_entries is None else max_cache_entries
         )
@@ -428,7 +417,7 @@ class LocalSession(Session):
 
     # ---------------------------------------------------------------- corpora
     def attach_corpus(self, name: str, corpus, dictionary=None) -> CorpusInfo:
-        attached = _coerce_attachment(corpus, dictionary)
+        attached = as_corpus(corpus if dictionary is None else (corpus, dictionary))
         content = attached.content_hash()
         with self._lock:
             self._corpora[str(name)] = attached
@@ -466,15 +455,6 @@ class LocalSession(Session):
                 raise CorpusNotAttachedError(str(name), list(self._corpora))
             return corpus, self._hashes[name]
 
-    def _patex(self, expression: str) -> PatEx:
-        """One PatEx per expression per session: FSTs compile once per sweep."""
-        with self._lock:
-            patex = self._patexes.get(expression)
-            if patex is None:
-                patex = PatEx(expression)
-                self._patexes[expression] = patex
-            return patex
-
     # ---------------------------------------------------------------- queries
     def query(
         self,
@@ -504,20 +484,8 @@ class LocalSession(Session):
         if cached is not None:
             self.last_query_cached = True
             return cached, True
-        if expression is not None and ALGORITHM_TABLE[name].gap_parameters is None:
-            options = {**options, "_patex": self._patex(expression)}
-            constraint_value = expression
-        elif specialized is not None:
-            constraint_value = specialized
-        else:
-            constraint_value = expression
         result = mine(
-            attached,
-            constraint_value,
-            sigma=sigma,
-            algorithm=name,
-            config=effective,
-            **options,
+            attached, constraint, sigma=sigma, algorithm=name, config=effective, **options
         )
         self._cache.put(key, result)
         self.last_query_cached = False
@@ -574,5 +542,4 @@ class LocalSession(Session):
         with self._lock:
             self._corpora.clear()
             self._hashes.clear()
-            self._patexes.clear()
         self._cache.clear()

@@ -232,7 +232,7 @@ class Dictionary:
 
         Two dictionaries with equal fingerprints behave identically for every
         hierarchy and frequency query, which is what lets compiled kernels be
-        interned per worker process across task unpickles.
+        interned per process by content (:func:`~repro.fst.compiled.make_kernel`).
         """
         if self._content_fingerprint is None:
             import hashlib

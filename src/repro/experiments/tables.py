@@ -12,7 +12,7 @@ from repro.experiments.configs import (
     table4_constraints,
 )
 from repro.experiments.harness import run_algorithm
-from repro.fst import generate_candidates
+from repro.fst import generate_candidates, make_kernel
 from repro.mapreduce import ClusterConfig
 
 
@@ -52,16 +52,15 @@ def candidate_statistics(
     Sequences whose candidate set exceeds the cap contribute the cap value
     (mirroring the paper's sampling-based estimate for the loosest settings).
     """
-    fst = constraint.patex().compile(prepared.dictionary)
+    kernel = make_kernel(constraint.patex().compile(prepared.dictionary), prepared.dictionary)
     counts = []
     matched = 0
     capped = 0
     for sequence in prepared.database:
         try:
             candidates = generate_candidates(
-                fst,
+                kernel,
                 sequence,
-                prepared.dictionary,
                 sigma=constraint.sigma,
                 max_runs=max_runs,
                 max_candidates=max_candidates_per_sequence,

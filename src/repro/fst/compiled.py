@@ -19,10 +19,11 @@ by every sequence a worker processes.  All consumers are written against
 test suite checks the compiled kernel's memoised ones against.
 
 A compiled kernel is cheaply picklable (the hot tables are ``array``/``bytes``
-columns) and *interns* itself per process by a content fingerprint: the
-persistent process pool ships the kernel once per worker through its pool
-initializer, and every later task unpickle returns the already-warm kernel
-object instead of re-deriving tables and memos.
+columns) and *interns* itself per process by a content fingerprint, the one
+cache between a pattern expression and a warm kernel: compiling or unpickling
+a content-equal ``(Fst, Dictionary)`` pair returns the already-warm kernel
+object instead of re-deriving tables and memos.  A process pool hands the job,
+and with it the kernel, to each worker once; tasks carry a job reference.
 """
 
 from __future__ import annotations
@@ -613,23 +614,11 @@ def ensure_kernel(
 ) -> MiningKernel:
     """Normalize an ``Fst`` or ready-made kernel to a :class:`MiningKernel`.
 
-    Raw FSTs are compiled by :func:`make_kernel`; the result is cached on the
-    FST instance per dictionary, so legacy call sites that pass
-    ``(fst, dictionary)`` pairs repeatedly do not pay repeated compilation.
-    Each cache entry stores the exact dictionary object it was keyed on (an
-    interned kernel may hold a content-equal but different instance), which
-    keeps that ``id`` from being reused by a new dictionary for the entry's
-    lifetime.
+    A kernel passes through; a raw FST is handed to :func:`make_kernel`,
+    whose content-keyed intern returns the warm kernel of an equal pair.
     """
     if isinstance(subject, MiningKernel):
         return subject
     if dictionary is None:
         raise FstError("a dictionary is required to build a kernel from a raw Fst")
-    cache = getattr(subject, "_kernel_cache", None)
-    if cache is None:
-        cache = {}
-        subject._kernel_cache = cache
-    entry = cache.get(id(dictionary))
-    if entry is None:
-        entry = cache[id(dictionary)] = (dictionary, make_kernel(subject, dictionary))
-    return entry[1]
+    return make_kernel(subject, dictionary)

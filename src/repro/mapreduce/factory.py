@@ -120,27 +120,25 @@ class ClusterConfig:
         fingerprint run queries on an equivalent substrate.  Patterns are
         backend-independent (the differential matrix proves it), but the
         cached :class:`~repro.mapreduce.metrics.JobMetrics` are not — so each
-        distinct substrate caches its own entry.  A ready-made cluster
-        instance runs on its own settings, not the config's, so it
-        fingerprints by its class name and its own worker count, codec,
-        task-attempt budget and fault injector.
+        distinct substrate caches its own entry.  The parts are read off the
+        cluster :meth:`build` returns, so every spelling of one substrate
+        (backend alias, codec case, a defaulted worker count) gives one
+        fingerprint: its class name, worker count, codec, task-attempt budget
+        and fault injector, and whether the cluster came ready-made (the
+        caller's object, shared by every query that names it) or was built.
         """
-        if isinstance(self.backend, Cluster):
-            source, backend = self.backend, type(self.backend).__name__
-            # A Cluster promises only its worker and bucket counts (the
-            # bucket count follows from the worker count); every cluster this
-            # library builds also carries the other settings, its codec as
-            # the object it built from the name.
-            codec = getattr(source, "codec", None)
-            codec = None if codec is None else codec.name
-        else:
-            source, backend, codec = self, self.backend, self.codec
+        cluster = self.build()
+        # A Cluster promises only its worker and bucket counts (the bucket
+        # count follows from the worker count); every cluster this library
+        # builds also carries the other settings.
+        codec = getattr(cluster, "codec", None)
         parts = (
-            backend,
-            source.num_workers,
-            codec,
-            f"attempts={getattr(source, 'max_task_attempts', None)}",
-            repr(getattr(source, "fault_injector", None)),
+            type(cluster).__name__,
+            cluster.num_workers,
+            getattr(codec, "name", None),
+            f"attempts={getattr(cluster, 'max_task_attempts', None)}",
+            repr(getattr(cluster, "fault_injector", None)),
+            "given" if cluster is self.backend else "built",
         )
         return "|".join(str(part) for part in parts)
 

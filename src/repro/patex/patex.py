@@ -1,7 +1,8 @@
 """High-level handle for a pattern expression.
 
-:class:`PatEx` couples the textual expression, its parsed AST, and per-dictionary
-compiled FSTs.  It is the main object applications pass to the miners.
+:class:`PatEx` couples the textual expression with its parsed AST and compiles
+it into an FST against a dictionary.  It is the main object applications pass
+to the miners.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ class PatEx:
     def __init__(self, expression: str) -> None:
         self.expression = expression
         self._ast = parse(expression)
-        self._compiled: dict[int, "Fst"] = {}
 
     @property
     def ast(self) -> PatExNode:
@@ -40,16 +40,16 @@ class PatEx:
         return referenced_items(self._ast)
 
     def compile(self, dictionary: Dictionary) -> "Fst":
-        """Compile into an FST; results are cached per dictionary instance."""
+        """Compile into an FST over ``dictionary``; every call compiles.
+
+        The FST is cheap next to its mining kernel, which
+        :func:`~repro.fst.compiled.make_kernel` interns by content, so two
+        compiles against content-equal dictionaries share one warm kernel.
+        """
         # Imported lazily to avoid a circular import between patex and fst.
         from repro.fst.compiler import compile_ast
 
-        key = id(dictionary)
-        fst = self._compiled.get(key)
-        if fst is None:
-            fst = compile_ast(self._ast, dictionary)
-            self._compiled[key] = fst
-        return fst
+        return compile_ast(self._ast, dictionary)
 
     def __str__(self) -> str:
         return self.expression

@@ -2,8 +2,8 @@
 
 Everything the library amortizes within one process run — attached
 :class:`~repro.sequences.store.EncodedSequenceStore` corpora, interned
-compiled kernels, compiled FSTs, per-worker grid memos — is kept warm *across*
-queries by a long-lived server:
+compiled kernels, per-worker grid memos — is kept warm *across* queries by a
+long-lived server:
 
 * :class:`~repro.service.cache.QueryCache` — a bounded LRU of finished
   :class:`~repro.core.results.MiningResult` objects, keyed by

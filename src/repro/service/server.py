@@ -3,8 +3,8 @@
 :class:`MiningServer` listens on a TCP socket (loopback by default), speaks
 the JSON-lines protocol of :mod:`repro.service.protocol`, and answers every
 request from one shared :class:`repro.api.LocalSession` — so attached
-corpora, compiled FSTs, interned kernels, and the LRU result cache stay warm
-across requests *and* across client connections.  Start it programmatically
+corpora, interned kernels, and the LRU result cache stay warm across
+requests *and* across client connections.  Start it programmatically
 (``with MiningServer() as server: ...``) or from the CLI (``repro serve``);
 connect with :func:`repro.api.connect`.
 """

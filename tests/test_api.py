@@ -218,8 +218,25 @@ class TestLocalSession:
             results = session.sweep("ex", expressions, sigma=SIGMA)
             assert len(results) == 3
             assert results[0].same_patterns_as(results[2])
-            assert len(session._patexes) == 2  # one PatEx per distinct expression
             assert session.cache_info().hits == 1  # the repeated expression
+
+    def test_a_reattached_corpus_is_mined_with_its_own_dictionary(self, monkeypatch):
+        """A new dictionary may get a freed dictionary's id: make every id
+        collide, and the re-attached corpus must still be mined with an FST
+        compiled against its own dictionary."""
+        import repro.patex.patex
+
+        monkeypatch.setattr(repro.patex.patex, "id", lambda _: 0, raising=False)
+        first = repro.Corpus.from_gid_sequences([["a", "b"]] * 3 + [["b", "c"]] * 5)
+        second = repro.Corpus.from_gid_sequences([["c", "a", "b"]] * 4 + [["a"]] * 6)
+        expression = ".*(a).*(b).*"
+        with repro.LocalSession() as session:
+            session.attach_corpus("x", first)
+            session.mine("x", expression, sigma=1)
+            session.attach_corpus("x", second)
+            served = session.mine("x", expression, sigma=1).decoded(second.dictionary)
+        direct = repro.api.mine(second, expression, sigma=1).decoded(second.dictionary)
+        assert served == direct == {("a", "b"): 4}
 
     def test_detach_and_corpora_listing(self, ex_corpus):
         with repro.LocalSession() as session:
@@ -428,6 +445,33 @@ class TestConfigFingerprint:
         # The config's own substrate fields never reach an instance.
         instance = SimulatedCluster(num_workers=2)
         assert ClusterConfig(backend=instance, num_workers=8).fingerprint() == base
+
+
+class TestFingerprintSpellings:
+    """The fingerprint is read off the cluster the config builds, so every
+    spelling of one substrate shares one service-cache entry."""
+
+    SPELLINGS = {
+        "backend-alias": ({"backend": "processes"}, {"backend": "persistent-processes"}),
+        "codec-case": ({"codec": "ZLIB"}, {"codec": "zlib"}),
+        "default-workers": ({"num_workers": None}, {"num_workers": 4}),
+        "backend-case": ({"backend": "Simulated "}, {"backend": "simulated"}),
+    }
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_one_substrate_has_one_fingerprint(self, spelling):
+        written, canonical = self.SPELLINGS[spelling]
+        assert ClusterConfig(**written).fingerprint() == ClusterConfig(**canonical).fingerprint()
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_a_respelled_config_hits_the_session_cache(self, ex_corpus, spelling):
+        written, canonical = self.SPELLINGS[spelling]
+        with repro.LocalSession() as session:
+            session.attach_corpus("ex", ex_corpus)
+            for fields in (canonical, written):
+                session.mine("ex", RUNNING_EXAMPLE_PATEX, sigma=SIGMA, config=ClusterConfig(**fields))
+            assert session.last_query_cached is True
+            assert session.cache_info().hits == 1
 
 
 #: Knobs of deleted implementation paths, each with a value it once took: the

@@ -445,6 +445,16 @@ class TestKernelInterning:
         )
         assert first is second
 
+    def test_content_equal_dictionaries_share_one_kernel(self, ex_dictionary):
+        # The intern is the only cache between an expression and a warm
+        # kernel: it keys on content, never on which dictionary object.
+        clone = make_running_example_dictionary()
+        assert clone is not ex_dictionary
+        first = ensure_kernel(PatEx(RUNNING_EXAMPLE_PATEX).compile(ex_dictionary), ex_dictionary)
+        second = ensure_kernel(PatEx(RUNNING_EXAMPLE_PATEX).compile(clone), clone)
+        assert isinstance(first, CompiledFst)
+        assert first is second
+
     def test_memo_fields_are_not_shipped(self, ex_dictionary):
         fst = PatEx(RUNNING_EXAMPLE_PATEX).compile(ex_dictionary)
         kernel = CompiledFst(fst, ex_dictionary)
@@ -590,28 +600,6 @@ class TestKernelSelection:
             make_kernel(fst, ex_dictionary, "interpreted")
         with pytest.raises(TypeError):
             ensure_kernel(fst, ex_dictionary, kernel="interpreted")
-
-    def test_ensure_kernel_caches_on_the_fst(self, ex_dictionary):
-        fst = PatEx(RUNNING_EXAMPLE_PATEX).compile(ex_dictionary)
-        first = ensure_kernel(fst, ex_dictionary)
-        second = ensure_kernel(fst, ex_dictionary)
-        assert first is second
-        assert isinstance(first, CompiledFst)
-
-    def test_ensure_kernel_cache_pins_the_keyed_dictionary(self, ex_dictionary):
-        # An interned kernel may hold a content-equal but *different*
-        # dictionary object; the per-fst cache must still pin the exact
-        # dictionary it keyed on, or its id could be reused by a new,
-        # content-different dictionary and alias a stale kernel.
-        from tests.conftest import make_running_example_dictionary
-
-        fst = PatEx(RUNNING_EXAMPLE_PATEX).compile(ex_dictionary)
-        ensure_kernel(fst, ex_dictionary)
-        clone = make_running_example_dictionary()
-        kernel = ensure_kernel(fst, clone)
-        entry = fst._kernel_cache[id(clone)]
-        assert entry[0] is clone
-        assert entry[1] is kernel
 
     def test_ensure_kernel_passes_kernels_through(self, ex_dictionary):
         fst = PatEx(RUNNING_EXAMPLE_PATEX).compile(ex_dictionary)

@@ -194,12 +194,6 @@ class TestParser:
 
 # ------------------------------------------------------------------------ PatEx
 class TestPatEx:
-    def test_compile_caches_per_dictionary(self, ex_dictionary):
-        patex = PatEx("(A)")
-        first = patex.compile(ex_dictionary)
-        second = patex.compile(ex_dictionary)
-        assert first is second
-
     def test_referenced_items(self):
         patex = PatEx(".*(A)[(.^).*]*(b).*")
         assert patex.referenced_items() == {"A", "b"}

@@ -289,6 +289,15 @@ class TestServiceSession:
         for field in ("shuffle_bytes", "shuffle_records", "wire_bytes", "num_workers"):
             assert getattr(served.metrics, field) == getattr(direct.metrics, field), field
 
+    @pytest.mark.parametrize("facade", ["local", "service"])
+    def test_both_facades_refuse_an_attachment_that_is_no_database(
+        self, request, ex_dictionary, facade
+    ):
+        session = repro.LocalSession() if facade == "local" else request.getfixturevalue("client")
+        with pytest.raises(MiningError, match="expected a Corpus"):
+            session.attach_corpus("x", [[1, 2]], ex_dictionary)
+        assert session.corpora() == {}
+
     def test_hot_query_is_served_from_cache(self, client, ex_corpus):
         client.attach_corpus("ex", ex_corpus)
         client.mine("ex", RUNNING_EXAMPLE_PATEX, sigma=SIGMA)
