@@ -61,9 +61,23 @@ def corpus(dataset: str, size: int):
     return preprocess([pool[index] for index in chosen], population.hierarchy)
 
 
+def make_job(kernel, sigma: int, switches: dict):
+    """``DSeqJob(kernel, sigma=sigma, **switches)``; ``grid="legacy"`` is the
+    reference grid's job in a checkout that keeps it in ``tests/reference``."""
+    from repro.core.dseq import DSeqJob
+
+    if switches.get("grid") == "legacy":
+        try:
+            from tests.reference.grid import ReferenceGridJob
+        except ImportError:  # an older checkout: DSeqJob still takes grid=
+            pass
+        else:
+            return ReferenceGridJob(kernel, sigma=sigma)
+    return DSeqJob(kernel, sigma=sigma, **switches)
+
+
 def dump(checkout: str, out: str) -> None:
     sys.path[:0] = [str(Path(checkout) / "src"), checkout]
-    from repro.core.dseq import DSeqJob
     from repro.datasets import constraint
     from repro.fst import make_kernel
     from repro.sequences import as_mining_records
@@ -77,7 +91,7 @@ def dump(checkout: str, out: str) -> None:
         records = list(as_mining_records(database))
         query = constraint(name, sigma)
         kernel = make_kernel(query.patex().compile(dictionary), dictionary)
-        job = DSeqJob(kernel, sigma=sigma, **switches)
+        job = make_job(kernel, sigma, switches)
         started = time.perf_counter()
         emitted = [list(job.map(record)) for record in records]
         seconds = time.perf_counter() - started

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from repro.cli.common import CliError, add_input_arguments, load_input
 from repro.experiments import format_table
-from repro.fst import fst_statistics, fst_to_dot, generate_candidates
+from repro.fst import fst_statistics, fst_to_dot, generate_candidates, make_kernel
 from repro.patex import PatEx
 
 
@@ -64,12 +64,11 @@ def run(args: Namespace, stream=None) -> int:
         if args.candidates < 0:
             raise CliError("--candidates must be >= 0")
         stream.write("\ncandidate subsequences:\n")
+        kernel = make_kernel(fst, dictionary)
         for index, sequence in enumerate(database):
             if index >= args.candidates:
                 break
-            candidates = generate_candidates(
-                fst, sequence, dictionary, sigma=args.sigma
-            )
+            candidates = generate_candidates(kernel, sequence, sigma=args.sigma)
             rendered = [
                 " ".join(dictionary.decode(candidate)) for candidate in sorted(candidates)
             ]

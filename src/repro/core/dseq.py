@@ -19,13 +19,12 @@ accepted sequence only, one forward
 pivot set and one relevance threshold per position; each pivot's
 representation is then a slice (:func:`~repro.core.rewriting.rewrite`).  No
 grid object and no per-record memo entry exist on the map path: records of
-the corpus's unique view never repeat within a job.  ``DSeqJob(...,
-grid="legacy")`` swaps in the reference
-:class:`~repro.core.pivot_search.PositionStateGrid`; only the equivalence
-tests and the end-to-end replay pass it.  The reduce
-side builds no grid: a rewritten sequence landing in several partitions builds
-its :class:`~repro.core.local_mining.MiningTables` once per worker, in the
-memo of :mod:`repro.core.grid_engine`.
+the corpus's unique view never repeat within a job.  The tests hold this
+map against a job that reads the literal position–state grid
+(``tests/reference/grid.py``).  The reduce side builds no grid: a rewritten
+sequence landing in several partitions builds its
+:class:`~repro.core.local_mining.MiningTables` once per worker, in the memo
+of :mod:`repro.core.grid_engine`.
 
 The map input is the corpus's
 :meth:`~repro.sequences.store.EncodedSequenceStore.unique_view`: one weighted
@@ -39,10 +38,9 @@ from collections.abc import Iterable
 from functools import partial
 
 from repro.core.cluster_miner import ClusterMiner
-from repro.core.grid_engine import normalize_grid
 from repro.core.local_mining import DesqDfsMiner
-from repro.core.pivot_search import PositionStateGrid, pivots_by_run_enumeration
-from repro.core.rewriting import rewrite, rewrite_for_pivot
+from repro.core.pivot_search import pivots_by_run_enumeration
+from repro.core.rewriting import rewrite
 from repro.dictionary import Dictionary
 from repro.errors import CandidateExplosionError
 from repro.fst import DEFAULT_MAX_RUNS, Fst, MiningKernel, ensure_kernel, make_kernel
@@ -56,6 +54,10 @@ class DSeqJob(MapReduceJob):
 
     use_combiner = True
 
+    #: The map's one grid engine.  Only the frozen end-to-end replay reads
+    #: it, passing it on as ``cached_grid(..., grid=job.grid)``.
+    grid = "flat"
+
     def __init__(
         self,
         fst: Fst | MiningKernel,
@@ -65,7 +67,6 @@ class DSeqJob(MapReduceJob):
         use_rewriting: bool = True,
         use_early_stopping: bool = True,
         max_runs: int = DEFAULT_MAX_RUNS,
-        grid: str | None = None,
     ) -> None:
         kernel = ensure_kernel(fst, dictionary)
         self.kernel = kernel
@@ -76,17 +77,11 @@ class DSeqJob(MapReduceJob):
         self.use_rewriting = use_rewriting
         self.use_early_stopping = use_early_stopping
         self.max_runs = max_runs
-        self.grid = normalize_grid(grid)
         self.max_frequent_fid = self.dictionary.largest_frequent_fid(sigma)
 
     def _grid_answers(self, sequence: tuple[int, ...]):
         """``(K(T), rewrite)`` of the position–state grid's dynamic program,
         where ``rewrite(pivot)`` is ρ_pivot(T)."""
-        if self.grid == "legacy":
-            grid = PositionStateGrid(
-                self.kernel, sequence, max_frequent_fid=self.max_frequent_fid
-            )
-            return grid.pivot_items(), partial(rewrite_for_pivot, grid)
         kernel = self.kernel
         alive = kernel.reachability_table(sequence)
         if not (alive[0] >> kernel.initial_state) & 1:

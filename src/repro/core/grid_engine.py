@@ -9,11 +9,11 @@ rewrites with :func:`~repro.core.rewriting.rewrite`.  The reduce side builds no
 grid either (its early-stopping oracle is
 :meth:`~repro.fst.compiled.MiningKernel.last_producing_table`).
 
-* :class:`FlatPivotGrid` wraps the same two passes in the grid interface of the
-  reference :class:`~repro.core.pivot_search.PositionStateGrid`
-  (``pivot_items``, ``relevant_range``, ``last_pivot_producing_position``),
-  which the equivalence suites hold against each other and the end-to-end
-  replay (``benchmarks/e2e/replay.py``) calls through :func:`cached_grid`.
+* :class:`FlatPivotGrid` wraps the same two passes in the grid interface
+  (``pivot_items``, ``relevant_range``, ``last_pivot_producing_position``).
+  The equivalence suites hold it against the literal position–state grid in
+  ``tests/reference/grid.py``, and the end-to-end replay
+  (``benchmarks/e2e/replay.py``) calls it through :func:`cached_grid`.
 * :func:`memoized` is one bounded per-worker memo of per-sequence values,
   keyed by ``(kind, kernel fingerprint, encoded sequence, frequency filter)``.
   The reduce side keeps its :class:`~repro.core.local_mining.MiningTables`
@@ -21,11 +21,6 @@ grid either (its early-stopping oracle is
   partitions builds its tables once per worker.  :func:`cached_grid` keeps
   grids in the same memo.  A forked pool worker starts with the memo its
   driver had (usually empty) and the driver's limit.
-
-``grid="legacy"`` selects the reference engine; it is no run setting, only an
-argument of :class:`~repro.core.dseq.DSeqJob` and of the functions here, which
-the equivalence suites and the replay pass.  The differential suite proves
-the two engines equivalent.
 """
 
 from __future__ import annotations
@@ -34,49 +29,26 @@ import threading
 from array import array
 from collections.abc import Sequence
 
-from repro.core.pivot_search import PositionStateGrid
 from repro.core.rewriting import relevant_range
 from repro.dictionary import Dictionary
 from repro.errors import MiningError
 from repro.fst import Fst, MiningKernel, ensure_kernel
 
-#: Engines of the position–state grid: ``"flat"`` is the kernel's two passes,
-#: ``"legacy"`` the per-edge reference.
-GRIDS = ("flat", "legacy")
-
-#: Grid engine used when none is requested explicitly.
-DEFAULT_GRID = "flat"
-
-
-def normalize_grid(grid: str | None) -> str:
-    """Map a grid-engine name to a canonical one (None → default)."""
-    if grid is None:
-        return DEFAULT_GRID
-    name = str(grid).strip().lower()
-    if name not in GRIDS:
-        raise MiningError(
-            f"unknown grid engine {grid!r}; choose one of {', '.join(GRIDS)}"
-        )
-    return name
-
 
 # ------------------------------------------------------------------- the grid
 class FlatPivotGrid:
-    """The ``grid="flat"`` engine: the kernel's two passes behind the grid
-    interface.
+    """The kernel's two passes behind the grid interface.
 
     Construction is :meth:`~repro.fst.compiled.MiningKernel.reachability_table`
     and — only when the sequence is non-empty and has an accepting run —
     :meth:`~repro.fst.compiled.MiningKernel.pivot_table`, which runs the
-    dynamic program of :class:`~repro.core.pivot_search.PositionStateGrid`
-    and keeps its answers: the pivot set and one relevance threshold per
-    position.  :meth:`last_pivot_producing_position` reads
+    position–state grid's dynamic program and keeps its answers: the pivot
+    set and one relevance threshold per position.
+    :meth:`last_pivot_producing_position` reads
     :meth:`~repro.fst.compiled.MiningKernel.last_producing_table` on first
     use.  A sequence without an accepting run holds its reachability table
     and nothing else.
     """
-
-    kind = "flat"
 
     def __init__(
         self,
@@ -139,22 +111,6 @@ class FlatPivotGrid:
                 self.sequence, self._alive, self.max_frequent_fid
             )
         return last_producing.get(pivot, 0)
-
-
-#: Engine name -> grid class.
-_GRID_CLASSES = {"flat": FlatPivotGrid, "legacy": PositionStateGrid}
-
-
-def make_grid(
-    fst: Fst | MiningKernel,
-    sequence: Sequence[int],
-    dictionary: Dictionary | None = None,
-    max_frequent_fid: int | None = None,
-    grid: str | None = None,
-) -> FlatPivotGrid | PositionStateGrid:
-    """Build a position–state grid with the requested engine (None → flat)."""
-    grid_class = _GRID_CLASSES[normalize_grid(grid)]
-    return grid_class(fst, sequence, dictionary, max_frequent_fid=max_frequent_fid)
 
 
 # ------------------------------------------------------------ per-worker memo
@@ -249,16 +205,19 @@ def cached_grid(
     max_frequent_fid: int | None = None,
     grid: str | None = None,
     span_hash: int | None = None,
-) -> FlatPivotGrid | PositionStateGrid:
-    """A built grid from this worker's memo, building (and caching) on a miss.
+) -> FlatPivotGrid:
+    """A built :class:`FlatPivotGrid` from this worker's memo, building (and
+    caching) on a miss.
 
-    Keyed by ``(grid engine, kernel fingerprint, encoded sequence, frequency
-    filter)``.  ``span_hash`` is accepted and ignored (an older caller passes
-    one).
+    Keyed by ``("flat", kernel fingerprint, encoded sequence, frequency
+    filter)``.  ``grid`` may only be ``None`` or ``"flat"``, the one engine;
+    the end-to-end replay passes the job's :attr:`~repro.core.dseq.DSeqJob.grid`.
+    ``span_hash`` is accepted and ignored (an older caller passes one).
     """
+    if grid not in (None, "flat"):
+        raise MiningError(f"unknown grid engine {grid!r}; the only one is 'flat'")
     kernel = ensure_kernel(fst, dictionary)
-    name = normalize_grid(grid)
     return memoized(
-        _memo_key(kernel, sequence, max_frequent_fid, name),
-        lambda: make_grid(kernel, sequence, max_frequent_fid=max_frequent_fid, grid=name),
+        _memo_key(kernel, sequence, max_frequent_fid, "flat"),
+        lambda: FlatPivotGrid(kernel, sequence, max_frequent_fid=max_frequent_fid),
     )

@@ -12,14 +12,13 @@ position up as one *relevance threshold* — the smallest pivot for which it is
 relevant — so :func:`relevant_range` and :func:`rewrite` answer any pivot with
 two early-exiting scans.  D-SEQ's map and
 :meth:`~repro.core.grid_engine.FlatPivotGrid.relevant_range` both read them;
-:func:`rewrite_for_pivot` asks a grid object instead.
+:func:`rewrite_for_pivot` asks a grid object instead (the end-to-end replay
+and the reference grid's job call it).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-
-from repro.core.pivot_search import PositionStateGrid
 
 
 def relevant_range(relevance: Sequence[int], pivot: int) -> tuple[int, int]:
@@ -53,8 +52,9 @@ def rewrite(
     return _trimmed(sequence, *relevant_range(relevance, pivot))
 
 
-def rewrite_for_pivot(grid: PositionStateGrid, pivot: int) -> tuple[int, ...]:
-    """ρ_pivot(T) read off a grid object of either engine."""
+def rewrite_for_pivot(grid, pivot: int) -> tuple[int, ...]:
+    """ρ_pivot(T) read off a grid object: anything with ``sequence`` and
+    ``relevant_range(pivot)``."""
     return _trimmed(grid.sequence, *grid.relevant_range(pivot))
 
 

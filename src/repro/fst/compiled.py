@@ -56,7 +56,8 @@ def merge_sorted_runs(
     ``U ⊕ Q = {ω ∈ U | ω ≥ min(Q)} ∪ {ω ∈ Q | ω ≥ min(U)}`` — with sorted
     runs both operand restrictions are suffixes found by one bisect each, and
     the union is a linear merge.  Returns a sorted tuple; an empty operand
-    annihilates the merge, exactly like :func:`~repro.core.pivot_search.pivot_merge`.
+    annihilates the merge, exactly like the set-based ⊕ it is checked
+    against (``tests/reference/grid.py``).
     """
     if not left or not right:
         return ()
@@ -163,15 +164,6 @@ class MiningKernel:
     def outputs(self, tid: int, item: int) -> tuple[int, ...]:
         """``out_δ(item)`` of transition ``tid`` (sorted; ``(0,)`` is ε)."""
         raise NotImplementedError
-
-    def filtered_outputs(
-        self, tid: int, item: int, max_frequent_fid: int | None
-    ) -> tuple[int, ...]:
-        """Output set with infrequent items removed (ε sets pass unfiltered)."""
-        outputs = self.outputs(tid, item)
-        if max_frequent_fid is not None and outputs != EPSILON_OUTPUT:
-            outputs = tuple(fid for fid in outputs if fid <= max_frequent_fid)
-        return outputs
 
     def edge_rows(self, item: int) -> tuple[tuple[tuple, ...], ...]:
         """Per source state, the ``(target, outputs)`` edge of every

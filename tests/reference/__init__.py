@@ -5,8 +5,13 @@ no table, memo or shortcut with the product code it checks:
 
 * :mod:`.dictionary` -- :class:`OccurrenceBuilder` (the f-list's document
   frequencies with a hierarchy walk per item occurrence, Fig. 2c);
-* :mod:`.kernel` -- :class:`InterpretedKernel` (labels asked on every probe)
-  and :func:`accepts` (``R(T)`` non-empty);
+* :mod:`.kernel` -- :class:`InterpretedKernel` (labels asked on every probe),
+  :func:`accepts` (``R(T)`` non-empty) and :func:`filtered_outputs`
+  (``out_δ(item)`` without infrequent items);
+* :mod:`.grid` -- :func:`pivot_merge` (the set-based ⊕),
+  :class:`PositionStateGrid` (the position–state grid of Fig. 5b, one
+  :class:`GridEdge` per live edge) and :class:`ReferenceGridJob` (D-SEQ's
+  job with its map reading that grid);
 * :mod:`.simulation` -- :func:`run_output_sets` and :func:`generates`
   (``S ∈ G_π(T)``, Sec. IV);
 * :mod:`.pivots` -- :func:`pivots_of_output_sets` (Theorem 1's ⊕ fold);
@@ -21,8 +26,9 @@ distribution does not ship it.
 """
 
 from tests.reference.dictionary import OccurrenceBuilder
+from tests.reference.grid import GridEdge, PositionStateGrid, ReferenceGridJob, pivot_merge
 from tests.reference.gsp import GspMiner
-from tests.reference.kernel import InterpretedKernel, accepts
+from tests.reference.kernel import InterpretedKernel, accepts, filtered_outputs
 from tests.reference.nfa import (
     mine_by_labels,
     minimize_acyclic,
@@ -35,16 +41,21 @@ from tests.reference.pivots import pivots_of_output_sets
 from tests.reference.simulation import generates, run_output_sets
 
 __all__ = [
+    "GridEdge",
     "GspMiner",
     "InterpretedKernel",
     "OccurrenceBuilder",
+    "PositionStateGrid",
+    "ReferenceGridJob",
     "accepts",
+    "filtered_outputs",
     "generates",
     "mine_by_labels",
     "minimize_acyclic",
     "minimized",
     "nfa_accepts",
     "nfa_candidates",
+    "pivot_merge",
     "pivots_of_output_sets",
     "run_output_sets",
     "trie",

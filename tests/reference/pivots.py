@@ -3,7 +3,7 @@
 The product uses the closed form
 :func:`~repro.core.pivot_search.pivots_of_sorted_sets` on the ε-free
 ascending sets its run walk yields; :func:`pivots_of_output_sets` folds
-:func:`~repro.core.pivot_search.pivot_merge`'s rule over any sets, ε and
+:func:`~tests.reference.grid.pivot_merge`'s rule over any sets, ε and
 empty ones included, and is what that closed form and the grid are checked
 against.
 """

@@ -16,6 +16,7 @@ from collections.abc import Sequence
 from repro.dictionary import EPSILON_FID, Dictionary
 from repro.fst.compiled import MiningKernel, ensure_kernel
 from repro.fst.fst import Fst, Transition
+from tests.reference.kernel import filtered_outputs
 
 
 def run_output_sets(
@@ -36,7 +37,7 @@ def run_output_sets(
     if isinstance(dictionary, MiningKernel):
         kernel = dictionary
         return [
-            kernel.filtered_outputs(transition.tid, item, max_frequent_fid)
+            filtered_outputs(kernel, transition.tid, item, max_frequent_fid)
             for transition, item in zip(run, sequence)
         ]
     sets: list[tuple[int, ...]] = []

@@ -19,8 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.grid_engine import make_grid
-from repro.core.pivot_search import PositionStateGrid
+from repro.core.grid_engine import FlatPivotGrid
 from repro.dictionary import Dictionary, EPSILON_FID, Hierarchy, IntervalSet, Item
 from repro.fst import (
     CompiledFst,
@@ -37,7 +36,12 @@ from repro.errors import FstError, UnknownItemError
 from repro.patex import PatEx
 
 from tests.conftest import RUNNING_EXAMPLE_PATEX, make_running_example_dictionary
-from tests.reference import InterpretedKernel, run_output_sets
+from tests.reference import (
+    InterpretedKernel,
+    PositionStateGrid,
+    filtered_outputs,
+    run_output_sets,
+)
 
 
 # ------------------------------------------------------------- interval sets
@@ -216,7 +220,7 @@ class TestCompiledLabelEquivalence:
         assert kernel.outputs(0, item) == (EPSILON_FID,)
         # ε sets pass the frequency filter untouched (mff smaller than every
         # real fid would otherwise empty them and kill the run).
-        assert kernel.filtered_outputs(0, item, 0) == (EPSILON_FID,)
+        assert filtered_outputs(kernel, 0, item, 0) == (EPSILON_FID,)
 
 
 # ----------------------------------------------------- kernel equivalence
@@ -312,8 +316,8 @@ class TestKernelEquivalence:
                 generate_candidates(interpreted, sequence, sigma=sigma)
             )
             # K(T) through the grid.
-            assert make_grid(compiled, sequence, max_frequent_fid=mff).pivot_items() == (
-                make_grid(interpreted, sequence, max_frequent_fid=mff).pivot_items()
+            assert FlatPivotGrid(compiled, sequence, max_frequent_fid=mff).pivot_items() == (
+                FlatPivotGrid(interpreted, sequence, max_frequent_fid=mff).pivot_items()
             )
             compiled_grid = PositionStateGrid(compiled, sequence, max_frequent_fid=mff)
             interpreted_grid = PositionStateGrid(

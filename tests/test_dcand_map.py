@@ -263,7 +263,7 @@ class CountingKernel(MiningKernel):
     pass through this object and is not the map's protocol.
     """
 
-    COUNTED = ("matching", "target", "is_captured", "outputs", "filtered_outputs", "edge_rows")
+    COUNTED = ("matching", "target", "is_captured", "outputs", "edge_rows")
 
     def __init__(self, inner: MiningKernel) -> None:
         super().__init__(inner.fst, inner.dictionary)

@@ -22,7 +22,7 @@ from repro.core import DCandMiner, DSeqMiner, NaiveMiner, SemiNaiveMiner
 from repro.core.dcand import DCandJob
 from repro.core.dseq import DSeqJob
 from repro.core.naive import NaiveJob
-from repro.core.grid_engine import DEFAULT_GRID_MEMO_LIMIT, GRIDS, set_grid_memo_limit
+from repro.core.grid_engine import DEFAULT_GRID_MEMO_LIMIT, set_grid_memo_limit
 from repro.dictionary import Hierarchy
 from repro.mapreduce import ClusterConfig, make_cluster
 from repro.fst import generate_candidates, make_kernel
@@ -34,7 +34,7 @@ from repro.sequential import (
     SequentialDesqDfs,
 )
 from tests.conftest import RUNNING_EXAMPLE_SEQUENCES, weighted
-from tests.reference import GspMiner, InterpretedKernel, generates
+from tests.reference import GspMiner, InterpretedKernel, ReferenceGridJob, generates
 
 #: Constraint shapes exercised by the differential tests: captures, optional
 #: groups, generalization, repetition, alternation, and bounded gaps.
@@ -526,16 +526,16 @@ def plain_record_patterns(dictionary, database, sigma, expression=MATRIX_PATEX) 
 
 
 class TestUniqueViewMatrix:
-    """miners × backends on a duplication-heavy corpus, plus D-SEQ's two grid
-    engines × backends at job level.
+    """miners × backends on a duplication-heavy corpus, plus D-SEQ's job and
+    the reference grid's job × backends.
 
     Every miner maps the corpus's unique view (one weighted record per
     distinct sequence).  Acceptance criteria: patterns and supports equal
     what the plain, duplicated records give — each support counted by the
     reference :func:`~tests.reference.generates` (GSP for LASH's gap
     constraint) — in *every* cell of the matrix, and the shuffle / wire
-    metrics are byte-identical across backends and, for ``DSeqJob(...,
-    grid=...)``, across grid engines.
+    metrics are byte-identical across backends and between ``DSeqJob`` and
+    :class:`~tests.reference.grid.ReferenceGridJob`.
     """
 
     #: Backends compared against the simulated baseline sweep.
@@ -605,15 +605,15 @@ class TestUniqueViewMatrix:
 
     @pytest.mark.parametrize("backend", ("simulated", *BACKENDS))
     def test_grid_engines_agree_at_job_level(self, backend, matrix_data, simulated_sweeps):
-        """``DSeqJob(kernel, sigma, grid=g)`` on each backend: both engines
-        mine D-SEQ's patterns, and neither engine nor backend changes what
+        """``DSeqJob`` and ``ReferenceGridJob`` on each backend: both mine
+        D-SEQ's patterns, and neither the grid nor the backend changes what
         travels."""
         dictionary, database = matrix_data
         reference = simulated_sweeps("dseq")
         kernel = make_kernel(PatEx(MATRIX_PATEX).compile(dictionary), dictionary)
         cluster = _matrix_cluster(backend, "compact").build()
-        for grid in GRIDS:
-            result = cluster.run(DSeqJob(kernel, sigma=2, grid=grid), as_mining_records(database))
+        for grid, job_class in (("flat", DSeqJob), ("reference", ReferenceGridJob)):
+            result = cluster.run(job_class(kernel, sigma=2), as_mining_records(database))
             assert dict(result.outputs) == reference.patterns(), grid
             for metric in self.METRICS:
                 assert getattr(result.metrics, metric) == (

@@ -2,7 +2,7 @@
 
 The :class:`~repro.core.grid_engine.FlatPivotGrid` — the kernel's
 reachability and pivot passes behind the grid interface — must answer like
-the reference :class:`~repro.core.pivot_search.PositionStateGrid`: same alive
+the reference :class:`~tests.reference.grid.PositionStateGrid`: same alive
 sets, same pivots, same rewrite bounds for every pivot, same early-stopping
 oracle — on arbitrary pattern expressions, hierarchies, and input sequences.
 These tests prove that with hypothesis, check the sorted-run ⊕ algebra against
@@ -18,20 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.grid_engine import (
-    DEFAULT_GRID,
     DEFAULT_GRID_MEMO_LIMIT,
-    GRIDS,
     FlatPivotGrid,
     cached_grid,
     clear_grid_memo,
     grid_memo_info,
-    make_grid,
-    normalize_grid,
     set_grid_memo_limit,
-)
-from repro.core.pivot_search import (
-    PositionStateGrid,
-    pivot_merge,
 )
 from repro.core import DSeqMiner
 from repro.core.dseq import DSeqJob
@@ -45,7 +37,13 @@ from repro.patex import PatEx
 from repro.sequences import SequenceDatabase, WeightedSequence, as_mining_records, preprocess
 from repro.sequential import SequentialDesqDfs
 from tests.conftest import weighted
-from tests.reference import InterpretedKernel, pivots_of_output_sets
+from tests.reference import (
+    InterpretedKernel,
+    PositionStateGrid,
+    ReferenceGridJob,
+    pivot_merge,
+    pivots_of_output_sets,
+)
 from tests.test_dcand_map import random_hierarchy_corpus
 from tests.test_differential import patex_strategy
 
@@ -81,7 +79,7 @@ def build_consistent(sequences):
 
 
 def assert_grids_equivalent(flat, legacy) -> None:
-    """Every answer the flat engine gives must be the legacy grid's."""
+    """Every answer the flat engine gives must be the reference grid's."""
     assert flat.has_accepting_run == legacy.has_accepting_run
     assert flat.alive == legacy.alive
     pivots = flat.pivot_items()
@@ -156,36 +154,40 @@ class TestFlatLegacyEquivalence:
             assert_grids_equivalent(flat, legacy)
 
     def test_interpreted_kernel_also_served(self, ex_dictionary):
-        """Both grid engines accept the compiled kernel and the oracle."""
+        """Both grids accept the compiled kernel and the oracle."""
         fst = PatEx(".*(A)[(.^)|.]*(b).*").compile(ex_dictionary)
         sequence = ex_dictionary.encode(("c", "a1", "b", "e"))
         results = {
-            (grid, build): make_grid(build(fst, ex_dictionary), sequence, grid=grid).pivot_items()
-            for grid in GRIDS
+            (grid, build): grid(build(fst, ex_dictionary), sequence).pivot_items()
+            for grid in (FlatPivotGrid, PositionStateGrid)
             for build in (make_kernel, InterpretedKernel)
         }
         assert len(set(map(frozenset, results.values()))) == 1
 
 
 def assert_maps_agree(dictionary, database, expression, sigma) -> DSeqJob:
-    """``DSeqJob.map`` emits the same pairs in the same order on both grid
-    engines, for every record of the unique view (weights above 1 included)
-    and for every input sequence as a weight-1 record."""
+    """``DSeqJob.map`` emits the same pairs in the same order as the map over
+    the reference grid, for every record of the unique view (weights above 1
+    included) and for every input sequence as a weight-1 record."""
     kernel = make_kernel(PatEx(expression).compile(dictionary), dictionary)
-    jobs = {grid: DSeqJob(kernel, sigma=sigma, grid=grid) for grid in GRIDS}
+    jobs = {
+        "flat": DSeqJob(kernel, sigma=sigma),
+        "reference": ReferenceGridJob(kernel, sigma=sigma),
+    }
     sequences = SequenceDatabase([(), *map(tuple, database)])
     records = [*as_mining_records(sequences), *map(weighted, sequences)]
     assert all(isinstance(record, WeightedSequence) for record in records)
     for record in records:
-        assert list(jobs["flat"].map(record)) == list(jobs["legacy"].map(record)), record
+        assert list(jobs["flat"].map(record)) == list(jobs["reference"].map(record)), record
     return jobs["flat"]
 
 
 class TestMapEnginesAgree:
-    """D-SEQ's map — two kernel passes at ``grid="flat"`` — against the map
-    over the reference grid, pair for pair and in emission order.
+    """D-SEQ's map — two kernel passes — against the map over the reference
+    grid (:class:`~tests.reference.grid.ReferenceGridJob`), pair for pair and
+    in emission order.
 
-    The fids here are small, so both engines' pivot sets iterate in ascending
+    The fids here are small, so both maps' pivot sets iterate in ascending
     order; the insertion-order-dependent order of a large corpus is compared
     against the previous implementation by the emission-equality script under
     ``benchmarks/evidence/``.
@@ -267,7 +269,7 @@ class TestWideAndLongInputs:
 
     On an FST with more than 64 states (bits past a machine word) and on a
     1,500-item input: compiled ≡ interpreted reachability table, flat ≡
-    legacy grid, and D-SEQ ≡ sequential DESQ-DFS.
+    reference grid, and D-SEQ ≡ sequential DESQ-DFS.
     """
 
     def assert_everything_agrees(self, dictionary, database, expression, sigma):
@@ -394,16 +396,16 @@ class TestGridMemo:
         info = grid_memo_info()
         assert info["hits"] == 1 and info["misses"] == 1 and info["size"] == 1
 
-    def test_engines_and_filters_are_cached_separately(self, ex_dictionary, fresh_memo):
+    def test_filters_are_cached_separately(self, ex_dictionary, fresh_memo):
         kernel = self._kernel(ex_dictionary)
         sequence = ex_dictionary.encode(("a1", "b"))
         flat = cached_grid(kernel, sequence, grid="flat")
-        legacy = cached_grid(kernel, sequence, grid="legacy")
+        default = cached_grid(kernel, sequence)
         filtered = cached_grid(kernel, sequence, max_frequent_fid=3)
         assert isinstance(flat, FlatPivotGrid)
-        assert isinstance(legacy, PositionStateGrid)
+        assert default is flat
         assert filtered is not flat
-        assert grid_memo_info()["size"] == 3
+        assert grid_memo_info()["size"] == 2
 
     def test_bounded_eviction(self, ex_dictionary, fresh_memo):
         kernel = self._kernel(ex_dictionary)
@@ -429,25 +431,26 @@ class TestGridMemo:
 
 
 class TestKnob:
-    def test_normalize_grid(self):
-        assert normalize_grid(None) == DEFAULT_GRID
-        assert normalize_grid(" Flat ") == "flat"
-        assert normalize_grid("LEGACY") == "legacy"
-        with pytest.raises(MiningError, match="unknown grid engine"):
-            normalize_grid("nope")
-
-    def test_make_grid_dispatch(self, ex_dictionary):
+    def test_cached_grid_serves_only_the_flat_engine(self, ex_dictionary, fresh_memo):
+        """``grid`` is ``None`` or ``"flat"``; any other name is refused
+        before anything is built."""
         fst = PatEx(".*(b).*").compile(ex_dictionary)
         sequence = ex_dictionary.encode(("b",))
-        assert isinstance(
-            make_grid(fst, sequence, ex_dictionary), FlatPivotGrid
-        )
-        assert isinstance(
-            make_grid(fst, sequence, ex_dictionary, grid="legacy"), PositionStateGrid
-        )
+        for grid in (None, "flat"):
+            assert isinstance(cached_grid(fst, sequence, ex_dictionary, grid=grid), FlatPivotGrid)
+        for grid in ("legacy", "LEGACY", " Flat ", "nope"):
+            with pytest.raises(MiningError, match="unknown grid engine"):
+                cached_grid(fst, sequence, ex_dictionary, grid=grid)
+        assert grid_memo_info()["misses"] == 1
+
+    def test_a_job_takes_no_grid_argument(self, ex_dictionary):
+        kernel = make_kernel(PatEx(".*(b).*").compile(ex_dictionary), ex_dictionary)
+        assert DSeqJob(kernel, sigma=1).grid == "flat"
+        with pytest.raises(TypeError):
+            DSeqJob(kernel, sigma=1, grid="flat")
 
     def test_empty_sequence_grids(self, ex_dictionary):
-        """Degenerate input: both engines agree on the empty sequence."""
+        """Degenerate input: both grids agree on the empty sequence."""
         fst = PatEx(".*(b).*").compile(ex_dictionary)
         kernel = make_kernel(fst, ex_dictionary)
         flat = FlatPivotGrid(kernel, ())

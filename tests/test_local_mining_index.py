@@ -5,14 +5,14 @@ frequency filter)`` once per distinct sequence (:class:`MiningTables`, kept in
 the per-worker memo) and lets a partition only *filter* it.  The oracle below
 is the previous algorithm, kept on the test side: per-partition
 ``_SequenceState`` tables, the list-of-lists finishable table, a position–state
-grid (either engine) as the early-stopping oracle, the per-node ε-closure walk
+grid (the flat one or ``tests/reference``'s) as the early-stopping oracle, the per-node ε-closure walk
 ``_output_steps`` and the recursive ``_expand``.  Both sides must produce the
 same ``patterns`` dict, insertion order included, and the index must answer
 every snapshot the oracle's search reaches exactly as the walk did.
 
 The miner itself builds no grid: its three per-sequence tables are state-set
 passes over the kernel's per-item edge list, pinned here value for value
-against both grid engines and the kernel's per-transition calls, and by
+against both grids and the kernel's per-transition calls, and by
 counting what a reducer constructs.
 """
 
@@ -28,14 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dseq import DSeqJob
-from repro.core.grid_engine import (
-    FlatPivotGrid,
-    clear_grid_memo,
-    grid_memo_info,
-    make_grid,
-)
+from repro.core.grid_engine import FlatPivotGrid, clear_grid_memo, grid_memo_info
 from repro.core.local_mining import DesqDfsMiner, MiningTables
-from repro.core.pivot_search import PositionStateGrid
 from repro.datasets import constraint, nyt_like
 from repro.dictionary import Dictionary
 from repro.fst import CompiledFst, make_kernel
@@ -47,11 +41,12 @@ from tests.conftest import weighted
 from tests.test_compiled import finishable_lists, mask_rows
 from tests.test_dcand_map import random_hierarchy_corpus
 from tests.test_differential import build_consistent, patex_strategy, sequences_strategy
-from tests.reference import InterpretedKernel
+from tests.reference import InterpretedKernel, PositionStateGrid
 
 #: The product kernel and the oracle it is checked against, by name.
 KERNELS = {"compiled": make_kernel, "interpreted": InterpretedKernel}
-GRIDS = ("flat", "legacy")
+#: The product's grid and the reference it is checked against, by name.
+GRIDS = {"flat": FlatPivotGrid, "reference": PositionStateGrid}
 
 
 # ------------------------------------------------------------------ the oracle
@@ -64,7 +59,7 @@ class OracleState:
         self.alive = kernel.reachability_table(sequence)
         self.finishable = finishable_lists(kernel, sequence)
         if pivot is not None:
-            built = make_grid(kernel, sequence, max_frequent_fid=max_frequent_fid, grid=grid)
+            built = GRIDS[grid](kernel, sequence, max_frequent_fid=max_frequent_fid)
             self.last_pivot_position = built.last_pivot_producing_position(pivot)
         else:
             self.last_pivot_position = len(sequence)
@@ -352,7 +347,7 @@ def assert_passes_equal_their_references(dictionary, expression, sequences):
             for limit in fid_limits(dictionary):
                 tables = MiningTables(kernel, sequence, limit)
                 for grid in GRIDS:
-                    built = make_grid(kernel, sequence, max_frequent_fid=limit, grid=grid)
+                    built = GRIDS[grid](kernel, sequence, max_frequent_fid=limit)
                     for pivot in pivots:
                         assert tables.last_producing_position(pivot) == (
                             built.last_pivot_producing_position(pivot)

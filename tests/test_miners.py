@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.api import mine
 from repro.core import DCandJob, DCandMiner, DSeqJob, DSeqMiner, NaiveMiner, SemiNaiveMiner
-from repro.core.partitioning import pivot_item
 from repro.dictionary import build_dictionary
 from repro.dictionary.hierarchy import Hierarchy
 from repro.errors import MiningError
@@ -38,14 +37,6 @@ def reference_counts(fst, dictionary, database, sigma):
     for sequence in database:
         counts.update(generate_candidates(fst, sequence, dictionary, sigma=sigma))
     return {p: f for p, f in counts.items() if f >= sigma}
-
-
-# ---------------------------------------------------------------- partitioning
-class TestPartitioning:
-    def test_pivot_item(self):
-        assert pivot_item((4, 1, 3)) == 4
-        with pytest.raises(ValueError):
-            pivot_item(())
 
 
 # ------------------------------------------------------------- running example

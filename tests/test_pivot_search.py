@@ -5,16 +5,17 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pivot_search import (
-    PositionStateGrid,
-    pivot_merge,
-    pivots_by_run_enumeration,
-)
+from repro.core.pivot_search import pivots_by_run_enumeration
 from repro.dictionary import EPSILON_FID, build_dictionary
 from repro.dictionary.hierarchy import Hierarchy
 from repro.fst import accepting_runs, generate_candidates
 from repro.patex import PatEx
-from tests.reference import pivots_of_output_sets, run_output_sets
+from tests.reference import (
+    PositionStateGrid,
+    pivot_merge,
+    pivots_of_output_sets,
+    run_output_sets,
+)
 
 
 def brute_force_pivots(output_sets):

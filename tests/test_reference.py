@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.fst import MiningKernel
 from repro.nfa import OutputNfa, TrieBuilder
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -30,6 +31,24 @@ MOVED = [
     ("repro.nfa.nfa", "_topological_order"),
     ("repro.core", "pivots_of_output_sets"),
     ("repro.core.pivot_search", "pivots_of_output_sets"),
+    ("repro.core", "PositionStateGrid"),
+    ("repro.core", "pivot_merge"),
+    ("repro.core.pivot_search", "GridEdge"),
+    ("repro.core.pivot_search", "PositionStateGrid"),
+    ("repro.core.pivot_search", "pivot_merge"),
+]
+
+#: (product module, name) pairs deleted outright: D-SEQ's map has one engine,
+#: so nothing chooses between engines, and ``pivot_item`` had no caller.
+GONE = [
+    ("repro.core", "pivot_item"),
+    ("repro.core", "partitioning"),
+    ("repro.core", "make_grid"),
+    ("repro.core", "normalize_grid"),
+    ("repro.core", "GRIDS"),
+    ("repro.core", "DEFAULT_GRID"),
+    ("repro.core.grid_engine", "make_grid"),
+    ("repro.core.grid_engine", "_GRID_CLASSES"),
 ]
 
 
@@ -60,10 +79,16 @@ class TestProductBoundary:
         with pytest.raises(AttributeError):
             getattr(importlib.import_module(module), name)
 
+    @pytest.mark.parametrize("module,name", GONE)
+    def test_deleted_name_is_gone_from_the_product(self, module, name):
+        with pytest.raises(AttributeError):
+            getattr(importlib.import_module(module), name)
+
     @pytest.mark.parametrize(
         "owner,name",
         [(TrieBuilder, "trie"), (TrieBuilder, "minimized"),
-         (OutputNfa, "accepts"), (OutputNfa, "candidates")],
+         (OutputNfa, "accepts"), (OutputNfa, "candidates"),
+         (MiningKernel, "filtered_outputs")],
     )
     def test_moved_method_is_gone_from_the_product(self, owner, name):
         assert not hasattr(owner, name)

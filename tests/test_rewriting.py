@@ -5,12 +5,12 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pivot_search import PositionStateGrid
 from repro.core.rewriting import rewrite_for_pivot
 from repro.dictionary import build_dictionary
 from repro.dictionary.hierarchy import Hierarchy
 from repro.fst import generate_candidates
 from repro.patex import PatEx
+from tests.reference import PositionStateGrid
 
 
 def pivot_candidates(fst, sequence, dictionary, sigma, pivot):
