@@ -109,7 +109,7 @@ for workload in spec.WORKLOADS:
         corpus = harness.load_corpus(files)
     miner = {"dseq": DSeqMiner, "dcand": DCandMiner}[workload.algorithm]
     patex = constraint(workload.constraint, workload.sigma).patex()
-    job = miner(patex, workload.sigma, corpus.dictionary).job()
+    job = miner(patex, workload.sigma, corpus.dictionary).job
     emitted = {}
     for record in as_mining_records(corpus.database):
         for key, value in job.map(record):

@@ -159,9 +159,9 @@ class ServiceSession(Session):
         return self._call("clear_cache")["dropped"]
 
     # ------------------------------------------------------------- lifecycle
-    def ping(self, sleep_s: float = 0.0) -> dict:
-        """Round-trip health check (``sleep_s`` artificially delays the reply)."""
-        return self._call("ping", sleep_s=sleep_s)
+    def ping(self) -> dict:
+        """Round-trip health check."""
+        return self._call("ping")
 
     def shutdown_server(self) -> None:
         """Ask the daemon to stop serving (the connection closes after)."""

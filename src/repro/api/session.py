@@ -221,8 +221,10 @@ def mine(
         :class:`~repro.mapreduce.ClusterConfig` (default: the library
         default substrate); the sequential miners take none.
     options:
-        Forwarded to the selected miner (e.g. ``use_rewriting`` for D-SEQ,
-        or the safety caps its table row lists).
+        Forwarded to the selected miner; a cluster miner's options are the
+        keyword arguments of its MapReduce job (e.g. ``use_rewriting`` of
+        :class:`~repro.core.dseq.DSeqJob`, or the safety caps its table row
+        lists), and an unknown one is a ``TypeError``.
 
     Returns
     -------

@@ -90,8 +90,62 @@ def add_cap_arguments(parser: ArgumentParser) -> None:
     )
 
 
-def add_fault_arguments(parser: ArgumentParser) -> None:
-    """``--retries``: the run's task-attempt budget."""
+def add_cluster_arguments(
+    parser: ArgumentParser, default_workers: int | None, workers_help: str | None = None
+) -> None:
+    """The flags of a run's :class:`~repro.mapreduce.ClusterConfig`, declared
+    once for every subcommand that builds one: ``--workers`` (whose default
+    is the caller's), ``--backend``, ``--codec``, ``--spill-dir`` and
+    ``--retries``."""
+    from repro.mapreduce import CODECS
+
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=default_workers,
+        help=workers_help or f"number of workers (default: {default_workers})",
+    )
+    parser.add_argument(
+        "--backend",
+        type=backend_name,
+        default="simulated",
+        metavar="NAME",
+        help=(
+            "execution backend for the distributed algorithms: 'simulated' "
+            "models the cluster makespan in-process, 'persistent-processes' "
+            "(also spelled 'processes') runs on a local process pool for real "
+            "wall-clock speed-ups and publishes the encoded database as a file "
+            "in the run directory that the workers map, so tasks ship chunk "
+            "descriptors instead of pickled sequences, 'multihost' runs the "
+            "same process pool but stages every shuffle payload through a blob "
+            "store in the run directory (see --spill-dir) (default: simulated)"
+        ),
+    )
+    parser.add_argument(
+        "--codec",
+        choices=CODECS,
+        default="compact",
+        help=(
+            "shuffle wire format: 'compact' is a length-prefixed binary "
+            "codec that writes a key group of (fid tuple, weight) or (bytes, "
+            "weight) records as three columns (lengths, weights, payloads; "
+            "1-2 bytes per fid) and any other group value by value with type "
+            "tags, 'zlib' additionally compresses each bucket (default: compact)"
+        ),
+    )
+    parser.add_argument(
+        "--spill-dir",
+        metavar="DIR",
+        default=None,
+        help=(
+            "parent of each run's scratch directory, which holds everything "
+            "the run writes (the multihost fragment store included; a shared "
+            "mount on a multi-host deployment).  Created if missing; each run "
+            "directory goes when its run ends, and one a killed run left is "
+            "removed by a later run or by 'repro gc' after 24 h "
+            "(default: the system temp dir)"
+        ),
+    )
     parser.add_argument(
         "--retries",
         type=int,
@@ -110,14 +164,14 @@ def cluster_config_from_args(args: Namespace, num_workers: int):
     """Build the one :class:`~repro.mapreduce.ClusterConfig` of a CLI run."""
     from repro.mapreduce import ClusterConfig
 
-    retries = getattr(args, "retries", None)
+    retries = args.retries
     if retries is not None and retries < 0:
         raise CliError(f"--retries must be >= 0, got {retries}")
     return ClusterConfig(
         backend=args.backend,
         num_workers=num_workers,
         codec=args.codec,
-        spill_dir=getattr(args, "spill_dir", None),
+        spill_dir=args.spill_dir,
         **({"max_task_attempts": retries + 1} if retries is not None else {}),
     )
 
@@ -144,37 +198,6 @@ def reject_cluster_flags(args: Namespace, target: str) -> None:
         unset = None if flag == "--retries" else getattr(default, field)
         if getattr(args, flag[2:].replace("-", "_")) != unset:
             raise CliError(f"{flag} does not apply to {target} (it runs on no cluster)")
-
-
-def add_shuffle_arguments(parser: ArgumentParser) -> None:
-    """``--codec`` / ``--spill-dir``: the shuffle wire format and where a run writes."""
-    from repro.mapreduce import CODECS
-
-    parser.add_argument(
-        "--codec",
-        choices=CODECS,
-        default="compact",
-        help=(
-            "shuffle wire format: 'compact' is a length-prefixed binary "
-            "codec that writes a key group of (fid tuple, weight) or (bytes, "
-            "weight) records as three columns (lengths, weights, payloads; "
-            "1-2 bytes per fid) and any other group value by value with type "
-            "tags, 'zlib' additionally compresses each bucket (default: compact)"
-        ),
-    )
-    parser.add_argument(
-        "--spill-dir",
-        metavar="DIR",
-        default=None,
-        help=(
-            "parent of each run's scratch directory, which holds everything "
-            "the run writes (the multihost fragment store included; a shared "
-            "mount on a multi-host deployment).  Created if missing; each run "
-            "directory goes when its run ends, and one a killed run left is "
-            "removed by a later run or by 'repro gc' after 24 h "
-            "(default: the system temp dir)"
-        ),
-    )
 
 
 def read_hierarchy_file(path: str | Path) -> Hierarchy:

@@ -8,9 +8,7 @@ from argparse import Namespace
 from repro.cli.common import (
     CliError,
     add_cap_arguments,
-    add_fault_arguments,
-    add_shuffle_arguments,
-    backend_name,
+    add_cluster_arguments,
     cluster_config_from_args,
     reject_cluster_flags,
 )
@@ -72,27 +70,13 @@ def add_parser(subparsers) -> None:
         default=None,
         help="dataset sizes as 'NYT=500,AMZN=1200,AMZN-F=1200,CW=800'",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=f"number of workers (default: {DEFAULT_WORKERS}, {TABLE5_WORKERS} for table5)",
-    )
-    parser.add_argument(
-        "--backend",
-        type=backend_name,
-        default="simulated",
-        metavar="NAME",
-        help=(
-            "execution backend: 'simulated' models the cluster makespan, "
-            "'persistent-processes' (also spelled 'processes') executes on "
-            "real local processes that share the encoded database via shared "
-            "memory, 'multihost' additionally stages shuffle payloads through "
-            "a blob store (default: simulated)"
+    add_cluster_arguments(
+        parser,
+        default_workers=None,
+        workers_help=(
+            f"number of workers (default: {DEFAULT_WORKERS}, {TABLE5_WORKERS} for table5)"
         ),
     )
-    add_shuffle_arguments(parser)
-    add_fault_arguments(parser)
     add_cap_arguments(parser)
     parser.add_argument("--chart", action="store_true", help="also print an ASCII chart")
     parser.set_defaults(run=run)

@@ -8,10 +8,8 @@ from argparse import Namespace
 from repro.cli.common import (
     CliError,
     add_cap_arguments,
-    add_fault_arguments,
+    add_cluster_arguments,
     add_input_arguments,
-    add_shuffle_arguments,
-    backend_name,
     cluster_config_from_args,
     load_input,
     print_metrics,
@@ -59,26 +57,7 @@ def add_parser(subparsers) -> None:
         default="dseq",
         help="mining algorithm (default: dseq)",
     )
-    parser.add_argument("--workers", type=int, default=8, help="number of workers")
-    parser.add_argument(
-        "--backend",
-        type=backend_name,
-        default="simulated",
-        metavar="NAME",
-        help=(
-            "execution backend for the distributed algorithms: 'simulated' "
-            "models the cluster makespan in-process, 'persistent-processes' "
-            "(also spelled 'processes') runs on a local process pool for real "
-            "wall-clock speed-ups and publishes the encoded database as a file "
-            "in the run directory that the workers map, so tasks ship chunk "
-            "descriptors instead of pickled sequences, 'multihost' runs the "
-            "same process pool but "
-            "stages every shuffle payload through a blob store in the run "
-            "directory (see --spill-dir) (default: simulated)"
-        ),
-    )
-    add_shuffle_arguments(parser)
-    add_fault_arguments(parser)
+    add_cluster_arguments(parser, default_workers=8)
     add_cap_arguments(parser)
     parser.add_argument(
         "--output",

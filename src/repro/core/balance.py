@@ -25,8 +25,8 @@ from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from repro.core.dcand import DCandJob
-from repro.core.dseq import DSeqJob
+from repro.core.dcand import DCandMiner
+from repro.core.dseq import DSeqMiner
 from repro.dictionary import Dictionary
 from repro.errors import MiningError
 from repro.mapreduce import MapReduceJob
@@ -206,13 +206,14 @@ def dseq_partition_balance(
 ) -> PartitionBalance:
     """Partition balance of D-SEQ's map output for one constraint.
 
-    The job maps the same records a live miner would, the weighted
+    Measures the job of a :class:`~repro.core.dseq.DSeqMiner` built from
+    these arguments (``options`` are its job's); it maps the same records a
+    live miner would, the weighted
     ``unique_view()`` of the database, so the measured per-pivot bytes agree
     with the cluster's ``shuffle_bytes`` accounting even on duplication-heavy
     corpora.
     """
-    patex = PatEx(patex) if isinstance(patex, str) else patex
-    job = DSeqJob(patex.compile(dictionary), dictionary, sigma, **options)
+    job = DSeqMiner(patex, sigma, dictionary, **options).job
     return measure_partition_balance(job, as_mining_records(database))
 
 
@@ -229,6 +230,5 @@ def dcand_partition_balance(
     live :class:`~repro.core.dcand.DCandMiner`; see
     :func:`dseq_partition_balance`.
     """
-    patex = PatEx(patex) if isinstance(patex, str) else patex
-    job = DCandJob(patex.compile(dictionary), dictionary, sigma, **options)
+    job = DCandMiner(patex, sigma, dictionary, **options).job
     return measure_partition_balance(job, as_mining_records(database))

@@ -11,7 +11,9 @@ once per *distinct* input sequence: the map input is the database's
 :meth:`~repro.sequences.store.EncodedSequenceStore.unique_view` and each
 record's multiplicity rides along with its serialized NFAs.
 
-The two enhancements evaluated in Fig. 10b are switchable:
+The two enhancements evaluated in Fig. 10b are switchable, each a keyword
+argument of :class:`DCandJob` (and so of :class:`DCandMiner`, which forwards
+its options to the job):
 
 * ``minimize_nfas``  -- minimize the per-pivot tries before serializing;
 * ``aggregate_nfas`` -- aggregate identical serialized NFAs with a combiner.
@@ -31,11 +33,9 @@ from repro.fst import (
     MiningKernel,
     accepting_output_sets,
     ensure_kernel,
-    make_kernel,
 )
-from repro.mapreduce import ClusterConfig, MapReduceJob
+from repro.mapreduce import MapReduceJob
 from repro.nfa import TrieBuilder, decode_tables, serialize_pivot_tries
-from repro.patex import PatEx
 from repro.sequences import fold_weighted_values
 
 
@@ -134,34 +134,11 @@ class DCandMiner(ClusterMiner):
         miner = DCandMiner(patex, sigma=2, dictionary=dictionary)
         result = miner.mine(database)
 
-    The switches are Fig. 10b's ablation; the execution substrate is one
-    :class:`~repro.mapreduce.ClusterConfig` passed as ``cluster=`` (see
+    Its options are :class:`DCandJob`'s keyword arguments: Fig. 10b's
+    ablation switches and the ``max_runs`` cap.  The execution substrate is
+    one :class:`~repro.mapreduce.ClusterConfig` passed as ``cluster=`` (see
     :class:`~repro.core.cluster_miner.ClusterMiner`).
     """
 
     algorithm_name = "D-CAND"
-
-    def __init__(
-        self,
-        patex: PatEx | str,
-        sigma: int,
-        dictionary: Dictionary,
-        minimize_nfas: bool = True,
-        aggregate_nfas: bool = True,
-        max_runs: int = DEFAULT_MAX_RUNS,
-        cluster: ClusterConfig | None = None,
-    ) -> None:
-        super().__init__(sigma, dictionary, cluster=cluster)
-        self.patex = PatEx(patex) if isinstance(patex, str) else patex
-        self.minimize_nfas = minimize_nfas
-        self.aggregate_nfas = aggregate_nfas
-        self.max_runs = max_runs
-
-    def job(self) -> DCandJob:
-        return DCandJob(
-            make_kernel(self.patex.compile(self.dictionary), self.dictionary),
-            sigma=self.sigma,
-            minimize_nfas=self.minimize_nfas,
-            aggregate_nfas=self.aggregate_nfas,
-            max_runs=self.max_runs,
-        )
+    job_class = DCandJob

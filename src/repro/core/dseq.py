@@ -4,7 +4,9 @@ D-SEQ partitions the output space by pivot item and communicates *input
 sequences* (rewritten to drop irrelevant borders) to the partitions of their
 pivot items.  Each partition then runs the pivot-aware DESQ-DFS local miner.
 
-The three enhancements evaluated in Fig. 10a are individually switchable:
+The three enhancements evaluated in Fig. 10a are individually switchable,
+each a keyword argument of :class:`DSeqJob` (and so of :class:`DSeqMiner`,
+which forwards its options to the job):
 
 * ``use_grid``       -- pivot search via the position–state grid instead of
                         enumerating accepting runs;
@@ -43,9 +45,8 @@ from repro.core.pivot_search import pivots_by_run_enumeration
 from repro.core.rewriting import rewrite
 from repro.dictionary import Dictionary
 from repro.errors import CandidateExplosionError
-from repro.fst import DEFAULT_MAX_RUNS, Fst, MiningKernel, ensure_kernel, make_kernel
-from repro.mapreduce import ClusterConfig, MapReduceJob
-from repro.patex import PatEx
+from repro.fst import DEFAULT_MAX_RUNS, Fst, MiningKernel, ensure_kernel
+from repro.mapreduce import MapReduceJob
 from repro.sequences import fold_weighted_values
 
 
@@ -174,37 +175,11 @@ class DSeqMiner(ClusterMiner):
         miner = DSeqMiner(patex, sigma=2, dictionary=dictionary)
         result = miner.mine(database)
 
-    The switches are Fig. 10a's ablation; the execution substrate is one
-    :class:`~repro.mapreduce.ClusterConfig` passed as ``cluster=`` (see
+    Its options are :class:`DSeqJob`'s keyword arguments: Fig. 10a's
+    ablation switches and the ``max_runs`` cap.  The execution substrate is
+    one :class:`~repro.mapreduce.ClusterConfig` passed as ``cluster=`` (see
     :class:`~repro.core.cluster_miner.ClusterMiner`).
     """
 
     algorithm_name = "D-SEQ"
-
-    def __init__(
-        self,
-        patex: PatEx | str,
-        sigma: int,
-        dictionary: Dictionary,
-        use_grid: bool = True,
-        use_rewriting: bool = True,
-        use_early_stopping: bool = True,
-        max_runs: int = DEFAULT_MAX_RUNS,
-        cluster: ClusterConfig | None = None,
-    ) -> None:
-        super().__init__(sigma, dictionary, cluster=cluster)
-        self.patex = PatEx(patex) if isinstance(patex, str) else patex
-        self.use_grid = use_grid
-        self.use_rewriting = use_rewriting
-        self.use_early_stopping = use_early_stopping
-        self.max_runs = max_runs
-
-    def job(self) -> DSeqJob:
-        return DSeqJob(
-            make_kernel(self.patex.compile(self.dictionary), self.dictionary),
-            sigma=self.sigma,
-            use_grid=self.use_grid,
-            use_rewriting=self.use_rewriting,
-            use_early_stopping=self.use_early_stopping,
-            max_runs=self.max_runs,
-        )
+    job_class = DSeqJob

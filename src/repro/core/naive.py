@@ -6,9 +6,12 @@ additionally exploits the restricted support antimonotonicity of subsequence
 predicates (``f(w, D) >= f_π(S, D)`` for every ``w ∈ S``) and only emits
 candidates consisting entirely of frequent items.
 
-For loose constraints the number of candidates explodes; the paper reports
-those runs as out-of-memory failures.  The reproduction surfaces the same
-outcome as :class:`~repro.errors.CandidateExplosionError`.
+Both run :class:`NaiveJob`; they differ in one option the miner fixes,
+``prune_infrequent_items``.  For loose constraints the number of candidates
+explodes; the paper reports those runs as out-of-memory failures.  The
+reproduction surfaces the same outcome as
+:class:`~repro.errors.CandidateExplosionError` once a sequence exceeds the
+job's ``max_candidates_per_sequence`` or ``max_runs`` cap.
 """
 
 from __future__ import annotations
@@ -24,10 +27,8 @@ from repro.fst import (
     MiningKernel,
     ensure_kernel,
     generate_candidates,
-    make_kernel,
 )
-from repro.mapreduce import ClusterConfig, MapReduceJob
-from repro.patex import PatEx
+from repro.mapreduce import MapReduceJob
 
 
 class NaiveJob(MapReduceJob):
@@ -84,50 +85,27 @@ class NaiveJob(MapReduceJob):
         return 8 + 4 * len(key)
 
 
-class _SubsequenceBaselineMiner(ClusterMiner):
-    """Shared implementation of the NAÏVE and SEMI-NAÏVE miners.
+class NaiveMiner(ClusterMiner):
+    """The NAÏVE baseline: emit and count every candidate subsequence.
 
-    :meth:`mine` may raise :class:`~repro.errors.CandidateExplosionError`;
-    the substrate is one :class:`~repro.mapreduce.ClusterConfig` passed as
-    ``cluster=`` (see :class:`~repro.core.cluster_miner.ClusterMiner`).
+    Its options are :class:`NaiveJob`'s keyword arguments (the
+    ``max_candidates_per_sequence`` and ``max_runs`` caps); :meth:`mine` may
+    raise :class:`~repro.errors.CandidateExplosionError`.  The substrate is
+    one :class:`~repro.mapreduce.ClusterConfig` passed as ``cluster=`` (see
+    :class:`~repro.core.cluster_miner.ClusterMiner`).
     """
 
-    algorithm_name = "baseline"
-    prune_infrequent_items = False
-
-    def __init__(
-        self,
-        patex: PatEx | str,
-        sigma: int,
-        dictionary: Dictionary,
-        max_candidates_per_sequence: int = DEFAULT_MAX_CANDIDATES,
-        max_runs: int = DEFAULT_MAX_RUNS,
-        cluster: ClusterConfig | None = None,
-    ) -> None:
-        super().__init__(sigma, dictionary, cluster=cluster)
-        self.patex = PatEx(patex) if isinstance(patex, str) else patex
-        self.max_candidates_per_sequence = max_candidates_per_sequence
-        self.max_runs = max_runs
-
-    def job(self) -> NaiveJob:
-        return NaiveJob(
-            make_kernel(self.patex.compile(self.dictionary), self.dictionary),
-            sigma=self.sigma,
-            prune_infrequent_items=self.prune_infrequent_items,
-            max_candidates_per_sequence=self.max_candidates_per_sequence,
-            max_runs=self.max_runs,
-        )
-
-
-class NaiveMiner(_SubsequenceBaselineMiner):
-    """The NAÏVE baseline: emit and count every candidate subsequence."""
-
     algorithm_name = "NAIVE"
-    prune_infrequent_items = False
+    job_class = NaiveJob
+    job_options = {"prune_infrequent_items": False}
 
 
-class SemiNaiveMiner(_SubsequenceBaselineMiner):
-    """The SEMI-NAÏVE baseline: emit only candidates made of frequent items."""
+class SemiNaiveMiner(ClusterMiner):
+    """The SEMI-NAÏVE baseline: emit only candidates made of frequent items.
+
+    Options, errors and substrate as :class:`NaiveMiner`'s.
+    """
 
     algorithm_name = "SEMI-NAIVE"
-    prune_infrequent_items = True
+    job_class = NaiveJob
+    job_options = {"prune_infrequent_items": True}

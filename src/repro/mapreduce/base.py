@@ -62,6 +62,7 @@ import re
 import shutil
 import tempfile
 import time
+from collections import Counter
 from collections.abc import Callable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -307,15 +308,14 @@ class StageDriverCluster:
                 # Only the non-empty buckets get a list: the bucket count
                 # may be far larger than the map output.
                 fragments: dict[int, list[WireFragment]] = {}
+                bucket_bytes: Counter[int] = Counter()
                 for result in map_results:
                     metrics.add(result.counters)
-                    for bucket_index, size in result.bucket_shuffle_bytes.items():
-                        metrics.reduce_bucket_bytes[bucket_index] = (
-                            metrics.reduce_bucket_bytes.get(bucket_index, 0) + size
-                        )
+                    bucket_bytes.update(result.bucket_shuffle_bytes)
                     metrics.map_task_seconds.append(result.seconds)
                     for bucket_index, fragment in result.buckets:
                         fragments.setdefault(bucket_index, []).append(fragment)
+                metrics.reduce_bucket_bytes = [list(pair) for pair in sorted(bucket_bytes.items())]
 
                 # Reduce stage: one task per non-empty bucket, in bucket
                 # order; the streamed key-group merge (shuffle read) happens

@@ -78,10 +78,9 @@ class Counters:
     #: descriptors against a shared store (``persistent-processes``) report a
     #: few dozen bytes per task here regardless of database size.
     map_input_pickle_bytes: int = 0
-    #: Records the map tasks emitted and what is left of them after the
-    #: combiner (what is shuffled); then the job's input and output records.
+    #: Records the map tasks emitted (``shuffle_records`` is what is left of
+    #: them after the combiner); then the job's input and output records.
     map_output_records: int = 0
-    combined_records: int = 0
     input_records: int = 0
     output_records: int = 0
 
@@ -103,9 +102,11 @@ class JobMetrics(Counters):
     num_workers: int = 1
     map_task_seconds: list[float] = field(default_factory=list)
     reduce_task_seconds: list[float] = field(default_factory=list)
-    #: Modeled shuffle bytes per reduce bucket (``job.record_size`` summed per
-    #: destination).  The basis of the balance statistics below.
-    reduce_bucket_bytes: dict[int, int] = field(default_factory=dict)
+    #: Modeled shuffle bytes per non-empty reduce bucket (``job.record_size``
+    #: summed per destination), as ``[bucket, bytes]`` pairs in bucket order:
+    #: lists of ints, which JSON carries exactly.  The basis of the balance
+    #: statistics below.
+    reduce_bucket_bytes: list[list[int]] = field(default_factory=list)
 
     # ------------------------------------------------------------------ times
     @property
@@ -132,14 +133,15 @@ class JobMetrics(Counters):
     @property
     def partition_max_bytes(self) -> int:
         """Modeled bytes shuffled to the heaviest reduce bucket."""
-        return max(self.reduce_bucket_bytes.values(), default=0)
+        return max((size for _bucket, size in self.reduce_bucket_bytes), default=0)
 
     @property
     def partition_mean_bytes(self) -> float:
         """Mean modeled bytes over the non-empty reduce buckets."""
         if not self.reduce_bucket_bytes:
             return 0.0
-        return sum(self.reduce_bucket_bytes.values()) / len(self.reduce_bucket_bytes)
+        total = sum(size for _bucket, size in self.reduce_bucket_bytes)
+        return total / len(self.reduce_bucket_bytes)
 
     @property
     def partition_imbalance(self) -> float:
@@ -162,7 +164,7 @@ class JobMetrics(Counters):
         if not self.reduce_bucket_bytes:
             return 0.0
         loads = [0] * self.num_workers
-        for bucket, size in self.reduce_bucket_bytes.items():
+        for bucket, size in self.reduce_bucket_bytes:
             loads[bucket % self.num_workers] += size
         return max(loads) / MODELED_REDUCE_BYTES_PER_SECOND
 
@@ -171,7 +173,7 @@ class JobMetrics(Counters):
         """Fraction of map output records removed by the combiner."""
         if self.map_output_records == 0:
             return 0.0
-        return 1.0 - self.combined_records / self.map_output_records
+        return 1.0 - self.shuffle_records / self.map_output_records
 
     def as_dict(self) -> dict[str, float]:
         """Flat dictionary view used by the experiment reports: the worker

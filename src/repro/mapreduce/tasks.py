@@ -183,7 +183,7 @@ def run_map_task(
     fragments, counters = store_payloads(encoded, fragment_store=fragment_store)
     counters.input_records = len(records)
     counters.map_output_records = map_output_records
-    counters.combined_records = counters.shuffle_records = shuffle_records
+    counters.shuffle_records = shuffle_records
     counters.shuffle_bytes = shuffle_bytes
     return MapTaskResult(
         buckets=fragments,

@@ -19,6 +19,7 @@ from repro.fst import (
     generate_candidates,
     make_kernel,
 )
+from repro.errors import check_int
 from repro.mapreduce.metrics import JobMetrics
 from repro.patex import PatEx
 from repro.sequences import SequenceDatabase, as_mining_records
@@ -42,7 +43,7 @@ class SequentialDesqCount:
         max_runs: int = DEFAULT_MAX_RUNS,
     ) -> None:
         self.patex = PatEx(patex) if isinstance(patex, str) else patex
-        self.sigma = sigma
+        self.sigma = check_int(sigma, "sigma")
         self.dictionary = dictionary
         self.max_candidates_per_sequence = max_candidates_per_sequence
         self.max_runs = max_runs

@@ -14,6 +14,7 @@ from repro.core.local_mining import DesqDfsMiner
 from repro.core.results import MiningResult
 from repro.dictionary import Dictionary
 from repro.fst import make_kernel
+from repro.errors import check_int
 from repro.mapreduce.metrics import JobMetrics
 from repro.patex import PatEx
 from repro.sequences import SequenceDatabase, as_mining_records
@@ -42,7 +43,7 @@ class SequentialDesqDfs:
         max_patterns: int = 10_000_000,
     ) -> None:
         self.patex = PatEx(patex) if isinstance(patex, str) else patex
-        self.sigma = sigma
+        self.sigma = check_int(sigma, "sigma")
         self.dictionary = dictionary
         self.max_patterns = max_patterns
 

@@ -7,10 +7,11 @@ like D-SEQ, but their rewriting and local mining are specialised to the
 gap/length setting and avoid FST machinery entirely — which is exactly why the
 paper uses them as the "specialist" reference points in Fig. 12 and Fig. 13.
 
-:class:`GapConstrainedMiner` reproduces that behaviour.  Its mining semantics
-match the pattern expressions ``T2(σ, γ, λ)`` and ``T3(σ, γ, λ)`` of Table III
-(with implicit ``.*`` context), so results can be cross-checked against D-SEQ
-and D-CAND.
+:class:`GapConstrainedMiner` reproduces that behaviour by running
+:class:`GapConstrainedJob`, which alone holds the gap/length parameters.  Its
+mining semantics match the pattern expressions ``T2(σ, γ, λ)`` and
+``T3(σ, γ, λ)`` of Table III (with implicit ``.*`` context), so results can be
+cross-checked against D-SEQ and D-CAND.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ class GapConstrainedJob(MapReduceJob):
         min_length: int = 2,
         use_hierarchy: bool = True,
     ) -> None:
+        if max_length < min_length:
+            raise MiningError("max_length must be >= min_length")
         self.dictionary = dictionary
         self.sigma = sigma
         self.max_gap = max_gap
@@ -197,15 +200,18 @@ class GapConstrainedMiner(ClusterMiner):
     Parameters mirror the traditional constraints of Table III: maximum gap γ
     (``None`` for unbounded gaps, the MLlib/PrefixSpan setting), maximum length
     λ, minimum length (2 for T2/T3, 1 for PrefixSpan-style T1), and whether
-    hierarchy generalizations are allowed (LASH yes, MG-FSM no).  The
-    substrate is one :class:`~repro.mapreduce.ClusterConfig` passed as
-    ``cluster=`` (see :class:`~repro.core.cluster_miner.ClusterMiner`): the
-    specialist builds no FST and no grid, while it maps the corpus-level
-    dedup like every cluster miner (its shuffle is item-partitioned like
-    D-SEQ's).
+    hierarchy generalizations are allowed (LASH yes, MG-FSM no).  They are
+    :class:`GapConstrainedJob`'s keyword arguments, forwarded to the job as
+    they are and kept only there; the job refuses a ``max_length`` below
+    ``min_length``.  The substrate is one
+    :class:`~repro.mapreduce.ClusterConfig` passed as ``cluster=`` (see
+    :class:`~repro.core.cluster_miner.ClusterMiner`): the specialist builds no
+    FST and no grid, while it maps the corpus-level dedup like every cluster
+    miner (its shuffle is item-partitioned like D-SEQ's).
     """
 
     algorithm_name = "LASH"
+    job_class = GapConstrainedJob
 
     def __init__(
         self,
@@ -217,25 +223,18 @@ class GapConstrainedMiner(ClusterMiner):
         use_hierarchy: bool = True,
         cluster: ClusterConfig | None = None,
     ) -> None:
-        if max_length < min_length:
-            raise MiningError("max_length must be >= min_length")
-        super().__init__(sigma, dictionary, cluster=cluster)
-        self.max_gap = max_gap
-        self.max_length = max_length
-        self.min_length = min_length
-        self.use_hierarchy = use_hierarchy
+        super().__init__(
+            None,
+            sigma,
+            dictionary,
+            cluster,
+            max_gap=max_gap,
+            max_length=max_length,
+            min_length=min_length,
+            use_hierarchy=use_hierarchy,
+        )
         if not use_hierarchy:
             self.algorithm_name = "MG-FSM"
-
-    def job(self) -> GapConstrainedJob:
-        return GapConstrainedJob(
-            self.dictionary,
-            self.sigma,
-            max_gap=self.max_gap,
-            max_length=self.max_length,
-            min_length=self.min_length,
-            use_hierarchy=self.use_hierarchy,
-        )
 
 
 class LashMiner(GapConstrainedMiner):

@@ -33,8 +33,10 @@ from repro.service.cache import CacheInfo
 #: reduce partitioner; 5: a config names no ``num_reduce_tasks``; 6: a config
 #: carries ``max_task_attempts`` as a plain int and no ``fault_policy``; 7: a
 #: config names no ``grid``; 8: neither a config nor job metrics name a spill
-#: budget).
-PROTOCOL_VERSION = 8
+#: budget; 9: job metrics name no ``combined_records`` and carry
+#: ``reduce_bucket_bytes`` as ``[bucket, bytes]`` pairs, so every field
+#: decodes equal to what the library returned).
+PROTOCOL_VERSION = 9
 
 #: The port ``repro serve`` binds — and :func:`repro.api.connect` dials — by
 #: default.  Shared here so the two sides cannot drift apart (the client used

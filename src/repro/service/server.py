@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import socketserver
 import threading
-import time
 
 from repro.service import protocol
 
@@ -136,10 +135,6 @@ class MiningServer(socketserver.ThreadingTCPServer):
 
     # ------------------------------------------------------------ operations
     def _op_ping(self, request: dict) -> dict:
-        # ``sleep_s`` exists so client-timeout handling is testable.
-        sleep_s = float(request.get("sleep_s", 0) or 0)
-        if sleep_s:
-            time.sleep(sleep_s)
         return {"protocol": protocol.PROTOCOL_VERSION, "server": "repro"}
 
     def _op_attach_corpus(self, request: dict) -> dict:

@@ -340,6 +340,15 @@ class TestSigmaIsRefusedBeforeAnyWork:
         with pytest.raises(MiningError, match="sigma must be >= 1 and an int"):
             GapConstrainedMiner(sigma, ex_dictionary, max_gap=1, max_length=3)
 
+    @pytest.mark.parametrize("sigma", (*NOT_A_SIGMA, 2.5, -1))
+    @pytest.mark.parametrize("miner_class", [SequentialDesqCount, SequentialDesqDfs])
+    def test_sequential_desq_miners_refuse_it_when_built(
+        self, ex_dictionary, sigma, miner_class
+    ):
+        # DESQ-COUNT stored any σ and mined "(.)(.)" at 0, True, 2.5 and -1.
+        with pytest.raises(MiningError, match="sigma must be >= 1 and an int"):
+            miner_class("(.)(.)", sigma, ex_dictionary)
+
     def test_a_plain_int_still_mines(self, ex_corpus):
         assert repro.api.mine(ex_corpus, RUNNING_EXAMPLE_PATEX, sigma=2, algorithm="dcand")
 

@@ -50,6 +50,29 @@ class TestParser:
         for command in ("generate", "stats", "mine", "inspect", "constraints", "convert", "experiment"):
             assert command in text
 
+    def test_cluster_flags_read_the_same_in_mine_and_experiment(self):
+        # ``experiment --backend`` once still spoke of shared memory.
+        from argparse import _SubParsersAction
+
+        from repro.cli.common import CLUSTER_FLAGS
+
+        (commands,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, _SubParsersAction)
+        ]
+
+        def declared(command):
+            parser = commands.choices[command]
+            return {
+                flag: (action.help, action.default, action.metavar)
+                for action in parser._actions
+                for flag in action.option_strings
+                if flag in CLUSTER_FLAGS
+            }
+
+        assert declared("mine") == declared("experiment")
+        assert set(declared("mine")) == set(CLUSTER_FLAGS)
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])

@@ -224,7 +224,6 @@ class TestKernelOracle:
         "shuffle_records",
         "wire_bytes",
         "map_output_records",
-        "combined_records",
         "output_records",
     )
 
@@ -547,7 +546,6 @@ class TestUniqueViewMatrix:
         "shuffle_records",
         "wire_bytes",
         "map_output_records",
-        "combined_records",
         "input_records",
         "output_records",
     )

@@ -311,7 +311,7 @@ class TestDriverRetries:
         assert result.metrics.recovered_host_count == 0
         # The one successful attempt per task is the only one metered.
         for metric in ("shuffle_bytes", "shuffle_records", "wire_bytes",
-                       "map_output_records", "combined_records", "output_records"):
+                       "map_output_records", "output_records"):
             assert getattr(result.metrics, metric) == getattr(baseline.metrics, metric)
 
     def test_transient_reduce_failure_is_retried(self):
@@ -507,7 +507,7 @@ class TestInjectedMultiHost:
         ).mine(database)
         assert injected.patterns() == reference.patterns()
         for metric in ("shuffle_bytes", "shuffle_records", "wire_bytes",
-                       "map_output_records", "combined_records", "output_records"):
+                       "map_output_records", "output_records"):
             assert getattr(injected.metrics, metric) == (
                 getattr(reference.metrics, metric)
             ), metric
@@ -773,8 +773,8 @@ class TestRetryProperties:
         assert result.metrics.task_retry_count == k
         # Retried attempts never double-count the modeled or measured traffic.
         for metric in ("shuffle_bytes", "shuffle_records", "wire_bytes",
-                       "map_output_records", "combined_records",
-                       "map_input_pickle_bytes", "output_records"):
+                       "map_output_records", "map_input_pickle_bytes",
+                       "output_records"):
             assert getattr(result.metrics, metric) == (
                 getattr(baseline.metrics, metric)
             ), metric

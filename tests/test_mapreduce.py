@@ -80,7 +80,7 @@ class TestSimulatedCluster:
         assert metrics.input_records == 4
         assert metrics.output_records == 3
         assert metrics.map_output_records == 9  # one per word occurrence
-        assert metrics.shuffle_records == metrics.combined_records
+        assert 0 < metrics.shuffle_records <= metrics.map_output_records
         assert metrics.shuffle_bytes > 0
 
     def test_invalid_worker_count(self):
@@ -134,7 +134,7 @@ class TestJobMetrics:
         assert metrics.combine_ratio == 0.0
 
     def test_combine_ratio(self):
-        metrics = JobMetrics(map_output_records=10, combined_records=4)
+        metrics = JobMetrics(map_output_records=10, shuffle_records=4)
         assert metrics.combine_ratio == pytest.approx(0.6)
 
     def test_as_dict_keys(self):

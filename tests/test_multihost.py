@@ -93,7 +93,6 @@ class TestMultiHostEquivalence:
             "shuffle_records",
             "wire_bytes",
             "map_output_records",
-            "combined_records",
             "output_records",
         ):
             assert getattr(multihost.metrics, metric) == (

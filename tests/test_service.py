@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
+import time
 
 import pytest
 
@@ -11,6 +13,7 @@ import repro
 import repro.api
 from repro.errors import CorpusNotAttachedError, MiningError, QueryTimeoutError, ServiceError
 from repro.mapreduce import ClusterConfig
+from repro.mapreduce.metrics import JobMetrics
 from repro.service import MiningServer, QueryCache, protocol
 from repro.service.cache import CacheInfo
 
@@ -22,11 +25,11 @@ SIGMA = 2
 #: an encoded ``ClusterConfig`` and the ``JobMetrics`` fields of an encoded
 #: result.  A change to either set bumps the version and replaces this row.
 WIRE_SHAPE = (
-    8,
+    9,
     {"backend", "num_workers", "codec", "spill_dir", "max_task_attempts"},
     {
         "blob_get_bytes", "blob_get_count", "blob_put_bytes", "blob_put_count",
-        "blob_retry_count", "combined_records", "input_records",
+        "blob_retry_count", "input_records",
         "map_input_pickle_bytes", "map_output_records", "map_task_seconds",
         "num_workers", "output_records", "recovered_host_count",
         "reduce_bucket_bytes", "reduce_task_seconds", "shuffle_bytes",
@@ -289,6 +292,22 @@ class TestServiceSession:
         for field in ("shuffle_bytes", "shuffle_records", "wire_bytes", "num_workers"):
             assert getattr(served.metrics, field) == getattr(direct.metrics, field), field
 
+    @pytest.mark.parametrize("algorithm", CLUSTER_ALGORITHMS)
+    def test_served_metrics_are_the_library_metrics(
+        self, server, client, ex_corpus, algorithm
+    ):
+        spec = constraint_for(algorithm)
+        client.attach_corpus("ex", ex_corpus)
+        served = client.mine("ex", spec, sigma=SIGMA, algorithm=algorithm)
+        # The daemon's session answers the same query from its cache: the
+        # very result the daemon encoded.
+        local = server.session.mine("ex", spec, sigma=SIGMA, algorithm=algorithm)
+        assert server.session.last_query_cached
+        for field in dataclasses.fields(JobMetrics):
+            name = field.name
+            assert getattr(served.metrics, name) == getattr(local.metrics, name), name
+        assert served.metrics.as_dict() == local.metrics.as_dict()
+
     @pytest.mark.parametrize("facade", ["local", "service"])
     def test_both_facades_refuse_an_attachment_that_is_no_database(
         self, request, ex_dictionary, facade
@@ -461,16 +480,28 @@ class TestServiceSession:
         client.mine("ex", RUNNING_EXAMPLE_PATEX, sigma=SIGMA)
         assert client.last_query_cached is False
 
-    def test_query_timeout(self, server):
+    def test_query_timeout(self):
+        class SlowPingServer(MiningServer):
+            def _op_ping(self, request):
+                time.sleep(5.0)
+                return super()._op_ping(request)
+
+        with SlowPingServer() as server:
+            host, port = server.serve_background()
+            with repro.connect(host, port, timeout=0.2) as slow:
+                with pytest.raises(QueryTimeoutError) as excinfo:
+                    slow.ping()
+                assert excinfo.value.operation == "ping"
+                # timeouts poison the connection: the stranded reply must never
+                # be read as the answer to a later request
+                with pytest.raises(ServiceError, match="closed"):
+                    slow.ping()
+
+    def test_ping_takes_no_client_delay(self, server):
+        # ``ping`` used to sleep its handler thread for any ``sleep_s`` asked.
         host, port = server.address
-        with repro.connect(host, port, timeout=0.2) as slow:
-            with pytest.raises(QueryTimeoutError) as excinfo:
-                slow.ping(sleep_s=5.0)
-            assert excinfo.value.operation == "ping"
-            # timeouts poison the connection: the stranded reply must never
-            # be read as the answer to a later request
-            with pytest.raises(ServiceError, match="closed"):
-                slow.ping()
+        with repro.connect(host, port, timeout=0.2) as session:
+            assert session._call("ping", sleep_s=5)["protocol"] == protocol.PROTOCOL_VERSION
 
     def test_connect_refused(self):
         with pytest.raises(ServiceError, match="cannot reach"):
